@@ -24,6 +24,8 @@ func TestSequentialStepZeroAllocs(t *testing.T) {
 		opts Options
 	}{
 		{"dense/MU", dense, Options{K: 5, MaxIter: 200, Solver: SolverMU, Sweeps: 2, ComputeError: true}},
+		// k=11: two packed panels per product, the second ragged.
+		{"dense/MU/k11", dense, Options{K: 11, MaxIter: 200, Solver: SolverMU, ComputeError: true}},
 		{"dense/HALS/noErr", dense, Options{K: 5, MaxIter: 200, Solver: SolverHALS}},
 		{"dense/PGD/reg", dense, Options{K: 5, MaxIter: 200, Solver: SolverPGD, L2W: 0.1, L1H: 0.05}},
 		{"dense/BPP", dense, Options{K: 5, MaxIter: 200, Solver: SolverBPP, ComputeError: true}},
@@ -58,7 +60,8 @@ func TestSequentialStepZeroAllocs(t *testing.T) {
 // TestComputePathZeroAllocs covers the kernel helpers every driver's
 // iteration is built from (the naive and HPC drivers necessarily
 // allocate in their simulated collectives, so their compute path is
-// pinned here instead): the data-matrix products, the projected
+// pinned here instead): the data-matrix products and the factor Gram
+// (whose tile-kernel pack buffers come from the arena), the projected
 // gradient, and the regularized-subproblem assembly all run
 // allocation-free against a warmed workspace.
 func TestComputePathZeroAllocs(t *testing.T) {
@@ -72,6 +75,7 @@ func TestComputePathZeroAllocs(t *testing.T) {
 	aht := mat.NewDense(m, k)
 	wta := mat.NewDense(k, n)
 	wtw := mat.Gram(w)
+	hGram := mat.NewDense(k, k)
 	ws := mat.NewWorkspace()
 
 	for _, tc := range []struct {
@@ -83,7 +87,8 @@ func TestComputePathZeroAllocs(t *testing.T) {
 			h.TTo(bt)
 			steady := func() {
 				mulHtInto(aht, tc.a, h, ws, nil)
-				mulBtInto(aht, tc.a, bt, nil)
+				mulBtInto(aht, tc.a, bt, ws, nil)
+				mat.ParGramTToWS(hGram, h, nil, ws)
 				mulAtBInto(wta, tc.a, w, ws, nil)
 				_ = projGradSq(wtw, wta, h, ws, nil)
 				g, f, gTmp, fTmp := applyRegInto(ws, wtw, wta, 0.1, 0.05)

@@ -318,14 +318,14 @@ func RunHPC(a Matrix, g grid.Grid, opts Options) (*Result, error) {
 			localGram:    uij,
 			outRows:      wHi - wLo,
 			out:          ahtij,
-			gram:         func() { mat.ParGramTTo(uij, hij, pool) }, // line 3: Uij = (Hj)i·(Hj)iᵀ
+			gram:         func() { mat.ParGramTToWS(uij, hij, pool, ws) }, // line 3: Uij = (Hj)i·(Hj)iᵀ
 			sendChunk: func(c0, c1 int) []float64 {
 				return hij.Submatrix(c0, c1, 0, hHi-hLo).T().Data
 			},
 			multiply: func(panel *mat.Dense, kc int) *mat.Dense {
 				ps := clk.Start(perf.TaskMM)
 				vij := ws.Get(mi, kc)
-				mulBtInto(vij, aij, panel, pool) // Vij columns, mi×kc
+				mulBtInto(vij, aij, panel, ws, pool) // Vij columns, mi×kc
 				clk.Stop(ps)
 				tr.AddFlops(perf.TaskMM, 2*int64(aij.NNZ())*int64(kc))
 				return vij
@@ -401,7 +401,7 @@ func RunHPC(a Matrix, g grid.Grid, opts Options) (*Result, error) {
 				errSpan := c.Tracer().Begin(trace.CatPhase, "Err")
 				hijGram := ws.Get(k, k)
 				ps := clk.Start(perf.TaskGram)
-				mat.ParGramTTo(hijGram, hij, pool)
+				mat.ParGramTToWS(hijGram, hij, pool, ws)
 				clk.Stop(ps)
 				tr.AddFlops(perf.TaskGram, gramFlops(hHi-hLo, k))
 				payload := []float64{mat.Dot(wta, hij), mat.Dot(wtw, hijGram)}

@@ -12,12 +12,13 @@ import (
 // Matrix implementations fall back to the interface's allocating
 // methods plus a copy — correct, just not allocation-free.
 
-// mulHtInto computes dst = A·Hᵀ (m×k) for H of shape k×n. The sparse
-// path needs Hᵀ materialized (the CSR kernel streams B = Hᵀ by rows)
-// and draws that n×k buffer from ws.
+// mulHtInto computes dst = A·Hᵀ (m×k) for H of shape k×n. The dense
+// path packs H for the tile kernel, the sparse path needs Hᵀ
+// materialized (the CSR kernel streams B = Hᵀ by rows); both draw
+// that n×k-sized buffer from ws.
 func mulHtInto(dst *mat.Dense, a Matrix, h *mat.Dense, ws *mat.Workspace, pool *par.Pool) {
 	if d, ok := UnwrapDense(a); ok {
-		mat.ParMulABtTo(dst, d, h, pool)
+		mat.ParMulABtToWS(dst, d, h, pool, ws)
 		return
 	}
 	if s, ok := UnwrapSparse(a); ok {
@@ -32,10 +33,13 @@ func mulHtInto(dst *mat.Dense, a Matrix, h *mat.Dense, ws *mat.Workspace, pool *
 
 // mulBtInto computes dst = A·B (m×k) for B of shape n×k — the same
 // product as mulHtInto but taking the transposed factor directly, the
-// layout the all-gather produces.
-func mulBtInto(dst *mat.Dense, a Matrix, bt *mat.Dense, pool *par.Pool) {
+// layout the all-gather produces. The dense path packs B into the same
+// panels as mulHtInto (buffer from ws) and runs the same tile kernel.
+func mulBtInto(dst *mat.Dense, a Matrix, bt *mat.Dense, ws *mat.Workspace, pool *par.Pool) {
 	if d, ok := UnwrapDense(a); ok {
-		mat.ParMulTo(dst, d, bt, pool)
+		pk := mat.PackCols(ws, bt)
+		mat.ParMulPackedTo(dst, d, pk, pool)
+		pk.Release(ws)
 		return
 	}
 	if s, ok := UnwrapSparse(a); ok {

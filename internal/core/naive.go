@@ -135,7 +135,7 @@ func RunNaive(a Matrix, p int, opts Options) (*Result, error) {
 			hT := assemble(hiT.Data, hWordCounts, n, hGram) // HHᵀ redundantly
 
 			ps := clk.Start(perf.TaskMM)
-			mulBtInto(aiht, aRow, hT, pool) // Ai·Hᵀ, mi×k
+			mulBtInto(aiht, aRow, hT, ws, pool) // Ai·Hᵀ, mi×k
 			clk.Stop(ps)
 			tr.AddFlops(perf.TaskMM, 2*int64(aRow.NNZ())*int64(k))
 
@@ -170,7 +170,7 @@ func RunNaive(a Matrix, p int, opts Options) (*Result, error) {
 				errSpan := c.Tracer().Begin(trace.CatPhase, "Err")
 				hiGram := ws.Get(k, k)
 				ps = clk.Start(perf.TaskGram)
-				mat.ParGramTTo(hiGram, hi, pool)
+				mat.ParGramTToWS(hiGram, hi, pool, ws)
 				clk.Stop(ps)
 				tr.AddFlops(perf.TaskGram, gramFlops(ni, k))
 				payload := []float64{mat.Dot(wtai, hi), mat.Dot(wtw, hiGram)}

@@ -71,26 +71,30 @@ func newTiledMatrix(f *ooc.File, depth int) (*tiledMatrix, error) {
 // close stops the pipeline (the File stays open; the caller owns it).
 func (tm *tiledMatrix) close() { tm.pipe.Close() }
 
-// streamMulABt computes dst = A·Hᵀ (m×k) in one pass: each panel
-// fills its own disjoint output rows, so tiling cannot change any
-// result bit. The pass is wrapped in a TileStream trace span nested
-// under the caller's MM phase.
-func (tm *tiledMatrix) streamMulABt(dst, h *mat.Dense, pool *par.Pool, tc *trace.Tracer) error {
+// streamMulABt computes dst = A·Hᵀ (m×k) in one pass: H is packed for
+// the tile kernel once (buffer from ws), then each panel fills its own
+// disjoint output rows, so tiling cannot change any result bit. The
+// pass is wrapped in a TileStream trace span nested under the caller's
+// MM phase.
+func (tm *tiledMatrix) streamMulABt(dst, h *mat.Dense, ws *mat.Workspace, pool *par.Pool, tc *trace.Tracer) error {
 	k := h.Rows
 	n := int(tm.f.Header().Cols)
 	sp := tc.BeginArg(trace.CatPhase, "TileStream", "tiles", int64(tm.f.Tiles()))
+	pk := mat.PackRows(ws, h)
 	for t := 0; t < tm.f.Tiles(); t++ {
 		p, err := tm.pipe.Next()
 		if err != nil {
+			pk.Release(ws)
 			sp.End()
 			return err
 		}
 		rows := p.Row1 - p.Row0
 		tm.panelHdr = mat.Dense{Rows: rows, Cols: n, Data: p.Data}
 		tm.outHdr = mat.Dense{Rows: rows, Cols: k, Data: dst.Data[p.Row0*k : p.Row1*k]}
-		mat.ParMulABtTo(&tm.outHdr, &tm.panelHdr, h, pool)
+		mat.ParMulPackedTo(&tm.outHdr, &tm.panelHdr, pk, pool)
 		tm.pipe.Release(p)
 	}
+	pk.Release(ws)
 	sp.End()
 	tm.passes++
 	return nil
@@ -158,7 +162,7 @@ func (tm *tiledMatrix) MulHt(h *mat.Dense) *mat.Dense {
 	d := mat.NewDense(m, h.Rows)
 	pool := par.NewPool(1)
 	defer pool.Close()
-	if err := tm.streamMulABt(d, h, pool, nil); err != nil {
+	if err := tm.streamMulABt(d, h, nil, pool, nil); err != nil {
 		panic(fmt.Sprintf("core: out-of-core A·Hᵀ: %v", err))
 	}
 	return d

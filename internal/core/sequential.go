@@ -106,14 +106,14 @@ func (s *seqState) step(it int) error {
 	// --- Update W given H (Algorithm 1, line 3) ---
 	if !s.haveHGram {
 		ps := s.clk.Start(perf.TaskGram)
-		mat.ParGramTTo(s.hGram, s.h, s.pool)
+		mat.ParGramTToWS(s.hGram, s.h, s.pool, s.ws)
 		s.clk.Stop(ps)
 		s.tr.AddFlops(perf.TaskGram, gramFlops(s.n, s.k))
 		s.haveHGram = true
 	}
 	ps := s.clk.Start(perf.TaskMM)
 	if s.ooc != nil {
-		if err := s.ooc.streamMulABt(s.aht, s.h, s.pool, s.tc); err != nil {
+		if err := s.ooc.streamMulABt(s.aht, s.h, s.ws, s.pool, s.tc); err != nil {
 			s.clk.Stop(ps)
 			return fmt.Errorf("core: streaming A·Hᵀ at iteration %d: %w", it, err)
 		}
@@ -167,7 +167,7 @@ func (s *seqState) step(it int) error {
 	if s.opts.ComputeError {
 		errSpan := s.tc.Begin(trace.CatPhase, "Err")
 		ps = s.clk.Start(perf.TaskGram)
-		mat.ParGramTTo(s.hGram, s.h, s.pool) // reused as next iteration's HHᵀ
+		mat.ParGramTToWS(s.hGram, s.h, s.pool, s.ws) // reused as next iteration's HHᵀ
 		s.clk.Stop(ps)
 		s.haveHGram = true
 		s.tr.AddFlops(perf.TaskGram, gramFlops(s.n, s.k))

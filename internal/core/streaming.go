@@ -178,7 +178,7 @@ func (s *Streaming) Push(cols *mat.Dense) error {
 	// checkFactorSanity panic: a degenerate window degrades into a
 	// damped solve or an error, never a panic.
 	for sweep := 0; sweep < s.sweeps; sweep++ {
-		mat.ParGramTTo(s.hGram, s.h, nil)
+		mat.ParGramTToWS(s.hGram, s.h, nil, s.ws)
 		mulHtInto(s.aht, s.a, s.h, s.ws, nil)
 		s.aht.TTo(s.fw)
 		if _, err := solveDamped(s.solver, s.ctx, s.hGram, s.fw, s.wt, s.wt); err != nil {
@@ -230,7 +230,7 @@ func (s *Streaming) RelErr() float64 {
 		return 0
 	}
 	mulAtBInto(s.wta, s.a, s.w, s.ws, nil)
-	mat.ParGramTTo(s.hGram, s.h, nil)
+	mat.ParGramTToWS(s.hGram, s.h, nil, s.ws)
 	return relErrFrom(normA2, mat.Dot(s.wta, s.h), mat.Dot(s.proj.Gram(), s.hGram))
 }
 

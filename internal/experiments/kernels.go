@@ -24,9 +24,9 @@ import (
 
 // KernelRow is one timed (kernel, implementation, threads) point.
 type KernelRow struct {
-	// Kernel names the operation (MulAtB, Gram, MulABt, MulAdd, GramT,
-	// SpMulBt, SpMulWtA, their Skew/Small sparse variants, or the
-	// HPC2Dwebbase driver rows).
+	// Kernel names the operation (MulAtB, Gram, MulABt, MulABtPanel,
+	// MulAdd, GramT, SpMulBt, SpMulWtA, their Skew/Small sparse
+	// variants, or the HPC2Dwebbase driver rows).
 	Kernel string `json:"kernel"`
 	// M, N, K give the operand shape; the output is k×n (MulAtB), k×k
 	// (Gram/GramT), or m-rowed otherwise.
@@ -34,7 +34,8 @@ type KernelRow struct {
 	N int `json:"n"`
 	K int `json:"k"`
 	// Impl is "naive" (the seed's reference loops) or "blocked" (the
-	// register-tiled axpy42-based kernels).
+	// production kernels: the tile kernel for MulABt/MulABtPanel/GramT,
+	// axpy42 for the rest).
 	Impl string `json:"impl"`
 	// Threads is the kernel pool width (1 = inline, no pool).
 	Threads int `json:"threads"`
@@ -182,12 +183,24 @@ func CollectKernels(cfg KernelConfig) *KernelReport {
 	cSmallBt := mat.NewDense(spSmall.Rows, k)
 	cSmallWta := mat.NewDense(k, spSmall.Cols)
 
-	// The drivers call the Wᵀ·A kernel through a workspace arena, so
-	// the bench does too: without it every call allocates (and
-	// page-faults) a fresh n×k accumulator, and the measured time
-	// swings with whatever heap state earlier cases left behind —
-	// enough to trip the regression gate on the microsecond-scale rows.
+	// The drivers call the sparse Wᵀ·A kernel and the tile-kernel
+	// products through a workspace arena, so the bench does too:
+	// without it every call allocates (and page-faults) a fresh n×k
+	// accumulator or pack buffer, and the measured time swings with
+	// whatever heap state earlier cases left behind — enough to trip
+	// the regression gate on the microsecond-scale rows.
 	ws := mat.NewWorkspace()
+
+	// The out-of-core driver's shape (benchmark workload ooc_lowk at the
+	// default sizes: one 327-row tile of a 3200-column matrix, k=16): a
+	// thin row panel against two packed panels, where a kernel tuned
+	// only for big blocks loses.
+	const panelK = 16
+	aPanel := mat.NewDense(max(m*327/10000, 1), 8*n)
+	aPanel.RandomUniform(s)
+	hPanel := mat.NewDense(panelK, 8*n)
+	hPanel.RandomUniform(s)
+	cPanel := mat.NewDense(aPanel.Rows, panelK)
 
 	cases := []kernelCase{
 		{
@@ -206,7 +219,13 @@ func CollectKernels(cfg KernelConfig) *KernelReport {
 			name: "MulABt", m: m, n: n, k: k,
 			flops:   2 * float64(m) * float64(n) * float64(k),
 			naive:   func() { mat.RefMulABtTo(cAht, a, h) },
-			blocked: func(p *par.Pool) { mat.ParMulABtTo(cAht, a, h, p) },
+			blocked: func(p *par.Pool) { mat.ParMulABtToWS(cAht, a, h, p, ws) },
+		},
+		{
+			name: "MulABtPanel", m: aPanel.Rows, n: aPanel.Cols, k: panelK,
+			flops:   2 * float64(aPanel.Rows) * float64(aPanel.Cols) * panelK,
+			naive:   func() { mat.RefMulABtTo(cPanel, aPanel, hPanel) },
+			blocked: func(p *par.Pool) { mat.ParMulABtToWS(cPanel, aPanel, hPanel, p, ws) },
 		},
 		{
 			name: "MulAdd", m: m, n: n, k: k,
@@ -218,7 +237,7 @@ func CollectKernels(cfg KernelConfig) *KernelReport {
 			name: "GramT", m: 0, n: n, k: k,
 			flops:   float64(n) * float64(k) * float64(k+1),
 			naive:   func() { mat.RefGramT(h) },
-			blocked: func(p *par.Pool) { mat.ParGramTTo(cGram, h, p) },
+			blocked: func(p *par.Pool) { mat.ParGramTToWS(cGram, h, p, ws) },
 		},
 		{
 			// Sparse rows: "naive" is the retained scalar reference loop

@@ -192,6 +192,41 @@ func TestAxpyFMAWithinTolerance(t *testing.T) {
 	}
 }
 
+// TestTileFMAWithinTolerance checks that the FMA opt-in reaches the
+// tile kernel — A·Hᵀ and H·Hᵀ contract like Wᵀ·A does, instead of
+// silently staying uncontracted — and stays within rounding of the
+// references: each of the n product terms loses one intermediate
+// rounding.
+func TestTileFMAWithinTolerance(t *testing.T) {
+	restoreISA(t)
+	if err := SetISA("avx2+fma"); err != nil {
+		t.Skip("CPU lacks FMA")
+	}
+	s := rng.New(78)
+	const m, k, n = 9, 17, 50
+	a := randomSigned(m, n, s)
+	h := randomSigned(k, n, s)
+	want := NewDense(m, k)
+	RefMulABtTo(want, a, h)
+	wantG := RefGramT(h)
+	const tol = 1e-13
+	check := func(name string, got, want *Dense) {
+		contracted := false
+		for i, g := range got.Data {
+			w := want.Data[i]
+			contracted = contracted || g != w
+			if d := math.Abs(g - w); !(d <= tol*math.Max(1, math.Abs(w))) {
+				t.Errorf("fma %s: [%d] = %g, want %g (|d|=%g)", name, i, g, w, d)
+			}
+		}
+		if !contracted {
+			t.Errorf("fma %s is bitwise equal to the uncontracted reference: the opt-in did not reach the kernel", name)
+		}
+	}
+	check("MulABt", MulABt(a, h), want)
+	check("GramT", GramT(h), wantG)
+}
+
 // TestSetISA covers the spec parser and its guard rails.
 func TestSetISA(t *testing.T) {
 	restoreISA(t)

@@ -2,6 +2,7 @@ package mat
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -40,6 +41,58 @@ func FuzzReadBinary(f *testing.F) {
 		}
 		if len(a.Data) != a.Rows*a.Cols {
 			t.Fatal("inconsistent matrix accepted")
+		}
+	})
+}
+
+// FuzzTileMulABt drives the tile kernel with fuzzed shapes (every
+// dimension ≤ 40) and fuzzed values — small signed dyadics, signed
+// zeros and infinities drawn from the input bytes — and requires C =
+// A·Bᵀ bitwise equal to the scalar reference at the active dispatch
+// level.
+func FuzzTileMulABt(f *testing.F) {
+	f.Add(uint8(4), uint8(8), uint8(8), []byte{1, 2, 3})
+	f.Add(uint8(5), uint8(3), uint8(9), []byte{0x80, 0x7f, 0, 0xff, 17})
+	f.Add(uint8(0), uint8(1), uint8(0), []byte{})
+	f.Add(uint8(40), uint8(40), uint8(40), []byte{0xfe, 0x01, 0x33})
+	f.Fuzz(func(t *testing.T, mb, nb, kb uint8, vals []byte) {
+		m, n, k := int(mb)%41, int(nb)%41, int(kb)%41
+		next := 0
+		value := func() float64 {
+			if len(vals) == 0 {
+				return 1
+			}
+			b := vals[next%len(vals)]
+			next++
+			switch b {
+			case 0x00:
+				return 0
+			case 0x80:
+				return math.Copysign(0, -1)
+			case 0x7f:
+				return math.Inf(1)
+			case 0xff:
+				return math.Inf(-1)
+			}
+			return float64(int8(b)) / 16
+		}
+		a, b := NewDense(m, n), NewDense(k, n)
+		for i := range a.Data {
+			a.Data[i] = value()
+		}
+		for i := range b.Data {
+			b.Data[i] = value()
+		}
+		want := NewDense(m, k)
+		RefMulABtTo(want, a, b)
+		got := NewDense(m, k)
+		got.Fill(-7)
+		MulABtTo(got, a, b)
+		for i, w := range want.Data {
+			if g := got.Data[i]; math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%dx%d k=%d: C[%d] = %x (%g), want %x (%g)", m, n, k, i,
+					math.Float64bits(g), g, math.Float64bits(w), w)
+			}
 		}
 	})
 }

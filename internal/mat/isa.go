@@ -7,14 +7,17 @@ import (
 	"sync/atomic"
 )
 
-// CPU feature dispatch for the axpy kernel primitives.
+// CPU feature dispatch for the kernel primitives.
 //
-// The blocked kernels funnel every flop through three tiny primitives
-// (axpy42, Axpy4, Axpy), so one function-level dispatch point upgrades
-// the whole kernel layer. Three instruction-set levels exist:
+// The blocked kernels funnel every flop through four tiny primitives
+// — the three axpys (axpy42, Axpy4, Axpy) behind the wide-output and
+// sparse products, and the 4×8 tile behind the skinny-output ones — so
+// one function-level dispatch point per primitive upgrades the whole
+// kernel layer. Three instruction-set levels exist:
 //
 //	generic — portable Go loops (the !amd64 build, and a test target)
-//	sse2    — packed 2-wide MULPD/ADDPD (the amd64 baseline)
+//	sse2    — packed 2-wide MULPD/ADDPD axpys (the amd64 baseline);
+//	          the tile runs its portable loop
 //	avx2    — packed 4-wide VMULPD/VADDPD
 //
 // All three execute the same per-element operation sequence, so their
@@ -25,8 +28,9 @@ import (
 // FMA is different: contracting mul+add into one rounding step changes
 // results (usually for the better), so it breaks the bitwise contract.
 // It is therefore opt-in (core.Options.AllowFMA or HPCNMF_CPU=fma),
-// only layered on top of the avx2 level, and conformance-tested with
-// tolerances instead of equality.
+// only layered on top of the avx2 level, applied to every primitive
+// alike (a run never mixes contracted and uncontracted products), and
+// conformance-tested with tolerances instead of equality.
 //
 // The active level is chosen at startup from CPUID and can be
 // overridden, GODEBUG-style, with the HPCNMF_CPU environment variable

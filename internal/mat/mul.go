@@ -6,23 +6,35 @@ import (
 	"hpcnmf/internal/par"
 )
 
-// This file holds the production multiply kernels. They are blocked
-// and register-tiled: the reduction dimension is unrolled four ways and
-// output rows are paired, so the accumulating kernels funnel into the
-// shared axpy42 primitive — two output rows updated from four streamed
-// input rows (packed SSE2 on amd64, see axpy_amd64.s) — and dot-product
-// kernels compute four outputs at once off one pass over the shared
-// row. On the tall-skinny shapes the ANLS iteration produces (m×k with
-// k ≤ 100) this is worth 2–4× over the naive triple loops, which are
+// This file holds the production multiply kernels. They come in two
+// families, split by the shape of the output:
+//
+//   - Wide outputs, short reductions (W·H, G·X, WᵀW·H) and the
+//     streamed-row products (Wᵀ·A, WᵀW) accumulate into C through the
+//     shared axpy42 primitive: the reduction index is unrolled four
+//     ways and output rows are paired, so each call folds four streamed
+//     input rows into two output rows (packed SIMD on amd64, see
+//     axpy_amd64.s). Their vectors run along the output row, which is
+//     long exactly when the output is wide.
+//   - Skinny outputs, long reductions (A·Hᵀ, A·B on a gathered n×k
+//     panel, H·Hᵀ) go through the tile kernel of tile.go: the factor is
+//     packed once into n×8 panels and a 4×8 block of C stays in
+//     registers across the whole reduction. An axpy along a k-long
+//     output row has nothing to vectorize over; the tile kernel
+//     vectorizes over the packed factor instead.
+//
+// On the tall-skinny shapes the ANLS iteration produces (m×k with
+// k ≤ 100) both are worth 3–6× over the naive triple loops, which are
 // retained in naive.go as the reference implementation for the
 // differential tests.
 //
 // Every kernel preserves the reference accumulation order: each output
 // element receives its contributions in increasing reduction-index
-// order (the four-way unrolled sums associate left to right), so
-// blocked results are bitwise identical to the reference on finite
-// inputs, and a run is reproducible regardless of KernelThreads —
-// worker ranges partition output elements, never the reduction.
+// order (the four-way unrolled sums associate left to right; a tile
+// accumulator takes one term per step), so blocked results are bitwise
+// identical to the reference on finite inputs, and a run is
+// reproducible regardless of KernelThreads — worker ranges partition
+// output elements, never the reduction.
 //
 // Each kernel has a Par* variant taking a *par.Pool that splits the
 // output range across workers; the pool may be nil, which runs the
@@ -236,63 +248,26 @@ func MulABt(a, b *Dense) *Dense {
 	return c
 }
 
-// MulABtTo computes C = A·Bᵀ into c: each output entry is a dot
-// product of one row of A with one row of B.
+// MulABtTo computes C = A·Bᵀ into c.
 func MulABtTo(c, a, b *Dense) {
 	ParMulABtTo(c, a, b, nil)
 }
 
-// ParMulABtTo computes C = A·Bᵀ, partitioning rows of C across the
-// pool.
+// ParMulABtTo is ParMulABtToWS with a freshly allocated pack buffer.
 func ParMulABtTo(c, a, b *Dense, p *par.Pool) {
+	ParMulABtToWS(c, a, b, p, nil)
+}
+
+// ParMulABtToWS computes C = A·Bᵀ through the tile kernel: B is packed
+// into a buffer drawn from ws, then row blocks of C are split across
+// the pool.
+func ParMulABtToWS(c, a, b *Dense, p *par.Pool, ws *Workspace) {
 	if a.Cols != b.Cols || c.Rows != a.Rows || c.Cols != b.Rows {
 		panic("mat: MulABtTo dimension mismatch")
 	}
-	if p == nil {
-		mulABtRange(c, a, b, 0, a.Rows)
-		return
-	}
-	p.For(a.Rows, parGrain, func(i0, i1 int) {
-		mulABtRange(c, a, b, i0, i1)
-	})
-}
-
-// mulABtRange computes rows [i0,i1) of C = A·Bᵀ. Four dot products
-// (four rows of B) are computed per pass over the shared A row; each
-// dot keeps a single accumulator so the summation order matches the
-// reference bit for bit.
-func mulABtRange(c, a, b *Dense, i0, i1 int) {
-	kk := a.Cols
-	for i := i0; i < i1; i++ {
-		arow := a.Row(i)
-		crow := c.Row(i)
-		j := 0
-		for ; j+4 <= b.Rows; j += 4 {
-			b0 := b.Data[(j+0)*kk : (j+1)*kk]
-			b1 := b.Data[(j+1)*kk : (j+2)*kk]
-			b2 := b.Data[(j+2)*kk : (j+3)*kk]
-			b3 := b.Data[(j+3)*kk : (j+4)*kk]
-			var s0, s1, s2, s3 float64
-			for l, av := range arow {
-				s0 += av * b0[l]
-				s1 += av * b1[l]
-				s2 += av * b2[l]
-				s3 += av * b3[l]
-			}
-			crow[j+0] = s0
-			crow[j+1] = s1
-			crow[j+2] = s2
-			crow[j+3] = s3
-		}
-		for ; j < b.Rows; j++ {
-			brow := b.Row(j)
-			s := 0.0
-			for l, av := range arow {
-				s += av * brow[l]
-			}
-			crow[j] = s
-		}
-	}
+	pk := PackRows(ws, b)
+	ParMulPackedTo(c, a, pk, p)
+	pk.Release(ws)
 }
 
 // Gram returns G = Aᵀ·A (k×k for A of shape m×k), exploiting symmetry.
@@ -392,59 +367,31 @@ func GramTTo(g, a *Dense) {
 	ParGramTTo(g, a, nil)
 }
 
-// ParGramTTo computes G = A·Aᵀ into g, partitioning G rows across the
-// pool balanced by triangle area. Row i of the upper triangle is k−i
-// dot products of length n; four are computed per pass over row i of
-// A, single accumulator each (bitwise equal to the reference).
+// ParGramTTo is ParGramTToWS with a freshly allocated pack buffer.
 func ParGramTTo(g, a *Dense, p *par.Pool) {
+	ParGramTToWS(g, a, p, nil)
+}
+
+// ParGramTToWS computes G = A·Aᵀ into g through the tile kernel — the
+// same dot shape as A·Bᵀ with B = A — drawing the pack buffer from ws.
+// Only tiles touching the upper triangle are computed; row blocks are
+// split across the pool balanced by triangle area.
+func ParGramTToWS(g, a *Dense, p *par.Pool, ws *Workspace) {
 	k := a.Rows
 	if g.Rows != k || g.Cols != k {
 		panic("mat: GramTTo dimension mismatch")
 	}
-	if p == nil || k < 2 {
-		gramTRange(g, a, 0, k)
+	pk := PackRows(ws, a)
+	blocks := (k + tileMR - 1) / tileMR
+	if p == nil || blocks < 2 {
+		tileBlocks(g, a, pk, 0, blocks, true)
 	} else {
-		p.ForRanges(triangleBounds(k, p.Workers()), func(i0, i1 int) {
-			gramTRange(g, a, i0, i1)
+		p.ForRanges(triangleBounds(blocks, p.Workers()), func(b0, b1 int) {
+			tileBlocks(g, a, pk, b0, b1, true)
 		})
 	}
+	pk.Release(ws)
 	mirrorUpper(g)
-}
-
-// gramTRange computes upper-triangle rows [i0,i1) of G = A·Aᵀ.
-func gramTRange(g, a *Dense, i0, i1 int) {
-	k := a.Rows
-	n := a.Cols
-	for i := i0; i < i1; i++ {
-		ri := a.Row(i)
-		grow := g.Row(i)
-		j := i
-		for ; j+4 <= k; j += 4 {
-			b0 := a.Data[(j+0)*n : (j+1)*n]
-			b1 := a.Data[(j+1)*n : (j+2)*n]
-			b2 := a.Data[(j+2)*n : (j+3)*n]
-			b3 := a.Data[(j+3)*n : (j+4)*n]
-			var s0, s1, s2, s3 float64
-			for l, v := range ri {
-				s0 += v * b0[l]
-				s1 += v * b1[l]
-				s2 += v * b2[l]
-				s3 += v * b3[l]
-			}
-			grow[j+0] = s0
-			grow[j+1] = s1
-			grow[j+2] = s2
-			grow[j+3] = s3
-		}
-		for ; j < k; j++ {
-			rj := a.Row(j)
-			s := 0.0
-			for l, v := range ri {
-				s += v * rj[l]
-			}
-			grow[j] = s
-		}
-	}
 }
 
 // triangleBounds splits rows [0,k) of an upper-triangular update into

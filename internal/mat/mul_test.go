@@ -152,6 +152,102 @@ func TestGramTMatchesReference(t *testing.T) {
 	}
 }
 
+// tileSentinel pre-fills tile-kernel outputs and their margins: a NaN
+// with a payload no computation produces.
+var tileSentinel = math.Float64frombits(0x7ff8dead0000beef)
+
+// guarded returns an r×c matrix whose storage sits between two
+// sentinel-filled margins, everything pre-filled with the sentinel, and
+// a check that the margins are untouched — how the tile tests see a
+// padded lane or a ragged-edge row escaping its scratch tile.
+func guarded(r, c int) (*Dense, func() bool) {
+	const margin = 2 * tileMR * tileNR
+	buf := make([]float64, r*c+2*margin)
+	for i := range buf {
+		buf[i] = tileSentinel
+	}
+	d := &Dense{Rows: r, Cols: c, Data: buf[margin : margin+r*c : margin+r*c]}
+	return d, func() bool {
+		for _, v := range append(buf[:margin:margin], buf[margin+r*c:]...) {
+			if math.Float64bits(v) != math.Float64bits(tileSentinel) {
+				return false
+			}
+		}
+		return true
+	}
+}
+
+// randomSignedZeros is randomSigned with every seventh entry an exact
+// (alternately negative) zero.
+func randomSignedZeros(r, c int, s *rng.Stream) *Dense {
+	d := randomSigned(r, c, s)
+	for i := 0; i < len(d.Data); i += 7 {
+		d.Data[i] = math.Copysign(0, float64(i%2)-0.5)
+	}
+	return d
+}
+
+// TestTileMatchesReference pins the tile kernel's three products —
+// A·Hᵀ, A·B on a packed n×k panel, and H·Hᵀ — against the scalar
+// references bit for bit, at every non-FMA dispatch level and pool
+// width, over shapes straddling every tile edge (rows mod MR, columns
+// mod NR, reduction mod the unroll, empty dimensions, and enough row
+// blocks that a pool really splits them). Outputs start as sentinels
+// inside sentinel margins: a padded lane or a short block's spare row
+// reaching memory shows as a clobbered margin or a wrong neighbour.
+func TestTileMatchesReference(t *testing.T) {
+	restoreISA(t)
+	s := rng.New(106)
+	pools := []*par.Pool{nil, par.NewPool(2), par.NewPool(3)}
+	defer pools[1].Close()
+	defer pools[2].Close()
+	check := func(isa, what string, m, k, n, pool int, got, want *Dense, intact func() bool) {
+		t.Helper()
+		if i := diffBits(got.Data, want.Data); i >= 0 {
+			t.Errorf("%s %s m=%d k=%d n=%d pool=%d: [%d] = %x, want %x", isa, what, m, k, n, pool+1,
+				i, math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
+		}
+		if !intact() {
+			t.Errorf("%s %s m=%d k=%d n=%d pool=%d: wrote outside C", isa, what, m, k, n, pool+1)
+		}
+	}
+	for _, isa := range SupportedISAs() {
+		if isa == "avx2+fma" {
+			continue // tolerance-tested separately
+		}
+		if err := SetISA(isa); err != nil {
+			t.Fatalf("SetISA(%q): %v", isa, err)
+		}
+		for _, m := range []int{0, 1, 3, 4, 5, 9, 23} {
+			for _, k := range []int{0, 1, 7, 8, 9, 17, 50} {
+				for _, n := range []int{0, 1, 3, 4, 5, 1920} {
+					a := randomSignedZeros(m, n, s)
+					h := randomSignedZeros(k, n, s)
+					ht := h.T()
+					wantABt := NewDense(m, k)
+					RefMulABtTo(wantABt, a, h)
+					wantAB := NewDense(m, k)
+					RefMulAddTo(wantAB, a, ht)
+					wantG := RefGramT(h)
+					for pi, pool := range pools {
+						c, intact := guarded(m, k)
+						ParMulABtTo(c, a, h, pool)
+						check(isa, "MulABt", m, k, n, pi, c, wantABt, intact)
+
+						c, intact = guarded(m, k)
+						ParMulPackedTo(c, a, PackCols(nil, ht), pool)
+						check(isa, "MulPacked", m, k, n, pi, c, wantAB, intact)
+
+						g, intact := guarded(k, k)
+						ParGramTTo(g, h, pool)
+						check(isa, "GramT", m, k, n, pi, g, wantG, intact)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestKernelsRandomizedSweep is the property sweep: many random odd
 // shapes, all kernels, bitwise against the references.
 func TestKernelsRandomizedSweep(t *testing.T) {
@@ -215,6 +311,24 @@ func TestNoZeroSkip(t *testing.T) {
 	GramAddTo(g, FromRows([][]float64{{0}, {inf()}}))
 	if !math.IsInf(g.At(0, 0), 1) {
 		t.Errorf("GramAddTo with Inf entry = %v, want +Inf", g.At(0, 0))
+	}
+	// The tile kernel's three products, at every dispatch level.
+	restoreISA(t)
+	for _, isa := range SupportedISAs() {
+		if err := SetISA(isa); err != nil {
+			t.Fatalf("SetISA(%q): %v", isa, err)
+		}
+		hRow := FromRows([][]float64{{inf(), 2}}) // 1×2: H with one row
+		if c := MulABt(a, hRow); !math.IsNaN(c.At(0, 0)) {
+			t.Errorf("%s MulABt 0·Inf = %v, want NaN", isa, c.At(0, 0))
+		}
+		ParMulPackedTo(c, a, PackCols(nil, b), nil)
+		if !math.IsNaN(c.At(0, 0)) {
+			t.Errorf("%s MulPackedTo 0·Inf = %v, want NaN", isa, c.At(0, 0))
+		}
+		if g := GramT(FromRows([][]float64{{0, 1}, {inf(), 2}})); !math.IsNaN(g.At(0, 1)) || !math.IsNaN(g.At(1, 0)) || !math.IsInf(g.At(1, 1), 1) {
+			t.Errorf("%s GramT with 0·Inf off the diagonal = %v", isa, g)
+		}
 	}
 }
 
