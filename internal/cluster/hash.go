@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+
+	"hpcnmf/internal/rng"
 )
 
 // Topology is the cluster's ownership function: a static, sorted peer
@@ -70,15 +72,21 @@ func (t *Topology) Contains(peer string) bool {
 }
 
 // score is the rendezvous weight of (peer, id): FNV-1a over the pair
-// with a separator, so "ab"+"c" and "a"+"bc" score differently. FNV is
-// deterministic across processes and platforms — a requirement, since
-// every instance must agree on ownership independently.
+// with a separator, so "ab"+"c" and "a"+"bc" score differently, passed
+// through SplitMix64's finalizer. Raw FNV-1a barely moves its high
+// bits when only the last characters of the input change, and the high
+// bits decide the order: without the finalizer "127.0.0.1:8081..8083"
+// and ids "chaos-1..1000" put 991 primaries on one peer and none on
+// another. Both steps are deterministic across processes and
+// platforms — a requirement, since every instance must agree on
+// ownership independently, and the reason all instances of a fleet
+// must run the same version of this function.
 func score(peer, id string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(peer))
 	h.Write([]byte{0})
 	h.Write([]byte(id))
-	return h.Sum64()
+	return rng.Mix(h.Sum64())
 }
 
 // Owners returns the id's replica set: the R peers with the highest

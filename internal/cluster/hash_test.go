@@ -70,21 +70,37 @@ func TestOwnersProperties(t *testing.T) {
 	}
 }
 
-// TestDistributionBalance: rendezvous hashing should spread primaries
-// roughly evenly — no peer may own more than twice its fair share of
-// 5000 keys across 5 peers.
+// TestDistributionBalance: rendezvous hashing should spread ownership
+// roughly evenly — no peer may own more than twice or less than half
+// its fair share, as primary (R=1) or as any owner (R=2). The
+// host:port peers and sequential ids differ only in their last
+// characters, the input that skewed an unfinalized FNV score to 991 of
+// 1000 primaries on one loopback peer and none on another.
 func TestDistributionBalance(t *testing.T) {
-	peers := []string{"p1:1", "p2:1", "p3:1", "p4:1", "p5:1"}
-	topo, _ := NewTopology(peers, 1)
-	counts := map[string]int{}
-	const keys = 5000
-	for i := 0; i < keys; i++ {
-		counts[topo.Owners(fmt.Sprintf("user-model-%d", i))[0]]++
-	}
-	fair := keys / len(peers)
-	for p, c := range counts {
-		if c > 2*fair || c < fair/2 {
-			t.Fatalf("peer %s owns %d of %d keys (fair share %d) — distribution is skewed: %v", p, c, keys, fair, counts)
+	for _, tc := range []struct {
+		peers    []string
+		idFormat string
+		keys     int
+	}{
+		{[]string{"p1:1", "p2:1", "p3:1", "p4:1", "p5:1"}, "user-model-%d", 5000},
+		{[]string{"127.0.0.1:8081", "127.0.0.1:8082", "127.0.0.1:8083"}, "chaos-%d", 1000},
+		{[]string{"10.0.0.1:7600", "10.0.0.2:7600", "10.0.0.3:7600", "10.0.0.4:7600"}, "m%d", 2000},
+	} {
+		for _, replicas := range []int{1, 2} {
+			topo, _ := NewTopology(tc.peers, replicas)
+			counts := map[string]int{}
+			for i := 1; i <= tc.keys; i++ {
+				for _, o := range topo.Owners(fmt.Sprintf(tc.idFormat, i)) {
+					counts[o]++
+				}
+			}
+			fair := tc.keys * replicas / len(tc.peers)
+			for _, p := range tc.peers {
+				if c := counts[p]; c > 2*fair || c < fair/2 {
+					t.Errorf("R=%d: peer %s owns %d of %d keys (fair share %d) — distribution is skewed: %v",
+						replicas, p, c, tc.keys, fair, counts)
+				}
+			}
 		}
 	}
 }

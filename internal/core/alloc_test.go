@@ -4,13 +4,29 @@ import (
 	"testing"
 
 	"hpcnmf/internal/mat"
+	"hpcnmf/internal/par"
 	"hpcnmf/internal/rng"
 	"hpcnmf/internal/sparse"
 )
 
+// newSeqRank builds the single-rank state runLayout builds for
+// seqLayout, for tests that drive rankState.step directly.
+func newSeqRank(t *testing.T, src productSource, m, n int, normA2 float64, opts Options) *rankState {
+	t.Helper()
+	opts, err := opts.withDefaults(m, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := par.NewPool(opts.KernelThreads)
+	t.Cleanup(pool.Close)
+	s := newRankState(opts, normA2, pool, runMetrics{}, nil, nil)
+	s.lay = newSeqLayout(s, src, m, n, int64(m)*int64(n))
+	return s
+}
+
 // TestSequentialStepZeroAllocs is a headline acceptance criterion:
-// after warm-up, a steady-state iteration of the sequential driver
-// performs zero heap allocations at the default KernelThreads=1 with
+// after warm-up, a steady-state step of the shared skeleton under the
+// sequential layout performs zero heap allocations at the default KernelThreads=1 with
 // any built-in updater — the workspace-aware sweeps and BPP, whose
 // pivoting state lives on the solver instance — for dense and sparse
 // A, with and without the objective computation, and with
@@ -36,11 +52,8 @@ func TestSequentialStepZeroAllocs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := newSeqState(tc.a, tc.opts, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.close()
+			m, n := tc.a.Dims()
+			s := newSeqRank(t, inCore{tc.a}, m, n, tc.a.SquaredFrobeniusNorm(), tc.opts)
 			it := 0
 			round := func() {
 				if err := s.step(it); err != nil {
@@ -101,6 +114,40 @@ func TestComputePathZeroAllocs(t *testing.T) {
 				t.Errorf("compute path allocates %v times per pass", allocs)
 			}
 		})
+	}
+}
+
+// TestMatrixProductsAgreeWithKernels: the Matrix interface's allocating
+// products — the fallback the *Into helpers use for a Matrix they do
+// not recognize — compute what the destination-writing kernels
+// compute, for both storage kinds.
+func TestMatrixProductsAgreeWithKernels(t *testing.T) {
+	const m, n, k = 23, 17, 4
+	w := mat.NewDense(m, k)
+	w.RandomUniform(rng.New(41))
+	h := mat.NewDense(k, n)
+	h.RandomUniform(rng.New(42))
+	for _, a := range []Matrix{
+		WrapDense(lowRankDense(m, n, k, 0.01, 43)),
+		WrapSparse(sparse.RandomER(m, n, 0.3, rng.New(44))),
+	} {
+		_, isSparse := UnwrapSparse(a)
+		if a.IsSparse() != isSparse {
+			t.Errorf("IsSparse() = %v for sparse=%v storage", a.IsSparse(), isSparse)
+		}
+		aht := mat.NewDense(m, k)
+		mulHtInto(aht, a, h, nil, nil)
+		if d := a.MulHt(h).MaxDiff(aht); d > 1e-12 {
+			t.Errorf("sparse=%v: MulHt differs from mulHtInto by %g", isSparse, d)
+		}
+		if d := a.MulBt(h.T()).MaxDiff(aht); d > 1e-12 {
+			t.Errorf("sparse=%v: MulBt differs from mulHtInto by %g", isSparse, d)
+		}
+		wta := mat.NewDense(k, n)
+		mulAtBInto(wta, a, w, nil, nil)
+		if d := a.MulAtB(w).MaxDiff(wta); d > 1e-12 {
+			t.Errorf("sparse=%v: MulAtB differs from mulAtBInto by %g", isSparse, d)
+		}
 	}
 }
 

@@ -12,10 +12,10 @@ import (
 	"hpcnmf/internal/mat"
 )
 
-// Checkpointing: every Options.CheckpointEvery iterations the drivers
-// gather the full factors on rank 0 (a Setup-charged collective, so
+// Checkpointing: every Options.CheckpointEvery iterations the run loop
+// gathers the full factors on rank 0 (a Setup-charged collective, so
 // the measured per-iteration traffic of the algorithm is undisturbed)
-// and atomically replace one file in Options.CheckpointDir. The file
+// and atomically replaces one file in Options.CheckpointDir. The file
 // is self-describing — a versioned JSON header with the iteration
 // count, problem shape, seed (the run's entire RNG state: every random
 // draw in a run is a pure function of it), and error history, followed
@@ -297,19 +297,10 @@ func (c *checkpointer) due(completed int) bool {
 	return c != nil && completed%c.every == 0
 }
 
-// write commits one snapshot. Failure to write a checkpoint panics
-// (converted to an error by the driver's safely wrapper): the
-// checkpoint is the job's insurance, and a job that silently stops
-// being restartable is worse than one that fails loudly.
-func (c *checkpointer) write(completed int, relErr []float64, w, h *mat.Dense) {
-	if err := c.writeErr(completed, relErr, w, h); err != nil {
-		panic(err.Error())
-	}
-}
-
-// writeErr is write with the Go error contract, for the sequential
-// driver (which has no panic-recovery wrapper around its loop).
-func (c *checkpointer) writeErr(completed int, relErr []float64, w, h *mat.Dense) error {
+// write commits one snapshot. The error fails the run: the checkpoint
+// is the job's insurance, and a job that silently stops being
+// restartable is worse than one that fails loudly.
+func (c *checkpointer) write(completed int, relErr []float64, w, h *mat.Dense) error {
 	meta := c.meta
 	meta.Iteration = c.base + completed
 	meta.RelErr = append(append([]float64(nil), c.prefix...), relErr...)

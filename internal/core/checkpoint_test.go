@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
@@ -363,19 +364,20 @@ func TestCheckpointRejectsTrailingGarbage(t *testing.T) {
 }
 
 // TestCheckpointWriteFailureSurfaces: a checkpoint that cannot be
-// written fails the run loudly instead of silently dropping coverage.
+// written fails the run loudly instead of silently dropping coverage,
+// with the file system's error still in the chain under every layout.
 func TestCheckpointWriteFailureSurfaces(t *testing.T) {
-	a := WrapDense(lowRankDense(12, 10, 2, 0.01, 5))
-	dir := t.TempDir()
-	blocker := filepath.Join(dir, "ckpt")
+	blocker := filepath.Join(t.TempDir(), "ckpt")
 	if err := os.WriteFile(blocker, []byte("not a directory"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	opts := Options{K: 2, MaxIter: 4, Seed: 7, CheckpointDir: blocker, CheckpointEvery: 2}
-	if _, err := RunSequential(a, opts); err == nil {
-		t.Error("sequential run ignored a failing checkpoint path")
-	}
-	if _, err := RunNaive(a, 2, opts); err == nil {
-		t.Error("naive run ignored a failing checkpoint path")
+	for _, ep := range entryPoints(t, lowRankDense(12, 10, 2, 0.01, 5)) {
+		_, err := ep.run(opts)
+		if err == nil {
+			t.Errorf("%s run ignored a failing checkpoint path", ep.name)
+		} else if pe := (*fs.PathError)(nil); !errors.As(err, &pe) {
+			t.Errorf("%s: error %q does not wrap the write's cause", ep.name, err)
+		}
 	}
 }

@@ -127,7 +127,9 @@ func TestRunParallelAutoRecordsModeledPick(t *testing.T) {
 // and an explicitly infeasible AutoGrid request must surface the
 // typed error, not a panic.
 func TestRunParallelAutoFallsBackWhenInfeasible(t *testing.T) {
-	const m, n, k = 6, 6, 4 // k > m/pr for every pr > 1, and k > m/1? no: 4 ≤ 6, but 2x2 gives 3 < 4
+	// Every factorization of p = 4 breaks k ≤ min(m/pr, n/pc): 4x1 and
+	// 1x4 leave one row or column per rank, 2x2 leaves three.
+	const m, n, k = 6, 6, 4
 	a := WrapDense(lowRankDense(m, n, 2, 0.02, 5))
 	res, err := RunParallelAuto(a, 4, Options{K: k, MaxIter: 2, Seed: 9})
 	if err != nil {

@@ -248,8 +248,16 @@ func TestRunRejectsOversplit(t *testing.T) {
 	if _, err := RunNaive(a, 8, testOpts(2)); err == nil {
 		t.Fatal("oversplit naive accepted")
 	}
+	if _, err := RunNaive(a, 0, testOpts(2)); err == nil {
+		t.Fatal("naive accepted p = 0")
+	}
 	if _, err := RunHPC(a, grid.New(8, 1), testOpts(2)); err == nil {
 		t.Fatal("oversplit HPC accepted")
+	}
+	for _, g := range []grid.Grid{{PR: 0, PC: 2}, {PR: 2, PC: -1}, {}} {
+		if _, err := RunHPC(a, g, testOpts(2)); err == nil {
+			t.Fatalf("HPC accepted the %dx%d grid", g.PR, g.PC)
+		}
 	}
 }
 

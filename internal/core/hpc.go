@@ -8,7 +8,6 @@ import (
 	"hpcnmf/internal/grid"
 	"hpcnmf/internal/mat"
 	"hpcnmf/internal/mpi"
-	"hpcnmf/internal/par"
 	"hpcnmf/internal/partition"
 	"hpcnmf/internal/perf"
 	"hpcnmf/internal/trace"
@@ -101,18 +100,6 @@ type factorSide struct {
 	multiply func(panel *mat.Dense, kc int) *mat.Dense
 }
 
-// hpcRank is one rank's view of the shared skeleton: the instruments,
-// arena, and pipeline chunking both factorSides run under.
-type hpcRank struct {
-	c       *mpi.Comm
-	clk     phaseClock
-	tr      *perf.Tracker
-	ws      *mat.Workspace
-	k       int
-	chunk   int
-	overlap bool
-}
-
 // halfStep executes one half of Algorithm 3 over a side's geometry and
 // returns the all-reduced k×k Gram (lines 3-7 / 9-13): post the first
 // panel chunk as a nonblocking all-gather so its rounds progress
@@ -123,7 +110,7 @@ type hpcRank struct {
 // Options.CommChunk). The payloads and schedule are identical with
 // overlap on or off and for any chunking, so results are bitwise
 // equal either way.
-func (r *hpcRank) halfStep(s *factorSide) *mat.Dense {
+func (r *hpcLayout) halfStep(s *factorSide) *mat.Dense {
 	kc0 := min(r.chunk, r.k)
 	var ag *mpi.Request
 	if r.overlap {
@@ -188,284 +175,182 @@ func RunHPC(a Matrix, g grid.Grid, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	if g.PR < 1 || g.PC < 1 {
+		return nil, fmt.Errorf("core: HPC-NMF needs a grid with pr ≥ 1 and pc ≥ 1, got %dx%d", g.PR, g.PC)
+	}
 	if m < g.PR || n < g.PC {
 		return nil, fmt.Errorf("core: %dx%d matrix cannot be split on a %dx%d grid", m, n, g.PR, g.PC)
 	}
-	p := g.Size()
-	k := opts.K
-	normA2 := a.SquaredFrobeniusNorm()
-	pred := costmodel.HPCExact(m, n, k, g, int64(a.NNZ())/int64(p))
-
-	world := mpi.NewWorld(p)
-	tsess := newTraceSession(opts, p)
-	world.SetTracing(tsess)
-	world.SetMetrics(opts.Metrics)
-	configureWorld(world, opts)
-	algName := fmt.Sprintf("HPC-NMF %dx%d", g.PR, g.PC)
-	ckpt := newCheckpointer(opts, algName, m, n)
-	rm := newRunMetrics(opts.Metrics)
-	trackers := make([]*perf.Tracker, p)
-	traffic := make([]*mpi.Counters, p)
-	pool := par.NewPool(opts.KernelThreads)
-	defer pool.Close()
-	var res *Result
-
-	body := func(c *mpi.Comm) {
-		rank := c.Rank()
-		gi, gj := g.Coords(rank)
-		tr := perf.NewTracker()
-		clk := phaseClock{tr: tr, tc: c.Tracer()}
-
-		// Block geometry (Figure 2): rows [r0,r1) × cols [c0,c1) of A;
-		// within them, this rank's W piece covers rows
-		// r0+BlockRange(mi,pc,gj) and its H piece covers columns
-		// c0+BlockRange(nj,pr,gi).
-		r0, r1 := grid.BlockRange(m, g.PR, gi)
-		c0, c1 := grid.BlockRange(n, g.PC, gj)
-		mi, nj := r1-r0, c1-c0
-		wLo, wHi := grid.BlockRange(mi, g.PC, gj)
-		hLo, hHi := grid.BlockRange(nj, g.PR, gi)
-
-		aij := a.Block(r0, r1, c0, c1)
-		wij := localInitW(opts, wHi-wLo, r0+wLo) // (Wi)j: m/p × k
-		hij := localInitH(opts, hHi-hLo, c0+hLo) // (Hj)i: k × n/p
-		ws := mat.NewWorkspace()
-		env := newUpdateEnv(opts, ws, pool, clk, tr, rm)
-
-		// Row and column communicators (the "proc row"/"proc column"
-		// collectives of lines 5, 7, 11, 13).
-		rowComm := c.Sub(g.RowMembers(gi))
-		colComm := c.Sub(g.ColMembers(gj))
-
-		// Row counts for the v-variant collectives (scaled by the
-		// chunk width at each call).
-		hRowCounts := grid.BlockCounts(nj, g.PR)
-		wRowCounts := grid.BlockCounts(mi, g.PC)
-		chunk := opts.CommChunk
-		if chunk <= 0 || chunk > k {
-			chunk = k
-		}
-
-		// Word counts and assembly for gathering the distributed
-		// factors onto world rank 0 — used for the final result and,
-		// when checkpointing is on, periodically inside the loop
-		// (charged to Setup there, keeping the measured per-iteration
-		// traffic clean).
-		wWordCounts := make([]int, p)
-		hWordCounts := make([]int, p)
-		for r := 0; r < p; r++ {
-			ri, rj := g.Coords(r)
-			rmi := grid.BlockSize(m, g.PR, ri)
-			rnj := grid.BlockSize(n, g.PC, rj)
-			wWordCounts[r] = grid.BlockSize(rmi, g.PC, rj) * k
-			hWordCounts[r] = grid.BlockSize(rnj, g.PR, ri) * k
-		}
-		// gatherFactors returns the full W (m×k) and Hᵀ (n×k) on world
-		// rank 0, nil elsewhere.
-		gatherFactors := func(setup bool) (*mat.Dense, *mat.Dense) {
-			gv := c.GatherV
-			if setup {
-				gv = c.GatherVSetup
-			}
-			wAll := gv(0, wij.Data, wWordCounts)
-			hTAll := gv(0, hij.T().Data, hWordCounts)
-			if rank != 0 {
-				return nil, nil
-			}
-			w := mat.NewDense(m, k)
-			hT := mat.NewDense(n, k)
-			wPos, hPos := 0, 0
-			for r := 0; r < p; r++ {
-				ri, rj := g.Coords(r)
-				rr0, _ := grid.BlockRange(m, g.PR, ri)
-				rc0, _ := grid.BlockRange(n, g.PC, rj)
-				rmi := grid.BlockSize(m, g.PR, ri)
-				rnj := grid.BlockSize(n, g.PC, rj)
-				sLo, sHi := grid.BlockRange(rmi, g.PC, rj)
-				block := &mat.Dense{Rows: sHi - sLo, Cols: k, Data: wAll[wPos : wPos+wWordCounts[r]]}
-				w.SetSubmatrix(rr0+sLo, 0, block)
-				wPos += wWordCounts[r]
-				tLo, tHi := grid.BlockRange(rnj, g.PR, ri)
-				hBlock := &mat.Dense{Rows: tHi - tLo, Cols: k, Data: hTAll[hPos : hPos+hWordCounts[r]]}
-				hT.SetSubmatrix(rc0+tLo, 0, hBlock)
-				hPos += hWordCounts[r]
-			}
-			return w, hT
-		}
-
-		// Per-rank iteration buffers, reused across iterations.
-		uij := mat.NewDense(k, k)         // (Hj)i·(Hj)iᵀ
-		xij := mat.NewDense(k, k)         // (Wi)jᵀ·(Wi)j
-		ahtij := mat.NewDense(wHi-wLo, k) // this rank's rows of A·Hᵀ
-		fw := mat.NewDense(k, wHi-wLo)    // (A·Hᵀ)ᵀ rows, W-solve RHS
-		wijt := mat.NewDense(k, wHi-wLo)  // (Wi)jᵀ: warm start and W-solve dst
-		wtaT := mat.NewDense(hHi-hLo, k)  // this rank's columns of Wᵀ·A, transposed
-		wta := mat.NewDense(k, hHi-hLo)   // Wᵀ·A columns, H-solve RHS
-		wij.TTo(wijt)
-
-		// The W half gathers Hᵀ panels down the processor column and
-		// scatters A·Hᵀ rows across the processor row (lines 3-8); the
-		// H half mirrors it (lines 9-14). Everything else about the
-		// schedule is shared — see halfStep.
-		rk := &hpcRank{c: c, clk: clk, tr: tr, ws: ws, k: k, chunk: chunk, overlap: !opts.NoCommOverlap}
-		wSide := &factorSide{
-			gatherComm:   colComm,
-			reduceComm:   rowComm,
-			gatherCounts: hRowCounts,
-			reduceCounts: wRowCounts,
-			panelRows:    nj,
-			gramRows:     hHi - hLo,
-			localGram:    uij,
-			outRows:      wHi - wLo,
-			out:          ahtij,
-			gram:         func() { mat.ParGramTToWS(uij, hij, pool, ws) }, // line 3: Uij = (Hj)i·(Hj)iᵀ
-			sendChunk: func(c0, c1 int) []float64 {
-				return hij.Submatrix(c0, c1, 0, hHi-hLo).T().Data
-			},
-			multiply: func(panel *mat.Dense, kc int) *mat.Dense {
-				ps := clk.Start(perf.TaskMM)
-				vij := ws.Get(mi, kc)
-				mulBtInto(vij, aij, panel, ws, pool) // Vij columns, mi×kc
-				clk.Stop(ps)
-				tr.AddFlops(perf.TaskMM, 2*int64(aij.NNZ())*int64(kc))
-				return vij
-			},
-		}
-		hSide := &factorSide{
-			gatherComm:   rowComm,
-			reduceComm:   colComm,
-			gatherCounts: wRowCounts,
-			reduceCounts: hRowCounts,
-			panelRows:    mi,
-			gramRows:     wHi - wLo,
-			localGram:    xij,
-			outRows:      hHi - hLo,
-			out:          wtaT,
-			gram:         func() { mat.ParGramTo(xij, wij, pool) }, // line 9: Xij = (Wi)jᵀ·(Wi)j
-			sendChunk:    func(c0, c1 int) []float64 { return wij.SubmatrixCols(c0, c1).Data },
-			multiply: func(panel *mat.Dense, kc int) *mat.Dense {
-				ps := clk.Start(perf.TaskMM)
-				yij := ws.Get(kc, nj)
-				mulAtBInto(yij, aij, panel, ws, pool) // Yij rows, kc×nj
-				clk.Stop(ps)
-				tr.AddFlops(perf.TaskMM, 2*int64(aij.NNZ())*int64(kc))
-				yijT := ws.Get(nj, kc)
-				yij.TTo(yijT) // reduce layout; transpose outside the MM clock
-				ws.Put(yij)
-				return yijT
-			},
-		}
-
-		if rank == 0 {
-			c.Tracer().Begin(trace.CatPhase, fmt.Sprintf("grid %dx%d", g.PR, g.PC)).End()
-		}
-
-		var relErr = make([]float64, 0, opts.MaxIter)
-		iters := 0
-		setupTr := tr.Snapshot()
-		setupTraffic := c.Counters().Snapshot()
-		var pe *progressEmitter
-		if rank == 0 {
-			pe = newProgressEmitter(opts.Progress, tr)
-		}
-		for it := 0; it < opts.MaxIter; it++ {
-			iters++
-			itSpan := c.Tracer().BeginArg(trace.CatIter, "iteration", "iter", int64(it))
-			// --- Compute W given H (lines 3-8) ---
-			hht := rk.halfStep(wSide) // lines 3-7: HHᵀ and this rank's A·Hᵀ rows
-			ahtij.TTo(fw)
-			if serr := env.updateFactor("W", hht, fw, wijt, opts.L2W, opts.L1W); serr != nil { // line 8
-				panic(fmt.Sprintf("core: HPC W update failed at iteration %d: %v", it, serr))
-			}
-			wijt.TTo(wij)
-
-			// --- Compute H given W (lines 9-14) ---
-			wtw := rk.halfStep(hSide) // lines 9-13: WᵀW and this rank's WᵀA columns
-			wtaT.TTo(wta)
-
-			// Stationarity measure for TolGrad: gradient at the old
-			// Hij under the refreshed W (see RunSequential).
-			pgLocal, pgRefLocal := 0.0, 0.0
-			if opts.TolGrad > 0 {
-				pgLocal = projGradSq(wtw, wta, hij, ws, pool)
-				pgRefLocal = wta.SquaredFrobeniusNorm()
-			}
-
-			if serr := env.updateFactor("H", wtw, wta, hij, opts.L2H, opts.L1H); serr != nil { // line 14
-				panic(fmt.Sprintf("core: HPC H update failed at iteration %d: %v", it, serr))
-			}
-
-			// --- Objective (optional): the "global aggregation for
-			// residual" of §5, one scalar all-reduce. ---
-			if opts.ComputeError {
-				errSpan := c.Tracer().Begin(trace.CatPhase, "Err")
-				hijGram := ws.Get(k, k)
-				ps := clk.Start(perf.TaskGram)
-				mat.ParGramTToWS(hijGram, hij, pool, ws)
-				clk.Stop(ps)
-				tr.AddFlops(perf.TaskGram, gramFlops(hHi-hLo, k))
-				payload := []float64{mat.Dot(wta, hij), mat.Dot(wtw, hijGram)}
-				ws.Put(hijGram)
-				if opts.TolGrad > 0 {
-					payload = append(payload, pgLocal, pgRefLocal)
-				}
-				ps = clk.Start(perf.TaskAllReduce)
-				parts := c.AllReduce(payload)
-				clk.Stop(ps)
-				errSpan.End()
-				e := relErrFrom(normA2, parts[0], parts[1])
-				relErr = append(relErr, e)
-				if rank == 0 {
-					rm.ObserveRelErr(e)
-				}
-				pg, pgRef := 0.0, 0.0
-				if opts.TolGrad > 0 {
-					pg, pgRef = parts[2], parts[3]
-				}
-				if shouldStop(relErr, opts.Tol) || gradConverged(opts.TolGrad, pg, pgRef) {
-					itSpan.End()
-					pe.emit(iters, relErr)
-					break
-				}
-			}
-			itSpan.End()
-			pe.emit(iters, relErr)
-
-			// --- Periodic checkpoint (collective; schedule is uniform
-			// across ranks because iters advances in lockstep) ---
-			if ckpt.due(iters) {
-				w, hT := gatherFactors(true)
-				if rank == 0 {
-					ckpt.write(iters, relErr, w, hT.T())
-				}
-			}
-		}
-		trackers[rank] = tr.Diff(setupTr)
-		traffic[rank] = c.Counters().Diff(setupTraffic)
-
-		// --- Gather factors on world rank 0 (outside the measured loop) ---
-		w, hT := gatherFactors(false)
-		if rank == 0 {
-			res = &Result{
-				W:          w,
-				H:          hT.T(),
-				RelErr:     relErr,
-				Progress:   pe.collected(),
-				Iterations: iters,
-				Algorithm:  algName,
-			}
-		}
-	}
-	if err := safely(func() { world.Run(body) }); err != nil {
+	pred := costmodel.HPCExact(m, n, opts.K, g, int64(a.NNZ())/int64(g.Size()))
+	res, err := runLayout(fmt.Sprintf("HPC-NMF %dx%d", g.PR, g.PC), m, n, a.SquaredFrobeniusNorm(), opts, g.Size(),
+		func(s *rankState) layout { return newHPCLayout(s, a, g) })
+	if err != nil {
 		return nil, err
 	}
 	res.Grid = g
 	res.GridPredictedSeconds = pred.Seconds(opts.Model.Alpha, opts.Model.Beta, opts.Model.Gamma)
-	res.Breakdown = perf.Aggregate(opts.Model, trackers, traffic).Scale(res.Iterations)
-	res.PerRank = perf.PerRank(opts.Model, trackers, traffic, res.Iterations)
-	rm.ObserveIterations(res.Iterations)
-	if tsess != nil {
-		res.Trace = tsess.Merge()
-	}
 	return res, nil
+}
+
+// hpcLayout is Algorithm 3's distribution (Figure 2) on one rank:
+// the 2D block Aij, (Wi)j and (Hj)i, and the two factorSides halfStep
+// runs over them.
+type hpcLayout struct {
+	*rankState
+	m, n    int
+	g       grid.Grid
+	chunk   int
+	overlap bool
+
+	wSide, hSide *factorSide
+	wta          *mat.Dense // hSide.out transposed: the H-solve RHS, k×cols
+}
+
+func newHPCLayout(s *rankState, a Matrix, g grid.Grid) *hpcLayout {
+	m, n := a.Dims()
+	k := s.k
+	gi, gj := g.Coords(s.rank)
+
+	// Block geometry (Figure 2): rows [r0,r1) × cols [c0,c1) of A;
+	// within them, this rank's W piece covers rows
+	// r0+BlockRange(mi,pc,gj) and its H piece covers columns
+	// c0+BlockRange(nj,pr,gi).
+	r0, r1 := grid.BlockRange(m, g.PR, gi)
+	c0, c1 := grid.BlockRange(n, g.PC, gj)
+	mi, nj := r1-r0, c1-c0
+	wLo, wHi := grid.BlockRange(mi, g.PC, gj)
+	hLo, hHi := grid.BlockRange(nj, g.PR, gi)
+	s.initBlocks(wHi-wLo, r0+wLo, hHi-hLo, c0+hLo) // (Wi)j: m/p × k, (Hj)i: k × n/p
+	aij := a.Block(r0, r1, c0, c1)
+	wij, hij := s.w, s.h
+
+	// Row and column communicators (the "proc row"/"proc column"
+	// collectives of lines 5, 7, 11, 13).
+	rowComm := s.c.Sub(g.RowMembers(gi))
+	colComm := s.c.Sub(g.ColMembers(gj))
+
+	// Row counts for the v-variant collectives (scaled by the chunk
+	// width at each call).
+	hRowCounts := grid.BlockCounts(nj, g.PR)
+	wRowCounts := grid.BlockCounts(mi, g.PC)
+
+	l := &hpcLayout{
+		rankState: s,
+		m:         m,
+		n:         n,
+		g:         g,
+		chunk:     s.opts.CommChunk,
+		overlap:   !s.opts.NoCommOverlap,
+		wta:       mat.NewDense(k, hHi-hLo),
+	}
+	if l.chunk <= 0 || l.chunk > k {
+		l.chunk = k
+	}
+	uij := mat.NewDense(k, k) // (Hj)i·(Hj)iᵀ
+	xij := mat.NewDense(k, k) // (Wi)jᵀ·(Wi)j
+	clk, tr, ws, pool := s.clk, s.tr, s.ws, s.pool
+
+	// The W half gathers Hᵀ panels down the processor column and
+	// scatters A·Hᵀ rows across the processor row (lines 3-8); the
+	// H half mirrors it (lines 9-14). Everything else about the
+	// schedule is shared — see halfStep.
+	l.wSide = &factorSide{
+		gatherComm:   colComm,
+		reduceComm:   rowComm,
+		gatherCounts: hRowCounts,
+		reduceCounts: wRowCounts,
+		panelRows:    nj,
+		gramRows:     hHi - hLo,
+		localGram:    uij,
+		outRows:      wHi - wLo,
+		out:          mat.NewDense(wHi-wLo, k),                        // this rank's rows of A·Hᵀ
+		gram:         func() { mat.ParGramTToWS(uij, hij, pool, ws) }, // line 3: Uij = (Hj)i·(Hj)iᵀ
+		sendChunk: func(c0, c1 int) []float64 {
+			return hij.Submatrix(c0, c1, 0, hHi-hLo).T().Data
+		},
+		multiply: func(panel *mat.Dense, kc int) *mat.Dense {
+			ps := clk.Start(perf.TaskMM)
+			vij := ws.Get(mi, kc)
+			mulBtInto(vij, aij, panel, ws, pool) // Vij columns, mi×kc
+			clk.Stop(ps)
+			tr.AddFlops(perf.TaskMM, 2*int64(aij.NNZ())*int64(kc))
+			return vij
+		},
+	}
+	l.hSide = &factorSide{
+		gatherComm:   rowComm,
+		reduceComm:   colComm,
+		gatherCounts: wRowCounts,
+		reduceCounts: hRowCounts,
+		panelRows:    mi,
+		gramRows:     wHi - wLo,
+		localGram:    xij,
+		outRows:      hHi - hLo,
+		out:          mat.NewDense(hHi-hLo, k),                 // this rank's columns of Wᵀ·A, transposed
+		gram:         func() { mat.ParGramTo(xij, wij, pool) }, // line 9: Xij = (Wi)jᵀ·(Wi)j
+		sendChunk:    func(c0, c1 int) []float64 { return wij.SubmatrixCols(c0, c1).Data },
+		multiply: func(panel *mat.Dense, kc int) *mat.Dense {
+			ps := clk.Start(perf.TaskMM)
+			yij := ws.Get(kc, nj)
+			mulAtBInto(yij, aij, panel, ws, pool) // Yij rows, kc×nj
+			clk.Stop(ps)
+			tr.AddFlops(perf.TaskMM, 2*int64(aij.NNZ())*int64(kc))
+			yijT := ws.Get(nj, kc)
+			yij.TTo(yijT) // reduce layout; transpose outside the MM clock
+			ws.Put(yij)
+			return yijT
+		},
+	}
+	if s.rank == 0 {
+		s.tc.Begin(trace.CatPhase, fmt.Sprintf("grid %dx%d", g.PR, g.PC)).End()
+	}
+	return l
+}
+
+// wHalf is Algorithm 3, lines 3-7: HHᵀ and this rank's A·Hᵀ rows.
+func (l *hpcLayout) wHalf() (*mat.Dense, *mat.Dense, error) {
+	return l.halfStep(l.wSide), l.wSide.out, nil
+}
+
+// hHalf is Algorithm 3, lines 9-13: WᵀW and this rank's WᵀA columns.
+func (l *hpcLayout) hHalf() (*mat.Dense, *mat.Dense, error) {
+	wtw := l.halfStep(l.hSide)
+	l.hSide.out.TTo(l.wta)
+	return wtw, l.wta, nil
+}
+
+// blockOf returns where world rank r's (Wi)j rows and (Hj)i columns
+// sit in the global factors.
+func (l *hpcLayout) blockOf(r int) (wOff, wRows, hOff, hRows int) {
+	ri, rj := l.g.Coords(r)
+	r0, r1 := grid.BlockRange(l.m, l.g.PR, ri)
+	c0, c1 := grid.BlockRange(l.n, l.g.PC, rj)
+	wLo, wHi := grid.BlockRange(r1-r0, l.g.PC, rj)
+	hLo, hHi := grid.BlockRange(c1-c0, l.g.PR, ri)
+	return r0 + wLo, wHi - wLo, c0 + hLo, hHi - hLo
+}
+
+// gather places every rank's blocks, received in rank order, at their
+// global offsets.
+func (l *hpcLayout) gather(setup bool) (*mat.Dense, *mat.Dense) {
+	p, k := l.g.Size(), l.k
+	wCounts, hCounts := make([]int, p), make([]int, p)
+	for r := range wCounts {
+		_, wRows, _, hRows := l.blockOf(r)
+		wCounts[r], hCounts[r] = wRows*k, hRows*k
+	}
+	wAll, hTAll := l.gatherBlocks(setup, wCounts, hCounts)
+	if l.rank != 0 {
+		return nil, nil
+	}
+	w := mat.NewDense(l.m, k)
+	hT := mat.NewDense(l.n, k)
+	for r := range wCounts {
+		wOff, wRows, hOff, hRows := l.blockOf(r)
+		w.SetSubmatrix(wOff, 0, &mat.Dense{Rows: wRows, Cols: k, Data: wAll[:wCounts[r]]})
+		wAll = wAll[wCounts[r]:]
+		hT.SetSubmatrix(hOff, 0, &mat.Dense{Rows: hRows, Cols: k, Data: hTAll[:hCounts[r]]})
+		hTAll = hTAll[hCounts[r]:]
+	}
+	return w, hT.T()
 }

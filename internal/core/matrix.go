@@ -1,10 +1,3 @@
-// Package core implements the paper's algorithms: the sequential ANLS
-// framework (Algorithm 1), Naive-Parallel-NMF (Algorithm 2), and
-// HPC-NMF (Algorithm 3) on 1D and 2D processor grids, over the
-// simulated MPI runtime. All three share one set of local kernels and
-// one initialization scheme, so for a given seed they perform the same
-// computation up to floating-point reduction order — the property the
-// paper relies on for fair comparison (§6.1.3).
 package core
 
 import (

@@ -120,7 +120,7 @@ type Progress struct {
 
 // progressEmitter turns the reporting rank's cumulative perf.Tracker
 // into per-iteration Progress records. A nil emitter (progress off) is
-// a no-op, so driver loops pay one nil check per iteration and the
+// a no-op, so the run loop pays one nil check per iteration and the
 // zero-allocation steady state is untouched when disabled.
 type progressEmitter struct {
 	fn      func(Progress)

@@ -27,9 +27,9 @@ type OOCStats struct {
 	HiddenFraction float64 `json:"hidden_fraction"`
 }
 
-// tiledMatrix adapts an out-of-core tile file to core.Matrix for the
-// streaming sequential driver. The two factor products are computed
-// in row-panel passes over the prefetch pipeline; because every dense
+// tiledMatrix is the out-of-core productSource of seqLayout: the two
+// factor products are computed in row-panel passes over a tile file's
+// prefetch pipeline; because every dense
 // kernel partitions output elements and never the reduction (see
 // internal/mat), the streamed products are bitwise identical to the
 // in-core ones at any tile size and thread count. Panel and slice
@@ -71,12 +71,12 @@ func newTiledMatrix(f *ooc.File, depth int) (*tiledMatrix, error) {
 // close stops the pipeline (the File stays open; the caller owns it).
 func (tm *tiledMatrix) close() { tm.pipe.Close() }
 
-// streamMulABt computes dst = A·Hᵀ (m×k) in one pass: H is packed for
+// mulABt computes dst = A·Hᵀ (m×k) in one pass: H is packed for
 // the tile kernel once (buffer from ws), then each panel fills its own
 // disjoint output rows, so tiling cannot change any result bit. The
 // pass is wrapped in a TileStream trace span nested under the caller's
 // MM phase.
-func (tm *tiledMatrix) streamMulABt(dst, h *mat.Dense, ws *mat.Workspace, pool *par.Pool, tc *trace.Tracer) error {
+func (tm *tiledMatrix) mulABt(dst, h *mat.Dense, ws *mat.Workspace, pool *par.Pool, tc *trace.Tracer) error {
 	k := h.Rows
 	n := int(tm.f.Header().Cols)
 	sp := tc.BeginArg(trace.CatPhase, "TileStream", "tiles", int64(tm.f.Tiles()))
@@ -100,12 +100,12 @@ func (tm *tiledMatrix) streamMulABt(dst, h *mat.Dense, ws *mat.Workspace, pool *
 	return nil
 }
 
-// streamMulAtB computes dst = Wᵀ·A (k×n) in one pass, accumulating
+// mulAtB computes dst = Wᵀ·A (k×n) in one pass, accumulating
 // panel products in ascending row order — exactly the reduction order
 // of the in-core kernel (mat.ParMulAtBTo partitions output columns,
 // and each output element sums reduction rows in ascending order), so
 // the result is bitwise identical at any tile boundary.
-func (tm *tiledMatrix) streamMulAtB(dst, w *mat.Dense, pool *par.Pool, tc *trace.Tracer) error {
+func (tm *tiledMatrix) mulAtB(dst, w *mat.Dense, _ *mat.Workspace, pool *par.Pool, tc *trace.Tracer) error {
 	k := w.Cols
 	n := int(tm.f.Header().Cols)
 	sp := tc.BeginArg(trace.CatPhase, "TileStream", "tiles", int64(tm.f.Tiles()))
@@ -144,50 +144,6 @@ func (tm *tiledMatrix) stats(depth int) *OOCStats {
 	}
 }
 
-// Matrix interface. The streaming driver never calls the
-// convenience products below (it uses the stream* methods with its
-// own pool); they exist so generic helpers can treat a tiledMatrix
-// like any other data matrix.
-
-func (tm *tiledMatrix) Dims() (int, int) { return tm.f.Dims() }
-
-func (tm *tiledMatrix) NNZ() int { m, n := tm.f.Dims(); return m * n }
-
-func (tm *tiledMatrix) SquaredFrobeniusNorm() float64 { return tm.norm2 }
-
-func (tm *tiledMatrix) IsSparse() bool { return false }
-
-func (tm *tiledMatrix) MulHt(h *mat.Dense) *mat.Dense {
-	m, _ := tm.f.Dims()
-	d := mat.NewDense(m, h.Rows)
-	pool := par.NewPool(1)
-	defer pool.Close()
-	if err := tm.streamMulABt(d, h, nil, pool, nil); err != nil {
-		panic(fmt.Sprintf("core: out-of-core A·Hᵀ: %v", err))
-	}
-	return d
-}
-
-func (tm *tiledMatrix) MulBt(bt *mat.Dense) *mat.Dense {
-	ht := bt.T()
-	return tm.MulHt(ht)
-}
-
-func (tm *tiledMatrix) MulAtB(w *mat.Dense) *mat.Dense {
-	_, n := tm.f.Dims()
-	d := mat.NewDense(w.Cols, n)
-	pool := par.NewPool(1)
-	defer pool.Close()
-	if err := tm.streamMulAtB(d, w, pool, nil); err != nil {
-		panic(fmt.Sprintf("core: out-of-core Wᵀ·A: %v", err))
-	}
-	return d
-}
-
-func (tm *tiledMatrix) Block(r0, r1, c0, c1 int) Matrix {
-	panic("core: out-of-core matrices do not support Block; run them with RunOutOfCore")
-}
-
 // DescribeTiled builds the DatasetInfo for an out-of-core tile file
 // without touching its payload.
 func DescribeTiled(name string, f *ooc.File) DatasetInfo {
@@ -217,29 +173,24 @@ func RunOutOfCore(f *ooc.File, depth int, opts Options) (*Result, error) {
 	if depth < 1 {
 		depth = ooc.DefaultDepth
 	}
-	tsess := newTraceSession(opts, 1)
-	var tc *trace.Tracer
-	if tsess != nil {
-		tc = tsess.Tracer(0)
+	m, n := f.Dims()
+	opts, err := opts.withDefaults(m, n)
+	if err != nil {
+		return nil, err
 	}
 	tm, err := newTiledMatrix(f, depth)
 	if err != nil {
 		return nil, fmt.Errorf("core: out-of-core setup: %w", err)
 	}
 	defer tm.close()
-	s, err := newSeqState(tm, opts, tc)
-	if err != nil {
-		return nil, err
-	}
-	defer s.close()
-	s.ooc = tm
-
-	res, err := s.runLoop("OutOfCore", tsess)
+	res, err := runLayout("OutOfCore", m, n, tm.norm2, opts, 0, func(s *rankState) layout {
+		return newSeqLayout(s, tm, m, n, int64(m)*int64(n))
+	})
 	if err != nil {
 		return nil, err
 	}
 	res.OOC = tm.stats(depth)
-	if reg := s.opts.Metrics; reg != nil {
+	if reg := opts.Metrics; reg != nil {
 		st := res.OOC
 		reg.Counter("nmf.ooc.tiles_loaded").Add(st.TilesLoaded)
 		reg.Counter("nmf.ooc.bytes_loaded").Add(st.BytesLoaded)

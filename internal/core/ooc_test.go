@@ -2,6 +2,9 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
+	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -161,6 +164,34 @@ func TestOutOfCoreResumeBitwise(t *testing.T) {
 	}
 }
 
+// TestOutOfCoreReadFailureSurfaces: a tile that can no longer be read
+// mid-run fails the run with an iteration-stamped error that keeps the
+// I/O error in its chain, instead of factorizing stale or partial
+// panels.
+func TestOutOfCoreReadFailureSurfaces(t *testing.T) {
+	d := lowRankDense(24, 20, 3, 0.01, 5)
+	path := writeTileFile(t, d, 4)
+	f := openTileFile(t, path, ooc.BackendReaderAt)
+	opts := Options{K: 3, MaxIter: 6, Seed: 7}
+	opts.Progress = func(p Progress) {
+		if p.Iter == 2 { // cut the payload short under the running pipeline
+			if err := os.Truncate(path, ooc.HeaderSize+8); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	_, err := RunOutOfCore(f, 1, opts)
+	if err == nil {
+		t.Fatal("run succeeded on a truncated tile file")
+	}
+	if !errors.Is(err, io.EOF) {
+		t.Errorf("error %q does not wrap the read failure", err)
+	}
+	if !strings.Contains(err.Error(), "failed at iteration") {
+		t.Errorf("error %q is not iteration-stamped", err)
+	}
+}
+
 // TestOutOfCoreStepZeroAllocs extends the zero-allocation gate to the
 // streaming step: tile handoffs ride preallocated buffers and value
 // channels, and the panel headers are reused, so a steady-state
@@ -183,12 +214,7 @@ func TestOutOfCoreStepZeroAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer tm.close()
-			s, err := newSeqState(tm, Options{K: 5, MaxIter: 200, Solver: SolverBPP, ComputeError: true}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.close()
-			s.ooc = tm
+			s := newSeqRank(t, tm, 60, 45, tm.norm2, Options{K: 5, MaxIter: 200, Solver: SolverBPP, ComputeError: true})
 			it := 0
 			round := func() {
 				if err := s.step(it); err != nil {

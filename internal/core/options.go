@@ -287,32 +287,9 @@ func localInitW(opts Options, rows, rowOff int) *mat.Dense {
 	return initW(rows, opts.K, rowOff, opts.Seed)
 }
 
-// applyReg folds the regularization terms into a normal-equations
-// NNLS instance: returns (G + λ₂·I, F − λ₁/2), leaving the inputs
-// untouched when both weights are zero (the common case pays no
-// copy).
-func applyReg(g, f *mat.Dense, l2, l1 float64) (*mat.Dense, *mat.Dense) {
-	if l2 == 0 && l1 == 0 {
-		return g, f
-	}
-	if l2 != 0 {
-		g = g.Clone()
-		for i := 0; i < g.Rows; i++ {
-			g.Set(i, i, g.At(i, i)+l2)
-		}
-	}
-	if l1 != 0 {
-		f = f.Clone()
-		half := l1 / 2
-		for i := range f.Data {
-			f.Data[i] -= half
-		}
-	}
-	return g, f
-}
-
-// applyRegInto is applyReg for the workspace-threaded iteration loops:
-// the modified copies are drawn from ws instead of freshly allocated.
+// applyRegInto folds the regularization terms into a
+// normal-equations NNLS instance: returns (G + λ₂·I, F − λ₁/2), the
+// modified copies drawn from ws and the inputs untouched.
 // gTmp/fTmp are the workspace buffers to Put back after the solve (nil
 // when the corresponding weight is zero and the input passed through,
 // which Put accepts). With both weights zero — the common case — no

@@ -36,3 +36,19 @@ func TestShouldStopIgnoresErrorIncrease(t *testing.T) {
 		t.Error("tol=0 should disable the stopping rule")
 	}
 }
+
+// TestGradConvergedZeroScale: when ‖WᵀA‖ = 0 (an all-zero data matrix)
+// there is no gradient scale to compare against, so only an exactly
+// zero projected gradient counts as converged — and TolGrad ≤ 0 still
+// disables the rule.
+func TestGradConvergedZeroScale(t *testing.T) {
+	if !gradConverged(1e-3, 0, 0) {
+		t.Error("zero gradient at zero scale is not converged")
+	}
+	if gradConverged(1e-3, 1e-30, 0) {
+		t.Error("non-zero gradient at zero scale counts as converged")
+	}
+	if gradConverged(0, 0, 0) {
+		t.Error("TolGrad=0 should disable the stopping rule")
+	}
+}

@@ -101,18 +101,22 @@ func TestNegativeRegularizationRejected(t *testing.T) {
 }
 
 func TestApplyRegNoCopyWhenZero(t *testing.T) {
+	ws := mat.NewWorkspace()
 	g := mat.NewDense(3, 3)
 	f := mat.NewDense(3, 2)
-	g2, f2 := applyReg(g, f, 0, 0)
-	if g2 != g || f2 != f {
-		t.Fatal("applyReg copied with zero weights")
+	g2, f2, gTmp, fTmp := applyRegInto(ws, g, f, 0, 0)
+	if g2 != g || f2 != f || gTmp != nil || fTmp != nil {
+		t.Fatal("applyRegInto copied with zero weights")
 	}
-	g3, f3 := applyReg(g, f, 1, 1)
-	if g3 == g || f3 == f {
-		t.Fatal("applyReg mutated inputs")
+	g3, f3, gTmp, fTmp := applyRegInto(ws, g, f, 1, 1)
+	if g3 == g || f3 == f || gTmp != g3 || fTmp != f3 {
+		t.Fatal("applyRegInto did not return workspace copies")
 	}
-	if g3.At(0, 0) != 1 || f3.At(0, 0) != -0.5 {
-		t.Fatalf("applyReg values wrong: g=%v f=%v", g3.At(0, 0), f3.At(0, 0))
+	if g.At(0, 0) != 0 || f.At(0, 0) != 0 {
+		t.Fatal("applyRegInto mutated inputs")
+	}
+	if g3.At(0, 0) != 1 || g3.At(0, 1) != 0 || f3.At(0, 0) != -0.5 {
+		t.Fatalf("applyRegInto values wrong: g=%v f=%v", g3.At(0, 0), f3.At(0, 0))
 	}
 }
 

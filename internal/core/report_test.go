@@ -138,14 +138,18 @@ func TestReportProgressRoundTrip(t *testing.T) {
 		}
 	}
 	rep := NewReport(DescribeMatrix("x", WrapDense(a)), 1, opts, res, "")
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), "report.json")
+	if err := rep.WriteJSONFile(path); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `"progress"`) || !strings.Contains(buf.String(), `"phase_seconds"`) {
-		t.Fatalf("progress fields missing from JSON:\n%s", buf.String())
+	js, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	back, err := ParseReport(bytes.NewReader(buf.Bytes()))
+	if !bytes.Contains(js, []byte(`"progress"`)) || !bytes.Contains(js, []byte(`"phase_seconds"`)) {
+		t.Fatalf("progress fields missing from JSON:\n%s", js)
+	}
+	back, err := ParseReport(bytes.NewReader(js))
 	if err != nil {
 		t.Fatal(err)
 	}

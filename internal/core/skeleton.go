@@ -1,0 +1,347 @@
+// Package core implements the paper's algorithms — the sequential ANLS
+// framework (Algorithm 1), Naive-Parallel-NMF (Algorithm 2), and
+// HPC-NMF (Algorithm 3) on 1D and 2D processor grids — over the
+// simulated MPI runtime, as one skeleton, three layouts and two
+// product sources (DESIGN decision 14).
+//
+// The skeleton (this file) is the alternating iteration the three
+// algorithms share. rankState.step is one iteration on one rank: the
+// local W update (Algorithm 1 line 3, Algorithm 2 line 4, Algorithm 3
+// line 8), the local H update (lines 4, 6 and 14), the objective from
+// Gram by-products with the scalar all-reduce of §5 when there are
+// ranks to sum over, and the Tol and TolGrad stop tests. runLayout is
+// the run loop around it — world set-up, progress, checkpoint cadence,
+// the measured window, Result assembly — and the only one: every
+// entry point (RunSequential, RunOutOfCore, RunNaive, RunHPC) calls it.
+//
+// A layout is what is left: where A, W and H live and which
+// collectives bring the k×k Gram and the data product of each half
+// together. seqLayout (sequential.go) holds everything on one rank
+// and communicates nothing; naiveLayout (naive.go) is Algorithm 2
+// lines 3 and 5, all-gathering each factor whole and computing its
+// Gram redundantly; hpcLayout (hpc.go) is Algorithm 3 lines 3-7 and
+// 9-13, the all-reduce / all-gather / reduce-scatter schedule of
+// halfStep. seqLayout multiplies through a productSource: in-core
+// kernels, or row-panel passes over a tile file (ooc.go). Sequential
+// is not run as a 1×1 hpcLayout because halfStep's collectives
+// allocate even on one rank, and the zero-allocation step is a
+// contract (TestSequentialStepZeroAllocs).
+//
+// All layouts share one set of local kernels and one initialization
+// scheme, so for a given seed they perform the same computation up to
+// floating-point reduction order — the property the paper relies on
+// for fair comparison (§6.1.3).
+package core
+
+import (
+	"fmt"
+
+	"hpcnmf/internal/mat"
+	"hpcnmf/internal/mpi"
+	"hpcnmf/internal/par"
+	"hpcnmf/internal/perf"
+	"hpcnmf/internal/trace"
+)
+
+// layout is what distinguishes Algorithms 1, 2 and 3 once the
+// alternating iteration itself is shared: where A, W and H live and
+// which collectives surround the two data products. Everything else —
+// the local updates, the objective, the stop tests, progress,
+// checkpoints, accounting — is rankState.step and runLayout.
+type layout interface {
+	// wHalf returns the global H·Hᵀ (k×k) and this rank's rows of
+	// A·Hᵀ (rows×k): everything the W update needs.
+	wHalf() (hht, aht *mat.Dense, err error)
+	// hHalf returns the global Wᵀ·W (k×k) and this rank's columns of
+	// Wᵀ·A (k×cols): everything the H update needs.
+	hHalf() (wtw, wta *mat.Dense, err error)
+	// gather returns the full W (m×k) and H (k×n) on rank 0, nil
+	// elsewhere. It is collective; with setup the traffic is charged
+	// to the Setup category (in-loop checkpoint gathers), keeping the
+	// measured per-iteration traffic clean.
+	gather(setup bool) (w, h *mat.Dense)
+}
+
+// rankState is one rank's share of a run: its instruments, its blocks
+// of W and H, and the buffers the shared step needs. Every matrix the
+// step touches is allocated once here (or drawn from the workspace
+// arena), so with a layout that does not communicate a steady-state
+// step performs no heap allocation at KernelThreads=1 with any
+// built-in updater — TestSequentialStepZeroAllocs and
+// TestOutOfCoreStepZeroAllocs pin that. The W iterate is kept
+// transposed (wt) across iterations: it is both the warm start and the
+// in-place destination of the solve, and one TTo refreshes w from it.
+type rankState struct {
+	opts Options
+	lay  layout
+	c    *mpi.Comm // nil when the layout has no communicator
+	rank int
+	env  updateEnv
+	ws   *mat.Workspace
+	pool *par.Pool
+	tr   *perf.Tracker
+	clk  phaseClock
+	tc   *trace.Tracer
+	rm   runMetrics
+
+	k      int
+	normA2 float64
+
+	w  *mat.Dense // rows×k block of W
+	wt *mat.Dense // k×rows: wᵀ, warm start and destination of the W solve
+	h  *mat.Dense // k×cols block of H
+	fw *mat.Dense // k×rows: this rank's rows of A·Hᵀ transposed, the W-solve RHS
+
+	hGram     *mat.Dense // k×k = h·hᵀ of the local block
+	haveHGram bool       // hGram is current for h
+
+	relErr []float64
+	iters  int
+	done   bool
+}
+
+// newRankState builds a rank's instruments over the run's shared
+// kernel pool. opts must be post-withDefaults; c and tc may be nil.
+// The layout sizes the factor blocks afterwards with initBlocks.
+func newRankState(opts Options, normA2 float64, pool *par.Pool, rm runMetrics, c *mpi.Comm, tc *trace.Tracer) *rankState {
+	ws := mat.NewWorkspace()
+	tr := perf.NewTracker()
+	clk := phaseClock{tr: tr, tc: tc}
+	s := &rankState{
+		opts:   opts,
+		c:      c,
+		env:    newUpdateEnv(opts, ws, pool, clk, tr, rm),
+		ws:     ws,
+		pool:   pool,
+		tr:     tr,
+		clk:    clk,
+		tc:     tc,
+		rm:     rm,
+		k:      opts.K,
+		normA2: normA2,
+		hGram:  mat.NewDense(opts.K, opts.K),
+		relErr: make([]float64, 0, opts.MaxIter),
+	}
+	if c != nil {
+		s.rank = c.Rank()
+	}
+	return s
+}
+
+// initBlocks allocates this rank's factor blocks: rows of W starting
+// at global row rowOff and cols of H starting at global column colOff.
+func (s *rankState) initBlocks(rows, rowOff, cols, colOff int) {
+	s.w = localInitW(s.opts, rows, rowOff)
+	s.wt = mat.NewDense(s.k, rows)
+	s.w.TTo(s.wt)
+	s.h = localInitH(s.opts, cols, colOff)
+	s.fw = mat.NewDense(s.k, rows)
+}
+
+// localHGram returns h·hᵀ of this rank's H block, recomputing it only
+// when h changed since the last call: the Gram the objective needs at
+// the end of one iteration is the one a single-rank W half needs at the
+// start of the next.
+func (s *rankState) localHGram() *mat.Dense {
+	if !s.haveHGram {
+		ps := s.clk.Start(perf.TaskGram)
+		mat.ParGramTToWS(s.hGram, s.h, s.pool, s.ws)
+		s.clk.Stop(ps)
+		s.tr.AddFlops(perf.TaskGram, gramFlops(s.h.Cols, s.k))
+		s.haveHGram = true
+	}
+	return s.hGram
+}
+
+// gatherBlocks collects every rank's W block and transposed H block
+// on rank 0 in rank order (nil elsewhere); the layouts reassemble the
+// full factors from them.
+func (s *rankState) gatherBlocks(setup bool, wCounts, hCounts []int) (wAll, hTAll []float64) {
+	gv := s.c.GatherV
+	if setup {
+		gv = s.c.GatherVSetup
+	}
+	return gv(0, s.w.Data, wCounts), gv(0, s.h.T().Data, hCounts)
+}
+
+// step runs one alternating iteration — line 3-4 of Algorithm 1, 3-6
+// of Algorithm 2, 3-14 of Algorithm 3, with the layout supplying the
+// Gram matrices and data products — and records in s.done whether a
+// convergence test fired.
+func (s *rankState) step(it int) error {
+	s.iters++
+	itSpan := s.tc.BeginArg(trace.CatIter, "iteration", "iter", int64(it))
+	// --- Update W given H ---
+	hht, aht, err := s.lay.wHalf()
+	if err != nil {
+		return fmt.Errorf("core: A·Hᵀ failed at iteration %d: %w", it, err)
+	}
+	aht.TTo(s.fw)
+	if err := s.env.updateFactor("W", hht, s.fw, s.wt, s.opts.L2W, s.opts.L1W); err != nil {
+		return fmt.Errorf("core: W update failed at iteration %d: %w", it, err)
+	}
+	s.wt.TTo(s.w)
+
+	// --- Update H given W ---
+	wtw, wta, err := s.lay.hHalf()
+	if err != nil {
+		return fmt.Errorf("core: Wᵀ·A failed at iteration %d: %w", it, err)
+	}
+	// TolGrad measures stationarity of the alternating map: the
+	// projected gradient of the H-subproblem at the PREVIOUS H under
+	// the refreshed W (zero exactly when the alternation has stopped
+	// moving; the post-solve gradient would be ~0 every iteration for
+	// exact solvers and measure nothing).
+	pg, pgRef := 0.0, 0.0
+	if s.opts.TolGrad > 0 {
+		pg = projGradSq(wtw, wta, s.h, s.ws, s.pool)
+		pgRef = wta.SquaredFrobeniusNorm()
+	}
+	if err := s.env.updateFactor("H", wtw, wta, s.h, s.opts.L2H, s.opts.L1H); err != nil {
+		return fmt.Errorf("core: H update failed at iteration %d: %w", it, err)
+	}
+	s.haveHGram = false
+
+	// --- Objective via byproducts (DESIGN decision 4): local partials,
+	// summed by the "global aggregation for residual" of §5 — one
+	// scalar all-reduce — when the layout has ranks to sum over. ---
+	if s.opts.ComputeError {
+		errSpan := s.tc.Begin(trace.CatPhase, "Err")
+		hGram := s.localHGram()
+		// The local sums are timed (as Other) only when they are the
+		// whole reduction; with a communicator the breakdown attributes
+		// the objective to its all-reduce, as TestReportGolden pins.
+		var cross, quad float64
+		if s.c == nil {
+			ps := s.clk.Start(perf.TaskOther)
+			cross, quad = mat.Dot(wta, s.h), mat.Dot(wtw, hGram)
+			s.clk.Stop(ps)
+		} else {
+			payload := []float64{mat.Dot(wta, s.h), mat.Dot(wtw, hGram)}
+			if s.opts.TolGrad > 0 {
+				payload = append(payload, pg, pgRef)
+			}
+			ps := s.clk.Start(perf.TaskAllReduce)
+			parts := s.c.AllReduce(payload)
+			s.clk.Stop(ps)
+			cross, quad = parts[0], parts[1]
+			if s.opts.TolGrad > 0 {
+				pg, pgRef = parts[2], parts[3]
+			}
+		}
+		errSpan.End()
+		e := relErrFrom(s.normA2, cross, quad)
+		s.relErr = append(s.relErr, e)
+		if s.rank == 0 {
+			s.rm.ObserveRelErr(e)
+		}
+		s.done = shouldStop(s.relErr, s.opts.Tol) || gradConverged(s.opts.TolGrad, pg, pgRef)
+	}
+	itSpan.End()
+	return nil
+}
+
+// runLayout is the one run loop behind every entry point: it owns the
+// trace session, the checkpointer, the shared kernel pool and — when
+// the layout spans p ≥ 1 communicating ranks — the mpi.World; steps
+// every rank until a stop test fires or MaxIter, emitting progress
+// from rank 0 and checkpoints on the CheckpointEvery cadence; and
+// assembles the Result. p = 0 runs a single rank with no communicator
+// on the calling goroutine. build constructs one rank's layout and
+// must call initBlocks on the rankState it is handed. opts must be
+// post-withDefaults.
+func runLayout(algorithm string, m, n int, normA2 float64, opts Options, p int, build func(*rankState) layout) (*Result, error) {
+	ranks := max(p, 1)
+	tsess := newTraceSession(opts, ranks)
+	ckpt := newCheckpointer(opts, algorithm, m, n)
+	rm := newRunMetrics(opts.Metrics)
+	pool := par.NewPool(opts.KernelThreads)
+	defer pool.Close()
+	trackers := make([]*perf.Tracker, ranks)
+	var traffic []*mpi.Counters // stays nil without a communicator
+	var res *Result
+
+	body := func(c *mpi.Comm, tc *trace.Tracer) error {
+		s := newRankState(opts, normA2, pool, rm, c, tc)
+		s.lay = build(s)
+		setupTr := s.tr.Snapshot()
+		var setupTraffic *mpi.Counters
+		if c != nil {
+			setupTraffic = c.Counters().Snapshot()
+		}
+		var pe *progressEmitter
+		if s.rank == 0 {
+			pe = newProgressEmitter(opts.Progress, s.tr)
+		}
+		for it := 0; it < opts.MaxIter && !s.done; it++ {
+			if err := s.step(it); err != nil {
+				return err
+			}
+			pe.emit(s.iters, s.relErr)
+			// The checkpoint gather is collective; its schedule is
+			// uniform across ranks because iters and done advance in
+			// lockstep.
+			if ckpt.due(s.iters) && !s.done {
+				w, h := s.lay.gather(true)
+				if s.rank == 0 {
+					if err := ckpt.write(s.iters, s.relErr, w, h); err != nil {
+						return err
+					}
+				}
+			}
+		}
+		// Freeze the measured iteration window before the final gather
+		// adds unrelated traffic.
+		trackers[s.rank] = s.tr.Diff(setupTr)
+		if c != nil {
+			traffic[s.rank] = c.Counters().Diff(setupTraffic)
+		}
+		w, h := s.lay.gather(false)
+		if s.rank == 0 {
+			res = &Result{
+				W:          w,
+				H:          h,
+				RelErr:     s.relErr,
+				Progress:   pe.collected(),
+				Iterations: s.iters,
+				Algorithm:  algorithm,
+			}
+		}
+		return nil
+	}
+
+	if p < 1 {
+		var tc *trace.Tracer
+		if tsess != nil {
+			tc = tsess.Tracer(0)
+		}
+		if err := body(nil, tc); err != nil {
+			return nil, err
+		}
+	} else {
+		world := mpi.NewWorld(p)
+		world.SetTracing(tsess)
+		world.SetMetrics(opts.Metrics)
+		configureWorld(world, opts)
+		traffic = make([]*mpi.Counters, p)
+		err := safely(func() {
+			world.Run(func(c *mpi.Comm) {
+				// A rank's error aborts the world; recordFailure keeps
+				// it in the chain of the error every rank returns.
+				if err := body(c, c.Tracer()); err != nil {
+					panic(err)
+				}
+			})
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	res.Breakdown = perf.Aggregate(opts.Model, trackers, traffic).Scale(res.Iterations)
+	res.PerRank = perf.PerRank(opts.Model, trackers, traffic, res.Iterations)
+	rm.ObserveIterations(res.Iterations)
+	if tsess != nil {
+		res.Trace = tsess.Merge()
+	}
+	return res, nil
+}

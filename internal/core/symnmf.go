@@ -36,6 +36,33 @@ type SymResult struct {
 	Iterations int
 }
 
+// withDefaults validates the options against the matrix and fills in
+// MaxIter, Tol and Alpha.
+func (o SymOptions) withDefaults(a Matrix) (SymOptions, error) {
+	m, n := a.Dims()
+	if m != n {
+		return o, fmt.Errorf("core: SymNMF needs a square matrix, got %dx%d", m, n)
+	}
+	if o.K < 1 || o.K > n {
+		return o, fmt.Errorf("core: SymNMF rank %d out of range for n=%d", o.K, n)
+	}
+	if o.MaxIter <= 0 {
+		o.MaxIter = 100
+	}
+	if o.Tol == 0 {
+		o.Tol = 1e-4
+	}
+	if o.Alpha <= 0 {
+		// Kuang et al.'s heuristic: the squared max entry of A.
+		o.Alpha = maxEntry(a)
+		o.Alpha *= o.Alpha
+		if o.Alpha == 0 {
+			o.Alpha = 1
+		}
+	}
+	return o, nil
+}
+
 // RunSymNMF computes symmetric NMF, A ≈ H·Hᵀ with H ≥ 0 (n×k), for a
 // symmetric non-negative matrix A — the graph-clustering
 // factorization of Kuang, Ding & Park (SDM 2012), which the paper
@@ -50,29 +77,12 @@ type SymResult struct {
 // Gram augmented by α·I and the right-hand side by α times the other
 // factor, so the same BPP solver applies.
 func RunSymNMF(a Matrix, opts SymOptions) (*SymResult, error) {
-	m, n := a.Dims()
-	if m != n {
-		return nil, fmt.Errorf("core: SymNMF needs a square matrix, got %dx%d", m, n)
+	opts, err := opts.withDefaults(a)
+	if err != nil {
+		return nil, err
 	}
-	if opts.K < 1 || opts.K > n {
-		return nil, fmt.Errorf("core: SymNMF rank %d out of range for n=%d", opts.K, n)
-	}
-	if opts.MaxIter <= 0 {
-		opts.MaxIter = 100
-	}
-	if opts.Tol == 0 {
-		opts.Tol = 1e-4
-	}
-	k := opts.K
-	alpha := opts.Alpha
-	if alpha <= 0 {
-		// Kuang et al.'s heuristic: the squared max entry of A.
-		alpha = maxEntry(a)
-		alpha *= alpha
-		if alpha == 0 {
-			alpha = 1
-		}
-	}
+	_, n := a.Dims()
+	k, alpha := opts.K, opts.Alpha
 	solver := nnls.NewBPP()
 
 	h := initW(n, k, 0, opts.Seed)   // n×k
@@ -147,31 +157,15 @@ func RunSymNMF(a Matrix, opts SymOptions) (*SymResult, error) {
 // assembled with all-gathers each half-iteration). With a shared seed
 // it computes the same iterates as RunSymNMF up to reduction order.
 func RunSymNMFParallel(a Matrix, p int, opts SymOptions) (*SymResult, error) {
-	m, n := a.Dims()
-	if m != n {
-		return nil, fmt.Errorf("core: SymNMF needs a square matrix, got %dx%d", m, n)
+	opts, err := opts.withDefaults(a)
+	if err != nil {
+		return nil, err
 	}
-	if opts.K < 1 || opts.K > n {
-		return nil, fmt.Errorf("core: SymNMF rank %d out of range for n=%d", opts.K, n)
-	}
+	_, n := a.Dims()
 	if p < 1 || n < p {
 		return nil, fmt.Errorf("core: cannot split %d rows across %d ranks", n, p)
 	}
-	if opts.MaxIter <= 0 {
-		opts.MaxIter = 100
-	}
-	if opts.Tol == 0 {
-		opts.Tol = 1e-4
-	}
-	k := opts.K
-	alpha := opts.Alpha
-	if alpha <= 0 {
-		alpha = maxEntry(a)
-		alpha *= alpha
-		if alpha == 0 {
-			alpha = 1
-		}
-	}
+	k, alpha := opts.K, opts.Alpha
 	normA2 := a.SquaredFrobeniusNorm()
 	normA := math.Sqrt(normA2)
 	rowCounts := grid.ScaleCounts(grid.BlockCounts(n, p), k)
@@ -261,9 +255,9 @@ func RunSymNMFParallel(a Matrix, p int, opts SymOptions) (*SymResult, error) {
 	return res, nil
 }
 
-// maxEntry returns the largest entry of the matrix (assumed ≥ 0
-// except for roundoff; uses MulBt with a probe for sparse access
-// avoidance? no — both storages expose enough structure).
+// maxEntry returns the largest entry of a dense or CSR matrix. Any
+// other Matrix implementation exposes no entries to scan, so it is
+// assumed to be at unit scale.
 func maxEntry(a Matrix) float64 {
 	if d, ok := UnwrapDense(a); ok {
 		return d.Max()
@@ -277,7 +271,5 @@ func maxEntry(a Matrix) float64 {
 		}
 		return m
 	}
-	// Generic fallback: probe columns through MulBt with unit vectors
-	// would be O(n²); assume unit scale instead.
 	return 1
 }

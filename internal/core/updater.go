@@ -10,12 +10,12 @@ import (
 // Updater is the algorithm plug-in seam of the MPI-FAUN framework
 // (DESIGN decision 14, after Kannan–Ballard–Park's follow-up): any
 // alternating-updating NMF method drops into the shared communication
-// skeleton by supplying only the local factor update. The skeleton —
-// sequential, naive, or 2D HPC driver — owns the collectives, the
-// comm/compute overlap schedule, the Gram and cross-product pipeline,
-// workspace arenas, checkpointing, fault sites, and tracing; the
-// updater sees exactly the two matrices the ANLS normal equations
-// need and the iterate to advance.
+// skeleton by supplying only the local factor update. The skeleton
+// and its layouts (skeleton.go) own the collectives, the comm/compute
+// overlap schedule, the Gram and cross-product pipeline, workspace
+// arenas, checkpointing, fault sites, and tracing; the updater sees
+// exactly the two matrices the ANLS normal equations need and the
+// iterate to advance.
 //
 // Update advances x (k×r) in place given the k×k Gram matrix and the
 // k×r right-hand side of the current half-step: for the W half gram =
@@ -66,11 +66,11 @@ func (o Options) updaterName() string {
 	return o.Solver.String()
 }
 
-// updateEnv funnels every factor update in every driver through one
-// code path: fold regularization in, time the update under TaskNLS,
-// return workspace temporaries, account flops and solver inner
-// iterations, and panic early if the iterate went non-finite. One env
-// per rank goroutine, like the updater it owns.
+// updateEnv is the one code path of every factor update
+// (rankState.step's two calls): fold regularization in, time the
+// update under TaskNLS, return workspace temporaries, account flops and
+// solver inner iterations, and panic early if the iterate went
+// non-finite. One env per rank goroutine, like the updater it owns.
 type updateEnv struct {
 	up  Updater
 	ctx *nnls.Context

@@ -150,6 +150,8 @@ func TestSolverUpdaterNames(t *testing.T) {
 	}
 }
 
+var errSyntheticUpdate = errors.New("synthetic update failure")
+
 // failingUpdater errors on its nth call, to drive the update-failure
 // paths of the drivers.
 type failingUpdater struct {
@@ -162,34 +164,26 @@ func (u *failingUpdater) Name() string { return "failing" }
 func (u *failingUpdater) Update(ctx *nnls.Context, gram, rhs, x *mat.Dense) (nnls.Stats, error) {
 	u.calls++
 	if u.calls > u.after {
-		return nnls.Stats{}, errors.New("synthetic update failure")
+		return nnls.Stats{}, errSyntheticUpdate
 	}
 	return nnls.SolveWith(nnls.NewBPP(), ctx, gram, rhs, x, x)
 }
 
 // TestUpdaterErrorSurfaces: an updater error must abort the run with
-// a wrapped, iteration-stamped error — from the sequential driver's
-// error return and from the parallel drivers' panic-recovery wrapper.
+// an iteration-stamped error that keeps the updater's own error in its
+// chain, under every layout — returned directly by a layout without a
+// communicator, carried through the aborting world otherwise.
 func TestUpdaterErrorSurfaces(t *testing.T) {
-	const m, n, k = 30, 24, 3
-	a := WrapDense(lowRankDense(m, n, k, 0.02, 5))
-	for _, tc := range []struct {
-		name string
-		run  func(Options) (*Result, error)
-	}{
-		{"sequential", func(o Options) (*Result, error) { return RunSequential(a, o) }},
-		{"naive", func(o Options) (*Result, error) { return RunNaive(a, 2, o) }},
-		{"hpc", func(o Options) (*Result, error) { return RunHPC(a, grid.Grid{PR: 2, PC: 1}, o) }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			opts := Options{K: k, MaxIter: 5, Seed: 7,
+	for _, ep := range entryPoints(t, lowRankDense(30, 24, 3, 0.02, 5)) {
+		t.Run(ep.name, func(t *testing.T) {
+			opts := Options{K: 3, MaxIter: 5, Seed: 7,
 				Update: func() Updater { return &failingUpdater{after: 3} }}
-			_, err := tc.run(opts)
+			_, err := ep.run(opts)
 			if err == nil {
 				t.Fatal("run succeeded despite failing updater")
 			}
-			if !strings.Contains(err.Error(), "synthetic update failure") {
-				t.Errorf("error %q does not carry the updater failure", err)
+			if !errors.Is(err, errSyntheticUpdate) {
+				t.Errorf("error %q does not wrap the updater failure", err)
 			}
 			if !strings.Contains(err.Error(), "update failed at iteration") {
 				t.Errorf("error %q is not iteration-stamped", err)

@@ -25,8 +25,8 @@ func safely(fn func()) (err error) {
 	return nil
 }
 
-// configureWorld applies the robustness options shared by the parallel
-// drivers: the fault injector and the per-collective communication
+// configureWorld applies the robustness options to a run's world: the
+// fault injector and the per-collective communication
 // deadline.
 func configureWorld(w *mpi.World, opts Options) {
 	if opts.Fault != nil {

@@ -32,9 +32,9 @@ func splitmix64(state uint64) (uint64, uint64) {
 	return state, z ^ (z >> 31)
 }
 
-// mix hashes a 64-bit value with SplitMix64's finalizer. It is used to
+// Mix hashes a 64-bit value with SplitMix64's finalizer. It is used to
 // combine seeds and coordinates into statistically independent streams.
-func mix(x uint64) uint64 {
+func Mix(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
@@ -48,13 +48,13 @@ type Stream struct {
 
 // New returns a Stream seeded with seed.
 func New(seed uint64) *Stream {
-	return &Stream{state: mix(seed ^ 0x5851f42d4c957f2d)}
+	return &Stream{state: Mix(seed ^ 0x5851f42d4c957f2d)}
 }
 
 // NewSub derives an independent child stream from seed and a stream
 // identifier. Streams with distinct ids do not overlap in practice.
 func NewSub(seed, id uint64) *Stream {
-	return &Stream{state: mix(mix(seed+0x9e3779b97f4a7c15) ^ mix(id+0xd1b54a32d192ed03))}
+	return &Stream{state: Mix(Mix(seed+0x9e3779b97f4a7c15) ^ Mix(id+0xd1b54a32d192ed03))}
 }
 
 // Uint64 returns the next 64 uniformly random bits.
@@ -108,9 +108,9 @@ func (s *Stream) Perm(n int) []int {
 // regardless of any other state, which makes matrix initialization
 // independent of data distribution.
 func At(seed uint64, i, j int) float64 {
-	h := mix(seed ^ 0x2545f4914f6cdd1d)
-	h = mix(h ^ (uint64(i) + 0x9e3779b97f4a7c15))
-	h = mix(h ^ (uint64(j) + 0xd1b54a32d192ed03))
+	h := Mix(seed ^ 0x2545f4914f6cdd1d)
+	h = Mix(h ^ (uint64(i) + 0x9e3779b97f4a7c15))
+	h = Mix(h ^ (uint64(j) + 0xd1b54a32d192ed03))
 	return float64(h>>11) / (1 << 53)
 }
 

@@ -299,9 +299,10 @@ func RunParallel(a Matrix, p int, opts Options) (*Result, error) {
 }
 
 // RunOnGrid factorizes with HPC-NMF on an explicit pr×pc grid.
-// Use pr=p, pc=1 for the paper's HPC-NMF-1D variant.
+// Use pr=p, pc=1 for the paper's HPC-NMF-1D variant. A non-positive
+// dimension is an error.
 func RunOnGrid(a Matrix, pr, pc int, opts Options) (*Result, error) {
-	return core.RunHPC(a, grid.New(pr, pc), opts)
+	return core.RunHPC(a, Grid{PR: pr, PC: pc}, opts)
 }
 
 // ChooseGrid returns the communication-minimizing grid for an m×n

@@ -55,6 +55,9 @@ func TestFacadeParallelAgreesWithSequential(t *testing.T) {
 	if d := oneD.W.MaxDiff(seq.W); d > 1e-6 {
 		t.Fatalf("1D grid W differs by %g", d)
 	}
+	if _, err := hpcnmf.RunOnGrid(ds.Matrix, 0, 2, opts); err == nil {
+		t.Fatal("RunOnGrid accepted a 0x2 grid")
+	}
 }
 
 func TestFacadeSparse(t *testing.T) {
