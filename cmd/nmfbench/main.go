@@ -31,10 +31,6 @@ func main() {
 	}
 }
 
-// errRegression marks a kernel-regression gate failure (exit 1 with
-// the offending rows already printed to stderr).
-var errRegression = fmt.Errorf("kernel regression gate failed")
-
 // run is the whole command behind a testable seam: flags come from
 // args, output goes to the writers, and failures are returned instead
 // of exiting the process.
@@ -55,9 +51,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		kernels = fs.Bool("kernels", false, "run the compute-kernel micro-benchmarks (blocked vs. naive) instead of the figure experiments; with -json, write a KernelReport (e.g. BENCH_kernels.json)")
 		reps    = fs.Int("reps", 3, "repetitions per kernel timing (-kernels); each row reports the best")
 		threads = fs.String("threads", "1,4", "kernel pool widths to time (-kernels)")
-
-		baseline   = fs.String("baseline", "", "with -kernels: compare against this KernelReport JSON and exit 1 on regression")
-		maxRegress = fs.Float64("maxregress", 0.25, "with -baseline: max tolerated fractional drop in speedup-vs-naive per row")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -93,27 +86,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stdout, "wrote %s (%d rows, schema v%d)\n", *jsonP, len(rep.Rows), rep.Version)
 		} else {
 			experiments.WriteKernelTable(rep, stdout)
-		}
-		if *baseline != "" {
-			bf, err := os.Open(*baseline)
-			if err != nil {
-				return err
-			}
-			base, err := experiments.ReadKernelReport(bf)
-			bf.Close()
-			if err != nil {
-				return err
-			}
-			regs := experiments.CompareKernelReports(rep, base, *maxRegress)
-			if len(regs) > 0 {
-				fmt.Fprintf(stderr, "nmfbench: %d kernel(s) regressed more than %.0f%% vs %s:\n",
-					len(regs), 100**maxRegress, *baseline)
-				for _, r := range regs {
-					fmt.Fprintf(stderr, "  %s\n", r)
-				}
-				return errRegression
-			}
-			fmt.Fprintf(stdout, "no kernel regression beyond %.0f%% vs %s\n", 100**maxRegress, *baseline)
 		}
 		return nil
 	}

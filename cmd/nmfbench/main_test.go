@@ -60,3 +60,36 @@ func TestBenchJSONReport(t *testing.T) {
 		t.Errorf("bench report empty or unversioned: version=%d rows=%d", rep.Version, len(rep.Rows))
 	}
 }
+
+// -kernels prints the documented table, and with -json writes a
+// versioned KernelReport (the BENCH_kernels.json format).
+func TestBenchKernelsReport(t *testing.T) {
+	small := []string{"-kernels", "-scale", "0.02", "-k", "4", "-reps", "1", "-threads", "1"}
+	var out, errb bytes.Buffer
+	if err := run(small, &out, &errb); err != nil {
+		t.Fatalf("run(%v): %v", small, err)
+	}
+	for _, want := range []string{"Kernel micro-benchmarks", "MulAtB", "HPC2Dwebbase"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("kernel table missing %q:\n%s", want, out.String())
+		}
+	}
+	path := filepath.Join(t.TempDir(), "kernels.json")
+	if err := run(append(small, "-json", path), &out, &errb); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep struct {
+		Version int              `json:"version"`
+		Rows    []map[string]any `json:"rows"`
+	}
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatalf("kernel report is not valid JSON: %v", err)
+	}
+	if rep.Version < 1 || len(rep.Rows) == 0 {
+		t.Errorf("kernel report empty or unversioned: version=%d rows=%d", rep.Version, len(rep.Rows))
+	}
+}

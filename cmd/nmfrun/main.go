@@ -9,7 +9,7 @@
 //	nmfrun -data ssyn -k 16 -alg hpc2d -p 16 -iters 10   # -grid auto picks the grid
 //	nmfrun -data ssyn -k 16 -alg hpc2d -grid 4x2         # explicit grid
 //	nmfrun -data ssyn -k 16 -alg bpp -p 16               # HPC 2D skeleton + BPP updater
-//	nmfrun -data ssyn -k 16 -alg auto -p 16              # joint algorithm x grid pick
+//	nmfrun -data ssyn -k 16 -alg auto -p 16              # cost-model pick of layout, grid and updater
 //	nmfrun -data video -alg hpc1d -p 8
 //	nmfrun -mm matrix.mtx -alg naive -p 4        # MatrixMarket input
 //	nmfrun -data ssyn -alg hpc2d -p 16 -trace t.json -report r.json -metrics
@@ -55,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		tileDep  = fs.Int("tile-depth", 0, "prefetch depth for -tiled: tiles loaded ahead of the updater (0 = default)")
 		dense    = fs.Bool("dense", false, "force the dense kernel path: densify a sparse input instead of auto-detecting storage by density")
 		scale    = fs.Float64("scale", 0.25, "dataset scale factor")
-		alg      = fs.String("alg", "hpc2d", "algorithm: seq, naive, hpc1d, hpc2d, auto (joint algorithm x grid cost-model pick), or an update rule mu|hals|pgd|bpp (HPC 2D skeleton with that updater)")
+		alg      = fs.String("alg", "hpc2d", "algorithm: seq, naive, hpc1d, hpc2d, auto (cost-model pick of layout, grid and updater), or an update rule mu|hals|pgd|bpp (HPC 2D skeleton with that updater)")
 		solver   = fs.String("solver", "bpp", "local NLS solver: bpp, activeset, mu, hals, pgd")
 		sweeps   = fs.Int("sweeps", 1, "inner sweeps for mu/hals")
 		k        = fs.Int("k", 10, "factorization rank")
@@ -241,7 +241,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	opts.CheckpointEvery = *ckptEvery
 	// The solver must be applied before Resume: checkpoints record the
 	// updater name and resuming validates it against the options.
-	solverOpt, err := solverKind(*solver)
+	solverOpt, err := hpcnmf.ParseSolver(*solver)
 	if err != nil {
 		return err
 	}
@@ -264,44 +264,46 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	var res *hpcnmf.Result
 	if *alg == "auto" {
+		if *gridStr != "auto" {
+			return fmt.Errorf("-alg auto picks the grid itself; drop -grid %s or name the algorithm (-alg hpc2d)", *gridStr)
+		}
 		adv := hpcnmf.Advise(a, *k, *p)
 		if len(adv) == 0 {
 			return fmt.Errorf("cost model returned no algorithm advice for k=%d p=%d; pick -alg explicitly", *k, *p)
 		}
-		fmt.Fprintln(stdout, "cost-model forecast (fastest first):")
+		// One forecast: Naive, the 1D grid and the grid RunParallel
+		// picks, every HPC row priced by the rule the run's own grid:
+		// line reports. The first row is what runs (a 1D row can only
+		// tie with the picked grid, which then sorts ahead of it).
+		fmt.Fprintln(stdout, "cost-model forecast (fastest first; the first row runs):")
 		for _, row := range adv {
 			fmt.Fprintf(stdout, "  %-14s %.6f s/iter\n", row.Algorithm, row.Seconds)
 		}
+		*alg = "hpc2d"
 		if adv[0].Algorithm == "Naive" {
 			*alg = "naive"
-		} else if adv[0].Algorithm == "HPC-NMF-1D" {
-			*alg = "hpc1d"
-		} else {
-			*alg = "hpc2d"
 		}
-		fmt.Fprintf(stdout, "selected: %s\n", *alg)
-		// With the skeleton chosen, price algorithm x grid jointly and
-		// pick the updater too — unless the user pinned one with
-		// -solver, or the run resumes a checkpoint (whose updater is
-		// fixed). The joint model covers the four update rules; the
-		// skeleton rows above stay the naive/1d/2d tie-breaker.
+		// The updater is picked on the same grid — unless the user
+		// pinned one with -solver, or the run resumes a checkpoint
+		// (whose updater is fixed).
 		if !solverSet && *resume == "" {
+			// An error next to rows is the infeasible-grid fallback
+			// RunParallel takes too; the rows are priced on that grid.
 			choices, jerr := hpcnmf.AdviseAlgorithmGrid(a, *k, *p)
-			if jerr != nil {
-				return fmt.Errorf("joint algorithm x grid advice: %w", jerr)
+			if len(choices) == 0 {
+				return fmt.Errorf("updater advice: %w", jerr)
 			}
-			fmt.Fprintln(stdout, "joint algorithm x grid forecast (fastest first):")
+			fmt.Fprint(stdout, "updaters, s/iter with NLS x relative iterations to tolerance (cheapest product first):")
 			for _, ch := range choices {
-				fmt.Fprintf(stdout, "  %-5s on %dx%d  %.6f s/iter x %.1f iters -> %.6f s\n",
-					ch.Updater.Name, ch.Grid.PR, ch.Grid.PC, ch.IterSeconds, ch.Updater.IterFactor, ch.Seconds)
+				fmt.Fprintf(stdout, "  %s %.6f x %.1f", ch.Updater.Name, ch.IterSeconds, ch.Updater.IterFactor)
 			}
+			fmt.Fprintln(stdout)
 			*solver = strings.ToLower(choices[0].Updater.Name)
-			if opts.Solver, err = solverKind(*solver); err != nil {
+			if opts.Solver, err = hpcnmf.ParseSolver(*solver); err != nil {
 				return err
 			}
-			fmt.Fprintf(stdout, "selected updater: %s\n", *solver)
 		}
-		fmt.Fprintln(stdout)
+		fmt.Fprintf(stdout, "selected: %s, updater %s\n\n", *alg, *solver)
 	}
 	stopProfile, err := startProfile(*profile, *profDir)
 	if err != nil {
@@ -511,24 +513,6 @@ func printOverlap(w io.Writer, snap *metrics.Snapshot) {
 			r, window, wait,
 			100*snap.Gauges[fmt.Sprintf("mpi.rank.%d.overlap.efficiency", r)])
 	}
-}
-
-// solverKind maps a -solver flag value (or a lowercased updater name
-// from the joint cost model) to its SolverKind.
-func solverKind(name string) (hpcnmf.SolverKind, error) {
-	switch name {
-	case "bpp":
-		return hpcnmf.SolverBPP, nil
-	case "activeset":
-		return hpcnmf.SolverActiveSet, nil
-	case "mu":
-		return hpcnmf.SolverMU, nil
-	case "hals":
-		return hpcnmf.SolverHALS, nil
-	case "pgd":
-		return hpcnmf.SolverPGD, nil
-	}
-	return 0, fmt.Errorf("unknown solver %q", name)
 }
 
 // fitTileDepth validates an out-of-core run against a byte budget:

@@ -30,6 +30,7 @@ func TestRunFlagValidation(t *testing.T) {
 		{"-view", "bogus"},
 		{"-solver", "bogus"},
 		fast("-alg", "bogus"),
+		fast("-alg", "auto", "-grid", "2x2"),
 		fast("stray-arg"),
 		{"-resume", "/tmp/a", "-ckpt", "/tmp/b"},
 		{"-mm", "/nonexistent/matrix.mtx"},
@@ -96,6 +97,28 @@ func TestRunGridAutoPrintsPick(t *testing.T) {
 	}
 	if !strings.Contains(got, "predicted") || !strings.Contains(got, "measured") {
 		t.Errorf("grid line missing predicted/measured forecast:\n%s", got)
+	}
+
+	// -alg auto on a skewed sparse matrix prints one forecast, and the
+	// run that follows reports the forecast's first HPC row — same
+	// grid, same predicted seconds — on its grid: line, because both
+	// read one plan.
+	got = runOK(t, "-data", "webbase", "-scale", "0.1", "-alg", "auto", "-p", "8", "-k", "8", "-iters", "1")
+	if n := strings.Count(got, "forecast"); n != 1 {
+		t.Fatalf("%d forecast tables, want exactly one:\n%s", n, got)
+	}
+	var forecast, gridLine string
+	for _, ln := range strings.Split(got, "\n") {
+		f := strings.Fields(ln)
+		switch {
+		case forecast == "" && len(f) == 3 && strings.HasPrefix(f[0], "HPC-NMF-") && f[2] == "s/iter":
+			forecast = strings.TrimPrefix(f[0], "HPC-NMF-") + " " + f[1]
+		case len(f) > 5 && f[0] == "grid:":
+			gridLine = f[1] + " " + f[5]
+		}
+	}
+	if forecast == "" || forecast != gridLine || !strings.Contains(got, "cost-model pick") {
+		t.Errorf("first HPC forecast row %q, but the run's grid: line says %q:\n%s", forecast, gridLine, got)
 	}
 }
 

@@ -72,20 +72,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
-	var kind hpcnmf.SolverKind
-	switch *solverName {
-	case "bpp":
-		kind = hpcnmf.SolverBPP
-	case "activeset":
-		kind = hpcnmf.SolverActiveSet
-	case "mu":
-		kind = hpcnmf.SolverMU
-	case "hals":
-		kind = hpcnmf.SolverHALS
-	case "pgd":
-		kind = hpcnmf.SolverPGD
-	default:
-		return fmt.Errorf("unknown solver %q", *solverName)
+	kind, err := hpcnmf.ParseSolver(*solverName)
+	if err != nil {
+		return err
 	}
 	if *maxDelay < 0 {
 		return fmt.Errorf("-max-delay must be >= 0")

@@ -123,9 +123,8 @@ func TestRunParallelAutoRecordsModeledPick(t *testing.T) {
 
 // TestRunParallelAutoFallsBackWhenInfeasible: when the feasibility
 // rule k ≤ min(m/pr, n/pc) rejects every factorization, the auto path
-// must degrade to the bandwidth-heuristic grid instead of failing —
-// and an explicitly infeasible AutoGrid request must surface the
-// typed error, not a panic.
+// must degrade to the closed-form grid.Choose instead of failing, and
+// must not claim a cost-model pick.
 func TestRunParallelAutoFallsBackWhenInfeasible(t *testing.T) {
 	// Every factorization of p = 4 breaks k ≤ min(m/pr, n/pc): 4x1 and
 	// 1x4 leave one row or column per rank, 2x2 leaves three.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 
 	"hpcnmf/internal/grid"
@@ -157,6 +159,40 @@ func TestSolverKindStringsAndUnknown(t *testing.T) {
 		}
 	}()
 	SolverKind(99).New(1)
+}
+
+// TestParseSolver: the one name parser behind nmfrun -solver,
+// nmfserve -solver and the /v1/fit wire field.
+func TestParseSolver(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want SolverKind
+		bad  bool
+	}{
+		{"bpp", SolverBPP, false},
+		{"activeset", SolverActiveSet, false},
+		{"mu", SolverMU, false},
+		{"hals", SolverHALS, false},
+		{"pgd", SolverPGD, false},
+		{"BPP", SolverBPP, false},
+		{"ActiveSet", SolverActiveSet, false},
+		{"Hals", SolverHALS, false},
+		{"", 0, true},
+		{"simplex", 0, true},
+		{"bpp ", 0, true},
+		{"SolverKind(0)", 0, true},
+	} {
+		got, err := ParseSolver(tc.name)
+		if tc.bad {
+			if err == nil || !strings.Contains(err.Error(), strconv.Quote(tc.name)) {
+				t.Errorf("ParseSolver(%q) = %v, %v; want an error naming the input", tc.name, got, err)
+			}
+			continue
+		}
+		if err != nil || got != tc.want {
+			t.Errorf("ParseSolver(%q) = %v, %v; want %v", tc.name, got, err, tc.want)
+		}
+	}
 }
 
 func TestUnwrapHelpers(t *testing.T) {

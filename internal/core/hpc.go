@@ -1,73 +1,48 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"hpcnmf/internal/costmodel"
 	"hpcnmf/internal/grid"
 	"hpcnmf/internal/mat"
 	"hpcnmf/internal/mpi"
-	"hpcnmf/internal/partition"
 	"hpcnmf/internal/perf"
 	"hpcnmf/internal/trace"
 )
 
-// RunParallelAuto runs HPC-NMF with the grid chosen automatically:
-// the cost-model autotuner (RunHPCAuto) when any factorization of p
-// is feasible, falling back to the bandwidth heuristic grid.Choose
-// when the feasibility rule (k ≤ min(m/pr, n/pc)) rejects every
-// candidate — small problems still run, they just can't be tuned.
-func RunParallelAuto(a Matrix, p int, opts Options) (*Result, error) {
-	res, err := RunHPCAuto(a, p, opts)
-	if errors.Is(err, grid.ErrNoFeasibleGrid) {
-		m, n := a.Dims()
-		return RunHPC(a, grid.Choose(m, n, p), opts)
-	}
-	return res, err
+// GridProblem describes a rank-k factorization of a to the cost model:
+// shape, stored-entry count, and the CSR itself when a is sparse (the
+// model prices a sparse candidate at its heaviest block).
+func GridProblem(a Matrix, k int) costmodel.Problem {
+	m, n := a.Dims()
+	csr, _ := UnwrapSparse(a)
+	return costmodel.Problem{M: m, N: n, K: k, NNZ: int64(a.NNZ()), CSR: csr}
 }
 
-// RunHPCAuto runs HPC-NMF on the pr×pc factorization of p with the
-// minimum modeled per-iteration time under Options.Model — the §5.2
-// grid-selection analysis executed by costmodel.AutoGrid. The chosen
-// grid and its forecast are recorded in Result.Grid and
-// Result.GridPredictedSeconds; compare the latter against the
-// measured breakdown to audit the model. Errors wrapping
-// grid.ErrNoFeasibleGrid mean no factorization of p fits the problem
-// shape at rank k.
-func RunHPCAuto(a Matrix, p int, opts Options) (*Result, error) {
+// RunParallelAuto runs HPC-NMF on row 0 of costmodel.Plan under
+// Options.Model — the §5.2 grid-selection analysis as a procedure:
+// the feasible pr×pc factorization of p with the minimum modeled
+// per-iteration time, recorded with that forecast in Result.Grid,
+// Result.GridAuto and Result.GridPredictedSeconds (compare the latter
+// against the measured breakdown to audit the model). When the
+// feasibility rule k ≤ min(m/pr, n/pc) rejects every factorization,
+// row 0 is the closed-form grid.Choose and GridAuto stays false —
+// small problems still run, they just can't be tuned.
+func RunParallelAuto(a Matrix, p int, opts Options) (*Result, error) {
 	m, n := a.Dims()
-	o, err := opts.withDefaults(m, n)
+	opts, err := opts.withDefaults(m, n)
 	if err != nil {
 		return nil, err
 	}
-	model := o.Model
-	nnzPerRank := func(grid.Grid) int64 { return int64(a.NNZ()) / int64(p) }
-	if s, ok := UnwrapSparse(a); ok {
-		// Price each candidate at its heaviest 2D block: under skewed
-		// sparsity the critical-path rank does max-block work, not the
-		// average, and which grid concentrates the heavy rows differs
-		// by candidate. O(nnz) per candidate, a handful of candidates.
-		nnzPerRank = func(g grid.Grid) int64 {
-			maxBlock := 0
-			for _, row := range partition.BlockNNZ(s, g) {
-				for _, b := range row {
-					if b > maxBlock {
-						maxBlock = b
-					}
-				}
-			}
-			return int64(maxBlock)
-		}
+	ranked, infeasible := costmodel.Plan(GridProblem(a, opts.K), p,
+		opts.Model.Alpha, opts.Model.Beta, opts.Model.Gamma)
+	if len(ranked) == 0 {
+		return nil, infeasible
 	}
-	g, _, err := costmodel.AutoGridWith(m, n, o.K, p,
-		model.Alpha, model.Beta, model.Gamma, nnzPerRank)
-	if err != nil {
-		return nil, err
-	}
-	res, err := RunHPC(a, g, opts)
+	res, err := runHPC(a, ranked[0], opts)
 	if res != nil {
-		res.GridAuto = true
+		res.GridAuto = infeasible == nil
 	}
 	return res, err
 }
@@ -178,17 +153,24 @@ func RunHPC(a Matrix, g grid.Grid, opts Options) (*Result, error) {
 	if g.PR < 1 || g.PC < 1 {
 		return nil, fmt.Errorf("core: HPC-NMF needs a grid with pr ≥ 1 and pc ≥ 1, got %dx%d", g.PR, g.PC)
 	}
+	return runHPC(a, GridProblem(a, opts.K).Price(g, opts.Model.Alpha, opts.Model.Beta, opts.Model.Gamma), opts)
+}
+
+// runHPC runs Algorithm 3 on a priced grid under defaulted options;
+// the price becomes Result.GridPredictedSeconds.
+func runHPC(a Matrix, c costmodel.GridCandidate, opts Options) (*Result, error) {
+	m, n := a.Dims()
+	g := c.Grid
 	if m < g.PR || n < g.PC {
 		return nil, fmt.Errorf("core: %dx%d matrix cannot be split on a %dx%d grid", m, n, g.PR, g.PC)
 	}
-	pred := costmodel.HPCExact(m, n, opts.K, g, int64(a.NNZ())/int64(g.Size()))
 	res, err := runLayout(fmt.Sprintf("HPC-NMF %dx%d", g.PR, g.PC), m, n, a.SquaredFrobeniusNorm(), opts, g.Size(),
 		func(s *rankState) layout { return newHPCLayout(s, a, g) })
 	if err != nil {
 		return nil, err
 	}
 	res.Grid = g
-	res.GridPredictedSeconds = pred.Seconds(opts.Model.Alpha, opts.Model.Beta, opts.Model.Gamma)
+	res.GridPredictedSeconds = c.Seconds
 	return res, nil
 }
 

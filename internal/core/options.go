@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 	"time"
 
 	"hpcnmf/internal/fault"
@@ -49,6 +50,17 @@ func (k SolverKind) String() string {
 	default:
 		return fmt.Sprintf("SolverKind(%d)", int(k))
 	}
+}
+
+// ParseSolver maps a solver name as flags and wire requests spell it —
+// bpp, activeset, mu, hals, pgd, in any letter case — to its kind.
+func ParseSolver(name string) (SolverKind, error) {
+	for k := SolverBPP; k <= SolverPGD; k++ {
+		if strings.EqualFold(name, k.String()) {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown solver %q (want bpp, activeset, mu, hals, or pgd)", name)
 }
 
 // New instantiates the solver; sweeps applies to the inexact methods.

@@ -121,8 +121,8 @@ func TestSparseKernelThreadsBitwisePooled(t *testing.T) {
 
 // TestSparseAutoGridPricesSkew: on a skewed sparse matrix the
 // autotuned path must run, record its pick, and agree with an
-// explicit run on the same grid — exercising the max-block nnz
-// pricing hook end to end.
+// explicit run on the same grid — exercising the heaviest-block
+// pricing rule end to end.
 func TestSparseAutoGridPricesSkew(t *testing.T) {
 	sp := sparse.RandomPowerLaw(64, 4, rng.New(29))
 	a := WrapSparse(sp)

@@ -13,6 +13,10 @@
 // Exact formulas assume block sizes divide evenly and power-of-two
 // communicators (recursive doubling/halving paths); the test fixtures
 // choose such shapes.
+//
+// The exact form is also what decides which grid a run uses: Plan
+// (grids.go) prices every feasible factorization of p with it, once,
+// and every selector and forecast in the repo reads Plan's result.
 package costmodel
 
 import (
@@ -69,17 +73,9 @@ func ceilLog2(n int) int64 {
 // stored-entry count of one rank's row block plus its column block
 // (2·m·n/p when dense).
 func NaiveExact(m, n, k, p int, nnzPerRank int64) Prediction {
-	if p == 1 {
-		return Prediction{
-			FlopsMM:     2 * nnzPerRank * int64(k),
-			FlopsGram:   int64(m+n) * int64(k) * int64(k+1),
-			MemoryWords: int64(2*m*n/p) + int64((m+n)*k/p) + int64((m+n)*k),
-		}
-	}
-	logp := ceilLog2(p)
 	return Prediction{
 		AllGather: Counts{
-			Msgs:  2 * logp,
+			Msgs:  2 * ceilLog2(p),
 			Words: int64(m-m/p)*int64(k) + int64(n-n/p)*int64(k),
 		},
 		FlopsMM:   2 * nnzPerRank * int64(k),
@@ -139,24 +135,27 @@ type Advice struct {
 	Seconds float64
 }
 
-// Advise predicts per-iteration cost for the three algorithm
-// configurations on an m×n matrix with nnz stored entries (= m·n when
-// dense) and returns them ranked fastest first. alpha/beta/gamma are
-// the machine constants in seconds per message / word / flop. It is
-// the quantitative form of the paper's qualitative guidance: 2D grids
-// for squarish matrices, 1D for tall-skinny, Naive never.
-func Advise(m, n, k, p int, nnz int64, alpha, beta, gamma float64) []Advice {
-	cost := func(pred Prediction) float64 { return pred.Seconds(alpha, beta, gamma) }
-	naive := NaiveExact(m, n, k, p, 2*nnz/int64(p))
-	oneD := HPCExact(m, n, k, grid.New(p, 1), nnz/int64(p))
-	best := grid.Choose(m, n, p)
-	twoD := HPCExact(m, n, k, best, nnz/int64(p))
-	out := []Advice{
-		{Algorithm: "Naive", Seconds: cost(naive)},
-		{Algorithm: "HPC-NMF-1D", Seconds: cost(oneD)},
-		{Algorithm: fmt.Sprintf("HPC-NMF-%dx%d", best.PR, best.PC), Seconds: cost(twoD)},
+// Advise is the algorithm-selection reading of a Plan: Naive, the 1D
+// p×1 row (when feasible) and the plan's row 0, ranked fastest first
+// (a p×1 row 0 ties with the 1D row and stays ahead of it). It is the
+// quantitative form of the paper's qualitative guidance: 2D grids for
+// squarish matrices, 1D for tall-skinny, Naive never. ranked is Plan's
+// slice for the same pb and constants; an empty one yields nil.
+func Advise(pb Problem, ranked []GridCandidate, alpha, beta, gamma float64) []Advice {
+	if len(ranked) == 0 {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seconds < out[j].Seconds })
+	best := ranked[0]
+	out := []Advice{{Algorithm: fmt.Sprintf("HPC-NMF-%dx%d", best.Grid.PR, best.Grid.PC), Seconds: best.Seconds}}
+	for _, c := range ranked {
+		if c.Grid.PC == 1 {
+			out = append(out, Advice{Algorithm: "HPC-NMF-1D", Seconds: c.Seconds})
+		}
+	}
+	p := best.Grid.Size()
+	naive := NaiveExact(pb.M, pb.N, pb.K, p, 2*pb.NNZ/int64(p))
+	out = append(out, Advice{Algorithm: "Naive", Seconds: naive.Seconds(alpha, beta, gamma)})
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Seconds < out[j].Seconds })
 	return out
 }
 

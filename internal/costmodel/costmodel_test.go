@@ -166,8 +166,7 @@ func TestCeilLog2(t *testing.T) {
 func TestAdviseRanksHPCFirst(t *testing.T) {
 	// Squarish dense problem in the bandwidth-bound regime: the 2D
 	// grid must be predicted fastest and Naive slowest.
-	e := perf.Edison()
-	adv := costmodel.Advise(2048, 2048, 50, 16, int64(2048*2048), e.Alpha, e.Beta, e.Gamma)
+	adv := adviseDense(t, 2048, 2048, 50, 16)
 	if len(adv) != 3 {
 		t.Fatalf("got %d rows", len(adv))
 	}
@@ -185,11 +184,27 @@ func TestAdviseRanksHPCFirst(t *testing.T) {
 }
 
 func TestAdviseTallSkinnyPicks1D(t *testing.T) {
-	e := perf.Edison()
-	adv := costmodel.Advise(1<<20, 64, 10, 16, int64(1<<20*64), e.Alpha, e.Beta, e.Gamma)
-	// For m/p > n, Choose gives 16x1, so the "2D" entry coincides with
-	// 1D and both must beat Naive.
+	adv := adviseDense(t, 1<<20, 64, 10, 16)
+	// For m/p > n the plan's row 0 is 16x1, so the best-grid entry
+	// coincides with 1D — it stays ahead of it, so the first row is
+	// what RunParallel runs — and both must beat Naive.
+	if adv[0].Algorithm != "HPC-NMF-16x1" || adv[1].Algorithm != "HPC-NMF-1D" || adv[0].Seconds != adv[1].Seconds {
+		t.Fatalf("tall-skinny advice = %+v, want HPC-NMF-16x1 tied with and ahead of HPC-NMF-1D", adv)
+	}
 	if adv[len(adv)-1].Algorithm != "Naive" {
 		t.Fatalf("Naive not slowest: %+v", adv)
 	}
+}
+
+// adviseDense is Advise read off the Plan of a dense m×n problem
+// under Edison constants.
+func adviseDense(t *testing.T, m, n, k, p int) []costmodel.Advice {
+	t.Helper()
+	e := perf.Edison()
+	pb := dense(m, n, k)
+	ranked, err := costmodel.Plan(pb, p, e.Alpha, e.Beta, e.Gamma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return costmodel.Advise(pb, ranked, e.Alpha, e.Beta, e.Gamma)
 }

@@ -3,8 +3,11 @@ package costmodel
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"hpcnmf/internal/grid"
+	"hpcnmf/internal/partition"
+	"hpcnmf/internal/sparse"
 )
 
 // Seconds prices the prediction under α-β-γ machine constants
@@ -16,74 +19,69 @@ func (p Prediction) Seconds(alpha, beta, gamma float64) float64 {
 		beta*float64(p.TotalWords())
 }
 
-// GridCandidate pairs one feasible pr×pc factorization of p with the
-// model's per-iteration traffic prediction and its α-β-γ price.
+// Problem is what the grid decision is made about: an M×N data matrix
+// with NNZ stored entries (M·N when dense) factorized at rank K. CSR
+// is the matrix itself when it is stored sparse, nil otherwise.
+type Problem struct {
+	M, N, K int
+	NNZ     int64
+	CSR     *sparse.CSR
+}
+
+// GridCandidate pairs one pr×pc factorization of p with the model's
+// per-iteration traffic prediction and its α-β-γ price.
 type GridCandidate struct {
 	Grid    grid.Grid
 	Pred    Prediction
 	Seconds float64
 }
 
-// GridCost returns the grid.Auto cost hook that prices HPC-NMF's
-// per-iteration modeled time on each candidate grid. nnz is the total
-// stored-entry count of A (m·n when dense).
-func GridCost(m, n, k int, nnz int64, alpha, beta, gamma float64) grid.CostFunc {
-	return func(pr, pc int) float64 {
-		g := grid.Grid{PR: pr, PC: pc}
-		return HPCExact(m, n, k, g, nnz/int64(pr*pc)).Seconds(alpha, beta, gamma)
+// Price is the model's per-iteration forecast of HPC-NMF on grid g:
+// HPCExact at the critical-path rank's nonzero count. For a CSR that
+// is the heaviest block of g's 2D tiling, not the average — on skewed
+// matrices (power-law graphs) the heaviest tile carries several times
+// nnz/p, and by how much differs from grid to grid. Dense storage
+// splits evenly, NNZ/p. O(nnz) per call for a CSR. Every forecast the
+// repo shows or ranks by comes from here.
+func (pb Problem) Price(g grid.Grid, alpha, beta, gamma float64) GridCandidate {
+	rankNNZ := pb.NNZ / int64(g.Size())
+	if pb.CSR != nil {
+		rankNNZ = int64(partition.Heaviest(partition.BlockNNZ(pb.CSR, g)))
 	}
+	pred := HPCExact(pb.M, pb.N, pb.K, g, rankNNZ)
+	return GridCandidate{Grid: g, Pred: pred, Seconds: pred.Seconds(alpha, beta, gamma)}
 }
 
-// Grids evaluates the model on every feasible factorization of p,
-// cheapest first (ties keep ascending-pr order, matching Auto's
-// tie-break). It is the table behind AutoGrid, the `-grid auto` CLI
-// path, and the nmfbench `grids` experiment; the error case mirrors
-// grid.Auto's (wraps grid.ErrNoFeasibleGrid).
-func Grids(m, n, k, p int, nnz int64, alpha, beta, gamma float64) ([]GridCandidate, error) {
-	var out []GridCandidate
+// Plan is the §5.2 grid decision, made once: every pr×pc
+// factorization of p that passes grid.Feasible, priced by Price and
+// ranked cheapest first (ties keep ascending-pr order). Row 0 is the
+// grid RunParallel runs on; AutoGrid, PredictGrids, Advise,
+// AdviseAlgorithmGrid and `nmfrun -alg auto` read the same slice.
+//
+// When no factorization is feasible — a prime p larger than
+// min(m, n), or a matrix too small for the rank — the slice holds the
+// one grid a run falls back to, the closed-form grid.Choose, and the
+// error wraps grid.ErrNoFeasibleGrid and lists each rejection. Invalid
+// arguments return a nil slice and a plain error.
+func Plan(pb Problem, p int, alpha, beta, gamma float64) ([]GridCandidate, error) {
+	if p < 1 || pb.M < 1 || pb.N < 1 || pb.K < 1 {
+		return nil, fmt.Errorf("costmodel: p=%d ranks on a %dx%d matrix at rank k=%d, want all ≥ 1", p, pb.M, pb.N, pb.K)
+	}
+	var ranked []GridCandidate
+	var rejected []string
 	for _, g := range grid.Factorizations(p) {
-		if grid.Feasible(m, n, k, g.PR, g.PC) != nil {
+		if err := grid.Feasible(pb.M, pb.N, pb.K, g.PR, g.PC); err != nil {
+			rejected = append(rejected, err.Error())
 			continue
 		}
-		pred := HPCExact(m, n, k, g, nnz/int64(p))
-		out = append(out, GridCandidate{Grid: g, Pred: pred, Seconds: pred.Seconds(alpha, beta, gamma)})
+		ranked = append(ranked, pb.Price(g, alpha, beta, gamma))
 	}
-	if len(out) == 0 {
-		if _, err := grid.Auto(p, m, n, k, grid.AutoOptions{}); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("costmodel: no feasible grid for p=%d on %dx%d at k=%d", p, m, n, k)
+	if len(ranked) == 0 {
+		fallback := pb.Price(grid.Choose(pb.M, pb.N, p), alpha, beta, gamma)
+		return []GridCandidate{fallback}, fmt.Errorf(
+			"costmodel: %w: no pr×pc factorization of p=%d fits a %dx%d matrix at rank k=%d (%s)",
+			grid.ErrNoFeasibleGrid, p, pb.M, pb.N, pb.K, strings.Join(rejected, "; "))
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Seconds < out[j].Seconds })
-	return out, nil
-}
-
-// AutoGrid picks the minimum-modeled-time grid for p ranks — grid.Auto
-// wired to the full α-β-γ model — and returns the winner with its
-// traffic prediction. The per-rank flop term assumes an even nnz
-// split; use AutoGridWith to price skewed sparsity.
-func AutoGrid(m, n, k, p int, nnz int64, alpha, beta, gamma float64) (grid.Grid, Prediction, error) {
-	return AutoGridWith(m, n, k, p, alpha, beta, gamma, func(grid.Grid) int64 {
-		return nnz / int64(p)
-	})
-}
-
-// AutoGridWith is AutoGrid with a caller-supplied per-rank nnz term:
-// nnzPerRank prices the sparse-multiply flops of one rank under each
-// candidate grid. An even split nnz/p reproduces AutoGrid; a sparse
-// caller can instead return the heaviest block of the candidate's 2D
-// tiling, pricing the critical-path rank — on skewed matrices
-// (power-law graphs) the heaviest tile of a bad grid carries several
-// times the average, and that multiple differs by candidate, which
-// the even split cannot see.
-func AutoGridWith(m, n, k, p int, alpha, beta, gamma float64, nnzPerRank func(grid.Grid) int64) (grid.Grid, Prediction, error) {
-	cost := func(pr, pc int) float64 {
-		g := grid.Grid{PR: pr, PC: pc}
-		return HPCExact(m, n, k, g, nnzPerRank(g)).Seconds(alpha, beta, gamma)
-	}
-	g, err := grid.Auto(p, m, n, k, grid.AutoOptions{Cost: cost})
-	if err != nil {
-		return grid.Grid{}, Prediction{}, err
-	}
-	return g, HPCExact(m, n, k, g, nnzPerRank(g)), nil
+	sort.SliceStable(ranked, func(i, j int) bool { return ranked[i].Seconds < ranked[j].Seconds })
+	return ranked, nil
 }

@@ -9,7 +9,10 @@ import (
 	"hpcnmf/internal/costmodel"
 	"hpcnmf/internal/datasets"
 	"hpcnmf/internal/grid"
+	"hpcnmf/internal/partition"
 	"hpcnmf/internal/perf"
+	"hpcnmf/internal/rng"
+	"hpcnmf/internal/sparse"
 )
 
 // TestGoldenTable2Asymptotics pins the paper's Table 2 expressions
@@ -130,9 +133,14 @@ func TestMeasuredMatchesModelOn2x2(t *testing.T) {
 	}
 }
 
-// TestAutoGridPicksModeledArgmin verifies the tuner returns the
-// minimum-modeled-time factorization for three aspect ratios — tall,
-// square, and wide — by brute-forcing the candidate table.
+// dense is the Problem of a dense m×n matrix at rank k.
+func dense(m, n, k int) costmodel.Problem {
+	return costmodel.Problem{M: m, N: n, K: k, NNZ: int64(m) * int64(n)}
+}
+
+// TestAutoGridPicksModeledArgmin verifies Plan's row 0 is the
+// minimum-modeled-time feasible factorization for three aspect ratios
+// — tall, square, and wide — by brute-forcing the candidate table.
 func TestAutoGridPicksModeledArgmin(t *testing.T) {
 	e := perf.Edison()
 	for _, tc := range []struct {
@@ -146,33 +154,32 @@ func TestAutoGridPicksModeledArgmin(t *testing.T) {
 		{"wide", 64, 4096, false, false},
 	} {
 		const k, p = 8, 16
-		nnz := int64(tc.m) * int64(tc.n)
-		got, pred, err := costmodel.AutoGrid(tc.m, tc.n, k, p, nnz, e.Alpha, e.Beta, e.Gamma)
+		pb := dense(tc.m, tc.n, k)
+		ranked, err := costmodel.Plan(pb, p, e.Alpha, e.Beta, e.Gamma)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		cands, err := costmodel.Grids(tc.m, tc.n, k, p, nnz, e.Alpha, e.Beta, e.Gamma)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if got != cands[0].Grid {
-			t.Errorf("%s: AutoGrid = %v, cheapest candidate %v", tc.name, got, cands[0].Grid)
-		}
+		got := ranked[0].Grid
 		best := math.Inf(1)
 		var bestG grid.Grid
 		for _, g := range grid.Factorizations(p) {
 			if grid.Feasible(tc.m, tc.n, k, g.PR, g.PC) != nil {
 				continue
 			}
-			if s := costmodel.HPCExact(tc.m, tc.n, k, g, nnz/int64(p)).Seconds(e.Alpha, e.Beta, e.Gamma); s < best {
+			if s := costmodel.HPCExact(tc.m, tc.n, k, g, pb.NNZ/int64(p)).Seconds(e.Alpha, e.Beta, e.Gamma); s < best {
 				best, bestG = s, g
 			}
 		}
 		if got != bestG {
-			t.Errorf("%s: AutoGrid = %v, brute-force argmin %v", tc.name, got, bestG)
+			t.Errorf("%s: Plan row 0 = %v, brute-force argmin %v", tc.name, got, bestG)
 		}
-		if want := pred.Seconds(e.Alpha, e.Beta, e.Gamma); want != best {
-			t.Errorf("%s: winner priced at %v, argmin cost %v", tc.name, want, best)
+		if ranked[0].Seconds != best || ranked[0].Pred.Seconds(e.Alpha, e.Beta, e.Gamma) != best {
+			t.Errorf("%s: winner priced at %v (Pred %v), argmin cost %v", tc.name,
+				ranked[0].Seconds, ranked[0].Pred.Seconds(e.Alpha, e.Beta, e.Gamma), best)
+		}
+		// An explicit grid is priced by the same rule the plan ranks by.
+		if one := pb.Price(got, e.Alpha, e.Beta, e.Gamma); one != ranked[0] {
+			t.Errorf("%s: Price(%v) = %+v, plan row %+v", tc.name, got, one, ranked[0])
 		}
 		switch {
 		case tc.wantSquare && got.PR != got.PC:
@@ -185,11 +192,12 @@ func TestAutoGridPicksModeledArgmin(t *testing.T) {
 	}
 }
 
-// TestGridsOrderedCheapestFirst checks the audit table ordering and
-// the infeasibility error path.
+// TestGridsOrderedCheapestFirst checks the plan's ordering and what
+// it returns when no factorization is feasible: the closed-form
+// fallback grid next to the typed error.
 func TestGridsOrderedCheapestFirst(t *testing.T) {
 	e := perf.Edison()
-	cands, err := costmodel.Grids(1024, 1024, 8, 16, 1024*1024, e.Alpha, e.Beta, e.Gamma)
+	cands, err := costmodel.Plan(dense(1024, 1024, 8), 16, e.Alpha, e.Beta, e.Gamma)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +209,53 @@ func TestGridsOrderedCheapestFirst(t *testing.T) {
 			t.Fatalf("candidates out of order at %d: %v then %v", i, cands[i-1], cands[i])
 		}
 	}
-	if _, err := costmodel.Grids(5, 5, 1, 7, 25, e.Alpha, e.Beta, e.Gamma); !errors.Is(err, grid.ErrNoFeasibleGrid) {
-		t.Fatalf("infeasible Grids error = %v, want ErrNoFeasibleGrid", err)
+	cands, err = costmodel.Plan(dense(5, 5, 1), 7, e.Alpha, e.Beta, e.Gamma)
+	if !errors.Is(err, grid.ErrNoFeasibleGrid) {
+		t.Fatalf("infeasible Plan error = %v, want ErrNoFeasibleGrid", err)
+	}
+	if len(cands) != 1 || cands[0].Grid != grid.Choose(5, 5, 7) {
+		t.Fatalf("infeasible Plan rows = %v, want only grid.Choose's %v", cands, grid.Choose(5, 5, 7))
+	}
+}
+
+// TestPlanPricesSparseAtHeaviestBlock: a CSR is priced at each
+// candidate's heaviest 2D block, a dense matrix of the same shape and
+// nnz at the even split — so on a skewed matrix every row's MM flops
+// are at least the even-split ones, some strictly more, and the two
+// rules can rank the same candidates differently.
+func TestPlanPricesSparseAtHeaviestBlock(t *testing.T) {
+	e := perf.Edison()
+	const k, p = 4, 8
+	sp := sparse.RandomPowerLaw(256, 6, rng.New(17))
+	even := costmodel.Problem{M: sp.Rows, N: sp.Cols, K: k, NNZ: int64(sp.NNZ())}
+	skew := even
+	skew.CSR = sp
+	evenRows, err := costmodel.Plan(even, p, e.Alpha, e.Beta, e.Gamma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	skewRows, err := costmodel.Plan(skew, p, e.Alpha, e.Beta, e.Gamma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evenFlops := map[grid.Grid]int64{}
+	for _, c := range evenRows {
+		evenFlops[c.Grid] = c.Pred.FlopsMM
+	}
+	heavier := 0
+	for _, c := range skewRows {
+		heaviest := partition.Heaviest(partition.BlockNNZ(sp, c.Grid))
+		if want := 4 * int64(heaviest) * k; c.Pred.FlopsMM != want {
+			t.Errorf("%v: MM flops %d, want 4·%d·k = %d", c.Grid, c.Pred.FlopsMM, heaviest, want)
+		}
+		if c.Pred.FlopsMM < evenFlops[c.Grid] {
+			t.Errorf("%v: heaviest-block flops %d below the even split's %d", c.Grid, c.Pred.FlopsMM, evenFlops[c.Grid])
+		}
+		if c.Pred.FlopsMM > evenFlops[c.Grid] {
+			heavier++
+		}
+	}
+	if heavier == 0 {
+		t.Error("no candidate priced above the even split on a power-law matrix")
 	}
 }

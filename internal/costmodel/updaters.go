@@ -70,7 +70,7 @@ func UpdaterCoeffsFor(name string) (UpdaterCoeffs, error) {
 }
 
 // AlgorithmGridChoice is one row of the joint algorithm × grid
-// forecast: an updater on its best grid with the end-to-end price.
+// forecast: an updater on the plan's grid with the end-to-end price.
 type AlgorithmGridChoice struct {
 	Updater UpdaterCoeffs
 	Grid    grid.Grid
@@ -84,33 +84,26 @@ type AlgorithmGridChoice struct {
 	Seconds float64
 }
 
-// AutoAlgorithmGrid prices algorithm × grid jointly: every built-in
-// updater is paired with its modeled-optimal grid (found per updater
-// via AutoGridWith; the NLS term is grid-shape-independent given p —
-// each rank solves m/p + n/p columns regardless of pr×pc — so today
-// each updater lands on the same grid, but the search stays joint so
-// updater-dependent skeleton costs would be priced correctly), the
-// updater's NLS flops are added to the skeleton forecast, and the
-// total is scaled by its relative iterations-to-tolerance. Rows come
-// back cheapest first; the error case is AutoGridWith's (wraps
-// grid.ErrNoFeasibleGrid).
-func AutoAlgorithmGrid(m, n, k, p int, alpha, beta, gamma float64, nnzPerRank func(grid.Grid) int64) ([]AlgorithmGridChoice, error) {
+// AlgorithmGrid prices every built-in updater on best, a Plan's row 0
+// for pb: the updater's NLS flops are added to the row's skeleton
+// forecast and the total is scaled by its relative
+// iterations-to-tolerance. The NLS term does not depend on the grid's
+// shape — each rank solves m/p + n/p columns on any pr×pc — so the
+// skeleton's argmin is every updater's argmin and one Plan serves all
+// four. Rows come back cheapest first.
+func AlgorithmGrid(pb Problem, best GridCandidate, gamma float64) []AlgorithmGridChoice {
+	p := best.Grid.Size()
 	var out []AlgorithmGridChoice
 	for _, u := range Updaters() {
-		g, pred, err := AutoGridWith(m, n, k, p, alpha, beta, gamma, nnzPerRank)
-		if err != nil {
-			return nil, err
-		}
-		iter := pred.Seconds(alpha, beta, gamma) +
-			gamma*u.NLSFlops(k, (m+p-1)/p, (n+p-1)/p)
+		iter := best.Seconds + gamma*u.NLSFlops(pb.K, (pb.M+p-1)/p, (pb.N+p-1)/p)
 		out = append(out, AlgorithmGridChoice{
 			Updater:     u,
-			Grid:        g,
-			Pred:        pred,
+			Grid:        best.Grid,
+			Pred:        best.Pred,
 			IterSeconds: iter,
 			Seconds:     iter * u.IterFactor,
 		})
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Seconds < out[j].Seconds })
-	return out, nil
+	return out
 }

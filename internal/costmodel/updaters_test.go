@@ -1,6 +1,7 @@
 package costmodel
 
 import (
+	"errors"
 	"sort"
 	"testing"
 
@@ -39,11 +40,12 @@ func TestNLSFlopsScalesWithColumns(t *testing.T) {
 func TestAutoAlgorithmGridRanksAndCovers(t *testing.T) {
 	const m, n, k, p = 4096, 2048, 16, 8
 	e := edisonLike()
-	choices, err := AutoAlgorithmGrid(m, n, k, p, e.alpha, e.beta, e.gamma,
-		func(grid.Grid) int64 { return int64(m) * int64(n) / p })
+	pb := Problem{M: m, N: n, K: k, NNZ: m * n}
+	ranked, err := Plan(pb, p, e.alpha, e.beta, e.gamma)
 	if err != nil {
 		t.Fatal(err)
 	}
+	choices := AlgorithmGrid(pb, ranked[0], e.gamma)
 	if len(choices) != len(Updaters()) {
 		t.Fatalf("%d rows, want one per updater (%d)", len(choices), len(Updaters()))
 	}
@@ -53,11 +55,11 @@ func TestAutoAlgorithmGridRanksAndCovers(t *testing.T) {
 	seen := map[string]bool{}
 	for _, ch := range choices {
 		seen[ch.Updater.Name] = true
-		if ch.Grid.PR*ch.Grid.PC != p {
-			t.Errorf("%s: grid %v is not a factorization of p=%d", ch.Updater.Name, ch.Grid, p)
+		if ch.Grid != ranked[0].Grid || ch.Pred != ranked[0].Pred {
+			t.Errorf("%s: priced on %v, want the plan's row 0 %v", ch.Updater.Name, ch.Grid, ranked[0].Grid)
 		}
-		if ch.IterSeconds <= ch.Pred.Seconds(e.alpha, e.beta, e.gamma)-1e-18 {
-			t.Errorf("%s: IterSeconds %v below skeleton cost %v", ch.Updater.Name, ch.IterSeconds, ch.Pred.Seconds(e.alpha, e.beta, e.gamma))
+		if ch.IterSeconds <= ranked[0].Seconds {
+			t.Errorf("%s: IterSeconds %v not above skeleton cost %v", ch.Updater.Name, ch.IterSeconds, ranked[0].Seconds)
 		}
 		if ch.Seconds != ch.IterSeconds*ch.Updater.IterFactor {
 			t.Errorf("%s: Seconds %v != IterSeconds*IterFactor %v", ch.Updater.Name, ch.Seconds, ch.IterSeconds*ch.Updater.IterFactor)
@@ -71,11 +73,19 @@ func TestAutoAlgorithmGridRanksAndCovers(t *testing.T) {
 }
 
 func TestAutoAlgorithmGridInfeasible(t *testing.T) {
-	// k larger than any block of every factorization of p: the grid
-	// search must surface its typed error, not fabricate a row.
+	// k larger than any block of every factorization of p: the plan
+	// surfaces its typed error next to the fallback grid, and the
+	// updater rows are priced on that grid, not on a fabricated one.
 	e := edisonLike()
-	if _, err := AutoAlgorithmGrid(6, 6, 5, 4, e.alpha, e.beta, e.gamma, nil); err == nil {
-		t.Error("AutoAlgorithmGrid succeeded on an infeasible problem")
+	pb := Problem{M: 6, N: 6, K: 5, NNZ: 36}
+	ranked, err := Plan(pb, 4, e.alpha, e.beta, e.gamma)
+	if !errors.Is(err, grid.ErrNoFeasibleGrid) {
+		t.Fatalf("Plan error = %v on an infeasible problem, want ErrNoFeasibleGrid", err)
+	}
+	for _, ch := range AlgorithmGrid(pb, ranked[0], e.gamma) {
+		if ch.Grid != grid.Choose(6, 6, 4) {
+			t.Errorf("%s: grid %v, want the fallback %v", ch.Updater.Name, ch.Grid, grid.Choose(6, 6, 4))
+		}
 	}
 }
 

@@ -546,10 +546,9 @@ func GridSweep(cfg Config) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, n := ds.Matrix.Dims()
 	k, p := cfg.FixedK, cfg.FixedP
 	e := perf.Edison()
-	cands, err := costmodel.Grids(m, n, k, p, int64(ds.Matrix.NNZ()), e.Alpha, e.Beta, e.Gamma)
+	cands, err := costmodel.Plan(core.GridProblem(ds.Matrix, k), p, e.Alpha, e.Beta, e.Gamma)
 	if err != nil {
 		return nil, err
 	}

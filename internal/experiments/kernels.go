@@ -187,8 +187,7 @@ func CollectKernels(cfg KernelConfig) *KernelReport {
 	// products through a workspace arena, so the bench does too:
 	// without it every call allocates (and page-faults) a fresh n×k
 	// accumulator or pack buffer, and the measured time swings with
-	// whatever heap state earlier cases left behind — enough to trip
-	// the regression gate on the microsecond-scale rows.
+	// whatever heap state earlier cases left behind.
 	ws := mat.NewWorkspace()
 
 	// The out-of-core driver's shape (benchmark workload ooc_lowk at the
@@ -347,10 +346,10 @@ func CollectKernels(cfg KernelConfig) *KernelReport {
 	// HPC-NMF driver on a webbase-shaped synthetic (≥99% sparse,
 	// power-law skew), dense vs sparse storage of the same matrix.
 	// Impl "dense" is the baseline (speedup 1); the sparse row's
-	// speedup-vs-naive is the storage win at this shape, and its
-	// baseline row arms the regression gate on it. GFlops counts only
-	// the useful (nonzero) multiply work, so the dense row's low
-	// number is the point: it spends its time multiplying zeros.
+	// speedup-vs-naive is the storage win at this shape. GFlops
+	// counts only the useful (nonzero) multiply work, so the dense
+	// row's low number is the point: it spends its time multiplying
+	// zeros.
 	if cfg.HPCNodes > 0 {
 		web := sparse.RandomPowerLaw(cfg.HPCNodes, 8, s)
 		const webK, webIters = 16, 3
@@ -391,69 +390,6 @@ func CollectKernels(cfg KernelConfig) *KernelReport {
 			})
 	}
 	return rep
-}
-
-// ReadKernelReport parses a KernelReport JSON (the BENCH_kernels.json
-// artifact) and validates its schema version.
-func ReadKernelReport(r io.Reader) (*KernelReport, error) {
-	rep := &KernelReport{}
-	if err := json.NewDecoder(r).Decode(rep); err != nil {
-		return nil, fmt.Errorf("experiments: parsing kernel report: %w", err)
-	}
-	if rep.Version != KernelReportVersion {
-		return nil, fmt.Errorf("experiments: kernel report schema v%d, this build reads v%d", rep.Version, KernelReportVersion)
-	}
-	return rep, nil
-}
-
-// KernelRegression is one kernel row that got slower than the baseline
-// allows.
-type KernelRegression struct {
-	Kernel  string
-	Impl    string
-	Threads int
-	// BaseSpeedup and CurSpeedup are the baseline and current
-	// speedup-vs-naive at this row, and Loss the relative drop.
-	BaseSpeedup, CurSpeedup, Loss float64
-}
-
-func (r KernelRegression) String() string {
-	return fmt.Sprintf("%s/%s/t%d: speedup %.2fx -> %.2fx (-%.0f%%)",
-		r.Kernel, r.Impl, r.Threads, r.BaseSpeedup, r.CurSpeedup, 100*r.Loss)
-}
-
-// CompareKernelReports flags rows of cur whose speedup-vs-naive fell
-// more than tol (a fraction, e.g. 0.25) below the matching base row.
-// Rows are matched on (Kernel, Impl, Threads); rows present on only
-// one side are ignored, so a baseline recorded with more thread counts
-// than the current run still compares cleanly. Speedup is compared
-// rather than raw seconds because it is a same-machine ratio — the
-// baseline may come from different hardware, where absolute times mean
-// nothing but "blocked beats naive by ≥ X" still transfers.
-func CompareKernelReports(cur, base *KernelReport, tol float64) []KernelRegression {
-	type key struct {
-		kernel, impl string
-		threads      int
-	}
-	baseBy := make(map[key]KernelRow, len(base.Rows))
-	for _, r := range base.Rows {
-		baseBy[key{r.Kernel, r.Impl, r.Threads}] = r
-	}
-	var regs []KernelRegression
-	for _, r := range cur.Rows {
-		b, ok := baseBy[key{r.Kernel, r.Impl, r.Threads}]
-		if !ok || b.SpeedupVsNaive <= 0 {
-			continue
-		}
-		loss := 1 - r.SpeedupVsNaive/b.SpeedupVsNaive
-		if loss > tol {
-			regs = append(regs, KernelRegression{
-				Kernel: r.Kernel, Impl: r.Impl, Threads: r.Threads,
-				BaseSpeedup: b.SpeedupVsNaive, CurSpeedup: r.SpeedupVsNaive, Loss: loss,
-			})
-		}
-	}
-	return regs
 }
 
 // WriteKernelTable renders the report as the text table nmfbench

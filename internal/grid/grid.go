@@ -1,10 +1,12 @@
 // Package grid provides processor-grid and block-distribution
 // arithmetic for the distributed NMF algorithms: mapping ranks to
 // pr×pc grid coordinates, splitting m rows (or n columns) into p
-// blocks that may differ in size by one, and choosing the grid shape
-// that minimizes communication (§5 of the paper: pick pr, pc so that
-// m/pr ≈ n/pc ≈ √(mn/p), degenerating to pr = p, pc = 1 when the
-// matrix is tall and skinny, i.e. m/p > n).
+// blocks that may differ in size by one, and the paper's closed-form
+// grid rule Choose (§5: pick pr, pc so that m/pr ≈ n/pc ≈ √(mn/p),
+// degenerating to pr = p, pc = 1 when the matrix is tall and skinny,
+// i.e. m/p > n). Which grid a run uses is decided in one place,
+// costmodel.Plan; this package supplies its inputs — Factorizations,
+// Feasible and Choose — and holds no selection logic of its own.
 package grid
 
 import "fmt"

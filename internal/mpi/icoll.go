@@ -5,11 +5,11 @@ import (
 	"time"
 )
 
-// Request is the wait-handle of a nonblocking collective
-// (IAllGatherV, IReduceScatterV). The posting rank continues computing
-// while the collective's schedule makes progress on a background
-// goroutine; Wait blocks until the schedule finishes and returns the
-// result. Like an MPI_Request:
+// Request is the wait-handle of the nonblocking collective
+// IAllGatherV. The posting rank continues computing while the
+// collective's schedule makes progress on a background goroutine;
+// Wait blocks until the schedule finishes and returns the result.
+// Like an MPI_Request:
 //
 //   - The input buffers (data, counts) belong to the runtime between
 //     post and Wait — the caller must not modify them in that window.
@@ -63,30 +63,6 @@ func (c *Comm) IAllGatherV(data []float64, counts []int) *Request {
 			return c.allGatherRecursiveDoubling(base, data, counts, CatAllGather)
 		}
 		return c.allGatherBruck(base, data, counts, CatAllGather)
-	})
-	return r
-}
-
-// IReduceScatterV posts a nonblocking ReduceScatter and returns a
-// wait-handle; Wait returns this rank's counts[rank]-word segment of
-// the elementwise sum. Interoperates with blocking ReduceScatter on
-// the other ranks.
-func (c *Comm) IReduceScatterV(data []float64, counts []int) *Request {
-	c.validateReduceScatter(data, counts)
-	ev := c.beginColl(CatReduceScatter, len(data))
-	r := c.post(ev)
-	if c.Size() == 1 {
-		out := make([]float64, len(data))
-		copy(out, data)
-		r.fulfill(out)
-		return r
-	}
-	base := c.opBase()
-	go r.background(func() []float64 {
-		if isPow2(c.Size()) {
-			return c.reduceScatterRecursiveHalving(base, data, counts, CatReduceScatter)
-		}
-		return c.reduceScatterPairwise(base, data, counts, CatReduceScatter)
 	})
 	return r
 }

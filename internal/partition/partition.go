@@ -15,7 +15,6 @@ package partition
 
 import (
 	"fmt"
-	"strings"
 
 	"hpcnmf/internal/grid"
 	"hpcnmf/internal/rng"
@@ -60,24 +59,33 @@ func blockIndex(n, p int) func(int) int {
 	}
 }
 
+// Heaviest returns the largest per-block nonzero count — the work of
+// the critical-path rank in the sparse multiply.
+func Heaviest(counts [][]int) int {
+	m := 0
+	for _, row := range counts {
+		for _, c := range row {
+			m = max(m, c)
+		}
+	}
+	return m
+}
+
 // Imbalance returns max/mean of the per-block nonzero counts — 1.0 is
 // perfect balance; the webbase-like graphs typically start far above.
 func Imbalance(counts [][]int) float64 {
-	total, maxB, blocks := 0, 0, 0
+	total, blocks := 0, 0
 	for _, row := range counts {
 		for _, c := range row {
 			total += c
 			blocks++
-			if c > maxB {
-				maxB = c
-			}
 		}
 	}
-	if total == 0 || blocks == 0 {
+	if total == 0 {
 		return 1
 	}
 	mean := float64(total) / float64(blocks)
-	return float64(maxB) / mean
+	return float64(Heaviest(counts)) / mean
 }
 
 // Permutation is a bijection on [0, n) together with its inverse.
@@ -145,27 +153,13 @@ func Analyze(a *sparse.CSR, g grid.Grid, seed uint64) Report {
 		Grid:      g,
 		Before:    Imbalance(before),
 		After:     Imbalance(after),
-		MaxBefore: maxOf(before),
-		MaxAfter:  maxOf(after),
+		MaxBefore: Heaviest(before),
+		MaxAfter:  Heaviest(after),
 	}
-}
-
-func maxOf(counts [][]int) int {
-	m := 0
-	for _, row := range counts {
-		for _, c := range row {
-			if c > m {
-				m = c
-			}
-		}
-	}
-	return m
 }
 
 // String renders the report.
 func (r Report) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "grid %dx%d: imbalance %.2f -> %.2f (heaviest block %d -> %d nnz)",
+	return fmt.Sprintf("grid %dx%d: imbalance %.2f -> %.2f (heaviest block %d -> %d nnz)",
 		r.Grid.PR, r.Grid.PC, r.Before, r.After, r.MaxBefore, r.MaxAfter)
-	return sb.String()
 }

@@ -636,22 +636,13 @@ func (s *Server) runFit(j *fitJob) (float64, int, error) {
 	return m.relErr, res.Iterations, nil
 }
 
-// solverKind parses the wire solver name ("" selects BPP).
+// solverKind parses the wire solver name: core.ParseSolver, with an
+// omitted name selecting BPP.
 func solverKind(name string) (core.SolverKind, error) {
-	switch name {
-	case "", "bpp":
+	if name == "" {
 		return core.SolverBPP, nil
-	case "activeset":
-		return core.SolverActiveSet, nil
-	case "mu":
-		return core.SolverMU, nil
-	case "hals":
-		return core.SolverHALS, nil
-	case "pgd":
-		return core.SolverPGD, nil
-	default:
-		return 0, fmt.Errorf("serve: unknown solver %q (want bpp, activeset, mu, hals, or pgd)", name)
 	}
+	return core.ParseSolver(name)
 }
 
 // FitRequest is the POST /v1/fit body: a dense matrix (row-major) and

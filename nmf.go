@@ -72,6 +72,10 @@ const (
 	SolverPGD       = core.SolverPGD
 )
 
+// ParseSolver maps a solver name (bpp, activeset, mu, hals, pgd, in
+// any letter case) to its SolverKind.
+func ParseSolver(name string) (SolverKind, error) { return core.ParseSolver(name) }
+
 // Updater is the algorithm plug-in seam of the drivers' shared
 // communication skeleton (the MPI-FAUN framework generalization; see
 // DESIGN decision 14): the skeleton owns the collectives, overlap
@@ -288,12 +292,13 @@ func DescribeTiled(name string, f *TileFile) DatasetInfo { return core.DescribeT
 func RunNaive(a Matrix, p int, opts Options) (*Result, error) { return core.RunNaive(a, p, opts) }
 
 // RunParallel factorizes with HPC-NMF (Algorithm 3) on p simulated
-// ranks, choosing the processor grid automatically: the α-β-γ cost
-// model prices every pr×pc factorization of p and the run uses the
-// argmin (Result.Grid, Result.GridAuto, Result.GridPredictedSeconds
-// record the choice). When the feasibility rule k ≤ min(m/pr, n/pc)
-// rejects every factorization, it falls back to the bandwidth
-// heuristic ChooseGrid so small problems still run.
+// ranks on the grid AutoGrid names: the α-β-γ cost model prices every
+// feasible pr×pc factorization of p under Options.Model and the run
+// uses the cheapest (Result.Grid, Result.GridAuto and
+// Result.GridPredictedSeconds record the choice and its forecast).
+// When the feasibility rule k ≤ min(m/pr, n/pc) rejects every
+// factorization, it runs on ChooseGrid's closed-form grid with
+// GridAuto false, so small problems still run.
 func RunParallel(a Matrix, p int, opts Options) (*Result, error) {
 	return core.RunParallelAuto(a, p, opts)
 }
@@ -306,70 +311,82 @@ func RunOnGrid(a Matrix, pr, pc int, opts Options) (*Result, error) {
 }
 
 // ChooseGrid returns the communication-minimizing grid for an m×n
-// matrix on p processors by the bandwidth heuristic (m/pr ≈ n/pc).
+// matrix on p processors by the paper's closed-form rule
+// (m/pr ≈ n/pc).
 func ChooseGrid(m, n, p int) Grid { return grid.Choose(m, n, p) }
 
-// ErrNoFeasibleGrid is wrapped by AutoGrid's and PredictGrids' error
-// when no pr×pc factorization of p passes the feasibility rules
-// pr ≤ m, pc ≤ n, k ≤ min(m/pr, n/pc); match with errors.Is.
+// ErrNoFeasibleGrid is wrapped by the error of AutoGrid, PredictGrids
+// and AdviseAlgorithmGrid when no pr×pc factorization of p passes the
+// feasibility rules pr ≤ m, pc ≤ n, k ≤ min(m/pr, n/pc); match with
+// errors.Is. Next to that error they still return the grid RunParallel
+// falls back to, ChooseGrid's.
 var ErrNoFeasibleGrid = grid.ErrNoFeasibleGrid
 
-// AutoGrid picks the grid with the minimum modeled per-iteration time
-// for factorizing a on p processors at rank k — the §5.2 grid
-// analysis as a procedure, priced under Edison-like machine
-// constants. It returns an error wrapping ErrNoFeasibleGrid when no
-// factorization of p fits the problem shape.
-func AutoGrid(a Matrix, k, p int) (Grid, error) {
-	m, n := a.Dims()
+// plan makes the grid decision for factorizing a at rank k on p ranks
+// under Edison-like machine constants, Options.Model's default — so
+// for default options row 0 is the grid RunParallel runs on and its
+// Seconds the run's Result.GridPredictedSeconds. Every selector below
+// reads this one slice.
+func plan(a Matrix, k, p int) (costmodel.Problem, []GridCandidate, error) {
+	pb := core.GridProblem(a, k)
 	e := perf.Edison()
-	g, _, err := costmodel.AutoGrid(m, n, k, p, int64(a.NNZ()), e.Alpha, e.Beta, e.Gamma)
-	return g, err
+	ranked, err := costmodel.Plan(pb, p, e.Alpha, e.Beta, e.Gamma)
+	return pb, ranked, err
 }
 
-// GridCandidate pairs one feasible grid with its modeled
-// per-iteration cost in seconds (see PredictGrids).
+// AutoGrid names the grid RunParallel runs on: the feasible pr×pc
+// factorization of p with the minimum modeled per-iteration time —
+// the §5.2 grid analysis as a procedure. A sparse matrix is priced at
+// each candidate's heaviest block, an O(nnz) scan per candidate.
+func AutoGrid(a Matrix, k, p int) (Grid, error) {
+	_, ranked, err := plan(a, k, p)
+	if len(ranked) == 0 {
+		return Grid{}, err
+	}
+	return ranked[0].Grid, err
+}
+
+// GridCandidate pairs one grid with its modeled per-iteration cost in
+// seconds (see PredictGrids).
 type GridCandidate = costmodel.GridCandidate
 
 // PredictGrids prices every feasible pr×pc factorization of p under
-// the cost model and returns them cheapest first — the table behind
-// AutoGrid, useful for auditing why a grid was picked.
+// the cost model and returns them cheapest first — the table AutoGrid
+// reads row 0 of, useful for auditing why a grid was picked.
 func PredictGrids(a Matrix, k, p int) ([]GridCandidate, error) {
-	m, n := a.Dims()
-	e := perf.Edison()
-	return costmodel.Grids(m, n, k, p, int64(a.NNZ()), e.Alpha, e.Beta, e.Gamma)
+	_, ranked, err := plan(a, k, p)
+	return ranked, err
 }
 
 // Advice is a per-algorithm cost forecast from the α-β-γ model.
 type Advice = costmodel.Advice
 
-// Advise predicts the per-iteration cost of Naive, HPC-NMF-1D and
-// HPC-NMF-2D for the given problem under Edison-like machine
-// constants, ranked fastest first — the quantitative form of the
-// paper's algorithm-selection guidance.
+// Advise predicts the per-iteration cost of Naive, HPC-NMF-1D (the
+// p×1 grid, when feasible) and HPC-NMF on AutoGrid's grid, ranked
+// fastest first — the quantitative form of the paper's
+// algorithm-selection guidance. Invalid k or p yields nil.
 func Advise(a Matrix, k, p int) []Advice {
-	m, n := a.Dims()
+	pb, ranked, _ := plan(a, k, p)
 	e := perf.Edison()
-	return costmodel.Advise(m, n, k, p, int64(a.NNZ()), e.Alpha, e.Beta, e.Gamma)
+	return costmodel.Advise(pb, ranked, e.Alpha, e.Beta, e.Gamma)
 }
 
 // AlgorithmGridChoice is one row of the joint algorithm × grid
-// forecast: an update rule on its modeled-best grid, with both the
+// forecast: an update rule on AutoGrid's grid, with both the
 // per-iteration price and the iterations-to-tolerance-scaled total.
 type AlgorithmGridChoice = costmodel.AlgorithmGridChoice
 
-// AdviseAlgorithmGrid prices algorithm × grid jointly for the HPC
-// skeleton: every built-in updater (MU, HALS, PGD, BPP) is paired
-// with its cost-model-optimal grid, its per-updater NLS flop
-// coefficients are added to the skeleton forecast, and the total is
-// scaled by its relative iterations-to-tolerance. Rows come back
-// cheapest first — the table behind `nmfrun -alg auto`'s updater
-// pick. The error wraps ErrNoFeasibleGrid when no factorization of p
-// fits the problem.
+// AdviseAlgorithmGrid prices every built-in updater (MU, HALS, PGD,
+// BPP) on AutoGrid's grid: its per-updater NLS flop coefficients are
+// added to the skeleton forecast and the total is scaled by its
+// relative iterations-to-tolerance. Rows come back cheapest first —
+// the ranking behind `nmfrun -alg auto`'s updater pick.
 func AdviseAlgorithmGrid(a Matrix, k, p int) ([]AlgorithmGridChoice, error) {
-	m, n := a.Dims()
-	e := perf.Edison()
-	return costmodel.AutoAlgorithmGrid(m, n, k, p, e.Alpha, e.Beta, e.Gamma,
-		func(grid.Grid) int64 { return int64(a.NNZ()) / int64(p) })
+	pb, ranked, err := plan(a, k, p)
+	if len(ranked) == 0 {
+		return nil, err
+	}
+	return costmodel.AlgorithmGrid(pb, ranked[0], perf.Edison().Gamma), err
 }
 
 // NNDSVD computes the non-negative double SVD initialization of
