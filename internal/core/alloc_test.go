@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"hpcnmf/internal/mat"
@@ -28,7 +29,7 @@ func newSeqRank(t *testing.T, src productSource, m, n int, normA2 float64, opts 
 // after warm-up, a steady-state step of the shared skeleton under the
 // sequential layout performs zero heap allocations at the default KernelThreads=1 with
 // any built-in updater — the workspace-aware sweeps and BPP, whose
-// pivoting state lives on the solver instance — for dense and sparse
+// chunk scratch lives on the solver instance — for dense and sparse
 // A, with and without the objective computation, and with
 // regularization (whose Gram/RHS copies come from the arena too).
 func TestSequentialStepZeroAllocs(t *testing.T) {
@@ -154,12 +155,24 @@ func TestMatrixProductsAgreeWithKernels(t *testing.T) {
 // TestKernelThreadsBitwiseEquivalent checks the contract the kernel
 // layer promises the drivers: every algorithm computes bitwise
 // identical factors and error histories regardless of KernelThreads.
+// The BPP leg is the NLS's half of it: its input is wide enough that
+// every rank's W- and H-solve is cut into three or more column chunks
+// with a ragged last one (2100/4 = 525 columns at the narrowest), which
+// the pool's workers claim in whatever order they get to them.
 func TestKernelThreadsBitwiseEquivalent(t *testing.T) {
-	dense := WrapDense(lowRankDense(37, 29, 4, 0.02, 31))
-	sp := WrapSparse(sparse.RandomER(37, 29, 0.25, rng.New(32)))
-	base := Options{K: 4, MaxIter: 6, Seed: 9, ComputeError: true, Solver: SolverHALS, Sweeps: 2}
-	run := func(a Matrix, threads int) [3]*Result {
-		opts := base
+	hals := Options{K: 4, MaxIter: 6, Seed: 9, ComputeError: true, Solver: SolverHALS, Sweeps: 2}
+	bpp := Options{K: 4, MaxIter: 3, Seed: 9, ComputeError: true, Solver: SolverBPP}
+	legs := []struct {
+		name    string
+		a       Matrix
+		opts    Options
+		threads []int
+	}{
+		{"dense/HALS", WrapDense(lowRankDense(37, 29, 4, 0.02, 31)), hals, []int{4}},
+		{"sparse/HALS", WrapSparse(sparse.RandomER(37, 29, 0.25, rng.New(32))), hals, []int{4}},
+		{"sparse/BPP", WrapSparse(sparse.RandomER(2300, 2100, 0.004, rng.New(33))), bpp, []int{2, 3}},
+	}
+	run := func(a Matrix, opts Options, threads int) [3]*Result {
 		opts.KernelThreads = threads
 		seq, err := RunSequential(a, opts)
 		if err != nil {
@@ -175,19 +188,22 @@ func TestKernelThreadsBitwiseEquivalent(t *testing.T) {
 		}
 		return [3]*Result{seq, nv, hp}
 	}
-	for _, a := range []Matrix{dense, sp} {
-		serial := run(a, 1)
-		pooled := run(a, 4)
-		for i, name := range []string{"sequential", "naive", "hpc"} {
-			if d := serial[i].W.MaxDiff(pooled[i].W); d != 0 {
-				t.Errorf("%s: W differs by %g between KernelThreads=1 and 4", name, d)
-			}
-			if d := serial[i].H.MaxDiff(pooled[i].H); d != 0 {
-				t.Errorf("%s: H differs by %g between KernelThreads=1 and 4", name, d)
-			}
-			for j := range serial[i].RelErr {
-				if serial[i].RelErr[j] != pooled[i].RelErr[j] {
-					t.Errorf("%s: RelErr[%d] differs", name, j)
+	for _, leg := range legs {
+		serial := run(leg.a, leg.opts, 1)
+		for _, threads := range leg.threads {
+			pooled := run(leg.a, leg.opts, threads)
+			for i, layout := range []string{"sequential", "naive", "hpc"} {
+				name := fmt.Sprintf("%s/%s KernelThreads=%d", leg.name, layout, threads)
+				if d := serial[i].W.MaxDiff(pooled[i].W); d != 0 {
+					t.Errorf("%s: W differs from KernelThreads=1 by %g", name, d)
+				}
+				if d := serial[i].H.MaxDiff(pooled[i].H); d != 0 {
+					t.Errorf("%s: H differs from KernelThreads=1 by %g", name, d)
+				}
+				for j := range serial[i].RelErr {
+					if serial[i].RelErr[j] != pooled[i].RelErr[j] {
+						t.Errorf("%s: RelErr[%d] differs from KernelThreads=1", name, j)
+					}
 				}
 			}
 		}

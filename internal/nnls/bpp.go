@@ -3,8 +3,11 @@ package nnls
 import (
 	"errors"
 	"math"
+	"slices"
+	"sync/atomic"
 
 	"hpcnmf/internal/mat"
+	"hpcnmf/internal/par"
 )
 
 // ErrNotConverged is returned when an exact solver exhausts its
@@ -24,13 +27,27 @@ var ErrNotConverged = errors.New("nnls: solver did not converge within the itera
 // factorization (the Grouping flag), the optimization that makes BPP
 // competitive for the many-right-hand-side problems NMF generates.
 //
-// BPP implements ContextSolver: SolveCtx keeps the pivoting working
-// set (passive patterns, anti-cycling counters, column groups) on the
-// solver instance and draws every matrix temporary from the context
-// workspace, so steady-state calls with recurring shapes and passive
-// patterns allocate nothing. The instance state makes a BPP value
-// single-goroutine under SolveCtx — the same ownership discipline as
-// mat.Workspace; Solve remains stateless and safe to share.
+// Columns are independent, so the r columns are cut into chunks of
+// bppChunk columns and each chunk is copied into column-contiguous
+// scratch, pivoted to convergence on its own bppState and scattered
+// back. Under SolveCtx the workers of ctx.Pool claim chunks from a
+// shared counter (one bppState per worker slot, kept on the instance);
+// with no pool the chunks run inline. A column's arithmetic depends
+// only on G, its own right-hand side and its own passive pattern — the
+// Cholesky of G[P,P] and the row-wise substitution do the same
+// operations on it whoever shares its group — so X is bitwise
+// independent of the pool width, of which worker takes which chunk and
+// of the chunk width itself. Stats.Iterations is the largest round
+// count over the chunks (the rounds the slowest column needed);
+// Stats.Flops is the sum over chunks.
+//
+// BPP implements ContextSolver: all scratch lives on the per-slot
+// states, sized by k and the chunk width, and nothing is retained per
+// passive pattern, so after the first call with a given k a serial
+// SolveCtx allocates nothing whatever patterns arrive (the pooled path
+// pays the pool's per-call bookkeeping). The states make a BPP value
+// single-caller under SolveCtx — the same ownership discipline as
+// mat.Workspace; Solve runs on fresh state and is safe to share.
 type BPP struct {
 	// MaxIter bounds pivoting rounds; 0 means a generous default.
 	MaxIter int
@@ -38,33 +55,55 @@ type BPP struct {
 	// On by default via NewBPP; exposed for the ablation benchmark.
 	Grouping bool
 
-	// st is the reusable pivoting state of the SolveCtx path.
-	st bppState
+	// st holds one reusable chunk state per pool worker slot.
+	st []bppState
 }
 
-// bppState holds the buffers one solve needs, reused across SolveCtx
-// calls. The groups map is keyed by passive-set pattern and persists
-// across calls (bounded by the distinct patterns seen, each ≤ k/8
-// bytes): in the steady state of an NMF run the same patterns recur,
-// so rounds perform map lookups but no insertions — and no
-// allocations.
+// bppChunk is the number of columns pivoted together: at k = 20 a
+// chunk's f/x/y/passive copies are ≈125 KB, resident in L2 for all of
+// its rounds. It is a constant — never an option, never a function of
+// the pool width — so the grouping, and with it Stats.Flops, is the
+// same however the chunks are scheduled. bppTableBits sizes the
+// pattern hash table at twice the chunk width or more.
+const (
+	bppChunk     = 250
+	bppTableBits = 9
+	_            = uint(1<<bppTableBits - 2*bppChunk) // table load ≤ ½
+)
+
+// bppProblem is what every chunk of one solve shares, read-only but
+// for the disjoint column ranges of x.
+type bppProblem struct {
+	g, f, xInit, x *mat.Dense
+	tol            float64
+	maxIter        int
+	grouping       bool
+}
+
+// bppState is one worker slot's scratch and its running totals for the
+// current solve. Per-column vectors are column-contiguous (v[c*k+i],
+// c local to the chunk); everything is rebuilt per chunk and per
+// round, so no state outlives a solve except capacity.
 type bppState struct {
-	passive     []bool
-	alpha, beta []int
-	unconverged []int
-	infeasible  []int
-	pidx        []int
-	keyBuf      []byte
-	groups      map[string]*bppGroup
-	order       []*bppGroup
-	stamp       int
-}
+	f, x, y []float64 // chunk copies of F and X, and the dual
+	passive []bool    // passive[c*k+i]: variable i of column c is free
+	key     []uint64  // passive patterns packed to bits, for grouping
+	// Kim–Park anti-cycling state per column: alpha full exchanges
+	// remain before falling back; beta is the best (smallest)
+	// infeasibility count seen.
+	alpha, beta [bppChunk]int
+	cols        [bppChunk]int // unconverged columns, ascending
+	// Grouping of a round: group gi is order[start[gi]:start[gi+1]],
+	// rep[gi] its first column; table maps a pattern hash to gi+1.
+	order, gid, rep, count [bppChunk]int
+	start                  [bppChunk + 1]int
+	table                  [1 << bppTableBits]int32
+	pidx, aidx, infeasible []int
+	gpp, rhs, xp           mat.Dense     // G[P,P], F[P,cols], X[P,cols] of one group
+	ws                     mat.Workspace // SolveSPDInto's factor and jittered copy
 
-// bppGroup is one same-passive-pattern column group; stamp marks the
-// round that last used it, so stale groups cost nothing to skip.
-type bppGroup struct {
-	cols  []int
-	stamp int
+	stats Stats
+	err   error
 }
 
 // NewBPP returns a BPP solver with column grouping enabled.
@@ -80,8 +119,7 @@ func (s *BPP) Solve(g, f, xInit *mat.Dense) (*mat.Dense, Stats, error) {
 		return nil, Stats{}, err
 	}
 	x := mat.NewDense(f.Rows, f.Cols)
-	var fresh bppState
-	st, err := s.solve(&fresh, nil, g, f, xInit, x)
+	st, err := s.solveChunks(make([]bppState, 1), nil, g, f, xInit, x)
 	if err != nil && !errors.Is(err, ErrNotConverged) {
 		return nil, st, err
 	}
@@ -89,8 +127,8 @@ func (s *BPP) Solve(g, f, xInit *mat.Dense) (*mat.Dense, Stats, error) {
 }
 
 // SolveCtx implements ContextSolver; see the type comment for the
-// allocation and ownership contract. Results are bitwise identical to
-// Solve from the same inputs.
+// threading, allocation and ownership contract. Results are bitwise
+// identical to Solve from the same inputs at any pool width.
 func (s *BPP) SolveCtx(ctx *Context, g, f, xInit, dst *mat.Dense) (Stats, error) {
 	if err := checkDims(g, f, xInit); err != nil {
 		return Stats{}, err
@@ -98,277 +136,307 @@ func (s *BPP) SolveCtx(ctx *Context, g, f, xInit, dst *mat.Dense) (Stats, error)
 	if err := checkDst(f, dst); err != nil {
 		return Stats{}, err
 	}
-	ws, _ := ctx.resources()
-	return s.solve(&s.st, ws, g, f, xInit, dst)
+	_, pool := ctx.resources()
+	if w := pool.Workers(); len(s.st) < w {
+		s.st = append(s.st, make([]bppState, w-len(s.st))...)
+	}
+	return s.solveChunks(s.st, pool, g, f, xInit, dst)
 }
 
-// solve is the pivoting core shared by Solve and SolveCtx: x is the
-// destination (fully overwritten in the first round before any read,
-// so x == xInit aliasing is fine), ps supplies the reusable working
-// set, ws the matrix temporaries.
-func (s *BPP) solve(ps *bppState, ws *mat.Workspace, g, f, xInit, x *mat.Dense) (Stats, error) {
-	k, r := f.Rows, f.Cols
-	maxIter := s.MaxIter
-	if maxIter == 0 {
-		maxIter = 50 + 10*k
+// solveChunks is the one pivoting core under Solve and SolveCtx. The
+// tolerance is taken over the whole problem before it is cut, so a
+// column's zero test does not depend on which chunk it lands in. A
+// chunk that exhausts its rounds clamps its own columns and the others
+// still finish; the solve then reports ErrNotConverged unless some
+// chunk failed outright, which wins. x == xInit aliasing is fine: a
+// chunk reads its warm-start columns before it writes them.
+func (s *BPP) solveChunks(states []bppState, pool *par.Pool, g, f, xInit, x *mat.Dense) (Stats, error) {
+	p := bppProblem{g: g, f: f, xInit: xInit, x: x, tol: bppTolerance(g, f), maxIter: s.MaxIter, grouping: s.Grouping}
+	if p.maxIter <= 0 {
+		p.maxIter = 50 + 10*f.Rows
 	}
-	var st Stats
-
-	y := ws.Get(k, r)
-	defer ws.Put(y)
-	// passive[c*k+i] reports whether variable i of column c is free.
-	passive := ps.bools(k * r)
-	if xInit != nil {
-		for c := 0; c < r; c++ {
-			for i := 0; i < k; i++ {
-				passive[c*k+i] = xInit.At(i, c) > 0
-			}
+	nchunks := (f.Cols + bppChunk - 1) / bppChunk
+	states = states[:max(1, min(len(states), pool.Workers(), nchunks))]
+	for i := range states {
+		states[i].stats, states[i].err = Stats{}, nil
+	}
+	if len(states) == 1 {
+		for ci := 0; ci < nchunks; ci++ {
+			states[0].solveChunk(&p, ci)
 		}
 	} else {
-		for i := range passive {
-			passive[i] = false
-		}
+		claimChunks(states, pool, p, nchunks)
 	}
-	// Kim–Park anti-cycling state per column: alpha full exchanges
-	// remain before falling back; beta is the best (smallest)
-	// infeasibility count seen.
-	alpha := ps.alphas(r)
-	beta := ps.betas(r)
-	for c := 0; c < r; c++ {
-		alpha[c] = 3
-		beta[c] = k + 1
+	var st Stats
+	var err error
+	for i := range states {
+		st.Flops += states[i].stats.Flops
+		st.Iterations = max(st.Iterations, states[i].stats.Iterations)
+		err = worseErr(err, states[i].err)
 	}
-	tol := bppTolerance(g, f)
+	return st, err
+}
 
-	unconverged := ps.cols(r)
-	for c := range unconverged {
-		unconverged[c] = c
-	}
-	for round := 0; round < maxIter && len(unconverged) > 0; round++ {
-		st.Iterations++
-		// Solve the passive systems, grouped by passive-set pattern.
-		if s.Grouping {
-			if ps.groups == nil {
-				ps.groups = map[string]*bppGroup{}
-			}
-			ps.stamp++
-			ps.order = ps.order[:0] // first-seen order within this round
-			for _, c := range unconverged {
-				key := ps.appendKey(passive[c*k : (c+1)*k])
-				grp, ok := ps.groups[string(key)] // no-alloc lookup on a []byte key
-				if !ok {
-					grp = &bppGroup{}
-					ps.groups[string(key)] = grp // new pattern: one-time insert
-				}
-				if grp.stamp != ps.stamp {
-					grp.stamp = ps.stamp
-					grp.cols = grp.cols[:0]
-					ps.order = append(ps.order, grp)
-				}
-				grp.cols = append(grp.cols, c)
-			}
-			for _, grp := range ps.order {
-				if err := s.solveGroup(ps, ws, g, f, x, passive, grp.cols, &st); err != nil {
-					return st, err
-				}
-			}
-		} else {
-			for i := range unconverged {
-				if err := s.solveGroup(ps, ws, g, f, x, passive, unconverged[i:i+1], &st); err != nil {
-					return st, err
-				}
+// claimChunks runs the chunks on the pool: one invocation per state,
+// each taking the next unclaimed chunk until none is left, so uneven
+// chunks (power-law columns) balance themselves. It is a function of
+// its own, taking p by value, so the closure's captures stay off the
+// serial path's heap.
+func claimChunks(states []bppState, pool *par.Pool, p bppProblem, nchunks int) {
+	var next atomic.Int64
+	pool.For(len(states), 1, func(lo, hi int) {
+		for slot := lo; slot < hi; slot++ {
+			for ci := int(next.Add(1)) - 1; ci < nchunks; ci = int(next.Add(1)) - 1 {
+				states[slot].solveChunk(&p, ci)
 			}
 		}
-		// Dual variables on the active sets: y_A = G_{A,P}·x_P − f_A.
-		for _, c := range unconverged {
-			computeDual(g, f, x, y, passive, c, &st)
-		}
-		// Infeasibility check and exchange.
-		next := unconverged[:0]
-		for _, c := range unconverged {
-			p := passive[c*k : (c+1)*k]
-			infeasible := ps.infeasible[:0]
-			for i := 0; i < k; i++ {
-				if p[i] {
-					if x.At(i, c) < -tol {
-						infeasible = append(infeasible, i)
-					}
-				} else if y.At(i, c) < -tol {
-					infeasible = append(infeasible, i)
-				}
-			}
-			ps.infeasible = infeasible[:0]
-			if len(infeasible) == 0 {
-				// Optimal; snap tiny negatives from roundoff.
-				for i := 0; i < k; i++ {
-					if x.At(i, c) < 0 {
-						x.Set(i, c, 0)
-					}
-				}
-				continue
-			}
-			next = append(next, c)
-			switch {
-			case len(infeasible) < beta[c]:
-				beta[c] = len(infeasible)
-				alpha[c] = 3
-				for _, i := range infeasible {
-					p[i] = !p[i]
-				}
-			case alpha[c] > 0:
-				alpha[c]--
-				for _, i := range infeasible {
-					p[i] = !p[i]
-				}
-			default:
-				// Backup rule: flip only the infeasible variable with
-				// the largest index — guarantees finite termination.
-				i := infeasible[len(infeasible)-1]
-				p[i] = !p[i]
-			}
-		}
-		unconverged = next
+	})
+}
+
+// worseErr keeps the more severe of two chunk outcomes: any failure
+// over none, a hard failure over ErrNotConverged.
+func worseErr(a, b error) error {
+	if a == nil || (b != nil && errors.Is(a, ErrNotConverged)) {
+		return b
 	}
-	if len(unconverged) > 0 {
-		x.ClampNonneg()
-		return st, ErrNotConverged
+	return a
+}
+
+// sized returns s with length n, reallocating only when a larger shape
+// arrives.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	return st, nil
+	return s[:n]
+}
+
+// view shapes d as an r×c matrix over its own backing array.
+func view(d *mat.Dense, r, c int) *mat.Dense {
+	d.Rows, d.Cols, d.Data = r, c, d.Data[:r*c]
+	return d
+}
+
+// resize sizes the k-dependent scratch for a chunk of cw columns. When
+// k grows the workspace is seeded with the two k×k buffers
+// SolveSPDInto can hold at once, so no later pattern allocates.
+func (ps *bppState) resize(k, cw int) {
+	n := k * cw
+	ps.f, ps.x, ps.y, ps.passive = sized(ps.f, n), sized(ps.x, n), sized(ps.y, n), sized(ps.passive, n)
+	ps.key = sized(ps.key, cw*((k+63)/64))
+	ps.pidx, ps.aidx, ps.infeasible = sized(ps.pidx, k), sized(ps.aidx, k), sized(ps.infeasible, k)
+	ps.rhs.Data, ps.xp.Data = sized(ps.rhs.Data, n), sized(ps.xp.Data, n)
+	if cap(ps.gpp.Data) < k*k {
+		ps.gpp.Data = make([]float64, k*k)
+		ps.ws = mat.Workspace{}
+		l, gj := ps.ws.Get(k, k), ps.ws.Get(k, k)
+		ps.ws.Put(l)
+		ps.ws.Put(gj)
+	}
+}
+
+// solveChunk pivots chunk ci (columns ci·bppChunk onward) to
+// convergence and writes its columns of p.x, adding its work and
+// outcome to the slot totals.
+func (ps *bppState) solveChunk(p *bppProblem, ci int) {
+	k, c0 := p.f.Rows, ci*bppChunk
+	cw := min(bppChunk, p.f.Cols-c0)
+	ps.resize(k, cw)
+	if p.xInit == nil {
+		clear(ps.passive)
+	}
+	for i := 0; i < k; i++ {
+		for c, v := range p.f.Row(i)[c0 : c0+cw] {
+			ps.f[c*k+i] = v
+		}
+		if p.xInit != nil {
+			for c, v := range p.xInit.Row(i)[c0 : c0+cw] {
+				ps.passive[c*k+i] = v > 0
+			}
+		}
+	}
+	cols := ps.cols[:cw]
+	for c := range cols {
+		cols[c], ps.alpha[c], ps.beta[c] = c, 3, k+1
+	}
+	rounds := 0
+	for ; rounds < p.maxIter && len(cols) > 0; rounds++ {
+		// Solve the passive systems and the duals, grouped by pattern.
+		for gi, ng := 0, ps.group(cols, k, p.grouping); gi < ng; gi++ {
+			if err := ps.solveGroup(p.g, k, ps.order[ps.start[gi]:ps.start[gi+1]]); err != nil {
+				ps.err = worseErr(ps.err, err)
+				return
+			}
+		}
+		cols = ps.exchange(cols, k, p.tol)
+	}
+	ps.stats.Iterations = max(ps.stats.Iterations, rounds)
+	if len(cols) > 0 {
+		for i, v := range ps.x {
+			if v < 0 {
+				ps.x[i] = 0
+			}
+		}
+		ps.err = worseErr(ps.err, ErrNotConverged)
+	}
+	for i := 0; i < k; i++ {
+		xrow := p.x.Row(i)[c0 : c0+cw]
+		for c := range xrow {
+			xrow[c] = ps.x[c*k+i]
+		}
+	}
+}
+
+// group buckets the round's columns by passive pattern: group gi is
+// order[start[gi]:start[gi+1]], and the group count is returned.
+// Without grouping every column is its own group. The buckets are
+// rebuilt from scratch each round in fixed buffers (an open-addressing
+// table over the packed patterns, then a counting sort), so nothing is
+// kept per pattern.
+func (ps *bppState) group(cols []int, k int, grouping bool) int {
+	if !grouping {
+		for i, c := range cols {
+			ps.order[i], ps.start[i] = c, i
+		}
+		ps.start[len(cols)] = len(cols)
+		return len(cols)
+	}
+	kw := (k + 63) / 64
+	clear(ps.table[:])
+	ng := 0
+	for _, c := range cols {
+		key := ps.key[c*kw : (c+1)*kw]
+		clear(key)
+		for i, free := range ps.passive[c*k : (c+1)*k] {
+			if free {
+				key[i>>6] |= 1 << (i & 63)
+			}
+		}
+		var h uint64
+		for _, w := range key {
+			h = (h ^ w) * 0x9E3779B97F4A7C15
+		}
+		for slot := h >> (64 - bppTableBits); ; slot = (slot + 1) % uint64(len(ps.table)) {
+			gi := int(ps.table[slot]) - 1
+			if gi < 0 {
+				gi = ng
+				ng++
+				ps.table[slot], ps.rep[gi], ps.count[gi] = int32(ng), c, 0
+			}
+			if r := ps.rep[gi]; slices.Equal(key, ps.key[r*kw:(r+1)*kw]) {
+				ps.gid[c] = gi
+				ps.count[gi]++
+				break
+			}
+		}
+	}
+	for gi := 0; gi < ng; gi++ {
+		ps.start[gi+1] = ps.start[gi] + ps.count[gi]
+		ps.count[gi] = ps.start[gi]
+	}
+	for _, c := range cols {
+		ps.order[ps.count[ps.gid[c]]] = c
+		ps.count[ps.gid[c]]++
+	}
+	return ng
 }
 
 // solveGroup solves the unconstrained system restricted to the shared
-// passive set of the given columns, writing x (zeros on the active
-// set). All columns must share one passive pattern.
-func (s *BPP) solveGroup(ps *bppState, ws *mat.Workspace, g, f, x *mat.Dense, passive []bool, cols []int, st *Stats) error {
-	k := f.Rows
-	pattern := passive[cols[0]*k : (cols[0]+1)*k]
-	pidx := ps.pidx[:0]
-	for i := 0; i < k; i++ {
-		if pattern[i] {
+// passive set P of the given columns (all of one pattern), writing x
+// (zeros on the active set A) and the dual y_A = G[A,P]·x_P − f_A
+// (y on P is never read).
+func (ps *bppState) solveGroup(g *mat.Dense, k int, cols []int) error {
+	pidx, aidx := ps.pidx[:0], ps.aidx[:0]
+	for i, free := range ps.passive[cols[0]*k : (cols[0]+1)*k] {
+		if free {
 			pidx = append(pidx, i)
+		} else {
+			aidx = append(aidx, i)
 		}
 	}
-	ps.pidx = pidx[:0]
-	if len(pidx) == 0 {
-		for _, c := range cols {
-			for i := 0; i < k; i++ {
-				x.Set(i, c, 0)
+	pp, nc := len(pidx), len(cols)
+	xp := view(&ps.xp, pp, nc)
+	if pp > 0 {
+		gpp, rhs := view(&ps.gpp, pp, pp), view(&ps.rhs, pp, nc)
+		for a, ia := range pidx {
+			grow := g.Row(ia)
+			for b, ib := range pidx {
+				gpp.Data[a*pp+b] = grow[ib]
+			}
+			for b, c := range cols {
+				rhs.Data[a*nc+b] = ps.f[c*k+ia]
 			}
 		}
-		return nil
-	}
-	pp := len(pidx)
-	gpp := ws.Get(pp, pp)
-	for a, ia := range pidx {
-		for b, ib := range pidx {
-			gpp.Set(a, b, g.At(ia, ib))
+		if err := mat.SolveSPDInto(xp, gpp, rhs, &ps.ws); err != nil {
+			return err
 		}
 	}
-	rhs := ws.Get(pp, len(cols))
-	for a, ia := range pidx {
-		for b, c := range cols {
-			rhs.Set(a, b, f.At(ia, c))
+	for b, c := range cols {
+		xc, fc, yc := ps.x[c*k:(c+1)*k], ps.f[c*k:(c+1)*k], ps.y[c*k:(c+1)*k]
+		clear(xc)
+		for a, ia := range pidx {
+			xc[ia] = xp.Data[a*nc+b]
+		}
+		for _, i := range aidx {
+			grow := g.Row(i)
+			sum := -fc[i]
+			for _, l := range pidx {
+				sum += grow[l] * xc[l]
+			}
+			yc[i] = sum
 		}
 	}
-	xp := ws.Get(pp, len(cols))
-	err := mat.SolveSPDInto(xp, gpp, rhs, ws)
-	ws.Put(gpp)
-	ws.Put(rhs)
-	if err != nil {
-		ws.Put(xp)
-		return err
-	}
-	st.Flops += int64(pp*pp*pp)/3 + int64(2*pp*pp*len(cols))
-	for _, c := range cols {
-		for i := 0; i < k; i++ {
-			x.Set(i, c, 0)
-		}
-	}
-	for a, ia := range pidx {
-		for b, c := range cols {
-			x.Set(ia, c, xp.At(a, b))
-		}
-	}
-	ws.Put(xp)
+	ps.stats.Flops += int64(pp*pp*pp)/3 + int64(2*pp*pp*nc) + int64(2*len(aidx)*pp*nc)
 	return nil
 }
 
-// bools/alphas/betas/cols return the persistent slices resized to the
-// problem, growing only when a larger shape arrives.
-func (ps *bppState) bools(n int) []bool {
-	if cap(ps.passive) < n {
-		ps.passive = make([]bool, n)
-	}
-	ps.passive = ps.passive[:n]
-	return ps.passive
-}
-
-func (ps *bppState) alphas(n int) []int {
-	if cap(ps.alpha) < n {
-		ps.alpha = make([]int, n)
-	}
-	ps.alpha = ps.alpha[:n]
-	return ps.alpha
-}
-
-func (ps *bppState) betas(n int) []int {
-	if cap(ps.beta) < n {
-		ps.beta = make([]int, n)
-	}
-	ps.beta = ps.beta[:n]
-	return ps.beta
-}
-
-func (ps *bppState) cols(n int) []int {
-	if cap(ps.unconverged) < n {
-		ps.unconverged = make([]int, n)
-	}
-	ps.unconverged = ps.unconverged[:n]
-	return ps.unconverged
-}
-
-// appendKey encodes a passive-set pattern into the reusable key buffer
-// (the map is only handed string(key) at lookup/insert sites, which
-// the compiler keeps allocation-free for lookups).
-func (ps *bppState) appendKey(p []bool) []byte {
-	n := (len(p) + 7) / 8
-	if cap(ps.keyBuf) < n {
-		ps.keyBuf = make([]byte, n)
-	}
-	ps.keyBuf = ps.keyBuf[:n]
-	for i := range ps.keyBuf {
-		ps.keyBuf[i] = 0
-	}
-	for i, v := range p {
-		if v {
-			ps.keyBuf[i/8] |= 1 << (i % 8)
-		}
-	}
-	return ps.keyBuf
-}
-
-// computeDual fills y for column c: zero on the passive set,
-// G_{A,P}·x_P − f_A on the active set.
-func computeDual(g, f, x, y *mat.Dense, passive []bool, c int, st *Stats) {
-	k := f.Rows
-	p := passive[c*k : (c+1)*k]
-	var flops int64
-	for i := 0; i < k; i++ {
-		if p[i] {
-			y.Set(i, c, 0)
-			continue
-		}
-		sum := -f.At(i, c)
-		grow := g.Row(i)
-		for l := 0; l < k; l++ {
-			if p[l] {
-				sum += grow[l] * x.At(l, c)
-				flops += 2
+// exchange tests every column of the round for infeasible variables
+// and swaps them between the sets; it returns the columns still
+// unconverged (in place, ascending).
+func (ps *bppState) exchange(cols []int, k int, tol float64) []int {
+	next := cols[:0]
+	for _, c := range cols {
+		p, xc, yc := ps.passive[c*k:(c+1)*k], ps.x[c*k:(c+1)*k], ps.y[c*k:(c+1)*k]
+		infeasible := ps.infeasible[:0]
+		for i, free := range p {
+			if free {
+				if xc[i] < -tol {
+					infeasible = append(infeasible, i)
+				}
+			} else if yc[i] < -tol {
+				infeasible = append(infeasible, i)
 			}
 		}
-		y.Set(i, c, sum)
+		if len(infeasible) == 0 {
+			// Optimal; snap tiny negatives from roundoff.
+			for i, v := range xc {
+				if v < 0 {
+					xc[i] = 0
+				}
+			}
+			continue
+		}
+		next = append(next, c)
+		switch {
+		case len(infeasible) < ps.beta[c]:
+			ps.beta[c] = len(infeasible)
+			ps.alpha[c] = 3
+			for _, i := range infeasible {
+				p[i] = !p[i]
+			}
+		case ps.alpha[c] > 0:
+			ps.alpha[c]--
+			for _, i := range infeasible {
+				p[i] = !p[i]
+			}
+		default:
+			// Backup rule: flip only the infeasible variable with
+			// the largest index — guarantees finite termination.
+			i := infeasible[len(infeasible)-1]
+			p[i] = !p[i]
+		}
 	}
-	st.Flops += flops
+	return next
 }
 
 // bppTolerance scales the zero test to the problem's magnitude.

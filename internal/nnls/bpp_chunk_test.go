@@ -1,0 +1,372 @@
+package nnls
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"testing"
+
+	"hpcnmf/internal/mat"
+	"hpcnmf/internal/par"
+	"hpcnmf/internal/rng"
+)
+
+// The column-chunked core's contract: X and Stats do not depend on the
+// pool width, on which worker takes which chunk, or on where the chunk
+// boundaries fall. The boundary half is pinned against refBPP, an
+// unchunked oracle with loops of its own.
+
+// refBPP is Kim–Park pivoting one column at a time, start to finish,
+// under the tolerance of the whole problem: no chunks, no groups, no
+// shared scratch. It shares only mat.SolveSPD with the solver — the
+// factorization a column sees is the same whoever else is in its
+// group, which is what makes the comparison exact. It returns the
+// largest round count over the columns and ErrNotConverged when some
+// column ran out of rounds (its iterate clamped).
+func refBPP(g, f, xInit *mat.Dense, maxIter int) (*mat.Dense, int, error) {
+	k, r := f.Rows, f.Cols
+	if maxIter == 0 {
+		maxIter = 50 + 10*k
+	}
+	tol := bppTolerance(g, f)
+	x := mat.NewDense(k, r)
+	rounds := 0
+	var err error
+	for c := 0; c < r; c++ {
+		passive := make([]bool, k)
+		for i := range passive {
+			passive[i] = xInit != nil && xInit.At(i, c) > 0
+		}
+		xc := make([]float64, k)
+		alpha, beta, done, n := 3, k+1, false, 0
+		for ; n < maxIter && !done; n++ {
+			var pidx, bad []int
+			for i, free := range passive {
+				if free {
+					pidx = append(pidx, i)
+				}
+			}
+			clear(xc)
+			if pp := len(pidx); pp > 0 {
+				gpp, rhs := mat.NewDense(pp, pp), mat.NewDense(pp, 1)
+				for a, ia := range pidx {
+					for b, ib := range pidx {
+						gpp.Set(a, b, g.At(ia, ib))
+					}
+					rhs.Set(a, 0, f.At(ia, c))
+				}
+				xp, e := mat.SolveSPD(gpp, rhs)
+				if e != nil {
+					return nil, 0, e
+				}
+				for a, ia := range pidx {
+					xc[ia] = xp.At(a, 0)
+				}
+			}
+			for i := 0; i < k; i++ {
+				v := xc[i]
+				if !passive[i] {
+					v = -f.At(i, c)
+					for _, l := range pidx {
+						v += g.At(i, l) * xc[l]
+					}
+				}
+				if v < -tol {
+					bad = append(bad, i)
+				}
+			}
+			switch {
+			case len(bad) == 0:
+				done = true
+				continue
+			case len(bad) < beta:
+				beta, alpha = len(bad), 3
+			case alpha > 0:
+				alpha--
+			default:
+				bad = bad[len(bad)-1:]
+			}
+			for _, i := range bad {
+				passive[i] = !passive[i]
+			}
+		}
+		rounds = max(rounds, n)
+		if !done {
+			err = ErrNotConverged
+		}
+		for i, v := range xc {
+			if v < 0 {
+				v = 0
+			}
+			x.Set(i, c, v)
+		}
+	}
+	return x, rounds, err
+}
+
+// sameBits fails unless a and b agree in every bit of every entry.
+func sameBits(t *testing.T, what string, want, got *mat.Dense) {
+	t.Helper()
+	for i := range want.Data {
+		if math.Float64bits(want.Data[i]) != math.Float64bits(got.Data[i]) {
+			t.Fatalf("%s: entry (%d,%d) is %v, want %v", what, i/want.Cols, i%want.Cols, got.Data[i], want.Data[i])
+		}
+	}
+}
+
+type bppCase struct {
+	name        string
+	g, f, xInit *mat.Dense
+}
+
+// chunkCases builds the four kinds of problem the chunk tests run on.
+func chunkCases(k, r int, seed uint64) []bppCase {
+	g, f := randomSPD(k, seed), randomRHS(k, r, seed+1)
+	warm := randomRHS(k, r, seed+2)
+	warm.ClampNonneg()
+
+	// Singular Gram: C has a duplicated column and an all-zero one. The
+	// all-positive warm start makes the zero-diagonal variable passive
+	// in round one, so the plain Cholesky fails and the jittered
+	// factorization is what every column goes through.
+	s := rng.New(seed + 3)
+	c := mat.NewDense(k+3, k)
+	c.RandomUniform(s)
+	for i := 0; i < c.Rows; i++ {
+		c.Set(i, k-1, c.At(i, 0))
+		c.Set(i, k/2, 0)
+	}
+	b := mat.NewDense(k+3, r)
+	for i := range b.Data {
+		b.Data[i] = 2*s.Float64() - 0.5
+	}
+	ones := mat.NewDense(k, r)
+	ones.Fill(1)
+
+	// Every seventh column all zero, chunk-boundary columns included.
+	fz := f.Clone()
+	for c := 0; c < r; c++ {
+		if c%7 == 0 || c%bppChunk == 0 || c%bppChunk == bppChunk-1 {
+			for i := 0; i < k; i++ {
+				fz.Set(i, c, 0)
+			}
+		}
+	}
+	return []bppCase{
+		{"cold", g, f, nil},
+		{"warm", g, f, warm},
+		{"singular", mat.Gram(c), mat.MulAtB(c, b), ones},
+		{"zerocols", g, fz, warm},
+	}
+}
+
+// TestBPPWidthAndChunkIndependence: SolveCtx at pool widths 1, 2 and 3
+// equals the stateless Solve bit for bit, with identical Stats, and
+// both equal the unchunked oracle — on random, warm-started, singular
+// and zero-column problems, with r one short of a chunk, exactly one,
+// one over, and several with a ragged tail.
+func TestBPPWidthAndChunkIndependence(t *testing.T) {
+	pools := []*par.Pool{nil, par.NewPool(2), par.NewPool(3)}
+	defer pools[1].Close()
+	defer pools[2].Close()
+	shapes := []struct{ k, r int }{
+		{9, bppChunk - 1}, {9, bppChunk}, {9, bppChunk + 1}, {9, 3*bppChunk + 17},
+		{70, bppChunk + 1}, // k > 64: two words per packed pattern
+	}
+	for _, sh := range shapes {
+		for _, tc := range chunkCases(sh.k, sh.r, uint64(sh.k*sh.r)) {
+			name := fmt.Sprintf("%s/k%d/r%d", tc.name, sh.k, sh.r)
+			want, wst, err := NewBPP().Solve(tc.g, tc.f, tc.xInit)
+			if err != nil {
+				t.Fatalf("%s: Solve: %v", name, err)
+			}
+			ref, rounds, err := refBPP(tc.g, tc.f, tc.xInit, 0)
+			if err != nil {
+				t.Fatalf("%s: oracle: %v", name, err)
+			}
+			sameBits(t, name+": Solve vs unchunked oracle", ref, want)
+			if wst.Iterations != rounds {
+				t.Errorf("%s: Stats.Iterations = %d, oracle's slowest column took %d rounds", name, wst.Iterations, rounds)
+			}
+			for _, grouping := range []bool{true, false} {
+				s := &BPP{Grouping: grouping} // one instance across widths: slot states are reused
+				for _, pool := range pools {
+					dst := mat.NewDense(sh.k, sh.r)
+					dst.Fill(-7) // a dirty destination must not leak through
+					st, err := s.SolveCtx(&Context{Pool: pool}, tc.g, tc.f, tc.xInit, dst)
+					if err != nil {
+						t.Fatalf("%s: SolveCtx width %d: %v", name, pool.Workers(), err)
+					}
+					sameBits(t, fmt.Sprintf("%s: SolveCtx width %d grouping %v", name, pool.Workers(), grouping), want, dst)
+					if grouping && st != wst {
+						t.Errorf("%s: Stats at width %d = %+v, Solve's = %+v", name, pool.Workers(), st, wst)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBPPUnconvergedChunkDoesNotStopOthers: with a round budget that
+// only the last chunk exceeds, that chunk's columns come back clamped,
+// every other chunk's columns are the converged solution, and the
+// solve reports ErrNotConverged — at every width, bit for bit what the
+// unchunked oracle gives under the same budget.
+func TestBPPUnconvergedChunkDoesNotStopOthers(t *testing.T) {
+	const k, r = 9, 2*bppChunk + 10
+	g, f := randomSPD(k, 61), randomRHS(k, r, 62)
+	for c := 0; c < 2*bppChunk; c++ { // f ≤ 0: x = 0 is optimal at the first test
+		for i := 0; i < k; i++ {
+			f.Set(i, c, -math.Abs(f.At(i, c)))
+		}
+	}
+	// The hard columns start with every variable free, so what they
+	// hold after one round is the clamped unconstrained solution.
+	warm := mat.NewDense(k, r)
+	for i := 0; i < k; i++ {
+		for c := 2 * bppChunk; c < r; c++ {
+			warm.Set(i, c, 1)
+		}
+	}
+	full, _, err := NewBPP().Solve(g, f, warm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, _, rerr := refBPP(g, f, warm, 1)
+	if !errors.Is(rerr, ErrNotConverged) {
+		t.Fatalf("oracle under MaxIter=1: err = %v; the hard columns converged in one round", rerr)
+	}
+	pool := par.NewPool(3)
+	defer pool.Close()
+	for _, p := range []*par.Pool{nil, pool} {
+		dst := mat.NewDense(k, r)
+		dst.Fill(-7)
+		st, err := (&BPP{MaxIter: 1, Grouping: true}).SolveCtx(&Context{Pool: p}, g, f, warm, dst)
+		if !errors.Is(err, ErrNotConverged) {
+			t.Fatalf("width %d: err = %v, want ErrNotConverged", p.Workers(), err)
+		}
+		if st.Iterations != 1 {
+			t.Errorf("width %d: %d rounds recorded, want 1", p.Workers(), st.Iterations)
+		}
+		sameBits(t, "exhausted solve vs oracle", ref, dst)
+		for c := 0; c < r; c++ {
+			for i := 0; i < k; i++ {
+				v := dst.At(i, c)
+				if c < 2*bppChunk && v != full.At(i, c) {
+					t.Fatalf("width %d: converged column %d differs from the full solve", p.Workers(), c)
+				}
+				if v < 0 || math.IsNaN(v) {
+					t.Fatalf("width %d: x[%d,%d] = %v after clamping", p.Workers(), i, c, v)
+				}
+			}
+		}
+	}
+}
+
+// TestBPPHardErrorWinsOverNotConverged: one chunk runs out of rounds,
+// another meets a Gram block no jitter can factor; the solve reports
+// the factorization failure whichever chunk comes first and whatever
+// the width.
+func TestBPPHardErrorWinsOverNotConverged(t *testing.T) {
+	const k, r, j = 9, 2 * bppChunk, 4
+	// Variable j is decoupled and its diagonal is NaN: a column whose
+	// f_j > 0 makes j passive in round two and cannot be factored; a
+	// column with f_j < 0 never touches it.
+	g := randomSPD(k, 71)
+	for i := 0; i < k; i++ {
+		g.Set(i, j, 0)
+		g.Set(j, i, 0)
+	}
+	g.Set(j, j, math.NaN())
+	pool := par.NewPool(3)
+	defer pool.Close()
+	for _, poisoned := range []int{0, 1} {
+		f := randomRHS(k, r, 72)
+		for c := 0; c < r; c++ {
+			f.Set(j, c, -1)
+		}
+		f.Set(j, poisoned*bppChunk+3, 1)
+		// The clean chunk alone needs more than two rounds.
+		lo := (1 - poisoned) * bppChunk
+		clean := mat.NewDense(k, bppChunk)
+		for i := 0; i < k; i++ {
+			copy(clean.Row(i), f.Row(i)[lo:lo+bppChunk])
+		}
+		if _, _, err := (&BPP{MaxIter: 2, Grouping: true}).Solve(g, clean, nil); !errors.Is(err, ErrNotConverged) {
+			t.Fatalf("clean chunk under MaxIter=2: err = %v, want ErrNotConverged", err)
+		}
+		for _, p := range []*par.Pool{nil, pool} {
+			_, err := (&BPP{MaxIter: 2, Grouping: true}).SolveCtx(&Context{Pool: p}, g, f, nil, mat.NewDense(k, r))
+			if !errors.Is(err, mat.ErrNotPositiveDefinite) {
+				t.Errorf("poisoned chunk %d, width %d: err = %v, want ErrNotPositiveDefinite", poisoned, p.Workers(), err)
+			}
+		}
+		if x, _, err := (&BPP{MaxIter: 2, Grouping: true}).Solve(g, f, nil); x != nil || !errors.Is(err, mat.ErrNotPositiveDefinite) {
+			t.Errorf("poisoned chunk %d: Solve returned x=%v err=%v, want nil and ErrNotPositiveDefinite", poisoned, x != nil, err)
+		}
+	}
+}
+
+// TestBPPToleranceIsGlobal: the zero test scales with the largest
+// entry of the whole problem, not of a column's own chunk. A 1e9 entry
+// in chunk 0 puts the tolerance near 1e-3, so a dual of −1e-5 in chunk
+// 2 counts as feasible and its variable stays at zero; a per-chunk
+// tolerance (≈1e-12 there) would free it and return 1e-5.
+func TestBPPToleranceIsGlobal(t *testing.T) {
+	const k, r = 3, 2*bppChunk + 40
+	g := mat.NewDense(k, k)
+	for i := 0; i < k; i++ {
+		g.Set(i, i, 1)
+	}
+	f := randomRHS(k, r, 81)
+	f.Set(0, 5, 1e9)
+	near := 2*bppChunk + 7
+	f.Set(0, near, 1)
+	f.Set(1, near, 1e-5)
+	f.Set(2, near, -1)
+	ref, _, err := refBPP(g, f, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := par.NewPool(2)
+	defer pool.Close()
+	for _, p := range []*par.Pool{nil, pool} {
+		dst := mat.NewDense(k, r)
+		if _, err := NewBPP().SolveCtx(&Context{Pool: p}, g, f, nil, dst); err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, "chunked vs unchunked oracle", ref, dst)
+		if got := dst.At(1, near); got != 0 {
+			t.Errorf("width %d: near-tolerance variable solved to %g; its chunk used a tolerance of its own", p.Workers(), got)
+		}
+		if got := dst.At(0, near); got != 1 {
+			t.Errorf("width %d: x[0,%d] = %g, want 1", p.Workers(), near, got)
+		}
+	}
+}
+
+// TestBPPNewPatternsAllocateNothing: a serial SolveCtx keeps nothing
+// per passive pattern, so a long-lived instance fed right-hand sides
+// it has never seen — new patterns every call — allocates nothing once
+// its scratch is sized. (The persistent pattern map this replaces paid
+// a map insert per unseen pattern and kept every one of them.)
+func TestBPPNewPatternsAllocateNothing(t *testing.T) {
+	const k, r = 12, bppChunk + 30
+	g := randomSPD(k, 91)
+	fs := make([]*mat.Dense, 64)
+	for i := range fs {
+		fs[i] = randomRHS(k, r, 100+uint64(i))
+	}
+	s, ctx, x := NewBPP(), &Context{WS: mat.NewWorkspace()}, mat.NewDense(k, r)
+	call := 0
+	round := func() {
+		if _, err := s.SolveCtx(ctx, g, fs[call%len(fs)], x, x); err != nil {
+			t.Fatal(err)
+		}
+		call++
+	}
+	round() // sizes the scratch
+	if allocs := testing.AllocsPerRun(len(fs)-2, round); allocs != 0 {
+		t.Errorf("SolveCtx on unseen patterns allocates %v times per call", allocs)
+	}
+}

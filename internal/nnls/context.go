@@ -16,9 +16,11 @@ type Context struct {
 	// WS supplies scratch matrices; steady-state Solve calls with the
 	// same shapes draw every temporary from it without allocating.
 	WS *mat.Workspace
-	// Pool, when non-nil, splits the dense kernels inside the solver
-	// across workers (see internal/par). Results are bitwise
-	// independent of the pool size.
+	// Pool, when non-nil, is the run's kernel pool (see internal/par).
+	// MU and PGD split their G·X product across it; BPP hands its
+	// column chunks to the pool's workers, one chunk state per worker;
+	// HALS sweeps serially. Results are bitwise independent of the pool
+	// size for every solver.
 	Pool *par.Pool
 }
 
@@ -34,8 +36,8 @@ func (c *Context) resources() (*mat.Workspace, *par.Pool) {
 // allocation-free: SolveCtx writes the solution into dst (k×r, shaped
 // by the caller) and draws all temporaries from ctx. The sweep
 // solvers (MU, HALS, PGD) implement it, as does BPP, which keeps its
-// pivoting working set on the solver instance (making that instance
-// single-goroutine under SolveCtx); the active-set solver goes
+// per-worker chunk scratch on the solver instance (making that
+// instance single-caller under SolveCtx); the active-set solver goes
 // through the SolveWith fallback.
 type ContextSolver interface {
 	Solver
