@@ -50,7 +50,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var (
 		addr       = fs.String("addr", "localhost:7600", "listen address (use :0 for an ephemeral port)")
 		maxBatch   = fs.Int("max-batch", 32, "max columns per stacked NNLS solve")
-		maxDelay   = fs.Duration("max-delay", 2*time.Millisecond, "how long a batch lingers for stragglers (0 = flush immediately)")
 		queueCap   = fs.Int("queue", 0, "pending projection columns per model before 429 (0 = 4x max-batch)")
 		budgetMB   = fs.Int64("budget-mb", 256, "resident model budget in MiB; past it the LRU model is evicted (< 0 disables)")
 		fitWorkers = fs.Int("fit-workers", 2, "async fit worker pool size")
@@ -76,18 +75,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *maxDelay < 0 {
-		return fmt.Errorf("-max-delay must be >= 0")
-	}
 	budget := *budgetMB << 20
 	if *budgetMB < 0 {
 		budget = -1
-	}
-	// maxDelay 0 means "flush immediately"; serve.Options keeps 0 as
-	// its default marker, so translate.
-	delay := *maxDelay
-	if delay == 0 {
-		delay = -1
 	}
 
 	logger, err := obs.New(stderr, *logSpec)
@@ -129,7 +119,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	opts := serve.Options{
 		MaxBatch:      *maxBatch,
-		MaxDelay:      delay,
 		QueueCap:      *queueCap,
 		StoreBudget:   budget,
 		FitWorkers:    *fitWorkers,

@@ -40,7 +40,6 @@ func TestServeFlagValidation(t *testing.T) {
 	var out, errb bytes.Buffer
 	cases := [][]string{
 		{"-solver", "bogus"},
-		{"-max-delay", "-5ms"},
 		{"stray-arg"},
 		{"-not-a-flag"},
 		{"-addr", "999.999.999.999:1"}, // unlistenable address
@@ -88,7 +87,7 @@ func TestServeClusterEndToEnd(t *testing.T) {
 				"-addr", addrs[i], "-self", addrs[i],
 				"-peers", peers, "-replicas", "2",
 				"-store", filepath.Join(dir, "models"),
-				"-fit-workers", "1", "-max-delay", "0",
+				"-fit-workers", "1",
 			}, outs[i], outs[i])
 		}(i)
 	}

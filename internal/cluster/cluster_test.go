@@ -17,6 +17,8 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -54,7 +56,6 @@ func startInstance(t *testing.T, ln net.Listener, self string, peers []string, r
 	var rtp atomic.Pointer[cluster.Router]
 	srv := serve.New(serve.Options{
 		Durable:    fsStore,
-		MaxDelay:   -1, // flush batches immediately: latency over coalescing in tests
 		WarmFilter: func(id string) bool { return topo.IsOwner(self, id) },
 		OnCommit: func(id string) {
 			if r := rtp.Load(); r != nil {
@@ -249,6 +250,105 @@ func TestClusterConformance(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// spyBody notes, at every Read, whether the router had already stamped
+// its shard on the response — which serveLocal does as it hands the
+// request to the serving layer. A read before the stamp is the router
+// reading the body itself.
+type spyBody struct {
+	io.Reader
+	rw           *httptest.ResponseRecorder
+	reads, early int
+}
+
+func (b *spyBody) Read(p []byte) (int, error) {
+	b.reads++
+	if b.rw.Header().Get(cluster.ShardHeader) == "" {
+		b.early++
+	}
+	return b.Reader.Read(p)
+}
+
+// TestForwardedRequestIsNotReadByTheRouter: a request that already
+// crossed a hop is served locally whatever it names, so the receiving
+// router passes its body to the serving layer untouched — and the
+// answer is still the owner's, byte for byte. An unforwarded request is
+// the control: there the router must read the body to route it.
+func TestForwardedRequestIsNotReadByTheRouter(t *testing.T) {
+	ins := bootCluster(t, 2, 1, t.TempDir())
+	fitAndWait(t, ins[0].addr, "fwd", 11)
+	owner := ins[0].rt.Topology().Owners("fwd")[0]
+	body, err := json.Marshal(projBody("fwd", 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want, err := postJSON(owner, "/v1/project", projBody("fwd", 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range ins {
+		for _, forwarded := range []bool{true, false} {
+			rw := httptest.NewRecorder()
+			spy := &spyBody{Reader: bytes.NewReader(body), rw: rw}
+			req := httptest.NewRequest(http.MethodPost, "/v1/project", spy)
+			if forwarded {
+				req.Header.Set("X-Hpcnmf-Forwarded", "some-peer")
+			}
+			in.rt.ServeHTTP(rw, req)
+			if rw.Code != http.StatusOK || !bytes.Equal(rw.Body.Bytes(), want) {
+				t.Fatalf("via %s (forwarded %v): status %d, body differs from the owner's:\n got: %s\nwant: %s",
+					in.addr, forwarded, rw.Code, rw.Body, want)
+			}
+			if forwarded && (spy.early != 0 || spy.reads == 0) {
+				t.Errorf("forwarded via %s: %d of %d body reads came before the hand-off, want 0 of some", in.addr, spy.early, spy.reads)
+			}
+			if !forwarded && spy.early != spy.reads {
+				t.Errorf("control via %s: %d of %d body reads were the router's, want all", in.addr, spy.early, spy.reads)
+			}
+		}
+	}
+}
+
+// gibibyte supplies a never-ending JSON array, up to 1 GiB, and counts
+// what was taken.
+type gibibyte struct {
+	head  string
+	taken int64
+}
+
+var ones = strings.Repeat("1,", 1<<15)
+
+func (g *gibibyte) Read(p []byte) (int, error) {
+	if g.taken >= 1<<30 {
+		return 0, io.EOF
+	}
+	n := copy(p, g.head[min(g.taken, int64(len(g.head))):])
+	for n < len(p) {
+		n += copy(p[n:], ones) // a cut "1" runs into the next "1,": still a number
+	}
+	g.taken += int64(n)
+	return n, nil
+}
+
+// TestRouterRefusesOverCapBody: the router reads a body whole to route
+// it, so the cap is enforced there too — a 1 GiB body is refused with
+// 413 after cap + 1 bytes, before any peer or the serving layer sees it.
+func TestRouterRefusesOverCapBody(t *testing.T) {
+	ins := bootCluster(t, 2, 1, t.TempDir())
+	for _, path := range []string{"/v1/project", "/v1/fit"} {
+		body := &gibibyte{head: `{"model":"x","rows":1,"cols":1,"k":1,"column":[1],"data":[`}
+		req := httptest.NewRequest(http.MethodPost, path, body)
+		req.ContentLength = -1
+		rw := httptest.NewRecorder()
+		ins[0].rt.ServeHTTP(rw, req)
+		if rw.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d %s, want 413", path, rw.Code, rw.Body)
+		}
+		if body.taken > serve.MaxBodyBytes+1 {
+			t.Errorf("%s: router read %d bytes, want at most cap + 1 = %d", path, body.taken, serve.MaxBodyBytes+1)
 		}
 	}
 }

@@ -134,23 +134,25 @@ func (r *Router) Owns(id string) bool { return r.topo.IsOwner(r.self, id) }
 // routeByBodyModel routes a request whose model id lives in its JSON
 // body (/v1/project, /v1/fit): peek the id, serve locally when this
 // instance is in the owner set, otherwise forward to the owners in
-// rendezvous order.
+// rendezvous order. A request that already crossed a hop is served
+// locally whatever it names, so its body goes to the serving layer
+// unread.
 func (r *Router) routeByBodyModel(w http.ResponseWriter, req *http.Request) {
-	body, err := io.ReadAll(req.Body)
-	req.Body.Close()
-	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("cluster: reading request body: %w", err))
+	if req.Header.Get(forwardedHeader) != "" {
+		r.serveLocal(w, req, nil)
 		return
 	}
-	var peek struct {
-		Model string `json:"model"`
+	body, ok := serve.ReadBody(w, req)
+	if !ok {
+		return
 	}
-	if err := json.Unmarshal(body, &peek); err != nil || peek.Model == "" {
+	id := serve.PeekModel(body)
+	if id == "" {
 		// Not routable — let the serving layer produce its usual 400.
 		r.serveLocal(w, req, body)
 		return
 	}
-	r.route(w, req, peek.Model, body)
+	r.route(w, req, id, body)
 }
 
 // routeByPathModel routes a request whose model id is a path segment

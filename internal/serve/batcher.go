@@ -38,17 +38,19 @@ type projReq struct {
 
 var reqPool = sync.Pool{New: func() any { return &projReq{done: make(chan struct{}, 1)} }}
 
-// getReq draws a carrier and loads the input column into it.
-func getReq(col []float64) *projReq {
+// newReq draws a blank carrier; its col buffer keeps its capacity.
+func newReq() *projReq {
 	r := reqPool.Get().(*projReq)
 	r.err = nil
 	r.resid = 0
 	r.sc = trace.SpanContext{}
-	if cap(r.col) < len(col) {
-		r.col = make([]float64, len(col))
-	}
-	r.col = r.col[:len(col)]
-	copy(r.col, col)
+	return r
+}
+
+// getReq draws a carrier and loads the input column into it.
+func getReq(col []float64) *projReq {
+	r := newReq()
+	r.col = append(r.col[:0], col...)
 	return r
 }
 
@@ -62,15 +64,16 @@ func putReq(r *projReq) { reqPool.Put(r) }
 // discipline as the rank goroutines of the compute core, so the hot
 // path takes no locks beyond the queue mutex.
 //
-// Flush policy: a batch is cut when maxBatch columns are pending, or
-// maxDelay after the batch's first column arrived, whichever comes
-// first (maxDelay = 0 flushes whatever is queued immediately — the
-// lowest-latency, least-coalescing setting).
+// Flush policy is natural batching: the moment the loop is free it cuts
+// whatever is queued, up to maxBatch columns, and solves it. Columns
+// that arrive while a solve runs form the next stacked solve, so
+// requests coalesce exactly when the solver is the bottleneck, and a
+// lone request on an idle model waits for nothing — there is no timer
+// and no linger to tune.
 type batcher struct {
 	proj     *core.Projector
 	ws       *mat.Workspace
 	maxBatch int
-	maxDelay time.Duration
 	queueCap int
 	met      *serveMetrics
 	tc       *trace.Tracer // may be nil (tracing off)
@@ -80,34 +83,25 @@ type batcher struct {
 	queue  []*projReq
 	closed bool
 
-	full  chan struct{} // pulses when the queue reaches maxBatch
-	done  chan struct{} // loop exit
-	timer *time.Timer
+	done chan struct{} // loop exit
 
 	resid []float64 // per-flush residual scratch, cap maxBatch
 }
 
-// startBatcher builds a batcher around an existing projector and
-// launches its loop.
-func startBatcher(proj *core.Projector, maxBatch int, maxDelay time.Duration, queueCap int, met *serveMetrics, tc *trace.Tracer) *batcher {
+// newBatcher builds a batcher around an existing projector; nothing is
+// solved until its loop runs.
+func newBatcher(proj *core.Projector, maxBatch, queueCap int, met *serveMetrics, tc *trace.Tracer) *batcher {
 	b := &batcher{
 		proj:     proj,
 		ws:       mat.NewWorkspace(),
 		maxBatch: maxBatch,
-		maxDelay: maxDelay,
 		queueCap: queueCap,
 		met:      met,
 		tc:       tc,
-		full:     make(chan struct{}, 1),
 		done:     make(chan struct{}),
-		timer:    time.NewTimer(time.Hour),
 		resid:    make([]float64, maxBatch),
 	}
-	if !b.timer.Stop() {
-		<-b.timer.C
-	}
 	b.cond = sync.NewCond(&b.mu)
-	go b.loop()
 	return b
 }
 
@@ -116,24 +110,15 @@ func startBatcher(proj *core.Projector, maxBatch int, maxDelay time.Duration, qu
 // Callers hold the store's read lock, which excludes close.
 func (b *batcher) submit(reqs ...*projReq) error {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.closed {
-		b.mu.Unlock()
 		return errClosing
 	}
 	if len(b.queue)+len(reqs) > b.queueCap {
-		b.mu.Unlock()
 		return errBusy
 	}
 	b.queue = append(b.queue, reqs...)
-	n := len(b.queue)
-	b.mu.Unlock()
 	b.cond.Signal()
-	if n >= b.maxBatch {
-		select {
-		case b.full <- struct{}{}:
-		default:
-		}
-	}
 	return nil
 }
 
@@ -141,23 +126,13 @@ func (b *batcher) submit(reqs ...*projReq) error {
 // submitted before close is answered. Idempotent.
 func (b *batcher) close() {
 	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		<-b.done
-		return
-	}
 	b.closed = true
 	b.mu.Unlock()
 	b.cond.Signal()
-	select {
-	case b.full <- struct{}{}:
-	default:
-	}
 	<-b.done
 }
 
-// loop is the batching goroutine: wait for work, optionally linger up
-// to maxDelay to coalesce more columns, cut a batch of at most
+// loop is the batching goroutine: wait for work, cut a batch of at most
 // maxBatch, flush, repeat. On close it keeps cutting batches until the
 // queue is empty, so shutdown drains rather than drops.
 func (b *batcher) loop() {
@@ -168,37 +143,14 @@ func (b *batcher) loop() {
 		for len(b.queue) == 0 && !b.closed {
 			b.cond.Wait()
 		}
-		if len(b.queue) == 0 && b.closed {
+		if len(b.queue) == 0 {
 			b.mu.Unlock()
 			return
 		}
-		if b.maxDelay > 0 && len(b.queue) < b.maxBatch && !b.closed {
-			// Linger for stragglers: release the lock and wait for the
-			// queue to fill or the delay to lapse.
-			b.mu.Unlock()
-			select {
-			case <-b.full:
-			default:
-			}
-			b.timer.Reset(b.maxDelay)
-			select {
-			case <-b.full:
-				if !b.timer.Stop() {
-					<-b.timer.C
-				}
-			case <-b.timer.C:
-			}
-			b.mu.Lock()
-		}
-		n := len(b.queue)
-		if n > b.maxBatch {
-			n = b.maxBatch
-		}
+		n := min(len(b.queue), b.maxBatch)
 		batch = append(batch[:0], b.queue[:n]...)
 		rest := copy(b.queue, b.queue[n:])
-		for i := rest; i < len(b.queue); i++ {
-			b.queue[i] = nil
-		}
+		clear(b.queue[rest:])
 		b.queue = b.queue[:rest]
 		b.mu.Unlock()
 		b.flush(batch)

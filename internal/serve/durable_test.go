@@ -6,7 +6,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"log/slog"
@@ -32,14 +31,14 @@ const tinyBudget = 10 << 10
 // 404ing — eviction is no longer data loss.
 func TestEvictionFaultsBackFromStore(t *testing.T) {
 	ds := mstore.NewMemory()
-	s := New(Options{Durable: ds, StoreBudget: tinyBudget, MaxDelay: -1})
+	s := New(Options{Durable: ds, StoreBudget: tinyBudget})
 	defer s.Close()
 	if err := s.AddModel("victim", testBasis(24, 4, 1)); err != nil {
 		t.Fatal(err)
 	}
 	// Project once so we can compare coefficients after rehydration.
 	col := testColumn(24, 7)
-	before, err := s.project(context.Background(), "victim", col)
+	before, err := projectCol(s, "victim", col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +60,7 @@ func TestEvictionFaultsBackFromStore(t *testing.T) {
 	}
 
 	// The next projection faults it back in and answers identically.
-	after, err := s.project(context.Background(), "victim", col)
+	after, err := projectCol(s, "victim", col)
 	if err != nil {
 		t.Fatalf("project after eviction: %v", err)
 	}
@@ -88,7 +87,7 @@ func TestEvictionFaultsBackFromStore(t *testing.T) {
 func TestUndurableEvictionWarns(t *testing.T) {
 	var buf bytes.Buffer
 	logger := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelWarn}))
-	s := New(Options{StoreBudget: tinyBudget, MaxDelay: -1, Logger: logger})
+	s := New(Options{StoreBudget: tinyBudget, Logger: logger})
 	defer s.Close()
 	if err := s.AddModel("doomed", testBasis(24, 4, 1)); err != nil {
 		t.Fatal(err)
@@ -104,7 +103,7 @@ func TestUndurableEvictionWarns(t *testing.T) {
 		t.Fatalf("eviction warning missing or anonymous: %q", logged)
 	}
 	// And the projection against the lost model is a 404-style miss.
-	if _, err := s.project(context.Background(), "doomed", testColumn(24, 3)); !errors.Is(err, notFoundError{"doomed"}) {
+	if _, err := projectCol(s, "doomed", testColumn(24, 3)); !errors.Is(err, notFoundError{"doomed"}) {
 		t.Fatalf("project(lost model) = %v, want notFoundError", err)
 	}
 }
@@ -130,7 +129,7 @@ func (b *blockingStore) Get(id string) (*mstore.Model, error) {
 func TestRehydrating503(t *testing.T) {
 	mem := mstore.NewMemory()
 	bs := &blockingStore{ModelStore: mem, enter: make(chan struct{}), release: make(chan struct{})}
-	s := New(Options{Durable: bs, NoWarmStart: true, MaxDelay: -1})
+	s := New(Options{Durable: bs, NoWarmStart: true})
 	defer s.Close()
 	// Commit a model to the underlying store only (bypassing AddModel,
 	// which would also make it resident).
@@ -140,7 +139,7 @@ func TestRehydrating503(t *testing.T) {
 
 	firstDone := make(chan error, 1)
 	go func() {
-		r, err := s.project(context.Background(), "cold", testColumn(24, 5))
+		r, err := projectCol(s, "cold", testColumn(24, 5))
 		if err == nil {
 			putReq(r)
 		}
@@ -191,7 +190,6 @@ func TestWarmStartScan(t *testing.T) {
 	}
 	s := New(Options{
 		Durable:    ds,
-		MaxDelay:   -1,
 		WarmFilter: func(id string) bool { return !strings.HasPrefix(id, "skip-") },
 	})
 	defer s.Close()
@@ -205,7 +203,7 @@ func TestWarmStartScan(t *testing.T) {
 		t.Fatalf("warm_starts = %d, want 2", got)
 	}
 	// The filtered model still faults in on demand.
-	r, err := s.project(context.Background(), "skip-me", testColumn(24, 9))
+	r, err := projectCol(s, "skip-me", testColumn(24, 9))
 	if err != nil {
 		t.Fatalf("project(filtered model): %v", err)
 	}
@@ -220,7 +218,7 @@ func TestWarmStartScan(t *testing.T) {
 // matches the resident one bitwise.
 func TestFitCommitsDurably(t *testing.T) {
 	ds := mstore.NewMemory()
-	s := New(Options{Durable: ds, MaxDelay: -1})
+	s := New(Options{Durable: ds})
 	defer s.Close()
 	spec := FitRequest{Model: "fitted", Rows: 12, Cols: 8, K: 2, MaxIter: 10, Seed: 42}
 	spec.Data = make([]float64, spec.Rows*spec.Cols)
@@ -257,7 +255,7 @@ func TestFitCommitsDurably(t *testing.T) {
 // cannot resurrect through warm-start or fault-in.
 func TestDeleteRemovesDurable(t *testing.T) {
 	ds := mstore.NewMemory()
-	s := New(Options{Durable: ds, MaxDelay: -1})
+	s := New(Options{Durable: ds})
 	if err := s.AddModel("gone", testBasis(24, 4, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +275,7 @@ func TestDeleteRemovesDurable(t *testing.T) {
 	ts.Close()
 	s.Close()
 	// A restart over the same store must not resurrect it.
-	s2 := New(Options{Durable: ds, MaxDelay: -1})
+	s2 := New(Options{Durable: ds})
 	defer s2.Close()
 	if s2.HasModel("gone") {
 		t.Fatal("deleted model resurrected on warm-start")

@@ -3,7 +3,6 @@ package serve
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -21,7 +20,7 @@ import (
 // solve span, and the compute-kernel spans — across the request track
 // and the model batcher track.
 func TestRequestSpanParentsKernelChain(t *testing.T) {
-	s := newTestServer(t, Options{MaxDelay: -1, TraceEvents: true})
+	s := newTestServer(t, Options{TraceEvents: true})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -98,7 +97,7 @@ func verifyRequestChain(t *testing.T, tr *trace.Trace, sc trace.SpanContext) {
 // span is recorded as a child of the caller's span under the caller's
 // trace ID.
 func TestRequestSpanHonorsIncomingTraceID(t *testing.T) {
-	s := newTestServer(t, Options{MaxDelay: -1, TraceEvents: true})
+	s := newTestServer(t, Options{TraceEvents: true})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -135,10 +134,10 @@ func TestRequestSpanHonorsIncomingTraceID(t *testing.T) {
 // Prometheus by default, OpenMetrics (with # EOF) and JSON on request,
 // and the legacy human dump behind ?format=text.
 func TestMetricsNegotiation(t *testing.T) {
-	s := newTestServer(t, Options{MaxDelay: -1})
+	s := newTestServer(t, Options{})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
-	if r, err := s.project(context.Background(), "m1", testColumn(24, 7)); err != nil {
+	if r, err := projectCol(s, "m1", testColumn(24, 7)); err != nil {
 		t.Fatal(err)
 	} else {
 		putReq(r)
@@ -255,7 +254,7 @@ func TestPprofEndpointGated(t *testing.T) {
 // TestJobProgressStream: the NDJSON endpoint streams one line per
 // completed iteration and a terminal JobInfo line.
 func TestJobProgressStream(t *testing.T) {
-	s := New(Options{FitWorkers: 1, MaxDelay: -1})
+	s := New(Options{FitWorkers: 1})
 	defer s.Close()
 	ts := httptest.NewServer(s)
 	defer ts.Close()

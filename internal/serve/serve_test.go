@@ -48,93 +48,133 @@ func newTestServer(t *testing.T, opts Options) *Server {
 	return s
 }
 
-// TestProjectBatchesConcurrentRequests is the load test from the issue:
-// 32 concurrent clients each projecting single columns must coalesce so
-// that the solver-call counter lands measurably below the request
-// counter.
-func TestProjectBatchesConcurrentRequests(t *testing.T) {
-	const clients, rounds = 32, 8
-	s := newTestServer(t, Options{
-		MaxBatch: clients,
-		MaxDelay: 5 * time.Millisecond,
-		QueueCap: 4 * clients,
-	})
-	cols := make([][]float64, clients)
-	for i := range cols {
-		cols[i] = testColumn(24, int64(100+i))
+// projectCol runs one column down the serving path, as handleProject
+// does for a single-column body.
+func projectCol(s *Server, model string, col []float64) (*projReq, error) {
+	r := getReq(col)
+	if err := s.project(context.Background(), model, r); err != nil {
+		return nil, err
 	}
-	for round := 0; round < rounds; round++ {
-		start := make(chan struct{})
-		var wg sync.WaitGroup
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				<-start
-				r, err := s.project(context.Background(), "m1", cols[c])
-				if err != nil {
-					t.Errorf("project: %v", err)
-					return
-				}
-				if len(r.h) != 4 {
-					t.Errorf("got %d coefficients, want 4", len(r.h))
-				}
-				putReq(r)
-			}(c)
+	return r, nil
+}
+
+// parkedBatcher builds a batcher over the test basis whose loop has not
+// started: what is submitted stays queued until the test runs b.loop,
+// so queue states are set up exactly, with no clock involved.
+func parkedBatcher(t *testing.T, maxBatch, queueCap int) (*batcher, *serveMetrics) {
+	t.Helper()
+	proj, err := core.NewProjector(testBasis(24, 4, 1), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	met := newServeMetrics(metrics.NewRegistry())
+	return newBatcher(proj, maxBatch, queueCap, met, nil), met
+}
+
+func queueColumns(t *testing.T, b *batcher, n int) []*projReq {
+	t.Helper()
+	reqs := make([]*projReq, n)
+	for i := range reqs {
+		reqs[i] = getReq(testColumn(24, int64(100+i)))
+		if err := b.submit(reqs[i]); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
 		}
-		close(start)
-		wg.Wait()
 	}
-	requests := s.met.requests.Value()
-	solves := s.met.solves.Value()
-	if requests != clients*rounds {
-		t.Fatalf("requests counter = %d, want %d", requests, clients*rounds)
+	return reqs
+}
+
+// awaitAll checks every request was answered with 4 coefficients.
+func awaitAll(t *testing.T, reqs []*projReq) {
+	t.Helper()
+	for i, r := range reqs {
+		<-r.done
+		if r.err != nil || len(r.h) != 4 {
+			t.Fatalf("request %d: err %v, %d coefficients, want 4", i, r.err, len(r.h))
+		}
+		putReq(r)
 	}
-	if solves >= requests {
-		t.Fatalf("solves = %d not below requests = %d: batching is not coalescing", solves, requests)
+}
+
+// TestProjectBatchesConcurrentRequests: 32 columns queued while the
+// loop is busy (here: not yet started) are one stacked solve, not 32.
+func TestProjectBatchesConcurrentRequests(t *testing.T) {
+	b, met := parkedBatcher(t, 32, 128)
+	reqs := queueColumns(t, b, 32)
+	go b.loop()
+	awaitAll(t, reqs)
+	b.close()
+	if solves, cols := met.solves.Value(), met.batchCols.Sum(); solves != 1 || cols != 32 {
+		t.Fatalf("%d solves over %v columns, want exactly 1 solve of 32", solves, cols)
 	}
-	if 2*solves > requests {
-		t.Errorf("solves = %d for %d requests: expected at least 2x coalescing under concurrent load", solves, requests)
+	if met.batches.Value() != 1 || met.batchCols.Count() != 1 {
+		t.Errorf("batches = %d, batchCols observations = %d, want 1 and 1", met.batches.Value(), met.batchCols.Count())
 	}
-	if got := s.met.batchCols.Count(); got != s.met.batches.Value() {
-		t.Errorf("batchCols observations = %d, batches = %d", got, s.met.batches.Value())
+}
+
+// TestLoneRequestNotDelayed: natural batching has no timer to wait out.
+// A lone column on an idle batcher is cut as a batch of one as soon as
+// it is queued — the test would hang, not slow down, if the loop waited
+// for company.
+func TestLoneRequestNotDelayed(t *testing.T) {
+	b, met := parkedBatcher(t, 32, 128)
+	go b.loop()
+	for i := 0; i < 3; i++ {
+		awaitAll(t, queueColumns(t, b, 1))
+	}
+	b.close() // the loop records a batch after answering it
+	if solves, cols := met.solves.Value(), met.batchCols.Sum(); solves != 3 || cols != 3 {
+		t.Fatalf("%d solves over %v columns, want 3 solves of 1", solves, cols)
 	}
 }
 
 // TestCloseDrainsInflight verifies the drain-don't-drop shutdown
-// contract: every request accepted before Close is answered.
+// contract: every request accepted before close is answered.
 func TestCloseDrainsInflight(t *testing.T) {
-	const n = 20
-	s := newTestServer(t, Options{
-		MaxBatch: 8,
-		MaxDelay: 50 * time.Millisecond, // long linger: requests pile up
-		QueueCap: n,
-	})
-	reqs := make([]*projReq, n)
-	for i := range reqs {
-		reqs[i] = getReq(testColumn(24, int64(200+i)))
-	}
-	err := s.st.withModel("m1", func(m *model) error { return m.bat.submit(reqs...) })
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	s.Close()
+	b, met := parkedBatcher(t, 8, 20)
+	reqs := queueColumns(t, b, 20)
+	go b.loop()
+	b.close()
 	for i, r := range reqs {
-		select {
-		case <-r.done:
-		default:
+		if len(r.done) != 1 { // close has returned: the answer must be waiting
 			t.Fatalf("request %d was dropped by shutdown", i)
 		}
-		if r.err != nil {
-			t.Fatalf("request %d failed: %v", i, r.err)
-		}
-		if len(r.h) != 4 {
-			t.Fatalf("request %d: got %d coefficients, want 4", i, len(r.h))
-		}
-		putReq(r)
 	}
-	if s.met.solves.Value() == 0 {
-		t.Fatal("no solves recorded")
+	awaitAll(t, reqs)
+	if got := met.solves.Value(); got != 3 {
+		t.Fatalf("%d solves, want 3 (20 columns in batches of 8)", got)
+	}
+	if err := b.submit(getReq(testColumn(24, 1))); err != errClosing {
+		t.Fatalf("submit after close: %v, want errClosing", err)
+	}
+}
+
+// TestQueueBackpressure: a full projection queue rejects with errBusy
+// instead of blocking, a multi-column submit is all-or-nothing, and the
+// HTTP path counts the rejection.
+func TestQueueBackpressure(t *testing.T) {
+	b, _ := parkedBatcher(t, 4, 4)
+	reqs := queueColumns(t, b, 3)
+	two := []*projReq{getReq(testColumn(24, 8)), getReq(testColumn(24, 9))}
+	if err := b.submit(two...); err != errBusy {
+		t.Fatalf("3 queued + 2 over a cap of 4: %v, want errBusy", err)
+	}
+	reqs = append(reqs, queueColumns(t, b, 1)...) // exactly full
+	if err := b.submit(two[0]); err != errBusy {
+		t.Fatalf("queueCap + 1: %v, want errBusy", err)
+	}
+	go b.loop()
+	awaitAll(t, reqs)
+	b.close()
+
+	// Through the server: a request wider than the whole queue can never
+	// fit, whatever the loop is doing, and is counted as rejected.
+	s := newTestServer(t, Options{MaxBatch: 2, QueueCap: 2})
+	wide := []*projReq{getReq(two[0].col), getReq(two[0].col), getReq(two[0].col)}
+	if err := s.project(context.Background(), "m1", wide...); err != errBusy {
+		t.Fatalf("3 columns over a cap of 2: %v, want errBusy", err)
+	}
+	if got := s.met.rejected.Value(); got != 3 {
+		t.Fatalf("rejected counter = %d, want 3", got)
 	}
 }
 
@@ -143,7 +183,7 @@ func TestCloseDrainsInflight(t *testing.T) {
 func TestSubmitAfterCloseRejected(t *testing.T) {
 	s := newTestServer(t, Options{})
 	s.Close()
-	if _, err := s.project(context.Background(), "m1", testColumn(24, 3)); err == nil {
+	if _, err := projectCol(s, "m1", testColumn(24, 3)); err == nil {
 		t.Fatal("project after Close succeeded, want error")
 	}
 }
@@ -152,10 +192,10 @@ func TestSubmitAfterCloseRejected(t *testing.T) {
 // direct Projector call on the same basis.
 func TestProjectMatchesDirectSolve(t *testing.T) {
 	w := testBasis(24, 4, 1)
-	s := newTestServer(t, Options{MaxDelay: -1})
+	s := newTestServer(t, Options{})
 	col := testColumn(24, 7)
 
-	r, err := s.project(context.Background(), "m1", col)
+	r, err := projectCol(s, "m1", col)
 	if err != nil {
 		t.Fatalf("project: %v", err)
 	}
@@ -185,49 +225,15 @@ func TestProjectMatchesDirectSolve(t *testing.T) {
 
 func TestProjectErrors(t *testing.T) {
 	s := newTestServer(t, Options{})
-	if _, err := s.project(context.Background(), "nope", testColumn(24, 3)); err == nil {
+	if _, err := projectCol(s, "nope", testColumn(24, 3)); err == nil {
 		t.Fatal("unknown model accepted")
 	} else if _, ok := err.(notFoundError); !ok {
 		t.Fatalf("unknown model: got %T, want notFoundError", err)
 	}
-	if _, err := s.project(context.Background(), "m1", testColumn(7, 3)); err == nil {
+	if _, err := projectCol(s, "m1", testColumn(7, 3)); err == nil {
 		t.Fatal("wrong-shape column accepted")
 	} else if _, ok := err.(*shapeError); !ok {
 		t.Fatalf("wrong shape: got %T, want *shapeError", err)
-	}
-}
-
-// TestQueueBackpressure: a full projection queue rejects with errBusy
-// instead of blocking, and the rejection is counted.
-func TestQueueBackpressure(t *testing.T) {
-	s := newTestServer(t, Options{
-		MaxBatch: 4,
-		MaxDelay: time.Second, // park the loop so the queue stays full
-		QueueCap: 4,
-	})
-	reqs := make([]*projReq, 4)
-	for i := range reqs {
-		reqs[i] = getReq(testColumn(24, int64(i)))
-	}
-	if err := s.st.withModel("m1", func(m *model) error { return m.bat.submit(reqs...) }); err != nil {
-		t.Fatalf("fill: %v", err)
-	}
-	// The loop may already have cut a batch; keep stuffing until a
-	// submit bounces.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		r := getReq(testColumn(24, 9))
-		err := s.st.withModel("m1", func(m *model) error { return m.bat.submit(r) })
-		if err != nil {
-			putReq(r)
-			if err != errBusy {
-				t.Fatalf("got %v, want errBusy", err)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("queue never filled")
-		}
 	}
 }
 
@@ -244,7 +250,7 @@ func TestStoreEvictsLRU(t *testing.T) {
 		}
 	}
 	// Touch "a" so "b" is the LRU victim.
-	r, err := s.project(context.Background(), "a", testColumn(24, 5))
+	r, err := projectCol(s, "a", testColumn(24, 5))
 	if err != nil {
 		t.Fatalf("project(a): %v", err)
 	}
@@ -255,7 +261,7 @@ func TestStoreEvictsLRU(t *testing.T) {
 	if got := s.met.storeEvictions.Value(); got != 1 {
 		t.Fatalf("evictions = %d, want 1", got)
 	}
-	if _, err := s.project(context.Background(), "b", testColumn(24, 5)); err == nil {
+	if _, err := projectCol(s, "b", testColumn(24, 5)); err == nil {
 		t.Fatal("evicted model still serves")
 	}
 	ids := []string{}
@@ -274,7 +280,7 @@ func TestStoreReplaceClosesOldBatcher(t *testing.T) {
 	if err := s.AddModel("m1", testBasis(24, 4, 9)); err != nil {
 		t.Fatalf("replace: %v", err)
 	}
-	r, err := s.project(context.Background(), "m1", testColumn(24, 5))
+	r, err := projectCol(s, "m1", testColumn(24, 5))
 	if err != nil {
 		t.Fatalf("project after replace: %v", err)
 	}
@@ -336,7 +342,7 @@ func TestJobsBackpressure(t *testing.T) {
 // poll the job, project against the fitted model, inspect listings and
 // metrics, delete the model.
 func TestHTTPEndToEnd(t *testing.T) {
-	s := New(Options{FitWorkers: 1, MaxDelay: -1, TraceEvents: true})
+	s := New(Options{FitWorkers: 1, TraceEvents: true})
 	defer s.Close()
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -474,12 +480,11 @@ func TestProjectSteadyStateZeroAlloc(t *testing.T) {
 		t.Skip("race instrumentation allocates on channel operations")
 	}
 	s := newTestServer(t, Options{
-		MaxDelay:      -1,
 		ProjectSolver: core.SolverHALS,
 	})
 	col := testColumn(24, 5)
 	work := func() {
-		r, err := s.project(context.Background(), "m1", col)
+		r, err := projectCol(s, "m1", col)
 		if err != nil {
 			t.Fatalf("project: %v", err)
 		}
@@ -494,14 +499,14 @@ func TestProjectSteadyStateZeroAlloc(t *testing.T) {
 }
 
 func BenchmarkProjectSteadyState(b *testing.B) {
-	s := New(Options{MaxDelay: -1, ProjectSolver: core.SolverHALS})
+	s := New(Options{ProjectSolver: core.SolverHALS})
 	defer s.Close()
 	if err := s.AddModel("m1", testBasis(256, 16, 1)); err != nil {
 		b.Fatal(err)
 	}
 	col := testColumn(256, 5)
 	for i := 0; i < 20; i++ {
-		r, err := s.project(context.Background(), "m1", col)
+		r, err := projectCol(s, "m1", col)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -510,7 +515,7 @@ func BenchmarkProjectSteadyState(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := s.project(context.Background(), "m1", col)
+		r, err := projectCol(s, "m1", col)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -33,11 +33,6 @@ type Options struct {
 	// MaxBatch caps how many columns one stacked NNLS solve takes
 	// (default 32).
 	MaxBatch int
-	// MaxDelay is how long the batching loop lingers for stragglers
-	// after a batch's first column arrives (default 2ms; 0 flushes
-	// immediately — lowest latency, least coalescing). Negative
-	// selects 0.
-	MaxDelay time.Duration
 	// QueueCap bounds each model's pending projection queue; beyond it
 	// submits are rejected with 429 (default 4·MaxBatch).
 	QueueCap int
@@ -102,11 +97,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 32
-	}
-	if o.MaxDelay < 0 {
-		o.MaxDelay = 0
-	} else if o.MaxDelay == 0 {
-		o.MaxDelay = 2 * time.Millisecond
 	}
 	if o.QueueCap <= 0 {
 		o.QueueCap = 4 * o.MaxBatch
@@ -492,91 +482,55 @@ func (s *Server) newModel(id string, w *mat.Dense) (*model, error) {
 		s.sessions = append(s.sessions, sess)
 		s.traceMu.Unlock()
 	}
-	return &model{
-		id:    id,
-		w:     w,
-		bytes: modelBytes(w.Rows, w.Cols, s.opts.MaxBatch),
-		bat:   startBatcher(proj, s.opts.MaxBatch, s.opts.MaxDelay, s.opts.QueueCap, s.met, tc),
-	}, nil
+	bat := newBatcher(proj, s.opts.MaxBatch, s.opts.QueueCap, s.met, tc)
+	go bat.loop()
+	return &model{id: id, w: w, bytes: modelBytes(w.Rows, w.Cols, s.opts.MaxBatch), bat: bat}, nil
 }
 
-// project runs one column through the model's batching loop and
-// returns the request carrier (coefficients in r.h, relative residual
-// in r.resid). The caller must putReq it after copying the outputs.
-// A span context on ctx (trace.ContextWith) rides the carrier into the
+// project runs loaded carriers through the model's batching loop: all
+// are submitted atomically (they coalesce into the same batch, and a
+// full queue rejects the whole request rather than half of it), then
+// awaited. On success each carrier holds its coefficients in h and its
+// relative residual in resid, and the caller putReqs them after copying
+// those out; on failure they are already back in the pool. A span
+// context on ctx (trace.ContextWith) rides the carriers into the
 // batcher, which parents its batch span under it. This is the whole
-// per-request steady-state path — carrier from the pool, one atomic
-// submit, one channel round trip — and it allocates nothing once warm.
-func (s *Server) project(ctx context.Context, modelID string, col []float64) (*projReq, error) {
+// per-request steady-state path — one atomic submit, one channel round
+// trip per column — and it allocates nothing once warm.
+func (s *Server) project(ctx context.Context, modelID string, reqs ...*projReq) error {
 	start := time.Now()
-	s.met.requests.Inc()
-	r := getReq(col)
-	r.sc = trace.FromContext(ctx)
-	err := s.submitWithRehydrate(modelID, func(m *model) error {
-		if len(col) != m.w.Rows {
-			return &shapeError{got: len(col), want: m.w.Rows}
-		}
-		return m.bat.submit(r)
-	})
-	if err != nil {
-		putReq(r)
-		if errors.Is(err, errBusy) {
-			s.met.rejected.Inc()
-		}
-		return nil, err
-	}
-	<-r.done
-	if r.err != nil {
-		err := r.err
-		putReq(r)
-		return nil, err
-	}
-	s.met.requestLatency.Observe(time.Since(start).Seconds())
-	return r, nil
-}
-
-// projectMany submits every column of a request atomically (all
-// coalesce into the same batch window, and a full queue rejects the
-// whole request rather than half of it), then waits for all.
-func (s *Server) projectMany(ctx context.Context, modelID string, cols [][]float64) ([]*projReq, error) {
-	s.met.requests.Add(int64(len(cols)))
+	s.met.requests.Add(int64(len(reqs)))
 	sc := trace.FromContext(ctx)
-	reqs := make([]*projReq, len(cols))
-	for i, c := range cols {
-		reqs[i] = getReq(c)
-		reqs[i].sc = sc
+	for _, r := range reqs {
+		r.sc = sc
 	}
 	err := s.submitWithRehydrate(modelID, func(m *model) error {
-		for _, c := range cols {
-			if len(c) != m.w.Rows {
-				return &shapeError{got: len(c), want: m.w.Rows}
+		for _, r := range reqs {
+			if len(r.col) != m.w.Rows {
+				return &shapeError{got: len(r.col), want: m.w.Rows}
 			}
 		}
 		return m.bat.submit(reqs...)
 	})
+	if errors.Is(err, errBusy) {
+		s.met.rejected.Add(int64(len(reqs)))
+	}
+	if err == nil {
+		for _, r := range reqs {
+			<-r.done
+			if r.err != nil && err == nil {
+				err = r.err
+			}
+		}
+	}
 	if err != nil {
 		for _, r := range reqs {
 			putReq(r)
 		}
-		if errors.Is(err, errBusy) {
-			s.met.rejected.Add(int64(len(cols)))
-		}
-		return nil, err
+		return err
 	}
-	var firstErr error
-	for _, r := range reqs {
-		<-r.done
-		if r.err != nil && firstErr == nil {
-			firstErr = r.err
-		}
-	}
-	if firstErr != nil {
-		for _, r := range reqs {
-			putReq(r)
-		}
-		return nil, firstErr
-	}
-	return reqs, nil
+	s.met.requestLatency.Observe(time.Since(start).Seconds())
+	return nil
 }
 
 // shapeError reports a column/basis dimension mismatch (HTTP 400).
@@ -697,8 +651,12 @@ type ProjectResponse struct {
 }
 
 func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
+	body, ok := ReadBody(w, r)
+	if !ok {
+		return
+	}
 	var req FitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeFit(body, &req); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding fit request: %w", err))
 		return
 	}
@@ -800,24 +758,37 @@ func (s *Server) endRequest(sp trace.Span) {
 }
 
 func (s *Server) handleProject(w http.ResponseWriter, r *http.Request) {
+	body, ok := ReadBody(w, r)
+	if !ok {
+		return
+	}
 	var req ProjectRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding project request: %w", err))
+	first := newReq() // "column" is decoded straight into a pooled carrier
+	err := decodeProject(body, &req, first.col)
+	switch {
+	case err != nil:
+		err = fmt.Errorf("decoding project request: %w", err)
+	case req.Model == "":
+		err = fmt.Errorf("missing model id")
+	case req.Column == nil && len(req.Columns) == 0:
+		err = fmt.Errorf("no columns to project")
+	}
+	if err != nil {
+		putReq(first)
+		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if req.Model == "" {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("missing model id"))
-		return
-	}
-	cols := req.Columns
+	reqs := make([]*projReq, 0, 1+len(req.Columns))
 	if req.Column != nil {
-		cols = append([][]float64{req.Column}, cols...)
+		first.col = req.Column
+		reqs = append(reqs, first)
+	} else {
+		putReq(first)
 	}
-	if len(cols) == 0 {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("no columns to project"))
-		return
+	for _, c := range req.Columns {
+		reqs = append(reqs, getReq(c))
 	}
-	sp, sc := s.beginRequest(r, "http.project", int64(len(cols)))
+	sp, sc := s.beginRequest(r, "http.project", int64(len(reqs)))
 	ctx := r.Context()
 	if sc.Valid() {
 		// Echo the request's own span context so the caller can locate
@@ -825,10 +796,10 @@ func (s *Server) handleProject(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Trace-Id", sc.String())
 		ctx = trace.ContextWith(ctx, sc)
 	}
-	reqs, err := s.projectMany(ctx, req.Model, cols)
+	err = s.project(ctx, req.Model, reqs...)
 	s.endRequest(sp)
 	if err != nil {
-		s.log.Debug("project failed", "model", req.Model, "cols", len(cols), "err", err)
+		s.log.Debug("project failed", "model", req.Model, "cols", len(reqs), "err", err)
 		switch {
 		case errors.Is(err, errBusy):
 			w.Header().Set("Retry-After", "1")
