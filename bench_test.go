@@ -1,170 +1,21 @@
-// Benchmarks regenerating every evaluation artifact of the paper
-// (one benchmark per table/figure — see DESIGN.md's experiment index)
-// plus ablations for the design decisions and micro-benchmarks of the
-// kernels. The figure benchmarks run reduced sweeps so the whole
-// suite completes in minutes; `cmd/nmfbench` runs the full-scale
-// versions.
-//
-// Custom metrics: "modeled-s/iter" is the α-β-γ per-iteration time of
-// the HPC-NMF-2D configuration (the paper's headline quantity);
-// "speedup-vs-naive" is Naive's modeled time divided by HPC-2D's.
+// Ablation benchmarks for the design decisions DESIGN.md defends with a
+// number (decisions 1, 3, 4, the §7 solver trade and CommChunk). Every
+// other measurement lives in benchmark/ (see BENCHMARK.json); the
+// paper's figures and tables are regenerated by cmd/nmfbench.
 package hpcnmf_test
 
 import (
 	"fmt"
-	"io"
 	"testing"
 
-	"hpcnmf"
 	"hpcnmf/internal/core"
 	"hpcnmf/internal/datasets"
-	"hpcnmf/internal/experiments"
 	"hpcnmf/internal/mat"
 	"hpcnmf/internal/mpi"
 	"hpcnmf/internal/nnls"
-	"hpcnmf/internal/par"
 	"hpcnmf/internal/perf"
 	"hpcnmf/internal/rng"
-	"hpcnmf/internal/sparse"
 )
-
-// benchConfig is the reduced sweep used by the figure benchmarks.
-func benchConfig() experiments.Config {
-	return experiments.Config{
-		Scale:  0.25,
-		Seed:   42,
-		Iters:  2,
-		Ks:     []int{10, 50},
-		Ps:     []int{4, 16},
-		FixedP: 16,
-		FixedK: 50,
-		View:   "modeled",
-	}
-}
-
-// benchFigure runs one figure's sweep per benchmark iteration and
-// reports the paper's headline metrics from the final sweep.
-func benchFigure(b *testing.B, dataset string, scaling bool) {
-	b.Helper()
-	cfg := benchConfig()
-	var rows []experiments.Row
-	var err error
-	for i := 0; i < b.N; i++ {
-		if scaling {
-			rows, err = experiments.Scaling(dataset, cfg)
-		} else {
-			rows, err = experiments.Comparison(dataset, cfg)
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	var naive, hpc2d float64
-	for _, r := range rows {
-		pick := (scaling && r.P == cfg.Ps[len(cfg.Ps)-1]) || (!scaling && r.K == cfg.Ks[len(cfg.Ks)-1])
-		if !pick {
-			continue
-		}
-		switch r.Alg {
-		case experiments.AlgNaive:
-			naive = r.ModeledSeconds()
-		case experiments.AlgHPC2D:
-			hpc2d = r.ModeledSeconds()
-		}
-	}
-	if hpc2d > 0 {
-		b.ReportMetric(hpc2d, "modeled-s/iter")
-		b.ReportMetric(naive/hpc2d, "speedup-vs-naive")
-	}
-}
-
-// Figure 3, left column: rank sweeps at fixed p.
-func BenchmarkFig3a_SSYNComparison(b *testing.B)    { benchFigure(b, "ssyn", false) }
-func BenchmarkFig3c_DSYNComparison(b *testing.B)    { benchFigure(b, "dsyn", false) }
-func BenchmarkFig3e_WebbaseComparison(b *testing.B) { benchFigure(b, "webbase", false) }
-func BenchmarkFig3g_VideoComparison(b *testing.B)   { benchFigure(b, "video", false) }
-
-// Figure 3, right column: strong scaling at fixed k.
-func BenchmarkFig3b_SSYNScaling(b *testing.B)    { benchFigure(b, "ssyn", true) }
-func BenchmarkFig3d_DSYNScaling(b *testing.B)    { benchFigure(b, "dsyn", true) }
-func BenchmarkFig3f_WebbaseScaling(b *testing.B) { benchFigure(b, "webbase", true) }
-func BenchmarkFig3h_VideoScaling(b *testing.B)   { benchFigure(b, "video", true) }
-
-// BenchmarkTable2Validation reruns the Table 2 exact-count validation
-// (analytical words/messages vs counted traffic).
-func BenchmarkTable2Validation(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if err := experiments.Run("table2", cfg, io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable3 regenerates the per-iteration running-time table.
-func BenchmarkTable3(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if err := experiments.Run("table3", cfg, io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMUSparseIteration reproduces the §6.2 qualitative claim:
-// one MU iteration on a large sparse matrix runs in seconds in an
-// in-memory implementation (vs ~50 min/iteration cited for Hadoop).
-func BenchmarkMUSparseIteration(b *testing.B) {
-	m, n := 1<<13, 1<<12
-	a := core.WrapSparse(datasets.SSYN(m, n, 0.006, 42))
-	opts := core.Options{K: 8, MaxIter: 1, Seed: 42, Solver: core.SolverMU}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.RunParallelAuto(a, 16, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Per-algorithm, per-dataset single-iteration benchmarks (the
-// cells of Table 3, directly benchable). ---
-
-func benchOneIteration(b *testing.B, dataset, alg string, p int) {
-	b.Helper()
-	ds, err := datasets.ByName(dataset, 0.25, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := core.Options{K: 50, MaxIter: 1, Seed: 42}
-	run := func() (*core.Result, error) {
-		switch alg {
-		case "naive":
-			return core.RunNaive(ds.Matrix, p, opts)
-		case "hpc1d":
-			return hpcnmf.RunOnGrid(ds.Matrix, p, 1, opts)
-		default:
-			return core.RunParallelAuto(ds.Matrix, p, opts)
-		}
-	}
-	b.ResetTimer()
-	var res *core.Result
-	for i := 0; i < b.N; i++ {
-		if res, err = run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.Breakdown.ModeledTotal(), "modeled-s/iter")
-}
-
-func BenchmarkIterNaiveSSYN(b *testing.B)    { benchOneIteration(b, "ssyn", "naive", 16) }
-func BenchmarkIterHPC1DSSYN(b *testing.B)    { benchOneIteration(b, "ssyn", "hpc1d", 16) }
-func BenchmarkIterHPC2DSSYN(b *testing.B)    { benchOneIteration(b, "ssyn", "hpc2d", 16) }
-func BenchmarkIterNaiveDSYN(b *testing.B)    { benchOneIteration(b, "dsyn", "naive", 16) }
-func BenchmarkIterHPC2DDSYN(b *testing.B)    { benchOneIteration(b, "dsyn", "hpc2d", 16) }
-func BenchmarkIterHPC1DVideo(b *testing.B)   { benchOneIteration(b, "video", "hpc1d", 16) }
-func BenchmarkIterHPC2DWebbase(b *testing.B) { benchOneIteration(b, "webbase", "hpc2d", 16) }
-
-// --- Ablations (DESIGN.md decisions) ---
 
 // BenchmarkAblationCollectives compares the O(log p) tree all-gather
 // against the naive linear exchange at p=16: same words, 4x the
@@ -240,174 +91,6 @@ func BenchmarkAblationSolvers(b *testing.B) {
 				if _, err := core.RunSequential(a, opts); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
-	}
-}
-
-// --- Kernel micro-benchmarks ---
-
-func BenchmarkKernelMulABt(b *testing.B) {
-	s := rng.New(1)
-	a := mat.NewDense(1024, 64)
-	a.RandomUniform(s)
-	h := mat.NewDense(50, 64)
-	h.RandomUniform(s)
-	b.SetBytes(int64(8 * a.Rows * a.Cols))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mat.MulABt(a, h)
-	}
-}
-
-func BenchmarkKernelGram(b *testing.B) {
-	s := rng.New(2)
-	a := mat.NewDense(4096, 50)
-	a.RandomUniform(s)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mat.Gram(a)
-	}
-}
-
-func BenchmarkKernelSpMM(b *testing.B) {
-	a := sparse.RandomER(4096, 2048, 0.005, rng.New(3))
-	h := mat.NewDense(2048, 50)
-	h.RandomUniform(rng.New(4))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.MulBt(h)
-	}
-}
-
-func BenchmarkKernelCholesky(b *testing.B) {
-	s := rng.New(5)
-	c := mat.NewDense(200, 50)
-	c.RandomUniform(s)
-	g := mat.Gram(c)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mat.Cholesky(g); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchKernelImpls runs one kernel under the three implementations the
-// drivers can pick from: the retained naive reference loops, the
-// blocked/register-tiled kernels inline, and the same kernels on a
-// 4-worker pool. `go test -bench=Kernel -benchtime=1x` is the CI smoke
-// pass over all of them.
-func benchKernelImpls(b *testing.B, naive func(), blocked func(p *par.Pool)) {
-	b.Helper()
-	b.Run("naive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			naive()
-		}
-	})
-	b.Run("blocked", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			blocked(nil)
-		}
-	})
-	b.Run("pooled4", func(b *testing.B) {
-		pool := par.NewPool(4)
-		defer pool.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			blocked(pool)
-		}
-	})
-}
-
-func BenchmarkKernelMulAtB(b *testing.B) {
-	s := rng.New(7)
-	w := mat.NewDense(2048, 50)
-	w.RandomUniform(s)
-	a := mat.NewDense(2048, 256)
-	a.RandomUniform(s)
-	c := mat.NewDense(50, 256)
-	benchKernelImpls(b,
-		func() { c.Zero(); mat.RefMulAtBAddTo(c, w, a) },
-		func(p *par.Pool) { mat.ParMulAtBTo(c, w, a, p) })
-}
-
-func BenchmarkKernelGramImpls(b *testing.B) {
-	s := rng.New(8)
-	a := mat.NewDense(4096, 50)
-	a.RandomUniform(s)
-	g := mat.NewDense(50, 50)
-	benchKernelImpls(b,
-		func() { g.Zero(); mat.RefGramAddTo(g, a) },
-		func(p *par.Pool) { mat.ParGramTo(g, a, p) })
-}
-
-func BenchmarkKernelMulABtImpls(b *testing.B) {
-	s := rng.New(9)
-	a := mat.NewDense(2048, 256)
-	a.RandomUniform(s)
-	h := mat.NewDense(50, 256)
-	h.RandomUniform(s)
-	c := mat.NewDense(2048, 50)
-	benchKernelImpls(b,
-		func() { mat.RefMulABtTo(c, a, h) },
-		func(p *par.Pool) { mat.ParMulABtTo(c, a, h, p) })
-}
-
-func BenchmarkKernelSpMMImpls(b *testing.B) {
-	a := sparse.RandomER(4096, 2048, 0.005, rng.New(10))
-	ht := mat.NewDense(2048, 50)
-	ht.RandomUniform(rng.New(11))
-	c := mat.NewDense(4096, 50)
-	benchKernelImpls(b,
-		func() { a.MulBtTo(c, ht, nil) },
-		func(p *par.Pool) { a.MulBtTo(c, ht, p) })
-}
-
-func BenchmarkKernelBPP(b *testing.B) {
-	s := rng.New(6)
-	c := mat.NewDense(200, 30)
-	c.RandomUniform(s)
-	g := mat.Gram(c)
-	bm := mat.NewDense(200, 100)
-	for i := range bm.Data {
-		bm.Data[i] = s.Float64()*2 - 0.5
-	}
-	f := mat.MulAtB(c, bm)
-	solver := nnls.NewBPP()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := solver.Solve(g, f, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCollAllReduce(b *testing.B) {
-	const p = 16
-	for i := 0; i < b.N; i++ {
-		w := mpi.NewWorld(p)
-		w.Run(func(c *mpi.Comm) {
-			data := make([]float64, 2500) // k=50 Gram matrix
-			for rep := 0; rep < 16; rep++ {
-				c.AllReduce(data)
-			}
-		})
-	}
-}
-
-func BenchmarkCollReduceScatter(b *testing.B) {
-	const p = 16
-	counts := make([]int, p)
-	for i := range counts {
-		counts[i] = 512
-	}
-	for i := 0; i < b.N; i++ {
-		w := mpi.NewWorld(p)
-		w.Run(func(c *mpi.Comm) {
-			data := make([]float64, 512*p)
-			for rep := 0; rep < 16; rep++ {
-				c.ReduceScatter(data, counts)
 			}
 		})
 	}

@@ -38,56 +38,22 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("nmfbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp     = fs.String("exp", "all", "experiment id(s), comma-separated, or 'all': "+strings.Join(experiments.Names(), ", "))
-		scale   = fs.Float64("scale", 1.0, "dataset scale factor (1.0 = paper-shaped defaults)")
-		iters   = fs.Int("iters", 3, "alternating iterations to measure")
-		seed    = fs.Uint64("seed", 42, "random seed")
-		view    = fs.String("view", "modeled", "time view: modeled, measured, both, or csv (figure experiments)")
-		p       = fs.Int("p", 16, "processor count for comparison experiments")
-		k       = fs.Int("k", 50, "rank for scaling experiments")
-		ks      = fs.String("ks", "10,20,30,40,50", "rank sweep for comparison experiments")
-		ps      = fs.String("ps", "4,16,64", "processor sweep for scaling experiments")
-		jsonP   = fs.String("json", "", "write a machine-readable BenchReport JSON for the selected figure/table3 experiments (e.g. BENCH_main.json)")
-		kernels = fs.Bool("kernels", false, "run the compute-kernel micro-benchmarks (blocked vs. naive) instead of the figure experiments; with -json, write a KernelReport (e.g. BENCH_kernels.json)")
-		reps    = fs.Int("reps", 3, "repetitions per kernel timing (-kernels); each row reports the best")
-		threads = fs.String("threads", "1,4", "kernel pool widths to time (-kernels)")
+		exp   = fs.String("exp", "all", "experiment id(s), comma-separated, or 'all': "+strings.Join(experiments.Names(), ", "))
+		scale = fs.Float64("scale", 1.0, "dataset scale factor (1.0 = paper-shaped defaults)")
+		iters = fs.Int("iters", 3, "alternating iterations to measure")
+		seed  = fs.Uint64("seed", 42, "random seed")
+		view  = fs.String("view", "modeled", "time view: modeled, measured, both, or csv (figure experiments)")
+		p     = fs.Int("p", 16, "processor count for comparison experiments")
+		k     = fs.Int("k", 50, "rank for scaling experiments")
+		ks    = fs.String("ks", "10,20,30,40,50", "rank sweep for comparison experiments")
+		ps    = fs.String("ps", "4,16,64", "processor sweep for scaling experiments")
+		jsonP = fs.String("json", "", "write a machine-readable BenchReport JSON for the selected figure/table3 experiments (e.g. BENCH_main.json)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
-	}
-
-	if *kernels {
-		tlist, err := parseInts(*threads)
-		if err != nil {
-			return fmt.Errorf("bad -threads: %w", err)
-		}
-		kcfg := experiments.KernelConfig{K: *k, Threads: tlist, Reps: *reps, Seed: *seed}
-		if *scale != 1.0 {
-			kcfg.M = int(10000 * *scale)
-			kcfg.N = int(400 * *scale)
-			kcfg.HPCNodes = int(3000 * *scale)
-		}
-		rep := experiments.CollectKernels(kcfg)
-		if *jsonP != "" {
-			out, err := os.Create(*jsonP)
-			if err != nil {
-				return err
-			}
-			if err := rep.WriteJSON(out); err != nil {
-				out.Close()
-				return fmt.Errorf("writing %s: %w", *jsonP, err)
-			}
-			if err := out.Close(); err != nil {
-				return fmt.Errorf("writing %s: %w", *jsonP, err)
-			}
-			fmt.Fprintf(stdout, "wrote %s (%d rows, schema v%d)\n", *jsonP, len(rep.Rows), rep.Version)
-		} else {
-			experiments.WriteKernelTable(rep, stdout)
-		}
-		return nil
 	}
 
 	cfg := experiments.Config{

@@ -15,7 +15,6 @@ func TestBenchFlagValidation(t *testing.T) {
 		{"-ks", "10,froggy"},
 		{"-ps", "0"},
 		{"-exp", "not-an-experiment", "-scale", "0.05"},
-		{"-kernels", "-threads", "zero"},
 		{"stray-arg"},
 		{"-not-a-flag"},
 	}
@@ -61,35 +60,25 @@ func TestBenchJSONReport(t *testing.T) {
 	}
 }
 
-// -kernels prints the documented table, and with -json writes a
-// versioned KernelReport (the BENCH_kernels.json format).
-func TestBenchKernelsReport(t *testing.T) {
-	small := []string{"-kernels", "-scale", "0.02", "-k", "4", "-reps", "1", "-threads", "1"}
+// The kernel micro-benchmarks and the out-of-core driver left this
+// command (benchmark/ measures both): the flag is unknown, and the
+// experiment error names what is left.
+func TestBenchRetiredSurfaces(t *testing.T) {
 	var out, errb bytes.Buffer
-	if err := run(small, &out, &errb); err != nil {
-		t.Fatalf("run(%v): %v", small, err)
+	err := run([]string{"-kernels"}, &out, &errb)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -kernels") {
+		t.Errorf("run(-kernels) = %v, want an unknown-flag error", err)
 	}
-	for _, want := range []string{"Kernel micro-benchmarks", "MulAtB", "HPC2Dwebbase"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("kernel table missing %q:\n%s", want, out.String())
+	err = run([]string{"-exp", "ooc", "-scale", "0.05"}, &out, &errb)
+	if err == nil {
+		t.Fatal("run(-exp ooc) succeeded, want unknown experiment")
+	}
+	for _, want := range []string{`unknown experiment "ooc"`, "fig3a", "table2", "solvers"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("run(-exp ooc) error %q does not name %q", err, want)
 		}
 	}
-	path := filepath.Join(t.TempDir(), "kernels.json")
-	if err := run(append(small, "-json", path), &out, &errb); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep struct {
-		Version int              `json:"version"`
-		Rows    []map[string]any `json:"rows"`
-	}
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatalf("kernel report is not valid JSON: %v", err)
-	}
-	if rep.Version < 1 || len(rep.Rows) == 0 {
-		t.Errorf("kernel report empty or unversioned: version=%d rows=%d", rep.Version, len(rep.Rows))
+	if strings.Contains(err.Error(), "solvers, ooc") {
+		t.Errorf("run(-exp ooc) error still lists ooc as known: %v", err)
 	}
 }

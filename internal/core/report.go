@@ -16,16 +16,12 @@ import (
 // comparisons. Version history:
 //
 //	1 — initial schema
-//	2 — adds the per-iteration "progress" telemetry series (pure
-//	    addition; v1 reports remain readable); later also gains
-//	    dataset.storage, kernel_isa, the top-level "updater"
-//	    recording the algorithm plug-in the skeleton ran, and the
-//	    "ooc" tile-I/O section of out-of-core runs (all pure
+//	2 — adds the per-iteration "progress" telemetry series; later
+//	    also gains dataset.storage, kernel_isa, the top-level
+//	    "updater" recording the algorithm plug-in the skeleton ran,
+//	    and the "ooc" tile-I/O section of out-of-core runs (all pure
 //	    additions)
 const ReportVersion = 2
-
-// minReportVersion is the oldest schema this build still reads.
-const minReportVersion = 1
 
 // DatasetInfo describes the factorized matrix in a run report.
 type DatasetInfo struct {
@@ -201,16 +197,15 @@ func (r *Report) WriteJSONFile(path string) error {
 	return out.Close()
 }
 
-// ParseReport reads a report written by WriteJSON, rejecting unknown
-// schema versions.
+// ParseReport reads a report written by WriteJSON, rejecting every
+// schema version but ReportVersion (no writer of an older one remains).
 func ParseReport(rd io.Reader) (*Report, error) {
 	var rep Report
 	if err := json.NewDecoder(rd).Decode(&rep); err != nil {
 		return nil, fmt.Errorf("core: parsing run report: %w", err)
 	}
-	if rep.Version < minReportVersion || rep.Version > ReportVersion {
-		return nil, fmt.Errorf("core: run report version %d, this build reads %d through %d",
-			rep.Version, minReportVersion, ReportVersion)
+	if rep.Version != ReportVersion {
+		return nil, fmt.Errorf("core: run report version %d, this build reads %d", rep.Version, ReportVersion)
 	}
 	return &rep, nil
 }

@@ -91,24 +91,13 @@ func TestParseReportRejectsWrongVersion(t *testing.T) {
 	if _, err := ParseReport(strings.NewReader(`{"version": 0}`)); err == nil {
 		t.Fatal("accepted pre-v1 schema version")
 	}
+	// Schema v1 lost its last writer when v2 added the progress series.
+	v1 := `{"version": 1, "algorithm": "Sequential", "iterations": 3, "rel_err": [0.5, 0.4, 0.3]}`
+	if _, err := ParseReport(strings.NewReader(v1)); err == nil {
+		t.Fatal("accepted schema v1")
+	}
 	if _, err := ParseReport(strings.NewReader(`{`)); err == nil {
 		t.Fatal("accepted truncated JSON")
-	}
-}
-
-// Reports written before the progress series existed (schema v1) must
-// stay readable.
-func TestParseReportAcceptsV1(t *testing.T) {
-	v1 := `{"version": 1, "algorithm": "Sequential", "iterations": 3, "rel_err": [0.5, 0.4, 0.3]}`
-	rep, err := ParseReport(strings.NewReader(v1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Version != 1 || rep.Iterations != 3 || len(rep.RelErr) != 3 {
-		t.Fatalf("v1 fields lost: %+v", rep)
-	}
-	if rep.Progress != nil {
-		t.Fatal("v1 report grew a progress series from nowhere")
 	}
 }
 

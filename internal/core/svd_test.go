@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"hpcnmf/internal/grid"
 	"hpcnmf/internal/mat"
 	"hpcnmf/internal/rng"
 	"hpcnmf/internal/sparse"
@@ -177,49 +176,5 @@ func TestNNDSVDFillMean(t *testing.T) {
 	}
 	if w.Min() <= 0 || h.Min() <= 0 {
 		t.Fatal("NNDSVDa left zeros")
-	}
-}
-
-// TestExplicitInitParallelConsistency: slicing an explicit init must
-// keep parallel runs identical to the sequential one.
-func TestExplicitInitParallelConsistency(t *testing.T) {
-	a := WrapDense(lowRankDense(36, 28, 4, 0.05, 109))
-	w0, h0, err := NNDSVD(a, 4, true, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := testOpts(4)
-	opts.MaxIter = 4
-	opts.InitW, opts.InitH = w0, h0
-	seq, err := RunSequential(a, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RunHPC(a, grid.New(2, 3), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := par.W.MaxDiff(seq.W); d > 1e-6 {
-		t.Fatalf("explicit-init HPC diverged by %g", d)
-	}
-	nv, err := RunNaive(a, 3, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := nv.H.MaxDiff(seq.H); d > 1e-6 {
-		t.Fatalf("explicit-init Naive diverged by %g", d)
-	}
-}
-
-func TestExplicitInitValidation(t *testing.T) {
-	a := WrapDense(lowRankDense(10, 8, 2, 0, 113))
-	bad := mat.NewDense(9, 2) // wrong rows
-	if _, err := RunSequential(a, Options{K: 2, InitW: bad}); err == nil {
-		t.Fatal("wrong-shape InitW accepted")
-	}
-	neg := mat.NewDense(10, 2)
-	neg.Set(0, 0, -1)
-	if _, err := RunSequential(a, Options{K: 2, InitW: neg}); err == nil {
-		t.Fatal("negative InitW accepted")
 	}
 }

@@ -77,85 +77,15 @@ func (o SymOptions) withDefaults(a Matrix) (SymOptions, error) {
 // Gram augmented by α·I and the right-hand side by α times the other
 // factor, so the same BPP solver applies.
 func RunSymNMF(a Matrix, opts SymOptions) (*SymResult, error) {
-	opts, err := opts.withDefaults(a)
-	if err != nil {
-		return nil, err
-	}
-	_, n := a.Dims()
-	k, alpha := opts.K, opts.Alpha
-	solver := nnls.NewBPP()
-
-	h := initW(n, k, 0, opts.Seed)   // n×k
-	w := initW(n, k, 0, opts.Seed+1) // n×k
-	normA2 := a.SquaredFrobeniusNorm()
-	normA := math.Sqrt(normA2)
-
-	var relErr []float64
-	iters := 0
-	for it := 0; it < opts.MaxIter; it++ {
-		iters++
-		// W given H: (HᵀH + αI)·Wᵀ = (A·H)ᵀ + α·Hᵀ.
-		g := mat.Gram(h)
-		for i := 0; i < k; i++ {
-			g.Set(i, i, g.At(i, i)+alpha)
-		}
-		f := a.MulBt(h) // A·H, n×k (A symmetric so A·H = AᵀH)
-		ft := f.T()
-		hT := h.T()
-		rhs := ft.Clone()
-		for i := range rhs.Data {
-			rhs.Data[i] += alpha * hT.Data[i]
-		}
-		x, _, err := solver.Solve(g, rhs, w.T())
-		if err != nil {
-			return nil, fmt.Errorf("core: SymNMF W update failed at iteration %d: %w", it, err)
-		}
-		w = x.T()
-
-		// H given W: (WᵀW + αI)·Hᵀ = (Aᵀ·W)ᵀ + α·Wᵀ.
-		g = mat.Gram(w)
-		for i := 0; i < k; i++ {
-			g.Set(i, i, g.At(i, i)+alpha)
-		}
-		f = a.MulBt(w)
-		ft = f.T()
-		wT := w.T()
-		rhs = ft.Clone()
-		for i := range rhs.Data {
-			rhs.Data[i] += alpha * wT.Data[i]
-		}
-		if x, _, err = solver.Solve(g, rhs, h.T()); err != nil {
-			return nil, fmt.Errorf("core: SymNMF H update failed at iteration %d: %w", it, err)
-		}
-		h = x.T()
-
-		// Report the symmetric fit ‖A − H·Hᵀ‖/‖A‖ via byproducts:
-		// ‖A−HHᵀ‖² = ‖A‖² − 2⟨A·H, H⟩ + ‖HᵀH‖².
-		ah := a.MulBt(h)
-		hth := mat.Gram(h)
-		fit := normA2 - 2*mat.Dot(ah, h) + hth.SquaredFrobeniusNorm()
-		if fit < 0 {
-			fit = 0
-		}
-		relErr = append(relErr, math.Sqrt(fit)/normA)
-
-		// Stop when W and H have fused.
-		if opts.Tol > 0 {
-			diff := w.Clone()
-			diff.Sub(h)
-			if diff.FrobeniusNorm() <= opts.Tol*h.FrobeniusNorm() {
-				break
-			}
-		}
-	}
-	return &SymResult{H: h, RelErr: relErr, Iterations: iters}, nil
+	return RunSymNMFParallel(a, 1, opts)
 }
 
 // RunSymNMFParallel runs symmetric NMF on p simulated ranks with the
 // double-partitioned layout of Algorithm 2 (each rank owns a row
 // block of A and the matching row blocks of W and H; full factors are
-// assembled with all-gathers each half-iteration). With a shared seed
-// it computes the same iterates as RunSymNMF up to reduction order.
+// assembled with all-gathers each half-iteration). RunSymNMF is the
+// p = 1 case; with a shared seed every p computes the same iterates up
+// to reduction order.
 func RunSymNMFParallel(a Matrix, p int, opts SymOptions) (*SymResult, error) {
 	opts, err := opts.withDefaults(a)
 	if err != nil {

@@ -26,6 +26,7 @@ import (
 	"strings"
 
 	"hpcnmf/internal/grid"
+	"hpcnmf/internal/partition"
 )
 
 // Counts is a per-task traffic prediction for one rank along the
@@ -153,7 +154,18 @@ func Advise(pb Problem, ranked []GridCandidate, alpha, beta, gamma float64) []Ad
 		}
 	}
 	p := best.Grid.Size()
-	naive := NaiveExact(pb.M, pb.N, pb.K, p, 2*pb.NNZ/int64(p))
+	// Rank i of Algorithm 2 holds row block i and column block i; like
+	// Price, charge the heaviest rank of a CSR, not the even split.
+	rankNNZ := 2 * pb.NNZ / int64(p)
+	if pb.CSR != nil {
+		rows := partition.BlockNNZ(pb.CSR, grid.Grid{PR: p, PC: 1})
+		cols := partition.BlockNNZ(pb.CSR, grid.Grid{PR: 1, PC: p})
+		rankNNZ = 0
+		for i := 0; i < p; i++ {
+			rankNNZ = max(rankNNZ, int64(rows[i][0]+cols[0][i]))
+		}
+	}
+	naive := NaiveExact(pb.M, pb.N, pb.K, p, rankNNZ)
 	out = append(out, Advice{Algorithm: "Naive", Seconds: naive.Seconds(alpha, beta, gamma)})
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Seconds < out[j].Seconds })
 	return out

@@ -9,6 +9,8 @@ import (
 	"hpcnmf/internal/datasets"
 	"hpcnmf/internal/grid"
 	"hpcnmf/internal/perf"
+	"hpcnmf/internal/rng"
+	"hpcnmf/internal/sparse"
 )
 
 // TestNaiveCountsMatchModel runs the actual Naive algorithm and checks
@@ -207,4 +209,75 @@ func adviseDense(t *testing.T, m, n, k, p int) []costmodel.Advice {
 		t.Fatal(err)
 	}
 	return costmodel.Advise(pb, ranked, e.Alpha, e.Beta, e.Gamma)
+}
+
+// The Naive row is priced by the rule every HPC row uses: for a CSR,
+// the heaviest rank's nnz(A_i) + nnz(Aⁱ), never below the even split;
+// dense storage keeps the even 2·m·n/p.
+func TestAdviseNaiveRowPricesHeaviestRank(t *testing.T) {
+	e := perf.Edison()
+	naiveRow := func(pb costmodel.Problem, p int) float64 {
+		t.Helper()
+		ranked, err := costmodel.Plan(pb, p, e.Alpha, e.Beta, e.Gamma)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range costmodel.Advise(pb, ranked, e.Alpha, e.Beta, e.Gamma) {
+			if a.Algorithm == "Naive" {
+				return a.Seconds
+			}
+		}
+		t.Fatal("no Naive row")
+		return 0
+	}
+	price := func(pb costmodel.Problem, p int, nnz int64) float64 {
+		return costmodel.NaiveExact(pb.M, pb.N, pb.K, p, nnz).Seconds(e.Alpha, e.Beta, e.Gamma)
+	}
+	const k = 8
+	skewed := false
+	for _, tc := range []struct {
+		nodes, deg, p int
+		seed          uint64
+	}{{256, 6, 4, 1}, {256, 6, 16, 2}, {300, 5, 6, 3}, {512, 8, 8, 4}} {
+		a := sparse.RandomPowerLaw(tc.nodes, tc.deg, rng.New(tc.seed))
+		pb := costmodel.Problem{M: a.Rows, N: a.Cols, K: k, NNZ: int64(a.NNZ()), CSR: a}
+		// Per-rank counts straight off the CSR, independent of BlockNNZ.
+		owner := func(idx, n int) int {
+			for b, start := 0, 0; ; b++ {
+				start += grid.BlockSize(n, tc.p, b)
+				if idx < start {
+					return b
+				}
+			}
+		}
+		perRank := make([]int64, tc.p)
+		for i := 0; i < a.Rows; i++ {
+			for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
+				perRank[owner(i, a.Rows)]++
+				perRank[owner(a.ColIdx[q], a.Cols)]++
+			}
+		}
+		var heaviest int64
+		for _, c := range perRank {
+			heaviest = max(heaviest, c)
+		}
+		even := 2 * pb.NNZ / int64(tc.p)
+		got := naiveRow(pb, tc.p)
+		if want := price(pb, tc.p, heaviest); got != want {
+			t.Errorf("power-law n=%d p=%d: Naive row %v, want NaiveExact at the heaviest rank's %d entries = %v", tc.nodes, tc.p, got, heaviest, want)
+		}
+		if got < price(pb, tc.p, even) {
+			t.Errorf("power-law n=%d p=%d: Naive row %v below the even-split price", tc.nodes, tc.p, got)
+		}
+		skewed = skewed || heaviest > even
+	}
+	if !skewed {
+		t.Error("no case has a rank above the even split; the table does not exercise the rule")
+	}
+	for _, tc := range []struct{ m, n, p int }{{2048, 2048, 16}, {1 << 20, 64, 16}, {96, 640, 6}} {
+		pb := dense(tc.m, tc.n, 10)
+		if got, want := naiveRow(pb, tc.p), price(pb, tc.p, 2*pb.NNZ/int64(tc.p)); got != want {
+			t.Errorf("dense %dx%d p=%d: Naive row %v, want the even-split %v", tc.m, tc.n, tc.p, got, want)
+		}
+	}
 }

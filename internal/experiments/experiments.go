@@ -13,8 +13,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 
@@ -22,7 +20,6 @@ import (
 	"hpcnmf/internal/costmodel"
 	"hpcnmf/internal/datasets"
 	"hpcnmf/internal/grid"
-	"hpcnmf/internal/ooc"
 	"hpcnmf/internal/partition"
 	"hpcnmf/internal/perf"
 )
@@ -235,7 +232,7 @@ func Names() []string {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	return append(ids, "table2", "table3", "grids", "hadoopqual", "partition", "weakscaling", "largep", "solvers", "ooc")
+	return append(ids, "table2", "table3", "grids", "hadoopqual", "partition", "weakscaling", "largep", "solvers")
 }
 
 // Run executes one experiment by id and writes its report to w.
@@ -283,8 +280,6 @@ func Run(id string, cfg Config, w io.Writer) error {
 		return runLargeP(cfg, w)
 	case "solvers":
 		return runSolvers(cfg, w)
-	case "ooc":
-		return runOOC(cfg, w)
 	default:
 		return fmt.Errorf("experiments: unknown experiment %q (known: %s)", id, strings.Join(Names(), ", "))
 	}
@@ -765,65 +760,6 @@ func runSolvers(cfg Config, w io.Writer) error {
 			r.kind, r.perIt, r.relErr[len(r.relErr)-1], itStr, timeStr)
 	}
 	fmt.Fprintf(w, "(target = best final error × 1.02 = %.6f; '-' = never reached)\n", target)
-	return nil
-}
-
-// runOOC exercises the out-of-core tiled path end to end: DSYN is
-// streamed to a tile file, factorized with the prefetch pipeline, and
-// the factors are compared bitwise against the in-core sequential
-// driver — the invariant the streaming kernels are built around. The
-// I/O columns show how much of the tile traffic the pipeline hid
-// behind compute.
-func runOOC(cfg Config, w io.Writer) error {
-	ds, err := datasets.ByName("dsyn", datasets.Scale(cfg.Scale), cfg.Seed)
-	if err != nil {
-		return err
-	}
-	d, ok := core.UnwrapDense(ds.Matrix)
-	if !ok {
-		return fmt.Errorf("experiments: dsyn is not dense")
-	}
-	dir, err := os.MkdirTemp("", "hpcnmf-ooc")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "dsyn.nmft")
-	tileRows := (d.Rows + 7) / 8 // 8 tiles regardless of scale
-	if err := ooc.WriteMatrix(path, d, tileRows); err != nil {
-		return err
-	}
-	f, err := ooc.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-
-	const iters = 5
-	k := cfg.FixedK
-	fmt.Fprintf(w, "== ooc: out-of-core tiled vs in-core sequential (DSYN %dx%d, k=%d, %d tiles of %d rows, %s backend, %d iters) ==\n",
-		d.Rows, d.Cols, k, f.Tiles(), tileRows, f.BackendName(), iters)
-	fmt.Fprintf(w, "%-8s %10s %12s %12s %10s %14s\n", "solver", "tile-loads", "load-s", "wait-s", "hidden", "factors")
-	kinds := []core.SolverKind{core.SolverMU, core.SolverHALS, core.SolverPGD, core.SolverBPP}
-	for _, kind := range kinds {
-		opts := core.Options{K: k, MaxIter: iters, Seed: cfg.Seed, Solver: kind, ComputeError: true}
-		oocRes, err := core.RunOutOfCore(f, 0, opts)
-		if err != nil {
-			return fmt.Errorf("out-of-core %s: %w", kind, err)
-		}
-		seqRes, err := core.RunSequential(ds.Matrix, opts)
-		if err != nil {
-			return fmt.Errorf("sequential %s: %w", kind, err)
-		}
-		match := oocRes.W.Equal(seqRes.W, 0) && oocRes.H.Equal(seqRes.H, 0)
-		o := oocRes.OOC
-		fmt.Fprintf(w, "%-8s %10d %12.6f %12.6f %9.1f%% %14s\n",
-			kind, o.TilesLoaded, o.LoadSeconds, o.WaitSeconds, 100*o.HiddenFraction, matchLabel(match))
-		if !match {
-			return fmt.Errorf("experiments: out-of-core %s factors diverge from in-core", kind)
-		}
-	}
-	fmt.Fprintln(w, "(factors must match bitwise: the streaming kernels partition outputs, never reductions)")
 	return nil
 }
 

@@ -131,8 +131,7 @@ func TestRequestSpanHonorsIncomingTraceID(t *testing.T) {
 }
 
 // TestMetricsNegotiation pins the /metrics content negotiation:
-// Prometheus by default, OpenMetrics (with # EOF) and JSON on request,
-// and the legacy human dump behind ?format=text.
+// Prometheus by default, OpenMetrics (with # EOF) and JSON on request.
 func TestMetricsNegotiation(t *testing.T) {
 	s := newTestServer(t, Options{})
 	ts := httptest.NewServer(s)
@@ -210,15 +209,6 @@ func TestMetricsNegotiation(t *testing.T) {
 		if _, ok := snap.Counters["serve.project.requests"]; !ok {
 			t.Errorf("JSON snapshot missing serve.project.requests: %v", snap.Counters)
 		}
-	}
-
-	// Legacy text dump.
-	body, resp = get(ts.URL+"/metrics?format=text", "")
-	if got := resp.Header.Get("Content-Type"); got != "text/plain; charset=utf-8" {
-		t.Errorf("text Content-Type = %q", got)
-	}
-	if !strings.Contains(body, "serve.project.requests") {
-		t.Error("legacy text output missing dotted instrument names")
 	}
 }
 

@@ -884,8 +884,7 @@ const (
 // 0.0.4 by default (what a Prometheus scraper expects), OpenMetrics
 // when the Accept header asks for it (adds the # EOF terminator), the
 // structured JSON snapshot via ?format=json or Accept:
-// application/json, and the legacy human-oriented dump via
-// ?format=text. Output order is deterministic (families sorted by
+// application/json. Output order is deterministic (families sorted by
 // name) in every format.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	format := r.URL.Query().Get("format")
@@ -893,9 +892,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case format == "json" || (format == "" && strings.Contains(accept, "application/json")):
 		writeJSON(w, s.reg.Snapshot())
-	case format == "text":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		s.reg.Snapshot().WriteText(w)
 	case format == "openmetrics" || (format == "" && strings.Contains(accept, "application/openmetrics-text")):
 		w.Header().Set("Content-Type", ctOpenMetrics)
 		_ = s.reg.WritePrometheus(w)
