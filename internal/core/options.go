@@ -120,19 +120,9 @@ type Options struct {
 	// threaded BLAS under each MPI rank. ≤ 1 (the default) runs every
 	// kernel inline on its rank goroutine, which is also the
 	// configuration whose steady-state iterations allocate nothing.
-	// Results are bitwise identical for every value.
+	// Results are bitwise identical for every value: no knob here, and
+	// no kernel dispatch level, changes the arithmetic.
 	KernelThreads int
-	// AllowFMA opts this process into fused-multiply-add kernel
-	// variants when the CPU supports them. FMA contracts a·b+c into
-	// one rounding, so results differ from the default kernels in the
-	// last ulps — it is the one switch that leaves the bitwise
-	// reproducibility contract (every other knob, including
-	// KernelThreads and the ISA dispatch level, is bitwise neutral).
-	// The toggle is process-global (kernel dispatch is static state
-	// shared by all runs): a run that sets it leaves FMA enabled for
-	// subsequent runs until mat.SetFMA(false) or a mat.SetISA call
-	// turns it off. Ignored when the CPU lacks FMA.
-	AllowFMA bool
 	// ComputeError computes the relative objective each iteration.
 	// It adds a small all-reduce per iteration (the "global
 	// aggregation for residual" of §5) plus one local Gram product.
@@ -273,9 +263,6 @@ func (o Options) withDefaults(m, n int) (Options, error) {
 	}
 	if (o.InitW != nil && o.InitW.Min() < 0) || (o.InitH != nil && o.InitH.Min() < 0) {
 		return o, fmt.Errorf("core: explicit initial factors must be non-negative")
-	}
-	if o.AllowFMA {
-		mat.SetFMA(true) // no-op (returns false) when the CPU lacks FMA
 	}
 	return o, nil
 }

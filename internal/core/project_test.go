@@ -27,7 +27,7 @@ func TestProjectorRecoversCoefficients(t *testing.T) {
 	w := randBasis(m, k, 1)
 	hTrue := randBasis(k, c, 2)
 	cols := mat.NewDense(m, c)
-	mat.MulTo(cols, w, hTrue)
+	mat.ParMulTo(cols, w, hTrue, nil)
 
 	for _, tc := range []struct {
 		name   string
@@ -80,7 +80,7 @@ func TestProjectorResidualMatchesDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	recon := mat.NewDense(m, c)
-	mat.MulTo(recon, w, h)
+	mat.ParMulTo(recon, w, h, nil)
 	for j := 0; j < c; j++ {
 		num, den := 0.0, 0.0
 		for i := 0; i < m; i++ {

@@ -91,9 +91,9 @@ type Report struct {
 	GridPredictedSeconds float64 `json:"grid_predicted_seconds,omitempty"`
 
 	// KernelISA records the kernel dispatch level the run executed
-	// under ("generic", "sse2", "avx2", "avx2+fma") — results are
-	// bitwise identical across all but the FMA level, so this mostly
-	// matters for auditing performance numbers and AllowFMA runs.
+	// under ("generic" or "avx2") — results are bitwise identical
+	// across both, so this only matters for auditing performance
+	// numbers.
 	KernelISA string `json:"kernel_isa,omitempty"`
 
 	Options    ReportOptions `json:"options"`

@@ -169,7 +169,7 @@ func scrubReport(rep *Report) {
 	}
 	rep.TracePath = ""
 	// The dispatch level depends on the machine (and any HPCNMF_CPU
-	// override); results are bitwise identical across non-FMA levels,
+	// override); results are bitwise identical across levels,
 	// so pinning one would only make the golden host-specific.
 	rep.KernelISA = ""
 }

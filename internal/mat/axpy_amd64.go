@@ -2,41 +2,20 @@
 
 package mat
 
-// SIMD variants of the axpy primitives (axpy_amd64.s). All levels of
-// one primitive execute the identical per-element operation sequence —
+// AVX2 variants of the axpy primitives (axpy_amd64.s). They execute
+// the identical per-element operation sequence as the generic loops —
 // the packed lanes hold adjacent output elements, never partial sums
-// of one element — so sse2 and avx2 results are bitwise identical to
-// the generic loops. The fma variants contract each mul+add pair into
-// one rounding step and are only reachable through the opt-in FMA
-// toggle (see isa.go). SSE2 is part of the amd64 baseline; AVX2/FMA
-// are guarded by the CPUID probe in cpu_amd64.go.
-
-//go:noescape
-func axpy42SSE2(c0, c1, b0, b1, b2, b3 *float64, vw *[8]float64, n int)
+// of one element — so their results are bitwise identical to them.
+// AVX2 is guarded by the CPUID probe in cpu_amd64.go.
 
 //go:noescape
 func axpy42AVX2(c0, c1, b0, b1, b2, b3 *float64, vw *[8]float64, n int)
 
 //go:noescape
-func axpy42FMA(c0, c1, b0, b1, b2, b3 *float64, vw *[8]float64, n int)
-
-//go:noescape
-func axpy4SSE2(c, b0, b1, b2, b3 *float64, v *[4]float64, n int)
-
-//go:noescape
 func axpy4AVX2(c, b0, b1, b2, b3 *float64, v *[4]float64, n int)
 
 //go:noescape
-func axpy4FMA(c, b0, b1, b2, b3 *float64, v *[4]float64, n int)
-
-//go:noescape
-func axpy1SSE2(c, b *float64, v float64, n int)
-
-//go:noescape
 func axpy1AVX2(c, b *float64, v float64, n int)
-
-//go:noescape
-func axpy1FMA(c, b *float64, v float64, n int)
 
 // axpy42 is the blocked dense kernels' shared inner primitive (see
 // axpy42Generic for the definition), dispatched on the active ISA
@@ -46,16 +25,9 @@ func axpy42(c0, c1, b0, b1, b2, b3 []float64, vw *[8]float64) {
 	if n == 0 {
 		return
 	}
-	switch isaLevel.Load() {
-	case isaAVX2:
-		if fmaOn.Load() {
-			axpy42FMA(&c0[0], &c1[0], &b0[0], &b1[0], &b2[0], &b3[0], vw, n)
-		} else {
-			axpy42AVX2(&c0[0], &c1[0], &b0[0], &b1[0], &b2[0], &b3[0], vw, n)
-		}
-	case isaSSE2:
-		axpy42SSE2(&c0[0], &c1[0], &b0[0], &b1[0], &b2[0], &b3[0], vw, n)
-	default:
+	if isaLevel.Load() == isaAVX2 {
+		axpy42AVX2(&c0[0], &c1[0], &b0[0], &b1[0], &b2[0], &b3[0], vw, n)
+	} else {
 		axpy42Generic(c0, c1, b0, b1, b2, b3, vw)
 	}
 }
@@ -68,16 +40,9 @@ func Axpy4(c, b0, b1, b2, b3 []float64, v *[4]float64) {
 	if n == 0 {
 		return
 	}
-	switch isaLevel.Load() {
-	case isaAVX2:
-		if fmaOn.Load() {
-			axpy4FMA(&c[0], &b0[0], &b1[0], &b2[0], &b3[0], v, n)
-		} else {
-			axpy4AVX2(&c[0], &b0[0], &b1[0], &b2[0], &b3[0], v, n)
-		}
-	case isaSSE2:
-		axpy4SSE2(&c[0], &b0[0], &b1[0], &b2[0], &b3[0], v, n)
-	default:
+	if isaLevel.Load() == isaAVX2 {
+		axpy4AVX2(&c[0], &b0[0], &b1[0], &b2[0], &b3[0], v, n)
+	} else {
 		axpy4Generic(c, b0, b1, b2, b3, v)
 	}
 }
@@ -89,16 +54,9 @@ func Axpy(c, b []float64, v float64) {
 	if n == 0 {
 		return
 	}
-	switch isaLevel.Load() {
-	case isaAVX2:
-		if fmaOn.Load() {
-			axpy1FMA(&c[0], &b[0], v, n)
-		} else {
-			axpy1AVX2(&c[0], &b[0], v, n)
-		}
-	case isaSSE2:
-		axpy1SSE2(&c[0], &b[0], v, n)
-	default:
+	if isaLevel.Load() == isaAVX2 {
+		axpy1AVX2(&c[0], &b[0], v, n)
+	} else {
 		axpyGeneric(c, b, v)
 	}
 }

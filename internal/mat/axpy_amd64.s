@@ -2,12 +2,10 @@
 
 #include "textflag.h"
 
-// SIMD axpy primitives at three dispatch levels (see axpy_amd64.go).
-// Every level packs adjacent output elements j into vector lanes —
-// never partial sums of one element — so the per-element accumulation
-// order matches the generic loops exactly: sse2 and avx2 are bitwise
-// identical to generic, and the fma variants differ only by the
-// contracted rounding of each mul+add pair.
+// AVX2 axpy primitives (see axpy_amd64.go). The vector lanes hold
+// adjacent output elements j — never partial sums of one element — so
+// the per-element accumulation order matches the generic loops exactly
+// and the results are bitwise identical to them.
 //
 // All accumulations are written dst = dst + term (first source is the
 // running sum), matching the Go references' NaN-propagation order.
@@ -15,117 +13,6 @@
 // ---------------------------------------------------------------------
 // axpy42: two output rows from four shared input rows.
 //
-// func axpy42SSE2(c0, c1, b0, b1, b2, b3 *float64, vw *[8]float64, n int)
-TEXT ·axpy42SSE2(SB), NOSPLIT, $0-64
-	MOVQ c0+0(FP), DI
-	MOVQ c1+8(FP), SI
-	MOVQ b0+16(FP), R8
-	MOVQ b1+24(FP), R9
-	MOVQ b2+32(FP), R10
-	MOVQ b3+40(FP), R11
-	MOVQ vw+48(FP), AX
-	MOVQ n+56(FP), CX
-
-	MOVSD 0(AX), X0
-	UNPCKLPD X0, X0
-	MOVSD 8(AX), X1
-	UNPCKLPD X1, X1
-	MOVSD 16(AX), X2
-	UNPCKLPD X2, X2
-	MOVSD 24(AX), X3
-	UNPCKLPD X3, X3
-	MOVSD 32(AX), X4
-	UNPCKLPD X4, X4
-	MOVSD 40(AX), X5
-	UNPCKLPD X5, X5
-	MOVSD 48(AX), X6
-	UNPCKLPD X6, X6
-	MOVSD 56(AX), X7
-	UNPCKLPD X7, X7
-
-loop2:
-	CMPQ CX, $2
-	JLT tail
-	MOVUPD (R8), X8
-	MOVUPD (R9), X9
-	MOVUPD (R10), X10
-	MOVUPD (R11), X11
-	MOVUPD (DI), X12
-	MOVUPD (SI), X13
-	MOVAPD X8, X14
-	MULPD X0, X14
-	ADDPD X14, X12
-	MOVAPD X9, X14
-	MULPD X1, X14
-	ADDPD X14, X12
-	MOVAPD X10, X14
-	MULPD X2, X14
-	ADDPD X14, X12
-	MOVAPD X11, X14
-	MULPD X3, X14
-	ADDPD X14, X12
-	MOVUPD X12, (DI)
-	MOVAPD X8, X15
-	MULPD X4, X15
-	ADDPD X15, X13
-	MOVAPD X9, X15
-	MULPD X5, X15
-	ADDPD X15, X13
-	MOVAPD X10, X15
-	MULPD X6, X15
-	ADDPD X15, X13
-	MOVAPD X11, X15
-	MULPD X7, X15
-	ADDPD X15, X13
-	MOVUPD X13, (SI)
-	ADDQ $16, DI
-	ADDQ $16, SI
-	ADDQ $16, R8
-	ADDQ $16, R9
-	ADDQ $16, R10
-	ADDQ $16, R11
-	SUBQ $2, CX
-	JMP  loop2
-
-tail:
-	TESTQ CX, CX
-	JZ done
-	MOVSD (R8), X8
-	MOVSD (R9), X9
-	MOVSD (R10), X10
-	MOVSD (R11), X11
-	MOVSD (DI), X12
-	MOVSD (SI), X13
-	MOVAPD X8, X14
-	MULSD X0, X14
-	ADDSD X14, X12
-	MOVAPD X9, X14
-	MULSD X1, X14
-	ADDSD X14, X12
-	MOVAPD X10, X14
-	MULSD X2, X14
-	ADDSD X14, X12
-	MOVAPD X11, X14
-	MULSD X3, X14
-	ADDSD X14, X12
-	MOVSD X12, (DI)
-	MOVAPD X8, X15
-	MULSD X4, X15
-	ADDSD X15, X13
-	MOVAPD X9, X15
-	MULSD X5, X15
-	ADDSD X15, X13
-	MOVAPD X10, X15
-	MULSD X6, X15
-	ADDSD X15, X13
-	MOVAPD X11, X15
-	MULSD X7, X15
-	ADDSD X15, X13
-	MOVSD X13, (SI)
-
-done:
-	RET
-
 // func axpy42AVX2(c0, c1, b0, b1, b2, b3 *float64, vw *[8]float64, n int)
 TEXT ·axpy42AVX2(SB), NOSPLIT, $0-64
 	MOVQ c0+0(FP), DI
@@ -222,154 +109,9 @@ done:
 	VZEROUPPER
 	RET
 
-// func axpy42FMA(c0, c1, b0, b1, b2, b3 *float64, vw *[8]float64, n int)
-TEXT ·axpy42FMA(SB), NOSPLIT, $0-64
-	MOVQ c0+0(FP), DI
-	MOVQ c1+8(FP), SI
-	MOVQ b0+16(FP), R8
-	MOVQ b1+24(FP), R9
-	MOVQ b2+32(FP), R10
-	MOVQ b3+40(FP), R11
-	MOVQ vw+48(FP), AX
-	MOVQ n+56(FP), CX
-
-	VBROADCASTSD 0(AX), Y0
-	VBROADCASTSD 8(AX), Y1
-	VBROADCASTSD 16(AX), Y2
-	VBROADCASTSD 24(AX), Y3
-	VBROADCASTSD 32(AX), Y4
-	VBROADCASTSD 40(AX), Y5
-	VBROADCASTSD 48(AX), Y6
-	VBROADCASTSD 56(AX), Y7
-
-loop4:
-	CMPQ CX, $4
-	JLT tail1
-	VMOVUPD (R8), Y8
-	VMOVUPD (R9), Y9
-	VMOVUPD (R10), Y10
-	VMOVUPD (R11), Y11
-	VMOVUPD (DI), Y12
-	VMOVUPD (SI), Y13
-	VFMADD231PD Y0, Y8, Y12
-	VFMADD231PD Y1, Y9, Y12
-	VFMADD231PD Y2, Y10, Y12
-	VFMADD231PD Y3, Y11, Y12
-	VMOVUPD Y12, (DI)
-	VFMADD231PD Y4, Y8, Y13
-	VFMADD231PD Y5, Y9, Y13
-	VFMADD231PD Y6, Y10, Y13
-	VFMADD231PD Y7, Y11, Y13
-	VMOVUPD Y13, (SI)
-	ADDQ $32, DI
-	ADDQ $32, SI
-	ADDQ $32, R8
-	ADDQ $32, R9
-	ADDQ $32, R10
-	ADDQ $32, R11
-	SUBQ $4, CX
-	JMP  loop4
-
-tail1:
-	TESTQ CX, CX
-	JZ done
-	VMOVSD (R8), X8
-	VMOVSD (R9), X9
-	VMOVSD (R10), X10
-	VMOVSD (R11), X11
-	VMOVSD (DI), X12
-	VMOVSD (SI), X13
-	VFMADD231SD X0, X8, X12
-	VFMADD231SD X1, X9, X12
-	VFMADD231SD X2, X10, X12
-	VFMADD231SD X3, X11, X12
-	VMOVSD X12, (DI)
-	VFMADD231SD X4, X8, X13
-	VFMADD231SD X5, X9, X13
-	VFMADD231SD X6, X10, X13
-	VFMADD231SD X7, X11, X13
-	VMOVSD X13, (SI)
-	ADDQ $8, DI
-	ADDQ $8, SI
-	ADDQ $8, R8
-	ADDQ $8, R9
-	ADDQ $8, R10
-	ADDQ $8, R11
-	DECQ CX
-	JNZ  tail1
-
-done:
-	VZEROUPPER
-	RET
-
 // ---------------------------------------------------------------------
 // axpy4: one output row from four input rows.
 //
-// func axpy4SSE2(c, b0, b1, b2, b3 *float64, v *[4]float64, n int)
-TEXT ·axpy4SSE2(SB), NOSPLIT, $0-56
-	MOVQ c+0(FP), DI
-	MOVQ b0+8(FP), R8
-	MOVQ b1+16(FP), R9
-	MOVQ b2+24(FP), R10
-	MOVQ b3+32(FP), R11
-	MOVQ v+40(FP), AX
-	MOVQ n+48(FP), CX
-
-	MOVSD 0(AX), X0
-	UNPCKLPD X0, X0
-	MOVSD 8(AX), X1
-	UNPCKLPD X1, X1
-	MOVSD 16(AX), X2
-	UNPCKLPD X2, X2
-	MOVSD 24(AX), X3
-	UNPCKLPD X3, X3
-
-loop2:
-	CMPQ CX, $2
-	JLT tail
-	MOVUPD (R8), X8
-	MOVUPD (R9), X9
-	MOVUPD (R10), X10
-	MOVUPD (R11), X11
-	MOVUPD (DI), X12
-	MULPD X0, X8
-	ADDPD X8, X12
-	MULPD X1, X9
-	ADDPD X9, X12
-	MULPD X2, X10
-	ADDPD X10, X12
-	MULPD X3, X11
-	ADDPD X11, X12
-	MOVUPD X12, (DI)
-	ADDQ $16, DI
-	ADDQ $16, R8
-	ADDQ $16, R9
-	ADDQ $16, R10
-	ADDQ $16, R11
-	SUBQ $2, CX
-	JMP  loop2
-
-tail:
-	TESTQ CX, CX
-	JZ done
-	MOVSD (R8), X8
-	MOVSD (R9), X9
-	MOVSD (R10), X10
-	MOVSD (R11), X11
-	MOVSD (DI), X12
-	MULSD X0, X8
-	ADDSD X8, X12
-	MULSD X1, X9
-	ADDSD X9, X12
-	MULSD X2, X10
-	ADDSD X10, X12
-	MULSD X3, X11
-	ADDSD X11, X12
-	MOVSD X12, (DI)
-
-done:
-	RET
-
 // func axpy4AVX2(c, b0, b1, b2, b3 *float64, v *[4]float64, n int)
 TEXT ·axpy4AVX2(SB), NOSPLIT, $0-56
 	MOVQ c+0(FP), DI
@@ -439,103 +181,9 @@ done:
 	VZEROUPPER
 	RET
 
-// func axpy4FMA(c, b0, b1, b2, b3 *float64, v *[4]float64, n int)
-TEXT ·axpy4FMA(SB), NOSPLIT, $0-56
-	MOVQ c+0(FP), DI
-	MOVQ b0+8(FP), R8
-	MOVQ b1+16(FP), R9
-	MOVQ b2+24(FP), R10
-	MOVQ b3+32(FP), R11
-	MOVQ v+40(FP), AX
-	MOVQ n+48(FP), CX
-
-	VBROADCASTSD 0(AX), Y0
-	VBROADCASTSD 8(AX), Y1
-	VBROADCASTSD 16(AX), Y2
-	VBROADCASTSD 24(AX), Y3
-
-loop4:
-	CMPQ CX, $4
-	JLT tail1
-	VMOVUPD (R8), Y8
-	VMOVUPD (R9), Y9
-	VMOVUPD (R10), Y10
-	VMOVUPD (R11), Y11
-	VMOVUPD (DI), Y12
-	VFMADD231PD Y0, Y8, Y12
-	VFMADD231PD Y1, Y9, Y12
-	VFMADD231PD Y2, Y10, Y12
-	VFMADD231PD Y3, Y11, Y12
-	VMOVUPD Y12, (DI)
-	ADDQ $32, DI
-	ADDQ $32, R8
-	ADDQ $32, R9
-	ADDQ $32, R10
-	ADDQ $32, R11
-	SUBQ $4, CX
-	JMP  loop4
-
-tail1:
-	TESTQ CX, CX
-	JZ done
-	VMOVSD (R8), X8
-	VMOVSD (R9), X9
-	VMOVSD (R10), X10
-	VMOVSD (R11), X11
-	VMOVSD (DI), X12
-	VFMADD231SD X0, X8, X12
-	VFMADD231SD X1, X9, X12
-	VFMADD231SD X2, X10, X12
-	VFMADD231SD X3, X11, X12
-	VMOVSD X12, (DI)
-	ADDQ $8, DI
-	ADDQ $8, R8
-	ADDQ $8, R9
-	ADDQ $8, R10
-	ADDQ $8, R11
-	DECQ CX
-	JNZ  tail1
-
-done:
-	VZEROUPPER
-	RET
-
 // ---------------------------------------------------------------------
 // axpy1: one output row from one input row (sparse remainder step).
 //
-// func axpy1SSE2(c, b *float64, v float64, n int)
-TEXT ·axpy1SSE2(SB), NOSPLIT, $0-32
-	MOVQ c+0(FP), DI
-	MOVQ b+8(FP), R8
-	MOVSD v+16(FP), X0
-	UNPCKLPD X0, X0
-	MOVQ n+24(FP), CX
-
-loop2:
-	CMPQ CX, $2
-	JLT tail
-	MOVUPD (R8), X8
-	MOVUPD (DI), X12
-	MULPD X0, X8
-	ADDPD X8, X12
-	MOVUPD X12, (DI)
-	ADDQ $16, DI
-	ADDQ $16, R8
-	SUBQ $2, CX
-	JMP  loop2
-
-tail:
-	TESTQ CX, CX
-	JZ done
-	MOVSD (R8), X8
-	MOVSD (DI), X12
-	MULSD X0, X8
-	ADDSD X8, X12
-	MOVSD X12, (DI)
-
-done:
-	RET
-
 // func axpy1AVX2(c, b *float64, v float64, n int)
 TEXT ·axpy1AVX2(SB), NOSPLIT, $0-32
 	MOVQ c+0(FP), DI
@@ -563,41 +211,6 @@ tail1:
 	VMOVSD (DI), X12
 	VMULSD X0, X8, X14
 	VADDSD X14, X12, X12
-	VMOVSD X12, (DI)
-	ADDQ $8, DI
-	ADDQ $8, R8
-	DECQ CX
-	JNZ  tail1
-
-done:
-	VZEROUPPER
-	RET
-
-// func axpy1FMA(c, b *float64, v float64, n int)
-TEXT ·axpy1FMA(SB), NOSPLIT, $0-32
-	MOVQ c+0(FP), DI
-	MOVQ b+8(FP), R8
-	VBROADCASTSD v+16(FP), Y0
-	MOVQ n+24(FP), CX
-
-loop4:
-	CMPQ CX, $4
-	JLT tail1
-	VMOVUPD (R8), Y8
-	VMOVUPD (DI), Y12
-	VFMADD231PD Y0, Y8, Y12
-	VMOVUPD Y12, (DI)
-	ADDQ $32, DI
-	ADDQ $32, R8
-	SUBQ $4, CX
-	JMP  loop4
-
-tail1:
-	TESTQ CX, CX
-	JZ done
-	VMOVSD (R8), X8
-	VMOVSD (DI), X12
-	VFMADD231SD X0, X8, X12
 	VMOVSD X12, (DI)
 	ADDQ $8, DI
 	ADDQ $8, R8

@@ -6,7 +6,7 @@ package mat
 // axpy_impl.go. The ISA registry still exists (reporting "generic") so
 // callers need no build tags.
 
-func bestISA() (level int32, fma bool) { return isaGeneric, false }
+func bestISA() int32 { return isaGeneric }
 
 // axpy42 is the blocked dense kernels' shared inner primitive; see
 // axpy42Generic for the definition.

@@ -3,12 +3,12 @@ package mat
 // Portable definitions of the three axpy primitives the accumulating
 // kernels funnel into (the tile kernel's portable loop is in tile.go).
 // On amd64 these are the "generic" dispatch level and the reference
-// the SIMD levels are pinned against; on other architectures they are
+// the AVX2 level is pinned against; on other architectures they are
 // the only level. Each keeps the
 // per-output-element accumulation order of the naive kernels — the
 // left-associated sums below equal a sequence of individual "+="
-// operations bit for bit — so every dispatch level (except opt-in
-// FMA) produces identical results.
+// operations bit for bit — so both dispatch levels produce identical
+// results.
 
 // axpy42Generic updates two output rows from four shared input rows:
 //

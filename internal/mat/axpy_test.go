@@ -2,6 +2,8 @@ package mat
 
 import (
 	"math"
+	"os"
+	"strings"
 	"testing"
 
 	"hpcnmf/internal/rng"
@@ -96,16 +98,13 @@ func diffBits(a, b []float64) int {
 	return -1
 }
 
-// TestAxpyDispatchBitwise pins every non-FMA dispatch level against
+// TestAxpyDispatchBitwise pins every dispatch level against
 // the generic loops, bit for bit, across vector lengths covering all
 // unroll remainders and the IEEE special-value corners.
 func TestAxpyDispatchBitwise(t *testing.T) {
 	restoreISA(t)
 	cases := makeAxpyCases(t)
 	for _, isa := range SupportedISAs() {
-		if isa == "avx2+fma" {
-			continue // tolerance-tested separately
-		}
 		if err := SetISA(isa); err != nil {
 			t.Fatalf("SetISA(%q): %v", isa, err)
 		}
@@ -135,98 +134,6 @@ func TestAxpyDispatchBitwise(t *testing.T) {
 	}
 }
 
-// TestAxpyFMAWithinTolerance checks the opt-in FMA variants against
-// the generic loops with a rounding tolerance: each of the four
-// product terms loses one intermediate rounding under contraction, so
-// per-element error is bounded by a few ulps of the running sum.
-func TestAxpyFMAWithinTolerance(t *testing.T) {
-	restoreISA(t)
-	has := false
-	for _, isa := range SupportedISAs() {
-		if isa == "avx2+fma" {
-			has = true
-		}
-	}
-	if !has {
-		t.Skip("CPU lacks FMA")
-	}
-	cases := makeAxpyCases(t)
-	if err := SetISA("avx2+fma"); err != nil {
-		t.Fatal(err)
-	}
-	if !FMAActive() {
-		t.Fatal("FMAActive() = false after SetISA(avx2+fma)")
-	}
-	const tol = 1e-13
-	check := func(name string, got, want []float64, ci int) {
-		for i := range got {
-			g, w := got[i], want[i]
-			if math.IsNaN(w) {
-				if !math.IsNaN(g) {
-					t.Errorf("fma %s case %d: [%d] = %g, want NaN", name, ci, i, g)
-				}
-				continue
-			}
-			if g == w { // covers ±Inf, where g-w is NaN
-				continue
-			}
-			scale := math.Max(1, math.Abs(w))
-			if d := math.Abs(g - w); !(d <= tol*scale) {
-				t.Errorf("fma %s case %d: [%d] = %g, want %g (|d|=%g)", name, ci, i, g, w, d)
-			}
-		}
-	}
-	for ci, ac := range cases {
-		c0 := append([]float64(nil), ac.c0...)
-		c1 := append([]float64(nil), ac.c1...)
-		axpy42(c0, c1, ac.b0, ac.b1, ac.b2, ac.b3, &ac.vw)
-		check("axpy42/c0", c0, ac.want42c0, ci)
-		check("axpy42/c1", c1, ac.want42c1, ci)
-		v4 := [4]float64{ac.vw[0], ac.vw[1], ac.vw[2], ac.vw[3]}
-		c := append([]float64(nil), ac.c0...)
-		Axpy4(c, ac.b0, ac.b1, ac.b2, ac.b3, &v4)
-		check("Axpy4", c, ac.want4, ci)
-		c = append([]float64(nil), ac.c0...)
-		Axpy(c, ac.b0, ac.vw[0])
-		check("Axpy", c, ac.want1, ci)
-	}
-}
-
-// TestTileFMAWithinTolerance checks that the FMA opt-in reaches the
-// tile kernel — A·Hᵀ and H·Hᵀ contract like Wᵀ·A does, instead of
-// silently staying uncontracted — and stays within rounding of the
-// references: each of the n product terms loses one intermediate
-// rounding.
-func TestTileFMAWithinTolerance(t *testing.T) {
-	restoreISA(t)
-	if err := SetISA("avx2+fma"); err != nil {
-		t.Skip("CPU lacks FMA")
-	}
-	s := rng.New(78)
-	const m, k, n = 9, 17, 50
-	a := randomSigned(m, n, s)
-	h := randomSigned(k, n, s)
-	want := NewDense(m, k)
-	RefMulABtTo(want, a, h)
-	wantG := RefGramT(h)
-	const tol = 1e-13
-	check := func(name string, got, want *Dense) {
-		contracted := false
-		for i, g := range got.Data {
-			w := want.Data[i]
-			contracted = contracted || g != w
-			if d := math.Abs(g - w); !(d <= tol*math.Max(1, math.Abs(w))) {
-				t.Errorf("fma %s: [%d] = %g, want %g (|d|=%g)", name, i, g, w, d)
-			}
-		}
-		if !contracted {
-			t.Errorf("fma %s is bitwise equal to the uncontracted reference: the opt-in did not reach the kernel", name)
-		}
-	}
-	check("MulABt", MulABt(a, h), want)
-	check("GramT", GramT(h), wantG)
-}
-
 // TestSetISA covers the spec parser and its guard rails.
 func TestSetISA(t *testing.T) {
 	restoreISA(t)
@@ -242,9 +149,6 @@ func TestSetISA(t *testing.T) {
 	if got := ISA(); got != "generic" {
 		t.Errorf("ISA() = %q after SetISA(generic)", got)
 	}
-	if FMAActive() {
-		t.Error("FMA active at generic level")
-	}
 	for _, isa := range SupportedISAs() {
 		if err := SetISA(isa); err != nil {
 			t.Errorf("SetISA(%q) on a supported ISA: %v", isa, err)
@@ -252,24 +156,34 @@ func TestSetISA(t *testing.T) {
 			t.Errorf("ISA() = %q after SetISA(%q)", got, isa)
 		}
 	}
-	// "fma" alone and "avx2,fma" are aliases of "avx2+fma" when
-	// supported; both must fail cleanly when not.
-	err := SetISA("fma")
-	if FMAActive() {
-		if err != nil {
-			t.Errorf("SetISA(fma): %v", err)
+	// The retired levels are unknown names now, and a refused name
+	// changes nothing.
+	for _, isa := range SupportedISAs() {
+		if isa != "generic" && isa != "avx2" {
+			t.Errorf("SupportedISAs() lists %q; only generic and avx2 exist", isa)
 		}
-		if got := ISA(); got != "avx2+fma" {
-			t.Errorf("ISA() = %q after SetISA(fma)", got)
+	}
+	before := ISA()
+	for _, retired := range []string{"sse2", "fma", "avx2+fma", "avx2,fma"} {
+		err := SetISA(retired)
+		if err == nil || !strings.Contains(err.Error(), "unknown ISA") {
+			t.Errorf("SetISA(%q) = %v, want an unknown-ISA error", retired, err)
 		}
-		prev := SetFMA(false)
-		if !prev {
-			t.Error("SetFMA(false) reported FMA previously off")
+		if got := ISA(); got != before {
+			t.Errorf("ISA() = %q after refused SetISA(%q), want %q", got, retired, before)
 		}
-		if ISA() != "avx2" {
-			t.Errorf("ISA() = %q after SetFMA(false)", ISA())
-		}
-	} else if err == nil {
-		t.Error("SetISA(fma) succeeded but FMAActive() is false")
+	}
+}
+
+// TestEnvOverrideHonoured fails when HPCNMF_CPU names something init
+// quietly ignored, so a CI leg with a stale level name cannot go green
+// while testing the detected level instead.
+func TestEnvOverrideHonoured(t *testing.T) {
+	v, ok := os.LookupEnv("HPCNMF_CPU")
+	if !ok {
+		t.Skip("HPCNMF_CPU is unset")
+	}
+	if got := ISA(); got != strings.ToLower(strings.TrimSpace(v)) {
+		t.Fatalf("HPCNMF_CPU=%q was not honoured: ISA() = %q (this CPU runs %v)", v, got, SupportedISAs())
 	}
 }

@@ -14,32 +14,30 @@ func cpuidAsm(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
 
 // bestISA probes CPUID for the strongest dispatch level this machine
-// can run. SSE2 is architecturally guaranteed on amd64; AVX2 requires
-// the CPU flag (leaf 7 EBX bit 5), AVX and OSXSAVE (leaf 1 ECX bits
-// 28/27), and the OS to have enabled XMM+YMM state saving (XCR0 bits
-// 1 and 2 via XGETBV). FMA is leaf 1 ECX bit 12 and rides on the same
-// YMM state requirement.
-func bestISA() (level int32, fma bool) {
+// can run. AVX2 requires the CPU flag (leaf 7 EBX bit 5), AVX and
+// OSXSAVE (leaf 1 ECX bits 28/27), and the OS to have enabled XMM+YMM
+// state saving (XCR0 bits 1 and 2 via XGETBV); without any of them the
+// portable loops run.
+func bestISA() int32 {
 	maxLeaf, _, _, _ := cpuidAsm(0, 0)
 	if maxLeaf < 7 {
-		return isaSSE2, false
+		return isaGeneric
 	}
 	_, _, ecx1, _ := cpuidAsm(1, 0)
 	const (
-		fmaBit     = 1 << 12
 		osxsaveBit = 1 << 27
 		avxBit     = 1 << 28
 	)
 	if ecx1&osxsaveBit == 0 || ecx1&avxBit == 0 {
-		return isaSSE2, false
+		return isaGeneric
 	}
 	if xcr0, _ := xgetbv0(); xcr0&0x6 != 0x6 { // XMM and YMM state
-		return isaSSE2, false
+		return isaGeneric
 	}
 	_, ebx7, _, _ := cpuidAsm(7, 0)
 	const avx2Bit = 1 << 5
 	if ebx7&avx2Bit == 0 {
-		return isaSSE2, false
+		return isaGeneric
 	}
-	return isaAVX2, ecx1&fmaBit != 0
+	return isaAVX2
 }

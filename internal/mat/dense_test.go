@@ -226,7 +226,7 @@ func TestMulAddToAccumulates(t *testing.T) {
 	b := randomDense(4, 2, 16)
 	c := randomDense(3, 2, 17)
 	orig := c.Clone()
-	MulAddTo(c, a, b)
+	ParMulAddTo(c, a, b, nil)
 	c.Sub(naiveMul(a, b))
 	if c.MaxDiff(orig) > 1e-12 {
 		t.Fatal("MulAddTo did not accumulate")

@@ -87,7 +87,7 @@ func FuzzTileMulABt(f *testing.F) {
 		RefMulABtTo(want, a, b)
 		got := NewDense(m, k)
 		got.Fill(-7)
-		MulABtTo(got, a, b)
+		ParMulABtTo(got, a, b, nil)
 		for i, w := range want.Data {
 			if g := got.Data[i]; math.Float64bits(g) != math.Float64bits(w) {
 				t.Fatalf("%dx%d k=%d: C[%d] = %x (%g), want %x (%g)", m, n, k, i,

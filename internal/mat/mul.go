@@ -36,10 +36,11 @@ import (
 // reproducible regardless of KernelThreads — worker ranges partition
 // output elements, never the reduction.
 //
-// Each kernel has a Par* variant taking a *par.Pool that splits the
-// output range across workers; the pool may be nil, which runs the
-// serial path inline (see internal/par). The unsuffixed functions keep
-// the seed API and are the nil-pool specializations.
+// Each in-place kernel is a Par* function taking a *par.Pool that
+// splits the output range across workers; the pool may be nil, which
+// runs the serial path inline (see internal/par). The unprefixed
+// functions (Mul, MulAtB, MulABt, Gram, GramT) allocate their result
+// and run with a nil pool.
 
 // parGrain is the minimum number of output rows (weighted by cost)
 // worth shipping to a pool worker; below 2·parGrain kernels run
@@ -53,27 +54,17 @@ func Mul(a, b *Dense) *Dense {
 		panic(fmt.Sprintf("mat: Mul dimension mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	c := NewDense(a.Rows, b.Cols)
-	MulAddTo(c, a, b)
+	ParMulAddTo(c, a, b, nil)
 	return c
-}
-
-// MulTo computes C = A·B into an existing matrix, overwriting it.
-func MulTo(c, a, b *Dense) {
-	ParMulTo(c, a, b, nil)
 }
 
 // ParMulTo computes C = A·B with kernel rows split across the pool.
 func ParMulTo(c, a, b *Dense, p *par.Pool) {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
-		panic("mat: MulTo dimension mismatch")
+		panic("mat: ParMulTo dimension mismatch")
 	}
 	c.Zero()
 	ParMulAddTo(c, a, b, p)
-}
-
-// MulAddTo computes C += A·B.
-func MulAddTo(c, a, b *Dense) {
-	ParMulAddTo(c, a, b, nil)
 }
 
 // ParMulAddTo computes C += A·B, partitioning rows of C across the
@@ -81,7 +72,7 @@ func MulAddTo(c, a, b *Dense) {
 // identical to the serial kernel.
 func ParMulAddTo(c, a, b *Dense, p *par.Pool) {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
-		panic("mat: MulAddTo dimension mismatch")
+		panic("mat: ParMulAddTo dimension mismatch")
 	}
 	if p == nil {
 		// Direct call: no closure is materialized, which keeps the
@@ -156,13 +147,8 @@ func MulAtB(a, b *Dense) *Dense {
 		panic(fmt.Sprintf("mat: MulAtB dimension mismatch %dx%d ᵀ· %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	c := NewDense(a.Cols, b.Cols)
-	MulAtBAddTo(c, a, b)
-	return c
-}
-
-// MulAtBAddTo computes C += Aᵀ·B by streaming matched rows of A and B.
-func MulAtBAddTo(c, a, b *Dense) {
 	ParMulAtBAddTo(c, a, b, nil)
+	return c
 }
 
 // ParMulAtBTo computes C = Aᵀ·B, overwriting c.
@@ -178,7 +164,7 @@ func ParMulAtBTo(c, a, b *Dense, p *par.Pool) {
 // serial kernel exactly.
 func ParMulAtBAddTo(c, a, b *Dense, p *par.Pool) {
 	if a.Rows != b.Rows || c.Rows != a.Cols || c.Cols != b.Cols {
-		panic("mat: MulAtBAddTo dimension mismatch")
+		panic("mat: ParMulAtBAddTo dimension mismatch")
 	}
 	if p == nil {
 		mulAtBRange(c, a, b, 0, a.Cols)
@@ -244,13 +230,8 @@ func MulABt(a, b *Dense) *Dense {
 		panic(fmt.Sprintf("mat: MulABt dimension mismatch %dx%d · %dx%dᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	c := NewDense(a.Rows, b.Rows)
-	MulABtTo(c, a, b)
-	return c
-}
-
-// MulABtTo computes C = A·Bᵀ into c.
-func MulABtTo(c, a, b *Dense) {
 	ParMulABtTo(c, a, b, nil)
+	return c
 }
 
 // ParMulABtTo is ParMulABtToWS with a freshly allocated pack buffer.
@@ -263,7 +244,7 @@ func ParMulABtTo(c, a, b *Dense, p *par.Pool) {
 // the pool.
 func ParMulABtToWS(c, a, b *Dense, p *par.Pool, ws *Workspace) {
 	if a.Cols != b.Cols || c.Rows != a.Rows || c.Cols != b.Rows {
-		panic("mat: MulABtTo dimension mismatch")
+		panic("mat: ParMulABtTo dimension mismatch")
 	}
 	pk := PackRows(ws, b)
 	ParMulPackedTo(c, a, pk, p)
@@ -274,13 +255,8 @@ func ParMulABtToWS(c, a, b *Dense, p *par.Pool, ws *Workspace) {
 // Cost: m·k·(k+1) flops (half of a full multiply).
 func Gram(a *Dense) *Dense {
 	g := NewDense(a.Cols, a.Cols)
-	GramAddTo(g, a)
-	return g
-}
-
-// GramAddTo computes G += Aᵀ·A, filling both triangles.
-func GramAddTo(g, a *Dense) {
 	ParGramAddTo(g, a, nil)
+	return g
 }
 
 // ParGramTo computes G = Aᵀ·A, overwriting g.
@@ -295,7 +271,7 @@ func ParGramTo(g, a *Dense, p *par.Pool) {
 func ParGramAddTo(g, a *Dense, p *par.Pool) {
 	k := a.Cols
 	if g.Rows != k || g.Cols != k {
-		panic("mat: GramAddTo dimension mismatch")
+		panic("mat: ParGramAddTo dimension mismatch")
 	}
 	if p == nil || k < 2 {
 		gramRange(g, a, 0, k)
@@ -362,11 +338,6 @@ func GramT(a *Dense) *Dense {
 	return g
 }
 
-// GramTTo computes G = A·Aᵀ into an existing k×k matrix.
-func GramTTo(g, a *Dense) {
-	ParGramTTo(g, a, nil)
-}
-
 // ParGramTTo is ParGramTToWS with a freshly allocated pack buffer.
 func ParGramTTo(g, a *Dense, p *par.Pool) {
 	ParGramTToWS(g, a, p, nil)
@@ -379,7 +350,7 @@ func ParGramTTo(g, a *Dense, p *par.Pool) {
 func ParGramTToWS(g, a *Dense, p *par.Pool, ws *Workspace) {
 	k := a.Rows
 	if g.Rows != k || g.Cols != k {
-		panic("mat: GramTTo dimension mismatch")
+		panic("mat: ParGramTTo dimension mismatch")
 	}
 	pk := PackRows(ws, a)
 	blocks := (k + tileMR - 1) / tileMR

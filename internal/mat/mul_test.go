@@ -189,7 +189,7 @@ func randomSignedZeros(r, c int, s *rng.Stream) *Dense {
 
 // TestTileMatchesReference pins the tile kernel's three products —
 // A·Hᵀ, A·B on a packed n×k panel, and H·Hᵀ — against the scalar
-// references bit for bit, at every non-FMA dispatch level and pool
+// references bit for bit, at every dispatch level and pool
 // width, over shapes straddling every tile edge (rows mod MR, columns
 // mod NR, reduction mod the unroll, empty dimensions, and enough row
 // blocks that a pool really splits them). Outputs start as sentinels
@@ -212,9 +212,6 @@ func TestTileMatchesReference(t *testing.T) {
 		}
 	}
 	for _, isa := range SupportedISAs() {
-		if isa == "avx2+fma" {
-			continue // tolerance-tested separately
-		}
 		if err := SetISA(isa); err != nil {
 			t.Fatalf("SetISA(%q): %v", isa, err)
 		}
@@ -296,19 +293,19 @@ func TestNoZeroSkip(t *testing.T) {
 	a := FromRows([][]float64{{0, 1}})       // 1×2
 	b := FromRows([][]float64{{inf()}, {2}}) // 2×1
 	c := NewDense(1, 1)
-	MulAddTo(c, a, b)
+	ParMulAddTo(c, a, b, nil)
 	if !math.IsNaN(c.At(0, 0)) {
 		t.Errorf("MulAddTo 0·Inf = %v, want NaN", c.At(0, 0))
 	}
 	at := FromRows([][]float64{{0}, {1}}) // 2×1 (column of A)
 	bt := FromRows([][]float64{{inf()}, {2}})
 	c2 := NewDense(1, 1)
-	MulAtBAddTo(c2, at, bt)
+	ParMulAtBAddTo(c2, at, bt, nil)
 	if !math.IsNaN(c2.At(0, 0)) {
 		t.Errorf("MulAtBAddTo 0·Inf = %v, want NaN", c2.At(0, 0))
 	}
 	g := NewDense(1, 1)
-	GramAddTo(g, FromRows([][]float64{{0}, {inf()}}))
+	ParGramAddTo(g, FromRows([][]float64{{0}, {inf()}}), nil)
 	if !math.IsInf(g.At(0, 0), 1) {
 		t.Errorf("GramAddTo with Inf entry = %v, want +Inf", g.At(0, 0))
 	}

@@ -12,7 +12,7 @@ import "hpcnmf/internal/par"
 // Every output element has exactly one accumulator, started at zero
 // and updated acc = acc + a·b in ascending reduction index — the
 // operation sequence of RefMulABtTo, RefGramT and RefMulAddTo on a
-// zeroed C — so all non-FMA dispatch levels are bitwise equal to the
+// zeroed C — so both dispatch levels are bitwise equal to the
 // references by construction. Vector lanes hold adjacent output
 // columns, never partial sums.
 const (
@@ -143,8 +143,8 @@ func tileBlocks(c, a *Dense, pk Packed, b0, b1 int, upper bool) {
 
 // tileGeneric is the portable tile: C[r][j] = Σ_l a_r[l]·b[l·NR+j]
 // for the MR×NR tile at c (row stride ldc), one row of eight running
-// sums at a time so they stay in registers. It is the "generic" and
-// "sse2" dispatch level and the only one off amd64.
+// sums at a time so they stay in registers. It is the "generic"
+// dispatch level and the only one off amd64.
 func tileGeneric(c []float64, ldc int, a0, a1, a2, a3, b []float64) {
 	tileRow(c, a0, b)
 	tileRow(c[ldc:], a1, b)

@@ -2,16 +2,11 @@
 
 package mat
 
-// AVX2 variants of the tile microkernel (tile_amd64.s). The fma
-// variant contracts each mul+add pair and is only reachable through
-// the opt-in FMA toggle (see isa.go); below avx2 the portable Go tile
-// runs.
+// AVX2 variant of the tile microkernel (tile_amd64.s); without AVX2
+// the portable Go tile runs.
 
 //go:noescape
 func tile4x8AVX2(c *float64, ldc int, a0, a1, a2, a3, b *float64, n int)
-
-//go:noescape
-func tile4x8FMA(c *float64, ldc int, a0, a1, a2, a3, b *float64, n int)
 
 // tile computes one MR×NR tile of C (row stride ldc) from four A rows
 // of equal nonzero length and one packed panel (see tileGeneric for
@@ -24,9 +19,5 @@ func tile(c []float64, ldc int, a0, a1, a2, a3, b []float64) {
 	// The assembly trusts these extents; check them here.
 	n := len(a0)
 	_, _, _, _, _ = c[3*ldc+tileNR-1], a1[n-1], a2[n-1], a3[n-1], b[n*tileNR-1]
-	if fmaOn.Load() {
-		tile4x8FMA(&c[0], ldc, &a0[0], &a1[0], &a2[0], &a3[0], &b[0], n)
-	} else {
-		tile4x8AVX2(&c[0], ldc, &a0[0], &a1[0], &a2[0], &a3[0], &b[0], n)
-	}
+	tile4x8AVX2(&c[0], ldc, &a0[0], &a1[0], &a2[0], &a3[0], &b[0], n)
 }

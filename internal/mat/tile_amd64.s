@@ -20,11 +20,6 @@
 	VMULPD       Y10, Y9, Y12;      \
 	VADDPD       Y12, acc1, acc1
 
-#define ROW_FMA(a, off, acc0, acc1) \
-	VBROADCASTSD off(a)(AX*8), Y10; \
-	VFMADD231PD  Y10, Y8, acc0;     \
-	VFMADD231PD  Y10, Y9, acc1
-
 #define STEP_MUL(off8, offb0, offb1) \
 	VMOVUPD offb0(SI), Y8;       \
 	VMOVUPD offb1(SI), Y9;       \
@@ -32,14 +27,6 @@
 	ROW_MUL(R9, off8, Y2, Y3);   \
 	ROW_MUL(R10, off8, Y4, Y5);  \
 	ROW_MUL(R11, off8, Y6, Y7)
-
-#define STEP_FMA(off8, offb0, offb1) \
-	VMOVUPD offb0(SI), Y8;       \
-	VMOVUPD offb1(SI), Y9;       \
-	ROW_FMA(R8, off8, Y0, Y1);   \
-	ROW_FMA(R9, off8, Y2, Y3);   \
-	ROW_FMA(R10, off8, Y4, Y5);  \
-	ROW_FMA(R11, off8, Y6, Y7)
 
 // Arguments: DI = c, DX = ldc (bytes after the shift), R8–R11 = the
 // four A rows, SI = packed panel, CX = n, AX = reduction index.
@@ -100,37 +87,6 @@ tail1:
 	CMPQ AX, CX
 	JGE  done
 	STEP_MUL(0, 0, 32)
-	INCQ AX
-	ADDQ $64, SI
-	JMP  tail1
-
-done:
-	TILE_STORE
-	RET
-
-// func tile4x8FMA(c *float64, ldc int, a0, a1, a2, a3, b *float64, n int)
-TEXT ·tile4x8FMA(SB), NOSPLIT, $0-64
-	TILE_LOAD_ARGS
-	SUBQ $3, CX
-
-loop4:
-	CMPQ AX, CX
-	JGE  tail
-	STEP_FMA(0, 0, 32)
-	STEP_FMA(8, 64, 96)
-	STEP_FMA(16, 128, 160)
-	STEP_FMA(24, 192, 224)
-	ADDQ $4, AX
-	ADDQ $256, SI
-	JMP  loop4
-
-tail:
-	ADDQ $3, CX
-
-tail1:
-	CMPQ AX, CX
-	JGE  done
-	STEP_FMA(0, 0, 32)
 	INCQ AX
 	ADDQ $64, SI
 	JMP  tail1

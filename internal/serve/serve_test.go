@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -457,6 +458,20 @@ func TestHTTPEndToEnd(t *testing.T) {
 	resp = postJSON(t, ts.URL+"/v1/fit", FitRequest{Model: "bad", Rows: 2, Cols: 2, Data: []float64{1}, K: 1})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("short-data fit: status %d, want 400", resp.StatusCode)
+	}
+	resp.Body.Close()
+	resp = postJSON(t, ts.URL+"/v1/fit", FitRequest{Model: "bad", Rows: 2, Cols: 2, Data: []float64{1, 2, -3, 4}, K: 1})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("negative-entry fit: status %d, want 400", resp.StatusCode)
+	}
+	var bad map[string]string
+	decodeBody(t, resp, &bad)
+	if !strings.Contains(bad["error"], "data[2] = -3 is negative") {
+		t.Errorf("negative-entry fit: error %q does not name the entry", bad["error"])
+	}
+	resp = postJSON(t, ts.URL+"/v1/fit", FitRequest{Model: "negzero", Rows: 2, Cols: 2, Data: []float64{1, 2, math.Copysign(0, -1), 4}, K: 1})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("fit with a -0.0 entry: status %d, want 202", resp.StatusCode)
 	}
 	resp.Body.Close()
 	resp = postJSON(t, ts.URL+"/v1/project", ProjectRequest{Model: "demo"})

@@ -630,6 +630,14 @@ func (f *FitRequest) validate() error {
 	if _, err := solverKind(f.Solver); err != nil {
 		return err
 	}
+	// A fit would clamp a negative entry silently and report a
+	// converged-looking error against a matrix nobody sent. (NaN and
+	// ±Inf never reach here: the wire decoder refuses them.)
+	for i, v := range f.Data {
+		if v < 0 {
+			return fmt.Errorf("data[%d] = %g is negative; NMF needs A ≥ 0", i, v)
+		}
+	}
 	return nil
 }
 

@@ -4,7 +4,7 @@ import "hpcnmf/internal/mat"
 
 // The retained scalar reference kernels. They define the accumulation
 // order the production kernels of spmm.go must reproduce bit for bit
-// (for any pool size, strip width, and non-FMA ISA level), anchor the
+// (for any pool size, strip width, and ISA level), anchor the
 // differential tests, and serve as the "naive" side of the kernel
 // benchmarks. Shapes follow MulBtTo/MulWtATo; no validation is done.
 

@@ -26,8 +26,8 @@ import (
 //     streamed once per strip (sequential, prefetch-friendly).
 //
 //   - four-entry unrolling into the SIMD axpy primitives of
-//     internal/mat, which carry the kernel-dispatch upgrade
-//     (SSE2/AVX2/FMA) into the sparse path.
+//     internal/mat, which carry the kernel-dispatch upgrade (AVX2)
+//     into the sparse path.
 //
 // The bitwise contract holds throughout: workers own disjoint output
 // elements, each output element accumulates its contributions in the
@@ -35,7 +35,7 @@ import (
 // ascending row order for Wᵀ·A), and the left-associated Axpy4 chain
 // equals four sequential adds bit for bit. Every result is bitwise
 // identical to RefMulBtTo/RefMulWtATo for any pool size, strip width,
-// and non-FMA ISA level.
+// and ISA level.
 
 const (
 	// spSerialNNZ is the stored-entry count below which the pool paths

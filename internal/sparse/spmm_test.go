@@ -256,7 +256,7 @@ func TestCSCIndexRoundTrip(t *testing.T) {
 	_ = s
 }
 
-// TestSpMMAcrossISAs sweeps every supported non-FMA dispatch level:
+// TestSpMMAcrossISAs sweeps every supported dispatch level:
 // the sparse kernels inherit the bitwise contract from the axpy
 // primitives, so results must be identical across levels.
 func TestSpMMAcrossISAs(t *testing.T) {
@@ -280,9 +280,6 @@ func TestSpMMAcrossISAs(t *testing.T) {
 	a.MulWtATo(wantWtA, w, nil)
 
 	for _, isa := range mat.SupportedISAs() {
-		if isa == "avx2+fma" {
-			continue // breaks the bitwise contract by design
-		}
 		if err := mat.SetISA(isa); err != nil {
 			t.Fatalf("SetISA(%q): %v", isa, err)
 		}

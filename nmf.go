@@ -405,19 +405,6 @@ func TruncatedSVD(a Matrix, k, iters int, seed uint64) (u *Dense, sigma []float6
 	return core.TruncatedSVD(a, k, iters, seed)
 }
 
-// RankPoint is one entry of a rank sweep (RankSweep).
-type RankPoint = core.RankPoint
-
-// RankSweep factorizes A at each candidate rank and returns the final
-// relative error per rank, the curve used to choose k by its elbow.
-func RankSweep(a Matrix, ks []int, opts Options) ([]RankPoint, error) {
-	return core.RankSweep(a, ks, opts)
-}
-
-// Elbow picks the rank after which additional components stop paying
-// (see core.Elbow for the rule); frac ≤ 0 selects the default 0.1.
-func Elbow(points []RankPoint, frac float64) RankPoint { return core.Elbow(points, frac) }
-
 // Projector projects new data columns onto a fixed basis W — the
 // H-subproblem NNLS solve with W frozen, off a cached WᵀW Gram. It is
 // the shared cheap-serve path of the streaming factorizer and the
