@@ -142,3 +142,64 @@ func TestRunParallelAutoFallsBackWhenInfeasible(t *testing.T) {
 		t.Errorf("fallback grid %v, want Choose's %v", res.Grid, want)
 	}
 }
+
+// copiedBlocks is a dense Matrix whose every block is a copy — what
+// denseMatrix.Block returned before full-width blocks became views.
+type copiedBlocks struct{ denseMatrix }
+
+func (a copiedBlocks) Block(r0, r1, c0, c1 int) Matrix {
+	return denseMatrix{d: a.d.Submatrix(r0, r1, c0, c1)}
+}
+
+// TestDenseBlockViewsAreReadOnly: a dense block that spans all columns
+// aliases A instead of copying it (pr×1 grids, the naive layout's row
+// slab). Every layout that takes such a block must leave A bit for bit
+// as it was and produce the factors it produces from copied blocks.
+func TestDenseBlockViewsAreReadOnly(t *testing.T) {
+	const m, n, k = 48, 40, 4
+	d := lowRankDense(m, n, k, 0.02, 3)
+	before := d.Clone()
+
+	blk, _ := UnwrapDense(WrapDense(d).Block(8, 24, 0, n))
+	if &blk.Data[0] != &d.Data[8*n] || cap(blk.Data) != len(blk.Data) || blk.Rows != 16 || blk.Cols != n {
+		t.Fatalf("full-width block is not a capacity-clipped %dx%d view of rows [8,24)", 16, n)
+	}
+	if part, _ := UnwrapDense(WrapDense(d).Block(8, 24, 0, n-1)); &part.Data[0] == &d.Data[8*n] {
+		t.Fatal("a block narrower than A aliases it")
+	}
+
+	layouts := []struct {
+		name string
+		run  func(Matrix, Options) (*Result, error)
+	}{
+		{"hpc2x1", func(a Matrix, o Options) (*Result, error) { return RunHPC(a, grid.Grid{PR: 2, PC: 1}, o) }},
+		{"hpc1x2", func(a Matrix, o Options) (*Result, error) { return RunHPC(a, grid.Grid{PR: 1, PC: 2}, o) }},
+		{"naive", func(a Matrix, o Options) (*Result, error) { return RunNaive(a, 2, o) }},
+	}
+	for _, solver := range conformanceSolvers {
+		opts := Options{K: k, MaxIter: 4, Seed: 11, Solver: solver, ComputeError: true}
+		for _, l := range layouts {
+			got, err := l.run(WrapDense(d), opts)
+			if err != nil {
+				t.Fatalf("%v %s: %v", solver, l.name, err)
+			}
+			want, err := l.run(copiedBlocks{denseMatrix{d: before}}, opts)
+			if err != nil {
+				t.Fatalf("%v %s on copied blocks: %v", solver, l.name, err)
+			}
+			if dw, dh := got.W.MaxDiff(want.W), got.H.MaxDiff(want.H); dw != 0 || dh != 0 {
+				t.Errorf("%v %s: views changed W by %g, H by %g (want bitwise equal)", solver, l.name, dw, dh)
+			}
+			for i := range want.RelErr {
+				if got.RelErr[i] != want.RelErr[i] {
+					t.Errorf("%v %s: RelErr[%d] = %v on views, %v on copies", solver, l.name, i, got.RelErr[i], want.RelErr[i])
+				}
+			}
+			for i, v := range before.Data {
+				if math.Float64bits(d.Data[i]) != math.Float64bits(v) {
+					t.Fatalf("%v %s: A[%d] changed from %g to %g", solver, l.name, i, v, d.Data[i])
+				}
+			}
+		}
+	}
+}

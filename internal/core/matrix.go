@@ -25,7 +25,9 @@ type Matrix interface {
 	MulBt(bt *mat.Dense) *mat.Dense
 	// MulAtB returns Wᵀ·A (k×n) for W of shape m×k.
 	MulAtB(w *mat.Dense) *mat.Dense
-	// Block returns the sub-matrix of rows [r0,r1) × cols [c0,c1).
+	// Block returns the sub-matrix of rows [r0,r1) × cols [c0,c1). A
+	// block may alias its parent's storage (a dense block spanning all
+	// columns does), so it is read-only.
 	Block(r0, r1, c0, c1 int) Matrix
 	// IsSparse reports the underlying storage kind.
 	IsSparse() bool
@@ -61,6 +63,11 @@ func (a denseMatrix) MulBt(bt *mat.Dense) *mat.Dense { return mat.Mul(a.d, bt) }
 func (a denseMatrix) MulAtB(w *mat.Dense) *mat.Dense { return mat.MulAtB(w, a.d) }
 func (a denseMatrix) IsSparse() bool                 { return false }
 func (a denseMatrix) Block(r0, r1, c0, c1 int) Matrix {
+	if n := a.d.Cols; c0 == 0 && c1 == n {
+		// Whole rows are contiguous: a header over them, capacity
+		// clipped, instead of a copy the ranks only ever read.
+		return denseMatrix{d: &mat.Dense{Rows: r1 - r0, Cols: n, Data: a.d.Data[r0*n : r1*n : r1*n]}}
+	}
 	return denseMatrix{d: a.d.Submatrix(r0, r1, c0, c1)}
 }
 

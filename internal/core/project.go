@@ -18,14 +18,16 @@ import (
 // line 4) with W frozen. This is the cheap "absorb new data" operation
 // of the streaming scenario (§6.1.1) and the hot path of the serving
 // layer: the k×k Gram WᵀW is computed once and cached, so a projection
-// costs one WᵀC product (2·m·k·c flops) plus a small NNLS solve,
-// independent of however much data originally fitted the basis.
+// costs one WᵀC product (2·m·k·c flops — for the usual lone column a
+// matrix–vector product that streams W once, which mat.ParMulAtBTo
+// vectorizes along k) plus a k×k NNLS solve per column, independent of
+// however much data originally fitted the basis.
 //
 // A Projector owns a workspace arena and is therefore single-goroutine,
 // like the driver states; concurrent callers each need their own (the
 // serving layer gives every model batcher one). Steady-state
-// ProjectInto calls with a workspace-aware solver (MU/HALS/PGD)
-// allocate nothing.
+// ProjectInto calls with an nnls.ContextSolver (BPP, MU, HALS, PGD —
+// every solver but the active-set reference) allocate nothing.
 type Projector struct {
 	w    *mat.Dense // m×k basis; not owned — callers mutate via SetBasis/RefreshGram
 	gram *mat.Dense // k×k cached WᵀW

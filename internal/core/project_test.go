@@ -254,3 +254,49 @@ func TestProjectIntoZeroAllocs(t *testing.T) {
 		t.Errorf("steady-state ProjectInto allocates %v times per call, want 0", allocs)
 	}
 }
+
+// TestProjectSingleColumnEqualsBatchColumn pins what the serving
+// batcher relies on when it coalesces requests: a column projected
+// alone (WᵀC through the narrow-B kernel path) gets the same
+// coefficients and residual, bit for bit, as the same column inside a
+// 32-column batch (the wide path).
+func TestProjectSingleColumnEqualsBatchColumn(t *testing.T) {
+	const m, k, c = 203, 50, 32
+	w := randBasis(m, k, 11)
+	cols := randBasis(m, c, 12)
+	for _, tc := range []struct {
+		name   string
+		solver func() nnls.Solver
+	}{
+		{"BPP", func() nnls.Solver { return nnls.NewBPP() }},
+		{"MU", func() nnls.Solver { return nnls.NewMU(20) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := NewProjector(w, tc.solver(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch := mat.NewDense(k, c)
+			batchResid := make([]float64, c)
+			if _, err := p.ProjectInto(batch, cols, batchResid); err != nil {
+				t.Fatal(err)
+			}
+			one := mat.NewDense(k, 1)
+			oneResid := make([]float64, 1)
+			for j := 0; j < c; j++ {
+				if _, err := p.ProjectInto(one, cols.SubmatrixCols(j, j+1), oneResid); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < k; i++ {
+					if got, want := one.At(i, 0), batch.At(i, j); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("column %d: h[%d] alone = %x (%g), in the batch = %x (%g)", j, i,
+							math.Float64bits(got), got, math.Float64bits(want), want)
+					}
+				}
+				if math.Float64bits(oneResid[0]) != math.Float64bits(batchResid[j]) {
+					t.Fatalf("column %d: residual alone = %g, in the batch = %g", j, oneResid[0], batchResid[j])
+				}
+			}
+		})
+	}
+}

@@ -15,7 +15,9 @@ import (
 //     ways and output rows are paired, so each call folds four streamed
 //     input rows into two output rows (packed SIMD on amd64, see
 //     axpy_amd64.s). Their vectors run along the output row, which is
-//     long exactly when the output is wide.
+//     long exactly when the output is wide; Aᵀ·B with a B of only a few
+//     columns (a projection's Wᵀ·c) swaps its operands so they run
+//     along the rows of A instead (see mulAtBRange).
 //   - Skinny outputs, long reductions (A·Hᵀ, A·B on a gathered n×k
 //     panel, H·Hᵀ) go through the tile kernel of tile.go: the factor is
 //     packed once into n×8 panels and a 4×8 block of C stays in
@@ -108,12 +110,9 @@ func mulAddRange(c, a, b *Dense, i0, i1 int) {
 				b.Data[(l+2)*n:(l+3)*n], b.Data[(l+3)*n:(l+4)*n], &vw)
 		}
 		for ; l < kk; l++ {
-			a0, a1 := ar0[l], ar1[l]
-			b0 := b.Data[l*n : (l+1)*n][:n]
-			for j, bv := range b0 {
-				c0[j] += a0 * bv
-				c1[j] += a1 * bv
-			}
+			brow := b.Data[l*n : (l+1)*n]
+			Axpy(c0, brow, ar0[l])
+			Axpy(c1, brow, ar1[l])
 		}
 	}
 	for ; i < i1; i++ {
@@ -121,21 +120,12 @@ func mulAddRange(c, a, b *Dense, i0, i1 int) {
 		crow := c.Row(i)
 		l := 0
 		for ; l+4 <= kk; l += 4 {
-			a0, a1, a2, a3 := arow[l], arow[l+1], arow[l+2], arow[l+3]
-			b0 := b.Data[(l+0)*n : (l+1)*n]
-			b1 := b.Data[(l+1)*n : (l+2)*n][:len(b0)]
-			b2 := b.Data[(l+2)*n : (l+3)*n][:len(b0)]
-			b3 := b.Data[(l+3)*n : (l+4)*n][:len(b0)]
-			for j, cv := range crow[:len(b0)] {
-				crow[j] = cv + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-			}
+			Axpy4(crow,
+				b.Data[(l+0)*n:(l+1)*n], b.Data[(l+1)*n:(l+2)*n],
+				b.Data[(l+2)*n:(l+3)*n], b.Data[(l+3)*n:(l+4)*n], (*[4]float64)(arow[l:l+4]))
 		}
 		for ; l < kk; l++ {
-			a0 := arow[l]
-			b0 := b.Data[l*n : (l+1)*n]
-			for j, bv := range b0 {
-				crow[j] += a0 * bv
-			}
+			Axpy(crow, b.Data[l*n:(l+1)*n], arow[l])
 		}
 	}
 }
@@ -175,16 +165,58 @@ func ParMulAtBAddTo(c, a, b *Dense, p *par.Pool) {
 	})
 }
 
-// mulAtBRange computes rows [l0,l1) of C += Aᵀ·B. The sample index i
-// (the reduction) is unrolled four ways and output rows are paired, so
-// each axpy42 call folds four (A,B) row pairs into two rows of C —
-// four streamed loads amortized over sixteen flops.
+// narrowCols is the shape rule of Aᵀ·B: a B with fewer columns is
+// multiplied with the operands swapped (see mulAtBRange). narrowBlock
+// is the widest run of C rows that path holds transposed at once. Both
+// are measured constants, not options (DESIGN.md decision 8 has the
+// table that placed them).
+const (
+	narrowCols  = 16
+	narrowBlock = 64
+)
+
+// mulAtBRange computes rows [l0,l1) of C += Aᵀ·B. mulAtBWindow's
+// vectors run along the rows of B, which is right when B is wide. A B
+// of fewer than narrowCols columns (a projection's Wᵀ·c is the
+// one-column case) leaves it nothing to vectorize over, so the vector
+// axis follows the shape: Cᵀ += Bᵀ·A is the same loop nest with the
+// operands swapped and rows of A as the vectors, run on a transposed
+// copy of a narrowBlock of C's rows. Either way every element takes
+// its products in ascending i, summed left to right in groups of four,
+// and v·p = p·v bit for bit, so both orders equal RefMulAtBAddTo. The
+// transposed block lives on the stack; A is streamed once per block.
 func mulAtBRange(c, a, b *Dense, l0, l1 int) {
-	m := a.Rows
 	n := b.Cols
-	if n == 0 {
+	if n >= narrowCols {
+		mulAtBWindow(c.Data, a, l0, l1, b, 0, n)
 		return
 	}
+	var acc [(narrowCols - 1) * narrowBlock]float64
+	for lb := l0; lb < l1; lb += narrowBlock {
+		w := min(narrowBlock, l1-lb)
+		ct := acc[:n*w]
+		for l := 0; l < w; l++ {
+			for j := 0; j < n; j++ {
+				ct[j*w+l] = c.Data[(lb+l)*n+j]
+			}
+		}
+		mulAtBWindow(ct, b, 0, n, a, lb, lb+w)
+		for l := 0; l < w; l++ {
+			for j := 0; j < n; j++ {
+				c.Data[(lb+l)*n+j] = ct[j*w+l]
+			}
+		}
+	}
+}
+
+// mulAtBWindow computes C += Aᵀ·B for output rows [l0,l1) and columns
+// [j0,j1) of B; row l of the output is c[l·w:(l+1)·w] with w = j1−j0.
+// The sample index i (the reduction) is unrolled four ways and output
+// rows are paired, so each axpy42 call folds four (A,B) row pairs into
+// two rows of C — four streamed loads amortized over sixteen flops.
+func mulAtBWindow(c []float64, a *Dense, l0, l1 int, b *Dense, j0, j1 int) {
+	m := a.Rows
+	w := j1 - j0
 	var vw [8]float64
 	i := 0
 	for ; i+4 <= m; i += 4 {
@@ -192,33 +224,26 @@ func mulAtBRange(c, a, b *Dense, l0, l1 int) {
 		a1 := a.Row(i + 1)
 		a2 := a.Row(i + 2)
 		a3 := a.Row(i + 3)
-		b0 := b.Row(i)
-		b1 := b.Row(i + 1)[:len(b0)]
-		b2 := b.Row(i + 2)[:len(b0)]
-		b3 := b.Row(i + 3)[:len(b0)]
+		b0 := b.Row(i)[j0:j1]
+		b1 := b.Row(i + 1)[j0:j1]
+		b2 := b.Row(i + 2)[j0:j1]
+		b3 := b.Row(i + 3)[j0:j1]
 		l := l0
 		for ; l+2 <= l1; l += 2 {
 			vw[0], vw[1], vw[2], vw[3] = a0[l], a1[l], a2[l], a3[l]
 			vw[4], vw[5], vw[6], vw[7] = a0[l+1], a1[l+1], a2[l+1], a3[l+1]
-			axpy42(c.Data[l*n:(l+1)*n], c.Data[(l+1)*n:(l+2)*n], b0, b1, b2, b3, &vw)
+			axpy42(c[l*w:(l+1)*w], c[(l+1)*w:(l+2)*w], b0, b1, b2, b3, &vw)
 		}
-		for ; l < l1; l++ {
-			v0, v1, v2, v3 := a0[l], a1[l], a2[l], a3[l]
-			crow := c.Data[l*n : (l+1)*n][:len(b0)]
-			for j, p0 := range b0 {
-				crow[j] = crow[j] + v0*p0 + v1*b1[j] + v2*b2[j] + v3*b3[j]
-			}
+		if l < l1 {
+			vw[0], vw[1], vw[2], vw[3] = a0[l], a1[l], a2[l], a3[l]
+			Axpy4(c[l*w:(l+1)*w], b0, b1, b2, b3, (*[4]float64)(vw[:4]))
 		}
 	}
 	for ; i < m; i++ {
 		arow := a.Row(i)
-		brow := b.Row(i)
+		brow := b.Row(i)[j0:j1]
 		for l := l0; l < l1; l++ {
-			v := arow[l]
-			crow := c.Data[l*n : (l+1)*n][:len(brow)]
-			for j, bv := range brow {
-				crow[j] += v * bv
-			}
+			Axpy(c[l*w:(l+1)*w], brow, arow[l])
 		}
 	}
 }
@@ -295,9 +320,9 @@ func gramRange(g, a *Dense, l0, l1 int) {
 	i := 0
 	for ; i+4 <= m; i += 4 {
 		t0 := a.Row(i)
-		t1 := a.Row(i + 1)[:len(t0)]
-		t2 := a.Row(i + 2)[:len(t0)]
-		t3 := a.Row(i + 3)[:len(t0)]
+		t1 := a.Row(i + 1)
+		t2 := a.Row(i + 2)
+		t3 := a.Row(i + 3)
 		l := l0
 		for ; l+2 <= l1; l += 2 {
 			v0, v1, v2, v3 := t0[l], t1[l], t2[l], t3[l]
@@ -309,22 +334,15 @@ func gramRange(g, a *Dense, l0, l1 int) {
 			vw[4], vw[5], vw[6], vw[7] = t0[j], t1[j], t2[j], t3[j]
 			axpy42(g0[j:], g1[j:], t0[j:], t1[j:], t2[j:], t3[j:], &vw)
 		}
-		for ; l < l1; l++ {
-			v0, v1, v2, v3 := t0[l], t1[l], t2[l], t3[l]
-			grow := g.Data[l*k : (l+1)*k][:len(t0)]
-			for j := l; j < len(t0); j++ {
-				grow[j] = grow[j] + v0*t0[j] + v1*t1[j] + v2*t2[j] + v3*t3[j]
-			}
+		if l < l1 {
+			vw[0], vw[1], vw[2], vw[3] = t0[l], t1[l], t2[l], t3[l]
+			Axpy4(g.Data[l*k+l:(l+1)*k], t0[l:], t1[l:], t2[l:], t3[l:], (*[4]float64)(vw[:4]))
 		}
 	}
 	for ; i < m; i++ {
 		row := a.Row(i)
 		for l := l0; l < l1; l++ {
-			v := row[l]
-			grow := g.Data[l*k : (l+1)*k][:len(row)]
-			for j := l; j < len(row); j++ {
-				grow[j] += v * row[j]
-			}
+			Axpy(g.Data[l*k+l:(l+1)*k], row[l:], row[l])
 		}
 	}
 }

@@ -42,6 +42,22 @@ var kernelShapes = []struct{ m, k, n int }{
 	{3, 100, 2},  // tall reduction, skinny output
 }
 
+// projectionShapes are the Aᵀ·B shapes a projection serves, (m, k, n)
+// with A m×k and B m×n — both sides of the narrowCols threshold and k
+// blocks that straddle the narrowBlock accumulator — plus two small
+// ones so that, with kernelShapes, every m mod 4 is seen on each side.
+func projectionShapes() []struct{ m, k, n int } {
+	out := []struct{ m, k, n int }{{6, 5, narrowCols + 1}, {7, 70, narrowCols}}
+	for _, m := range []int{2881, 5184} {
+		for _, k := range []int{16, 50, 65, 130} {
+			for _, n := range []int{1, 2, 3, narrowCols - 1, narrowCols, narrowCols + 1} {
+				out = append(out, struct{ m, k, n int }{m, k, n})
+			}
+		}
+	}
+	return out
+}
+
 // pools used in the differential sweep: inline and a real pool.
 func testPools(t *testing.T) []*par.Pool {
 	t.Helper()
@@ -70,20 +86,34 @@ func TestMulAddToMatchesReference(t *testing.T) {
 	}
 }
 
-// TestMulAtBAddToMatchesReference checks the blocked C += Aᵀ·B.
+// TestMulAtBAddToMatchesReference checks the blocked C += Aᵀ·B, bit
+// for bit, over the kernel and projection shapes at every dispatch
+// level and at pool widths nil, 2 and 3 — a 3-way split of k = 50 cuts
+// row ranges that are not multiples of 4, and one of k = 130 cuts
+// ranges that end inside a narrowBlock.
 func TestMulAtBAddToMatchesReference(t *testing.T) {
+	restoreISA(t)
 	s := rng.New(102)
-	for _, pool := range testPools(t) {
-		for _, sh := range kernelShapes {
-			a := randomSigned(sh.m, sh.k, s)
-			b := randomSigned(sh.m, sh.n, s)
-			c0 := randomSigned(sh.k, sh.n, s)
-			want := c0.Clone()
-			RefMulAtBAddTo(want, a, b)
-			got := c0.Clone()
-			ParMulAtBAddTo(got, a, b, pool)
-			if d := want.MaxDiff(got); d != 0 {
-				t.Errorf("shape %v pool=%v: MulAtBAddTo differs from reference by %g", sh, pool != nil, d)
+	pools := []*par.Pool{nil, par.NewPool(2), par.NewPool(3)}
+	defer pools[1].Close()
+	defer pools[2].Close()
+	for _, sh := range append(projectionShapes(), kernelShapes...) {
+		a := randomSignedZeros(sh.m, sh.k, s)
+		b := randomSignedZeros(sh.m, sh.n, s)
+		c0 := randomSigned(sh.k, sh.n, s)
+		want := c0.Clone()
+		RefMulAtBAddTo(want, a, b)
+		for _, isa := range SupportedISAs() {
+			if err := SetISA(isa); err != nil {
+				t.Fatalf("SetISA(%q): %v", isa, err)
+			}
+			for pi, pool := range pools {
+				got := c0.Clone()
+				ParMulAtBAddTo(got, a, b, pool)
+				if i := diffBits(got.Data, want.Data); i >= 0 {
+					t.Errorf("%s shape %v pool=%d: MulAtBAddTo[%d] = %x, want %x", isa, sh, pi+1,
+						i, math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
+				}
 			}
 		}
 	}
@@ -326,6 +356,27 @@ func TestNoZeroSkip(t *testing.T) {
 		if g := GramT(FromRows([][]float64{{0, 1}, {inf(), 2}})); !math.IsNaN(g.At(0, 1)) || !math.IsNaN(g.At(1, 0)) || !math.IsInf(g.At(1, 1), 1) {
 			t.Errorf("%s GramT with 0·Inf off the diagonal = %v", isa, g)
 		}
+		// Aᵀ·B on both sides of narrowCols: a zero in either operand
+		// against an Inf in the other, in a four-row block (row 1) and
+		// in the remainder row (row 4).
+		for _, n := range []int{1, narrowCols - 1, narrowCols} {
+			for _, row := range []int{1, 4} {
+				for _, zeroInA := range []bool{true, false} {
+					an, bn := NewDense(5, 3), NewDense(5, n)
+					an.Fill(1)
+					bn.Fill(1)
+					av, bv := 0.0, inf()
+					if !zeroInA {
+						av, bv = bv, av
+					}
+					an.Set(row, 2, av)
+					bn.Set(row, n-1, bv)
+					if c := MulAtB(an, bn); !math.IsNaN(c.At(2, n-1)) {
+						t.Errorf("%s MulAtB n=%d row %d zeroInA=%v: 0·Inf = %v, want NaN", isa, n, row, zeroInA, c.At(2, n-1))
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -384,10 +435,7 @@ func TestWorkspaceReuse(t *testing.T) {
 	if d.Rows != 3 || d.Cols != 4 {
 		t.Errorf("nil workspace Get = %dx%d", d.Rows, d.Cols)
 	}
-	nilWS.Put(d)
-	if nilWS.Held() != 0 {
-		t.Errorf("nil workspace holds %d", nilWS.Held())
-	}
+	nilWS.Put(d) // must not panic: the buffer is left to the collector
 }
 
 // TestWorkspaceSteadyStateAllocs verifies the arena's core promise:
@@ -397,7 +445,8 @@ func TestWorkspaceSteadyStateAllocs(t *testing.T) {
 	round := func() {
 		a := ws.Get(64, 8)
 		b := ws.Get(8, 8)
-		c := ws.GetZero(8, 64)
+		c := ws.Get(8, 64)
+		c.Zero()
 		ws.Put(a)
 		ws.Put(b)
 		ws.Put(c)

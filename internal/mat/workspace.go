@@ -19,7 +19,7 @@ type Workspace struct {
 func NewWorkspace() *Workspace { return &Workspace{} }
 
 // Get returns an r×c matrix with unspecified contents (callers that
-// need zeros use GetZero). The buffer comes from the arena when one
+// need zeros call Zero on it). The buffer comes from the arena when one
 // with sufficient capacity is free — best fit, so a k×k request does
 // not burn an m×k buffer — and is freshly allocated otherwise. After
 // one warm-up round of any fixed Get/Put pattern, Get allocates
@@ -48,13 +48,6 @@ func (w *Workspace) Get(r, c int) *Dense {
 	return d
 }
 
-// GetZero returns an r×c zero matrix from the arena.
-func (w *Workspace) GetZero(r, c int) *Dense {
-	d := w.Get(r, c)
-	d.Zero()
-	return d
-}
-
 // Put returns a matrix to the arena for reuse. The caller must not
 // touch d afterwards — its header will be reshaped by a future Get.
 // Put(nil) is a no-op; Put on a nil workspace drops the buffer for the
@@ -65,12 +58,4 @@ func (w *Workspace) Put(d *Dense) {
 	}
 	d.Data = d.Data[:cap(d.Data)]
 	w.free = append(w.free, d)
-}
-
-// Held reports how many buffers the arena currently holds (testing).
-func (w *Workspace) Held() int {
-	if w == nil {
-		return 0
-	}
-	return len(w.free)
 }

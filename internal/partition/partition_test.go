@@ -142,7 +142,7 @@ func TestBalancePreservesFactorization(t *testing.T) {
 	}
 	// Row nnz multiset preserved under the row mapping.
 	for i := 0; i < a.Rows; i++ {
-		if a.RowNNZ(i) != b.RowNNZ(rp.Forward[i]) {
+		if j := rp.Forward[i]; a.RowPtr[i+1]-a.RowPtr[i] != b.RowPtr[j+1]-b.RowPtr[j] {
 			t.Fatal("row nnz not preserved under permutation")
 		}
 	}

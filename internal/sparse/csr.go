@@ -259,9 +259,6 @@ func (a *CSR) SquaredFrobeniusNorm() float64 {
 	return s
 }
 
-// RowNNZ returns the number of stored entries in row i.
-func (a *CSR) RowNNZ(i int) int { return a.RowPtr[i+1] - a.RowPtr[i] }
-
 // Equal reports whether a and b represent the same matrix (same shape
 // and identical stored patterns/values within tol). Patterns must
 // match exactly; this is intended for tests.

@@ -60,11 +60,11 @@ func TestFromCoordsDuplicatesAndZeros(t *testing.T) {
 	if v := a.At(2, 3); v != 0 {
 		t.Errorf("cancelled duplicate at (2,3) = %g, want stored 0", v)
 	}
-	if got := a.RowNNZ(2); got != 2 {
+	if got := a.RowPtr[3] - a.RowPtr[2]; got != 2 {
 		t.Errorf("row 2 has %d stored entries, want 2 (incl. cancelled)", got)
 	}
-	if v := a.At(0, 1); v != 0 || a.RowNNZ(0) != 2 {
-		t.Errorf("explicit zero at (0,1) not stored: val %g, row nnz %d", v, a.RowNNZ(0))
+	if v := a.At(0, 1); v != 0 || a.RowPtr[1] != 2 {
+		t.Errorf("explicit zero at (0,1) not stored: val %g, row nnz %d", v, a.RowPtr[1])
 	}
 	if v := a.At(1, 2); v != 5 {
 		t.Errorf("duplicate sum at (1,2) = %g, want 5", v)
