@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"hpcnmf/internal/metrics"
+	"hpcnmf/internal/nnls"
 	"hpcnmf/internal/perf"
 	"hpcnmf/internal/trace"
 )
@@ -45,9 +46,8 @@ func (p phaseClock) Stop(ps phaseSpan) {
 // touch, so the hot path pays one nil check instead of a registry
 // lookup. The zero value (metrics off) makes every method a no-op.
 type runMetrics struct {
-	nlsInner   *metrics.Counter
-	iterations *metrics.Gauge
-	relErr     *metrics.Gauge
+	nlsInner, nlsGroups, nlsColumnRounds *metrics.Counter
+	iterations, relErr                   *metrics.Gauge
 }
 
 // newRunMetrics resolves the iteration-loop instruments; reg may be
@@ -57,16 +57,23 @@ func newRunMetrics(reg *metrics.Registry) runMetrics {
 		return runMetrics{}
 	}
 	return runMetrics{
-		nlsInner:   reg.Counter("nmf.nls.inner_iterations"),
-		iterations: reg.Gauge("nmf.iterations"),
-		relErr:     reg.Gauge("nmf.rel_err"),
+		nlsInner:        reg.Counter("nmf.nls.inner_iterations"),
+		nlsGroups:       reg.Counter("nmf.nls.groups"),
+		nlsColumnRounds: reg.Counter("nmf.nls.column_rounds"),
+		iterations:      reg.Gauge("nmf.iterations"),
+		relErr:          reg.Gauge("nmf.rel_err"),
 	}
 }
 
-// ObserveNLS charges one local solve's inner-iteration count.
-func (m runMetrics) ObserveNLS(iters int) {
+// ObserveNLS charges one local solve's inner-iteration count and, for
+// BPP, how its grouped solves looked: column_rounds ÷ groups is the
+// columns sharing a factorization, column_rounds ÷ the columns solved
+// the pivoting rounds a column takes.
+func (m runMetrics) ObserveNLS(st nnls.Stats) {
 	if m.nlsInner != nil {
-		m.nlsInner.Add(int64(iters))
+		m.nlsInner.Add(int64(st.Iterations))
+		m.nlsGroups.Add(int64(st.Groups))
+		m.nlsColumnRounds.Add(int64(st.ColumnRounds))
 	}
 }
 

@@ -126,6 +126,12 @@ func TestSequentialTraceAndMetrics(t *testing.T) {
 	if snap.Counters["nmf.nls.inner_iterations"] == 0 {
 		t.Fatalf("NLS inner-iteration counter missing: %v", snap.Counters)
 	}
+	// BPP's group shape: every grouped solve holds at least one column,
+	// and every column of both factors takes at least one round per solve.
+	groups, colRounds := snap.Counters["nmf.nls.groups"], snap.Counters["nmf.nls.column_rounds"]
+	if groups == 0 || colRounds < groups || colRounds < int64(res.Iterations*(30+24)) {
+		t.Fatalf("nmf.nls.groups = %d, nmf.nls.column_rounds = %d over %d iterations of 30+24 columns", groups, colRounds, res.Iterations)
+	}
 	if got := snap.Gauges["nmf.iterations"]; got != float64(res.Iterations) {
 		t.Fatalf("iterations gauge = %v, want %d", got, res.Iterations)
 	}

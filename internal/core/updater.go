@@ -108,7 +108,7 @@ func (e *updateEnv) updateFactor(which string, gram, rhs, x *mat.Dense, l2, l1 f
 		return err
 	}
 	e.tr.AddFlops(perf.TaskNLS, st.Flops)
-	e.rm.ObserveNLS(st.Iterations)
+	e.rm.ObserveNLS(st)
 	checkFactorSanity(which, x)
 	return nil
 }

@@ -45,9 +45,18 @@ func (u UpdaterCoeffs) NLSFlops(k, wCols, hCols int) float64 {
 // and PGD are dominated by one (two for PGD's trial step) k×k
 // Gram-vector product per column per sweep; HALS by its k rank-one
 // row sweeps; BPP by the grouped Cholesky solves — k³/3 per group,
-// amortized here over ~8 columns sharing a passive set, plus the
-// per-column triangular solves and dual evaluation over ~3 pivot
-// rounds.
+// amortized here over 8 columns sharing a passive set, plus the
+// per-column triangular solves and dual evaluation over 3 pivot
+// rounds. Those two constants were not fitted to a run: they are the
+// shape of a dense input at small rank, and only there are they close
+// (DSYN 1440×960 at k = 8 measures 17 columns per group and 1.1
+// rounds per column; at k = 20, 1.8 and 1.8; at k = 50, 1.1 and 2.6).
+// The solver reports both (nnls.Stats.Groups and ColumnRounds,
+// nmf.nls.groups and nmf.nls.column_rounds on /metrics): on the
+// power-law sparse shape (Webbase 12 000, k = 20) they are 1.4 columns
+// per group and 2.5 rounds per column at a mean passive set of 7 of 20,
+// so there BPP runs ~6× the factorizations priced here, each ~25×
+// smaller.
 func Updaters() []UpdaterCoeffs {
 	return []UpdaterCoeffs{
 		{Name: "MU", K2: 2, K1: 6, Sweeps: 1, IterFactor: 3.0},

@@ -6,118 +6,118 @@ import (
 	"math"
 )
 
-// ErrNotPositiveDefinite is returned by Cholesky when the input matrix
-// is not numerically positive definite.
+// ErrNotPositiveDefinite is returned by CholeskyInto when the input
+// matrix is not numerically positive definite.
 var ErrNotPositiveDefinite = errors.New("mat: matrix is not positive definite")
 
-// Cholesky computes the lower-triangular factor L with G = L·Lᵀ for a
-// symmetric positive definite matrix G. Only the lower triangle of G
-// is read. Cost: k³/3 flops.
-func Cholesky(g *Dense) (*Dense, error) {
-	l := NewDense(g.Rows, g.Cols)
-	if err := CholeskyInto(l, g); err != nil {
-		return nil, err
-	}
-	return l, nil
-}
-
-// CholeskyInto is Cholesky into a caller-supplied l (k×k) — the
-// workspace-threaded form the allocation-free solver paths use. Only
-// the lower triangle of l is written (consumers read nothing else), so
-// a recycled arena buffer needs no zeroing.
-func CholeskyInto(l, g *Dense) error {
+// CholeskyInto computes the lower-triangular factor L with G = L·Lᵀ of
+// a symmetric positive definite G into the caller's l (k×k), and the
+// reciprocals of L's diagonal into inv (length k) — the only form in
+// which the substitutions use the diagonal, so they are divided out
+// once here and never again. Only the lower triangle of G is read and
+// only the lower triangle of l is written (consumers read nothing
+// else), so a recycled arena buffer needs no zeroing. Cost: k³/3 flops.
+func CholeskyInto(l, g *Dense, inv []float64) error {
 	if g.Rows != g.Cols {
 		panic(fmt.Sprintf("mat: Cholesky of non-square %dx%d", g.Rows, g.Cols))
 	}
-	if l.Rows != g.Rows || l.Cols != g.Cols {
-		panic(fmt.Sprintf("mat: Cholesky factor is %dx%d, want %dx%d", l.Rows, l.Cols, g.Rows, g.Cols))
+	if l.Rows != g.Rows || l.Cols != g.Cols || len(inv) != g.Rows {
+		panic(fmt.Sprintf("mat: Cholesky factor is %dx%d with %d reciprocals, want %dx%d and %d", l.Rows, l.Cols, len(inv), g.Rows, g.Cols, g.Rows))
 	}
-	k := g.Rows
+	k, ld, gd := g.Rows, l.Data, g.Data
 	for j := 0; j < k; j++ {
-		d := g.At(j, j)
-		lrowj := l.Row(j)
-		for t := 0; t < j; t++ {
-			d -= lrowj[t] * lrowj[t]
+		lj := ld[j*k : j*k+j+1]
+		d := gd[j*k+j]
+		for _, v := range lj[:j] {
+			d -= v * v
 		}
 		if d <= 0 || math.IsNaN(d) {
 			return ErrNotPositiveDefinite
 		}
 		dj := math.Sqrt(d)
-		lrowj[j] = dj
-		inv := 1 / dj
+		rj := 1 / dj
+		lj[j], inv[j] = dj, rj
 		for i := j + 1; i < k; i++ {
-			s := g.At(i, j)
-			lrowi := l.Row(i)
-			for t := 0; t < j; t++ {
-				s -= lrowi[t] * lrowj[t]
+			li := ld[i*k : i*k+j+1]
+			s := gd[i*k+j]
+			for t, v := range lj[:j] {
+				s -= li[t] * v
 			}
-			lrowi[j] = s * inv
+			li[j] = s * rj
 		}
 	}
 	return nil
 }
 
-// CholSolve solves G·X = B given the Cholesky factor L of G, for a
-// k×r right-hand side B. It overwrites nothing; the solution is a new
-// matrix. Cost: 2·k²·r flops.
-func CholSolve(l *Dense, b *Dense) *Dense {
-	x := b.Clone()
-	cholSolveInPlace(l, x)
-	return x
-}
+// narrowRHS is the shape rule of the substitution: a right-hand side
+// with fewer columns is solved a column at a time. Measured, not
+// borrowed from narrowCols — the two loop forms cross between 4 and 6
+// columns for factors of 3 to 20 rows (table in DESIGN, "A one-column
+// group is a vector").
+const narrowRHS = 5
 
-// CholSolveInto is CholSolve into a caller-supplied x (shaped like b),
-// for the workspace-threaded paths.
-func CholSolveInto(x *Dense, l, b *Dense) {
-	if x.Rows != b.Rows || x.Cols != b.Cols {
-		panic(fmt.Sprintf("mat: CholSolve destination is %dx%d, want %dx%d", x.Rows, x.Cols, b.Rows, b.Cols))
+// CholSolveInto solves G·X = B into the caller's x (shaped like b, and
+// allowed to be b) given the factor l of G and the reciprocals inv of
+// its diagonal, both from CholeskyInto: forward substitution (L·Y = B),
+// then back (Lᵀ·X = Y), 2·k²·r flops for a k×r right-hand side. Every
+// element x[i][j] has the products L[i][t]·x[t][j] subtracted from it
+// in ascending t and is then multiplied by inv[i]; a zero L[i][t] is
+// skipped. The loop nest follows the shape (the rule of mulAtBRange):
+// with fewer than narrowRHS columns each column is run down as a
+// vector, its current element in a register; with more, a row is
+// updated at a time by Axpy, the vector axis along the columns. x − c·t
+// and x + (−c)·t are the same float, so a column's bits do not depend
+// on how many others share its right-hand side.
+func CholSolveInto(x, l *Dense, inv []float64, b *Dense) {
+	k, r := l.Rows, x.Cols
+	if x.Rows != b.Rows || r != b.Cols || x.Rows != k || len(inv) != k {
+		panic(fmt.Sprintf("mat: CholSolve of a %dx%d right-hand side into %dx%d with a %dx%d factor and %d reciprocals", b.Rows, b.Cols, x.Rows, r, k, k, len(inv)))
 	}
 	x.CopyFrom(b)
-	cholSolveInPlace(l, x)
-}
-
-// cholSolveInPlace substitutes L·Lᵀ·X = X in place.
-func cholSolveInPlace(l, x *Dense) {
-	k := l.Rows
-	if x.Rows != k {
-		panic(fmt.Sprintf("mat: CholSolve RHS rows %d != %d", x.Rows, k))
+	ld, xd := l.Data, x.Data
+	if r < narrowRHS {
+		for j := 0; j < r; j++ {
+			for i := 0; i < k; i++ {
+				v := xd[i*r+j]
+				for t, c := range ld[i*k : i*k+i] {
+					if c != 0 {
+						v -= c * xd[t*r+j]
+					}
+				}
+				xd[i*r+j] = v * inv[i]
+			}
+			for i := k - 1; i >= 0; i-- {
+				v := xd[i*r+j]
+				for t := i + 1; t < k; t++ {
+					if c := ld[t*k+i]; c != 0 {
+						v -= c * xd[t*r+j]
+					}
+				}
+				xd[i*r+j] = v * inv[i]
+			}
+		}
+		return
 	}
-	r := x.Cols
-	// Forward substitution: L·Y = B.
 	for i := 0; i < k; i++ {
-		lrow := l.Row(i)
-		xrow := x.Row(i)
-		for t := 0; t < i; t++ {
-			if lrow[t] == 0 {
-				continue
-			}
-			xt := x.Data[t*r : (t+1)*r]
-			c := lrow[t]
-			for j := range xrow {
-				xrow[j] -= c * xt[j]
+		xi := xd[i*r : (i+1)*r]
+		for t, c := range ld[i*k : i*k+i] {
+			if c != 0 {
+				Axpy(xi, xd[t*r:(t+1)*r], -c)
 			}
 		}
-		inv := 1 / lrow[i]
-		for j := range xrow {
-			xrow[j] *= inv
+		for j := range xi {
+			xi[j] *= inv[i]
 		}
 	}
-	// Back substitution: Lᵀ·X = Y.
 	for i := k - 1; i >= 0; i-- {
-		xrow := x.Row(i)
+		xi := xd[i*r : (i+1)*r]
 		for t := i + 1; t < k; t++ {
-			c := l.At(t, i)
-			if c == 0 {
-				continue
-			}
-			xt := x.Data[t*r : (t+1)*r]
-			for j := range xrow {
-				xrow[j] -= c * xt[j]
+			if c := ld[t*k+i]; c != 0 {
+				Axpy(xi, xd[t*r:(t+1)*r], -c)
 			}
 		}
-		inv := 1 / l.At(i, i)
-		for j := range xrow {
-			xrow[j] *= inv
+		for j := range xi {
+			xi[j] *= inv[i]
 		}
 	}
 }
@@ -135,14 +135,18 @@ func SolveSPD(g, b *Dense) (*Dense, error) {
 	return x, nil
 }
 
-// SolveSPDInto is SolveSPD into a caller-supplied x (shaped like b),
-// drawing the factor and the jittered copies from ws — the form the
-// zero-alloc solver steady states use. A nil ws allocates fresh.
+// SolveSPDInto is SolveSPD into a caller-supplied x (shaped like b,
+// and allowed to be b), drawing the factor and the jittered copy from
+// ws — the form the zero-alloc solver steady states use. A nil ws
+// allocates fresh. Only the lower triangle of g is read.
 func SolveSPDInto(x *Dense, g, b *Dense, ws *Workspace) error {
-	l := ws.Get(g.Rows, g.Cols)
-	defer ws.Put(l)
-	if err := CholeskyInto(l, g); err == nil {
-		CholSolveInto(x, l, b)
+	// One buffer holds the factor and, under it, the k reciprocals of
+	// its diagonal.
+	buf := ws.Get(g.Rows+1, g.Cols)
+	defer ws.Put(buf)
+	l, inv := Dense{Rows: g.Rows, Cols: g.Cols, Data: buf.Data[:g.Rows*g.Cols]}, buf.Data[g.Rows*g.Cols:]
+	if err := CholeskyInto(&l, g, inv); err == nil {
+		CholSolveInto(x, &l, inv, b)
 		return nil
 	}
 	// Scale the jitter to the matrix magnitude.
@@ -163,8 +167,8 @@ func SolveSPDInto(x *Dense, g, b *Dense, ws *Workspace) error {
 		for i := 0; i < gj.Rows; i++ {
 			gj.Data[i*gj.Cols+i] += eps
 		}
-		if err := CholeskyInto(l, gj); err == nil {
-			CholSolveInto(x, l, b)
+		if err := CholeskyInto(&l, gj, inv); err == nil {
+			CholSolveInto(x, &l, inv, b)
 			return nil
 		}
 		eps *= 100

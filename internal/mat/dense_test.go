@@ -305,15 +305,21 @@ func TestCholeskySolve(t *testing.T) {
 		g.Set(i, i, g.At(i, i)+1)
 	}
 	b := randomDense(5, 3, 21)
-	l, err := Cholesky(g)
-	if err != nil {
+	l, inv := NewDense(5, 5), make([]float64, 5)
+	if err := CholeskyInto(l, g, inv); err != nil {
 		t.Fatalf("Cholesky failed on SPD matrix: %v", err)
 	}
 	// L·Lᵀ must reconstruct G.
 	if rec := MulABt(l, l); rec.MaxDiff(g) > 1e-10 {
 		t.Fatalf("L·Lᵀ != G: %g", rec.MaxDiff(g))
 	}
-	x := CholSolve(l, b)
+	for i, r := range inv {
+		if r != 1/l.At(i, i) {
+			t.Fatalf("inv[%d] = %g, want 1/L[%d][%d] = %g", i, r, i, i, 1/l.At(i, i))
+		}
+	}
+	x := NewDense(5, 3)
+	CholSolveInto(x, l, inv, b)
 	if res := Mul(g, x); res.MaxDiff(b) > 1e-9 {
 		t.Fatalf("G·X != B: %g", res.MaxDiff(b))
 	}
@@ -321,7 +327,7 @@ func TestCholeskySolve(t *testing.T) {
 
 func TestCholeskyRejectsIndefinite(t *testing.T) {
 	g := FromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
-	if _, err := Cholesky(g); err == nil {
+	if err := CholeskyInto(NewDense(2, 2), g, make([]float64, 2)); err == nil {
 		t.Fatal("Cholesky accepted an indefinite matrix")
 	}
 }

@@ -191,22 +191,5 @@ func solvePassive(g *mat.Dense, f []float64, passive []bool) ([]float64, int64, 
 }
 
 func lhTolerance(g *mat.Dense, f []float64) float64 {
-	m := 0.0
-	for _, v := range g.Data {
-		if v < 0 {
-			v = -v
-		}
-		if v > m {
-			m = v
-		}
-	}
-	for _, v := range f {
-		if v < 0 {
-			v = -v
-		}
-		if v > m {
-			m = v
-		}
-	}
-	return 1e-10 * (1 + m)
+	return 1e-10 * (1 + max(maxAbs(g.Data), maxAbs(f)))
 }

@@ -3,6 +3,7 @@ package nnls
 import (
 	"errors"
 	"math"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 
@@ -34,12 +35,13 @@ var ErrNotConverged = errors.New("nnls: solver did not converge within the itera
 // shared counter (one bppState per worker slot, kept on the instance);
 // with no pool the chunks run inline. A column's arithmetic depends
 // only on G, its own right-hand side and its own passive pattern — the
-// Cholesky of G[P,P] and the row-wise substitution do the same
-// operations on it whoever shares its group — so X is bitwise
-// independent of the pool width, of which worker takes which chunk and
-// of the chunk width itself. Stats.Iterations is the largest round
-// count over the chunks (the rounds the slowest column needed);
-// Stats.Flops is the sum over chunks.
+// Cholesky of G[P,P] is the group's, and the substitution subtracts
+// the same products from a column in the same order whether it runs
+// down that column alone or across a wide group's rows (see
+// mat.CholSolveInto) — so X is bitwise independent of the pool width,
+// of which worker takes which chunk, of the chunk width and of the
+// group width. Stats (see its fields) sums Flops, Groups and
+// ColumnRounds over the chunks.
 //
 // BPP implements ContextSolver: all scratch lives on the per-slot
 // states, sized by k and the chunk width, and nothing is retained per
@@ -60,11 +62,12 @@ type BPP struct {
 }
 
 // bppChunk is the number of columns pivoted together: at k = 20 a
-// chunk's f/x/y/passive copies are ≈125 KB, resident in L2 for all of
-// its rounds. It is a constant — never an option, never a function of
-// the pool width — so the grouping, and with it Stats.Flops, is the
-// same however the chunks are scheduled. bppTableBits sizes the
-// pattern hash table at twice the chunk width or more.
+// chunk's −F, z and X_P scratch and its patterns are ≈120 KB, resident
+// in L2 for all of its rounds. It is a constant — never an option,
+// never a function of the pool width — so the grouping, and with it
+// Stats.Flops, is the same however the chunks are scheduled.
+// bppTableBits sizes the pattern hash table at twice the chunk width
+// or more.
 const (
 	bppChunk     = 250
 	bppTableBits = 9
@@ -85,9 +88,17 @@ type bppProblem struct {
 // c local to the chunk); everything is rebuilt per chunk and per
 // round, so no state outlives a solve except capacity.
 type bppState struct {
-	f, x, y []float64 // chunk copies of F and X, and the dual
-	passive []bool    // passive[c*k+i]: variable i of column c is free
-	key     []uint64  // passive patterns packed to bits, for grouping
+	// nf is the chunk's copy of −F and gt is Gᵀ, the operands of the
+	// dual as solveGroup accumulates it. z is the round's solution and
+	// dual in one vector: x on a column's passive set, y on its active
+	// set — the one value per variable the feasibility test reads (x is
+	// 0 on the active set and y on the passive set by definition).
+	nf, z []float64
+	gt    mat.Dense
+	// key is the passive set of every column and its only form: ⌈k/64⌉
+	// words per column, bit i set when variable i is free. bad is one
+	// column's infeasible set in the same packing.
+	key, bad []uint64
 	// Kim–Park anti-cycling state per column: alpha full exchanges
 	// remain before falling back; beta is the best (smallest)
 	// infeasibility count seen.
@@ -98,8 +109,8 @@ type bppState struct {
 	order, gid, rep, count [bppChunk]int
 	start                  [bppChunk + 1]int
 	table                  [1 << bppTableBits]int32
-	pidx, aidx, infeasible []int
-	gpp, rhs, xp           mat.Dense     // G[P,P], F[P,cols], X[P,cols] of one group
+	pidx                   []int
+	gpp, xp                mat.Dense     // G[P,P] and F[P,cols] → X[P,cols] of one group
 	ws                     mat.Workspace // SolveSPDInto's factor and jittered copy
 
 	stats Stats
@@ -170,8 +181,9 @@ func (s *BPP) solveChunks(states []bppState, pool *par.Pool, g, f, xInit, x *mat
 	var st Stats
 	var err error
 	for i := range states {
-		st.Flops += states[i].stats.Flops
-		st.Iterations = max(st.Iterations, states[i].stats.Iterations)
+		rounds := max(st.Iterations, states[i].stats.Iterations)
+		st.Add(states[i].stats)
+		st.Iterations = rounds
 		err = worseErr(err, states[i].err)
 	}
 	return st, err
@@ -218,21 +230,42 @@ func view(d *mat.Dense, r, c int) *mat.Dense {
 }
 
 // resize sizes the k-dependent scratch for a chunk of cw columns. When
-// k grows the workspace is seeded with the two k×k buffers
-// SolveSPDInto can hold at once, so no later pattern allocates.
+// k grows the workspace is seeded with the two buffers SolveSPDInto
+// can hold at once, so no later pattern allocates.
 func (ps *bppState) resize(k, cw int) {
-	n := k * cw
-	ps.f, ps.x, ps.y, ps.passive = sized(ps.f, n), sized(ps.x, n), sized(ps.y, n), sized(ps.passive, n)
-	ps.key = sized(ps.key, cw*((k+63)/64))
-	ps.pidx, ps.aidx, ps.infeasible = sized(ps.pidx, k), sized(ps.aidx, k), sized(ps.infeasible, k)
-	ps.rhs.Data, ps.xp.Data = sized(ps.rhs.Data, n), sized(ps.xp.Data, n)
+	n, kw := k*cw, (k+63)/64
+	ps.nf, ps.z, ps.xp.Data = sized(ps.nf, n), sized(ps.z, n), sized(ps.xp.Data, n)
+	ps.key, ps.bad, ps.pidx = sized(ps.key, cw*kw), sized(ps.bad, kw), sized(ps.pidx, k)
 	if cap(ps.gpp.Data) < k*k {
-		ps.gpp.Data = make([]float64, k*k)
+		ps.gpp.Data, ps.gt.Data = make([]float64, k*k), make([]float64, k*k)
 		ps.ws = mat.Workspace{}
-		l, gj := ps.ws.Get(k, k), ps.ws.Get(k, k)
+		l, gj := ps.ws.Get(k+1, k), ps.ws.Get(k, k)
 		ps.ws.Put(l)
 		ps.ws.Put(gj)
 	}
+}
+
+// allIf is all ones for true and zero for false, without a branch.
+func allIf(b bool) uint64 {
+	if b {
+		return ^uint64(0)
+	}
+	return 0
+}
+
+// below packs the tests z[i] < t of up to 64 values into a word, bit i
+// for z[i]: one compare per value and no branch on its outcome. Kept
+// out of line: inlined into exchange its running bit spills to the
+// stack and the loop waits on the reload.
+//
+//go:noinline
+func below(z []float64, t float64) (m uint64) {
+	bit := uint64(1)
+	for _, v := range z {
+		m |= bit & allIf(v < t)
+		bit <<= 1
+	}
+	return m
 }
 
 // solveChunk pivots chunk ci (columns ci·bppChunk onward) to
@@ -240,26 +273,8 @@ func (ps *bppState) resize(k, cw int) {
 // outcome to the slot totals.
 func (ps *bppState) solveChunk(p *bppProblem, ci int) {
 	k, c0 := p.f.Rows, ci*bppChunk
-	cw := min(bppChunk, p.f.Cols-c0)
-	ps.resize(k, cw)
-	if p.xInit == nil {
-		clear(ps.passive)
-	}
-	for i := 0; i < k; i++ {
-		for c, v := range p.f.Row(i)[c0 : c0+cw] {
-			ps.f[c*k+i] = v
-		}
-		if p.xInit != nil {
-			for c, v := range p.xInit.Row(i)[c0 : c0+cw] {
-				ps.passive[c*k+i] = v > 0
-			}
-		}
-	}
-	cols := ps.cols[:cw]
-	for c := range cols {
-		cols[c], ps.alpha[c], ps.beta[c] = c, 3, k+1
-	}
-	rounds := 0
+	cols := ps.load(p, c0)
+	cw, rounds := len(cols), 0
 	for ; rounds < p.maxIter && len(cols) > 0; rounds++ {
 		// Solve the passive systems and the duals, grouped by pattern.
 		for gi, ng := 0, ps.group(cols, k, p.grouping); gi < ng; gi++ {
@@ -268,23 +283,45 @@ func (ps *bppState) solveChunk(p *bppProblem, ci int) {
 				return
 			}
 		}
-		cols = ps.exchange(cols, k, p.tol)
+		cols = ps.exchange(cols, k, p.tol, rounds == p.maxIter-1)
 	}
 	ps.stats.Iterations = max(ps.stats.Iterations, rounds)
 	if len(cols) > 0 {
-		for i, v := range ps.x {
-			if v < 0 {
-				ps.x[i] = 0
-			}
-		}
 		ps.err = worseErr(ps.err, ErrNotConverged)
 	}
 	for i := 0; i < k; i++ {
 		xrow := p.x.Row(i)[c0 : c0+cw]
 		for c := range xrow {
-			xrow[c] = ps.x[c*k+i]
+			xrow[c] = ps.z[c*k+i]
 		}
 	}
+}
+
+// load copies the chunk starting at column c0 into the state — −F
+// column-contiguous, Gᵀ, the passive sets from the signs of the warm
+// start — and returns its columns, all unconverged.
+func (ps *bppState) load(p *bppProblem, c0 int) []int {
+	k, kw := p.f.Rows, (p.f.Rows+63)/64
+	cw := min(bppChunk, p.f.Cols-c0)
+	ps.resize(k, cw)
+	clear(ps.key)
+	p.g.TTo(view(&ps.gt, k, k))
+	for i := 0; i < k; i++ {
+		for c, v := range p.f.Row(i)[c0 : c0+cw] {
+			ps.nf[c*k+i] = -v
+		}
+		if p.xInit != nil {
+			key, bit := ps.key[i>>6:], uint64(1)<<(i&63)
+			for c, v := range p.xInit.Row(i)[c0 : c0+cw] {
+				key[c*kw] |= bit & allIf(v > 0)
+			}
+		}
+	}
+	cols := ps.cols[:cw]
+	for c := range cols {
+		cols[c], ps.alpha[c], ps.beta[c] = c, 3, k+1
+	}
+	return cols
 }
 
 // group buckets the round's columns by passive pattern: group gi is
@@ -306,12 +343,6 @@ func (ps *bppState) group(cols []int, k int, grouping bool) int {
 	ng := 0
 	for _, c := range cols {
 		key := ps.key[c*kw : (c+1)*kw]
-		clear(key)
-		for i, free := range ps.passive[c*k : (c+1)*k] {
-			if free {
-				key[i>>6] |= 1 << (i & 63)
-			}
-		}
 		var h uint64
 		for _, w := range key {
 			h = (h ^ w) * 0x9E3779B97F4A7C15
@@ -342,98 +373,107 @@ func (ps *bppState) group(cols []int, k int, grouping bool) int {
 }
 
 // solveGroup solves the unconstrained system restricted to the shared
-// passive set P of the given columns (all of one pattern), writing x
-// (zeros on the active set A) and the dual y_A = G[A,P]·x_P − f_A
-// (y on P is never read).
+// passive set P of the given columns (all of one pattern) and writes
+// each column's z: x_P on P and the dual y_A = G[A,P]·x_P − f_A on the
+// active set A. The dual is accumulated over all k variables at once —
+// z = −f, then z += Gᵀ[l,:]·x_l for l in P ascending, the order in
+// which a row-by-row sum adds its terms — because k is the one long
+// axis a one-column group has; the entries on P are then overwritten
+// with x_P. Stats.Flops charges the rows of A only.
 func (ps *bppState) solveGroup(g *mat.Dense, k int, cols []int) error {
-	pidx, aidx := ps.pidx[:0], ps.aidx[:0]
-	for i, free := range ps.passive[cols[0]*k : (cols[0]+1)*k] {
-		if free {
-			pidx = append(pidx, i)
-		} else {
-			aidx = append(aidx, i)
+	kw, pp := (k+63)/64, 0
+	for w, free := range ps.key[cols[0]*kw : (cols[0]+1)*kw] {
+		for ; free != 0; free &= free - 1 {
+			ps.pidx[pp] = w<<6 + bits.TrailingZeros64(free)
+			pp++
 		}
 	}
-	pp, nc := len(pidx), len(cols)
+	pidx, nc := ps.pidx[:pp], len(cols)
 	xp := view(&ps.xp, pp, nc)
 	if pp > 0 {
-		gpp, rhs := view(&ps.gpp, pp, pp), view(&ps.rhs, pp, nc)
+		// SolveSPDInto reads the lower triangle only and solves in place.
+		gpp := view(&ps.gpp, pp, pp)
 		for a, ia := range pidx {
-			grow := g.Row(ia)
-			for b, ib := range pidx {
+			grow := g.Data[ia*k : (ia+1)*k]
+			for b, ib := range pidx[:a+1] {
 				gpp.Data[a*pp+b] = grow[ib]
 			}
 			for b, c := range cols {
-				rhs.Data[a*nc+b] = ps.f[c*k+ia]
+				xp.Data[a*nc+b] = -ps.nf[c*k+ia]
 			}
 		}
-		if err := mat.SolveSPDInto(xp, gpp, rhs, &ps.ws); err != nil {
+		if err := mat.SolveSPDInto(xp, gpp, xp, &ps.ws); err != nil {
 			return err
 		}
 	}
+	xd, gt := xp.Data, ps.gt.Data
 	for b, c := range cols {
-		xc, fc, yc := ps.x[c*k:(c+1)*k], ps.f[c*k:(c+1)*k], ps.y[c*k:(c+1)*k]
-		clear(xc)
-		for a, ia := range pidx {
-			xc[ia] = xp.Data[a*nc+b]
+		zc, a := ps.z[c*k:(c+1)*k], 0
+		copy(zc, ps.nf[c*k:(c+1)*k])
+		for ; a+4 <= pp; a += 4 { // four terms a call: the same sums, left to right
+			l, o := pidx[a:a+4], a*nc+b
+			v := [4]float64{xd[o], xd[o+nc], xd[o+2*nc], xd[o+3*nc]}
+			mat.Axpy4(zc, gt[l[0]*k:][:k], gt[l[1]*k:][:k], gt[l[2]*k:][:k], gt[l[3]*k:][:k], &v)
 		}
-		for _, i := range aidx {
-			grow := g.Row(i)
-			sum := -fc[i]
-			for _, l := range pidx {
-				sum += grow[l] * xc[l]
-			}
-			yc[i] = sum
+		for ; a < pp; a++ {
+			mat.Axpy(zc, gt[pidx[a]*k:][:k], xd[a*nc+b])
+		}
+		for a, ia := range pidx {
+			zc[ia] = xd[a*nc+b]
 		}
 	}
-	ps.stats.Flops += int64(pp*pp*pp)/3 + int64(2*pp*pp*nc) + int64(2*len(aidx)*pp*nc)
+	ps.stats.Flops += int64(pp*pp*pp)/3 + int64(2*pp*pp*nc) + int64(2*(k-pp)*pp*nc)
+	ps.stats.Groups++
+	ps.stats.ColumnRounds += nc
 	return nil
 }
 
-// exchange tests every column of the round for infeasible variables
-// and swaps them between the sets; it returns the columns still
-// unconverged (in place, ascending).
-func (ps *bppState) exchange(cols []int, k int, tol float64) []int {
-	next := cols[:0]
+// exchange tests every column of the round for infeasible variables —
+// z below −tol, one compare per variable whichever set it is in — and
+// swaps them between the sets; it returns the columns still
+// unconverged (in place, ascending). A column that is optimal, or out
+// of rounds (last), has its z turned into its x: zero on the active
+// set, tiny negatives from roundoff snapped to zero.
+func (ps *bppState) exchange(cols []int, k int, tol float64, last bool) []int {
+	kw, neg := (k+63)/64, -tol
+	next, bad := cols[:0], ps.bad
 	for _, c := range cols {
-		p, xc, yc := ps.passive[c*k:(c+1)*k], ps.x[c*k:(c+1)*k], ps.y[c*k:(c+1)*k]
-		infeasible := ps.infeasible[:0]
-		for i, free := range p {
-			if free {
-				if xc[i] < -tol {
-					infeasible = append(infeasible, i)
-				}
-			} else if yc[i] < -tol {
-				infeasible = append(infeasible, i)
+		zc, key := ps.z[c*k:(c+1)*k], ps.key[c*kw:(c+1)*kw]
+		n := 0
+		for w := range bad {
+			bad[w] = below(zc[w<<6:min(k, w<<6+64)], neg)
+			n += bits.OnesCount64(bad[w])
+		}
+		if n == 0 || last {
+			// z becomes x: kept where the variable is free and not
+			// negative, +0 elsewhere.
+			for i, v := range zc {
+				keep := -(key[i>>6] >> (i & 63) & 1) & allIf(!(v < 0))
+				zc[i] = math.Float64frombits(math.Float64bits(v) & keep)
 			}
 		}
-		if len(infeasible) == 0 {
-			// Optimal; snap tiny negatives from roundoff.
-			for i, v := range xc {
-				if v < 0 {
-					xc[i] = 0
-				}
-			}
+		if n == 0 {
 			continue
 		}
 		next = append(next, c)
 		switch {
-		case len(infeasible) < ps.beta[c]:
-			ps.beta[c] = len(infeasible)
-			ps.alpha[c] = 3
-			for _, i := range infeasible {
-				p[i] = !p[i]
-			}
+		case n < ps.beta[c]:
+			ps.beta[c], ps.alpha[c] = n, 3
 		case ps.alpha[c] > 0:
 			ps.alpha[c]--
-			for _, i := range infeasible {
-				p[i] = !p[i]
-			}
 		default:
 			// Backup rule: flip only the infeasible variable with
 			// the largest index — guarantees finite termination.
-			i := infeasible[len(infeasible)-1]
-			p[i] = !p[i]
+			w := kw - 1
+			for bad[w] == 0 {
+				w--
+			}
+			top := uint64(1) << (63 - bits.LeadingZeros64(bad[w]))
+			clear(bad)
+			bad[w] = top
+		}
+		for w, m := range bad {
+			key[w] ^= m
 		}
 	}
 	return next
@@ -441,16 +481,16 @@ func (ps *bppState) exchange(cols []int, k int, tol float64) []int {
 
 // bppTolerance scales the zero test to the problem's magnitude.
 func bppTolerance(g, f *mat.Dense) float64 {
+	return 1e-12 * (1 + max(maxAbs(g.Data), maxAbs(f.Data)))
+}
+
+// maxAbs is the largest magnitude in v, NaNs ignored.
+func maxAbs(v []float64) float64 {
 	m := 0.0
-	for _, v := range g.Data {
-		if a := math.Abs(v); a > m {
+	for _, x := range v {
+		if a := math.Abs(x); a > m {
 			m = a
 		}
 	}
-	for _, v := range f.Data {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return 1e-12 * (1 + m)
+	return m
 }

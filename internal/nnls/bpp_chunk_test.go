@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"hpcnmf/internal/mat"
@@ -18,12 +19,22 @@ import (
 
 // refBPP is Kim–Park pivoting one column at a time, start to finish,
 // under the tolerance of the whole problem: no chunks, no groups, no
-// shared scratch. It shares only mat.SolveSPD with the solver — the
-// factorization a column sees is the same whoever else is in its
-// group, which is what makes the comparison exact. It returns the
-// largest round count over the columns and ErrNotConverged when some
-// column ran out of rounds (its iterate clamped).
+// shared scratch, a []bool per passive set. It shares only mat.SolveSPD
+// with the solver, and not the same path through it: every system here
+// is pp × 1 and is substituted down its one column as a vector, while a
+// wide group of the solver is substituted across its rows by Axpy — so
+// agreement in every bit checks the two forms against each other, not
+// one against itself. It returns the largest round count over the
+// columns and ErrNotConverged when some column ran out of rounds (its
+// iterate clamped).
 func refBPP(g, f, xInit *mat.Dense, maxIter int) (*mat.Dense, int, error) {
+	return refBPPTrace(g, f, xInit, maxIter, nil)
+}
+
+// refBPPTrace is refBPP reporting every column's passive set to rec
+// (when non-nil): the starting one, then the one each exchanging round
+// leaves, and whether that round fell back to the backup rule.
+func refBPPTrace(g, f, xInit *mat.Dense, maxIter int, rec func(c int, passive []bool, backup bool)) (*mat.Dense, int, error) {
 	k, r := f.Rows, f.Cols
 	if maxIter == 0 {
 		maxIter = 50 + 10*k
@@ -36,6 +47,9 @@ func refBPP(g, f, xInit *mat.Dense, maxIter int) (*mat.Dense, int, error) {
 		passive := make([]bool, k)
 		for i := range passive {
 			passive[i] = xInit != nil && xInit.At(i, c) > 0
+		}
+		if rec != nil {
+			rec(c, passive, false)
 		}
 		xc := make([]float64, k)
 		alpha, beta, done, n := 3, k+1, false, 0
@@ -75,6 +89,7 @@ func refBPP(g, f, xInit *mat.Dense, maxIter int) (*mat.Dense, int, error) {
 					bad = append(bad, i)
 				}
 			}
+			backup := false
 			switch {
 			case len(bad) == 0:
 				done = true
@@ -84,10 +99,13 @@ func refBPP(g, f, xInit *mat.Dense, maxIter int) (*mat.Dense, int, error) {
 			case alpha > 0:
 				alpha--
 			default:
-				bad = bad[len(bad)-1:]
+				bad, backup = bad[len(bad)-1:], true
 			}
 			for _, i := range bad {
 				passive[i] = !passive[i]
+			}
+			if rec != nil {
+				rec(c, passive, backup)
 			}
 		}
 		rounds = max(rounds, n)
@@ -119,7 +137,7 @@ type bppCase struct {
 	g, f, xInit *mat.Dense
 }
 
-// chunkCases builds the four kinds of problem the chunk tests run on.
+// chunkCases builds the six kinds of problem the chunk tests run on.
 func chunkCases(k, r int, seed uint64) []bppCase {
 	g, f := randomSPD(k, seed), randomRHS(k, r, seed+1)
 	warm := randomRHS(k, r, seed+2)
@@ -152,19 +170,30 @@ func chunkCases(k, r int, seed uint64) []bppCase {
 			}
 		}
 	}
+	// Every fifth column all −0.0: with every variable free the solve
+	// returns −0.0, which is feasible and is not snapped.
+	fn := f.Clone()
+	for c := 0; c < r; c += 5 {
+		for i := 0; i < k; i++ {
+			fn.Set(i, c, math.Copysign(0, -1))
+		}
+	}
 	return []bppCase{
 		{"cold", g, f, nil},
 		{"warm", g, f, warm},
 		{"singular", mat.Gram(c), mat.MulAtB(c, b), ones},
 		{"zerocols", g, fz, warm},
+		{"allpassive", g, f, ones},
+		{"negzerocols", g, fn, ones},
 	}
 }
 
 // TestBPPWidthAndChunkIndependence: SolveCtx at pool widths 1, 2 and 3
 // equals the stateless Solve bit for bit, with identical Stats, and
-// both equal the unchunked oracle — on random, warm-started, singular
-// and zero-column problems, with r one short of a chunk, exactly one,
-// one over, and several with a ragged tail.
+// both equal the unchunked oracle — on random, warm-started, singular,
+// zero-column, all-passive and −0.0-column problems, with r one short
+// of a chunk, exactly one, one over, and several with a ragged tail,
+// and with k on either side of every word boundary of the pattern.
 func TestBPPWidthAndChunkIndependence(t *testing.T) {
 	pools := []*par.Pool{nil, par.NewPool(2), par.NewPool(3)}
 	defer pools[1].Close()
@@ -172,6 +201,8 @@ func TestBPPWidthAndChunkIndependence(t *testing.T) {
 	shapes := []struct{ k, r int }{
 		{9, bppChunk - 1}, {9, bppChunk}, {9, bppChunk + 1}, {9, 3*bppChunk + 17},
 		{70, bppChunk + 1}, // k > 64: two words per packed pattern
+		// The word boundaries of the packed pattern, and three words.
+		{1, bppChunk + 1}, {63, 30}, {64, 30}, {65, 30}, {128, 20}, {130, 20},
 	}
 	for _, sh := range shapes {
 		for _, tc := range chunkCases(sh.k, sh.r, uint64(sh.k*sh.r)) {
@@ -203,6 +234,131 @@ func TestBPPWidthAndChunkIndependence(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// pivotTrace runs the solver's own rounds on one bppState the way
+// solveChunk does — load, then group, solveGroup and exchange until no
+// column is left — and returns, per column, its packed passive set at
+// the start and after every round of its chunk.
+func pivotTrace(t *testing.T, tc bppCase) [][][]uint64 {
+	t.Helper()
+	k, r := tc.f.Rows, tc.f.Cols
+	kw := (k + 63) / 64
+	p := bppProblem{g: tc.g, f: tc.f, xInit: tc.xInit, x: mat.NewDense(k, r), tol: bppTolerance(tc.g, tc.f), maxIter: 50 + 10*k, grouping: true}
+	trace := make([][][]uint64, r)
+	var ps bppState
+	for c0 := 0; c0 < r; c0 += bppChunk {
+		cols := ps.load(&p, c0)
+		cw := len(cols)
+		snapshot := func() {
+			for c := 0; c < cw; c++ {
+				trace[c0+c] = append(trace[c0+c], append([]uint64(nil), ps.key[c*kw:(c+1)*kw]...))
+			}
+		}
+		snapshot()
+		for rounds := 0; len(cols) > 0; rounds++ {
+			if rounds == p.maxIter {
+				t.Fatalf("chunk at column %d did not converge", c0)
+			}
+			for gi, ng := 0, ps.group(cols, k, true); gi < ng; gi++ {
+				if err := ps.solveGroup(p.g, k, ps.order[ps.start[gi]:ps.start[gi+1]]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cols = ps.exchange(cols, k, p.tol, false)
+			snapshot()
+		}
+	}
+	return trace
+}
+
+// embed copies tc's variables to the given offsets of a problem with
+// 64 more: the copies are decoupled from each other, and every other
+// variable is decoupled from all (identity Gram block) and stays at
+// zero for good (f = −1) — the same pivoting at other bit positions of
+// the packed pattern, and in two words at once.
+func embed(tc bppCase, offsets ...int) bppCase {
+	k, r := tc.f.Rows, tc.f.Cols
+	kk := k + 64
+	out := bppCase{name: fmt.Sprint(tc.name, offsets), g: mat.NewDense(kk, kk), f: mat.NewDense(kk, r)}
+	out.f.Fill(-1)
+	if tc.xInit != nil {
+		out.xInit = mat.NewDense(kk, r)
+	}
+	for i := 0; i < kk; i++ {
+		out.g.Set(i, i, 1)
+	}
+	for _, o := range offsets {
+		for i := 0; i < k; i++ {
+			copy(out.g.Row(o + i)[o:], tc.g.Row(i))
+			copy(out.f.Row(o+i), tc.f.Row(i))
+			if tc.xInit != nil {
+				copy(out.xInit.Row(o+i), tc.xInit.Row(i))
+			}
+		}
+	}
+	return out
+}
+
+// TestBPPPivotSequenceUnchanged: not only the solution but the road to
+// it is the oracle's — every column passes through the same passive
+// sets in the same rounds as under refBPP's []bool bookkeeping (full
+// exchanges, the α/β budget, the backup rule's largest index), and
+// holds its last one once converged while the rest of its chunk goes
+// on. The seeded shapes are ones where some column cycles into the
+// backup rule (found by search; the test fails if they stop doing so);
+// embedded among 64 idle variables they take the rule's largest index
+// from the second word of the pattern, from the first with the second
+// empty, and — two copies cycling in step — from the second with the
+// first not empty.
+func TestBPPPivotSequenceUnchanged(t *testing.T) {
+	shapes := []struct {
+		k, r int
+		seed uint64
+	}{{9, bppChunk + 30, 1}, {70, 60, 2}, {130, 20, 3}, {10, 40, 1438}, {10, 40, 1591}, {8, 40, 4394}}
+	backups := map[string]int{}
+	for _, sh := range shapes {
+		for _, base := range chunkCases(sh.k, sh.r, sh.seed) {
+			cases := []bppCase{base}
+			if sh.k <= 10 {
+				cases = append(cases, embed(base, 64), embed(base, 0), embed(base, 0, 64))
+			}
+			for _, tc := range cases {
+				k, variant := tc.f.Rows, tc.name[len(base.name):]
+				want := make([][][]uint64, sh.r)
+				if _, _, err := refBPPTrace(tc.g, tc.f, tc.xInit, 0, func(c int, passive []bool, backup bool) {
+					key := make([]uint64, (k+63)/64)
+					for i, free := range passive {
+						if free {
+							key[i/64] |= 1 << (i % 64)
+						}
+					}
+					want[c] = append(want[c], key)
+					if backup {
+						backups[base.name]++
+						backups[variant]++
+					}
+				}); err != nil {
+					t.Fatalf("%s/k%d: oracle: %v", tc.name, k, err)
+				}
+				for c, got := range pivotTrace(t, tc) {
+					if len(got) < len(want[c]) {
+						t.Fatalf("%s/k%d: column %d stopped after %d rounds, the oracle's exchanges %d times", tc.name, k, c, len(got)-1, len(want[c])-1)
+					}
+					for n, key := range got {
+						if w := want[c][min(n, len(want[c])-1)]; !slices.Equal(key, w) {
+							t.Fatalf("%s/k%d: column %d after round %d has passive set %x, the oracle's is %x", tc.name, k, c, n, key, w)
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, name := range []string{"cold", "warm", "singular", "zerocols", "allpassive", "negzerocols", "", "[64]", "[0]", "[0 64]"} {
+		if backups[name] == 0 {
+			t.Errorf("no %q problem reached the backup rule; the seeded shapes no longer pin it", name)
 		}
 	}
 }

@@ -23,16 +23,26 @@ import (
 type Stats struct {
 	// Flops approximates floating point operations performed.
 	Flops int64
-	// Iterations counts solver-specific outer iterations (pivoting
-	// rounds for BPP/active-set, sweeps for MU/HALS), summed over
-	// columns where applicable.
+	// Iterations is the solver's outer iteration count, one meaning
+	// per solver: MU, HALS, PGD — the sweeps performed (PGD stops early
+	// when converged); BPP — the pivoting rounds its slowest column
+	// needed (the largest round count over the column chunks, not a
+	// sum); ActiveSet — Lawson–Hanson outer steps summed over columns.
 	Iterations int
+	// Groups counts BPP's grouped solves (one Cholesky of G[P,P] each)
+	// and ColumnRounds the columns they held, summed over rounds and
+	// chunks: ColumnRounds/Groups is the columns sharing a
+	// factorization, ColumnRounds/columns the rounds a column takes.
+	// Other solvers leave both 0.
+	Groups, ColumnRounds int
 }
 
 // Add accumulates other into s.
 func (s *Stats) Add(other Stats) {
 	s.Flops += other.Flops
 	s.Iterations += other.Iterations
+	s.Groups += other.Groups
+	s.ColumnRounds += other.ColumnRounds
 }
 
 // Solver solves the batched NNLS problem from its normal-equations
