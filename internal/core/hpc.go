@@ -164,7 +164,7 @@ func runHPC(a Matrix, c costmodel.GridCandidate, opts Options) (*Result, error) 
 	if m < g.PR || n < g.PC {
 		return nil, fmt.Errorf("core: %dx%d matrix cannot be split on a %dx%d grid", m, n, g.PR, g.PC)
 	}
-	res, err := runLayout(fmt.Sprintf("HPC-NMF %dx%d", g.PR, g.PC), m, n, a.SquaredFrobeniusNorm(), opts, g.Size(),
+	res, err := runLayout(fmt.Sprintf("HPC-NMF %dx%d", g.PR, g.PC), m, n, trackedNorm(a, opts), opts, g.Size(),
 		func(s *rankState) layout { return newHPCLayout(s, a, g) })
 	if err != nil {
 		return nil, err
@@ -289,16 +289,17 @@ func newHPCLayout(s *rankState, a Matrix, g grid.Grid) *hpcLayout {
 	return l
 }
 
-// wHalf is Algorithm 3, lines 3-7: HHᵀ and this rank's A·Hᵀ rows.
-func (l *hpcLayout) wHalf() (*mat.Dense, *mat.Dense, error) {
-	return l.halfStep(l.wSide), l.wSide.out, nil
+// wHalf is Algorithm 3, lines 3-8: HHᵀ and this rank's A·Hᵀ rows,
+// then the update of (Wi)j.
+func (l *hpcLayout) wHalf() error {
+	return l.updateW(l.halfStep(l.wSide), l.wSide.out, l.w)
 }
 
 // hHalf is Algorithm 3, lines 9-13: WᵀW and this rank's WᵀA columns.
-func (l *hpcLayout) hHalf() (*mat.Dense, *mat.Dense, error) {
+func (l *hpcLayout) hHalf() (*mat.Dense, *mat.Dense) {
 	wtw := l.halfStep(l.hSide)
 	l.hSide.out.TTo(l.wta)
-	return wtw, l.wta, nil
+	return wtw, l.wta
 }
 
 // blockOf returns where world rank r's (Wi)j rows and (Hj)i columns

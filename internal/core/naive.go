@@ -32,7 +32,7 @@ func RunNaive(a Matrix, p int, opts Options) (*Result, error) {
 	if m < p || n < p {
 		return nil, fmt.Errorf("core: %dx%d matrix cannot be split across %d processors", m, n, p)
 	}
-	return runLayout(fmt.Sprintf("Naive p=%d", p), m, n, a.SquaredFrobeniusNorm(), opts, p, func(s *rankState) layout {
+	return runLayout(fmt.Sprintf("Naive p=%d", p), m, n, trackedNorm(a, opts), opts, p, func(s *rankState) layout {
 		return newNaiveLayout(s, a, p)
 	})
 }
@@ -90,27 +90,27 @@ func (l *naiveLayout) assemble(send []float64, counts []int, rows int, gram *mat
 	return panel
 }
 
-// wHalf is Algorithm 2, lines 3-4's inputs: all-gather H, then HHᵀ
-// and Ai·Hᵀ.
-func (l *naiveLayout) wHalf() (*mat.Dense, *mat.Dense, error) {
+// wHalf is Algorithm 2, lines 3-4: all-gather H, then HHᵀ and Ai·Hᵀ,
+// then the update of Wi.
+func (l *naiveLayout) wHalf() error {
 	l.h.TTo(l.hiT)
 	hT := l.assemble(l.hiT.Data, l.hCounts, l.n, l.hht)
 	ps := l.clk.Start(perf.TaskMM)
 	mulBtInto(l.aiht, l.aRow, hT, l.ws, l.pool) // Ai·Hᵀ, mi×k
 	l.clk.Stop(ps)
 	l.tr.AddFlops(perf.TaskMM, 2*int64(l.aRow.NNZ())*int64(l.k))
-	return l.hht, l.aiht, nil
+	return l.updateW(l.hht, l.aiht, l.w)
 }
 
 // hHalf is Algorithm 2, lines 5-6's inputs: all-gather W, then WᵀW
 // and Wᵀ·Aⁱ.
-func (l *naiveLayout) hHalf() (*mat.Dense, *mat.Dense, error) {
+func (l *naiveLayout) hHalf() (*mat.Dense, *mat.Dense) {
 	w := l.assemble(l.w.Data, l.wCounts, l.m, l.wtw)
 	ps := l.clk.Start(perf.TaskMM)
 	mulAtBInto(l.wtai, l.aCol, w, l.ws, l.pool) // Wᵀ·Aⁱ, k×ni
 	l.clk.Stop(ps)
 	l.tr.AddFlops(perf.TaskMM, 2*int64(l.aCol.NNZ())*int64(l.k))
-	return l.wtw, l.wtai, nil
+	return l.wtw, l.wtai
 }
 
 // gather concatenates the row blocks of W and of Hᵀ, which is already

@@ -6,6 +6,8 @@ import (
 
 	"hpcnmf/internal/grid"
 	"hpcnmf/internal/metrics"
+	"hpcnmf/internal/ooc"
+	"hpcnmf/internal/perf"
 	"hpcnmf/internal/trace"
 )
 
@@ -169,4 +171,68 @@ func TestParallelMetricsIncludeCollectives(t *testing.T) {
 		t.Fatalf("%d mpi traffic gauges, want 8: %v", traffic, snap.Gauges)
 	}
 	_ = res
+}
+
+// TestOutOfCoreTraceNestsPhasesUnderTileStream: an out-of-core
+// iteration is one pass, so its trace is one TileStream span per
+// iteration span, and the per-tile work — two MM phases (A_t·Hᵀ,
+// W_tᵀ·A_t), one NLS and one Gram per tile — is recorded as that
+// span's children. The accounting follows the code too: the flops the
+// pass charges to MM and Gram are the in-core run's, whatever the tile
+// size (NLS flops are the solver's own count, and BPP shares fewer
+// factorizations across a narrower panel).
+func TestOutOfCoreTraceNestsPhasesUnderTileStream(t *testing.T) {
+	d := lowRankDense(30, 24, 3, 0.02, 9)
+	opts := testOpts(3)
+	opts.MaxIter = 4
+	opts.TraceEvents = true
+	f := openTileFile(t, writeTileFile(t, d, 7), ooc.BackendAuto)
+	res, err := RunOutOfCore(f, 2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	iters := map[uint64]bool{}
+	streams := map[uint64]map[string]int{} // TileStream span → its phase children by name
+	for _, e := range res.Trace.Events {
+		switch {
+		case e.Cat == trace.CatIter:
+			iters[e.ID] = true
+		case e.Name == "TileStream":
+			if e.Arg != int64(f.Tiles()) {
+				t.Errorf("TileStream span carries tiles=%d, want %d", e.Arg, f.Tiles())
+			}
+			streams[e.ID] = map[string]int{}
+		}
+	}
+	for _, e := range res.Trace.Events {
+		if e.Name == "TileStream" && !iters[e.Parent] {
+			t.Error("a TileStream span is not the child of an iteration span")
+		}
+		if kids, ok := streams[e.Parent]; ok {
+			kids[e.Name]++
+		}
+	}
+	if len(streams) != res.Iterations || len(iters) != res.Iterations {
+		t.Fatalf("%d TileStream and %d iteration spans for %d iterations", len(streams), len(iters), res.Iterations)
+	}
+	tiles := f.Tiles()
+	for _, kids := range streams {
+		if kids["MM"] != 2*tiles || kids["NLS"] != tiles || kids["Gram"] != tiles || len(kids) != 3 {
+			t.Fatalf("a TileStream span encloses %v, want MM:%d NLS:%d Gram:%d", kids, 2*tiles, tiles, tiles)
+		}
+	}
+
+	opts.TraceEvents = false
+	seq, err := RunSequential(WrapDense(d), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, task := range []perf.Task{perf.TaskMM, perf.TaskGram} {
+		if got, want := res.Breakdown.Flops[task], seq.Breakdown.Flops[task]; got != want || got == 0 {
+			t.Errorf("%s flops per iteration: out-of-core %d, in-core %d", task, got, want)
+		}
+	}
+	if mm := res.Breakdown.Flops[perf.TaskMM]; mm != 4*30*24*3 {
+		t.Errorf("MM flops per iteration = %d, want 4·nnz·k = %d", mm, 4*30*24*3)
+	}
 }

@@ -1,11 +1,8 @@
 package core
 
 import (
-	"fmt"
-
 	"hpcnmf/internal/mat"
 	"hpcnmf/internal/ooc"
-	"hpcnmf/internal/par"
 	"hpcnmf/internal/trace"
 )
 
@@ -27,102 +24,55 @@ type OOCStats struct {
 	HiddenFraction float64 `json:"hidden_fraction"`
 }
 
-// tiledMatrix is the out-of-core productSource of seqLayout: the two
-// factor products are computed in row-panel passes over a tile file's
-// prefetch pipeline; because every dense
-// kernel partitions output elements and never the reduction (see
-// internal/mat), the streamed products are bitwise identical to the
-// in-core ones at any tile size and thread count. Panel and slice
-// headers are reused across tiles so a steady-state pass allocates
-// nothing.
+// tiledMatrix is the out-of-core productSource of seqLayout: a pass
+// hands out the tiles of a tile file's prefetch pipeline, one row
+// panel each, in file order. The panel header is reused across tiles
+// so a steady-state pass allocates nothing.
 type tiledMatrix struct {
 	f      *ooc.File
 	pipe   *ooc.Pipeline
-	norm2  float64
+	tc     *trace.Tracer // the rank's tracer, for the TileStream span
+	norm2  *float64      // the rank's normA2, which the first pass fills in
 	passes int64
 
-	panelHdr  mat.Dense // view of the resident tile (rows×n)
-	factorHdr mat.Dense // view of the W rows matching the tile (rows×k)
-	outHdr    mat.Dense // view of the A·Hᵀ output rows (rows×k)
+	hdr   mat.Dense // view of the resident tile (rows×n)
+	panel Matrix    // hdr as the Matrix a visit receives
 }
 
-// newTiledMatrix starts the prefetch pipeline and runs the one-time
-// ‖A‖²_F pass (same element order as the in-core row-major sum, so
-// the objective history matches bitwise).
-func newTiledMatrix(f *ooc.File, depth int) (*tiledMatrix, error) {
-	tm := &tiledMatrix{f: f, pipe: ooc.NewPipeline(f, depth)}
-	var sum float64
-	for t := 0; t < f.Tiles(); t++ {
-		p, err := tm.pipe.Next()
-		if err != nil {
-			tm.close()
-			return nil, err
-		}
-		for _, v := range p.Data {
-			sum += v * v
-		}
-		tm.pipe.Release(p)
-	}
-	tm.passes++
-	tm.norm2 = sum
-	return tm, nil
+// newTiledMatrix starts the prefetch pipeline. With norm its loader
+// carries Σv² across the first pass's tiles — the element order of the
+// in-core row-major sum, so the objective history matches bitwise —
+// and eachPanel stores it through norm2 as the tiles arrive. The caller
+// points tc and norm2 at the rank that will run the passes.
+func newTiledMatrix(f *ooc.File, depth int, norm bool) *tiledMatrix {
+	tm := &tiledMatrix{f: f, pipe: ooc.NewNormPipeline(f, depth, norm)}
+	tm.panel = WrapDense(&tm.hdr)
+	return tm
 }
 
 // close stops the pipeline (the File stays open; the caller owns it).
 func (tm *tiledMatrix) close() { tm.pipe.Close() }
 
-// mulABt computes dst = A·Hᵀ (m×k) in one pass: H is packed for
-// the tile kernel once (buffer from ws), then each panel fills its own
-// disjoint output rows, so tiling cannot change any result bit. The
-// pass is wrapped in a TileStream trace span nested under the caller's
-// MM phase.
-func (tm *tiledMatrix) mulABt(dst, h *mat.Dense, ws *mat.Workspace, pool *par.Pool, tc *trace.Tracer) error {
-	k := h.Rows
-	n := int(tm.f.Header().Cols)
-	sp := tc.BeginArg(trace.CatPhase, "TileStream", "tiles", int64(tm.f.Tiles()))
-	pk := mat.PackRows(ws, h)
-	for t := 0; t < tm.f.Tiles(); t++ {
+// eachPanel visits the tiles of one pass under a TileStream trace
+// span, which therefore encloses the phases the visits time. A tile
+// goes back to the loader as soon as its visit returns.
+func (tm *tiledMatrix) eachPanel(visit func(a Matrix, r0 int) error) error {
+	tiles, n := tm.f.Tiles(), int(tm.f.Header().Cols)
+	sp := tm.tc.BeginArg(trace.CatPhase, "TileStream", "tiles", int64(tiles))
+	defer sp.End()
+	for t := 0; t < tiles; t++ {
 		p, err := tm.pipe.Next()
 		if err != nil {
-			pk.Release(ws)
-			sp.End()
 			return err
 		}
-		rows := p.Row1 - p.Row0
-		tm.panelHdr = mat.Dense{Rows: rows, Cols: n, Data: p.Data}
-		tm.outHdr = mat.Dense{Rows: rows, Cols: k, Data: dst.Data[p.Row0*k : p.Row1*k]}
-		mat.ParMulPackedTo(&tm.outHdr, &tm.panelHdr, pk, pool)
+		*tm.norm2 = p.SumSquares
+		tm.hdr = mat.Dense{Rows: p.Row1 - p.Row0, Cols: n, Data: p.Data}
+		err = visit(tm.panel, p.Row0)
 		tm.pipe.Release(p)
-	}
-	pk.Release(ws)
-	sp.End()
-	tm.passes++
-	return nil
-}
-
-// mulAtB computes dst = Wᵀ·A (k×n) in one pass, accumulating
-// panel products in ascending row order — exactly the reduction order
-// of the in-core kernel (mat.ParMulAtBTo partitions output columns,
-// and each output element sums reduction rows in ascending order), so
-// the result is bitwise identical at any tile boundary.
-func (tm *tiledMatrix) mulAtB(dst, w *mat.Dense, _ *mat.Workspace, pool *par.Pool, tc *trace.Tracer) error {
-	k := w.Cols
-	n := int(tm.f.Header().Cols)
-	sp := tc.BeginArg(trace.CatPhase, "TileStream", "tiles", int64(tm.f.Tiles()))
-	dst.Zero()
-	for t := 0; t < tm.f.Tiles(); t++ {
-		p, err := tm.pipe.Next()
 		if err != nil {
-			sp.End()
 			return err
 		}
-		rows := p.Row1 - p.Row0
-		tm.panelHdr = mat.Dense{Rows: rows, Cols: n, Data: p.Data}
-		tm.factorHdr = mat.Dense{Rows: rows, Cols: k, Data: w.Data[p.Row0*k : p.Row1*k]}
-		mat.ParMulAtBAddTo(dst, &tm.factorHdr, &tm.panelHdr, pool)
-		tm.pipe.Release(p)
 	}
-	sp.End()
 	tm.passes++
 	return nil
 }
@@ -152,19 +102,24 @@ func DescribeTiled(name string, f *ooc.File) DatasetInfo {
 }
 
 // RunOutOfCore factorizes a tile file with the sequential ANLS
-// skeleton, streaming A in row panels through the prefetch pipeline:
-// per iteration, one pass computes A·Hᵀ for the W update and one pass
-// computes Wᵀ·A for the H update, while the factors and all k-sized
-// intermediates stay in memory. Tile t+1 loads while the kernels
-// consume tile t, so with compute-bound tiles the I/O is fully
-// hidden (Result.OOC reports the measured split).
+// skeleton, streaming A in row panels through the prefetch pipeline.
+// An iteration reads A once: for each tile t it computes A_t·Hᵀ,
+// updates rows t of W against the shared HHᵀ — the rows of W are
+// independent NLS problems (§4) — and, with the tile still resident,
+// adds W_tᵀ·A_t and W_tᵀ·W_t to the H update's inputs. The factors and
+// all k-sized intermediates stay in memory. Tile t+1 loads while the
+// kernels consume tile t, so with compute-bound tiles the I/O is fully
+// hidden (Result.OOC reports the measured split). With ComputeError the
+// loader also sums ‖A‖²_F while it reads the first pass.
 //
 // Because every dense kernel partitions output elements and never
-// the reduction, the run is bitwise identical to RunSequential on the
-// same matrix — same factors, same error history — for every updater
-// (MU, HALS, PGD, BPP), any tile size, and any KernelThreads. The
-// resume semantics match too: a checkpointed out-of-core run
-// continues bitwise-identically to an uninterrupted one.
+// the reduction, and every built-in updater treats the columns of its
+// iterate independently (the Updater contract), the run is bitwise
+// identical to RunSequential on the same matrix — same factors, same
+// error history — for every updater (MU, HALS, PGD, BPP), any tile
+// size, and any KernelThreads. The resume semantics match too: a
+// checkpointed out-of-core run continues bitwise-identically to an
+// uninterrupted one.
 //
 // depth is the prefetch depth in tiles (≤ 0 selects
 // ooc.DefaultDepth); peak resident payload is about
@@ -178,12 +133,10 @@ func RunOutOfCore(f *ooc.File, depth int, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	tm, err := newTiledMatrix(f, depth)
-	if err != nil {
-		return nil, fmt.Errorf("core: out-of-core setup: %w", err)
-	}
+	tm := newTiledMatrix(f, depth, opts.ComputeError)
 	defer tm.close()
-	res, err := runLayout("OutOfCore", m, n, tm.norm2, opts, 0, func(s *rankState) layout {
+	res, err := runLayout("OutOfCore", m, n, 0, opts, 0, func(s *rankState) layout {
+		tm.tc, tm.norm2 = s.tc, &s.normA2
 		return newSeqLayout(s, tm, m, n, int64(m)*int64(n))
 	})
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -40,70 +41,89 @@ func openTileFile(t *testing.T, path, backend string) *ooc.File {
 // single-tile extremes), either reader backend, and multi-threaded
 // kernels. This holds because every dense kernel partitions output
 // elements and never the reduction (see internal/mat), so panel
-// boundaries cannot reorder any floating-point sum.
+// boundaries cannot reorder any floating-point sum, and every updater
+// solves the rows of W independently, so updating them tile by tile
+// inside the one pass an iteration makes cannot either — with
+// regularization folded into every panel's subproblem and with the
+// TolGrad stop test reading the accumulated Wᵀ·A included.
 func TestOutOfCoreMatchesSequential(t *testing.T) {
 	d := lowRankDense(60, 45, 5, 0.01, 11)
 	a := WrapDense(d)
 
+	variants := []struct {
+		name string
+		set  func(*Options)
+	}{
+		{"", func(*Options) {}},
+		{"/reg", func(o *Options) { o.L2W, o.L1W, o.L2H, o.L1H = 0.1, 0.05, 0.2, 0.03 }},
+		{"/tolgrad", func(o *Options) { o.TolGrad = 0.05 }},
+	}
 	for _, solver := range []SolverKind{SolverMU, SolverHALS, SolverPGD, SolverBPP} {
-		opts := Options{K: 5, MaxIter: 8, Seed: 7, Solver: solver, ComputeError: true}
-		want, err := RunSequential(a, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cases := []struct {
-			name     string
-			tileRows int
-			backend  string
-			depth    int
-			threads  int
-		}{
-			{"tile1", 1, ooc.BackendAuto, 2, 0},
-			{"tile7", 7, ooc.BackendAuto, 2, 0},
-			{"tile7/readerat", 7, ooc.BackendReaderAt, 3, 0},
-			{"single-tile", 60, ooc.BackendAuto, 1, 0},
-			{"tile16/threads3", 16, ooc.BackendAuto, 2, 3},
-		}
-		for _, tc := range cases {
-			t.Run(solver.String()+"/"+tc.name, func(t *testing.T) {
-				f := openTileFile(t, writeTileFile(t, d, tc.tileRows), tc.backend)
-				o := opts
-				o.KernelThreads = tc.threads
-				got, err := RunOutOfCore(f, tc.depth, o)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !got.W.Equal(want.W, 0) || !got.H.Equal(want.H, 0) {
-					t.Fatalf("out-of-core factors differ from in-core (max diff W %g, H %g)",
-						got.W.MaxDiff(want.W), got.H.MaxDiff(want.H))
-				}
-				if len(got.RelErr) != len(want.RelErr) {
-					t.Fatalf("error history length %d vs %d", len(got.RelErr), len(want.RelErr))
-				}
-				for i := range got.RelErr {
-					if got.RelErr[i] != want.RelErr[i] {
-						t.Fatalf("error history diverges at iteration %d: %g vs %g",
-							i, got.RelErr[i], want.RelErr[i])
+		for _, v := range variants {
+			opts := Options{K: 5, MaxIter: 8, Seed: 7, Solver: solver, ComputeError: true}
+			v.set(&opts)
+			want, err := RunSequential(a, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cases := []struct {
+				name     string
+				tileRows int
+				backend  string
+				depth    int
+				threads  int
+			}{
+				{"tile1", 1, ooc.BackendAuto, 2, 0},
+				{"tile7", 7, ooc.BackendAuto, 2, 0},
+				{"tile7/readerat", 7, ooc.BackendReaderAt, 3, 0},
+				{"single-tile", 60, ooc.BackendAuto, 1, 0},
+				{"tile16/threads3", 16, ooc.BackendAuto, 2, 3},
+			}
+			for _, tc := range cases {
+				t.Run(solver.String()+v.name+"/"+tc.name, func(t *testing.T) {
+					f := openTileFile(t, writeTileFile(t, d, tc.tileRows), tc.backend)
+					o := opts
+					o.KernelThreads = tc.threads
+					got, err := RunOutOfCore(f, tc.depth, o)
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-				if got.Algorithm != "OutOfCore" {
-					t.Fatalf("Algorithm = %q", got.Algorithm)
-				}
-				st := got.OOC
-				if st == nil {
-					t.Fatal("Result.OOC is nil")
-				}
-				// Setup norm pass + 2 passes per iteration.
-				if wantPasses := int64(1 + 2*got.Iterations); st.Passes != wantPasses {
-					t.Fatalf("OOC.Passes = %d, want %d", st.Passes, wantPasses)
-				}
-				if min := st.Passes * int64(60*45*8); st.BytesLoaded < min {
-					t.Fatalf("OOC.BytesLoaded = %d, want ≥ %d", st.BytesLoaded, min)
-				}
-				if st.Backend == "" || st.Tiles < 1 || st.TileRows < 1 {
-					t.Fatalf("OOC stats incomplete: %+v", st)
-				}
-			})
+					if !got.W.Equal(want.W, 0) || !got.H.Equal(want.H, 0) {
+						t.Fatalf("out-of-core factors differ from in-core (max diff W %g, H %g)",
+							got.W.MaxDiff(want.W), got.H.MaxDiff(want.H))
+					}
+					if len(got.RelErr) != len(want.RelErr) {
+						t.Fatalf("error history length %d vs %d", len(got.RelErr), len(want.RelErr))
+					}
+					for i := range got.RelErr {
+						if got.RelErr[i] != want.RelErr[i] {
+							t.Fatalf("error history diverges at iteration %d: %g vs %g",
+								i, got.RelErr[i], want.RelErr[i])
+						}
+					}
+					if got.Algorithm != "OutOfCore" {
+						t.Fatalf("Algorithm = %q", got.Algorithm)
+					}
+					st := got.OOC
+					if st == nil {
+						t.Fatal("Result.OOC is nil")
+					}
+					// One pass over A per iteration and none at set-up; the
+					// loader may have run ahead by at most its depth.
+					if wantPasses := int64(got.Iterations); st.Passes != wantPasses {
+						t.Fatalf("OOC.Passes = %d, want %d", st.Passes, wantPasses)
+					}
+					if max := st.Passes*int64(st.Tiles) + int64(st.Depth); st.TilesLoaded > max {
+						t.Fatalf("OOC.TilesLoaded = %d, want ≤ %d", st.TilesLoaded, max)
+					}
+					if min := st.Passes * int64(60*45*8); st.BytesLoaded < min {
+						t.Fatalf("OOC.BytesLoaded = %d, want ≥ %d", st.BytesLoaded, min)
+					}
+					if st.Backend == "" || st.Tiles < 1 || st.TileRows < 1 {
+						t.Fatalf("OOC stats incomplete: %+v", st)
+					}
+				})
+			}
 		}
 	}
 }
@@ -165,9 +185,10 @@ func TestOutOfCoreResumeBitwise(t *testing.T) {
 }
 
 // TestOutOfCoreReadFailureSurfaces: a tile that can no longer be read
-// mid-run fails the run with an iteration-stamped error that keeps the
-// I/O error in its chain, instead of factorizing stale or partial
-// panels.
+// mid-pass fails the run with an error stamped with the iteration whose
+// pass hit it and keeping the I/O error in its chain, instead of
+// factorizing stale or partial panels — and the run leaves its
+// pipeline closed behind it: the loader goroutine is gone.
 func TestOutOfCoreReadFailureSurfaces(t *testing.T) {
 	d := lowRankDense(24, 20, 3, 0.01, 5)
 	path := writeTileFile(t, d, 4)
@@ -180,6 +201,7 @@ func TestOutOfCoreReadFailureSurfaces(t *testing.T) {
 			}
 		}
 	}
+	before := runtime.NumGoroutine()
 	_, err := RunOutOfCore(f, 1, opts)
 	if err == nil {
 		t.Fatal("run succeeded on a truncated tile file")
@@ -187,8 +209,13 @@ func TestOutOfCoreReadFailureSurfaces(t *testing.T) {
 	if !errors.Is(err, io.EOF) {
 		t.Errorf("error %q does not wrap the read failure", err)
 	}
-	if !strings.Contains(err.Error(), "failed at iteration") {
-		t.Errorf("error %q is not iteration-stamped", err)
+	// The third pass (iteration index 2) is the first to read past the cut.
+	if !strings.Contains(err.Error(), "failed at iteration 2") {
+		t.Errorf("error %q is not stamped with iteration 2", err)
+	}
+	// Pipeline.Close waits for the loader, so it is gone on return.
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines after the failed run, %d before: the loader outlived it", after, before)
 	}
 }
 
@@ -209,12 +236,10 @@ func TestOutOfCoreStepZeroAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer f.Close()
-			tm, err := newTiledMatrix(f, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
+			tm := newTiledMatrix(f, 2, true)
 			defer tm.close()
-			s := newSeqRank(t, tm, 60, 45, tm.norm2, Options{K: 5, MaxIter: 200, Solver: SolverBPP, ComputeError: true})
+			s := newSeqRank(t, tm, 60, 45, 0, Options{K: 5, MaxIter: 200, Solver: SolverBPP, ComputeError: true})
+			tm.norm2 = &s.normA2
 			it := 0
 			round := func() {
 				if err := s.step(it); err != nil {

@@ -376,6 +376,16 @@ type Result struct {
 	OOC *OOCStats
 }
 
+// trackedNorm is ‖A‖²_F for a run that tracks the objective and 0 for
+// one that does not: step reads it only under ComputeError, and the sum
+// is a serial pass over every stored entry.
+func trackedNorm(a Matrix, opts Options) float64 {
+	if !opts.ComputeError {
+		return 0
+	}
+	return a.SquaredFrobeniusNorm()
+}
+
 // relErrFrom computes ‖A−WH‖_F/‖A‖_F from the iteration byproducts:
 // ‖A‖² − 2·⟨WᵀA, H⟩ + ⟨WᵀW, HHᵀ⟩, clamped at zero against roundoff.
 func relErrFrom(normA2, cross, wtwDotHht float64) float64 {

@@ -2,85 +2,123 @@ package core
 
 import (
 	"hpcnmf/internal/mat"
-	"hpcnmf/internal/par"
 	"hpcnmf/internal/perf"
-	"hpcnmf/internal/trace"
 )
 
-// productSource supplies the two data-matrix products of an iteration
-// for a layout that holds all of A on one rank: from in-core kernels
-// (inCore) or from streaming passes over a tile file (tiledMatrix).
+// productSource is how a layout that holds all of A on one rank reads
+// it: as consecutive row panels. A resident Matrix is one panel
+// (inCore); a tile file is one panel per tile (tiledMatrix, ooc.go).
 type productSource interface {
-	// mulABt computes dst = A·Hᵀ (m×k) for H of shape k×n.
-	mulABt(dst, h *mat.Dense, ws *mat.Workspace, pool *par.Pool, tc *trace.Tracer) error
-	// mulAtB computes dst = Wᵀ·A (k×n) for W of shape m×k.
-	mulAtB(dst, w *mat.Dense, ws *mat.Workspace, pool *par.Pool, tc *trace.Tracer) error
+	// eachPanel makes one pass over A: it calls visit once per row
+	// panel, in ascending row order, with the panel and the index r0
+	// of its first row, and stops at the first error. The panel is
+	// only valid during the call. A source of several panels yields
+	// dense ones.
+	eachPanel(visit func(a Matrix, r0 int) error) error
 }
 
 // inCore is the productSource over a resident Matrix.
 type inCore struct{ a Matrix }
 
-func (c inCore) mulABt(dst, h *mat.Dense, ws *mat.Workspace, pool *par.Pool, _ *trace.Tracer) error {
-	mulHtInto(dst, c.a, h, ws, pool)
-	return nil
-}
-
-func (c inCore) mulAtB(dst, w *mat.Dense, ws *mat.Workspace, pool *par.Pool, _ *trace.Tracer) error {
-	mulAtBInto(dst, c.a, w, ws, pool)
-	return nil
-}
+func (c inCore) eachPanel(visit func(a Matrix, r0 int) error) error { return visit(c.a, 0) }
 
 // seqLayout is Algorithm 1: one rank holds A, W and H whole, so the
-// Gram matrices are local products and nothing is communicated. It is
-// deliberately not a 1×1 hpcLayout: halfStep's collectives allocate
-// even on one rank, and the shared schedule would have to branch on
-// its caller to skip them.
+// Gram matrices are local products and nothing is communicated. An
+// iteration reads A once: the W half walks it panel by panel and, as
+// soon as a panel's rows of W are updated, folds them into WᵀW and
+// Wᵀ·A while the panel is still at hand, so the H half has nothing
+// left to read. It is deliberately not a 1×1 hpcLayout: halfStep's
+// collectives allocate even on one rank, and the shared schedule would
+// have to branch on its caller to skip them.
 type seqLayout struct {
 	*rankState
-	src productSource
-	nnz int64 // stored entries of A; 2·nnz·k flops per product
+	src   productSource
+	visit func(a Matrix, r0 int) error // l.panel, bound once: a step allocates no closure
+	nnz   int64                        // stored entries of A; 2·nnz·k flops per product
 
-	wtw *mat.Dense // k×k = WᵀW
-	aht *mat.Dense // m×k = A·Hᵀ
-	wta *mat.Dense // k×n = Wᵀ·A
+	hp     mat.Packed // H packed for the tile kernel, from a pass's first dense panel to its end
+	packed bool
+	wRows  mat.Dense  // view of the rows of w under the current panel
+	wtw    *mat.Dense // k×k = WᵀW
+	wta    *mat.Dense // k×n = Wᵀ·A
 }
 
 // newSeqLayout sizes the rank's blocks to the whole m×n problem.
 func newSeqLayout(s *rankState, src productSource, m, n int, nnz int64) *seqLayout {
 	s.initBlocks(m, 0, n, 0)
-	return &seqLayout{
+	l := &seqLayout{
 		rankState: s,
 		src:       src,
 		nnz:       nnz,
 		wtw:       mat.NewDense(s.k, s.k),
-		aht:       mat.NewDense(m, s.k),
 		wta:       mat.NewDense(s.k, n),
 	}
+	l.visit = l.panel
+	return l
 }
 
-// wHalf is Algorithm 1, line 3's inputs: HHᵀ and A·Hᵀ.
-func (l *seqLayout) wHalf() (*mat.Dense, *mat.Dense, error) {
-	hht := l.localHGram()
+// wHalf is Algorithm 1, line 3, and the data products of line 4: one
+// pass over A that leaves W updated and WᵀW, Wᵀ·A accumulated.
+func (l *seqLayout) wHalf() error {
+	l.localHGram() // HHᵀ for every panel's update
+	l.wtw.Zero()
+	l.wta.Zero()
+	err := l.src.eachPanel(l.visit)
+	if l.packed {
+		l.hp.Release(l.ws)
+		l.packed = false
+	}
+	l.tr.AddFlops(perf.TaskMM, 4*l.nnz*int64(l.k))
+	return err
+}
+
+// panel is the pass's work on rows [r0, r0+rows) of A: A_t·Hᵀ, the W
+// update of those rows against the shared HHᵀ, then wtw += W_tᵀ·W_t and
+// wta += W_tᵀ·A_t. Both sums take their rows in ascending order through
+// kernels that add each row's term to one running value per element,
+// so the panel boundaries leave no trace in the result (DESIGN
+// decision 15). A dense panel multiplies against H packed once per
+// pass; any other Matrix is the whole of A (productSource), so
+// overwriting wta is accumulating into it.
+func (l *seqLayout) panel(a Matrix, r0 int) error {
+	rows, _ := a.Dims()
+	l.wRows = mat.Dense{Rows: rows, Cols: l.k, Data: l.w.Data[r0*l.k : (r0+rows)*l.k]}
+	d, dense := UnwrapDense(a)
+	aht := l.ws.Get(rows, l.k)
 	ps := l.clk.Start(perf.TaskMM)
-	err := l.src.mulABt(l.aht, l.h, l.ws, l.pool, l.tc)
+	if dense {
+		if !l.packed {
+			l.hp, l.packed = mat.PackRows(l.ws, l.h), true
+		}
+		mat.ParMulPackedTo(aht, d, l.hp, l.pool)
+	} else {
+		mulHtInto(aht, a, l.h, l.ws, l.pool)
+	}
 	l.clk.Stop(ps)
-	l.tr.AddFlops(perf.TaskMM, 2*l.nnz*int64(l.k))
-	return hht, l.aht, err
-}
+	err := l.updateW(l.hGram, aht, &l.wRows)
+	l.ws.Put(aht)
+	if err != nil {
+		return err
+	}
 
-// hHalf is Algorithm 1, line 4's inputs: WᵀW and Wᵀ·A.
-func (l *seqLayout) hHalf() (*mat.Dense, *mat.Dense, error) {
-	ps := l.clk.Start(perf.TaskGram)
-	mat.ParGramTo(l.wtw, l.w, l.pool)
+	ps = l.clk.Start(perf.TaskGram)
+	mat.ParGramAddTo(l.wtw, &l.wRows, l.pool)
 	l.clk.Stop(ps)
-	l.tr.AddFlops(perf.TaskGram, gramFlops(l.w.Rows, l.k))
+	l.tr.AddFlops(perf.TaskGram, gramFlops(rows, l.k))
 
 	ps = l.clk.Start(perf.TaskMM)
-	err := l.src.mulAtB(l.wta, l.w, l.ws, l.pool, l.tc)
+	if dense {
+		mat.ParMulAtBAddTo(l.wta, &l.wRows, d, l.pool)
+	} else {
+		mulAtBInto(l.wta, a, &l.wRows, l.ws, l.pool)
+	}
 	l.clk.Stop(ps)
-	l.tr.AddFlops(perf.TaskMM, 2*l.nnz*int64(l.k))
-	return l.wtw, l.wta, err
+	return nil
 }
+
+// hHalf is Algorithm 1, line 4's inputs, which the W half's pass left
+// behind.
+func (l *seqLayout) hHalf() (*mat.Dense, *mat.Dense) { return l.wtw, l.wta }
 
 func (l *seqLayout) gather(bool) (*mat.Dense, *mat.Dense) { return l.w, l.h }
 
@@ -95,7 +133,7 @@ func RunSequential(a Matrix, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return runLayout("Sequential", m, n, a.SquaredFrobeniusNorm(), opts, 0, func(s *rankState) layout {
+	return runLayout("Sequential", m, n, trackedNorm(a, opts), opts, 0, func(s *rankState) layout {
 		return newSeqLayout(s, inCore{a}, m, n, int64(a.NNZ()))
 	})
 }

@@ -1,8 +1,8 @@
 // Package core implements the paper's algorithms — the sequential ANLS
 // framework (Algorithm 1), Naive-Parallel-NMF (Algorithm 2), and
 // HPC-NMF (Algorithm 3) on 1D and 2D processor grids — over the
-// simulated MPI runtime, as one skeleton, three layouts and two
-// product sources (DESIGN decision 14).
+// simulated MPI runtime, as one skeleton, three layouts and one
+// panel iterator (DESIGN decision 14).
 //
 // The skeleton (this file) is the alternating iteration the three
 // algorithms share. rankState.step is one iteration on one rank: the
@@ -21,11 +21,11 @@
 // lines 3 and 5, all-gathering each factor whole and computing its
 // Gram redundantly; hpcLayout (hpc.go) is Algorithm 3 lines 3-7 and
 // 9-13, the all-reduce / all-gather / reduce-scatter schedule of
-// halfStep. seqLayout multiplies through a productSource: in-core
-// kernels, or row-panel passes over a tile file (ooc.go). Sequential
-// is not run as a 1×1 hpcLayout because halfStep's collectives
-// allocate even on one rank, and the zero-allocation step is a
-// contract (TestSequentialStepZeroAllocs).
+// halfStep. seqLayout reads A through a productSource, one row panel
+// at a time: the whole resident matrix, or the tiles of a tile file
+// (ooc.go). Sequential is not run as a 1×1 hpcLayout because
+// halfStep's collectives allocate even on one rank, and the
+// zero-allocation step is a contract (TestSequentialStepZeroAllocs).
 //
 // All layouts share one set of local kernels and one initialization
 // scheme, so for a given seed they perform the same computation up to
@@ -49,12 +49,15 @@ import (
 // the local updates, the objective, the stop tests, progress,
 // checkpoints, accounting — is rankState.step and runLayout.
 type layout interface {
-	// wHalf returns the global H·Hᵀ (k×k) and this rank's rows of
-	// A·Hᵀ (rows×k): everything the W update needs.
-	wHalf() (hht, aht *mat.Dense, err error)
+	// wHalf brings together the global H·Hᵀ (k×k) and this rank's rows
+	// of A·Hᵀ and hands them to rankState.updateW — all rows at once,
+	// or row block by row block as they become available: the rows of
+	// W are independent NLS problems (§4), so the blocking cannot
+	// change a bit of the result.
+	wHalf() error
 	// hHalf returns the global Wᵀ·W (k×k) and this rank's columns of
 	// Wᵀ·A (k×cols): everything the H update needs.
-	hHalf() (wtw, wta *mat.Dense, err error)
+	hHalf() (wtw, wta *mat.Dense)
 	// gather returns the full W (m×k) and H (k×n) on rank 0, nil
 	// elsewhere. It is collective; with setup the traffic is charged
 	// to the Setup category (in-loop checkpoint gathers), keeping the
@@ -68,9 +71,7 @@ type layout interface {
 // arena), so with a layout that does not communicate a steady-state
 // step performs no heap allocation at KernelThreads=1 with any
 // built-in updater — TestSequentialStepZeroAllocs and
-// TestOutOfCoreStepZeroAllocs pin that. The W iterate is kept
-// transposed (wt) across iterations: it is both the warm start and the
-// in-place destination of the solve, and one TTo refreshes w from it.
+// TestOutOfCoreStepZeroAllocs pin that.
 type rankState struct {
 	opts Options
 	lay  layout
@@ -84,13 +85,14 @@ type rankState struct {
 	tc   *trace.Tracer
 	rm   runMetrics
 
-	k      int
+	k int
+	// normA2 is ‖A‖²_F. step reads it under ComputeError only, and
+	// only after the first W half, so a streamed source may deliver
+	// it as late as the end of its first pass (RunOutOfCore).
 	normA2 float64
 
-	w  *mat.Dense // rows×k block of W
-	wt *mat.Dense // k×rows: wᵀ, warm start and destination of the W solve
-	h  *mat.Dense // k×cols block of H
-	fw *mat.Dense // k×rows: this rank's rows of A·Hᵀ transposed, the W-solve RHS
+	w *mat.Dense // rows×k block of W
+	h *mat.Dense // k×cols block of H
 
 	hGram     *mat.Dense // k×k = h·hᵀ of the local block
 	haveHGram bool       // hGram is current for h
@@ -132,10 +134,26 @@ func newRankState(opts Options, normA2 float64, pool *par.Pool, rm runMetrics, c
 // at global row rowOff and cols of H starting at global column colOff.
 func (s *rankState) initBlocks(rows, rowOff, cols, colOff int) {
 	s.w = localInitW(s.opts, rows, rowOff)
-	s.wt = mat.NewDense(s.k, rows)
-	s.w.TTo(s.wt)
 	s.h = localInitH(s.opts, cols, colOff)
-	s.fw = mat.NewDense(s.k, rows)
+}
+
+// updateW is the local W update (Algorithm 1 line 3, Algorithm 2 line
+// 4, Algorithm 3 line 8) of w — this rank's block of W, or consecutive
+// rows of it — given the global H·Hᵀ and the matching rows of A·Hᵀ.
+// The updater works on transposed operands (the rows of W are the
+// columns of its iterate), so the block goes through two workspace
+// buffers and back.
+func (s *rankState) updateW(hht, aht, w *mat.Dense) error {
+	fw, wt := s.ws.Get(s.k, w.Rows), s.ws.Get(s.k, w.Rows)
+	aht.TTo(fw)
+	w.TTo(wt)
+	err := s.env.updateFactor("W", hht, fw, wt, s.opts.L2W, s.opts.L1W)
+	if err == nil {
+		wt.TTo(w)
+	}
+	s.ws.Put(fw)
+	s.ws.Put(wt)
+	return err
 }
 
 // localHGram returns h·hᵀ of this rank's H block, recomputing it only
@@ -172,21 +190,12 @@ func (s *rankState) step(it int) error {
 	s.iters++
 	itSpan := s.tc.BeginArg(trace.CatIter, "iteration", "iter", int64(it))
 	// --- Update W given H ---
-	hht, aht, err := s.lay.wHalf()
-	if err != nil {
-		return fmt.Errorf("core: A·Hᵀ failed at iteration %d: %w", it, err)
-	}
-	aht.TTo(s.fw)
-	if err := s.env.updateFactor("W", hht, s.fw, s.wt, s.opts.L2W, s.opts.L1W); err != nil {
+	if err := s.lay.wHalf(); err != nil {
 		return fmt.Errorf("core: W update failed at iteration %d: %w", it, err)
 	}
-	s.wt.TTo(s.w)
 
 	// --- Update H given W ---
-	wtw, wta, err := s.lay.hHalf()
-	if err != nil {
-		return fmt.Errorf("core: Wᵀ·A failed at iteration %d: %w", it, err)
-	}
+	wtw, wta := s.lay.hHalf()
 	// TolGrad measures stationarity of the alternating map: the
 	// projected gradient of the H-subproblem at the PREVIOUS H under
 	// the refreshed W (zero exactly when the alternation has stopped

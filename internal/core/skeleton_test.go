@@ -129,3 +129,59 @@ func TestRunLoopContract(t *testing.T) {
 		}
 	}
 }
+
+// normTrap is a Matrix whose norm nobody may ask for.
+type normTrap struct {
+	Matrix
+	t *testing.T
+}
+
+func (a normTrap) SquaredFrobeniusNorm() float64 {
+	a.t.Error("‖A‖²_F computed for a run that does not track the objective")
+	return 0
+}
+
+// TestNormOnlyWhenTracked: ‖A‖²_F is a serial pass over every stored
+// entry — a whole tile pass out of core — that only the objective
+// reads, so no entry point makes it with ComputeError off, and nothing
+// else about the run depends on it. Out of core the first pass's loader
+// supplies it, or leaves it alone, by the same switch.
+func TestNormOnlyWhenTracked(t *testing.T) {
+	d := lowRankDense(30, 24, 3, 0.02, 5)
+	opts := Options{K: 3, MaxIter: 3, Seed: 7}
+	for name, run := range map[string]func(Matrix) (*Result, error){
+		"sequential": func(a Matrix) (*Result, error) { return RunSequential(a, opts) },
+		"naive":      func(a Matrix) (*Result, error) { return RunNaive(a, 3, opts) },
+		"hpc":        func(a Matrix) (*Result, error) { return RunHPC(a, grid.New(2, 2), opts) },
+	} {
+		want, err := run(WrapDense(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := run(normTrap{WrapDense(d), t})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.W.Equal(want.W, 0) || !got.H.Equal(want.H, 0) || len(got.RelErr) != 0 {
+			t.Errorf("%s: the run without a norm differs", name)
+		}
+	}
+
+	f := openTileFile(t, writeTileFile(t, d, 7), ooc.BackendAuto)
+	for _, track := range []bool{false, true} {
+		tm := newTiledMatrix(f, 2, track)
+		s := newSeqRank(t, tm, 30, 24, 0, Options{K: 3, ComputeError: track})
+		tm.norm2 = &s.normA2
+		if err := s.step(0); err != nil {
+			t.Fatal(err)
+		}
+		tm.close()
+		want := 0.0
+		if track {
+			want = d.SquaredFrobeniusNorm()
+		}
+		if s.normA2 != want {
+			t.Errorf("ComputeError=%v: the first pass left normA2 = %v, want %v", track, s.normA2, want)
+		}
+	}
+}

@@ -26,6 +26,15 @@ import (
 // destination. All temporaries must come from ctx so steady-state
 // iterations stay allocation-free.
 //
+// Update may be handed any subset of the half-step's columns — the
+// rows of W one rank owns, the rows under one out-of-core tile — and
+// must give each column the result it would get in any other subset:
+// column j of x may depend on gram and on column j of rhs and of the
+// warm start, never on its neighbours or on r. The NLS problems of a
+// half-step are independent (§4) and every built-in rule solves them
+// so; the layouts agree with each other, and a streamed fit with the
+// in-core one, bit for bit because of it.
+//
 // An updater instance is created per rank goroutine (see
 // Options.Update) and is never called concurrently, so it may keep
 // working sets across calls — the contract nnls.ContextSolver

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -9,6 +11,7 @@ import (
 	"hpcnmf/internal/grid"
 	"hpcnmf/internal/mat"
 	"hpcnmf/internal/nnls"
+	"hpcnmf/internal/ooc"
 )
 
 // countingUpdater is a custom Updater plug-in for the seam tests: it
@@ -189,5 +192,53 @@ func TestUpdaterErrorSurfaces(t *testing.T) {
 				t.Errorf("error %q is not iteration-stamped", err)
 			}
 		})
+	}
+}
+
+// widthRecorder is BPP that notes how many columns each Update call
+// was handed.
+type widthRecorder struct {
+	inner  nnls.ContextSolver
+	widths *[]int
+}
+
+func (u widthRecorder) Name() string { return "widths" }
+
+func (u widthRecorder) Update(ctx *nnls.Context, gram, rhs, x *mat.Dense) (nnls.Stats, error) {
+	*u.widths = append(*u.widths, x.Cols)
+	return nnls.SolveWith(u.inner, ctx, gram, rhs, x, x)
+}
+
+// TestUpdaterSeesColumnSubsets pins the Updater contract from the
+// skeleton's side: the in-core run hands Update all of Wᵀ in one call,
+// the streamed run hands it the columns under one tile at a time — the
+// widths are the tile heights — and the factors and the error history
+// are bitwise the same, because a column's update does not depend on
+// the subset it arrives in.
+func TestUpdaterSeesColumnSubsets(t *testing.T) {
+	d := lowRankDense(30, 24, 3, 0.02, 5)
+	var widths []int
+	opts := Options{K: 3, MaxIter: 3, Seed: 7, ComputeError: true,
+		Update: func() Updater { return widthRecorder{nnls.NewBPP(), &widths} }}
+
+	want, err := RunSequential(WrapDense(d), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, w := fmt.Sprint(widths), fmt.Sprint([]int{30, 24, 30, 24, 30, 24}); got != w {
+		t.Errorf("in-core Update widths %s, want %s", got, w)
+	}
+
+	widths = nil
+	got, err := RunOutOfCore(openTileFile(t, writeTileFile(t, d, 7), ooc.BackendAuto), 2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perIter := []int{7, 7, 7, 7, 2, 24} // five tiles of W's rows, then H
+	if g, w := fmt.Sprint(widths), fmt.Sprint(slices.Concat(perIter, perIter, perIter)); g != w {
+		t.Errorf("out-of-core Update widths %s, want %s", g, w)
+	}
+	if !got.W.Equal(want.W, 0) || !got.H.Equal(want.H, 0) || !slices.Equal(got.RelErr, want.RelErr) {
+		t.Error("panel-wise updates changed the factors or the error history")
 	}
 }

@@ -290,6 +290,13 @@ func ParGramTo(g, a *Dense, p *par.Pool) {
 	ParGramAddTo(g, a, p)
 }
 
+// gramInlineFlops is the work below which a Gram product runs on the
+// caller whatever the pool: under it, waking a worker costs more than
+// the half of the product it would take. A measured constant, not an
+// option (DESIGN.md decision 8 has the table that placed it); only who
+// runs a range changes, never a bit of G.
+const gramInlineFlops = 4 << 20
+
 // ParGramAddTo computes G += Aᵀ·A, filling both triangles. Workers own
 // ranges of G rows balanced by triangle area (row l of the upper
 // triangle holds k−l elements), each streaming all of A.
@@ -298,7 +305,7 @@ func ParGramAddTo(g, a *Dense, p *par.Pool) {
 	if g.Rows != k || g.Cols != k {
 		panic("mat: ParGramAddTo dimension mismatch")
 	}
-	if p == nil || k < 2 {
+	if p == nil || k < 2 || a.Rows < gramInlineFlops/(k*(k+1)) {
 		gramRange(g, a, 0, k)
 	} else {
 		p.ForRanges(triangleBounds(k, p.Workers()), func(l0, l1 int) {
@@ -372,7 +379,7 @@ func ParGramTToWS(g, a *Dense, p *par.Pool, ws *Workspace) {
 	}
 	pk := PackRows(ws, a)
 	blocks := (k + tileMR - 1) / tileMR
-	if p == nil || blocks < 2 {
+	if p == nil || blocks < 2 || a.Cols < gramInlineFlops/(k*(k+1)) {
 		tileBlocks(g, a, pk, 0, blocks, true)
 	} else {
 		p.ForRanges(triangleBounds(blocks, p.Workers()), func(b0, b1 int) {

@@ -2,6 +2,7 @@ package mat
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"hpcnmf/internal/par"
@@ -137,11 +138,18 @@ func TestMulABtToMatchesReference(t *testing.T) {
 	}
 }
 
+// gramShapes is kernelShapes plus the one shape whose Gram products
+// carry more than gramInlineFlops, so a pool really splits them.
+func gramShapes() []struct{ m, k, n int } {
+	long := gramInlineFlops/(50*51) + 1
+	return append(slices.Clip(kernelShapes), struct{ m, k, n int }{long, 50, long})
+}
+
 // TestGramMatchesReference checks the blocked G += Aᵀ·A.
 func TestGramMatchesReference(t *testing.T) {
 	s := rng.New(104)
 	for _, pool := range testPools(t) {
-		for _, sh := range kernelShapes {
+		for _, sh := range gramShapes() {
 			a := randomSigned(sh.m, sh.k, s)
 			g0 := randomSigned(sh.k, sh.k, s)
 			// The reference mirrors the upper triangle at the end, so
@@ -166,7 +174,7 @@ func TestGramMatchesReference(t *testing.T) {
 func TestGramTMatchesReference(t *testing.T) {
 	s := rng.New(105)
 	for _, pool := range testPools(t) {
-		for _, sh := range kernelShapes {
+		for _, sh := range gramShapes() {
 			a := randomSigned(sh.k, sh.n, s)
 			want := RefGramT(a)
 			got := NewDense(sh.k, sh.k)

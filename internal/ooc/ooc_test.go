@@ -217,39 +217,71 @@ func TestWriterRowCountEnforced(t *testing.T) {
 	}
 }
 
+// TestPipelineStreamsPasses: every pass delivers the tiles in file
+// order with the payload intact, on every backend and depth. A norm
+// pipeline also carries Σv² across its first pass in the element order
+// of the in-core row-major sum — so the total is ‖A‖²_F to the bit —
+// and a plain one sums nothing.
 func TestPipelineStreamsPasses(t *testing.T) {
 	d := testMatrix(t, 57, 9)
 	path := writeTempTile(t, d, 10)
 	for _, f := range backendsUnderTest(t, path) {
 		for _, depth := range []int{1, 2, 4} {
-			p := NewPipeline(f, depth)
-			for pass := 0; pass < 3; pass++ {
-				got := mat.NewDense(57, 9)
-				for tl := 0; tl < f.Tiles(); tl++ {
-					panel, err := p.Next()
-					if err != nil {
-						t.Fatalf("%s depth=%d pass=%d: Next: %v", f.BackendName(), depth, pass, err)
-					}
-					if panel.Index != tl {
-						t.Fatalf("panel %d arrived as index %d", tl, panel.Index)
-					}
-					copy(got.Data[panel.Row0*9:panel.Row1*9], panel.Data)
-					p.Release(panel)
+			for _, norm := range []bool{false, true} {
+				var p *Pipeline
+				if norm {
+					p = NewNormPipeline(f, depth, true)
+				} else {
+					p = NewPipeline(f, depth)
 				}
-				if !got.Equal(d, 0) {
-					t.Fatalf("%s depth=%d pass %d mismatch", f.BackendName(), depth, pass)
+				for pass := 0; pass < 3; pass++ {
+					got := mat.NewDense(57, 9)
+					var sum float64
+					for tl := 0; tl < f.Tiles(); tl++ {
+						panel, err := p.Next()
+						if err != nil {
+							t.Fatalf("%s depth=%d pass=%d: Next: %v", f.BackendName(), depth, pass, err)
+						}
+						if panel.Index != tl {
+							t.Fatalf("panel %d arrived as index %d", tl, panel.Index)
+						}
+						read := d.Data // what the first pass had read at this panel
+						if pass == 0 {
+							read = d.Data[:panel.Row1*9]
+						}
+						var want float64
+						for _, v := range read {
+							want += v * v
+						}
+						if !norm {
+							want = 0
+						}
+						if panel.SumSquares != want {
+							t.Fatalf("%s depth=%d norm=%v pass=%d tile %d: SumSquares = %v, want %v",
+								f.BackendName(), depth, norm, pass, tl, panel.SumSquares, want)
+						}
+						sum = panel.SumSquares
+						copy(got.Data[panel.Row0*9:panel.Row1*9], panel.Data)
+						p.Release(panel)
+					}
+					if !got.Equal(d, 0) {
+						t.Fatalf("%s depth=%d pass %d mismatch", f.BackendName(), depth, pass)
+					}
+					if norm && sum != d.SquaredFrobeniusNorm() {
+						t.Fatalf("first-pass sum %v is not the in-core ‖A‖²_F %v", sum, d.SquaredFrobeniusNorm())
+					}
 				}
-			}
-			st := p.Stats()
-			if st.TilesLoaded < int64(3*f.Tiles()) {
-				t.Fatalf("stats: %d tiles loaded, want ≥ %d", st.TilesLoaded, 3*f.Tiles())
-			}
-			if st.BytesLoaded < int64(3*57*9*8) {
-				t.Fatalf("stats: %d bytes loaded, want ≥ %d", st.BytesLoaded, 3*57*9*8)
-			}
-			p.Close()
-			if _, err := p.Next(); err == nil {
-				t.Fatal("Next after Close succeeded")
+				st := p.Stats()
+				if st.TilesLoaded < int64(3*f.Tiles()) {
+					t.Fatalf("stats: %d tiles loaded, want ≥ %d", st.TilesLoaded, 3*f.Tiles())
+				}
+				if st.BytesLoaded < int64(3*57*9*8) {
+					t.Fatalf("stats: %d bytes loaded, want ≥ %d", st.BytesLoaded, 3*57*9*8)
+				}
+				p.Close()
+				if _, err := p.Next(); err == nil {
+					t.Fatal("Next after Close succeeded")
+				}
 			}
 		}
 		f.Close()

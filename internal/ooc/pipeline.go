@@ -13,6 +13,11 @@ type Panel struct {
 	Index      int
 	Row0, Row1 int
 	Data       []float64
+	// SumSquares is Σv² over the entries the first pass of a
+	// NewNormPipeline had read when it delivered this panel, in file
+	// order: tiles 0..Index on that pass, the whole matrix — ‖A‖²_F —
+	// on its last panel and ever after. 0 from a NewPipeline.
+	SumSquares float64
 
 	buf []float64
 }
@@ -52,6 +57,7 @@ type panelMsg struct {
 	row0, row1 int
 	data       []float64
 	buf        []float64
+	sumSq      float64
 	err        error
 }
 
@@ -70,6 +76,7 @@ type panelMsg struct {
 type Pipeline struct {
 	f     *File
 	depth int
+	norm  bool // the loader carries Σv² across its first pass
 
 	out     chan panelMsg
 	free    chan []float64
@@ -96,7 +103,16 @@ const DefaultDepth = 2
 // f.Header().MaxTileElems() float64s each (for the mmap backend the
 // buffers are bypassed by zero-copy views but still bound the number
 // of tiles in flight).
-func NewPipeline(f *File, depth int) *Pipeline {
+func NewPipeline(f *File, depth int) *Pipeline { return NewNormPipeline(f, depth, false) }
+
+// NewNormPipeline is NewPipeline whose loader, when norm is set, also
+// sums the squares of the entries it reads on its first pass, tile by
+// tile in file order — the element order of a row-major sum over the
+// whole matrix, so the total has the bits of the in-core ‖A‖²_F — and
+// hands the running sum over with each panel (Panel.SumSquares). The
+// data read is the data summed: a norm stored in the header could
+// disagree with the payload.
+func NewNormPipeline(f *File, depth int, norm bool) *Pipeline {
 	if depth < 1 {
 		depth = DefaultDepth
 	}
@@ -106,6 +122,7 @@ func NewPipeline(f *File, depth int) *Pipeline {
 	p := &Pipeline{
 		f:       f,
 		depth:   depth,
+		norm:    norm,
 		out:     make(chan panelMsg, depth),
 		free:    make(chan []float64, depth),
 		done:    make(chan struct{}),
@@ -127,7 +144,8 @@ func (p *Pipeline) Depth() int { return p.depth }
 // Close or after delivering a load error.
 func (p *Pipeline) loader() {
 	defer close(p.stopped)
-	for {
+	var sumSq float64
+	for pass := 0; ; pass++ {
 		for t := 0; t < p.f.Tiles(); t++ {
 			var buf []float64
 			select {
@@ -142,9 +160,14 @@ func (p *Pipeline) loader() {
 			if err == nil {
 				p.bytes.Add(int64(len(data)) * 8)
 				p.tiles.Add(1)
+				if p.norm && pass == 0 {
+					for _, v := range data {
+						sumSq += v * v
+					}
+				}
 			}
 			select {
-			case p.out <- panelMsg{index: t, row0: r0, row1: r1, data: data, buf: buf, err: err}:
+			case p.out <- panelMsg{index: t, row0: r0, row1: r1, data: data, buf: buf, sumSq: sumSq, err: err}:
 			case <-p.done:
 				return
 			}
@@ -180,7 +203,7 @@ func (p *Pipeline) Next() (*Panel, error) {
 		p.failed = msg.err
 		return nil, msg.err
 	}
-	p.cur = Panel{Index: msg.index, Row0: msg.row0, Row1: msg.row1, Data: msg.data, buf: msg.buf}
+	p.cur = Panel{Index: msg.index, Row0: msg.row0, Row1: msg.row1, Data: msg.data, SumSquares: msg.sumSq, buf: msg.buf}
 	return &p.cur, nil
 }
 

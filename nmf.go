@@ -272,9 +272,9 @@ func WriteTiled(path string, d *Dense, tileRows int) error {
 }
 
 // RunOutOfCore factorizes a tile file with the streaming sequential
-// skeleton: factors stay in memory, A is read in row panels with
-// prefetch depth tiles in flight (≤ 0 picks double buffering). The
-// result — factors and error history — is bitwise identical to Run on
+// skeleton: factors stay in memory, A is read in row panels — once per
+// iteration — with prefetch depth tiles in flight (≤ 0 picks double
+// buffering). The result — factors and error history — is bitwise identical to Run on
 // the same matrix for every built-in updater, any tile size, and any
 // KernelThreads; Result.OOC reports how much tile I/O was hidden
 // behind compute.
