@@ -5,17 +5,22 @@
 //
 //	obscheck -prom metrics.txt
 //	curl -s :7600/metrics | obscheck -prom -
-//	obscheck -trace run.trace.json -span http.project
+//	obscheck -trace run.trace.json -require cmd/nmfrun/obs.manifest
 //
-// A path of "-" reads the artifact from stdin. Exit status is nonzero
-// if any requested check fails.
+// A path of "-" reads the artifact from stdin. A -require manifest
+// lists what an artifact promises, one `series <name>` (a sample of
+// the -prom input) or `span <name>` (an event of the -trace input) per
+// line, # comments allowed; every one the input lacks is named. Exit
+// status is nonzero if any requested check fails.
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"hpcnmf/internal/metrics"
 	"hpcnmf/internal/trace"
@@ -36,7 +41,7 @@ func run(args []string, stdout, stderr io.Writer, stdin io.Reader) error {
 	var (
 		promPath  = fs.String("prom", "", "Prometheus text exposition file to lint (\"-\" for stdin)")
 		tracePath = fs.String("trace", "", "Chrome trace_event JSON file to validate (\"-\" for stdin)")
-		spanName  = fs.String("span", "", "with -trace: require at least one span with this name")
+		require   = fs.String("require", "", "manifest `file` of \"series <name>\" / \"span <name>\" lines the -prom / -trace input must contain")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -50,12 +55,14 @@ func run(args []string, stdout, stderr io.Writer, stdin io.Reader) error {
 	if *promPath == "-" && *tracePath == "-" {
 		return fmt.Errorf("only one artifact may come from stdin")
 	}
-	if *spanName != "" && *tracePath == "" {
-		return fmt.Errorf("-span requires -trace")
+	want, err := readManifest(*require)
+	if err != nil {
+		return err
 	}
+	have := map[string]bool{} // "<kind> <name>" for what the inputs hold, "<kind>" for each input given
 
 	if *promPath != "" {
-		if err := checkProm(*promPath, stdin); err != nil {
+		if err := checkProm(*promPath, stdin, have); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "prom ok: %s\n", *promPath)
@@ -65,13 +72,47 @@ func run(args []string, stdout, stderr io.Writer, stdin io.Reader) error {
 		if err != nil {
 			return err
 		}
-		if *spanName != "" && !hasSpan(tr, *spanName) {
-			return fmt.Errorf("%s: no span named %q among %d events", *tracePath, *spanName, len(tr.Events))
+		have["span"] = true
+		for _, ev := range tr.Events {
+			have["span "+ev.Name] = true
 		}
 		fmt.Fprintf(stdout, "trace ok: %s (%d events, %d ranks, %d dropped)\n",
 			*tracePath, len(tr.Events), tr.Ranks, tr.Dropped)
 	}
+	var missing []string
+	for _, line := range want {
+		if kind, _, _ := strings.Cut(line, " "); have[kind] && !have[line] {
+			missing = append(missing, line)
+		}
+	}
+	if len(missing) > 0 {
+		return fmt.Errorf("%s promises what the input lacks: %s", *require, strings.Join(missing, ", "))
+	}
 	return nil
+}
+
+// readManifest returns the `series <name>` and `span <name>` lines of a
+// -require file, blank and # lines dropped; no path, no promises.
+func readManifest(path string) (want []string, err error) {
+	if path == "" {
+		return nil, nil
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	for i, line := range strings.Split(string(data), "\n") {
+		line = strings.Join(strings.Fields(line), " ")
+		kind, name, _ := strings.Cut(line, " ")
+		switch {
+		case line == "" || line[0] == '#':
+		case (kind == "series" || kind == "span") && name != "":
+			want = append(want, line)
+		default:
+			return nil, fmt.Errorf("%s:%d: want `series <name>` or `span <name>`, got %q", path, i+1, line)
+		}
+	}
+	return want, nil
 }
 
 // open resolves a path, mapping "-" to stdin. The returned closer is a
@@ -87,14 +128,25 @@ func open(path string, stdin io.Reader) (io.Reader, func() error, error) {
 	return f, f.Close, nil
 }
 
-func checkProm(path string, stdin io.Reader) error {
+// checkProm lints the exposition and notes its sample names in have.
+func checkProm(path string, stdin io.Reader, have map[string]bool) error {
 	r, done, err := open(path, stdin)
 	if err != nil {
 		return err
 	}
 	defer done()
-	if err := metrics.LintPrometheus(r); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return fmt.Errorf("%s: %w", path, err)
+	}
+	if err := metrics.LintPrometheus(bytes.NewReader(data)); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	have["series"] = true
+	for _, line := range strings.Split(string(data), "\n") {
+		if line != "" && line[0] != '#' {
+			have["series "+line[:strings.IndexAny(line+" ", "{ ")]] = true
+		}
 	}
 	return nil
 }
@@ -110,13 +162,4 @@ func parseTrace(path string, stdin io.Reader) (*trace.Trace, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return tr, nil
-}
-
-func hasSpan(tr *trace.Trace, name string) bool {
-	for _, ev := range tr.Events {
-		if ev.Name == name {
-			return true
-		}
-	}
-	return false
 }

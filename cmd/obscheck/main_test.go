@@ -44,10 +44,23 @@ func writeArtifacts(t *testing.T, dir string) (promPath, tracePath string) {
 	return promPath, tracePath
 }
 
+// manifest writes a -require file of the given lines in dir.
+func manifest(t *testing.T, dir string, lines ...string) string {
+	t.Helper()
+	path := filepath.Join(dir, "obs.manifest")
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 func TestCheckValidArtifacts(t *testing.T) {
-	promPath, tracePath := writeArtifacts(t, t.TempDir())
+	dir := t.TempDir()
+	promPath, tracePath := writeArtifacts(t, dir)
 	var out, errb bytes.Buffer
-	err := run([]string{"-prom", promPath, "-trace", tracePath, "-span", "http.project"},
+	err := run([]string{"-prom", promPath, "-trace", tracePath, "-require", manifest(t, dir,
+		"# what the artifacts promise", "", "span http.project",
+		"series serve_project_requests_total", "series serve_batch_size_bucket")},
 		&out, &errb, strings.NewReader(""))
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -87,8 +100,10 @@ func TestCheckRejectsBadArtifacts(t *testing.T) {
 		{},                   // nothing to check
 		{"-prom", badProm},   // lint failure
 		{"-trace", badTrace}, // parse failure
-		{"-trace", tracePath, "-span", "no.such.span"},
-		{"-span", "x"}, // -span without -trace
+		{"-trace", tracePath, "-require", manifest(t, dir, "span no.such.span")},
+		{"-prom", promPath, "-require", manifest(t, t.TempDir(), "series serve_project")}, // a prefix is not the series
+		{"-prom", promPath, "-require", manifest(t, t.TempDir(), "metric x")},             // unknown kind
+		{"-prom", promPath, "-require", filepath.Join(dir, "missing.manifest")},
 		{"-prom", "-", "-trace", "-"},
 		{"-prom", filepath.Join(dir, "missing.txt")},
 		{"stray"},
@@ -99,9 +114,15 @@ func TestCheckRejectsBadArtifacts(t *testing.T) {
 			t.Errorf("run(%v) succeeded, want error", args)
 		}
 	}
+	// Every promise the input breaks is named, not just the first.
+	var out, errb bytes.Buffer
+	err := run([]string{"-prom", promPath, "-trace", tracePath, "-require", manifest(t, dir,
+		"series nmf_step_ns_total", "span http.project", "span iteration")}, &out, &errb, strings.NewReader(""))
+	if err == nil || !strings.Contains(err.Error(), "series nmf_step_ns_total, span iteration") || strings.Contains(err.Error(), "http.project") {
+		t.Errorf("broken promises reported as %v", err)
+	}
 	// Sanity: the good artifacts still pass, so the failures above are
 	// about the inputs, not the harness.
-	var out, errb bytes.Buffer
 	if err := run([]string{"-prom", promPath}, &out, &errb, strings.NewReader("")); err != nil {
 		t.Fatalf("control run failed: %v", err)
 	}

@@ -20,8 +20,8 @@ func newSeqRank(t *testing.T, src productSource, m, n int, normA2 float64, opts 
 	}
 	pool := par.NewPool(opts.KernelThreads)
 	t.Cleanup(pool.Close)
-	s := newRankState(opts, normA2, pool, runMetrics{}, nil, nil)
-	s.lay = newSeqLayout(s, src, m, n, int64(m)*int64(n))
+	s := newRankState(opts, normA2, pool, newRankBooks(nil), nil, nil)
+	s.lay = newSeqLayout(s, src, m, n)
 	return s
 }
 

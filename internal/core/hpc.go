@@ -36,7 +36,7 @@ func RunParallelAuto(a Matrix, p int, opts Options) (*Result, error) {
 		return nil, err
 	}
 	ranked, infeasible := costmodel.Plan(GridProblem(a, opts.K), p,
-		opts.Model.Alpha, opts.Model.Beta, opts.Model.Gamma)
+		opts.Model)
 	if len(ranked) == 0 {
 		return nil, infeasible
 	}
@@ -91,37 +91,36 @@ func (r *hpcLayout) halfStep(s *factorSide) *mat.Dense {
 	if r.overlap {
 		ag = s.gatherComm.IAllGatherV(s.sendChunk(0, kc0), grid.ScaleCounts(s.gatherCounts, kc0))
 	}
-	ps := r.clk.Start(perf.TaskGram)
+	ps := r.led.Start(perf.TaskGram)
 	s.gram()
-	r.clk.Stop(ps)
-	r.tr.AddFlops(perf.TaskGram, gramFlops(s.gramRows, r.k))
+	r.led.Stop(ps, gramFlops(s.gramRows, r.k))
 
 	var panel0 *mat.Dense
 	if ag != nil {
-		ps = r.clk.Start(perf.TaskAllGather)
+		ps = r.led.Start(perf.TaskAllGather)
 		panel0 = &mat.Dense{Rows: s.panelRows, Cols: kc0, Data: ag.Wait()}
-		r.clk.Stop(ps)
+		r.led.Stop(ps, 0)
 	}
 
-	ps = r.clk.Start(perf.TaskAllReduce)
+	ps = r.led.Start(perf.TaskAllReduce)
 	gram := &mat.Dense{Rows: r.k, Cols: r.k, Data: r.c.AllReduce(s.localGram.Data)}
-	r.clk.Stop(ps)
+	r.led.Stop(ps, 0)
 
 	for c0 := 0; c0 < r.k; c0 += r.chunk {
 		c1 := min(c0+r.chunk, r.k)
 		kc := c1 - c0
 		panel := panel0 // prefetched during the Gram product
 		if c0 > 0 || panel == nil {
-			ps = r.clk.Start(perf.TaskAllGather)
+			ps = r.led.Start(perf.TaskAllGather)
 			panel = &mat.Dense{Rows: s.panelRows, Cols: kc, Data: s.gatherComm.AllGatherV(
 				s.sendChunk(c0, c1), grid.ScaleCounts(s.gatherCounts, kc))}
-			r.clk.Stop(ps)
+			r.led.Stop(ps, 0)
 		}
 		prod := s.multiply(panel, kc)
-		ps = r.clk.Start(perf.TaskReduceScatter)
+		ps = r.led.Start(perf.TaskReduceScatter)
 		got := &mat.Dense{Rows: s.outRows, Cols: kc, Data: s.reduceComm.ReduceScatter(
 			prod.Data, grid.ScaleCounts(s.reduceCounts, kc))}
-		r.clk.Stop(ps)
+		r.led.Stop(ps, 0)
 		r.ws.Put(prod)
 		s.out.SetSubmatrix(0, c0, got)
 	}
@@ -153,7 +152,7 @@ func RunHPC(a Matrix, g grid.Grid, opts Options) (*Result, error) {
 	if g.PR < 1 || g.PC < 1 {
 		return nil, fmt.Errorf("core: HPC-NMF needs a grid with pr ≥ 1 and pc ≥ 1, got %dx%d", g.PR, g.PC)
 	}
-	return runHPC(a, GridProblem(a, opts.K).Price(g, opts.Model.Alpha, opts.Model.Beta, opts.Model.Gamma), opts)
+	return runHPC(a, GridProblem(a, opts.K).Price(g, opts.Model), opts)
 }
 
 // runHPC runs Algorithm 3 on a priced grid under defaulted options;
@@ -230,7 +229,7 @@ func newHPCLayout(s *rankState, a Matrix, g grid.Grid) *hpcLayout {
 	}
 	uij := mat.NewDense(k, k) // (Hj)i·(Hj)iᵀ
 	xij := mat.NewDense(k, k) // (Wi)jᵀ·(Wi)j
-	clk, tr, ws, pool := s.clk, s.tr, s.ws, s.pool
+	led, ws, pool := s.led, s.ws, s.pool
 
 	// The W half gathers Hᵀ panels down the processor column and
 	// scatters A·Hᵀ rows across the processor row (lines 3-8); the
@@ -251,11 +250,10 @@ func newHPCLayout(s *rankState, a Matrix, g grid.Grid) *hpcLayout {
 			return hij.Submatrix(c0, c1, 0, hHi-hLo).T().Data
 		},
 		multiply: func(panel *mat.Dense, kc int) *mat.Dense {
-			ps := clk.Start(perf.TaskMM)
+			ps := led.Start(perf.TaskMM)
 			vij := ws.Get(mi, kc)
 			mulBtInto(vij, aij, panel, ws, pool) // Vij columns, mi×kc
-			clk.Stop(ps)
-			tr.AddFlops(perf.TaskMM, 2*int64(aij.NNZ())*int64(kc))
+			led.Stop(ps, 2*int64(aij.NNZ())*int64(kc))
 			return vij
 		},
 	}
@@ -272,11 +270,10 @@ func newHPCLayout(s *rankState, a Matrix, g grid.Grid) *hpcLayout {
 		gram:         func() { mat.ParGramTo(xij, wij, pool) }, // line 9: Xij = (Wi)jᵀ·(Wi)j
 		sendChunk:    func(c0, c1 int) []float64 { return wij.SubmatrixCols(c0, c1).Data },
 		multiply: func(panel *mat.Dense, kc int) *mat.Dense {
-			ps := clk.Start(perf.TaskMM)
+			ps := led.Start(perf.TaskMM)
 			yij := ws.Get(kc, nj)
 			mulAtBInto(yij, aij, panel, ws, pool) // Yij rows, kc×nj
-			clk.Stop(ps)
-			tr.AddFlops(perf.TaskMM, 2*int64(aij.NNZ())*int64(kc))
+			led.Stop(ps, 2*int64(aij.NNZ())*int64(kc))
 			yijT := ws.Get(nj, kc)
 			yij.TTo(yijT) // reduce layout; transpose outside the MM clock
 			ws.Put(yij)
@@ -284,7 +281,7 @@ func newHPCLayout(s *rankState, a Matrix, g grid.Grid) *hpcLayout {
 		},
 	}
 	if s.rank == 0 {
-		s.tc.Begin(trace.CatPhase, fmt.Sprintf("grid %dx%d", g.PR, g.PC)).End()
+		s.led.Tracer.Begin(trace.CatPhase, fmt.Sprintf("grid %dx%d", g.PR, g.PC)).End()
 	}
 	return l
 }

@@ -80,13 +80,12 @@ func newNaiveLayout(s *rankState, a Matrix, p int) *naiveLayout {
 // both halves: all-gather one factor's blocks into the full rows×k
 // panel and compute its Gram redundantly.
 func (l *naiveLayout) assemble(send []float64, counts []int, rows int, gram *mat.Dense) *mat.Dense {
-	ps := l.clk.Start(perf.TaskAllGather)
+	ps := l.led.Start(perf.TaskAllGather)
 	panel := &mat.Dense{Rows: rows, Cols: l.k, Data: l.c.AllGatherV(send, counts)}
-	l.clk.Stop(ps)
-	ps = l.clk.Start(perf.TaskGram)
+	l.led.Stop(ps, 0)
+	ps = l.led.Start(perf.TaskGram)
 	mat.ParGramTo(gram, panel, l.pool)
-	l.clk.Stop(ps)
-	l.tr.AddFlops(perf.TaskGram, gramFlops(rows, l.k))
+	l.led.Stop(ps, gramFlops(rows, l.k))
 	return panel
 }
 
@@ -95,10 +94,9 @@ func (l *naiveLayout) assemble(send []float64, counts []int, rows int, gram *mat
 func (l *naiveLayout) wHalf() error {
 	l.h.TTo(l.hiT)
 	hT := l.assemble(l.hiT.Data, l.hCounts, l.n, l.hht)
-	ps := l.clk.Start(perf.TaskMM)
+	ps := l.led.Start(perf.TaskMM)
 	mulBtInto(l.aiht, l.aRow, hT, l.ws, l.pool) // Ai·Hᵀ, mi×k
-	l.clk.Stop(ps)
-	l.tr.AddFlops(perf.TaskMM, 2*int64(l.aRow.NNZ())*int64(l.k))
+	l.led.Stop(ps, 2*int64(l.aRow.NNZ())*int64(l.k))
 	return l.updateW(l.hht, l.aiht, l.w)
 }
 
@@ -106,10 +104,9 @@ func (l *naiveLayout) wHalf() error {
 // and Wᵀ·Aⁱ.
 func (l *naiveLayout) hHalf() (*mat.Dense, *mat.Dense) {
 	w := l.assemble(l.w.Data, l.wCounts, l.m, l.wtw)
-	ps := l.clk.Start(perf.TaskMM)
+	ps := l.led.Start(perf.TaskMM)
 	mulAtBInto(l.wtai, l.aCol, w, l.ws, l.pool) // Wᵀ·Aⁱ, k×ni
-	l.clk.Stop(ps)
-	l.tr.AddFlops(perf.TaskMM, 2*int64(l.aCol.NNZ())*int64(l.k))
+	l.led.Stop(ps, 2*int64(l.aCol.NNZ())*int64(l.k))
 	return l.wtw, l.wtai
 }
 

@@ -9,87 +9,64 @@ import (
 	"hpcnmf/internal/trace"
 )
 
-// phaseClock couples the perf tracker with the event tracer so one
-// Start/Stop pair feeds both the aggregate task breakdown and the
-// per-rank trace. Both phaseClock and phaseSpan are plain values:
-// unlike the closure-returning perf.Tracker.Go, timing a phase
-// performs no heap allocation, which the steady-state iteration loops
-// rely on.
-type phaseClock struct {
-	tr *perf.Tracker
-	tc *trace.Tracer // nil when tracing is off
-}
+// rankBooks is a rank's one accounting instrument: the ledger every
+// phase is charged to (and, through it, the trace) and the registry
+// instruments the rank publishes to. newRankBooks resolves the
+// instruments once per run, so the hot path pays no registry lookup;
+// each rank works on its own copy with its own ledger.
+type rankBooks struct {
+	*perf.Ledger             // set per rank, by newRankState
+	flushed      perf.Ledger // the ledger as the registry last saw it
 
-// phaseSpan is one in-flight phase measurement; pass it back to Stop.
-type phaseSpan struct {
-	task  perf.Task
-	start time.Time
-	sp    trace.Span // zero (no-op) when tracing is off
-}
-
-// Start begins timing a phase on both instruments.
-func (p phaseClock) Start(task perf.Task) phaseSpan {
-	var sp trace.Span
-	if p.tc != nil {
-		sp = p.tc.Begin(trace.CatPhase, task.String())
-	}
-	return phaseSpan{task: task, start: time.Now(), sp: sp}
-}
-
-// Stop records the elapsed phase time.
-func (p phaseClock) Stop(ps phaseSpan) {
-	p.tr.Add(ps.task, time.Since(ps.start))
-	ps.sp.End()
-}
-
-// runMetrics caches the registry instruments the iteration loops
-// touch, so the hot path pays one nil check instead of a registry
-// lookup. The zero value (metrics off) makes every method a no-op.
-type runMetrics struct {
 	nlsInner, nlsGroups, nlsColumnRounds *metrics.Counter
 	iterations, relErr                   *metrics.Gauge
+	// The live task breakdown, summed over ranks: one pair of counters
+	// per perf.Tasks() entry, in that order, and the step wall.
+	taskNs, taskFlops []*metrics.Counter
+	stepNs            *metrics.Counter
 }
 
-// newRunMetrics resolves the iteration-loop instruments; reg may be
-// nil.
-func newRunMetrics(reg *metrics.Registry) runMetrics {
+// newRankBooks resolves the instruments in reg. A run without a
+// registry publishes to one nobody reads, so accounting is one path.
+func newRankBooks(reg *metrics.Registry) rankBooks {
 	if reg == nil {
-		return runMetrics{}
+		reg = metrics.NewRegistry()
 	}
-	return runMetrics{
+	b := rankBooks{
 		nlsInner:        reg.Counter("nmf.nls.inner_iterations"),
 		nlsGroups:       reg.Counter("nmf.nls.groups"),
 		nlsColumnRounds: reg.Counter("nmf.nls.column_rounds"),
 		iterations:      reg.Gauge("nmf.iterations"),
 		relErr:          reg.Gauge("nmf.rel_err"),
+		stepNs:          reg.Counter("nmf.step.ns"),
 	}
+	for _, task := range perf.Tasks() {
+		b.taskNs = append(b.taskNs, reg.Counter("nmf.task."+task.String()+".ns"))
+		b.taskFlops = append(b.taskFlops, reg.Counter("nmf.task."+task.String()+".flops"))
+	}
+	return b
 }
 
-// ObserveNLS charges one local solve's inner-iteration count and, for
+// flush adds what the ledger gained since the last flush to the live
+// counters. Ranks flush independently, once per step.
+func (b *rankBooks) flush() {
+	d := b.Sub(b.flushed)
+	b.flushed = *b.Ledger
+	for i, task := range perf.Tasks() {
+		b.taskNs[i].Add(int64(d.Wall[task]))
+		b.taskFlops[i].Add(d.Flops[task])
+	}
+	b.stepNs.Add(int64(d.Step))
+}
+
+// observeNLS charges one local solve's inner-iteration count and, for
 // BPP, how its grouped solves looked: column_rounds ÷ groups is the
 // columns sharing a factorization, column_rounds ÷ the columns solved
 // the pivoting rounds a column takes.
-func (m runMetrics) ObserveNLS(st nnls.Stats) {
-	if m.nlsInner != nil {
-		m.nlsInner.Add(int64(st.Iterations))
-		m.nlsGroups.Add(int64(st.Groups))
-		m.nlsColumnRounds.Add(int64(st.ColumnRounds))
-	}
-}
-
-// ObserveRelErr publishes the freshest relative error (call from one
-// rank only to avoid p identical writes).
-func (m runMetrics) ObserveRelErr(e float64) {
-	if m.relErr != nil {
-		m.relErr.Set(e)
-	}
-}
-
-// ObserveIterations publishes the final iteration count.
-func (m runMetrics) ObserveIterations(iters int) {
-	if m.iterations != nil {
-		m.iterations.Set(float64(iters))
-	}
+func (b *rankBooks) observeNLS(st nnls.Stats) {
+	b.nlsInner.Add(int64(st.Iterations))
+	b.nlsGroups.Add(int64(st.Groups))
+	b.nlsColumnRounds.Add(int64(st.ColumnRounds))
 }
 
 // newTraceSession creates the run's trace session when enabled, or
@@ -125,24 +102,24 @@ type Progress struct {
 	PhaseSeconds map[string]float64 `json:"phase_seconds,omitempty"`
 }
 
-// progressEmitter turns the reporting rank's cumulative perf.Tracker
-// into per-iteration Progress records. A nil emitter (progress off) is
-// a no-op, so the run loop pays one nil check per iteration and the
+// progressEmitter turns the reporting rank's cumulative ledger into
+// per-iteration Progress records. A nil emitter (progress off) is a
+// no-op, so the run loop pays one nil check per iteration and the
 // zero-allocation steady state is untouched when disabled.
 type progressEmitter struct {
 	fn      func(Progress)
-	tr      *perf.Tracker
+	led     *perf.Ledger
 	start   time.Time
-	prev    map[perf.Task]time.Duration
+	prev    perf.Ledger // led as of the previous record
 	history []Progress
 }
 
 // newProgressEmitter returns nil when fn is nil.
-func newProgressEmitter(fn func(Progress), tr *perf.Tracker) *progressEmitter {
+func newProgressEmitter(fn func(Progress), led *perf.Ledger) *progressEmitter {
 	if fn == nil {
 		return nil
 	}
-	return &progressEmitter{fn: fn, tr: tr, start: time.Now(), prev: map[perf.Task]time.Duration{}}
+	return &progressEmitter{fn: fn, led: led, start: time.Now(), prev: *led}
 }
 
 // emit publishes the record for the iteration that just finished.
@@ -156,15 +133,15 @@ func (p *progressEmitter) emit(iters int, relErr []float64) {
 	if len(relErr) > 0 {
 		pr.RelErr = relErr[len(relErr)-1]
 	}
+	d := p.led.Sub(p.prev)
+	p.prev = *p.led
 	for _, task := range perf.Tasks() {
-		w := p.tr.Wall(task)
-		if d := w - p.prev[task]; d > 0 {
+		if w := d.Wall[task]; w > 0 {
 			if pr.PhaseSeconds == nil {
 				pr.PhaseSeconds = make(map[string]float64, 4)
 			}
-			pr.PhaseSeconds[task.String()] = d.Seconds()
+			pr.PhaseSeconds[task.String()] = w.Seconds()
 		}
-		p.prev[task] = w
 	}
 	p.history = append(p.history, pr)
 	p.fn(pr)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"hpcnmf/internal/mat"
 	"hpcnmf/internal/ooc"
 	"hpcnmf/internal/trace"
@@ -55,26 +57,28 @@ func (tm *tiledMatrix) close() { tm.pipe.Close() }
 
 // eachPanel visits the tiles of one pass under a TileStream trace
 // span, which therefore encloses the phases the visits time. A tile
-// goes back to the loader as soon as its visit returns.
-func (tm *tiledMatrix) eachPanel(visit func(a Matrix, r0 int) error) error {
+// goes back to the loader as soon as its visit returns. The wait is
+// the pipeline's own clock over the pass, never timed a second time.
+func (tm *tiledMatrix) eachPanel(visit func(a Matrix, r0 int) error) (time.Duration, error) {
 	tiles, n := tm.f.Tiles(), int(tm.f.Header().Cols)
 	sp := tm.tc.BeginArg(trace.CatPhase, "TileStream", "tiles", int64(tiles))
 	defer sp.End()
+	wait0 := tm.pipe.Stats().Wait
 	for t := 0; t < tiles; t++ {
 		p, err := tm.pipe.Next()
 		if err != nil {
-			return err
+			return 0, err
 		}
 		*tm.norm2 = p.SumSquares
 		tm.hdr = mat.Dense{Rows: p.Row1 - p.Row0, Cols: n, Data: p.Data}
 		err = visit(tm.panel, p.Row0)
 		tm.pipe.Release(p)
 		if err != nil {
-			return err
+			return 0, err
 		}
 	}
 	tm.passes++
-	return nil
+	return tm.pipe.Stats().Wait - wait0, nil
 }
 
 // stats snapshots the run's I/O accounting.
@@ -136,8 +140,8 @@ func RunOutOfCore(f *ooc.File, depth int, opts Options) (*Result, error) {
 	tm := newTiledMatrix(f, depth, opts.ComputeError)
 	defer tm.close()
 	res, err := runLayout("OutOfCore", m, n, 0, opts, 0, func(s *rankState) layout {
-		tm.tc, tm.norm2 = s.tc, &s.normA2
-		return newSeqLayout(s, tm, m, n, int64(m)*int64(n))
+		tm.tc, tm.norm2 = s.led.Tracer, &s.normA2
+		return newSeqLayout(s, tm, m, n)
 	})
 	if err != nil {
 		return nil, err

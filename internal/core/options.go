@@ -355,6 +355,9 @@ type Result struct {
 	// window as Breakdown, before the max-over-ranks aggregation), so
 	// reports expose rank skew. One entry for sequential runs.
 	PerRank []perf.RankStats
+	// ledgers are the per-rank books of the measured window that
+	// Breakdown and PerRank summarize, in integer nanoseconds.
+	ledgers []*perf.Ledger
 	// Trace is the merged per-rank event timeline when
 	// Options.TraceEvents was set (nil otherwise).
 	Trace *trace.Trace

@@ -112,6 +112,10 @@ type Report struct {
 	Tasks                map[string]perf.TaskCost `json:"tasks"`
 	ModeledTotalSeconds  float64                  `json:"modeled_total_seconds"`
 	MeasuredTotalSeconds float64                  `json:"measured_total_seconds"`
+	// UnattributedSeconds is the per-iteration step wall time no task
+	// above was charged for (max over ranks); measured_total_seconds +
+	// unattributed_seconds is the iteration on a single rank.
+	UnattributedSeconds float64 `json:"unattributed_seconds,omitempty"`
 
 	// PerRank exposes the rank skew the aggregate view maxes away.
 	PerRank []perf.RankStats `json:"per_rank,omitempty"`
@@ -163,6 +167,7 @@ func NewReport(ds DatasetInfo, p int, opts Options, res *Result, tracePath strin
 		Tasks:                res.Breakdown.ByTask(),
 		ModeledTotalSeconds:  res.Breakdown.ModeledTotal(),
 		MeasuredTotalSeconds: res.Breakdown.MeasuredTotal(),
+		UnattributedSeconds:  res.Breakdown.UnattributedSeconds,
 		PerRank:              res.PerRank,
 		OOC:                  res.OOC,
 		TracePath:            tracePath,

@@ -152,20 +152,33 @@ func TestReportProgressRoundTrip(t *testing.T) {
 // byte-exact golden comparison.
 func scrubReport(rep *Report) {
 	rep.MeasuredTotalSeconds = 0
-	for name, tc := range rep.Tasks {
-		tc.MeasuredSeconds = 0
-		rep.Tasks[name] = tc
-	}
-	for i := range rep.PerRank {
-		for name, tc := range rep.PerRank[i].Tasks {
+	rep.UnattributedSeconds = 0
+	// A task whose only cost was wall clock (Other: the transposes and
+	// the factor scan around an update) has nothing deterministic left.
+	scrub := func(tasks map[string]perf.TaskCost) {
+		for name, tc := range tasks {
 			tc.MeasuredSeconds = 0
-			rep.PerRank[i].Tasks[name] = tc
+			tasks[name] = tc
+			if tc == (perf.TaskCost{}) {
+				delete(tasks, name)
+			}
 		}
+	}
+	scrub(rep.Tasks)
+	for i := range rep.PerRank {
+		scrub(rep.PerRank[i].Tasks)
 	}
 	if rep.Metrics != nil {
 		// Latency histograms measure wall clock; counters and gauges
 		// (traffic, iterations, relerr) are deterministic.
 		rep.Metrics.Histograms = nil
+		// The live task counters restate tasks and per_rank above, in
+		// wall-clock nanoseconds and in flops summed over ranks.
+		for name := range rep.Metrics.Counters {
+			if strings.HasPrefix(name, "nmf.task.") || name == "nmf.step.ns" {
+				delete(rep.Metrics.Counters, name)
+			}
+		}
 	}
 	rep.TracePath = ""
 	// The dispatch level depends on the machine (and any HPCNMF_CPU

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"hpcnmf/internal/mat"
 	"hpcnmf/internal/perf"
 )
@@ -13,14 +15,17 @@ type productSource interface {
 	// panel, in ascending row order, with the panel and the index r0
 	// of its first row, and stops at the first error. The panel is
 	// only valid during the call. A source of several panels yields
-	// dense ones.
-	eachPanel(visit func(a Matrix, r0 int) error) error
+	// dense ones. wait is how long the pass was blocked on panels that
+	// were not yet resident, by the source's own clock.
+	eachPanel(visit func(a Matrix, r0 int) error) (wait time.Duration, err error)
 }
 
 // inCore is the productSource over a resident Matrix.
 type inCore struct{ a Matrix }
 
-func (c inCore) eachPanel(visit func(a Matrix, r0 int) error) error { return visit(c.a, 0) }
+func (c inCore) eachPanel(visit func(a Matrix, r0 int) error) (time.Duration, error) {
+	return 0, visit(c.a, 0)
+}
 
 // seqLayout is Algorithm 1: one rank holds A, W and H whole, so the
 // Gram matrices are local products and nothing is communicated. An
@@ -34,7 +39,6 @@ type seqLayout struct {
 	*rankState
 	src   productSource
 	visit func(a Matrix, r0 int) error // l.panel, bound once: a step allocates no closure
-	nnz   int64                        // stored entries of A; 2·nnz·k flops per product
 
 	hp     mat.Packed // H packed for the tile kernel, from a pass's first dense panel to its end
 	packed bool
@@ -44,12 +48,11 @@ type seqLayout struct {
 }
 
 // newSeqLayout sizes the rank's blocks to the whole m×n problem.
-func newSeqLayout(s *rankState, src productSource, m, n int, nnz int64) *seqLayout {
+func newSeqLayout(s *rankState, src productSource, m, n int) *seqLayout {
 	s.initBlocks(m, 0, n, 0)
 	l := &seqLayout{
 		rankState: s,
 		src:       src,
-		nnz:       nnz,
 		wtw:       mat.NewDense(s.k, s.k),
 		wta:       mat.NewDense(s.k, n),
 	}
@@ -63,12 +66,12 @@ func (l *seqLayout) wHalf() error {
 	l.localHGram() // HHᵀ for every panel's update
 	l.wtw.Zero()
 	l.wta.Zero()
-	err := l.src.eachPanel(l.visit)
+	wait, err := l.src.eachPanel(l.visit)
+	l.led.Add(perf.TaskTileWait, wait)
 	if l.packed {
 		l.hp.Release(l.ws)
 		l.packed = false
 	}
-	l.tr.AddFlops(perf.TaskMM, 4*l.nnz*int64(l.k))
 	return err
 }
 
@@ -85,7 +88,8 @@ func (l *seqLayout) panel(a Matrix, r0 int) error {
 	l.wRows = mat.Dense{Rows: rows, Cols: l.k, Data: l.w.Data[r0*l.k : (r0+rows)*l.k]}
 	d, dense := UnwrapDense(a)
 	aht := l.ws.Get(rows, l.k)
-	ps := l.clk.Start(perf.TaskMM)
+	mmFlops := 2 * int64(a.NNZ()) * int64(l.k) // of either product with the panel
+	ps := l.led.Start(perf.TaskMM)
 	if dense {
 		if !l.packed {
 			l.hp, l.packed = mat.PackRows(l.ws, l.h), true
@@ -94,25 +98,24 @@ func (l *seqLayout) panel(a Matrix, r0 int) error {
 	} else {
 		mulHtInto(aht, a, l.h, l.ws, l.pool)
 	}
-	l.clk.Stop(ps)
+	l.led.Stop(ps, mmFlops)
 	err := l.updateW(l.hGram, aht, &l.wRows)
 	l.ws.Put(aht)
 	if err != nil {
 		return err
 	}
 
-	ps = l.clk.Start(perf.TaskGram)
+	ps = l.led.Start(perf.TaskGram)
 	mat.ParGramAddTo(l.wtw, &l.wRows, l.pool)
-	l.clk.Stop(ps)
-	l.tr.AddFlops(perf.TaskGram, gramFlops(rows, l.k))
+	l.led.Stop(ps, gramFlops(rows, l.k))
 
-	ps = l.clk.Start(perf.TaskMM)
+	ps = l.led.Start(perf.TaskMM)
 	if dense {
 		mat.ParMulAtBAddTo(l.wta, &l.wRows, d, l.pool)
 	} else {
 		mulAtBInto(l.wta, a, &l.wRows, l.ws, l.pool)
 	}
-	l.clk.Stop(ps)
+	l.led.Stop(ps, mmFlops)
 	return nil
 }
 
@@ -134,6 +137,6 @@ func RunSequential(a Matrix, opts Options) (*Result, error) {
 		return nil, err
 	}
 	return runLayout("Sequential", m, n, trackedNorm(a, opts), opts, 0, func(s *rankState) layout {
-		return newSeqLayout(s, inCore{a}, m, n, int64(a.NNZ()))
+		return newSeqLayout(s, inCore{a}, m, n)
 	})
 }

@@ -35,6 +35,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"hpcnmf/internal/mat"
 	"hpcnmf/internal/mpi"
@@ -80,10 +81,7 @@ type rankState struct {
 	env  updateEnv
 	ws   *mat.Workspace
 	pool *par.Pool
-	tr   *perf.Tracker
-	clk  phaseClock
-	tc   *trace.Tracer
-	rm   runMetrics
+	led  *rankBooks // every time, flop, span and live counter of the rank
 
 	k int
 	// normA2 is ‖A‖²_F. step reads it under ComputeError only, and
@@ -103,22 +101,19 @@ type rankState struct {
 }
 
 // newRankState builds a rank's instruments over the run's shared
-// kernel pool. opts must be post-withDefaults; c and tc may be nil.
-// The layout sizes the factor blocks afterwards with initBlocks.
-func newRankState(opts Options, normA2 float64, pool *par.Pool, rm runMetrics, c *mpi.Comm, tc *trace.Tracer) *rankState {
+// kernel pool and its own copy of the run's books. opts must be
+// post-withDefaults; c and tc may be nil. The layout sizes the factor
+// blocks afterwards with initBlocks.
+func newRankState(opts Options, normA2 float64, pool *par.Pool, led rankBooks, c *mpi.Comm, tc *trace.Tracer) *rankState {
 	ws := mat.NewWorkspace()
-	tr := perf.NewTracker()
-	clk := phaseClock{tr: tr, tc: tc}
+	led.Ledger = &perf.Ledger{Tracer: tc}
 	s := &rankState{
 		opts:   opts,
 		c:      c,
-		env:    newUpdateEnv(opts, ws, pool, clk, tr, rm),
+		env:    newUpdateEnv(opts, ws, pool, &led),
 		ws:     ws,
 		pool:   pool,
-		tr:     tr,
-		clk:    clk,
-		tc:     tc,
-		rm:     rm,
+		led:    &led,
 		k:      opts.K,
 		normA2: normA2,
 		hGram:  mat.NewDense(opts.K, opts.K),
@@ -142,14 +137,20 @@ func (s *rankState) initBlocks(rows, rowOff, cols, colOff int) {
 // rows of it — given the global H·Hᵀ and the matching rows of A·Hᵀ.
 // The updater works on transposed operands (the rows of W are the
 // columns of its iterate), so the block goes through two workspace
-// buffers and back.
+// buffers and back. The three transposes are charged to Other: left
+// dark, they and updateFactor's factor scan were 6 % of a sparse BPP
+// step at k = 20 (DESIGN decision 19).
 func (s *rankState) updateW(hht, aht, w *mat.Dense) error {
+	ps := s.led.StartQuiet(perf.TaskOther)
 	fw, wt := s.ws.Get(s.k, w.Rows), s.ws.Get(s.k, w.Rows)
 	aht.TTo(fw)
 	w.TTo(wt)
+	s.led.Stop(ps, 0)
 	err := s.env.updateFactor("W", hht, fw, wt, s.opts.L2W, s.opts.L1W)
 	if err == nil {
+		ps = s.led.StartQuiet(perf.TaskOther)
 		wt.TTo(w)
+		s.led.Stop(ps, 0)
 	}
 	s.ws.Put(fw)
 	s.ws.Put(wt)
@@ -162,10 +163,9 @@ func (s *rankState) updateW(hht, aht, w *mat.Dense) error {
 // start of the next.
 func (s *rankState) localHGram() *mat.Dense {
 	if !s.haveHGram {
-		ps := s.clk.Start(perf.TaskGram)
+		ps := s.led.Start(perf.TaskGram)
 		mat.ParGramTToWS(s.hGram, s.h, s.pool, s.ws)
-		s.clk.Stop(ps)
-		s.tr.AddFlops(perf.TaskGram, gramFlops(s.h.Cols, s.k))
+		s.led.Stop(ps, gramFlops(s.h.Cols, s.k))
 		s.haveHGram = true
 	}
 	return s.hGram
@@ -185,10 +185,14 @@ func (s *rankState) gatherBlocks(setup bool, wCounts, hCounts []int) (wAll, hTAl
 // step runs one alternating iteration — line 3-4 of Algorithm 1, 3-6
 // of Algorithm 2, 3-14 of Algorithm 3, with the layout supplying the
 // Gram matrices and data products — and records in s.done whether a
-// convergence test fired.
+// convergence test fired. It charges its own wall time to the ledger,
+// so what the phases inside it leave uncharged is a number, and
+// flushes the ledger to the live counters.
 func (s *rankState) step(it int) error {
+	start := time.Now()
 	s.iters++
-	itSpan := s.tc.BeginArg(trace.CatIter, "iteration", "iter", int64(it))
+	tc := s.led.Tracer
+	itSpan := tc.BeginArg(trace.CatIter, "iteration", "iter", int64(it))
 	// --- Update W given H ---
 	if err := s.lay.wHalf(); err != nil {
 		return fmt.Errorf("core: W update failed at iteration %d: %w", it, err)
@@ -215,24 +219,24 @@ func (s *rankState) step(it int) error {
 	// summed by the "global aggregation for residual" of §5 — one
 	// scalar all-reduce — when the layout has ranks to sum over. ---
 	if s.opts.ComputeError {
-		errSpan := s.tc.Begin(trace.CatPhase, "Err")
+		errSpan := tc.Begin(trace.CatPhase, "Err")
 		hGram := s.localHGram()
 		// The local sums are timed (as Other) only when they are the
 		// whole reduction; with a communicator the breakdown attributes
 		// the objective to its all-reduce, as TestReportGolden pins.
 		var cross, quad float64
 		if s.c == nil {
-			ps := s.clk.Start(perf.TaskOther)
+			ps := s.led.Start(perf.TaskOther)
 			cross, quad = mat.Dot(wta, s.h), mat.Dot(wtw, hGram)
-			s.clk.Stop(ps)
+			s.led.Stop(ps, 0)
 		} else {
 			payload := []float64{mat.Dot(wta, s.h), mat.Dot(wtw, hGram)}
 			if s.opts.TolGrad > 0 {
 				payload = append(payload, pg, pgRef)
 			}
-			ps := s.clk.Start(perf.TaskAllReduce)
+			ps := s.led.Start(perf.TaskAllReduce)
 			parts := s.c.AllReduce(payload)
-			s.clk.Stop(ps)
+			s.led.Stop(ps, 0)
 			cross, quad = parts[0], parts[1]
 			if s.opts.TolGrad > 0 {
 				pg, pgRef = parts[2], parts[3]
@@ -242,11 +246,13 @@ func (s *rankState) step(it int) error {
 		e := relErrFrom(s.normA2, cross, quad)
 		s.relErr = append(s.relErr, e)
 		if s.rank == 0 {
-			s.rm.ObserveRelErr(e)
+			s.led.relErr.Set(e) // one writer, not p identical ones
 		}
 		s.done = shouldStop(s.relErr, s.opts.Tol) || gradConverged(s.opts.TolGrad, pg, pgRef)
 	}
 	itSpan.End()
+	s.led.Step += time.Since(start)
+	s.led.flush()
 	return nil
 }
 
@@ -263,24 +269,24 @@ func runLayout(algorithm string, m, n int, normA2 float64, opts Options, p int, 
 	ranks := max(p, 1)
 	tsess := newTraceSession(opts, ranks)
 	ckpt := newCheckpointer(opts, algorithm, m, n)
-	rm := newRunMetrics(opts.Metrics)
+	books := newRankBooks(opts.Metrics)
 	pool := par.NewPool(opts.KernelThreads)
 	defer pool.Close()
-	trackers := make([]*perf.Tracker, ranks)
-	var traffic []*mpi.Counters // stays nil without a communicator
+	ledgers := make([]*perf.Ledger, ranks) // each rank's measured window
+	var traffic []*mpi.Counters            // stays nil without a communicator
 	var res *Result
 
 	body := func(c *mpi.Comm, tc *trace.Tracer) error {
-		s := newRankState(opts, normA2, pool, rm, c, tc)
+		s := newRankState(opts, normA2, pool, books, c, tc)
 		s.lay = build(s)
-		setupTr := s.tr.Snapshot()
+		setup := *s.led.Ledger
 		var setupTraffic *mpi.Counters
 		if c != nil {
 			setupTraffic = c.Counters().Snapshot()
 		}
 		var pe *progressEmitter
 		if s.rank == 0 {
-			pe = newProgressEmitter(opts.Progress, s.tr)
+			pe = newProgressEmitter(opts.Progress, s.led.Ledger)
 		}
 		for it := 0; it < opts.MaxIter && !s.done; it++ {
 			if err := s.step(it); err != nil {
@@ -301,7 +307,8 @@ func runLayout(algorithm string, m, n int, normA2 float64, opts Options, p int, 
 		}
 		// Freeze the measured iteration window before the final gather
 		// adds unrelated traffic.
-		trackers[s.rank] = s.tr.Diff(setupTr)
+		window := s.led.Sub(setup)
+		ledgers[s.rank] = &window
 		if c != nil {
 			traffic[s.rank] = c.Counters().Diff(setupTraffic)
 		}
@@ -346,9 +353,10 @@ func runLayout(algorithm string, m, n int, normA2 float64, opts Options, p int, 
 			return nil, err
 		}
 	}
-	res.Breakdown = perf.Aggregate(opts.Model, trackers, traffic).Scale(res.Iterations)
-	res.PerRank = perf.PerRank(opts.Model, trackers, traffic, res.Iterations)
-	rm.ObserveIterations(res.Iterations)
+	res.ledgers = ledgers
+	res.Breakdown = perf.Aggregate(opts.Model, ledgers, traffic).Scale(res.Iterations)
+	res.PerRank = perf.PerRank(opts.Model, ledgers, traffic, res.Iterations)
+	books.iterations.Set(float64(res.Iterations))
 	if tsess != nil {
 		res.Trace = tsess.Merge()
 	}

@@ -1,14 +1,18 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"hpcnmf/internal/grid"
 	"hpcnmf/internal/mat"
+	"hpcnmf/internal/metrics"
 	"hpcnmf/internal/ooc"
 	"hpcnmf/internal/perf"
+	"hpcnmf/internal/trace"
 )
 
 // entryPoint is one way into the shared run loop. comm reports
@@ -30,6 +34,7 @@ func entryPoints(t *testing.T, d *mat.Dense) []entryPoint {
 		{"sequential", false, func(o Options) (*Result, error) { return RunSequential(a, o) }},
 		{"ooc", false, func(o Options) (*Result, error) { return RunOutOfCore(f, 2, o) }},
 		{"naive", true, func(o Options) (*Result, error) { return RunNaive(a, 3, o) }},
+		{"naive-p4", true, func(o Options) (*Result, error) { return RunNaive(a, 4, o) }},
 		{"hpc", true, func(o Options) (*Result, error) { return RunHPC(a, grid.New(2, 2), o) }},
 		{"hpc-1x1", true, func(o Options) (*Result, error) { return RunHPC(a, grid.New(1, 1), o) }},
 		{"hpc-auto", true, func(o Options) (*Result, error) { return RunParallelAuto(a, 4, o) }},
@@ -50,12 +55,68 @@ func checkpointIteration(t *testing.T, dir string) int {
 	return ck.Meta.Iteration
 }
 
+// parentCounts is each entry point's per-iteration flops/msgs/words per
+// task (Result.Breakdown, max over ranks) over 7 iterations of
+// TestRunLoopContract's problem, as read at the commit before the
+// ledger replaced perf.Tracker: how a phase is clocked must not move
+// what is counted. parentSpans is the spans a rank records inside one
+// steady-state iteration span there (a single-rank layout's first
+// iteration has one more, the H Gram no earlier objective left behind).
+var parentCounts = map[string]string{
+	"sequential": "NLS:1431/0/0 MM:17280/0/0 Gram:973/0/0 ",
+	"ooc":        "NLS:1483/0/0 MM:17280/0/0 Gram:973/0/0 ",
+	"naive":      "NLS:518/0/0 MM:5904/0/0 Gram:1056/0/0 AllG:0/4/156 AllR:0/2/4 ",
+	"naive-p4":   "NLS:388/0/0 MM:4320/0/0 Gram:1020/0/0 AllG:0/4/171 AllR:0/2/4 ",
+	"hpc":        "NLS:388/0/0 MM:4320/0/0 Gram:336/0/0 AllG:0/2/57 RedSc:0/2/57 AllR:0/10/32 ",
+	"hpc-1x1":    "NLS:1431/0/0 MM:17280/0/0 Gram:1344/0/0 ",
+	"hpc-auto":   "NLS:388/0/0 MM:4320/0/0 Gram:336/0/0 AllG:0/2/57 RedSc:0/2/57 AllR:0/10/32 ",
+}
+var parentSpans = map[string]int{
+	"sequential": 9, "ooc": 30, "naive": 15, "naive-p4": 15, "hpc": 23, "hpc-1x1": 23, "hpc-auto": 23,
+}
+
+// countsOf renders a Breakdown's counted (not clocked) columns.
+func countsOf(b *perf.Breakdown) string {
+	s := ""
+	for _, task := range perf.Tasks() {
+		if f, m, w := b.Flops[task], b.Msgs[task], b.Words[task]; f|m|w != 0 {
+			s += fmt.Sprintf("%s:%d/%d/%d ", task, f, m, w)
+		}
+	}
+	return s
+}
+
+// spansPerIteration counts, for every rank and iteration, the spans
+// recorded inside the iteration span (itself included).
+func spansPerIteration(tr *trace.Trace, iters int) [][]int {
+	counts := make([][]int, tr.Ranks)
+	for r := range counts {
+		counts[r] = make([]int, iters)
+	}
+	for _, it := range tr.Events {
+		if it.Name != "iteration" {
+			continue
+		}
+		for _, e := range tr.Events {
+			if e.Rank == it.Rank && e.Start >= it.Start && e.Start+e.Dur <= it.Start+it.Dur {
+				counts[it.Rank][it.Arg]++
+			}
+		}
+	}
+	return counts
+}
+
 // TestRunLoopContract pins what the one run loop promises under every
 // layout: both stop tests fire at the iteration the sequential run
 // stops at, one Progress record per iteration numbered 1..N,
 // checkpoints exactly at the multiples of CheckpointEvery and never on
 // the converged iteration, and no collective traffic in the Breakdown
-// of a layout without a communicator.
+// of a layout without a communicator. And what the one ledger per rank
+// promises: its books balance in integer nanoseconds with every phase
+// the layout runs on them, the counts are the parent commit's, the
+// live counters a Progress callback reads are the ledger's totals
+// through that iteration, and an iteration records the spans it
+// recorded before the ledger, every iteration.
 func TestRunLoopContract(t *testing.T) {
 	d := lowRankDense(40, 36, 3, 0.01, 29)
 	base := Options{K: 3, MaxIter: 40, Seed: 7, ComputeError: true}
@@ -76,9 +137,28 @@ func TestRunLoopContract(t *testing.T) {
 				st.set(&opts)
 				opts.CheckpointDir = t.TempDir()
 				opts.CheckpointEvery = st.every
+				opts.TraceEvents = true
+				opts.Metrics = metrics.NewRegistry()
 				var seen []int
+				rank0 := map[string]int64{} // rank 0's ns per task so far, from its Progress records
+				live := map[string]int64{}  // the nmf.task.*.ns counters at the previous record
 				opts.Progress = func(p Progress) {
 					seen = append(seen, p.Iter)
+					counters := opts.Metrics.Snapshot().Counters
+					for _, task := range perf.Tasks() {
+						name := task.String()
+						rank0[name] += int64(math.Round(p.PhaseSeconds[name] * 1e9))
+						got := counters["nmf.task."+name+".ns"]
+						// One rank: the registry holds that rank's ledger.
+						// Several flush independently into a sum that only grows.
+						if !ep.comm && got != rank0[name] {
+							t.Errorf("iteration %d: nmf.task.%s.ns = %d, the ledger holds %d", p.Iter, name, got, rank0[name])
+						}
+						if got < rank0[name] || got < live[name] {
+							t.Errorf("iteration %d: nmf.task.%s.ns = %d, below rank 0's %d or the previous %d", p.Iter, name, got, rank0[name], live[name])
+						}
+						live[name] = got
+					}
 					// Iteration p.Iter has not been checkpointed yet: on
 					// disk is the last multiple of every before it.
 					want := (p.Iter - 1) / st.every * st.every
@@ -123,6 +203,69 @@ func TestRunLoopContract(t *testing.T) {
 					traffic := res.Breakdown.Msgs[task] + res.Breakdown.Words[task]
 					if !ep.comm && traffic != 0 {
 						t.Errorf("layout without a communicator reports %s traffic", task)
+					}
+				}
+
+				// (i) Each rank's books: Σ task + unattributed = step wall to
+				// the nanosecond, nothing charged twice or outside a step,
+				// and every phase the layout runs has time on them.
+				charged := []perf.Task{perf.TaskMM, perf.TaskNLS, perf.TaskGram, perf.TaskOther}
+				if ep.comm {
+					charged = append(charged, perf.TaskAllGather, perf.TaskAllReduce)
+				}
+				var stepNs, flopSum int64
+				for r, led := range res.ledgers {
+					sum := led.Unattributed()
+					for _, task := range perf.Tasks() {
+						sum += led.Wall[task]
+					}
+					if sum != led.Step || led.Unattributed() < 0 || led.Step <= 0 {
+						t.Errorf("rank %d: tasks + unattributed = %v over a step wall of %v (unattributed %v)", r, sum, led.Step, led.Unattributed())
+					}
+					for _, task := range charged {
+						if led.Wall[task] <= 0 {
+							t.Errorf("rank %d ran %s phases and charged them %v", r, task, led.Wall[task])
+						}
+					}
+					if !ep.comm && led.Wall[perf.TaskAllGather]+led.Wall[perf.TaskReduceScatter]+led.Wall[perf.TaskAllReduce] != 0 {
+						t.Errorf("rank %d has no communicator and collective time", r)
+					}
+					stepNs += int64(led.Step)
+					flopSum += led.Flops[perf.TaskMM]
+				}
+				final := opts.Metrics.Snapshot().Counters
+				if final["nmf.step.ns"] != stepNs || final["nmf.task.MM.flops"] != flopSum {
+					t.Errorf("live counters end at %d step ns, %d MM flops; the ledgers hold %d, %d",
+						final["nmf.step.ns"], final["nmf.task.MM.flops"], stepNs, flopSum)
+				}
+
+				// Tile wait is the pipeline's own clock, charged once: the
+				// task counter is the nmf.ooc.wait_ns RunOutOfCore publishes.
+				if wait := final["nmf.task.TileWait.ns"]; wait != final["nmf.ooc.wait_ns"] || (wait == 0) != (ep.name != "ooc") {
+					t.Errorf("nmf.task.TileWait.ns = %d next to nmf.ooc.wait_ns = %d", wait, final["nmf.ooc.wait_ns"])
+				}
+
+				// (ii) The counts did not move, and the panels' MM flops
+				// still sum to both products of the whole matrix.
+				if st.name == "MaxIter" {
+					if got := countsOf(res.Breakdown); got != parentCounts[ep.name] {
+						t.Errorf("per-iteration flops/msgs/words\n got %s\nwant %s", got, parentCounts[ep.name])
+					}
+				}
+				if !ep.comm && flopSum != 4*int64(d.Rows*d.Cols)*int64(opts.K)*int64(n) {
+					t.Errorf("MM flops over %d iterations = %d, want 4·nnz·k each", n, flopSum)
+				}
+
+				// (iv) Spans per step: the parent's count, every iteration.
+				for r, counts := range spansPerIteration(res.Trace, n) {
+					for i, c := range counts {
+						want := parentSpans[ep.name]
+						if i == 0 && !ep.comm {
+							want++
+						}
+						if c != want {
+							t.Errorf("rank %d records %d spans in iteration %d, want %d", r, c, i+1, want)
+						}
 					}
 				}
 			})

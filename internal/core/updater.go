@@ -84,21 +84,17 @@ type updateEnv struct {
 	up  Updater
 	ctx *nnls.Context
 	ws  *mat.Workspace
-	clk phaseClock
-	tr  *perf.Tracker
-	rm  runMetrics
+	led *rankBooks
 }
 
 // newUpdateEnv builds a rank's update environment over its workspace
 // arena and the run's shared kernel pool.
-func newUpdateEnv(opts Options, ws *mat.Workspace, pool *par.Pool, clk phaseClock, tr *perf.Tracker, rm runMetrics) updateEnv {
+func newUpdateEnv(opts Options, ws *mat.Workspace, pool *par.Pool, led *rankBooks) updateEnv {
 	return updateEnv{
 		up:  opts.newUpdater(),
 		ctx: &nnls.Context{WS: ws, Pool: pool},
 		ws:  ws,
-		clk: clk,
-		tr:  tr,
-		rm:  rm,
+		led: led,
 	}
 }
 
@@ -108,16 +104,17 @@ func newUpdateEnv(opts Options, ws *mat.Workspace, pool *par.Pool, clk phaseCloc
 // finiteness is layout-independent.
 func (e *updateEnv) updateFactor(which string, gram, rhs, x *mat.Dense, l2, l1 float64) error {
 	g, f, gTmp, fTmp := applyRegInto(e.ws, gram, rhs, l2, l1)
-	ps := e.clk.Start(perf.TaskNLS)
+	ps := e.led.Start(perf.TaskNLS)
 	st, err := e.up.Update(e.ctx, g, f, x)
-	e.clk.Stop(ps)
+	e.led.Stop(ps, st.Flops)
 	e.ws.Put(gTmp)
 	e.ws.Put(fTmp)
 	if err != nil {
 		return err
 	}
-	e.tr.AddFlops(perf.TaskNLS, st.Flops)
-	e.rm.ObserveNLS(st)
+	e.led.observeNLS(st)
+	ps = e.led.StartQuiet(perf.TaskOther)
 	checkFactorSanity(which, x)
+	e.led.Stop(ps, 0)
 	return nil
 }

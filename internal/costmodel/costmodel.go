@@ -27,6 +27,7 @@ import (
 
 	"hpcnmf/internal/grid"
 	"hpcnmf/internal/partition"
+	"hpcnmf/internal/perf"
 )
 
 // Counts is a per-task traffic prediction for one rank along the
@@ -142,7 +143,7 @@ type Advice struct {
 // quantitative form of the paper's qualitative guidance: 2D grids for
 // squarish matrices, 1D for tall-skinny, Naive never. ranked is Plan's
 // slice for the same pb and constants; an empty one yields nil.
-func Advise(pb Problem, ranked []GridCandidate, alpha, beta, gamma float64) []Advice {
+func Advise(pb Problem, ranked []GridCandidate, model perf.Model) []Advice {
 	if len(ranked) == 0 {
 		return nil
 	}
@@ -166,7 +167,7 @@ func Advise(pb Problem, ranked []GridCandidate, alpha, beta, gamma float64) []Ad
 		}
 	}
 	naive := NaiveExact(pb.M, pb.N, pb.K, p, rankNNZ)
-	out = append(out, Advice{Algorithm: "Naive", Seconds: naive.Seconds(alpha, beta, gamma)})
+	out = append(out, Advice{Algorithm: "Naive", Seconds: naive.Seconds(model)})
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Seconds < out[j].Seconds })
 	return out
 }

@@ -204,11 +204,11 @@ func adviseDense(t *testing.T, m, n, k, p int) []costmodel.Advice {
 	t.Helper()
 	e := perf.Edison()
 	pb := dense(m, n, k)
-	ranked, err := costmodel.Plan(pb, p, e.Alpha, e.Beta, e.Gamma)
+	ranked, err := costmodel.Plan(pb, p, e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return costmodel.Advise(pb, ranked, e.Alpha, e.Beta, e.Gamma)
+	return costmodel.Advise(pb, ranked, e)
 }
 
 // The Naive row is priced by the rule every HPC row uses: for a CSR,
@@ -218,11 +218,11 @@ func TestAdviseNaiveRowPricesHeaviestRank(t *testing.T) {
 	e := perf.Edison()
 	naiveRow := func(pb costmodel.Problem, p int) float64 {
 		t.Helper()
-		ranked, err := costmodel.Plan(pb, p, e.Alpha, e.Beta, e.Gamma)
+		ranked, err := costmodel.Plan(pb, p, e)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, a := range costmodel.Advise(pb, ranked, e.Alpha, e.Beta, e.Gamma) {
+		for _, a := range costmodel.Advise(pb, ranked, e) {
 			if a.Algorithm == "Naive" {
 				return a.Seconds
 			}
@@ -231,7 +231,7 @@ func TestAdviseNaiveRowPricesHeaviestRank(t *testing.T) {
 		return 0
 	}
 	price := func(pb costmodel.Problem, p int, nnz int64) float64 {
-		return costmodel.NaiveExact(pb.M, pb.N, pb.K, p, nnz).Seconds(e.Alpha, e.Beta, e.Gamma)
+		return costmodel.NaiveExact(pb.M, pb.N, pb.K, p, nnz).Seconds(e)
 	}
 	const k = 8
 	skewed := false

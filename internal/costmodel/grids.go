@@ -7,16 +7,15 @@ import (
 
 	"hpcnmf/internal/grid"
 	"hpcnmf/internal/partition"
+	"hpcnmf/internal/perf"
 	"hpcnmf/internal/sparse"
 )
 
-// Seconds prices the prediction under α-β-γ machine constants
-// (seconds per message / word / flop): the per-iteration modeled time
-// γ·flops + α·msgs + β·words, NLS excluded as in Advise.
-func (p Prediction) Seconds(alpha, beta, gamma float64) float64 {
-	return gamma*float64(p.FlopsMM+p.FlopsGram) +
-		alpha*float64(p.TotalMsgs()) +
-		beta*float64(p.TotalWords())
+// Seconds prices the prediction under a machine model: its
+// per-iteration flops, messages and words through Model.Seconds, NLS
+// excluded as in Advise.
+func (p Prediction) Seconds(model perf.Model) float64 {
+	return model.Seconds(p.FlopsMM+p.FlopsGram, p.TotalMsgs(), p.TotalWords())
 }
 
 // Problem is what the grid decision is made about: an M×N data matrix
@@ -43,13 +42,13 @@ type GridCandidate struct {
 // nnz/p, and by how much differs from grid to grid. Dense storage
 // splits evenly, NNZ/p. O(nnz) per call for a CSR. Every forecast the
 // repo shows or ranks by comes from here.
-func (pb Problem) Price(g grid.Grid, alpha, beta, gamma float64) GridCandidate {
+func (pb Problem) Price(g grid.Grid, model perf.Model) GridCandidate {
 	rankNNZ := pb.NNZ / int64(g.Size())
 	if pb.CSR != nil {
 		rankNNZ = int64(partition.Heaviest(partition.BlockNNZ(pb.CSR, g)))
 	}
 	pred := HPCExact(pb.M, pb.N, pb.K, g, rankNNZ)
-	return GridCandidate{Grid: g, Pred: pred, Seconds: pred.Seconds(alpha, beta, gamma)}
+	return GridCandidate{Grid: g, Pred: pred, Seconds: pred.Seconds(model)}
 }
 
 // Plan is the §5.2 grid decision, made once: every pr×pc
@@ -63,7 +62,7 @@ func (pb Problem) Price(g grid.Grid, alpha, beta, gamma float64) GridCandidate {
 // one grid a run falls back to, the closed-form grid.Choose, and the
 // error wraps grid.ErrNoFeasibleGrid and lists each rejection. Invalid
 // arguments return a nil slice and a plain error.
-func Plan(pb Problem, p int, alpha, beta, gamma float64) ([]GridCandidate, error) {
+func Plan(pb Problem, p int, model perf.Model) ([]GridCandidate, error) {
 	if p < 1 || pb.M < 1 || pb.N < 1 || pb.K < 1 {
 		return nil, fmt.Errorf("costmodel: p=%d ranks on a %dx%d matrix at rank k=%d, want all ≥ 1", p, pb.M, pb.N, pb.K)
 	}
@@ -74,10 +73,10 @@ func Plan(pb Problem, p int, alpha, beta, gamma float64) ([]GridCandidate, error
 			rejected = append(rejected, err.Error())
 			continue
 		}
-		ranked = append(ranked, pb.Price(g, alpha, beta, gamma))
+		ranked = append(ranked, pb.Price(g, model))
 	}
 	if len(ranked) == 0 {
-		fallback := pb.Price(grid.Choose(pb.M, pb.N, p), alpha, beta, gamma)
+		fallback := pb.Price(grid.Choose(pb.M, pb.N, p), model)
 		return []GridCandidate{fallback}, fmt.Errorf(
 			"costmodel: %w: no pr×pc factorization of p=%d fits a %dx%d matrix at rank k=%d (%s)",
 			grid.ErrNoFeasibleGrid, p, pb.M, pb.N, pb.K, strings.Join(rejected, "; "))

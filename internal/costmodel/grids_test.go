@@ -125,7 +125,7 @@ func TestMeasuredMatchesModelOn2x2(t *testing.T) {
 	// The recorded forecast on the Result must price exactly this
 	// prediction under the run's model constants.
 	e := perf.Edison()
-	if want := pred.Seconds(e.Alpha, e.Beta, e.Gamma); res.GridPredictedSeconds != want {
+	if want := pred.Seconds(e); res.GridPredictedSeconds != want {
 		t.Errorf("GridPredictedSeconds = %v, want %v", res.GridPredictedSeconds, want)
 	}
 	if res.Grid != g {
@@ -155,7 +155,7 @@ func TestAutoGridPicksModeledArgmin(t *testing.T) {
 	} {
 		const k, p = 8, 16
 		pb := dense(tc.m, tc.n, k)
-		ranked, err := costmodel.Plan(pb, p, e.Alpha, e.Beta, e.Gamma)
+		ranked, err := costmodel.Plan(pb, p, e)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -166,19 +166,19 @@ func TestAutoGridPicksModeledArgmin(t *testing.T) {
 			if grid.Feasible(tc.m, tc.n, k, g.PR, g.PC) != nil {
 				continue
 			}
-			if s := costmodel.HPCExact(tc.m, tc.n, k, g, pb.NNZ/int64(p)).Seconds(e.Alpha, e.Beta, e.Gamma); s < best {
+			if s := costmodel.HPCExact(tc.m, tc.n, k, g, pb.NNZ/int64(p)).Seconds(e); s < best {
 				best, bestG = s, g
 			}
 		}
 		if got != bestG {
 			t.Errorf("%s: Plan row 0 = %v, brute-force argmin %v", tc.name, got, bestG)
 		}
-		if ranked[0].Seconds != best || ranked[0].Pred.Seconds(e.Alpha, e.Beta, e.Gamma) != best {
+		if ranked[0].Seconds != best || ranked[0].Pred.Seconds(e) != best {
 			t.Errorf("%s: winner priced at %v (Pred %v), argmin cost %v", tc.name,
-				ranked[0].Seconds, ranked[0].Pred.Seconds(e.Alpha, e.Beta, e.Gamma), best)
+				ranked[0].Seconds, ranked[0].Pred.Seconds(e), best)
 		}
 		// An explicit grid is priced by the same rule the plan ranks by.
-		if one := pb.Price(got, e.Alpha, e.Beta, e.Gamma); one != ranked[0] {
+		if one := pb.Price(got, e); one != ranked[0] {
 			t.Errorf("%s: Price(%v) = %+v, plan row %+v", tc.name, got, one, ranked[0])
 		}
 		switch {
@@ -197,7 +197,7 @@ func TestAutoGridPicksModeledArgmin(t *testing.T) {
 // fallback grid next to the typed error.
 func TestGridsOrderedCheapestFirst(t *testing.T) {
 	e := perf.Edison()
-	cands, err := costmodel.Plan(dense(1024, 1024, 8), 16, e.Alpha, e.Beta, e.Gamma)
+	cands, err := costmodel.Plan(dense(1024, 1024, 8), 16, e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestGridsOrderedCheapestFirst(t *testing.T) {
 			t.Fatalf("candidates out of order at %d: %v then %v", i, cands[i-1], cands[i])
 		}
 	}
-	cands, err = costmodel.Plan(dense(5, 5, 1), 7, e.Alpha, e.Beta, e.Gamma)
+	cands, err = costmodel.Plan(dense(5, 5, 1), 7, e)
 	if !errors.Is(err, grid.ErrNoFeasibleGrid) {
 		t.Fatalf("infeasible Plan error = %v, want ErrNoFeasibleGrid", err)
 	}
@@ -230,11 +230,11 @@ func TestPlanPricesSparseAtHeaviestBlock(t *testing.T) {
 	even := costmodel.Problem{M: sp.Rows, N: sp.Cols, K: k, NNZ: int64(sp.NNZ())}
 	skew := even
 	skew.CSR = sp
-	evenRows, err := costmodel.Plan(even, p, e.Alpha, e.Beta, e.Gamma)
+	evenRows, err := costmodel.Plan(even, p, e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	skewRows, err := costmodel.Plan(skew, p, e.Alpha, e.Beta, e.Gamma)
+	skewRows, err := costmodel.Plan(skew, p, e)
 	if err != nil {
 		t.Fatal(err)
 	}

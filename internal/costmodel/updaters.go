@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"hpcnmf/internal/grid"
+	"hpcnmf/internal/perf"
 )
 
 // UpdaterCoeffs models one update rule's local NLS cost inside the
@@ -100,11 +101,11 @@ type AlgorithmGridChoice struct {
 // shape — each rank solves m/p + n/p columns on any pr×pc — so the
 // skeleton's argmin is every updater's argmin and one Plan serves all
 // four. Rows come back cheapest first.
-func AlgorithmGrid(pb Problem, best GridCandidate, gamma float64) []AlgorithmGridChoice {
+func AlgorithmGrid(pb Problem, best GridCandidate, model perf.Model) []AlgorithmGridChoice {
 	p := best.Grid.Size()
 	var out []AlgorithmGridChoice
 	for _, u := range Updaters() {
-		iter := best.Seconds + gamma*u.NLSFlops(pb.K, (pb.M+p-1)/p, (pb.N+p-1)/p)
+		iter := best.Seconds + model.Gamma*u.NLSFlops(pb.K, (pb.M+p-1)/p, (pb.N+p-1)/p)
 		out = append(out, AlgorithmGridChoice{
 			Updater:     u,
 			Grid:        best.Grid,

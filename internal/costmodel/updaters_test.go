@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hpcnmf/internal/grid"
+	"hpcnmf/internal/perf"
 )
 
 func TestUpdaterCoeffsForKnownAndUnknown(t *testing.T) {
@@ -41,11 +42,11 @@ func TestAutoAlgorithmGridRanksAndCovers(t *testing.T) {
 	const m, n, k, p = 4096, 2048, 16, 8
 	e := edisonLike()
 	pb := Problem{M: m, N: n, K: k, NNZ: m * n}
-	ranked, err := Plan(pb, p, e.alpha, e.beta, e.gamma)
+	ranked, err := Plan(pb, p, e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	choices := AlgorithmGrid(pb, ranked[0], e.gamma)
+	choices := AlgorithmGrid(pb, ranked[0], e)
 	if len(choices) != len(Updaters()) {
 		t.Fatalf("%d rows, want one per updater (%d)", len(choices), len(Updaters()))
 	}
@@ -78,21 +79,19 @@ func TestAutoAlgorithmGridInfeasible(t *testing.T) {
 	// updater rows are priced on that grid, not on a fabricated one.
 	e := edisonLike()
 	pb := Problem{M: 6, N: 6, K: 5, NNZ: 36}
-	ranked, err := Plan(pb, 4, e.alpha, e.beta, e.gamma)
+	ranked, err := Plan(pb, 4, e)
 	if !errors.Is(err, grid.ErrNoFeasibleGrid) {
 		t.Fatalf("Plan error = %v on an infeasible problem, want ErrNoFeasibleGrid", err)
 	}
-	for _, ch := range AlgorithmGrid(pb, ranked[0], e.gamma) {
+	for _, ch := range AlgorithmGrid(pb, ranked[0], e) {
 		if ch.Grid != grid.Choose(6, 6, 4) {
 			t.Errorf("%s: grid %v, want the fallback %v", ch.Updater.Name, ch.Grid, grid.Choose(6, 6, 4))
 		}
 	}
 }
 
-// edisonLike mirrors the machine constants the facade uses, kept
-// local so the test does not depend on internal/perf.
-type machineConsts struct{ alpha, beta, gamma float64 }
-
-func edisonLike() machineConsts {
-	return machineConsts{alpha: 1e-6, beta: 1e-9, gamma: 1e-10}
+// edisonLike is a fixed α ≫ β ≫ γ machine, so the assertions do not
+// move with perf.Edison.
+func edisonLike() perf.Model {
+	return perf.Model{Alpha: 1e-6, Beta: 1e-9, Gamma: 1e-10}
 }

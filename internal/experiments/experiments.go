@@ -542,8 +542,7 @@ func GridSweep(cfg Config) ([]Row, error) {
 		return nil, err
 	}
 	k, p := cfg.FixedK, cfg.FixedP
-	e := perf.Edison()
-	cands, err := costmodel.Plan(core.GridProblem(ds.Matrix, k), p, e.Alpha, e.Beta, e.Gamma)
+	cands, err := costmodel.Plan(core.GridProblem(ds.Matrix, k), p, perf.Edison())
 	if err != nil {
 		return nil, err
 	}

@@ -11,13 +11,14 @@ import (
 
 	"hpcnmf/internal/costmodel"
 	"hpcnmf/internal/grid"
+	"hpcnmf/internal/perf"
 )
 
 // plan prices a dense m×n rank-k problem on p ranks under Edison-like
-// constants (kept literal so the test does not import internal/perf).
+// constants (kept literal so the test does not move with perf.Edison).
 func plan(p, m, n, k int) ([]costmodel.GridCandidate, error) {
 	pb := costmodel.Problem{M: m, N: n, K: k, NNZ: int64(m) * int64(n)}
-	return costmodel.Plan(pb, p, 1e-6, 1e-9, 1e-10)
+	return costmodel.Plan(pb, p, perf.Model{Alpha: 1e-6, Beta: 1e-9, Gamma: 1e-10})
 }
 
 func TestAutoPicksArgmin(t *testing.T) {

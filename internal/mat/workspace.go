@@ -8,7 +8,7 @@ package mat
 // reuse by best-fit capacity match.
 //
 // A Workspace is owned by a single goroutine (one per simulated rank),
-// the same single-owner discipline as perf.Tracker — no locking. A nil
+// the same single-owner discipline as perf.Ledger — no locking. A nil
 // *Workspace is valid and degenerates to plain allocation, so shared
 // helpers take a workspace unconditionally.
 type Workspace struct {

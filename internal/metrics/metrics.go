@@ -1,7 +1,7 @@
 // Package metrics is a small concurrency-safe registry of counters,
 // gauges, and latency histograms for the NMF runtime: collective
 // latencies per category, per-rank traffic, NLS inner-iteration
-// counts, per-iteration relative error. Unlike perf.Tracker (one
+// counts, per-iteration relative error. Unlike perf.Ledger (one
 // owner, no locks) a Registry is shared by every rank goroutine of a
 // run, so its instruments are safe for concurrent use: counters and
 // gauges are atomics, histograms take a short mutex per observation.

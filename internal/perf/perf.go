@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"hpcnmf/internal/mpi"
+	"hpcnmf/internal/trace"
 )
 
 // Task identifies one component of the per-iteration time breakdown,
@@ -35,36 +36,27 @@ const (
 	TaskAllGather
 	TaskReduceScatter
 	TaskAllReduce
+	TaskTileWait // blocked on an out-of-core tile, as its pipeline clocked it
 	TaskOther
 	numTasks
 )
 
+var taskNames = [numTasks]string{"MM", "NLS", "Gram", "AllG", "RedSc", "AllR", "TileWait", "Other"}
+
 // String returns the legend label used in the paper's figures.
 func (t Task) String() string {
-	switch t {
-	case TaskMM:
-		return "MM"
-	case TaskNLS:
-		return "NLS"
-	case TaskGram:
-		return "Gram"
-	case TaskAllGather:
-		return "AllG"
-	case TaskReduceScatter:
-		return "RedSc"
-	case TaskAllReduce:
-		return "AllR"
-	case TaskOther:
-		return "Other"
-	default:
+	if t < 0 || t >= numTasks {
 		return fmt.Sprintf("Task(%d)", int(t))
 	}
+	return taskNames[t]
 }
 
+var legend = [numTasks]Task{TaskNLS, TaskMM, TaskGram, TaskAllGather, TaskReduceScatter, TaskAllReduce, TaskTileWait, TaskOther}
+
 // Tasks lists all tasks in the display order of the paper's legend.
-func Tasks() []Task {
-	return []Task{TaskNLS, TaskMM, TaskGram, TaskAllGather, TaskReduceScatter, TaskAllReduce, TaskOther}
-}
+// The slice is shared (a per-iteration reader allocates nothing): read
+// it, do not write it.
+func Tasks() []Task { return legend[:] }
 
 // commTask maps an mpi traffic category onto a breakdown task.
 func commTask(cat mpi.Category) Task {
@@ -82,64 +74,71 @@ func commTask(cat mpi.Category) Task {
 	}
 }
 
-// Tracker accumulates one rank's wall time and flops per task. It is
-// owned by a single rank goroutine and needs no locking.
-type Tracker struct {
-	wall  [numTasks]time.Duration
-	flops [numTasks]int64
+// Ledger is one rank's books: wall time and flops per task, the wall
+// time of the steps the tasks ran in, and the rank's tracer, so one
+// Start/Stop pair feeds the breakdown, the progress series, the live
+// counters and the trace. Everything that reports a task time reads a
+// Ledger; a window of a run is the difference of two copies. It is
+// owned by a single rank goroutine, needs no locking, and timing a
+// phase allocates nothing.
+type Ledger struct {
+	Wall  [numTasks]time.Duration // indexed by Task
+	Flops [numTasks]int64
+	// Step is the wall time of whole iterations, phases and the code
+	// between them alike; the iteration adds its own clock.
+	Step   time.Duration
+	Tracer *trace.Tracer // nil when tracing is off
 }
 
-// NewTracker returns a zeroed tracker.
-func NewTracker() *Tracker { return &Tracker{} }
-
-// Go starts timing a task and returns the function that stops it:
-//
-//	stop := tr.Go(perf.TaskMM)
-//	... work ...
-//	stop()
-func (t *Tracker) Go(task Task) func() {
-	start := time.Now()
-	return func() { t.wall[task] += time.Since(start) }
+// Phase is one in-flight task measurement; pass it back to Stop.
+type Phase struct {
+	task  Task
+	start time.Time
+	sp    trace.Span // zero (no-op) when tracing is off
 }
 
-// Add charges an already-measured duration to a task. It is the
-// closure-free alternative to Go for allocation-sensitive loops: the
-// caller records time.Now() before the phase and calls Add with the
-// elapsed time after it.
-func (t *Tracker) Add(task Task, d time.Duration) { t.wall[task] += d }
+// Start begins timing a task, under a span when tracing is on. Phases
+// do not nest: Σ task time ≤ step time only while at most one is open.
+func (l *Ledger) Start(task Task) Phase {
+	sp := l.Tracer.Begin(trace.CatPhase, task.String())
+	return Phase{task: task, start: time.Now(), sp: sp}
+}
 
-// AddFlops charges n floating point operations to a task.
-func (t *Tracker) AddFlops(task Task, n int64) { t.flops[task] += n }
+// StartQuiet is Start without the span, for work that is charged (to
+// Other) but is not a phase of the algorithm: the trace keeps the
+// shape of the paper's tasks.
+func (l *Ledger) StartQuiet(task Task) Phase { return Phase{task: task, start: time.Now()} }
 
-// Wall returns the accumulated wall time for a task.
-func (t *Tracker) Wall(task Task) time.Duration { return t.wall[task] }
+// Stop charges the phase's elapsed time and its flops to its task.
+func (l *Ledger) Stop(p Phase, flops int64) {
+	l.Wall[p.task] += time.Since(p.start)
+	l.Flops[p.task] += flops
+	p.sp.End()
+}
 
-// Flops returns the accumulated flops for a task.
-func (t *Tracker) Flops(task Task) int64 { return t.flops[task] }
+// Add charges a duration somebody else already clocked (a pipeline's
+// own wait counter) to a task, and no span.
+func (l *Ledger) Add(task Task, d time.Duration) { l.Wall[task] += d }
 
-// TotalFlops sums flops over all tasks.
-func (t *Tracker) TotalFlops() int64 {
-	var s int64
-	for _, f := range t.flops {
-		s += f
+// Sub returns the books of the window since earlier, a copy of l taken
+// when the window opened.
+func (l Ledger) Sub(earlier Ledger) Ledger {
+	for t := range l.Wall {
+		l.Wall[t] -= earlier.Wall[t]
+		l.Flops[t] -= earlier.Flops[t]
 	}
-	return s
+	l.Step -= earlier.Step
+	return l
 }
 
-// Snapshot returns a copy of the tracker state.
-func (t *Tracker) Snapshot() *Tracker {
-	cp := *t
-	return &cp
-}
-
-// Diff returns a tracker holding t − earlier.
-func (t *Tracker) Diff(earlier *Tracker) *Tracker {
-	out := NewTracker()
-	for i := range out.wall {
-		out.wall[i] = t.wall[i] - earlier.wall[i]
-		out.flops[i] = t.flops[i] - earlier.flops[i]
+// Unattributed returns the step time no task was charged for: by
+// construction Σ Wall + Unattributed() = Step, in integer nanoseconds.
+func (l *Ledger) Unattributed() time.Duration {
+	u := l.Step
+	for _, w := range l.Wall {
+		u -= w
 	}
-	return out
+	return u
 }
 
 // Model holds the α-β-γ machine constants (§2.2): seconds per
@@ -169,93 +168,89 @@ func Edison() Model {
 }
 
 // Breakdown is a per-task cost summary of a (portion of a) run,
-// aggregated over ranks.
+// aggregated over ranks; every array is indexed by Task.
 type Breakdown struct {
 	// MeasuredSeconds is the max-over-ranks wall time per task.
-	MeasuredSeconds map[Task]float64
+	MeasuredSeconds [numTasks]float64
 	// ModeledSeconds is the max-over-ranks α-β-γ time per task.
-	ModeledSeconds map[Task]float64
+	ModeledSeconds [numTasks]float64
 	// Flops is the max-over-ranks flop count per task (compute tasks).
-	Flops map[Task]int64
+	Flops [numTasks]int64
 	// Msgs and Words are the max-over-ranks traffic per task
 	// (communication tasks).
-	Msgs  map[Task]int64
-	Words map[Task]int64
+	Msgs  [numTasks]int64
+	Words [numTasks]int64
+	// UnattributedSeconds is the max-over-ranks step wall time that no
+	// task was charged for (Ledger.Unattributed).
+	UnattributedSeconds float64
 }
 
-// Aggregate combines per-rank trackers and traffic counters into a
-// Breakdown under the given model. The two slices must be indexed by
-// the same rank order.
-func Aggregate(model Model, trackers []*Tracker, traffic []*mpi.Counters) *Breakdown {
-	b := &Breakdown{
-		MeasuredSeconds: map[Task]float64{},
-		ModeledSeconds:  map[Task]float64{},
-		Flops:           map[Task]int64{},
-		Msgs:            map[Task]int64{},
-		Words:           map[Task]int64{},
-	}
-	for _, tr := range trackers {
-		for task := Task(0); task < numTasks; task++ {
-			if s := tr.wall[task].Seconds(); s > b.MeasuredSeconds[task] {
-				b.MeasuredSeconds[task] = s
-			}
-			if f := tr.flops[task]; f > b.Flops[task] {
-				b.Flops[task] = f
-			}
-			if m := model.Gamma * float64(tr.flops[task]); m > b.ModeledSeconds[task] {
-				b.ModeledSeconds[task] = m
-			}
-		}
-	}
-	// Communication: per-rank modeled time per task, maxed over ranks.
-	for _, ctr := range traffic {
-		perTask := map[Task]mpi.Traffic{}
+// rankCosts is one rank's Breakdown: its ledger's times and flops, its
+// traffic per task (nil for a rank without a communicator), and the
+// model's price of both.
+func rankCosts(model Model, l *Ledger, ctr *mpi.Counters) Breakdown {
+	b := Breakdown{Flops: l.Flops, UnattributedSeconds: l.Unattributed().Seconds()}
+	if ctr != nil {
 		for _, cat := range mpi.Categories() {
-			task := commTask(cat)
-			if task < 0 {
-				continue
-			}
-			tr := ctr.Get(cat)
-			agg := perTask[task]
-			agg.Msgs += tr.Msgs
-			agg.Words += tr.Words
-			perTask[task] = agg
-		}
-		for task, tr := range perTask {
-			if tr.Msgs > b.Msgs[task] {
-				b.Msgs[task] = tr.Msgs
-			}
-			if tr.Words > b.Words[task] {
-				b.Words[task] = tr.Words
-			}
-			m := model.Alpha*float64(tr.Msgs) + model.Beta*float64(tr.Words)
-			if m > b.ModeledSeconds[task] {
-				b.ModeledSeconds[task] = m
+			if task := commTask(cat); task >= 0 {
+				tr := ctr.Get(cat)
+				b.Msgs[task] += tr.Msgs
+				b.Words[task] += tr.Words
 			}
 		}
+	}
+	for t := range b.Flops {
+		b.MeasuredSeconds[t] = l.Wall[t].Seconds()
+		b.ModeledSeconds[t] = max(model.Gamma*float64(b.Flops[t]),
+			model.Alpha*float64(b.Msgs[t])+model.Beta*float64(b.Words[t]))
 	}
 	return b
 }
 
-// MeasuredTotal sums measured seconds across tasks.
-func (b *Breakdown) MeasuredTotal() float64 {
-	// Sum in Tasks() order, not map order: float addition is not
-	// associative, and reports diff totals byte-for-byte.
+// rankTraffic is rank r's counters, nil when the run had no
+// communicator.
+func rankTraffic(traffic []*mpi.Counters, r int) *mpi.Counters {
+	if traffic == nil {
+		return nil
+	}
+	return traffic[r]
+}
+
+// Aggregate combines per-rank ledgers and traffic counters into a
+// Breakdown under the given model: every cost is the maximum over
+// ranks. traffic may be nil (sequential runs) or must parallel
+// ledgers.
+func Aggregate(model Model, ledgers []*Ledger, traffic []*mpi.Counters) *Breakdown {
+	b := &Breakdown{}
+	for r, l := range ledgers {
+		rank := rankCosts(model, l, rankTraffic(traffic, r))
+		for t := range b.Flops {
+			b.MeasuredSeconds[t] = max(b.MeasuredSeconds[t], rank.MeasuredSeconds[t])
+			b.ModeledSeconds[t] = max(b.ModeledSeconds[t], rank.ModeledSeconds[t])
+			b.Flops[t] = max(b.Flops[t], rank.Flops[t])
+			b.Msgs[t] = max(b.Msgs[t], rank.Msgs[t])
+			b.Words[t] = max(b.Words[t], rank.Words[t])
+		}
+		b.UnattributedSeconds = max(b.UnattributedSeconds, rank.UnattributedSeconds)
+	}
+	return b
+}
+
+// legendSum adds per-task seconds in Tasks() order: float addition is
+// not associative, and reports diff totals byte-for-byte.
+func legendSum(seconds *[numTasks]float64) float64 {
 	s := 0.0
-	for _, task := range Tasks() {
-		s += b.MeasuredSeconds[task]
+	for _, task := range legend {
+		s += seconds[task]
 	}
 	return s
 }
 
+// MeasuredTotal sums measured seconds across tasks.
+func (b *Breakdown) MeasuredTotal() float64 { return legendSum(&b.MeasuredSeconds) }
+
 // ModeledTotal sums modeled seconds across tasks.
-func (b *Breakdown) ModeledTotal() float64 {
-	s := 0.0
-	for _, task := range Tasks() {
-		s += b.ModeledSeconds[task]
-	}
-	return s
-}
+func (b *Breakdown) ModeledTotal() float64 { return legendSum(&b.ModeledSeconds) }
 
 // Scale divides all costs by n (e.g. to convert a multi-iteration
 // measurement into per-iteration numbers).
@@ -263,29 +258,16 @@ func (b *Breakdown) Scale(n int) *Breakdown {
 	if n <= 0 {
 		panic("perf: Scale by non-positive count")
 	}
-	out := &Breakdown{
-		MeasuredSeconds: map[Task]float64{},
-		ModeledSeconds:  map[Task]float64{},
-		Flops:           map[Task]int64{},
-		Msgs:            map[Task]int64{},
-		Words:           map[Task]int64{},
+	out := *b
+	for t := range out.Flops {
+		out.MeasuredSeconds[t] /= float64(n)
+		out.ModeledSeconds[t] /= float64(n)
+		out.Flops[t] /= int64(n)
+		out.Msgs[t] /= int64(n)
+		out.Words[t] /= int64(n)
 	}
-	for t, v := range b.MeasuredSeconds {
-		out.MeasuredSeconds[t] = v / float64(n)
-	}
-	for t, v := range b.ModeledSeconds {
-		out.ModeledSeconds[t] = v / float64(n)
-	}
-	for t, v := range b.Flops {
-		out.Flops[t] = v / int64(n)
-	}
-	for t, v := range b.Msgs {
-		out.Msgs[t] = v / int64(n)
-	}
-	for t, v := range b.Words {
-		out.Words[t] = v / int64(n)
-	}
-	return out
+	out.UnattributedSeconds /= float64(n)
+	return &out
 }
 
 // Views lists the valid Breakdown.Format views.
@@ -293,7 +275,8 @@ func Views() []string { return []string{"measured", "modeled", "both"} }
 
 // Format renders the breakdown as an aligned table in the paper-
 // legend order of Tasks(). view selects "measured", "modeled", or
-// "both"; any other value is an error.
+// "both"; any other value is an error. The views with a measured
+// column end with the step time no task accounts for.
 func (b *Breakdown) Format(view string) (string, error) {
 	var sb strings.Builder
 	tasks := Tasks()
@@ -304,6 +287,7 @@ func (b *Breakdown) Format(view string) (string, error) {
 			fmt.Fprintf(&sb, "%-8s %12.6f\n", t, b.MeasuredSeconds[t])
 		}
 		fmt.Fprintf(&sb, "%-8s %12.6f\n", "total", b.MeasuredTotal())
+		fmt.Fprintf(&sb, "%-12s %8.6f\n", "unattributed", b.UnattributedSeconds)
 	case "modeled":
 		fmt.Fprintf(&sb, "%-8s %12s %14s %10s %14s\n", "task", "modeled(s)", "flops", "msgs", "words")
 		for _, t := range tasks {
@@ -316,6 +300,7 @@ func (b *Breakdown) Format(view string) (string, error) {
 			fmt.Fprintf(&sb, "%-8s %12.6f %12.6f %14d %10d %14d\n", t, b.MeasuredSeconds[t], b.ModeledSeconds[t], b.Flops[t], b.Msgs[t], b.Words[t])
 		}
 		fmt.Fprintf(&sb, "%-8s %12.6f %12.6f\n", "total", b.MeasuredTotal(), b.ModeledTotal())
+		fmt.Fprintf(&sb, "%-12s %8.6f\n", "unattributed", b.UnattributedSeconds)
 	default:
 		return "", fmt.Errorf("perf: unknown view %q (want %s)", view, strings.Join(Views(), ", "))
 	}
@@ -360,20 +345,12 @@ type RankStats struct {
 }
 
 // PerRank builds per-rank task costs from the same inputs as
-// Aggregate, divided by iters to yield per-iteration values. traffic
-// may be nil (sequential runs) or must parallel trackers.
-func PerRank(model Model, trackers []*Tracker, traffic []*mpi.Counters, iters int) []RankStats {
-	if iters <= 0 {
-		iters = 1
-	}
-	out := make([]RankStats, len(trackers))
-	for r, tr := range trackers {
-		var ctrs []*mpi.Counters
-		if traffic != nil {
-			ctrs = []*mpi.Counters{traffic[r]}
-		}
-		b := Aggregate(model, []*Tracker{tr}, ctrs).Scale(iters)
-		out[r] = RankStats{Rank: r, Tasks: b.ByTask()}
+// Aggregate, divided by iters to yield per-iteration values.
+func PerRank(model Model, ledgers []*Ledger, traffic []*mpi.Counters, iters int) []RankStats {
+	out := make([]RankStats, len(ledgers))
+	for r, l := range ledgers {
+		b := rankCosts(model, l, rankTraffic(traffic, r))
+		out[r] = RankStats{Rank: r, Tasks: b.Scale(max(iters, 1)).ByTask()}
 	}
 	return out
 }

@@ -8,32 +8,53 @@ import (
 	"hpcnmf/internal/mpi"
 )
 
+// charge books flops to a task through the only door there is: a phase.
+func charge(l *Ledger, task Task, flops int64) *Ledger {
+	l.Stop(l.Start(task), flops)
+	return l
+}
+
 func TestTrackerAccumulates(t *testing.T) {
-	tr := NewTracker()
-	stop := tr.Go(TaskMM)
+	l := new(Ledger)
+	ph := l.Start(TaskMM)
 	time.Sleep(2 * time.Millisecond)
-	stop()
-	if tr.Wall(TaskMM) < time.Millisecond {
-		t.Fatalf("wall time %v too small", tr.Wall(TaskMM))
+	l.Stop(ph, 100)
+	if l.Wall[TaskMM] < time.Millisecond {
+		t.Fatalf("wall time %v too small", l.Wall[TaskMM])
 	}
-	if tr.Wall(TaskNLS) != 0 {
+	if l.Wall[TaskNLS] != 0 {
 		t.Fatal("unrelated task has wall time")
 	}
-	tr.AddFlops(TaskMM, 100)
-	tr.AddFlops(TaskGram, 50)
-	if tr.Flops(TaskMM) != 100 || tr.TotalFlops() != 150 {
+	charge(l, TaskGram, 50)
+	if l.Flops[TaskMM] != 100 || l.Flops[TaskGram] != 50 || l.Flops[TaskNLS] != 0 {
 		t.Fatal("flop accounting wrong")
+	}
+	// A duration somebody else clocked is charged as given, and what a
+	// step holds beyond its tasks is the unattributed remainder, exactly.
+	l.Add(TaskTileWait, 3*time.Millisecond)
+	if l.Wall[TaskTileWait] != 3*time.Millisecond {
+		t.Fatalf("Add charged %v", l.Wall[TaskTileWait])
+	}
+	tasks := l.Wall[TaskMM] + l.Wall[TaskGram] + l.Wall[TaskTileWait]
+	l.Step += tasks + 7
+	if l.Step != tasks+7 || l.Unattributed() != 7 {
+		t.Fatalf("step %v, tasks %v, unattributed %v, want remainder 7ns", l.Step, tasks, l.Unattributed())
 	}
 }
 
 func TestTrackerSnapshotDiff(t *testing.T) {
-	tr := NewTracker()
-	tr.AddFlops(TaskMM, 10)
-	snap := tr.Snapshot()
-	tr.AddFlops(TaskMM, 7)
-	d := tr.Diff(snap)
-	if d.Flops(TaskMM) != 7 {
-		t.Fatalf("Diff flops = %d", d.Flops(TaskMM))
+	l := charge(new(Ledger), TaskMM, 10)
+	l.Step += time.Second
+	snap := *l
+	charge(l, TaskMM, 7)
+	l.Add(TaskNLS, 5)
+	l.Step += time.Millisecond
+	d := l.Sub(snap)
+	if d.Flops[TaskMM] != 7 || d.Wall[TaskNLS] != 5 || d.Step != time.Millisecond {
+		t.Fatalf("window = %d flops, %v NLS, %v step", d.Flops[TaskMM], d.Wall[TaskNLS], d.Step)
+	}
+	if l.Flops[TaskMM] != 17 || snap.Flops[TaskMM] != 10 {
+		t.Fatal("Sub changed one of its operands")
 	}
 }
 
@@ -49,16 +70,14 @@ func TestEdisonConstants(t *testing.T) {
 }
 
 func TestAggregateMaxesOverRanks(t *testing.T) {
-	tr0 := NewTracker()
-	tr0.AddFlops(TaskMM, 1000)
-	tr1 := NewTracker()
-	tr1.AddFlops(TaskMM, 3000)
+	tr0 := charge(new(Ledger), TaskMM, 1000)
+	tr1 := charge(new(Ledger), TaskMM, 3000)
 	c0 := mpi.NewCounters()
 	c0.Add(mpi.CatAllGather, 2, 100)
 	c1 := mpi.NewCounters()
 	c1.Add(mpi.CatAllGather, 5, 40)
 	model := Model{Alpha: 1, Beta: 0.01, Gamma: 0.001}
-	b := Aggregate(model, []*Tracker{tr0, tr1}, []*mpi.Counters{c0, c1})
+	b := Aggregate(model, []*Ledger{tr0, tr1}, []*mpi.Counters{c0, c1})
 	if b.Flops[TaskMM] != 3000 {
 		t.Fatalf("Flops max = %d", b.Flops[TaskMM])
 	}
@@ -72,23 +91,29 @@ func TestAggregateMaxesOverRanks(t *testing.T) {
 	if got := b.ModeledSeconds[TaskMM]; got != 3.0 {
 		t.Fatalf("modeled MM = %v, want 3.0", got)
 	}
+	// Unattributed time is each rank's own remainder, maxed like the rest.
+	tr0.Step = tr0.Wall[TaskMM] + 2*time.Second
+	tr1.Step = tr1.Wall[TaskMM] + time.Second
+	b = Aggregate(model, []*Ledger{tr0, tr1}, nil)
+	if b.UnattributedSeconds != 2 || b.Scale(4).UnattributedSeconds != 0.5 {
+		t.Fatalf("unattributed = %v (÷4: %v), want 2 and 0.5", b.UnattributedSeconds, b.Scale(4).UnattributedSeconds)
+	}
 }
 
 func TestAggregateExcludesSetup(t *testing.T) {
 	c := mpi.NewCounters()
 	c.Add(mpi.CatSetup, 100, 10000)
-	b := Aggregate(Edison(), nil, []*mpi.Counters{c})
+	b := Aggregate(Edison(), []*Ledger{new(Ledger)}, []*mpi.Counters{c})
 	for task, v := range b.Msgs {
 		if v != 0 {
-			t.Fatalf("setup traffic leaked into %s", task)
+			t.Fatalf("setup traffic leaked into %s", Task(task))
 		}
 	}
 }
 
 func TestScale(t *testing.T) {
-	tr := NewTracker()
-	tr.AddFlops(TaskMM, 100)
-	b := Aggregate(Edison(), []*Tracker{tr}, nil).Scale(4)
+	tr := charge(new(Ledger), TaskMM, 100)
+	b := Aggregate(Edison(), []*Ledger{tr}, nil).Scale(4)
 	if b.Flops[TaskMM] != 25 {
 		t.Fatalf("scaled flops = %d", b.Flops[TaskMM])
 	}
@@ -101,11 +126,10 @@ func TestScale(t *testing.T) {
 }
 
 func TestFormatViews(t *testing.T) {
-	tr := NewTracker()
-	tr.AddFlops(TaskMM, 12345)
+	tr := charge(new(Ledger), TaskMM, 12345)
 	c := mpi.NewCounters()
 	c.Add(mpi.CatAllReduce, 3, 99)
-	b := Aggregate(Edison(), []*Tracker{tr}, []*mpi.Counters{c})
+	b := Aggregate(Edison(), []*Ledger{tr}, []*mpi.Counters{c})
 	for _, view := range Views() {
 		out, err := b.Format(view)
 		if err != nil {
@@ -113,6 +137,9 @@ func TestFormatViews(t *testing.T) {
 		}
 		if !strings.Contains(out, "total") {
 			t.Fatalf("view %q missing total:\n%s", view, out)
+		}
+		if strings.Contains(out, "unattributed") != (view != "modeled") {
+			t.Fatalf("view %q: the unattributed line belongs under a measured column only:\n%s", view, out)
 		}
 	}
 	modeled, err := b.Format("modeled")
@@ -125,7 +152,7 @@ func TestFormatViews(t *testing.T) {
 }
 
 func TestFormatRejectsUnknownView(t *testing.T) {
-	b := Aggregate(Edison(), []*Tracker{NewTracker()}, nil)
+	b := Aggregate(Edison(), []*Ledger{new(Ledger)}, nil)
 	if _, err := b.Format("bogus"); err == nil {
 		t.Fatal("Format(\"bogus\") did not error")
 	}
@@ -137,7 +164,7 @@ func TestFormatRejectsUnknownView(t *testing.T) {
 // Format must render tasks in the paper-legend order of Tasks(), not
 // enum order: NLS before MM, MM before Gram.
 func TestFormatUsesLegendOrder(t *testing.T) {
-	b := Aggregate(Edison(), []*Tracker{NewTracker()}, nil)
+	b := Aggregate(Edison(), []*Ledger{new(Ledger)}, nil)
 	out, err := b.Format("measured")
 	if err != nil {
 		t.Fatal(err)
@@ -159,11 +186,10 @@ func TestFormatUsesLegendOrder(t *testing.T) {
 }
 
 func TestByTaskOmitsEmptyAndKeepsCosts(t *testing.T) {
-	tr := NewTracker()
-	tr.AddFlops(TaskMM, 1000)
+	tr := charge(new(Ledger), TaskMM, 1000)
 	c := mpi.NewCounters()
 	c.Add(mpi.CatAllGather, 2, 64)
-	b := Aggregate(Edison(), []*Tracker{tr}, []*mpi.Counters{c})
+	b := Aggregate(Edison(), []*Ledger{tr}, []*mpi.Counters{c})
 	byTask := b.ByTask()
 	if _, ok := byTask["NLS"]; ok {
 		t.Fatal("ByTask kept a task with no recorded cost")
@@ -177,11 +203,10 @@ func TestByTaskOmitsEmptyAndKeepsCosts(t *testing.T) {
 }
 
 func TestPerRankScalesAndAttributes(t *testing.T) {
-	tr0, tr1 := NewTracker(), NewTracker()
-	tr1.AddFlops(TaskMM, 4000)
+	tr0, tr1 := new(Ledger), charge(new(Ledger), TaskMM, 4000)
 	c0, c1 := mpi.NewCounters(), mpi.NewCounters()
 	c1.Add(mpi.CatAllReduce, 8, 160)
-	ranks := PerRank(Edison(), []*Tracker{tr0, tr1}, []*mpi.Counters{c0, c1}, 2)
+	ranks := PerRank(Edison(), []*Ledger{tr0, tr1}, []*mpi.Counters{c0, c1}, 2)
 	if len(ranks) != 2 {
 		t.Fatalf("PerRank returned %d entries, want 2", len(ranks))
 	}
@@ -203,13 +228,14 @@ func TestTaskStrings(t *testing.T) {
 	want := map[Task]string{
 		TaskMM: "MM", TaskNLS: "NLS", TaskGram: "Gram",
 		TaskAllGather: "AllG", TaskReduceScatter: "RedSc", TaskAllReduce: "AllR",
+		TaskTileWait: "TileWait", TaskOther: "Other",
 	}
 	for task, label := range want {
 		if task.String() != label {
 			t.Errorf("%d.String() = %q, want %q", task, task.String(), label)
 		}
 	}
-	if len(Tasks()) != 7 {
+	if len(Tasks()) != int(numTasks) {
 		t.Fatalf("Tasks() returned %d entries", len(Tasks()))
 	}
 }

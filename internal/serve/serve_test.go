@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -437,6 +438,15 @@ func TestHTTPEndToEnd(t *testing.T) {
 	for _, want := range []string{"serve_project_requests_total", "serve_project_solves_total", "serve_fit_completed_total"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("metrics output missing %q", want)
+		}
+	}
+	// The fit the server ran reported its task breakdown to the
+	// server's registry.
+	for _, series := range []string{"nmf_task_NLS_ns_total", "nmf_step_ns_total"} {
+		_, rest, ok := strings.Cut(buf.String(), "\n"+series+" ")
+		val, _, _ := strings.Cut(rest, "\n")
+		if v, err := strconv.ParseFloat(val, 64); !ok || err != nil || v <= 0 {
+			t.Errorf("scrape after a fit has %s = %q, want > 0", series, val)
 		}
 	}
 	if err := metrics.LintPrometheus(bytes.NewReader(buf.Bytes())); err != nil {

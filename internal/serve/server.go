@@ -562,6 +562,8 @@ func (s *Server) runFit(j *fitJob) (float64, int, error) {
 		// Stream per-iteration telemetry into the job record so
 		// GET /v1/jobs/{id}/progress can serve it live.
 		Progress: j.addProgress,
+		// The fit's task breakdown moves on /metrics while it runs.
+		Metrics: s.reg,
 	}
 	res, err := core.RunSequential(core.WrapDense(a), opts)
 	if err != nil {

@@ -1,6 +1,6 @@
 // Package trace is a low-overhead per-rank event tracer for the
 // simulated MPI runtime and the NMF iteration loop. Each rank owns one
-// Tracer (the same single-owner discipline as perf.Tracker), so the
+// Tracer (the same single-owner discipline as perf.Ledger), so the
 // hot path takes no locks: recording an event is two clock reads and a
 // ring-buffer store on a structure only that rank's goroutine touches.
 // After a run, Session.Merge collects every rank's events into one

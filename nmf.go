@@ -329,8 +329,7 @@ var ErrNoFeasibleGrid = grid.ErrNoFeasibleGrid
 // reads this one slice.
 func plan(a Matrix, k, p int) (costmodel.Problem, []GridCandidate, error) {
 	pb := core.GridProblem(a, k)
-	e := perf.Edison()
-	ranked, err := costmodel.Plan(pb, p, e.Alpha, e.Beta, e.Gamma)
+	ranked, err := costmodel.Plan(pb, p, perf.Edison())
 	return pb, ranked, err
 }
 
@@ -367,8 +366,7 @@ type Advice = costmodel.Advice
 // algorithm-selection guidance. Invalid k or p yields nil.
 func Advise(a Matrix, k, p int) []Advice {
 	pb, ranked, _ := plan(a, k, p)
-	e := perf.Edison()
-	return costmodel.Advise(pb, ranked, e.Alpha, e.Beta, e.Gamma)
+	return costmodel.Advise(pb, ranked, perf.Edison())
 }
 
 // AlgorithmGridChoice is one row of the joint algorithm × grid
@@ -386,7 +384,7 @@ func AdviseAlgorithmGrid(a Matrix, k, p int) ([]AlgorithmGridChoice, error) {
 	if len(ranked) == 0 {
 		return nil, err
 	}
-	return costmodel.AlgorithmGrid(pb, ranked[0], perf.Edison().Gamma), err
+	return costmodel.AlgorithmGrid(pb, ranked[0], perf.Edison()), err
 }
 
 // NNDSVD computes the non-negative double SVD initialization of
