@@ -42,12 +42,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		scale = fs.Float64("scale", 1.0, "dataset scale factor (1.0 = paper-shaped defaults)")
 		iters = fs.Int("iters", 3, "alternating iterations to measure")
 		seed  = fs.Uint64("seed", 42, "random seed")
-		view  = fs.String("view", "modeled", "time view: modeled, measured, both, or csv (figure experiments)")
+		view  = fs.String("view", "modeled", "time view: modeled, measured, both, or csv (the experiment's rows instead of its text table)")
 		p     = fs.Int("p", 16, "processor count for comparison experiments")
 		k     = fs.Int("k", 50, "rank for scaling experiments")
 		ks    = fs.String("ks", "10,20,30,40,50", "rank sweep for comparison experiments")
 		ps    = fs.String("ps", "4,16,64", "processor sweep for scaling experiments")
-		jsonP = fs.String("json", "", "write a machine-readable BenchReport JSON for the selected figure/table3 experiments (e.g. BENCH_main.json)")
+		jsonP = fs.String("json", "", "write a machine-readable BenchReport JSON of the selected experiments' rows (e.g. BENCH_main.json)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -82,8 +82,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	if *jsonP != "" {
 		if *exp == "all" {
-			// Text-only experiments have no tabular form; "all" means
-			// every row-producing one here.
+			// "all" means every experiment whose artifact is its rows.
 			ids = experiments.RowProducingNames()
 		}
 		rep, err := experiments.Collect(ids, cfg)

@@ -27,10 +27,14 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"hpcnmf"
+	"hpcnmf/internal/core"
+	"hpcnmf/internal/costmodel"
 	"hpcnmf/internal/metrics"
 	"hpcnmf/internal/ooc"
+	"hpcnmf/internal/perf"
 )
 
 func main() {
@@ -42,55 +46,117 @@ func main() {
 
 // run is the whole command behind a testable seam: flags come from
 // args, output goes to the writers, and failures are returned instead
-// of exiting the process.
+// of exiting the process. It is the command's five stages in order:
+// input, options, pick, run, print.
 func run(args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("nmfrun", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var (
-		data     = fs.String("data", "dsyn", "dataset: dsyn, ssyn, video, webbase, bow (ignored with -mm)")
-		mmPath   = fs.String("mm", "", "read a MatrixMarket file instead of generating a dataset")
-		tiled    = fs.String("tiled", "", "factorize an out-of-core tile file (written by datagen -tiled) by streaming row panels from disk")
-		tileMem  = fs.String("tile-mem", "", "tile-buffer byte budget for -tiled, e.g. 64MiB: prefetch depth is lowered to fit, and the run refuses to start if even depth 1 overflows")
-		tileBack = fs.String("tile-backend", "auto", "tile reader backend for -tiled: auto, mmap, readerat")
-		tileDep  = fs.Int("tile-depth", 0, "prefetch depth for -tiled: tiles loaded ahead of the updater (0 = default)")
-		dense    = fs.Bool("dense", false, "force the dense kernel path: densify a sparse input instead of auto-detecting storage by density")
-		scale    = fs.Float64("scale", 0.25, "dataset scale factor")
-		alg      = fs.String("alg", "hpc2d", "algorithm: seq, naive, hpc1d, hpc2d, auto (cost-model pick of layout, grid and updater), or an update rule mu|hals|pgd|bpp (HPC 2D skeleton with that updater)")
-		solver   = fs.String("solver", "bpp", "local NLS solver: bpp, activeset, mu, hals, pgd")
-		sweeps   = fs.Int("sweeps", 1, "inner sweeps for mu/hals")
-		k        = fs.Int("k", 10, "factorization rank")
-		p        = fs.Int("p", 16, "processor count (parallel algorithms)")
-		gridStr  = fs.String("grid", "auto", "hpc2d processor grid: auto (cost-model argmin over factorizations of -p) or explicit PRxPC, e.g. 4x2 (overrides -p)")
-		noOvl    = fs.Bool("no-overlap", false, "disable comm/compute overlap in the HPC driver (blocking baseline)")
-		iters    = fs.Int("iters", 10, "max alternating iterations")
-		tol      = fs.Float64("tol", 0, "early-stop tolerance on relative-error decrease (0 = off)")
-		seed     = fs.Uint64("seed", 42, "random seed")
-		view     = fs.String("view", "both", "breakdown view: modeled, measured, both")
-		out      = fs.String("out", "", "write factors to <out>.W and <out>.H (binary)")
-		trace    = fs.String("trace", "", "write a Chrome trace_event JSON timeline (one track per rank)")
-		report   = fs.String("report", "", "write a machine-readable JSON run report")
-		metrics  = fs.Bool("metrics", false, "collect and print the metrics registry snapshot")
-		progress = fs.Bool("progress", false, "stream per-iteration convergence telemetry to stdout as NDJSON")
-		profile  = fs.String("profile", "", "profile the run: cpu, heap, mutex, or block (written as <kind>.pprof)")
-		profDir  = fs.String("profile-dir", ".", "directory for -profile output")
-
-		faultSpec = fs.String("fault", "", "fault-injection spec, e.g. 'kill:AllReduce:rank=2:call=3' (see internal/fault)")
-		deadline  = fs.Duration("deadline", 0, "per-collective communication deadline (0 = default 2m)")
-		ckptDir   = fs.String("ckpt", "", "checkpoint directory: periodically snapshot factors for -resume")
-		ckptEvery = fs.Int("ckpt-every", 0, "checkpoint every N iterations (default 10 with -ckpt)")
-		resume    = fs.String("resume", "", "resume from the checkpoint in this directory and keep checkpointing there")
-	)
-	if err := fs.Parse(args); err != nil {
+	c, err := parseFlags(args, stderr)
+	if err != nil {
 		return err
 	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("unexpected arguments: %v", fs.Args())
+	in, err := loadInput(c, stdout)
+	if err != nil {
+		return err
 	}
-	solverSet, algSet := false, false
+	if in.tile != nil {
+		defer in.tile.Close()
+	}
+	opts, err := buildOptions(c, stdout)
+	if err != nil {
+		return err
+	}
+	var picked *plan
+	if c.alg == "auto" {
+		if picked, err = pick(c, in.a, &opts, stdout); err != nil {
+			return err
+		}
+	}
+	stopProfile, err := startProfile(c.profile, c.profDir)
+	if err != nil {
+		return err
+	}
+	res, procs, err := factorize(c, in, picked, opts)
+	profErr := stopProfile(stdout)
+	if err != nil {
+		return err
+	}
+	if profErr != nil {
+		return profErr
+	}
+	if err := printResult(c, in, res, stdout); err != nil {
+		return err
+	}
+	return writeArtefacts(c, in, opts, procs, res, stdout)
+}
+
+// cli is the parsed command line.
+type cli struct {
+	data, mmPath, tiled, tileMem, tileBack string
+	dense                                  bool
+	scale                                  float64
+	alg, solver, grid                      string
+	sweeps, k, p, iters                    int
+	noOverlap                              bool
+	tol                                    float64
+	seed                                   uint64
+	view, out, trace, report               string
+	metrics, progress                      bool
+	profile, profDir                       string
+	fault                                  string
+	deadline                               time.Duration
+	ckptDir, resume                        string
+	ckptEvery                              int
+
+	solverSet bool // -solver was given, so -alg auto leaves the updater alone
+}
+
+// parseFlags reads the command line and settles what -alg means: an
+// updater name is sugar for the HPC 2D skeleton (the streaming driver
+// with -tiled) plus -solver.
+func parseFlags(args []string, stderr io.Writer) (*cli, error) {
+	fs := flag.NewFlagSet("nmfrun", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	c := &cli{}
+	fs.StringVar(&c.data, "data", "dsyn", "dataset: dsyn, ssyn, video, webbase, bow (ignored with -mm)")
+	fs.StringVar(&c.mmPath, "mm", "", "read a MatrixMarket file instead of generating a dataset")
+	fs.StringVar(&c.tiled, "tiled", "", "factorize an out-of-core tile file (written by datagen -tiled) by streaming row panels from disk")
+	fs.StringVar(&c.tileMem, "tile-mem", "", "tile-buffer byte budget for -tiled, e.g. 64MiB: prefetch depth is lowered to fit, and the run refuses to start if even depth 1 overflows")
+	fs.StringVar(&c.tileBack, "tile-backend", "auto", "tile reader backend for -tiled: auto, mmap, readerat")
+	fs.BoolVar(&c.dense, "dense", false, "force the dense kernel path: densify a sparse input instead of auto-detecting storage by density")
+	fs.Float64Var(&c.scale, "scale", 0.25, "dataset scale factor")
+	fs.StringVar(&c.alg, "alg", "hpc2d", "algorithm: seq, naive, hpc1d, hpc2d, auto (cost-model pick of layout, grid and updater), or an update rule mu|hals|pgd|bpp (HPC 2D skeleton with that updater)")
+	fs.StringVar(&c.solver, "solver", "bpp", "local NLS solver: bpp, activeset, mu, hals, pgd")
+	fs.IntVar(&c.sweeps, "sweeps", 1, "inner sweeps for mu/hals")
+	fs.IntVar(&c.k, "k", 10, "factorization rank")
+	fs.IntVar(&c.p, "p", 16, "processor count (parallel algorithms)")
+	fs.StringVar(&c.grid, "grid", "auto", "hpc2d processor grid: auto (cost-model argmin over factorizations of -p) or explicit PRxPC, e.g. 4x2 (overrides -p)")
+	fs.BoolVar(&c.noOverlap, "no-overlap", false, "disable comm/compute overlap in the HPC driver (blocking baseline)")
+	fs.IntVar(&c.iters, "iters", 10, "max alternating iterations")
+	fs.Float64Var(&c.tol, "tol", 0, "early-stop tolerance on relative-error decrease (0 = off)")
+	fs.Uint64Var(&c.seed, "seed", 42, "random seed")
+	fs.StringVar(&c.view, "view", "both", "breakdown view: modeled, measured, both")
+	fs.StringVar(&c.out, "out", "", "write factors to <out>.W and <out>.H (binary)")
+	fs.StringVar(&c.trace, "trace", "", "write a Chrome trace_event JSON timeline (one track per rank)")
+	fs.StringVar(&c.report, "report", "", "write a machine-readable JSON run report")
+	fs.BoolVar(&c.metrics, "metrics", false, "collect and print the metrics registry snapshot")
+	fs.BoolVar(&c.progress, "progress", false, "stream per-iteration convergence telemetry to stdout as NDJSON")
+	fs.StringVar(&c.profile, "profile", "", "profile the run: cpu, heap, mutex, or block (written as <kind>.pprof)")
+	fs.StringVar(&c.profDir, "profile-dir", ".", "directory for -profile output")
+	fs.StringVar(&c.fault, "fault", "", "fault-injection spec, e.g. 'kill:AllReduce:rank=2:call=3' (see internal/fault)")
+	fs.DurationVar(&c.deadline, "deadline", 0, "per-collective communication deadline (0 = default 2m)")
+	fs.StringVar(&c.ckptDir, "ckpt", "", "checkpoint directory: periodically snapshot factors for -resume")
+	fs.IntVar(&c.ckptEvery, "ckpt-every", 0, "checkpoint every N iterations (default 10 with -ckpt)")
+	fs.StringVar(&c.resume, "resume", "", "resume from the checkpoint in this directory and keep checkpointing there")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if fs.NArg() > 0 {
+		return nil, fmt.Errorf("unexpected arguments: %v", fs.Args())
+	}
+	algSet := false
 	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "solver":
-			solverSet = true
+			c.solverSet = true
 		case "alg":
 			algSet = true
 		}
@@ -101,259 +167,287 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// in. It is sugar for -alg hpc2d -solver <rule>. Out-of-core runs
 	// use the streaming sequential driver instead of a skeleton, so
 	// there the sugar sets only the updater.
-	switch *alg {
+	switch c.alg {
 	case "mu", "hals", "pgd", "bpp":
-		if solverSet && *solver != *alg {
-			return fmt.Errorf("-alg %s names an updater but -solver %s asks for a different one", *alg, *solver)
+		if c.solverSet && c.solver != c.alg {
+			return nil, fmt.Errorf("-alg %s names an updater but -solver %s asks for a different one", c.alg, c.solver)
 		}
-		*solver = *alg
-		if *tiled == "" {
-			*alg = "hpc2d"
+		c.solver = c.alg
+		if c.tiled == "" {
+			c.alg = "hpc2d"
 		} else {
-			*alg = "seq"
+			c.alg = "seq"
 		}
 	}
-	if *tiled != "" {
-		if *mmPath != "" {
-			return fmt.Errorf("-tiled and -mm both name an input; pick one")
+	if c.tiled != "" {
+		if c.mmPath != "" {
+			return nil, fmt.Errorf("-tiled and -mm both name an input; pick one")
 		}
-		if algSet && *alg != "seq" {
-			return fmt.Errorf("-alg %s is in-core; -tiled runs the streaming sequential driver (use -alg seq or an updater name: mu, hals, pgd, bpp)", *alg)
+		if algSet && c.alg != "seq" {
+			return nil, fmt.Errorf("-alg %s is in-core; -tiled runs the streaming sequential driver (use -alg seq or an updater name: mu, hals, pgd, bpp)", c.alg)
 		}
 	}
-
-	switch *view {
+	switch c.view {
 	case "modeled", "measured", "both":
 	default:
-		return fmt.Errorf("unknown -view %q (want modeled, measured, or both)", *view)
+		return nil, fmt.Errorf("unknown -view %q (want modeled, measured, or both)", c.view)
 	}
+	if c.alg == "auto" && c.grid != "auto" {
+		return nil, fmt.Errorf("-alg auto picks the grid itself; drop -grid %s or name the algorithm (-alg hpc2d)", c.grid)
+	}
+	if c.resume != "" && c.ckptDir != "" && c.resume != c.ckptDir {
+		return nil, fmt.Errorf("-resume and -ckpt name different directories; -resume keeps checkpointing into its own directory")
+	}
+	return c, nil
+}
 
-	var a hpcnmf.Matrix
-	var name string
-	var tileFile *hpcnmf.TileFile
-	tileDepth := *tileDep
-	if *tiled != "" {
-		f, err := hpcnmf.OpenTiledBackend(*tiled, *tileBack)
+// input is what the run factorizes: an in-core matrix, or an open tile
+// file with the prefetch depth its byte budget allows.
+type input struct {
+	name      string
+	a         hpcnmf.Matrix
+	tile      *hpcnmf.TileFile
+	tileDepth int
+}
+
+// loadInput opens or generates the data matrix and reports the storage
+// path it will run on (dataset.storage in the run report).
+func loadInput(c *cli, stdout io.Writer) (*input, error) {
+	switch {
+	case c.tiled != "":
+		return openTiled(c, stdout)
+	case c.mmPath != "":
+		f, err := os.Open(c.mmPath)
 		if err != nil {
-			return fmt.Errorf("opening tile file: %w", err)
-		}
-		defer f.Close()
-		tileFile = f
-		name = filepath.Base(*tiled)
-		hdr := f.Header()
-		if *tileMem != "" {
-			budget, err := parseByteSize(*tileMem)
-			if err != nil {
-				return fmt.Errorf("bad -tile-mem: %w", err)
-			}
-			if tileDepth, err = fitTileDepth(hdr, tileDepth, budget); err != nil {
-				return err
-			}
-		}
-		depth := tileDepth
-		if depth < 1 {
-			depth = hpcnmf.DefaultTileDepth
-		}
-		tileBytes := hdr.TileRows * hdr.Cols * 8
-		fmt.Fprintf(stdout, "storage: out-of-core (%d tiles of %d rows, %s each, %s backend, prefetch depth %d, %s resident tile buffers)\n",
-			hdr.Tiles(), hdr.TileRows, formatBytes(tileBytes), f.BackendName(),
-			depth, formatBytes(int64(depth+1)*tileBytes))
-	} else if *mmPath != "" {
-		f, err := os.Open(*mmPath)
-		if err != nil {
-			return err
+			return nil, err
 		}
 		csr, err := hpcnmf.ReadMatrixMarket(f)
 		f.Close()
 		if err != nil {
-			return fmt.Errorf("parsing %s: %w", *mmPath, err)
+			return nil, fmt.Errorf("parsing %s: %w", c.mmPath, err)
 		}
-		a = hpcnmf.WrapSparse(csr)
-		name = *mmPath
-	} else {
-		ds := hpcnmf.GenerateDataset(*data, *scale, *seed)
-		a = ds.Matrix
-		name = ds.Name
+		return pickStorage(c, &input{name: c.mmPath, a: hpcnmf.WrapSparse(csr)}, stdout), nil
 	}
+	ds := hpcnmf.GenerateDataset(c.data, c.scale, c.seed)
+	return pickStorage(c, &input{name: ds.Name, a: ds.Matrix}, stdout), nil
+}
 
-	// Storage selection. Sparse inputs take the sparse 2D HPC path by
-	// default; MatrixMarket is a sparse container that often carries a
-	// matrix dense in all but format, and above the density cutoff the
-	// blocked dense kernels beat the CSR ones, so such inputs are
-	// densified automatically. -dense forces densification either way.
-	// The chosen path lands in the run report as dataset.storage.
+// openTiled opens the -tiled file. The pipeline holds depth+1 resident
+// tile buffers; -tile-mem lowers the depth until they fit its budget.
+func openTiled(c *cli, stdout io.Writer) (*input, error) {
+	f, err := hpcnmf.OpenTiledBackend(c.tiled, c.tileBack)
+	if err != nil {
+		return nil, fmt.Errorf("opening tile file: %w", err)
+	}
+	hdr := f.Header()
+	depth := hpcnmf.DefaultTileDepth
+	if c.tileMem != "" {
+		budget, err := parseByteSize(c.tileMem)
+		if err != nil {
+			f.Close()
+			return nil, fmt.Errorf("bad -tile-mem: %w", err)
+		}
+		if depth, err = fitTileDepth(hdr, budget); err != nil {
+			f.Close()
+			return nil, err
+		}
+	}
+	tileBytes := hdr.TileRows * hdr.Cols * 8
+	fmt.Fprintf(stdout, "storage: out-of-core (%d tiles of %d rows, %s each, %s backend, prefetch depth %d, %s resident tile buffers)\n",
+		hdr.Tiles(), hdr.TileRows, formatBytes(tileBytes), f.BackendName(),
+		depth, formatBytes(int64(depth+1)*tileBytes))
+	return &input{name: filepath.Base(c.tiled), tile: f, tileDepth: depth}, nil
+}
+
+// pickStorage selects the kernel path of an in-core input. Sparse
+// inputs take the sparse 2D HPC path by default; MatrixMarket is a
+// sparse container that often carries a matrix dense in all but
+// format, and above the density cutoff the blocked dense kernels beat
+// the CSR ones, so such inputs are densified automatically. -dense
+// forces densification either way.
+func pickStorage(c *cli, in *input, stdout io.Writer) *input {
 	const denseCutoff = 0.25
-	if s, ok := hpcnmf.UnwrapSparse(a); ok && *tiled == "" {
-		m, n := a.Dims()
-		density := 0.0
-		if m > 0 && n > 0 {
-			density = float64(a.NNZ()) / (float64(m) * float64(n))
+	s, ok := hpcnmf.UnwrapSparse(in.a)
+	if !ok {
+		if c.dense {
+			fmt.Fprintln(stdout, "storage: dense (-dense is a no-op on dense input)")
 		}
-		switch {
-		case *dense:
-			a = hpcnmf.WrapDense(s.ToDense())
-			fmt.Fprintf(stdout, "storage: dense (forced by -dense; density %.4f)\n", density)
-		case density > denseCutoff:
-			a = hpcnmf.WrapDense(s.ToDense())
-			fmt.Fprintf(stdout, "storage: dense (auto: density %.4f > %.2f)\n", density, denseCutoff)
-		default:
-			fmt.Fprintf(stdout, "storage: sparse (density %.4f)\n", density)
-		}
-	} else if *dense && *tiled == "" {
-		fmt.Fprintln(stdout, "storage: dense (-dense is a no-op on dense input)")
+		return in
 	}
+	m, n := in.a.Dims()
+	density := 0.0
+	if m > 0 && n > 0 {
+		density = float64(in.a.NNZ()) / (float64(m) * float64(n))
+	}
+	switch {
+	case c.dense:
+		in.a = hpcnmf.WrapDense(s.ToDense())
+		fmt.Fprintf(stdout, "storage: dense (forced by -dense; density %.4f)\n", density)
+	case density > denseCutoff:
+		in.a = hpcnmf.WrapDense(s.ToDense())
+		fmt.Fprintf(stdout, "storage: dense (auto: density %.4f > %.2f)\n", density, denseCutoff)
+	default:
+		fmt.Fprintf(stdout, "storage: sparse (density %.4f)\n", density)
+	}
+	return in
+}
 
+// buildOptions turns the flags into run options, loading the
+// checkpoint a -resume names (which fixes K, the updater and the
+// remaining iterations).
+func buildOptions(c *cli, stdout io.Writer) (hpcnmf.Options, error) {
 	opts := hpcnmf.Options{
-		K:             *k,
-		MaxIter:       *iters,
-		Tol:           *tol,
-		Sweeps:        *sweeps,
-		Seed:          *seed,
-		ComputeError:  true,
-		TraceEvents:   *trace != "",
-		NoCommOverlap: *noOvl,
+		K:               c.k,
+		MaxIter:         c.iters,
+		Tol:             c.tol,
+		Sweeps:          c.sweeps,
+		Seed:            c.seed,
+		ComputeError:    true,
+		TraceEvents:     c.trace != "",
+		NoCommOverlap:   c.noOverlap,
+		CommDeadline:    c.deadline,
+		CheckpointDir:   c.ckptDir,
+		CheckpointEvery: c.ckptEvery,
 	}
-	if *metrics || *report != "" {
+	if c.metrics || c.report != "" {
 		opts.Metrics = hpcnmf.NewMetricsRegistry()
 	}
-	if *progress {
+	if c.progress {
 		// One JSON object per completed iteration, flushed as the run
 		// goes — tail -f friendly convergence telemetry.
 		enc := json.NewEncoder(stdout)
 		opts.Progress = func(p hpcnmf.Progress) { _ = enc.Encode(p) }
-	} else if *report != "" {
+	} else if c.report != "" {
 		// Reports always embed the telemetry series; a non-nil hook is
 		// what arms its collection.
 		opts.Progress = func(hpcnmf.Progress) {}
 	}
-	opts.CommDeadline = *deadline
-	if *faultSpec != "" {
-		inj, err := hpcnmf.ParseFault(*faultSpec)
-		if err != nil {
-			return err
+	var err error
+	if c.fault != "" {
+		if opts.Fault, err = hpcnmf.ParseFault(c.fault); err != nil {
+			return opts, err
 		}
-		opts.Fault = inj
 	}
-	if *resume != "" && *ckptDir != "" && *resume != *ckptDir {
-		return fmt.Errorf("-resume and -ckpt name different directories; -resume keeps checkpointing into its own directory")
-	}
-	opts.CheckpointDir = *ckptDir
-	opts.CheckpointEvery = *ckptEvery
 	// The solver must be applied before Resume: checkpoints record the
 	// updater name and resuming validates it against the options.
-	solverOpt, err := hpcnmf.ParseSolver(*solver)
-	if err != nil {
-		return err
+	if opts.Solver, err = hpcnmf.ParseSolver(c.solver); err != nil {
+		return opts, err
 	}
-	opts.Solver = solverOpt
-	var resumedFrom int
-	if *resume != "" {
-		ck, err := hpcnmf.LoadCheckpoint(*resume)
+	if c.resume != "" {
+		ck, err := hpcnmf.LoadCheckpoint(c.resume)
 		if err != nil {
-			return fmt.Errorf("loading checkpoint: %w", err)
+			return opts, fmt.Errorf("loading checkpoint: %w", err)
 		}
-		opts, err = ck.Resume(opts)
-		if err != nil {
-			return err
+		if opts, err = ck.Resume(opts); err != nil {
+			return opts, err
 		}
-		opts.CheckpointDir = *resume // keep snapshotting where we left off
-		resumedFrom = ck.Meta.Iteration
-		*k = opts.K
+		opts.CheckpointDir = c.resume // keep snapshotting where we left off
+		c.k = opts.K
 		fmt.Fprintf(stdout, "resuming %s from iteration %d (%d iterations remain)\n\n",
-			*resume, resumedFrom, opts.MaxIter)
+			c.resume, ck.Meta.Iteration, opts.MaxIter)
 	}
-	var res *hpcnmf.Result
-	if *alg == "auto" {
-		if *gridStr != "auto" {
-			return fmt.Errorf("-alg auto picks the grid itself; drop -grid %s or name the algorithm (-alg hpc2d)", *gridStr)
-		}
-		adv := hpcnmf.Advise(a, *k, *p)
-		if len(adv) == 0 {
-			return fmt.Errorf("cost model returned no algorithm advice for k=%d p=%d; pick -alg explicitly", *k, *p)
-		}
-		// One forecast: Naive, the 1D grid and the grid RunParallel
-		// picks, every HPC row priced by the rule the run's own grid:
-		// line reports. The first row is what runs (a 1D row can only
-		// tie with the picked grid, which then sorts ahead of it).
-		fmt.Fprintln(stdout, "cost-model forecast (fastest first; the first row runs):")
-		for _, row := range adv {
-			fmt.Fprintf(stdout, "  %-14s %.6f s/iter\n", row.Algorithm, row.Seconds)
-		}
-		*alg = "hpc2d"
-		if adv[0].Algorithm == "Naive" {
-			*alg = "naive"
-		}
-		// The updater is picked on the same grid — unless the user
-		// pinned one with -solver, or the run resumes a checkpoint
-		// (whose updater is fixed).
-		if !solverSet && *resume == "" {
-			// An error next to rows is the infeasible-grid fallback
-			// RunParallel takes too; the rows are priced on that grid.
-			choices, jerr := hpcnmf.AdviseAlgorithmGrid(a, *k, *p)
-			if len(choices) == 0 {
-				return fmt.Errorf("updater advice: %w", jerr)
-			}
-			fmt.Fprint(stdout, "updaters, s/iter with NLS x relative iterations to tolerance (cheapest product first):")
-			for _, ch := range choices {
-				fmt.Fprintf(stdout, "  %s %.6f x %.1f", ch.Updater.Name, ch.IterSeconds, ch.Updater.IterFactor)
-			}
-			fmt.Fprintln(stdout)
-			*solver = strings.ToLower(choices[0].Updater.Name)
-			if opts.Solver, err = hpcnmf.ParseSolver(*solver); err != nil {
-				return err
-			}
-		}
-		fmt.Fprintf(stdout, "selected: %s, updater %s\n\n", *alg, *solver)
-	}
-	stopProfile, err := startProfile(*profile, *profDir)
-	if err != nil {
-		return err
-	}
-	procs := *p
-	if tileFile != nil {
-		procs = 1
-		res, err = hpcnmf.RunOutOfCore(tileFile, tileDepth, opts)
-	} else {
-		switch *alg {
-		case "seq":
-			procs = 1
-			res, err = hpcnmf.Run(a, opts)
-		case "naive":
-			res, err = hpcnmf.RunNaive(a, *p, opts)
-		case "hpc1d":
-			res, err = hpcnmf.RunOnGrid(a, *p, 1, opts)
-		case "hpc2d":
-			if *gridStr == "auto" {
-				res, err = hpcnmf.RunParallel(a, *p, opts)
-			} else {
-				var pr, pc int
-				if pr, pc, err = parseGrid(*gridStr); err != nil {
-					return err
-				}
-				procs = pr * pc
-				res, err = hpcnmf.RunOnGrid(a, pr, pc, opts)
-			}
-		default:
-			return fmt.Errorf("unknown algorithm %q", *alg)
-		}
-	}
-	profErr := stopProfile(stdout)
-	if err != nil {
-		return err
-	}
-	if profErr != nil {
-		return profErr
-	}
+	return opts, nil
+}
 
-	var m, n int
-	if tileFile != nil {
-		m, n = tileFile.Dims()
-		fmt.Fprintf(stdout, "dataset:   %s (%dx%d, out-of-core)\n", name, m, n)
-	} else {
-		m, n = a.Dims()
-		fmt.Fprintf(stdout, "dataset:   %s (%dx%d, nnz=%d)\n", name, m, n, a.NNZ())
+// plan is the one grid decision of an -alg auto run: costmodel.Plan's
+// row 0 and whether the plan found it feasible (Result.GridAuto).
+type plan struct {
+	best     costmodel.GridCandidate
+	feasible bool
+}
+
+// pick makes -alg auto's choice from ONE plan: it prints the forecast
+// (Naive, the 1D grid and the plan's row 0, every HPC row priced by the
+// rule the run's own grid: line reports), names the layout the first
+// row stands for, ranks the updaters on the same grid, and returns the
+// row the run will execute. It settles c.alg, c.solver and
+// opts.Solver.
+func pick(c *cli, a hpcnmf.Matrix, opts *hpcnmf.Options, stdout io.Writer) (*plan, error) {
+	model := perf.Edison() // Options.Model's default, which no flag changes
+	pb := core.GridProblem(a, c.k)
+	ranked, infeasible := costmodel.Plan(pb, c.p, model)
+	adv := costmodel.Advise(pb, ranked, model)
+	if len(adv) == 0 {
+		return nil, fmt.Errorf("cost model returned no algorithm advice for k=%d p=%d; pick -alg explicitly", c.k, c.p)
 	}
-	fmt.Fprintf(stdout, "algorithm: %s, solver %s, k=%d\n", res.Algorithm, *solver, *k)
+	// The first row is what runs (a 1D row can only tie with the
+	// plan's row 0, which then sorts ahead of it).
+	fmt.Fprintln(stdout, "cost-model forecast (fastest first; the first row runs):")
+	for _, row := range adv {
+		fmt.Fprintf(stdout, "  %-14s %.6f s/iter\n", row.Algorithm, row.Seconds)
+	}
+	c.alg = "hpc2d"
+	if adv[0].Algorithm == "Naive" {
+		c.alg = "naive"
+	}
+	// The updater is picked on the same grid — unless the user pinned
+	// one with -solver, or the run resumes a checkpoint (whose updater
+	// is fixed).
+	if !c.solverSet && c.resume == "" {
+		choices := costmodel.AlgorithmGrid(pb, ranked[0], model)
+		fmt.Fprint(stdout, "updaters, s/iter with NLS x relative iterations to tolerance (cheapest product first):")
+		for _, ch := range choices {
+			fmt.Fprintf(stdout, "  %s %.6f x %.1f", ch.Updater.Name, ch.IterSeconds, ch.Updater.IterFactor)
+		}
+		fmt.Fprintln(stdout)
+		c.solver = strings.ToLower(choices[0].Updater.Name)
+		var err error
+		if opts.Solver, err = hpcnmf.ParseSolver(c.solver); err != nil {
+			return nil, err
+		}
+	}
+	fmt.Fprintf(stdout, "selected: %s, updater %s\n\n", c.alg, c.solver)
+	return &plan{best: ranked[0], feasible: infeasible == nil}, nil
+}
+
+// factorize runs the chosen driver. procs is the rank count the run
+// report records.
+func factorize(c *cli, in *input, picked *plan, opts hpcnmf.Options) (res *hpcnmf.Result, procs int, err error) {
+	if in.tile != nil {
+		res, err = hpcnmf.RunOutOfCore(in.tile, in.tileDepth, opts)
+		return res, 1, err
+	}
+	switch c.alg {
+	case "seq":
+		res, err = hpcnmf.Run(in.a, opts)
+		return res, 1, err
+	case "naive":
+		res, err = hpcnmf.RunNaive(in.a, c.p, opts)
+	case "hpc1d":
+		res, err = hpcnmf.RunOnGrid(in.a, c.p, 1, opts)
+	case "hpc2d":
+		switch {
+		case picked != nil:
+			if res, err = core.RunCandidate(in.a, picked.best, opts); res != nil {
+				res.GridAuto = picked.feasible
+			}
+		case c.grid == "auto":
+			res, err = hpcnmf.RunParallel(in.a, c.p, opts)
+		default:
+			var pr, pc int
+			if pr, pc, err = parseGrid(c.grid); err != nil {
+				return nil, 0, err
+			}
+			res, err = hpcnmf.RunOnGrid(in.a, pr, pc, opts)
+			return res, pr * pc, err
+		}
+	default:
+		return nil, 0, fmt.Errorf("unknown algorithm %q", c.alg)
+	}
+	return res, c.p, err
+}
+
+// printResult writes the human report: what ran, the convergence
+// history and the per-iteration task breakdown.
+func printResult(c *cli, in *input, res *hpcnmf.Result, stdout io.Writer) error {
+	if in.tile != nil {
+		m, n := in.tile.Dims()
+		fmt.Fprintf(stdout, "dataset:   %s (%dx%d, out-of-core)\n", in.name, m, n)
+	} else {
+		m, n := in.a.Dims()
+		fmt.Fprintf(stdout, "dataset:   %s (%dx%d, nnz=%d)\n", in.name, m, n, in.a.NNZ())
+	}
+	fmt.Fprintf(stdout, "algorithm: %s, solver %s, k=%d\n", res.Algorithm, c.solver, c.k)
 	if res.Grid.PR > 0 {
 		how := "explicit"
 		if res.GridAuto {
@@ -368,54 +462,57 @@ func run(args []string, stdout, stderr io.Writer) error {
 	for i, e := range res.RelErr {
 		fmt.Fprintf(stdout, "  iter %3d: %.6f\n", i+1, e)
 	}
-	table, err := res.Breakdown.Format(*view)
+	table, err := res.Breakdown.Format(c.view)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "\nper-iteration task breakdown:\n%s", table)
 
-	if res.OOC != nil {
-		o := res.OOC
+	if o := res.OOC; o != nil {
 		fmt.Fprintf(stdout, "\ntile I/O: %d passes, %d tile loads (%s), load %.3f s, stream wait %.3f s, %.1f%% of I/O hidden behind compute\n",
 			o.Passes, o.TilesLoaded, formatBytes(o.BytesLoaded),
 			o.LoadSeconds, o.WaitSeconds, 100*o.HiddenFraction)
 	}
+	return nil
+}
 
-	if *trace != "" {
-		if err := res.Trace.WriteChromeFile(*trace); err != nil {
+// writeArtefacts writes what the observability and output flags asked
+// for: the trace, the metrics snapshot, the run report, the factors.
+func writeArtefacts(c *cli, in *input, opts hpcnmf.Options, procs int, res *hpcnmf.Result, stdout io.Writer) error {
+	if c.trace != "" {
+		if err := res.Trace.WriteChromeFile(c.trace); err != nil {
 			return fmt.Errorf("writing trace: %w", err)
 		}
 		fmt.Fprintf(stdout, "\nwrote trace %s (%d events, %d rank tracks; open in Perfetto or chrome://tracing)\n",
-			*trace, len(res.Trace.Events), res.Trace.Ranks)
+			c.trace, len(res.Trace.Events), res.Trace.Ranks)
 	}
-	if *metrics {
+	if c.metrics {
 		printOverlap(stdout, opts.Metrics.Snapshot())
 		fmt.Fprintf(stdout, "\nmetrics:\n")
 		opts.Metrics.Snapshot().WriteText(stdout)
 	}
-	if *report != "" {
+	if c.report != "" {
 		var info hpcnmf.DatasetInfo
-		if tileFile != nil {
-			info = hpcnmf.DescribeTiled(name, tileFile)
+		if in.tile != nil {
+			info = hpcnmf.DescribeTiled(in.name, in.tile)
 		} else {
-			info = hpcnmf.DescribeMatrix(name, a)
+			info = hpcnmf.DescribeMatrix(in.name, in.a)
 		}
-		rep := hpcnmf.NewReport(info, procs, opts, res, *trace)
-		if err := rep.WriteJSONFile(*report); err != nil {
+		rep := hpcnmf.NewReport(info, procs, opts, res, c.trace)
+		if err := rep.WriteJSONFile(c.report); err != nil {
 			return fmt.Errorf("writing report: %w", err)
 		}
-		fmt.Fprintf(stdout, "\nwrote report %s (schema v%d)\n", *report, rep.Version)
+		fmt.Fprintf(stdout, "\nwrote report %s (schema v%d)\n", c.report, rep.Version)
 	}
-
-	if *out != "" {
-		if err := hpcnmf.SaveFactor(*out+".W", res.W); err != nil {
+	if c.out != "" {
+		if err := hpcnmf.SaveFactor(c.out+".W", res.W); err != nil {
 			return fmt.Errorf("saving W: %w", err)
 		}
-		if err := hpcnmf.SaveFactor(*out+".H", res.H); err != nil {
+		if err := hpcnmf.SaveFactor(c.out+".H", res.H); err != nil {
 			return fmt.Errorf("saving H: %w", err)
 		}
 		fmt.Fprintf(stdout, "\nwrote %s.W (%dx%d) and %s.H (%dx%d)\n",
-			*out, res.W.Rows, res.W.Cols, *out, res.H.Rows, res.H.Cols)
+			c.out, res.W.Rows, res.W.Cols, c.out, res.H.Rows, res.H.Cols)
 	}
 	return nil
 }
@@ -517,13 +614,11 @@ func printOverlap(w io.Writer, snap *metrics.Snapshot) {
 
 // fitTileDepth validates an out-of-core run against a byte budget:
 // the pipeline holds depth+1 resident tile buffers (depth prefetched
-// plus the one being consumed), so depth is lowered until they fit.
-// If even depth 1 overflows, the tile file's panels are too tall for
-// the budget and the run refuses to start rather than thrash.
-func fitTileDepth(hdr ooc.Header, depth int, budget int64) (int, error) {
-	if depth < 1 {
-		depth = ooc.DefaultDepth
-	}
+// plus the one being consumed), so the default depth is lowered until
+// they fit. If even depth 1 overflows, the tile file's panels are too
+// tall for the budget and the run refuses to start rather than thrash.
+func fitTileDepth(hdr ooc.Header, budget int64) (int, error) {
+	depth := ooc.DefaultDepth
 	tileBytes := hdr.TileRows * hdr.Cols * 8
 	for depth > 1 && int64(depth+1)*tileBytes > budget {
 		depth--

@@ -40,7 +40,7 @@ func RunParallelAuto(a Matrix, p int, opts Options) (*Result, error) {
 	if len(ranked) == 0 {
 		return nil, infeasible
 	}
-	res, err := runHPC(a, ranked[0], opts)
+	res, err := RunCandidate(a, ranked[0], opts)
 	if res != nil {
 		res.GridAuto = infeasible == nil
 	}
@@ -152,15 +152,23 @@ func RunHPC(a Matrix, g grid.Grid, opts Options) (*Result, error) {
 	if g.PR < 1 || g.PC < 1 {
 		return nil, fmt.Errorf("core: HPC-NMF needs a grid with pr ≥ 1 and pc ≥ 1, got %dx%d", g.PR, g.PC)
 	}
-	return runHPC(a, GridProblem(a, opts.K).Price(g, opts.Model), opts)
+	return RunCandidate(a, GridProblem(a, opts.K).Price(g, opts.Model), opts)
 }
 
-// runHPC runs Algorithm 3 on a priced grid under defaulted options;
-// the price becomes Result.GridPredictedSeconds.
-func runHPC(a Matrix, c costmodel.GridCandidate, opts Options) (*Result, error) {
+// RunCandidate runs Algorithm 3 on a priced grid — a row of
+// costmodel.Plan or a Problem.Price — and records the price as
+// Result.GridPredictedSeconds. RunHPC and RunParallelAuto are this
+// with the price, respectively the plan, made for the caller; a caller
+// that already holds the plan (`nmfrun -alg auto` prints it first)
+// hands its row 0 here instead of planning again.
+func RunCandidate(a Matrix, c costmodel.GridCandidate, opts Options) (*Result, error) {
 	m, n := a.Dims()
+	opts, err := opts.withDefaults(m, n)
+	if err != nil {
+		return nil, err
+	}
 	g := c.Grid
-	if m < g.PR || n < g.PC {
+	if g.PR < 1 || g.PC < 1 || m < g.PR || n < g.PC {
 		return nil, fmt.Errorf("core: %dx%d matrix cannot be split on a %dx%d grid", m, n, g.PR, g.PC)
 	}
 	res, err := runLayout(fmt.Sprintf("HPC-NMF %dx%d", g.PR, g.PC), m, n, trackedNorm(a, opts), opts, g.Size(),

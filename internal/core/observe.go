@@ -77,7 +77,7 @@ func newTraceSession(opts Options, ranks int) *trace.Session {
 	if !opts.TraceEvents {
 		return nil
 	}
-	s := trace.NewSession(ranks, opts.TraceCapacity)
+	s := trace.NewSession(ranks, trace.DefaultCapacity)
 	if opts.Span.Valid() {
 		s.SetRoot(opts.Span)
 	}

@@ -168,12 +168,9 @@ type Options struct {
 	// and iteration phase is recorded as a timed span, and
 	// Result.Trace carries the merged timeline (exportable to Chrome
 	// trace_event JSON via trace.Trace.WriteChrome). Off by default;
-	// when off no ring buffer is even allocated.
+	// when off no ring buffer is even allocated; when on each rank
+	// keeps its newest trace.DefaultCapacity events.
 	TraceEvents bool
-	// TraceCapacity bounds the per-rank event ring buffer (oldest
-	// events are overwritten past it); ≤ 0 selects
-	// trace.DefaultCapacity.
-	TraceCapacity int
 	// Progress, when non-nil, receives one Progress record per
 	// alternating iteration: iteration count, freshest relative error
 	// (when ComputeError is set), elapsed wall time, and the reporting

@@ -71,9 +71,6 @@ func NewProjector(w *mat.Dense, solver nnls.Solver, pool *par.Pool) (*Projector,
 // Dims returns the basis shape (m rows, k components).
 func (p *Projector) Dims() (m, k int) { return p.w.Rows, p.w.Cols }
 
-// Basis returns the projector's basis W (shared, not a copy).
-func (p *Projector) Basis() *mat.Dense { return p.w }
-
 // Gram returns the cached WᵀW (shared, not a copy). Callers must treat
 // it as read-only.
 func (p *Projector) Gram() *mat.Dense { return p.gram }

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 
 	"hpcnmf/internal/core"
@@ -88,45 +87,48 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// options is the driver configuration every run of the harness starts
+// from; an experiment that needs more sets it on the copy.
+func (c Config) options(k int) core.Options {
+	return core.Options{K: k, MaxIter: c.Iters, Seed: c.Seed}
+}
+
 // Algorithm names used across the harness.
 const (
 	AlgNaive = "Naive"
 	AlgHPC1D = "HPC-NMF-1D"
 	AlgHPC2D = "HPC-NMF-2D"
+	// algAuto is HPC-NMF on the grid the cost model picks.
+	algAuto = "HPC-NMF-auto"
 )
 
 // Algorithms lists the three benchmarked configurations in the
 // paper's presentation order.
 func Algorithms() []string { return []string{AlgNaive, AlgHPC1D, AlgHPC2D} }
 
-// runAlg dispatches one algorithm configuration.
-func runAlg(alg string, a core.Matrix, p int, opts core.Options) (*core.Result, error) {
-	switch alg {
-	case AlgNaive:
-		return core.RunNaive(a, p, opts)
-	case AlgHPC1D:
-		return core.RunHPC(a, grid.New(p, 1), opts)
-	case AlgHPC2D:
-		m, n := a.Dims()
-		return core.RunHPC(a, grid.Choose(m, n, p), opts)
-	default:
-		return nil, fmt.Errorf("experiments: unknown algorithm %q", alg)
-	}
-}
-
 // Row is one measured configuration: a point in one of the paper's
 // figures.
 type Row struct {
-	Dataset   string
-	Alg       string
-	K, P      int
+	Dataset string
+	Alg     string
+	K, P    int
+	// M, N and NNZ are the shape and stored-entry count of the
+	// factorized matrix.
+	M, N      int
+	NNZ       int64
 	Breakdown *perf.Breakdown
+	// RelErr is the error history, kept by runs that compute it (the
+	// solvers experiment).
+	RelErr []float64
 	// Grid and Predicted are set by the grids experiment only: the
 	// pr×pc shape ("4x4") and the cost model's per-iteration forecast
 	// the autotuner ranked it by. Auto marks the tuner's pick.
 	Grid      string
 	Predicted float64
 	Auto      bool
+	// Note is a line the experiment's text writer prints with the row:
+	// partition's block-nnz analysis, a solver's failure.
+	Note string
 }
 
 // ModeledSeconds is the per-iteration modeled total.
@@ -135,23 +137,53 @@ func (r Row) ModeledSeconds() float64 { return r.Breakdown.ModeledTotal() }
 // MeasuredSeconds is the per-iteration measured total.
 func (r Row) MeasuredSeconds() float64 { return r.Breakdown.MeasuredTotal() }
 
-// sweep runs one dataset across the given (alg, k, p) combinations.
-func sweep(dsName string, cfg Config, points []struct {
-	alg  string
-	k, p int
-}) ([]Row, error) {
+// runOne is the harness's one way into the drivers: it factorizes a
+// with one algorithm configuration on p ranks. The returned row names
+// the configuration even when the run fails.
+func runOne(name string, a core.Matrix, alg string, p int, opts core.Options) (Row, error) {
+	m, n := a.Dims()
+	row := Row{Dataset: name, Alg: alg, K: opts.K, P: p, M: m, N: n, NNZ: int64(a.NNZ())}
+	var res *core.Result
+	var err error
+	switch alg {
+	case AlgNaive:
+		res, err = core.RunNaive(a, p, opts)
+	case AlgHPC1D, AlgHPC2D:
+		g := grid.New(p, 1)
+		if alg == AlgHPC2D {
+			g = grid.Choose(m, n, p)
+		}
+		res, err = core.RunHPC(a, g, opts)
+	case algAuto:
+		res, err = core.RunParallelAuto(a, p, opts)
+	default:
+		err = fmt.Errorf("experiments: unknown algorithm %q", alg)
+	}
+	if err != nil {
+		return row, fmt.Errorf("%s %s k=%d p=%d: %w", name, alg, opts.K, p, err)
+	}
+	row.Breakdown, row.RelErr = res.Breakdown, res.RelErr
+	return row, nil
+}
+
+// sweep runs one dataset across the algorithms × ks × ps grid, in
+// that nesting order.
+func sweep(dsName string, cfg Config, ks, ps []int) ([]Row, error) {
 	ds, err := datasets.ByName(dsName, datasets.Scale(cfg.Scale), cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
 	var rows []Row
-	for _, pt := range points {
-		opts := core.Options{K: pt.k, MaxIter: cfg.Iters, Seed: cfg.Seed}
-		res, err := runAlg(pt.alg, ds.Matrix, pt.p, opts)
-		if err != nil {
-			return nil, fmt.Errorf("%s %s k=%d p=%d: %w", dsName, pt.alg, pt.k, pt.p, err)
+	for _, alg := range Algorithms() {
+		for _, k := range ks {
+			for _, p := range ps {
+				r, err := runOne(ds.Name, ds.Matrix, alg, p, cfg.options(k))
+				if err != nil {
+					return nil, err
+				}
+				rows = append(rows, r)
+			}
 		}
-		rows = append(rows, Row{Dataset: ds.Name, Alg: pt.alg, K: pt.k, P: pt.p, Breakdown: res.Breakdown})
 	}
 	return rows, nil
 }
@@ -160,129 +192,136 @@ func sweep(dsName string, cfg Config, points []struct {
 // sweep, all three algorithms.
 func Comparison(dsName string, cfg Config) ([]Row, error) {
 	cfg = cfg.withDefaults()
-	var points []struct {
-		alg  string
-		k, p int
-	}
-	for _, alg := range Algorithms() {
-		for _, k := range cfg.Ks {
-			points = append(points, struct {
-				alg  string
-				k, p int
-			}{alg, k, cfg.FixedP})
-		}
-	}
-	return sweep(dsName, cfg, points)
+	return sweep(dsName, cfg, cfg.Ks, []int{cfg.FixedP})
 }
 
 // Scaling reproduces the right column of Figure 3: fixed rank,
 // processor sweep, all three algorithms (strong scaling).
 func Scaling(dsName string, cfg Config) ([]Row, error) {
 	cfg = cfg.withDefaults()
-	var points []struct {
-		alg  string
-		k, p int
-	}
-	for _, alg := range Algorithms() {
-		for _, p := range cfg.Ps {
-			points = append(points, struct {
-				alg  string
-				k, p int
-			}{alg, cfg.FixedK, p})
-		}
-	}
-	return sweep(dsName, cfg, points)
+	return sweep(dsName, cfg, []int{cfg.FixedK}, cfg.Ps)
 }
 
-// Table3 reproduces the per-iteration running-time table: k fixed,
-// all datasets × algorithms × processor counts.
-func Table3(cfg Config) ([]Row, error) {
-	cfg = cfg.withDefaults()
-	var rows []Row
-	for _, ds := range datasets.Names() {
-		r, err := Scaling(ds, cfg)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, r...)
-	}
-	return rows, nil
+// solversIters is long enough for the solvers experiment's error
+// trajectories to separate.
+const solversIters = 20
+
+// experiment is one artifact of the evaluation: the runs behind it and
+// how its text report is laid out. Everything that lists, runs or
+// collects experiments reads the table below.
+type experiment struct {
+	id string
+	// header is the caption after "== id: "; every experiment has at
+	// least one row for it to describe.
+	header func(cfg Config, rows []Row) string
+	rows   func(cfg Config) ([]Row, error)
+	write  func(w io.Writer, cfg Config, rows []Row)
+	// textOnly keeps the experiment out of the JSON and CSV forms: its
+	// artifact is the text, not its rows.
+	textOnly bool
 }
 
-// figures maps experiment ids to their dataset and kind.
-var figures = map[string]struct {
-	dataset string
-	scaling bool
-	caption string
-}{
-	"fig3a": {"ssyn", false, "Sparse Synthetic (SSYN) Comparison"},
-	"fig3b": {"ssyn", true, "Sparse Synthetic (SSYN) Scaling"},
-	"fig3c": {"dsyn", false, "Dense Synthetic (DSYN) Comparison"},
-	"fig3d": {"dsyn", true, "Dense Synthetic (DSYN) Scaling"},
-	"fig3e": {"webbase", false, "Webbase Comparison"},
-	"fig3f": {"webbase", true, "Webbase Scaling"},
-	"fig3g": {"video", false, "Video Comparison"},
-	"fig3h": {"video", true, "Video Scaling"},
+// table is the one list of experiments, in presentation order.
+var table = []experiment{
+	figure("fig3a", "ssyn", false, "Sparse Synthetic (SSYN) Comparison"),
+	figure("fig3b", "ssyn", true, "Sparse Synthetic (SSYN) Scaling"),
+	figure("fig3c", "dsyn", false, "Dense Synthetic (DSYN) Comparison"),
+	figure("fig3d", "dsyn", true, "Dense Synthetic (DSYN) Scaling"),
+	figure("fig3e", "webbase", false, "Webbase Comparison"),
+	figure("fig3f", "webbase", true, "Webbase Scaling"),
+	figure("fig3g", "video", false, "Video Comparison"),
+	figure("fig3h", "video", true, "Video Scaling"),
+	{id: "table2", rows: table2Rows, write: writeTable2, textOnly: true, header: func(_ Config, r []Row) string {
+		return fmt.Sprintf("Algorithmic costs (m=%d n=%d k=%d p=%d)", r[0].M, r[0].N, r[0].K, r[0].P)
+	}},
+	{id: "table3", rows: table3Rows, write: writeTable3, header: func(c Config, _ []Row) string {
+		return fmt.Sprintf("Per-iteration running times (k=%d, modeled seconds)", c.FixedK)
+	}},
+	{id: "grids", rows: GridSweep, write: writeGrids, header: func(c Config, _ []Row) string {
+		return fmt.Sprintf("predicted vs measured per-iteration time by grid (dsyn, k=%d, p=%d)", c.FixedK, c.FixedP)
+	}},
+	{id: "hadoopqual", rows: hadoopQualRows, write: writeHadoopQual, header: func(_ Config, r []Row) string {
+		return fmt.Sprintf("MU on sparse %dx%d (nnz=%d, k=%d, p=%d)", r[0].M, r[0].N, r[0].NNZ, r[0].K, r[0].P)
+	}},
+	{id: "partition", rows: partitionRows, write: writePartition, header: func(_ Config, r []Row) string {
+		return fmt.Sprintf("nonzero load balance on Webbase (%dx%d, nnz=%d)", r[0].M, r[0].N, r[0].NNZ)
+	}},
+	{id: "weakscaling", rows: weakScalingRows, write: writeWeakScaling, header: func(c Config, _ []Row) string {
+		return fmt.Sprintf("per-rank data fixed, k=%d (modeled s/iter)", c.FixedK)
+	}},
+	{id: "largep", rows: largePRows, write: writeLargeP, header: func(c Config, r []Row) string {
+		return fmt.Sprintf("strong scaling into the communication-dominated regime (SSYN %dx%d, k=%d)", r[0].M, r[0].N, c.FixedK)
+	}},
+	{id: "solvers", rows: solversRows, write: writeSolvers, header: func(_ Config, r []Row) string {
+		return fmt.Sprintf("local NLS methods within parallel ANLS (DSYN %dx%d, k=%d, p=%d, %d iters)",
+			r[0].M, r[0].N, r[0].K, r[0].P, solversIters)
+	}},
+}
+
+// figure is one panel of Figure 3: a rank sweep at fixed p
+// (comparison) or a processor sweep at fixed rank (scaling).
+func figure(id, dataset string, scaling bool, caption string) experiment {
+	rows := Comparison
+	if scaling {
+		rows = Scaling
+	}
+	return experiment{
+		id:     id,
+		header: func(Config, []Row) string { return caption },
+		rows:   func(cfg Config) ([]Row, error) { return rows(dataset, cfg) },
+		write:  func(w io.Writer, cfg Config, r []Row) { writeRows(w, r, cfg.View, scaling) },
+	}
 }
 
 // Names lists every experiment id in presentation order.
 func Names() []string {
-	ids := make([]string, 0, len(figures)+4)
-	for id := range figures {
-		ids = append(ids, id)
+	ids := make([]string, len(table))
+	for i, e := range table {
+		ids[i] = e.id
 	}
-	sort.Strings(ids)
-	return append(ids, "table2", "table3", "grids", "hadoopqual", "partition", "weakscaling", "largep", "solvers")
+	return ids
 }
 
-// Run executes one experiment by id and writes its report to w.
+// RowProducingNames lists the experiment ids Collect and the CSV view
+// accept: every one whose artifact is its rows.
+func RowProducingNames() []string {
+	var ids []string
+	for _, e := range table {
+		if !e.textOnly {
+			ids = append(ids, e.id)
+		}
+	}
+	return ids
+}
+
+func find(id string) (experiment, error) {
+	for _, e := range table {
+		if e.id == id {
+			return e, nil
+		}
+	}
+	return experiment{}, fmt.Errorf("experiments: unknown experiment %q (known: %s)", id, strings.Join(Names(), ", "))
+}
+
+// Run executes one experiment by id and writes its report to w: the
+// text table, or with cfg.View "csv" the rows as CSV.
 func Run(id string, cfg Config, w io.Writer) error {
 	cfg = cfg.withDefaults()
-	if fig, ok := figures[id]; ok {
-		var rows []Row
-		var err error
-		if fig.scaling {
-			rows, err = Scaling(fig.dataset, cfg)
-		} else {
-			rows, err = Comparison(fig.dataset, cfg)
-		}
-		if err != nil {
-			return err
-		}
-		if cfg.View == "csv" {
-			WriteCSV(w, rows)
-			return nil
-		}
-		fmt.Fprintf(w, "== %s: %s ==\n", id, fig.caption)
-		writeRows(w, rows, cfg.View, fig.scaling)
+	e, err := find(id)
+	if err != nil {
+		return err
+	}
+	rows, err := e.rows(cfg)
+	if err != nil {
+		return err
+	}
+	if cfg.View == "csv" && !e.textOnly {
+		WriteCSV(w, rows)
 		return nil
 	}
-	switch id {
-	case "table2":
-		return runTable2(cfg, w)
-	case "table3":
-		rows, err := Table3(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "== table3: Per-iteration running times (k=%d, modeled seconds) ==\n", cfg.FixedK)
-		writeTable3(w, rows, cfg)
-		return nil
-	case "grids":
-		return runGrids(cfg, w)
-	case "hadoopqual":
-		return runHadoopQual(cfg, w)
-	case "partition":
-		return runPartition(cfg, w)
-	case "weakscaling":
-		return runWeakScaling(cfg, w)
-	case "largep":
-		return runLargeP(cfg, w)
-	case "solvers":
-		return runSolvers(cfg, w)
-	default:
-		return fmt.Errorf("experiments: unknown experiment %q (known: %s)", id, strings.Join(Names(), ", "))
-	}
+	fmt.Fprintf(w, "== %s: %s ==\n", id, e.header(cfg, rows))
+	e.write(w, cfg, rows)
+	return nil
 }
 
 // BenchRow is one measured configuration in machine-readable form:
@@ -319,21 +358,8 @@ type BenchReport struct {
 // BenchReportVersion identifies the BenchReport schema.
 const BenchReportVersion = 1
 
-// RowProducingNames lists the experiment ids Collect accepts: the
-// figure sweeps plus table3 and grids.
-func RowProducingNames() []string {
-	ids := make([]string, 0, len(figures)+2)
-	for id := range figures {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return append(ids, "table3", "grids")
-}
-
-// Collect runs the row-producing experiments (the figure sweeps and
-// table3) and returns their points as a BenchReport. Experiments
-// without a tabular form (table2, hadoopqual, partition, solvers, …)
-// are rejected — they remain text-only.
+// Collect runs the named experiments and returns their points as a
+// BenchReport. A text-only experiment is rejected.
 func Collect(ids []string, cfg Config) (*BenchReport, error) {
 	cfg = cfg.withDefaults()
 	rep := &BenchReport{
@@ -343,21 +369,15 @@ func Collect(ids []string, cfg Config) (*BenchReport, error) {
 		Iters:   cfg.Iters,
 	}
 	for _, id := range ids {
-		var rows []Row
-		var err error
-		if fig, ok := figures[id]; ok {
-			if fig.scaling {
-				rows, err = Scaling(fig.dataset, cfg)
-			} else {
-				rows, err = Comparison(fig.dataset, cfg)
-			}
-		} else if id == "table3" {
-			rows, err = Table3(cfg)
-		} else if id == "grids" {
-			rows, err = GridSweep(cfg)
-		} else {
-			return nil, fmt.Errorf("experiments: %q has no machine-readable form (figure ids, table3, and grids only)", id)
+		e, err := find(id)
+		if err != nil {
+			return nil, err
 		}
+		if e.textOnly {
+			return nil, fmt.Errorf("experiments: %q is text-only and has no machine-readable form (row-producing: %s)",
+				id, strings.Join(RowProducingNames(), ", "))
+		}
+		rows, err := e.rows(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -387,23 +407,24 @@ func (b *BenchReport) WriteJSON(w io.Writer) error {
 	return enc.Encode(b)
 }
 
+// legend is Figure 3's stacked-bar legend: the task columns of the
+// figure tables and the CSV.
+var legend = []perf.Task{perf.TaskNLS, perf.TaskMM, perf.TaskGram, perf.TaskAllGather, perf.TaskReduceScatter, perf.TaskAllReduce}
+
 // WriteCSV emits rows in a plotting-friendly CSV layout: one line per
 // (dataset, algorithm, k, p) with both modeled and measured per-task
 // seconds plus traffic counts.
 func WriteCSV(w io.Writer, rows []Row) {
-	cols := []perf.Task{perf.TaskNLS, perf.TaskMM, perf.TaskGram, perf.TaskAllGather, perf.TaskReduceScatter, perf.TaskAllReduce}
 	fmt.Fprint(w, "dataset,algorithm,k,p")
-	for _, c := range cols {
+	for _, c := range legend {
 		fmt.Fprintf(w, ",modeled_%s", c)
 	}
 	fmt.Fprint(w, ",modeled_total,measured_total,msgs,words,flops\n")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%s,%s,%d,%d", r.Dataset, r.Alg, r.K, r.P)
-		for _, c := range cols {
-			fmt.Fprintf(w, ",%.9g", r.Breakdown.ModeledSeconds[c])
-		}
 		var msgs, words, flops int64
-		for _, c := range cols {
+		for _, c := range legend {
+			fmt.Fprintf(w, ",%.9g", r.Breakdown.ModeledSeconds[c])
 			msgs += r.Breakdown.Msgs[c]
 			words += r.Breakdown.Words[c]
 			flops += r.Breakdown.Flops[c]
@@ -420,9 +441,8 @@ func writeRows(w io.Writer, rows []Row, view string, scaling bool) {
 	if scaling {
 		xLabel = "p"
 	}
-	cols := []perf.Task{perf.TaskNLS, perf.TaskMM, perf.TaskGram, perf.TaskAllGather, perf.TaskReduceScatter, perf.TaskAllReduce}
 	fmt.Fprintf(w, "%-12s %4s", "algorithm", xLabel)
-	for _, c := range cols {
+	for _, c := range legend {
 		fmt.Fprintf(w, " %10s", c)
 	}
 	fmt.Fprintf(w, " %10s", "total")
@@ -441,7 +461,7 @@ func writeRows(w io.Writer, rows []Row, view string, scaling bool) {
 			sel = r.Breakdown.MeasuredSeconds
 		}
 		total := 0.0
-		for _, c := range cols {
+		for _, c := range legend {
 			fmt.Fprintf(w, " %10.6f", sel[c])
 			total += sel[c]
 		}
@@ -453,9 +473,25 @@ func writeRows(w io.Writer, rows []Row, view string, scaling bool) {
 	}
 }
 
-// writeTable3 prints the Table 3 layout: one row per processor count,
-// one column per (algorithm, dataset).
-func writeTable3(w io.Writer, rows []Row, cfg Config) {
+// gridName renders a grid the way every table prints it.
+func gridName(g grid.Grid) string { return fmt.Sprintf("%dx%d", g.PR, g.PC) }
+
+// table3Rows is the per-iteration running-time table: k fixed, all
+// datasets × algorithms × processor counts; the text has one line per
+// processor count and one column per (algorithm, dataset).
+func table3Rows(cfg Config) ([]Row, error) {
+	var rows []Row
+	for _, ds := range datasets.Names() {
+		r, err := Scaling(ds, cfg)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, r...)
+	}
+	return rows, nil
+}
+
+func writeTable3(w io.Writer, cfg Config, rows []Row) {
 	type key struct {
 		alg string
 		ds  string
@@ -489,44 +525,51 @@ func writeTable3(w io.Writer, rows []Row, cfg Config) {
 	}
 }
 
-// runTable2 prints the analytical Table 2 for the configured problem
-// and verifies the implementation's counted traffic against the exact
-// model on a divisible instance.
-func runTable2(cfg Config, w io.Writer) error {
-	m, n := 1024, 768
-	k, p := 16, cfg.FixedP
-	fmt.Fprintf(w, "== table2: Algorithmic costs (m=%d n=%d k=%d p=%d) ==\n", m, n, k, p)
+// table2Rows is the one HPC-NMF and one Naive run on a fixed divisible
+// instance that writeTable2 checks against the exact model: Table 2
+// itself is analytical, its text is the artifact.
+func table2Rows(cfg Config) ([]Row, error) {
+	a := core.WrapDense(datasets.DSYN(1024, 768, cfg.Seed))
+	opts := cfg.options(16)
+	opts.MaxIter = 2
+	var rows []Row
+	for _, alg := range []string{AlgHPC2D, AlgNaive} {
+		r, err := runOne("DSYN", a, alg, cfg.FixedP, opts)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, r)
+	}
+	return rows, nil
+}
+
+func writeTable2(w io.Writer, _ Config, rows []Row) {
+	m, n, k, p := rows[0].M, rows[0].N, rows[0].K, rows[0].P
 	fmt.Fprintln(w, "Paper's asymptotic expressions (dense case):")
 	fmt.Fprint(w, costmodel.FormatTable2(costmodel.Table2(m, n, k, p)))
 
 	g := grid.Choose(m, n, p)
 	hpc := costmodel.HPCExact(m, n, k, g, int64(m*n/p))
 	naive := costmodel.NaiveExact(m, n, k, p, int64(2*m*n/p))
-	fmt.Fprintf(w, "\nExact per-iteration critical-path counts from this runtime's collectives (grid %dx%d):\n", g.PR, g.PC)
+	fmt.Fprintf(w, "\nExact per-iteration critical-path counts from this runtime's collectives (grid %s):\n", gridName(g))
 	fmt.Fprintf(w, "%-10s %12s %10s %14s %14s\n", "algorithm", "words", "msgs", "flops(MM)", "flops(Gram)")
 	fmt.Fprintf(w, "%-10s %12d %10d %14d %14d\n", "Naive", naive.TotalWords(), naive.TotalMsgs(), naive.FlopsMM, naive.FlopsGram)
 	fmt.Fprintf(w, "%-10s %12d %10d %14d %14d\n", "HPC-NMF", hpc.TotalWords(), hpc.TotalMsgs(), hpc.FlopsMM, hpc.FlopsGram)
 
-	// Verify against an actual run.
-	a := core.WrapDense(datasets.DSYN(m, n, cfg.Seed))
-	opts := core.Options{K: k, MaxIter: 2, Seed: cfg.Seed}
-	res, err := core.RunHPC(a, g, opts)
-	if err != nil {
-		return err
-	}
-	gotWords := res.Breakdown.Words[perf.TaskAllGather] +
-		res.Breakdown.Words[perf.TaskReduceScatter] +
-		res.Breakdown.Words[perf.TaskAllReduce]
+	words := rows[0].Breakdown.Words
+	gotWords := words[perf.TaskAllGather] + words[perf.TaskReduceScatter] + words[perf.TaskAllReduce]
 	fmt.Fprintf(w, "\nMeasured HPC-NMF words/iteration: %d (model %d) — %s\n",
 		gotWords, hpc.TotalWords(), matchLabel(gotWords == hpc.TotalWords()))
-	nres, err := core.RunNaive(a, p, opts)
-	if err != nil {
-		return err
-	}
-	gotN := nres.Breakdown.Words[perf.TaskAllGather]
+	gotN := rows[1].Breakdown.Words[perf.TaskAllGather]
 	fmt.Fprintf(w, "Measured Naive words/iteration:   %d (model %d) — %s\n",
 		gotN, naive.TotalWords(), matchLabel(gotN == naive.TotalWords()))
-	return nil
+}
+
+func matchLabel(ok bool) string {
+	if ok {
+		return "EXACT MATCH"
+	}
+	return "MISMATCH"
 }
 
 // GridSweep runs HPC-NMF on every feasible pr×pc factorization of
@@ -548,18 +591,17 @@ func GridSweep(cfg Config) ([]Row, error) {
 	}
 	var rows []Row
 	for i, cand := range cands {
-		opts := core.Options{K: k, MaxIter: cfg.Iters, Seed: cfg.Seed}
-		res, err := core.RunHPC(ds.Matrix, cand.Grid, opts)
+		res, err := core.RunHPC(ds.Matrix, cand.Grid, cfg.options(k))
 		if err != nil {
-			return nil, fmt.Errorf("%s grid %dx%d: %w", ds.Name, cand.Grid.PR, cand.Grid.PC, err)
+			return nil, fmt.Errorf("%s grid %s: %w", ds.Name, gridName(cand.Grid), err)
 		}
 		rows = append(rows, Row{
 			Dataset:   ds.Name,
-			Alg:       fmt.Sprintf("HPC-NMF-%dx%d", cand.Grid.PR, cand.Grid.PC),
+			Alg:       "HPC-NMF-" + gridName(cand.Grid),
 			K:         k,
 			P:         p,
 			Breakdown: res.Breakdown,
-			Grid:      fmt.Sprintf("%dx%d", cand.Grid.PR, cand.Grid.PC),
+			Grid:      gridName(cand.Grid),
 			Predicted: cand.Seconds,
 			Auto:      i == 0,
 		})
@@ -567,17 +609,10 @@ func GridSweep(cfg Config) ([]Row, error) {
 	return rows, nil
 }
 
-// runGrids prints the GridSweep table: every factorization of p with
-// the model's forecast next to the modeled and measured breakdown
-// totals, the autotuner's pick marked.
-func runGrids(cfg Config, w io.Writer) error {
-	cfg = cfg.withDefaults()
-	rows, err := GridSweep(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "== grids: predicted vs measured per-iteration time by grid (dsyn, k=%d, p=%d) ==\n",
-		cfg.FixedK, cfg.FixedP)
+// writeGrids prints every factorization of p with the model's forecast
+// next to the modeled and measured breakdown totals, the autotuner's
+// pick marked.
+func writeGrids(w io.Writer, _ Config, rows []Row) {
 	fmt.Fprintf(w, "%-8s %14s %14s %14s\n", "grid", "predicted", "modeled", "measured")
 	for _, r := range rows {
 		mark := ""
@@ -587,57 +622,54 @@ func runGrids(cfg Config, w io.Writer) error {
 		fmt.Fprintf(w, "%-8s %14.6f %14.6f %14.6f%s\n",
 			r.Grid, r.Predicted, r.Breakdown.ModeledTotal(), r.Breakdown.MeasuredTotal(), mark)
 	}
-	return nil
 }
 
-// runPartition reproduces the §7 future-work analysis: the even 2D
+// partitionRows reproduces the §7 future-work analysis: the even 2D
 // distribution does not load balance the nonzeros of a skewed sparse
 // matrix (the Webbase case), which imbalances MM; random row/column
-// permutations spread the mass. The experiment reports the block-nnz
-// imbalance before/after, and the measured max-rank MM flops of an
-// actual HPC-NMF iteration on both layouts.
-func runPartition(cfg Config, w io.Writer) error {
+// permutations spread the mass. Its two rows are an HPC-NMF run on the
+// original and on the permuted matrix; the first carries the block-nnz
+// imbalance before/after as its note.
+func partitionRows(cfg Config) ([]Row, error) {
 	ds, err := datasets.ByName("webbase", datasets.Scale(cfg.Scale), cfg.Seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	a, ok := core.UnwrapSparse(ds.Matrix)
 	if !ok {
-		return fmt.Errorf("experiments: webbase dataset is not sparse")
+		return nil, fmt.Errorf("experiments: webbase dataset is not sparse")
 	}
-	p := cfg.FixedP
-	g := grid.Choose(a.Rows, a.Cols, p)
-	rep := partition.Analyze(a, g, cfg.Seed)
-	fmt.Fprintf(w, "== partition: nonzero load balance on Webbase (%dx%d, nnz=%d) ==\n",
-		a.Rows, a.Cols, a.NNZ())
-	fmt.Fprintf(w, "%s\n", rep)
-
 	balanced, _, _ := partition.Balance(a, cfg.Seed)
-	opts := core.Options{K: cfg.FixedK, MaxIter: cfg.Iters, Seed: cfg.Seed}
-	before, err := core.RunHPC(core.WrapSparse(a), g, opts)
+	before, err := runOne(ds.Name, ds.Matrix, AlgHPC2D, cfg.FixedP, cfg.options(cfg.FixedK))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	after, err := core.RunHPC(core.WrapSparse(balanced), g, opts)
+	before.Note = partition.Analyze(a, grid.Choose(a.Rows, a.Cols, cfg.FixedP), cfg.Seed).String()
+	after, err := runOne(ds.Name+"-permuted", core.WrapSparse(balanced), AlgHPC2D, cfg.FixedP, cfg.options(cfg.FixedK))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	meanMM := 4 * int64(a.NNZ()) / int64(p) * int64(cfg.FixedK)
+	return []Row{before, after}, nil
+}
+
+func writePartition(w io.Writer, _ Config, rows []Row) {
+	before, after := rows[0], rows[1]
+	fmt.Fprintf(w, "%s\n", before.Note)
+	meanMM := 4 * before.NNZ / int64(before.P) * int64(before.K)
 	fmt.Fprintf(w, "max-rank MM flops/iter:  original %d, permuted %d (perfect balance %d)\n",
 		before.Breakdown.Flops[perf.TaskMM], after.Breakdown.Flops[perf.TaskMM], meanMM)
 	fmt.Fprintf(w, "max-rank MM time/iter:   original %.4fs, permuted %.4fs (modeled)\n",
 		before.Breakdown.ModeledSeconds[perf.TaskMM], after.Breakdown.ModeledSeconds[perf.TaskMM])
-	return nil
 }
 
-// runWeakScaling grows the problem with the machine (m, n ∝ √p so
-// the per-rank data volume is constant) — the complement to the
-// paper's strong-scaling study. Under the Table 2 model, HPC-NMF's
-// per-rank time should stay nearly flat while Naive's grows with the
-// (m+n)k²-and-(m+n)k redundant terms.
-func runWeakScaling(cfg Config, w io.Writer) error {
-	fmt.Fprintf(w, "== weakscaling: per-rank data fixed, k=%d (modeled s/iter) ==\n", cfg.FixedK)
-	fmt.Fprintf(w, "%6s %10s %10s %8s %12s %12s\n", "p", "m", "n", "grid", "Naive", "HPC-NMF-2D")
+// weakScalingRows grows the problem with the machine (m, n ∝ √p so the
+// per-rank data volume is constant) — the complement to the paper's
+// strong-scaling study. Under the Table 2 model, HPC-NMF's per-rank
+// time should stay nearly flat while Naive's grows with the
+// (m+n)k²-and-(m+n)k redundant terms. Rows come in (Naive, HPC-NMF-2D)
+// pairs, one pair per processor count.
+func weakScalingRows(cfg Config) ([]Row, error) {
+	var rows []Row
 	for _, p := range cfg.Ps {
 		// √p scaling keeps m·n/p constant.
 		scale := math.Sqrt(float64(p) / float64(cfg.Ps[0]))
@@ -647,147 +679,146 @@ func runWeakScaling(cfg Config, w io.Writer) error {
 			m, n = p, p
 		}
 		a := core.WrapDense(datasets.DSYN(m, n, cfg.Seed))
-		opts := core.Options{K: cfg.FixedK, MaxIter: cfg.Iters, Seed: cfg.Seed}
-		naive, err := core.RunNaive(a, p, opts)
-		if err != nil {
-			return err
+		for _, alg := range []string{AlgNaive, AlgHPC2D} {
+			r, err := runOne("DSYN", a, alg, p, cfg.options(cfg.FixedK))
+			if err != nil {
+				return nil, err
+			}
+			rows = append(rows, r)
 		}
-		g := grid.Choose(m, n, p)
-		hpc, err := core.RunHPC(a, g, opts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "%6d %10d %10d %7s %12.6f %12.6f\n",
-			p, m, n, fmt.Sprintf("%dx%d", g.PR, g.PC),
-			naive.Breakdown.ModeledTotal(), hpc.Breakdown.ModeledTotal())
 	}
-	return nil
+	return rows, nil
 }
 
-// runLargeP realizes the paper's §7 wish: "we would like to expand
-// our benchmarks to larger numbers of nodes on the same size datasets
-// to study performance behavior when communication costs completely
+func writeWeakScaling(w io.Writer, _ Config, rows []Row) {
+	fmt.Fprintf(w, "%6s %10s %10s %8s %12s %12s\n", "p", "m", "n", "grid", "Naive", "HPC-NMF-2D")
+	for i := 0; i+1 < len(rows); i += 2 {
+		naive, hpc := rows[i], rows[i+1]
+		fmt.Fprintf(w, "%6d %10d %10d %7s %12.6f %12.6f\n",
+			hpc.P, hpc.M, hpc.N, gridName(grid.Choose(hpc.M, hpc.N, hpc.P)),
+			naive.ModeledSeconds(), hpc.ModeledSeconds())
+	}
+}
+
+// largePRows realizes the paper's §7 wish: "we would like to expand our
+// benchmarks to larger numbers of nodes on the same size datasets to
+// study performance behavior when communication costs completely
 // dominate the running time." Fixed-size SSYN, p up to 1024.
-func runLargeP(cfg Config, w io.Writer) error {
+func largePRows(cfg Config) ([]Row, error) {
 	ds, err := datasets.ByName("ssyn", datasets.Scale(cfg.Scale), cfg.Seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	m, n := ds.Matrix.Dims()
-	fmt.Fprintf(w, "== largep: strong scaling into the communication-dominated regime (SSYN %dx%d, k=%d) ==\n", m, n, cfg.FixedK)
-	fmt.Fprintf(w, "%6s %8s %12s %12s %12s %10s\n", "p", "grid", "compute(s)", "comm(s)", "total(s)", "comm-share")
+	var rows []Row
 	for _, p := range []int{16, 64, 256, 1024} {
 		if m < p || n < p {
 			break
 		}
-		g := grid.Choose(m, n, p)
-		opts := core.Options{K: cfg.FixedK, MaxIter: cfg.Iters, Seed: cfg.Seed}
-		res, err := core.RunHPC(ds.Matrix, g, opts)
+		r, err := runOne(ds.Name, ds.Matrix, AlgHPC2D, p, cfg.options(cfg.FixedK))
 		if err != nil {
-			return err
+			return nil, err
 		}
-		b := res.Breakdown
-		compute := b.ModeledSeconds[perf.TaskNLS] + b.ModeledSeconds[perf.TaskMM] + b.ModeledSeconds[perf.TaskGram]
-		comm := b.ModeledSeconds[perf.TaskAllGather] + b.ModeledSeconds[perf.TaskReduceScatter] + b.ModeledSeconds[perf.TaskAllReduce]
+		rows = append(rows, r)
+	}
+	if len(rows) == 0 {
+		return nil, fmt.Errorf("experiments: largep starts at p=16; SSYN at scale %g is only %dx%d", cfg.Scale, m, n)
+	}
+	return rows, nil
+}
+
+func writeLargeP(w io.Writer, _ Config, rows []Row) {
+	fmt.Fprintf(w, "%6s %8s %12s %12s %12s %10s\n", "p", "grid", "compute(s)", "comm(s)", "total(s)", "comm-share")
+	for _, r := range rows {
+		s := r.Breakdown.ModeledSeconds
+		compute := s[perf.TaskNLS] + s[perf.TaskMM] + s[perf.TaskGram]
+		comm := s[perf.TaskAllGather] + s[perf.TaskReduceScatter] + s[perf.TaskAllReduce]
 		total := compute + comm
 		share := 0.0
 		if total > 0 {
 			share = comm / total
 		}
 		fmt.Fprintf(w, "%6d %7s %12.6f %12.6f %12.6f %9.0f%%\n",
-			p, fmt.Sprintf("%dx%d", g.PR, g.PC), compute, comm, total, 100*share)
+			r.P, gridName(grid.Choose(r.M, r.N, r.P)), compute, comm, total, 100*share)
 	}
-	return nil
 }
 
-// runSolvers addresses the question §7 leaves open: "Because most of
-// the time per iteration of HPC-NMF is spent on local NLS, we believe
-// further empirical exploration is necessary to confirm the
-// advantages of BPP in the parallel case." For each local solver it
-// reports the per-iteration cost, the error trajectory, and —
-// the metric that decides the trade — the total modeled time to reach
-// within 2% of the best final error any solver achieves.
-func runSolvers(cfg Config, w io.Writer) error {
+// solversRows addresses the question §7 leaves open: "Because most of the
+// time per iteration of HPC-NMF is spent on local NLS, we believe
+// further empirical exploration is necessary to confirm the advantages
+// of BPP in the parallel case." For each local solver (one row, named
+// after it) it reports the per-iteration cost, the error trajectory,
+// and — the metric that decides the trade — the total modeled time to
+// reach within 2% of the best final error any solver achieves.
+func solversRows(cfg Config) ([]Row, error) {
 	ds, err := datasets.ByName("dsyn", datasets.Scale(cfg.Scale), cfg.Seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	m, n := ds.Matrix.Dims()
-	const iters = 20
-	k, p := cfg.FixedK, cfg.FixedP
-	fmt.Fprintf(w, "== solvers: local NLS methods within parallel ANLS (DSYN %dx%d, k=%d, p=%d, %d iters) ==\n", m, n, k, p, iters)
-
-	type runRec struct {
-		kind   core.SolverKind
-		relErr []float64
-		perIt  float64
-	}
-	kinds := []core.SolverKind{core.SolverBPP, core.SolverActiveSet, core.SolverHALS, core.SolverMU, core.SolverPGD}
-	var recs []runRec
-	bestFinal := math.Inf(1)
-	for _, kind := range kinds {
-		opts := core.Options{K: k, MaxIter: iters, Seed: cfg.Seed, Solver: kind, Sweeps: 2, ComputeError: true}
-		res, err := core.RunParallelAuto(ds.Matrix, p, opts)
+	var rows []Row
+	for _, kind := range []core.SolverKind{core.SolverBPP, core.SolverActiveSet, core.SolverHALS, core.SolverMU, core.SolverPGD} {
+		opts := cfg.options(cfg.FixedK)
+		opts.MaxIter, opts.Solver, opts.Sweeps, opts.ComputeError = solversIters, kind, 2, true
+		r, err := runOne(ds.Name, ds.Matrix, algAuto, cfg.FixedP, opts)
 		if err != nil {
 			// A solver hitting its budget is itself a finding worth
 			// reporting, not a reason to abort the comparison.
-			fmt.Fprintf(w, "%-10s failed: %v\n", kind, err)
+			r.Breakdown, r.Note = &perf.Breakdown{}, fmt.Sprintf("failed: %v", err)
+		}
+		r.Alg = kind.String()
+		rows = append(rows, r)
+	}
+	return rows, nil
+}
+
+func writeSolvers(w io.Writer, _ Config, rows []Row) {
+	var ran []Row
+	bestFinal := math.Inf(1)
+	for _, r := range rows {
+		if r.Note != "" {
+			fmt.Fprintf(w, "%-10s %s\n", r.Alg, r.Note)
 			continue
 		}
-		rec := runRec{kind: kind, relErr: res.RelErr, perIt: res.Breakdown.ModeledTotal()}
-		recs = append(recs, rec)
-		if f := rec.relErr[len(rec.relErr)-1]; f < bestFinal {
-			bestFinal = f
-		}
+		ran = append(ran, r)
+		bestFinal = math.Min(bestFinal, r.RelErr[len(r.RelErr)-1])
 	}
 	target := bestFinal * 1.02
 	fmt.Fprintf(w, "%-10s %14s %12s %12s %16s\n", "solver", "modeled-s/iter", "final-err", "iters@tgt", "time-to-target")
-	for _, r := range recs {
-		itersToTarget := -1
-		for i, e := range r.relErr {
+	for _, r := range ran {
+		itStr, timeStr := "-", "-"
+		for i, e := range r.RelErr {
 			if e <= target {
-				itersToTarget = i + 1
+				itStr = fmt.Sprintf("%d", i+1)
+				timeStr = fmt.Sprintf("%.6f", float64(i+1)*r.ModeledSeconds())
 				break
 			}
 		}
-		itStr, timeStr := "-", "-"
-		if itersToTarget > 0 {
-			itStr = fmt.Sprintf("%d", itersToTarget)
-			timeStr = fmt.Sprintf("%.6f", float64(itersToTarget)*r.perIt)
-		}
 		fmt.Fprintf(w, "%-10s %14.6f %12.6f %12s %16s\n",
-			r.kind, r.perIt, r.relErr[len(r.relErr)-1], itStr, timeStr)
+			r.Alg, r.ModeledSeconds(), r.RelErr[len(r.RelErr)-1], itStr, timeStr)
 	}
 	fmt.Fprintf(w, "(target = best final error × 1.02 = %.6f; '-' = never reached)\n", target)
-	return nil
 }
 
-func matchLabel(ok bool) string {
-	if ok {
-		return "EXACT MATCH"
-	}
-	return "MISMATCH"
-}
-
-// runHadoopQual reproduces the §6.2 qualitative comparison: a single
-// MU iteration on a large sparse matrix, to contrast with the cited
-// ~50 min/iteration Hadoop figure (the paper's own run took ~1 s on
-// 24 nodes at 10× this scale in every dimension).
-func runHadoopQual(cfg Config, w io.Writer) error {
+// hadoopQualRows reproduces the §6.2 qualitative comparison: MU on a large
+// sparse matrix, to contrast with the cited ~50 min/iteration Hadoop
+// figure (the paper's own run took ~1 s on 24 nodes at 10× this scale
+// in every dimension).
+func hadoopQualRows(cfg Config) ([]Row, error) {
 	m, n := 1<<14, 1<<13
 	nnzTarget := 2e8 / 100 // paper's 2·10⁸ nonzeros, scaled like the dims
-	density := nnzTarget / float64(m) / float64(n)
-	k, p := 8, 16
-	a := core.WrapSparse(datasets.SSYN(m, n, density, cfg.Seed))
-	opts := core.Options{K: k, MaxIter: cfg.Iters, Seed: cfg.Seed, Solver: core.SolverMU}
-	res, err := core.RunParallelAuto(a, p, opts)
+	a := core.WrapSparse(datasets.SSYN(m, n, nnzTarget/float64(m)/float64(n), cfg.Seed))
+	opts := cfg.options(8)
+	opts.Solver = core.SolverMU
+	r, err := runOne("SSYN", a, algAuto, 16, opts)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	fmt.Fprintf(w, "== hadoopqual: MU on sparse %dx%d (nnz=%d, k=%d, p=%d) ==\n", m, n, a.NNZ(), k, p)
-	fmt.Fprintf(w, "per-iteration modeled time:  %.4f s\n", res.Breakdown.ModeledTotal())
-	fmt.Fprintf(w, "per-iteration measured time: %.4f s\n", res.Breakdown.MeasuredTotal())
+	return []Row{r}, nil
+}
+
+func writeHadoopQual(w io.Writer, _ Config, rows []Row) {
+	fmt.Fprintf(w, "per-iteration modeled time:  %.4f s\n", rows[0].ModeledSeconds())
+	fmt.Fprintf(w, "per-iteration measured time: %.4f s\n", rows[0].MeasuredSeconds())
 	fmt.Fprintf(w, "(paper: Hadoop MU took ~50 min/iteration at 100x this nnz; the\n")
 	fmt.Fprintf(w, " in-memory MPI-style implementation stays in the seconds range.)\n")
-	return nil
 }

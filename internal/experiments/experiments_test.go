@@ -301,6 +301,22 @@ func TestRowProducingNamesAreRunnable(t *testing.T) {
 		if !found {
 			t.Fatalf("%q not in Names()", id)
 		}
+		if id == "table2" {
+			t.Fatal("table2 is text-only but listed as row-producing")
+		}
+		if id == "hadoopqual" && testing.Short() {
+			continue // fixed-size experiment
+		}
+		rep, err := Collect([]string{id}, tinyConfig())
+		if err != nil {
+			t.Fatalf("Collect(%s): %v", id, err)
+		}
+		if len(rep.Rows) == 0 {
+			t.Fatalf("Collect(%s) returned no rows", id)
+		}
+	}
+	if len(names) != len(all)-1 {
+		t.Fatalf("%d of %d experiments produce rows, want every one but table2", len(names), len(all))
 	}
 }
 

@@ -15,6 +15,11 @@ import (
 // has no room. The HTTP layer maps it to 429 + Retry-After.
 var errQueueFull = errors.New("serve: fit queue full")
 
+// maxFinishedJobs bounds how many done or failed job records stay
+// pollable; beyond it the oldest finished record is dropped and its id
+// answers 404. Queued and running jobs are never dropped.
+const maxFinishedJobs = 256
+
 // JobState is the lifecycle of an async fit job.
 type JobState string
 
@@ -38,7 +43,8 @@ type JobInfo struct {
 	Finished   time.Time `json:"finished,omitempty"`
 }
 
-// fitJob is one queued factorization.
+// fitJob is one queued factorization. spec.Data, the request's whole
+// matrix, is let go when the job reaches a terminal state.
 type fitJob struct {
 	id   string
 	spec FitRequest
@@ -102,15 +108,16 @@ func (j *fitJob) info() JobInfo {
 // every accepted job runs to completion before Close returns, matching
 // the store's drain-don't-drop shutdown contract.
 type jobs struct {
-	mu     sync.Mutex
-	byID   map[string]*fitJob
-	nextID int
-	queue  chan *fitJob
-	closed bool
-	wg     sync.WaitGroup
-	run    func(*fitJob) (relErr float64, iterations int, err error)
-	met    *serveMetrics
-	log    *slog.Logger
+	mu          sync.Mutex
+	byID        map[string]*fitJob
+	finishedIDs []string // ids of terminal jobs still in byID, oldest first
+	nextID      int
+	queue       chan *fitJob
+	closed      bool
+	wg          sync.WaitGroup
+	run         func(*fitJob) (relErr float64, iterations int, err error)
+	met         *serveMetrics
+	log         *slog.Logger
 }
 
 // newJobs starts workers goroutines draining a queue of the given
@@ -166,9 +173,7 @@ func (q *jobs) submit(spec FitRequest) (string, error) {
 
 // get returns the job's pollable state.
 func (q *jobs) get(id string) (JobInfo, bool) {
-	q.mu.Lock()
-	j, ok := q.byID[id]
-	q.mu.Unlock()
+	j, ok := q.lookup(id)
 	if !ok {
 		return JobInfo{}, false
 	}
@@ -205,21 +210,30 @@ func (q *jobs) worker() {
 		q.log.Debug("fit started", "job", j.id, "model", j.spec.Model, "k", j.spec.K)
 		relErr, iters, err := q.run(j)
 
+		// The terminal state, letting go of the request matrix and the
+		// bound on finished records are one step under q.mu, so a
+		// poller that sees the state also sees the bound.
+		q.mu.Lock()
 		j.mu.Lock()
 		j.finished = time.Now()
 		elapsed := j.finished.Sub(j.started)
+		j.spec.Data = nil
+		j.state, j.err = JobFailed, err
+		if err == nil {
+			j.state, j.relErr, j.iterations = JobDone, relErr, iters
+		}
+		j.mu.Unlock()
+		q.finishedIDs = append(q.finishedIDs, j.id)
+		if len(q.finishedIDs) > maxFinishedJobs {
+			delete(q.byID, q.finishedIDs[0])
+			q.finishedIDs = q.finishedIDs[1:]
+		}
+		q.mu.Unlock()
 		if err != nil {
-			j.state = JobFailed
-			j.err = err
-			j.mu.Unlock()
 			q.met.fitFailed.Inc()
 			q.log.Warn("fit failed", "job", j.id, "model", j.spec.Model, "err", err)
 			continue
 		}
-		j.state = JobDone
-		j.relErr = relErr
-		j.iterations = iters
-		j.mu.Unlock()
 		q.met.fitCompleted.Inc()
 		q.log.Info("fit complete", "job", j.id, "model", j.spec.Model,
 			"iterations", iters, "rel_err", relErr, "elapsed", elapsed)

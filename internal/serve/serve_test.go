@@ -589,3 +589,45 @@ func decodeBody(t *testing.T, r *http.Response, v any) {
 		t.Fatalf("decoding response: %v", err)
 	}
 }
+
+// TestFinishedJobsLetGo: a finished fit keeps neither its request
+// matrix nor, past maxFinishedJobs, its record — the oldest finished id
+// then answers "not found".
+func TestFinishedJobsLetGo(t *testing.T) {
+	s := New(Options{})
+	defer s.Close()
+	const n = maxFinishedJobs + 5
+	var ids []string
+	for i := 0; i < n; i++ {
+		spec := FitRequest{Model: "refit", Rows: 6, Cols: 5, K: 2, MaxIter: 1, Seed: uint64(i)}
+		spec.Data = make([]float64, spec.Rows*spec.Cols)
+		for j := range spec.Data {
+			spec.Data[j] = float64((i+j)%7) + 0.5
+		}
+		id, err := s.jobs.submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitForJob(t, s, id)
+		ids = append(ids, id)
+	}
+	s.jobs.mu.Lock()
+	kept := len(s.jobs.byID)
+	for id, j := range s.jobs.byID {
+		j.mu.Lock()
+		if j.spec.Data != nil {
+			t.Errorf("finished job %s still holds its %d-entry matrix", id, len(j.spec.Data))
+		}
+		j.mu.Unlock()
+	}
+	s.jobs.mu.Unlock()
+	if kept > maxFinishedJobs {
+		t.Errorf("%d job records kept after %d fits, want ≤ %d", kept, n, maxFinishedJobs)
+	}
+	if _, ok := s.jobs.get(ids[0]); ok {
+		t.Errorf("oldest finished job %s still pollable", ids[0])
+	}
+	if info, ok := s.jobs.get(ids[n-1]); !ok || info.State != JobDone {
+		t.Errorf("newest job = %+v, %v; want done", info, ok)
+	}
+}

@@ -62,9 +62,6 @@ type Options struct {
 	// back in the response. Read the merged timeline with Trace after
 	// Close.
 	TraceEvents bool
-	// TraceCapacity bounds each tracer's event ring (≤ 0 selects
-	// trace.DefaultCapacity).
-	TraceCapacity int
 	// Pprof mounts net/http/pprof under /debug/pprof/ for continuous
 	// profiling of a live serving process.
 	Pprof bool
@@ -212,7 +209,7 @@ func New(opts Options) *Server {
 	}
 	s := &Server{opts: opts, reg: reg, met: newServeMetrics(reg), log: log.With(obs.KeyComponent, "serve")}
 	if opts.TraceEvents {
-		sess := trace.NewSession(1, opts.TraceCapacity)
+		sess := trace.NewSession(1, trace.DefaultCapacity)
 		s.reqTC = sess.Tracer(0)
 		s.sessions = append(s.sessions, sess)
 	}
@@ -472,7 +469,7 @@ func (s *Server) newModel(id string, w *mat.Dense) (*model, error) {
 	}
 	var tc *trace.Tracer
 	if s.opts.TraceEvents {
-		sess := trace.NewSession(1, s.opts.TraceCapacity)
+		sess := trace.NewSession(1, trace.DefaultCapacity)
 		tc = sess.Tracer(0)
 		// The batcher goroutine owns both the tracer and the projector,
 		// so the projector's kernel spans (WᵀC multiply, NNLS) nest
@@ -545,8 +542,8 @@ func (e *shapeError) Error() string {
 // model.
 func (s *Server) runFit(j *fitJob) (float64, int, error) {
 	spec := j.spec
-	a := mat.NewDense(spec.Rows, spec.Cols)
-	copy(a.Data, spec.Data)
+	// The drivers only read A, so the request's buffer is the matrix.
+	a := &mat.Dense{Rows: spec.Rows, Cols: spec.Cols, Data: spec.Data}
 	kind, err := solverKind(spec.Solver)
 	if err != nil {
 		return 0, 0, err

@@ -277,20 +277,6 @@ func (s *Session) SetRoot(sc SpanContext) {
 	}
 }
 
-// Rerank renumbers every tracer's rank (and its retained events) by
-// adding base, so multiple sessions can merge onto distinct tracks.
-// Call only while no rank goroutine is recording.
-func (s *Session) Rerank(base int) {
-	for _, t := range s.tracers {
-		t.rank += base
-		for i := range t.buf {
-			if t.buf[i].Name != "" {
-				t.buf[i].Rank = t.rank
-			}
-		}
-	}
-}
-
 // Tracer returns the tracer owned by the given rank.
 func (s *Session) Tracer(rank int) *Tracer { return s.tracers[rank] }
 

@@ -1,10 +1,6 @@
 package hpcnmf
 
-import (
-	"hpcnmf/internal/ncp"
-	"hpcnmf/internal/partition"
-	"hpcnmf/internal/rng"
-)
+import "hpcnmf/internal/ncp"
 
 // Tensor3 is a dense 3-way tensor for non-negative CP decomposition
 // (the paper's future-work extension, §7).
@@ -32,31 +28,3 @@ func RunNCP(t *Tensor3, opts NCPOptions) (*NCPResult, error) { return ncp.Run(t,
 func RunNCPParallel(t *Tensor3, p int, opts NCPOptions) (*NCPResult, error) {
 	return ncp.RunParallel(t, p, opts)
 }
-
-// BalanceReport summarizes nonzero load imbalance of a 2D block
-// distribution before and after random-permutation balancing.
-type BalanceReport = partition.Report
-
-// AnalyzeBalance measures the per-block nonzero imbalance of a sparse
-// matrix on the grid chosen for p processors, and the improvement a
-// random row/column permutation would give (§7: load balancing the
-// 2D distribution of skewed sparse matrices).
-func AnalyzeBalance(a *CSR, p int, seed uint64) BalanceReport {
-	g := ChooseGrid(a.Rows, a.Cols, p)
-	return partition.Analyze(a, g, seed)
-}
-
-// BalanceSparse applies random row and column permutations to spread
-// heavy rows/columns across grid blocks. It returns the permuted
-// matrix and the row/column mappings (Forward[old] = new) needed to
-// map factor matrices back: row i of the original corresponds to row
-// rowMap[i] of a factorization of the permuted matrix.
-func BalanceSparse(a *CSR, seed uint64) (balanced *CSR, rowMap, colMap []int) {
-	b, rp, cp := partition.Balance(a, seed)
-	return b, rp.Forward, cp.Forward
-}
-
-// NewRandomStream exposes the library's deterministic PRNG for
-// callers who want reproducible synthetic data compatible with the
-// generators in this module.
-func NewRandomStream(seed uint64) *rng.Stream { return rng.New(seed) }
