@@ -1,11 +1,10 @@
 // Ablation benchmarks for the design decisions DESIGN.md defends with a
-// number (decisions 1, 3, 4, the §7 solver trade and CommChunk). Every
-// other measurement lives in benchmark/ (see BENCHMARK.json); the
-// paper's figures and tables are regenerated by cmd/nmfbench.
+// number (decisions 1, 3, 4 and the §7 solver trade). Every other
+// measurement lives in benchmark/ (see BENCHMARK.json); the paper's
+// figures and tables are regenerated by cmd/nmfbench.
 package hpcnmf_test
 
 import (
-	"fmt"
 	"testing"
 
 	"hpcnmf/internal/core"
@@ -13,7 +12,6 @@ import (
 	"hpcnmf/internal/mat"
 	"hpcnmf/internal/mpi"
 	"hpcnmf/internal/nnls"
-	"hpcnmf/internal/perf"
 	"hpcnmf/internal/rng"
 )
 
@@ -130,29 +128,4 @@ func BenchmarkAblationObjective(b *testing.B) {
 			_ = r.SquaredFrobeniusNorm()
 		}
 	})
-}
-
-// BenchmarkAblationCommChunk measures the §5 blocked-pipeline trade:
-// identical words, ⌈k/chunk⌉× the messages, smaller temporaries.
-func BenchmarkAblationCommChunk(b *testing.B) {
-	ds, err := datasets.ByName("dsyn", 0.25, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, chunk := range []int{0, 10, 2} {
-		name := "unblocked"
-		if chunk > 0 {
-			name = fmt.Sprintf("chunk%d", chunk)
-		}
-		b.Run(name, func(b *testing.B) {
-			opts := core.Options{K: 20, MaxIter: 1, Seed: 42, CommChunk: chunk}
-			var res *core.Result
-			for i := 0; i < b.N; i++ {
-				if res, err = core.RunParallelAuto(ds.Matrix, 16, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(res.Breakdown.Msgs[perf.TaskAllGather]), "allgather-msgs")
-		})
-	}
 }

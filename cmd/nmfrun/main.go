@@ -95,7 +95,6 @@ type cli struct {
 	scale                                  float64
 	alg, solver, grid                      string
 	sweeps, k, p, iters                    int
-	noOverlap                              bool
 	tol                                    float64
 	seed                                   uint64
 	view, out, trace, report               string
@@ -129,7 +128,6 @@ func parseFlags(args []string, stderr io.Writer) (*cli, error) {
 	fs.IntVar(&c.k, "k", 10, "factorization rank")
 	fs.IntVar(&c.p, "p", 16, "processor count (parallel algorithms)")
 	fs.StringVar(&c.grid, "grid", "auto", "hpc2d processor grid: auto (cost-model argmin over factorizations of -p) or explicit PRxPC, e.g. 4x2 (overrides -p)")
-	fs.BoolVar(&c.noOverlap, "no-overlap", false, "disable comm/compute overlap in the HPC driver (blocking baseline)")
 	fs.IntVar(&c.iters, "iters", 10, "max alternating iterations")
 	fs.Float64Var(&c.tol, "tol", 0, "early-stop tolerance on relative-error decrease (0 = off)")
 	fs.Uint64Var(&c.seed, "seed", 42, "random seed")
@@ -304,7 +302,6 @@ func buildOptions(c *cli, stdout io.Writer) (hpcnmf.Options, error) {
 		Seed:            c.seed,
 		ComputeError:    true,
 		TraceEvents:     c.trace != "",
-		NoCommOverlap:   c.noOverlap,
 		CommDeadline:    c.deadline,
 		CheckpointDir:   c.ckptDir,
 		CheckpointEvery: c.ckptEvery,

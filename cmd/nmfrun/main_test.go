@@ -141,31 +141,6 @@ func TestRunGridFlagRejectsMalformed(t *testing.T) {
 	}
 }
 
-func TestRunNoOverlapMatchesDefault(t *testing.T) {
-	ovl := runOK(t, fast("-alg", "hpc2d", "-p", "4")...)
-	blk := runOK(t, fast("-alg", "hpc2d", "-p", "4", "-no-overlap")...)
-	// Timings differ run to run, but every numeric iterate must not:
-	// the overlapped schedule is bitwise identical to the blocking one.
-	iterLines := func(s string) []string {
-		var keep []string
-		for _, ln := range strings.Split(s, "\n") {
-			if strings.Contains(ln, "iter ") {
-				keep = append(keep, ln)
-			}
-		}
-		return keep
-	}
-	a, b := iterLines(ovl), iterLines(blk)
-	if len(a) == 0 || len(a) != len(b) {
-		t.Fatalf("iterate lines differ in count: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("-no-overlap changed iterate %d: %q vs %q", i, a[i], b[i])
-		}
-	}
-}
-
 // -progress streams one JSON object per iteration, each parseable and
 // in iteration order, interleaved with the human report on stdout.
 func TestRunProgressNDJSON(t *testing.T) {

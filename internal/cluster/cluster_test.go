@@ -170,7 +170,7 @@ func fitAndWait(t *testing.T, addr, id string, seed uint64) string {
 	if err != nil {
 		t.Fatalf("fit %s via %s: %v", id, addr, err)
 	}
-	if err := waitFit(shard, job, 15*time.Second); err != nil {
+	if err := waitFit(shard, job, 15*time.Second, nil); err != nil {
 		t.Fatalf("fit %s on %s: %v", id, shard, err)
 	}
 	return shard
@@ -197,7 +197,9 @@ func submitFit(addr, id string, seed uint64) (shard, job string, err error) {
 	return shard, acc.Job, nil
 }
 
-func waitFit(shard, job string, timeout time.Duration) error {
+// waitFit polls the job until it finishes, timeout passes, or stop
+// closes (a nil stop never does); an interrupted wait is an error.
+func waitFit(shard, job string, timeout time.Duration, stop <-chan struct{}) error {
 	deadline := time.Now().Add(timeout)
 	for {
 		var info serve.JobInfo
@@ -213,7 +215,11 @@ func waitFit(shard, job string, timeout time.Duration) error {
 		if time.Now().After(deadline) {
 			return fmt.Errorf("job %s not done before deadline (last err: %v)", job, err)
 		}
-		time.Sleep(5 * time.Millisecond)
+		select {
+		case <-stop:
+			return fmt.Errorf("job %s: wait stopped", job)
+		case <-time.After(5 * time.Millisecond):
+		}
 	}
 }
 
@@ -426,8 +432,8 @@ func TestClusterKillOneInstance(t *testing.T) {
 				if err != nil {
 					continue // severed mid-submit: not committed
 				}
-				if err := waitFit(shard, job, 10*time.Second); err != nil {
-					continue // shard died before acknowledging: not committed
+				if err := waitFit(shard, job, 10*time.Second, stop); err != nil {
+					continue // shard died, or the test stopped, first: not committed
 				}
 				committed.add(id)
 			}

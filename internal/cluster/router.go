@@ -37,9 +37,6 @@ type Options struct {
 	// Replicas is the replication factor R: each model is resident on
 	// its R owners (clamped to [1, len(Peers)]).
 	Replicas int
-	// Client issues forwarded and fan-out requests; nil gets a client
-	// with a 30s timeout.
-	Client *http.Client
 	// Metrics receives cluster instrumentation; nil uses the server's
 	// registry via serve.Server.Metrics.
 	Metrics *metrics.Registry
@@ -82,10 +79,6 @@ func New(srv *serve.Server, opts Options) (*Router, error) {
 	if !topo.Contains(opts.Self) {
 		return nil, fmt.Errorf("cluster: self %q is not in the peer list %v", opts.Self, topo.Peers())
 	}
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{Timeout: 30 * time.Second}
-	}
 	log := opts.Logger
 	if log == nil {
 		log = obs.Nop()
@@ -98,7 +91,7 @@ func New(srv *serve.Server, opts Options) (*Router, error) {
 		srv:    srv,
 		topo:   topo,
 		self:   opts.Self,
-		client: client,
+		client: &http.Client{Timeout: 30 * time.Second}, // forwarded and fan-out requests
 		log:    log.With(obs.KeyComponent, "cluster"),
 		met: &clusterMetrics{
 			forwarded:     reg.Counter("cluster.forwarded"),

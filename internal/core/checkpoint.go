@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 
 	"hpcnmf/internal/mat"
+	"hpcnmf/internal/store"
 )
 
 // Checkpointing: every Options.CheckpointEvery iterations the run loop
@@ -67,58 +68,18 @@ type Checkpoint struct {
 }
 
 // WriteCheckpoint atomically replaces dir/checkpoint.bin with the
-// snapshot: the bytes are staged in a temp file in the same directory
-// and renamed over the target, so a crash mid-write can never leave a
-// torn checkpoint behind — readers see the old complete file or the
-// new complete file.
+// snapshot through store.ReplaceFile, so a crash mid-write can never
+// leave a torn checkpoint behind — readers see the old complete file
+// or the new complete file.
 func WriteCheckpoint(dir string, ck *Checkpoint) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("core: checkpoint dir: %w", err)
 	}
-	tmp, err := os.CreateTemp(dir, CheckpointFile+".tmp-")
+	err := store.ReplaceFile(dir, CheckpointFile, func(w io.Writer) error { return writeCheckpointTo(w, ck) })
 	if err != nil {
-		return fmt.Errorf("core: checkpoint temp: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := writeCheckpointTo(tmp, ck); err != nil {
-		tmp.Close()
 		return fmt.Errorf("core: writing checkpoint: %w", err)
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("core: syncing checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("core: closing checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, CheckpointFile)); err != nil {
-		return fmt.Errorf("core: committing checkpoint: %w", err)
-	}
-	// The rename is only durable once the directory entry itself is on
-	// disk: without this fsync a crash shortly after Rename can roll
-	// the directory back and lose the committed checkpoint even though
-	// the data blocks were synced.
-	if err := syncDir(dir); err != nil {
-		return fmt.Errorf("core: syncing checkpoint dir: %w", err)
-	}
 	return nil
-}
-
-// syncDir fsyncs a directory so a just-renamed entry survives a
-// crash. Filesystems that cannot sync directory handles (and Windows)
-// make this a no-op: the rename is still atomic there, just not
-// guaranteed durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	serr := d.Sync()
-	cerr := d.Close()
-	if serr != nil {
-		return nil
-	}
-	return cerr
 }
 
 // sweepStaleCheckpointTemps removes checkpoint.bin.tmp-* litter left

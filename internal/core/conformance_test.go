@@ -62,36 +62,6 @@ func TestConformanceAllGridsMatchSequential(t *testing.T) {
 	}
 }
 
-// TestConformanceGridsAgreeAcrossOverlapModes re-runs a ragged grid
-// per update rule with overlap disabled: the blocking schedule must
-// be bitwise identical to the overlapped default, grid by grid.
-func TestConformanceGridsAgreeAcrossOverlapModes(t *testing.T) {
-	const m, n, k = 48, 40, 4
-	a := WrapDense(lowRankDense(m, n, k, 0.02, 3))
-	for _, solver := range conformanceSolvers {
-		t.Run(solver.String(), func(t *testing.T) {
-			for _, g := range []grid.Grid{{PR: 2, PC: 3}, {PR: 3, PC: 2}, {PR: 2, PC: 2}} {
-				opts := Options{K: k, MaxIter: 4, Seed: 11, Solver: solver}
-				ovl, err := RunHPC(a, g, opts)
-				if err != nil {
-					t.Fatalf("overlap %dx%d: %v", g.PR, g.PC, err)
-				}
-				opts.NoCommOverlap = true
-				blk, err := RunHPC(a, g, opts)
-				if err != nil {
-					t.Fatalf("blocking %dx%d: %v", g.PR, g.PC, err)
-				}
-				if d := ovl.W.MaxDiff(blk.W); d != 0 {
-					t.Errorf("grid %dx%d: overlap changed W by %g (want bitwise equal)", g.PR, g.PC, d)
-				}
-				if d := ovl.H.MaxDiff(blk.H); d != 0 {
-					t.Errorf("grid %dx%d: overlap changed H by %g (want bitwise equal)", g.PR, g.PC, d)
-				}
-			}
-		})
-	}
-}
-
 // TestRunParallelAutoRecordsModeledPick: the autotuned entry point
 // must run on the cost model's argmin grid and record the choice and
 // its forecast on the Result.

@@ -324,41 +324,6 @@ func totalWords(r *Result) int64 {
 	return s
 }
 
-// TestCommChunkEquivalence: the blocked collective pipeline (§5
-// memory/latency trade) must compute identical factors, move the same
-// number of words, and multiply the message count.
-func TestCommChunkEquivalence(t *testing.T) {
-	a := WrapDense(lowRankDense(32, 24, 8, 0.05, 127))
-	base := testOpts(8)
-	base.MaxIter = 3
-	plain, err := RunHPC(a, grid.New(2, 2), base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chunked := base
-	chunked.CommChunk = 3 // 8 columns -> chunks of 3,3,2
-	blocked, err := RunHPC(a, grid.New(2, 2), chunked)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := blocked.W.MaxDiff(plain.W); d > 1e-12 {
-		t.Fatalf("blocking changed W by %g", d)
-	}
-	if d := blocked.H.MaxDiff(plain.H); d > 1e-12 {
-		t.Fatalf("blocking changed H by %g", d)
-	}
-	for _, task := range []perf.Task{perf.TaskAllGather, perf.TaskReduceScatter} {
-		if blocked.Breakdown.Words[task] != plain.Breakdown.Words[task] {
-			t.Fatalf("%s words changed: %d vs %d", task,
-				blocked.Breakdown.Words[task], plain.Breakdown.Words[task])
-		}
-		if blocked.Breakdown.Msgs[task] != 3*plain.Breakdown.Msgs[task] {
-			t.Fatalf("%s msgs = %d, want 3x%d", task,
-				blocked.Breakdown.Msgs[task], plain.Breakdown.Msgs[task])
-		}
-	}
-}
-
 // TestParallelRunsAreDeterministic: two executions of the same
 // parallel configuration must produce bitwise-identical factors —
 // goroutine scheduling must not leak into the numerics.

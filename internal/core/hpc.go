@@ -55,76 +55,51 @@ func RunParallelAuto(a Matrix, p int, opts Options) (*Result, error) {
 // side-agnostic — halfStep below is the single communication schedule
 // every updater runs under.
 type factorSide struct {
-	gatherComm   *mpi.Comm  // panel all-gathers run here
-	reduceComm   *mpi.Comm  // product reduce-scatters run here
-	gatherCounts []int      // per-member factor rows in the panel
-	reduceCounts []int      // per-member product rows after the scatter
-	panelRows    int        // rows of the assembled panel
-	gramRows     int        // local vectors feeding the Gram (flop accounting)
-	localGram    *mat.Dense // k×k local Gram contribution
-	outRows      int        // rows of this rank's scattered product
-	out          *mat.Dense // outRows×k product accumulator
+	gatherComm  *mpi.Comm  // panel all-gathers run here
+	reduceComm  *mpi.Comm  // product reduce-scatters run here
+	gatherWords []int      // per-member words of the panel (rows·k)
+	reduceWords []int      // per-member words of the scattered product (rows·k)
+	panelRows   int        // rows of the assembled panel
+	gramRows    int        // local vectors feeding the Gram (flop accounting)
+	localGram   *mat.Dense // k×k local Gram contribution
+	outRows     int        // rows of this rank's scattered product
 
 	// gram fills localGram from the local factor block.
 	gram func()
-	// sendChunk returns factor columns [c0,c1) in the gather layout.
-	sendChunk func(c0, c1 int) []float64
-	// multiply returns the local A·panel product chunk in the reduce
-	// layout, drawn from the rank workspace (halfStep puts it back),
-	// timing its kernel under TaskMM.
-	multiply func(panel *mat.Dense, kc int) *mat.Dense
+	// send returns the local factor block in the gather layout.
+	send func() []float64
+	// multiply returns the local A·panel product in the reduce layout,
+	// drawn from the rank workspace (halfStep puts it back), timing its
+	// kernel under TaskMM.
+	multiply func(panel *mat.Dense) *mat.Dense
 }
 
-// halfStep executes one half of Algorithm 3 over a side's geometry and
-// returns the all-reduced k×k Gram (lines 3-7 / 9-13): post the first
-// panel chunk as a nonblocking all-gather so its rounds progress
-// behind the local Gram product (overlap on), wait out the remainder,
-// all-reduce the Gram, then pipeline the panel chunks through
-// all-gather → local multiply → reduce-scatter into side.out —
-// optionally blocked into column chunks (§5 memory/latency trade;
-// Options.CommChunk). The payloads and schedule are identical with
-// overlap on or off and for any chunking, so results are bitwise
-// equal either way.
-func (r *hpcLayout) halfStep(s *factorSide) *mat.Dense {
-	kc0 := min(r.chunk, r.k)
-	var ag *mpi.Request
-	if r.overlap {
-		ag = s.gatherComm.IAllGatherV(s.sendChunk(0, kc0), grid.ScaleCounts(s.gatherCounts, kc0))
-	}
+// halfStep executes one half of Algorithm 3 over a side's geometry
+// (lines 3-7 / 9-13) and returns the all-reduced k×k Gram and this
+// rank's outRows×k share of the data product. The factor panel is
+// posted as one nonblocking all-gather so its rounds progress behind
+// the local Gram product (the PL-NMF overlap); the rank then waits out
+// the remainder, all-reduces the Gram, multiplies and reduce-scatters.
+func (r *hpcLayout) halfStep(s *factorSide) (gram, product *mat.Dense) {
+	ag := s.gatherComm.IAllGatherV(s.send(), s.gatherWords)
 	ps := r.led.Start(perf.TaskGram)
 	s.gram()
 	r.led.Stop(ps, gramFlops(s.gramRows, r.k))
 
-	var panel0 *mat.Dense
-	if ag != nil {
-		ps = r.led.Start(perf.TaskAllGather)
-		panel0 = &mat.Dense{Rows: s.panelRows, Cols: kc0, Data: ag.Wait()}
-		r.led.Stop(ps, 0)
-	}
-
-	ps = r.led.Start(perf.TaskAllReduce)
-	gram := &mat.Dense{Rows: r.k, Cols: r.k, Data: r.c.AllReduce(s.localGram.Data)}
+	ps = r.led.Start(perf.TaskAllGather)
+	panel := &mat.Dense{Rows: s.panelRows, Cols: r.k, Data: ag.Wait()}
 	r.led.Stop(ps, 0)
 
-	for c0 := 0; c0 < r.k; c0 += r.chunk {
-		c1 := min(c0+r.chunk, r.k)
-		kc := c1 - c0
-		panel := panel0 // prefetched during the Gram product
-		if c0 > 0 || panel == nil {
-			ps = r.led.Start(perf.TaskAllGather)
-			panel = &mat.Dense{Rows: s.panelRows, Cols: kc, Data: s.gatherComm.AllGatherV(
-				s.sendChunk(c0, c1), grid.ScaleCounts(s.gatherCounts, kc))}
-			r.led.Stop(ps, 0)
-		}
-		prod := s.multiply(panel, kc)
-		ps = r.led.Start(perf.TaskReduceScatter)
-		got := &mat.Dense{Rows: s.outRows, Cols: kc, Data: s.reduceComm.ReduceScatter(
-			prod.Data, grid.ScaleCounts(s.reduceCounts, kc))}
-		r.led.Stop(ps, 0)
-		r.ws.Put(prod)
-		s.out.SetSubmatrix(0, c0, got)
-	}
-	return gram
+	ps = r.led.Start(perf.TaskAllReduce)
+	gram = &mat.Dense{Rows: r.k, Cols: r.k, Data: r.c.AllReduce(s.localGram.Data)}
+	r.led.Stop(ps, 0)
+
+	prod := s.multiply(panel)
+	ps = r.led.Start(perf.TaskReduceScatter)
+	product = &mat.Dense{Rows: s.outRows, Cols: r.k, Data: s.reduceComm.ReduceScatter(prod.Data, s.reduceWords)}
+	r.led.Stop(ps, 0)
+	r.ws.Put(prod)
+	return gram, product
 }
 
 // RunHPC executes HPC-NMF (Algorithm 3) on a pr×pc processor grid.
@@ -186,13 +161,11 @@ func RunCandidate(a Matrix, c costmodel.GridCandidate, opts Options) (*Result, e
 // runs over them.
 type hpcLayout struct {
 	*rankState
-	m, n    int
-	g       grid.Grid
-	chunk   int
-	overlap bool
+	m, n int
+	g    grid.Grid
 
 	wSide, hSide *factorSide
-	wta          *mat.Dense // hSide.out transposed: the H-solve RHS, k×cols
+	wta          *mat.Dense // the H side's product transposed: the H-solve RHS, k×cols
 }
 
 func newHPCLayout(s *rankState, a Matrix, g grid.Grid) *hpcLayout {
@@ -218,22 +191,16 @@ func newHPCLayout(s *rankState, a Matrix, g grid.Grid) *hpcLayout {
 	rowComm := s.c.Sub(g.RowMembers(gi))
 	colComm := s.c.Sub(g.ColMembers(gj))
 
-	// Row counts for the v-variant collectives (scaled by the chunk
-	// width at each call).
-	hRowCounts := grid.BlockCounts(nj, g.PR)
-	wRowCounts := grid.BlockCounts(mi, g.PC)
+	// Word counts for the v-variant collectives: k words per factor row.
+	hWords := grid.ScaleCounts(grid.BlockCounts(nj, g.PR), k)
+	wWords := grid.ScaleCounts(grid.BlockCounts(mi, g.PC), k)
 
 	l := &hpcLayout{
 		rankState: s,
 		m:         m,
 		n:         n,
 		g:         g,
-		chunk:     s.opts.CommChunk,
-		overlap:   !s.opts.NoCommOverlap,
 		wta:       mat.NewDense(k, hHi-hLo),
-	}
-	if l.chunk <= 0 || l.chunk > k {
-		l.chunk = k
 	}
 	uij := mat.NewDense(k, k) // (Hj)i·(Hj)iᵀ
 	xij := mat.NewDense(k, k) // (Wi)jᵀ·(Wi)j
@@ -243,46 +210,43 @@ func newHPCLayout(s *rankState, a Matrix, g grid.Grid) *hpcLayout {
 	// scatters A·Hᵀ rows across the processor row (lines 3-8); the
 	// H half mirrors it (lines 9-14). Everything else about the
 	// schedule is shared — see halfStep.
+	mmFlops := 2 * int64(aij.NNZ()) * int64(k)
 	l.wSide = &factorSide{
-		gatherComm:   colComm,
-		reduceComm:   rowComm,
-		gatherCounts: hRowCounts,
-		reduceCounts: wRowCounts,
-		panelRows:    nj,
-		gramRows:     hHi - hLo,
-		localGram:    uij,
-		outRows:      wHi - wLo,
-		out:          mat.NewDense(wHi-wLo, k),                        // this rank's rows of A·Hᵀ
-		gram:         func() { mat.ParGramTToWS(uij, hij, pool, ws) }, // line 3: Uij = (Hj)i·(Hj)iᵀ
-		sendChunk: func(c0, c1 int) []float64 {
-			return hij.Submatrix(c0, c1, 0, hHi-hLo).T().Data
-		},
-		multiply: func(panel *mat.Dense, kc int) *mat.Dense {
+		gatherComm:  colComm,
+		reduceComm:  rowComm,
+		gatherWords: hWords,
+		reduceWords: wWords,
+		panelRows:   nj,
+		gramRows:    hHi - hLo,
+		localGram:   uij,
+		outRows:     wHi - wLo,                                       // this rank's rows of A·Hᵀ
+		gram:        func() { mat.ParGramTToWS(uij, hij, pool, ws) }, // line 3: Uij = (Hj)i·(Hj)iᵀ
+		send:        func() []float64 { return hij.T().Data },
+		multiply: func(panel *mat.Dense) *mat.Dense {
 			ps := led.Start(perf.TaskMM)
-			vij := ws.Get(mi, kc)
-			mulBtInto(vij, aij, panel, ws, pool) // Vij columns, mi×kc
-			led.Stop(ps, 2*int64(aij.NNZ())*int64(kc))
+			vij := ws.Get(mi, k)
+			mulBtInto(vij, aij, panel, ws, pool) // Vij, mi×k
+			led.Stop(ps, mmFlops)
 			return vij
 		},
 	}
 	l.hSide = &factorSide{
-		gatherComm:   rowComm,
-		reduceComm:   colComm,
-		gatherCounts: wRowCounts,
-		reduceCounts: hRowCounts,
-		panelRows:    mi,
-		gramRows:     wHi - wLo,
-		localGram:    xij,
-		outRows:      hHi - hLo,
-		out:          mat.NewDense(hHi-hLo, k),                 // this rank's columns of Wᵀ·A, transposed
-		gram:         func() { mat.ParGramTo(xij, wij, pool) }, // line 9: Xij = (Wi)jᵀ·(Wi)j
-		sendChunk:    func(c0, c1 int) []float64 { return wij.SubmatrixCols(c0, c1).Data },
-		multiply: func(panel *mat.Dense, kc int) *mat.Dense {
+		gatherComm:  rowComm,
+		reduceComm:  colComm,
+		gatherWords: wWords,
+		reduceWords: hWords,
+		panelRows:   mi,
+		gramRows:    wHi - wLo,
+		localGram:   xij,
+		outRows:     hHi - hLo,                                // this rank's columns of Wᵀ·A, transposed
+		gram:        func() { mat.ParGramTo(xij, wij, pool) }, // line 9: Xij = (Wi)jᵀ·(Wi)j
+		send:        func() []float64 { return wij.Data },
+		multiply: func(panel *mat.Dense) *mat.Dense {
 			ps := led.Start(perf.TaskMM)
-			yij := ws.Get(kc, nj)
-			mulAtBInto(yij, aij, panel, ws, pool) // Yij rows, kc×nj
-			led.Stop(ps, 2*int64(aij.NNZ())*int64(kc))
-			yijT := ws.Get(nj, kc)
+			yij := ws.Get(k, nj)
+			mulAtBInto(yij, aij, panel, ws, pool) // Yij, k×nj
+			led.Stop(ps, mmFlops)
+			yijT := ws.Get(nj, k)
 			yij.TTo(yijT) // reduce layout; transpose outside the MM clock
 			ws.Put(yij)
 			return yijT
@@ -297,13 +261,14 @@ func newHPCLayout(s *rankState, a Matrix, g grid.Grid) *hpcLayout {
 // wHalf is Algorithm 3, lines 3-8: HHᵀ and this rank's A·Hᵀ rows,
 // then the update of (Wi)j.
 func (l *hpcLayout) wHalf() error {
-	return l.updateW(l.halfStep(l.wSide), l.wSide.out, l.w)
+	hht, aht := l.halfStep(l.wSide)
+	return l.updateW(hht, aht, l.w)
 }
 
 // hHalf is Algorithm 3, lines 9-13: WᵀW and this rank's WᵀA columns.
 func (l *hpcLayout) hHalf() (*mat.Dense, *mat.Dense) {
-	wtw := l.halfStep(l.hSide)
-	l.hSide.out.TTo(l.wta)
+	wtw, atw := l.halfStep(l.hSide)
+	atw.TTo(l.wta)
 	return wtw, l.wta
 }
 

@@ -70,18 +70,12 @@ func (b *rankBooks) observeNLS(st nnls.Stats) {
 }
 
 // newTraceSession creates the run's trace session when enabled, or
-// returns nil. When the options carry a request span context every
-// rank tracer is rooted under it, so the run's iteration and
-// collective spans join the caller's causal chain.
+// returns nil.
 func newTraceSession(opts Options, ranks int) *trace.Session {
 	if !opts.TraceEvents {
 		return nil
 	}
-	s := trace.NewSession(ranks, trace.DefaultCapacity)
-	if opts.Span.Valid() {
-		s.SetRoot(opts.Span)
-	}
-	return s
+	return trace.NewSession(ranks, trace.DefaultCapacity)
 }
 
 // Progress is one iteration's convergence-telemetry record: how far

@@ -151,8 +151,10 @@ func RunOutOfCore(f *ooc.File, depth int, opts Options) (*Result, error) {
 		st := res.OOC
 		reg.Counter("nmf.ooc.tiles_loaded").Add(st.TilesLoaded)
 		reg.Counter("nmf.ooc.bytes_loaded").Add(st.BytesLoaded)
-		reg.Counter("nmf.ooc.load_ns").Add(int64(st.LoadSeconds * 1e9))
-		reg.Counter("nmf.ooc.wait_ns").Add(int64(st.WaitSeconds * 1e9))
+		// Round, not truncate: ns → seconds → ns can land a hair under
+		// the integer, and wait_ns must equal the ledger's TileWait.
+		reg.Counter("nmf.ooc.load_ns").Add(int64(st.LoadSeconds*1e9 + 0.5))
+		reg.Counter("nmf.ooc.wait_ns").Add(int64(st.WaitSeconds*1e9 + 0.5))
 		reg.Gauge("nmf.ooc.hidden_fraction").Set(st.HiddenFraction)
 	}
 	return res, nil

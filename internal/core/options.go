@@ -127,25 +127,6 @@ type Options struct {
 	// It adds a small all-reduce per iteration (the "global
 	// aggregation for residual" of §5) plus one local Gram product.
 	ComputeError bool
-	// CommChunk blocks the all-gather + local-multiply +
-	// reduce-scatter pipeline of HPC-NMF into column chunks of at
-	// most CommChunk of the k factor columns, trading latency
-	// (×⌈k/CommChunk⌉ messages) for temporary memory (the paper's §5
-	// "Memory Requirements" remark: "the computation of ((AHᵀ)i)j …
-	// can be blocked, decreasing the local memory requirements at the
-	// expense of greater latency costs"). 0 disables blocking.
-	// Results are identical with or without blocking.
-	CommChunk int
-	// NoCommOverlap disables communication/compute overlap in the HPC
-	// driver. By default (zero value) each factor exchange posts its
-	// first all-gather chunk as a nonblocking collective before the
-	// local Gram product, so the collective's rounds progress behind
-	// the compute and the rank only waits out the remainder (the
-	// PL-NMF overlap optimization). Setting it forces the fully
-	// blocking schedule — the ablation baseline the overlap-efficiency
-	// counters are compared against. Results are bitwise identical
-	// either way.
-	NoCommOverlap bool
 	// InitW and InitH supply explicit initial factors (m×K and K×n)
 	// instead of the default element-addressed random init — e.g. the
 	// output of NNDSVD. The parallel algorithms slice the provided
@@ -179,12 +160,6 @@ type Options struct {
 	// so it must be fast and must not call back into the run. The full
 	// series is also collected into Result.Progress.
 	Progress func(Progress)
-	// Span parents the run's trace spans under an external
-	// request-scoped span (e.g. an HTTP request): every rank tracer is
-	// rooted at it, so a Perfetto export shows the run inside the
-	// caller's causal chain. Zero value means no external parent.
-	// Only meaningful with TraceEvents.
-	Span trace.SpanContext
 	// Metrics, when non-nil, receives run instrumentation: collective
 	// latency histograms and per-rank traffic from the mpi runtime,
 	// NLS inner-iteration counts, and the per-iteration relative

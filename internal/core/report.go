@@ -56,7 +56,6 @@ type ReportOptions struct {
 	Sweeps       int     `json:"sweeps"`
 	Seed         uint64  `json:"seed"`
 	ComputeError bool    `json:"compute_error"`
-	CommChunk    int     `json:"comm_chunk,omitempty"`
 	L2W          float64 `json:"l2w,omitempty"`
 	L1W          float64 `json:"l1w,omitempty"`
 	L2H          float64 `json:"l2h,omitempty"`
@@ -152,7 +151,6 @@ func NewReport(ds DatasetInfo, p int, opts Options, res *Result, tracePath strin
 			Sweeps:       opts.Sweeps,
 			Seed:         opts.Seed,
 			ComputeError: opts.ComputeError,
-			CommChunk:    opts.CommChunk,
 			L2W:          opts.L2W,
 			L1W:          opts.L1W,
 			L2H:          opts.L2H,

@@ -273,6 +273,49 @@ func TestRunLoopContract(t *testing.T) {
 	}
 }
 
+// TestObjectiveNeverIncreases is the descent property every built-in
+// updater promises, asserted through every layout rather than only
+// against our own reference loops: BPP and active-set solve each
+// subproblem exactly, MU, HALS and PGD take descent steps on it, so
+// the relative error never rises from one iteration to the next — on
+// an easy problem and on two that stop far above zero error — and the
+// factors stay nonnegative and finite.
+func TestObjectiveNeverIncreases(t *testing.T) {
+	const iters = 60
+	shapes := []struct {
+		m, n, k int
+		noise   float64
+	}{{40, 36, 3, 0.01}, {40, 36, 5, 0.3}, {64, 48, 8, 0.5}}
+	for i, sh := range shapes {
+		d := lowRankDense(sh.m, sh.n, sh.k, sh.noise, uint64(41+i))
+		for _, ep := range entryPoints(t, d) {
+			for solver := SolverBPP; solver <= SolverPGD; solver++ {
+				for _, sweeps := range []int{1, 3} {
+					name := fmt.Sprintf("%dx%d k=%d/%s/%v sweeps=%d", sh.m, sh.n, sh.k, ep.name, solver, sweeps)
+					res, err := ep.run(Options{K: sh.k, MaxIter: iters, Seed: 13, Solver: solver, Sweeps: sweeps, ComputeError: true})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if len(res.RelErr) != iters {
+						t.Fatalf("%s: %d error samples, want %d", name, len(res.RelErr), iters)
+					}
+					for it := 1; it < iters; it++ {
+						if prev, e := res.RelErr[it-1], res.RelErr[it]; e > prev*(1+1e-12) {
+							t.Errorf("%s: relative error rose at iteration %d: %.17g → %.17g", name, it+1, prev, e)
+							break
+						}
+					}
+					for _, f := range []*mat.Dense{res.W, res.H} {
+						if !f.IsFinite() || f.Min() < 0 {
+							t.Errorf("%s: a factor is negative or non-finite (min %g)", name, f.Min())
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // normTrap is a Matrix whose norm nobody may ask for.
 type normTrap struct {
 	Matrix

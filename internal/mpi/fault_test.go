@@ -118,7 +118,7 @@ func TestDelayInjectionIsHarmless(t *testing.T) {
 
 func TestRecvDeadlineIsTyped(t *testing.T) {
 	w := NewWorld(2)
-	w.SetRecvTimeout(50 * time.Millisecond)
+	w.SetDeadline(50 * time.Millisecond)
 	failure := runExpectingFailure(t, w, func(c *Comm) {
 		if c.Rank() == 0 {
 			c.Recv(1, 7) // rank 1 never sends: a mismatched schedule
@@ -137,7 +137,7 @@ func TestRecvDeadlineIsTyped(t *testing.T) {
 
 func TestSendDeadlineIsTyped(t *testing.T) {
 	w := NewWorld(2)
-	w.SetSendTimeout(50 * time.Millisecond)
+	w.SetDeadline(50 * time.Millisecond)
 	failure := runExpectingFailure(t, w, func(c *Comm) {
 		if c.Rank() == 0 {
 			// Overrun the link buffer against a receiver that never

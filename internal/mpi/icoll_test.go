@@ -226,7 +226,7 @@ func TestNonblockingPanicInScheduleSurfaces(t *testing.T) {
 		}
 	}()
 	w := NewWorld(2)
-	w.SetRecvTimeout(200 * time.Millisecond)
+	w.SetDeadline(200 * time.Millisecond)
 	w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
 			c.IAllGatherV([]float64{1}, []int{1, 1}).Wait()

@@ -532,7 +532,7 @@ func TestMismatchedScheduleDetected(t *testing.T) {
 		}
 	}()
 	w := NewWorld(2)
-	w.SetRecvTimeout(200 * time.Millisecond)
+	w.SetDeadline(200 * time.Millisecond)
 	w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
 			c.Bcast(0, []float64{1})

@@ -52,13 +52,12 @@ type World struct {
 	// abort is closed; survivors read it only after observing the
 	// close, so the write is ordered before every read.
 	failure *RankFailedError
-	// recvTimeout bounds how long a receive may block before the
-	// runtime declares a deadlock (a mismatched collective schedule,
-	// the failure mode MPI surfaces as a hang). Zero disables.
-	recvTimeout time.Duration
-	// sendTimeout bounds a blocked send the same way (a send only
-	// blocks when the receiving rank has stopped draining its links).
-	sendTimeout time.Duration
+	// deadline bounds how long a receive may block before the runtime
+	// declares a deadlock (a mismatched collective schedule, the
+	// failure mode MPI surfaces as a hang), and a blocked send the
+	// same way (a send only blocks when the receiving rank has stopped
+	// draining its links). Zero disables.
+	deadline time.Duration
 	// fault, when non-nil, is consulted at every collective entry
 	// (see FaultFunc); the injection layer in internal/fault provides
 	// implementations. Set before Run.
@@ -103,28 +102,16 @@ func NewWorld(p int) *World {
 	for i := range w.counters {
 		w.counters[i] = NewCounters()
 	}
-	w.recvTimeout = 2 * time.Minute
-	w.sendTimeout = 2 * time.Minute
+	w.deadline = 2 * time.Minute
 	return w
 }
 
-// SetRecvTimeout adjusts the receive deadline: a receive blocking
-// longer than d fails the rank with a typed RankFailedError
+// SetDeadline sets the send and receive deadline: a send or receive
+// blocking longer than d fails the rank with a typed RankFailedError
 // (ErrDeadline) instead of hanging the process (0 disables). The
-// default is generous (2 minutes); tests that provoke deadlocks
-// deliberately set it short.
-func (w *World) SetRecvTimeout(d time.Duration) { w.recvTimeout = d }
-
-// SetSendTimeout adjusts the matching send deadline (a send blocks
-// only when the destination rank has stopped draining its links).
-func (w *World) SetSendTimeout(d time.Duration) { w.sendTimeout = d }
-
-// SetDeadline sets both the send and receive deadlines; it is the
-// single knob Options.CommDeadline maps to.
-func (w *World) SetDeadline(d time.Duration) {
-	w.recvTimeout = d
-	w.sendTimeout = d
-}
+// default is generous (2 minutes); Options.CommDeadline maps to it,
+// and tests that provoke deadlocks deliberately set it short.
+func (w *World) SetDeadline(d time.Duration) { w.deadline = d }
 
 // SetFault arms fault injection: f is consulted at every collective
 // entry on every rank (nil disarms — the default — and costs the hot
@@ -273,8 +260,8 @@ func (w *World) send(src, dst, tag int, data []float64, cat Category) {
 	// Slow path: the link buffer is full, so the destination rank has
 	// stopped draining — block with the send deadline armed.
 	var timeout <-chan time.Time
-	if w.sendTimeout > 0 {
-		timer := time.NewTimer(w.sendTimeout)
+	if w.deadline > 0 {
+		timer := time.NewTimer(w.deadline)
 		defer timer.Stop()
 		timeout = timer.C
 	}
@@ -283,7 +270,7 @@ func (w *World) send(src, dst, tag int, data []float64, cat Category) {
 	case <-w.abort:
 		w.abortPanic()
 	case <-timeout:
-		panic(deadlineError(src, fmt.Sprintf("send tag %d to rank %d", tag, dst), w.sendTimeout))
+		panic(deadlineError(src, fmt.Sprintf("send tag %d to rank %d", tag, dst), w.deadline))
 	}
 }
 
@@ -316,8 +303,8 @@ func (w *World) recv(src, dst, tag int) []float64 {
 	}
 	// Slow path: block, with the deadlock detector armed.
 	var timeout <-chan time.Time
-	if w.recvTimeout > 0 {
-		timer := time.NewTimer(w.recvTimeout)
+	if w.deadline > 0 {
+		timer := time.NewTimer(w.deadline)
 		defer timer.Stop()
 		timeout = timer.C
 	}
@@ -331,7 +318,7 @@ func (w *World) recv(src, dst, tag int) []float64 {
 		case <-w.abort:
 			w.abortPanic()
 		case <-timeout:
-			panic(deadlineError(dst, fmt.Sprintf("recv tag %d from rank %d", tag, src), w.recvTimeout))
+			panic(deadlineError(dst, fmt.Sprintf("recv tag %d from rank %d", tag, src), w.deadline))
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 
 	"hpcnmf/internal/mat"
+	"hpcnmf/internal/store"
 )
 
 // Writer streams a matrix into a tile file one row at a time, so
@@ -91,7 +92,7 @@ func (w *Writer) Close() error {
 	if err := w.f.Close(); err != nil {
 		return err
 	}
-	return syncDir(filepath.Dir(w.path))
+	return store.SyncDir(filepath.Dir(w.path))
 }
 
 // WriteMatrix writes an in-core dense matrix as a tile file.
@@ -143,22 +144,4 @@ func TileRowsForBudget(cols, depth int, budget int64) (int, error) {
 		r = int64(int(^uint(0) >> 1))
 	}
 	return int(r), nil
-}
-
-// syncDir fsyncs a directory so a just-created or just-renamed entry
-// survives a crash. Filesystems that cannot sync directories make
-// this a no-op.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	serr := d.Sync()
-	cerr := d.Close()
-	if serr != nil {
-		// Some filesystems (and all of Windows) reject fsync on a
-		// directory handle; the rename itself is still atomic there.
-		return nil
-	}
-	return cerr
 }

@@ -129,7 +129,7 @@ func (b *blockingStore) Get(id string) (*mstore.Model, error) {
 func TestRehydrating503(t *testing.T) {
 	mem := mstore.NewMemory()
 	bs := &blockingStore{ModelStore: mem, enter: make(chan struct{}), release: make(chan struct{})}
-	s := New(Options{Durable: bs, NoWarmStart: true})
+	s := New(Options{Durable: bs, WarmFilter: func(string) bool { return false }})
 	defer s.Close()
 	// Commit a model to the underlying store only (bypassing AddModel,
 	// which would also make it resident).

@@ -75,13 +75,11 @@ type Options struct {
 	// serves memory-only — eviction then loses the model, loudly.
 	Durable mstore.ModelStore
 	// WarmFilter restricts the warm-start scan: only ids it accepts
-	// are preloaded (nil preloads everything). The cluster layer uses
-	// it so each shard warms only the models it replicates; filtered
-	// models still fault in on demand if a request reaches us anyway.
+	// are preloaded (nil preloads everything, one that refuses every id
+	// nothing). The cluster layer uses it so each shard warms only the
+	// models it replicates; filtered models still fault in on demand
+	// if a request reaches us anyway.
 	WarmFilter func(id string) bool
-	// NoWarmStart skips the boot-time store scan (models still fault
-	// in lazily). For tests and very large stores.
-	NoWarmStart bool
 	// OnCommit, when set, runs after every durable model commit (fit
 	// or AddModel), outside the store locks. The cluster layer hangs
 	// replica fan-out on it.
@@ -215,7 +213,7 @@ func New(opts Options) *Server {
 	}
 	s.st = newStore(opts.StoreBudget, s.met, s.log)
 	s.jobs = newJobs(opts.FitWorkers, opts.FitQueue, s.met, s.log, s.runFit)
-	if opts.Durable != nil && !opts.NoWarmStart {
+	if opts.Durable != nil {
 		s.warmStart()
 	}
 	s.mux = http.NewServeMux()

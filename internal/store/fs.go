@@ -4,6 +4,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -98,32 +99,47 @@ func (s *FS) Put(m *Model) error {
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(s.dir, name+tmpInfix)
+	err = ReplaceFile(s.dir, name, func(w io.Writer) error {
+		_, err := w.Write(blob)
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("store: staging %q: %w", m.ID, err)
+		return fmt.Errorf("store: committing %q: %w", m.ID, err)
+	}
+	return nil
+}
+
+// ReplaceFile durably replaces dir/name with the bytes write produces:
+// they are staged in a same-directory temp file named <name>.tmp-*,
+// the file is fsynced and renamed over the target, and the directory
+// is fsynced. Readers see the old complete file or the new complete
+// file, never a torn one, and a nil return survives a crash. The temp
+// file is removed on every failure path; a crash can still leave one
+// behind, which is why the names are fixed — the owners sweep them.
+func ReplaceFile(dir, name string, write func(io.Writer) error) error {
+	tmp, err := os.CreateTemp(dir, name+tmpInfix)
+	if err != nil {
+		return err
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(blob); err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
-		return fmt.Errorf("store: writing %q: %w", m.ID, err)
+		return err
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
-		return fmt.Errorf("store: syncing %q: %w", m.ID, err)
+		return err
 	}
 	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("store: closing %q: %w", m.ID, err)
+		return err
 	}
-	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, name)); err != nil {
-		return fmt.Errorf("store: committing %q: %w", m.ID, err)
+	if err := os.Rename(tmp.Name(), filepath.Join(dir, name)); err != nil {
+		return err
 	}
 	// The rename is only durable once the directory entry is on disk;
 	// without this a crash can roll back a commit the caller was
 	// already told succeeded.
-	if err := syncDir(s.dir); err != nil {
-		return fmt.Errorf("store: syncing store dir: %w", err)
-	}
-	return nil
+	return SyncDir(dir)
 }
 
 // Get reads and validates the committed entry. A corrupt entry is
@@ -162,7 +178,7 @@ func (s *FS) Get(id string) (*Model, error) {
 // left in place and the next reader re-validates.
 func (s *FS) quarantine(path string) {
 	os.Rename(path, strings.TrimSuffix(path, modelExt)+corruptExt)
-	syncDir(s.dir)
+	SyncDir(s.dir)
 }
 
 // List scans the directory for committed entries, sorted by id. Temps,
@@ -197,13 +213,14 @@ func (s *FS) Delete(id string) error {
 		}
 		return fmt.Errorf("store: deleting %q: %w", id, err)
 	}
-	return syncDir(s.dir)
+	return SyncDir(s.dir)
 }
 
-// syncDir fsyncs a directory so a just-renamed or just-removed entry
-// survives a crash. Filesystems that cannot sync directory handles
-// make this a no-op, matching core.WriteCheckpoint.
-func syncDir(dir string) error {
+// SyncDir fsyncs a directory so a just-created, just-renamed or
+// just-removed entry survives a crash. Filesystems that cannot sync
+// directory handles (and all of Windows) make this a no-op: the rename
+// is still atomic there, just not guaranteed durable.
+func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err

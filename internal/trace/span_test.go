@@ -73,10 +73,10 @@ func TestExplicitParentAndRoot(t *testing.T) {
 	child.End()
 	req.End()
 
-	// Root stamping: spans with an empty stack inherit the root.
+	// An external root (e.g. a parsed X-Trace-Id): the span takes both
+	// its parent and its trace from the context it is begun under.
 	root := SpanContext{TraceID: 42, SpanID: 7}
-	s.Tracer(1).SetRoot(root)
-	top := s.Tracer(1).Begin(CatPhase, "rooted")
+	top := s.Tracer(1).BeginChild(root, CatPhase, "rooted")
 	top.End()
 
 	tr := s.Merge()
@@ -91,20 +91,6 @@ func TestExplicitParentAndRoot(t *testing.T) {
 	}
 	if rooted.Parent != 7 || rooted.TraceID != 42 {
 		t.Fatalf("rooted parent/trace = %d/%d, want 7/42", rooted.Parent, rooted.TraceID)
-	}
-}
-
-func TestSessionSetRootStampsAllRanks(t *testing.T) {
-	s := NewSession(3, 8)
-	root := SpanContext{TraceID: 99, SpanID: 5}
-	s.SetRoot(root)
-	for r := 0; r < 3; r++ {
-		s.Tracer(r).Begin(CatPhase, "work").End()
-	}
-	for _, e := range s.Merge().Events {
-		if e.TraceID != 99 || e.Parent != 5 {
-			t.Fatalf("rank %d event not rooted: trace=%d parent=%d", e.Rank, e.TraceID, e.Parent)
-		}
 	}
 }
 
@@ -142,8 +128,7 @@ func TestNewTraceIDNonzeroAndDistinct(t *testing.T) {
 
 func TestChromeRoundTripPreservesSpanIdentity(t *testing.T) {
 	s := NewSession(1, 16)
-	s.Tracer(0).SetRoot(SpanContext{TraceID: 0xabc, SpanID: 0})
-	outer := s.Tracer(0).Begin(CatPhase, "NLS")
+	outer := s.Tracer(0).BeginChild(SpanContext{TraceID: 0xabc}, CatPhase, "NLS")
 	s.Tracer(0).BeginLeafArg(CatMPI, "allgather", "words", 16).End()
 	outer.End()
 	orig := s.Merge()

@@ -77,9 +77,8 @@ type Tracer struct {
 	epoch time.Time
 	rank  int
 	buf   []Event
-	next  int   // next ring slot to overwrite
-	total int64 // events ever recorded (total - min(total, len(buf)) were dropped)
-	root  SpanContext
+	next  int        // next ring slot to overwrite
+	total int64      // events ever recorded (total - min(total, len(buf)) were dropped)
 	stack []openSpan // open (pushed) spans, innermost last
 }
 
@@ -87,18 +86,6 @@ type Tracer struct {
 // to, so implicit children inherit the trace ID even when their parent
 // was begun under an explicit cross-track span context.
 type openSpan struct{ id, traceID uint64 }
-
-// SetRoot stamps the tracer with a request-scoped root: spans begun
-// while no pushed span is open become children of root, and every
-// span records root's trace ID. A zero SpanContext clears the root.
-// Like all Tracer methods it must be called from the owning
-// goroutine; no-op on a nil tracer.
-func (t *Tracer) SetRoot(sc SpanContext) {
-	if t == nil {
-		return
-	}
-	t.root = sc
-}
 
 // Span is an in-flight event; call End to record it. The zero Span is
 // valid and End on it is a no-op.
@@ -126,10 +113,10 @@ func (s Span) Context() SpanContext {
 }
 
 // begin is the common span constructor: parent defaults to the
-// innermost open span, else the tracer root; push controls whether
-// the new span joins the open stack (leaf spans do not, so spans that
-// outlive later-begun siblings — nonblocking collectives — cannot
-// corrupt the nesting).
+// innermost open span, else none; push controls whether the new span
+// joins the open stack (leaf spans do not, so spans that outlive
+// later-begun siblings — nonblocking collectives — cannot corrupt the
+// nesting).
 func (t *Tracer) begin(cat, name, argName string, arg int64, parent SpanContext, explicit, push bool) Span {
 	if t == nil {
 		return Span{}
@@ -139,8 +126,6 @@ func (t *Tracer) begin(cat, name, argName string, arg int64, parent SpanContext,
 		s.parent, s.traceID = parent.SpanID, parent.TraceID
 	} else if n := len(t.stack); n > 0 {
 		s.parent, s.traceID = t.stack[n-1].id, t.stack[n-1].traceID
-	} else {
-		s.parent, s.traceID = t.root.SpanID, t.root.TraceID
 	}
 	if push {
 		s.id = nextSpanID()
@@ -268,14 +253,6 @@ func NewSession(ranks, capacity int) *Session {
 
 // Ranks returns the number of rank tracks in the session.
 func (s *Session) Ranks() int { return len(s.tracers) }
-
-// SetRoot stamps every rank tracer with the same request-scoped root
-// span context. Call before handing tracers to rank goroutines.
-func (s *Session) SetRoot(sc SpanContext) {
-	for _, t := range s.tracers {
-		t.SetRoot(sc)
-	}
-}
 
 // Tracer returns the tracer owned by the given rank.
 func (s *Session) Tracer(rank int) *Tracer { return s.tracers[rank] }

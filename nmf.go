@@ -110,10 +110,6 @@ func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
 // through Options.Progress and collected into Result.Progress.
 type Progress = core.Progress
 
-// SpanContext is the portable identity of a trace span; set
-// Options.Span to parent a run's spans under an external request.
-type SpanContext = trace.SpanContext
-
 // Report is the versioned machine-readable record of one run.
 type Report = core.Report
 
