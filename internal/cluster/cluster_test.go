@@ -18,6 +18,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -228,7 +229,7 @@ func waitFit(shard, job string, timeout time.Duration, stop <-chan struct{}) err
 // TestClusterConformance pins the forwarding transparency contract:
 // for every N×R, a /v1/project answered through any instance — owner,
 // replica, or forwarding non-owner — is byte-identical to asking the
-// primary owner directly.
+// primary owner directly, refusals of a negative entry included.
 func TestClusterConformance(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5} {
 		for _, r := range []int{1, 2} {
@@ -252,6 +253,23 @@ func TestClusterConformance(t *testing.T) {
 						}
 						if !bytes.Equal(got, want) {
 							t.Fatalf("project via %s differs from owner-direct:\n got: %s\nwant: %s", in.addr, got, want)
+						}
+					}
+					// A negative entry, as "column" or in "columns", is
+					// refused with the owner-direct 400 whichever instance
+					// takes the request.
+					neg := slices.Clone(req.Column)
+					neg[3] = -1
+					for _, bad := range []serve.ProjectRequest{{Model: id, Column: neg}, {Model: id, Columns: [][]float64{req.Column, neg}}} {
+						resp, want, err := postJSON(owner, "/v1/project", bad)
+						if err != nil || resp.StatusCode != http.StatusBadRequest {
+							t.Fatalf("owner-direct project of a negative entry: %v %s %s, want 400", err, resp.Status, want)
+						}
+						for _, in := range ins {
+							resp, got, err := postJSON(in.addr, "/v1/project", bad)
+							if err != nil || resp.StatusCode != http.StatusBadRequest || !bytes.Equal(got, want) {
+								t.Fatalf("project of a negative entry via %s: %v %s %s, want owner-direct 400 %s", in.addr, err, resp.Status, got, want)
+							}
 						}
 					}
 				}

@@ -37,9 +37,6 @@ type Options struct {
 	// Replicas is the replication factor R: each model is resident on
 	// its R owners (clamped to [1, len(Peers)]).
 	Replicas int
-	// Metrics receives cluster instrumentation; nil uses the server's
-	// registry via serve.Server.Metrics.
-	Metrics *metrics.Registry
 	// Logger receives structured routing logs; nil discards them.
 	Logger *slog.Logger
 }
@@ -83,10 +80,7 @@ func New(srv *serve.Server, opts Options) (*Router, error) {
 	if log == nil {
 		log = obs.Nop()
 	}
-	reg := opts.Metrics
-	if reg == nil {
-		reg = srv.Metrics()
-	}
+	reg := srv.Metrics() // the cluster's instruments share the server's /metrics
 	r := &Router{
 		srv:    srv,
 		topo:   topo,

@@ -279,7 +279,10 @@ func TestRunLoopContract(t *testing.T) {
 // subproblem exactly, MU, HALS and PGD take descent steps on it, so
 // the relative error never rises from one iteration to the next — on
 // an easy problem and on two that stop far above zero error — and the
-// factors stay nonnegative and finite.
+// factors stay nonnegative and finite. For the exact updaters each
+// half-step's output also meets the NNLS optimality (KKT) conditions:
+// x ≥ 0, Gx − f ≥ 0 and x ⊙ (Gx − f) = 0, the last two to a relative
+// 1e-8.
 func TestObjectiveNeverIncreases(t *testing.T) {
 	const iters = 60
 	shapes := []struct {
@@ -310,10 +313,47 @@ func TestObjectiveNeverIncreases(t *testing.T) {
 							t.Errorf("%s: a factor is negative or non-finite (min %g)", name, f.Min())
 						}
 					}
+					if (solver != SolverBPP && solver != SolverActiveSet) || sweeps != 1 {
+						continue
+					}
+					// The exact updaters solve each half-step's NNLS: H
+					// against the final W, and W against the H of the
+					// iteration before (the same run one iteration
+					// shorter).
+					if v := kktViolation(mat.Gram(res.W), mat.MulAtB(res.W, d), res.H); v > 1e-8 {
+						t.Errorf("%s: the last H half-step misses the NNLS optimality conditions by %g", name, v)
+					}
+					prev, err := ep.run(Options{K: sh.k, MaxIter: iters - 1, Seed: 13, Solver: solver, Sweeps: sweeps, ComputeError: true})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if v := kktViolation(mat.GramT(prev.H), mat.MulABt(prev.H, d), res.W.T()); v > 1e-8 {
+						t.Errorf("%s: the last W half-step misses the NNLS optimality conditions by %g", name, v)
+					}
 				}
 			}
 		}
 	}
+}
+
+// kktViolation measures how far x is from solving min ½xᵀGx − fᵀx over
+// x ≥ 0, column by column: the largest of a negative or NaN entry
+// (+Inf), a gradient Gx − f below zero and a product x ⊙ (Gx − f) away
+// from zero, the gradient in units of the size of Gx and f and the
+// product in those units times the largest x.
+func kktViolation(g, f, x *mat.Dense) float64 {
+	grad := mat.Mul(g, x)
+	xmax := max(x.Max(), -x.Min())
+	scale := max(g.Max(), -g.Min())*xmax + max(f.Max(), -f.Min())
+	v := 0.0
+	for i, xi := range x.Data {
+		if !(xi >= 0) {
+			return math.Inf(1)
+		}
+		gi := (grad.Data[i] - f.Data[i]) / scale
+		v = max(v, -gi, math.Abs(xi*gi)/xmax)
+	}
+	return v
 }
 
 // normTrap is a Matrix whose norm nobody may ask for.

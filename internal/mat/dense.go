@@ -182,52 +182,6 @@ func (a *Dense) SetSubmatrix(r0, c0 int, b *Dense) {
 	}
 }
 
-// StackRows vertically concatenates the given matrices.
-func StackRows(blocks ...*Dense) *Dense {
-	if len(blocks) == 0 {
-		return NewDense(0, 0)
-	}
-	cols := blocks[0].Cols
-	rows := 0
-	for _, b := range blocks {
-		if b.Cols != cols {
-			panic("mat: StackRows column mismatch")
-		}
-		rows += b.Rows
-	}
-	out := NewDense(rows, cols)
-	at := 0
-	for _, b := range blocks {
-		copy(out.Data[at:at+len(b.Data)], b.Data)
-		at += len(b.Data)
-	}
-	return out
-}
-
-// StackCols horizontally concatenates the given matrices.
-func StackCols(blocks ...*Dense) *Dense {
-	if len(blocks) == 0 {
-		return NewDense(0, 0)
-	}
-	rows := blocks[0].Rows
-	cols := 0
-	for _, b := range blocks {
-		if b.Rows != rows {
-			panic("mat: StackCols row mismatch")
-		}
-		cols += b.Cols
-	}
-	out := NewDense(rows, cols)
-	at := 0
-	for _, b := range blocks {
-		for i := 0; i < rows; i++ {
-			copy(out.Row(i)[at:at+b.Cols], b.Row(i))
-		}
-		at += b.Cols
-	}
-	return out
-}
-
 // Scale multiplies every entry by s in place.
 func (a *Dense) Scale(s float64) {
 	for i := range a.Data {

@@ -2,39 +2,14 @@ package mpi
 
 import "fmt"
 
-// Op is a reduction operator applied elementwise.
-type Op int
-
-const (
-	OpSum Op = iota
-	OpMax
-	OpMin
-)
-
-// apply folds src into dst elementwise under the operator.
-func (op Op) apply(dst, src []float64) {
+// addInto folds src into dst elementwise: the one reduction the
+// collectives perform.
+func addInto(dst, src []float64) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("mpi: reduction length mismatch %d vs %d", len(dst), len(src)))
 	}
-	switch op {
-	case OpSum:
-		for i, v := range src {
-			dst[i] += v
-		}
-	case OpMax:
-		for i, v := range src {
-			if v > dst[i] {
-				dst[i] = v
-			}
-		}
-	case OpMin:
-		for i, v := range src {
-			if v < dst[i] {
-				dst[i] = v
-			}
-		}
-	default:
-		panic("mpi: unknown reduction op")
+	for i, v := range src {
+		dst[i] += v
 	}
 }
 
@@ -73,34 +48,19 @@ func (c *Comm) Bcast(root int, data []float64) []float64 {
 	return data
 }
 
-// Reduce combines data from all ranks with op, leaving the result on
-// root (binomial tree, ⌈log₂ p⌉ rounds). Root returns the reduced
-// vector; other ranks return nil.
-func (c *Comm) Reduce(root int, data []float64, op Op) []float64 {
-	ev := c.beginColl(CatReduce, len(data))
-	defer ev.end()
-	return c.reduce(root, data, op, CatReduce)
-}
-
-func (c *Comm) reduce(root int, data []float64, op Op, cat Category) []float64 {
+// reduce sums data onto rank 0 (binomial tree, ⌈log₂ p⌉ rounds): rank
+// 0 returns the sum, every other rank nil.
+func (c *Comm) reduce(data []float64, cat Category) []float64 {
 	base := c.opBase()
-	p := c.Size()
-	if root < 0 || root >= p {
-		panic(fmt.Sprintf("mpi: Reduce root %d of %d", root, p))
-	}
-	rel := (c.rank - root + p) % p
 	acc := make([]float64, len(data))
 	copy(acc, data)
-	for mask := 1; mask < p; mask <<= 1 {
-		if rel&mask == 0 {
-			partnerRel := rel | mask
-			if partnerRel < p {
-				src := (partnerRel + root) % p
-				op.apply(acc, c.recv(src, base+mask))
+	for mask := 1; mask < c.Size(); mask <<= 1 {
+		if c.rank&mask == 0 {
+			if src := c.rank | mask; src < c.Size() {
+				addInto(acc, c.recv(src, base+mask))
 			}
 		} else {
-			dst := ((rel ^ mask) + root) % p
-			c.send(dst, base+mask, acc, cat)
+			c.send(c.rank^mask, base+mask, acc, cat)
 			return nil
 		}
 	}
@@ -115,11 +75,6 @@ func (c *Comm) reduce(root int, data []float64, op Op, cat Category) []float64 {
 // a binomial reduce + broadcast (same latency, slightly more
 // bandwidth).
 func (c *Comm) AllReduce(data []float64) []float64 {
-	return c.AllReduceOp(data, OpSum)
-}
-
-// AllReduceOp is AllReduce with an explicit reduction operator.
-func (c *Comm) AllReduceOp(data []float64, op Op) []float64 {
 	ev := c.beginColl(CatAllReduce, len(data))
 	defer ev.end()
 	p := c.Size()
@@ -128,12 +83,12 @@ func (c *Comm) AllReduceOp(data []float64, op Op) []float64 {
 		copy(out, data)
 		return out
 	}
-	if op == OpSum && isPow2(p) && len(data) >= p {
+	if isPow2(p) && len(data) >= p {
 		counts := splitCounts(len(data), p)
 		mine := c.reduceScatterRecursiveHalving(c.opBase(), data, counts, CatAllReduce)
 		return c.allGatherRecursiveDoubling(c.opBase(), mine, counts, CatAllReduce)
 	}
-	red := c.reduce(0, data, op, CatAllReduce)
+	red := c.reduce(data, CatAllReduce)
 	// Broadcast the result from rank 0; charge to AllReduce.
 	base := c.opBase()
 	rel := c.rank
@@ -331,7 +286,7 @@ func (c *Comm) reduceScatterRecursiveHalving(base int, data []float64, counts []
 		c.send(partner, base+dist, buf[offsets[sendLo]:blockEnd(offsets, counts, sendHi-1)], cat)
 		got := c.recv(partner, base+dist)
 		seg := buf[offsets[keepLo]:blockEnd(offsets, counts, keepHi-1)]
-		OpSum.apply(seg, got)
+		addInto(seg, got)
 		lo, hi = keepLo, keepHi
 	}
 	out := make([]float64, counts[c.rank])
@@ -350,15 +305,9 @@ func (c *Comm) reduceScatterPairwise(base int, data []float64, counts []int, cat
 		dst := (c.rank + s) % p
 		src := (c.rank - s + p) % p
 		c.send(dst, base+s, data[offsets[dst]:offsets[dst]+counts[dst]], cat)
-		OpSum.apply(out, c.recv(src, base+s))
+		addInto(out, c.recv(src, base+s))
 	}
 	return out
-}
-
-// Gather collects equal-length contributions on root, concatenated in
-// rank order; other ranks return nil.
-func (c *Comm) Gather(root int, data []float64) []float64 {
-	return c.GatherV(root, data, uniformCounts(c.Size(), len(data)))
 }
 
 // GatherV collects variable-length contributions on root (linear
@@ -401,31 +350,6 @@ func (c *Comm) gatherV(root int, data []float64, counts []int, cat Category) []f
 		copy(out[offsets[r]:offsets[r]+counts[r]], got)
 	}
 	return out
-}
-
-// ScatterV distributes segments of root's data: rank i receives
-// counts[i] words. Non-roots pass nil data.
-func (c *Comm) ScatterV(root int, data []float64, counts []int) []float64 {
-	ev := c.beginColl(CatScatter, len(data))
-	defer ev.end()
-	base := c.opBase()
-	p := c.Size()
-	offsets, total := offsetsOf(counts)
-	if c.rank == root {
-		if len(data) != total {
-			panic(fmt.Sprintf("mpi: ScatterV data length %d != total counts %d", len(data), total))
-		}
-		for r := 0; r < p; r++ {
-			if r == root {
-				continue
-			}
-			c.send(r, base, data[offsets[r]:offsets[r]+counts[r]], CatScatter)
-		}
-		out := make([]float64, counts[root])
-		copy(out, data[offsets[root]:offsets[root]+counts[root]])
-		return out
-	}
-	return c.recv(root, base)
 }
 
 // blockEnd returns the end offset of block b (offsets[b] + counts[b]).

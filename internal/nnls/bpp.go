@@ -27,6 +27,9 @@ var ErrNotConverged = errors.New("nnls: solver did not converge within the itera
 // Columns sharing a passive set are solved together off one Cholesky
 // factorization (the Grouping flag), the optimization that makes BPP
 // competitive for the many-right-hand-side problems NMF generates.
+// Groups of up to four columns — nearly all of them on sparse inputs —
+// are solved instead one column per lane, four independent systems at
+// a time (see solveRound).
 //
 // Columns are independent, so the r columns are cut into chunks of
 // bppChunk columns and each chunk is copied into column-contiguous
@@ -35,13 +38,15 @@ var ErrNotConverged = errors.New("nnls: solver did not converge within the itera
 // shared counter (one bppState per worker slot, kept on the instance);
 // with no pool the chunks run inline. A column's arithmetic depends
 // only on G, its own right-hand side and its own passive pattern — the
-// Cholesky of G[P,P] is the group's, and the substitution subtracts
-// the same products from a column in the same order whether it runs
-// down that column alone or across a wide group's rows (see
-// mat.CholSolveInto) — so X is bitwise independent of the pool width,
-// of which worker takes which chunk, of the chunk width and of the
-// group width. Stats (see its fields) sums Flops, Groups and
-// ColumnRounds over the chunks.
+// Cholesky of G[P,P] is the same whether a group or a lane computes it,
+// and the substitution subtracts the same products from a column in
+// the same order whether a lane runs down that column or a group's
+// rows are updated across it (see mat.CholSolveInto) — so X is bitwise
+// independent of the pool width, of which worker takes which chunk, of
+// the chunk width, of the group width and of which columns share a
+// quad of lanes. Stats (see its fields) sums Flops, Groups and
+// ColumnRounds over the chunks, counted per group however the group
+// was solved.
 //
 // BPP implements ContextSolver: all scratch lives on the per-slot
 // states, sized by k and the chunk width, and nothing is retained per
@@ -73,6 +78,14 @@ const (
 	bppTableBits = 9
 	_            = uint(1<<bppTableBits - 2*bppChunk) // table load ≤ ½
 )
+
+// laneP is the largest passive set a lane holds, and the row stride of
+// the lanes' factor scratch; a group with more free variables is
+// solved by solveGroup. A constant stride keeps every index into the
+// scratch a shift and an add, so it is fixed, never an option; lanes
+// beat one-column solves at every |P| measured, so the bound is the
+// scratch's size (table in DESIGN, "A one-column group is a vector").
+const laneP = 32
 
 // bppProblem is what every chunk of one solve shares, read-only but
 // for the disjoint column ranges of x.
@@ -112,10 +125,34 @@ type bppState struct {
 	pidx                   []int
 	gpp, xp                mat.Dense     // G[P,P] and F[P,cols] → X[P,cols] of one group
 	ws                     mat.Workspace // SolveSPDInto's factor and jittered copy
+	// The round's lane columns waiting in the bucket of their |P|:
+	// bucket[p][:queued[p]].
+	bucket [laneP + 1][4]int
+	queued [laneP + 1]int
+	quad   lanes
 
 	stats Stats
 	err   error
 }
+
+// lanes is four one-column systems of one size side by side: the lower
+// triangles of their G[P,P] (row stride laneP), factored in place, the
+// reciprocals of the factors' diagonals, and the right-hand sides,
+// solved in place (lane by lane, so a lane's solution is a vector for
+// dual).
+type lanes struct {
+	l    [laneP * laneP]quad
+	inv  [laneP]quad
+	x    [4][laneP]float64
+	pidx [4][laneP]int
+}
+
+// quad is one entry of the four systems, lane i in field i. Four
+// fields and not a [4]float64: Go keeps a struct this small in
+// registers and an array in memory, and four independent chains in
+// registers are the point — they hide one another's √ → 1/x →
+// multiply latency.
+type quad struct{ a, b, c, d float64 }
 
 // NewBPP returns a BPP solver with column grouping enabled.
 func NewBPP() *BPP { return &BPP{MaxIter: 0, Grouping: true} }
@@ -276,12 +313,9 @@ func (ps *bppState) solveChunk(p *bppProblem, ci int) {
 	cols := ps.load(p, c0)
 	cw, rounds := len(cols), 0
 	for ; rounds < p.maxIter && len(cols) > 0; rounds++ {
-		// Solve the passive systems and the duals, grouped by pattern.
-		for gi, ng := 0, ps.group(cols, k, p.grouping); gi < ng; gi++ {
-			if err := ps.solveGroup(p.g, k, ps.order[ps.start[gi]:ps.start[gi+1]]); err != nil {
-				ps.err = worseErr(ps.err, err)
-				return
-			}
+		if err := ps.solveRound(p.g, k, cols, p.grouping); err != nil {
+			ps.err = worseErr(ps.err, err)
+			return
 		}
 		cols = ps.exchange(cols, k, p.tol, rounds == p.maxIter-1)
 	}
@@ -372,23 +406,86 @@ func (ps *bppState) group(cols []int, k int, grouping bool) int {
 	return ng
 }
 
-// solveGroup solves the unconstrained system restricted to the shared
-// passive set P of the given columns (all of one pattern) and writes
-// each column's z: x_P on P and the dual y_A = G[A,P]·x_P − f_A on the
-// active set A. The dual is accumulated over all k variables at once —
-// z = −f, then z += Gᵀ[l,:]·x_l for l in P ascending, the order in
-// which a row-by-row sum adds its terms — because k is the one long
-// axis a one-column group has; the entries on P are then overwritten
-// with x_P. Stats.Flops charges the rows of A only.
-func (ps *bppState) solveGroup(g *mat.Dense, k int, cols []int) error {
-	kw, pp := (k+63)/64, 0
-	for w, free := range ps.key[cols[0]*kw : (cols[0]+1)*kw] {
+// solveRound solves the passive systems of one round, grouped by
+// pattern, and writes every column's z. A group of one to four columns
+// with 1 ≤ |P| ≤ laneP is queued column by column into the bucket of
+// its |P|, and a bucket is solved as one quad the moment it holds four;
+// any other group is solved whole by solveGroup, and the buckets left
+// partly filled are flushed at the end of the round. A column's bits
+// do not depend on the path it takes or on its quad (see solveQuad).
+// Stats are charged per group either way.
+func (ps *bppState) solveRound(g *mat.Dense, k int, cols []int, grouping bool) error {
+	kw := (k + 63) / 64
+	clear(ps.queued[:])
+	for gi, ng := 0, ps.group(cols, k, grouping); gi < ng; gi++ {
+		gc := ps.order[ps.start[gi]:ps.start[gi+1]]
+		pp, nc := 0, len(gc)
+		for _, w := range ps.key[gc[0]*kw : (gc[0]+1)*kw] {
+			pp += bits.OnesCount64(w)
+		}
+		ps.stats.Flops += int64(pp*pp*pp)/3 + int64(2*pp*pp*nc) + int64(2*(k-pp)*pp*nc)
+		ps.stats.Groups++
+		ps.stats.ColumnRounds += nc
+		if pp == 0 || pp > laneP || nc > 4 {
+			if err := ps.solveGroup(g, k, gc); err != nil {
+				return err
+			}
+			continue
+		}
+		for _, c := range gc {
+			b, n := &ps.bucket[pp], ps.queued[pp]
+			b[n], ps.queued[pp] = c, (n+1)%4
+			if n == 3 {
+				if err := ps.solveLanes(g, k, pp, b[:]); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	for pp, n := range ps.queued {
+		if err := ps.solveLanes(g, k, pp, ps.bucket[pp][:n]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// solveLanes solves cols, up to four columns with |P| = n, as the
+// lanes of one quad. A lone column is solved by solveGroup instead —
+// four lanes cost more than one column's vector solve once |P| passes
+// ≈ 12 — and so are the columns of a quad some lane of which meets a
+// pivot that is not positive, SolveSPDInto's jitter being solveGroup's.
+func (ps *bppState) solveLanes(g *mat.Dense, k, n int, cols []int) error {
+	if len(cols) > 1 && ps.solveQuad(g, k, n, cols) {
+		return nil
+	}
+	for i := range cols {
+		if err := ps.solveGroup(g, k, cols[i:i+1]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// listP writes the passive set of column c, ascending, into pidx and
+// returns it.
+func (ps *bppState) listP(c, kw int, pidx []int) []int {
+	pp := 0
+	for w, free := range ps.key[c*kw : (c+1)*kw] {
 		for ; free != 0; free &= free - 1 {
-			ps.pidx[pp] = w<<6 + bits.TrailingZeros64(free)
+			pidx[pp] = w<<6 + bits.TrailingZeros64(free)
 			pp++
 		}
 	}
-	pidx, nc := ps.pidx[:pp], len(cols)
+	return pidx[:pp]
+}
+
+// solveGroup solves the unconstrained system restricted to the shared
+// passive set P of the given columns (all of one pattern) off one
+// factorization of G[P,P], and writes each column's z (see dual).
+func (ps *bppState) solveGroup(g *mat.Dense, k int, cols []int) error {
+	pidx, nc := ps.listP(cols[0], (k+63)/64, ps.pidx), len(cols)
+	pp := len(pidx)
 	xp := view(&ps.xp, pp, nc)
 	if pp > 0 {
 		// SolveSPDInto reads the lower triangle only and solves in place.
@@ -406,26 +503,135 @@ func (ps *bppState) solveGroup(g *mat.Dense, k int, cols []int) error {
 			return err
 		}
 	}
-	xd, gt := xp.Data, ps.gt.Data
 	for b, c := range cols {
-		zc, a := ps.z[c*k:(c+1)*k], 0
-		copy(zc, ps.nf[c*k:(c+1)*k])
-		for ; a+4 <= pp; a += 4 { // four terms a call: the same sums, left to right
-			l, o := pidx[a:a+4], a*nc+b
-			v := [4]float64{xd[o], xd[o+nc], xd[o+2*nc], xd[o+3*nc]}
-			mat.Axpy4(zc, gt[l[0]*k:][:k], gt[l[1]*k:][:k], gt[l[2]*k:][:k], gt[l[3]*k:][:k], &v)
-		}
-		for ; a < pp; a++ {
-			mat.Axpy(zc, gt[pidx[a]*k:][:k], xd[a*nc+b])
-		}
-		for a, ia := range pidx {
-			zc[ia] = xd[a*nc+b]
+		ps.dual(k, c, pidx, xp.Data, b, nc)
+	}
+	return nil
+}
+
+// solveQuad solves the one-column systems of cols (two to four
+// columns, all with |P| = n) as the lanes of one quad — a lane past the
+// last column repeats it — and writes each column's z (see dual). It
+// reports false, having written no z, when some lane meets a pivot
+// that is not positive. Each lane goes through exactly the operations
+// of a one-column solveGroup in the same order — the factorization of
+// mat.CholeskyInto and the substitution of mat.CholSolveInto down a
+// vector, zero skips included — so its bits are the ones solveGroup
+// would give.
+func (ps *bppState) solveQuad(g *mat.Dense, k, n int, cols []int) bool {
+	q, kw := &ps.quad, (k+63)/64
+	var c [4]int
+	for ln := range c {
+		c[ln] = cols[min(ln, len(cols)-1)]
+		for a, ia := range ps.listP(c[ln], kw, q.pidx[ln][:]) {
+			q.x[ln][a] = -ps.nf[c[ln]*k+ia]
 		}
 	}
-	ps.stats.Flops += int64(pp*pp*pp)/3 + int64(2*pp*pp*nc) + int64(2*(k-pp)*pp*nc)
-	ps.stats.Groups++
-	ps.stats.ColumnRounds += nc
-	return nil
+	p0, p1, p2, p3 := q.pidx[0][:n], q.pidx[1][:n], q.pidx[2][:n], q.pidx[3][:n]
+	for a := range p0 {
+		g0, g1, g2, g3 := g.Data[p0[a]*k:][:k], g.Data[p1[a]*k:][:k], g.Data[p2[a]*k:][:k], g.Data[p3[a]*k:][:k]
+		for b, row := 0, q.l[a*laneP:a*laneP+a+1]; b < len(row); b++ {
+			row[b] = quad{g0[p0[b]], g1[p1[b]], g2[p2[b]], g3[p3[b]]}
+		}
+	}
+	if !q.solve(n) {
+		return false
+	}
+	for ln, cl := range cols {
+		ps.dual(k, cl, q.pidx[ln][:n], q.x[ln][:], 0, 1)
+	}
+	return true
+}
+
+// solve factors the quad's n×n systems and solves them in place,
+// reporting false, with the quad half done, when some lane's pivot is
+// not positive.
+func (q *lanes) solve(n int) bool {
+	l := &q.l
+	for j := 0; j < n; j++ {
+		lj := l[j*laneP : j*laneP+j+1]
+		d := lj[j]
+		for _, v := range lj[:j] {
+			d = d.fms(v, v)
+		}
+		if !(d.a > 0 && d.b > 0 && d.c > 0 && d.d > 0) { // d ≤ 0 or NaN in some lane
+			return false
+		}
+		s := quad{math.Sqrt(d.a), math.Sqrt(d.b), math.Sqrt(d.c), math.Sqrt(d.d)}
+		r := quad{1 / s.a, 1 / s.b, 1 / s.c, 1 / s.d}
+		lj[j], q.inv[j] = s, r
+		for i := j + 1; i < n; i++ {
+			li := l[i*laneP : i*laneP+j+1]
+			s := li[j]
+			for t, u := range li[:j] {
+				s = s.fms(u, lj[t])
+			}
+			li[j] = s.mul(r)
+		}
+	}
+	for i := 0; i < n; i++ { // L·y = b: row i of L, ascending
+		q.setX(i, q.minus(q.xAt(i), 0, i, i*laneP, 1).mul(q.inv[i]))
+	}
+	for i := n - 1; i >= 0; i-- { // Lᵀ·x = y: column i of L, ascending
+		q.setX(i, q.minus(q.xAt(i), i+1, n, i, laneP).mul(q.inv[i]))
+	}
+	return true
+}
+
+// xAt and setX read and write entry i of the four right-hand sides.
+func (q *lanes) xAt(i int) quad { return quad{q.x[0][i], q.x[1][i], q.x[2][i], q.x[3][i]} }
+
+func (q *lanes) setX(i int, v quad) { q.x[0][i], q.x[1][i], q.x[2][i], q.x[3][i] = v.a, v.b, v.c, v.d }
+
+// fms is v − c·x per lane.
+func (v quad) fms(c, x quad) quad {
+	return quad{v.a - c.a*x.a, v.b - c.b*x.b, v.c - c.c*x.c, v.d - c.d*x.d}
+}
+
+// minus is v − Σ c_t·x_t over t in [lo, hi), c_t = l[ci + t·cs]: the
+// substitution of mat.CholSolveInto for one entry of every lane,
+// products subtracted in ascending t and a zero c_t skipped.
+func (q *lanes) minus(v quad, lo, hi, ci, cs int) quad {
+	for t := lo; t < hi; t++ {
+		c, x := q.l[ci+t*cs], q.xAt(t)
+		v = quad{skip(v.a, c.a, x.a), skip(v.b, c.b, x.b), skip(v.c, c.c, x.c), skip(v.d, c.d, x.d)}
+	}
+	return v
+}
+
+// skip is v − c·x, or v when c is zero.
+func skip(v, c, x float64) float64 {
+	if c != 0 {
+		return v - c*x
+	}
+	return v
+}
+
+// mul is v·r per lane.
+func (v quad) mul(r quad) quad { return quad{v.a * r.a, v.b * r.b, v.c * r.c, v.d * r.d} }
+
+// dual writes column c's z from its solution on P — x_l = xv[o+a·stride]
+// for the a-th entry l of pidx — as x_P on P and the dual
+// y_A = G[A,P]·x_P − f_A on the active set A. The dual is accumulated
+// over all k variables at once — z = −f, then z += Gᵀ[l,:]·x_l for l in
+// P ascending, the order in which a row-by-row sum adds its terms —
+// because k is the one long axis a one-column system has; the entries
+// on P are then overwritten with x_P. (Stats.Flops charges the rows of
+// A only.)
+func (ps *bppState) dual(k, c int, pidx []int, xv []float64, o, stride int) {
+	zc, gt, a := ps.z[c*k:(c+1)*k], ps.gt.Data, 0
+	copy(zc, ps.nf[c*k:(c+1)*k])
+	for ; a+4 <= len(pidx); a += 4 { // four terms a call: the same sums, left to right
+		l, i := pidx[a:a+4], o+a*stride
+		v := [4]float64{xv[i], xv[i+stride], xv[i+2*stride], xv[i+3*stride]}
+		mat.Axpy4(zc, gt[l[0]*k:][:k], gt[l[1]*k:][:k], gt[l[2]*k:][:k], gt[l[3]*k:][:k], &v)
+	}
+	for ; a < len(pidx); a++ {
+		mat.Axpy(zc, gt[pidx[a]*k:][:k], xv[o+a*stride])
+	}
+	for a, ia := range pidx {
+		zc[ia] = xv[o+a*stride]
+	}
 }
 
 // exchange tests every column of the round for infeasible variables —

@@ -10,6 +10,7 @@ import (
 	"hpcnmf/internal/mat"
 	"hpcnmf/internal/par"
 	"hpcnmf/internal/rng"
+	"hpcnmf/internal/sparse"
 )
 
 // The column-chunked core's contract: X and Stats do not depend on the
@@ -19,14 +20,15 @@ import (
 
 // refBPP is Kim–Park pivoting one column at a time, start to finish,
 // under the tolerance of the whole problem: no chunks, no groups, no
-// shared scratch, a []bool per passive set. It shares only mat.SolveSPD
-// with the solver, and not the same path through it: every system here
-// is pp × 1 and is substituted down its one column as a vector, while a
-// wide group of the solver is substituted across its rows by Axpy — so
-// agreement in every bit checks the two forms against each other, not
-// one against itself. It returns the largest round count over the
-// columns and ErrNotConverged when some column ran out of rounds (its
-// iterate clamped).
+// lanes, no shared scratch, a []bool per passive set. It shares only
+// mat.SolveSPD with the solver, and not the same path through it: every
+// system here is pp × 1, factored alone and substituted down its one
+// column as a vector, while the solver factors four columns' systems at
+// once in the lanes of a quad and substitutes a wide group across its
+// rows by Axpy — so agreement in every bit checks those forms against
+// this one, not one against itself. It returns the largest round count
+// over the columns and ErrNotConverged when some column ran out of
+// rounds (its iterate clamped).
 func refBPP(g, f, xInit *mat.Dense, maxIter int) (*mat.Dense, int, error) {
 	return refBPPTrace(g, f, xInit, maxIter, nil)
 }
@@ -188,24 +190,168 @@ func chunkCases(k, r int, seed uint64) []bppCase {
 	}
 }
 
+// powerLawCases builds problems the way an NMF of a power-law sparse
+// matrix poses them: G = WᵀW and F = WᵀA for a random nonnegative W,
+// cold and warm-started. Columns of A hold from one to hundreds of
+// entries, so a round's one-column groups spread over many |P| and
+// fill whole quads in several buckets at once.
+func powerLawCases(k, r int, seed uint64) []bppCase {
+	a := sparse.RandomPowerLaw(r, 3, rng.New(seed)).ToDense()
+	w := mat.NewDense(r, k)
+	w.RandomUniform(rng.New(seed + 1))
+	warm := randomRHS(k, r, seed+2)
+	warm.ClampNonneg()
+	g, f := mat.Gram(w), mat.MulAtB(w, a)
+	return []bppCase{{"powerlaw", g, f, nil}, {"powerlawwarm", g, f, warm}}
+}
+
+// laneCases builds problems whose first round hands the lanes exactly
+// what their names say (k ≥ 6, r ≤ (k−2)(k−3)/2): "distinct"
+// warm-starts every column with a passive set of its own, all of size
+// 3, so the round is whole quads and a last one of r mod 4 columns;
+// "onesingular" also decouples variable k−1 with a zero diagonal and
+// puts it in every fourth column's passive set, so every whole quad
+// holds exactly one lane that only the jitter can factor; "signedzero"
+// has the factor's exact zero L[1][0] meet f_1 = −0.0 and a negative
+// y_0, so x_1 keeps its sign only if the lanes skip that product as
+// the vector substitution does (grouping off puts its columns in
+// lanes).
+func laneCases(k, r int, seed uint64) []bppCase {
+	g, f := randomSPD(k, seed), randomRHS(k, r, seed+1)
+	gs := g.Clone()
+	for i := 0; i < k; i++ {
+		gs.Set(i, k-1, 0)
+		gs.Set(k-1, i, 0)
+	}
+	distinct, single := mat.NewDense(k, r), mat.NewDense(k, r)
+	c := 0
+	for i := 0; i < k-2 && c < r; i++ {
+		for j := i + 1; j < k-2 && c < r; j, c = j+1, c+1 {
+			for _, x := range []*mat.Dense{distinct, single} {
+				x.Set(i, c, 1)
+				x.Set(j, c, 1)
+			}
+			distinct.Set(k-2, c, 1)
+			single.Set(k-2+c%4/3, c, 1) // k−1 in columns 3, 7, …
+		}
+	}
+	// x = (0.53…, −0, 1.26…) on P = {0, 1, 2}, every other variable
+	// pinned at zero by f = −1.
+	gz, fz, pz := mat.NewDense(k, k), mat.NewDense(k, r), mat.NewDense(k, r)
+	gz.Fill(0)
+	for i := 0; i < k; i++ {
+		gz.Set(i, i, 1)
+	}
+	gz.Set(0, 2, -0.5)
+	gz.Set(2, 0, -0.5)
+	fz.Fill(-1)
+	for c := 0; c < r; c++ {
+		fz.Set(0, c, -0.1)
+		fz.Set(1, c, math.Copysign(0, -1))
+		fz.Set(2, c, 1+float64(c)/64)
+		for i := 0; i < 3; i++ {
+			pz.Set(i, c, 1)
+		}
+	}
+	return []bppCase{{"distinct", g, f, distinct}, {"onesingular", gs, f, single}, {"signedzero", gz, fz, pz}}
+}
+
+// laneQuads pivots tc chunk by chunk the way solveChunk does and
+// reports what its rounds handed the lanes: the largest |P| of a quad,
+// the most buckets one round filled whole quads in, which counts a
+// round left in a bucket (tails[1..3]), and whether some whole quad
+// held exactly one lane whose G[P,P] has no plain Cholesky factor.
+func laneQuads(t *testing.T, tc bppCase, grouping bool) (top, filled int, tails [4]bool, oneSingular bool) {
+	t.Helper()
+	k, r := tc.f.Rows, tc.f.Cols
+	kw := (k + 63) / 64
+	p := bppProblem{g: tc.g, f: tc.f, xInit: tc.xInit, x: mat.NewDense(k, r), tol: bppTolerance(tc.g, tc.f), maxIter: 50 + 10*k, grouping: grouping}
+	var ps bppState
+	for c0 := 0; c0 < r; c0 += bppChunk {
+		cols := ps.load(&p, c0)
+		for rounds := 0; len(cols) > 0; rounds++ {
+			if rounds == p.maxIter {
+				t.Fatalf("%s: chunk at column %d did not converge", tc.name, c0)
+			}
+			buckets := map[int][][]int{} // |P| → each queued column's P, in queue order
+			for gi, ng := 0, ps.group(cols, k, grouping); gi < ng; gi++ {
+				gc := ps.order[ps.start[gi]:ps.start[gi+1]]
+				if pidx := ps.listP(gc[0], kw, make([]int, k)); len(pidx) >= 1 && len(pidx) <= laneP && len(gc) <= 4 {
+					for range gc {
+						buckets[len(pidx)] = append(buckets[len(pidx)], pidx)
+					}
+				}
+			}
+			whole := 0
+			for n, queued := range buckets {
+				if len(queued) >= 2 {
+					top = max(top, n)
+				}
+				if len(queued) >= 4 {
+					whole++
+				}
+				tails[len(queued)%4] = true
+				for i := 0; i+4 <= len(queued); i += 4 {
+					singular := 0
+					for _, pidx := range queued[i : i+4] {
+						gpp := mat.NewDense(n, n)
+						for a, ia := range pidx {
+							for b, ib := range pidx {
+								gpp.Set(a, b, tc.g.At(ia, ib))
+							}
+						}
+						if mat.CholeskyInto(mat.NewDense(n, n), gpp, make([]float64, n)) != nil {
+							singular++
+						}
+					}
+					oneSingular = oneSingular || singular == 1
+				}
+			}
+			filled = max(filled, whole)
+			if err := ps.solveRound(p.g, k, cols, grouping); err != nil {
+				t.Fatal(err)
+			}
+			cols = ps.exchange(cols, k, p.tol, false)
+		}
+	}
+	return top, filled, tails, oneSingular
+}
+
 // TestBPPWidthAndChunkIndependence: SolveCtx at pool widths 1, 2 and 3
 // equals the stateless Solve bit for bit, with identical Stats, and
 // both equal the unchunked oracle — on random, warm-started, singular,
 // zero-column, all-passive and −0.0-column problems, with r one short
 // of a chunk, exactly one, one over, and several with a ragged tail,
-// and with k on either side of every word boundary of the pattern.
+// and with k on either side of every word boundary of the pattern —
+// and on the problems aimed at the four-lane solve: power-law columns
+// whose rounds fill whole quads in many buckets of |P| at once, |P| at
+// the lane bound and one over it, a quad with one lane that needs the
+// jitter, and rounds that leave one, two and three columns in a
+// bucket. The test fails if those problems stop reaching what they aim
+// at.
 func TestBPPWidthAndChunkIndependence(t *testing.T) {
 	pools := []*par.Pool{nil, par.NewPool(2), par.NewPool(3)}
 	defer pools[1].Close()
 	defer pools[2].Close()
-	shapes := []struct{ k, r int }{
-		{9, bppChunk - 1}, {9, bppChunk}, {9, bppChunk + 1}, {9, 3*bppChunk + 17},
-		{70, bppChunk + 1}, // k > 64: two words per packed pattern
+	shapes := []struct {
+		k, r  int
+		cases func(k, r int, seed uint64) []bppCase
+	}{
+		{9, bppChunk - 1, chunkCases}, {9, bppChunk, chunkCases}, {9, bppChunk + 1, chunkCases}, {9, 3*bppChunk + 17, chunkCases},
+		{70, bppChunk + 1, chunkCases}, // k > 64: two words per packed pattern
 		// The word boundaries of the packed pattern, and three words.
-		{1, bppChunk + 1}, {63, 30}, {64, 30}, {65, 30}, {128, 20}, {130, 20},
+		{1, bppChunk + 1, chunkCases}, {63, 30, chunkCases}, {64, 30, chunkCases}, {65, 30, chunkCases}, {128, 20, chunkCases}, {130, 20, chunkCases},
+		// The lanes. Ungrouped, the all-passive problems put |P| = k in
+		// one-column groups: at the lane bound, and one over it.
+		{20, 2*bppChunk + 30, powerLawCases},
+		{laneP, 40, chunkCases}, {laneP + 1, 40, chunkCases},
+		{9, 12, laneCases}, {9, 13, laneCases}, {9, 14, laneCases}, {9, 15, laneCases},
 	}
+	var top, filled int
+	var oneSingular bool
+	var tails [4]bool
 	for _, sh := range shapes {
-		for _, tc := range chunkCases(sh.k, sh.r, uint64(sh.k*sh.r)) {
+		for _, tc := range sh.cases(sh.k, sh.r, uint64(sh.k*sh.r)) {
 			name := fmt.Sprintf("%s/k%d/r%d", tc.name, sh.k, sh.r)
 			want, wst, err := NewBPP().Solve(tc.g, tc.f, tc.xInit)
 			if err != nil {
@@ -233,8 +379,20 @@ func TestBPPWidthAndChunkIndependence(t *testing.T) {
 						t.Errorf("%s: Stats at width %d = %+v, Solve's = %+v", name, pool.Workers(), st, wst)
 					}
 				}
+				qt, qf, qtails, qs := laneQuads(t, tc, grouping)
+				if qt > laneP {
+					t.Fatalf("%s: a quad held |P| = %d, over the lane bound %d", name, qt, laneP)
+				}
+				top, filled, oneSingular = max(top, qt), max(filled, qf), oneSingular || qs
+				for i, hit := range qtails {
+					tails[i] = tails[i] || hit
+				}
 			}
 		}
+	}
+	if top != laneP || filled < 10 || !oneSingular || !tails[1] || !tails[2] || !tails[3] {
+		t.Errorf("the lane problems no longer reach what they aim at: largest |P| in a quad %d (want %d), most buckets filled in a round %d (want ≥ 10), a quad with one singular lane %v, buckets left with 1/2/3 columns %v",
+			top, laneP, filled, oneSingular, tails[1:])
 	}
 }
 

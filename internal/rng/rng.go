@@ -8,7 +8,7 @@
 //     generate its own shard of a dataset without communication
 //     (the paper, §6.1.1: "Every process will have its own prime seed").
 //
-//   - Element-addressed generation (At, NormalAt) where the value at
+//   - Element-addressed generation (At) where the value at
 //     logical index (i, j) depends only on (seed, i, j) and never on
 //     how the matrix is laid out across processes. This is what lets a
 //     sequential run, the Naive algorithm, and HPC-NMF on any grid all
@@ -112,15 +112,4 @@ func At(seed uint64, i, j int) float64 {
 	h = Mix(h ^ (uint64(i) + 0x9e3779b97f4a7c15))
 	h = Mix(h ^ (uint64(j) + 0xd1b54a32d192ed03))
 	return float64(h>>11) / (1 << 53)
-}
-
-// NormalAt returns a standard normal variate determined solely by
-// (seed, i, j), via Box–Muller over two decorrelated At draws.
-func NormalAt(seed uint64, i, j int) float64 {
-	u1 := At(seed, i, j)
-	if u1 == 0 {
-		u1 = 0.5 / (1 << 53)
-	}
-	u2 := At(seed^0xa0761d6478bd642f, i, j)
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }

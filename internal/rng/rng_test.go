@@ -155,13 +155,3 @@ func TestAtUniformity(t *testing.T) {
 		}
 	}
 }
-
-func TestNormalAtFinite(t *testing.T) {
-	f := func(seed uint64, i, j uint16) bool {
-		v := NormalAt(seed, int(i), int(j))
-		return !math.IsNaN(v) && !math.IsInf(v, 0)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -236,6 +237,50 @@ func TestProjectErrors(t *testing.T) {
 		t.Fatal("wrong-shape column accepted")
 	} else if _, ok := err.(*shapeError); !ok {
 		t.Fatalf("wrong shape: got %T, want *shapeError", err)
+	}
+}
+
+// negativeProjections is the table of /v1/project bodies whose entries
+// test the sign check against model id (24 rows), each with the status
+// it must get and, for a refusal, the entry the error must name.
+func negativeProjections(id string) []struct {
+	name   string
+	req    ProjectRequest
+	status int
+	names  string
+} {
+	col := testColumn(24, 3)
+	neg, negzero := slices.Clone(col), slices.Clone(col)
+	neg[5], negzero[5] = -2, math.Copysign(0, -1)
+	return []struct {
+		name   string
+		req    ProjectRequest
+		status int
+		names  string
+	}{
+		{"column", ProjectRequest{Model: id, Column: neg}, http.StatusBadRequest, "column[5] = -2 is negative"},
+		{"columns", ProjectRequest{Model: id, Columns: [][]float64{col, neg}}, http.StatusBadRequest, "columns[1][5] = -2 is negative"},
+		{"column -0.0", ProjectRequest{Model: id, Column: negzero}, http.StatusOK, ""},
+		{"columns -0.0", ProjectRequest{Model: id, Columns: [][]float64{negzero, col}}, http.StatusOK, ""},
+	}
+}
+
+// TestProjectRefusesNegativeEntries: /v1/project refuses a column with
+// a negative entry, sent as "column" or inside "columns", with 400
+// naming the entry — /v1/fit's check — and projects −0.0 like 0.
+func TestProjectRefusesNegativeEntries(t *testing.T) {
+	ts := httptest.NewServer(newTestServer(t, Options{}))
+	defer ts.Close()
+	for _, tc := range negativeProjections("m1") {
+		resp := postJSON(t, ts.URL+"/v1/project", tc.req)
+		var body map[string]any
+		decodeBody(t, resp, &body)
+		if resp.StatusCode != tc.status {
+			t.Fatalf("%s: status %d, want %d (%v)", tc.name, resp.StatusCode, tc.status, body)
+		}
+		if msg, _ := body["error"].(string); !strings.Contains(msg, tc.names) {
+			t.Errorf("%s: error %q does not name %q", tc.name, msg, tc.names)
+		}
 	}
 }
 

@@ -52,9 +52,6 @@ type Options struct {
 	// solvers (default 8 — projections are one-shot, so they need more
 	// sweeps than an ANLS iteration that revisits every column).
 	ProjectSweeps int
-	// Metrics receives serving instrumentation; nil creates a private
-	// registry (exposed at /metrics either way).
-	Metrics *metrics.Registry
 	// TraceEvents arms request-scoped tracing: every HTTP projection
 	// request opens a span that parents its batch, stacked solve, and
 	// compute kernels across the per-model batcher tracks, honoring an
@@ -197,10 +194,7 @@ type Server struct {
 // New builds a serving instance.
 func New(opts Options) *Server {
 	opts = opts.withDefaults()
-	reg := opts.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
+	reg := metrics.NewRegistry() // exposed at /metrics
 	log := opts.Logger
 	if log == nil {
 		log = obs.Nop()
@@ -627,12 +621,22 @@ func (f *FitRequest) validate() error {
 	if _, err := solverKind(f.Solver); err != nil {
 		return err
 	}
-	// A fit would clamp a negative entry silently and report a
-	// converged-looking error against a matrix nobody sent. (NaN and
-	// ±Inf never reach here: the wire decoder refuses them.)
-	for i, v := range f.Data {
-		if v < 0 {
-			return fmt.Errorf("data[%d] = %g is negative; NMF needs A ≥ 0", i, v)
+	return refuseNegative("data", -1, f.Data)
+}
+
+// refuseNegative names the first negative entry of v — what[i], or
+// what[j][i] for j ≥ 0 — in an error, the one input check /v1/fit and
+// /v1/project share: a fit would clamp the entry silently, and either
+// would report a converged-looking error against data nobody sent.
+// −0.0 passes. (NaN and ±Inf never reach here: the wire decoder
+// refuses them.)
+func refuseNegative(what string, j int, v []float64) error {
+	for i, x := range v {
+		if x < 0 {
+			if j >= 0 {
+				what = fmt.Sprintf("%s[%d]", what, j)
+			}
+			return fmt.Errorf("%s[%d] = %g is negative; NMF needs A ≥ 0", what, i, x)
 		}
 	}
 	return nil
@@ -777,6 +781,11 @@ func (s *Server) handleProject(w http.ResponseWriter, r *http.Request) {
 		err = fmt.Errorf("missing model id")
 	case req.Column == nil && len(req.Columns) == 0:
 		err = fmt.Errorf("no columns to project")
+	default:
+		err = refuseNegative("column", -1, req.Column)
+		for j := 0; err == nil && j < len(req.Columns); j++ {
+			err = refuseNegative("columns", j, req.Columns[j])
+		}
 	}
 	if err != nil {
 		putReq(first)

@@ -111,29 +111,6 @@ func FromCoords(rows, cols int, entries []Coord) *CSR {
 	return a
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// FromDense converts a dense matrix to CSR, dropping exact zeros.
-func FromDense(d *mat.Dense) *CSR {
-	a := &CSR{Rows: d.Rows, Cols: d.Cols, RowPtr: make([]int, d.Rows+1)}
-	for i := 0; i < d.Rows; i++ {
-		row := d.Row(i)
-		for j, v := range row {
-			if v != 0 {
-				a.ColIdx = append(a.ColIdx, j)
-				a.Val = append(a.Val, v)
-			}
-		}
-		a.RowPtr[i+1] = len(a.Val)
-	}
-	return a
-}
-
 // ToDense expands the matrix to dense form.
 func (a *CSR) ToDense() *mat.Dense {
 	d := mat.NewDense(a.Rows, a.Cols)

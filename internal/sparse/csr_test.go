@@ -56,9 +56,16 @@ func TestDenseRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	a := FromDense(d)
-	if !a.ToDense().Equal(d, 0) {
-		t.Fatal("FromDense/ToDense round trip failed")
+	var entries []Coord
+	for i := 0; i < 7; i++ {
+		for j := 0; j < 5; j++ {
+			if v := d.At(i, j); v != 0 {
+				entries = append(entries, Coord{i, j, v})
+			}
+		}
+	}
+	if !FromCoords(7, 5, entries).ToDense().Equal(d, 0) {
+		t.Fatal("FromCoords/ToDense round trip failed")
 	}
 }
 
@@ -102,9 +109,19 @@ func TestSubmatrixTiling(t *testing.T) {
 		{a.Submatrix(0, 5, 0, 3).ToDense(), a.Submatrix(0, 5, 3, 7).ToDense()},
 		{a.Submatrix(5, 11, 0, 3).ToDense(), a.Submatrix(5, 11, 3, 7).ToDense()},
 	}
-	re := mat.StackRows(mat.StackCols(blocks[0]...), mat.StackCols(blocks[1]...))
-	if !re.Equal(d, 0) {
-		t.Fatal("2x2 block tiling does not reassemble the matrix")
+	for i := 0; i < d.Rows; i++ {
+		for j := 0; j < d.Cols; j++ {
+			bi, bj, oi, oj := 0, 0, i, j
+			if i >= 5 {
+				bi, oi = 1, i-5
+			}
+			if j >= 3 {
+				bj, oj = 1, j-3
+			}
+			if blocks[bi][bj].At(oi, oj) != d.At(i, j) {
+				t.Fatalf("2x2 block tiling does not reassemble entry (%d,%d)", i, j)
+			}
+		}
 	}
 }
 

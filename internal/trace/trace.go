@@ -203,15 +203,6 @@ func (s Span) End() {
 	t.total++
 }
 
-// Recorded returns how many events were ever recorded on this tracer
-// (including ones the ring has since overwritten).
-func (t *Tracer) Recorded() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.total
-}
-
 // events returns the retained events in recording order.
 func (t *Tracer) events() []Event {
 	kept := t.total

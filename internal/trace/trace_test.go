@@ -14,9 +14,6 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	sp.End()
 	sp2 := tr.BeginArg(CatMPI, "allgather", "words", 128)
 	sp2.End()
-	if tr.Recorded() != 0 {
-		t.Fatal("nil tracer recorded events")
-	}
 	// Zero-value Span must also be safe.
 	var zero Span
 	zero.End()
