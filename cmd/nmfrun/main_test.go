@@ -3,10 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"hpcnmf"
 )
 
 // runOK executes run with the given args, failing the test on error.
@@ -87,6 +90,25 @@ func TestRunResumeRoundTrip(t *testing.T) {
 	got := runOK(t, fast("-resume", dir, "-iters", "4")...)
 	if !strings.Contains(got, "resuming "+dir) {
 		t.Errorf("resumed run did not report resuming:\n%s", got)
+	}
+}
+
+// TestRunResumeRefusesVersion1Checkpoint: -resume on a checkpoint a
+// version 1 build wrote (unfused kernels) fails with the typed error
+// instead of continuing it under a different arithmetic.
+func TestRunResumeRefusesVersion1Checkpoint(t *testing.T) {
+	raw, err := os.ReadFile("../../internal/core/testdata/golden_ckpt_seq_bpp_iter6.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "checkpoint.bin"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	err = run(fast("-resume", dir, "-iters", "9"), &out, &errb)
+	if !errors.Is(err, hpcnmf.ErrCheckpointVersion) {
+		t.Fatalf("-resume on a version 1 checkpoint: err = %v, want ErrCheckpointVersion", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -30,8 +31,17 @@ import (
 // checkpointMagic identifies the checkpoint container format.
 const checkpointMagic = "HPNMFCK1"
 
-// CheckpointVersion is the current header schema version.
-const CheckpointVersion = 1
+// CheckpointVersion covers the header schema and the arithmetic that
+// wrote the factors: a resume is bitwise only when the kernels that
+// continue a run round like the ones that began it. Version 2 is the
+// fused multiply-add kernels; version 1 files (separate multiply and
+// add) are refused with ErrCheckpointVersion rather than resumed onto
+// a different trajectory.
+const CheckpointVersion = 2
+
+// ErrCheckpointVersion is wrapped by ReadCheckpoint when a checkpoint
+// was written under another CheckpointVersion.
+var ErrCheckpointVersion = errors.New("core: checkpoint version not readable by this build")
 
 // CheckpointFile is the file name written inside CheckpointDir.
 const CheckpointFile = "checkpoint.bin"
@@ -161,7 +171,7 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 		return nil, fmt.Errorf("core: checkpoint header: %w", err)
 	}
 	if ck.Meta.Version != CheckpointVersion {
-		return nil, fmt.Errorf("core: checkpoint version %d, this build reads %d", ck.Meta.Version, CheckpointVersion)
+		return nil, fmt.Errorf("%w: file has version %d, this build reads %d", ErrCheckpointVersion, ck.Meta.Version, CheckpointVersion)
 	}
 	if ck.W, err = mat.ReadBinary(br); err != nil {
 		return nil, fmt.Errorf("core: checkpoint W factor: %w", err)

@@ -8,13 +8,17 @@ import (
 	"hpcnmf/internal/grid"
 )
 
-// TestGenerateGoldenCheckpointFixtures (re)writes the pinned
-// checkpoint fixtures under testdata/. The committed copies were
-// produced by the pre-updater-refactor drivers (PR 7 tree) and serve
-// as the cross-version resume-compat contract: a checkpoint written by
-// an old build must load and resume bitwise-identically under the
-// current skeleton (see resume_compat_test.go). Do NOT regenerate them
-// to paper over a divergence — a diff against these bytes IS the bug.
+// TestGenerateGoldenCheckpointFixtures writes the version 2 checkpoint
+// fixtures under testdata/ (golden_ckpt_v2_*). They are the
+// cross-build resume-compat contract: a checkpoint written by an
+// earlier build must load and resume bitwise-identically under the
+// current one (see resume_compat_test.go). The one sanctioned
+// regeneration was the move of the kernels to fused multiply-add,
+// which changed the arithmetic and so CheckpointVersion (1 → 2); the
+// version 1 fixtures stay as written, as the files a version 2 build
+// refuses. Do NOT regenerate them to paper over a divergence — a diff
+// against these bytes IS the bug; an arithmetic change bumps
+// CheckpointVersion and writes new files beside the old ones.
 //
 // Guarded by HPCNMF_GEN_GOLDEN=1 so a plain `go test` never rewrites
 // pinned artifacts.

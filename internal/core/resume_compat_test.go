@@ -4,28 +4,38 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"os"
 	"testing"
 
 	"hpcnmf/internal/grid"
 )
 
-// Golden resume-compat fixtures: checkpoints written by the
-// pre-updater-refactor drivers (PR 7 tree), committed under testdata/.
-// They pin two contracts at once: the on-disk HPNMFCK1 container must
-// keep reading bytes an old build wrote, and resuming under the same
-// driver on the current skeleton must reproduce the old build's final
-// factors bitwise. (Cross-driver resume is tolerance-equal only: the
-// 2D HPC reduction order differs from the sequential accumulation
-// order, the same ~1e-15 contract the conformance suite pins.)
+// Golden resume-compat fixtures, committed under testdata/. The
+// golden_ckpt_v2_* files were written by the first build of checkpoint
+// version 2 (the fused multiply-add kernels). They pin two contracts
+// at once: the on-disk HPNMFCK1 container must keep reading bytes an
+// earlier build wrote, and resuming under the same driver must
+// reproduce that build's final factors bitwise. (Cross-driver resume
+// is tolerance-equal only: the 2D HPC reduction order differs from the
+// sequential accumulation order, the same ~1e-15 contract the
+// conformance suite pins.) The golden_ckpt_* files without a version
+// were written by version 1 builds (separate multiply and add); they
+// are kept byte for byte as the fixtures a version 2 build refuses.
 const goldenM, goldenN, goldenK = 24, 20, 3
 
 func goldenMidCheckpoint(driver string) string {
-	return "testdata/golden_ckpt_" + driver + "_bpp_iter6.bin"
+	return "testdata/golden_ckpt_v2_" + driver + "_bpp_iter6.bin"
 }
 
 func goldenFinalCheckpoint(driver string) string {
-	return "testdata/golden_ckpt_" + driver + "_bpp_iter9.bin"
+	return "testdata/golden_ckpt_v2_" + driver + "_bpp_iter9.bin"
+}
+
+// v1Checkpoints are the four version 1 fixtures.
+var v1Checkpoints = []string{
+	"testdata/golden_ckpt_seq_bpp_iter6.bin", "testdata/golden_ckpt_seq_bpp_iter9.bin",
+	"testdata/golden_ckpt_hpc2x2_bpp_iter6.bin", "testdata/golden_ckpt_hpc2x2_bpp_iter9.bin",
 }
 
 // goldenOptions is the exact configuration the fixtures were generated
@@ -39,19 +49,19 @@ func loadGolden(t *testing.T, path string) *Checkpoint {
 	t.Helper()
 	f, err := os.Open(path)
 	if err != nil {
-		t.Fatalf("golden fixture missing (regenerate only from the pre-refactor tree): %v", err)
+		t.Fatalf("golden fixture missing (see TestGenerateGoldenCheckpointFixtures): %v", err)
 	}
 	defer f.Close()
 	ck, err := ReadCheckpoint(f)
 	if err != nil {
-		t.Fatalf("pre-refactor checkpoint no longer parses: %v", err)
+		t.Fatalf("version 2 checkpoint no longer parses: %v", err)
 	}
 	return ck
 }
 
 // TestResumeCompatWithPreRefactorCheckpoint proves a checkpoint
-// written by a pre-refactor driver loads under the current build and
-// resumes to factors bitwise-identical to the pre-refactor run's final
+// written by an earlier build of the current version loads under this
+// build and resumes to factors bitwise-identical to that run's final
 // factors, under the driver that wrote it. The sequential fixture is
 // additionally resumed under the naive driver, which shares the
 // sequential accumulation order and so must agree bitwise too.
@@ -81,14 +91,14 @@ func TestResumeCompatWithPreRefactorCheckpoint(t *testing.T) {
 			}
 			opts, err := mid.Resume(goldenOptions())
 			if err != nil {
-				t.Fatalf("pre-refactor checkpoint rejected: %v", err)
+				t.Fatalf("version 2 checkpoint rejected: %v", err)
 			}
 			res, err := tc.run(a, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !res.W.Equal(want.W, 0) || !res.H.Equal(want.H, 0) {
-				t.Fatal("resume from a pre-refactor checkpoint diverged from the pre-refactor factors")
+				t.Fatal("resume from a version 2 checkpoint diverged from the factors its build wrote")
 			}
 			if !tc.skipRelErr {
 				for i, e := range res.RelErr {
@@ -101,11 +111,29 @@ func TestResumeCompatWithPreRefactorCheckpoint(t *testing.T) {
 	}
 }
 
+// TestCheckpointRefusesVersion1 pins the refusal of every version 1
+// fixture: ReadCheckpoint wraps ErrCheckpointVersion instead of
+// resuming factors the fused kernels would continue differently.
+func TestCheckpointRefusesVersion1(t *testing.T) {
+	for _, path := range v1Checkpoints {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = ReadCheckpoint(f)
+		f.Close()
+		if !errors.Is(err, ErrCheckpointVersion) {
+			t.Errorf("%s: ReadCheckpoint err = %v, want ErrCheckpointVersion", path, err)
+		}
+	}
+}
+
 // TestCheckpointHeaderFormatPinned guards the HPNMFCK1 container
 // against silent format drift: magic, header framing, and the JSON
-// field names are all load-bearing for cross-version resume.
+// field names are all load-bearing for cross-version resume. It reads
+// the raw header of the oldest fixture, version 1.
 func TestCheckpointHeaderFormatPinned(t *testing.T) {
-	raw, err := os.ReadFile(goldenMidCheckpoint("seq"))
+	raw, err := os.ReadFile(v1Checkpoints[0])
 	if err != nil {
 		t.Fatal(err)
 	}

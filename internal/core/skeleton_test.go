@@ -282,29 +282,58 @@ func TestRunLoopContract(t *testing.T) {
 // factors stay nonnegative and finite. For the exact updaters each
 // half-step's output also meets the NNLS optimality (KKT) conditions:
 // x ≥ 0, Gx − f ≥ 0 and x ⊙ (Gx − f) = 0, the last two to a relative
-// 1e-8.
+// 1e-8. The same holds, for BPP, MU and HALS, on degenerate input: an
+// all-zero A (whose relative error is 0 throughout), an A with a zero
+// row and a zero column, and a rank k = min(m, n).
 func TestObjectiveNeverIncreases(t *testing.T) {
-	const iters = 60
-	shapes := []struct {
+	type problem struct {
+		name    string
+		d       *mat.Dense
+		k       int
+		solvers []SolverKind
+		sweeps  []int
+	}
+	var problems []problem
+	for i, sh := range []struct {
 		m, n, k int
 		noise   float64
-	}{{40, 36, 3, 0.01}, {40, 36, 5, 0.3}, {64, 48, 8, 0.5}}
-	for i, sh := range shapes {
-		d := lowRankDense(sh.m, sh.n, sh.k, sh.noise, uint64(41+i))
-		for _, ep := range entryPoints(t, d) {
-			for solver := SolverBPP; solver <= SolverPGD; solver++ {
-				for _, sweeps := range []int{1, 3} {
-					name := fmt.Sprintf("%dx%d k=%d/%s/%v sweeps=%d", sh.m, sh.n, sh.k, ep.name, solver, sweeps)
-					res, err := ep.run(Options{K: sh.k, MaxIter: iters, Seed: 13, Solver: solver, Sweeps: sweeps, ComputeError: true})
+	}{{40, 36, 3, 0.01}, {40, 36, 5, 0.3}, {64, 48, 8, 0.5}} {
+		problems = append(problems, problem{fmt.Sprintf("%dx%d k=%d", sh.m, sh.n, sh.k), lowRankDense(sh.m, sh.n, sh.k, sh.noise, uint64(41+i)), sh.k,
+			[]SolverKind{SolverBPP, SolverActiveSet, SolverMU, SolverHALS, SolverPGD}, []int{1, 3}})
+	}
+	holed := lowRankDense(12, 10, 3, 0.01, 44)
+	for j := 0; j < holed.Cols; j++ {
+		holed.Set(4, j, 0)
+	}
+	for i := 0; i < holed.Rows; i++ {
+		holed.Set(i, 7, 0)
+	}
+	degenerate := []SolverKind{SolverBPP, SolverMU, SolverHALS}
+	problems = append(problems,
+		problem{"all-zero 12x10 k=3", mat.NewDense(12, 10), 3, degenerate, []int{1}},
+		problem{"zero row and column 12x10 k=3", holed, 3, degenerate, []int{1}},
+		problem{"12x8 k=min(m,n)=8", lowRankDense(12, 8, 8, 0.01, 45), 8, degenerate, []int{1}})
+	const iters = 60
+	for _, pr := range problems {
+		zero := pr.d.Max() == 0
+		for _, ep := range entryPoints(t, pr.d) {
+			for _, solver := range pr.solvers {
+				for _, sweeps := range pr.sweeps {
+					name := fmt.Sprintf("%s/%s/%v sweeps=%d", pr.name, ep.name, solver, sweeps)
+					res, err := ep.run(Options{K: pr.k, MaxIter: iters, Seed: 13, Solver: solver, Sweeps: sweeps, ComputeError: true})
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
 					if len(res.RelErr) != iters {
 						t.Fatalf("%s: %d error samples, want %d", name, len(res.RelErr), iters)
 					}
-					for it := 1; it < iters; it++ {
-						if prev, e := res.RelErr[it-1], res.RelErr[it]; e > prev*(1+1e-12) {
-							t.Errorf("%s: relative error rose at iteration %d: %.17g → %.17g", name, it+1, prev, e)
+					for it, e := range res.RelErr {
+						if math.IsNaN(e) || math.IsInf(e, 0) || (zero && e != 0) {
+							t.Errorf("%s: relative error %g at iteration %d", name, e, it+1)
+							break
+						}
+						if it > 0 && e > res.RelErr[it-1]*(1+1e-12) {
+							t.Errorf("%s: relative error rose at iteration %d: %.17g → %.17g", name, it+1, res.RelErr[it-1], e)
 							break
 						}
 					}
@@ -320,14 +349,14 @@ func TestObjectiveNeverIncreases(t *testing.T) {
 					// against the final W, and W against the H of the
 					// iteration before (the same run one iteration
 					// shorter).
-					if v := kktViolation(mat.Gram(res.W), mat.MulAtB(res.W, d), res.H); v > 1e-8 {
+					if v := kktViolation(mat.Gram(res.W), mat.MulAtB(res.W, pr.d), res.H); !(v <= 1e-8) {
 						t.Errorf("%s: the last H half-step misses the NNLS optimality conditions by %g", name, v)
 					}
-					prev, err := ep.run(Options{K: sh.k, MaxIter: iters - 1, Seed: 13, Solver: solver, Sweeps: sweeps, ComputeError: true})
+					prev, err := ep.run(Options{K: pr.k, MaxIter: iters - 1, Seed: 13, Solver: solver, Sweeps: sweeps, ComputeError: true})
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					if v := kktViolation(mat.GramT(prev.H), mat.MulABt(prev.H, d), res.W.T()); v > 1e-8 {
+					if v := kktViolation(mat.GramT(prev.H), mat.MulABt(prev.H, pr.d), res.W.T()); !(v <= 1e-8) {
 						t.Errorf("%s: the last W half-step misses the NNLS optimality conditions by %g", name, v)
 					}
 				}
@@ -340,7 +369,9 @@ func TestObjectiveNeverIncreases(t *testing.T) {
 // x ≥ 0, column by column: the largest of a negative or NaN entry
 // (+Inf), a gradient Gx − f below zero and a product x ⊙ (Gx − f) away
 // from zero, the gradient in units of the size of Gx and f and the
-// product in those units times the largest x.
+// product in those units times the largest x. Where that size is zero
+// (x or G zero, and f zero: all-zero input) the conditions hold
+// exactly and the violation is 0.
 func kktViolation(g, f, x *mat.Dense) float64 {
 	grad := mat.Mul(g, x)
 	xmax := max(x.Max(), -x.Min())
@@ -350,8 +381,14 @@ func kktViolation(g, f, x *mat.Dense) float64 {
 		if !(xi >= 0) {
 			return math.Inf(1)
 		}
+		if scale == 0 { // f = 0 and Gx = 0: the conditions hold exactly
+			continue
+		}
 		gi := (grad.Data[i] - f.Data[i]) / scale
-		v = max(v, -gi, math.Abs(xi*gi)/xmax)
+		v = max(v, -gi)
+		if xi > 0 {
+			v = max(v, math.Abs(xi*gi)/xmax)
+		}
 	}
 	return v
 }

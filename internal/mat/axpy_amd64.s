@@ -7,8 +7,10 @@
 // the per-element accumulation order matches the generic loops exactly
 // and the results are bitwise identical to them.
 //
-// All accumulations are written dst = dst + term (first source is the
-// running sum), matching the Go references' NaN-propagation order.
+// Every term is one fused multiply-add, dst = v·b + dst rounded once
+// (VFMADD231PD in the 4-wide body, VFMADD231SD in the scalar tail),
+// taken in the generic loops' left-to-right order: their math.FMA(v, b,
+// dst) is the same operation on one element.
 
 // ---------------------------------------------------------------------
 // axpy42: two output rows from four shared input rows.
@@ -42,23 +44,15 @@ loop4:
 	VMOVUPD (R11), Y11
 	VMOVUPD (DI), Y12
 	VMOVUPD (SI), Y13
-	VMULPD Y0, Y8, Y14
-	VADDPD Y14, Y12, Y12
-	VMULPD Y1, Y9, Y14
-	VADDPD Y14, Y12, Y12
-	VMULPD Y2, Y10, Y14
-	VADDPD Y14, Y12, Y12
-	VMULPD Y3, Y11, Y14
-	VADDPD Y14, Y12, Y12
+	VFMADD231PD Y0, Y8, Y12
+	VFMADD231PD Y1, Y9, Y12
+	VFMADD231PD Y2, Y10, Y12
+	VFMADD231PD Y3, Y11, Y12
 	VMOVUPD Y12, (DI)
-	VMULPD Y4, Y8, Y15
-	VADDPD Y15, Y13, Y13
-	VMULPD Y5, Y9, Y15
-	VADDPD Y15, Y13, Y13
-	VMULPD Y6, Y10, Y15
-	VADDPD Y15, Y13, Y13
-	VMULPD Y7, Y11, Y15
-	VADDPD Y15, Y13, Y13
+	VFMADD231PD Y4, Y8, Y13
+	VFMADD231PD Y5, Y9, Y13
+	VFMADD231PD Y6, Y10, Y13
+	VFMADD231PD Y7, Y11, Y13
 	VMOVUPD Y13, (SI)
 	ADDQ $32, DI
 	ADDQ $32, SI
@@ -78,23 +72,15 @@ tail1:
 	VMOVSD (R11), X11
 	VMOVSD (DI), X12
 	VMOVSD (SI), X13
-	VMULSD X0, X8, X14
-	VADDSD X14, X12, X12
-	VMULSD X1, X9, X14
-	VADDSD X14, X12, X12
-	VMULSD X2, X10, X14
-	VADDSD X14, X12, X12
-	VMULSD X3, X11, X14
-	VADDSD X14, X12, X12
+	VFMADD231SD X0, X8, X12
+	VFMADD231SD X1, X9, X12
+	VFMADD231SD X2, X10, X12
+	VFMADD231SD X3, X11, X12
 	VMOVSD X12, (DI)
-	VMULSD X4, X8, X15
-	VADDSD X15, X13, X13
-	VMULSD X5, X9, X15
-	VADDSD X15, X13, X13
-	VMULSD X6, X10, X15
-	VADDSD X15, X13, X13
-	VMULSD X7, X11, X15
-	VADDSD X15, X13, X13
+	VFMADD231SD X4, X8, X13
+	VFMADD231SD X5, X9, X13
+	VFMADD231SD X6, X10, X13
+	VFMADD231SD X7, X11, X13
 	VMOVSD X13, (SI)
 	ADDQ $8, DI
 	ADDQ $8, SI
@@ -135,14 +121,10 @@ loop4:
 	VMOVUPD (R10), Y10
 	VMOVUPD (R11), Y11
 	VMOVUPD (DI), Y12
-	VMULPD Y0, Y8, Y14
-	VADDPD Y14, Y12, Y12
-	VMULPD Y1, Y9, Y14
-	VADDPD Y14, Y12, Y12
-	VMULPD Y2, Y10, Y14
-	VADDPD Y14, Y12, Y12
-	VMULPD Y3, Y11, Y14
-	VADDPD Y14, Y12, Y12
+	VFMADD231PD Y0, Y8, Y12
+	VFMADD231PD Y1, Y9, Y12
+	VFMADD231PD Y2, Y10, Y12
+	VFMADD231PD Y3, Y11, Y12
 	VMOVUPD Y12, (DI)
 	ADDQ $32, DI
 	ADDQ $32, R8
@@ -160,14 +142,10 @@ tail1:
 	VMOVSD (R10), X10
 	VMOVSD (R11), X11
 	VMOVSD (DI), X12
-	VMULSD X0, X8, X14
-	VADDSD X14, X12, X12
-	VMULSD X1, X9, X14
-	VADDSD X14, X12, X12
-	VMULSD X2, X10, X14
-	VADDSD X14, X12, X12
-	VMULSD X3, X11, X14
-	VADDSD X14, X12, X12
+	VFMADD231SD X0, X8, X12
+	VFMADD231SD X1, X9, X12
+	VFMADD231SD X2, X10, X12
+	VFMADD231SD X3, X11, X12
 	VMOVSD X12, (DI)
 	ADDQ $8, DI
 	ADDQ $8, R8
@@ -196,8 +174,7 @@ loop4:
 	JLT tail1
 	VMOVUPD (R8), Y8
 	VMOVUPD (DI), Y12
-	VMULPD Y0, Y8, Y14
-	VADDPD Y14, Y12, Y12
+	VFMADD231PD Y0, Y8, Y12
 	VMOVUPD Y12, (DI)
 	ADDQ $32, DI
 	ADDQ $32, R8
@@ -209,8 +186,7 @@ tail1:
 	JZ done
 	VMOVSD (R8), X8
 	VMOVSD (DI), X12
-	VMULSD X0, X8, X14
-	VADDSD X14, X12, X12
+	VFMADD231SD X0, X8, X12
 	VMOVSD X12, (DI)
 	ADDQ $8, DI
 	ADDQ $8, R8

@@ -1,14 +1,17 @@
 package mat
 
+import "math"
+
 // Portable definitions of the three axpy primitives the accumulating
 // kernels funnel into (the tile kernel's portable loop is in tile.go).
 // On amd64 these are the "generic" dispatch level and the reference
 // the AVX2 level is pinned against; on other architectures they are
-// the only level. Each keeps the
-// per-output-element accumulation order of the naive kernels — the
-// left-associated sums below equal a sequence of individual "+="
-// operations bit for bit — so both dispatch levels produce identical
-// results.
+// the only level. Each keeps the per-output-element accumulation order
+// of the naive kernels: every "+ v·b" below is one math.FMA(v, b, acc),
+// rounded once, taken left to right — the nested calls equal a
+// sequence of individual fused updates bit for bit, and the AVX2
+// level's VFMADD231PD is the same operation per lane — so both
+// dispatch levels produce identical results.
 
 // axpy42Generic updates two output rows from four shared input rows:
 //
@@ -27,8 +30,8 @@ func axpy42Generic(c0, c1, b0, b1, b2, b3 []float64, vw *[8]float64) {
 	b3 = b3[:len(c0)]
 	for j, p0 := range b0[:len(c0)] {
 		p1, p2, p3 := b1[j], b2[j], b3[j]
-		c0[j] = c0[j] + v0*p0 + v1*p1 + v2*p2 + v3*p3
-		c1[j] = c1[j] + w0*p0 + w1*p1 + w2*p2 + w3*p3
+		c0[j] = math.FMA(v3, p3, math.FMA(v2, p2, math.FMA(v1, p1, math.FMA(v0, p0, c0[j]))))
+		c1[j] = math.FMA(w3, p3, math.FMA(w2, p2, math.FMA(w1, p1, math.FMA(w0, p0, c1[j]))))
 	}
 }
 
@@ -45,7 +48,7 @@ func axpy4Generic(c, b0, b1, b2, b3 []float64, v *[4]float64) {
 	b2 = b2[:len(c)]
 	b3 = b3[:len(c)]
 	for j, p0 := range b0[:len(c)] {
-		c[j] = c[j] + v0*p0 + v1*b1[j] + v2*b2[j] + v3*b3[j]
+		c[j] = math.FMA(v3, b3[j], math.FMA(v2, b2[j], math.FMA(v1, b1[j], math.FMA(v0, p0, c[j]))))
 	}
 }
 
@@ -57,6 +60,6 @@ func axpy4Generic(c, b0, b1, b2, b3 []float64, v *[4]float64) {
 // multiple of four. b must have length ≥ len(c).
 func axpyGeneric(c, b []float64, v float64) {
 	for j, bv := range b[:len(c)] {
-		c[j] += v * bv
+		c[j] = math.FMA(v, bv, c[j])
 	}
 }

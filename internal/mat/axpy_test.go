@@ -175,6 +175,35 @@ func TestSetISA(t *testing.T) {
 	}
 }
 
+// TestISAForNeedsEveryFeature: the avx2 level runs VFMADD231PD on YMM
+// registers, so detection picks it only when the CPU has AVX2 and FMA
+// and the OS saves YMM state; any one missing falls back to generic.
+func TestISAForNeedsEveryFeature(t *testing.T) {
+	all := cpuWords{maxLeaf: 7, ecx1: cpuFMA | cpuOSXSAVE | cpuAVX, ebx7: cpuAVX2, xcr0: xcr0XMMYMM}
+	for _, tc := range []struct {
+		name string
+		edit func(*cpuWords)
+		want int32
+	}{
+		{"all present", func(*cpuWords) {}, isaAVX2},
+		{"AVX2 without FMA", func(w *cpuWords) { w.ecx1 &^= cpuFMA }, isaGeneric},
+		{"no OSXSAVE", func(w *cpuWords) { w.ecx1 &^= cpuOSXSAVE }, isaGeneric},
+		{"no AVX", func(w *cpuWords) { w.ecx1 &^= cpuAVX }, isaGeneric},
+		{"YMM state off", func(w *cpuWords) { w.xcr0 = 1 << 1 }, isaGeneric},
+		{"no AVX2", func(w *cpuWords) { w.ebx7 = 0 }, isaGeneric},
+		{"no leaf 7", func(w *cpuWords) { w.maxLeaf = 6 }, isaGeneric},
+	} {
+		w := all
+		tc.edit(&w)
+		if got := isaFor(w); got != tc.want {
+			t.Errorf("%s: isaFor = %s, want %s", tc.name, isaNames[got], isaNames[tc.want])
+		}
+	}
+	if !FMAActive() {
+		t.Error("FMAActive() = false; every dispatch level is fused")
+	}
+}
+
 // TestEnvOverrideHonoured fails when HPCNMF_CPU names something init
 // quietly ignored, so a CI leg with a stale level name cannot go green
 // while testing the detected level instead.

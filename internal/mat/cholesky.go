@@ -17,6 +17,9 @@ var ErrNotPositiveDefinite = errors.New("mat: matrix is not positive definite")
 // once here and never again. Only the lower triangle of G is read and
 // only the lower triangle of l is written (consumers read nothing
 // else), so a recycled arena buffer needs no zeroing. Cost: k³/3 flops.
+// Unlike the kernel primitives the loop rounds each product before
+// subtracting it: it mirrors no primitive, and the conversions keep a
+// compiler that contracts x − a·b from fusing it on any architecture.
 func CholeskyInto(l, g *Dense, inv []float64) error {
 	if g.Rows != g.Cols {
 		panic(fmt.Sprintf("mat: Cholesky of non-square %dx%d", g.Rows, g.Cols))
@@ -29,7 +32,7 @@ func CholeskyInto(l, g *Dense, inv []float64) error {
 		lj := ld[j*k : j*k+j+1]
 		d := gd[j*k+j]
 		for _, v := range lj[:j] {
-			d -= v * v
+			d -= float64(v * v)
 		}
 		if d <= 0 || math.IsNaN(d) {
 			return ErrNotPositiveDefinite
@@ -41,7 +44,7 @@ func CholeskyInto(l, g *Dense, inv []float64) error {
 			li := ld[i*k : i*k+j+1]
 			s := gd[i*k+j]
 			for t, v := range lj[:j] {
-				s -= li[t] * v
+				s -= float64(li[t] * v)
 			}
 			li[j] = s * rj
 		}
@@ -61,12 +64,13 @@ const narrowRHS = 5
 // its diagonal, both from CholeskyInto: forward substitution (L·Y = B),
 // then back (Lᵀ·X = Y), 2·k²·r flops for a k×r right-hand side. Every
 // element x[i][j] has the products L[i][t]·x[t][j] subtracted from it
-// in ascending t and is then multiplied by inv[i]; a zero L[i][t] is
-// skipped. The loop nest follows the shape (the rule of mulAtBRange):
-// with fewer than narrowRHS columns each column is run down as a
-// vector, its current element in a register; with more, a row is
-// updated at a time by Axpy, the vector axis along the columns. x − c·t
-// and x + (−c)·t are the same float, so a column's bits do not depend
+// in ascending t, each as one fused x + (−L[i][t])·x[t][j], and is then
+// multiplied by inv[i]; a zero L[i][t] is skipped. The loop nest
+// follows the shape (the rule of mulAtBRange): with fewer than
+// narrowRHS columns each column is run down as a vector, its current
+// element in a register, through math.FMA(−c, t, x); with more, a row
+// is updated at a time by Axpy (the same fused operation per element),
+// the vector axis along the columns. So a column's bits do not depend
 // on how many others share its right-hand side.
 func CholSolveInto(x, l *Dense, inv []float64, b *Dense) {
 	k, r := l.Rows, x.Cols
@@ -81,7 +85,7 @@ func CholSolveInto(x, l *Dense, inv []float64, b *Dense) {
 				v := xd[i*r+j]
 				for t, c := range ld[i*k : i*k+i] {
 					if c != 0 {
-						v -= c * xd[t*r+j]
+						v = math.FMA(-c, xd[t*r+j], v)
 					}
 				}
 				xd[i*r+j] = v * inv[i]
@@ -90,7 +94,7 @@ func CholSolveInto(x, l *Dense, inv []float64, b *Dense) {
 				v := xd[i*r+j]
 				for t := i + 1; t < k; t++ {
 					if c := ld[t*k+i]; c != 0 {
-						v -= c * xd[t*r+j]
+						v = math.FMA(-c, xd[t*r+j], v)
 					}
 				}
 				xd[i*r+j] = v * inv[i]

@@ -12,8 +12,10 @@ import (
 // right-hand-side column at a time: the textbook Cholesky through
 // At/Set, the jitter ladder, and forward/back substitution down a
 // vector. It fixes the operation order the shaped loops must keep: a
-// product per factor entry, subtracted in ascending index, zeros
-// skipped, then one multiplication by the reciprocal of the diagonal.
+// product per factor entry, subtracted in ascending index as one fused
+// multiply-add (the substitution is held to Axpy), zeros skipped, then
+// one multiplication by the reciprocal of the diagonal. The factor
+// loop is unfused, as CholeskyInto's is.
 func refSolveSPD(g, b *Dense) (*Dense, error) {
 	k := g.Rows
 	factor := func(m *Dense) *Dense {
@@ -21,7 +23,7 @@ func refSolveSPD(g, b *Dense) (*Dense, error) {
 		for j := 0; j < k; j++ {
 			d := m.At(j, j)
 			for t := 0; t < j; t++ {
-				d -= l.At(j, t) * l.At(j, t)
+				d -= float64(l.At(j, t) * l.At(j, t))
 			}
 			if d <= 0 || math.IsNaN(d) {
 				return nil
@@ -30,7 +32,7 @@ func refSolveSPD(g, b *Dense) (*Dense, error) {
 			for i := j + 1; i < k; i++ {
 				s := m.At(i, j)
 				for t := 0; t < j; t++ {
-					s -= l.At(i, t) * l.At(j, t)
+					s -= float64(l.At(i, t) * l.At(j, t))
 				}
 				l.Set(i, j, s*(1/l.At(j, j)))
 			}
@@ -62,7 +64,7 @@ func refSolveSPD(g, b *Dense) (*Dense, error) {
 			v[i] = b.At(i, j)
 			for t := 0; t < i; t++ {
 				if c := l.At(i, t); c != 0 {
-					v[i] -= c * v[t]
+					v[i] = math.FMA(-c, v[t], v[i])
 				}
 			}
 			v[i] *= 1 / l.At(i, i)
@@ -70,7 +72,7 @@ func refSolveSPD(g, b *Dense) (*Dense, error) {
 		for i := k - 1; i >= 0; i-- {
 			for t := i + 1; t < k; t++ {
 				if c := l.At(t, i); c != 0 {
-					v[i] -= c * v[t]
+					v[i] = math.FMA(-c, v[t], v[i])
 				}
 			}
 			v[i] *= 1 / l.At(i, i)

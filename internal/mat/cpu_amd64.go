@@ -13,31 +13,18 @@ func cpuidAsm(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 //go:noescape
 func xgetbv0() (eax, edx uint32)
 
-// bestISA probes CPUID for the strongest dispatch level this machine
-// can run. AVX2 requires the CPU flag (leaf 7 EBX bit 5), AVX and
-// OSXSAVE (leaf 1 ECX bits 28/27), and the OS to have enabled XMM+YMM
-// state saving (XCR0 bits 1 and 2 via XGETBV); without any of them the
-// portable loops run.
+// bestISA reads the words isaFor decides on. XGETBV faults unless
+// OSXSAVE is set, and leaf 7 is read only where it exists; a word left
+// unread is zero, which isaFor refuses.
 func bestISA() int32 {
-	maxLeaf, _, _, _ := cpuidAsm(0, 0)
-	if maxLeaf < 7 {
-		return isaGeneric
+	var w cpuWords
+	w.maxLeaf, _, _, _ = cpuidAsm(0, 0)
+	_, _, w.ecx1, _ = cpuidAsm(1, 0)
+	if w.ecx1&cpuOSXSAVE != 0 {
+		w.xcr0, _ = xgetbv0()
 	}
-	_, _, ecx1, _ := cpuidAsm(1, 0)
-	const (
-		osxsaveBit = 1 << 27
-		avxBit     = 1 << 28
-	)
-	if ecx1&osxsaveBit == 0 || ecx1&avxBit == 0 {
-		return isaGeneric
+	if w.maxLeaf >= 7 {
+		_, w.ebx7, _, _ = cpuidAsm(7, 0)
 	}
-	if xcr0, _ := xgetbv0(); xcr0&0x6 != 0x6 { // XMM and YMM state
-		return isaGeneric
-	}
-	_, ebx7, _, _ := cpuidAsm(7, 0)
-	const avx2Bit = 1 << 5
-	if ebx7&avx2Bit == 0 {
-		return isaGeneric
-	}
-	return isaAVX2
+	return isaFor(w)
 }

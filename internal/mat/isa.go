@@ -3,6 +3,7 @@ package mat
 import (
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"sync/atomic"
 )
@@ -15,27 +16,32 @@ import (
 // one function-level dispatch point per primitive upgrades the whole
 // kernel layer. Each primitive has two implementations:
 //
-//	generic — portable Go loops (the !amd64 build, pre-AVX2 amd64
-//	          CPUs, and a test target)
-//	avx2    — packed 4-wide VMULPD/VADDPD assembly
+//	generic — portable Go loops on math.FMA (the !amd64 build, CPUs
+//	          without AVX2+FMA, and a test target)
+//	avx2    — packed 4-wide VFMADD231PD assembly (AVX2 and FMA3)
 //
-// Both execute the same per-element operation sequence, so their
-// results are bitwise identical — the repo's parallelism contract
-// extends across instruction sets, and the differential kernel tests
-// pin either level against the scalar references without tolerances.
-// A host therefore has exactly one arithmetic; there is no fused
-// multiply-add level (DESIGN.md decision 12 says why).
+// Both are fused: every term is one multiply-add rounded once, taken
+// in the same per-element order, so their results are bitwise
+// identical — the repo's parallelism contract extends across
+// instruction sets, and the differential kernel tests pin either level
+// against the scalar references without tolerances. A host therefore
+// has exactly one arithmetic, and it is the same on every host: where
+// the CPU has no FMA unit, math.FMA computes the fused result in
+// software — correct and bitwise equal, only slow (DESIGN.md decision
+// 12).
 //
 // The active level is chosen at startup from CPUID and can be
 // overridden, GODEBUG-style, with the HPCNMF_CPU environment variable
 // ("generic" or "avx2") — that is how CI exercises both dispatch paths
 // on one machine. Tests use SetISA.
 
-// Dispatch levels, weakest to strongest.
+// Dispatch levels, weakest to strongest, and their names.
 const (
 	isaGeneric int32 = iota
 	isaAVX2
 )
+
+var isaNames = [...]string{isaGeneric: "generic", isaAVX2: "avx2"}
 
 var (
 	// isaLevel is the active dispatch level: process-global (the
@@ -59,48 +65,58 @@ func init() {
 	}
 }
 
-func isaName(level int32) string {
-	if level == isaAVX2 {
-		return "avx2"
+// cpuWords are the CPUID and XCR0 words the dispatch level depends on.
+type cpuWords struct {
+	maxLeaf uint32 // leaf 0 EAX: the highest basic leaf
+	ecx1    uint32 // leaf 1 ECX
+	ebx7    uint32 // leaf 7 EBX
+	xcr0    uint32 // XCR0 low word: the register state the OS saves
+}
+
+// The feature bits isaFor tests.
+const (
+	cpuFMA, cpuOSXSAVE, cpuAVX = 1 << 12, 1 << 27, 1 << 28 // leaf 1 ECX
+	cpuAVX2                    = 1 << 5                    // leaf 7 EBX
+	xcr0XMMYMM                 = 1<<1 | 1<<2               // XMM and YMM state
+)
+
+// isaFor is the strongest dispatch level a CPU with these words can
+// run. avx2 executes VFMADD231PD on YMM registers, so it needs the AVX2
+// and FMA flags, AVX with OSXSAVE, and the OS saving XMM and YMM state;
+// without any of them the portable loops run.
+func isaFor(w cpuWords) int32 {
+	const leaf1 = cpuFMA | cpuOSXSAVE | cpuAVX
+	if w.maxLeaf < 7 || w.ecx1&leaf1 != leaf1 || w.xcr0&xcr0XMMYMM != xcr0XMMYMM || w.ebx7&cpuAVX2 == 0 {
+		return isaGeneric
 	}
-	return "generic"
+	return isaAVX2
 }
 
 // ISA reports the active kernel instruction set: "generic" or "avx2".
 // Runs record it so results can be traced to the kernels that produced
 // them.
-func ISA() string { return isaName(isaLevel.Load()) }
+func ISA() string { return isaNames[isaLevel.Load()] }
 
 // SupportedISAs lists every dispatch target this machine can run,
 // weakest first — the iteration set for differential kernel tests.
-func SupportedISAs() []string {
-	out := []string{"generic"}
-	if cpuBestLevel >= isaAVX2 {
-		out = append(out, "avx2")
-	}
-	return out
-}
+func SupportedISAs() []string { return slices.Clone(isaNames[:cpuBestLevel+1]) }
 
 // SetISA selects the kernel instruction set by name: "generic" or
 // "avx2" (case-insensitive). An unknown name, or a level the CPU
 // lacks, returns an error and changes nothing.
 func SetISA(spec string) error {
-	var level int32
-	switch strings.ToLower(strings.TrimSpace(spec)) {
-	case "generic":
-		level = isaGeneric
-	case "avx2":
-		level = isaAVX2
-	default:
+	level := int32(slices.Index(isaNames[:], strings.ToLower(strings.TrimSpace(spec))))
+	if level < 0 {
 		return fmt.Errorf("mat: unknown ISA %q (want generic or avx2)", spec)
 	}
 	if level > cpuBestLevel {
-		return fmt.Errorf("mat: ISA %q not supported by this CPU (best: %s)", spec, isaName(cpuBestLevel))
+		return fmt.Errorf("mat: ISA %q not supported by this CPU (best: %s)", spec, isaNames[cpuBestLevel])
 	}
 	isaLevel.Store(level)
 	return nil
 }
 
-// FMAActive is always false: no kernel contracts mul+add. It stays
-// only because benchmark/host.go stamps it into every result.
-func FMAActive() bool { return false }
+// FMAActive reports whether the kernels fuse multiply-add. They do at
+// every dispatch level, so it is always true; it stays because
+// benchmark/host.go stamps it into every result.
+func FMAActive() bool { return true }

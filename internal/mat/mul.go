@@ -2,6 +2,7 @@ package mat
 
 import (
 	"fmt"
+	"math"
 
 	"hpcnmf/internal/par"
 )
@@ -32,11 +33,12 @@ import (
 //
 // Every kernel preserves the reference accumulation order: each output
 // element receives its contributions in increasing reduction-index
-// order (the four-way unrolled sums associate left to right; a tile
-// accumulator takes one term per step), so blocked results are bitwise
-// identical to the reference on finite inputs, and a run is
-// reproducible regardless of KernelThreads — worker ranges partition
-// output elements, never the reduction.
+// order, each one fused multiply-add rounded once (the four-way
+// unrolled sums nest left to right; a tile accumulator takes one term
+// per step), so blocked results are bitwise identical to the reference
+// on finite inputs, and a run is reproducible regardless of
+// KernelThreads — worker ranges partition output elements, never the
+// reduction.
 //
 // Each in-place kernel is a Par* function taking a *par.Pool that
 // splits the output range across workers; the pool may be nil, which
@@ -317,9 +319,9 @@ func ParGramAddTo(g, a *Dense, p *par.Pool) {
 
 // gramRange computes upper-triangle rows [l0,l1) of G += Aᵀ·A with the
 // sample index unrolled four ways and triangle rows paired: the
-// diagonal entry of the even row is updated scalar, then one axpy42
-// call folds the four streamed A rows into both G rows from column
-// l+1 rightwards.
+// diagonal entry of the even row is updated scalar, fused like the
+// primitives, then one axpy42 call folds the four streamed A rows into
+// both G rows from column l+1 rightwards.
 func gramRange(g, a *Dense, l0, l1 int) {
 	k := a.Cols
 	m := a.Rows
@@ -335,7 +337,7 @@ func gramRange(g, a *Dense, l0, l1 int) {
 			v0, v1, v2, v3 := t0[l], t1[l], t2[l], t3[l]
 			g0 := g.Data[l*k : (l+1)*k]
 			g1 := g.Data[(l+1)*k : (l+2)*k]
-			g0[l] = g0[l] + v0*v0 + v1*v1 + v2*v2 + v3*v3
+			g0[l] = math.FMA(v3, v3, math.FMA(v2, v2, math.FMA(v1, v1, math.FMA(v0, v0, g0[l]))))
 			j := l + 1
 			vw[0], vw[1], vw[2], vw[3] = v0, v1, v2, v3
 			vw[4], vw[5], vw[6], vw[7] = t0[j], t1[j], t2[j], t3[j]

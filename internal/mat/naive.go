@@ -1,10 +1,13 @@
 package mat
 
+import "math"
+
 // Reference kernels: the straightforward triple loops the blocked
 // kernels in mul.go are differentially tested against. They define
 // the accumulation-order contract — contributions to every output
 // element are added in increasing reduction-index order, left to
-// right — which the blocked row-unrolled kernels preserve exactly, so
+// right, each as one fused multiply-add (math.FMA, one rounding per
+// term) — which the blocked row-unrolled kernels preserve exactly, so
 // the differential tests can demand bitwise equality on finite inputs.
 //
 // Unlike the seed implementation these loops carry no `if v == 0`
@@ -25,7 +28,7 @@ func RefMulAddTo(c, a, b *Dense) {
 		for l, ail := range arow {
 			brow := b.Data[l*n : (l+1)*n]
 			for j, blj := range brow {
-				crow[j] += ail * blj
+				crow[j] = math.FMA(ail, blj, crow[j])
 			}
 		}
 	}
@@ -44,7 +47,7 @@ func RefMulAtBAddTo(c, a, b *Dense) {
 		for l, ail := range arow {
 			crow := c.Data[l*n : (l+1)*n]
 			for j, bij := range brow {
-				crow[j] += ail * bij
+				crow[j] = math.FMA(ail, bij, crow[j])
 			}
 		}
 	}
@@ -63,7 +66,7 @@ func RefMulABtTo(c, a, b *Dense) {
 			brow := b.Row(j)
 			s := 0.0
 			for l, v := range arow {
-				s += v * brow[l]
+				s = math.FMA(v, brow[l], s)
 			}
 			crow[j] = s
 		}
@@ -81,7 +84,7 @@ func RefGramAddTo(g *Dense, a *Dense) {
 		for l, v := range row {
 			grow := g.Data[l*k : (l+1)*k]
 			for j := l; j < k; j++ {
-				grow[j] += v * row[j]
+				grow[j] = math.FMA(v, row[j], grow[j])
 			}
 		}
 	}
@@ -99,7 +102,7 @@ func RefGramT(a *Dense) *Dense {
 			rj := a.Row(j)
 			s := 0.0
 			for l, v := range ri {
-				s += v * rj[l]
+				s = math.FMA(v, rj[l], s)
 			}
 			grow[j] = s
 		}

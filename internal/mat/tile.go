@@ -1,6 +1,10 @@
 package mat
 
-import "hpcnmf/internal/par"
+import (
+	"math"
+
+	"hpcnmf/internal/par"
+)
 
 // The tile kernel: the register-blocked microkernel behind every
 // "skinny output, long reduction" product (A·Hᵀ, A·B on a gathered n×k
@@ -10,11 +14,12 @@ import "hpcnmf/internal/par"
 // is read at unit stride on both sides.
 //
 // Every output element has exactly one accumulator, started at zero
-// and updated acc = acc + a·b in ascending reduction index — the
-// operation sequence of RefMulABtTo, RefGramT and RefMulAddTo on a
-// zeroed C — so both dispatch levels are bitwise equal to the
-// references by construction. Vector lanes hold adjacent output
-// columns, never partial sums.
+// and updated acc = fma(a, b, acc) — one rounding per term — in
+// ascending reduction index: the operation sequence of RefMulABtTo,
+// RefGramT and RefMulAddTo on a zeroed C, so both dispatch levels
+// (VFMADD231PD and math.FMA) are bitwise equal to the references by
+// construction. Vector lanes hold adjacent output columns, never
+// partial sums.
 const (
 	tileMR = 4 // rows of C per tile
 	tileNR = 8 // columns of C per tile (two 4-wide vectors)
@@ -157,14 +162,14 @@ func tileRow(c, a, b []float64) {
 	var s0, s1, s2, s3, s4, s5, s6, s7 float64
 	for l, v := range a {
 		q := (*[tileNR]float64)(b[l*tileNR:])
-		s0 += v * q[0]
-		s1 += v * q[1]
-		s2 += v * q[2]
-		s3 += v * q[3]
-		s4 += v * q[4]
-		s5 += v * q[5]
-		s6 += v * q[6]
-		s7 += v * q[7]
+		s0 = math.FMA(v, q[0], s0)
+		s1 = math.FMA(v, q[1], s1)
+		s2 = math.FMA(v, q[2], s2)
+		s3 = math.FMA(v, q[3], s3)
+		s4 = math.FMA(v, q[4], s4)
+		s5 = math.FMA(v, q[5], s5)
+		s6 = math.FMA(v, q[6], s6)
+		s7 = math.FMA(v, q[7], s7)
 	}
 	c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7] = s0, s1, s2, s3, s4, s5, s6, s7
 }

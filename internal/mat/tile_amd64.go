@@ -3,7 +3,7 @@
 package mat
 
 // AVX2 variant of the tile microkernel (tile_amd64.s); without AVX2
-// the portable Go tile runs.
+// and FMA the portable Go tile runs, rounding every term the same way.
 
 //go:noescape
 func tile4x8AVX2(c *float64, ldc int, a0, a1, a2, a3, b *float64, n int)

@@ -6,19 +6,18 @@
 // row r in Y(2r), Y(2r+1) — for the whole reduction. Each step loads
 // one packed row of the factor (two vectors, eight output columns),
 // broadcasts one element from each of the four A rows, and updates
-// every accumulator once: acc = acc + a·b, running sum as the first
-// source like the axpy kernels, lanes holding adjacent output columns.
-// The reduction is unrolled four ways; the unroll only amortizes loop
-// overhead, the per-element operation order is the reference's.
+// every accumulator once with one fused multiply-add, acc = a·b + acc
+// rounded once (math.FMA in the portable tileRow), lanes holding
+// adjacent output columns. The reduction is unrolled four ways; the
+// unroll only amortizes loop overhead, the per-element operation order
+// is the reference's.
 
 // One row of one step: off is the byte offset of the unrolled step
 // within the A rows. Y8, Y9 hold the packed factor row.
 #define ROW_MUL(a, off, acc0, acc1) \
 	VBROADCASTSD off(a)(AX*8), Y10; \
-	VMULPD       Y10, Y8, Y11;      \
-	VADDPD       Y11, acc0, acc0;   \
-	VMULPD       Y10, Y9, Y12;      \
-	VADDPD       Y12, acc1, acc1
+	VFMADD231PD  Y10, Y8, acc0;     \
+	VFMADD231PD  Y10, Y9, acc1
 
 #define STEP_MUL(off8, offb0, offb1) \
 	VMOVUPD offb0(SI), Y8;       \

@@ -583,26 +583,33 @@ func (q *lanes) xAt(i int) quad { return quad{q.x[0][i], q.x[1][i], q.x[2][i], q
 
 func (q *lanes) setX(i int, v quad) { q.x[0][i], q.x[1][i], q.x[2][i], q.x[3][i] = v.a, v.b, v.c, v.d }
 
-// fms is v − c·x per lane.
+// fms is v − c·x per lane, unfused like mat.CholeskyInto's loop.
 func (v quad) fms(c, x quad) quad {
-	return quad{v.a - c.a*x.a, v.b - c.b*x.b, v.c - c.c*x.c, v.d - c.d*x.d}
+	return quad{v.a - float64(c.a*x.a), v.b - float64(c.b*x.b), v.c - float64(c.c*x.c), v.d - float64(c.d*x.d)}
 }
 
 // minus is v − Σ c_t·x_t over t in [lo, hi), c_t = l[ci + t·cs]: the
 // substitution of mat.CholSolveInto for one entry of every lane,
-// products subtracted in ascending t and a zero c_t skipped.
+// products subtracted in ascending t and a zero c_t skipped. Each
+// lane's operands are loaded next to its own skip: without GOAMD64=v3,
+// math.FMA is a feature test with a call behind it, and every value
+// live across that call is spilled on each pass.
 func (q *lanes) minus(v quad, lo, hi, ci, cs int) quad {
 	for t := lo; t < hi; t++ {
-		c, x := q.l[ci+t*cs], q.xAt(t)
-		v = quad{skip(v.a, c.a, x.a), skip(v.b, c.b, x.b), skip(v.c, c.c, x.c), skip(v.d, c.d, x.d)}
+		c := &q.l[ci+t*cs]
+		v.a = skip(v.a, c.a, q.x[0][t])
+		v.b = skip(v.b, c.b, q.x[1][t])
+		v.c = skip(v.c, c.c, q.x[2][t])
+		v.d = skip(v.d, c.d, q.x[3][t])
 	}
 	return v
 }
 
-// skip is v − c·x, or v when c is zero.
+// skip is v + (−c)·x fused, as mat.CholSolveInto's substitution
+// rounds it, or v when c is zero.
 func skip(v, c, x float64) float64 {
 	if c != 0 {
-		return v - c*x
+		return math.FMA(-c, x, v)
 	}
 	return v
 }

@@ -1,12 +1,18 @@
 package sparse
 
-import "hpcnmf/internal/mat"
+import (
+	"math"
+
+	"hpcnmf/internal/mat"
+)
 
 // The retained scalar reference kernels. They define the accumulation
 // order the production kernels of spmm.go must reproduce bit for bit
 // (for any pool size, strip width, and ISA level), anchor the
 // differential tests, and serve as the "naive" side of the kernel
-// benchmarks. Shapes follow MulBtTo/MulWtATo; no validation is done.
+// benchmarks. Every term is one fused multiply-add (math.FMA), the
+// arithmetic of mat's primitives. Shapes follow MulBtTo/MulWtATo; no
+// validation is done.
 
 // RefMulBtTo computes C = A·B (C is a.Rows×b.Cols, B is a.Cols×k) by
 // streaming each sparse row's entries in ascending column order.
@@ -20,7 +26,7 @@ func RefMulBtTo(c *mat.Dense, a *CSR, b *mat.Dense) {
 			v := a.Val[p]
 			brow := b.Row(a.ColIdx[p])
 			for t, bv := range brow {
-				crow[t] += v * bv
+				crow[t] = math.FMA(v, bv, crow[t])
 			}
 		}
 	}
@@ -37,7 +43,7 @@ func RefMulWtATo(c *mat.Dense, a *CSR, w *mat.Dense) {
 			j := a.ColIdx[q]
 			v := a.Val[q]
 			for t, wv := range wrow {
-				c.Data[t*a.Cols+j] += v * wv
+				c.Data[t*a.Cols+j] = math.FMA(v, wv, c.Data[t*a.Cols+j])
 			}
 		}
 	}

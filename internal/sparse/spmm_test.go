@@ -292,6 +292,43 @@ func TestSpMMAcrossISAs(t *testing.T) {
 	}
 }
 
+// TestSpMMIsFused holds the references and, at every dispatch level,
+// the kernels to one fused multiply-add per stored entry: the entries
+// (−1, fa, 1, 1, 1) against factor rows (1, fb, 0, 0, 0) sum to
+// fma(fa, fb, −1) = −2⁻⁵⁴ fused, where a multiply-then-add gives 0.
+func TestSpMMIsFused(t *testing.T) {
+	const fa, fb, k = 1 + 0x1p-27, 1 - 0x1p-27, 5
+	vals, rows := []float64{-1, fa, 1, 1, 1}, []float64{1, fb, 0, 0, 0}
+	var row, col []Coord
+	b := mat.NewDense(len(vals), k)
+	for i, v := range vals {
+		row = append(row, Coord{Row: 0, Col: i, Val: v})
+		col = append(col, Coord{Row: i, Col: 0, Val: v})
+		for j := range k {
+			b.Set(i, j, rows[i])
+		}
+	}
+	ar, ac := FromCoords(1, len(vals), row), FromCoords(len(vals), 1, col)
+	want := mat.NewDense(1, k)
+	want.Fill(-0x1p-54)
+	bt, wta := mat.NewDense(1, k), mat.NewDense(k, 1)
+	RefMulBtTo(bt, ar, b)
+	bitwiseEqual(t, "RefMulBtTo", bt, want)
+	RefMulWtATo(wta, ac, b)
+	bitwiseEqual(t, "RefMulWtATo", wta, want)
+	prev := mat.ISA()
+	defer mat.SetISA(prev)
+	for _, isa := range mat.SupportedISAs() {
+		if err := mat.SetISA(isa); err != nil {
+			t.Fatal(err)
+		}
+		ar.MulBtTo(bt, b, nil)
+		bitwiseEqual(t, isa+"/MulBtTo", bt, want)
+		ac.MulWtATo(wta, b, nil)
+		bitwiseEqual(t, isa+"/MulWtATo", wta, want)
+	}
+}
+
 // FuzzCSRTileRoundTrip drives Submatrix tiling with fuzzed tile
 // boundaries over a skewed matrix: reassembling the four quadrant
 // tiles must reproduce the original, and each tile's kernels must

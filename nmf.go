@@ -163,6 +163,11 @@ type Checkpoint = core.Checkpoint
 // CheckpointMeta is the checkpoint's versioned header.
 type CheckpointMeta = core.CheckpointMeta
 
+// ErrCheckpointVersion is wrapped by LoadCheckpoint when the file was
+// written under another checkpoint version (another header schema or
+// kernel arithmetic); match it with errors.Is.
+var ErrCheckpointVersion = core.ErrCheckpointVersion
+
 // LoadCheckpoint reads dir/checkpoint.bin written by a checkpointing
 // run.
 func LoadCheckpoint(dir string) (*Checkpoint, error) { return core.LoadCheckpoint(dir) }
