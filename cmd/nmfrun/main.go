@@ -33,6 +33,7 @@ import (
 	"hpcnmf/internal/core"
 	"hpcnmf/internal/costmodel"
 	"hpcnmf/internal/metrics"
+	"hpcnmf/internal/nnls"
 	"hpcnmf/internal/ooc"
 	"hpcnmf/internal/perf"
 )
@@ -122,9 +123,9 @@ func parseFlags(args []string, stderr io.Writer) (*cli, error) {
 	fs.StringVar(&c.tileBack, "tile-backend", "auto", "tile reader backend for -tiled: auto, mmap, readerat")
 	fs.BoolVar(&c.dense, "dense", false, "force the dense kernel path: densify a sparse input instead of auto-detecting storage by density")
 	fs.Float64Var(&c.scale, "scale", 0.25, "dataset scale factor")
-	fs.StringVar(&c.alg, "alg", "hpc2d", "algorithm: seq, naive, hpc1d, hpc2d, auto (cost-model pick of layout, grid and updater), or an update rule mu|hals|pgd|bpp (HPC 2D skeleton with that updater)")
-	fs.StringVar(&c.solver, "solver", "bpp", "local NLS solver: bpp, activeset, mu, hals, pgd")
-	fs.IntVar(&c.sweeps, "sweeps", 1, "inner sweeps for mu/hals")
+	fs.StringVar(&c.alg, "alg", "hpc2d", "algorithm: seq, naive, hpc1d, hpc2d, auto (cost-model pick of layout, grid and updater), or a solver name ("+nnls.Names()+") for the HPC 2D skeleton with that updater")
+	fs.StringVar(&c.solver, "solver", "bpp", "local NLS solver: "+nnls.Names())
+	fs.IntVar(&c.sweeps, "sweeps", 1, "inner sweeps per solve for the inexact solvers (the exact ones ignore it)")
 	fs.IntVar(&c.k, "k", 10, "factorization rank")
 	fs.IntVar(&c.p, "p", 16, "processor count (parallel algorithms)")
 	fs.StringVar(&c.grid, "grid", "auto", "hpc2d processor grid: auto (cost-model argmin over factorizations of -p) or explicit PRxPC, e.g. 4x2 (overrides -p)")
@@ -160,15 +161,20 @@ func parseFlags(args []string, stderr io.Writer) (*cli, error) {
 		}
 	})
 
-	// -alg can name an update rule directly: the framework's headline
+	// -alg can name any solver -solver accepts: the framework's headline
 	// spelling, running the HPC 2D skeleton with that updater plugged
 	// in. It is sugar for -alg hpc2d -solver <rule>. Out-of-core runs
 	// use the streaming sequential driver instead of a skeleton, so
 	// there the sugar sets only the updater.
-	switch c.alg {
-	case "mu", "hals", "pgd", "bpp":
-		if c.solverSet && c.solver != c.alg {
-			return nil, fmt.Errorf("-alg %s names an updater but -solver %s asks for a different one", c.alg, c.solver)
+	if kind, err := hpcnmf.ParseSolver(c.alg); err == nil {
+		if c.solverSet {
+			asked, err := hpcnmf.ParseSolver(c.solver)
+			if err != nil {
+				return nil, err
+			}
+			if asked != kind {
+				return nil, fmt.Errorf("-alg %s names an updater but -solver %s asks for a different one", c.alg, c.solver)
+			}
 		}
 		c.solver = c.alg
 		if c.tiled == "" {
@@ -182,7 +188,7 @@ func parseFlags(args []string, stderr io.Writer) (*cli, error) {
 			return nil, fmt.Errorf("-tiled and -mm both name an input; pick one")
 		}
 		if algSet && c.alg != "seq" {
-			return nil, fmt.Errorf("-alg %s is in-core; -tiled runs the streaming sequential driver (use -alg seq or an updater name: mu, hals, pgd, bpp)", c.alg)
+			return nil, fmt.Errorf("-alg %s is in-core; -tiled runs the streaming sequential driver (use -alg seq or a solver name: %s)", c.alg, nnls.Names())
 		}
 	}
 	switch c.view {
@@ -387,11 +393,8 @@ func pick(c *cli, a hpcnmf.Matrix, opts *hpcnmf.Options, stdout io.Writer) (*pla
 			fmt.Fprintf(stdout, "  %s %.6f x %.1f", ch.Updater.Name, ch.IterSeconds, ch.Updater.IterFactor)
 		}
 		fmt.Fprintln(stdout)
+		opts.Solver = hpcnmf.SolverKind(choices[0].Kind)
 		c.solver = strings.ToLower(choices[0].Updater.Name)
-		var err error
-		if opts.Solver, err = hpcnmf.ParseSolver(c.solver); err != nil {
-			return nil, err
-		}
 	}
 	fmt.Fprintf(stdout, "selected: %s, updater %s\n\n", c.alg, c.solver)
 	return &plan{best: ranked[0], feasible: infeasible == nil}, nil

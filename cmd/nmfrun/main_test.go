@@ -144,6 +144,37 @@ func TestRunGridAutoPrintsPick(t *testing.T) {
 	}
 }
 
+// TestRunAlgShorthandFollowsTable: -alg takes every solver name
+// -solver takes, in any letter case, as HPC 2D with that updater, and
+// a -solver beside it conflicts only when it names a different solver.
+func TestRunAlgShorthandFollowsTable(t *testing.T) {
+	got := runOK(t, fast("-alg", "bpp", "-solver", "BPP", "-p", "4")...)
+	if !strings.Contains(got, "algorithm: HPC-NMF") || !strings.Contains(got, "solver bpp") {
+		t.Errorf("-alg bpp -solver BPP did not run HPC 2D with BPP:\n%s", got)
+	}
+	report := filepath.Join(t.TempDir(), "report.json")
+	got = runOK(t, fast("-alg", "activeset", "-p", "4", "-report", report)...)
+	raw, err := os.ReadFile(report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep struct {
+		Updater string `json:"updater"`
+	}
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(got, "algorithm: HPC-NMF") || rep.Updater != "ActiveSet" {
+		t.Errorf("-alg activeset ran updater %q:\n%s", rep.Updater, got)
+	}
+	runOK(t, fast("-alg", "Hals", "-p", "4")...)
+
+	var out, errb bytes.Buffer
+	if err := run(fast("-alg", "mu", "-solver", "hals"), &out, &errb); err == nil || !strings.Contains(err.Error(), "different") {
+		t.Errorf("-alg mu -solver hals: err = %v, want the conflict refused", err)
+	}
+}
+
 func TestRunGridExplicitOverridesP(t *testing.T) {
 	got := runOK(t, fast("-alg", "hpc2d", "-p", "16", "-grid", "2x2")...)
 	if !strings.Contains(got, "grid:      2x2 (explicit)") {

@@ -29,6 +29,7 @@ import (
 
 	"hpcnmf"
 	"hpcnmf/internal/cluster"
+	"hpcnmf/internal/nnls"
 	"hpcnmf/internal/obs"
 	"hpcnmf/internal/serve"
 	"hpcnmf/internal/store"
@@ -54,8 +55,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		budgetMB   = fs.Int64("budget-mb", 256, "resident model budget in MiB; past it the LRU model is evicted (< 0 disables)")
 		fitWorkers = fs.Int("fit-workers", 2, "async fit worker pool size")
 		fitQueue   = fs.Int("fit-queue", 8, "pending fit jobs before 429 + Retry-After")
-		solverName = fs.String("solver", "bpp", "projection NNLS solver: bpp, activeset, mu, hals, pgd")
-		sweeps     = fs.Int("sweeps", 8, "inner sweeps for the inexact projection solvers (mu, hals, pgd)")
+		solverName = fs.String("solver", "bpp", "projection NNLS solver: "+nnls.Names())
+		sweeps     = fs.Int("sweeps", 8, "inner sweeps per projection for the inexact solvers (the exact ones ignore it)")
 		tracePath  = fs.String("trace", "", "write a Chrome trace_event JSON of request/batch/solve/kernel spans on shutdown")
 		drainSecs  = fs.Int("drain-timeout", 30, "seconds to wait for in-flight HTTP requests on shutdown")
 		pprofOn    = fs.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ for continuous profiling")

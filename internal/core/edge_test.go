@@ -1,12 +1,15 @@
 package core
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
+	"unicode"
 
 	"hpcnmf/internal/grid"
 	"hpcnmf/internal/mat"
+	"hpcnmf/internal/nnls"
 	"hpcnmf/internal/rng"
 	"hpcnmf/internal/sparse"
 )
@@ -145,7 +148,7 @@ func TestMaxIterZeroUsesDefault(t *testing.T) {
 }
 
 func TestSolverKindStringsAndUnknown(t *testing.T) {
-	for _, k := range []SolverKind{SolverBPP, SolverActiveSet, SolverMU, SolverHALS, SolverPGD} {
+	for _, k := range allSolvers() {
 		if k.String() == "" || k.New(1) == nil {
 			t.Fatalf("solver kind %d broken", k)
 		}
@@ -159,6 +162,62 @@ func TestSolverKindStringsAndUnknown(t *testing.T) {
 		}
 	}()
 	SolverKind(99).New(1)
+}
+
+// allSolvers is every built-in solver kind, one per row of nnls.Methods.
+func allSolvers() []SolverKind {
+	kinds := make([]SolverKind, len(nnls.Methods))
+	for i := range kinds {
+		kinds[i] = SolverKind(i)
+	}
+	return kinds
+}
+
+// TestSolverKindIndexesMethods: a SolverKind is its row of the solver
+// table — the row's name is the kind's name and its constructor's
+// solver's, and ParseSolver maps the name in any letter case back to
+// the row — each named constant sits on the row it names, and what lies
+// outside the table is refused with every row named.
+func TestSolverKindIndexesMethods(t *testing.T) {
+	for i, m := range nnls.Methods {
+		k := SolverKind(i)
+		if k.String() != m.Name {
+			t.Errorf("SolverKind(%d).String() = %q, row name %q", i, k.String(), m.Name)
+		}
+		for _, sweeps := range []int{1, 3} {
+			if got := m.New(sweeps).Name(); got != m.Name {
+				t.Errorf("row %q builds a solver named %q", m.Name, got)
+			}
+			if got := k.New(sweeps).Name(); got != m.Name {
+				t.Errorf("SolverKind(%d).New builds %q, want row %q", i, got, m.Name)
+			}
+		}
+		mixed := []rune(strings.ToLower(m.Name))
+		for j := 0; j < len(mixed); j += 2 {
+			mixed[j] = unicode.ToUpper(mixed[j])
+		}
+		for _, spelling := range []string{strings.ToLower(m.Name), strings.ToUpper(m.Name), string(mixed)} {
+			if got, err := ParseSolver(spelling); err != nil || got != k {
+				t.Errorf("ParseSolver(%q) = %v, %v; want row %d", spelling, got, err, i)
+			}
+		}
+	}
+	for k, name := range map[SolverKind]string{SolverBPP: "BPP", SolverActiveSet: "ActiveSet", SolverHALS: "HALS", SolverMU: "MU", SolverPGD: "PGD"} {
+		if k.String() != name {
+			t.Errorf("constant %d is row %q, want %q", int(k), k.String(), name)
+		}
+	}
+	for _, n := range []int{-1, len(nnls.Methods)} {
+		if got, want := SolverKind(n).String(), fmt.Sprintf("SolverKind(%d)", n); got != want {
+			t.Errorf("out-of-range kind prints %q, want %q", got, want)
+		}
+	}
+	_, err := ParseSolver("simplex")
+	for _, m := range nnls.Methods {
+		if err == nil || !strings.Contains(err.Error(), strings.ToLower(m.Name)) {
+			t.Errorf("ParseSolver(\"simplex\") error %v does not list row %q", err, m.Name)
+		}
+	}
 }
 
 // TestParseSolver: the one name parser behind nmfrun -solver,

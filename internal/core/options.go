@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"strings"
 	"time"
 
 	"hpcnmf/internal/fault"
@@ -18,7 +17,9 @@ import (
 
 // SolverKind selects the local NLS method (the paper's "flexibility"
 // axis, §1): the alternating framework is identical, only the local
-// solve changes.
+// solve changes. A kind is the index of its row in nnls.Methods, and
+// the constants below follow that table's order. Checkpoints, reports
+// and the wire carry the name, never the number.
 type SolverKind int
 
 const (
@@ -26,60 +27,31 @@ const (
 	SolverBPP SolverKind = iota
 	// SolverActiveSet is the classical Lawson–Hanson method.
 	SolverActiveSet
-	// SolverMU is the multiplicative update rule (Eq. 3).
-	SolverMU
 	// SolverHALS is hierarchical alternating least squares (Eq. 4).
 	SolverHALS
+	// SolverMU is the multiplicative update rule (Eq. 3).
+	SolverMU
 	// SolverPGD is projected gradient descent (Lin 2007).
 	SolverPGD
 )
 
-// String returns the solver's display name.
+// String returns the solver's display name, its row's name.
 func (k SolverKind) String() string {
-	switch k {
-	case SolverBPP:
-		return "BPP"
-	case SolverActiveSet:
-		return "ActiveSet"
-	case SolverMU:
-		return "MU"
-	case SolverHALS:
-		return "HALS"
-	case SolverPGD:
-		return "PGD"
-	default:
+	if k < 0 || int(k) >= len(nnls.Methods) {
 		return fmt.Sprintf("SolverKind(%d)", int(k))
 	}
+	return nnls.Methods[k].Name
 }
 
 // ParseSolver maps a solver name as flags and wire requests spell it —
-// bpp, activeset, mu, hals, pgd, in any letter case — to its kind.
+// any row name of nnls.Methods, in any letter case — to its kind.
 func ParseSolver(name string) (SolverKind, error) {
-	for k := SolverBPP; k <= SolverPGD; k++ {
-		if strings.EqualFold(name, k.String()) {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown solver %q (want bpp, activeset, mu, hals, or pgd)", name)
+	i, err := nnls.Find(name)
+	return SolverKind(i), err
 }
 
 // New instantiates the solver; sweeps applies to the inexact methods.
-func (k SolverKind) New(sweeps int) nnls.Solver {
-	switch k {
-	case SolverBPP:
-		return nnls.NewBPP()
-	case SolverActiveSet:
-		return nnls.NewActiveSet()
-	case SolverMU:
-		return nnls.NewMU(sweeps)
-	case SolverHALS:
-		return nnls.NewHALS(sweeps)
-	case SolverPGD:
-		return nnls.NewPGD(sweeps)
-	default:
-		panic(fmt.Sprintf("core: unknown solver kind %d", int(k)))
-	}
-}
+func (k SolverKind) New(sweeps int) nnls.Solver { return nnls.Methods[k].New(sweeps) }
 
 // Options configures an NMF run. The zero value is not valid; use
 // DefaultOptions or fill K at minimum.
@@ -108,7 +80,7 @@ type Options struct {
 	// across iterations. Checkpoints record Updater.Name() and resume
 	// validates it, so a custom updater must keep a stable name.
 	Update func() Updater
-	// Sweeps is the inner sweep count for MU/HALS (default 1).
+	// Sweeps is the inner sweep count for the inexact solvers (default 1).
 	Sweeps int
 	// Seed drives the deterministic, layout-independent factor
 	// initialization (§6.1.3).

@@ -299,7 +299,7 @@ func TestObjectiveNeverIncreases(t *testing.T) {
 		noise   float64
 	}{{40, 36, 3, 0.01}, {40, 36, 5, 0.3}, {64, 48, 8, 0.5}} {
 		problems = append(problems, problem{fmt.Sprintf("%dx%d k=%d", sh.m, sh.n, sh.k), lowRankDense(sh.m, sh.n, sh.k, sh.noise, uint64(41+i)), sh.k,
-			[]SolverKind{SolverBPP, SolverActiveSet, SolverMU, SolverHALS, SolverPGD}, []int{1, 3}})
+			allSolvers(), []int{1, 3}})
 	}
 	holed := lowRankDense(12, 10, 3, 0.01, 44)
 	for j := 0; j < holed.Cols; j++ {

@@ -142,7 +142,7 @@ func TestCustomUpdaterCheckpointIdentity(t *testing.T) {
 // TestSolverUpdaterNames: the built-in solvers keep their identity
 // through the Updater adapter.
 func TestSolverUpdaterNames(t *testing.T) {
-	for _, kind := range []SolverKind{SolverBPP, SolverMU, SolverHALS, SolverPGD, SolverActiveSet} {
+	for _, kind := range allSolvers() {
 		o := Options{Solver: kind, Sweeps: 1}
 		if got := o.newUpdater().Name(); got != kind.String() {
 			t.Errorf("updater for %v named %q", kind, got)

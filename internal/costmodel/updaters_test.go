@@ -6,34 +6,56 @@ import (
 	"testing"
 
 	"hpcnmf/internal/grid"
+	"hpcnmf/internal/nnls"
 	"hpcnmf/internal/perf"
 )
 
-func TestUpdaterCoeffsForKnownAndUnknown(t *testing.T) {
-	for _, name := range []string{"MU", "HALS", "PGD", "BPP"} {
-		u, err := UpdaterCoeffsFor(name)
-		if err != nil {
-			t.Fatalf("UpdaterCoeffsFor(%q): %v", name, err)
-		}
-		if u.Name != name {
-			t.Errorf("UpdaterCoeffsFor(%q).Name = %q", name, u.Name)
-		}
-		if u.IterFactor < 1 {
-			t.Errorf("%s: IterFactor %v < 1 (BPP is the normalization floor)", name, u.IterFactor)
-		}
-		if u.NLSFlops(8, 10, 10) <= 0 {
-			t.Errorf("%s: NLSFlops not positive", name)
+// pricedRows counts the rows of the solver table that carry a price.
+func pricedRows() int {
+	n := 0
+	for _, m := range nnls.Methods {
+		if m.Cost != nil {
+			n++
 		}
 	}
-	if _, err := UpdaterCoeffsFor("simplex"); err == nil {
-		t.Error("UpdaterCoeffsFor accepted an unknown updater")
+	return n
+}
+
+// TestUpdaterCoeffsForKnownAndUnknown: every row of the solver table
+// but the exact reference carries a price; each priced row is found
+// by its name, prices a solve above zero and needs at least BPP's
+// iterations; an unknown name is refused.
+func TestUpdaterCoeffsForKnownAndUnknown(t *testing.T) {
+	for i, m := range nnls.Methods {
+		if (m.Cost == nil) != (m.Name == "ActiveSet") {
+			t.Errorf("%s: priced %v; every row but the exact reference ActiveSet carries a price", m.Name, m.Cost != nil)
+		}
+		if m.Cost == nil {
+			continue
+		}
+		if got, err := nnls.Find(m.Name); err != nil || got != i {
+			t.Errorf("Find(%q) = %d, %v; want row %d", m.Name, got, err, i)
+		}
+		if m.IterFactor < 1 {
+			t.Errorf("%s: IterFactor %v < 1 (BPP is the normalization floor)", m.Name, m.IterFactor)
+		}
+		if m.Flops(8, 20) <= 0 {
+			t.Errorf("%s: Flops not positive", m.Name)
+		}
+	}
+	if _, err := nnls.Find("simplex"); err == nil {
+		t.Error("Find accepted an unknown updater")
 	}
 }
 
 func TestNLSFlopsScalesWithColumns(t *testing.T) {
-	u, _ := UpdaterCoeffsFor("BPP")
-	base := u.NLSFlops(8, 10, 10)
-	if got := u.NLSFlops(8, 20, 20); got != 2*base {
+	i, err := nnls.Find("BPP")
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := nnls.Methods[i]
+	base := u.Flops(8, 20)
+	if got := u.Flops(8, 40); got != 2*base {
 		t.Errorf("doubling columns: %v, want %v", got, 2*base)
 	}
 }
@@ -47,8 +69,8 @@ func TestAutoAlgorithmGridRanksAndCovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	choices := AlgorithmGrid(pb, ranked[0], e)
-	if len(choices) != len(Updaters()) {
-		t.Fatalf("%d rows, want one per updater (%d)", len(choices), len(Updaters()))
+	if len(choices) != pricedRows() {
+		t.Fatalf("%d rows, want one per priced row (%d)", len(choices), pricedRows())
 	}
 	if !sort.SliceIsSorted(choices, func(i, j int) bool { return choices[i].Seconds < choices[j].Seconds }) {
 		t.Error("choices not sorted cheapest-first")
@@ -56,6 +78,9 @@ func TestAutoAlgorithmGridRanksAndCovers(t *testing.T) {
 	seen := map[string]bool{}
 	for _, ch := range choices {
 		seen[ch.Updater.Name] = true
+		if nnls.Methods[ch.Kind].Name != ch.Updater.Name {
+			t.Errorf("%s: Kind %d is row %s", ch.Updater.Name, ch.Kind, nnls.Methods[ch.Kind].Name)
+		}
 		if ch.Grid != ranked[0].Grid || ch.Pred != ranked[0].Pred {
 			t.Errorf("%s: priced on %v, want the plan's row 0 %v", ch.Updater.Name, ch.Grid, ranked[0].Grid)
 		}
@@ -66,9 +91,9 @@ func TestAutoAlgorithmGridRanksAndCovers(t *testing.T) {
 			t.Errorf("%s: Seconds %v != IterSeconds*IterFactor %v", ch.Updater.Name, ch.Seconds, ch.IterSeconds*ch.Updater.IterFactor)
 		}
 	}
-	for _, name := range []string{"MU", "HALS", "PGD", "BPP"} {
-		if !seen[name] {
-			t.Errorf("no row for %s", name)
+	for _, m := range nnls.Methods {
+		if m.Cost != nil && !seen[m.Name] {
+			t.Errorf("no row for %s", m.Name)
 		}
 	}
 }

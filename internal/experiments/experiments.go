@@ -19,6 +19,7 @@ import (
 	"hpcnmf/internal/costmodel"
 	"hpcnmf/internal/datasets"
 	"hpcnmf/internal/grid"
+	"hpcnmf/internal/nnls"
 	"hpcnmf/internal/partition"
 	"hpcnmf/internal/perf"
 )
@@ -756,16 +757,16 @@ func solversRows(cfg Config) ([]Row, error) {
 		return nil, err
 	}
 	var rows []Row
-	for _, kind := range []core.SolverKind{core.SolverBPP, core.SolverActiveSet, core.SolverHALS, core.SolverMU, core.SolverPGD} {
+	for i, m := range nnls.Methods {
 		opts := cfg.options(cfg.FixedK)
-		opts.MaxIter, opts.Solver, opts.Sweeps, opts.ComputeError = solversIters, kind, 2, true
+		opts.MaxIter, opts.Solver, opts.Sweeps, opts.ComputeError = solversIters, core.SolverKind(i), 2, true
 		r, err := runOne(ds.Name, ds.Matrix, algAuto, cfg.FixedP, opts)
 		if err != nil {
 			// A solver hitting its budget is itself a finding worth
 			// reporting, not a reason to abort the comparison.
 			r.Breakdown, r.Note = &perf.Breakdown{}, fmt.Sprintf("failed: %v", err)
 		}
-		r.Alg = kind.String()
+		r.Alg = m.Name
 		rows = append(rows, r)
 	}
 	return rows, nil

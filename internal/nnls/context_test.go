@@ -34,8 +34,8 @@ func randomRHS(k, r int, seed uint64) *mat.Dense {
 func TestSolveCtxMatchesSolve(t *testing.T) {
 	pool := par.NewPool(3)
 	defer pool.Close()
-	solvers := []Solver{NewMU(4), NewHALS(4), NewPGD(4), NewBPP(), NewActiveSet()}
-	for _, sv := range solvers {
+	for _, m := range Methods {
+		sv := m.New(4)
 		for _, shape := range []struct{ k, r int }{{1, 1}, {5, 7}, {16, 40}} {
 			g := randomSPD(shape.k, uint64(shape.k))
 			f := randomRHS(shape.k, shape.r, uint64(100+shape.r))

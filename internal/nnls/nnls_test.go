@@ -277,7 +277,8 @@ func TestHALSApproachesBPP(t *testing.T) {
 func TestSolversRejectBadDims(t *testing.T) {
 	g := mat.NewDense(3, 3)
 	f := mat.NewDense(4, 2) // wrong row count
-	for _, s := range []Solver{NewBPP(), NewActiveSet(), NewMU(1), NewHALS(1)} {
+	for _, m := range Methods {
+		s := m.New(1)
 		if _, _, err := s.Solve(g, f, nil); err == nil {
 			t.Fatalf("%s accepted mismatched dims", s.Name())
 		}
@@ -318,5 +319,30 @@ func TestStatsAdd(t *testing.T) {
 	s.Add(Stats{Flops: 5, Iterations: 1})
 	if s.Flops != 15 || s.Iterations != 3 {
 		t.Fatalf("Stats.Add = %+v", s)
+	}
+}
+
+// TestPriceIsTheCharge: a sweep method's cost-model price is the flops
+// its solver charges — Stats.Flops is Iterations sweeps of r columns at
+// K2·k² + K1·k each — for every priced row without a Cholesky term.
+func TestPriceIsTheCharge(t *testing.T) {
+	for _, m := range Methods {
+		if m.Cost == nil || m.K3 != 0 {
+			continue
+		}
+		for _, k := range []int{1, 5, 16} {
+			for _, r := range []int{1, 7} {
+				for _, sweeps := range []int{1, 3} {
+					_, st, err := m.New(sweeps).Solve(randomSPD(k, uint64(k)), randomRHS(k, r, uint64(r)), nil)
+					if err != nil {
+						t.Fatalf("%s: %v", m.Name, err)
+					}
+					perCol := int64(m.K2)*int64(k*k) + int64(m.K1)*int64(k)
+					if want := int64(st.Iterations) * int64(r) * perCol; st.Flops != want || st.Iterations != sweeps {
+						t.Errorf("%s k=%d r=%d sweeps=%d: charged %d flops over %d sweeps, priced %d", m.Name, k, r, sweeps, st.Flops, st.Iterations, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -34,15 +34,7 @@ func (s *PGD) Name() string { return "PGD" }
 
 // Solve implements Solver.
 func (s *PGD) Solve(g, f, xInit *mat.Dense) (*mat.Dense, Stats, error) {
-	if err := checkDims(g, f, xInit); err != nil {
-		return nil, Stats{}, err
-	}
-	x := mat.NewDense(f.Rows, f.Cols)
-	st, err := s.SolveCtx(nil, g, f, xInit, x)
-	if err != nil {
-		return nil, st, err
-	}
-	return x, st, nil
+	return solveAlloc(s, g, f, xInit)
 }
 
 // SolveCtx implements ContextSolver: the gradient buffer G·X comes
@@ -97,7 +89,7 @@ func (s *PGD) SolveCtx(ctx *Context, g, f, xInit, dst *mat.Dense) (Stats, error)
 			}
 			x.Data[i] = v
 		}
-		st.Flops += int64(2*k*k*r + 4*k*r)
+		st.Flops += pgdCost.sweepFlops(k, r)
 		st.Iterations++
 	}
 	ws.Put(gx)

@@ -4,19 +4,116 @@
 // right-hand sides F = CᵀB (k×r), find X ≥ 0 (k×r) minimizing
 // ‖C·X − B‖_F, i.e. r independent problems min_{x≥0} ½xᵀGx − fᵀx.
 //
-// Four solvers are provided, mirroring the paper's "flexible local
+// Five solvers are provided, mirroring the paper's "flexible local
 // solver" claim (§1): Block Principal Pivoting (BPP, §4.2 — the
 // paper's choice), the classical Lawson–Hanson active-set method (an
-// exact reference), and the inexact update rules Multiplicative
-// Update (MU) and Hierarchical Alternating Least Squares (HALS)
-// (§4.1, Eqs. 3–4), which perform a fixed number of sweeps per call.
+// exact reference), and the inexact rules Hierarchical Alternating
+// Least Squares (HALS), Multiplicative Update (MU) (§4.1, Eqs. 3–4)
+// and projected gradient descent (PGD), which perform a fixed number
+// of sweeps per call. Methods is the one list of them: every caller
+// that names, builds or prices a built-in solver reads its rows.
 package nnls
 
 import (
 	"fmt"
+	"strings"
 
 	"hpcnmf/internal/mat"
 )
+
+// Method is one built-in solver: its name, its constructor (sweeps
+// applies to the inexact methods) and its price, nil for a method the
+// cost model does not price.
+type Method struct {
+	Name string
+	New  func(sweeps int) Solver
+	*Cost
+}
+
+// Methods is the ordered table of built-in solvers. A core.SolverKind
+// is an index into it, so row 0 is the default.
+var Methods = []Method{
+	{"BPP", func(int) Solver { return NewBPP() }, bppCost},
+	{"ActiveSet", func(int) Solver { return NewActiveSet() }, nil},
+	{"HALS", func(sweeps int) Solver { return NewHALS(sweeps) }, halsCost},
+	{"MU", func(sweeps int) Solver { return NewMU(sweeps) }, muCost},
+	{"PGD", func(sweeps int) Solver { return NewPGD(sweeps) }, pgdCost},
+}
+
+// Cost prices a method's local solve inside the shared communication
+// skeleton, whose own cost does not depend on the method: one
+// right-hand-side column costs K3·k³ + K2·k² + K1·k flops per sweep
+// (or pivoting round). The sweep methods charge exactly that in
+// Stats.Flops, from the same value, so the price is the charge.
+type Cost struct {
+	// K3 is nonzero only for the exact method, which amortizes a k³/3
+	// Cholesky over the columns sharing a passive set.
+	K3, K2, K1 float64
+	// Sweeps is the sweep (or pivoting round) count a call is priced at.
+	Sweeps float64
+	// IterFactor is the relative number of alternating iterations the
+	// method needs to reach a fixed tolerance, normalized to BPP = 1 —
+	// the empirical ordering of Kim & Park (BPP ≈ exact ANLS fastest,
+	// HALS close, PGD and MU trailing) that makes a cheap-per-iteration
+	// method lose an end-to-end comparison.
+	IterFactor float64
+}
+
+// The sweep methods' prices: one k×k Gram-vector product per column
+// per sweep (HALS's as k rank-one row updates) plus the elementwise
+// update — MU's ratio, HALS's scale, PGD's step. BPP's is the grouped
+// Cholesky solves: k³/3 per group, amortized here over 8 columns
+// sharing a passive set, plus the per-column triangular solves and
+// dual evaluation over 3 pivot rounds. Those two constants were not
+// fitted to a run: they are the shape of a dense input at small rank,
+// and only there are they close (DSYN 1440×960 at k = 8 measures 17
+// columns per group and 1.1 rounds per column; at k = 20, 1.8 and 1.8;
+// at k = 50, 1.1 and 2.6). The solver reports both (Stats.Groups and
+// ColumnRounds, nmf.nls.groups and nmf.nls.column_rounds on /metrics):
+// on the power-law sparse shape (Webbase 12 000, k = 20) they are 1.4
+// columns per group and 2.5 rounds per column at a mean passive set of
+// 7 of 20, so there BPP runs ~6× the factorizations priced here, each
+// ~25× smaller.
+var (
+	bppCost  = &Cost{K3: 1.0 / 24, K2: 3, K1: 2, Sweeps: 3, IterFactor: 1.0}
+	halsCost = &Cost{K2: 2, K1: 3, Sweeps: 1, IterFactor: 1.3}
+	muCost   = &Cost{K2: 2, K1: 2, Sweeps: 1, IterFactor: 3.0}
+	pgdCost  = &Cost{K2: 2, K1: 4, Sweeps: 1, IterFactor: 2.0}
+)
+
+// columnFlops is the price of one column for one sweep at rank k.
+func (c *Cost) columnFlops(k int) float64 {
+	kf := float64(k)
+	return c.K3*kf*kf*kf + c.K2*kf*kf + c.K1*kf
+}
+
+// sweepFlops is what one sweep over r columns charges: exact, since
+// the sweep methods' coefficients are small integers.
+func (c *Cost) sweepFlops(k, r int) int64 { return int64(c.columnFlops(k)) * int64(r) }
+
+// Flops is the modeled flops of one call on cols columns at rank k.
+func (c *Cost) Flops(k, cols int) float64 {
+	return c.Sweeps * c.columnFlops(k) * float64(cols)
+}
+
+// Find returns the row of the method named name, in any letter case.
+func Find(name string) (int, error) {
+	for i, m := range Methods {
+		if strings.EqualFold(name, m.Name) {
+			return i, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown solver %q (want one of %s)", name, Names())
+}
+
+// Names lists the methods as flags spell them: "bpp, activeset, ...".
+func Names() string {
+	names := make([]string, len(Methods))
+	for i, m := range Methods {
+		names[i] = strings.ToLower(m.Name)
+	}
+	return strings.Join(names, ", ")
+}
 
 // Stats reports work done by a Solve call, used for the NLS share of
 // the per-iteration flop accounting (the paper's C_BPP(k, c) term).
@@ -24,8 +121,8 @@ type Stats struct {
 	// Flops approximates floating point operations performed.
 	Flops int64
 	// Iterations is the solver's outer iteration count, one meaning
-	// per solver: MU, HALS, PGD — the sweeps performed (PGD stops early
-	// when converged); BPP — the pivoting rounds its slowest column
+	// per solver: MU, HALS, PGD — the sweeps performed (PGD none when
+	// G is zero); BPP — the pivoting rounds its slowest column
 	// needed (the largest round count over the column chunks, not a
 	// sum); ActiveSet — Lawson–Hanson outer steps summed over columns.
 	Iterations int
@@ -70,6 +167,17 @@ func checkDims(g, f, xInit *mat.Dense) error {
 	return nil
 }
 
+// solveAlloc is the allocating Solve of a sweep method: SolveCtx, which
+// checks the shapes, into a fresh destination, with no context.
+func solveAlloc(s ContextSolver, g, f, xInit *mat.Dense) (*mat.Dense, Stats, error) {
+	x := mat.NewDense(f.Rows, f.Cols)
+	st, err := s.SolveCtx(nil, g, f, xInit, x)
+	if err != nil {
+		return nil, st, err
+	}
+	return x, st, nil
+}
+
 // MU is the multiplicative-update rule of Seung & Lee (paper Eq. 3),
 // expressed on the normal equations: X ← X ∘ F / (G·X), elementwise,
 // with a small floor in the denominator for numerical safety. MU
@@ -95,15 +203,7 @@ func (s *MU) Name() string { return "MU" }
 
 // Solve implements Solver.
 func (s *MU) Solve(g, f, xInit *mat.Dense) (*mat.Dense, Stats, error) {
-	if err := checkDims(g, f, xInit); err != nil {
-		return nil, Stats{}, err
-	}
-	x := mat.NewDense(f.Rows, f.Cols)
-	st, err := s.SolveCtx(nil, g, f, xInit, x)
-	if err != nil {
-		return nil, st, err
-	}
-	return x, st, nil
+	return solveAlloc(s, g, f, xInit)
 }
 
 // SolveCtx implements ContextSolver: the steady state draws its one
@@ -132,7 +232,7 @@ func (s *MU) SolveCtx(ctx *Context, g, f, xInit, dst *mat.Dense) (Stats, error) 
 				dst.Data[i] = 0 // guards against negative F entries
 			}
 		}
-		st.Flops += int64(2*k*k*r + 2*k*r)
+		st.Flops += muCost.sweepFlops(k, r)
 		st.Iterations++
 	}
 	ws.Put(gx)
@@ -160,15 +260,7 @@ func (s *HALS) Name() string { return "HALS" }
 
 // Solve implements Solver.
 func (s *HALS) Solve(g, f, xInit *mat.Dense) (*mat.Dense, Stats, error) {
-	if err := checkDims(g, f, xInit); err != nil {
-		return nil, Stats{}, err
-	}
-	x := mat.NewDense(f.Rows, f.Cols)
-	st, err := s.SolveCtx(nil, g, f, xInit, x)
-	if err != nil {
-		return nil, st, err
-	}
-	return x, st, nil
+	return solveAlloc(s, g, f, xInit)
 }
 
 // SolveCtx implements ContextSolver. HALS's only temporary is the
@@ -223,7 +315,7 @@ func (s *HALS) SolveCtx(ctx *Context, g, f, xInit, dst *mat.Dense) (Stats, error
 				xt[j] = v
 			}
 		}
-		st.Flops += int64(2*k*k*r + 3*k*r)
+		st.Flops += halsCost.sweepFlops(k, r)
 		st.Iterations++
 	}
 	ws.Put(numBuf)

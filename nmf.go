@@ -63,9 +63,10 @@ type Grid = grid.Grid
 // SolverKind selects the local non-negative least squares method.
 type SolverKind = core.SolverKind
 
-// Local NLS solvers (paper §4): BPP is the default and the paper's
-// choice; ActiveSet is the classical exact method; MU and HALS are
-// the inexact update rules.
+// Local NLS solvers (paper §4). Each is a row of the one built-in
+// solver table (internal/nnls Methods), which holds its name,
+// constructor and cost-model price; a SolverKind is the row's index.
+// BPP, row 0, is the default and the paper's choice.
 const (
 	SolverBPP       = core.SolverBPP
 	SolverActiveSet = core.SolverActiveSet
@@ -74,8 +75,8 @@ const (
 	SolverPGD       = core.SolverPGD
 )
 
-// ParseSolver maps a solver name (bpp, activeset, mu, hals, pgd, in
-// any letter case) to its SolverKind.
+// ParseSolver maps the name of any row of the solver table, in any
+// letter case, to its SolverKind.
 func ParseSolver(name string) (SolverKind, error) { return core.ParseSolver(name) }
 
 // Updater is the algorithm plug-in seam of the drivers' shared
@@ -83,9 +84,9 @@ func ParseSolver(name string) (SolverKind, error) { return core.ParseSolver(name
 // DESIGN decision 14): the skeleton owns the collectives, overlap
 // schedule, Gram/cross-product pipeline, checkpointing, and tracing,
 // and the updater supplies only the local factor update from the
-// precomputed Gram and right-hand side. The four built-in algorithms
-// (MU, HALS, PGD, BPP) enter through Options.Solver; a custom rule
-// plugs in via the Options.Update per-rank factory.
+// precomputed Gram and right-hand side. The built-in solvers (the rows
+// of the table behind SolverKind) enter through Options.Solver; a
+// custom rule plugs in via the Options.Update per-rank factory.
 type Updater = core.Updater
 
 // Observability: traces, metrics, and run reports (see README
@@ -377,11 +378,11 @@ func Advise(a Matrix, k, p int) []Advice {
 // per-iteration price and the iterations-to-tolerance-scaled total.
 type AlgorithmGridChoice = costmodel.AlgorithmGridChoice
 
-// AdviseAlgorithmGrid prices every built-in updater (MU, HALS, PGD,
-// BPP) on AutoGrid's grid: its per-updater NLS flop coefficients are
-// added to the skeleton forecast and the total is scaled by its
-// relative iterations-to-tolerance. Rows come back cheapest first —
-// the ranking behind `nmfrun -alg auto`'s updater pick.
+// AdviseAlgorithmGrid prices every row of the solver table that has a
+// price on AutoGrid's grid: the row's NLS flop coefficients are added
+// to the skeleton forecast and the total is scaled by its relative
+// iterations-to-tolerance. Rows come back cheapest first — the ranking
+// behind `nmfrun -alg auto`'s updater pick.
 func AdviseAlgorithmGrid(a Matrix, k, p int) ([]AlgorithmGridChoice, error) {
 	pb, ranked, err := plan(a, k, p)
 	if len(ranked) == 0 {
