@@ -17,6 +17,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -119,8 +120,8 @@ func parseFlags(args []string, stderr io.Writer) (*cli, error) {
 	fs.StringVar(&c.data, "data", "dsyn", "dataset: dsyn, ssyn, video, webbase, bow (ignored with -mm)")
 	fs.StringVar(&c.mmPath, "mm", "", "read a MatrixMarket file instead of generating a dataset")
 	fs.StringVar(&c.tiled, "tiled", "", "factorize an out-of-core tile file (written by datagen -tiled) by streaming row panels from disk")
-	fs.StringVar(&c.tileMem, "tile-mem", "", "tile-buffer byte budget for -tiled, e.g. 64MiB: prefetch depth is lowered to fit, and the run refuses to start if even depth 1 overflows")
-	fs.StringVar(&c.tileBack, "tile-backend", "auto", "tile reader backend for -tiled: auto, mmap, readerat")
+	fs.StringVar(&c.tileMem, "tile-mem", "", "tile-buffer byte budget for -tiled, e.g. 64MiB: reads go through readerat (mmap is refused), prefetch depth is lowered to fit, and the run refuses to start if even depth 1 overflows")
+	fs.StringVar(&c.tileBack, "tile-backend", "auto", "tile reader backend for -tiled: auto (readerat under -tile-mem, else mmap where supported), mmap, readerat")
 	fs.BoolVar(&c.dense, "dense", false, "force the dense kernel path: densify a sparse input instead of auto-detecting storage by density")
 	fs.Float64Var(&c.scale, "scale", 0.25, "dataset scale factor")
 	fs.StringVar(&c.alg, "alg", "hpc2d", "algorithm: seq, naive, hpc1d, hpc2d, auto (cost-model pick of layout, grid and updater), or a solver name ("+nnls.Names()+") for the HPC 2D skeleton with that updater")
@@ -238,19 +239,31 @@ func loadInput(c *cli, stdout io.Writer) (*input, error) {
 
 // openTiled opens the -tiled file. The pipeline holds depth+1 resident
 // tile buffers; -tile-mem lowers the depth until they fit its budget.
+// Those buffers are all a readerat run keeps resident, whereas every
+// page a mapping touches counts against the process (DESIGN decision
+// 15), so a budget selects readerat under auto and refuses mmap.
 func openTiled(c *cli, stdout io.Writer) (*input, error) {
-	f, err := hpcnmf.OpenTiledBackend(c.tiled, c.tileBack)
+	backend := c.tileBack
+	var budget int64
+	if c.tileMem != "" {
+		var err error
+		if budget, err = parseByteSize(c.tileMem); err != nil {
+			return nil, fmt.Errorf("bad -tile-mem: %w", err)
+		}
+		switch backend {
+		case hpcnmf.TileBackendMmap:
+			return nil, errors.New("-tile-mem bounds the tile buffers, but the mmap backend keeps every page it reads resident: use -tile-backend readerat or auto")
+		case hpcnmf.TileBackendAuto, "":
+			backend = hpcnmf.TileBackendReaderAt
+		}
+	}
+	f, err := hpcnmf.OpenTiledBackend(c.tiled, backend)
 	if err != nil {
 		return nil, fmt.Errorf("opening tile file: %w", err)
 	}
 	hdr := f.Header()
 	depth := hpcnmf.DefaultTileDepth
 	if c.tileMem != "" {
-		budget, err := parseByteSize(c.tileMem)
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("bad -tile-mem: %w", err)
-		}
 		if depth, err = fitTileDepth(hdr, budget); err != nil {
 			f.Close()
 			return nil, err

@@ -112,6 +112,44 @@ func TestRunResumeRefusesVersion1Checkpoint(t *testing.T) {
 	}
 }
 
+// TestRunTileMemReadsThroughReaderAt: a -tile-mem budget bounds only
+// the tile buffers, which is all a readerat run keeps resident, so
+// under the default auto backend it selects readerat — the report says
+// so — and beside -tile-backend mmap it is refused.
+func TestRunTileMemReadsThroughReaderAt(t *testing.T) {
+	dir := t.TempDir()
+	a := hpcnmf.NewDense(60, 20)
+	for i := range a.Data {
+		a.Data[i] = 0.1 + float64(i%7)
+	}
+	path := filepath.Join(dir, "a.nmft")
+	if err := hpcnmf.WriteTiled(path, a, 16); err != nil {
+		t.Fatal(err)
+	}
+	tiled := []string{"-tiled", path, "-alg", "mu", "-k", "3", "-iters", "2", "-tile-mem", "1MiB"}
+	report := filepath.Join(dir, "report.json")
+	runOK(t, append(tiled, "-report", report)...)
+	raw, err := os.ReadFile(report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep struct {
+		OOC struct {
+			Backend string `json:"backend"`
+		} `json:"ooc"`
+	}
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.OOC.Backend != hpcnmf.TileBackendReaderAt {
+		t.Errorf("-tile-mem under -tile-backend auto read through %q, want %q", rep.OOC.Backend, hpcnmf.TileBackendReaderAt)
+	}
+	var out, errb bytes.Buffer
+	if err := run(append(tiled, "-tile-backend", "mmap"), &out, &errb); err == nil || !strings.Contains(err.Error(), "mmap") {
+		t.Errorf("-tile-mem with -tile-backend mmap: err = %v, want it refused", err)
+	}
+}
+
 func TestRunGridAutoPrintsPick(t *testing.T) {
 	got := runOK(t, fast("-alg", "hpc2d", "-p", "4", "-grid", "auto")...)
 	if !strings.Contains(got, "cost-model pick") || !strings.Contains(got, "grid:") {

@@ -340,14 +340,12 @@ func runLayout(algorithm string, m, n int, normA2 float64, opts Options, p int, 
 		world.SetMetrics(opts.Metrics)
 		configureWorld(world, opts)
 		traffic = make([]*mpi.Counters, p)
-		err := safely(func() {
-			world.Run(func(c *mpi.Comm) {
-				// A rank's error aborts the world; recordFailure keeps
-				// it in the chain of the error every rank returns.
-				if err := body(c, c.Tracer()); err != nil {
-					panic(err)
-				}
-			})
+		err := runWorld(world, func(c *mpi.Comm) {
+			// A rank's error aborts the world; recordFailure keeps it
+			// in the chain of the error every rank returns.
+			if err := body(c, c.Tracer()); err != nil {
+				panic(err)
+			}
 		})
 		if err != nil {
 			return nil, err

@@ -84,70 +84,45 @@ func NNDSVD(a Matrix, k int, fillMean bool, seed uint64) (w, h *mat.Dense, err e
 	if err != nil {
 		return nil, nil, err
 	}
+	// W and Hᵀ are built the same way, column c of each from column c
+	// of U and V respectively.
 	w = mat.NewDense(m, k)
-	h = mat.NewDense(k, n)
+	ht := mat.NewDense(n, k)
+	sides := []struct{ sv, out *mat.Dense }{{u, w}, {v, ht}}
 
 	// Leading component: |u0|, |v0| (Perron–Frobenius makes the true
 	// leading pair of a non-negative matrix non-negative up to sign).
 	s0 := math.Sqrt(sigma[0])
-	for i := 0; i < m; i++ {
-		w.Set(i, 0, s0*math.Abs(u.At(i, 0)))
-	}
-	for j := 0; j < n; j++ {
-		h.Set(0, j, s0*math.Abs(v.At(j, 0)))
+	for _, s := range sides {
+		for i := 0; i < s.sv.Rows; i++ {
+			s.out.Set(i, 0, s0*math.Abs(s.sv.At(i, 0)))
+		}
 	}
 
 	for c := 1; c < k; c++ {
-		// Split the c-th pair into positive and negative parts.
-		var nxp, nxn, nyp, nyn float64
-		for i := 0; i < m; i++ {
-			x := u.At(i, c)
-			if x > 0 {
-				nxp += x * x
-			} else {
-				nxn += x * x
-			}
-		}
-		for j := 0; j < n; j++ {
-			y := v.At(j, c)
-			if y > 0 {
-				nyp += y * y
-			} else {
-				nyn += y * y
-			}
-		}
-		nxp, nxn, nyp, nyn = math.Sqrt(nxp), math.Sqrt(nxn), math.Sqrt(nyp), math.Sqrt(nyn)
+		// Split the c-th pair into positive and negative parts and keep
+		// the pair carrying more mass; sign flips the negative pair
+		// positive.
+		nxp, nxn := partNorms(u, c)
+		nyp, nyn := partNorms(v, c)
 		mp, mn := nxp*nyp, nxn*nyn
-		var scale, xnorm, ynorm float64
-		var takePositive bool
-		if mp >= mn {
-			takePositive, scale, xnorm, ynorm = true, mp, nxp, nyp
-		} else {
-			takePositive, scale, xnorm, ynorm = false, mn, nxn, nyn
+		sign, scale, norms := 1.0, mp, [2]float64{nxp, nyp}
+		if mp < mn {
+			sign, scale, norms = -1, mn, [2]float64{nxn, nyn}
 		}
-		if scale == 0 || xnorm == 0 || ynorm == 0 {
+		if scale == 0 || norms[0] == 0 || norms[1] == 0 {
 			continue // degenerate component stays zero (or gets filled below)
 		}
 		f := math.Sqrt(sigma[c] * scale)
-		for i := 0; i < m; i++ {
-			x := u.At(i, c)
-			switch {
-			case takePositive && x > 0:
-				w.Set(i, c, f*x/xnorm)
-			case !takePositive && x < 0:
-				w.Set(i, c, f*-x/xnorm)
-			}
-		}
-		for j := 0; j < n; j++ {
-			y := v.At(j, c)
-			switch {
-			case takePositive && y > 0:
-				h.Set(c, j, f*y/ynorm)
-			case !takePositive && y < 0:
-				h.Set(c, j, f*-y/ynorm)
+		for si, s := range sides {
+			for i := 0; i < s.sv.Rows; i++ {
+				if x := sign * s.sv.At(i, c); x > 0 {
+					s.out.Set(i, c, f*x/norms[si])
+				}
 			}
 		}
 	}
+	h = ht.T()
 	if fillMean {
 		mean := meanEntry(a)
 		fill := mean / float64(k)
@@ -166,6 +141,19 @@ func NNDSVD(a Matrix, k int, fillMean bool, seed uint64) (w, h *mat.Dense, err e
 		}
 	}
 	return w, h, nil
+}
+
+// partNorms returns the norms of the positive and of the non-positive
+// part of column c of f.
+func partNorms(f *mat.Dense, c int) (pos, neg float64) {
+	for i := 0; i < f.Rows; i++ {
+		if x := f.At(i, c); x > 0 {
+			pos += x * x
+		} else {
+			neg += x * x
+		}
+	}
+	return math.Sqrt(pos), math.Sqrt(neg)
 }
 
 // meanEntry returns the mean of all entries (zeros included for

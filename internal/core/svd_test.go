@@ -168,6 +168,47 @@ func TestNNDSVDBeatsRandomInit(t *testing.T) {
 	}
 }
 
+// TestNNDSVDComponentsBalanced: component c of NNDSVD is the kept
+// part pair (x, y) of singular triplet c — positive parts, or negated
+// negative ones, whichever carries more mass — scaled so that
+// ‖W[:,c]‖ = ‖H[c,:]‖ and W[:,c]·H[c,:] = σ_c·x·yᵀ. Both factors'
+// norms follow from that: ‖W[:,c]‖² = σ_c·‖x‖·‖y‖.
+func TestNNDSVDComponentsBalanced(t *testing.T) {
+	const k = 5
+	a := lowRankDense(30, 24, k, 0.05, 109)
+	w, h, err := NNDSVD(WrapDense(a), k, false, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, sigma, v, err := TruncatedSVD(WrapDense(a), k, 0, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// kept returns the norm of the kept part of column c of f.
+	kept := func(f *mat.Dense, c int, sign float64) float64 {
+		s := 0.0
+		for i := 0; i < f.Rows; i++ {
+			if x := sign * f.At(i, c); x > 0 {
+				s += x * x
+			}
+		}
+		return math.Sqrt(s)
+	}
+	for c := 0; c < k; c++ {
+		wn := w.SubmatrixCols(c, c+1).FrobeniusNorm()
+		hn := h.SubmatrixRows(c, c+1).FrobeniusNorm()
+		want := sigma[c] // the leading pair is |u₀|, |v₀|, both of unit norm
+		if c > 0 {
+			pos := kept(u, c, 1) * kept(v, c, 1)
+			neg := kept(u, c, -1) * kept(v, c, -1)
+			want = sigma[c] * max(pos, neg)
+		}
+		if math.Abs(wn-hn) > 1e-12*wn || math.Abs(wn*hn-want) > 1e-12*want {
+			t.Errorf("component %d: ‖W[:,c]‖ = %g, ‖H[c,:]‖ = %g, want both √%g", c, wn, hn, want)
+		}
+	}
+}
+
 func TestNNDSVDFillMean(t *testing.T) {
 	a := lowRankDense(20, 16, 3, 0.01, 107)
 	w, h, err := NNDSVD(WrapDense(a), 3, true, 9)

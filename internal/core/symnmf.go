@@ -109,45 +109,34 @@ func RunSymNMFParallel(a Matrix, p int, opts SymOptions) (*SymResult, error) {
 		solver := nnls.NewBPP()
 		hi := initW(r1-r0, k, r0, opts.Seed)
 		wi := initW(r1-r0, k, r0, opts.Seed+1)
+		// half updates this rank's block x of one factor given the
+		// block o of the other: with O the full other factor
+		// (assembled by one all-gather), it solves
+		// (OᵀO + αI)·Xᵀ = (A_i·O)ᵀ + α·oᵀ warm-started from x.
+		half := func(which string, o, x *mat.Dense) *mat.Dense {
+			full := &mat.Dense{Rows: n, Cols: k, Data: c.AllGatherV(o.Data, rowCounts)}
+			g := mat.Gram(full)
+			for i := 0; i < k; i++ {
+				g.Set(i, i, g.At(i, i)+alpha)
+			}
+			rhs := ai.MulBt(full).T()
+			oT := o.T()
+			for i := range rhs.Data {
+				rhs.Data[i] += alpha * oT.Data[i]
+			}
+			sol, _, err := solver.Solve(g, rhs, x.T())
+			if err != nil {
+				panic(fmt.Errorf("core: parallel SymNMF %s update failed: %w", which, err))
+			}
+			return sol.T()
+		}
 
 		var relErr []float64
 		iters := 0
 		for it := 0; it < opts.MaxIter; it++ {
 			iters++
-			// Assemble the full H; every rank then runs the same
-			// normal-equations setup the sequential code does.
-			h := &mat.Dense{Rows: n, Cols: k, Data: c.AllGatherV(hi.Data, rowCounts)}
-			g := mat.Gram(h)
-			for i := 0; i < k; i++ {
-				g.Set(i, i, g.At(i, i)+alpha)
-			}
-			fi := ai.MulBt(h) // row block of A·H
-			rhs := fi.T()
-			hiT := hi.T()
-			for i := range rhs.Data {
-				rhs.Data[i] += alpha * hiT.Data[i]
-			}
-			x, _, err := solver.Solve(g, rhs, wi.T())
-			if err != nil {
-				panic(fmt.Sprintf("core: parallel SymNMF W update failed: %v", err))
-			}
-			wi = x.T()
-
-			w := &mat.Dense{Rows: n, Cols: k, Data: c.AllGatherV(wi.Data, rowCounts)}
-			g = mat.Gram(w)
-			for i := 0; i < k; i++ {
-				g.Set(i, i, g.At(i, i)+alpha)
-			}
-			fi = ai.MulBt(w)
-			rhs = fi.T()
-			wiT := wi.T()
-			for i := range rhs.Data {
-				rhs.Data[i] += alpha * wiT.Data[i]
-			}
-			if x, _, err = solver.Solve(g, rhs, hi.T()); err != nil {
-				panic(fmt.Sprintf("core: parallel SymNMF H update failed: %v", err))
-			}
-			hi = x.T()
+			wi = half("W", hi, wi)
+			hi = half("H", wi, hi)
 
 			// Fit and the W≈H fusion test need one all-gather of the
 			// fresh H plus scalar all-reduces of the local partials.
@@ -179,7 +168,7 @@ func RunSymNMFParallel(a Matrix, p int, opts SymOptions) (*SymResult, error) {
 			}
 		}
 	}
-	if err := safely(func() { world.Run(body) }); err != nil {
+	if err := runWorld(world, body); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -6,22 +6,15 @@ import (
 	"hpcnmf/internal/mpi"
 )
 
-// safely runs fn, converting a panic (e.g. a rank failure inside
-// mpi.World.Run) into an error so the public Run functions keep the
-// usual Go error contract. A typed failure — mpi.RankFailedError —
-// is preserved in the chain, so callers can attribute the dead rank
-// and the cause with errors.As/errors.Is.
-func safely(fn func()) (err error) {
-	defer func() {
-		if e := recover(); e != nil {
-			if ee, ok := e.(error); ok {
-				err = fmt.Errorf("core: parallel run failed: %w", ee)
-			} else {
-				err = fmt.Errorf("core: parallel run failed: %v", e)
-			}
-		}
-	}()
-	fn()
+// runWorld runs body on every rank of w and returns a rank failure as
+// an error, so the public Run functions keep the usual Go error
+// contract. The mpi.RankFailedError and its cause stay in the chain,
+// so callers can attribute the dead rank and the cause with
+// errors.As/errors.Is.
+func runWorld(w *mpi.World, body func(c *mpi.Comm)) error {
+	if err := w.RunErr(body); err != nil {
+		return fmt.Errorf("core: parallel run failed: %w", err)
+	}
 	return nil
 }
 

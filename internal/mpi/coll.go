@@ -19,11 +19,16 @@ func addInto(dst, src []float64) {
 func (c *Comm) Bcast(root int, data []float64) []float64 {
 	ev := c.beginColl(CatBcast, len(data))
 	defer ev.end()
+	if root < 0 || root >= c.Size() {
+		panic(fmt.Sprintf("mpi: Bcast root %d of %d", root, c.Size()))
+	}
+	return c.bcast(root, data, CatBcast)
+}
+
+// bcast is Bcast's binomial tree, its messages charged to cat.
+func (c *Comm) bcast(root int, data []float64, cat Category) []float64 {
 	base := c.opBase()
 	p := c.Size()
-	if root < 0 || root >= p {
-		panic(fmt.Sprintf("mpi: Bcast root %d of %d", root, p))
-	}
 	rel := (c.rank - root + p) % p
 	// Receive phase: a non-root rank receives exactly once, from the
 	// rank that differs in its lowest set bit.
@@ -41,7 +46,7 @@ func (c *Comm) Bcast(root int, data []float64) []float64 {
 	for mask > 0 {
 		if rel+mask < p {
 			dst := (c.rank + mask) % p
-			c.send(dst, base, data, CatBcast)
+			c.send(dst, base, data, cat)
 		}
 		mask >>= 1
 	}
@@ -72,8 +77,8 @@ func (c *Comm) reduce(data []float64, cat Category) []float64 {
 // Rabenseifner's algorithm (recursive-halving reduce-scatter followed
 // by recursive-doubling all-gather), which matches the cost the paper
 // assumes: 2α·log p + 2β·(p−1)/p·n (§2.3). Otherwise it falls back to
-// a binomial reduce + broadcast (same latency, slightly more
-// bandwidth).
+// a binomial reduce onto rank 0 followed by Bcast's tree (same
+// latency, slightly more bandwidth).
 func (c *Comm) AllReduce(data []float64) []float64 {
 	ev := c.beginColl(CatAllReduce, len(data))
 	defer ev.end()
@@ -88,26 +93,7 @@ func (c *Comm) AllReduce(data []float64) []float64 {
 		mine := c.reduceScatterRecursiveHalving(c.opBase(), data, counts, CatAllReduce)
 		return c.allGatherRecursiveDoubling(c.opBase(), mine, counts, CatAllReduce)
 	}
-	red := c.reduce(data, CatAllReduce)
-	// Broadcast the result from rank 0; charge to AllReduce.
-	base := c.opBase()
-	rel := c.rank
-	mask := 1
-	for mask < p {
-		if rel&mask != 0 {
-			red = c.recv((c.rank-mask+p)%p, base)
-			break
-		}
-		mask <<= 1
-	}
-	mask >>= 1
-	for mask > 0 {
-		if rel+mask < p {
-			c.send((c.rank+mask)%p, base, red, CatAllReduce)
-		}
-		mask >>= 1
-	}
-	return red
+	return c.bcast(0, c.reduce(data, CatAllReduce), CatAllReduce)
 }
 
 // AllGather concatenates equal-length contributions from all ranks, in

@@ -337,6 +337,58 @@ func TestCollectiveTrafficCounts(t *testing.T) {
 	}
 }
 
+// TestAllReduceTreeTraffic pins AllReduce's fallback — a binomial
+// reduce onto rank 0 followed by Bcast's tree — where Rabenseifner
+// does not apply: non-power-of-two p, and p = 4 with fewer words than
+// ranks. Each tree moves the whole vector along p−1 edges, so summed
+// over ranks the call is 2(p−1) messages and 2(p−1)·n words, all
+// charged to AllReduce, and every rank returns the same bits.
+func TestAllReduceTreeTraffic(t *testing.T) {
+	cases := []struct{ p, n int }{{3, 7}, {5, 7}, {6, 13}, {7, 4}, {4, 3}}
+	for _, tc := range cases {
+		p, n := tc.p, tc.n
+		results := make([][]float64, p)
+		w := NewWorld(p)
+		w.Run(func(c *Comm) {
+			data := make([]float64, n)
+			for i := range data {
+				data[i] = 1/float64(c.Rank()+3) + float64(i)
+			}
+			results[c.Rank()] = c.AllReduce(data)
+		})
+		for r, got := range results {
+			if len(got) != n {
+				t.Fatalf("p=%d n=%d: rank %d got %d words", p, n, r, len(got))
+			}
+			for i, v := range got {
+				if math.Float64bits(v) != math.Float64bits(results[0][i]) {
+					t.Errorf("p=%d n=%d: rank %d word %d = %v, rank 0 has %v", p, n, r, i, v, results[0][i])
+				}
+			}
+		}
+		for i, v := range results[0] {
+			want := 0.0
+			for r := 0; r < p; r++ {
+				want += 1/float64(r+3) + float64(i)
+			}
+			if math.Abs(v-want) > 1e-12*want {
+				t.Errorf("p=%d n=%d: word %d = %v, want %v", p, n, i, v, want)
+			}
+		}
+		var all, ar Traffic
+		for _, ctr := range w.Traffic() {
+			tot, got := ctr.Total(), ctr.Get(CatAllReduce)
+			all.Msgs += tot.Msgs
+			all.Words += tot.Words
+			ar.Msgs += got.Msgs
+			ar.Words += got.Words
+		}
+		if want := (Traffic{Msgs: int64(2 * (p - 1)), Words: int64(2 * (p - 1) * n)}); ar != want || all != want {
+			t.Errorf("p=%d n=%d: AllReduce traffic %+v (all categories %+v), want %+v", p, n, ar, all, want)
+		}
+	}
+}
+
 func TestBruckTrafficCounts(t *testing.T) {
 	// p=5 (non-power-of-two): Bruck all-gather must use ⌈log₂5⌉ = 3
 	// messages and (p-1)/p·n words per rank.

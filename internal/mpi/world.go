@@ -176,6 +176,15 @@ func (w *World) Traffic() []*Counters { return w.counters }
 // sibling ranks unblock (they fail fast with the same error instead of
 // deadlocking), and Run re-panics with the first failure.
 func (w *World) Run(body func(c *Comm)) {
+	if err := w.RunErr(body); err != nil {
+		panic(err)
+	}
+}
+
+// RunErr is Run returning the first rank failure, a *RankFailedError,
+// instead of panicking with it: the Go error contract for drivers that
+// hand the failure, with its cause in the chain, to their callers.
+func (w *World) RunErr(body func(c *Comm)) error {
 	var wg sync.WaitGroup
 	wg.Add(w.p)
 	for r := 0; r < w.p; r++ {
@@ -196,11 +205,12 @@ func (w *World) Run(body func(c *Comm)) {
 	}
 	wg.Wait()
 	if w.failure != nil {
-		panic(w.failure)
+		return w.failure
 	}
 	if w.metrics != nil {
 		w.publishMetrics()
 	}
+	return nil
 }
 
 // recordFailure stores the first rank failure and broadcasts the abort

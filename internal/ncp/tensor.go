@@ -102,76 +102,26 @@ func KhatriRao(a, b *mat.Dense) *mat.Dense {
 //
 // where (a, b) are the two non-target factors in mode order. It is
 // computed directly from the tensor layout without materializing the
-// Khatri-Rao matrix: 3·I·J·K·r flops.
+// Khatri-Rao matrix: 3·I·J·K·r flops. Modes 0 and 1 share one loop
+// nest — each fiber T(i,j,:) is contracted with C, then scaled by the
+// other factor's row into the output row; the two modes only swap
+// which of (i, j) picks the output row and which the scaling row.
 func MTTKRP(t *Tensor3, mode int, a, b *mat.Dense) *mat.Dense {
 	r := a.Cols
 	if b.Cols != r {
 		panic("ncp: MTTKRP rank mismatch")
 	}
-	var out *mat.Dense
+	if mode < 0 || mode > 2 {
+		panic(fmt.Sprintf("ncp: invalid mode %d", mode))
+	}
+	dims := []int{t.I, t.J, t.K}
+	others := [3][2]int{{1, 2}, {0, 2}, {0, 1}}[mode]
+	if a.Rows != dims[others[0]] || b.Rows != dims[others[1]] {
+		panic(fmt.Sprintf("ncp: MTTKRP mode-%d factor dims mismatch", mode))
+	}
+	out := mat.NewDense(dims[mode], r)
 	tmp := make([]float64, r)
-	switch mode {
-	case 0:
-		if a.Rows != t.J || b.Rows != t.K {
-			panic("ncp: MTTKRP mode-0 factor dims mismatch")
-		}
-		out = mat.NewDense(t.I, r)
-		for i := 0; i < t.I; i++ {
-			orow := out.Row(i)
-			for j := 0; j < t.J; j++ {
-				arow := a.Row(j)
-				base := (i*t.J + j) * t.K
-				for l := range tmp {
-					tmp[l] = 0
-				}
-				for k := 0; k < t.K; k++ {
-					v := t.Data[base+k]
-					if v == 0 {
-						continue
-					}
-					brow := b.Row(k)
-					for l := 0; l < r; l++ {
-						tmp[l] += v * brow[l]
-					}
-				}
-				for l := 0; l < r; l++ {
-					orow[l] += tmp[l] * arow[l]
-				}
-			}
-		}
-	case 1:
-		if a.Rows != t.I || b.Rows != t.K {
-			panic("ncp: MTTKRP mode-1 factor dims mismatch")
-		}
-		out = mat.NewDense(t.J, r)
-		for i := 0; i < t.I; i++ {
-			arow := a.Row(i)
-			for j := 0; j < t.J; j++ {
-				orow := out.Row(j)
-				base := (i*t.J + j) * t.K
-				for l := range tmp {
-					tmp[l] = 0
-				}
-				for k := 0; k < t.K; k++ {
-					v := t.Data[base+k]
-					if v == 0 {
-						continue
-					}
-					brow := b.Row(k)
-					for l := 0; l < r; l++ {
-						tmp[l] += v * brow[l]
-					}
-				}
-				for l := 0; l < r; l++ {
-					orow[l] += tmp[l] * arow[l]
-				}
-			}
-		}
-	case 2:
-		if a.Rows != t.I || b.Rows != t.J {
-			panic("ncp: MTTKRP mode-2 factor dims mismatch")
-		}
-		out = mat.NewDense(t.K, r)
+	if mode == 2 {
 		for i := 0; i < t.I; i++ {
 			arow := a.Row(i)
 			for j := 0; j < t.J; j++ {
@@ -192,8 +142,33 @@ func MTTKRP(t *Tensor3, mode int, a, b *mat.Dense) *mat.Dense {
 				}
 			}
 		}
-	default:
-		panic(fmt.Sprintf("ncp: invalid mode %d", mode))
+		return out
+	}
+	for i := 0; i < t.I; i++ {
+		for j := 0; j < t.J; j++ {
+			oi, si := i, j
+			if mode == 1 {
+				oi, si = j, i
+			}
+			orow, arow := out.Row(oi), a.Row(si)
+			base := (i*t.J + j) * t.K
+			for l := range tmp {
+				tmp[l] = 0
+			}
+			for k := 0; k < t.K; k++ {
+				v := t.Data[base+k]
+				if v == 0 {
+					continue
+				}
+				brow := b.Row(k)
+				for l := 0; l < r; l++ {
+					tmp[l] += v * brow[l]
+				}
+			}
+			for l := 0; l < r; l++ {
+				orow[l] += tmp[l] * arow[l]
+			}
+		}
 	}
 	return out
 }

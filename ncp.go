@@ -19,12 +19,16 @@ func NewTensor3(i, j, k int) *Tensor3 { return ncp.NewTensor3(i, j, k) }
 func TensorFromKruskal(a, b, c *Dense) *Tensor3 { return ncp.FromKruskal(a, b, c) }
 
 // RunNCP decomposes T ≈ [[A, B, C]] with non-negative factors via
-// alternating NNLS sweeps (ANLS-BPP by default).
+// alternating NNLS sweeps (ANLS-BPP by default). It is RunNCPParallel
+// at p = 1 and reads t in place. A solver's error is returned wrapped,
+// so errors.Is finds it.
 func RunNCP(t *Tensor3, opts NCPOptions) (*NCPResult, error) { return ncp.Run(t, opts) }
 
 // RunNCPParallel runs the decomposition on p simulated ranks with the
-// tensor distributed in mode-0 slabs; with a shared seed it computes
-// the same iterates as RunNCP.
+// tensor distributed in mode-0 slabs (views of t, never copies); with
+// a shared seed every p computes the same iterates up to reduction
+// order. A solver's error on any rank is returned wrapped, so
+// errors.Is finds it.
 func RunNCPParallel(t *Tensor3, p int, opts NCPOptions) (*NCPResult, error) {
 	return ncp.RunParallel(t, p, opts)
 }

@@ -1,11 +1,13 @@
 package hpcnmf_test
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"hpcnmf"
+	"hpcnmf/internal/nnls"
 )
 
 func TestFacadeSequential(t *testing.T) {
@@ -185,6 +187,36 @@ func TestFacadeSymNMF(t *testing.T) {
 	}
 	if res.H.Rows != 6 || res.H.Cols != 2 || res.H.Min() < 0 {
 		t.Fatal("SymNMF output malformed")
+	}
+}
+
+// refusingSolver fails every solve with errRefused.
+type refusingSolver struct{}
+
+var errRefused = errors.New("stub solver refuses")
+
+func (refusingSolver) Name() string { return "refusing" }
+
+func (refusingSolver) Solve(g, f, xInit *hpcnmf.Dense) (*hpcnmf.Dense, nnls.Stats, error) {
+	return nil, nnls.Stats{}, errRefused
+}
+
+// TestNCPSolverErrorKeepsChain: a solver's error reaches the caller
+// with its chain intact, one rank or many, so errors.Is still finds it
+// under the rank-failure wrapping.
+func TestNCPSolverErrorKeepsChain(t *testing.T) {
+	x := hpcnmf.NewTensor3(4, 3, 3)
+	for i := range x.Data {
+		x.Data[i] = 1
+	}
+	opts := hpcnmf.NCPOptions{Rank: 2, MaxIter: 3, Seed: 1, Solver: refusingSolver{}}
+	if _, err := hpcnmf.RunNCP(x, opts); !errors.Is(err, errRefused) {
+		t.Errorf("RunNCP: err = %v, want it to wrap the solver's error", err)
+	}
+	for _, p := range []int{1, 2, 3} {
+		if _, err := hpcnmf.RunNCPParallel(x, p, opts); !errors.Is(err, errRefused) {
+			t.Errorf("RunNCPParallel p=%d: err = %v, want it to wrap the solver's error", p, err)
+		}
 	}
 }
 

@@ -1,0 +1,74 @@
+package main
+
+// mutant is one row of the gate: replacing the single occurrence of
+// From in File with To must make a test matched by Run in package Pkg
+// fail.
+type mutant struct {
+	Name     string
+	File     string // relative to the module root
+	From, To string
+	Pkg      string // package whose tests must kill it
+	Run      string // go test -run pattern naming the killing tests
+}
+
+// table lists every mutant the test suite is known to kill. A property
+// test that is added to catch a class of bug adds the row that proves
+// it does.
+var table = []mutant{
+	{
+		Name: "hals-coupling-sign",
+		File: "internal/nnls/solver.go",
+		From: "num[j] -= gtl * xl[j]",
+		To:   "num[j] += gtl * xl[j]",
+		Pkg:  "./internal/core",
+		Run:  "^TestObjectiveNeverIncreases$",
+	},
+	{
+		Name: "ledger-stop-noop",
+		File: "internal/core/updater.go",
+		From: "e.led.Stop(ps, st.Flops)",
+		To:   "_ = ps",
+		Pkg:  "./internal/core",
+		Run:  "^TestRunLoopContract$",
+	},
+	{
+		Name: "books-flush-noop",
+		File: "internal/core/skeleton.go",
+		From: "s.led.flush()",
+		To:   "",
+		Pkg:  "./internal/core",
+		Run:  "^TestRunLoopContract$",
+	},
+	{
+		Name: "mttkrp-mode1-rows-unswapped",
+		File: "internal/ncp/tensor.go",
+		From: "oi, si = j, i",
+		To:   "oi, si = i, j",
+		Pkg:  "./internal/ncp",
+		Run:  "^TestMTTKRPAgainstUnfolding$",
+	},
+	{
+		Name: "symnmf-half-drops-penalty-rhs",
+		File: "internal/core/symnmf.go",
+		From: "rhs.Data[i] += alpha * oT.Data[i]",
+		To:   "rhs.Data[i] += 0 * oT.Data[i]",
+		Pkg:  "./internal/core",
+		Run:  "^TestSymNMFFitsSymmetricLowRank$",
+	},
+	{
+		Name: "allreduce-bcast-from-rank-1",
+		File: "internal/mpi/coll.go",
+		From: "return c.bcast(0, c.reduce(data, CatAllReduce), CatAllReduce)",
+		To:   "return c.bcast(1, c.reduce(data, CatAllReduce), CatAllReduce)",
+		Pkg:  "./internal/mpi",
+		Run:  "^TestAllReduceTreeTraffic$",
+	},
+	{
+		Name: "nndsvd-other-sides-norm",
+		File: "internal/core/svd.go",
+		From: "s.out.Set(i, c, f*x/norms[si])",
+		To:   "s.out.Set(i, c, f*x/norms[1-si])",
+		Pkg:  "./internal/core",
+		Run:  "^TestNNDSVDComponentsBalanced$",
+	},
+}
