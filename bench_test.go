@@ -69,7 +69,7 @@ func BenchmarkAblationBPPGrouping(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			solver := &nnls.BPP{Grouping: grouping}
 			for i := 0; i < b.N; i++ {
-				if _, _, err := solver.Solve(g, f, nil); err != nil {
+				if _, _, err := nnls.Solve(solver, g, f, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -278,6 +278,30 @@ func TestClusterConformance(t *testing.T) {
 	}
 }
 
+// TestClusterFitRefusesBadShape: a /v1/fit whose rows*cols wraps to the
+// length of data, or whose rank is above min(rows, cols), gets the
+// owner-direct 400 whichever instance takes it.
+func TestClusterFitRefusesBadShape(t *testing.T) {
+	ins := bootCluster(t, 3, 2, t.TempDir())
+	topo := ins[0].rt.Topology()
+	for _, body := range []string{
+		`{"model":"wraps","rows":8589934592,"cols":2147483648,"data":[],"k":1}`,
+		`{"model":"wide","rows":2,"cols":3,"data":[1,2,3,4,5,6],"k":3}`,
+	} {
+		owner := topo.Owners(serve.PeekModel([]byte(body)))[0]
+		resp, want, err := postJSON(owner, "/v1/fit", json.RawMessage(body))
+		if err != nil || resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("owner-direct fit %s: %v %s %s, want 400", body, err, resp.Status, want)
+		}
+		for _, in := range ins {
+			resp, got, err := postJSON(in.addr, "/v1/fit", json.RawMessage(body))
+			if err != nil || resp.StatusCode != http.StatusBadRequest || !bytes.Equal(got, want) {
+				t.Fatalf("fit %s via %s: %v %s %s, want owner-direct 400 %s", body, in.addr, err, resp.Status, got, want)
+			}
+		}
+	}
+}
+
 // spyBody notes, at every Read, whether the router had already stamped
 // its shard on the response — which serveLocal does as it hands the
 // request to the serving layer. A read before the stamp is the router

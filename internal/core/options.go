@@ -76,8 +76,8 @@ type Options struct {
 	// Solver-derived one (see Updater and DESIGN decision 14). The
 	// factory is invoked once per rank goroutine — each rank owns a
 	// private updater instance, the single-goroutine contract that
-	// lets updaters keep working sets (nnls.ContextSolver state)
-	// across iterations. Checkpoints record Updater.Name() and resume
+	// lets updaters keep working sets (BPP's chunk states) across
+	// iterations. Checkpoints record Updater.Name() and resume
 	// validates it, so a custom updater must keep a stable name.
 	Update func() Updater
 	// Sweeps is the inner sweep count for the inexact solvers (default 1).

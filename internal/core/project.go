@@ -25,9 +25,9 @@ import (
 //
 // A Projector owns a workspace arena and is therefore single-goroutine,
 // like the driver states; concurrent callers each need their own (the
-// serving layer gives every model batcher one). Steady-state
-// ProjectInto calls with an nnls.ContextSolver (BPP, MU, HALS, PGD —
-// every solver but the active-set reference) allocate nothing.
+// serving layer gives every model batcher one). ProjectInto is its one
+// projection call; in steady state it allocates nothing with BPP, MU,
+// HALS or PGD (every solver but the active-set reference).
 type Projector struct {
 	w    *mat.Dense // m×k basis; not owned — callers mutate via SetBasis/RefreshGram
 	gram *mat.Dense // k×k cached WᵀW
@@ -91,17 +91,6 @@ func (p *Projector) SetBasis(w *mat.Dense) error {
 	p.w = w
 	p.RefreshGram()
 	return nil
-}
-
-// Project projects cols (m×c) and returns a fresh k×c coefficient
-// matrix. See ProjectInto for the allocation-free form.
-func (p *Projector) Project(cols *mat.Dense) (*mat.Dense, nnls.Stats, error) {
-	h := mat.NewDense(p.w.Cols, cols.Cols)
-	st, err := p.ProjectInto(h, cols, nil)
-	if err != nil {
-		return nil, st, err
-	}
-	return h, st, nil
 }
 
 // ProjectInto solves H = argmin_{H≥0} ‖W·H − C‖_F into dst (k×c) for
@@ -191,7 +180,7 @@ const (
 // drawn from the context workspace, so the common non-degenerate path
 // stays allocation-free.
 func solveDamped(s nnls.Solver, ctx *nnls.Context, g, f, xInit, dst *mat.Dense) (nnls.Stats, error) {
-	st, err := nnls.SolveWith(s, ctx, g, f, xInit, dst)
+	st, err := s.SolveCtx(ctx, g, f, xInit, dst)
 	if err == nil && dst.IsFinite() {
 		return st, nil
 	}
@@ -212,7 +201,7 @@ func solveDamped(s nnls.Solver, ctx *nnls.Context, g, f, xInit, dst *mat.Dense) 
 		for i := 0; i < k; i++ {
 			gd.Set(i, i, gd.At(i, i)+lam)
 		}
-		st2, err2 := nnls.SolveWith(s, ctx, gd, f, nil, dst)
+		st2, err2 := s.SolveCtx(ctx, gd, f, nil, dst)
 		st.Add(st2)
 		if err2 == nil && dst.IsFinite() {
 			return st, nil

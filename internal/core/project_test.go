@@ -154,16 +154,13 @@ type failUntilDamped struct {
 
 func (s *failUntilDamped) Name() string { return "failUntilDamped" }
 
-func (s *failUntilDamped) Solve(g, f, xInit *mat.Dense) (*mat.Dense, nnls.Stats, error) {
+func (s *failUntilDamped) SolveCtx(_ *nnls.Context, g, f, xInit, dst *mat.Dense) (nnls.Stats, error) {
 	s.calls++
 	if g.At(0, 0) < s.baseDiag+s.minLam {
-		return nil, nnls.Stats{Iterations: 1}, fmt.Errorf("synthetic failure at diag %g", g.At(0, 0))
+		return nnls.Stats{Iterations: 1}, fmt.Errorf("synthetic failure at diag %g", g.At(0, 0))
 	}
-	x := mat.NewDense(g.Rows, f.Cols)
-	for i := range x.Data {
-		x.Data[i] = 1
-	}
-	return x, nnls.Stats{Iterations: 1}, nil
+	dst.Fill(1)
+	return nnls.Stats{Iterations: 1}, nil
 }
 
 // TestSolveDampedEscalation: the ladder retries with escalating λ until

@@ -124,7 +124,7 @@ func RunSymNMFParallel(a Matrix, p int, opts SymOptions) (*SymResult, error) {
 			for i := range rhs.Data {
 				rhs.Data[i] += alpha * oT.Data[i]
 			}
-			sol, _, err := solver.Solve(g, rhs, x.T())
+			sol, _, err := nnls.Solve(solver, g, rhs, x.T())
 			if err != nil {
 				panic(fmt.Errorf("core: parallel SymNMF %s update failed: %w", which, err))
 			}

@@ -17,16 +17,19 @@ import (
 // exactly the two matrices the ANLS normal equations need and the
 // iterate to advance.
 //
-// Update advances x (k×r) in place given the k×k Gram matrix and the
-// k×r right-hand side of the current half-step: for the W half gram =
-// HHᵀ and rhs = (AHᵀ)ᵀ with x = Wᵀ; for the H half gram = WᵀW and
-// rhs = WᵀA with x = H. Regularization is already folded into gram
-// and rhs when configured. gram and rhs are read-only and only valid
-// for the duration of the call; x is both the warm start and the
-// destination. All temporaries must come from ctx so steady-state
-// iterations stay allocation-free.
+// An Updater is an nnls.Solver, so every built-in solver is one as it
+// stands. The skeleton calls SolveCtx(ctx, gram, rhs, x, x): it
+// advances x (k×r) in place given the k×k Gram matrix and the k×r
+// right-hand side of the current half-step — for the W half gram = HHᵀ
+// and rhs = (AHᵀ)ᵀ with x = Wᵀ; for the H half gram = WᵀW and rhs =
+// WᵀA with x = H. Regularization is already folded into gram and rhs
+// when configured. gram and rhs are read-only and only valid for the
+// duration of the call. All temporaries must come from ctx so
+// steady-state iterations stay allocation-free. Name identifies the
+// update rule in reports and checkpoints ("BPP", "MU", ...); resuming
+// a checkpoint requires the same name.
 //
-// Update may be handed any subset of the half-step's columns — the
+// An updater may be handed any subset of the half-step's columns — the
 // rows of W one rank owns, the rows under one out-of-core tile — and
 // must give each column the result it would get in any other subset:
 // column j of x may depend on gram and on column j of rhs and of the
@@ -37,33 +40,16 @@ import (
 //
 // An updater instance is created per rank goroutine (see
 // Options.Update) and is never called concurrently, so it may keep
-// working sets across calls — the contract nnls.ContextSolver
-// instances rely on.
-type Updater interface {
-	// Name identifies the update rule in reports and checkpoints
-	// ("BPP", "MU", ...). Resuming a checkpoint requires the same name.
-	Name() string
-	Update(ctx *nnls.Context, gram, rhs, x *mat.Dense) (nnls.Stats, error)
-}
-
-// solverUpdater adapts any nnls.Solver as an Updater — the four
-// built-in algorithms (MU, HALS, PGD, BPP) all enter the skeleton
-// through it.
-type solverUpdater struct{ s nnls.Solver }
-
-func (u solverUpdater) Name() string { return u.s.Name() }
-
-func (u solverUpdater) Update(ctx *nnls.Context, gram, rhs, x *mat.Dense) (nnls.Stats, error) {
-	return nnls.SolveWith(u.s, ctx, gram, rhs, x, x)
-}
+// working sets across calls, as BPP does.
+type Updater = nnls.Solver
 
 // newUpdater instantiates this rank's updater: the Options.Update
-// factory when set, else the Options.Solver wrapped as an updater.
+// factory when set, else a fresh Options.Solver.
 func (o Options) newUpdater() Updater {
 	if o.Update != nil {
 		return o.Update()
 	}
-	return solverUpdater{o.Solver.New(o.Sweeps)}
+	return o.Solver.New(o.Sweeps)
 }
 
 // updaterName is the updater identity recorded in checkpoints and
@@ -105,7 +91,7 @@ func newUpdateEnv(opts Options, ws *mat.Workspace, pool *par.Pool, led *rankBook
 func (e *updateEnv) updateFactor(which string, gram, rhs, x *mat.Dense, l2, l1 float64) error {
 	g, f, gTmp, fTmp := applyRegInto(e.ws, gram, rhs, l2, l1)
 	ps := e.led.Start(perf.TaskNLS)
-	st, err := e.up.Update(e.ctx, g, f, x)
+	st, err := e.up.SolveCtx(e.ctx, g, f, x, x)
 	e.led.Stop(ps, st.Flops)
 	e.ws.Put(gTmp)
 	e.ws.Put(fTmp)

@@ -18,15 +18,15 @@ import (
 // delegates the math to BPP but carries its own name and counts
 // calls, so the tests can tell the skeleton really ran it.
 type countingUpdater struct {
-	inner nnls.ContextSolver
+	inner nnls.Solver
 	calls int
 }
 
 func (u *countingUpdater) Name() string { return "test-bpp" }
 
-func (u *countingUpdater) Update(ctx *nnls.Context, gram, rhs, x *mat.Dense) (nnls.Stats, error) {
+func (u *countingUpdater) SolveCtx(ctx *nnls.Context, gram, rhs, xInit, dst *mat.Dense) (nnls.Stats, error) {
 	u.calls++
-	return nnls.SolveWith(u.inner, ctx, gram, rhs, x, x)
+	return u.inner.SolveCtx(ctx, gram, rhs, xInit, dst)
 }
 
 // TestCustomUpdaterPlugsIntoSkeleton: a custom Options.Update factory
@@ -140,7 +140,7 @@ func TestCustomUpdaterCheckpointIdentity(t *testing.T) {
 }
 
 // TestSolverUpdaterNames: the built-in solvers keep their identity
-// through the Updater adapter.
+// as Updaters.
 func TestSolverUpdaterNames(t *testing.T) {
 	for _, kind := range allSolvers() {
 		o := Options{Solver: kind, Sweeps: 1}
@@ -164,12 +164,12 @@ type failingUpdater struct {
 
 func (u *failingUpdater) Name() string { return "failing" }
 
-func (u *failingUpdater) Update(ctx *nnls.Context, gram, rhs, x *mat.Dense) (nnls.Stats, error) {
+func (u *failingUpdater) SolveCtx(ctx *nnls.Context, gram, rhs, xInit, dst *mat.Dense) (nnls.Stats, error) {
 	u.calls++
 	if u.calls > u.after {
 		return nnls.Stats{}, errSyntheticUpdate
 	}
-	return nnls.SolveWith(nnls.NewBPP(), ctx, gram, rhs, x, x)
+	return nnls.NewBPP().SolveCtx(ctx, gram, rhs, xInit, dst)
 }
 
 // TestUpdaterErrorSurfaces: an updater error must abort the run with
@@ -195,18 +195,18 @@ func TestUpdaterErrorSurfaces(t *testing.T) {
 	}
 }
 
-// widthRecorder is BPP that notes how many columns each Update call
+// widthRecorder is BPP that notes how many columns each SolveCtx call
 // was handed.
 type widthRecorder struct {
-	inner  nnls.ContextSolver
+	inner  nnls.Solver
 	widths *[]int
 }
 
 func (u widthRecorder) Name() string { return "widths" }
 
-func (u widthRecorder) Update(ctx *nnls.Context, gram, rhs, x *mat.Dense) (nnls.Stats, error) {
-	*u.widths = append(*u.widths, x.Cols)
-	return nnls.SolveWith(u.inner, ctx, gram, rhs, x, x)
+func (u widthRecorder) SolveCtx(ctx *nnls.Context, gram, rhs, xInit, dst *mat.Dense) (nnls.Stats, error) {
+	*u.widths = append(*u.widths, dst.Cols)
+	return u.inner.SolveCtx(ctx, gram, rhs, xInit, dst)
 }
 
 // TestUpdaterSeesColumnSubsets pins the Updater contract from the

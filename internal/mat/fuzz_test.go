@@ -9,12 +9,15 @@ import (
 	"hpcnmf/internal/par"
 )
 
-// FuzzReadMatrixMarketArray hardens the dense array parser.
+// FuzzReadMatrixMarketArray hardens the dense array parser: anything
+// it accepts is consistent and had a size line.
 func FuzzReadMatrixMarketArray(f *testing.F) {
 	f.Add("%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n4\n")
 	f.Add("%%MatrixMarket matrix array real general\n0 0\n")
 	f.Add("")
 	f.Add("%%MatrixMarket matrix array real general\n1 2\n1\n")
+	f.Add("%%MatrixMarket matrix array real general\n% no size line\n")
+	f.Add("%%MatrixMarket matrix array real general\n4294967296 4294967297\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		a, err := ReadMatrixMarketArray(strings.NewReader(input))
 		if err != nil {
@@ -23,7 +26,23 @@ func FuzzReadMatrixMarketArray(f *testing.F) {
 		if len(a.Data) != a.Rows*a.Cols {
 			t.Fatalf("inconsistent dense matrix from %q", input)
 		}
+		if !hasSizeLine(input) {
+			t.Fatalf("accepted %q, which has no size line", input)
+		}
 	})
+}
+
+// hasSizeLine reports whether some line after the first of a
+// MatrixMarket input is neither blank nor a comment: the size line an
+// accepted input must have.
+func hasSizeLine(input string) bool {
+	_, body, _ := strings.Cut(input, "\n")
+	for _, line := range strings.Split(body, "\n") {
+		if line = strings.TrimSpace(line); line != "" && !strings.HasPrefix(line, "%") {
+			return true
+		}
+	}
+	return false
 }
 
 // FuzzReadBinary hardens the binary factor reader against corrupt

@@ -57,6 +57,23 @@ func ReadBinaryStrict(r io.Reader) (*Dense, error) {
 	return d, nil
 }
 
+// CheckDims refuses a declared rows×cols shape that is negative, over
+// 2^40 elements (8 TiB of float64) or past the platform int, and
+// returns it as ints. The arithmetic stays in int64, so a hostile size
+// cannot wrap rows*cols into a small positive int before it is tested.
+// The binary and MatrixMarket readers apply it before they read a
+// value.
+func CheckDims(r64, c64 int64) (rows, cols int, err error) {
+	const maxElements = int64(1) << 40
+	if r64 < 0 || c64 < 0 || (c64 != 0 && r64 > maxElements/c64) {
+		return 0, 0, fmt.Errorf("mat: implausible dims %dx%d", r64, c64)
+	}
+	if total := r64 * c64; max(r64, c64, total) > int64(^uint(0)>>1) {
+		return 0, 0, fmt.Errorf("mat: %dx%d matrix (%d elements) does not fit this platform's int", r64, c64, total)
+	}
+	return int(r64), int(c64), nil
+}
+
 func readBinary(r io.Reader) (*Dense, *bufio.Reader, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(binaryMagic))
@@ -70,18 +87,10 @@ func readBinary(r io.Reader) (*Dense, *bufio.Reader, error) {
 	if err := binary.Read(br, binary.LittleEndian, hdr[:]); err != nil {
 		return nil, nil, fmt.Errorf("mat: reading header: %w", err)
 	}
-	// All dimension arithmetic stays in int64: on 32-bit platforms a
-	// hostile header could otherwise wrap rows*cols into a small
-	// positive int and truncate the read silently.
-	r64, c64 := hdr[0], hdr[1]
-	const maxElements = int64(1) << 40
-	if r64 < 0 || c64 < 0 || (c64 != 0 && r64 > maxElements/c64) {
-		return nil, nil, fmt.Errorf("mat: implausible dims %dx%d", r64, c64)
+	rows, cols, err := CheckDims(hdr[0], hdr[1])
+	if err != nil {
+		return nil, nil, err
 	}
-	if total64 := r64 * c64; total64 > int64(^uint(0)>>1) {
-		return nil, nil, fmt.Errorf("mat: %dx%d matrix (%d elements) does not fit this platform's int", r64, c64, total64)
-	}
-	rows, cols := int(r64), int(c64)
 	// Read incrementally so a corrupt header cannot force a huge
 	// allocation before any data has been validated: memory grows
 	// only as actual payload arrives.
@@ -115,55 +124,78 @@ func (a *Dense) WriteMatrixMarket(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadMatrixMarketArray parses a MatrixMarket array-format dense
-// matrix.
-func ReadMatrixMarketArray(r io.Reader) (*Dense, error) {
+// ScanMatrixMarket checks that r opens with a MatrixMarket header of
+// the given format ("array" or "coordinate"), reads the size line that
+// follows into sizes, and returns the scanner positioned after it. A
+// missing or malformed size line is an error.
+func ScanMatrixMarket(r io.Reader, format string, sizes ...any) (*bufio.Scanner, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	if !sc.Scan() {
 		return nil, fmt.Errorf("mat: empty MatrixMarket input")
 	}
 	header := strings.ToLower(sc.Text())
-	if !strings.HasPrefix(header, "%%matrixmarket") || !strings.Contains(header, "array") {
+	if !strings.HasPrefix(header, "%%matrixmarket") || !strings.Contains(header, format) {
 		return nil, fmt.Errorf("mat: unsupported MatrixMarket header %q", sc.Text())
 	}
-	var rows, cols int
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "%") {
-			continue
+	line, ok := MatrixMarketLine(sc)
+	if !ok {
+		if err := sc.Err(); err != nil {
+			return nil, err
 		}
-		if _, err := fmt.Sscan(line, &rows, &cols); err != nil {
-			return nil, fmt.Errorf("mat: bad size line %q: %w", line, err)
-		}
-		break
+		return nil, fmt.Errorf("mat: MatrixMarket input has no size line")
 	}
-	if rows < 0 || cols < 0 {
-		return nil, fmt.Errorf("mat: negative dims %dx%d", rows, cols)
+	if _, err := fmt.Sscan(line, sizes...); err != nil {
+		return nil, fmt.Errorf("mat: bad size line %q: %w", line, err)
 	}
-	a := NewDense(rows, cols)
-	idx := 0
+	return sc, nil
+}
+
+// MatrixMarketLine returns the next line of sc that is neither blank
+// nor a comment, trimmed, and false at the end of the input.
+func MatrixMarketLine(sc *bufio.Scanner) (string, bool) {
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "%") {
-			continue
+		if line := strings.TrimSpace(sc.Text()); line != "" && !strings.HasPrefix(line, "%") {
+			return line, true
 		}
+	}
+	return "", false
+}
+
+// ReadMatrixMarketArray parses a MatrixMarket array-format dense
+// matrix. Values are collected as they are read, so a size line alone
+// allocates nothing.
+func ReadMatrixMarketArray(r io.Reader) (*Dense, error) {
+	var r64, c64 int64
+	sc, err := ScanMatrixMarket(r, "array", &r64, &c64)
+	if err != nil {
+		return nil, err
+	}
+	rows, cols, err := CheckDims(r64, c64)
+	if err != nil {
+		return nil, err
+	}
+	total := rows * cols
+	vals := make([]float64, 0, min(total, 1<<16))
+	for line, ok := MatrixMarketLine(sc); ok; line, ok = MatrixMarketLine(sc) {
 		v, err := strconv.ParseFloat(line, 64)
 		if err != nil {
 			return nil, fmt.Errorf("mat: bad value %q: %w", line, err)
 		}
-		if idx >= rows*cols {
-			return nil, fmt.Errorf("mat: more than %d values in %dx%d array", rows*cols, rows, cols)
+		if len(vals) == total {
+			return nil, fmt.Errorf("mat: more than %d values in %dx%d array", total, rows, cols)
 		}
-		// Column-major order per the format.
-		a.Set(idx%rows, idx/rows, v)
-		idx++
+		vals = append(vals, v)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if idx != rows*cols {
-		return nil, fmt.Errorf("mat: got %d of %d values", idx, rows*cols)
+	if len(vals) != total {
+		return nil, fmt.Errorf("mat: got %d of %d values", len(vals), total)
+	}
+	a := NewDense(rows, cols)
+	for idx, v := range vals { // column-major order per the format
+		a.Set(idx%rows, idx/rows, v)
 	}
 	return a, nil
 }

@@ -22,7 +22,8 @@ type Options struct {
 	Tol float64
 	// Seed drives factor initialization.
 	Seed uint64
-	// Solver solves each mode's NNLS problem; nil means BPP.
+	// Solver solves each mode's NNLS problem; nil means BPP. Every rank
+	// calls this one instance concurrently, with a nil nnls.Context.
 	Solver nnls.Solver
 }
 
@@ -97,7 +98,7 @@ func RunParallel(t *Tensor3, p int, opts Options) (*Result, error) {
 		// solve returns the mode's factor X ≥ 0 minimizing
 		// ‖X·G − M‖, warm-started from x.
 		solve := func(mode, sweep int, g, m, x *mat.Dense) *mat.Dense {
-			sol, _, err := solver.Solve(g, m.T(), x.T())
+			sol, _, err := nnls.Solve(solver, g, m.T(), x.T())
 			if err != nil {
 				panic(fmt.Errorf("ncp: mode-%d solve failed at sweep %d: %w", mode, sweep, err))
 			}

@@ -2,6 +2,7 @@ package ncp
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -248,6 +249,31 @@ func TestParallelNCPMatchesSequential(t *testing.T) {
 				break
 			}
 		}
+	}
+}
+
+// TestParallelNCPSharesOneSolver: every rank calls the one
+// Options.Solver instance concurrently with a nil nnls.Context, which
+// runs BPP on fresh state, so one shared BPP gives bitwise what the
+// default gives.
+func TestParallelNCPSharesOneSolver(t *testing.T) {
+	x := FromKruskal(randomFactor(60, 5, 80), randomFactor(40, 5, 81), randomFactor(30, 5, 82))
+	s := rng.New(83)
+	for i := range x.Data {
+		x.Data[i] += 0.02 * s.Float64()
+	}
+	opts := Options{Rank: 5, MaxIter: 20, Seed: 9, Tol: -1}
+	want, err := RunParallel(x, 3, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Solver = nnls.NewBPP()
+	got, err := RunParallel(x, 3, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.A.Equal(want.A, 0) || !got.B.Equal(want.B, 0) || !got.C.Equal(want.C, 0) || !slices.Equal(got.RelErr, want.RelErr) {
+		t.Error("a BPP instance shared by three ranks changed the factors or the error history")
 	}
 }
 

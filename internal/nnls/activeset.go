@@ -27,15 +27,18 @@ func NewActiveSet() *ActiveSet { return &ActiveSet{} }
 // Name implements Solver.
 func (s *ActiveSet) Name() string { return "ActiveSet" }
 
-// Solve implements Solver. The warm start is ignored: Lawson–Hanson
-// requires starting from a feasible (x = 0) point to guarantee
-// monotone descent.
-func (s *ActiveSet) Solve(g, f, xInit *mat.Dense) (*mat.Dense, Stats, error) {
+// SolveCtx implements Solver, one column at a time, serially, with its
+// own temporaries (ctx is unused). The warm start is ignored:
+// Lawson–Hanson requires starting from a feasible (x = 0) point to
+// guarantee monotone descent.
+func (s *ActiveSet) SolveCtx(_ *Context, g, f, xInit, dst *mat.Dense) (Stats, error) {
 	if err := checkDims(g, f, xInit); err != nil {
-		return nil, Stats{}, err
+		return Stats{}, err
+	}
+	if err := checkDst(f, dst); err != nil {
+		return Stats{}, err
 	}
 	k, r := f.Rows, f.Cols
-	x := mat.NewDense(k, r)
 	var st Stats
 	var firstErr error
 	for c := 0; c < r; c++ {
@@ -49,10 +52,10 @@ func (s *ActiveSet) Solve(g, f, xInit *mat.Dense) (*mat.Dense, Stats, error) {
 			firstErr = err
 		}
 		for i := 0; i < k; i++ {
-			x.Set(i, c, xcol[i])
+			dst.Set(i, c, xcol[i])
 		}
 	}
-	return x, st, firstErr
+	return st, firstErr
 }
 
 // solveColumn runs Lawson–Hanson for min_{x≥0} ½xᵀGx − fᵀx.

@@ -34,10 +34,10 @@ var ErrNotConverged = errors.New("nnls: solver did not converge within the itera
 // Columns are independent, so the r columns are cut into chunks of
 // bppChunk columns and each chunk is copied into column-contiguous
 // scratch, pivoted to convergence on its own bppState and scattered
-// back. Under SolveCtx the workers of ctx.Pool claim chunks from a
-// shared counter (one bppState per worker slot, kept on the instance);
-// with no pool the chunks run inline. A column's arithmetic depends
-// only on G, its own right-hand side and its own passive pattern — the
+// back. The workers of ctx.Pool claim chunks from a shared counter
+// (one bppState per worker slot, kept on the instance); with no pool
+// the chunks run inline. A column's arithmetic depends only on G, its
+// own right-hand side and its own passive pattern — the
 // Cholesky of G[P,P] is the same whether a group or a lane computes it,
 // and the substitution subtracts the same products from a column in
 // the same order whether a lane runs down that column or a group's
@@ -48,13 +48,14 @@ var ErrNotConverged = errors.New("nnls: solver did not converge within the itera
 // ColumnRounds over the chunks, counted per group however the group
 // was solved.
 //
-// BPP implements ContextSolver: all scratch lives on the per-slot
-// states, sized by k and the chunk width, and nothing is retained per
-// passive pattern, so after the first call with a given k a serial
-// SolveCtx allocates nothing whatever patterns arrive (the pooled path
-// pays the pool's per-call bookkeeping). The states make a BPP value
-// single-caller under SolveCtx — the same ownership discipline as
-// mat.Workspace; Solve runs on fresh state and is safe to share.
+// All scratch lives on the per-slot states, sized by k and the chunk
+// width, and nothing is retained per passive pattern, so after the
+// first call with a given k a serial SolveCtx allocates nothing
+// whatever patterns arrive (the pooled path pays the pool's per-call
+// bookkeeping). The states make a BPP value single-caller under a
+// non-nil Context — the same ownership discipline as mat.Workspace; a
+// nil Context runs on fresh state, so callers passing nil may share
+// one instance.
 type BPP struct {
 	// MaxIter bounds pivoting rounds; 0 means a generous default.
 	MaxIter int
@@ -160,23 +161,9 @@ func NewBPP() *BPP { return &BPP{MaxIter: 0, Grouping: true} }
 // Name implements Solver.
 func (s *BPP) Name() string { return "BPP" }
 
-// Solve implements Solver. It runs on private state, so a shared BPP
-// instance may Solve concurrently (SolveCtx may not).
-func (s *BPP) Solve(g, f, xInit *mat.Dense) (*mat.Dense, Stats, error) {
-	if err := checkDims(g, f, xInit); err != nil {
-		return nil, Stats{}, err
-	}
-	x := mat.NewDense(f.Rows, f.Cols)
-	st, err := s.solveChunks(make([]bppState, 1), nil, g, f, xInit, x)
-	if err != nil && !errors.Is(err, ErrNotConverged) {
-		return nil, st, err
-	}
-	return x, st, err
-}
-
-// SolveCtx implements ContextSolver; see the type comment for the
-// threading, allocation and ownership contract. Results are bitwise
-// identical to Solve from the same inputs at any pool width.
+// SolveCtx implements Solver; see the type comment for the threading,
+// allocation and ownership contract. Results are bitwise identical at
+// any pool width, and with or without a context.
 func (s *BPP) SolveCtx(ctx *Context, g, f, xInit, dst *mat.Dense) (Stats, error) {
 	if err := checkDims(g, f, xInit); err != nil {
 		return Stats{}, err
@@ -184,14 +171,16 @@ func (s *BPP) SolveCtx(ctx *Context, g, f, xInit, dst *mat.Dense) (Stats, error)
 	if err := checkDst(f, dst); err != nil {
 		return Stats{}, err
 	}
-	_, pool := ctx.resources()
-	if w := pool.Workers(); len(s.st) < w {
+	if ctx == nil {
+		return s.solveChunks(make([]bppState, 1), nil, g, f, xInit, dst)
+	}
+	if w := ctx.Pool.Workers(); len(s.st) < w {
 		s.st = append(s.st, make([]bppState, w-len(s.st))...)
 	}
-	return s.solveChunks(s.st, pool, g, f, xInit, dst)
+	return s.solveChunks(s.st, ctx.Pool, g, f, xInit, dst)
 }
 
-// solveChunks is the one pivoting core under Solve and SolveCtx. The
+// solveChunks is the one pivoting core under SolveCtx. The
 // tolerance is taken over the whole problem before it is cut, so a
 // column's zero test does not depend on which chunk it lands in. A
 // chunk that exhausts its rounds clamps its own columns and the others

@@ -353,7 +353,7 @@ func TestBPPWidthAndChunkIndependence(t *testing.T) {
 	for _, sh := range shapes {
 		for _, tc := range sh.cases(sh.k, sh.r, uint64(sh.k*sh.r)) {
 			name := fmt.Sprintf("%s/k%d/r%d", tc.name, sh.k, sh.r)
-			want, wst, err := NewBPP().Solve(tc.g, tc.f, tc.xInit)
+			want, wst, err := Solve(NewBPP(), tc.g, tc.f, tc.xInit)
 			if err != nil {
 				t.Fatalf("%s: Solve: %v", name, err)
 			}
@@ -542,7 +542,7 @@ func TestBPPUnconvergedChunkDoesNotStopOthers(t *testing.T) {
 			warm.Set(i, c, 1)
 		}
 	}
-	full, _, err := NewBPP().Solve(g, f, warm)
+	full, _, err := Solve(NewBPP(), g, f, warm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -606,7 +606,7 @@ func TestBPPHardErrorWinsOverNotConverged(t *testing.T) {
 		for i := 0; i < k; i++ {
 			copy(clean.Row(i), f.Row(i)[lo:lo+bppChunk])
 		}
-		if _, _, err := (&BPP{MaxIter: 2, Grouping: true}).Solve(g, clean, nil); !errors.Is(err, ErrNotConverged) {
+		if _, _, err := Solve(&BPP{MaxIter: 2, Grouping: true}, g, clean, nil); !errors.Is(err, ErrNotConverged) {
 			t.Fatalf("clean chunk under MaxIter=2: err = %v, want ErrNotConverged", err)
 		}
 		for _, p := range []*par.Pool{nil, pool} {
@@ -615,7 +615,7 @@ func TestBPPHardErrorWinsOverNotConverged(t *testing.T) {
 				t.Errorf("poisoned chunk %d, width %d: err = %v, want ErrNotPositiveDefinite", poisoned, p.Workers(), err)
 			}
 		}
-		if x, _, err := (&BPP{MaxIter: 2, Grouping: true}).Solve(g, f, nil); x != nil || !errors.Is(err, mat.ErrNotPositiveDefinite) {
+		if x, _, err := Solve(&BPP{MaxIter: 2, Grouping: true}, g, f, nil); x != nil || !errors.Is(err, mat.ErrNotPositiveDefinite) {
 			t.Errorf("poisoned chunk %d: Solve returned x=%v err=%v, want nil and ErrNotPositiveDefinite", poisoned, x != nil, err)
 		}
 	}

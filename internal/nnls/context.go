@@ -1,6 +1,7 @@
 package nnls
 
 import (
+	"errors"
 	"fmt"
 
 	"hpcnmf/internal/mat"
@@ -10,10 +11,10 @@ import (
 // Context carries the reusable resources a solver may draw on: a
 // workspace arena for temporaries and the kernel thread pool. A nil
 // *Context (or nil fields) is valid and means "allocate fresh, run
-// serial", so solvers never need to special-case it beyond the
-// resources accessor.
+// serial". Under a nil *Context no solver touches state kept on its
+// instance, so one instance may serve concurrent callers that way.
 type Context struct {
-	// WS supplies scratch matrices; steady-state Solve calls with the
+	// WS supplies scratch matrices; steady-state SolveCtx calls with the
 	// same shapes draw every temporary from it without allocating.
 	WS *mat.Workspace
 	// Pool, when non-nil, is the run's kernel pool (see internal/par).
@@ -32,35 +33,23 @@ func (c *Context) resources() (*mat.Workspace, *par.Pool) {
 	return c.WS, c.Pool
 }
 
-// ContextSolver is implemented by solvers whose steady state runs
-// allocation-free: SolveCtx writes the solution into dst (k×r, shaped
-// by the caller) and draws all temporaries from ctx. The sweep
-// solvers (MU, HALS, PGD) implement it, as does BPP, which keeps its
-// per-worker chunk scratch on the solver instance (making that
-// instance single-caller under SolveCtx); the active-set solver goes
-// through the SolveWith fallback.
-type ContextSolver interface {
-	Solver
-	// SolveCtx solves min ½xᵀGx − fᵀx, x ≥ 0 into dst. xInit seeds the
-	// iterate (nil = cold start); xInit == dst is allowed and updates
-	// the iterate in place.
-	SolveCtx(ctx *Context, g, f, xInit, dst *mat.Dense) (Stats, error)
+// SolveWith is s.SolveCtx(ctx, g, f, xInit, dst), kept as a function
+// for the benchmark module, which calls it.
+func SolveWith(s Solver, ctx *Context, g, f, xInit, dst *mat.Dense) (Stats, error) {
+	return s.SolveCtx(ctx, g, f, xInit, dst)
 }
 
-// SolveWith runs solver s into dst, using SolveCtx when s supports it
-// and falling back to Solve plus a copy otherwise. It is the one call
-// sites use so every solver works in the workspace-threaded iteration
-// loops, allocation-free where the solver allows it.
-func SolveWith(s Solver, ctx *Context, g, f, xInit, dst *mat.Dense) (Stats, error) {
-	if cs, ok := s.(ContextSolver); ok {
-		return cs.SolveCtx(ctx, g, f, xInit, dst)
+// Solve is the allocating form of s.SolveCtx, with no context: it
+// returns X in a fresh matrix. An exact solver that runs out of rounds
+// returns its clamped iterate with ErrNotConverged; after any other
+// error X is nil.
+func Solve(s Solver, g, f, xInit *mat.Dense) (*mat.Dense, Stats, error) {
+	x := mat.NewDense(f.Rows, f.Cols)
+	st, err := s.SolveCtx(nil, g, f, xInit, x)
+	if err != nil && !errors.Is(err, ErrNotConverged) {
+		return nil, st, err
 	}
-	x, st, err := s.Solve(g, f, xInit)
-	if err != nil {
-		return st, err
-	}
-	dst.CopyFrom(x)
-	return st, nil
+	return x, st, err
 }
 
 // checkDst validates the destination shape for SolveCtx.

@@ -29,8 +29,7 @@ func randomRHS(k, r int, seed uint64) *mat.Dense {
 
 // TestSolveCtxMatchesSolve checks the context path (workspace, pool,
 // in-place destination) is bitwise identical to the allocating Solve
-// for every ContextSolver, and that the SolveWith fallback covers the
-// exact solvers.
+// for every row of Methods.
 func TestSolveCtxMatchesSolve(t *testing.T) {
 	pool := par.NewPool(3)
 	defer pool.Close()
@@ -42,7 +41,7 @@ func TestSolveCtxMatchesSolve(t *testing.T) {
 			xInit := randomRHS(shape.k, shape.r, 7)
 			xInit.ClampNonneg()
 
-			want, _, err := sv.Solve(g, f, xInit)
+			want, _, err := Solve(sv, g, f, xInit)
 			if err != nil {
 				t.Fatalf("%s Solve: %v", sv.Name(), err)
 			}
@@ -57,14 +56,12 @@ func TestSolveCtxMatchesSolve(t *testing.T) {
 				}
 			}
 			// In-place warm start: xInit aliased to dst.
-			if cs, ok := sv.(ContextSolver); ok {
-				dst := xInit.Clone()
-				if _, err := cs.SolveCtx(nil, g, f, dst, dst); err != nil {
-					t.Fatalf("%s in-place SolveCtx: %v", sv.Name(), err)
-				}
-				if d := want.MaxDiff(dst); d != 0 {
-					t.Errorf("%s in-place SolveCtx differs by %g", sv.Name(), d)
-				}
+			dst := xInit.Clone()
+			if _, err := sv.SolveCtx(nil, g, f, dst, dst); err != nil {
+				t.Fatalf("%s in-place SolveCtx: %v", sv.Name(), err)
+			}
+			if d := want.MaxDiff(dst); d != 0 {
+				t.Errorf("%s in-place SolveCtx differs by %g", sv.Name(), d)
 			}
 		}
 	}
@@ -74,8 +71,8 @@ func TestSolveCtxMatchesSolve(t *testing.T) {
 func TestSolveCtxColdStart(t *testing.T) {
 	g := randomSPD(6, 3)
 	f := randomRHS(6, 9, 4)
-	for _, sv := range []ContextSolver{NewMU(3), NewHALS(3), NewPGD(3), NewBPP()} {
-		want, _, err := sv.Solve(g, f, nil)
+	for _, sv := range []Solver{NewMU(3), NewHALS(3), NewPGD(3), NewBPP()} {
+		want, _, err := Solve(sv, g, f, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +93,7 @@ func TestSolveCtxColdStart(t *testing.T) {
 func TestSolveCtxZeroAllocs(t *testing.T) {
 	g := randomSPD(12, 9)
 	f := randomRHS(12, 30, 11)
-	for _, sv := range []ContextSolver{NewMU(2), NewHALS(2), NewPGD(2), NewBPP()} {
+	for _, sv := range []Solver{NewMU(2), NewHALS(2), NewPGD(2), NewBPP()} {
 		ctx := &Context{WS: mat.NewWorkspace()}
 		x := mat.NewDense(12, 30)
 		x.Fill(1)

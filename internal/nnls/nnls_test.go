@@ -58,7 +58,7 @@ func kktResidual(g, f, x *mat.Dense) float64 {
 func TestBPPSatisfiesKKT(t *testing.T) {
 	for _, tc := range []struct{ m, k, r int }{{20, 4, 6}, {50, 10, 15}, {30, 8, 1}, {100, 16, 40}} {
 		g, f, _, _ := problem(tc.m, tc.k, tc.r, uint64(tc.m*tc.k))
-		x, st, err := NewBPP().Solve(g, f, nil)
+		x, st, err := Solve(NewBPP(), g, f, nil)
 		if err != nil {
 			t.Fatalf("BPP failed on %dx%dx%d: %v", tc.m, tc.k, tc.r, err)
 		}
@@ -76,7 +76,7 @@ func TestBPPSatisfiesKKT(t *testing.T) {
 
 func TestActiveSetSatisfiesKKT(t *testing.T) {
 	g, f, _, _ := problem(40, 8, 10, 7)
-	x, _, err := NewActiveSet().Solve(g, f, nil)
+	x, _, err := Solve(NewActiveSet(), g, f, nil)
 	if err != nil {
 		t.Fatalf("ActiveSet failed: %v", err)
 	}
@@ -90,11 +90,11 @@ func TestBPPMatchesActiveSet(t *testing.T) {
 	// exact solvers must agree.
 	for seed := uint64(0); seed < 10; seed++ {
 		g, f, _, _ := problem(30, 6, 8, 100+seed)
-		xb, _, err := NewBPP().Solve(g, f, nil)
+		xb, _, err := Solve(NewBPP(), g, f, nil)
 		if err != nil {
 			t.Fatalf("BPP failed: %v", err)
 		}
-		xa, _, err := NewActiveSet().Solve(g, f, nil)
+		xa, _, err := Solve(NewActiveSet(), g, f, nil)
 		if err != nil {
 			t.Fatalf("ActiveSet failed: %v", err)
 		}
@@ -117,7 +117,7 @@ func TestBPPUnconstrainedCase(t *testing.T) {
 	c.RandomUniform(s)
 	g := mat.Gram(c)
 	f := mat.Mul(g, xstar) // F = G·X* so X* is the global optimum
-	x, _, err := NewBPP().Solve(g, f, nil)
+	x, _, err := Solve(NewBPP(), g, f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestBPPActiveConstraints(t *testing.T) {
 	c.RandomUniform(s)
 	g := mat.Gram(c)
 	f := mat.Mul(g, xstar)
-	x, _, err := NewBPP().Solve(g, f, nil)
+	x, _, err := Solve(NewBPP(), g, f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,13 +154,13 @@ func TestBPPActiveConstraints(t *testing.T) {
 
 func TestBPPWarmStart(t *testing.T) {
 	g, f, _, _ := problem(40, 8, 12, 11)
-	cold, stCold, err := NewBPP().Solve(g, f, nil)
+	cold, stCold, err := Solve(NewBPP(), g, f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Warm-starting from the solution itself must converge immediately
 	// (1 round) to the same answer.
-	warm, stWarm, err := NewBPP().Solve(g, f, cold)
+	warm, stWarm, err := Solve(NewBPP(), g, f, cold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,11 +178,11 @@ func TestBPPGroupingEquivalence(t *testing.T) {
 	g, f, _, _ := problem(50, 10, 20, 13)
 	grouped := &BPP{Grouping: true}
 	ungrouped := &BPP{Grouping: false}
-	xg, _, err := grouped.Solve(g, f, nil)
+	xg, _, err := Solve(grouped, g, f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	xu, _, err := ungrouped.Solve(g, f, nil)
+	xu, _, err := Solve(ungrouped, g, f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestBPPGroupingEquivalence(t *testing.T) {
 func TestBPPPropertyKKT(t *testing.T) {
 	f := func(seed uint64) bool {
 		g, fm, _, _ := problem(25, 5, 7, seed)
-		x, _, err := NewBPP().Solve(g, fm, nil)
+		x, _, err := Solve(NewBPP(), g, fm, nil)
 		if err != nil {
 			return false
 		}
@@ -214,7 +214,7 @@ func TestMUDecreasesObjective(t *testing.T) {
 	mu := NewMU(1)
 	for i := 0; i < 20; i++ {
 		var err error
-		x, _, err = mu.Solve(g, f, x)
+		x, _, err = Solve(mu, g, f, x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +238,7 @@ func TestHALSDecreasesObjective(t *testing.T) {
 	hals := NewHALS(1)
 	for i := 0; i < 20; i++ {
 		var err error
-		x, _, err = hals.Solve(g, f, x)
+		x, _, err = Solve(hals, g, f, x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,14 +256,14 @@ func TestHALSDecreasesObjective(t *testing.T) {
 func TestHALSApproachesBPP(t *testing.T) {
 	// Many HALS sweeps should approach the exact solution.
 	g, f, c, b := problem(40, 5, 8, 23)
-	exact, _, err := NewBPP().Solve(g, f, nil)
+	exact, _, err := Solve(NewBPP(), g, f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := mat.NewDense(5, 8)
 	x.Fill(1)
 	hals := NewHALS(200)
-	x, _, err = hals.Solve(g, f, x)
+	x, _, err = Solve(hals, g, f, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestSolversRejectBadDims(t *testing.T) {
 	f := mat.NewDense(4, 2) // wrong row count
 	for _, m := range Methods {
 		s := m.New(1)
-		if _, _, err := s.Solve(g, f, nil); err == nil {
+		if _, _, err := Solve(s, g, f, nil); err == nil {
 			t.Fatalf("%s accepted mismatched dims", s.Name())
 		}
 	}
@@ -301,7 +301,7 @@ func TestHALSZeroGramRow(t *testing.T) {
 	// NaNs; the row should be zeroed.
 	g := mat.FromRows([][]float64{{1, 0}, {0, 0}})
 	f := mat.FromRows([][]float64{{1, 2}, {3, 4}})
-	x, _, err := NewHALS(3).Solve(g, f, nil)
+	x, _, err := Solve(NewHALS(3), g, f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestPriceIsTheCharge(t *testing.T) {
 		for _, k := range []int{1, 5, 16} {
 			for _, r := range []int{1, 7} {
 				for _, sweeps := range []int{1, 3} {
-					_, st, err := m.New(sweeps).Solve(randomSPD(k, uint64(k)), randomRHS(k, r, uint64(r)), nil)
+					_, st, err := Solve(m.New(sweeps), randomSPD(k, uint64(k)), randomRHS(k, r, uint64(r)), nil)
 					if err != nil {
 						t.Fatalf("%s: %v", m.Name, err)
 					}

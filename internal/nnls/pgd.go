@@ -17,7 +17,7 @@ import (
 // converges on problems where MU stalls at zero entries, because the
 // projection can reactivate them.
 type PGD struct {
-	// Sweeps is the number of projected gradient steps per Solve (≥1).
+	// Sweeps is the number of projected gradient steps per call (≥1).
 	Sweeps int
 }
 
@@ -32,12 +32,7 @@ func NewPGD(sweeps int) *PGD {
 // Name implements Solver.
 func (s *PGD) Name() string { return "PGD" }
 
-// Solve implements Solver.
-func (s *PGD) Solve(g, f, xInit *mat.Dense) (*mat.Dense, Stats, error) {
-	return solveAlloc(s, g, f, xInit)
-}
-
-// SolveCtx implements ContextSolver: the gradient buffer G·X comes
+// SolveCtx implements Solver: the gradient buffer G·X comes
 // from the workspace and the projected steps update dst in place.
 func (s *PGD) SolveCtx(ctx *Context, g, f, xInit, dst *mat.Dense) (Stats, error) {
 	if err := checkDims(g, f, xInit); err != nil {

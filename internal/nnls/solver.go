@@ -12,6 +12,10 @@
 // and projected gradient descent (PGD), which perform a fixed number
 // of sweeps per call. Methods is the one list of them: every caller
 // that names, builds or prices a built-in solver reads its rows.
+//
+// A Solver has one solving method, SolveCtx, which writes into a
+// destination the caller shapes and draws its temporaries from a
+// Context; the package function Solve is its allocating form.
 package nnls
 
 import (
@@ -115,7 +119,7 @@ func Names() string {
 	return strings.Join(names, ", ")
 }
 
-// Stats reports work done by a Solve call, used for the NLS share of
+// Stats reports work done by a SolveCtx call, used for the NLS share of
 // the per-iteration flop accounting (the paper's C_BPP(k, c) term).
 type Stats struct {
 	// Flops approximates floating point operations performed.
@@ -149,8 +153,11 @@ func (s *Stats) Add(other Stats) {
 type Solver interface {
 	// Name identifies the solver in reports ("BPP", "HALS", ...).
 	Name() string
-	// Solve returns X ≥ 0 (k×r) given G (k×k) and F (k×r).
-	Solve(g, f, xInit *mat.Dense) (*mat.Dense, Stats, error)
+	// SolveCtx writes X ≥ 0 (k×r) minimizing ½xᵀGx − fᵀx per column,
+	// given G (k×k) and F (k×r), into dst (k×r, shaped by the caller),
+	// drawing its temporaries from ctx. xInit == dst is allowed and
+	// updates the iterate in place.
+	SolveCtx(ctx *Context, g, f, xInit, dst *mat.Dense) (Stats, error)
 }
 
 // checkDims validates the common shape contract.
@@ -167,24 +174,13 @@ func checkDims(g, f, xInit *mat.Dense) error {
 	return nil
 }
 
-// solveAlloc is the allocating Solve of a sweep method: SolveCtx, which
-// checks the shapes, into a fresh destination, with no context.
-func solveAlloc(s ContextSolver, g, f, xInit *mat.Dense) (*mat.Dense, Stats, error) {
-	x := mat.NewDense(f.Rows, f.Cols)
-	st, err := s.SolveCtx(nil, g, f, xInit, x)
-	if err != nil {
-		return nil, st, err
-	}
-	return x, st, nil
-}
-
 // MU is the multiplicative-update rule of Seung & Lee (paper Eq. 3),
 // expressed on the normal equations: X ← X ∘ F / (G·X), elementwise,
 // with a small floor in the denominator for numerical safety. MU
 // never leaves the non-negative orthant and never produces exact
 // zeros from positive entries.
 type MU struct {
-	// Sweeps is the number of full update sweeps per Solve (≥1).
+	// Sweeps is the number of full update sweeps per call (≥1).
 	Sweeps int
 	// Eps floors denominators; defaults to 1e-16.
 	Eps float64
@@ -201,12 +197,7 @@ func NewMU(sweeps int) *MU {
 // Name implements Solver.
 func (s *MU) Name() string { return "MU" }
 
-// Solve implements Solver.
-func (s *MU) Solve(g, f, xInit *mat.Dense) (*mat.Dense, Stats, error) {
-	return solveAlloc(s, g, f, xInit)
-}
-
-// SolveCtx implements ContextSolver: the steady state draws its one
+// SolveCtx implements Solver: the steady state draws its one
 // temporary (G·X) from the workspace and allocates nothing.
 func (s *MU) SolveCtx(ctx *Context, g, f, xInit, dst *mat.Dense) (Stats, error) {
 	if err := checkDims(g, f, xInit); err != nil {
@@ -243,7 +234,7 @@ func (s *MU) SolveCtx(ctx *Context, g, f, xInit, dst *mat.Dense) (Stats, error) 
 // paper Eq. 4): block coordinate descent over the rows of X, using
 // the freshest values within a sweep.
 type HALS struct {
-	// Sweeps is the number of full row sweeps per Solve (≥1).
+	// Sweeps is the number of full row sweeps per call (≥1).
 	Sweeps int
 }
 
@@ -258,12 +249,7 @@ func NewHALS(sweeps int) *HALS {
 // Name implements Solver.
 func (s *HALS) Name() string { return "HALS" }
 
-// Solve implements Solver.
-func (s *HALS) Solve(g, f, xInit *mat.Dense) (*mat.Dense, Stats, error) {
-	return solveAlloc(s, g, f, xInit)
-}
-
-// SolveCtx implements ContextSolver. HALS's only temporary is the
+// SolveCtx implements Solver. HALS's only temporary is the
 // numerator row, drawn from the workspace; the row sweeps update dst
 // in place.
 func (s *HALS) SolveCtx(ctx *Context, g, f, xInit, dst *mat.Dense) (Stats, error) {

@@ -212,9 +212,9 @@ func TestProjectMatchesDirectSolve(t *testing.T) {
 	}
 	c := mat.NewDense(24, 1)
 	copy(c.Data, col)
-	h, _, err := proj.Project(c)
-	if err != nil {
-		t.Fatalf("Project: %v", err)
+	h := mat.NewDense(4, 1)
+	if _, err := proj.ProjectInto(h, c, nil); err != nil {
+		t.Fatalf("ProjectInto: %v", err)
 	}
 	for i := 0; i < 4; i++ {
 		if diff := got[i] - h.Data[i]; diff > 1e-10 || diff < -1e-10 {
@@ -280,6 +280,36 @@ func TestProjectRefusesNegativeEntries(t *testing.T) {
 		}
 		if msg, _ := body["error"].(string); !strings.Contains(msg, tc.names) {
 			t.Errorf("%s: error %q does not name %q", tc.name, msg, tc.names)
+		}
+	}
+}
+
+// TestFitRefusesBadShape: /v1/fit refuses, with 400 naming the fault,
+// a shape whose rows*cols wraps to the length of data and a rank above
+// min(rows, cols); k = min(rows, cols) is accepted.
+func TestFitRefusesBadShape(t *testing.T) {
+	ts := httptest.NewServer(newTestServer(t, Options{}))
+	defer ts.Close()
+	for _, tc := range []struct {
+		name, body string
+		status     int
+		names      string
+	}{
+		{"rows*cols wraps to 0", `{"model":"m","rows":8589934592,"cols":2147483648,"data":[],"k":1}`,
+			http.StatusBadRequest, "data has 0 entries"},
+		{"k above min(rows, cols)", `{"model":"m","rows":2,"cols":3,"data":[1,2,3,4,5,6],"k":3}`,
+			http.StatusBadRequest, "rank k = 3"},
+		{"k = min(rows, cols)", `{"model":"m","rows":2,"cols":3,"data":[1,2,3,4,5,6],"k":2,"max_iter":1}`,
+			http.StatusAccepted, ""},
+	} {
+		resp := postJSON(t, ts.URL+"/v1/fit", json.RawMessage(tc.body))
+		var body map[string]string
+		decodeBody(t, resp, &body)
+		if resp.StatusCode != tc.status {
+			t.Fatalf("%s: status %d, want %d (%v)", tc.name, resp.StatusCode, tc.status, body)
+		}
+		if !strings.Contains(body["error"], tc.names) {
+			t.Errorf("%s: error %q does not name %q", tc.name, body["error"], tc.names)
 		}
 	}
 }

@@ -612,11 +612,13 @@ func (f *FitRequest) validate() error {
 	if f.Rows < 1 || f.Cols < 1 {
 		return fmt.Errorf("matrix is %dx%d, want at least 1x1", f.Rows, f.Cols)
 	}
-	if len(f.Data) != f.Rows*f.Cols {
-		return fmt.Errorf("data has %d entries, want rows*cols = %d", len(f.Data), f.Rows*f.Cols)
+	// The division first: rows*cols of a hostile shape can wrap to
+	// len(data).
+	if f.Cols > len(f.Data)/f.Rows || len(f.Data) != f.Rows*f.Cols {
+		return fmt.Errorf("data has %d entries, want rows*cols for a %dx%d matrix", len(f.Data), f.Rows, f.Cols)
 	}
-	if f.K < 1 {
-		return fmt.Errorf("rank k = %d, want ≥ 1", f.K)
+	if f.K < 1 || f.K > min(f.Rows, f.Cols) {
+		return fmt.Errorf("rank k = %d, want 1 ≤ k ≤ min(rows, cols) = %d", f.K, min(f.Rows, f.Cols))
 	}
 	if _, err := solverKind(f.Solver); err != nil {
 		return err

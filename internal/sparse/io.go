@@ -6,6 +6,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+
+	"hpcnmf/internal/mat"
 )
 
 // WriteMatrixMarket writes the matrix in MatrixMarket coordinate
@@ -28,36 +30,25 @@ func (a *CSR) WriteMatrixMarket(w io.Writer) error {
 }
 
 // ReadMatrixMarket parses a MatrixMarket coordinate-format matrix.
-// Only the "matrix coordinate real general" flavor is supported.
+// Only the "matrix coordinate real general" flavor is supported. The
+// size line is checked before any entry is read, and entries are
+// collected as they are read, so the declared entry count reserves no
+// memory.
 func ReadMatrixMarket(r io.Reader) (*CSR, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	// Header line.
-	if !sc.Scan() {
-		return nil, fmt.Errorf("sparse: empty MatrixMarket input")
+	var r64, c64, nnz int64
+	sc, err := mat.ScanMatrixMarket(r, "coordinate", &r64, &c64, &nnz)
+	if err != nil {
+		return nil, err
 	}
-	header := strings.ToLower(sc.Text())
-	if !strings.HasPrefix(header, "%%matrixmarket") || !strings.Contains(header, "coordinate") {
-		return nil, fmt.Errorf("sparse: unsupported MatrixMarket header %q", sc.Text())
+	rows, cols, err := mat.CheckDims(r64, c64)
+	if err != nil {
+		return nil, err
 	}
-	// Skip comments; read the size line.
-	var rows, cols, nnz int
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "%") {
-			continue
-		}
-		if _, err := fmt.Sscan(line, &rows, &cols, &nnz); err != nil {
-			return nil, fmt.Errorf("sparse: bad size line %q: %w", line, err)
-		}
-		break
+	if nnz < 0 || nnz > r64*c64 {
+		return nil, fmt.Errorf("sparse: %d entries declared for a %dx%d matrix", nnz, rows, cols)
 	}
-	coords := make([]Coord, 0, nnz)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "%") {
-			continue
-		}
+	var coords []Coord
+	for line, ok := mat.MatrixMarketLine(sc); ok; line, ok = mat.MatrixMarketLine(sc) {
 		fields := strings.Fields(line)
 		if len(fields) < 2 {
 			return nil, fmt.Errorf("sparse: bad entry line %q", line)
@@ -84,7 +75,7 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if len(coords) != nnz {
+	if int64(len(coords)) != nnz {
 		return nil, fmt.Errorf("sparse: declared %d entries, found %d", nnz, len(coords))
 	}
 	return FromCoords(rows, cols, coords), nil

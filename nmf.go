@@ -84,9 +84,12 @@ func ParseSolver(name string) (SolverKind, error) { return core.ParseSolver(name
 // DESIGN decision 14): the skeleton owns the collectives, overlap
 // schedule, Gram/cross-product pipeline, checkpointing, and tracing,
 // and the updater supplies only the local factor update from the
-// precomputed Gram and right-hand side. The built-in solvers (the rows
-// of the table behind SolverKind) enter through Options.Solver; a
-// custom rule plugs in via the Options.Update per-rank factory.
+// precomputed Gram and right-hand side. An Updater is an NNLS solver:
+// it implements Name and SolveCtx, which the skeleton calls with the
+// iterate as both warm start and destination. The built-in solvers
+// (the rows of the table behind SolverKind) enter through
+// Options.Solver; a custom rule plugs in via the Options.Update
+// per-rank factory.
 type Updater = core.Updater
 
 // Observability: traces, metrics, and run reports (see README
@@ -411,7 +414,8 @@ func TruncatedSVD(a Matrix, k, iters int, seed uint64) (u *Dense, sigma []float6
 // H-subproblem NNLS solve with W frozen, off a cached WᵀW Gram. It is
 // the shared cheap-serve path of the streaming factorizer and the
 // internal/serve batching layer, and degrades gracefully (Tikhonov
-// damping) when the basis is rank-deficient.
+// damping) when the basis is rank-deficient. ProjectInto is its one
+// projection call: it writes into a k×c destination the caller owns.
 type Projector = core.Projector
 
 // NewProjector caches the Gram of basis w and prepares reusable solver

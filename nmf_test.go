@@ -197,8 +197,8 @@ var errRefused = errors.New("stub solver refuses")
 
 func (refusingSolver) Name() string { return "refusing" }
 
-func (refusingSolver) Solve(g, f, xInit *hpcnmf.Dense) (*hpcnmf.Dense, nnls.Stats, error) {
-	return nil, nnls.Stats{}, errRefused
+func (refusingSolver) SolveCtx(_ *nnls.Context, g, f, xInit, dst *hpcnmf.Dense) (nnls.Stats, error) {
+	return nnls.Stats{}, errRefused
 }
 
 // TestNCPSolverErrorKeepsChain: a solver's error reaches the caller

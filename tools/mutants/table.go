@@ -24,6 +24,22 @@ var table = []mutant{
 		Run:  "^TestObjectiveNeverIncreases$",
 	},
 	{
+		Name: "mu-ratio-inverted",
+		File: "internal/nnls/solver.go",
+		From: "dst.Data[i] *= f.Data[i] / den",
+		To:   "dst.Data[i] *= den / f.Data[i]",
+		Pkg:  "./internal/nnls",
+		Run:  "^TestMUDecreasesObjective$",
+	},
+	{
+		Name: "bpp-exchange-rule-le",
+		File: "internal/nnls/bpp.go",
+		From: "case n < ps.beta[c]:",
+		To:   "case n <= ps.beta[c]:",
+		Pkg:  "./internal/nnls",
+		Run:  "^TestBPPPivotSequenceUnchanged$",
+	},
+	{
 		Name: "ledger-stop-noop",
 		File: "internal/core/updater.go",
 		From: "e.led.Stop(ps, st.Flops)",
