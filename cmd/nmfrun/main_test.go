@@ -97,7 +97,24 @@ func TestRunResumeRoundTrip(t *testing.T) {
 // version 1 build wrote (unfused kernels) fails with the typed error
 // instead of continuing it under a different arithmetic.
 func TestRunResumeRefusesVersion1Checkpoint(t *testing.T) {
-	raw, err := os.ReadFile("../../internal/core/testdata/golden_ckpt_seq_bpp_iter6.bin")
+	if err := resumeFixture(t, "golden_ckpt_seq_bpp_iter6.bin"); !errors.Is(err, hpcnmf.ErrCheckpointVersion) {
+		t.Fatalf("-resume on a version 1 checkpoint: err = %v, want ErrCheckpointVersion", err)
+	}
+}
+
+// TestRunResumeRefusesVersion2Checkpoint: -resume on a checkpoint a
+// version 2 build wrote (no CRC) fails with the typed error instead of
+// continuing factors nothing vouches for.
+func TestRunResumeRefusesVersion2Checkpoint(t *testing.T) {
+	if err := resumeFixture(t, "golden_ckpt_v2_seq_bpp_iter6.bin"); !errors.Is(err, hpcnmf.ErrCheckpointVersion) {
+		t.Fatalf("-resume on a version 2 checkpoint: err = %v, want ErrCheckpointVersion", err)
+	}
+}
+
+// resumeFixture runs -resume on a copy of one of core's checkpoint
+// fixtures and returns the run's error.
+func resumeFixture(t *testing.T, name string) error {
+	raw, err := os.ReadFile("../../internal/core/testdata/" + name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,10 +123,7 @@ func TestRunResumeRefusesVersion1Checkpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out, errb bytes.Buffer
-	err = run(fast("-resume", dir, "-iters", "9"), &out, &errb)
-	if !errors.Is(err, hpcnmf.ErrCheckpointVersion) {
-		t.Fatalf("-resume on a version 1 checkpoint: err = %v, want ErrCheckpointVersion", err)
-	}
+	return run(fast("-resume", dir, "-iters", "9"), &out, &errb)
 }
 
 // TestRunTileMemReadsThroughReaderAt: a -tile-mem budget bounds only

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"bufio"
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -18,29 +15,32 @@ import (
 // gathers the full factors on rank 0 (a Setup-charged collective, so
 // the measured per-iteration traffic of the algorithm is undisturbed)
 // and atomically replaces one file in Options.CheckpointDir. The file
-// is self-describing — a versioned JSON header with the iteration
-// count, problem shape, seed (the run's entire RNG state: every random
-// draw in a run is a pure function of it), and error history, followed
-// by W and H in the mat binary format — so a separate process can pick
-// the job up where it died. Because an alternating iteration is a
+// is a two-block store container — a versioned CheckpointMeta header
+// with the iteration count, problem shape, seed (the run's entire RNG
+// state: every random draw in a run is a pure function of it), and
+// error history, then W and H, then a CRC-32C — so a separate process
+// can pick the job up where it died, and a flipped bit is refused
+// rather than resumed. Because an alternating iteration is a
 // deterministic function of (W, H) and the parallel drivers slice
 // explicit initial factors exactly like generated ones, a resumed run
 // recomputes the remaining iterations bitwise-identically to an
 // uninterrupted one (pinned by TestResumeBitwiseIdentical).
 
-// checkpointMagic identifies the checkpoint container format.
+// checkpointMagic identifies a checkpoint container.
 const checkpointMagic = "HPNMFCK1"
 
-// CheckpointVersion covers the header schema and the arithmetic that
-// wrote the factors: a resume is bitwise only when the kernels that
-// continue a run round like the ones that began it. Version 2 is the
-// fused multiply-add kernels; version 1 files (separate multiply and
-// add) are refused with ErrCheckpointVersion rather than resumed onto
-// a different trajectory.
-const CheckpointVersion = 2
+// CheckpointVersion covers the header schema, the framing and the
+// arithmetic that wrote the factors: a resume is bitwise only when the
+// kernels that continue a run round like the ones that began it.
+// Version 3 is the CRC-guarded container; version 2 files (fused
+// multiply-add, no CRC) and version 1 files (separate multiply and
+// add) are refused with ErrCheckpointVersion rather than resumed
+// unchecked or onto a different trajectory.
+const CheckpointVersion = 3
 
 // ErrCheckpointVersion is wrapped by ReadCheckpoint when a checkpoint
-// was written under another CheckpointVersion.
+// was written under another CheckpointVersion. The version is checked
+// before the CRC, so a file that predates the CRC gets this error.
 var ErrCheckpointVersion = errors.New("core: checkpoint version not readable by this build")
 
 // CheckpointFile is the file name written inside CheckpointDir.
@@ -85,56 +85,18 @@ func WriteCheckpoint(dir string, ck *Checkpoint) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("core: checkpoint dir: %w", err)
 	}
-	err := store.ReplaceFile(dir, CheckpointFile, func(w io.Writer) error { return writeCheckpointTo(w, ck) })
+	err := store.ReplaceFile(dir, CheckpointFile, func(w io.Writer) error {
+		return store.WriteContainer(w, checkpointMagic, ck.Meta, ck.W, ck.H)
+	})
 	if err != nil {
 		return fmt.Errorf("core: writing checkpoint: %w", err)
 	}
 	return nil
 }
 
-// sweepStaleCheckpointTemps removes checkpoint.bin.tmp-* litter left
-// by a crash between temp-file creation and rename. Only the
-// committed CheckpointFile is ever read, so the sweep is safe at any
-// point; it runs when a checkpointing run starts.
-func sweepStaleCheckpointTemps(dir string) {
-	stale, err := filepath.Glob(filepath.Join(dir, CheckpointFile+".tmp-*"))
-	if err != nil {
-		return
-	}
-	for _, p := range stale {
-		os.Remove(p)
-	}
-}
-
-// writeCheckpointTo serializes magic, header length, JSON header, then
-// both factors.
-func writeCheckpointTo(w io.Writer, ck *Checkpoint) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(checkpointMagic); err != nil {
-		return err
-	}
-	hdr, err := json.Marshal(ck.Meta)
-	if err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(hdr))); err != nil {
-		return err
-	}
-	if _, err := bw.Write(hdr); err != nil {
-		return err
-	}
-	if err := ck.W.WriteBinary(bw); err != nil {
-		return err
-	}
-	if err := ck.H.WriteBinary(bw); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
 // LoadCheckpoint reads dir/checkpoint.bin. Corrupt input — bad magic,
-// an implausible header, truncated factors — yields an error, never a
-// partial checkpoint.
+// an implausible header, a CRC mismatch (store.ErrChecksum), truncated
+// factors — yields an error, never a partial checkpoint.
 func LoadCheckpoint(dir string) (*Checkpoint, error) {
 	f, err := os.Open(filepath.Join(dir, CheckpointFile))
 	if err != nil {
@@ -146,50 +108,21 @@ func LoadCheckpoint(dir string) (*Checkpoint, error) {
 
 // ReadCheckpoint parses a checkpoint stream written by WriteCheckpoint.
 func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(checkpointMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("core: checkpoint magic: %w", err)
-	}
-	if string(magic) != checkpointMagic {
-		return nil, fmt.Errorf("core: bad checkpoint magic %q", magic)
-	}
-	var hdrLen uint32
-	if err := binary.Read(br, binary.LittleEndian, &hdrLen); err != nil {
-		return nil, fmt.Errorf("core: checkpoint header length: %w", err)
-	}
-	if hdrLen == 0 || hdrLen > 1<<24 {
-		return nil, fmt.Errorf("core: implausible checkpoint header length %d", hdrLen)
-	}
-	hdr := make([]byte, hdrLen)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, fmt.Errorf("core: checkpoint header: %w", err)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("core: reading checkpoint: %w", err)
 	}
 	ck := &Checkpoint{}
-	var err error
-	if err = json.Unmarshal(hdr, &ck.Meta); err != nil {
-		return nil, fmt.Errorf("core: checkpoint header: %w", err)
-	}
-	if ck.Meta.Version != CheckpointVersion {
-		return nil, fmt.Errorf("%w: file has version %d, this build reads %d", ErrCheckpointVersion, ck.Meta.Version, CheckpointVersion)
-	}
-	if ck.W, err = mat.ReadBinary(br); err != nil {
-		return nil, fmt.Errorf("core: checkpoint W factor: %w", err)
-	}
-	if ck.H, err = mat.ReadBinary(br); err != nil {
-		return nil, fmt.Errorf("core: checkpoint H factor: %w", err)
-	}
-	// The checkpoint owns the whole stream: bytes after the H factor
-	// mean corruption (e.g. a torn rewrite landing on a longer old
-	// file), not a bigger checkpoint. (mat.ReadBinary reads through
-	// this same br — bufio.NewReader returns an existing *bufio.Reader
-	// unchanged — so the probe sits exactly at the payload end.)
-	if _, err := br.ReadByte(); err != io.EOF {
-		if err != nil {
-			return nil, fmt.Errorf("core: checking for end of checkpoint: %w", err)
+	factors, err := store.DecodeContainer(data, checkpointMagic, &ck.Meta, func() error {
+		if ck.Meta.Version != CheckpointVersion {
+			return fmt.Errorf("%w: file has version %d, this build reads %d", ErrCheckpointVersion, ck.Meta.Version, CheckpointVersion)
 		}
-		return nil, fmt.Errorf("core: trailing data after checkpoint payload")
+		return nil
+	}, 2)
+	if err != nil {
+		return nil, err
 	}
+	ck.W, ck.H = factors[0], factors[1]
 	return ck, nil
 }
 
@@ -247,7 +180,7 @@ func newCheckpointer(opts Options, algorithm string, m, n int) *checkpointer {
 	if opts.CheckpointDir == "" {
 		return nil
 	}
-	sweepStaleCheckpointTemps(opts.CheckpointDir)
+	store.SweepTemps(opts.CheckpointDir, CheckpointFile)
 	return &checkpointer{
 		dir:    opts.CheckpointDir,
 		every:  opts.CheckpointEvery,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io/fs"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"hpcnmf/internal/grid"
 	"hpcnmf/internal/mat"
 	"hpcnmf/internal/mpi"
+	"hpcnmf/internal/store"
 )
 
 func testCheckpoint(k int) *Checkpoint {
@@ -27,6 +29,20 @@ func testCheckpoint(k int) *Checkpoint {
 		},
 		W: w, H: h,
 	}
+}
+
+// encodeCheckpoint returns the bytes WriteCheckpoint commits for ck.
+func encodeCheckpoint(t *testing.T, ck *Checkpoint) []byte {
+	t.Helper()
+	dir := t.TempDir()
+	if err := WriteCheckpoint(dir, ck); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, CheckpointFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
 }
 
 func TestCheckpointRoundTrip(t *testing.T) {
@@ -64,11 +80,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 }
 
 func TestCheckpointRejectsCorruptInput(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writeCheckpointTo(&buf, testCheckpoint(3)); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
+	good := encodeCheckpoint(t, testCheckpoint(3))
 
 	bad := append([]byte(nil), good...)
 	copy(bad, "NOTHEADR")
@@ -94,11 +106,7 @@ func TestCheckpointRejectsCorruptInput(t *testing.T) {
 	// A future schema version is refused rather than misread.
 	future := testCheckpoint(3)
 	future.Meta.Version = CheckpointVersion + 1
-	buf.Reset()
-	if err := writeCheckpointTo(&buf, future); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadCheckpoint(bytes.NewReader(buf.Bytes())); err == nil {
+	if _, err := ReadCheckpoint(bytes.NewReader(encodeCheckpoint(t, future))); err == nil {
 		t.Error("future checkpoint version accepted")
 	}
 }
@@ -278,17 +286,14 @@ func TestCheckpointCrashMidWriteRecovery(t *testing.T) {
 	// Crash 1: temp fully staged, rename never happened.
 	newer := testCheckpoint(3)
 	newer.Meta.Iteration = 7
-	var buf bytes.Buffer
-	if err := writeCheckpointTo(&buf, newer); err != nil {
-		t.Fatal(err)
-	}
+	raw := encodeCheckpoint(t, newer)
 	staged := filepath.Join(dir, CheckpointFile+".tmp-11111")
-	if err := os.WriteFile(staged, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(staged, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// Crash 2: temp torn mid-write.
 	torn := filepath.Join(dir, CheckpointFile+".tmp-22222")
-	if err := os.WriteFile(torn, buf.Bytes()[:buf.Len()/2], 0o644); err != nil {
+	if err := os.WriteFile(torn, raw[:len(raw)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -350,16 +355,44 @@ func TestCheckpointTornRenameRecovery(t *testing.T) {
 // TestCheckpointRejectsTrailingGarbage: bytes after the H factor mean
 // corruption; ReadCheckpoint owns the whole stream and must say so.
 func TestCheckpointRejectsTrailingGarbage(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writeCheckpointTo(&buf, testCheckpoint(3)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadCheckpoint(bytes.NewReader(buf.Bytes())); err != nil {
+	raw := encodeCheckpoint(t, testCheckpoint(3))
+	if _, err := ReadCheckpoint(bytes.NewReader(raw)); err != nil {
 		t.Fatalf("clean checkpoint rejected: %v", err)
 	}
-	dirty := append(append([]byte(nil), buf.Bytes()...), 0x00)
+	dirty := append(append([]byte(nil), raw...), 0x00)
 	if _, err := ReadCheckpoint(bytes.NewReader(dirty)); err == nil {
 		t.Fatal("trailing garbage accepted")
+	}
+}
+
+// TestCheckpointRefusesEveryBitFlip flips each bit of each byte of a
+// version 3 checkpoint in turn: LoadCheckpoint must refuse every one,
+// and a flip anywhere in the factor blocks must be refused by the CRC.
+// Without the CRC a flipped factor bit resumes a different run with no
+// error.
+func TestCheckpointRefusesEveryBitFlip(t *testing.T) {
+	good, err := os.ReadFile(goldenMidCheckpoint("seq"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	factors := len(checkpointMagic) + 4 + int(binary.LittleEndian.Uint32(good[len(checkpointMagic):]))
+	dir := t.TempDir()
+	path := filepath.Join(dir, CheckpointFile)
+	for off := range good {
+		for bit := 0; bit < 8; bit++ {
+			bad := append([]byte(nil), good...)
+			bad[off] ^= 1 << bit
+			if err := os.WriteFile(path, bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := LoadCheckpoint(dir)
+			switch {
+			case err == nil:
+				t.Fatalf("bit %d of byte %d flipped: checkpoint accepted", bit, off)
+			case off >= factors && off < len(good)-4 && !errors.Is(err, store.ErrChecksum):
+				t.Fatalf("bit %d of factor byte %d flipped: err = %v, want store.ErrChecksum", bit, off, err)
+			}
+		}
 	}
 }
 

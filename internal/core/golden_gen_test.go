@@ -8,17 +8,18 @@ import (
 	"hpcnmf/internal/grid"
 )
 
-// TestGenerateGoldenCheckpointFixtures writes the version 2 checkpoint
-// fixtures under testdata/ (golden_ckpt_v2_*). They are the
+// TestGenerateGoldenCheckpointFixtures writes the version 3 checkpoint
+// fixtures under testdata/ (golden_ckpt_v3_*). They are the
 // cross-build resume-compat contract: a checkpoint written by an
 // earlier build must load and resume bitwise-identically under the
-// current one (see resume_compat_test.go). The one sanctioned
-// regeneration was the move of the kernels to fused multiply-add,
-// which changed the arithmetic and so CheckpointVersion (1 → 2); the
-// version 1 fixtures stay as written, as the files a version 2 build
-// refuses. Do NOT regenerate them to paper over a divergence — a diff
-// against these bytes IS the bug; an arithmetic change bumps
-// CheckpointVersion and writes new files beside the old ones.
+// current one (see resume_compat_test.go). Two regenerations were
+// sanctioned, each bumping CheckpointVersion and writing new files
+// beside the old ones: the move of the kernels to fused multiply-add
+// changed the arithmetic (1 → 2), and the move to the CRC-guarded
+// store container changed the framing (2 → 3; TestV3FixturesReframeV2
+// proves no factor bit moved). The older fixtures stay as written, as
+// the files a version 3 build refuses. Do NOT regenerate them to paper
+// over a divergence — a diff against these bytes IS the bug.
 //
 // Guarded by HPCNMF_GEN_GOLDEN=1 so a plain `go test` never rewrites
 // pinned artifacts.

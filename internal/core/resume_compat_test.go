@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"os"
 	"testing"
 
@@ -12,30 +13,34 @@ import (
 )
 
 // Golden resume-compat fixtures, committed under testdata/. The
-// golden_ckpt_v2_* files were written by the first build of checkpoint
-// version 2 (the fused multiply-add kernels). They pin two contracts
+// golden_ckpt_v3_* files were written by the first build of checkpoint
+// version 3 (the CRC-guarded store container). They pin two contracts
 // at once: the on-disk HPNMFCK1 container must keep reading bytes an
 // earlier build wrote, and resuming under the same driver must
 // reproduce that build's final factors bitwise. (Cross-driver resume
 // is tolerance-equal only: the 2D HPC reduction order differs from the
 // sequential accumulation order, the same ~1e-15 contract the
-// conformance suite pins.) The golden_ckpt_* files without a version
-// were written by version 1 builds (separate multiply and add); they
-// are kept byte for byte as the fixtures a version 2 build refuses.
+// conformance suite pins.) The older fixtures are kept byte for byte
+// as the files a version 3 build refuses: golden_ckpt_v2_* (fused
+// multiply-add, no CRC) and golden_ckpt_* without a version (separate
+// multiply and add).
 const goldenM, goldenN, goldenK = 24, 20, 3
 
 func goldenMidCheckpoint(driver string) string {
-	return "testdata/golden_ckpt_v2_" + driver + "_bpp_iter6.bin"
+	return "testdata/golden_ckpt_v3_" + driver + "_bpp_iter6.bin"
 }
 
 func goldenFinalCheckpoint(driver string) string {
-	return "testdata/golden_ckpt_v2_" + driver + "_bpp_iter9.bin"
+	return "testdata/golden_ckpt_v3_" + driver + "_bpp_iter9.bin"
 }
 
-// v1Checkpoints are the four version 1 fixtures.
+// v1Checkpoints are the fixtures this build refuses: the four version
+// 1 files, then the four version 2 files.
 var v1Checkpoints = []string{
 	"testdata/golden_ckpt_seq_bpp_iter6.bin", "testdata/golden_ckpt_seq_bpp_iter9.bin",
 	"testdata/golden_ckpt_hpc2x2_bpp_iter6.bin", "testdata/golden_ckpt_hpc2x2_bpp_iter9.bin",
+	"testdata/golden_ckpt_v2_seq_bpp_iter6.bin", "testdata/golden_ckpt_v2_seq_bpp_iter9.bin",
+	"testdata/golden_ckpt_v2_hpc2x2_bpp_iter6.bin", "testdata/golden_ckpt_v2_hpc2x2_bpp_iter9.bin",
 }
 
 // goldenOptions is the exact configuration the fixtures were generated
@@ -54,9 +59,34 @@ func loadGolden(t *testing.T, path string) *Checkpoint {
 	defer f.Close()
 	ck, err := ReadCheckpoint(f)
 	if err != nil {
-		t.Fatalf("version 2 checkpoint no longer parses: %v", err)
+		t.Fatalf("version 3 checkpoint no longer parses: %v", err)
 	}
 	return ck
+}
+
+// TestV3FixturesReframeV2 proves the one regeneration that wrote the
+// version 3 fixtures moved no factor bit and no error-history bit:
+// each v3 file, less its trailing CRC-32C, is its v2 file with only
+// the header's version changed, and the trailing 4 bytes are the
+// CRC-32C of the rest.
+func TestV3FixturesReframeV2(t *testing.T) {
+	for _, f := range []string{"seq_bpp_iter6", "seq_bpp_iter9", "hpc2x2_bpp_iter6", "hpc2x2_bpp_iter9"} {
+		v2, err := os.ReadFile("testdata/golden_ckpt_v2_" + f + ".bin")
+		if err != nil {
+			t.Fatal(err)
+		}
+		v3, err := os.ReadFile("testdata/golden_ckpt_v3_" + f + ".bin")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, tail := v3[:len(v3)-4], v3[len(v3)-4:]
+		if want := bytes.Replace(v2, []byte(`"version":2`), []byte(`"version":3`), 1); !bytes.Equal(body, want) {
+			t.Errorf("%s: the v3 fixture is not the v2 fixture re-versioned", f)
+		}
+		if binary.LittleEndian.Uint32(tail) != crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)) {
+			t.Errorf("%s: the v3 fixture does not end in the CRC-32C of its bytes", f)
+		}
+	}
 }
 
 // TestResumeCompatWithPreRefactorCheckpoint proves a checkpoint
@@ -91,14 +121,14 @@ func TestResumeCompatWithPreRefactorCheckpoint(t *testing.T) {
 			}
 			opts, err := mid.Resume(goldenOptions())
 			if err != nil {
-				t.Fatalf("version 2 checkpoint rejected: %v", err)
+				t.Fatalf("version 3 checkpoint rejected: %v", err)
 			}
 			res, err := tc.run(a, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !res.W.Equal(want.W, 0) || !res.H.Equal(want.H, 0) {
-				t.Fatal("resume from a version 2 checkpoint diverged from the factors its build wrote")
+				t.Fatal("resume from a version 3 checkpoint diverged from the factors its build wrote")
 			}
 			if !tc.skipRelErr {
 				for i, e := range res.RelErr {
@@ -112,8 +142,9 @@ func TestResumeCompatWithPreRefactorCheckpoint(t *testing.T) {
 }
 
 // TestCheckpointRefusesVersion1 pins the refusal of every version 1
-// fixture: ReadCheckpoint wraps ErrCheckpointVersion instead of
-// resuming factors the fused kernels would continue differently.
+// and version 2 fixture: ReadCheckpoint wraps ErrCheckpointVersion
+// instead of resuming factors the fused kernels would continue
+// differently (version 1) or factors no CRC vouches for (version 2).
 func TestCheckpointRefusesVersion1(t *testing.T) {
 	for _, path := range v1Checkpoints {
 		f, err := os.Open(path)
@@ -156,11 +187,7 @@ func TestCheckpointHeaderFormatPinned(t *testing.T) {
 	}
 	// A header written today must keep the same field names (pure
 	// additions are allowed; renames and removals are not).
-	var buf bytes.Buffer
-	if err := writeCheckpointTo(&buf, testCheckpoint(3)); err != nil {
-		t.Fatal(err)
-	}
-	now := buf.Bytes()
+	now := encodeCheckpoint(t, testCheckpoint(3))
 	nowLen := binary.LittleEndian.Uint32(now[8:12])
 	var nowFields map[string]json.RawMessage
 	if err := json.Unmarshal(now[12:12+int(nowLen)], &nowFields); err != nil {

@@ -63,7 +63,7 @@ func FromCoords(rows, cols int, entries []Coord) *CSR {
 	}
 	nnz := len(entries)
 	// Pass 1: stable counting sort by column.
-	count := make([]int, max(rows, cols)+1)
+	count := make([]int, cols+1)
 	for _, e := range entries {
 		count[e.Col+1]++
 	}
@@ -78,9 +78,7 @@ func FromCoords(rows, cols int, entries []Coord) *CSR {
 	// Pass 2: stable counting sort by row. Stability preserves the
 	// column order within each row, so the result is (row, col) sorted
 	// with duplicates adjacent and still in input order.
-	for i := range count {
-		count[i] = 0
-	}
+	count = make([]int, rows+1)
 	for _, e := range byCol {
 		count[e.Row+1]++
 	}

@@ -21,6 +21,7 @@ func FuzzReadMatrixMarket(f *testing.F) {
 	f.Add("%%MatrixMarket matrix coordinate real general\n-2 3 0\n")
 	f.Add("%%MatrixMarket matrix coordinate real general\n% no size line\n")
 	f.Add("%%MatrixMarket matrix coordinate real general\n4294967296 4294967297 0\n")
+	f.Add("%%MatrixMarket matrix coordinate real general\n1099511627776 1 0\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		a, err := ReadMatrixMarket(strings.NewReader(input))
 		if err != nil {

@@ -29,11 +29,18 @@ func (a *CSR) WriteMatrixMarket(w io.Writer) error {
 	return bw.Flush()
 }
 
+// maxIndexLen caps rows + cols of a coordinate file; see
+// ReadMatrixMarket.
+const maxIndexLen = 1 << 28
+
 // ReadMatrixMarket parses a MatrixMarket coordinate-format matrix.
 // Only the "matrix coordinate real general" flavor is supported. The
 // size line is checked before any entry is read, and entries are
 // collected as they are read, so the declared entry count reserves no
-// memory.
+// memory. The declared shape does reserve memory: the CSR's row
+// pointers and construction's counting sorts are index arrays of
+// rows+1 and cols+1 ints, whatever the entries. So a size line whose
+// rows + cols exceeds 2^28 (2 GiB per index array) is refused.
 func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	var r64, c64, nnz int64
 	sc, err := mat.ScanMatrixMarket(r, "coordinate", &r64, &c64, &nnz)
@@ -43,6 +50,9 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	rows, cols, err := mat.CheckDims(r64, c64)
 	if err != nil {
 		return nil, err
+	}
+	if r64+c64 > maxIndexLen {
+		return nil, fmt.Errorf("sparse: %dx%d needs index arrays of %d entries, over the %d this reader allows", rows, cols, r64+c64, maxIndexLen)
 	}
 	if nnz < 0 || nnz > r64*c64 {
 		return nil, fmt.Errorf("sparse: %d entries declared for a %dx%d matrix", nnz, rows, cols)

@@ -64,6 +64,8 @@ func TestMatrixMarketRejectsCorruptInput(t *testing.T) {
 		"short entry line":  "%%MatrixMarket matrix coordinate real general\n2 2 1\n1\n",
 		"truncated entries": "%%MatrixMarket matrix coordinate real general\n3 3 5\n1 1 1\n2 2 2\n",
 		"extra entries":     "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1\n2 2 2\n",
+		// 2^40 × 1 passes mat.CheckDims; its row pointers alone are 8 TiB.
+		"2^40 rows, no entries": "%%MatrixMarket matrix coordinate real general\n1099511627776 1 0\n",
 	}
 	for name, c := range cases {
 		if _, err := ReadMatrixMarket(strings.NewReader(c)); err == nil {

@@ -2,39 +2,18 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"time"
-
-	"hpcnmf/internal/mat"
 )
 
-// Model blobs are self-describing single files:
-//
-//	"HPNMFM01"                     8-byte magic
-//	uint32 LE header length
-//	JSON header (blobHeader)       id + provenance
-//	W factor                       mat binary format (HPNMFD01)
-//	uint32 LE CRC-32C              over every preceding byte
-//
-// The trailing CRC (Castagnoli polynomial, hardware-accelerated on
-// amd64/arm64) turns every torn or bit-flipped write into a loud
-// decode error instead of a silently wrong basis: the serving layer
-// would otherwise happily project against garbage coefficients.
+// A model blob is the one-block container (see container.go): magic
+// "HPNMFM01", a blobHeader with the id and provenance, and the basis W.
 
 // blobMagic identifies the durable model container format.
 const blobMagic = "HPNMFM01"
 
 // BlobVersion is the current blob header schema version.
 const BlobVersion = 1
-
-// maxBlobHeader bounds the JSON header so a corrupt length field
-// cannot force a huge allocation.
-const maxBlobHeader = 1 << 20
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // blobHeader is the versioned JSON header inside a model blob.
 type blobHeader struct {
@@ -54,72 +33,43 @@ func EncodeModel(m *Model) ([]byte, error) {
 	if m.ID == "" {
 		return nil, fmt.Errorf("store: encoding model with empty id")
 	}
-	hdr, err := json.Marshal(blobHeader{
+	var buf bytes.Buffer
+	// The basis dominates; 256 bytes covers the framing and a header
+	// with a short id, so the buffer is allocated once.
+	buf.Grow(256 + len(m.ID) + 8*len(m.W.Data))
+	err := WriteContainer(&buf, blobMagic, blobHeader{
 		Version:    BlobVersion,
 		ID:         m.ID,
 		Fitted:     m.Fitted,
 		RelErr:     m.RelErr,
 		Iterations: m.Iterations,
-	})
+	}, m.W)
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	buf.Grow(len(blobMagic) + 4 + len(hdr) + 8*len(m.W.Data) + 64)
-	buf.WriteString(blobMagic)
-	if err := binary.Write(&buf, binary.LittleEndian, uint32(len(hdr))); err != nil {
-		return nil, err
-	}
-	buf.Write(hdr)
-	if err := m.W.WriteBinary(&buf); err != nil {
-		return nil, err
-	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(buf.Bytes(), crcTable))
-	buf.Write(crc[:])
 	return buf.Bytes(), nil
 }
 
 // DecodeModel parses a blob written by EncodeModel. Any deviation —
-// short file, bad magic, CRC mismatch, implausible header, trailing
+// short file, bad magic, implausible header, CRC mismatch, trailing
 // bytes — is an error, never a partial model.
 func DecodeModel(data []byte) (*Model, error) {
-	if len(data) < len(blobMagic)+4+4 {
-		return nil, fmt.Errorf("store: blob is %d bytes, shorter than any valid model", len(data))
-	}
-	payload, tail := data[:len(data)-4], data[len(data)-4:]
-	if got, want := crc32.Checksum(payload, crcTable), binary.LittleEndian.Uint32(tail); got != want {
-		return nil, fmt.Errorf("store: blob CRC mismatch (got %08x, want %08x)", got, want)
-	}
-	if string(payload[:len(blobMagic)]) != blobMagic {
-		return nil, fmt.Errorf("store: bad blob magic %q", payload[:len(blobMagic)])
-	}
-	rest := payload[len(blobMagic):]
-	hdrLen := binary.LittleEndian.Uint32(rest[:4])
-	rest = rest[4:]
-	if hdrLen == 0 || hdrLen > maxBlobHeader || int64(hdrLen) > int64(len(rest)) {
-		return nil, fmt.Errorf("store: implausible blob header length %d", hdrLen)
-	}
 	var hdr blobHeader
-	if err := json.Unmarshal(rest[:hdrLen], &hdr); err != nil {
-		return nil, fmt.Errorf("store: blob header: %w", err)
-	}
-	if hdr.Version != BlobVersion {
-		return nil, fmt.Errorf("store: blob version %d, this build reads %d", hdr.Version, BlobVersion)
-	}
-	if hdr.ID == "" {
-		return nil, fmt.Errorf("store: blob has empty model id")
-	}
-	// The basis owns the rest of the CRC-covered payload: Strict
-	// rejects trailing bytes, which would mean a torn rewrite that
-	// somehow kept a valid CRC.
-	w, err := mat.ReadBinaryStrict(bytes.NewReader(rest[hdrLen:]))
+	blocks, err := DecodeContainer(data, blobMagic, &hdr, func() error {
+		if hdr.Version != BlobVersion {
+			return fmt.Errorf("store: blob version %d, this build reads %d", hdr.Version, BlobVersion)
+		}
+		if hdr.ID == "" {
+			return fmt.Errorf("store: blob has empty model id")
+		}
+		return nil
+	}, 1)
 	if err != nil {
-		return nil, fmt.Errorf("store: blob basis: %w", err)
+		return nil, err
 	}
 	return &Model{
 		ID:         hdr.ID,
-		W:          w,
+		W:          blocks[0],
 		Fitted:     hdr.Fitted,
 		RelErr:     hdr.RelErr,
 		Iterations: hdr.Iterations,

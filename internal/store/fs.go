@@ -44,24 +44,21 @@ func NewFS(dir string) (*FS, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: opening %s: %w", dir, err)
 	}
-	s := &FS{dir: dir}
-	s.sweepStaleTemps()
-	return s, nil
+	SweepTemps(dir, "*"+modelExt)
+	return &FS{dir: dir}, nil
 }
 
 // Dir returns the store's root directory.
 func (s *FS) Dir() string { return s.dir }
 
-// sweepStaleTemps removes *.model.tmp-* staged files from crashed
-// writers. Only committed *.model files are ever read, so the sweep is
-// safe while other processes are mid-Put: CreateTemp names are unique,
-// and a writer whose temp vanishes fails loudly at rename rather than
-// committing garbage.
-func (s *FS) sweepStaleTemps() {
-	stale, err := filepath.Glob(filepath.Join(s.dir, "*"+modelExt+tmpInfix+"*"))
-	if err != nil {
-		return
-	}
+// SweepTemps removes the <name>.tmp-* files ReplaceFile staged in dir
+// for every name matching the glob pattern, left behind by writers
+// that crashed before their rename. Only committed files are ever
+// read, so the sweep is safe while other processes are mid-write:
+// CreateTemp names are unique, and a writer whose temp vanishes fails
+// loudly at rename rather than committing garbage.
+func SweepTemps(dir, pattern string) {
+	stale, _ := filepath.Glob(filepath.Join(dir, pattern+tmpInfix+"*"))
 	for _, p := range stale {
 		os.Remove(p)
 	}
@@ -115,7 +112,7 @@ func (s *FS) Put(m *Model) error {
 // is fsynced. Readers see the old complete file or the new complete
 // file, never a torn one, and a nil return survives a crash. The temp
 // file is removed on every failure path; a crash can still leave one
-// behind, which is why the names are fixed — the owners sweep them.
+// behind, which is why the names are fixed — SweepTemps finds them.
 func ReplaceFile(dir, name string, write func(io.Writer) error) error {
 	tmp, err := os.CreateTemp(dir, name+tmpInfix)
 	if err != nil {

@@ -2,17 +2,69 @@ package store
 
 import (
 	"bytes"
-	"math"
 	"testing"
 
 	"hpcnmf/internal/mat"
 )
 
-// FuzzModelBlob throws arbitrary bytes at the blob decoder: it must
-// never panic, never allocate unboundedly, and — when it does accept
-// an input — re-encoding the decoded model must reproduce a blob that
-// decodes to the same model (the accepted set is exactly the codec's
-// own image, modulo JSON field ordering).
+// ContainerCodec decodes one kind of container for CheckContainer:
+// it returns the container's blocks and a function that encodes the
+// decoded value again.
+type ContainerCodec func(data []byte) (blocks []*mat.Dense, reencode func() ([]byte, error), err error)
+
+// CheckContainer is the body every container fuzz target shares
+// (FuzzModelBlob, FuzzModelBlobMutations, and FuzzCheckpoint in the
+// external test package). Decoding must never panic or allocate
+// unboundedly. An accepted input must hold blocks whose dims agree
+// with their data, and re-encoding it must be a fixed point: the
+// re-encoded bytes decode and re-encode to themselves, so the accepted
+// set is exactly the codec's own image, modulo JSON field order. When
+// base is non-nil, data is a mutation of base and must be refused
+// unless it is base byte for byte: the CRC catches what the framing
+// does not.
+func CheckContainer(t *testing.T, data, base []byte, decode ContainerCodec) {
+	t.Helper()
+	blocks, reencode, err := decode(data)
+	if err != nil {
+		return
+	}
+	if base != nil && !bytes.Equal(data, base) {
+		t.Fatal("mutated container decoded without error")
+	}
+	for i, b := range blocks {
+		if b == nil || len(b.Data) != b.Rows*b.Cols {
+			t.Fatalf("decoder returned an inconsistent block %d", i)
+		}
+	}
+	re, err := reencode()
+	if err != nil {
+		t.Fatalf("re-encoding an accepted container failed: %v", err)
+	}
+	_, reencode, err = decode(re)
+	if err != nil {
+		t.Fatalf("re-encoded container does not decode: %v", err)
+	}
+	if again, err := reencode(); err != nil || !bytes.Equal(again, re) {
+		t.Fatalf("round trip changed the container (err %v)", err)
+	}
+}
+
+// decodeModel is the model blob's ContainerCodec; it also requires an
+// accepted model to carry an id.
+func decodeModel(t *testing.T) ContainerCodec {
+	return func(data []byte) ([]*mat.Dense, func() ([]byte, error), error) {
+		m, err := DecodeModel(data)
+		if err != nil {
+			return nil, nil, err
+		}
+		if m.ID == "" {
+			t.Fatalf("decoder accepted a model with no id: %+v", m)
+		}
+		return []*mat.Dense{m.W}, func() ([]byte, error) { return EncodeModel(m) }, nil
+	}
+}
+
+// FuzzModelBlob throws arbitrary bytes at the blob decoder.
 func FuzzModelBlob(f *testing.F) {
 	// Seed with valid blobs of a few shapes plus near-misses.
 	for _, mk := range [][2]int{{1, 1}, {3, 2}, {8, 5}} {
@@ -32,37 +84,12 @@ func FuzzModelBlob(f *testing.F) {
 	f.Add([]byte(blobMagic))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := DecodeModel(data)
-		if err != nil {
-			return
-		}
-		if m.ID == "" || m.W == nil {
-			t.Fatalf("decoder accepted a model with no id or basis: %+v", m)
-		}
-		re, err := EncodeModel(m)
-		if err != nil {
-			t.Fatalf("re-encoding an accepted model failed: %v", err)
-		}
-		m2, err := DecodeModel(re)
-		if err != nil {
-			t.Fatalf("re-encoded blob does not decode: %v", err)
-		}
-		if m2.ID != m.ID || m2.W.Rows != m.W.Rows || m2.W.Cols != m.W.Cols {
-			t.Fatalf("round trip changed identity: %q %dx%d -> %q %dx%d",
-				m.ID, m.W.Rows, m.W.Cols, m2.ID, m2.W.Rows, m2.W.Cols)
-		}
-		for i := range m.W.Data {
-			if math.Float64bits(m.W.Data[i]) != math.Float64bits(m2.W.Data[i]) {
-				t.Fatalf("round trip changed basis element %d", i)
-			}
-		}
+		CheckContainer(t, data, nil, decodeModel(t))
 	})
 }
 
-// FuzzModelBlobMutations mutates a known-good blob at one position and
-// requires the decoder to either reject it or return an internally
-// consistent model — it must never return a basis whose dims disagree
-// with its data length.
+// FuzzModelBlobMutations mutates a known-good blob at one position:
+// the decoder must refuse it.
 func FuzzModelBlobMutations(f *testing.F) {
 	base, err := EncodeModel(testModel("mut", 4, 3))
 	if err != nil {
@@ -72,27 +99,22 @@ func FuzzModelBlobMutations(f *testing.F) {
 	f.Add(len(base)/2, byte(0x01))
 	f.Add(len(base)-1, byte(0x80))
 	f.Fuzz(func(t *testing.T, pos int, x byte) {
-		blob := append([]byte(nil), base...)
-		if len(blob) > 0 {
-			p := pos % len(blob)
-			if p < 0 {
-				p += len(blob)
-			}
-			blob[p] ^= x
-		}
-		m, err := DecodeModel(blob)
-		if err != nil {
-			return
-		}
-		if x != 0 && !bytes.Equal(blob, base) {
-			// A mutation that still decodes must have been caught by the
-			// CRC unless it produced an identical byte stream.
-			t.Fatalf("mutated blob decoded without error (pos %d, x %02x)", pos, x)
-		}
-		if m.W == nil || len(m.W.Data) != m.W.Rows*m.W.Cols {
-			t.Fatal("decoder returned inconsistent basis")
-		}
+		CheckContainer(t, Mutate(base, pos, x), base, decodeModel(t))
 	})
+}
+
+// Mutate returns a copy of base with x XORed into the byte at pos
+// (taken modulo len(base)).
+func Mutate(base []byte, pos int, x byte) []byte {
+	data := append([]byte(nil), base...)
+	if len(data) > 0 {
+		p := pos % len(data)
+		if p < 0 {
+			p += len(data)
+		}
+		data[p] ^= x
+	}
+	return data
 }
 
 // TestDecodeRejectsOversizeHeaderClaim pins the allocation bound: a
@@ -104,7 +126,7 @@ func TestDecodeRejectsOversizeHeaderClaim(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Overwrite the header-length field (bytes 8..11) with huge values.
-	for _, v := range []uint32{0, maxBlobHeader + 1, 1<<32 - 1} {
+	for _, v := range []uint32{0, maxHeader + 1, 1<<32 - 1} {
 		bad := append([]byte(nil), blob...)
 		bad[8] = byte(v)
 		bad[9] = byte(v >> 8)

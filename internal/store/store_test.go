@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
@@ -219,4 +221,27 @@ func TestBlobRoundTripBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameModel(t, got, want)
+}
+
+// TestEncodeModelBytesPinned pins the blob bytes of one fixed model to
+// the SHA-256 the HPNMFM01 writer produced before it moved onto the
+// shared container codec: every model a store holds stays readable,
+// and BlobVersion stays 1.
+func TestEncodeModelBytesPinned(t *testing.T) {
+	w := mat.NewDense(5, 3)
+	w.InitAddressed(11, 0, 0)
+	blob, err := EncodeModel(&Model{
+		ID:         "pinned",
+		W:          w,
+		Fitted:     time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC),
+		RelErr:     0.125,
+		Iterations: 30,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "c1a72743981dc6b8f4537c9a8c577dceaf21384881bcd59983063e8ec442abfd"
+	if sum := sha256.Sum256(blob); hex.EncodeToString(sum[:]) != want {
+		t.Fatalf("EncodeModel wrote %d bytes with SHA-256 %x, want %s", len(blob), sum, want)
+	}
 }

@@ -168,12 +168,14 @@ type Checkpoint = core.Checkpoint
 type CheckpointMeta = core.CheckpointMeta
 
 // ErrCheckpointVersion is wrapped by LoadCheckpoint when the file was
-// written under another checkpoint version (another header schema or
-// kernel arithmetic); match it with errors.Is.
+// written under another checkpoint version (another header schema,
+// framing or kernel arithmetic — version 2 files have no CRC); match
+// it with errors.Is. The version is checked before the CRC.
 var ErrCheckpointVersion = core.ErrCheckpointVersion
 
 // LoadCheckpoint reads dir/checkpoint.bin written by a checkpointing
-// run.
+// run. The file ends in a CRC-32C over every byte before it: a flipped
+// bit is an error, never a checkpoint that resumes a different run.
 func LoadCheckpoint(dir string) (*Checkpoint, error) { return core.LoadCheckpoint(dir) }
 
 // WriteCheckpoint atomically replaces dir/checkpoint.bin.

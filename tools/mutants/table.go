@@ -87,4 +87,20 @@ var table = []mutant{
 		Pkg:  "./internal/core",
 		Run:  "^TestNNDSVDComponentsBalanced$",
 	},
+	{
+		Name: "container-skips-crc",
+		File: "internal/store/container.go",
+		From: "got != want {",
+		To:   "false {",
+		Pkg:  "./internal/core",
+		Run:  "^TestCheckpointRefusesEveryBitFlip$",
+	},
+	{
+		Name: "checkpoint-drops-seed",
+		File: "internal/core/checkpoint.go",
+		From: "Seed:   opts.Seed,",
+		To:   "Seed:   0,",
+		Pkg:  "./internal/core",
+		Run:  "^TestResumeBitwiseIdentical$",
+	},
 }
