@@ -17,7 +17,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -92,20 +91,20 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 // cli is the parsed command line.
 type cli struct {
-	data, mmPath, tiled, tileMem, tileBack string
-	dense                                  bool
-	scale                                  float64
-	alg, solver, grid                      string
-	sweeps, k, p, iters                    int
-	tol                                    float64
-	seed                                   uint64
-	view, out, trace, report               string
-	metrics, progress                      bool
-	profile, profDir                       string
-	fault                                  string
-	deadline                               time.Duration
-	ckptDir, resume                        string
-	ckptEvery                              int
+	data, mmPath, tiled, tileMem string
+	dense                        bool
+	scale                        float64
+	alg, solver, grid            string
+	sweeps, k, p, iters          int
+	tol                          float64
+	seed                         uint64
+	view, out, trace, report     string
+	metrics, progress            bool
+	profile, profDir             string
+	fault                        string
+	deadline                     time.Duration
+	ckptDir, resume              string
+	ckptEvery                    int
 
 	solverSet bool // -solver was given, so -alg auto leaves the updater alone
 }
@@ -120,8 +119,7 @@ func parseFlags(args []string, stderr io.Writer) (*cli, error) {
 	fs.StringVar(&c.data, "data", "dsyn", "dataset: dsyn, ssyn, video, webbase, bow (ignored with -mm)")
 	fs.StringVar(&c.mmPath, "mm", "", "read a MatrixMarket file instead of generating a dataset")
 	fs.StringVar(&c.tiled, "tiled", "", "factorize an out-of-core tile file (written by datagen -tiled) by streaming row panels from disk")
-	fs.StringVar(&c.tileMem, "tile-mem", "", "tile-buffer byte budget for -tiled, e.g. 64MiB: reads go through readerat (mmap is refused), prefetch depth is lowered to fit, and the run refuses to start if even depth 1 overflows")
-	fs.StringVar(&c.tileBack, "tile-backend", "auto", "tile reader backend for -tiled: auto (readerat under -tile-mem, else mmap where supported), mmap, readerat")
+	fs.StringVar(&c.tileMem, "tile-mem", "", "tile-buffer byte budget for -tiled, e.g. 64MiB: prefetch depth is lowered to fit, and the run refuses to start if even depth 1 overflows")
 	fs.BoolVar(&c.dense, "dense", false, "force the dense kernel path: densify a sparse input instead of auto-detecting storage by density")
 	fs.Float64Var(&c.scale, "scale", 0.25, "dataset scale factor")
 	fs.StringVar(&c.alg, "alg", "hpc2d", "algorithm: seq, naive, hpc1d, hpc2d, auto (cost-model pick of layout, grid and updater), or a solver name ("+nnls.Names()+") for the HPC 2D skeleton with that updater")
@@ -238,26 +236,17 @@ func loadInput(c *cli, stdout io.Writer) (*input, error) {
 }
 
 // openTiled opens the -tiled file. The pipeline holds depth+1 resident
-// tile buffers; -tile-mem lowers the depth until they fit its budget.
-// Those buffers are all a readerat run keeps resident, whereas every
-// page a mapping touches counts against the process (DESIGN decision
-// 15), so a budget selects readerat under auto and refuses mmap.
+// tile buffers, which are all the tile reads keep resident (DESIGN
+// decision 15); -tile-mem lowers the depth until they fit its budget.
 func openTiled(c *cli, stdout io.Writer) (*input, error) {
-	backend := c.tileBack
 	var budget int64
 	if c.tileMem != "" {
 		var err error
 		if budget, err = parseByteSize(c.tileMem); err != nil {
 			return nil, fmt.Errorf("bad -tile-mem: %w", err)
 		}
-		switch backend {
-		case hpcnmf.TileBackendMmap:
-			return nil, errors.New("-tile-mem bounds the tile buffers, but the mmap backend keeps every page it reads resident: use -tile-backend readerat or auto")
-		case hpcnmf.TileBackendAuto, "":
-			backend = hpcnmf.TileBackendReaderAt
-		}
 	}
-	f, err := hpcnmf.OpenTiledBackend(c.tiled, backend)
+	f, err := hpcnmf.OpenTiled(c.tiled)
 	if err != nil {
 		return nil, fmt.Errorf("opening tile file: %w", err)
 	}
@@ -270,8 +259,8 @@ func openTiled(c *cli, stdout io.Writer) (*input, error) {
 		}
 	}
 	tileBytes := hdr.TileRows * hdr.Cols * 8
-	fmt.Fprintf(stdout, "storage: out-of-core (%d tiles of %d rows, %s each, %s backend, prefetch depth %d, %s resident tile buffers)\n",
-		hdr.Tiles(), hdr.TileRows, formatBytes(tileBytes), f.BackendName(),
+	fmt.Fprintf(stdout, "storage: out-of-core (%d tiles of %d rows, %s each, prefetch depth %d, %s resident tile buffers)\n",
+		hdr.Tiles(), hdr.TileRows, formatBytes(tileBytes),
 		depth, formatBytes(int64(depth+1)*tileBytes))
 	return &input{name: filepath.Base(c.tiled), tile: f, tileDepth: depth}, nil
 }

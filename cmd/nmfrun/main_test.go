@@ -126,10 +126,9 @@ func resumeFixture(t *testing.T, name string) error {
 	return run(fast("-resume", dir, "-iters", "9"), &out, &errb)
 }
 
-// TestRunTileMemReadsThroughReaderAt: a -tile-mem budget bounds only
-// the tile buffers, which is all a readerat run keeps resident, so
-// under the default auto backend it selects readerat — the report says
-// so — and beside -tile-backend mmap it is refused.
+// TestRunTileMemReadsThroughReaderAt: tiles have one reader, so
+// -tile-backend is an unknown flag, and a -tile-mem budget still
+// lowers the prefetch depth until depth+1 tile buffers fit in it.
 func TestRunTileMemReadsThroughReaderAt(t *testing.T) {
 	dir := t.TempDir()
 	a := hpcnmf.NewDense(60, 20)
@@ -140,27 +139,35 @@ func TestRunTileMemReadsThroughReaderAt(t *testing.T) {
 	if err := hpcnmf.WriteTiled(path, a, 16); err != nil {
 		t.Fatal(err)
 	}
-	tiled := []string{"-tiled", path, "-alg", "mu", "-k", "3", "-iters", "2", "-tile-mem", "1MiB"}
-	report := filepath.Join(dir, "report.json")
-	runOK(t, append(tiled, "-report", report)...)
-	raw, err := os.ReadFile(report)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep struct {
-		OOC struct {
-			Backend string `json:"backend"`
-		} `json:"ooc"`
-	}
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.OOC.Backend != hpcnmf.TileBackendReaderAt {
-		t.Errorf("-tile-mem under -tile-backend auto read through %q, want %q", rep.OOC.Backend, hpcnmf.TileBackendReaderAt)
-	}
+	tiled := []string{"-tiled", path, "-alg", "mu", "-k", "3", "-iters", "2"}
 	var out, errb bytes.Buffer
-	if err := run(append(tiled, "-tile-backend", "mmap"), &out, &errb); err == nil || !strings.Contains(err.Error(), "mmap") {
-		t.Errorf("-tile-mem with -tile-backend mmap: err = %v, want it refused", err)
+	if err := run(append(tiled, "-tile-backend", "readerat"), &out, &errb); err == nil || !strings.Contains(err.Error(), "not defined: -tile-backend") {
+		t.Errorf("-tile-backend: err = %v, want an unknown flag", err)
+	}
+	report := filepath.Join(dir, "report.json")
+	for _, tc := range []struct {
+		mem   []string
+		depth int
+	}{
+		{nil, hpcnmf.DefaultTileDepth},
+		{[]string{"-tile-mem", "6000"}, 1}, // 2,560-byte tiles: two fit, three do not
+	} {
+		runOK(t, append(append(tiled, "-report", report), tc.mem...)...)
+		raw, err := os.ReadFile(report)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep struct {
+			OOC struct {
+				Depth int `json:"depth"`
+			} `json:"ooc"`
+		}
+		if err := json.Unmarshal(raw, &rep); err != nil {
+			t.Fatal(err)
+		}
+		if rep.OOC.Depth != tc.depth {
+			t.Errorf("%v: prefetch depth %d, want %d", tc.mem, rep.OOC.Depth, tc.depth)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"hpcnmf/internal/grid"
 	"hpcnmf/internal/metrics"
-	"hpcnmf/internal/ooc"
 	"hpcnmf/internal/perf"
 	"hpcnmf/internal/trace"
 )
@@ -186,7 +185,7 @@ func TestOutOfCoreTraceNestsPhasesUnderTileStream(t *testing.T) {
 	opts := testOpts(3)
 	opts.MaxIter = 4
 	opts.TraceEvents = true
-	f := openTileFile(t, writeTileFile(t, d, 7), ooc.BackendAuto)
+	f := openTileFile(t, writeTileFile(t, d, 7))
 	res, err := RunOutOfCore(f, 2, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,6 @@ type OOCStats struct {
 	TileRows       int     `json:"tile_rows"`
 	Tiles          int     `json:"tiles"`
 	Depth          int     `json:"depth"`
-	Backend        string  `json:"backend"`
 	Passes         int64   `json:"passes"`
 	TilesLoaded    int64   `json:"tiles_loaded"`
 	BytesLoaded    int64   `json:"bytes_loaded"`
@@ -88,7 +87,6 @@ func (tm *tiledMatrix) stats(depth int) *OOCStats {
 		TileRows:       int(tm.f.Header().TileRows),
 		Tiles:          tm.f.Tiles(),
 		Depth:          depth,
-		Backend:        tm.f.BackendName(),
 		Passes:         tm.passes,
 		TilesLoaded:    st.TilesLoaded,
 		BytesLoaded:    st.BytesLoaded,
@@ -127,7 +125,7 @@ func DescribeTiled(name string, f *ooc.File) DatasetInfo {
 //
 // depth is the prefetch depth in tiles (≤ 0 selects
 // ooc.DefaultDepth); peak resident payload is about
-// (depth+1)·TileRows·Cols·8 bytes with the readerat backend.
+// (depth+1)·TileRows·Cols·8 bytes.
 func RunOutOfCore(f *ooc.File, depth int, opts Options) (*Result, error) {
 	if depth < 1 {
 		depth = ooc.DefaultDepth

@@ -3,12 +3,14 @@ package core
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"hpcnmf/internal/mat"
 	"hpcnmf/internal/metrics"
@@ -24,9 +26,9 @@ func writeTileFile(t *testing.T, d *mat.Dense, tileRows int) string {
 	return path
 }
 
-func openTileFile(t *testing.T, path, backend string) *ooc.File {
+func openTileFile(t *testing.T, path string) *ooc.File {
 	t.Helper()
-	f, err := ooc.OpenBackend(path, backend)
+	f, err := ooc.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +40,7 @@ func openTileFile(t *testing.T, path, backend string) *ooc.File {
 // streaming driver: factorizing from disk must reproduce the in-core
 // sequential run bitwise — same factors, same error history — for
 // every built-in updater, any tile size (including single-row and
-// single-tile extremes), either reader backend, and multi-threaded
+// single-tile extremes), any prefetch depth, and multi-threaded
 // kernels. This holds because every dense kernel partitions output
 // elements and never the reduction (see internal/mat), so panel
 // boundaries cannot reorder any floating-point sum, and every updater
@@ -69,19 +71,18 @@ func TestOutOfCoreMatchesSequential(t *testing.T) {
 			cases := []struct {
 				name     string
 				tileRows int
-				backend  string
 				depth    int
 				threads  int
 			}{
-				{"tile1", 1, ooc.BackendAuto, 2, 0},
-				{"tile7", 7, ooc.BackendAuto, 2, 0},
-				{"tile7/readerat", 7, ooc.BackendReaderAt, 3, 0},
-				{"single-tile", 60, ooc.BackendAuto, 1, 0},
-				{"tile16/threads3", 16, ooc.BackendAuto, 2, 3},
+				{"tile1", 1, 2, 0},
+				{"tile7", 7, 2, 0},
+				{"tile7/readerat", 7, 3, 0},
+				{"single-tile", 60, 1, 0},
+				{"tile16/threads3", 16, 2, 3},
 			}
 			for _, tc := range cases {
 				t.Run(solver.String()+v.name+"/"+tc.name, func(t *testing.T) {
-					f := openTileFile(t, writeTileFile(t, d, tc.tileRows), tc.backend)
+					f := openTileFile(t, writeTileFile(t, d, tc.tileRows))
 					o := opts
 					o.KernelThreads = tc.threads
 					got, err := RunOutOfCore(f, tc.depth, o)
@@ -119,7 +120,7 @@ func TestOutOfCoreMatchesSequential(t *testing.T) {
 					if min := st.Passes * int64(60*45*8); st.BytesLoaded < min {
 						t.Fatalf("OOC.BytesLoaded = %d, want ≥ %d", st.BytesLoaded, min)
 					}
-					if st.Backend == "" || st.Tiles < 1 || st.TileRows < 1 {
+					if st.Tiles < 1 || st.TileRows < 1 {
 						t.Fatalf("OOC stats incomplete: %+v", st)
 					}
 				})
@@ -136,7 +137,7 @@ func TestOutOfCoreResumeBitwise(t *testing.T) {
 	path := writeTileFile(t, d, 7)
 	base := Options{K: 3, MaxIter: 9, Seed: 7, ComputeError: true}
 
-	f := openTileFile(t, path, ooc.BackendAuto)
+	f := openTileFile(t, path)
 	uninterrupted, err := RunOutOfCore(f, 2, base)
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +149,7 @@ func TestOutOfCoreResumeBitwise(t *testing.T) {
 	opts.CheckpointDir = dir
 	opts.CheckpointEvery = 3
 	opts.MaxIter = 6
-	f2 := openTileFile(t, path, ooc.BackendAuto)
+	f2 := openTileFile(t, path)
 	if _, err := RunOutOfCore(f2, 2, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestOutOfCoreResumeBitwise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f3 := openTileFile(t, path, ooc.BackendAuto)
+	f3 := openTileFile(t, path)
 	res, err := RunOutOfCore(f3, 2, resumed)
 	if err != nil {
 		t.Fatal(err)
@@ -184,38 +185,66 @@ func TestOutOfCoreResumeBitwise(t *testing.T) {
 	}
 }
 
-// TestOutOfCoreReadFailureSurfaces: a tile that can no longer be read
-// mid-pass fails the run with an error stamped with the iteration whose
-// pass hit it and keeping the I/O error in its chain, instead of
-// factorizing stale or partial panels — and the run leaves its
-// pipeline closed behind it: the loader goroutine is gone.
+// TestOutOfCoreReadFailureSurfaces: a tile file that shrinks under an
+// open File — before the run or mid-pass — fails the run with an error
+// that wraps io.ErrUnexpectedEOF and is stamped with the iteration
+// whose pass hit the cut, instead of factorizing stale or partial
+// panels or crashing the process. The run leaves its pipeline closed
+// behind it: the loader goroutine is gone.
 func TestOutOfCoreReadFailureSurfaces(t *testing.T) {
-	d := lowRankDense(24, 20, 3, 0.01, 5)
-	path := writeTileFile(t, d, 4)
-	f := openTileFile(t, path, ooc.BackendReaderAt)
-	opts := Options{K: 3, MaxIter: 6, Seed: 7}
-	opts.Progress = func(p Progress) {
-		if p.Iter == 2 { // cut the payload short under the running pipeline
-			if err := os.Truncate(path, ooc.HeaderSize+8); err != nil {
-				t.Error(err)
+	// 8 tiles of 25 rows, 4,000 bytes each, so a cut leaves whole pages
+	// of the payload missing, not just the tail of the last one.
+	d := lowRankDense(200, 20, 3, 0.01, 5)
+	const tileRows, tileBytes = 25, 25 * 20 * 8
+	for _, tc := range []struct {
+		name  string
+		cutAt int   // iteration whose progress report cuts the file; -1 cuts it right after Open
+		size  int64 // length the file is cut to
+	}{
+		// The third pass (iteration index 2) is the first to read past the cut.
+		{"mid-pass", 2, ooc.HeaderSize + 8},
+		// Two whole tiles remain; the first pass reads past them.
+		{"after-open", -1, ooc.HeaderSize + 2*tileBytes},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := writeTileFile(t, d, tileRows)
+			f := openTileFile(t, path)
+			cut := func() {
+				if err := os.Truncate(path, tc.size); err != nil {
+					t.Error(err)
+				}
 			}
-		}
-	}
-	before := runtime.NumGoroutine()
-	_, err := RunOutOfCore(f, 1, opts)
-	if err == nil {
-		t.Fatal("run succeeded on a truncated tile file")
-	}
-	if !errors.Is(err, io.EOF) {
-		t.Errorf("error %q does not wrap the read failure", err)
-	}
-	// The third pass (iteration index 2) is the first to read past the cut.
-	if !strings.Contains(err.Error(), "failed at iteration 2") {
-		t.Errorf("error %q is not stamped with iteration 2", err)
-	}
-	// Pipeline.Close waits for the loader, so it is gone on return.
-	if after := runtime.NumGoroutine(); after > before {
-		t.Errorf("%d goroutines after the failed run, %d before: the loader outlived it", after, before)
+			opts := Options{K: 3, MaxIter: 6, Seed: 7}
+			opts.Progress = func(p Progress) {
+				if p.Iter == tc.cutAt {
+					cut()
+				}
+			}
+			if tc.cutAt < 0 {
+				cut()
+			}
+			before := runtime.NumGoroutine()
+			_, err := RunOutOfCore(f, 1, opts)
+			if err == nil {
+				t.Fatal("run succeeded on a truncated tile file")
+			}
+			if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), "reading tile") || !strings.Contains(err.Error(), path) {
+				t.Errorf("error %q does not wrap io.ErrUnexpectedEOF naming the tile and %s", err, path)
+			}
+			if want := fmt.Sprintf("failed at iteration %d", max(tc.cutAt, 0)); !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q is not stamped %q", err, want)
+			}
+			// Pipeline.Close waits for the loader, so it is gone on return.
+			// A goroutine that has signalled its exit can still be
+			// unwinding, so the count gets a bounded moment to settle.
+			after := runtime.NumGoroutine()
+			for deadline := time.Now().Add(time.Second); after > before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
+				runtime.Gosched()
+			}
+			if after > before {
+				t.Errorf("%d goroutines after the failed run, %d before: the loader outlived it", after, before)
+			}
+		})
 	}
 }
 
@@ -226,41 +255,32 @@ func TestOutOfCoreReadFailureSurfaces(t *testing.T) {
 func TestOutOfCoreStepZeroAllocs(t *testing.T) {
 	d := lowRankDense(60, 45, 5, 0.01, 11)
 	path := writeTileFile(t, d, 16)
-	for _, backend := range []string{ooc.BackendReaderAt, ooc.BackendMmap} {
-		t.Run(backend, func(t *testing.T) {
-			f, err := ooc.OpenBackend(path, backend)
-			if err != nil {
-				if backend == ooc.BackendMmap {
-					t.Skip("mmap backend not supported on this platform")
-				}
+	t.Run("readerat", func(t *testing.T) {
+		f := openTileFile(t, path)
+		tm := newTiledMatrix(f, 2, true)
+		defer tm.close()
+		s := newSeqRank(t, tm, 60, 45, 0, Options{K: 5, MaxIter: 200, Solver: SolverBPP, ComputeError: true})
+		tm.norm2 = &s.normA2
+		it := 0
+		round := func() {
+			if err := s.step(it); err != nil {
 				t.Fatal(err)
 			}
-			defer f.Close()
-			tm := newTiledMatrix(f, 2, true)
-			defer tm.close()
-			s := newSeqRank(t, tm, 60, 45, 0, Options{K: 5, MaxIter: 200, Solver: SolverBPP, ComputeError: true})
-			tm.norm2 = &s.normA2
-			it := 0
-			round := func() {
-				if err := s.step(it); err != nil {
-					t.Fatal(err)
-				}
-				it++
-			}
-			round() // warm up the workspace arena
-			round()
-			if allocs := testing.AllocsPerRun(10, round); allocs != 0 {
-				t.Errorf("steady-state out-of-core step allocates %v times per iteration", allocs)
-			}
-		})
-	}
+			it++
+		}
+		round() // warm up the workspace arena
+		round()
+		if allocs := testing.AllocsPerRun(10, round); allocs != 0 {
+			t.Errorf("steady-state out-of-core step allocates %v times per iteration", allocs)
+		}
+	})
 }
 
 // TestOutOfCoreReportAndMetrics: the run report carries the ooc
 // section and an attached registry receives the I/O instruments.
 func TestOutOfCoreReportAndMetrics(t *testing.T) {
 	d := lowRankDense(30, 25, 3, 0.01, 9)
-	f := openTileFile(t, writeTileFile(t, d, 8), ooc.BackendAuto)
+	f := openTileFile(t, writeTileFile(t, d, 8))
 	reg := metrics.NewRegistry()
 	opts := Options{K: 3, MaxIter: 4, Seed: 7, ComputeError: true, Metrics: reg}
 	res, err := RunOutOfCore(f, 2, opts)

@@ -10,7 +10,6 @@ import (
 	"hpcnmf/internal/grid"
 	"hpcnmf/internal/mat"
 	"hpcnmf/internal/metrics"
-	"hpcnmf/internal/ooc"
 	"hpcnmf/internal/perf"
 	"hpcnmf/internal/trace"
 )
@@ -29,7 +28,7 @@ type entryPoint struct {
 func entryPoints(t *testing.T, d *mat.Dense) []entryPoint {
 	t.Helper()
 	a := WrapDense(d)
-	f := openTileFile(t, writeTileFile(t, d, 7), ooc.BackendAuto)
+	f := openTileFile(t, writeTileFile(t, d, 7))
 	return []entryPoint{
 		{"sequential", false, func(o Options) (*Result, error) { return RunSequential(a, o) }},
 		{"ooc", false, func(o Options) (*Result, error) { return RunOutOfCore(f, 2, o) }},
@@ -430,7 +429,7 @@ func TestNormOnlyWhenTracked(t *testing.T) {
 		}
 	}
 
-	f := openTileFile(t, writeTileFile(t, d, 7), ooc.BackendAuto)
+	f := openTileFile(t, writeTileFile(t, d, 7))
 	for _, track := range []bool{false, true} {
 		tm := newTiledMatrix(f, 2, track)
 		s := newSeqRank(t, tm, 30, 24, 0, Options{K: 3, ComputeError: track})

@@ -11,7 +11,6 @@ import (
 	"hpcnmf/internal/grid"
 	"hpcnmf/internal/mat"
 	"hpcnmf/internal/nnls"
-	"hpcnmf/internal/ooc"
 )
 
 // countingUpdater is a custom Updater plug-in for the seam tests: it
@@ -230,7 +229,7 @@ func TestUpdaterSeesColumnSubsets(t *testing.T) {
 	}
 
 	widths = nil
-	got, err := RunOutOfCore(openTileFile(t, writeTileFile(t, d, 7), ooc.BackendAuto), 2, opts)
+	got, err := RunOutOfCore(openTileFile(t, writeTileFile(t, d, 7)), 2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

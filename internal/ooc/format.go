@@ -1,9 +1,8 @@
 // Package ooc implements out-of-core dense matrices: a tiled on-disk
 // format (a fixed 64-byte header followed by row-major row-panel
-// tiles), a streaming writer, a tile reader with two backends (mmap
-// where the platform supports it, chunked io.ReaderAt everywhere),
-// and a bounded prefetch pipeline that loads tile t+1 while the
-// caller consumes tile t.
+// tiles), a streaming writer, a tile reader that reads each tile with
+// one ReadAt into the caller's buffer, and a bounded prefetch pipeline
+// that loads tile t+1 while the caller consumes tile t.
 //
 // The format stores A row-major in float64, split into panels of
 // TileRows consecutive rows (the last panel may be ragged). Row
@@ -26,9 +25,7 @@ const Magic = "HPNMFT01"
 // Version is the current tile-file format version.
 const Version = 1
 
-// HeaderSize is the fixed on-disk header length. 64 bytes keeps the
-// float64 payload 8-byte aligned for the mmap backend's zero-copy
-// view.
+// HeaderSize is the fixed on-disk header length.
 const HeaderSize = 64
 
 // maxElements bounds rows*cols to the same plausibility ceiling the

@@ -3,6 +3,7 @@ package ooc
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -31,20 +32,14 @@ func writeTempTile(t *testing.T, d *mat.Dense, tileRows int) string {
 	return path
 }
 
-func backendsUnderTest(t *testing.T, path string) []*File {
+func openTile(t *testing.T, path string) *File {
 	t.Helper()
-	var files []*File
-	for _, name := range []string{BackendAuto, BackendReaderAt, BackendMmap} {
-		f, err := OpenBackend(path, name)
-		if err != nil {
-			if name == BackendMmap {
-				continue // not supported on this platform build
-			}
-			t.Fatalf("OpenBackend(%q): %v", name, err)
-		}
-		files = append(files, f)
+	f, err := Open(path)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
 	}
-	return files
+	t.Cleanup(func() { f.Close() })
+	return f
 }
 
 func TestHeaderRoundTrip(t *testing.T) {
@@ -139,28 +134,53 @@ func TestParseHeaderClampsTileRows(t *testing.T) {
 func TestReadTileRoundTrip(t *testing.T) {
 	for _, tileRows := range []int{1, 7, 25, 100} {
 		d := testMatrix(t, 100, 13)
-		path := writeTempTile(t, d, tileRows)
-		for _, f := range backendsUnderTest(t, path) {
-			got := mat.NewDense(100, 13)
-			buf := make([]float64, f.Header().MaxTileElems())
-			for tl := 0; tl < f.Tiles(); tl++ {
-				data, err := f.ReadTile(tl, buf)
-				if err != nil {
-					t.Fatalf("%s tileRows=%d: ReadTile(%d): %v", f.BackendName(), tileRows, tl, err)
-				}
-				r0, r1 := f.TileBounds(tl)
-				if len(data) != (r1-r0)*13 {
-					t.Fatalf("tile %d: %d elems, want %d", tl, len(data), (r1-r0)*13)
-				}
-				copy(got.Data[r0*13:r1*13], data)
+		f := openTile(t, writeTempTile(t, d, tileRows))
+		got := mat.NewDense(100, 13)
+		buf := make([]float64, f.Header().MaxTileElems())
+		for tl := 0; tl < f.Tiles(); tl++ {
+			data, err := f.ReadTile(tl, buf)
+			if err != nil {
+				t.Fatalf("tileRows=%d: ReadTile(%d): %v", tileRows, tl, err)
 			}
-			if !got.Equal(d, 0) {
-				t.Fatalf("%s tileRows=%d: round trip mismatch", f.BackendName(), tileRows)
+			r0, r1 := f.TileBounds(tl)
+			if len(data) != (r1-r0)*13 {
+				t.Fatalf("tile %d: %d elems, want %d", tl, len(data), (r1-r0)*13)
 			}
-			if _, err := f.ReadTile(f.Tiles(), buf); err == nil {
-				t.Fatalf("ReadTile past end succeeded")
-			}
-			f.Close()
+			copy(got.Data[r0*13:r1*13], data)
+		}
+		if !got.Equal(d, 0) {
+			t.Fatalf("tileRows=%d: round trip mismatch", tileRows)
+		}
+		if _, err := f.ReadTile(f.Tiles(), buf); err == nil {
+			t.Fatalf("ReadTile past end succeeded")
+		}
+	}
+}
+
+// TestReverseBytes pins the byte reversal a big-endian host applies
+// after each tile read, on every host: known words map to their
+// byte-reversed images, and reversing twice is the identity.
+func TestReverseBytes(t *testing.T) {
+	cases := []struct{ in, want uint64 }{
+		{0x0123456789abcdef, 0xefcdab8967452301},
+		{math.Float64bits(1), 0x000000000000f03f},
+		{math.Float64bits(-2.5), 0x00000000000004c0},
+		{0, 0},
+	}
+	v := make([]float64, len(cases))
+	for i, c := range cases {
+		v[i] = math.Float64frombits(c.in)
+	}
+	reverseBytes(v)
+	for i, c := range cases {
+		if got := math.Float64bits(v[i]); got != c.want {
+			t.Errorf("reverseBytes(%#016x) = %#016x, want %#016x", c.in, got, c.want)
+		}
+	}
+	reverseBytes(v)
+	for i, c := range cases {
+		if got := math.Float64bits(v[i]); got != c.in {
+			t.Errorf("reversing %#016x twice gave %#016x", c.in, got)
 		}
 	}
 }
@@ -218,73 +238,70 @@ func TestWriterRowCountEnforced(t *testing.T) {
 }
 
 // TestPipelineStreamsPasses: every pass delivers the tiles in file
-// order with the payload intact, on every backend and depth. A norm
+// order with the payload intact, at every depth. A norm
 // pipeline also carries Σv² across its first pass in the element order
 // of the in-core row-major sum — so the total is ‖A‖²_F to the bit —
 // and a plain one sums nothing.
 func TestPipelineStreamsPasses(t *testing.T) {
 	d := testMatrix(t, 57, 9)
-	path := writeTempTile(t, d, 10)
-	for _, f := range backendsUnderTest(t, path) {
-		for _, depth := range []int{1, 2, 4} {
-			for _, norm := range []bool{false, true} {
-				var p *Pipeline
-				if norm {
-					p = NewNormPipeline(f, depth, true)
-				} else {
-					p = NewPipeline(f, depth)
-				}
-				for pass := 0; pass < 3; pass++ {
-					got := mat.NewDense(57, 9)
-					var sum float64
-					for tl := 0; tl < f.Tiles(); tl++ {
-						panel, err := p.Next()
-						if err != nil {
-							t.Fatalf("%s depth=%d pass=%d: Next: %v", f.BackendName(), depth, pass, err)
-						}
-						if panel.Index != tl {
-							t.Fatalf("panel %d arrived as index %d", tl, panel.Index)
-						}
-						read := d.Data // what the first pass had read at this panel
-						if pass == 0 {
-							read = d.Data[:panel.Row1*9]
-						}
-						var want float64
-						for _, v := range read {
-							want += v * v
-						}
-						if !norm {
-							want = 0
-						}
-						if panel.SumSquares != want {
-							t.Fatalf("%s depth=%d norm=%v pass=%d tile %d: SumSquares = %v, want %v",
-								f.BackendName(), depth, norm, pass, tl, panel.SumSquares, want)
-						}
-						sum = panel.SumSquares
-						copy(got.Data[panel.Row0*9:panel.Row1*9], panel.Data)
-						p.Release(panel)
+	f := openTile(t, writeTempTile(t, d, 10))
+	for _, depth := range []int{1, 2, 4} {
+		for _, norm := range []bool{false, true} {
+			var p *Pipeline
+			if norm {
+				p = NewNormPipeline(f, depth, true)
+			} else {
+				p = NewPipeline(f, depth)
+			}
+			for pass := 0; pass < 3; pass++ {
+				got := mat.NewDense(57, 9)
+				var sum float64
+				for tl := 0; tl < f.Tiles(); tl++ {
+					panel, err := p.Next()
+					if err != nil {
+						t.Fatalf("depth=%d pass=%d: Next: %v", depth, pass, err)
 					}
-					if !got.Equal(d, 0) {
-						t.Fatalf("%s depth=%d pass %d mismatch", f.BackendName(), depth, pass)
+					if panel.Index != tl {
+						t.Fatalf("panel %d arrived as index %d", tl, panel.Index)
 					}
-					if norm && sum != d.SquaredFrobeniusNorm() {
-						t.Fatalf("first-pass sum %v is not the in-core ‖A‖²_F %v", sum, d.SquaredFrobeniusNorm())
+					read := d.Data // what the first pass had read at this panel
+					if pass == 0 {
+						read = d.Data[:panel.Row1*9]
 					}
+					var want float64
+					for _, v := range read {
+						want += v * v
+					}
+					if !norm {
+						want = 0
+					}
+					if panel.SumSquares != want {
+						t.Fatalf("depth=%d norm=%v pass=%d tile %d: SumSquares = %v, want %v",
+							depth, norm, pass, tl, panel.SumSquares, want)
+					}
+					sum = panel.SumSquares
+					copy(got.Data[panel.Row0*9:panel.Row1*9], panel.Data)
+					p.Release(panel)
 				}
-				st := p.Stats()
-				if st.TilesLoaded < int64(3*f.Tiles()) {
-					t.Fatalf("stats: %d tiles loaded, want ≥ %d", st.TilesLoaded, 3*f.Tiles())
+				if !got.Equal(d, 0) {
+					t.Fatalf("depth=%d pass %d mismatch", depth, pass)
 				}
-				if st.BytesLoaded < int64(3*57*9*8) {
-					t.Fatalf("stats: %d bytes loaded, want ≥ %d", st.BytesLoaded, 3*57*9*8)
-				}
-				p.Close()
-				if _, err := p.Next(); err == nil {
-					t.Fatal("Next after Close succeeded")
+				if norm && sum != d.SquaredFrobeniusNorm() {
+					t.Fatalf("first-pass sum %v is not the in-core ‖A‖²_F %v", sum, d.SquaredFrobeniusNorm())
 				}
 			}
+			st := p.Stats()
+			if st.TilesLoaded < int64(3*f.Tiles()) {
+				t.Fatalf("stats: %d tiles loaded, want ≥ %d", st.TilesLoaded, 3*f.Tiles())
+			}
+			if st.BytesLoaded < int64(3*57*9*8) {
+				t.Fatalf("stats: %d bytes loaded, want ≥ %d", st.BytesLoaded, 3*57*9*8)
+			}
+			p.Close()
+			if _, err := p.Next(); err == nil {
+				t.Fatal("Next after Close succeeded")
+			}
 		}
-		f.Close()
 	}
 }
 

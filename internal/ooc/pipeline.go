@@ -18,8 +18,6 @@ type Panel struct {
 	// order: tiles 0..Index on that pass, the whole matrix — ‖A‖²_F —
 	// on its last panel and ever after. 0 from a NewPipeline.
 	SumSquares float64
-
-	buf []float64
 }
 
 // Stats is the pipeline's cumulative I/O accounting. Load is time the
@@ -56,7 +54,6 @@ type panelMsg struct {
 	index      int
 	row0, row1 int
 	data       []float64
-	buf        []float64
 	sumSq      float64
 	err        error
 }
@@ -100,9 +97,8 @@ const DefaultDepth = 2
 
 // NewPipeline starts the loader for f. depth < 1 selects
 // DefaultDepth. The pipeline owns depth tile buffers of
-// f.Header().MaxTileElems() float64s each (for the mmap backend the
-// buffers are bypassed by zero-copy views but still bound the number
-// of tiles in flight).
+// f.Header().MaxTileElems() float64s each; a panel's Data is one of
+// them.
 func NewPipeline(f *File, depth int) *Pipeline { return NewNormPipeline(f, depth, false) }
 
 // NewNormPipeline is NewPipeline whose loader, when norm is set, also
@@ -167,7 +163,7 @@ func (p *Pipeline) loader() {
 				}
 			}
 			select {
-			case p.out <- panelMsg{index: t, row0: r0, row1: r1, data: data, buf: buf, sumSq: sumSq, err: err}:
+			case p.out <- panelMsg{index: t, row0: r0, row1: r1, data: data, sumSq: sumSq, err: err}:
 			case <-p.done:
 				return
 			}
@@ -203,21 +199,20 @@ func (p *Pipeline) Next() (*Panel, error) {
 		p.failed = msg.err
 		return nil, msg.err
 	}
-	p.cur = Panel{Index: msg.index, Row0: msg.row0, Row1: msg.row1, Data: msg.data, SumSquares: msg.sumSq, buf: msg.buf}
+	p.cur = Panel{Index: msg.index, Row0: msg.row0, Row1: msg.row1, Data: msg.data, SumSquares: msg.sumSq}
 	return &p.cur, nil
 }
 
 // Release returns the panel's buffer to the loader. Required after
 // every successful Next; idempotent per panel.
 func (p *Pipeline) Release(panel *Panel) {
-	if panel.buf == nil {
+	if panel.Data == nil {
 		return
 	}
 	select {
-	case p.free <- panel.buf:
+	case p.free <- panel.Data:
 	case <-p.done:
 	}
-	panel.buf = nil
 	panel.Data = nil
 }
 
@@ -232,8 +227,8 @@ func (p *Pipeline) Stats() Stats {
 	}
 }
 
-// Close stops the loader and waits for it to exit, so the underlying
-// File (whose readerat backend owns a single decode buffer) can be
+// Close stops the loader and waits for it to exit, so no read of the
+// underlying File is in flight once it returns and the File can be
 // reused or closed safely. It does not close the File itself.
 func (p *Pipeline) Close() {
 	p.closeOnce.Do(func() { close(p.done) })

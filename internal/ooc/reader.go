@@ -1,59 +1,36 @@
 package ooc
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"math"
+	"math/bits"
 	"os"
 	"unsafe"
 )
 
 // hostLittleEndian reports whether this machine's float64 layout
-// already matches the on-disk little-endian format, enabling the
-// decode-free read path. Probed once at init so the portable decode
-// loop stays the fallback on big-endian hosts.
+// already matches the on-disk little-endian format. On a big-endian
+// host ReadTile reverses each element's bytes after the read.
 var hostLittleEndian = func() bool {
 	var x uint16 = 1
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// backend fetches a contiguous element range of the payload.
-// Implementations are single-goroutine: the prefetch pipeline's one
-// loader goroutine is the only caller.
-type backend interface {
-	// load returns n elements starting at element offset off. dst has
-	// capacity for n; backends that copy fill and return dst[:n], the
-	// mmap backend returns a zero-copy view instead.
-	load(off int64, n int, dst []float64) ([]float64, error)
-	name() string
-	close() error
-}
-
-// File is an open tile file. Tile reads go through the configured
-// backend; use NewPipeline to stream tiles with prefetch.
+// File is an open tile file. ReadTile reads one tile into a caller's
+// buffer; use NewPipeline to stream tiles with prefetch.
 type File struct {
 	path string
 	hdr  Header
-	be   backend
+	f    *os.File
 }
 
-// Backend names accepted by OpenBackend.
-const (
-	BackendAuto     = "auto"
-	BackendMmap     = "mmap"
-	BackendReaderAt = "readerat"
-)
-
-// Open opens a tile file with the best available backend (mmap where
-// supported, chunked ReaderAt otherwise).
-func Open(path string) (*File, error) { return OpenBackend(path, BackendAuto) }
-
-// OpenBackend opens a tile file with an explicit backend ("auto",
-// "mmap", "readerat"). The header is validated (magic, CRC, version,
-// shape) and the file length must match the header exactly — a
-// truncated or trailing-garbage file is rejected here, before any
+// Open opens a tile file. The header is validated (magic, CRC,
+// version, shape) and the file length must match the header exactly —
+// a truncated or trailing-garbage file is rejected here, before any
 // tile is read.
-func OpenBackend(path, backendName string) (*File, error) {
+func Open(path string) (*File, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -78,26 +55,7 @@ func OpenBackend(path, backendName string) (*File, error) {
 		return nil, fmt.Errorf("ooc: %s is %d bytes, header implies exactly %d (truncated or trailing garbage)",
 			path, st.Size(), h.FileSize())
 	}
-
-	var be backend
-	switch backendName {
-	case BackendAuto, "":
-		if be, err = openMmap(f, h); err != nil {
-			be = newReaderAtBackend(f)
-			err = nil
-		}
-	case BackendMmap:
-		if be, err = openMmap(f, h); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("ooc: mmap backend: %w", err)
-		}
-	case BackendReaderAt:
-		be = newReaderAtBackend(f)
-	default:
-		f.Close()
-		return nil, fmt.Errorf("ooc: unknown backend %q (want auto, mmap, or readerat)", backendName)
-	}
-	return &File{path: path, hdr: h, be: be}, nil
+	return &File{path: path, hdr: h, f: f}, nil
 }
 
 // Path returns the file's path.
@@ -115,81 +73,37 @@ func (f *File) Tiles() int { return f.hdr.Tiles() }
 // TileBounds returns the half-open row range [r0, r1) of tile t.
 func (f *File) TileBounds(t int) (r0, r1 int) { return f.hdr.TileBounds(t) }
 
-// BackendName reports which backend the file was opened with.
-func (f *File) BackendName() string { return f.be.name() }
-
-// ReadTile fetches tile t. dst must have capacity for
-// Header().MaxTileElems() elements; the returned slice is either
-// dst[:n] (copying backends) or a zero-copy view (mmap), valid until
-// the next ReadTile with the same dst or Close.
+// ReadTile reads tile t into dst, which must have capacity for
+// Header().MaxTileElems() elements, and returns dst[:n]. The payload
+// is little-endian float64, so one ReadAt lands it in the buffer's
+// bytes with no decode pass and no intermediate copy. A file that
+// shrank after Open is an error wrapping io.ErrUnexpectedEOF.
 func (f *File) ReadTile(t int, dst []float64) ([]float64, error) {
 	if t < 0 || t >= f.hdr.Tiles() {
 		return nil, fmt.Errorf("ooc: tile %d out of range [0,%d)", t, f.hdr.Tiles())
 	}
 	r0, r1 := f.hdr.TileBounds(t)
-	off := int64(r0) * f.hdr.Cols
-	n := (r1 - r0) * int(f.hdr.Cols)
-	data, err := f.be.load(off, n, dst)
-	if err != nil {
+	dst = dst[:(r1-r0)*int(f.hdr.Cols)]
+	raw := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(dst))), len(dst)*8)
+	if _, err := f.f.ReadAt(raw, HeaderSize+int64(r0)*f.hdr.Cols*8); err != nil {
+		if errors.Is(err, io.EOF) {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, fmt.Errorf("ooc: reading tile %d of %s: %w", t, f.path, err)
 	}
-	return data, nil
-}
-
-// Close releases the backend (unmaps and closes the file).
-func (f *File) Close() error { return f.be.close() }
-
-// readerAtBackend reads tiles with chunked ReadAt calls and decodes
-// into the caller's buffer. It works on every platform and its
-// resident set is exactly the tile buffers (no page cache mapped into
-// the address space), which makes it the backend of choice under a
-// hard RSS cap.
-type readerAtBackend struct {
-	f     *os.File
-	chunk []byte
-}
-
-// readerChunkBytes is the per-ReadAt granularity (1 MiB: large enough
-// to reach sequential-read bandwidth, small enough to keep the decode
-// loop cache-friendly).
-const readerChunkBytes = 1 << 20
-
-func newReaderAtBackend(f *os.File) *readerAtBackend {
-	return &readerAtBackend{f: f, chunk: make([]byte, readerChunkBytes)}
-}
-
-func (b *readerAtBackend) name() string { return BackendReaderAt }
-
-func (b *readerAtBackend) close() error { return b.f.Close() }
-
-func (b *readerAtBackend) load(off int64, n int, dst []float64) ([]float64, error) {
-	dst = dst[:n]
-	byteOff := HeaderSize + off*8
-	if hostLittleEndian && n > 0 {
-		// The on-disk format is little-endian float64, so on a
-		// little-endian host the payload can be read straight into the
-		// tile buffer's bytes — no decode pass, no intermediate copy.
-		// This roughly triples tile bandwidth from page cache, which
-		// is what lets the prefetch pipeline hide I/O behind compute.
-		raw := unsafe.Slice((*byte)(unsafe.Pointer(&dst[0])), n*8)
-		if _, err := b.f.ReadAt(raw, byteOff); err != nil {
-			return nil, err
-		}
-		return dst, nil
-	}
-	for filled := 0; filled < n; {
-		c := len(b.chunk) / 8
-		if rest := n - filled; c > rest {
-			c = rest
-		}
-		raw := b.chunk[:c*8]
-		if _, err := b.f.ReadAt(raw, byteOff+int64(filled)*8); err != nil {
-			return nil, err
-		}
-		for i := 0; i < c; i++ {
-			dst[filled+i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
-		}
-		filled += c
+	if !hostLittleEndian {
+		reverseBytes(dst)
 	}
 	return dst, nil
 }
+
+// reverseBytes reverses the byte order of every element of v in place,
+// turning little-endian file words into the host's big-endian floats.
+func reverseBytes(v []float64) {
+	for i, x := range v {
+		v[i] = math.Float64frombits(bits.ReverseBytes64(math.Float64bits(x)))
+	}
+}
+
+// Close closes the file.
+func (f *File) Close() error { return f.f.Close() }

@@ -253,25 +253,28 @@ type TileFile = ooc.File
 // of I/O hidden behind compute.
 type OOCStats = core.OOCStats
 
-// Tile-reader backends for OpenTiledBackend.
-const (
-	TileBackendAuto     = ooc.BackendAuto
-	TileBackendMmap     = ooc.BackendMmap
-	TileBackendReaderAt = ooc.BackendReaderAt
-)
+// TileBackendReaderAt names the one tile reader, for OpenTiledBackend.
+const TileBackendReaderAt = "readerat"
 
 // DefaultTileDepth is the default prefetch depth of the out-of-core
 // tile pipeline: tiles loaded ahead of the one being consumed.
 const DefaultTileDepth = ooc.DefaultDepth
 
-// OpenTiled opens a tile file with the best available backend (mmap
-// where supported, chunked ReaderAt otherwise). The header is
-// CRC-validated and the file length must match it exactly.
+// OpenTiled opens a tile file. The header is CRC-validated and the
+// file length must match it exactly. Each tile is read with one ReadAt
+// into the prefetch pipeline's own buffers, so those buffers are all
+// the run keeps resident, and a file that shrinks mid-run is an error
+// wrapping io.ErrUnexpectedEOF.
 func OpenTiled(path string) (*TileFile, error) { return ooc.Open(path) }
 
-// OpenTiledBackend opens a tile file with an explicit reader backend.
+// OpenTiledBackend is OpenTiled for callers that still name the
+// reader: backend must be TileBackendReaderAt, and any other value is
+// an error.
 func OpenTiledBackend(path, backend string) (*TileFile, error) {
-	return ooc.OpenBackend(path, backend)
+	if backend != TileBackendReaderAt {
+		return nil, fmt.Errorf("hpcnmf: unknown tile backend %q (the one reader is %q)", backend, TileBackendReaderAt)
+	}
+	return ooc.Open(path)
 }
 
 // WriteTiled writes an in-core dense matrix as a tile file with

@@ -141,6 +141,25 @@ func TestFacadeSaveLoadFactor(t *testing.T) {
 	}
 }
 
+// TestFacadeOpenTiledBackend: the backend-naming opener takes only the
+// one reader's name, and refuses any other naming the value it got.
+func TestFacadeOpenTiledBackend(t *testing.T) {
+	path := t.TempDir() + "/a.nmft"
+	if err := hpcnmf.WriteTiled(path, hpcnmf.NewDense(6, 2), 4); err != nil {
+		t.Fatal(err)
+	}
+	f, err := hpcnmf.OpenTiledBackend(path, hpcnmf.TileBackendReaderAt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	for _, name := range []string{"auto", "", "READERAT"} {
+		if _, err := hpcnmf.OpenTiledBackend(path, name); err == nil || !strings.Contains(err.Error(), `"`+name+`"`) {
+			t.Errorf("OpenTiledBackend(%q): err = %v, want one naming the value", name, err)
+		}
+	}
+}
+
 func TestFacadeNNDSVDInit(t *testing.T) {
 	ds := hpcnmf.GenerateDataset("dsyn", 0.03, 15)
 	w0, h0, err := hpcnmf.NNDSVD(ds.Matrix, 3, true, 1)

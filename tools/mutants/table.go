@@ -103,4 +103,20 @@ var table = []mutant{
 		Pkg:  "./internal/core",
 		Run:  "^TestResumeBitwiseIdentical$",
 	},
+	{
+		Name: "ooc-short-read-ignored",
+		File: "internal/ooc/reader.go",
+		From: "f.f.ReadAt(raw, HeaderSize+int64(r0)*f.hdr.Cols*8); err != nil {",
+		To:   "f.f.ReadAt(raw, HeaderSize+int64(r0)*f.hdr.Cols*8); false {",
+		Pkg:  "./internal/core",
+		Run:  "^TestOutOfCoreReadFailureSurfaces$",
+	},
+	{
+		Name: "ooc-panel-boundary",
+		File: "internal/ooc/format.go",
+		From: "r1 = r0 + int(h.TileRows)",
+		To:   "r1 = r0 + int(h.TileRows) - 1",
+		Pkg:  "./internal/ooc",
+		Run:  "^TestReadTileRoundTrip$",
+	},
 }
