@@ -25,14 +25,13 @@ import (
 
 func main() {
 	var (
-		data     = flag.String("data", "ssyn", "dataset: dsyn, ssyn, video, webbase, bow")
-		scale    = flag.Float64("scale", 0.25, "dataset scale factor")
-		seed     = flag.Uint64("seed", 42, "random seed")
-		out      = flag.String("o", "", "output path (default <data>.mtx, or <data>.nmft with -tiled)")
-		tiled    = flag.Bool("tiled", false, "write the out-of-core tile format instead of MatrixMarket (dense datasets only)")
-		tileRows = flag.Int("tile-rows", 0, "rows per tile in the -tiled file (0 = size tiles to ~8 MiB)")
-		rows     = flag.Int("rows", 0, "override row count for -tiled dsyn (streams row by row; 0 = scaled default)")
-		cols     = flag.Int("cols", 0, "override column count for -tiled dsyn (0 = scaled default)")
+		data  = flag.String("data", "ssyn", "dataset: dsyn, ssyn, video, webbase, bow")
+		scale = flag.Float64("scale", 0.25, "dataset scale factor")
+		seed  = flag.Uint64("seed", 42, "random seed")
+		out   = flag.String("o", "", "output path (default <data>.mtx, or <data>.nmft with -tiled)")
+		tiled = flag.Bool("tiled", false, "write the out-of-core tile format instead of MatrixMarket (dense datasets only)")
+		rows  = flag.Int("rows", 0, "override row count for -tiled dsyn (streams row by row; 0 = scaled default)")
+		cols  = flag.Int("cols", 0, "override column count for -tiled dsyn (0 = scaled default)")
 	)
 	flag.Parse()
 
@@ -45,7 +44,7 @@ func main() {
 		}
 	}
 	if *tiled {
-		writeTiled(path, *data, *scale, *seed, *tileRows, *rows, *cols)
+		writeTiled(path, *data, *scale, *seed, *rows, *cols)
 		return
 	}
 	if *rows != 0 || *cols != 0 {
@@ -80,8 +79,9 @@ func main() {
 // streamed one row at a time — memory stays constant no matter how
 // large -rows/-cols make the output, and the values are bitwise
 // identical to the in-core generator. Other dense datasets are
-// generated in memory first; sparse ones have no tiled form.
-func writeTiled(path, data string, scale float64, seed uint64, tileRows, rows, cols int) {
+// generated in memory first; sparse ones have no tiled form. The file
+// fixes no panel height: the reader picks it (nmfrun -tile-mem).
+func writeTiled(path, data string, scale float64, seed uint64, rows, cols int) {
 	switch strings.ToLower(data) {
 	case "dsyn":
 		m, n := rows, cols
@@ -91,10 +91,7 @@ func writeTiled(path, data string, scale float64, seed uint64, tileRows, rows, c
 		if n <= 0 {
 			n = datasets.Scale(scale).Dim(1152)
 		}
-		if tileRows <= 0 {
-			tileRows = ooc.DefaultTileRows(n)
-		}
-		w, err := ooc.Create(path, m, n, tileRows)
+		w, err := ooc.Create(path, m, n, 0)
 		if err != nil {
 			fatal("%v", err)
 		}
@@ -105,8 +102,7 @@ func writeTiled(path, data string, scale float64, seed uint64, tileRows, rows, c
 		if err := w.Close(); err != nil {
 			fatal("writing %s: %v", path, err)
 		}
-		fmt.Printf("wrote %s: DSYN %dx%d (%d tiles of %d rows, streamed)\n",
-			path, m, n, w.Header().Tiles(), tileRows)
+		fmt.Printf("wrote %s: DSYN %dx%d (streamed)\n", path, m, n)
 	case "video":
 		if rows != 0 || cols != 0 {
 			fatal("-rows/-cols only apply to dsyn")
@@ -116,13 +112,10 @@ func writeTiled(path, data string, scale float64, seed uint64, tileRows, rows, c
 			fatal("%v", err)
 		}
 		d, _ := core.UnwrapDense(ds.Matrix)
-		if tileRows <= 0 {
-			tileRows = ooc.DefaultTileRows(d.Cols)
-		}
-		if err := ooc.WriteMatrix(path, d, tileRows); err != nil {
+		if err := ooc.WriteMatrix(path, d, 0); err != nil {
 			fatal("writing %s: %v", path, err)
 		}
-		fmt.Printf("wrote %s: %s %dx%d (tiles of %d rows)\n", path, ds.Name, d.Rows, d.Cols, tileRows)
+		fmt.Printf("wrote %s: %s %dx%d\n", path, ds.Name, d.Rows, d.Cols)
 	default:
 		fatal("-tiled supports dense datasets only (dsyn, video); %q is sparse or unknown", data)
 	}

@@ -34,7 +34,6 @@ import (
 	"hpcnmf/internal/costmodel"
 	"hpcnmf/internal/metrics"
 	"hpcnmf/internal/nnls"
-	"hpcnmf/internal/ooc"
 	"hpcnmf/internal/perf"
 )
 
@@ -119,7 +118,7 @@ func parseFlags(args []string, stderr io.Writer) (*cli, error) {
 	fs.StringVar(&c.data, "data", "dsyn", "dataset: dsyn, ssyn, video, webbase, bow (ignored with -mm)")
 	fs.StringVar(&c.mmPath, "mm", "", "read a MatrixMarket file instead of generating a dataset")
 	fs.StringVar(&c.tiled, "tiled", "", "factorize an out-of-core tile file (written by datagen -tiled) by streaming row panels from disk")
-	fs.StringVar(&c.tileMem, "tile-mem", "", "tile-buffer byte budget for -tiled, e.g. 64MiB: prefetch depth is lowered to fit, and the run refuses to start if even depth 1 overflows")
+	fs.StringVar(&c.tileMem, "tile-mem", "", "tile-buffer byte budget for -tiled, e.g. 64MiB: row panels are the tallest whose prefetch buffers fit it (default ~8 MiB panels)")
 	fs.BoolVar(&c.dense, "dense", false, "force the dense kernel path: densify a sparse input instead of auto-detecting storage by density")
 	fs.Float64Var(&c.scale, "scale", 0.25, "dataset scale factor")
 	fs.StringVar(&c.alg, "alg", "hpc2d", "algorithm: seq, naive, hpc1d, hpc2d, auto (cost-model pick of layout, grid and updater), or a solver name ("+nnls.Names()+") for the HPC 2D skeleton with that updater")
@@ -205,12 +204,11 @@ func parseFlags(args []string, stderr io.Writer) (*cli, error) {
 }
 
 // input is what the run factorizes: an in-core matrix, or an open tile
-// file with the prefetch depth its byte budget allows.
+// file.
 type input struct {
-	name      string
-	a         hpcnmf.Matrix
-	tile      *hpcnmf.TileFile
-	tileDepth int
+	name string
+	a    hpcnmf.Matrix
+	tile *hpcnmf.TileFile
 }
 
 // loadInput opens or generates the data matrix and reports the storage
@@ -235,9 +233,10 @@ func loadInput(c *cli, stdout io.Writer) (*input, error) {
 	return pickStorage(c, &input{name: ds.Name, a: ds.Matrix}, stdout), nil
 }
 
-// openTiled opens the -tiled file. The pipeline holds depth+1 resident
-// tile buffers, which are all the tile reads keep resident (DESIGN
-// decision 15); -tile-mem lowers the depth until they fit its budget.
+// openTiled opens the -tiled file with -tile-mem as its read budget:
+// the panels are the tallest whose DefaultTileDepth+1 buffers fit it
+// (~8 MiB ones without it), and those buffers are all the tile reads
+// keep resident (DESIGN decision 15).
 func openTiled(c *cli, stdout io.Writer) (*input, error) {
 	var budget int64
 	if c.tileMem != "" {
@@ -246,23 +245,16 @@ func openTiled(c *cli, stdout io.Writer) (*input, error) {
 			return nil, fmt.Errorf("bad -tile-mem: %w", err)
 		}
 	}
-	f, err := hpcnmf.OpenTiled(c.tiled)
+	f, err := hpcnmf.OpenTiled(c.tiled, budget)
 	if err != nil {
 		return nil, fmt.Errorf("opening tile file: %w", err)
 	}
-	hdr := f.Header()
-	depth := hpcnmf.DefaultTileDepth
-	if c.tileMem != "" {
-		if depth, err = fitTileDepth(hdr, budget); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
+	hdr, depth := f.Header(), int64(hpcnmf.DefaultTileDepth)
 	tileBytes := hdr.TileRows * hdr.Cols * 8
 	fmt.Fprintf(stdout, "storage: out-of-core (%d tiles of %d rows, %s each, prefetch depth %d, %s resident tile buffers)\n",
 		hdr.Tiles(), hdr.TileRows, formatBytes(tileBytes),
-		depth, formatBytes(int64(depth+1)*tileBytes))
-	return &input{name: filepath.Base(c.tiled), tile: f, tileDepth: depth}, nil
+		depth, formatBytes((depth+1)*tileBytes))
+	return &input{name: filepath.Base(c.tiled), tile: f}, nil
 }
 
 // pickStorage selects the kernel path of an in-core input. Sparse
@@ -406,7 +398,7 @@ func pick(c *cli, a hpcnmf.Matrix, opts *hpcnmf.Options, stdout io.Writer) (*pla
 // report records.
 func factorize(c *cli, in *input, picked *plan, opts hpcnmf.Options) (res *hpcnmf.Result, procs int, err error) {
 	if in.tile != nil {
-		res, err = hpcnmf.RunOutOfCore(in.tile, in.tileDepth, opts)
+		res, err = hpcnmf.RunOutOfCore(in.tile, hpcnmf.DefaultTileDepth, opts)
 		return res, 1, err
 	}
 	switch c.alg {
@@ -612,29 +604,6 @@ func printOverlap(w io.Writer, snap *metrics.Snapshot) {
 			r, window, wait,
 			100*snap.Gauges[fmt.Sprintf("mpi.rank.%d.overlap.efficiency", r)])
 	}
-}
-
-// fitTileDepth validates an out-of-core run against a byte budget:
-// the pipeline holds depth+1 resident tile buffers (depth prefetched
-// plus the one being consumed), so the default depth is lowered until
-// they fit. If even depth 1 overflows, the tile file's panels are too
-// tall for the budget and the run refuses to start rather than thrash.
-func fitTileDepth(hdr ooc.Header, budget int64) (int, error) {
-	depth := ooc.DefaultDepth
-	tileBytes := hdr.TileRows * hdr.Cols * 8
-	for depth > 1 && int64(depth+1)*tileBytes > budget {
-		depth--
-	}
-	if int64(depth+1)*tileBytes > budget {
-		maxRows, err := ooc.TileRowsForBudget(int(hdr.Cols), 1, budget)
-		if err != nil {
-			return 0, fmt.Errorf("-tile-mem %s cannot hold two %d-row tiles (%s each); even single-row tiles overflow it",
-				formatBytes(budget), hdr.TileRows, formatBytes(tileBytes))
-		}
-		return 0, fmt.Errorf("-tile-mem %s cannot hold two %d-row tiles (%s each); regenerate with datagen -tiled -tile-rows %d or less",
-			formatBytes(budget), hdr.TileRows, formatBytes(tileBytes), maxRows)
-	}
-	return depth, nil
 }
 
 // parseByteSize parses a human byte size like "512KiB", "64MiB",

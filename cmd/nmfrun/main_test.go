@@ -127,8 +127,10 @@ func resumeFixture(t *testing.T, name string) error {
 }
 
 // TestRunTileMemReadsThroughReaderAt: tiles have one reader, so
-// -tile-backend is an unknown flag, and a -tile-mem budget still
-// lowers the prefetch depth until depth+1 tile buffers fit in it.
+// -tile-backend is an unknown flag, and a -tile-mem budget sizes the
+// row panels at the default prefetch depth — the tallest whose
+// DefaultTileDepth+1 buffers fit it. A budget too small for one row
+// per buffer is refused at open, with nothing to regenerate.
 func TestRunTileMemReadsThroughReaderAt(t *testing.T) {
 	dir := t.TempDir()
 	a := hpcnmf.NewDense(60, 20)
@@ -136,7 +138,7 @@ func TestRunTileMemReadsThroughReaderAt(t *testing.T) {
 		a.Data[i] = 0.1 + float64(i%7)
 	}
 	path := filepath.Join(dir, "a.nmft")
-	if err := hpcnmf.WriteTiled(path, a, 16); err != nil {
+	if err := hpcnmf.WriteTiled(path, a, 0); err != nil {
 		t.Fatal(err)
 	}
 	tiled := []string{"-tiled", path, "-alg", "mu", "-k", "3", "-iters", "2"}
@@ -146,11 +148,11 @@ func TestRunTileMemReadsThroughReaderAt(t *testing.T) {
 	}
 	report := filepath.Join(dir, "report.json")
 	for _, tc := range []struct {
-		mem   []string
-		depth int
+		mem      []string
+		tileRows int
 	}{
-		{nil, hpcnmf.DefaultTileDepth},
-		{[]string{"-tile-mem", "6000"}, 1}, // 2,560-byte tiles: two fit, three do not
+		{nil, 60},                           // one ~8 MiB panel, cut to the file's 60 rows
+		{[]string{"-tile-mem", "6000"}, 12}, // three 12-row panels of 1,920 B fit, three of 13 do not
 	} {
 		runOK(t, append(append(tiled, "-report", report), tc.mem...)...)
 		raw, err := os.ReadFile(report)
@@ -159,15 +161,21 @@ func TestRunTileMemReadsThroughReaderAt(t *testing.T) {
 		}
 		var rep struct {
 			OOC struct {
-				Depth int `json:"depth"`
+				Depth    int `json:"depth"`
+				TileRows int `json:"tile_rows"`
 			} `json:"ooc"`
 		}
 		if err := json.Unmarshal(raw, &rep); err != nil {
 			t.Fatal(err)
 		}
-		if rep.OOC.Depth != tc.depth {
-			t.Errorf("%v: prefetch depth %d, want %d", tc.mem, rep.OOC.Depth, tc.depth)
+		if rep.OOC.Depth != hpcnmf.DefaultTileDepth || rep.OOC.TileRows != tc.tileRows {
+			t.Errorf("%v: prefetch depth %d with %d-row panels, want %d with %d",
+				tc.mem, rep.OOC.Depth, rep.OOC.TileRows, hpcnmf.DefaultTileDepth, tc.tileRows)
 		}
+	}
+	// Three one-row buffers of 160 B do not fit 400 B.
+	if err := run(append(tiled, "-tile-mem", "400"), &out, &errb); err == nil || strings.Contains(err.Error(), "regenerate") {
+		t.Errorf("-tile-mem 400: err = %v, want a refusal that does not ask to regenerate the file", err)
 	}
 }
 

@@ -17,18 +17,25 @@ import (
 	"hpcnmf/internal/ooc"
 )
 
-func writeTileFile(t *testing.T, d *mat.Dense, tileRows int) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "a.hpt")
-	if err := ooc.WriteMatrix(path, d, tileRows); err != nil {
-		t.Fatal(err)
-	}
-	return path
+// tilePath is a tile file on disk and the read budget under which
+// ooc.Open gives it the panel height a test asked for.
+type tilePath struct {
+	path   string
+	budget int64
 }
 
-func openTileFile(t *testing.T, path string) *ooc.File {
+func writeTileFile(t *testing.T, d *mat.Dense, tileRows int) tilePath {
 	t.Helper()
-	f, err := ooc.Open(path)
+	path := filepath.Join(t.TempDir(), "a.hpt")
+	if err := ooc.WriteMatrix(path, d, 0); err != nil {
+		t.Fatal(err)
+	}
+	return tilePath{path, int64(ooc.DefaultDepth+1) * int64(tileRows) * int64(d.Cols) * 8}
+}
+
+func openTileFile(t *testing.T, tp tilePath) *ooc.File {
+	t.Helper()
+	f, err := ooc.Open(tp.path, tp.budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,18 +206,24 @@ func TestOutOfCoreReadFailureSurfaces(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		cutAt int   // iteration whose progress report cuts the file; -1 cuts it right after Open
-		size  int64 // length the file is cut to
+		keep  int64 // payload bytes the cut leaves
 	}{
 		// The third pass (iteration index 2) is the first to read past the cut.
-		{"mid-pass", 2, ooc.HeaderSize + 8},
+		{"mid-pass", 2, 8},
 		// Two whole tiles remain; the first pass reads past them.
-		{"after-open", -1, ooc.HeaderSize + 2*tileBytes},
+		{"after-open", -1, 2 * tileBytes},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			path := writeTileFile(t, d, tileRows)
-			f := openTileFile(t, path)
+			tp := writeTileFile(t, d, tileRows)
+			path := tp.path
+			st, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload := st.Size() - 200*20*8 - 4 // the CRC trailer follows the payload
+			f := openTileFile(t, tp)
 			cut := func() {
-				if err := os.Truncate(path, tc.size); err != nil {
+				if err := os.Truncate(path, payload+tc.keep); err != nil {
 					t.Error(err)
 				}
 			}
@@ -224,7 +237,7 @@ func TestOutOfCoreReadFailureSurfaces(t *testing.T) {
 				cut()
 			}
 			before := runtime.NumGoroutine()
-			_, err := RunOutOfCore(f, 1, opts)
+			_, err = RunOutOfCore(f, 1, opts)
 			if err == nil {
 				t.Fatal("run succeeded on a truncated tile file")
 			}

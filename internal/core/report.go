@@ -120,7 +120,7 @@ type Report struct {
 	PerRank []perf.RankStats `json:"per_rank,omitempty"`
 
 	// OOC is the tile-I/O accounting of an out-of-core run (schema
-	// v2+, pure addition): tile geometry, backend, bytes streamed, and
+	// v2+, pure addition): tile geometry, prefetch depth, bytes streamed, and
 	// the load/wait/hidden-fraction split showing how much I/O the
 	// prefetch pipeline overlapped with compute.
 	OOC *OOCStats `json:"ooc,omitempty"`

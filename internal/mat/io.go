@@ -12,16 +12,35 @@ import (
 // binaryMagic identifies the library's dense binary format.
 const binaryMagic = "HPNMFD01"
 
+// BlockHeaderSize is the length of a binary block's header: the magic,
+// then rows and cols as little-endian int64s.
+const BlockHeaderSize = len(binaryMagic) + 16
+
+// AppendBlockHeader appends the header of a rows×cols binary block to
+// b. The row-major little-endian float64 payload follows it.
+func AppendBlockHeader(b []byte, rows, cols int) []byte {
+	b = binary.LittleEndian.AppendUint64(append(b, binaryMagic...), uint64(rows))
+	return binary.LittleEndian.AppendUint64(b, uint64(cols))
+}
+
+// ParseBlockHeader checks the block header at the front of b — the
+// magic, then the dims through CheckDims — and returns the dims.
+func ParseBlockHeader(b []byte) (rows, cols int, err error) {
+	if len(b) < BlockHeaderSize {
+		return 0, 0, fmt.Errorf("mat: block header truncated at %d of %d bytes", len(b), BlockHeaderSize)
+	}
+	if string(b[:len(binaryMagic)]) != binaryMagic {
+		return 0, 0, fmt.Errorf("mat: bad magic %q", b[:len(binaryMagic)])
+	}
+	return CheckDims(int64(binary.LittleEndian.Uint64(b[8:])), int64(binary.LittleEndian.Uint64(b[16:])))
+}
+
 // WriteBinary writes the matrix in a compact little-endian binary
 // format (magic, rows, cols, row-major float64 data) — the fast path
 // for checkpointing factor matrices between runs.
 func (a *Dense) WriteBinary(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	hdr := [2]int64{int64(a.Rows), int64(a.Cols)}
-	if err := binary.Write(bw, binary.LittleEndian, hdr[:]); err != nil {
+	if _, err := bw.Write(AppendBlockHeader(nil, a.Rows, a.Cols)); err != nil {
 		return err
 	}
 	if err := binary.Write(bw, binary.LittleEndian, a.Data); err != nil {
@@ -76,18 +95,11 @@ func CheckDims(r64, c64 int64) (rows, cols int, err error) {
 
 func readBinary(r io.Reader) (*Dense, *bufio.Reader, error) {
 	br := bufio.NewReader(r)
-	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, nil, fmt.Errorf("mat: reading magic: %w", err)
-	}
-	if string(magic) != binaryMagic {
-		return nil, nil, fmt.Errorf("mat: bad magic %q", magic)
-	}
-	var hdr [2]int64
-	if err := binary.Read(br, binary.LittleEndian, hdr[:]); err != nil {
+	var hdr [BlockHeaderSize]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, nil, fmt.Errorf("mat: reading header: %w", err)
 	}
-	rows, cols, err := CheckDims(hdr[0], hdr[1])
+	rows, cols, err := ParseBlockHeader(hdr[:])
 	if err != nil {
 		return nil, nil, err
 	}

@@ -12,8 +12,8 @@ func vPayload(seed int64, r, i int) float64 {
 }
 
 // checkVCollectives runs every v-variant collective — all-gatherv,
-// reduce-scatter, gatherv, scatterv, both blocking and nonblocking
-// where one exists — on the given counts layout and verifies each
+// reduce-scatter, gatherv, both blocking and nonblocking where one
+// exists — on the given counts layout and verifies each
 // against its serial definition. Returns false on any mismatch.
 func checkVCollectives(t *testing.T, p int, counts []int, seed int64) bool {
 	t.Helper()

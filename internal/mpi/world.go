@@ -1,8 +1,8 @@
 // Package mpi is an in-process message-passing runtime that stands in
 // for MPI in this reproduction (Go has no MPI ecosystem). Each rank is
 // a goroutine; ranks exchange typed messages over per-pair channels;
-// the collectives — broadcast, reduce, all-gather(v), reduce-scatter(v),
-// all-reduce, gather(v), scatter(v), barrier — are implemented with the
+// the collectives — broadcast, all-gather(v), reduce-scatter(v),
+// all-reduce, gather(v), barrier — are implemented with the
 // same distributed algorithms an MPI library uses (binomial trees,
 // recursive doubling/halving, Bruck, pairwise exchange), so the number
 // of messages and words each rank sends is exactly what an MPI rank

@@ -2,55 +2,57 @@ package ooc
 
 import (
 	"bytes"
-	"encoding/binary"
 	"testing"
+
+	"hpcnmf/internal/mat"
+	"hpcnmf/internal/store"
 )
 
-// FuzzTileHeader throws arbitrary byte blocks at the header parser
-// and checks the invariants: no panic, accepted headers re-encode to
-// the same bytes (after tile-row clamping), and every accepted header
-// has a shape the rest of the package can index with int.
+// tileFront returns the bytes of a tile file up to its payload: the
+// container front and the block header of a rows×cols matrix.
+func tileFront(rows, cols int) []byte {
+	var b bytes.Buffer
+	cw, _, _ := store.StartContainer(&b, tileMagic, tileHeader{Version: tileVersion})
+	cw.Write(mat.AppendBlockHeader(nil, rows, cols))
+	return b.Bytes()
+}
+
+// FuzzTileHeader throws arbitrary bytes at the tile-file prefix parser
+// and checks the invariants: no panic, every accepted prefix holds a
+// non-empty shape the rest of the package can index with int, its
+// block header re-encodes to the bytes it was parsed from, and the
+// default panels tile its rows exactly.
 func FuzzTileHeader(f *testing.F) {
-	if b, err := EncodeHeader(Header{Rows: 100, Cols: 13, TileRows: 10}); err == nil {
-		f.Add(b)
+	var whole bytes.Buffer
+	if err := store.WriteContainer(&whole, tileMagic, tileHeader{Version: tileVersion}, mat.NewDense(100, 13)); err == nil {
+		f.Add(whole.Bytes())
 	}
-	if b, err := EncodeHeader(Header{Rows: 1, Cols: 1, TileRows: 1}); err == nil {
-		f.Add(b)
-	}
-	if b, err := EncodeHeader(Header{Rows: 1 << 20, Cols: 1 << 19, TileRows: 4096}); err == nil {
-		f.Add(b)
-	}
-	f.Add([]byte(Magic))
-	f.Add(bytes.Repeat([]byte{0xff}, HeaderSize))
+	f.Add(tileFront(1, 1))
+	f.Add(tileFront(1<<20, 1<<19))
+	f.Add([]byte(tileMagic))
+	f.Add([]byte("HPNMFT01"))
+	f.Add(bytes.Repeat([]byte{0xff}, 64))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		h, err := ParseHeader(b)
+		rows, cols, payload, err := parsePrefix(b)
 		if err != nil {
 			return
 		}
-		if h.Rows < 1 || h.Cols < 1 || h.TileRows < 1 || h.TileRows > h.Rows {
-			t.Fatalf("accepted header with invalid shape: %+v", h)
+		if rows < 1 || cols < 1 || int64(rows)*int64(cols) > 1<<40 {
+			t.Fatalf("accepted shape %dx%d", rows, cols)
 		}
-		if h.Rows*h.Cols > maxElements || h.Rows*h.Cols > maxPlatformInt {
-			t.Fatalf("accepted oversized header: %+v", h)
+		if payload > len(b) || !bytes.Equal(b[payload-mat.BlockHeaderSize:payload], mat.AppendBlockHeader(nil, rows, cols)) {
+			t.Fatalf("block header of %dx%d does not end at payload offset %d", rows, cols, payload)
 		}
+		tileRows, err := PanelRows(cols, 0)
+		if err != nil {
+			t.Fatalf("PanelRows(%d, 0): %v", cols, err)
+		}
+		h := Header{Rows: int64(rows), Cols: int64(cols), TileRows: int64(min(tileRows, rows))}
 		if h.Tiles() < 1 || h.MaxTileElems() < 1 {
 			t.Fatalf("degenerate tiling: %+v", h)
 		}
-		if r0, r1 := h.TileBounds(h.Tiles() - 1); r0 < 0 || r1 != int(h.Rows) || r0 >= r1 {
+		if r0, r1 := h.TileBounds(h.Tiles() - 1); r0 < 0 || r1 != rows || r0 >= r1 {
 			t.Fatalf("last tile bounds [%d,%d) inconsistent with %+v", r0, r1, h)
-		}
-		// Re-encode: the tile-row clamp is the only permitted delta.
-		enc, err := EncodeHeader(h)
-		if err != nil {
-			t.Fatalf("accepted header does not re-encode: %+v: %v", h, err)
-		}
-		orig := append([]byte(nil), b[:HeaderSize]...)
-		if clamped := binary.LittleEndian.Uint64(orig[32:]); clamped != uint64(h.TileRows) {
-			binary.LittleEndian.PutUint64(orig[32:], uint64(h.TileRows))
-			binary.LittleEndian.PutUint32(orig[56:], crcOf(orig))
-		}
-		if !bytes.Equal(enc, orig) {
-			t.Fatalf("re-encode mismatch:\n got %x\nwant %x", enc, orig)
 		}
 	})
 }

@@ -2,7 +2,7 @@ package ooc
 
 import (
 	"encoding/binary"
-	"hash/crc32"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -11,6 +11,7 @@ import (
 
 	"hpcnmf/internal/mat"
 	"hpcnmf/internal/rng"
+	"hpcnmf/internal/store"
 )
 
 func testMatrix(t *testing.T, rows, cols int) *mat.Dense {
@@ -23,18 +24,31 @@ func testMatrix(t *testing.T, rows, cols int) *mat.Dense {
 	return d
 }
 
-func writeTempTile(t *testing.T, d *mat.Dense, tileRows int) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "a.hpt")
-	if err := WriteMatrix(path, d, tileRows); err != nil {
-		t.Fatalf("WriteMatrix: %v", err)
-	}
-	return path
+// tilePath is a tile file on disk and the read budget under which Open
+// gives it the panel height a test asked for.
+type tilePath struct {
+	path   string
+	budget int64
 }
 
-func openTile(t *testing.T, path string) *File {
+// budgetFor is the byte budget under which PanelRows picks tileRows-row
+// panels for a cols-wide matrix (0 for tileRows 0: the default).
+func budgetFor(tileRows, cols int) int64 {
+	return int64(DefaultDepth+1) * int64(tileRows) * int64(cols) * 8
+}
+
+func writeTempTile(t *testing.T, d *mat.Dense, tileRows int) tilePath {
 	t.Helper()
-	f, err := Open(path)
+	path := filepath.Join(t.TempDir(), "a.hpt")
+	if err := WriteMatrix(path, d, 0); err != nil {
+		t.Fatalf("WriteMatrix: %v", err)
+	}
+	return tilePath{path, budgetFor(tileRows, d.Cols)}
+}
+
+func openTile(t *testing.T, tp tilePath) *File {
+	t.Helper()
+	f, err := Open(tp.path, tp.budget)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -42,92 +56,103 @@ func openTile(t *testing.T, path string) *File {
 	return f
 }
 
+// TestHeaderRoundTrip: a tile file is a one-block container — it
+// decodes with store.DecodeContainer to the matrix written, bit for
+// bit — its prefix parses to the dims and the payload offset, and the
+// budget Open is given sets the panels.
 func TestHeaderRoundTrip(t *testing.T) {
-	h := Header{Rows: 1000, Cols: 37, TileRows: 64}
-	b, err := EncodeHeader(h)
+	d := testMatrix(t, 1000, 37)
+	tp := writeTempTile(t, d, 64)
+	raw, err := os.ReadFile(tp.path)
 	if err != nil {
-		t.Fatalf("EncodeHeader: %v", err)
+		t.Fatal(err)
 	}
-	if len(b) != HeaderSize {
-		t.Fatalf("header is %d bytes, want %d", len(b), HeaderSize)
-	}
-	got, err := ParseHeader(b)
+	rows, cols, payload, err := parsePrefix(raw)
 	if err != nil {
-		t.Fatalf("ParseHeader: %v", err)
+		t.Fatalf("parsePrefix: %v", err)
 	}
-	if got != h {
-		t.Fatalf("round trip: got %+v, want %+v", got, h)
+	if want := len(raw) - 1000*37*8 - 4; rows != 1000 || cols != 37 || payload != want {
+		t.Fatalf("parsePrefix = %dx%d, payload at %d; want 1000x37 at %d", rows, cols, payload, want)
 	}
-	if got.Tiles() != 16 {
-		t.Fatalf("Tiles() = %d, want 16", got.Tiles())
+	var h tileHeader
+	blocks, err := store.DecodeContainer(raw, tileMagic, &h, func() error { return nil }, 1)
+	if err != nil {
+		t.Fatalf("DecodeContainer: %v", err)
 	}
-	if r0, r1 := got.TileBounds(15); r0 != 960 || r1 != 1000 {
+	if got := blocks[0]; h.Version != tileVersion || got.Rows != 1000 || got.Cols != 37 {
+		t.Fatalf("decoded version %d, %dx%d", h.Version, got.Rows, got.Cols)
+	}
+	for i, v := range blocks[0].Data {
+		if math.Float64bits(v) != math.Float64bits(d.Data[i]) {
+			t.Fatalf("element %d decodes to %v, %v was written", i, v, d.Data[i])
+		}
+	}
+	f := openTile(t, tp)
+	if got := f.Header(); got != (Header{Rows: 1000, Cols: 37, TileRows: 64}) {
+		t.Fatalf("Header() = %+v", got)
+	}
+	if f.Tiles() != 16 {
+		t.Fatalf("Tiles() = %d, want 16", f.Tiles())
+	}
+	if r0, r1 := f.TileBounds(15); r0 != 960 || r1 != 1000 {
 		t.Fatalf("ragged TileBounds(15) = [%d,%d), want [960,1000)", r0, r1)
 	}
 }
 
 func TestParseHeaderRejects(t *testing.T) {
-	good, err := EncodeHeader(Header{Rows: 10, Cols: 10, TileRows: 4})
+	raw, err := os.ReadFile(writeTempTile(t, testMatrix(t, 10, 10), 4).path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, _, payload, err := parsePrefix(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := raw[:payload]
+	block := payload - mat.BlockHeaderSize // offset of the block header
 	corrupt := func(mutate func(b []byte)) []byte {
 		b := append([]byte(nil), good...)
 		mutate(b)
 		return b
+	}
+	dims := func(rows, cols uint64) func([]byte) {
+		return func(b []byte) {
+			binary.LittleEndian.PutUint64(b[block+8:], rows)
+			binary.LittleEndian.PutUint64(b[block+16:], cols)
+		}
 	}
 	cases := []struct {
 		name string
 		b    []byte
 		want string
 	}{
-		{"short", good[:HeaderSize-1], "truncated"},
-		{"magic", corrupt(func(b []byte) { b[0] = 'X' }), "magic"},
-		{"crc", corrupt(func(b []byte) { b[20] ^= 1 }), "checksum"},
-		{"version", corrupt(func(b []byte) {
-			binary.LittleEndian.PutUint32(b[8:], 99)
-			binary.LittleEndian.PutUint32(b[56:], crcOf(b))
-		}), "version"},
-		{"zero-rows", corrupt(func(b []byte) {
-			binary.LittleEndian.PutUint64(b[16:], 0)
-			binary.LittleEndian.PutUint32(b[56:], crcOf(b))
-		}), "shape"},
-		{"negative-cols", corrupt(func(b []byte) {
-			binary.LittleEndian.PutUint64(b[24:], uint64(18446744073709551615)) // -1
-			binary.LittleEndian.PutUint32(b[56:], crcOf(b))
-		}), "shape"},
-		{"zero-tile", corrupt(func(b []byte) {
-			binary.LittleEndian.PutUint64(b[32:], 0)
-			binary.LittleEndian.PutUint32(b[56:], crcOf(b))
-		}), "tile rows"},
-		{"overflow", corrupt(func(b []byte) {
-			binary.LittleEndian.PutUint64(b[16:], 1<<62)
-			binary.LittleEndian.PutUint64(b[24:], 1<<62)
-			binary.LittleEndian.PutUint32(b[56:], crcOf(b))
-		}), "implausible"},
+		{"short", good[:payload-1], "truncated"},
+		{"magic", corrupt(func(b []byte) { b[0] = 'X' }), "not a HPNMFT02 container"},
+		{"version-1-file", corrupt(func(b []byte) { copy(b, "HPNMFT01") }), "datagen -tiled"},
+		{"header-length", corrupt(func(b []byte) { binary.LittleEndian.PutUint32(b[len(tileMagic):], 1<<30) }), "header length"},
+		{"header-json", corrupt(func(b []byte) { b[len(tileMagic)+4] = '[' }), "header"},
+		{"version", corrupt(func(b []byte) { copy(b[len(tileMagic)+4:], `{"version":2}`) }), "version 2"},
+		{"block-magic", corrupt(func(b []byte) { b[block] = 'X' }), "bad magic"},
+		{"zero-rows", corrupt(dims(0, 10)), "empty"},
+		{"negative-cols", corrupt(dims(10, 1<<64-1)), "implausible"},
+		{"overflow", corrupt(dims(1<<62, 1<<62)), "implausible"},
 	}
 	for _, tc := range cases {
-		if _, err := ParseHeader(tc.b); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, _, _, err := parsePrefix(tc.b); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.want)
 		}
 	}
 }
 
-func crcOf(b []byte) uint32 {
-	return crc32.ChecksumIEEE(b[:56])
-}
-
+// TestParseHeaderClampsTileRows: a panel taller than the file is cut
+// to its rows, at the default budget and at one far above it.
 func TestParseHeaderClampsTileRows(t *testing.T) {
-	b, err := EncodeHeader(Header{Rows: 5, Cols: 3, TileRows: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := ParseHeader(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.TileRows != 5 || h.Tiles() != 1 {
-		t.Fatalf("clamp: TileRows=%d Tiles=%d, want 5, 1", h.TileRows, h.Tiles())
+	d := testMatrix(t, 5, 3)
+	for _, tileRows := range []int{0, 100} {
+		f := openTile(t, writeTempTile(t, d, tileRows))
+		if h := f.Header(); h.TileRows != 5 || f.Tiles() != 1 {
+			t.Fatalf("tileRows %d: TileRows=%d Tiles=%d, want 5, 1", tileRows, h.TileRows, f.Tiles())
+		}
 	}
 }
 
@@ -187,7 +212,11 @@ func TestReverseBytes(t *testing.T) {
 
 func TestOpenRejectsWrongLength(t *testing.T) {
 	d := testMatrix(t, 10, 4)
-	path := writeTempTile(t, d, 3)
+	path := writeTempTile(t, d, 3).path
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Trailing garbage.
 	fh, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
@@ -196,22 +225,56 @@ func TestOpenRejectsWrongLength(t *testing.T) {
 	}
 	fh.Write([]byte{1, 2, 3})
 	fh.Close()
-	if _, err := Open(path); err == nil || !strings.Contains(err.Error(), "trailing garbage") {
+	if _, err := Open(path, 0); err == nil || !strings.Contains(err.Error(), "trailing garbage") {
 		t.Fatalf("trailing garbage: err = %v", err)
 	}
 
 	// Truncation.
-	if err := os.Truncate(path, HeaderSize+10*4*8-8); err != nil {
+	if err := os.Truncate(path, st.Size()-8); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(path); err == nil {
-		t.Fatal("truncated file opened cleanly")
+	if _, err := Open(path, 0); err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("truncated file: err = %v", err)
+	}
+}
+
+// TestTileFileRefusesEveryBitFlip flips each bit of a small tile file
+// in turn: Open must refuse every one, and a flip in the payload or the
+// CRC trailer must be refused by the CRC. Without a CRC over the
+// payload, a flipped payload bit opens and a fit factorizes another
+// matrix with no error.
+func TestTileFileRefusesEveryBitFlip(t *testing.T) {
+	path := writeTempTile(t, testMatrix(t, 24, 5), 4).path
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := len(good) - 24*5*8 - 4
+	for off := range good {
+		for bit := 0; bit < 8; bit++ {
+			bad := append([]byte(nil), good...)
+			bad[off] ^= 1 << bit
+			if err := os.WriteFile(path, bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			f, err := Open(path, 0)
+			switch {
+			case err == nil:
+				f.Close()
+				t.Fatalf("bit %d of byte %d flipped: tile file opened", bit, off)
+			case off >= payload && !errors.Is(err, store.ErrChecksum):
+				t.Fatalf("bit %d of payload or trailer byte %d flipped: err = %v, want store.ErrChecksum", bit, off, err)
+			}
+		}
 	}
 }
 
 func TestWriterRowCountEnforced(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "short.hpt")
-	w, err := Create(path, 4, 3, 2)
+	if _, err := Create(path, 4, 3, 2); err == nil || !strings.Contains(err.Error(), "tileRows 2") {
+		t.Fatalf("Create with a panel height: err = %v, want one naming tileRows 2", err)
+	}
+	w, err := Create(path, 4, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +283,7 @@ func TestWriterRowCountEnforced(t *testing.T) {
 		t.Fatalf("short close: err = %v", err)
 	}
 
-	w, err = Create(path, 2, 3, 2)
+	w, err = Create(path, 2, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,24 +368,39 @@ func TestPipelineStreamsPasses(t *testing.T) {
 	}
 }
 
+// TestTileRowsForBudget: PanelRows gives the tallest panel whose
+// DefaultDepth+1 copies fit the budget, capped at the default height,
+// and refuses a budget that cannot hold one row per copy.
 func TestTileRowsForBudget(t *testing.T) {
-	r, err := TileRowsForBudget(1000, 2, 3*1000*8*10)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		cols   int
+		budget int64
+		want   int
+	}{
+		{1000, 3 * 1000 * 8 * 10, 10},
+		{1000, 3*1000*8*11 - 1, 10},
+		{20, 6000, 12},
+		{3200, 4 << 20, 54},
+		{3200, 1 << 40, (8 << 20) / (3200 * 8)},
+	} {
+		if got, err := PanelRows(tc.cols, tc.budget); err != nil || got != tc.want {
+			t.Errorf("PanelRows(%d, %d) = %d, %v; want %d", tc.cols, tc.budget, got, err, tc.want)
+		}
 	}
-	if r != 10 {
-		t.Fatalf("TileRowsForBudget = %d, want 10", r)
-	}
-	if _, err := TileRowsForBudget(1000, 2, 100); err == nil {
-		t.Fatal("impossible budget accepted")
+	if _, err := PanelRows(1000, 3*1000*8-1); err == nil {
+		t.Fatal("a budget below three one-row panels accepted")
 	}
 }
 
+// TestDefaultTileRows: with no budget PanelRows gives ~8 MiB panels,
+// and at least one row however wide the matrix.
 func TestDefaultTileRows(t *testing.T) {
-	if r := DefaultTileRows(1 << 30); r != 1 {
-		t.Fatalf("huge width: %d, want 1", r)
-	}
-	if r := DefaultTileRows(1024); r != (8<<20)/(1024*8) {
-		t.Fatalf("DefaultTileRows(1024) = %d", r)
+	for _, budget := range []int64{0, -1} {
+		if r, err := PanelRows(1<<30, budget); err != nil || r != 1 {
+			t.Fatalf("huge width: %d, %v; want 1", r, err)
+		}
+		if r, err := PanelRows(1024, budget); err != nil || r != (8<<20)/(1024*8) {
+			t.Fatalf("PanelRows(1024, %d) = %d, %v", budget, r, err)
+		}
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"math/bits"
 	"os"
 	"unsafe"
+
+	"hpcnmf/internal/store"
 )
 
 // hostLittleEndian reports whether this machine's float64 layout
@@ -21,47 +23,67 @@ var hostLittleEndian = func() bool {
 // File is an open tile file. ReadTile reads one tile into a caller's
 // buffer; use NewPipeline to stream tiles with prefetch.
 type File struct {
-	path string
-	hdr  Header
-	f    *os.File
+	path    string
+	hdr     Header
+	f       *os.File
+	payload int64 // offset of the matrix's first element
 }
 
-// Open opens a tile file. The header is validated (magic, CRC,
-// version, shape) and the file length must match the header exactly —
-// a truncated or trailing-garbage file is rejected here, before any
-// tile is read.
-func Open(path string) (*File, error) {
+// Open opens a tile file and checks all of it before any tile is read:
+// the container magic, its header and version, the block's dims, the
+// exact file length — so truncation and trailing garbage are refused —
+// and the CRC-32C over every byte, streamed through a small buffer, so
+// a flipped bit anywhere is refused too (wrapping store.ErrChecksum).
+// budget, in bytes, sizes the row panels (PanelRows): ≤ 0 picks
+// ~8 MiB ones.
+func Open(path string, budget int64) (*File, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	var hb [HeaderSize]byte
-	if _, err := f.ReadAt(hb[:], 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("ooc: reading tile header of %s: %w", path, err)
-	}
-	h, err := ParseHeader(hb[:])
-	if err != nil {
+	file := &File{path: path, f: f}
+	if err := file.check(budget); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("ooc: %s: %w", path, err)
 	}
-	st, err := f.Stat()
+	return file, nil
+}
+
+// check validates the open file and sets its header and payload
+// offset.
+func (f *File) check(budget int64) error {
+	st, err := f.f.Stat()
 	if err != nil {
-		f.Close()
-		return nil, err
+		return err
 	}
-	if st.Size() != h.FileSize() {
-		f.Close()
-		return nil, fmt.Errorf("ooc: %s is %d bytes, header implies exactly %d (truncated or trailing garbage)",
-			path, st.Size(), h.FileSize())
+	size := st.Size()
+	prefix := make([]byte, min(size, prefixBytes))
+	if _, err := f.f.ReadAt(prefix, 0); err != nil {
+		return err
 	}
-	return &File{path: path, hdr: h, f: f}, nil
+	rows, cols, payload, err := parsePrefix(prefix)
+	if err != nil {
+		return err
+	}
+	if want := int64(payload) + int64(rows)*int64(cols)*8 + 4; size != want {
+		return fmt.Errorf("%d bytes, its block implies exactly %d (truncated or trailing garbage)", size, want)
+	}
+	tileRows, err := PanelRows(cols, budget)
+	if err != nil {
+		return err
+	}
+	if err := store.CheckCRC(f.f, size, tileMagic); err != nil {
+		return err
+	}
+	f.hdr = Header{Rows: int64(rows), Cols: int64(cols), TileRows: int64(min(tileRows, rows))}
+	f.payload = int64(payload)
+	return nil
 }
 
 // Path returns the file's path.
 func (f *File) Path() string { return f.path }
 
-// Header returns the validated header.
+// Header returns the file's shape and panel height.
 func (f *File) Header() Header { return f.hdr }
 
 // Dims returns the matrix shape.
@@ -85,7 +107,7 @@ func (f *File) ReadTile(t int, dst []float64) ([]float64, error) {
 	r0, r1 := f.hdr.TileBounds(t)
 	dst = dst[:(r1-r0)*int(f.hdr.Cols)]
 	raw := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(dst))), len(dst)*8)
-	if _, err := f.f.ReadAt(raw, HeaderSize+int64(r0)*f.hdr.Cols*8); err != nil {
+	if _, err := f.f.ReadAt(raw, f.payload+int64(r0)*f.hdr.Cols*8); err != nil {
 		if errors.Is(err, io.EOF) {
 			err = io.ErrUnexpectedEOF
 		}

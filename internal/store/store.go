@@ -9,8 +9,8 @@
 // parent-directory fsync). Entries that fail validation on read are
 // quarantined — renamed aside, never silently served and never
 // blocking the rest of the manifest. The blob format is the package's
-// CRC-32C factor container (container.go), which core's checkpoints
-// use too, committed through the same ReplaceFile.
+// CRC-32C container (container.go), which core's checkpoints use too,
+// committed through the same ReplaceFile, and ooc's tile files.
 package store
 
 import (

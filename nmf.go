@@ -260,25 +260,30 @@ const TileBackendReaderAt = "readerat"
 // tile pipeline: tiles loaded ahead of the one being consumed.
 const DefaultTileDepth = ooc.DefaultDepth
 
-// OpenTiled opens a tile file. The header is CRC-validated and the
-// file length must match it exactly. Each tile is read with one ReadAt
-// into the prefetch pipeline's own buffers, so those buffers are all
-// the run keeps resident, and a file that shrinks mid-run is an error
-// wrapping io.ErrUnexpectedEOF.
-func OpenTiled(path string) (*TileFile, error) { return ooc.Open(path) }
+// OpenTiled opens a tile file and checks all of it first: the
+// container framing, the exact length and the CRC-32C over every
+// byte, so a flipped bit anywhere is refused here rather than
+// factorized. budget (bytes) sizes the row panels: the tallest whose
+// DefaultTileDepth+1 buffers fit it, ~8 MiB ones when budget ≤ 0, and
+// an error when it cannot hold that many one-row panels. Each tile is
+// read with one ReadAt into the prefetch pipeline's own buffers, so
+// those buffers are all the run keeps resident, and a file that
+// shrinks mid-run is an error wrapping io.ErrUnexpectedEOF.
+func OpenTiled(path string, budget int64) (*TileFile, error) { return ooc.Open(path, budget) }
 
-// OpenTiledBackend is OpenTiled for callers that still name the
-// reader: backend must be TileBackendReaderAt, and any other value is
-// an error.
+// OpenTiledBackend is OpenTiled(path, 0) for callers that still name
+// the reader: backend must be TileBackendReaderAt, and any other value
+// is an error.
 func OpenTiledBackend(path, backend string) (*TileFile, error) {
 	if backend != TileBackendReaderAt {
 		return nil, fmt.Errorf("hpcnmf: unknown tile backend %q (the one reader is %q)", backend, TileBackendReaderAt)
 	}
-	return ooc.Open(path)
+	return ooc.Open(path, 0)
 }
 
-// WriteTiled writes an in-core dense matrix as a tile file with
-// tileRows-row panels (≤ 0 picks a ~8 MiB default).
+// WriteTiled writes an in-core dense matrix as a tile file. The file
+// fixes no panel height — OpenTiled picks it from the reader's budget
+// — so tileRows must be ≤ 0; a positive value is an error.
 func WriteTiled(path string, d *Dense, tileRows int) error {
 	return ooc.WriteMatrix(path, d, tileRows)
 }

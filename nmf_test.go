@@ -145,7 +145,7 @@ func TestFacadeSaveLoadFactor(t *testing.T) {
 // one reader's name, and refuses any other naming the value it got.
 func TestFacadeOpenTiledBackend(t *testing.T) {
 	path := t.TempDir() + "/a.nmft"
-	if err := hpcnmf.WriteTiled(path, hpcnmf.NewDense(6, 2), 4); err != nil {
+	if err := hpcnmf.WriteTiled(path, hpcnmf.NewDense(6, 2), 0); err != nil {
 		t.Fatal(err)
 	}
 	f, err := hpcnmf.OpenTiledBackend(path, hpcnmf.TileBackendReaderAt)

@@ -106,8 +106,8 @@ var table = []mutant{
 	{
 		Name: "ooc-short-read-ignored",
 		File: "internal/ooc/reader.go",
-		From: "f.f.ReadAt(raw, HeaderSize+int64(r0)*f.hdr.Cols*8); err != nil {",
-		To:   "f.f.ReadAt(raw, HeaderSize+int64(r0)*f.hdr.Cols*8); false {",
+		From: "f.f.ReadAt(raw, f.payload+int64(r0)*f.hdr.Cols*8); err != nil {",
+		To:   "f.f.ReadAt(raw, f.payload+int64(r0)*f.hdr.Cols*8); false {",
 		Pkg:  "./internal/core",
 		Run:  "^TestOutOfCoreReadFailureSurfaces$",
 	},
@@ -118,5 +118,29 @@ var table = []mutant{
 		To:   "r1 = r0 + int(h.TileRows) - 1",
 		Pkg:  "./internal/ooc",
 		Run:  "^TestReadTileRoundTrip$",
+	},
+	{
+		Name: "ooc-open-skips-crc",
+		File: "internal/ooc/reader.go",
+		From: "store.CheckCRC(f.f, size, tileMagic); err != nil {",
+		To:   "store.CheckCRC(f.f, size, tileMagic); false {",
+		Pkg:  "./internal/ooc",
+		Run:  "^TestTileFileRefusesEveryBitFlip$",
+	},
+	{
+		Name: "reducescatter-offset-by-one",
+		File: "internal/mpi/coll.go",
+		From: "copy(out, data[offsets[c.rank]:offsets[c.rank]+counts[c.rank]])",
+		To:   "copy(out, data[offsets[c.rank]+1:offsets[c.rank]+counts[c.rank]])",
+		Pkg:  "./internal/mpi",
+		Run:  "^TestReduceScatter$",
+	},
+	{
+		Name: "wire-accepts-trailing-comma",
+		File: "internal/serve/wire.go",
+		From: "i = skipSpace(b, i+1)\n\t}\n}\n\n// scanNumber",
+		To:   "i = skipSpace(b, i+1)\n\t\tif i < len(b) && b[i] == ']' {\n\t\t\treturn s, i + 1, nil\n\t\t}\n\t}\n}\n\n// scanNumber",
+		Pkg:  "./internal/serve",
+		Run:  "^TestDecodeAgreesWithEncodingJSON$",
 	},
 }
