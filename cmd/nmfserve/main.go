@@ -175,7 +175,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		srv.Close()
 		return err
 	}
-	hs := &http.Server{Handler: handler}
+	hs := httpServer(handler)
 	fmt.Fprintf(stdout, "listening on %s\n", ln.Addr())
 
 	sigCh := make(chan os.Signal, 1)
@@ -207,4 +207,22 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	fmt.Fprintln(stdout, "drained, shutting down")
 	return nil
+}
+
+// A client gets readHeaderTimeout to send its request line and headers
+// and readTimeout for the whole request, body included: room for a
+// serve.MaxBodyBytes (32 MiB) body at about 280 KB/s. Without them a
+// client that trickles its headers holds a connection and a goroutine
+// for as long as it likes. Neither limits a response (net/http lifts
+// the read deadline once the body is read, so a job's progress stream
+// lasts as long as its fit); an idle keep-alive connection is closed
+// after readTimeout.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 2 * time.Minute
+)
+
+// httpServer is the server run listens with.
+func httpServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout}
 }

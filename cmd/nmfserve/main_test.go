@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -365,5 +366,46 @@ func TestServeEndToEnd(t *testing.T) {
 	// -log "serve=debug" routed component-tagged debug lines to stderr.
 	if got := errb.String(); !strings.Contains(got, "component=serve") {
 		t.Errorf("stderr has no serve-component log lines:\n%s", got)
+	}
+}
+
+// TestSlowHeadersCutOff: a client that sends its headers one byte at a
+// time, and so never finishes them, is disconnected once
+// readHeaderTimeout has passed, long before readTimeout would.
+func TestSlowHeadersCutOff(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httpServer(http.NotFoundHandler())
+	go hs.Serve(ln)
+	defer hs.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	start := time.Now()
+	closed := make(chan struct{})
+	go func() {
+		io.Copy(io.Discard, conn) // returns when the server hangs up
+		close(closed)
+	}()
+	// A request line, then a header line that outlasts the test.
+	head := "GET /healthz HTTP/1.1\r\nHost: localhost\r\nX-Slow: " + strings.Repeat("x", 1<<10)
+	for i := 0; ; i++ {
+		select {
+		case <-closed:
+			if took := time.Since(start); took < readHeaderTimeout-time.Second || took > readHeaderTimeout+3*time.Second {
+				t.Fatalf("cut off after %v, want just past readHeaderTimeout = %v", took, readHeaderTimeout)
+			}
+			return
+		case <-time.After(50 * time.Millisecond):
+		}
+		if time.Since(start) > readHeaderTimeout+3*time.Second {
+			t.Fatalf("still connected after %v of trickled headers (readHeaderTimeout %v)", time.Since(start), readHeaderTimeout)
+		}
+		conn.Write([]byte{head[i]})
 	}
 }

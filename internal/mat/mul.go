@@ -392,6 +392,17 @@ func ParGramTToWS(g, a *Dense, p *par.Pool, ws *Workspace) {
 	mirrorUpper(g)
 }
 
+// mirrorUpper copies the upper triangle of a square matrix into the
+// lower triangle.
+func mirrorUpper(g *Dense) {
+	k := g.Cols
+	for l := 1; l < k; l++ {
+		for j := 0; j < l; j++ {
+			g.Data[l*k+j] = g.Data[j*k+l]
+		}
+	}
+}
+
 // triangleBounds splits rows [0,k) of an upper-triangular update into
 // up to w contiguous ranges of roughly equal area (row l carries
 // weight k−l), so pool workers get balanced flop counts rather than

@@ -110,14 +110,3 @@ func RefGramT(a *Dense) *Dense {
 	mirrorUpper(g)
 	return g
 }
-
-// mirrorUpper copies the upper triangle of a square matrix into the
-// lower triangle.
-func mirrorUpper(g *Dense) {
-	k := g.Cols
-	for l := 1; l < k; l++ {
-		for j := 0; j < l; j++ {
-			g.Data[l*k+j] = g.Data[j*k+l]
-		}
-	}
-}

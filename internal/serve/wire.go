@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"net/http"
 	"strconv"
 	"strings"
@@ -213,38 +215,136 @@ func decodeArray[T any](b []byte, i int, s []T, elem func(dst *T, n, i int) (int
 	}
 }
 
-// scanNumber returns the offset past the JSON number at b[i] — exactly
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? — or -1.
-func scanNumber(b []byte, i int) int {
-	digits := func() bool {
-		start := i
-		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-			i++
-		}
-		return i > start
-	}
-	if i < len(b) && b[i] == '-' {
+// scanNumber parses the JSON number at b[i] — exactly
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? — in one pass and
+// returns its value and the offset past it, or end -1 if b[i] starts
+// no number. The digits are read as m·10^e with up to 19 significant
+// digits in m. With |e| ≤ maxExp10 the value is one correctly rounded
+// IEEE operation when m ≤ 2^53 (Clinger's fast path), and exactFloat's
+// integer arithmetic otherwise; a longer significand or a farther
+// exponent goes to strconv.ParseFloat, as in encoding/json. Either way
+// the value is the correctly rounded one, so it is Float64bits-equal
+// to encoding/json's, and what ParseFloat refuses (1e999) is an error.
+func scanNumber(b []byte, i int) (float64, int, error) {
+	start := i
+	neg := i < len(b) && b[i] == '-'
+	if neg {
 		i++
 	}
+	var m uint64
+	nd, e := 0, 0 // significant digits read into m; m's decimal exponent
 	if i < len(b) && b[i] == '0' {
 		i++
-	} else if !digits() {
-		return -1
+	} else if i < len(b) && '1' <= b[i] && b[i] <= '9' {
+		i, m, nd = readDigits(b, i, 0, 0)
+	} else {
+		return 0, -1, nil
 	}
 	if i < len(b) && b[i] == '.' {
-		if i++; !digits() {
-			return -1
+		if i++; i == len(b) || b[i]-'0' > 9 {
+			return 0, -1, nil
 		}
+		at := i
+		i, m, nd = readDigits(b, i, m, nd)
+		e = at - i
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
 			i++
 		}
-		if !digits() {
-			return -1
+		// x saturates where strconv's exponent does, so a number with
+		// thousands of zeros and a matching exponent converts the same.
+		x, at := 0, i
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			if x < 10000 {
+				x = x*10 + int(b[i]-'0')
+			}
+		}
+		if i == at {
+			return 0, -1, nil
+		}
+		if b[at-1] == '-' {
+			x = -x
+		}
+		e += x
+	}
+	var f float64
+	switch {
+	case nd == 0: // ±0 under any exponent
+	case nd > 19 || e < -maxExp10 || e > maxExp10:
+		v, err := strconv.ParseFloat(string(b[start:i]), 64)
+		return v, i, err
+	case m <= 1<<53 && e < 0:
+		f = float64(m) / pow10[-e]
+	case m <= 1<<53:
+		f = float64(m) * pow10[e]
+	default:
+		f = exactFloat(m, e)
+	}
+	if neg {
+		f = -f
+	}
+	return f, i, nil
+}
+
+// readDigits appends the digits at b[i] to m, counting the significant
+// ones (those from the first nonzero digit on) in nd.
+func readDigits(b []byte, i int, m uint64, nd int) (int, uint64, int) {
+	if m == 0 {
+		for i < len(b) && b[i] == '0' {
+			i++
 		}
 	}
-	return i
+	at := i
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		m = m*10 + uint64(b[i]-'0')
+	}
+	return i, m, nd + i - at
+}
+
+// maxExp10 bounds the decimal exponents scanNumber converts itself:
+// 10^k = 5^k·2^k is exact as a float64 while 5^k < 2^53, i.e. to k = 22.
+const maxExp10 = 22
+
+// pow5[k] = 5^k and pow10[k] = 10^k, both exact.
+var pow5, pow10 = func() (p5 [maxExp10 + 1]uint64, p10 [maxExp10 + 1]float64) {
+	p5[0], p10[0] = 1, 1
+	for k := 1; k <= maxExp10; k++ {
+		p5[k], p10[k] = 5*p5[k-1], 10*p10[k-1]
+	}
+	return p5, p10
+}()
+
+// exactFloat returns m·10^e rounded to nearest-even, for m > 2^53 and
+// |e| ≤ maxExp10. 10^e = 5^e·2^e with 5^e < 2^52, so m·5^e is one
+// 128-bit product, and m/5^-e one 128-by-64-bit division of m·2^s
+// with s chosen for a quotient of at least 63 bits: either way x holds
+// the leading bits of m·10^e = x·2^e2 exactly, and sticky records
+// whether anything nonzero lies below them.
+func exactFloat(m uint64, e int) float64 {
+	var x uint64
+	var e2 int
+	var sticky bool
+	if e >= 0 {
+		hi, lo := bits.Mul64(m, pow5[e])
+		s := bits.LeadingZeros64(hi)
+		x, sticky, e2 = hi<<s|lo>>(64-s), lo<<s != 0, e+64-s
+	} else {
+		d := pow5[-e]
+		s := 63 + bits.Len64(d) - bits.Len64(m)
+		q, r := bits.Div64(m>>(64-s), m<<s, d)
+		x, sticky, e2 = q, r != 0, e-s
+	}
+	s := bits.LeadingZeros64(x)
+	x, e2 = x<<s, e2-s
+	// Keep 53 of x's 64 bits and round on the other 11, ties to even.
+	mant, rest := x>>11, x&(1<<11-1)
+	if rest > 1<<10 || rest == 1<<10 && (sticky || mant&1 == 1) {
+		mant++
+	}
+	// mant·2^(e2+11) with mant in [2^52, 2^53]: its leading bit adds 1 to
+	// the exponent field, and a carry to 2^53 one more.
+	return math.Float64frombits(uint64(e2+1085)<<52 + mant)
 }
 
 // decodeFloats is decodeArray over numbers. written is how many leading
@@ -254,7 +354,7 @@ func scanNumber(b []byte, i int) int {
 // strconv.ParseFloat refuses (1e999) is an error: no Inf gets through.
 func decodeFloats(b []byte, i int, s []float64, written int) ([]float64, int, error) {
 	return decodeArray(b, i, s, func(dst *float64, n, i int) (int, error) {
-		end := scanNumber(b, i)
+		v, end, err := scanNumber(b, i)
 		if end < 0 {
 			if !bytes.HasPrefix(b[i:], []byte("null")) {
 				return 0, syntaxErr(b, i)
@@ -264,8 +364,7 @@ func decodeFloats(b []byte, i int, s []float64, written int) ([]float64, int, er
 			}
 			return i + 4, nil
 		}
-		var err error
-		*dst, err = strconv.ParseFloat(string(b[i:end]), 64)
+		*dst = v
 		return end, err
 	})
 }

@@ -143,4 +143,28 @@ var table = []mutant{
 		Pkg:  "./internal/serve",
 		Run:  "^TestDecodeAgreesWithEncodingJSON$",
 	},
+	{
+		Name: "exact-float-truncates",
+		File: "internal/serve/wire.go",
+		From: "mant++",
+		To:   "",
+		Pkg:  "./internal/serve",
+		Run:  "^TestScanNumber$",
+	},
+	{
+		Name: "clinger-range-23",
+		File: "internal/serve/wire.go",
+		From: "const maxExp10 = 22",
+		To:   "const maxExp10 = 23",
+		Pkg:  "./internal/serve",
+		Run:  "^TestScanNumber$",
+	},
+	{
+		Name: "read-header-timeout-unset",
+		File: "cmd/nmfserve/main.go",
+		From: "ReadHeaderTimeout: readHeaderTimeout, ",
+		To:   "",
+		Pkg:  "./cmd/nmfserve",
+		Run:  "^TestSlowHeadersCutOff$",
+	},
 }
