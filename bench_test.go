@@ -28,14 +28,14 @@ func BenchmarkAblationCollectives(b *testing.B) {
 				w := mpi.NewWorld(p)
 				w.Run(func(c *mpi.Comm) {
 					data := make([]float64, words)
+					counts := make([]int, p)
+					for j := range counts {
+						counts[j] = words
+					}
 					for rep := 0; rep < 8; rep++ {
 						if variant == "tree" {
-							c.AllGather(data)
+							c.AllGatherV(data, counts)
 						} else {
-							counts := make([]int, p)
-							for j := range counts {
-								counts[j] = words
-							}
 							c.AllGatherLinear(data, counts)
 						}
 					}
@@ -115,9 +115,10 @@ func BenchmarkAblationObjective(b *testing.B) {
 		// and two dots are extra.
 		wta := mat.MulAtB(w, d)
 		wtw := mat.Gram(w)
+		hg := mat.NewDense(k, k)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			hg := mat.GramT(h)
+			mat.ParGramTTo(hg, h, nil)
 			_ = normA2 - 2*mat.Dot(wta, h) + mat.Dot(wtw, hg)
 		}
 	})

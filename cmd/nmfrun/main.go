@@ -131,7 +131,7 @@ func parseFlags(args []string, stderr io.Writer) (*cli, error) {
 	fs.Float64Var(&c.tol, "tol", 0, "early-stop tolerance on relative-error decrease (0 = off)")
 	fs.Uint64Var(&c.seed, "seed", 42, "random seed")
 	fs.StringVar(&c.view, "view", "both", "breakdown view: modeled, measured, both")
-	fs.StringVar(&c.out, "out", "", "write factors to <out>.W and <out>.H (binary)")
+	fs.StringVar(&c.out, "out", "", "write factors to <out>.W and <out>.H (CRC-checked factor files that hpcnmf.LoadFactor reads)")
 	fs.StringVar(&c.trace, "trace", "", "write a Chrome trace_event JSON timeline (one track per rank)")
 	fs.StringVar(&c.report, "report", "", "write a machine-readable JSON run report")
 	fs.BoolVar(&c.metrics, "metrics", false, "collect and print the metrics registry snapshot")

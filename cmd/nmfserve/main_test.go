@@ -349,7 +349,12 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 
 	// -trace wrote a parseable Chrome trace with the request span chain.
-	tr, err := trace.ParseChromeFile(tracePath)
+	traceFile, err := os.Open(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer traceFile.Close()
+	tr, err := trace.ParseChrome(traceFile)
 	if err != nil {
 		t.Fatalf("parsing trace export: %v", err)
 	}

@@ -32,7 +32,7 @@ func writeArtifacts(t *testing.T, dir string) (promPath, tracePath string) {
 
 	sess := trace.NewSession(1, 16)
 	tc := sess.Tracer(0)
-	sp := tc.BeginChild(trace.SpanContext{TraceID: trace.NewTraceID()}, trace.CatRequest, "http.project")
+	sp := tc.BeginChildArg(trace.SpanContext{TraceID: trace.NewTraceID()}, trace.CatRequest, "http.project", "", 0)
 	inner := tc.Begin(trace.CatKernel, "NNLS")
 	time.Sleep(time.Millisecond)
 	inner.End()

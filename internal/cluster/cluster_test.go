@@ -36,6 +36,7 @@ type instance struct {
 	addr string
 	srv  *serve.Server
 	rt   *cluster.Router
+	topo *cluster.Topology // the ownership function its router was built with
 	hs   *http.Server
 }
 
@@ -77,7 +78,7 @@ func startInstance(t *testing.T, ln net.Listener, self string, peers []string, r
 	rtp.Store(rt)
 	hs := &http.Server{Handler: rt}
 	go hs.Serve(ln)
-	in := &instance{addr: self, srv: srv, rt: rt, hs: hs}
+	in := &instance{addr: self, srv: srv, rt: rt, topo: topo, hs: hs}
 	t.Cleanup(func() {
 		hs.Close()
 		srv.Close()
@@ -235,7 +236,7 @@ func TestClusterConformance(t *testing.T) {
 		for _, r := range []int{1, 2} {
 			t.Run(fmt.Sprintf("N%d_R%d", n, r), func(t *testing.T) {
 				ins := bootCluster(t, n, r, t.TempDir())
-				topo := ins[0].rt.Topology()
+				topo := ins[0].topo
 				// Several models so different instances get to own.
 				for mi := 0; mi < 3; mi++ {
 					id := fmt.Sprintf("conf-%d", mi)
@@ -283,7 +284,7 @@ func TestClusterConformance(t *testing.T) {
 // owner-direct 400 whichever instance takes it.
 func TestClusterFitRefusesBadShape(t *testing.T) {
 	ins := bootCluster(t, 3, 2, t.TempDir())
-	topo := ins[0].rt.Topology()
+	topo := ins[0].topo
 	for _, body := range []string{
 		`{"model":"wraps","rows":8589934592,"cols":2147483648,"data":[],"k":1}`,
 		`{"model":"wide","rows":2,"cols":3,"data":[1,2,3,4,5,6],"k":3}`,
@@ -328,7 +329,7 @@ func (b *spyBody) Read(p []byte) (int, error) {
 func TestForwardedRequestIsNotReadByTheRouter(t *testing.T) {
 	ins := bootCluster(t, 2, 1, t.TempDir())
 	fitAndWait(t, ins[0].addr, "fwd", 11)
-	owner := ins[0].rt.Topology().Owners("fwd")[0]
+	owner := ins[0].topo.Owners("fwd")[0]
 	body, err := json.Marshal(projBody("fwd", 5))
 	if err != nil {
 		t.Fatal(err)
@@ -645,7 +646,7 @@ func waitCommits(t *testing.T, c *committedSet, want int, timeout time.Duration)
 // store round-trip.
 func TestClusterReplicaFanOut(t *testing.T) {
 	ins := bootCluster(t, 3, 2, t.TempDir())
-	topo := ins[0].rt.Topology()
+	topo := ins[0].topo
 	id := "fanout-model"
 	fitAndWait(t, ins[0].addr, id, 7)
 	owners := topo.Owners(id)

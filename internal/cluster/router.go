@@ -111,9 +111,6 @@ func New(srv *serve.Server, opts Options) (*Router, error) {
 // ServeHTTP implements http.Handler.
 func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) { r.mux.ServeHTTP(w, req) }
 
-// Topology returns the router's ownership function.
-func (r *Router) Topology() *Topology { return r.topo }
-
 // Owns reports whether this instance is in id's replica set — the
 // serve.Options.WarmFilter for a clustered instance.
 func (r *Router) Owns(id string) bool { return r.topo.IsOwner(r.self, id) }

@@ -81,18 +81,6 @@ func (p *Projector) RefreshGram() {
 	mat.ParGramTo(p.gram, p.w, p.ctx.Pool)
 }
 
-// SetBasis swaps in a new basis of the same shape and refreshes the
-// Gram.
-func (p *Projector) SetBasis(w *mat.Dense) error {
-	if w.Rows != p.w.Rows || w.Cols != p.w.Cols {
-		return fmt.Errorf("core: projector basis is %dx%d, replacement is %dx%d",
-			p.w.Rows, p.w.Cols, w.Rows, w.Cols)
-	}
-	p.w = w
-	p.RefreshGram()
-	return nil
-}
-
 // ProjectInto solves H = argmin_{H≥0} ‖W·H − C‖_F into dst (k×c) for
 // cols (m×c). When resid is non-nil it must have length c and receives
 // each column's relative residual ‖cⱼ − W·hⱼ‖/‖cⱼ‖ (0 for a zero

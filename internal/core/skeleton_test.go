@@ -355,7 +355,7 @@ func TestObjectiveNeverIncreases(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					if v := kktViolation(mat.GramT(prev.H), mat.MulABt(prev.H, pr.d), res.W.T()); !(v <= 1e-8) {
+					if v := kktViolation(mat.Gram(prev.H.T()), mat.MulABt(prev.H, pr.d), res.W.T()); !(v <= 1e-8) {
 						t.Errorf("%s: the last W half-step misses the NNLS optimality conditions by %g", name, v)
 					}
 				}

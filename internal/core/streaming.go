@@ -200,11 +200,6 @@ func (s *Streaming) Len() int { return s.count }
 // slot maps logical column j (0 = oldest) to its ring slot.
 func (s *Streaming) slot(j int) int { return (s.head + j) % s.window }
 
-// Projector returns the projector holding the current basis — the
-// cheap project-only entry point the serving layer batches behind.
-// The basis it references is updated in place by refinement sweeps.
-func (s *Streaming) Projector() *Projector { return s.proj }
-
 // Factors returns (copies of) the current basis W (m×k) and window
 // coefficients H (k×Len), columns in age order (oldest first).
 func (s *Streaming) Factors() (w, h *mat.Dense) {

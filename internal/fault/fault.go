@@ -248,12 +248,3 @@ func (in *Injector) Injected() []Injection {
 	})
 	return out
 }
-
-// Reset clears the call counters and injection log so the injector can
-// arm a fresh run with the same rules.
-func (in *Injector) Reset() {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.calls = make(map[siteKey]int)
-	in.injected = nil
-}

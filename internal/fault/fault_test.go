@@ -75,16 +75,6 @@ func TestRuleMatching(t *testing.T) {
 	if len(got) != 1 || got[0] != (Injection{Rank: 1, Site: "AllReduce", Call: 2, Action: mpi.FaultKill}) {
 		t.Fatalf("Injected() = %v", got)
 	}
-
-	inj.Reset()
-	if len(inj.Injected()) != 0 {
-		t.Fatal("Reset did not clear the injection log")
-	}
-	// Occurrence counters restart too: call 2 matches again.
-	hook(1, "AllReduce")
-	if a, _ := hook(1, "AllReduce"); a != mpi.FaultKill {
-		t.Fatal("after Reset the occurrence counter did not restart")
-	}
 }
 
 func TestProbabilisticRuleIsDeterministic(t *testing.T) {

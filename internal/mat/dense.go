@@ -182,23 +182,6 @@ func (a *Dense) SetSubmatrix(r0, c0 int, b *Dense) {
 	}
 }
 
-// Scale multiplies every entry by s in place.
-func (a *Dense) Scale(s float64) {
-	for i := range a.Data {
-		a.Data[i] *= s
-	}
-}
-
-// Add accumulates b into a in place. Shapes must match.
-func (a *Dense) Add(b *Dense) {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic("mat: Add shape mismatch")
-	}
-	for i, v := range b.Data {
-		a.Data[i] += v
-	}
-}
-
 // Sub subtracts b from a in place. Shapes must match.
 func (a *Dense) Sub(b *Dense) {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
@@ -240,18 +223,6 @@ func Dot(a, b *Dense) float64 {
 	s := 0.0
 	for i, v := range a.Data {
 		s += v * b.Data[i]
-	}
-	return s
-}
-
-// Trace returns the trace of a square matrix.
-func (a *Dense) Trace() float64 {
-	if a.Rows != a.Cols {
-		panic("mat: Trace of non-square matrix")
-	}
-	s := 0.0
-	for i := 0; i < a.Rows; i++ {
-		s += a.At(i, i)
 	}
 	return s
 }

@@ -36,8 +36,8 @@ func ParseBlockHeader(b []byte) (rows, cols int, err error) {
 }
 
 // WriteBinary writes the matrix in a compact little-endian binary
-// format (magic, rows, cols, row-major float64 data) — the fast path
-// for checkpointing factor matrices between runs.
+// format (magic, rows, cols, row-major float64 data): the block format
+// every store container holds.
 func (a *Dense) WriteBinary(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(AppendBlockHeader(nil, a.Rows, a.Cols)); err != nil {
@@ -47,33 +47,6 @@ func (a *Dense) WriteBinary(w io.Writer) error {
 		return err
 	}
 	return bw.Flush()
-}
-
-// ReadBinary parses a matrix written by WriteBinary, leaving any
-// bytes that follow it unread (checkpoints concatenate two factors in
-// one stream). Use ReadBinaryStrict when the matrix should be the
-// whole stream.
-func ReadBinary(r io.Reader) (*Dense, error) {
-	d, _, err := readBinary(r)
-	return d, err
-}
-
-// ReadBinaryStrict parses a matrix written by WriteBinary and
-// requires the stream to end there: a corrupt file with trailing
-// bytes after the payload is an error instead of being silently
-// accepted.
-func ReadBinaryStrict(r io.Reader) (*Dense, error) {
-	d, br, err := readBinary(r)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		if err != nil {
-			return nil, fmt.Errorf("mat: checking for end of stream: %w", err)
-		}
-		return nil, fmt.Errorf("mat: trailing data after %dx%d matrix payload", d.Rows, d.Cols)
-	}
-	return d, nil
 }
 
 // CheckDims refuses a declared rows×cols shape that is negative, over
@@ -93,15 +66,18 @@ func CheckDims(r64, c64 int64) (rows, cols int, err error) {
 	return int(r64), int(c64), nil
 }
 
-func readBinary(r io.Reader) (*Dense, *bufio.Reader, error) {
+// ReadBinary parses a matrix written by WriteBinary, leaving any
+// bytes that follow it unread (checkpoints concatenate two factors in
+// one stream).
+func ReadBinary(r io.Reader) (*Dense, error) {
 	br := bufio.NewReader(r)
 	var hdr [BlockHeaderSize]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, nil, fmt.Errorf("mat: reading header: %w", err)
+		return nil, fmt.Errorf("mat: reading header: %w", err)
 	}
 	rows, cols, err := ParseBlockHeader(hdr[:])
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// Read incrementally so a corrupt header cannot force a huge
 	// allocation before any data has been validated: memory grows
@@ -112,11 +88,11 @@ func readBinary(r io.Reader) (*Dense, *bufio.Reader, error) {
 	for len(data) < total {
 		n := min(total-len(data), len(chunk))
 		if err := binary.Read(br, binary.LittleEndian, chunk[:n]); err != nil {
-			return nil, nil, fmt.Errorf("mat: reading data at element %d of %d: %w", len(data), total, err)
+			return nil, fmt.Errorf("mat: reading data at element %d of %d: %w", len(data), total, err)
 		}
 		data = append(data, chunk[:n]...)
 	}
-	return &Dense{Rows: rows, Cols: cols, Data: data}, br, nil
+	return &Dense{Rows: rows, Cols: cols, Data: data}, nil
 }
 
 // WriteMatrixMarket writes the matrix in MatrixMarket array format

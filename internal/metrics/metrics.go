@@ -98,30 +98,10 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) from the buckets:
-// the upper bound of the bucket where the cumulative count crosses
-// q·total, clamped to the exact observed [min, max]. Returns 0 with
-// no observations.
-func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.quantileLocked(q)
-}
-
+// quantileLocked estimates the q-quantile (0 ≤ q ≤ 1) from the
+// buckets: the upper bound of the bucket where the cumulative count
+// crosses q·total, clamped to the exact observed [min, max]. It
+// returns 0 with no observations. The caller holds h.mu.
 func (h *Histogram) quantileLocked(q float64) float64 {
 	if h.count == 0 {
 		return 0

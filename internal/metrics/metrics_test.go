@@ -38,46 +38,46 @@ func TestHistogramQuantiles(t *testing.T) {
 	for i := 1; i <= 1000; i++ {
 		h.Observe(float64(i) * 1e-3)
 	}
-	if h.Count() != 1000 {
-		t.Fatalf("count = %d", h.Count())
+	s := h.stats()
+	if s.Count != 1000 {
+		t.Fatalf("count = %d", s.Count)
 	}
-	if got, want := h.Sum(), 500.5; math.Abs(got-want) > 1e-9 {
+	if got, want := s.Sum, 500.5; math.Abs(got-want) > 1e-9 {
 		t.Fatalf("sum = %v, want %v", got, want)
 	}
-	for _, tc := range []struct{ q, want float64 }{
-		{0.5, 0.500}, {0.9, 0.900}, {0.99, 0.990},
+	for _, tc := range []struct{ q, got, want float64 }{
+		{0.5, s.P50, 0.500}, {0.9, s.P90, 0.900}, {0.99, s.P99, 0.990},
 	} {
-		got := h.Quantile(tc.q)
-		if got < tc.want*0.8 || got > tc.want*1.25 {
-			t.Fatalf("q%.2f = %v, want within ~20%% of %v", tc.q, got, tc.want)
+		if tc.got < tc.want*0.8 || tc.got > tc.want*1.25 {
+			t.Fatalf("q%.2f = %v, want within ~20%% of %v", tc.q, tc.got, tc.want)
 		}
 	}
 	// Extremes clamp to observed min/max.
-	if got := h.Quantile(0); got != 1e-3 {
+	if got := h.quantileLocked(0); got != 1e-3 {
 		t.Fatalf("q0 = %v, want min 1e-3", got)
 	}
-	if got := h.Quantile(1); got != 1.0 {
+	if got := h.quantileLocked(1); got != 1.0 {
 		t.Fatalf("q1 = %v, want max 1.0", got)
 	}
 }
 
 func TestHistogramEdgeCases(t *testing.T) {
 	var h Histogram
-	if got := h.Quantile(0.5); got != 0 {
+	if got := h.quantileLocked(0.5); got != 0 {
 		t.Fatalf("empty histogram quantile = %v, want 0", got)
 	}
 	h.Observe(-5) // clamped to 0
 	h.Observe(0)
-	if h.Count() != 2 || h.Sum() != 0 {
-		t.Fatalf("count=%d sum=%v after clamped observes", h.Count(), h.Sum())
+	if s := h.stats(); s.Count != 2 || s.Sum != 0 {
+		t.Fatalf("count=%d sum=%v after clamped observes", s.Count, s.Sum)
 	}
-	if got := h.Quantile(0.5); got != 0 {
+	if got := h.quantileLocked(0.5); got != 0 {
 		t.Fatalf("all-zero q50 = %v", got)
 	}
 	// A value beyond the top bucket still clamps to observed max.
 	h2 := &Histogram{}
 	h2.Observe(1e12)
-	if got := h2.Quantile(0.5); got != 1e12 {
+	if got := h2.quantileLocked(0.5); got != 1e12 {
 		t.Fatalf("overflow bucket q50 = %v, want clamp to max", got)
 	}
 }
@@ -101,7 +101,7 @@ func TestRegistryConcurrency(t *testing.T) {
 	if got := r.Counter("shared").Value(); got != 8000 {
 		t.Fatalf("shared counter = %d, want 8000", got)
 	}
-	if got := r.Histogram("lat").Count(); got != 8000 {
+	if got := r.Histogram("lat").stats().Count; got != 8000 {
 		t.Fatalf("histogram count = %d, want 8000", got)
 	}
 	snap := r.Snapshot()

@@ -96,12 +96,6 @@ func (c *Comm) AllReduce(data []float64) []float64 {
 	return c.bcast(0, c.reduce(data, CatAllReduce), CatAllReduce)
 }
 
-// AllGather concatenates equal-length contributions from all ranks, in
-// rank order. Cost: α·⌈log p⌉ + β·(p−1)/p·n (§2.3).
-func (c *Comm) AllGather(data []float64) []float64 {
-	return c.AllGatherV(data, uniformCounts(c.Size(), len(data)))
-}
-
 // AllGatherV concatenates variable-length contributions: rank i
 // contributes counts[i] words (len(data) must equal counts[rank]).
 // Every rank returns the full concatenation in rank order.

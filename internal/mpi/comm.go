@@ -3,7 +3,6 @@ package mpi
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"time"
 
 	"hpcnmf/internal/metrics"
@@ -52,22 +51,6 @@ func (c *Comm) Counters() *Counters { return c.world.counters[c.WorldRank()] }
 func (c *Comm) opBase() int {
 	c.seq++
 	return (int(c.id)*131071 + c.seq) * 4096
-}
-
-// userTag namespaces explicit point-to-point tags away from the tags
-// collectives generate internally.
-func (c *Comm) userTag(tag int) int { return 1<<30 + int(c.id)*131071 + tag }
-
-// Send sends data to communicator rank dst with a user tag. The data
-// is copied; the caller may reuse its buffer immediately.
-func (c *Comm) Send(dst, tag int, data []float64) {
-	c.world.send(c.WorldRank(), c.members[dst], c.userTag(tag), data, CatP2P)
-}
-
-// Recv blocks until a message with the given user tag arrives from
-// communicator rank src and returns its payload.
-func (c *Comm) Recv(src, tag int) []float64 {
-	return c.world.recv(c.members[src], c.WorldRank(), c.userTag(tag))
 }
 
 // send and recv are the internal primitives used by collectives; dst
@@ -199,47 +182,6 @@ func (c *Comm) Sub(members []int) *Comm {
 	return &Comm{world: c.world, rank: myNew, members: world, id: h.Sum32(), tracer: c.tracer}
 }
 
-// Split partitions the communicator by color, like MPI_Comm_split:
-// ranks with equal color form a new communicator, ordered by (key,
-// parent rank). The exchange of colors is a collective (an all-gather
-// charged to the Setup category, since communicator construction is
-// one-time cost outside the iteration loop).
-func (c *Comm) Split(color, key int) *Comm {
-	c.completeOutstanding() // Split's exchange bypasses beginColl
-	pairs := c.allGatherV([]float64{float64(color), float64(key)}, uniformCounts(c.Size(), 2), CatSetup)
-	type entry struct{ rank, key int }
-	var group []entry
-	for r := 0; r < c.Size(); r++ {
-		if int(pairs[2*r]) == color {
-			group = append(group, entry{rank: r, key: int(pairs[2*r+1])})
-		}
-	}
-	sort.Slice(group, func(i, j int) bool {
-		if group[i].key != group[j].key {
-			return group[i].key < group[j].key
-		}
-		return group[i].rank < group[j].rank
-	})
-	members := make([]int, len(group))
-	for i, g := range group {
-		members[i] = g.rank
-	}
-	return c.Sub(members)
-}
-
-// Abort tears the world down (MPI_Abort): the failure is recorded as a
-// RankFailedError attributed to this rank, every blocked rank unblocks
-// and fails with the same error, and the calling rank panics out of
-// its body immediately. cause may be nil (ErrAborted is used).
-func (c *Comm) Abort(cause error) {
-	if cause == nil {
-		cause = ErrAborted
-	}
-	err := &RankFailedError{Rank: c.WorldRank(), Site: "Abort", Err: cause}
-	c.world.recordFailure(c.WorldRank(), err)
-	panic(err)
-}
-
 // Barrier blocks until every rank in the communicator has entered it
 // (dissemination algorithm, ⌈log₂ p⌉ rounds).
 func (c *Comm) Barrier() {
@@ -255,15 +197,6 @@ func (c *Comm) Barrier() {
 		c.recv(src, base+step)
 		step++
 	}
-}
-
-// uniformCounts returns a counts slice of n entries all equal to size.
-func uniformCounts(n, size int) []int {
-	counts := make([]int, n)
-	for i := range counts {
-		counts[i] = size
-	}
-	return counts
 }
 
 // offsetsOf returns the exclusive prefix sums of counts plus the total.

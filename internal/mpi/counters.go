@@ -9,8 +9,7 @@ import "fmt"
 type Category int
 
 const (
-	CatP2P Category = iota
-	CatBarrier
+	CatBarrier Category = iota
 	CatBcast
 	CatReduce
 	CatGather
@@ -25,8 +24,6 @@ const (
 // String returns the display name used in reports.
 func (c Category) String() string {
 	switch c {
-	case CatP2P:
-		return "P2P"
 	case CatBarrier:
 		return "Barrier"
 	case CatBcast:
@@ -97,9 +94,6 @@ func (c *Counters) Total() Traffic {
 	}
 	return t
 }
-
-// Reset zeroes all counters.
-func (c *Counters) Reset() { c.byCat = [numCategories]Traffic{} }
 
 // Snapshot returns a copy of the current counter state.
 func (c *Counters) Snapshot() *Counters {

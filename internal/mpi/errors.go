@@ -17,8 +17,6 @@ var (
 	// per-collective deadline — the failure mode MPI surfaces as a
 	// hang, here converted into a typed, attributable error.
 	ErrDeadline = errors.New("communication deadline exceeded")
-	// ErrAborted marks a world torn down by Comm.Abort.
-	ErrAborted = errors.New("aborted")
 )
 
 // RankFailedError reports the death of one rank to the rest of the
@@ -34,8 +32,8 @@ type RankFailedError struct {
 	// Site names the collective call-site where the failure struck
 	// (e.g. "AllReduce call 3" or "recv tag 17 from rank 2").
 	Site string
-	// Err is the underlying cause: ErrInjectedKill, ErrDeadline,
-	// ErrAborted, or the recovered panic value of the failed rank.
+	// Err is the underlying cause: ErrInjectedKill, ErrDeadline, or
+	// the recovered panic value of the failed rank.
 	Err error
 }
 

@@ -51,7 +51,7 @@ func TestNonblockingOverlapsCompute(t *testing.T) {
 	w.SetMetrics(reg)
 	w.Run(func(c *Comm) {
 		data := []float64{float64(c.Rank())}
-		req := c.IAllGatherV(data, uniformCounts(p, 1))
+		req := c.IAllGatherV(data, splitCounts(p, p))
 		time.Sleep(20 * time.Millisecond) // "compute"
 		got := req.Wait()
 		for r := 0; r < p; r++ {
@@ -86,7 +86,7 @@ func TestNonblockingOverlapsCompute(t *testing.T) {
 func TestDoubleWaitIsIdempotent(t *testing.T) {
 	w := NewWorld(3)
 	w.Run(func(c *Comm) {
-		req := c.IAllGatherV([]float64{float64(c.Rank())}, uniformCounts(3, 1))
+		req := c.IAllGatherV([]float64{float64(c.Rank())}, splitCounts(3, 3))
 		first := req.Wait()
 		second := req.Wait()
 		if &first[0] != &second[0] {
@@ -102,7 +102,7 @@ func TestDoubleWaitIsIdempotent(t *testing.T) {
 func TestDroppedHandleDrainedByNextCollective(t *testing.T) {
 	w := NewWorld(4)
 	w.Run(func(c *Comm) {
-		c.IAllGatherV([]float64{float64(c.Rank())}, uniformCounts(4, 1)) // dropped
+		c.IAllGatherV([]float64{float64(c.Rank())}, splitCounts(4, 4)) // dropped
 		sum := c.AllReduce([]float64{1})
 		if sum[0] != 4 {
 			t.Errorf("rank %d: AllReduce after dropped handle = %v", c.Rank(), sum[0])
@@ -115,7 +115,7 @@ func TestDroppedHandleDrainedByNextCollective(t *testing.T) {
 func TestDroppedHandleDrainedAtRunEnd(t *testing.T) {
 	w := NewWorld(4)
 	w.Run(func(c *Comm) {
-		c.IAllGatherV([]float64{float64(c.Rank())}, uniformCounts(4, 1))
+		c.IAllGatherV([]float64{float64(c.Rank())}, splitCounts(4, 4))
 	})
 }
 
@@ -125,7 +125,7 @@ func TestDroppedHandleDrainedAtRunEnd(t *testing.T) {
 func TestLateWaitAfterInterveningCollective(t *testing.T) {
 	w := NewWorld(4)
 	w.Run(func(c *Comm) {
-		req := c.IAllGatherV([]float64{float64(c.Rank())}, uniformCounts(4, 1))
+		req := c.IAllGatherV([]float64{float64(c.Rank())}, splitCounts(4, 4))
 		c.Barrier() // drains the outstanding request internally
 		got := req.Wait()
 		for r := 0; r < 4; r++ {
@@ -158,7 +158,7 @@ func TestNonblockingOnSubComms(t *testing.T) {
 	w.Run(func(c *Comm) {
 		row := c.Rank() / 3
 		rc := c.Sub([]int{row * 3, row*3 + 1, row*3 + 2})
-		req := rc.IAllGatherV([]float64{float64(c.Rank())}, uniformCounts(3, 1))
+		req := rc.IAllGatherV([]float64{float64(c.Rank())}, splitCounts(3, 3))
 		got := req.Wait()
 		for i := 0; i < 3; i++ {
 			if got[i] != float64(row*3+i) {
@@ -205,7 +205,7 @@ func TestNonblockingSequentialRequests(t *testing.T) {
 	w := NewWorld(p)
 	w.Run(func(c *Comm) {
 		for i := 0; i < rounds; i++ {
-			got := c.IAllGatherV([]float64{float64(c.Rank()*rounds + i)}, uniformCounts(p, 1)).Wait()
+			got := c.IAllGatherV([]float64{float64(c.Rank()*rounds + i)}, splitCounts(p, p)).Wait()
 			for r := 0; r < p; r++ {
 				if got[r] != float64(r*rounds+i) {
 					t.Fatalf("round %d: gathered[%d] = %v", i, r, got[r])

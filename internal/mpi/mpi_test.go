@@ -12,13 +12,15 @@ import (
 // Rabenseifner), the Bruck/pairwise fallbacks, and the trivial p=1.
 var sizes = []int{1, 2, 3, 4, 5, 7, 8, 12, 16}
 
+// TestSendRecv drives the point-to-point primitives every collective is
+// built from.
 func TestSendRecv(t *testing.T) {
 	w := NewWorld(2)
 	w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
-			c.Send(1, 7, []float64{1, 2, 3})
+			c.send(1, 7, []float64{1, 2, 3}, CatBcast)
 		} else {
-			got := c.Recv(0, 7)
+			got := c.recv(0, 7)
 			if len(got) != 3 || got[2] != 3 {
 				t.Errorf("Recv got %v", got)
 			}
@@ -31,12 +33,12 @@ func TestSendCopiesPayload(t *testing.T) {
 	w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
 			buf := []float64{42}
-			c.Send(1, 0, buf)
+			c.send(1, 0, buf, CatBcast)
 			buf[0] = 99 // must not affect the receiver
 			c.Barrier()
 		} else {
 			c.Barrier()
-			if got := c.Recv(0, 0); got[0] != 42 {
+			if got := c.recv(0, 0); got[0] != 42 {
 				t.Errorf("payload aliased: got %v", got[0])
 			}
 		}
@@ -111,7 +113,7 @@ func TestAllGather(t *testing.T) {
 	for _, p := range sizes {
 		w := NewWorld(p)
 		w.Run(func(c *Comm) {
-			got := c.AllGather([]float64{float64(c.Rank()), float64(c.Rank() * 10)})
+			got := c.AllGatherV([]float64{float64(c.Rank()), float64(c.Rank() * 10)}, splitCounts(2*p, p))
 			if len(got) != 2*p {
 				t.Fatalf("p=%d: AllGather length %d", p, len(got))
 			}
@@ -239,27 +241,10 @@ func TestSubCommunicator(t *testing.T) {
 		if rc.Size() != 3 || rc.Rank() != c.Rank()%3 {
 			t.Errorf("Sub rank/size wrong: %d/%d", rc.Rank(), rc.Size())
 		}
-		got := rc.AllGather([]float64{float64(c.Rank())})
+		got := rc.AllGatherV([]float64{float64(c.Rank())}, splitCounts(3, 3))
 		for i, v := range got {
 			if v != float64(row*3+i) {
 				t.Errorf("sub-comm AllGather got %v", got)
-			}
-		}
-	})
-}
-
-func TestSplit(t *testing.T) {
-	w := NewWorld(6)
-	w.Run(func(c *Comm) {
-		color := c.Rank() % 2
-		sc := c.Split(color, c.Rank())
-		if sc.Size() != 3 {
-			t.Errorf("Split size %d", sc.Size())
-		}
-		got := sc.AllGather([]float64{float64(c.Rank())})
-		for i, v := range got {
-			if int(v) != color+2*i {
-				t.Errorf("Split group contents wrong: %v", got)
 			}
 		}
 	})
@@ -306,7 +291,7 @@ func TestCollectiveTrafficCounts(t *testing.T) {
 	w := NewWorld(p)
 	w.Run(func(c *Comm) {
 		data := make([]float64, n)
-		c.AllGather(data[:n/p])
+		c.AllGatherV(data[:n/p], splitCounts(n, p))
 		c.ReduceScatter(data, splitCounts(n, p))
 		c.AllReduce(data)
 	})
@@ -396,7 +381,7 @@ func TestBruckTrafficCounts(t *testing.T) {
 	const blockWords = 10
 	w := NewWorld(p)
 	w.Run(func(c *Comm) {
-		c.AllGather(make([]float64, blockWords))
+		c.AllGatherV(make([]float64, blockWords), splitCounts(p*blockWords, p))
 	})
 	for r, ctr := range w.Traffic() {
 		ag := ctr.Get(CatAllGather)
@@ -420,10 +405,6 @@ func TestCountersSnapshotDiff(t *testing.T) {
 	}
 	if tot := c.Total(); tot.Msgs != 5 || tot.Words != 150 {
 		t.Fatalf("Total = %+v", tot)
-	}
-	c.Reset()
-	if tot := c.Total(); tot.Msgs != 0 {
-		t.Fatal("Reset did not zero counters")
 	}
 }
 
@@ -506,7 +487,7 @@ func TestCollectivesPropertyRandomPayloads(t *testing.T) {
 				}
 			}
 			// AllGather = concatenation.
-			cat := c.AllGather(data)
+			cat := c.AllGatherV(data, splitCounts(p*n, p))
 			for r := 0; r < p; r++ {
 				for i := 0; i < n; i++ {
 					if cat[r*n+i] != val(r, i) {
@@ -552,7 +533,7 @@ func TestMismatchedScheduleDetected(t *testing.T) {
 	w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
 			c.Bcast(0, []float64{1})
-			c.Recv(1, 99) // blocks: rank 1 never sends tag 99
+			c.recv(1, 99) // blocks: rank 1 never sends tag 99
 		} else {
 			c.Barrier() // blocks: rank 0 never enters the barrier
 		}
@@ -578,15 +559,15 @@ func TestP2PInterleavedWithCollectives(t *testing.T) {
 	w := NewWorld(2)
 	w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
-			c.Send(1, 1, []float64{1})
-			c.Send(1, 2, []float64{2})
+			c.send(1, 1, []float64{1}, CatBcast)
+			c.send(1, 2, []float64{2}, CatBcast)
 			c.Barrier()
 		} else {
 			c.Barrier()
-			if got := c.Recv(0, 2); got[0] != 2 {
+			if got := c.recv(0, 2); got[0] != 2 {
 				t.Errorf("tag 2 payload %v", got[0])
 			}
-			if got := c.Recv(0, 1); got[0] != 1 {
+			if got := c.recv(0, 1); got[0] != 1 {
 				t.Errorf("tag 1 payload %v", got[0])
 			}
 		}

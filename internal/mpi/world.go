@@ -162,9 +162,6 @@ func (w *World) publishMetrics() {
 	}
 }
 
-// Size returns the number of ranks in the world.
-func (w *World) Size() int { return w.p }
-
 // Traffic returns the per-rank communication counters, indexed by
 // world rank. Valid after Run returns.
 func (w *World) Traffic() []*Counters { return w.counters }

@@ -131,9 +131,6 @@ func NewNormPipeline(f *File, depth int, norm bool) *Pipeline {
 	return p
 }
 
-// Depth returns the effective prefetch depth.
-func (p *Pipeline) Depth() int { return p.depth }
-
 // loader runs tiles 0..Tiles()-1 cyclically, forever, bounded by the
 // free-buffer tokens: it naturally prefetches the next pass's first
 // tiles while the consumer finishes the current pass. It exits on

@@ -80,9 +80,6 @@ func (f *File) check(budget int64) error {
 	return nil
 }
 
-// Path returns the file's path.
-func (f *File) Path() string { return f.path }
-
 // Header returns the file's shape and panel height.
 func (f *File) Header() Header { return f.hdr }
 

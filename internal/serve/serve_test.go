@@ -64,14 +64,15 @@ func projectCol(s *Server, model string, col []float64) (*projReq, error) {
 // parkedBatcher builds a batcher over the test basis whose loop has not
 // started: what is submitted stays queued until the test runs b.loop,
 // so queue states are set up exactly, with no clock involved.
-func parkedBatcher(t *testing.T, maxBatch, queueCap int) (*batcher, *serveMetrics) {
+func parkedBatcher(t *testing.T, maxBatch, queueCap int) (*batcher, *serveMetrics, *metrics.Registry) {
 	t.Helper()
 	proj, err := core.NewProjector(testBasis(24, 4, 1), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	met := newServeMetrics(metrics.NewRegistry())
-	return newBatcher(proj, maxBatch, queueCap, met, nil), met
+	reg := metrics.NewRegistry()
+	met := newServeMetrics(reg)
+	return newBatcher(proj, maxBatch, queueCap, met, nil), met, reg
 }
 
 func queueColumns(t *testing.T, b *batcher, n int) []*projReq {
@@ -101,16 +102,17 @@ func awaitAll(t *testing.T, reqs []*projReq) {
 // TestProjectBatchesConcurrentRequests: 32 columns queued while the
 // loop is busy (here: not yet started) are one stacked solve, not 32.
 func TestProjectBatchesConcurrentRequests(t *testing.T) {
-	b, met := parkedBatcher(t, 32, 128)
+	b, met, reg := parkedBatcher(t, 32, 128)
 	reqs := queueColumns(t, b, 32)
 	go b.loop()
 	awaitAll(t, reqs)
 	b.close()
-	if solves, cols := met.solves.Value(), met.batchCols.Sum(); solves != 1 || cols != 32 {
-		t.Fatalf("%d solves over %v columns, want exactly 1 solve of 32", solves, cols)
+	cols := reg.Snapshot().Histograms["serve.project.batch_columns"]
+	if solves := met.solves.Value(); solves != 1 || cols.Sum != 32 {
+		t.Fatalf("%d solves over %v columns, want exactly 1 solve of 32", solves, cols.Sum)
 	}
-	if met.batches.Value() != 1 || met.batchCols.Count() != 1 {
-		t.Errorf("batches = %d, batchCols observations = %d, want 1 and 1", met.batches.Value(), met.batchCols.Count())
+	if met.batches.Value() != 1 || cols.Count != 1 {
+		t.Errorf("batches = %d, batchCols observations = %d, want 1 and 1", met.batches.Value(), cols.Count)
 	}
 }
 
@@ -119,13 +121,13 @@ func TestProjectBatchesConcurrentRequests(t *testing.T) {
 // it is queued — the test would hang, not slow down, if the loop waited
 // for company.
 func TestLoneRequestNotDelayed(t *testing.T) {
-	b, met := parkedBatcher(t, 32, 128)
+	b, met, reg := parkedBatcher(t, 32, 128)
 	go b.loop()
 	for i := 0; i < 3; i++ {
 		awaitAll(t, queueColumns(t, b, 1))
 	}
 	b.close() // the loop records a batch after answering it
-	if solves, cols := met.solves.Value(), met.batchCols.Sum(); solves != 3 || cols != 3 {
+	if solves, cols := met.solves.Value(), reg.Snapshot().Histograms["serve.project.batch_columns"].Sum; solves != 3 || cols != 3 {
 		t.Fatalf("%d solves over %v columns, want 3 solves of 1", solves, cols)
 	}
 }
@@ -133,7 +135,7 @@ func TestLoneRequestNotDelayed(t *testing.T) {
 // TestCloseDrainsInflight verifies the drain-don't-drop shutdown
 // contract: every request accepted before close is answered.
 func TestCloseDrainsInflight(t *testing.T) {
-	b, met := parkedBatcher(t, 8, 20)
+	b, met, _ := parkedBatcher(t, 8, 20)
 	reqs := queueColumns(t, b, 20)
 	go b.loop()
 	b.close()
@@ -155,7 +157,7 @@ func TestCloseDrainsInflight(t *testing.T) {
 // instead of blocking, a multi-column submit is all-or-nothing, and the
 // HTTP path counts the rejection.
 func TestQueueBackpressure(t *testing.T) {
-	b, _ := parkedBatcher(t, 4, 4)
+	b, _, _ := parkedBatcher(t, 4, 4)
 	reqs := queueColumns(t, b, 3)
 	two := []*projReq{getReq(testColumn(24, 8)), getReq(testColumn(24, 9))}
 	if err := b.submit(two...); err != errBusy {

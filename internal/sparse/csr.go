@@ -131,51 +131,6 @@ func (a *CSR) At(i, j int) float64 {
 	return 0
 }
 
-// T returns the transpose as a new CSR matrix (a counting sort over
-// columns; O(nnz + rows + cols)).
-func (a *CSR) T() *CSR {
-	t := &CSR{Rows: a.Cols, Cols: a.Rows, RowPtr: make([]int, a.Cols+1)}
-	t.ColIdx = make([]int, a.NNZ())
-	t.Val = make([]float64, a.NNZ())
-	for _, c := range a.ColIdx {
-		t.RowPtr[c+1]++
-	}
-	for i := 0; i < t.Rows; i++ {
-		t.RowPtr[i+1] += t.RowPtr[i]
-	}
-	next := make([]int, t.Rows)
-	copy(next, t.RowPtr[:t.Rows])
-	for i := 0; i < a.Rows; i++ {
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			c := a.ColIdx[p]
-			q := next[c]
-			t.ColIdx[q] = i
-			t.Val[q] = a.Val[p]
-			next[c]++
-		}
-	}
-	return t
-}
-
-// SubmatrixRows returns rows [r0, r1) as a new CSR matrix.
-func (a *CSR) SubmatrixRows(r0, r1 int) *CSR {
-	if r0 < 0 || r1 < r0 || r1 > a.Rows {
-		panic(fmt.Sprintf("sparse: SubmatrixRows [%d,%d) of %d rows", r0, r1, a.Rows))
-	}
-	lo, hi := a.RowPtr[r0], a.RowPtr[r1]
-	b := &CSR{
-		Rows:   r1 - r0,
-		Cols:   a.Cols,
-		RowPtr: make([]int, r1-r0+1),
-		ColIdx: append([]int(nil), a.ColIdx[lo:hi]...),
-		Val:    append([]float64(nil), a.Val[lo:hi]...),
-	}
-	for i := r0; i <= r1; i++ {
-		b.RowPtr[i-r0] = a.RowPtr[i] - lo
-	}
-	return b
-}
-
 // Submatrix returns the block rows [r0,r1) × cols [c0,c1), with
 // column indices shifted to the block's local frame.
 func (a *CSR) Submatrix(r0, r1, c0, c1 int) *CSR {

@@ -69,28 +69,6 @@ func TestDenseRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTranspose(t *testing.T) {
-	a := randomCSR(20, 15, 0.2, 2)
-	at := a.T()
-	if at.Rows != 15 || at.Cols != 20 || at.NNZ() != a.NNZ() {
-		t.Fatalf("transpose shape/nnz wrong: %dx%d nnz=%d", at.Rows, at.Cols, at.NNZ())
-	}
-	if !at.ToDense().Equal(a.ToDense().T(), 0) {
-		t.Fatal("transpose values wrong")
-	}
-	if !a.T().T().Equal(a, 0) {
-		t.Fatal("double transpose not identity")
-	}
-}
-
-func TestSubmatrixRows(t *testing.T) {
-	a := randomCSR(10, 8, 0.3, 3)
-	b := a.SubmatrixRows(3, 7)
-	if !b.ToDense().Equal(a.ToDense().SubmatrixRows(3, 7), 0) {
-		t.Fatal("SubmatrixRows mismatch vs dense")
-	}
-}
-
 func TestSubmatrixBlock(t *testing.T) {
 	a := randomCSR(12, 9, 0.4, 4)
 	b := a.Submatrix(2, 9, 3, 8)

@@ -228,12 +228,19 @@ func TestSpMMStriped(t *testing.T) {
 }
 
 // TestCSCIndexRoundTrip checks the cached column-major index against
-// the transpose: same entries, ascending rows within each column.
+// the transpose, built from the swapped coordinates: same entries,
+// ascending rows within each column.
 func TestCSCIndexRoundTrip(t *testing.T) {
 	s := rng.New(55)
 	for _, tc := range skewCases(t) {
 		idx := tc.a.csc()
-		tr := tc.a.T()
+		var swapped []Coord
+		for i := 0; i < tc.a.Rows; i++ {
+			for p := tc.a.RowPtr[i]; p < tc.a.RowPtr[i+1]; p++ {
+				swapped = append(swapped, Coord{tc.a.ColIdx[p], i, tc.a.Val[p]})
+			}
+		}
+		tr := FromCoords(tc.a.Cols, tc.a.Rows, swapped)
 		if len(idx.colPtr) != tc.a.Cols+1 {
 			t.Fatalf("%s: colPtr length %d", tc.name, len(idx.colPtr))
 		}

@@ -48,9 +48,6 @@ func NewFS(dir string) (*FS, error) {
 	return &FS{dir: dir}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *FS) Dir() string { return s.dir }
-
 // SweepTemps removes the <name>.tmp-* files ReplaceFile staged in dir
 // for every name matching the glob pattern, left behind by writers
 // that crashed before their rename. Only committed files are ever

@@ -107,16 +107,6 @@ func (t *Trace) WriteChromeFile(path string) error {
 	return out.Close()
 }
 
-// ParseChromeFile reads a Chrome trace_event JSON file from path.
-func ParseChromeFile(path string) (*Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ParseChrome(f)
-}
-
 // ParseChrome reads a trace written by WriteChrome back into a Trace.
 // Metadata records are consumed for the rank count; durations are
 // restored to nanosecond precision.

@@ -76,7 +76,7 @@ func TestExplicitParentAndRoot(t *testing.T) {
 	// An external root (e.g. a parsed X-Trace-Id): the span takes both
 	// its parent and its trace from the context it is begun under.
 	root := SpanContext{TraceID: 42, SpanID: 7}
-	top := s.Tracer(1).BeginChild(root, CatPhase, "rooted")
+	top := s.Tracer(1).BeginChildArg(root, CatPhase, "rooted", "", 0)
 	top.End()
 
 	tr := s.Merge()
@@ -128,7 +128,7 @@ func TestNewTraceIDNonzeroAndDistinct(t *testing.T) {
 
 func TestChromeRoundTripPreservesSpanIdentity(t *testing.T) {
 	s := NewSession(1, 16)
-	outer := s.Tracer(0).BeginChild(SpanContext{TraceID: 0xabc}, CatPhase, "NLS")
+	outer := s.Tracer(0).BeginChildArg(SpanContext{TraceID: 0xabc}, CatPhase, "NLS", "", 0)
 	s.Tracer(0).BeginLeafArg(CatMPI, "allgather", "words", 16).End()
 	outer.End()
 	orig := s.Merge()
@@ -229,7 +229,7 @@ func TestImplicitChildInheritsExplicitTraceID(t *testing.T) {
 	s := NewSession(1, 0)
 	tc := s.Tracer(0)
 	req := SpanContext{TraceID: 0x77, SpanID: 0x3}
-	batch := tc.BeginChild(req, CatPhase, "batch")
+	batch := tc.BeginChildArg(req, CatPhase, "batch", "", 0)
 	solve := tc.Begin(CatPhase, "solve")
 	kernel := tc.Begin(CatKernel, "mul")
 	kernel.End()

@@ -147,14 +147,10 @@ func (t *Tracer) BeginArg(cat, name, argName string, arg int64) Span {
 	return t.begin(cat, name, argName, arg, SpanContext{}, false, true)
 }
 
-// BeginChild opens a span under an explicit parent (typically a span
-// context carried across goroutines or ranks) instead of the
-// tracer's own open stack.
-func (t *Tracer) BeginChild(parent SpanContext, cat, name string) Span {
-	return t.begin(cat, name, "", 0, parent, true, true)
-}
-
-// BeginChildArg is BeginChild with one named integer payload.
+// BeginChildArg opens a span under an explicit parent (typically a
+// span context carried across goroutines or ranks) instead of the
+// tracer's own open stack, carrying one named integer payload; an
+// empty argName carries none.
 func (t *Tracer) BeginChildArg(parent SpanContext, cat, name, argName string, arg int64) Span {
 	return t.begin(cat, name, argName, arg, parent, true, true)
 }

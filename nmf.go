@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
 	"hpcnmf/internal/core"
 	"hpcnmf/internal/costmodel"
@@ -38,6 +39,7 @@ import (
 	"hpcnmf/internal/perf"
 	"hpcnmf/internal/rng"
 	"hpcnmf/internal/sparse"
+	"hpcnmf/internal/store"
 	"hpcnmf/internal/trace"
 )
 
@@ -212,28 +214,43 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) { return sparse.ReadMatrixMarke
 // matrix.
 func ReadDenseMatrixMarket(r io.Reader) (*Dense, error) { return mat.ReadMatrixMarketArray(r) }
 
-// SaveFactor writes a factor matrix to path in the library's compact
-// binary format (checkpointing).
-func SaveFactor(path string, f *Dense) error {
-	out, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := f.WriteBinary(out); err != nil {
-		out.Close()
-		return err
-	}
-	return out.Close()
+// factorMagic names a factor file: a store container with one block.
+const factorMagic = "HPNMFF01"
+
+// factorHeader is a factor file's JSON header. It is constant, so equal
+// factors make byte-identical files.
+type factorHeader struct {
+	Version int `json:"version"`
 }
 
-// LoadFactor reads a factor matrix written by SaveFactor.
+// SaveFactor writes a factor matrix to path as a CRC-32C store
+// container holding one block. The file is replaced atomically: a
+// reader sees the old file or the new one, never a torn one.
+func SaveFactor(path string, f *Dense) error {
+	return store.ReplaceFile(filepath.Dir(path), filepath.Base(path), func(w io.Writer) error {
+		return store.WriteContainer(w, factorMagic, factorHeader{Version: 1}, f)
+	})
+}
+
+// LoadFactor reads a factor matrix written by SaveFactor. A file with
+// a flipped bit, or cut short, is refused; a flip past the header
+// wraps store.ErrChecksum.
 func LoadFactor(path string) (*Dense, error) {
-	in, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer in.Close()
-	return mat.ReadBinaryStrict(in)
+	var hdr factorHeader
+	blocks, err := store.DecodeContainer(data, factorMagic, &hdr, func() error {
+		if hdr.Version != 1 {
+			return fmt.Errorf("version %d, want 1", hdr.Version)
+		}
+		return nil
+	}, 1)
+	if err != nil {
+		return nil, fmt.Errorf("hpcnmf: factor file %s: %w", path, err)
+	}
+	return blocks[0], nil
 }
 
 // Run factorizes A ≈ W·H sequentially (ANLS, Algorithm 1).

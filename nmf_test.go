@@ -1,13 +1,19 @@
 package hpcnmf_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"hpcnmf"
 	"hpcnmf/internal/nnls"
+	"hpcnmf/internal/store"
 )
 
 func TestFacadeSequential(t *testing.T) {
@@ -121,22 +127,54 @@ func TestGenerateDatasetPanicsOnUnknown(t *testing.T) {
 	hpcnmf.GenerateDataset("nope", 1, 0)
 }
 
+// TestFacadeSaveLoadFactor: a saved factor file loads back equal, and
+// every damaged copy of it is refused: each single-bit flip and each
+// truncation. A flip past the container's header, and a cut that keeps
+// the header and four bytes more, wrap store.ErrChecksum.
 func TestFacadeSaveLoadFactor(t *testing.T) {
 	dir := t.TempDir()
 	w := hpcnmf.NewDense(4, 3)
 	w.Set(2, 1, 7.25)
-	path := dir + "/w.bin"
+	path := filepath.Join(dir, "w.bin")
 	if err := hpcnmf.SaveFactor(path, w); err != nil {
 		t.Fatal(err)
 	}
-	got, err := hpcnmf.LoadFactor(path)
+	good, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.At(2, 1) != 7.25 || got.Rows != 4 || got.Cols != 3 {
-		t.Fatal("factor round trip failed")
+	front := 8 + 4 + int(binary.LittleEndian.Uint32(good[8:])) // magic, header length, header
+	type input struct {
+		name             string
+		data             []byte
+		refused, crcFail bool
 	}
-	if _, err := hpcnmf.LoadFactor(dir + "/missing.bin"); err == nil {
+	inputs := []input{{name: "saved", data: good}}
+	for off := range good {
+		for bit := 0; bit < 8; bit++ {
+			bad := bytes.Clone(good)
+			bad[off] ^= 1 << bit
+			inputs = append(inputs, input{fmt.Sprintf("bit %d of byte %d flipped", bit, off), bad, true, off >= front})
+		}
+	}
+	for n := range good {
+		inputs = append(inputs, input{fmt.Sprintf("cut to %d bytes", n), good[:n], true, n >= front+4})
+	}
+	for _, in := range inputs {
+		if err := os.WriteFile(path, in.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := hpcnmf.LoadFactor(path)
+		switch {
+		case !in.refused && (err != nil || !got.Equal(w, 0)):
+			t.Fatalf("%s: factor round trip failed: %v", in.name, err)
+		case in.refused && err == nil:
+			t.Fatalf("%s: factor file accepted", in.name)
+		case in.crcFail && !errors.Is(err, store.ErrChecksum):
+			t.Fatalf("%s: err = %v, want store.ErrChecksum", in.name, err)
+		}
+	}
+	if _, err := hpcnmf.LoadFactor(filepath.Join(dir, "missing.bin")); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }

@@ -167,4 +167,12 @@ var table = []mutant{
 		Pkg:  "./cmd/nmfserve",
 		Run:  "^TestSlowHeadersCutOff$",
 	},
+	{
+		Name: "callers-counts-test-files",
+		File: "tools/callers/main.go",
+		From: `|| strings.HasSuffix(name, "_test.go") {`,
+		To:   "{",
+		Pkg:  "./tools/callers",
+		Run:  "^TestFixtureVerdicts$",
+	},
 }
