@@ -60,7 +60,8 @@ func BenchmarkAblationBPPGrouping(b *testing.B) {
 	for i := range bm.Data {
 		bm.Data[i] = s.Float64()*2 - 0.5
 	}
-	f := mat.MulAtB(c, bm)
+	f := mat.NewDense(k, r)
+	mat.ParMulAtBTo(f, c, bm, nil)
 	for _, grouping := range []bool{true, false} {
 		name := "grouped"
 		if !grouping {
@@ -113,7 +114,8 @@ func BenchmarkAblationObjective(b *testing.B) {
 	b.Run("byproduct", func(b *testing.B) {
 		// The iteration already owns WᵀA and WᵀW; only the Gram of H
 		// and two dots are extra.
-		wta := mat.MulAtB(w, d)
+		wta := mat.NewDense(k, n)
+		mat.ParMulAtBTo(wta, w, d, nil)
 		wtw := mat.Gram(w)
 		hg := mat.NewDense(k, k)
 		b.ResetTimer()

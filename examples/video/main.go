@@ -28,6 +28,10 @@ func main() {
 	// factorize on a 1D grid as the paper does for tall-skinny input.
 	ds := hpcnmf.GenerateDataset("video", 0.6, 99)
 	a := ds.Matrix
+	frameData, ok := hpcnmf.UnwrapDense(a)
+	if !ok {
+		log.Fatal("the video dataset is not dense")
+	}
 	m, n := a.Dims()
 	fmt.Printf("video matrix: %dx%d (every column is one RGB frame)\n", m, n)
 
@@ -48,7 +52,7 @@ func main() {
 	fmt.Println("per-frame foreground energy (residual after background removal):")
 	var energies []float64
 	for f := 0; f < n; f += n / 20 {
-		e := frameResidual(a, res.W, res.H, f)
+		e := frameResidual(frameData, res.W, res.H, f)
 		energies = append(energies, e)
 		bar := strings.Repeat("#", int(math.Min(60, e*4)))
 		fmt.Printf("  frame %3d: %7.2f %s\n", f, e, bar)
@@ -58,7 +62,7 @@ func main() {
 	// pixel energy, and the foreground should be sparse.
 	total, fg := 0.0, 0.0
 	for f := 0; f < n; f++ {
-		fg += frameResidual(a, res.W, res.H, f)
+		fg += frameResidual(frameData, res.W, res.H, f)
 	}
 	for _, e := range energies {
 		total += e
@@ -70,32 +74,16 @@ func main() {
 }
 
 // frameResidual computes ‖a_f − W·h_f‖² for one frame column f.
-func frameResidual(a hpcnmf.Matrix, w, h *hpcnmf.Dense, f int) float64 {
-	m, _ := a.Dims()
-	// Reconstruct column f: W (m×k) times h_f (k).
-	col := a.Block(0, m, f, f+1)
-	dense := colToSlice(col, m)
+func frameResidual(a, w, h *hpcnmf.Dense, f int) float64 {
 	res := 0.0
-	for i := 0; i < m; i++ {
+	for i := 0; i < a.Rows; i++ {
+		// Reconstruct pixel i of column f: row i of W times h_f.
 		rec := 0.0
 		for t := 0; t < w.Cols; t++ {
 			rec += w.At(i, t) * h.At(t, f)
 		}
-		d := dense[i] - rec
+		d := a.At(i, f) - rec
 		res += d * d
 	}
 	return res
-}
-
-// colToSlice extracts a single-column Matrix into a flat slice via
-// the MulHt identity A·[1]ᵀ = A for a 1×1 identity factor.
-func colToSlice(col hpcnmf.Matrix, m int) []float64 {
-	one := hpcnmf.NewDense(1, 1)
-	one.Set(0, 0, 1)
-	v := col.MulHt(one) // m×1
-	out := make([]float64, m)
-	for i := 0; i < m; i++ {
-		out[i] = v.At(i, 0)
-	}
-	return out
 }

@@ -118,40 +118,6 @@ func TestComputePathZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestMatrixProductsAgreeWithKernels: the Matrix interface's allocating
-// products — the fallback the *Into helpers use for a Matrix they do
-// not recognize — compute what the destination-writing kernels
-// compute, for both storage kinds.
-func TestMatrixProductsAgreeWithKernels(t *testing.T) {
-	const m, n, k = 23, 17, 4
-	w := mat.NewDense(m, k)
-	w.RandomUniform(rng.New(41))
-	h := mat.NewDense(k, n)
-	h.RandomUniform(rng.New(42))
-	for _, a := range []Matrix{
-		WrapDense(lowRankDense(m, n, k, 0.01, 43)),
-		WrapSparse(sparse.RandomER(m, n, 0.3, rng.New(44))),
-	} {
-		_, isSparse := UnwrapSparse(a)
-		if a.IsSparse() != isSparse {
-			t.Errorf("IsSparse() = %v for sparse=%v storage", a.IsSparse(), isSparse)
-		}
-		aht := mat.NewDense(m, k)
-		mulHtInto(aht, a, h, nil, nil)
-		if d := a.MulHt(h).MaxDiff(aht); d > 1e-12 {
-			t.Errorf("sparse=%v: MulHt differs from mulHtInto by %g", isSparse, d)
-		}
-		if d := a.MulBt(h.T()).MaxDiff(aht); d > 1e-12 {
-			t.Errorf("sparse=%v: MulBt differs from mulHtInto by %g", isSparse, d)
-		}
-		wta := mat.NewDense(k, n)
-		mulAtBInto(wta, a, w, nil, nil)
-		if d := a.MulAtB(w).MaxDiff(wta); d > 1e-12 {
-			t.Errorf("sparse=%v: MulAtB differs from mulAtBInto by %g", isSparse, d)
-		}
-	}
-}
-
 // TestKernelThreadsBitwiseEquivalent checks the contract the kernel
 // layer promises the drivers: every algorithm computes bitwise
 // identical factors and error histories regardless of KernelThreads.

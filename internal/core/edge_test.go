@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -311,5 +312,90 @@ func TestExplicitInitValidation(t *testing.T) {
 	neg.Set(0, 0, -1)
 	if _, err := RunSequential(a, Options{K: 2, InitW: neg}); err == nil {
 		t.Fatal("negative InitW accepted")
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		w0, h0 := mat.NewDense(10, 2), mat.NewDense(2, 8)
+		w0.Set(3, 1, v)
+		h0.Set(1, 5, v)
+		if _, err := RunSequential(a, Options{K: 2, InitW: w0}); err == nil {
+			t.Errorf("InitW holding %v accepted", v)
+		}
+		if _, err := RunSequential(a, Options{K: 2, InitH: h0}); err == nil {
+			t.Errorf("InitH holding %v accepted", v)
+		}
+	}
+}
+
+// errOrPanic runs an entry point and returns its error, or an error
+// naming the panic it raised.
+func errOrPanic(run func() (*Result, error)) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panicked: %v", r)
+		}
+	}()
+	_, err = run()
+	return err
+}
+
+// TestNonFiniteInputIsAnError: a NaN or +Inf entry in A, dense or CSR,
+// ends every entry point with an error that names the input as a
+// cause, never with a panic.
+func TestNonFiniteInputIsAnError(t *testing.T) {
+	const m, n = 16, 12
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		d := lowRankDense(m, n, 2, 0.01, 7)
+		d.Set(5, 3, bad)
+		var coords []sparse.Coord
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				coords = append(coords, sparse.Coord{Row: i, Col: j, Val: d.At(i, j)})
+			}
+		}
+		for _, a := range []Matrix{WrapDense(d), WrapSparse(sparse.FromCoords(m, n, coords))} {
+			_, isSparse := UnwrapSparse(a)
+			opts := Options{K: 2, MaxIter: 3, Seed: 1}
+			for name, run := range map[string]func() (*Result, error){
+				"seq":   func() (*Result, error) { return RunSequential(a, opts) },
+				"naive": func() (*Result, error) { return RunNaive(a, 2, opts) },
+				"hpc":   func() (*Result, error) { return RunHPC(a, grid.New(2, 2), opts) },
+			} {
+				if err := errOrPanic(run); err == nil || !strings.Contains(err.Error(), "NaN or ±Inf") {
+					t.Errorf("%s sparse=%v, A holding %v: err = %v, want the non-finite input named", name, isSparse, bad, err)
+				}
+			}
+		}
+	}
+}
+
+// TestSolverOutOfRangeIsAnError: a SolverKind that names no row of
+// nnls.Methods is refused by every entry point instead of indexing
+// past the table. A custom Update leaves Solver unread, so it is not
+// checked then.
+func TestSolverOutOfRangeIsAnError(t *testing.T) {
+	d := lowRankDense(16, 12, 2, 0.01, 7)
+	a := WrapDense(d)
+	f := openTileFile(t, writeTileFile(t, d, 4))
+	for _, kind := range []SolverKind{-1, SolverKind(len(nnls.Methods)), 99} {
+		opts := Options{K: 2, MaxIter: 2, Seed: 1, Solver: kind}
+		for name, run := range map[string]func() (*Result, error){
+			"seq":   func() (*Result, error) { return RunSequential(a, opts) },
+			"naive": func() (*Result, error) { return RunNaive(a, 2, opts) },
+			"hpc":   func() (*Result, error) { return RunHPC(a, grid.New(2, 2), opts) },
+			"auto":  func() (*Result, error) { return RunParallelAuto(a, 4, opts) },
+			"ooc":   func() (*Result, error) { return RunOutOfCore(f, 0, opts) },
+			"streaming": func() (*Result, error) {
+				_, err := NewStreaming(16, StreamingOptions{K: 2, Window: 4, Solver: kind})
+				return nil, err
+			},
+		} {
+			if err := errOrPanic(run); err == nil || !strings.Contains(err.Error(), "unknown solver") {
+				t.Errorf("%s with %v: err = %v, want an unknown-solver error", name, kind, err)
+			}
+		}
+		opts.Update = func() Updater { return nnls.NewBPP() }
+		if err := errOrPanic(func() (*Result, error) { return RunSequential(a, opts) }); err != nil {
+			t.Errorf("%v with a custom Update: %v", kind, err)
+		}
 	}
 }

@@ -37,7 +37,7 @@ const (
 
 // String returns the solver's display name, its row's name.
 func (k SolverKind) String() string {
-	if k < 0 || int(k) >= len(nnls.Methods) {
+	if !k.known() {
 		return fmt.Sprintf("SolverKind(%d)", int(k))
 	}
 	return nnls.Methods[k].Name
@@ -52,6 +52,9 @@ func ParseSolver(name string) (SolverKind, error) {
 
 // New instantiates the solver; sweeps applies to the inexact methods.
 func (k SolverKind) New(sweeps int) nnls.Solver { return nnls.Methods[k].New(sweeps) }
+
+// known reports whether k names a row of nnls.Methods.
+func (k SolverKind) known() bool { return k >= 0 && int(k) < len(nnls.Methods) }
 
 // Options configures an NMF run. The zero value is not valid; use
 // DefaultOptions or fill K at minimum.
@@ -205,8 +208,13 @@ func (o Options) withDefaults(m, n int) (Options, error) {
 	if o.InitH != nil && (o.InitH.Rows != o.K || o.InitH.Cols != n) {
 		return o, fmt.Errorf("core: InitH is %dx%d, want %dx%d", o.InitH.Rows, o.InitH.Cols, o.K, n)
 	}
-	if (o.InitW != nil && o.InitW.Min() < 0) || (o.InitH != nil && o.InitH.Min() < 0) {
-		return o, fmt.Errorf("core: explicit initial factors must be non-negative")
+	for _, f := range []*mat.Dense{o.InitW, o.InitH} {
+		if f != nil && (!f.IsFinite() || f.Min() < 0) {
+			return o, fmt.Errorf("core: explicit initial factors must be finite and non-negative")
+		}
+	}
+	if o.Update == nil && !o.Solver.known() {
+		return o, fmt.Errorf("core: unknown solver %v", o.Solver)
 	}
 	return o, nil
 }
@@ -397,11 +405,3 @@ func gradConverged(tolGrad, pgSq, refSq float64) bool {
 
 // gramFlops is the flop count of a k×k Gram product over c vectors.
 func gramFlops(c, k int) int64 { return int64(c) * int64(k) * int64(k+1) }
-
-// checkFactorSanity panics early (with a clear message) if a factor
-// went non-finite — the failure mode of a diverging solver.
-func checkFactorSanity(name string, f *mat.Dense) {
-	if !f.IsFinite() {
-		panic(fmt.Sprintf("core: factor %s became non-finite; the local NLS solver diverged", name))
-	}
-}

@@ -163,7 +163,7 @@ const (
 // projection path (serve and Streaming) and the streaming refinement
 // sweeps: it first runs the plain solve and, if the solver errors or
 // its iterate went non-finite (the divergence that the batch drivers
-// turn into a checkFactorSanity panic), retries on the Tikhonov-damped
+// return as an error), retries on the Tikhonov-damped
 // system (G + λI)·x = f with escalating λ. The damped copy of G is
 // drawn from the context workspace, so the common non-degenerate path
 // stays allocation-free.

@@ -39,7 +39,7 @@ type DatasetInfo struct {
 func DescribeMatrix(name string, a Matrix) DatasetInfo {
 	m, n := a.Dims()
 	storage := "dense"
-	if a.IsSparse() {
+	if _, ok := UnwrapSparse(a); ok {
 		storage = "sparse"
 	}
 	return DatasetInfo{Name: name, Rows: m, Cols: n, NNZ: int64(a.NNZ()), Storage: storage}

@@ -81,8 +81,8 @@ func (l *seqLayout) wHalf() error {
 // kernels that add each row's term to one running value per element,
 // so the panel boundaries leave no trace in the result (DESIGN
 // decision 15). A dense panel multiplies against H packed once per
-// pass; any other Matrix is the whole of A (productSource), so
-// overwriting wta is accumulating into it.
+// pass; a CSR A is never split into panels (productSource), so its one
+// panel is the whole of A and overwriting wta is accumulating into it.
 func (l *seqLayout) panel(a Matrix, r0 int) error {
 	rows, _ := a.Dims()
 	l.wRows = mat.Dense{Rows: rows, Cols: l.k, Data: l.w.Data[r0*l.k : (r0+rows)*l.k]}

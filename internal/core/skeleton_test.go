@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"hpcnmf/internal/grid"
@@ -314,7 +315,7 @@ func TestObjectiveNeverIncreases(t *testing.T) {
 		problem{"12x8 k=min(m,n)=8", lowRankDense(12, 8, 8, 0.01, 45), 8, degenerate, []int{1}})
 	const iters = 60
 	for _, pr := range problems {
-		zero := pr.d.Max() == 0
+		zero := slices.Max(pr.d.Data) == 0
 		for _, ep := range entryPoints(t, pr.d) {
 			for _, solver := range pr.solvers {
 				for _, sweeps := range pr.sweeps {
@@ -348,14 +349,18 @@ func TestObjectiveNeverIncreases(t *testing.T) {
 					// against the final W, and W against the H of the
 					// iteration before (the same run one iteration
 					// shorter).
-					if v := kktViolation(mat.Gram(res.W), mat.MulAtB(res.W, pr.d), res.H); !(v <= 1e-8) {
+					wta := mat.NewDense(pr.k, pr.d.Cols)
+					mat.ParMulAtBTo(wta, res.W, pr.d, nil)
+					if v := kktViolation(mat.Gram(res.W), wta, res.H); !(v <= 1e-8) {
 						t.Errorf("%s: the last H half-step misses the NNLS optimality conditions by %g", name, v)
 					}
 					prev, err := ep.run(Options{K: pr.k, MaxIter: iters - 1, Seed: 13, Solver: solver, Sweeps: sweeps, ComputeError: true})
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					if v := kktViolation(mat.Gram(prev.H.T()), mat.MulABt(prev.H, pr.d), res.W.T()); !(v <= 1e-8) {
+					hat := mat.NewDense(pr.k, pr.d.Rows)
+					mat.ParMulABtTo(hat, prev.H, pr.d, nil)
+					if v := kktViolation(mat.Gram(prev.H.T()), hat, res.W.T()); !(v <= 1e-8) {
 						t.Errorf("%s: the last W half-step misses the NNLS optimality conditions by %g", name, v)
 					}
 				}
@@ -373,8 +378,8 @@ func TestObjectiveNeverIncreases(t *testing.T) {
 // exactly and the violation is 0.
 func kktViolation(g, f, x *mat.Dense) float64 {
 	grad := mat.Mul(g, x)
-	xmax := max(x.Max(), -x.Min())
-	scale := max(g.Max(), -g.Min())*xmax + max(f.Max(), -f.Min())
+	xmax := max(slices.Max(x.Data), -x.Min())
+	scale := max(slices.Max(g.Data), -g.Min())*xmax + max(slices.Max(f.Data), -f.Min())
 	v := 0.0
 	for i, xi := range x.Data {
 		if !(xi >= 0) {

@@ -87,6 +87,9 @@ func NewStreaming(m int, opts StreamingOptions) (*Streaming, error) {
 	if m < opts.K {
 		return nil, fmt.Errorf("core: %d rows < rank %d", m, opts.K)
 	}
+	if !opts.Solver.known() {
+		return nil, fmt.Errorf("core: unknown solver %v", opts.Solver)
+	}
 	sweeps := opts.RefineSweeps
 	if sweeps < 0 {
 		sweeps = 0
@@ -174,8 +177,8 @@ func (s *Streaming) Push(cols *mat.Dense) error {
 
 	// Refinement: standard ANLS sweeps over the retained window,
 	// warm-started from the current factors. The rank-deficiency
-	// safeguard (solveDamped) replaces the batch drivers'
-	// checkFactorSanity panic: a degenerate window degrades into a
+	// safeguard (solveDamped) stands in for the batch drivers'
+	// non-finite-factor error: a degenerate window degrades into a
 	// damped solve or an error, never a panic.
 	for sweep := 0; sweep < s.sweeps; sweep++ {
 		mat.ParGramTToWS(s.hGram, s.h, nil, s.ws)

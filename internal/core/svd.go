@@ -10,8 +10,8 @@ import (
 
 // TruncatedSVD computes the top-k singular triplets of A: U (m×k),
 // sigma (descending), V (n×k) with A ≈ U·diag(sigma)·Vᵀ. It uses
-// subspace iteration on AᵀA (touching A only through the two products
-// the Matrix interface provides, so sparse inputs stay sparse)
+// subspace iteration on AᵀA (touching A only through the two data
+// products of the iteration, so sparse inputs stay sparse)
 // followed by a Rayleigh–Ritz projection with a dense Jacobi
 // eigensolver on the small k×k system.
 //
@@ -33,15 +33,18 @@ func TruncatedSVD(a Matrix, k, iters int, seed uint64) (u *mat.Dense, sigma []fl
 	}
 	mat.Orthonormalize(v)
 
+	av := mat.NewDense(m, k)
+	vta := mat.NewDense(k, n)
+	ws := mat.NewWorkspace()
 	for it := 0; it < iters; it++ {
 		// V ← orth(Aᵀ(A·V)).
-		av := a.MulBt(v)         // m×k
-		atav := a.MulAtB(av).T() // (k×n)ᵀ = n×k
-		v = atav
+		mulBtInto(av, a, v, ws, nil)    // m×k
+		mulAtBInto(vta, a, av, ws, nil) // k×n
+		vta.TTo(v)
 		mat.Orthonormalize(v)
 	}
 	// Rayleigh–Ritz: T = Vᵀ(AᵀA)V, eigendecompose, rotate.
-	av := a.MulBt(v)  // m×k
+	mulBtInto(av, a, v, ws, nil)
 	t := mat.Gram(av) // k×k = Vᵀ Aᵀ A V
 	vals, e, err := mat.SymEigen(t)
 	if err != nil {
@@ -163,19 +166,9 @@ func meanEntry(a Matrix) float64 {
 	if m == 0 || n == 0 {
 		return 0
 	}
-	if d, ok := UnwrapDense(a); ok {
-		sum := 0.0
-		for _, x := range d.Data {
-			sum += x
-		}
-		return sum / float64(m*n)
+	sum := 0.0
+	for _, x := range storedValues(a) {
+		sum += x
 	}
-	if s, ok := UnwrapSparse(a); ok {
-		sum := 0.0
-		for _, x := range s.Val {
-			sum += x
-		}
-		return sum / float64(m*n)
-	}
-	return 0
+	return sum / float64(m*n)
 }

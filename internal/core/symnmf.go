@@ -106,6 +106,8 @@ func RunSymNMFParallel(a Matrix, p int, opts SymOptions) (*SymResult, error) {
 		rank := c.Rank()
 		r0, r1 := grid.BlockRange(n, p, rank)
 		ai := a.Block(r0, r1, 0, n)
+		ao := mat.NewDense(r1-r0, k) // A_i·O for the full factor O at hand
+		ws := mat.NewWorkspace()
 		solver := nnls.NewBPP()
 		hi := initW(r1-r0, k, r0, opts.Seed)
 		wi := initW(r1-r0, k, r0, opts.Seed+1)
@@ -119,7 +121,8 @@ func RunSymNMFParallel(a Matrix, p int, opts SymOptions) (*SymResult, error) {
 			for i := 0; i < k; i++ {
 				g.Set(i, i, g.At(i, i)+alpha)
 			}
-			rhs := ai.MulBt(full).T()
+			mulBtInto(ao, ai, full, ws, nil)
+			rhs := ao.T()
 			oT := o.T()
 			for i := range rhs.Data {
 				rhs.Data[i] += alpha * oT.Data[i]
@@ -141,11 +144,11 @@ func RunSymNMFParallel(a Matrix, p int, opts SymOptions) (*SymResult, error) {
 			// Fit and the W≈H fusion test need one all-gather of the
 			// fresh H plus scalar all-reduces of the local partials.
 			hFull := &mat.Dense{Rows: n, Cols: k, Data: c.AllGatherV(hi.Data, rowCounts)}
-			ahi := ai.MulBt(hFull) // row block of A·H
+			mulBtInto(ao, ai, hFull, ws, nil) // row block of A·H
 			diff := wi.Clone()
 			diff.Sub(hi)
 			parts := c.AllReduce([]float64{
-				mat.Dot(ahi, hi),
+				mat.Dot(ao, hi),
 				diff.SquaredFrobeniusNorm(),
 				hi.SquaredFrobeniusNorm(),
 			})
@@ -174,21 +177,14 @@ func RunSymNMFParallel(a Matrix, p int, opts SymOptions) (*SymResult, error) {
 	return res, nil
 }
 
-// maxEntry returns the largest entry of a dense or CSR matrix. Any
-// other Matrix implementation exposes no entries to scan, so it is
-// assumed to be at unit scale.
+// maxEntry returns the largest stored entry of A, or 0 when none is
+// positive.
 func maxEntry(a Matrix) float64 {
-	if d, ok := UnwrapDense(a); ok {
-		return d.Max()
-	}
-	if s, ok := UnwrapSparse(a); ok {
-		m := 0.0
-		for _, v := range s.Val {
-			if v > m {
-				m = v
-			}
+	m := 0.0
+	for _, v := range storedValues(a) {
+		if v > m {
+			m = v
 		}
-		return m
 	}
-	return 1
+	return m
 }

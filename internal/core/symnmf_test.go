@@ -38,7 +38,8 @@ func TestSymNMFFitsSymmetricLowRank(t *testing.T) {
 	s := rng.New(3)
 	hstar := mat.NewDense(20, 3)
 	hstar.RandomUniform(s)
-	a := mat.MulABt(hstar, hstar)
+	a := mat.NewDense(20, 20)
+	mat.ParMulABtTo(a, hstar, hstar, nil)
 	res, err := RunSymNMF(WrapDense(a), SymOptions{K: 3, MaxIter: 300, Seed: 1, Tol: 1e-7})
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +52,8 @@ func TestSymNMFFitsSymmetricLowRank(t *testing.T) {
 		t.Fatal("H not non-negative")
 	}
 	// The symmetric reconstruction must match the reported error.
-	rec := mat.MulABt(res.H, res.H)
+	rec := mat.NewDense(20, 20)
+	mat.ParMulABtTo(rec, res.H, res.H, nil)
 	rec.Sub(a)
 	direct := rec.FrobeniusNorm() / a.FrobeniusNorm()
 	if math.Abs(direct-last) > 1e-8 {

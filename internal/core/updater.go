@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"hpcnmf/internal/mat"
 	"hpcnmf/internal/nnls"
 	"hpcnmf/internal/par"
@@ -64,7 +66,7 @@ func (o Options) updaterName() string {
 // updateEnv is the one code path of every factor update
 // (rankState.step's two calls): fold regularization in, time the
 // update under TaskNLS, return workspace temporaries, account flops and
-// solver inner iterations, and panic early if the iterate went
+// solver inner iterations, and refuse an iterate that went
 // non-finite. One env per rank goroutine, like the updater it owns.
 type updateEnv struct {
 	up  Updater
@@ -86,8 +88,8 @@ func newUpdateEnv(opts Options, ws *mat.Workspace, pool *par.Pool, led *rankBook
 
 // updateFactor runs one half-step's local update x ← up(gram, rhs, x)
 // with regularization (l2, l1) applied. which names the factor ("W",
-// "H") for the sanity check; the iterate may be stored transposed —
-// finiteness is layout-independent.
+// "H") in the error a non-finite iterate returns; the iterate may be
+// stored transposed — finiteness is layout-independent.
 func (e *updateEnv) updateFactor(which string, gram, rhs, x *mat.Dense, l2, l1 float64) error {
 	g, f, gTmp, fTmp := applyRegInto(e.ws, gram, rhs, l2, l1)
 	ps := e.led.Start(perf.TaskNLS)
@@ -100,7 +102,9 @@ func (e *updateEnv) updateFactor(which string, gram, rhs, x *mat.Dense, l2, l1 f
 	}
 	e.led.observeNLS(st)
 	ps = e.led.StartQuiet(perf.TaskOther)
-	checkFactorSanity(which, x)
+	if !x.IsFinite() {
+		err = fmt.Errorf("core: factor %s became non-finite: A holds a NaN or ±Inf entry, or the local NLS solver diverged", which)
+	}
 	e.led.Stop(ps, 0)
-	return nil
+	return err
 }

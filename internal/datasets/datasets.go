@@ -235,12 +235,12 @@ func searchCDF(cdf []float64, u float64) int {
 	return lo
 }
 
-// Dataset bundles a generated workload with its description.
+// Dataset bundles a generated workload with its name. The matrix
+// carries everything else: dims, stored entries and, through
+// core.UnwrapSparse, its storage kind.
 type Dataset struct {
 	Name   string
 	Matrix core.Matrix
-	// Sparse reports storage kind; M, N the dims; NNZ stored entries.
-	Sparse bool
 }
 
 // Scale selects dataset sizes: 1.0 reproduces the defaults used by
@@ -270,7 +270,7 @@ func ByName(name string, scale Scale, seed uint64) (Dataset, error) {
 		return Dataset{Name: "DSYN", Matrix: core.WrapDense(DSYN(m, n, seed))}, nil
 	case "ssyn":
 		m, n := scale.Dim(1728), scale.Dim(1152)
-		return Dataset{Name: "SSYN", Matrix: core.WrapSparse(SSYN(m, n, 0.01, seed)), Sparse: true}, nil
+		return Dataset{Name: "SSYN", Matrix: core.WrapSparse(SSYN(m, n, 0.01, seed))}, nil
 	case "video":
 		spec := DefaultVideo()
 		spec.Width = scale.Dim(spec.Width)
@@ -279,7 +279,7 @@ func ByName(name string, scale Scale, seed uint64) (Dataset, error) {
 		return Dataset{Name: "Video", Matrix: core.WrapDense(Video(spec, seed))}, nil
 	case "webbase":
 		nodes := scale.Dim(20000)
-		return Dataset{Name: "Webbase", Matrix: core.WrapSparse(Webbase(nodes, 3, seed)), Sparse: true}, nil
+		return Dataset{Name: "Webbase", Matrix: core.WrapSparse(Webbase(nodes, 3, seed))}, nil
 	case "bow":
 		spec := BagOfWordsSpec{
 			Vocab:  scale.Dim(6000),
@@ -290,7 +290,7 @@ func ByName(name string, scale Scale, seed uint64) (Dataset, error) {
 		if spec.Topics > spec.Vocab {
 			spec.Topics = spec.Vocab
 		}
-		return Dataset{Name: "BagOfWords", Matrix: core.WrapSparse(BagOfWords(spec, seed)), Sparse: true}, nil
+		return Dataset{Name: "BagOfWords", Matrix: core.WrapSparse(BagOfWords(spec, seed))}, nil
 	default:
 		return Dataset{}, fmt.Errorf("datasets: unknown dataset %q (want dsyn, ssyn, video, webbase, bow)", name)
 	}

@@ -1,6 +1,7 @@
 package datasets
 
 import (
+	"slices"
 	"testing"
 
 	"hpcnmf/internal/core"
@@ -56,8 +57,8 @@ func TestVideoStructure(t *testing.T) {
 	if a.Rows != m || a.Cols != 30 {
 		t.Fatalf("shape %dx%d, want %dx%d", a.Rows, a.Cols, m, 30)
 	}
-	if a.Min() < 0 || a.Max() > 1 {
-		t.Fatalf("pixel range [%v, %v] outside [0,1]", a.Min(), a.Max())
+	if a.Min() < 0 || slices.Max(a.Data) > 1 {
+		t.Fatalf("pixel range [%v, %v] outside [0,1]", a.Min(), slices.Max(a.Data))
 	}
 	// The scene must actually move: consecutive frames differ by more
 	// than noise alone, and the background keeps them correlated.
@@ -119,8 +120,8 @@ func TestByName(t *testing.T) {
 		if m < 8 || n < 8 {
 			t.Fatalf("%s: dims %dx%d too small", name, m, n)
 		}
-		if ds.Matrix.IsSparse() != ds.Sparse {
-			t.Fatalf("%s: sparse flag mismatch", name)
+		if _, sparse := core.UnwrapSparse(ds.Matrix); sparse != (name == "ssyn" || name == "webbase") {
+			t.Fatalf("%s: sparse = %v", name, sparse)
 		}
 	}
 	if _, err := ByName("nope", 1, 0); err == nil {
@@ -226,7 +227,7 @@ func TestByNameBagOfWords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ds.Sparse || ds.Name != "BagOfWords" {
+	if _, sparse := core.UnwrapSparse(ds.Matrix); !sparse || ds.Name != "BagOfWords" {
 		t.Fatalf("bow dataset malformed: %+v", ds)
 	}
 	if ds.Matrix.NNZ() == 0 {

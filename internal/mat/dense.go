@@ -248,17 +248,6 @@ func (a *Dense) Min() float64 {
 	return m
 }
 
-// Max returns the largest entry; -Inf for an empty matrix.
-func (a *Dense) Max() float64 {
-	m := math.Inf(-1)
-	for _, v := range a.Data {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // RandomUniform fills a with uniform [0,1) entries from stream s.
 func (a *Dense) RandomUniform(s *rng.Stream) {
 	for i := range a.Data {

@@ -18,6 +18,8 @@ func FuzzReadMatrixMarketArray(f *testing.F) {
 	f.Add("%%MatrixMarket matrix array real general\n1 2\n1\n")
 	f.Add("%%MatrixMarket matrix array real general\n% no size line\n")
 	f.Add("%%MatrixMarket matrix array real general\n4294967296 4294967297\n")
+	f.Add("%%MatrixMarket matrix array real general\n1 2\n1\nnan\n")
+	f.Add("%%MatrixMarket matrix array real general\n1 1\n+Inf\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		a, err := ReadMatrixMarketArray(strings.NewReader(input))
 		if err != nil {
@@ -28,6 +30,9 @@ func FuzzReadMatrixMarketArray(f *testing.F) {
 		}
 		if !hasSizeLine(input) {
 			t.Fatalf("accepted %q, which has no size line", input)
+		}
+		if !a.IsFinite() {
+			t.Fatalf("accepted %q, which holds a non-finite value", input)
 		}
 	})
 }

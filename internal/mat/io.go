@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -151,8 +152,8 @@ func MatrixMarketLine(sc *bufio.Scanner) (string, bool) {
 }
 
 // ReadMatrixMarketArray parses a MatrixMarket array-format dense
-// matrix. Values are collected as they are read, so a size line alone
-// allocates nothing.
+// matrix of finite values. Values are collected as they are read, so a
+// size line alone allocates nothing.
 func ReadMatrixMarketArray(r io.Reader) (*Dense, error) {
 	var r64, c64 int64
 	sc, err := ScanMatrixMarket(r, "array", &r64, &c64)
@@ -167,8 +168,8 @@ func ReadMatrixMarketArray(r io.Reader) (*Dense, error) {
 	vals := make([]float64, 0, min(total, 1<<16))
 	for line, ok := MatrixMarketLine(sc); ok; line, ok = MatrixMarketLine(sc) {
 		v, err := strconv.ParseFloat(line, 64)
-		if err != nil {
-			return nil, fmt.Errorf("mat: bad value %q: %w", line, err)
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("mat: bad value %q: want a finite number", line)
 		}
 		if len(vals) == total {
 			return nil, fmt.Errorf("mat: more than %d values in %dx%d array", total, rows, cols)

@@ -166,6 +166,8 @@ func TestMatrixMarketArrayRejects(t *testing.T) {
 		"%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n",      // too few values
 		"%%MatrixMarket matrix array real general\n1 1\n1\n2\n",         // too many
 		"%%MatrixMarket matrix array real general\n1 1\nxyz\n",          // bad value
+		"%%MatrixMarket matrix array real general\n1 2\n1\nNaN\n",       // not finite
+		"%%MatrixMarket matrix array real general\n1 1\n-Inf\n",         // not finite
 	}
 	for i, c := range cases {
 		if _, err := ReadMatrixMarketArray(strings.NewReader(c)); err == nil {

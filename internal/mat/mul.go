@@ -43,8 +43,7 @@ import (
 // Each in-place kernel is a Par* function taking a *par.Pool that
 // splits the output range across workers; the pool may be nil, which
 // runs the serial path inline (see internal/par). The unprefixed
-// functions (Mul, MulAtB, MulABt, Gram, GramT) allocate their result
-// and run with a nil pool.
+// functions (Mul, Gram) allocate their result and run with a nil pool.
 
 // parGrain is the minimum number of output rows (weighted by cost)
 // worth shipping to a pool worker; below 2·parGrain kernels run
@@ -130,17 +129,6 @@ func mulAddRange(c, a, b *Dense, i0, i1 int) {
 			Axpy(crow, b.Data[l*n:(l+1)*n], arow[l])
 		}
 	}
-}
-
-// MulAtB returns C = Aᵀ·B. Dimensions: (m×p)ᵀ·(m×n) → p×n.
-// Cost: 2·m·p·n flops.
-func MulAtB(a, b *Dense) *Dense {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("mat: MulAtB dimension mismatch %dx%d ᵀ· %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	c := NewDense(a.Cols, b.Cols)
-	ParMulAtBAddTo(c, a, b, nil)
-	return c
 }
 
 // ParMulAtBTo computes C = Aᵀ·B, overwriting c.
@@ -248,17 +236,6 @@ func mulAtBWindow(c []float64, a *Dense, l0, l1 int, b *Dense, j0, j1 int) {
 			Axpy(c[l*w:(l+1)*w], brow, arow[l])
 		}
 	}
-}
-
-// MulABt returns C = A·Bᵀ. Dimensions: (m×k)·(n×k)ᵀ → m×n.
-// Cost: 2·m·n·k flops.
-func MulABt(a, b *Dense) *Dense {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("mat: MulABt dimension mismatch %dx%d · %dx%dᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	c := NewDense(a.Rows, b.Rows)
-	ParMulABtTo(c, a, b, nil)
-	return c
 }
 
 // ParMulABtTo is ParMulABtToWS with a freshly allocated pack buffer.

@@ -162,6 +162,8 @@ func chunkCases(k, r int, seed uint64) []bppCase {
 	}
 	ones := mat.NewDense(k, r)
 	ones.Fill(1)
+	fc := mat.NewDense(k, r)
+	mat.ParMulAtBTo(fc, c, b, nil)
 
 	// Every seventh column all zero, chunk-boundary columns included.
 	fz := f.Clone()
@@ -183,7 +185,7 @@ func chunkCases(k, r int, seed uint64) []bppCase {
 	return []bppCase{
 		{"cold", g, f, nil},
 		{"warm", g, f, warm},
-		{"singular", mat.Gram(c), mat.MulAtB(c, b), ones},
+		{"singular", mat.Gram(c), fc, ones},
 		{"zerocols", g, fz, warm},
 		{"allpassive", g, f, ones},
 		{"negzerocols", g, fn, ones},
@@ -201,7 +203,8 @@ func powerLawCases(k, r int, seed uint64) []bppCase {
 	w.RandomUniform(rng.New(seed + 1))
 	warm := randomRHS(k, r, seed+2)
 	warm.ClampNonneg()
-	g, f := mat.Gram(w), mat.MulAtB(w, a)
+	g, f := mat.Gram(w), mat.NewDense(k, r)
+	mat.ParMulAtBTo(f, w, a, nil)
 	return []bppCase{{"powerlaw", g, f, nil}, {"powerlawwarm", g, f, warm}}
 }
 

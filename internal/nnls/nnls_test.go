@@ -23,7 +23,8 @@ func problem(m, k, r int, seed uint64) (g, f, c, b *mat.Dense) {
 		b.Data[i] = s.Float64()*2 - 0.5
 	}
 	g = mat.Gram(c)
-	f = mat.MulAtB(c, b)
+	f = mat.NewDense(c.Cols, b.Cols)
+	mat.ParMulAtBTo(f, c, b, nil)
 	return g, f, c, b
 }
 

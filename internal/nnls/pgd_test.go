@@ -1,6 +1,7 @@
 package nnls
 
 import (
+	"slices"
 	"testing"
 
 	"hpcnmf/internal/mat"
@@ -70,7 +71,7 @@ func TestPGDReactivatesZeros(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if xmu.Max() != 0 {
+	if slices.Max(xmu.Data) != 0 {
 		t.Fatal("MU escaped the zero fixed point (unexpected)")
 	}
 	pgd := NewPGD(50)

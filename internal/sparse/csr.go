@@ -152,34 +152,6 @@ func (a *CSR) Submatrix(r0, r1, c0, c1 int) *CSR {
 	return b
 }
 
-// MulBt returns C = A·Bᵀ where B is dense n2×k and A is sparse m×n2;
-// the result is dense m×k. This is the A·Hᵀ product of the ANLS
-// iteration. Cost: 2·nnz(A)·k flops.
-func (a *CSR) MulBt(b *mat.Dense) *mat.Dense {
-	c := mat.NewDense(a.Rows, b.Cols)
-	a.MulBtTo(c, b, nil)
-	return c
-}
-
-// MulHt returns C = A·Hᵀ where H is dense k×n (row-major, so column j
-// of H is strided). To keep the inner loop contiguous this transposes
-// H once (k·n copies) and calls MulBt. Cost: 2·nnz(A)·k flops.
-func (a *CSR) MulHt(h *mat.Dense) *mat.Dense {
-	if a.Cols != h.Cols {
-		panic(fmt.Sprintf("sparse: MulHt dimension mismatch A %dx%d, H %dx%d", a.Rows, a.Cols, h.Rows, h.Cols))
-	}
-	return a.MulBt(h.T())
-}
-
-// MulWtA returns C = Wᵀ·A where W is dense m×k and A is sparse m×n;
-// the result is dense k×n. This is the Wᵀ·A product of the ANLS
-// iteration. Cost: 2·nnz(A)·k flops.
-func (a *CSR) MulWtA(w *mat.Dense) *mat.Dense {
-	c := mat.NewDense(w.Cols, a.Cols)
-	a.MulWtATo(c, w, nil)
-	return c
-}
-
 // SquaredFrobeniusNorm returns ‖A‖_F².
 func (a *CSR) SquaredFrobeniusNorm() float64 {
 	s := 0.0

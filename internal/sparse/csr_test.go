@@ -106,7 +106,8 @@ func TestSubmatrixTiling(t *testing.T) {
 func TestMulBtAgainstDense(t *testing.T) {
 	a := randomCSR(9, 6, 0.5, 6)
 	b := randomDense(6, 4, 7) // cols x k
-	got := a.MulBt(b)
+	got := mat.NewDense(9, 4)
+	a.MulBtTo(got, b, nil)
 	want := mat.Mul(a.ToDense(), b)
 	if got.MaxDiff(want) > 1e-12 {
 		t.Fatalf("MulBt mismatch: %g", got.MaxDiff(want))
@@ -116,8 +117,10 @@ func TestMulBtAgainstDense(t *testing.T) {
 func TestMulHtAgainstDense(t *testing.T) {
 	a := randomCSR(9, 6, 0.5, 8)
 	h := randomDense(4, 6, 9) // k x n
-	got := a.MulHt(h)
-	want := mat.MulABt(a.ToDense(), h)
+	got := mat.NewDense(9, 4)
+	a.MulBtTo(got, h.T(), nil)
+	want := mat.NewDense(9, 4)
+	mat.ParMulABtTo(want, a.ToDense(), h, nil)
 	if got.MaxDiff(want) > 1e-12 {
 		t.Fatalf("MulHt mismatch: %g", got.MaxDiff(want))
 	}
@@ -126,8 +129,10 @@ func TestMulHtAgainstDense(t *testing.T) {
 func TestMulWtAAgainstDense(t *testing.T) {
 	a := randomCSR(9, 6, 0.5, 10)
 	w := randomDense(9, 4, 11) // m x k
-	got := a.MulWtA(w)
-	want := mat.MulAtB(w, a.ToDense())
+	got := mat.NewDense(4, 6)
+	a.MulWtAToWS(got, w, nil, nil)
+	want := mat.NewDense(4, 6)
+	mat.ParMulAtBTo(want, w, a.ToDense(), nil)
 	if got.MaxDiff(want) > 1e-12 {
 		t.Fatalf("MulWtA mismatch: %g", got.MaxDiff(want))
 	}
@@ -139,8 +144,13 @@ func TestSpMMProperty(t *testing.T) {
 		h := randomDense(3, 7, seed+1)
 		w := randomDense(8, 3, seed+2)
 		d := a.ToDense()
-		return a.MulHt(h).MaxDiff(mat.MulABt(d, h)) < 1e-12 &&
-			a.MulWtA(w).MaxDiff(mat.MulAtB(w, d)) < 1e-12
+		aht, want := mat.NewDense(8, 3), mat.NewDense(8, 3)
+		a.MulBtTo(aht, h.T(), nil)
+		mat.ParMulABtTo(want, d, h, nil)
+		wta, want2 := mat.NewDense(3, 7), mat.NewDense(3, 7)
+		a.MulWtAToWS(wta, w, nil, nil)
+		mat.ParMulAtBTo(want2, w, d, nil)
+		return aht.MaxDiff(want) < 1e-12 && wta.MaxDiff(want2) < 1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

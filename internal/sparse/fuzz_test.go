@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -22,6 +23,8 @@ func FuzzReadMatrixMarket(f *testing.F) {
 	f.Add("%%MatrixMarket matrix coordinate real general\n% no size line\n")
 	f.Add("%%MatrixMarket matrix coordinate real general\n4294967296 4294967297 0\n")
 	f.Add("%%MatrixMarket matrix coordinate real general\n1099511627776 1 0\n")
+	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 NaN\n2 2 1\n")
+	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 1\n2 1 -Infinity\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		a, err := ReadMatrixMarket(strings.NewReader(input))
 		if err != nil {
@@ -37,6 +40,11 @@ func FuzzReadMatrixMarket(f *testing.F) {
 		for _, c := range a.ColIdx {
 			if c < 0 || c >= a.Cols {
 				t.Fatalf("column %d out of range from %q", c, input)
+			}
+		}
+		for _, v := range a.Val {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("value %v accepted from %q", v, input)
 			}
 		}
 		// Round trip.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -34,13 +35,15 @@ func (a *CSR) WriteMatrixMarket(w io.Writer) error {
 const maxIndexLen = 1 << 28
 
 // ReadMatrixMarket parses a MatrixMarket coordinate-format matrix.
-// Only the "matrix coordinate real general" flavor is supported. The
-// size line is checked before any entry is read, and entries are
-// collected as they are read, so the declared entry count reserves no
-// memory. The declared shape does reserve memory: the CSR's row
-// pointers and construction's counting sorts are index arrays of
-// rows+1 and cols+1 ints, whatever the entries. So a size line whose
-// rows + cols exceeds 2^28 (2 GiB per index array) is refused.
+// Only the "matrix coordinate real general" flavor is supported, and
+// every value must be finite. The size line is checked before any
+// entry is read, and entries are collected as they are read, so the
+// declared entry count reserves no memory, and an entry past that
+// count is refused before the rest of the input is read. The declared
+// shape does reserve memory: the CSR's row pointers and
+// construction's counting sorts are index arrays of rows+1 and cols+1
+// ints, whatever the entries. So a size line whose rows + cols
+// exceeds 2^28 (2 GiB per index array) is refused.
 func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	var r64, c64, nnz int64
 	sc, err := mat.ScanMatrixMarket(r, "coordinate", &r64, &c64, &nnz)
@@ -73,12 +76,15 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 		}
 		v := 1.0
 		if len(fields) >= 3 {
-			if v, err = strconv.ParseFloat(fields[2], 64); err != nil {
-				return nil, fmt.Errorf("sparse: bad value %q: %w", fields[2], err)
+			if v, err = strconv.ParseFloat(fields[2], 64); err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("sparse: bad value %q: want a finite number", fields[2])
 			}
 		}
 		if i < 1 || i > rows || j < 1 || j > cols {
 			return nil, fmt.Errorf("sparse: entry (%d,%d) outside declared %dx%d", i, j, rows, cols)
+		}
+		if int64(len(coords)) == nnz {
+			return nil, fmt.Errorf("sparse: more than the %d declared entries", nnz)
 		}
 		coords = append(coords, Coord{Row: i - 1, Col: j - 1, Val: v})
 	}

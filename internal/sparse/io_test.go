@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
@@ -64,6 +65,8 @@ func TestMatrixMarketRejectsCorruptInput(t *testing.T) {
 		"short entry line":  "%%MatrixMarket matrix coordinate real general\n2 2 1\n1\n",
 		"truncated entries": "%%MatrixMarket matrix coordinate real general\n3 3 5\n1 1 1\n2 2 2\n",
 		"extra entries":     "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1\n2 2 2\n",
+		"NaN value":         "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 NaN\n",
+		"infinite value":    "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 -inf\n",
 		// 2^40 × 1 passes mat.CheckDims; its row pointers alone are 8 TiB.
 		"2^40 rows, no entries": "%%MatrixMarket matrix coordinate real general\n1099511627776 1 0\n",
 	}
@@ -71,5 +74,41 @@ func TestMatrixMarketRejectsCorruptInput(t *testing.T) {
 		if _, err := ReadMatrixMarket(strings.NewReader(c)); err == nil {
 			t.Errorf("%s accepted", name)
 		}
+	}
+}
+
+// countingReader serves a size line declaring one entry of a 2×2
+// matrix, then entry lines without end, counting the bytes read.
+type countingReader struct {
+	head string
+	read int64
+}
+
+func (r *countingReader) Read(p []byte) (int, error) {
+	n := 0
+	for n < len(p) {
+		if r.head == "" {
+			r.head = "1 1 1\n"
+		}
+		c := copy(p[n:], r.head)
+		r.head = r.head[c:]
+		n += c
+	}
+	r.read += int64(n)
+	return n, nil
+}
+
+// TestMatrixMarketRefusesSurplusEntriesEarly: an entry past the
+// declared count is refused where it stands, so a 1-entry file
+// followed by megabytes of entry lines is neither read to its end nor
+// held in memory.
+func TestMatrixMarketRefusesSurplusEntriesEarly(t *testing.T) {
+	r := &countingReader{head: "%%MatrixMarket matrix coordinate real general\n2 2 1\n"}
+	const limit = 2 << 20
+	if _, err := ReadMatrixMarket(io.LimitReader(r, 12<<20)); err == nil {
+		t.Fatal("surplus entries accepted")
+	}
+	if r.read >= limit {
+		t.Fatalf("read %d bytes before refusing, want < %d", r.read, limit)
 	}
 }

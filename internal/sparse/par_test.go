@@ -143,10 +143,10 @@ func TestMulWtAToPoolMatchesSerial(t *testing.T) {
 		a := RandomER(m, n, 0.08, s)
 		w := randomDense(m, k, 2000+uint64(trial))
 		want := mat.NewDense(k, n)
-		a.MulWtATo(want, w, nil)
+		a.MulWtAToWS(want, w, nil, nil)
 		got := mat.NewDense(k, n)
 		got.Fill(999)
-		a.MulWtATo(got, w, pool)
+		a.MulWtAToWS(got, w, pool, nil)
 		if d := want.MaxDiff(got); d != 0 {
 			t.Fatalf("trial %d (%dx%d nnz=%d): pooled MulWtATo differs by %g", trial, m, n, a.NNZ(), d)
 		}
@@ -154,7 +154,7 @@ func TestMulWtAToPoolMatchesSerial(t *testing.T) {
 	// Degenerate shapes.
 	empty := FromCoords(3, 4, nil)
 	c := mat.NewDense(2, 4)
-	empty.MulWtATo(c, randomDense(3, 2, 5), nil)
+	empty.MulWtAToWS(c, randomDense(3, 2, 5), nil, nil)
 	if c.MaxDiff(mat.NewDense(2, 4)) != 0 {
 		t.Error("empty-matrix MulWtATo must zero the output")
 	}

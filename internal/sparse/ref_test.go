@@ -11,7 +11,7 @@ import (
 // (for any pool size, strip width, and ISA level), anchor the
 // differential tests, and serve as the "naive" side of the kernel
 // benchmarks. Every term is one fused multiply-add (math.FMA), the
-// arithmetic of mat's primitives. Shapes follow MulBtTo/MulWtATo; no
+// arithmetic of mat's primitives. Shapes follow MulBtTo/MulWtAToWS; no
 // validation is done.
 
 // RefMulBtTo computes C = A·B (C is a.Rows×b.Cols, B is a.Cols×k) by

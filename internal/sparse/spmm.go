@@ -108,7 +108,7 @@ func nnzBounds(ptr []int, parts int) []int {
 // to RefMulBtTo for any pool size.
 func (a *CSR) MulBtTo(c, b *mat.Dense, p *par.Pool) {
 	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("sparse: MulBt dimension mismatch %dx%d · (%dx%d)ᵀ... B must be Cols×k", a.Rows, a.Cols, b.Rows, b.Cols))
+		panic(fmt.Sprintf("sparse: MulBtTo dimension mismatch %dx%d · (%dx%d)ᵀ... B must be Cols×k", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	if c.Rows != a.Rows || c.Cols != b.Cols {
 		panic(fmt.Sprintf("sparse: MulBtTo output is %dx%d, want %dx%d", c.Rows, c.Cols, a.Rows, b.Cols))
@@ -197,13 +197,6 @@ func (a *CSR) csc() *cscIndex {
 	return a.cscIdx
 }
 
-// MulWtATo computes C = Wᵀ·A into an existing w.Cols×a.Cols matrix.
-// It allocates one a.Cols×w.Cols temporary per call; iteration loops
-// should prefer MulWtAToWS, which draws it from a workspace arena.
-func (a *CSR) MulWtATo(c, w *mat.Dense, p *par.Pool) {
-	a.MulWtAToWS(c, w, p, nil)
-}
-
 // MulWtAToWS computes C = Wᵀ·A into an existing w.Cols×a.Cols matrix,
 // with the transposed accumulator drawn from ws (pass nil to
 // allocate).
@@ -220,10 +213,10 @@ func (a *CSR) MulWtATo(c, w *mat.Dense, p *par.Pool) {
 // RefMulWtATo for any pool size.
 func (a *CSR) MulWtAToWS(c, w *mat.Dense, p *par.Pool, ws *mat.Workspace) {
 	if a.Rows != w.Rows {
-		panic(fmt.Sprintf("sparse: MulWtA dimension mismatch W %dx%d, A %dx%d", w.Rows, w.Cols, a.Rows, a.Cols))
+		panic(fmt.Sprintf("sparse: MulWtAToWS dimension mismatch W %dx%d, A %dx%d", w.Rows, w.Cols, a.Rows, a.Cols))
 	}
 	if c.Rows != w.Cols || c.Cols != a.Cols {
-		panic(fmt.Sprintf("sparse: MulWtATo output is %dx%d, want %dx%d", c.Rows, c.Cols, w.Cols, a.Cols))
+		panic(fmt.Sprintf("sparse: MulWtAToWS output is %dx%d, want %dx%d", c.Rows, c.Cols, w.Cols, a.Cols))
 	}
 	k := w.Cols
 	if k == 0 || a.Cols == 0 {

@@ -107,7 +107,7 @@ func TestSpMMBitwiseVsReference(t *testing.T) {
 				bitwiseEqual(t, tc.name+"/MulBtTo", gotBt, wantBt)
 
 				gotWtA := mat.NewDense(k, tc.a.Cols)
-				tc.a.MulWtATo(gotWtA, w, p)
+				tc.a.MulWtAToWS(gotWtA, w, p, nil)
 				bitwiseEqual(t, tc.name+"/MulWtATo", gotWtA, wantWtA)
 				_ = pi
 			}
@@ -222,7 +222,7 @@ func TestSpMMStriped(t *testing.T) {
 	want2 := mat.NewDense(40, a2.Cols)
 	RefMulWtATo(want2, a2, w2)
 	got2 := mat.NewDense(40, a2.Cols)
-	a2.MulWtATo(got2, w2, nil)
+	a2.MulWtAToWS(got2, w2, nil, nil)
 	bitwiseEqual(t, "MulWtATo/striped", got2, want2)
 	_ = w
 }
@@ -284,7 +284,7 @@ func TestSpMMAcrossISAs(t *testing.T) {
 	wantBt := mat.NewDense(a.Rows, 17)
 	a.MulBtTo(wantBt, b, nil)
 	wantWtA := mat.NewDense(17, a.Cols)
-	a.MulWtATo(wantWtA, w, nil)
+	a.MulWtAToWS(wantWtA, w, nil, nil)
 
 	for _, isa := range mat.SupportedISAs() {
 		if err := mat.SetISA(isa); err != nil {
@@ -294,7 +294,7 @@ func TestSpMMAcrossISAs(t *testing.T) {
 		a.MulBtTo(got, b, nil)
 		bitwiseEqual(t, isa+"/MulBtTo", got, wantBt)
 		got2 := mat.NewDense(17, a.Cols)
-		a.MulWtATo(got2, w, nil)
+		a.MulWtAToWS(got2, w, nil, nil)
 		bitwiseEqual(t, isa+"/MulWtATo", got2, wantWtA)
 	}
 }
@@ -331,7 +331,7 @@ func TestSpMMIsFused(t *testing.T) {
 		}
 		ar.MulBtTo(bt, b, nil)
 		bitwiseEqual(t, isa+"/MulBtTo", bt, want)
-		ac.MulWtATo(wta, b, nil)
+		ac.MulWtAToWS(wta, b, nil, nil)
 		bitwiseEqual(t, isa+"/MulWtATo", wta, want)
 	}
 }
@@ -392,7 +392,7 @@ func FuzzCSRTileRoundTrip(f *testing.F) {
 			want2 := mat.NewDense(5, tile.Cols)
 			RefMulWtATo(want2, tile, w)
 			got2 := mat.NewDense(5, tile.Cols)
-			tile.MulWtATo(got2, w, nil)
+			tile.MulWtAToWS(got2, w, nil, nil)
 			for i := range got2.Data {
 				if math.Float64bits(got2.Data[i]) != math.Float64bits(want2.Data[i]) {
 					t.Fatalf("tile %d MulWtATo diverges at %d", ti, i)

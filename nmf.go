@@ -49,7 +49,8 @@ type Dense = mat.Dense
 // CSR is a compressed-sparse-row matrix.
 type CSR = sparse.CSR
 
-// Matrix abstracts the data matrix over dense and sparse storage.
+// Matrix is the data matrix, dense (WrapDense) or CSR (WrapSparse);
+// it has no other implementation.
 type Matrix = core.Matrix
 
 // Options configures a factorization run.
@@ -194,6 +195,10 @@ func WrapDense(d *Dense) Matrix { return core.WrapDense(d) }
 
 // WrapSparse adapts a CSR matrix as the data-matrix input.
 func WrapSparse(s *CSR) Matrix { return core.WrapSparse(s) }
+
+// UnwrapDense returns the dense matrix behind a WrapDense value
+// (nil, false for CSR-backed inputs).
+func UnwrapDense(a Matrix) (*Dense, bool) { return core.UnwrapDense(a) }
 
 // UnwrapSparse returns the CSR matrix behind a WrapSparse value
 // (nil, false for dense-backed inputs).

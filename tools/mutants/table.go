@@ -175,4 +175,28 @@ var table = []mutant{
 		Pkg:  "./tools/callers",
 		Run:  "^TestFixtureVerdicts$",
 	},
+	{
+		Name: "non-finite-factor-not-an-error",
+		File: "internal/core/updater.go",
+		From: "if !x.IsFinite() {",
+		To:   "if false {",
+		Pkg:  "./internal/core",
+		Run:  "^TestNonFiniteInputIsAnError$",
+	},
+	{
+		Name: "solver-range-unchecked",
+		File: "internal/core/options.go",
+		From: "if o.Update == nil && !o.Solver.known() {",
+		To:   "if false {",
+		Pkg:  "./internal/core",
+		Run:  "^TestSolverOutOfRangeIsAnError$",
+	},
+	{
+		Name: "mtx-surplus-entries-kept",
+		File: "internal/sparse/io.go",
+		From: "if int64(len(coords)) == nnz {",
+		To:   "if false {",
+		Pkg:  "./internal/sparse",
+		Run:  "^TestMatrixMarketRefusesSurplusEntriesEarly$",
+	},
 }
