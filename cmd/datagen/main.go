@@ -1,8 +1,8 @@
 // Command datagen emits the evaluation datasets to files so they can
-// be inspected or fed to other tools: sparse matrices in MatrixMarket
-// coordinate format, dense matrices in a dense MatrixMarket-like
-// array format. With -tiled it instead writes the out-of-core tile
-// format read by nmfrun -tiled, streaming DSYN row by row so the
+// be inspected or fed to other tools (nmfrun -mm reads them back):
+// every dataset in MatrixMarket coordinate format, a dense one with
+// all of its entries. With -tiled it instead writes the out-of-core
+// tile format read by nmfrun -tiled, streaming DSYN row by row so the
 // output can be far larger than memory.
 //
 // Usage:
@@ -21,6 +21,7 @@ import (
 	"hpcnmf/internal/core"
 	"hpcnmf/internal/datasets"
 	"hpcnmf/internal/ooc"
+	"hpcnmf/internal/sparse"
 )
 
 func main() {
@@ -60,19 +61,19 @@ func main() {
 	}
 	defer f.Close()
 
-	m, n := ds.Matrix.Dims()
-	if csr, ok := core.UnwrapSparse(ds.Matrix); ok {
-		if err := csr.WriteMatrixMarket(f); err != nil {
-			fatal("writing %s: %v", path, err)
+	csr, ok := core.UnwrapSparse(ds.Matrix)
+	if !ok { // dense: every entry is written, zeros included
+		d, _ := core.UnwrapDense(ds.Matrix)
+		coords := make([]sparse.Coord, len(d.Data))
+		for idx, v := range d.Data {
+			coords[idx] = sparse.Coord{Row: idx / d.Cols, Col: idx % d.Cols, Val: v}
 		}
-	} else if d, ok := core.UnwrapDense(ds.Matrix); ok {
-		if err := d.WriteMatrixMarket(f); err != nil {
-			fatal("writing %s: %v", path, err)
-		}
-	} else {
-		fatal("dataset %s has unknown storage", ds.Name)
+		csr = sparse.FromCoords(d.Rows, d.Cols, coords)
 	}
-	fmt.Printf("wrote %s: %s %dx%d (nnz %d)\n", path, ds.Name, m, n, ds.Matrix.NNZ())
+	if err := csr.WriteMatrixMarket(f); err != nil {
+		fatal("writing %s: %v", path, err)
+	}
+	fmt.Printf("wrote %s: %s %dx%d (nnz %d)\n", path, ds.Name, csr.Rows, csr.Cols, csr.NNZ())
 }
 
 // writeTiled emits a dataset in the out-of-core tile format. DSYN is

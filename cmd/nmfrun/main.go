@@ -11,7 +11,7 @@
 //	nmfrun -data ssyn -k 16 -alg bpp -p 16               # HPC 2D skeleton + BPP updater
 //	nmfrun -data ssyn -k 16 -alg auto -p 16              # cost-model pick of layout, grid and updater
 //	nmfrun -data video -alg hpc1d -p 8
-//	nmfrun -mm matrix.mtx -alg naive -p 4        # MatrixMarket input
+//	nmfrun -mm matrix.mtx -alg naive -p 4        # MatrixMarket input, coordinate or array
 //	nmfrun -data ssyn -alg hpc2d -p 16 -trace t.json -report r.json -metrics
 package main
 
@@ -116,7 +116,7 @@ func parseFlags(args []string, stderr io.Writer) (*cli, error) {
 	fs.SetOutput(stderr)
 	c := &cli{}
 	fs.StringVar(&c.data, "data", "dsyn", "dataset: dsyn, ssyn, video, webbase, bow (ignored with -mm)")
-	fs.StringVar(&c.mmPath, "mm", "", "read a MatrixMarket file instead of generating a dataset")
+	fs.StringVar(&c.mmPath, "mm", "", "read a MatrixMarket file (coordinate or array layout) instead of generating a dataset")
 	fs.StringVar(&c.tiled, "tiled", "", "factorize an out-of-core tile file (written by datagen -tiled) by streaming row panels from disk")
 	fs.StringVar(&c.tileMem, "tile-mem", "", "tile-buffer byte budget for -tiled, e.g. 64MiB: row panels are the tallest whose prefetch buffers fit it (default ~8 MiB panels)")
 	fs.BoolVar(&c.dense, "dense", false, "force the dense kernel path: densify a sparse input instead of auto-detecting storage by density")
@@ -258,11 +258,12 @@ func openTiled(c *cli, stdout io.Writer) (*input, error) {
 }
 
 // pickStorage selects the kernel path of an in-core input. Sparse
-// inputs take the sparse 2D HPC path by default; MatrixMarket is a
-// sparse container that often carries a matrix dense in all but
-// format, and above the density cutoff the blocked dense kernels beat
-// the CSR ones, so such inputs are densified automatically. -dense
-// forces densification either way.
+// inputs take the sparse 2D HPC path by default. A MatrixMarket file
+// of either layout is read as a CSR, which often carries a matrix
+// dense in all but format (an array file stores every entry); above
+// the density cutoff the blocked dense kernels beat the CSR ones, so
+// such inputs are densified automatically. -dense forces
+// densification either way.
 func pickStorage(c *cli, in *input, stdout io.Writer) *input {
 	const denseCutoff = 0.25
 	s, ok := hpcnmf.UnwrapSparse(in.a)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -78,6 +79,44 @@ func TestRunReportAndMetrics(t *testing.T) {
 	// series — schema v2's whole point.
 	if recs, ok := rep["progress"].([]any); !ok || len(recs) == 0 {
 		t.Errorf("report has no progress series: %v", rep["progress"])
+	}
+}
+
+// iterLines returns the "iter" lines of a run's output.
+func iterLines(out string) []string {
+	var lines []string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "iter ") {
+			lines = append(lines, line)
+		}
+	}
+	return lines
+}
+
+// TestRunMatrixMarketArrayIsDense: -mm reads an array file, the
+// density rule densifies it, and the run matches the same dataset
+// generated in memory iteration for iteration.
+func TestRunMatrixMarketArrayIsDense(t *testing.T) {
+	d, _ := hpcnmf.UnwrapDense(hpcnmf.GenerateDataset("dsyn", 0.05, 42).Matrix)
+	var b strings.Builder
+	fmt.Fprintf(&b, "%%%%MatrixMarket matrix array real general\n%d %d\n", d.Rows, d.Cols)
+	for j := 0; j < d.Cols; j++ {
+		for i := 0; i < d.Rows; i++ {
+			fmt.Fprintf(&b, "%.17g\n", d.At(i, j))
+		}
+	}
+	path := filepath.Join(t.TempDir(), "d.mtx")
+	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got := runOK(t, fast("-mm", path)...)
+	if !strings.Contains(got, "storage: dense (auto") {
+		t.Errorf("array file not densified:\n%s", got)
+	}
+	want := iterLines(runOK(t, fast()...))
+	if g := iterLines(got); len(want) == 0 || strings.Join(g, "\n") != strings.Join(want, "\n") {
+		t.Errorf("iter lines from the array file:\n%s\nwant, from the generated dataset:\n%s",
+			strings.Join(g, "\n"), strings.Join(want, "\n"))
 	}
 }
 

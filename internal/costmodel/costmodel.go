@@ -46,8 +46,6 @@ type Prediction struct {
 	// rank (NLS flops are data-dependent and measured, not predicted).
 	FlopsMM   int64
 	FlopsGram int64
-	// MemoryWords is the Table 2 local memory requirement in words.
-	MemoryWords int64
 }
 
 // TotalWords sums communication volume across collective types.
@@ -82,8 +80,6 @@ func NaiveExact(m, n, k, p int, nnzPerRank int64) Prediction {
 		},
 		FlopsMM:   2 * nnzPerRank * int64(k),
 		FlopsGram: int64(m+n) * int64(k) * int64(k+1),
-		// Two copies of A, local factor blocks, plus full W and H.
-		MemoryWords: int64(2*m*n/p) + int64((m+n)*k/p) + int64((m+n)*k),
 	}
 }
 
@@ -124,8 +120,6 @@ func HPCExact(m, n, k int, g grid.Grid, nnzPerRank int64) Prediction {
 	}
 	pred.FlopsMM = 4 * nnzPerRank * k64
 	pred.FlopsGram = int64((m+n)/p) * k64 * int64(k+1)
-	pred.MemoryWords = int64(m*n/p) + int64((m+n)*k/p) +
-		int64(2*m*k/g.PR) + int64(2*n*k/g.PC)
 	return pred
 }
 

@@ -3,52 +3,10 @@ package mat
 import (
 	"bytes"
 	"math"
-	"strings"
 	"testing"
 
 	"hpcnmf/internal/par"
 )
-
-// FuzzReadMatrixMarketArray hardens the dense array parser: anything
-// it accepts is consistent and had a size line.
-func FuzzReadMatrixMarketArray(f *testing.F) {
-	f.Add("%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n4\n")
-	f.Add("%%MatrixMarket matrix array real general\n0 0\n")
-	f.Add("")
-	f.Add("%%MatrixMarket matrix array real general\n1 2\n1\n")
-	f.Add("%%MatrixMarket matrix array real general\n% no size line\n")
-	f.Add("%%MatrixMarket matrix array real general\n4294967296 4294967297\n")
-	f.Add("%%MatrixMarket matrix array real general\n1 2\n1\nnan\n")
-	f.Add("%%MatrixMarket matrix array real general\n1 1\n+Inf\n")
-	f.Fuzz(func(t *testing.T, input string) {
-		a, err := ReadMatrixMarketArray(strings.NewReader(input))
-		if err != nil {
-			return
-		}
-		if len(a.Data) != a.Rows*a.Cols {
-			t.Fatalf("inconsistent dense matrix from %q", input)
-		}
-		if !hasSizeLine(input) {
-			t.Fatalf("accepted %q, which has no size line", input)
-		}
-		if !a.IsFinite() {
-			t.Fatalf("accepted %q, which holds a non-finite value", input)
-		}
-	})
-}
-
-// hasSizeLine reports whether some line after the first of a
-// MatrixMarket input is neither blank nor a comment: the size line an
-// accepted input must have.
-func hasSizeLine(input string) bool {
-	_, body, _ := strings.Cut(input, "\n")
-	for _, line := range strings.Split(body, "\n") {
-		if line = strings.TrimSpace(line); line != "" && !strings.HasPrefix(line, "%") {
-			return true
-		}
-	}
-	return false
-}
 
 // FuzzReadBinary hardens the binary factor reader against corrupt
 // checkpoints.

@@ -5,9 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
-	"strconv"
-	"strings"
 )
 
 // binaryMagic identifies the library's dense binary format.
@@ -54,8 +51,8 @@ func (a *Dense) WriteBinary(w io.Writer) error {
 // 2^40 elements (8 TiB of float64) or past the platform int, and
 // returns it as ints. The arithmetic stays in int64, so a hostile size
 // cannot wrap rows*cols into a small positive int before it is tested.
-// The binary and MatrixMarket readers apply it before they read a
-// value.
+// The binary reader and sparse's MatrixMarket reader apply it before
+// they read a value.
 func CheckDims(r64, c64 int64) (rows, cols int, err error) {
 	const maxElements = int64(1) << 40
 	if r64 < 0 || c64 < 0 || (c64 != 0 && r64 > maxElements/c64) {
@@ -94,97 +91,4 @@ func ReadBinary(r io.Reader) (*Dense, error) {
 		data = append(data, chunk[:n]...)
 	}
 	return &Dense{Rows: rows, Cols: cols, Data: data}, nil
-}
-
-// WriteMatrixMarket writes the matrix in MatrixMarket array format
-// (column-major, per the specification).
-func (a *Dense) WriteMatrixMarket(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "%%%%MatrixMarket matrix array real general\n%d %d\n", a.Rows, a.Cols); err != nil {
-		return err
-	}
-	for j := 0; j < a.Cols; j++ {
-		for i := 0; i < a.Rows; i++ {
-			if _, err := fmt.Fprintf(bw, "%.17g\n", a.At(i, j)); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// ScanMatrixMarket checks that r opens with a MatrixMarket header of
-// the given format ("array" or "coordinate"), reads the size line that
-// follows into sizes, and returns the scanner positioned after it. A
-// missing or malformed size line is an error.
-func ScanMatrixMarket(r io.Reader, format string, sizes ...any) (*bufio.Scanner, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	if !sc.Scan() {
-		return nil, fmt.Errorf("mat: empty MatrixMarket input")
-	}
-	header := strings.ToLower(sc.Text())
-	if !strings.HasPrefix(header, "%%matrixmarket") || !strings.Contains(header, format) {
-		return nil, fmt.Errorf("mat: unsupported MatrixMarket header %q", sc.Text())
-	}
-	line, ok := MatrixMarketLine(sc)
-	if !ok {
-		if err := sc.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("mat: MatrixMarket input has no size line")
-	}
-	if _, err := fmt.Sscan(line, sizes...); err != nil {
-		return nil, fmt.Errorf("mat: bad size line %q: %w", line, err)
-	}
-	return sc, nil
-}
-
-// MatrixMarketLine returns the next line of sc that is neither blank
-// nor a comment, trimmed, and false at the end of the input.
-func MatrixMarketLine(sc *bufio.Scanner) (string, bool) {
-	for sc.Scan() {
-		if line := strings.TrimSpace(sc.Text()); line != "" && !strings.HasPrefix(line, "%") {
-			return line, true
-		}
-	}
-	return "", false
-}
-
-// ReadMatrixMarketArray parses a MatrixMarket array-format dense
-// matrix of finite values. Values are collected as they are read, so a
-// size line alone allocates nothing.
-func ReadMatrixMarketArray(r io.Reader) (*Dense, error) {
-	var r64, c64 int64
-	sc, err := ScanMatrixMarket(r, "array", &r64, &c64)
-	if err != nil {
-		return nil, err
-	}
-	rows, cols, err := CheckDims(r64, c64)
-	if err != nil {
-		return nil, err
-	}
-	total := rows * cols
-	vals := make([]float64, 0, min(total, 1<<16))
-	for line, ok := MatrixMarketLine(sc); ok; line, ok = MatrixMarketLine(sc) {
-		v, err := strconv.ParseFloat(line, 64)
-		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("mat: bad value %q: want a finite number", line)
-		}
-		if len(vals) == total {
-			return nil, fmt.Errorf("mat: more than %d values in %dx%d array", total, rows, cols)
-		}
-		vals = append(vals, v)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(vals) != total {
-		return nil, fmt.Errorf("mat: got %d of %d values", len(vals), total)
-	}
-	a := NewDense(rows, cols)
-	for idx, v := range vals { // column-major order per the format
-		a.Set(idx%rows, idx/rows, v)
-	}
-	return a, nil
 }

@@ -143,35 +143,3 @@ func TestBinaryReadsEmbeddedMatrix(t *testing.T) {
 		t.Fatalf("embedded read: %v", err)
 	}
 }
-
-func TestMatrixMarketArrayRoundTrip(t *testing.T) {
-	a := randomDense(6, 9, 23)
-	var buf bytes.Buffer
-	if err := a.WriteMatrixMarket(&buf); err != nil {
-		t.Fatal(err)
-	}
-	b, err := ReadMatrixMarketArray(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.MaxDiff(b) > 0 {
-		t.Fatal("MatrixMarket array round trip changed the matrix")
-	}
-}
-
-func TestMatrixMarketArrayRejects(t *testing.T) {
-	cases := []string{
-		"junk",
-		"%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 1\n", // wrong flavor
-		"%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n",      // too few values
-		"%%MatrixMarket matrix array real general\n1 1\n1\n2\n",         // too many
-		"%%MatrixMarket matrix array real general\n1 1\nxyz\n",          // bad value
-		"%%MatrixMarket matrix array real general\n1 2\n1\nNaN\n",       // not finite
-		"%%MatrixMarket matrix array real general\n1 1\n-Inf\n",         // not finite
-	}
-	for i, c := range cases {
-		if _, err := ReadMatrixMarketArray(strings.NewReader(c)); err == nil {
-			t.Fatalf("case %d accepted", i)
-		}
-	}
-}

@@ -71,9 +71,8 @@ type panelMsg struct {
 // consumes exactly Tiles() panels. After a load error Next returns
 // that error forever.
 type Pipeline struct {
-	f     *File
-	depth int
-	norm  bool // the loader carries Σv² across its first pass
+	f    *File
+	norm bool // the loader carries Σv² across its first pass
 
 	out     chan panelMsg
 	free    chan []float64
@@ -117,7 +116,6 @@ func NewNormPipeline(f *File, depth int, norm bool) *Pipeline {
 	}
 	p := &Pipeline{
 		f:       f,
-		depth:   depth,
 		norm:    norm,
 		out:     make(chan panelMsg, depth),
 		free:    make(chan []float64, depth),

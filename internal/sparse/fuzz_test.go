@@ -9,8 +9,8 @@ import (
 
 // FuzzReadMatrixMarket hardens the parser: arbitrary input must yield
 // a clean error or a structurally valid matrix that had a size line,
-// never a panic, and valid matrices must survive a write/read round
-// trip.
+// never a panic; a symmetric file must give a symmetric matrix; and
+// valid matrices must survive a write/read round trip.
 func FuzzReadMatrixMarket(f *testing.F) {
 	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0\n")
 	f.Add("%%MatrixMarket matrix coordinate real general\n3 4 2\n1 2 0.5\n3 4 -1e3\n")
@@ -25,6 +25,8 @@ func FuzzReadMatrixMarket(f *testing.F) {
 	f.Add("%%MatrixMarket matrix coordinate real general\n1099511627776 1 0\n")
 	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 NaN\n2 2 1\n")
 	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 1\n2 1 -Infinity\n")
+	f.Add("%%MatrixMarket matrix coordinate real symmetric\n3 3 3\n1 1 2\n3 1 -1.5\n3 2 4\n")
+	f.Add("%%MatrixMarket matrix array real general\n2 3\n1\n0\n-2.5\n4\n0\n6\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		a, err := ReadMatrixMarket(strings.NewReader(input))
 		if err != nil {
@@ -47,6 +49,15 @@ func FuzzReadMatrixMarket(f *testing.F) {
 				t.Fatalf("value %v accepted from %q", v, input)
 			}
 		}
+		if banner(input)[4] == "symmetric" {
+			for i := 0; i < a.Rows; i++ {
+				for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+					if j := a.ColIdx[p]; a.At(j, i) != a.Val[p] {
+						t.Fatalf("A[%d][%d] = %g but A[%d][%d] = %g from symmetric %q", i, j, a.Val[p], j, i, a.At(j, i), input)
+					}
+				}
+			}
+		}
 		// Round trip.
 		var buf bytes.Buffer
 		if err := a.WriteMatrixMarket(&buf); err != nil {
@@ -60,6 +71,48 @@ func FuzzReadMatrixMarket(f *testing.F) {
 			t.Fatal("round trip changed matrix")
 		}
 	})
+}
+
+// FuzzReadMatrixMarketArray hardens the reader on array files: an
+// accepted one stores every entry of its shape, each finite, and had
+// a size line.
+func FuzzReadMatrixMarketArray(f *testing.F) {
+	f.Add("%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n4\n")
+	f.Add("%%MatrixMarket matrix array real general\n0 0\n")
+	f.Add("")
+	f.Add("%%MatrixMarket matrix array real general\n1 2\n1\n")
+	f.Add("%%MatrixMarket matrix array real general\n% no size line\n")
+	f.Add("%%MatrixMarket matrix array real general\n4294967296 4294967297\n")
+	f.Add("%%MatrixMarket matrix array real general\n1 2\n1\nnan\n")
+	f.Add("%%MatrixMarket matrix array real general\n1 1\n+Inf\n")
+	f.Fuzz(func(t *testing.T, input string) {
+		a, err := ReadMatrixMarket(strings.NewReader(input))
+		if err != nil {
+			return
+		}
+		if !hasSizeLine(input) {
+			t.Fatalf("accepted %q, which has no size line", input)
+		}
+		if banner(input)[2] == "array" && a.NNZ() != a.Rows*a.Cols {
+			t.Fatalf("array file %q stored %d of %d entries", input, a.NNZ(), a.Rows*a.Cols)
+		}
+		for _, v := range a.Val {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("accepted %q, which holds a non-finite value", input)
+			}
+		}
+	})
+}
+
+// banner returns the five lower-cased tokens of a MatrixMarket
+// input's first line, all empty unless it has exactly five.
+func banner(input string) [5]string {
+	var tok [5]string
+	first, _, _ := strings.Cut(input, "\n")
+	if f := strings.Fields(strings.ToLower(first)); len(f) == len(tok) {
+		copy(tok[:], f)
+	}
+	return tok
 }
 
 // hasSizeLine reports whether some line after the first of a

@@ -2,10 +2,13 @@ package sparse
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"math"
 	"strings"
 	"testing"
 
+	"hpcnmf/internal/mat"
 	"hpcnmf/internal/rng"
 )
 
@@ -55,7 +58,7 @@ func TestMatrixMarketRejectsCorruptInput(t *testing.T) {
 	cases := map[string]string{
 		"empty":             "",
 		"junk header":       "hello world\n1 1 1\n1 1 1\n",
-		"wrong flavor":      "%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n4\n",
+		"wrong flavor":      "%%MatrixMarket matrix array real symmetric\n2 2\n1\n2\n3\n4\n",
 		"bad size line":     "%%MatrixMarket matrix coordinate real general\n2 x 1\n1 1 1\n",
 		"bad row index":     "%%MatrixMarket matrix coordinate real general\n2 2 1\nx 1 1\n",
 		"bad value":         "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 zz\n",
@@ -110,5 +113,105 @@ func TestMatrixMarketRefusesSurplusEntriesEarly(t *testing.T) {
 	}
 	if r.read >= limit {
 		t.Fatalf("read %d bytes before refusing, want < %d", r.read, limit)
+	}
+}
+
+// arrayFile returns d as a MatrixMarket array file: its values column
+// by column, each printed so that it parses back to the same bits.
+func arrayFile(d *mat.Dense) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%%%%MatrixMarket matrix array real general\n%d %d\n", d.Rows, d.Cols)
+	for j := 0; j < d.Cols; j++ {
+		for i := 0; i < d.Rows; i++ {
+			fmt.Fprintf(&b, "%.17g\n", d.At(i, j))
+		}
+	}
+	return b.String()
+}
+
+// TestMatrixMarketArrayRoundTrip: an array file comes back with every
+// entry stored, so ToDense gives the written matrix bit for bit,
+// signed zeros included.
+func TestMatrixMarketArrayRoundTrip(t *testing.T) {
+	a := randomDense(6, 9, 23)
+	a.Set(2, 3, 0)
+	a.Set(4, 1, math.Copysign(0, -1))
+	b, err := ReadMatrixMarket(strings.NewReader(arrayFile(a)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.NNZ() != 6*9 {
+		t.Fatalf("array file stored %d of %d entries", b.NNZ(), 6*9)
+	}
+	for i, v := range b.ToDense().Data {
+		if math.Float64bits(v) != math.Float64bits(a.Data[i]) {
+			t.Fatalf("entry %d: got %g, want %g", i, v, a.Data[i])
+		}
+	}
+}
+
+func TestMatrixMarketArrayRejects(t *testing.T) {
+	cases := []string{
+		"junk",
+		"%%MatrixMarket matrix coordinate complex general\n1 1 1\n1 1 1 0\n", // wrong flavor
+		"%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n",           // too few values
+		"%%MatrixMarket matrix array real general\n1 1\n1\n2\n",              // too many
+		"%%MatrixMarket matrix array real general\n1 1\nxyz\n",               // bad value
+		"%%MatrixMarket matrix array real general\n1 2\n1\nNaN\n",            // not finite
+		"%%MatrixMarket matrix array real general\n1 1\n-Inf\n",              // not finite
+	}
+	for i, c := range cases {
+		if _, err := ReadMatrixMarket(strings.NewReader(c)); err == nil {
+			t.Fatalf("case %d accepted", i)
+		}
+	}
+}
+
+// TestMatrixMarketGrammar holds the reader to the banners it accepts
+// and to the fields each implies: a nil want means the input is
+// refused, otherwise want is the 2×2 result, row-major.
+func TestMatrixMarketGrammar(t *testing.T) {
+	const mm = "%%MatrixMarket matrix "
+	cases := []struct {
+		name, input string
+		want        []float64
+	}{
+		{"symmetric mirrored", mm + "coordinate real symmetric\n2 2 2\n1 1 4\n2 1 3\n", []float64{4, 3, 3, 0}},
+		{"symmetric integer", mm + "coordinate integer symmetric\n2 2 1\n2 2 5\n", []float64{0, 0, 0, 5}},
+		{"symmetric upper triangle", mm + "coordinate real symmetric\n2 2 1\n1 2 3\n", nil},
+		{"symmetric not square", mm + "coordinate real symmetric\n2 3 1\n2 1 3\n", nil},
+		{"complex", mm + "coordinate complex general\n2 2 1\n1 1 1 2\n", nil},
+		{"hermitian", mm + "coordinate complex hermitian\n2 2 1\n2 1 1 2\n", nil},
+		{"skew-symmetric", mm + "coordinate real skew-symmetric\n2 2 1\n2 1 3\n", nil},
+		{"vector", "%%MatrixMarket vector coordinate real general\n2 2 1\n1 1 1\n", nil},
+		{"array symmetric", mm + "array real symmetric\n2 2\n1\n2\n3\n", nil},
+		{"array pattern", mm + "array pattern general\n2 2\n", nil},
+		{"banner too long", mm + "coordinate real general extra\n2 2 1\n1 1 1\n", nil},
+		{"real entry without value", mm + "coordinate real general\n2 2 1\n1 1\n", nil},
+		{"entry with 4 fields", mm + "coordinate real general\n2 2 1\n1 1 1 1\n", nil},
+		{"array entry with 2 fields", mm + "array real general\n2 2\n1 2\n3\n4\n", nil},
+		{"array size line with 3 fields", mm + "array real general\n2 2 4\n1\n2\n3\n4\n", nil},
+		{"coordinate size line with 2 fields", mm + "coordinate real general\n2 2\n1 1 1\n", nil},
+		{"pattern", mm + "coordinate pattern general\n2 2 1\n2 1\n", []float64{0, 0, 1, 0}},
+		{"pattern with a value", mm + "coordinate pattern general\n2 2 1\n2 1 7\n", nil},
+		{"array", mm + "ARRAY Integer General\n2 2\n1\n0\n-0\n4\n", []float64{1, math.Copysign(0, -1), 0, 4}},
+	}
+	for _, c := range cases {
+		a, err := ReadMatrixMarket(strings.NewReader(c.input))
+		switch {
+		case c.want == nil && err == nil:
+			t.Errorf("%s: accepted", c.name)
+		case c.want == nil:
+		case err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case a.Rows != 2 || a.Cols != 2:
+			t.Errorf("%s: got %dx%d, want 2x2", c.name, a.Rows, a.Cols)
+		default:
+			for i, v := range a.ToDense().Data {
+				if math.Float64bits(v) != math.Float64bits(c.want[i]) {
+					t.Errorf("%s: A[%d][%d] = %g, want %g", c.name, i/2, i%2, v, c.want[i])
+				}
+			}
+		}
 	}
 }

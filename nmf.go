@@ -212,12 +212,11 @@ func SparseFromCoords(rows, cols int, entries []sparse.Coord) *CSR {
 // Coord is a coordinate-format sparse entry.
 type Coord = sparse.Coord
 
-// ReadMatrixMarket parses a MatrixMarket coordinate-format matrix.
+// ReadMatrixMarket parses a MatrixMarket file of either layout: a
+// coordinate file (general or symmetric, whose mirrored half it fills
+// in) or an array file, which comes back with every entry stored so
+// ToDense gives the matrix exactly.
 func ReadMatrixMarket(r io.Reader) (*CSR, error) { return sparse.ReadMatrixMarket(r) }
-
-// ReadDenseMatrixMarket parses a MatrixMarket array-format dense
-// matrix.
-func ReadDenseMatrixMarket(r io.Reader) (*Dense, error) { return mat.ReadMatrixMarketArray(r) }
 
 // factorMagic names a factor file: a store container with one block.
 const factorMagic = "HPNMFF01"

@@ -302,10 +302,11 @@ func syntheticGraph(n int) *hpcnmf.CSR {
 
 func TestFacadeDenseMatrixMarket(t *testing.T) {
 	in := "%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n4\n"
-	a, err := hpcnmf.ReadDenseMatrixMarket(strings.NewReader(in))
+	s, err := hpcnmf.ReadMatrixMarket(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
+	a := s.ToDense()
 	// Column-major: a[0][0]=1 a[1][0]=2 a[0][1]=3 a[1][1]=4.
 	if a.At(1, 0) != 2 || a.At(0, 1) != 3 {
 		t.Fatal("array parse wrong")

@@ -194,9 +194,25 @@ var table = []mutant{
 	{
 		Name: "mtx-surplus-entries-kept",
 		File: "internal/sparse/io.go",
-		From: "if int64(len(coords)) == nnz {",
+		From: "if lines == nnz {",
 		To:   "if false {",
 		Pkg:  "./internal/sparse",
 		Run:  "^TestMatrixMarketRefusesSurplusEntriesEarly$",
+	},
+	{
+		Name: "mtx-symmetric-not-mirrored",
+		File: "internal/sparse/io.go",
+		From: "if symmetric && i != j {",
+		To:   "if false {",
+		Pkg:  "./internal/sparse",
+		Run:  "^TestMatrixMarketGrammar$",
+	},
+	{
+		Name: "mtx-missing-value-defaults",
+		File: "internal/sparse/io.go",
+		From: "if len(fields) != width {",
+		To:   "if len(fields) < idx || len(fields) > width {",
+		Pkg:  "./internal/sparse",
+		Run:  "^TestMatrixMarketGrammar$",
 	},
 }
