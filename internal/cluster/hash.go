@@ -49,13 +49,7 @@ func NewTopology(peers []string, replicas int) (*Topology, error) {
 			return nil, fmt.Errorf("cluster: duplicate peer %q", p)
 		}
 	}
-	if replicas < 1 {
-		replicas = 1
-	}
-	if replicas > len(sorted) {
-		replicas = len(sorted)
-	}
-	return &Topology{peers: sorted, replicas: replicas}, nil
+	return &Topology{peers: sorted, replicas: min(max(replicas, 1), len(sorted))}, nil
 }
 
 // Peers returns the normalized peer list (not a copy; callers must

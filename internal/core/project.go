@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"hpcnmf/internal/mat"
 	"hpcnmf/internal/nnls"
@@ -18,10 +20,11 @@ import (
 // line 4) with W frozen. This is the cheap "absorb new data" operation
 // of the streaming scenario (§6.1.1) and the hot path of the serving
 // layer: the k×k Gram WᵀW is computed once and cached, so a projection
-// costs one WᵀC product (2·m·k·c flops — for the usual lone column a
-// matrix–vector product that streams W once, which mat.ParMulAtBTo
-// vectorizes along k) plus a k×k NNLS solve per column, independent of
-// however much data originally fitted the basis.
+// costs one WᵀC product plus a k×k NNLS solve per column, independent
+// of however much data originally fitted the basis. A batch's product
+// is 2·m·k·c flops. The usual lone column is priced by its nonzeros,
+// like SpMM: one scan of its m entries plus 2·nnz(c)·k flops, reading
+// only the rows of W under its nonzeros (see scan).
 //
 // A Projector owns a workspace arena and is therefore single-goroutine,
 // like the driver states; concurrent callers each need their own (the
@@ -29,11 +32,14 @@ import (
 // projection call; in steady state it allocates nothing with BPP, MU,
 // HALS or PGD (every solver but the active-set reference).
 type Projector struct {
-	w    *mat.Dense // m×k basis; not owned — callers mutate via SetBasis/RefreshGram
+	w    *mat.Dense // m×k basis; not owned — callers that mutate it call RefreshGram
 	gram *mat.Dense // k×k cached WᵀW
-	s    nnls.Solver
-	ctx  *nnls.Context
-	tc   *trace.Tracer // nil = kernel tracing off
+	// finite records that gram holds no NaN or ±Inf, so W is finite
+	// and a lone column may take the scan (see scan).
+	finite bool
+	s      nnls.Solver
+	ctx    *nnls.Context
+	tc     *trace.Tracer // nil = kernel tracing off
 }
 
 // SetTracer attaches an event tracer: each ProjectInto records its
@@ -47,7 +53,7 @@ func (p *Projector) SetTracer(tc *trace.Tracer) { p.tc = tc }
 // NewProjector caches the Gram of basis w (m×k) and prepares reusable
 // solver resources. solver defaults to BPP when nil; pool may be nil
 // (serial kernels). The basis is referenced, not copied — callers that
-// mutate it must call RefreshGram (or SetBasis) afterwards.
+// mutate it must call RefreshGram afterwards.
 func NewProjector(w *mat.Dense, solver nnls.Solver, pool *par.Pool) (*Projector, error) {
 	if w.Rows < 1 || w.Cols < 1 {
 		return nil, fmt.Errorf("core: projector basis is %dx%d, want at least 1x1", w.Rows, w.Cols)
@@ -76,9 +82,12 @@ func (p *Projector) Dims() (m, k int) { return p.w.Rows, p.w.Cols }
 func (p *Projector) Gram() *mat.Dense { return p.gram }
 
 // RefreshGram recomputes the cached Gram after the basis was mutated
-// in place (the streaming refinement sweeps do this once per sweep).
+// in place (the streaming refinement sweeps do this once per sweep),
+// and records whether it is finite: a basis mutated to hold a NaN or
+// ±Inf sends every column through the full product.
 func (p *Projector) RefreshGram() {
 	mat.ParGramTo(p.gram, p.w, p.ctx.Pool)
+	p.finite = p.gram.IsFinite()
 }
 
 // ProjectInto solves H = argmin_{H≥0} ‖W·H − C‖_F into dst (k×c) for
@@ -111,7 +120,14 @@ func (p *Projector) ProjectInto(dst, cols *mat.Dense, resid []float64) (nnls.Sta
 	ws := p.ctx.WS
 	f := ws.Get(k, c)
 	sp := p.tc.BeginArg(trace.CatKernel, "MulAtB", "cols", int64(c))
-	mat.ParMulAtBTo(f, p.w, cols, p.ctx.Pool) // f = WᵀC
+	lone := c == 1 && p.finite
+	c2 := -1.0 // a lone column's ‖c‖², summed by its scan
+	if lone {
+		c2 = p.scan(f.Data, cols.Data)
+	}
+	if !lone || slices.ContainsFunc(f.Data, negZero) {
+		mat.ParMulAtBTo(f, p.w, cols, p.ctx.Pool) // f = WᵀC
+	}
 	sp.End()
 	sp = p.tc.BeginArg(trace.CatKernel, "NNLS", "cols", int64(c))
 	st, err := solveDamped(p.s, p.ctx, p.gram, f, nil, dst)
@@ -121,15 +137,50 @@ func (p *Projector) ProjectInto(dst, cols *mat.Dense, resid []float64) (nnls.Sta
 		return st, err
 	}
 	if resid != nil {
-		p.residuals(resid, cols, f, dst)
+		p.residuals(resid, cols, f, dst, c2)
 	}
 	ws.Put(f)
 	return st, nil
 }
 
+// scan computes f = Wᵀc for a lone column c from its nonzeros alone and
+// returns ‖c‖², summed in the same pass. Each nonzero folds its row of
+// W into f, four rows at a time, in ascending row order: the fused
+// operations of the full product, in its order, with only the ±0·w
+// terms left out. With W finite such a term is a ±0, and adding it
+// changes a sum only by turning a −0 into +0. So scan's f differs from
+// the full product only where it holds a −0, and ProjectInto
+// recomputes an f that does. A zero square adds nothing to ‖c‖².
+func (p *Projector) scan(f, col []float64) float64 {
+	clear(f)
+	var rows [4][]float64
+	var v [4]float64
+	n, c2 := 0, 0.0
+	for i, x := range col {
+		if x == 0 {
+			continue
+		}
+		c2 += x * x
+		rows[n], v[n] = p.w.Row(i), x
+		if n++; n == 4 {
+			mat.Axpy4(f, rows[0], rows[1], rows[2], rows[3], &v)
+			n = 0
+		}
+	}
+	for t := range n {
+		mat.Axpy(f, rows[t], v[t])
+	}
+	return c2
+}
+
+// negZero reports whether x is −0.
+func negZero(x float64) bool { return x == 0 && math.Signbit(x) }
+
 // residuals fills out[j] = ‖cⱼ − W·hⱼ‖/‖cⱼ‖ from the byproducts:
-// ‖c − W·h‖² = ‖c‖² − 2·hᵀf + hᵀG·h with f = Wᵀc and G = WᵀW.
-func (p *Projector) residuals(out []float64, cols, f, h *mat.Dense) {
+// ‖c − W·h‖² = ‖c‖² − 2·hᵀf + hᵀG·h with f = Wᵀc and G = WᵀW. A
+// lone column's ‖c‖² arrives as c2 from its scan; c2 < 0 means each
+// column's is summed here.
+func (p *Projector) residuals(out []float64, cols, f, h *mat.Dense, c2 float64) {
 	k, c := h.Rows, h.Cols
 	gh := p.ctx.WS.Get(k, c)
 	mat.ParMulTo(gh, p.gram, h, p.ctx.Pool)
@@ -139,12 +190,15 @@ func (p *Projector) residuals(out []float64, cols, f, h *mat.Dense) {
 			cross += h.At(i, j) * f.At(i, j)
 			quad += h.At(i, j) * gh.At(i, j)
 		}
-		c2 := 0.0
-		for i := 0; i < cols.Rows; i++ {
-			v := cols.At(i, j)
-			c2 += v * v
+		n2 := c2
+		if n2 < 0 {
+			n2 = 0
+			for i := 0; i < cols.Rows; i++ {
+				v := cols.At(i, j)
+				n2 += v * v
+			}
 		}
-		out[j] = relErrFrom(c2, cross, quad)
+		out[j] = relErrFrom(n2, cross, quad)
 	}
 	p.ctx.WS.Put(gh)
 }

@@ -237,9 +237,21 @@ func TestProjectIntoZeroAllocs(t *testing.T) {
 	}
 	h := mat.NewDense(k, c)
 	resid := make([]float64, c)
+	// A lone sparse column takes the nonzero scan, and a lone −0 entry
+	// sends it back to the full product (see Projector.scan).
+	sparse := mat.NewDense(m, 1)
+	sparse.Data[3], sparse.Data[17], sparse.Data[30] = 2, 0.5, 7
+	underflow := mat.NewDense(m, 1)
+	underflow.Data[5] = -5e-324 // W·c underflows to −0
+	h1, resid1 := mat.NewDense(k, 1), make([]float64, 1)
 	round := func() {
 		if _, err := p.ProjectInto(h, cols, resid); err != nil {
 			t.Fatal(err)
+		}
+		for _, col := range []*mat.Dense{sparse, underflow} {
+			if _, err := p.ProjectInto(h1, col, resid1); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	round()
@@ -251,46 +263,159 @@ func TestProjectIntoZeroAllocs(t *testing.T) {
 
 // TestProjectSingleColumnEqualsBatchColumn pins what the serving
 // batcher relies on when it coalesces requests: a column projected
-// alone (WᵀC through the narrow-B kernel path) gets the same
-// coefficients and residual, bit for bit, as the same column inside a
-// 32-column batch (the wide path).
+// alone (WᵀC through the nonzero scan) gets the same coefficients and
+// residual, bit for bit, as the same column inside a 32-column batch
+// (the full product). The columns are dense, or sparse: 95 % zeros,
+// a fifth of those −0, and in column 0 only a negative subnormal whose
+// products underflow to −0, which the scan must send back to the full
+// product.
 func TestProjectSingleColumnEqualsBatchColumn(t *testing.T) {
 	const m, k, c = 203, 50, 32
 	w := randBasis(m, k, 11)
-	cols := randBasis(m, c, 12)
+	dense := randBasis(m, c, 12)
+	sparse := mat.NewDense(m, c)
+	r := rng.New(13)
+	for i := range sparse.Data {
+		switch u := r.Float64(); {
+		case u < 0.05:
+			sparse.Data[i] = r.Float64()
+		case u < 0.24:
+			sparse.Data[i] = math.Copysign(0, -1)
+		}
+	}
+	for i := 0; i < m; i++ {
+		sparse.Set(i, 0, 0)
+	}
+	sparse.Set(2, 0, -5e-324)
 	for _, tc := range []struct {
 		name   string
 		solver func() nnls.Solver
 	}{
 		{"BPP", func() nnls.Solver { return nnls.NewBPP() }},
 		{"MU", func() nnls.Solver { return nnls.NewMU(20) }},
+		// An odd sweep count keeps the sign of a ±0 in f in h.
+		{"MU1", func() nnls.Solver { return nnls.NewMU(1) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p, err := NewProjector(w, tc.solver(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			batch := mat.NewDense(k, c)
-			batchResid := make([]float64, c)
-			if _, err := p.ProjectInto(batch, cols, batchResid); err != nil {
-				t.Fatal(err)
-			}
-			one := mat.NewDense(k, 1)
-			oneResid := make([]float64, 1)
-			for j := 0; j < c; j++ {
-				if _, err := p.ProjectInto(one, cols.SubmatrixCols(j, j+1), oneResid); err != nil {
+			for _, cols := range []*mat.Dense{dense, sparse} {
+				batch := mat.NewDense(k, c)
+				batchResid := make([]float64, c)
+				if _, err := p.ProjectInto(batch, cols, batchResid); err != nil {
 					t.Fatal(err)
 				}
-				for i := 0; i < k; i++ {
-					if got, want := one.At(i, 0), batch.At(i, j); math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("column %d: h[%d] alone = %x (%g), in the batch = %x (%g)", j, i,
-							math.Float64bits(got), got, math.Float64bits(want), want)
+				one := mat.NewDense(k, 1)
+				oneResid := make([]float64, 1)
+				for j := 0; j < c; j++ {
+					if _, err := p.ProjectInto(one, cols.SubmatrixCols(j, j+1), oneResid); err != nil {
+						t.Fatal(err)
 					}
-				}
-				if math.Float64bits(oneResid[0]) != math.Float64bits(batchResid[j]) {
-					t.Fatalf("column %d: residual alone = %g, in the batch = %g", j, oneResid[0], batchResid[j])
+					for i := 0; i < k; i++ {
+						if got, want := one.At(i, 0), batch.At(i, j); math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("sparse=%v column %d: h[%d] alone = %x (%g), in the batch = %x (%g)", cols == sparse, j, i,
+								math.Float64bits(got), got, math.Float64bits(want), want)
+						}
+					}
+					if math.Float64bits(oneResid[0]) != math.Float64bits(batchResid[j]) {
+						t.Fatalf("sparse=%v column %d: residual alone = %g, in the batch = %g", cols == sparse, j, oneResid[0], batchResid[j])
+					}
 				}
 			}
 		})
 	}
+}
+
+// TestProjectorNonFiniteRefreshedBasisFails: a basis made non-finite in
+// place, then refreshed, must still fail a projection of a lone column
+// that is zero under the +Inf. The full product's 0·Inf is a NaN, which
+// MU and HALS return as an error; the scan, which would skip it, is not
+// taken on a non-finite Gram. (On the scan's finite f, one MU sweep
+// would return zeros.)
+func TestProjectorNonFiniteRefreshedBasisFails(t *testing.T) {
+	const m, k = 12, 3
+	for _, s := range []nnls.Solver{nnls.NewMU(1), nnls.NewMU(20), nnls.NewHALS(20)} {
+		w := randBasis(m, k, 14)
+		p, err := NewProjector(w, s, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		col := mat.NewDense(m, 1)
+		col.Data[1], col.Data[7] = 1, 2
+		h := mat.NewDense(k, 1)
+		if _, err := p.ProjectInto(h, col, nil); err != nil {
+			t.Fatal(err)
+		}
+		w.Set(4, 1, math.Inf(1))
+		p.RefreshGram()
+		if _, err := p.ProjectInto(h, col, make([]float64, 1)); err == nil {
+			t.Errorf("%s: projection onto a basis holding +Inf succeeded: h = %v", s.Name(), h.Data)
+		}
+	}
+}
+
+// FuzzProjectLoneColumn holds a lone column's projection, which takes
+// the nonzero scan, to the same column inside a two-column batch, which
+// takes the full WᵀC product: the error, the coefficients and the
+// residual must agree bit for bit. Column entries mix ±0, subnormals,
+// negatives, NaN and ±Inf; basis entries are finite and mix ±0,
+// subnormals and negatives, so products underflow to ±0. The first
+// seed's scan ends at −0 where the full product ends at +0, so it
+// needs the recompute; MU shows the sign in its coefficients.
+func FuzzProjectLoneColumn(f *testing.F) {
+	f.Add(uint8(1), uint8(0), uint8(1), []byte{4, 0, 1, 2})
+	f.Add(uint8(9), uint8(4), uint8(0), []byte{0, 0, 9, 1, 0, 6, 0, 2, 12, 0, 3, 8})
+	f.Add(uint8(17), uint8(3), uint8(2), []byte{1, 0, 0, 13, 0, 4, 0, 0, 14, 2})
+	f.Add(uint8(40), uint8(7), uint8(1), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
+	colVals := []float64{0, math.Copysign(0, -1), 0.5, 5e-324, -5e-324, 0, 3, -2, 1e-310, 0, 1e300,
+		-1e-310, math.NaN(), math.Inf(1), math.Inf(-1), 0}
+	basisVals := []float64{0, 0.25, 1, -0.75, 5e-324, math.Copysign(0, -1), 2, -1e-310, 0.4, -3, 1e-300, 1.5}
+	f.Fuzz(func(t *testing.T, mb, kb, sb uint8, vals []byte) {
+		m, k := 1+int(mb)%40, 1+int(kb)%8
+		pick := func(i int) int {
+			if len(vals) == 0 {
+				return 0
+			}
+			return int(vals[i%len(vals)]) + 7*(i/len(vals))
+		}
+		w := mat.NewDense(m, k)
+		for i := range w.Data {
+			w.Data[i] = basisVals[pick(m+i)%len(basisVals)]
+		}
+		pair := mat.NewDense(m, 2)
+		for i := 0; i < m; i++ {
+			v := colVals[pick(i)%len(colVals)]
+			pair.Set(i, 0, v)
+			pair.Set(i, 1, v)
+		}
+		solver := []func() nnls.Solver{
+			func() nnls.Solver { return nnls.NewBPP() },
+			func() nnls.Solver { return nnls.NewMU(3) },
+			func() nnls.Solver { return nnls.NewHALS(3) },
+		}[int(sb)%3]
+		p, err := NewProjector(w, solver(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		one, oneResid := mat.NewDense(k, 1), make([]float64, 1)
+		_, oneErr := p.ProjectInto(one, pair.SubmatrixCols(0, 1), oneResid)
+		batch, batchResid := mat.NewDense(k, 2), make([]float64, 2)
+		_, batchErr := p.ProjectInto(batch, pair, batchResid)
+		if (oneErr == nil) != (batchErr == nil) {
+			t.Fatalf("alone: %v; in the batch: %v", oneErr, batchErr)
+		}
+		if oneErr != nil {
+			return
+		}
+		for i := 0; i < k; i++ {
+			if got, want := one.At(i, 0), batch.At(i, 0); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("h[%d] alone = %x (%g), in the batch = %x (%g)", i, math.Float64bits(got), got, math.Float64bits(want), want)
+			}
+		}
+		if got, want := oneResid[0], batchResid[0]; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("residual alone = %x (%g), in the batch = %x (%g)", math.Float64bits(got), got, math.Float64bits(want), want)
+		}
+	})
 }

@@ -90,14 +90,7 @@ func NewStreaming(m int, opts StreamingOptions) (*Streaming, error) {
 	if !opts.Solver.known() {
 		return nil, fmt.Errorf("core: unknown solver %v", opts.Solver)
 	}
-	sweeps := opts.RefineSweeps
-	if sweeps < 0 {
-		sweeps = 0
-	}
-	innerSweeps := opts.SolverSweeps
-	if innerSweeps < 1 {
-		innerSweeps = 1
-	}
+	sweeps, innerSweeps := max(opts.RefineSweeps, 0), max(opts.SolverSweeps, 1)
 	k, window := opts.K, opts.Window
 	w := initW(m, k, 0, opts.Seed)
 	proj, err := NewProjector(w, opts.Solver.New(innerSweeps), nil)
@@ -155,10 +148,7 @@ func (s *Streaming) Push(cols *mat.Dense) error {
 		s.ws.Put(hNew)
 		return fmt.Errorf("core: streaming projection failed: %w", err)
 	}
-	drop := s.count + c - s.window
-	if drop < 0 {
-		drop = 0
-	}
+	drop := max(s.count+c-s.window, 0)
 	// The c write slots are exactly the empty tail plus the dropped
 	// oldest slots, so no explicit zeroing is ever needed.
 	for j := 0; j < c; j++ {

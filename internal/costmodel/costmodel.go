@@ -179,10 +179,7 @@ type PaperRow struct {
 // case, constants dropped as in the paper) for the given problem.
 func Table2(m, n, k, p int) []PaperRow {
 	mf, nf, kf, pf := float64(m), float64(n), float64(k), float64(p)
-	logp := math.Log2(pf)
-	if logp < 1 {
-		logp = 1
-	}
+	logp := max(math.Log2(pf), 1)
 	naive := PaperRow{
 		Algorithm: "Naive",
 		Flops:     mf*nf*kf/pf + (mf+nf)*kf*kf,

@@ -250,11 +250,7 @@ type Scale float64
 
 // Dim applies the scale to a default dimension, flooring at 8.
 func (s Scale) Dim(v int) int {
-	d := int(float64(v) * float64(s))
-	if d < 8 {
-		d = 8
-	}
-	return d
+	return max(int(float64(v)*float64(s)), 8)
 }
 
 // ByName generates one of the four paper datasets: "dsyn", "ssyn",

@@ -126,22 +126,13 @@ func CholSolveInto(x, l *Dense, inv []float64, b *Dense) {
 	}
 }
 
-// SolveSPD solves G·X = B for symmetric positive definite G. If G is
-// numerically singular it retries with progressively larger diagonal
-// regularization (G + εI), which is the standard safeguard for the
-// rank-deficient Gram matrices that can arise mid-iteration in NMF
-// when a factor column collapses to zero.
-func SolveSPD(g, b *Dense) (*Dense, error) {
-	x := NewDense(b.Rows, b.Cols)
-	if err := SolveSPDInto(x, g, b, nil); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
-// SolveSPDInto is SolveSPD into a caller-supplied x (shaped like b,
-// and allowed to be b), drawing the factor and the jittered copy from
-// ws — the form the zero-alloc solver steady states use. A nil ws
+// SolveSPDInto solves G·X = B for symmetric positive definite G into
+// x (shaped like b, and allowed to be b). If G is numerically singular
+// it retries with progressively larger diagonal regularization
+// (G + εI), which is the standard safeguard for the rank-deficient
+// Gram matrices that can arise mid-iteration in NMF when a factor
+// column collapses to zero. The factor and the jittered copy are drawn
+// from ws, so the solver steady states allocate nothing; a nil ws
 // allocates fresh. Only the lower triangle of g is read.
 func SolveSPDInto(x *Dense, g, b *Dense, ws *Workspace) error {
 	// One buffer holds the factor and, under it, the k reciprocals of

@@ -335,17 +335,17 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 }
 
 func TestSolveSPDRegularizesSingular(t *testing.T) {
-	// Rank-1 Gram: singular but PSD; SolveSPD must still return
+	// Rank-1 Gram: singular but PSD; SolveSPDInto must still return
 	// something finite satisfying the regularized system.
 	v := FromRows([][]float64{{1, 2, 3}})
 	g := Gram(v) // 3x3 rank 1
 	b := randomDense(3, 2, 22)
-	x, err := SolveSPD(g, b)
-	if err != nil {
-		t.Fatalf("SolveSPD failed on PSD singular matrix: %v", err)
+	x := NewDense(3, 2)
+	if err := SolveSPDInto(x, g, b, nil); err != nil {
+		t.Fatalf("SolveSPDInto failed on PSD singular matrix: %v", err)
 	}
 	if !x.IsFinite() {
-		t.Fatal("SolveSPD returned non-finite solution")
+		t.Fatal("SolveSPDInto returned non-finite solution")
 	}
 }
 
@@ -357,8 +357,8 @@ func TestSolveSPDPropertyRoundTrip(t *testing.T) {
 			g.Set(i, i, g.At(i, i)+0.5)
 		}
 		b := randomDense(4, 3, seed+1)
-		x, err := SolveSPD(g, b)
-		if err != nil {
+		x := NewDense(4, 3)
+		if err := SolveSPDInto(x, g, b, nil); err != nil {
 			return false
 		}
 		return Mul(g, x).MaxDiff(b) < 1e-8

@@ -183,12 +183,11 @@ func solvePassive(g *mat.Dense, f []float64, passive []bool) ([]float64, int64, 
 		}
 		rhs.Set(a, 0, f[ia])
 	}
-	zp, err := mat.SolveSPD(gpp, rhs)
-	if err != nil {
+	if err := mat.SolveSPDInto(rhs, gpp, rhs, nil); err != nil {
 		return nil, 0, err
 	}
 	for a, ia := range pidx {
-		z[ia] = zp.At(a, 0)
+		z[ia] = rhs.At(a, 0)
 	}
 	return z, int64(pp*pp*pp)/3 + int64(2*pp*pp), nil
 }

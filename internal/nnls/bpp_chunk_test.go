@@ -21,14 +21,14 @@ import (
 // refBPP is Kim–Park pivoting one column at a time, start to finish,
 // under the tolerance of the whole problem: no chunks, no groups, no
 // lanes, no shared scratch, a []bool per passive set. It shares only
-// mat.SolveSPD with the solver, and not the same path through it: every
-// system here is pp × 1, factored alone and substituted down its one
-// column as a vector, while the solver factors four columns' systems at
-// once in the lanes of a quad and substitutes a wide group across its
-// rows by Axpy — so agreement in every bit checks those forms against
-// this one, not one against itself. It returns the largest round count
-// over the columns and ErrNotConverged when some column ran out of
-// rounds (its iterate clamped).
+// mat.SolveSPDInto with the solver, and not the same path through it:
+// every system here is pp × 1, factored alone and substituted down its
+// one column as a vector, while the solver factors four columns'
+// systems at once in the lanes of a quad and substitutes a wide group
+// across its rows by Axpy — so agreement in every bit checks those
+// forms against this one, not one against itself. It returns the
+// largest round count over the columns and ErrNotConverged when some
+// column ran out of rounds (its iterate clamped).
 func refBPP(g, f, xInit *mat.Dense, maxIter int) (*mat.Dense, int, error) {
 	return refBPPTrace(g, f, xInit, maxIter, nil)
 }
@@ -71,12 +71,11 @@ func refBPPTrace(g, f, xInit *mat.Dense, maxIter int, rec func(c int, passive []
 					}
 					rhs.Set(a, 0, f.At(ia, c))
 				}
-				xp, e := mat.SolveSPD(gpp, rhs)
-				if e != nil {
+				if e := mat.SolveSPDInto(rhs, gpp, rhs, nil); e != nil {
 					return nil, 0, e
 				}
 				for a, ia := range pidx {
-					xc[ia] = xp.At(a, 0)
+					xc[ia] = rhs.At(a, 0)
 				}
 			}
 			for i := 0; i < k; i++ {

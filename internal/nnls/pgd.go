@@ -23,10 +23,7 @@ type PGD struct {
 
 // NewPGD returns a projected-gradient solver.
 func NewPGD(sweeps int) *PGD {
-	if sweeps < 1 {
-		sweeps = 1
-	}
-	return &PGD{Sweeps: sweeps}
+	return &PGD{Sweeps: max(sweeps, 1)}
 }
 
 // Name implements Solver.

@@ -188,10 +188,7 @@ type MU struct {
 
 // NewMU returns an MU solver performing the given sweeps per call.
 func NewMU(sweeps int) *MU {
-	if sweeps < 1 {
-		sweeps = 1
-	}
-	return &MU{Sweeps: sweeps, Eps: 1e-16}
+	return &MU{Sweeps: max(sweeps, 1), Eps: 1e-16}
 }
 
 // Name implements Solver.
@@ -240,10 +237,7 @@ type HALS struct {
 
 // NewHALS returns a HALS solver performing the given sweeps per call.
 func NewHALS(sweeps int) *HALS {
-	if sweeps < 1 {
-		sweeps = 1
-	}
-	return &HALS{Sweeps: sweeps}
+	return &HALS{Sweeps: max(sweeps, 1)}
 }
 
 // Name implements Solver.

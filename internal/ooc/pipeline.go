@@ -38,11 +38,7 @@ func (s Stats) HiddenFraction() float64 {
 	if s.Load <= 0 {
 		return 0
 	}
-	f := 1 - float64(s.Wait)/float64(s.Load)
-	if f < 0 {
-		f = 0
-	}
-	return f
+	return max(1-float64(s.Wait)/float64(s.Load), 0)
 }
 
 // ErrPipelineClosed is returned by Next after Close.

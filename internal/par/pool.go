@@ -104,9 +104,7 @@ func (p *Pool) For(n, minGrain int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	if minGrain < 1 {
-		minGrain = 1
-	}
+	minGrain = max(minGrain, 1)
 	if p == nil || n < 2*minGrain {
 		fn(0, n)
 		return

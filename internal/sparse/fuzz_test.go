@@ -27,6 +27,8 @@ func FuzzReadMatrixMarket(f *testing.F) {
 	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 1\n2 1 -Infinity\n")
 	f.Add("%%MatrixMarket matrix coordinate real symmetric\n3 3 3\n1 1 2\n3 1 -1.5\n3 2 4\n")
 	f.Add("%%MatrixMarket matrix array real general\n2 3\n1\n0\n-2.5\n4\n0\n6\n")
+	f.Add("%%MatrixMarket matrix coordinate integer general\n2 2 2\n1 1 -4\n2 1 1.5\n")
+	f.Add("%%MatrixMarket matrix coordinate integer symmetric\n2 2 2\n1 1 +7\n2 1 1e3\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		a, err := ReadMatrixMarket(strings.NewReader(input))
 		if err != nil {
@@ -49,6 +51,7 @@ func FuzzReadMatrixMarket(f *testing.F) {
 				t.Fatalf("value %v accepted from %q", v, input)
 			}
 		}
+		checkInteger(t, input, a)
 		if banner(input)[4] == "symmetric" {
 			for i := 0; i < a.Rows; i++ {
 				for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
@@ -85,6 +88,8 @@ func FuzzReadMatrixMarketArray(f *testing.F) {
 	f.Add("%%MatrixMarket matrix array real general\n4294967296 4294967297\n")
 	f.Add("%%MatrixMarket matrix array real general\n1 2\n1\nnan\n")
 	f.Add("%%MatrixMarket matrix array real general\n1 1\n+Inf\n")
+	f.Add("%%MatrixMarket matrix array integer general\n1 2\n3\n-0.5\n")
+	f.Add("%%MatrixMarket matrix array integer general\n1 1\n2E1\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		a, err := ReadMatrixMarket(strings.NewReader(input))
 		if err != nil {
@@ -101,7 +106,21 @@ func FuzzReadMatrixMarketArray(f *testing.F) {
 				t.Fatalf("accepted %q, which holds a non-finite value", input)
 			}
 		}
+		checkInteger(t, input, a)
 	})
+}
+
+// checkInteger fails t unless every value of a, read from input, is a
+// whole number when input's banner declares an integer file.
+func checkInteger(t *testing.T, input string, a *CSR) {
+	if banner(input)[3] != "integer" {
+		return
+	}
+	for _, v := range a.Val {
+		if v != math.Trunc(v) {
+			t.Fatalf("integer file %q gave the value %v", input, v)
+		}
+	}
 }
 
 // banner returns the five lower-cased tokens of a MatrixMarket

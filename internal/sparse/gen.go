@@ -16,9 +16,7 @@ func RandomER(rows, cols int, density float64, stream *rng.Stream) *CSR {
 	if density <= 0 || rows == 0 || cols == 0 {
 		return &CSR{Rows: rows, Cols: cols, RowPtr: make([]int, rows+1)}
 	}
-	if density >= 1 {
-		density = 1
-	}
+	density = min(density, 1)
 	a := &CSR{Rows: rows, Cols: cols, RowPtr: make([]int, rows+1)}
 	total := uint64(rows) * uint64(cols)
 	// Geometric inter-arrival sampling: skip ~Exp(1/density) positions

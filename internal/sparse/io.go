@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -49,7 +50,9 @@ const maxIndexLen = 1 << 28
 // comes back with every one stored, zeros included, so ToDense gives
 // the matrix exactly. A symmetric file is square and lists its lower
 // triangle: an off-diagonal entry also stands for its mirror, and one
-// above the diagonal is refused. Every value must be finite.
+// above the diagonal is refused. Every value must be finite, and a
+// value of an integer file an optional sign followed by decimal
+// digits.
 //
 // The size line is checked before any entry is read, and entries are
 // collected as they are read, so the declared entry count reserves no
@@ -74,13 +77,15 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 		return nil, fmt.Errorf("sparse: unsupported MatrixMarket banner %q", banner)
 	}
 	array, pattern, symmetric := tok[2] == "array", tok[3] == "pattern", tok[4] == "symmetric"
-	numeric := tok[3] == "real" || tok[3] == "integer"
+	integer := tok[3] == "integer"
+	numeric := tok[3] == "real" || integer
 	if !(tok[2] == "coordinate" && (numeric || pattern) && (symmetric || tok[4] == "general") ||
 		array && numeric && tok[4] == "general") {
 		return nil, fmt.Errorf("sparse: unsupported MatrixMarket banner %q", banner)
 	}
 
-	line, ok := nextLine(sc)
+	n := 1 // the number of the line last read
+	line, ok := nextLine(sc, &n)
 	if !ok {
 		if err := sc.Err(); err != nil {
 			return nil, err
@@ -124,7 +129,7 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	}
 	var coords []Coord
 	var lines int64
-	for line, ok := nextLine(sc); ok; line, ok = nextLine(sc) {
+	for line, ok := nextLine(sc, &n); ok; line, ok = nextLine(sc, &n) {
 		fields := strings.Fields(line)
 		if len(fields) != width {
 			return nil, fmt.Errorf("sparse: entry line %q has %d fields, want %d", line, len(fields), width)
@@ -144,8 +149,15 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 		}
 		v := 1.0 // a pattern entry is a one
 		if len(fields) > idx {
+			if integer {
+				// Base 10 admits an optional sign and decimal digits; a
+				// value past int64 is still an integer.
+				if _, err := strconv.ParseInt(fields[idx], 10, 64); errors.Is(err, strconv.ErrSyntax) {
+					return nil, fmt.Errorf("sparse: line %d: value %q of an integer file is not an integer", n, fields[idx])
+				}
+			}
 			if v, err = strconv.ParseFloat(fields[idx], 64); err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("sparse: bad value %q: want a finite number", fields[idx])
+				return nil, fmt.Errorf("sparse: line %d: bad value %q: want a finite number", n, fields[idx])
 			}
 		}
 		if symmetric && i < j {
@@ -167,9 +179,11 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 }
 
 // nextLine returns the next line of sc that is neither blank nor a
-// comment, trimmed, and false at the end of the input.
-func nextLine(sc *bufio.Scanner) (string, bool) {
+// comment, trimmed, and false at the end of the input. It counts the
+// lines it reads in *n.
+func nextLine(sc *bufio.Scanner, n *int) (string, bool) {
 	for sc.Scan() {
+		*n++
 		if line := strings.TrimSpace(sc.Text()); line != "" && !strings.HasPrefix(line, "%") {
 			return line, true
 		}

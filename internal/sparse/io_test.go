@@ -195,6 +195,15 @@ func TestMatrixMarketGrammar(t *testing.T) {
 		{"pattern", mm + "coordinate pattern general\n2 2 1\n2 1\n", []float64{0, 0, 1, 0}},
 		{"pattern with a value", mm + "coordinate pattern general\n2 2 1\n2 1 7\n", nil},
 		{"array", mm + "ARRAY Integer General\n2 2\n1\n0\n-0\n4\n", []float64{1, math.Copysign(0, -1), 0, 4}},
+		{"integer signed", mm + "coordinate integer general\n2 2 2\n1 1 +3\n2 2 -12\n", []float64{3, 0, 0, -12}},
+		{"integer fraction", mm + "coordinate integer general\n2 2 1\n1 1 1.5\n", nil},
+		{"integer exponent", mm + "coordinate integer general\n2 2 1\n1 1 1e3\n", nil},
+		{"integer whole fraction", mm + "coordinate integer general\n2 2 1\n1 1 2.0\n", nil},
+		{"integer sign alone", mm + "coordinate integer general\n2 2 1\n1 1 -\n", nil},
+		{"integer two signs", mm + "coordinate integer general\n2 2 1\n1 1 +-2\n", nil},
+		{"integer hex", mm + "coordinate integer general\n2 2 1\n1 1 0x1p3\n", nil},
+		{"integer array fraction", mm + "array integer general\n2 2\n1\n0.5\n3\n4\n", nil},
+		{"integer array exponent", mm + "array integer general\n2 2\n1\n2\n1e3\n4\n", nil},
 	}
 	for _, c := range cases {
 		a, err := ReadMatrixMarket(strings.NewReader(c.input))
@@ -213,5 +222,15 @@ func TestMatrixMarketGrammar(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestMatrixMarketIntegerValueNamesItsLine: a value of an integer file
+// that is not an integer is refused with its line number.
+func TestMatrixMarketIntegerValueNamesItsLine(t *testing.T) {
+	input := "%%MatrixMarket matrix coordinate integer general\n% comment\n2 2 2\n1 1 7\n\n2 2 1.5\n"
+	_, err := ReadMatrixMarket(strings.NewReader(input))
+	if err == nil || !strings.Contains(err.Error(), "line 6:") {
+		t.Fatalf("got %v, want an error naming line 6", err)
 	}
 }

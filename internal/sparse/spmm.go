@@ -68,11 +68,7 @@ func stripWidth(panelRows, k int) int {
 	if panelRows <= 0 || panelRows*k <= spPanelWords {
 		return k
 	}
-	kc := spPanelWords / panelRows
-	if kc < spMinStripK {
-		kc = spMinStripK
-	}
-	return kc
+	return max(spPanelWords/panelRows, spMinStripK)
 }
 
 // nnzBounds returns ForRanges boundaries over [0, len(ptr)-1) whose

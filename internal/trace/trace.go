@@ -201,10 +201,7 @@ func (s Span) End() {
 
 // events returns the retained events in recording order.
 func (t *Tracer) events() []Event {
-	kept := t.total
-	if kept > int64(len(t.buf)) {
-		kept = int64(len(t.buf))
-	}
+	kept := min(t.total, int64(len(t.buf)))
 	out := make([]Event, 0, kept)
 	// Oldest retained event sits at next when the ring has wrapped.
 	if t.total > int64(len(t.buf)) {
