@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -23,8 +24,9 @@ import (
 // costs one WᵀC product plus a k×k NNLS solve per column, independent
 // of however much data originally fitted the basis. A batch's product
 // is 2·m·k·c flops. The usual lone column is priced by its nonzeros,
-// like SpMM: one scan of its m entries plus 2·nnz(c)·k flops, reading
-// only the rows of W under its nonzeros (see scan).
+// like SpMM: one kernel call (mat.AtxNZ) scans its m entries, several
+// per zero test, and adds 2·nnz(c)·k flops into an f held in registers,
+// reading only the rows of W under its nonzeros.
 //
 // A Projector owns a workspace arena and is therefore single-goroutine,
 // like the driver states; concurrent callers each need their own (the
@@ -34,8 +36,8 @@ import (
 type Projector struct {
 	w    *mat.Dense // m×k basis; not owned — callers that mutate it call RefreshGram
 	gram *mat.Dense // k×k cached WᵀW
-	// finite records that gram holds no NaN or ±Inf, so W is finite
-	// and a lone column may take the scan (see scan).
+	// finite records that gram holds no NaN or ±Inf, so W is finite;
+	// ProjectInto refuses to project onto a basis that is not.
 	finite bool
 	s      nnls.Solver
 	ctx    *nnls.Context
@@ -59,7 +61,7 @@ func NewProjector(w *mat.Dense, solver nnls.Solver, pool *par.Pool) (*Projector,
 		return nil, fmt.Errorf("core: projector basis is %dx%d, want at least 1x1", w.Rows, w.Cols)
 	}
 	if !w.IsFinite() {
-		return nil, fmt.Errorf("core: projector basis has non-finite entries")
+		return nil, errBasisNotFinite
 	}
 	if solver == nil {
 		solver = nnls.NewBPP()
@@ -81,10 +83,14 @@ func (p *Projector) Dims() (m, k int) { return p.w.Rows, p.w.Cols }
 // it as read-only.
 func (p *Projector) Gram() *mat.Dense { return p.gram }
 
+// errBasisNotFinite refuses a basis, or the Gram of one, holding a NaN
+// or ±Inf.
+var errBasisNotFinite = errors.New("core: projector basis has non-finite entries")
+
 // RefreshGram recomputes the cached Gram after the basis was mutated
 // in place (the streaming refinement sweeps do this once per sweep),
-// and records whether it is finite: a basis mutated to hold a NaN or
-// ±Inf sends every column through the full product.
+// and records whether it is finite: a projection onto a basis mutated
+// to hold a NaN or ±Inf fails.
 func (p *Projector) RefreshGram() {
 	mat.ParGramTo(p.gram, p.w, p.ctx.Pool)
 	p.finite = p.gram.IsFinite()
@@ -101,7 +107,15 @@ func (p *Projector) RefreshGram() {
 // returns a non-finite iterate, the solve is retried with Tikhonov
 // damping (G + λI, escalating λ), which restores strict convexity at
 // the cost of a slight shrinkage of H. Only a basis that defeats the
-// damped ladder too yields an error — never a panic.
+// damped ladder too yields an error — never a panic. A basis whose
+// Gram is not finite (see RefreshGram) is refused before any solve.
+//
+// A lone column's f = Wᵀc and ‖c‖² come from mat.AtxNZ: the fused
+// operations of the full product, in its order, with only the ±0·w
+// terms left out. With W finite such a term is a ±0, and adding it
+// changes a sum only by turning a −0 into +0. So its f differs from the
+// full product only where it holds a −0, and an f that does is
+// recomputed. A zero square adds nothing to ‖c‖².
 func (p *Projector) ProjectInto(dst, cols *mat.Dense, resid []float64) (nnls.Stats, error) {
 	m, k := p.w.Rows, p.w.Cols
 	if cols.Rows != m {
@@ -114,63 +128,31 @@ func (p *Projector) ProjectInto(dst, cols *mat.Dense, resid []float64) (nnls.Sta
 	if resid != nil && len(resid) != c {
 		return nnls.Stats{}, fmt.Errorf("core: residual buffer has length %d, want %d", len(resid), c)
 	}
+	if !p.finite {
+		return nnls.Stats{}, errBasisNotFinite
+	}
 	if c == 0 {
 		return nnls.Stats{}, nil
 	}
 	ws := p.ctx.WS
 	f := ws.Get(k, c)
 	sp := p.tc.BeginArg(trace.CatKernel, "MulAtB", "cols", int64(c))
-	lone := c == 1 && p.finite
-	c2 := -1.0 // a lone column's ‖c‖², summed by its scan
-	if lone {
-		c2 = p.scan(f.Data, cols.Data)
+	c2 := -1.0 // a lone column's ‖c‖², summed by AtxNZ
+	if c == 1 {
+		c2 = mat.AtxNZ(f.Data, p.w.Data, cols.Data)
 	}
-	if !lone || slices.ContainsFunc(f.Data, negZero) {
+	if c > 1 || slices.ContainsFunc(f.Data, negZero) {
 		mat.ParMulAtBTo(f, p.w, cols, p.ctx.Pool) // f = WᵀC
 	}
 	sp.End()
 	sp = p.tc.BeginArg(trace.CatKernel, "NNLS", "cols", int64(c))
 	st, err := solveDamped(p.s, p.ctx, p.gram, f, nil, dst)
 	sp.End()
-	if err != nil {
-		ws.Put(f)
-		return st, err
-	}
-	if resid != nil {
+	if err == nil && resid != nil {
 		p.residuals(resid, cols, f, dst, c2)
 	}
 	ws.Put(f)
-	return st, nil
-}
-
-// scan computes f = Wᵀc for a lone column c from its nonzeros alone and
-// returns ‖c‖², summed in the same pass. Each nonzero folds its row of
-// W into f, four rows at a time, in ascending row order: the fused
-// operations of the full product, in its order, with only the ±0·w
-// terms left out. With W finite such a term is a ±0, and adding it
-// changes a sum only by turning a −0 into +0. So scan's f differs from
-// the full product only where it holds a −0, and ProjectInto
-// recomputes an f that does. A zero square adds nothing to ‖c‖².
-func (p *Projector) scan(f, col []float64) float64 {
-	clear(f)
-	var rows [4][]float64
-	var v [4]float64
-	n, c2 := 0, 0.0
-	for i, x := range col {
-		if x == 0 {
-			continue
-		}
-		c2 += x * x
-		rows[n], v[n] = p.w.Row(i), x
-		if n++; n == 4 {
-			mat.Axpy4(f, rows[0], rows[1], rows[2], rows[3], &v)
-			n = 0
-		}
-	}
-	for t := range n {
-		mat.Axpy(f, rows[t], v[t])
-	}
-	return c2
+	return st, err
 }
 
 // negZero reports whether x is −0.
@@ -178,7 +160,7 @@ func negZero(x float64) bool { return x == 0 && math.Signbit(x) }
 
 // residuals fills out[j] = ‖cⱼ − W·hⱼ‖/‖cⱼ‖ from the byproducts:
 // ‖c − W·h‖² = ‖c‖² − 2·hᵀf + hᵀG·h with f = Wᵀc and G = WᵀW. A
-// lone column's ‖c‖² arrives as c2 from its scan; c2 < 0 means each
+// lone column's ‖c‖² arrives as c2 from AtxNZ; c2 < 0 means each
 // column's is summed here.
 func (p *Projector) residuals(out []float64, cols, f, h *mat.Dense, c2 float64) {
 	k, c := h.Rows, h.Cols

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -237,8 +238,8 @@ func TestProjectIntoZeroAllocs(t *testing.T) {
 	}
 	h := mat.NewDense(k, c)
 	resid := make([]float64, c)
-	// A lone sparse column takes the nonzero scan, and a lone −0 entry
-	// sends it back to the full product (see Projector.scan).
+	// A lone sparse column takes mat.AtxNZ, and a lone −0 entry sends
+	// it back to the full product (see ProjectInto).
 	sparse := mat.NewDense(m, 1)
 	sparse.Data[3], sparse.Data[17], sparse.Data[30] = 2, 0.5, 7
 	underflow := mat.NewDense(m, 1)
@@ -263,11 +264,11 @@ func TestProjectIntoZeroAllocs(t *testing.T) {
 
 // TestProjectSingleColumnEqualsBatchColumn pins what the serving
 // batcher relies on when it coalesces requests: a column projected
-// alone (WᵀC through the nonzero scan) gets the same coefficients and
+// alone (WᵀC through mat.AtxNZ) gets the same coefficients and
 // residual, bit for bit, as the same column inside a 32-column batch
 // (the full product). The columns are dense, or sparse: 95 % zeros,
 // a fifth of those −0, and in column 0 only a negative subnormal whose
-// products underflow to −0, which the scan must send back to the full
+// products underflow to −0, which must be sent back to the full
 // product.
 func TestProjectSingleColumnEqualsBatchColumn(t *testing.T) {
 	const m, k, c = 203, 50, 32
@@ -329,51 +330,61 @@ func TestProjectSingleColumnEqualsBatchColumn(t *testing.T) {
 }
 
 // TestProjectorNonFiniteRefreshedBasisFails: a basis made non-finite in
-// place, then refreshed, must still fail a projection of a lone column
-// that is zero under the +Inf. The full product's 0·Inf is a NaN, which
-// MU and HALS return as an error; the scan, which would skip it, is not
-// taken on a non-finite Gram. (On the scan's finite f, one MU sweep
-// would return zeros.)
+// place, then refreshed, must fail a projection with an error that
+// names the basis, for every solver, for a lone column that is zero
+// under the +Inf and for a batch. Left to solve, the full product's
+// 0·Inf is a NaN, which BPP answers with zero coefficients, a NaN
+// residual and no error; the zero-skipping lone product never sees it.
 func TestProjectorNonFiniteRefreshedBasisFails(t *testing.T) {
 	const m, k = 12, 3
-	for _, s := range []nnls.Solver{nnls.NewMU(1), nnls.NewMU(20), nnls.NewHALS(20)} {
+	for _, s := range []nnls.Solver{nnls.NewBPP(), nnls.NewPGD(20), nnls.NewMU(1), nnls.NewMU(20), nnls.NewHALS(20)} {
 		w := randBasis(m, k, 14)
 		p, err := NewProjector(w, s, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		col := mat.NewDense(m, 1)
-		col.Data[1], col.Data[7] = 1, 2
-		h := mat.NewDense(k, 1)
-		if _, err := p.ProjectInto(h, col, nil); err != nil {
-			t.Fatal(err)
+		cols := mat.NewDense(m, 2)
+		cols.Set(1, 0, 1)
+		cols.Set(7, 0, 2)
+		cols.Set(3, 1, 1)
+		for _, c := range []*mat.Dense{cols.SubmatrixCols(0, 1), cols} {
+			h := mat.NewDense(k, c.Cols)
+			if _, err := p.ProjectInto(h, c, nil); err != nil {
+				t.Fatal(err)
+			}
 		}
 		w.Set(4, 1, math.Inf(1))
 		p.RefreshGram()
-		if _, err := p.ProjectInto(h, col, make([]float64, 1)); err == nil {
-			t.Errorf("%s: projection onto a basis holding +Inf succeeded: h = %v", s.Name(), h.Data)
+		for _, c := range []*mat.Dense{cols.SubmatrixCols(0, 1), cols} {
+			h := mat.NewDense(k, c.Cols)
+			_, err := p.ProjectInto(h, c, make([]float64, c.Cols))
+			if !errors.Is(err, errBasisNotFinite) {
+				t.Errorf("%s, %d columns: projection onto a basis holding +Inf returned %v, want the non-finite basis refused: h = %v", s.Name(), c.Cols, err, h.Data)
+			}
 		}
 	}
 }
 
 // FuzzProjectLoneColumn holds a lone column's projection, which takes
-// the nonzero scan, to the same column inside a two-column batch, which
+// mat.AtxNZ, to the same column inside a two-column batch, which
 // takes the full WᵀC product: the error, the coefficients and the
 // residual must agree bit for bit. Column entries mix ±0, subnormals,
 // negatives, NaN and ±Inf; basis entries are finite and mix ±0,
-// subnormals and negatives, so products underflow to ±0. The first
-// seed's scan ends at −0 where the full product ends at +0, so it
-// needs the recompute; MU shows the sign in its coefficients.
+// subnormals and negatives, so products underflow to ±0. Widths reach
+// past AtxNZ's 48-column strip. The first seed's lone product ends at
+// −0 where the full product ends at +0, so it needs the recompute; MU
+// shows the sign in its coefficients.
 func FuzzProjectLoneColumn(f *testing.F) {
 	f.Add(uint8(1), uint8(0), uint8(1), []byte{4, 0, 1, 2})
 	f.Add(uint8(9), uint8(4), uint8(0), []byte{0, 0, 9, 1, 0, 6, 0, 2, 12, 0, 3, 8})
 	f.Add(uint8(17), uint8(3), uint8(2), []byte{1, 0, 0, 13, 0, 4, 0, 0, 14, 2})
 	f.Add(uint8(40), uint8(7), uint8(1), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
+	f.Add(uint8(33), uint8(49), uint8(0), []byte{0, 3, 0, 0, 12, 0, 5, 1, 0, 0, 0, 13, 2, 9, 0})
 	colVals := []float64{0, math.Copysign(0, -1), 0.5, 5e-324, -5e-324, 0, 3, -2, 1e-310, 0, 1e300,
 		-1e-310, math.NaN(), math.Inf(1), math.Inf(-1), 0}
 	basisVals := []float64{0, 0.25, 1, -0.75, 5e-324, math.Copysign(0, -1), 2, -1e-310, 0.4, -3, 1e-300, 1.5}
 	f.Fuzz(func(t *testing.T, mb, kb, sb uint8, vals []byte) {
-		m, k := 1+int(mb)%40, 1+int(kb)%8
+		m, k := 1+int(mb)%40, 1+int(kb)%60
 		pick := func(i int) int {
 			if len(vals) == 0 {
 				return 0

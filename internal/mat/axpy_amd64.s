@@ -2,7 +2,7 @@
 
 #include "textflag.h"
 
-// AVX2 axpy primitives (see axpy_amd64.go). The vector lanes hold
+// AVX2 axpy primitives (see dispatch_amd64.go). The vector lanes hold
 // adjacent output elements j — never partial sums of one element — so
 // the per-element accumulation order matches the generic loops exactly
 // and the results are bitwise identical to them.

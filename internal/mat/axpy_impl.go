@@ -3,7 +3,8 @@ package mat
 import "math"
 
 // Portable definitions of the three axpy primitives the accumulating
-// kernels funnel into (the tile kernel's portable loop is in tile.go).
+// kernels funnel into, and of the lone-column product built on the
+// last of them (the tile kernel's portable loop is in tile.go).
 // On amd64 these are the "generic" dispatch level and the reference
 // the AVX2 level is pinned against; on other architectures they are
 // the only level. Each keeps the per-output-element accumulation order
@@ -62,4 +63,26 @@ func axpyGeneric(c, b []float64, v float64) {
 	for j, bv := range b[:len(c)] {
 		c[j] = math.FMA(v, bv, c[j])
 	}
+}
+
+// atxNZGeneric is the lone-column product: it sets
+//
+//	f[j] = Σ x_i·a[i·k+j]   and returns   Σ x_i²
+//
+// with k = len(f), both sums over the nonzero x_i (±0 skipped, NaN
+// kept) in ascending i from a +0 start: f[j] one math.FMA per term,
+// the squares multiplied and then added. Skipping the zero rows costs
+// the full product's bits only where it would end at +0 and f at −0,
+// or where a non-finite row meets a zero (the caller's concern). a must
+// have length ≥ len(x)·k.
+func atxNZGeneric(f, a, x []float64) float64 {
+	k, x2 := len(f), 0.0
+	clear(f)
+	for i, v := range x {
+		if v != 0 {
+			x2 += v * v
+			axpyGeneric(f, a[i*k:i*k+k], v)
+		}
+	}
+	return x2
 }

@@ -216,3 +216,85 @@ func TestEnvOverrideHonoured(t *testing.T) {
 		t.Fatalf("HPCNMF_CPU=%q was not honoured: ISA() = %q (this CPU runs %v)", v, got, SupportedISAs())
 	}
 }
+
+// atxColumn returns a length-m column of alternating zero runs (±0)
+// and nonzero runs, each run 0 to maxRun entries long, so runs start
+// and end off the eight-entry boundary of AtxNZ's zero test. Nonzeros mix NaN, ±Inf,
+// subnormals and signed normals.
+func atxColumn(m, maxRun int, s *rng.Stream) []float64 {
+	vals := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 5e-324, -1e-310, 3, -0.5}
+	x := make([]float64, m)
+	for i, zero := 0, s.Intn(2) == 0; i < m; zero = !zero {
+		for n := s.Intn(maxRun + 1); n > 0 && i < m; n, i = n-1, i+1 {
+			switch {
+			case zero && i%2 == 0:
+			case zero:
+				x[i] = math.Copysign(0, -1)
+			case s.Intn(4) == 0:
+				x[i] = vals[s.Intn(len(vals))]
+			default:
+				x[i] = 2*s.Float64() - 1
+			}
+		}
+	}
+	return x
+}
+
+// TestAtxNZBitwise pins AtxNZ at every dispatch level to the scalar
+// definition — f[j] one math.FMA per nonzero x_i in ascending i from
+// +0, Σ x_i² multiplied then added — bit for bit, across widths below
+// one vector (the generic loop at every level), every strip width (1–12
+// vectors) with and without a 1–3-lane tail, a second and a third
+// strip, lengths across the eight-entry zero test, and columns with
+// sparse and dense runs. f is written whole and nothing around it.
+func TestAtxNZBitwise(t *testing.T) {
+	restoreISA(t)
+	s := rng.New(91)
+	const maxM, maxK = 1000, 100
+	a := randSlice(maxM*maxK, s)
+	for i := 0; i < len(a); i += 7 {
+		a[i] = []float64{0, math.Copysign(0, -1), 5e-324, -1e-310}[i%4]
+	}
+	var ks, ms []int
+	for k := 1; k <= 53; k++ {
+		ks = append(ks, k)
+	}
+	ks = append(ks, 99, maxK)
+	for m := 0; m <= 9; m++ {
+		ms = append(ms, m)
+	}
+	ms = append(ms, 63, 64, 65, maxM)
+	for _, m := range ms {
+		cols := [][]float64{atxColumn(m, 3, s), atxColumn(m, 13, s), make([]float64, m)}
+		for _, k := range ks {
+			for ci, x := range cols {
+				want := make([]float64, k)
+				want2 := 0.0
+				for i, v := range x {
+					if v != 0 {
+						want2 += v * v
+						for j := range want {
+							want[j] = math.FMA(v, a[i*k+j], want[j])
+						}
+					}
+				}
+				for _, isa := range SupportedISAs() {
+					if err := SetISA(isa); err != nil {
+						t.Fatal(err)
+					}
+					buf := filled(k+5, 1234.5)
+					got2 := AtxNZ(buf[1:k+1], a[:m*k], x)
+					if i := diffBits(buf[1:k+1], want); i >= 0 {
+						t.Errorf("%s m=%d k=%d column %d: f[%d] = %x, want %x", isa, m, k, ci, i, math.Float64bits(buf[1+i]), math.Float64bits(want[i]))
+					}
+					if math.Float64bits(got2) != math.Float64bits(want2) {
+						t.Errorf("%s m=%d k=%d column %d: Σx² = %g, want %g", isa, m, k, ci, got2, want2)
+					}
+					if buf[0] != 1234.5 || diffBits(buf[k+1:], filled(4, 1234.5)) >= 0 {
+						t.Errorf("%s m=%d k=%d column %d: wrote outside f", isa, m, k, ci)
+					}
+				}
+			}
+		}
+	}
+}

@@ -40,11 +40,11 @@ func filled(n int, v float64) []float64 {
 
 // TestPrimitivesAreFused holds every dispatch level to one fused
 // multiply-add per term, on operands where a multiply-then-add rounds
-// differently: each instruction position of the four primitives in
+// differently: each instruction position of the five primitives in
 // turn (every term of axpy42/Axpy4, vector body and scalar tail, every
-// unroll step and both vectors of the tile, full and ragged), Gram's
-// scalar diagonal, the substitution of CholSolveInto down a vector and
-// by Axpy, and every reference loop.
+// unroll step and both vectors of the tile, full and ragged, every lane
+// and entry of AtxNZ), Gram's scalar diagonal, the substitution of
+// CholSolveInto down a vector and by Axpy, and every reference loop.
 func TestPrimitivesAreFused(t *testing.T) {
 	var x, y float64 = fa, fb
 	if float64(x*y)-1 != 0 || math.FMA(x, y, -1) != fusedAB || float64(x*x)-1 != unfusedA || math.FMA(x, x, -1) != fusedAA {
@@ -58,6 +58,7 @@ func TestPrimitivesAreFused(t *testing.T) {
 		t.Run(isa, func(t *testing.T) {
 			checkAxpysFused(t)
 			checkTileFused(t)
+			checkAtxFused(t)
 			checkGramFused(t)
 			checkSubstitutionFused(t)
 			checkRefsFused(t)
@@ -91,6 +92,36 @@ func checkAxpysFused(t *testing.T) {
 		c := filled(n, -1)
 		Axpy(c, b, fa)
 		wantBits(t, fmt.Sprintf("Axpy n=%d", n), c, filled(n, fusedAB))
+	}
+}
+
+// checkAtxFused puts the terms (−1)·1 and fa·fb on entries p−1 and p
+// of a 9-entry column (zeros elsewhere), at every p — each place in
+// the eight-entry zero test and its remainder — and widths 1–53: every
+// accumulator of a strip, with and without the overlapping tail, and a
+// second strip (below one vector, the generic loop at every level). Every element of f is fusedAB, 0 unfused. Σ x² stays
+// unfused: after two squares of 2⁻²⁷ (2⁻⁵³ in all), fa² rounded first
+// ties to 1 + 2⁻²⁶, where the fused sum would round up.
+func checkAtxFused(t *testing.T) {
+	const m = 9
+	for k := 1; k <= 53; k++ {
+		a := make([]float64, m*k)
+		for p := 1; p < m; p++ {
+			clear(a)
+			copy(a[(p-1)*k:p*k], filled(k, 1))
+			copy(a[p*k:(p+1)*k], filled(k, fb))
+			x := make([]float64, m)
+			x[p-1], x[p] = -1, fa
+			f := make([]float64, k)
+			AtxNZ(f, a, x)
+			wantBits(t, fmt.Sprintf("AtxNZ k=%d, fa·fb at entry %d", k, p), f, filled(k, fusedAB))
+			if p > 1 {
+				x[p-2], x[p-1] = 0x1p-27, 0x1p-27
+				if got, want := AtxNZ(f, a, x), 1+0x1p-26; got != want {
+					t.Errorf("AtxNZ k=%d, fa at entry %d: Σx² = %x, want the unfused %x", k, p, math.Float64bits(got), math.Float64bits(want))
+				}
+			}
+		}
 	}
 }
 

@@ -10,11 +10,12 @@ import (
 
 // CPU feature dispatch for the kernel primitives.
 //
-// The blocked kernels funnel every flop through four tiny primitives
+// The blocked kernels funnel every flop through five tiny primitives
 // — the three axpys (axpy42, Axpy4, Axpy) behind the wide-output and
-// sparse products, and the 4×8 tile behind the skinny-output ones — so
-// one function-level dispatch point per primitive upgrades the whole
-// kernel layer. Each primitive has two implementations:
+// sparse products, the 4×8 tile behind the skinny-output ones, and
+// AtxNZ behind a lone projection — so one function-level dispatch
+// point per primitive (dispatch_amd64.go) upgrades the whole kernel
+// layer. Each primitive has two implementations:
 //
 //	generic — portable Go loops on math.FMA (the !amd64 build, CPUs
 //	          without AVX2+FMA, and a test target)
