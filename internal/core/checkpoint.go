@@ -167,11 +167,10 @@ func (ck *Checkpoint) Resume(opts Options) (Options, error) {
 // checkpointer drives the in-loop checkpoint schedule for one run. A
 // nil checkpointer (checkpointing off) makes due always false.
 type checkpointer struct {
-	dir    string
-	every  int
-	base   int            // iterations completed before this run (resume)
-	prefix []float64      // error history preceding this run (resume)
-	meta   CheckpointMeta // Iteration/RelErr filled per write
+	dir   string
+	every int
+	base  int            // iterations completed before this run (resume)
+	meta  CheckpointMeta // Iteration/RelErr filled per write
 }
 
 // newCheckpointer returns the run's checkpointer, or nil when
@@ -182,10 +181,9 @@ func newCheckpointer(opts Options, algorithm string, m, n int) *checkpointer {
 	}
 	store.SweepTemps(opts.CheckpointDir, CheckpointFile)
 	return &checkpointer{
-		dir:    opts.CheckpointDir,
-		every:  opts.CheckpointEvery,
-		base:   opts.ckptBase,
-		prefix: opts.ckptRelErr,
+		dir:   opts.CheckpointDir,
+		every: opts.CheckpointEvery,
+		base:  opts.ckptBase,
 		meta: CheckpointMeta{
 			Version:   CheckpointVersion,
 			Algorithm: algorithm,
@@ -201,13 +199,14 @@ func (c *checkpointer) due(completed int) bool {
 	return c != nil && completed%c.every == 0
 }
 
-// write commits one snapshot. The error fails the run: the checkpoint
-// is the job's insurance, and a job that silently stops being
-// restartable is worse than one that fails loudly.
-func (c *checkpointer) write(completed int, relErr []float64, w, h *mat.Dense) error {
+// write commits one snapshot; hist is the whole error history, a
+// resumed run's checkpointed entries included. The error fails the
+// run: the checkpoint is the job's insurance, and a job that silently
+// stops being restartable is worse than one that fails loudly.
+func (c *checkpointer) write(completed int, hist []float64, w, h *mat.Dense) error {
 	meta := c.meta
 	meta.Iteration = c.base + completed
-	meta.RelErr = append(append([]float64(nil), c.prefix...), relErr...)
+	meta.RelErr = hist
 	if err := WriteCheckpoint(c.dir, &Checkpoint{Meta: meta, W: w, H: h}); err != nil {
 		return fmt.Errorf("core: checkpoint at iteration %d failed: %w", completed, err)
 	}

@@ -243,6 +243,53 @@ func TestResumeBitwiseIdentical(t *testing.T) {
 			}
 		})
 	}
+
+	// Under Tol the stop test reads the error history the checkpoint
+	// carries: a run checkpointed one iteration before the
+	// uninterrupted run stopped stops after one resumed iteration.
+	tolBase := base
+	tolBase.MaxIter, tolBase.Tol = 30, 1e-3
+	for _, r := range runners {
+		t.Run(r.name+"-tol", func(t *testing.T) {
+			uninterrupted, err := r.run(a, tolBase)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stop := uninterrupted.Iterations
+			if stop < 2 || stop >= tolBase.MaxIter {
+				t.Fatalf("Tol stopped the run after %d of %d iterations, want mid-run", stop, tolBase.MaxIter)
+			}
+
+			dir := t.TempDir()
+			opts := tolBase
+			opts.MaxIter, opts.CheckpointDir, opts.CheckpointEvery = stop-1, dir, stop-1
+			if _, err := r.run(a, opts); err != nil {
+				t.Fatal(err)
+			}
+			ck, err := LoadCheckpoint(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resumed, err := ck.Resume(tolBase)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := r.run(a, resumed)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			if res.Iterations != 1 {
+				t.Fatalf("resumed run did %d iterations, want the 1 the uninterrupted run had left", res.Iterations)
+			}
+			if !res.W.Equal(uninterrupted.W, 0) || !res.H.Equal(uninterrupted.H, 0) {
+				t.Fatal("resumed factors differ from the uninterrupted run")
+			}
+			if len(res.RelErr) != 1 || res.RelErr[0] != uninterrupted.RelErr[stop-1] {
+				t.Fatalf("resumed RelErr %v, want this run's one entry %v", res.RelErr, uninterrupted.RelErr[stop-1])
+			}
+		})
+	}
 }
 
 // TestKillWithoutCheckpointFailsFast pins the fail-fast half of the

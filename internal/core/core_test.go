@@ -39,7 +39,9 @@ func testOpts(k int) Options {
 // validate the byproduct-based objective.
 func directRelErr(a *mat.Dense, w, h *mat.Dense) float64 {
 	r := mat.Mul(w, h)
-	r.Sub(a)
+	for i, v := range a.Data {
+		r.Data[i] -= v
+	}
 	return r.FrobeniusNorm() / a.FrobeniusNorm()
 }
 

@@ -166,9 +166,11 @@ type Options struct {
 	// 10 when CheckpointDir is set).
 	CheckpointEvery int
 	// ckptBase and ckptRelErr carry a resumed run's prior progress
-	// (set by Checkpoint.Resume) so checkpoints written after a resume
-	// record cumulative iteration counts and the full error history —
-	// a twice-resumed chain stays consistent.
+	// (set by Checkpoint.Resume): the Tol test reads the full error
+	// history, so a resumed run stops where the uninterrupted one
+	// does, and checkpoints written after a resume record cumulative
+	// iteration counts and that history — a twice-resumed chain stays
+	// consistent.
 	ckptBase   int
 	ckptRelErr []float64
 }

@@ -95,9 +95,11 @@ type rankState struct {
 	hGram     *mat.Dense // k×k = h·hᵀ of the local block
 	haveHGram bool       // hGram is current for h
 
-	relErr []float64
-	iters  int
-	done   bool
+	// hist is the error history the stop test reads: a resumed run's
+	// checkpointed entries, then one per iteration of this run.
+	hist  []float64
+	iters int
+	done  bool
 }
 
 // newRankState builds a rank's instruments over the run's shared
@@ -117,13 +119,16 @@ func newRankState(opts Options, normA2 float64, pool *par.Pool, led rankBooks, c
 		k:      opts.K,
 		normA2: normA2,
 		hGram:  mat.NewDense(opts.K, opts.K),
-		relErr: make([]float64, 0, opts.MaxIter),
+		hist:   append(make([]float64, 0, len(opts.ckptRelErr)+opts.MaxIter), opts.ckptRelErr...),
 	}
 	if c != nil {
 		s.rank = c.Rank()
 	}
 	return s
 }
+
+// relErr is this run's part of the error history.
+func (s *rankState) relErr() []float64 { return s.hist[len(s.opts.ckptRelErr):] }
 
 // initBlocks allocates this rank's factor blocks: rows of W starting
 // at global row rowOff and cols of H starting at global column colOff.
@@ -244,11 +249,11 @@ func (s *rankState) step(it int) error {
 		}
 		errSpan.End()
 		e := relErrFrom(s.normA2, cross, quad)
-		s.relErr = append(s.relErr, e)
+		s.hist = append(s.hist, e)
 		if s.rank == 0 {
 			s.led.relErr.Set(e) // one writer, not p identical ones
 		}
-		s.done = shouldStop(s.relErr, s.opts.Tol) || gradConverged(s.opts.TolGrad, pg, pgRef)
+		s.done = shouldStop(s.hist, s.opts.Tol) || gradConverged(s.opts.TolGrad, pg, pgRef)
 	}
 	itSpan.End()
 	s.led.Step += time.Since(start)
@@ -292,14 +297,14 @@ func runLayout(algorithm string, m, n int, normA2 float64, opts Options, p int, 
 			if err := s.step(it); err != nil {
 				return err
 			}
-			pe.emit(s.iters, s.relErr)
+			pe.emit(s.iters, s.relErr())
 			// The checkpoint gather is collective; its schedule is
 			// uniform across ranks because iters and done advance in
 			// lockstep.
 			if ckpt.due(s.iters) && !s.done {
 				w, h := s.lay.gather(true)
 				if s.rank == 0 {
-					if err := ckpt.write(s.iters, s.relErr, w, h); err != nil {
+					if err := ckpt.write(s.iters, s.hist, w, h); err != nil {
 						return err
 					}
 				}
@@ -317,7 +322,7 @@ func runLayout(algorithm string, m, n int, normA2 float64, opts Options, p int, 
 			res = &Result{
 				W:          w,
 				H:          h,
-				RelErr:     s.relErr,
+				RelErr:     s.relErr(),
 				Progress:   pe.collected(),
 				Iterations: s.iters,
 				Algorithm:  algorithm,
@@ -338,9 +343,14 @@ func runLayout(algorithm string, m, n int, normA2 float64, opts Options, p int, 
 		world := mpi.NewWorld(p)
 		world.SetTracing(tsess)
 		world.SetMetrics(opts.Metrics)
-		configureWorld(world, opts)
+		if opts.Fault != nil {
+			world.SetFault(opts.Fault.Hook())
+		}
+		if opts.CommDeadline != 0 { // < 0 disables the deadline
+			world.SetDeadline(max(opts.CommDeadline, 0))
+		}
 		traffic = make([]*mpi.Counters, p)
-		err := runWorld(world, func(c *mpi.Comm) {
+		err := world.RunErr(func(c *mpi.Comm) {
 			// A rank's error aborts the world; recordFailure keeps it
 			// in the chain of the error every rank returns.
 			if err := body(c, c.Tracer()); err != nil {
@@ -348,7 +358,9 @@ func runLayout(algorithm string, m, n int, normA2 float64, opts Options, p int, 
 			}
 		})
 		if err != nil {
-			return nil, err
+			// The mpi.RankFailedError and its cause stay in the chain,
+			// for errors.As/errors.Is.
+			return nil, fmt.Errorf("core: parallel run failed: %w", err)
 		}
 	}
 	res.ledgers = ledgers

@@ -144,11 +144,7 @@ func TestNNDSVDBeatsRandomInit(t *testing.T) {
 	}
 	// Initial reconstruction error of NNDSVD must beat the random
 	// element-addressed init (the whole point of structured init).
-	errOf := func(w, h *mat.Dense) float64 {
-		r := mat.Mul(w, h)
-		r.Sub(a)
-		return r.FrobeniusNorm() / a.FrobeniusNorm()
-	}
+	errOf := func(w, h *mat.Dense) float64 { return directRelErr(a, w, h) }
 	wr := initW(50, 5, 0, 9)
 	hr := initH(5, 40, 0, 9)
 	if errOf(w0, h0) >= errOf(wr, hr) {

@@ -88,7 +88,9 @@ func TestVideoStructure(t *testing.T) {
 
 func frameDist(a, b *mat.Dense) float64 {
 	d := a.Clone()
-	d.Sub(b)
+	for i, v := range b.Data {
+		d.Data[i] -= v
+	}
 	return d.FrobeniusNorm()
 }
 

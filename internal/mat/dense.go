@@ -182,16 +182,6 @@ func (a *Dense) SetSubmatrix(r0, c0 int, b *Dense) {
 	}
 }
 
-// Sub subtracts b from a in place. Shapes must match.
-func (a *Dense) Sub(b *Dense) {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic("mat: Sub shape mismatch")
-	}
-	for i, v := range b.Data {
-		a.Data[i] -= v
-	}
-}
-
 // ClampNonneg projects every entry onto [0, ∞) in place.
 func (a *Dense) ClampNonneg() {
 	for i, v := range a.Data {

@@ -288,15 +288,16 @@ func TestRankPanicPropagates(t *testing.T) {
 func TestCollectiveTrafficCounts(t *testing.T) {
 	const p = 8 // power of two: log2 = 3
 	const n = 64
-	w := NewWorld(p)
-	w.Run(func(c *Comm) {
+	ctrs := make([]*Counters, p)
+	NewWorld(p).Run(func(c *Comm) {
 		data := make([]float64, n)
 		c.AllGatherV(data[:n/p], splitCounts(n, p))
 		c.ReduceScatter(data, splitCounts(n, p))
 		c.AllReduce(data)
+		ctrs[c.Rank()] = c.Counters()
 	})
 	logp := int64(3)
-	for r, ctr := range w.Traffic() {
+	for r, ctr := range ctrs {
 		ag := ctr.Get(CatAllGather)
 		if ag.Msgs != logp {
 			t.Errorf("rank %d: AllGather msgs = %d, want %d", r, ag.Msgs, logp)
@@ -333,13 +334,14 @@ func TestAllReduceTreeTraffic(t *testing.T) {
 	for _, tc := range cases {
 		p, n := tc.p, tc.n
 		results := make([][]float64, p)
-		w := NewWorld(p)
-		w.Run(func(c *Comm) {
+		ctrs := make([]*Counters, p)
+		NewWorld(p).Run(func(c *Comm) {
 			data := make([]float64, n)
 			for i := range data {
 				data[i] = 1/float64(c.Rank()+3) + float64(i)
 			}
 			results[c.Rank()] = c.AllReduce(data)
+			ctrs[c.Rank()] = c.Counters()
 		})
 		for r, got := range results {
 			if len(got) != n {
@@ -361,7 +363,7 @@ func TestAllReduceTreeTraffic(t *testing.T) {
 			}
 		}
 		var all, ar Traffic
-		for _, ctr := range w.Traffic() {
+		for _, ctr := range ctrs {
 			tot, got := ctr.Total(), ctr.Get(CatAllReduce)
 			all.Msgs += tot.Msgs
 			all.Words += tot.Words
@@ -379,11 +381,12 @@ func TestBruckTrafficCounts(t *testing.T) {
 	// messages and (p-1)/p·n words per rank.
 	const p = 5
 	const blockWords = 10
-	w := NewWorld(p)
-	w.Run(func(c *Comm) {
+	ctrs := make([]*Counters, p)
+	NewWorld(p).Run(func(c *Comm) {
 		c.AllGatherV(make([]float64, blockWords), splitCounts(p*blockWords, p))
+		ctrs[c.Rank()] = c.Counters()
 	})
-	for r, ctr := range w.Traffic() {
+	for r, ctr := range ctrs {
 		ag := ctr.Get(CatAllGather)
 		if ag.Msgs != 3 {
 			t.Errorf("rank %d: Bruck msgs = %d, want 3", r, ag.Msgs)
@@ -429,8 +432,8 @@ func TestWorldSizeValidation(t *testing.T) {
 func TestAllGatherLinear(t *testing.T) {
 	const p = 6
 	counts := []int{1, 2, 3, 1, 2, 3}
-	w := NewWorld(p)
-	w.Run(func(c *Comm) {
+	ctrs := make([]*Counters, p)
+	NewWorld(p).Run(func(c *Comm) {
 		data := make([]float64, counts[c.Rank()])
 		for i := range data {
 			data[i] = float64(c.Rank())
@@ -445,10 +448,11 @@ func TestAllGatherLinear(t *testing.T) {
 				pos++
 			}
 		}
+		ctrs[c.Rank()] = c.Counters()
 	})
 	// Critical-path cost: p-1 messages per rank (vs ⌈log p⌉ for the
 	// tree algorithms) and the same (p-1)/p·n words.
-	for r, ctr := range w.Traffic() {
+	for r, ctr := range ctrs {
 		ag := ctr.Get(CatAllGather)
 		if ag.Msgs != p-1 {
 			t.Errorf("rank %d: linear msgs = %d, want %d", r, ag.Msgs, p-1)

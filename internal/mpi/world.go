@@ -17,7 +17,6 @@
 //	    sum := c.AllReduce([]float64{float64(c.Rank())})
 //	    ...
 //	})
-//	traffic := world.Traffic() // per-rank counters, by category
 package mpi
 
 import (
@@ -161,10 +160,6 @@ func (w *World) publishMetrics() {
 		w.metrics.Gauge(fmt.Sprintf("mpi.rank.%d.words", r)).Set(float64(t.Words))
 	}
 }
-
-// Traffic returns the per-rank communication counters, indexed by
-// world rank. Valid after Run returns.
-func (w *World) Traffic() []*Counters { return w.counters }
 
 // Run executes body once per rank, concurrently, and waits for all
 // ranks to finish. If any rank fails — an application panic, an

@@ -31,7 +31,9 @@ func problem(m, k, r int, seed uint64) (g, f, c, b *mat.Dense) {
 // objective evaluates ‖C·X − B‖²_F.
 func objective(c, b, x *mat.Dense) float64 {
 	r := mat.Mul(c, x)
-	r.Sub(b)
+	for i, v := range b.Data {
+		r.Data[i] -= v
+	}
 	return r.SquaredFrobeniusNorm()
 }
 
@@ -39,7 +41,9 @@ func objective(c, b, x *mat.Dense) float64 {
 // max over entries of |min(x,0)|, |min(y,0)|, |x·y| where y = GX − F.
 func kktResidual(g, f, x *mat.Dense) float64 {
 	y := mat.Mul(g, x)
-	y.Sub(f)
+	for i, v := range f.Data {
+		y.Data[i] -= v
+	}
 	worst := 0.0
 	for i := range x.Data {
 		xi, yi := x.Data[i], y.Data[i]

@@ -471,23 +471,6 @@ func NewStreaming(m int, opts StreamingOptions) (*Streaming, error) {
 	return core.NewStreaming(m, opts)
 }
 
-// SymOptions configures symmetric NMF (A ≈ H·Hᵀ).
-type SymOptions = core.SymOptions
-
-// SymResult reports a symmetric factorization.
-type SymResult = core.SymResult
-
-// RunSymNMF computes symmetric NMF A ≈ H·Hᵀ for a symmetric
-// non-negative matrix (graph clustering; Kuang, Ding & Park, cited by
-// the paper as an NMF application).
-func RunSymNMF(a Matrix, opts SymOptions) (*SymResult, error) { return core.RunSymNMF(a, opts) }
-
-// RunSymNMFParallel runs symmetric NMF on p simulated ranks; with a
-// shared seed it computes the same iterates as RunSymNMF.
-func RunSymNMFParallel(a Matrix, p int, opts SymOptions) (*SymResult, error) {
-	return core.RunSymNMFParallel(a, p, opts)
-}
-
 // Dataset is a generated evaluation workload.
 type Dataset = datasets.Dataset
 

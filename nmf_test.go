@@ -226,27 +226,6 @@ func TestFacadeTruncatedSVD(t *testing.T) {
 	}
 }
 
-func TestFacadeSymNMF(t *testing.T) {
-	// Small symmetric similarity matrix.
-	a := hpcnmf.NewDense(6, 6)
-	for i := 0; i < 6; i++ {
-		for j := 0; j < 6; j++ {
-			if i/3 == j/3 {
-				a.Set(i, j, 1)
-			} else {
-				a.Set(i, j, 0.05)
-			}
-		}
-	}
-	res, err := hpcnmf.RunSymNMF(hpcnmf.WrapDense(a), hpcnmf.SymOptions{K: 2, MaxIter: 50, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.H.Rows != 6 || res.H.Cols != 2 || res.H.Min() < 0 {
-		t.Fatal("SymNMF output malformed")
-	}
-}
-
 // refusingSolver fails every solve with errRefused.
 type refusingSolver struct{}
 
