@@ -127,7 +127,7 @@ func BenchmarkAblationObjective(b *testing.B) {
 	})
 	b.Run("residual", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			r := mat.Mul(w, h)
+			r := mul(w, h)
 			for j, v := range d.Data {
 				r.Data[j] -= v
 			}

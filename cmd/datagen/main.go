@@ -83,6 +83,9 @@ func main() {
 // generated in memory first; sparse ones have no tiled form. The file
 // fixes no panel height: the reader picks it (nmfrun -tile-mem).
 func writeTiled(path, data string, scale float64, seed uint64, rows, cols int) {
+	if err := datasets.Scale(scale).Check(); err != nil {
+		fatal("%v", err)
+	}
 	switch strings.ToLower(data) {
 	case "dsyn":
 		m, n := rows, cols

@@ -32,6 +32,7 @@ import (
 	"hpcnmf"
 	"hpcnmf/internal/core"
 	"hpcnmf/internal/costmodel"
+	"hpcnmf/internal/datasets"
 	"hpcnmf/internal/metrics"
 	"hpcnmf/internal/nnls"
 	"hpcnmf/internal/perf"
@@ -229,7 +230,10 @@ func loadInput(c *cli, stdout io.Writer) (*input, error) {
 		}
 		return pickStorage(c, &input{name: c.mmPath, a: hpcnmf.WrapSparse(csr)}, stdout), nil
 	}
-	ds := hpcnmf.GenerateDataset(c.data, c.scale, c.seed)
+	ds, err := datasets.ByName(c.data, datasets.Scale(c.scale), c.seed)
+	if err != nil {
+		return nil, err
+	}
 	return pickStorage(c, &input{name: ds.Name, a: ds.Matrix}, stdout), nil
 }
 

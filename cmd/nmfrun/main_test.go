@@ -40,6 +40,9 @@ func TestRunFlagValidation(t *testing.T) {
 		{"-mm", "/nonexistent/matrix.mtx"},
 		{"-resume", "/nonexistent/ckpt-dir"},
 		{"-not-a-flag"},
+		fast("-data", "bogus"),
+		fast("-scale", "Inf"),
+		fast("-scale", "NaN"),
 	}
 	for _, args := range cases {
 		if err := run(args, &out, &errb); err == nil {

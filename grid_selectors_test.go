@@ -12,13 +12,20 @@ import (
 	"hpcnmf/internal/sparse"
 )
 
+// mul returns A·B in a fresh matrix, computed by the production kernel.
+func mul(a, b *mat.Dense) *mat.Dense {
+	c := mat.NewDense(a.Rows, b.Cols)
+	mat.ParMulTo(c, a, b, nil)
+	return c
+}
+
 // lowRankDense builds a non-negative m×n matrix of rank k.
 func lowRankDense(m, n, k int, seed uint64) hpcnmf.Matrix {
 	s := rng.New(seed)
 	w, h := mat.NewDense(m, k), mat.NewDense(k, n)
 	w.RandomUniform(s)
 	h.RandomUniform(s)
-	return hpcnmf.WrapDense(mat.Mul(w, h))
+	return hpcnmf.WrapDense(mul(w, h))
 }
 
 // checkSelectorsAgree asserts that every way of asking "which grid?"

@@ -300,6 +300,14 @@ func TestExplicitInitParallelConsistency(t *testing.T) {
 	if d := nv.H.MaxDiff(seq.H); d > 1e-6 {
 		t.Fatalf("explicit-init Naive diverged by %g", d)
 	}
+	// The facade's RunParallel path: the grid is picked by the planner.
+	auto, err := RunParallelAuto(a, 4, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := max(auto.W.MaxDiff(seq.W), auto.H.MaxDiff(seq.H)); d > 1e-6 {
+		t.Fatalf("explicit-init RunParallelAuto diverged by %g", d)
+	}
 }
 
 func TestExplicitInitValidation(t *testing.T) {

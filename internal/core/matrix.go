@@ -39,16 +39,6 @@ func UnwrapSparse(a Matrix) (*sparse.CSR, bool) {
 	return s, s != nil
 }
 
-// storedValues returns A's stored entries: every entry of a dense A,
-// the nonzeros of a CSR one.
-func storedValues(a Matrix) []float64 {
-	d, s := a.storage()
-	if d != nil {
-		return d.Data
-	}
-	return s.Val
-}
-
 // denseMatrix adapts *mat.Dense to Matrix.
 type denseMatrix struct{ d *mat.Dense }
 

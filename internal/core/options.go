@@ -103,10 +103,11 @@ type Options struct {
 	// aggregation for residual" of §5) plus one local Gram product.
 	ComputeError bool
 	// InitW and InitH supply explicit initial factors (m×K and K×n)
-	// instead of the default element-addressed random init — e.g. the
-	// output of NNDSVD. The parallel algorithms slice the provided
-	// matrices deterministically, so with explicit init a parallel
-	// run still computes the same iterates as a sequential one.
+	// instead of the default element-addressed random init: this is
+	// how a caller brings its own initialization. The parallel
+	// algorithms slice the provided matrices deterministically, so
+	// with explicit init a parallel run still computes the same
+	// iterates as a sequential one.
 	InitW, InitH *mat.Dense
 	// Regularization extends the objective to
 	//   ‖A−WH‖²_F + L2W·‖W‖²_F + L1W·Σᵢⱼ Wᵢⱼ + L2H·‖H‖²_F + L1H·Σᵢⱼ Hᵢⱼ

@@ -377,7 +377,7 @@ func TestObjectiveNeverIncreases(t *testing.T) {
 // (x or G zero, and f zero: all-zero input) the conditions hold
 // exactly and the violation is 0.
 func kktViolation(g, f, x *mat.Dense) float64 {
-	grad := mat.Mul(g, x)
+	grad := mul(g, x)
 	xmax := max(slices.Max(x.Data), -x.Min())
 	scale := max(slices.Max(g.Data), -g.Min())*xmax + max(slices.Max(f.Data), -f.Min())
 	v := 0.0

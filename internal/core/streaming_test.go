@@ -12,7 +12,7 @@ import (
 func streamColumns(b *mat.Dense, c int, noise float64, s *rng.Stream) *mat.Dense {
 	coef := mat.NewDense(b.Cols, c)
 	coef.RandomUniform(s)
-	out := mat.Mul(b, coef)
+	out := mul(b, coef)
 	for i := range out.Data {
 		v := out.Data[i] + noise*s.Normal()
 		if v < 0 {
@@ -201,7 +201,7 @@ func TestStreamingRingOrderAcrossWraparound(t *testing.T) {
 	x0 := mat.NewDense(k, 1)
 	x0.Set(0, 0, 1)
 	x0.Set(1, 0, 2)
-	base := mat.Mul(w, x0)
+	base := mul(w, x0)
 	for tcol := 1; tcol <= 11; tcol++ {
 		col := mat.NewDense(m, 1)
 		for i := 0; i < m; i++ {
@@ -248,7 +248,7 @@ func TestStreamingOverWindowPushKeepsNewest(t *testing.T) {
 	x0 := mat.NewDense(k, 1)
 	x0.Set(0, 0, 1)
 	x0.Set(1, 0, 1)
-	base := mat.Mul(w, x0)
+	base := mul(w, x0)
 	big := mat.NewDense(m, 7)
 	for j := 0; j < 7; j++ {
 		for i := 0; i < m; i++ {

@@ -253,10 +253,22 @@ func (s Scale) Dim(v int) int {
 	return max(int(float64(v)*float64(s)), 8)
 }
 
+// Check refuses a NaN or ±Inf scale, naming it: Dim would floor every
+// dimension of such a scale at 8.
+func (s Scale) Check() error {
+	if math.IsNaN(float64(s)) || math.IsInf(float64(s), 0) {
+		return fmt.Errorf("datasets: scale %v is not a finite number", float64(s))
+	}
+	return nil
+}
+
 // ByName generates one of the four paper datasets: "dsyn", "ssyn",
 // "video", "webbase". Dimensions follow the package defaults times
-// scale.
+// scale; a finite scale ≤ 0 means 1, and a non-finite one is an error.
 func ByName(name string, scale Scale, seed uint64) (Dataset, error) {
+	if err := scale.Check(); err != nil {
+		return Dataset{}, err
+	}
 	if scale <= 0 {
 		scale = 1
 	}

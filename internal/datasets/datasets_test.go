@@ -1,7 +1,10 @@
 package datasets
 
 import (
+	"fmt"
+	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"hpcnmf/internal/core"
@@ -91,7 +94,7 @@ func frameDist(a, b *mat.Dense) float64 {
 	for i, v := range b.Data {
 		d.Data[i] -= v
 	}
-	return d.FrobeniusNorm()
+	return math.Sqrt(d.SquaredFrobeniusNorm())
 }
 
 func TestVideoTallSkinny(t *testing.T) {
@@ -128,6 +131,17 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("nope", 1, 0); err == nil {
 		t.Fatal("unknown dataset accepted")
+	}
+}
+
+// TestByNameRefusesNonFiniteScale: a NaN or ±Inf scale is an error
+// naming the value, not an 8×8 matrix or the default size.
+func TestByNameRefusesNonFiniteScale(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := ByName("ssyn", Scale(v), 1)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprint(v)) {
+			t.Errorf("scale %v: err = %v, want one naming the value", v, err)
+		}
 	}
 }
 

@@ -191,11 +191,6 @@ func (a *Dense) ClampNonneg() {
 	}
 }
 
-// FrobeniusNorm returns ‖a‖_F.
-func (a *Dense) FrobeniusNorm() float64 {
-	return math.Sqrt(a.SquaredFrobeniusNorm())
-}
-
 // SquaredFrobeniusNorm returns ‖a‖_F².
 func (a *Dense) SquaredFrobeniusNorm() float64 {
 	s := 0.0

@@ -1,7 +1,6 @@
 package mat
 
 import (
-	"fmt"
 	"math"
 
 	"hpcnmf/internal/par"
@@ -43,23 +42,12 @@ import (
 // Each in-place kernel is a Par* function taking a *par.Pool that
 // splits the output range across workers; the pool may be nil, which
 // runs the serial path inline (see internal/par). The unprefixed
-// functions (Mul, Gram) allocate their result and run with a nil pool.
+// Gram allocates its result and runs with a nil pool.
 
 // parGrain is the minimum number of output rows (weighted by cost)
 // worth shipping to a pool worker; below 2·parGrain kernels run
 // inline.
 const parGrain = 8
-
-// Mul returns C = A·B. Dimensions: (m×p)·(p×n) → m×n.
-// Cost: 2·m·p·n flops.
-func Mul(a, b *Dense) *Dense {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("mat: Mul dimension mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	c := NewDense(a.Rows, b.Cols)
-	ParMulAddTo(c, a, b, nil)
-	return c
-}
 
 // ParMulTo computes C = A·B with kernel rows split across the pool.
 func ParMulTo(c, a, b *Dense, p *par.Pool) {

@@ -9,6 +9,13 @@ import (
 	"hpcnmf/internal/rng"
 )
 
+// mul returns A·B in a fresh matrix, computed by the production kernel.
+func mul(a, b *mat.Dense) *mat.Dense {
+	c := mat.NewDense(a.Rows, b.Cols)
+	mat.ParMulTo(c, a, b, nil)
+	return c
+}
+
 // problem builds a well-conditioned NNLS instance: C (m×k) with
 // uniform entries, B (m×r); returns G = CᵀC, F = CᵀB and (C, B) for
 // objective evaluation.
@@ -30,7 +37,7 @@ func problem(m, k, r int, seed uint64) (g, f, c, b *mat.Dense) {
 
 // objective evaluates ‖C·X − B‖²_F.
 func objective(c, b, x *mat.Dense) float64 {
-	r := mat.Mul(c, x)
+	r := mul(c, x)
 	for i, v := range b.Data {
 		r.Data[i] -= v
 	}
@@ -40,7 +47,7 @@ func objective(c, b, x *mat.Dense) float64 {
 // kktResidual returns the largest KKT violation of X for (G, F):
 // max over entries of |min(x,0)|, |min(y,0)|, |x·y| where y = GX − F.
 func kktResidual(g, f, x *mat.Dense) float64 {
-	y := mat.Mul(g, x)
+	y := mul(g, x)
 	for i, v := range f.Data {
 		y.Data[i] -= v
 	}
@@ -121,7 +128,7 @@ func TestBPPUnconstrainedCase(t *testing.T) {
 	c := mat.NewDense(30, k)
 	c.RandomUniform(s)
 	g := mat.Gram(c)
-	f := mat.Mul(g, xstar) // F = G·X* so X* is the global optimum
+	f := mul(g, xstar) // F = G·X* so X* is the global optimum
 	x, _, err := Solve(NewBPP(), g, f, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +154,7 @@ func TestBPPActiveConstraints(t *testing.T) {
 	c := mat.NewDense(40, k)
 	c.RandomUniform(s)
 	g := mat.Gram(c)
-	f := mat.Mul(g, xstar)
+	f := mul(g, xstar)
 	x, _, err := Solve(NewBPP(), g, f, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -25,12 +25,22 @@ import (
 // (modelBytes(24,4,32) ≈ 7.8 KiB), so adding a second always evicts.
 const tinyBudget = 10 << 10
 
+// newFSStore returns a filesystem store in a fresh temporary directory.
+func newFSStore(t *testing.T) *mstore.FS {
+	t.Helper()
+	ds, err := mstore.NewFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
 // TestEvictionFaultsBackFromStore is the eviction + warm-start
 // interplay pin: the LRU evicts a durable model, and the next
 // projection against it faults it back in from the store instead of
 // 404ing — eviction is no longer data loss.
 func TestEvictionFaultsBackFromStore(t *testing.T) {
-	ds := mstore.NewMemory()
+	ds := newFSStore(t)
 	s := New(Options{Durable: ds, StoreBudget: tinyBudget})
 	defer s.Close()
 	if err := s.AddModel("victim", testBasis(24, 4, 1)); err != nil {
@@ -127,13 +137,13 @@ func (b *blockingStore) Get(id string) (*mstore.Model, error) {
 // concurrent request gets errRehydrating, which the HTTP layer maps
 // to 503 + Retry-After — not 404, the model is not gone.
 func TestRehydrating503(t *testing.T) {
-	mem := mstore.NewMemory()
-	bs := &blockingStore{ModelStore: mem, enter: make(chan struct{}), release: make(chan struct{})}
+	ds := newFSStore(t)
+	bs := &blockingStore{ModelStore: ds, enter: make(chan struct{}), release: make(chan struct{})}
 	s := New(Options{Durable: bs, WarmFilter: func(string) bool { return false }})
 	defer s.Close()
 	// Commit a model to the underlying store only (bypassing AddModel,
 	// which would also make it resident).
-	if err := mem.Put(&mstore.Model{ID: "cold", W: testBasis(24, 4, 1)}); err != nil {
+	if err := ds.Put(&mstore.Model{ID: "cold", W: testBasis(24, 4, 1)}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -182,7 +192,7 @@ func TestRehydrating503(t *testing.T) {
 // whole catalog immediately, minus entries the filter rejects and
 // minus quarantined corruption.
 func TestWarmStartScan(t *testing.T) {
-	ds := mstore.NewMemory()
+	ds := newFSStore(t)
 	for _, id := range []string{"a", "b", "skip-me"} {
 		if err := ds.Put(&mstore.Model{ID: id, W: testBasis(24, 4, int64(len(id)))}); err != nil {
 			t.Fatal(err)
@@ -217,7 +227,7 @@ func TestWarmStartScan(t *testing.T) {
 // durable store before the job reports done, and the durable copy
 // matches the resident one bitwise.
 func TestFitCommitsDurably(t *testing.T) {
-	ds := mstore.NewMemory()
+	ds := newFSStore(t)
 	s := New(Options{Durable: ds})
 	defer s.Close()
 	spec := FitRequest{Model: "fitted", Rows: 12, Cols: 8, K: 2, MaxIter: 10, Seed: 42}
@@ -254,7 +264,7 @@ func TestFitCommitsDurably(t *testing.T) {
 // TestDeleteRemovesDurable: DELETE removes both copies, so the model
 // cannot resurrect through warm-start or fault-in.
 func TestDeleteRemovesDurable(t *testing.T) {
-	ds := mstore.NewMemory()
+	ds := newFSStore(t)
 	s := New(Options{Durable: ds})
 	if err := s.AddModel("gone", testBasis(24, 4, 1)); err != nil {
 		t.Fatal(err)

@@ -108,7 +108,8 @@ func TestMulBtAgainstDense(t *testing.T) {
 	b := randomDense(6, 4, 7) // cols x k
 	got := mat.NewDense(9, 4)
 	a.MulBtTo(got, b, nil)
-	want := mat.Mul(a.ToDense(), b)
+	want := mat.NewDense(9, 4)
+	mat.ParMulTo(want, a.ToDense(), b, nil)
 	if got.MaxDiff(want) > 1e-12 {
 		t.Fatalf("MulBt mismatch: %g", got.MaxDiff(want))
 	}

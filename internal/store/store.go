@@ -2,11 +2,10 @@
 // resident LRU: fitted models (basis W plus provenance) are committed
 // as CRC-guarded versioned blobs so they survive process restarts, and
 // cold instances warm-start by scanning the manifest. The package is a
-// seam, not a database — one small interface (ModelStore) with two
-// backends: an in-process memory store (tests, ephemeral deployments)
-// and a filesystem store whose writes follow the checkpoint durability
-// discipline (same-directory temp file, fsync, atomic rename,
-// parent-directory fsync). Entries that fail validation on read are
+// seam, not a database — one small interface (ModelStore) with one
+// backend, a filesystem store whose writes follow the checkpoint
+// durability discipline (same-directory temp file, fsync, atomic
+// rename, parent-directory fsync); tests wrap it to stall a read. Entries that fail validation on read are
 // quarantined — renamed aside, never silently served and never
 // blocking the rest of the manifest. The blob format is the package's
 // CRC-32C container (container.go), which core's checkpoints use too,

@@ -48,10 +48,8 @@ func sameModel(t *testing.T, got, want *Model) {
 	}
 }
 
-// backends runs a subtest against every ModelStore implementation, so
-// the two stay behaviorally interchangeable.
+// backends runs a subtest against the filesystem ModelStore.
 func backends(t *testing.T, fn func(t *testing.T, s ModelStore)) {
-	t.Run("memory", func(t *testing.T) { fn(t, NewMemory()) })
 	t.Run("fs", func(t *testing.T) {
 		s, err := NewFS(t.TempDir())
 		if err != nil {

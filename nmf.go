@@ -425,22 +425,6 @@ func AdviseAlgorithmGrid(a Matrix, k, p int) ([]AlgorithmGridChoice, error) {
 	return costmodel.AlgorithmGrid(pb, ranked[0], perf.Edison()), err
 }
 
-// NNDSVD computes the non-negative double SVD initialization of
-// Boutsidis & Gallopoulos. Pass the returned factors via
-// Options.InitW/InitH; fillMean replaces zeros with the matrix mean /
-// k ("NNDSVDa"), required for solvers that cannot reactivate zeros
-// (MU).
-func NNDSVD(a Matrix, k int, fillMean bool, seed uint64) (w, h *Dense, err error) {
-	return core.NNDSVD(a, k, fillMean, seed)
-}
-
-// TruncatedSVD returns the top-k singular triplets of A
-// (A ≈ U·diag(sigma)·Vᵀ) via subspace iteration; sparse inputs stay
-// sparse.
-func TruncatedSVD(a Matrix, k, iters int, seed uint64) (u *Dense, sigma []float64, v *Dense, err error) {
-	return core.TruncatedSVD(a, k, iters, seed)
-}
-
 // Projector projects new data columns onto a fixed basis W — the
 // H-subproblem NNLS solve with W frozen, off a cached WᵀW Gram. It is
 // the shared cheap-serve path of the streaming factorizer and the

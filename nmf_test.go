@@ -198,34 +198,6 @@ func TestFacadeOpenTiledBackend(t *testing.T) {
 	}
 }
 
-func TestFacadeNNDSVDInit(t *testing.T) {
-	ds := hpcnmf.GenerateDataset("dsyn", 0.03, 15)
-	w0, h0, err := hpcnmf.NNDSVD(ds.Matrix, 3, true, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := hpcnmf.RunParallel(ds.Matrix, 4, hpcnmf.Options{
-		K: 3, MaxIter: 3, Seed: 1, InitW: w0, InitH: h0, ComputeError: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.RelErr) == 0 || res.W.Min() < 0 {
-		t.Fatal("NNDSVD-seeded parallel run invalid")
-	}
-}
-
-func TestFacadeTruncatedSVD(t *testing.T) {
-	ds := hpcnmf.GenerateDataset("dsyn", 0.02, 17)
-	u, sigma, v, err := hpcnmf.TruncatedSVD(ds.Matrix, 2, 0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sigma) != 2 || sigma[0] < sigma[1] || u.Cols != 2 || v.Cols != 2 {
-		t.Fatal("SVD output malformed")
-	}
-}
-
 // refusingSolver fails every solve with errRefused.
 type refusingSolver struct{}
 

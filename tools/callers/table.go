@@ -27,11 +27,9 @@ type row struct {
 // a caller, fails the gate as stale.
 var table = []row{
 	// Tests install a fitted basis without a fit job, ask which
-	// instance holds a model, back a server with an in-memory store,
-	// and sweep every kernel level.
+	// instance holds a model, and sweep every kernel level.
 	{"serve.Server.AddModel", testSeam},
 	{"serve.Server.HasModel", testSeam},
-	{"store.NewMemory", testSeam},
 	{"mat.SupportedISAs", testSeam},
 
 	// The naive all-gather that DESIGN decision 1 and
