@@ -56,7 +56,8 @@ func BenchmarkAblationBPPGrouping(b *testing.B) {
 	s := rng.New(9)
 	c := mat.NewDense(300, k)
 	c.RandomUniform(s)
-	g := mat.Gram(c)
+	g := mat.NewDense(k, k)
+	mat.ParGramTo(g, c, nil)
 	bm := mat.NewDense(300, r)
 	for i := range bm.Data {
 		bm.Data[i] = s.Float64()*2 - 0.5
@@ -70,8 +71,9 @@ func BenchmarkAblationBPPGrouping(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			solver := &nnls.BPP{Grouping: grouping}
+			x := mat.NewDense(k, r)
 			for i := 0; i < b.N; i++ {
-				if _, _, err := nnls.Solve(solver, g, f, nil); err != nil {
+				if _, err := solver.SolveCtx(nil, g, f, nil, x); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -117,7 +119,8 @@ func BenchmarkAblationObjective(b *testing.B) {
 		// and two dots are extra.
 		wta := mat.NewDense(k, n)
 		mat.ParMulAtBTo(wta, w, d, nil)
-		wtw := mat.Gram(w)
+		wtw := mat.NewDense(k, k)
+		mat.ParGramTo(wtw, w, nil)
 		hg := mat.NewDense(k, k)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -43,6 +43,7 @@ func TestRunFlagValidation(t *testing.T) {
 		fast("-data", "bogus"),
 		fast("-scale", "Inf"),
 		fast("-scale", "NaN"),
+		fast("-scale", "1e30"),
 	}
 	for _, args := range cases {
 		if err := run(args, &out, &errb); err == nil {
@@ -100,7 +101,11 @@ func iterLines(out string) []string {
 // density rule densifies it, and the run matches the same dataset
 // generated in memory iteration for iteration.
 func TestRunMatrixMarketArrayIsDense(t *testing.T) {
-	d, _ := hpcnmf.UnwrapDense(hpcnmf.GenerateDataset("dsyn", 0.05, 42).Matrix)
+	ds, err := hpcnmf.GenerateDataset("dsyn", 0.05, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _ := hpcnmf.UnwrapDense(ds.Matrix)
 	var b strings.Builder
 	fmt.Fprintf(&b, "%%%%MatrixMarket matrix array real general\n%d %d\n", d.Rows, d.Cols)
 	for j := 0; j < d.Cols; j++ {

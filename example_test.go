@@ -32,7 +32,10 @@ func ExampleRun() {
 // property (§6.1.3): the parallel algorithm computes the same factors
 // as the sequential one for a shared seed.
 func ExampleRunParallel() {
-	ds := hpcnmf.GenerateDataset("dsyn", 0.02, 11)
+	ds, err := hpcnmf.GenerateDataset("dsyn", 0.02, 11)
+	if err != nil {
+		panic(err)
+	}
 	opts := hpcnmf.Options{K: 3, MaxIter: 3, Seed: 4}
 	seq, err := hpcnmf.Run(ds.Matrix, opts)
 	if err != nil {
@@ -59,25 +62,13 @@ func ExampleChooseGrid() {
 	// tall-skinny:   16x1 grid
 }
 
-// ExampleRunNCP decomposes an exactly rank-1 tensor.
-func ExampleRunNCP() {
-	a := hpcnmf.DenseFromRows([][]float64{{1}, {2}})
-	b := hpcnmf.DenseFromRows([][]float64{{1}, {3}})
-	c := hpcnmf.DenseFromRows([][]float64{{2}, {1}})
-	t := hpcnmf.TensorFromKruskal(a, b, c)
-	res, err := hpcnmf.RunNCP(t, hpcnmf.NCPOptions{Rank: 1, MaxIter: 50, Seed: 2})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("rank-1 tensor recovered: %v\n", res.RelErr[len(res.RelErr)-1] < 1e-6)
-	// Output:
-	// rank-1 tensor recovered: true
-}
-
 // ExampleOptions_regularization shows L1 regularization sparsifying
 // the factors (the sparse-NMF variant).
 func ExampleOptions_regularization() {
-	ds := hpcnmf.GenerateDataset("dsyn", 0.02, 21)
+	ds, err := hpcnmf.GenerateDataset("dsyn", 0.02, 21)
+	if err != nil {
+		panic(err)
+	}
 	plain, err := hpcnmf.Run(ds.Matrix, hpcnmf.Options{K: 4, MaxIter: 10, Seed: 2})
 	if err != nil {
 		panic(err)

@@ -26,7 +26,10 @@ func main() {
 	// The library ships the paper's synthetic video generator; here we
 	// use the public dataset entry point at a reduced scale, then
 	// factorize on a 1D grid as the paper does for tall-skinny input.
-	ds := hpcnmf.GenerateDataset("video", 0.6, 99)
+	ds, err := hpcnmf.GenerateDataset("video", 0.6, 99)
+	if err != nil {
+		log.Fatal(err)
+	}
 	a := ds.Matrix
 	frameData, ok := hpcnmf.UnwrapDense(a)
 	if !ok {

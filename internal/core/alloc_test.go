@@ -88,7 +88,7 @@ func TestComputePathZeroAllocs(t *testing.T) {
 	h.RandomUniform(rng.New(24))
 	aht := mat.NewDense(m, k)
 	wta := mat.NewDense(k, n)
-	wtw := mat.Gram(w)
+	wtw := gram(w)
 	hGram := mat.NewDense(k, k)
 	ws := mat.NewWorkspace()
 

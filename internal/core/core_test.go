@@ -19,6 +19,13 @@ func mul(a, b *mat.Dense) *mat.Dense {
 	return c
 }
 
+// gram returns AᵀA in a fresh matrix, computed by the production kernel.
+func gram(a *mat.Dense) *mat.Dense {
+	g := mat.NewDense(a.Cols, a.Cols)
+	mat.ParGramTo(g, a, nil)
+	return g
+}
+
 // lowRankDense builds A = W*·H* + noise with non-negative factors, so
 // a rank-k factorization can reach a small relative error.
 func lowRankDense(m, n, k int, noise float64, seed uint64) *mat.Dense {
@@ -456,7 +463,7 @@ func TestProjGradSqAtOptimum(t *testing.T) {
 	for i := range hstar.Data {
 		hstar.Data[i] = 0.5 + s.Float64()
 	}
-	wtw := mat.Gram(c)
+	wtw := gram(c)
 	wta := mul(wtw, hstar) // so ∇ = 0 at H*
 	if pg := projGradSq(wtw, wta, hstar, nil, nil); pg > 1e-18 {
 		t.Fatalf("projected gradient %g at interior optimum", pg)

@@ -351,7 +351,7 @@ func TestObjectiveNeverIncreases(t *testing.T) {
 					// shorter).
 					wta := mat.NewDense(pr.k, pr.d.Cols)
 					mat.ParMulAtBTo(wta, res.W, pr.d, nil)
-					if v := kktViolation(mat.Gram(res.W), wta, res.H); !(v <= 1e-8) {
+					if v := kktViolation(gram(res.W), wta, res.H); !(v <= 1e-8) {
 						t.Errorf("%s: the last H half-step misses the NNLS optimality conditions by %g", name, v)
 					}
 					prev, err := ep.run(Options{K: pr.k, MaxIter: iters - 1, Seed: 13, Solver: solver, Sweeps: sweeps, ComputeError: true})
@@ -360,7 +360,7 @@ func TestObjectiveNeverIncreases(t *testing.T) {
 					}
 					hat := mat.NewDense(pr.k, pr.d.Rows)
 					mat.ParMulABtTo(hat, prev.H, pr.d, nil)
-					if v := kktViolation(mat.Gram(prev.H.T()), hat, res.W.T()); !(v <= 1e-8) {
+					if v := kktViolation(gram(prev.H.T()), hat, res.W.T()); !(v <= 1e-8) {
 						t.Errorf("%s: the last W half-step misses the NNLS optimality conditions by %g", name, v)
 					}
 				}

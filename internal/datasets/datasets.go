@@ -253,11 +253,19 @@ func (s Scale) Dim(v int) int {
 	return max(int(float64(v)*float64(s)), 8)
 }
 
-// Check refuses a NaN or ±Inf scale, naming it: Dim would floor every
+// maxBaseDim is the largest default dimension ByName scales (Webbase's
+// node count).
+const maxBaseDim = 20000
+
+// Check refuses a NaN or ±Inf scale, and one so large that
+// maxBaseDim·scale overflows an int, naming it: Dim would floor every
 // dimension of such a scale at 8.
 func (s Scale) Check() error {
 	if math.IsNaN(float64(s)) || math.IsInf(float64(s), 0) {
 		return fmt.Errorf("datasets: scale %v is not a finite number", float64(s))
+	}
+	if float64(s)*maxBaseDim >= math.MaxInt {
+		return fmt.Errorf("datasets: scale %v overflows a dimension", float64(s))
 	}
 	return nil
 }

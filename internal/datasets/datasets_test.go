@@ -145,6 +145,23 @@ func TestByNameRefusesNonFiniteScale(t *testing.T) {
 	}
 }
 
+// TestByNameRefusesOverflowingScale: a finite scale whose largest
+// dimension overflows an int is an error naming the value, not an 8×8
+// matrix. The check's edge sits at maxBaseDim·scale = MaxInt.
+func TestByNameRefusesOverflowingScale(t *testing.T) {
+	_, err := ByName("dsyn", 1e30, 1)
+	if err == nil || !strings.Contains(err.Error(), "1e+30") {
+		t.Errorf("scale 1e30: err = %v, want one naming the value", err)
+	}
+	const edge = math.MaxInt / maxBaseDim
+	if err := Scale(2 * edge).Check(); err == nil {
+		t.Errorf("scale %v passed the check", float64(2*edge))
+	}
+	if err := Scale(edge / 2).Check(); err != nil {
+		t.Errorf("scale %v: %v", float64(edge/2), err)
+	}
+}
+
 func TestByNameVideoIsTallest(t *testing.T) {
 	ds, err := ByName("video", 0.25, 1)
 	if err != nil {

@@ -127,7 +127,7 @@ func TestCholSolveColumnIndependentOfWidth(t *testing.T) {
 	widths := []int{1, 2, 3, narrowRHS - 1, narrowRHS, narrowRHS + 1, narrowCols - 1, narrowCols, narrowCols + 1, 40, 251}
 	for _, k := range []int{1, 2, 5, 6, 20, 50, 65} {
 		s := rng.New(uint64(k))
-		spd := Gram(randomSigned(k+3, k, s))
+		spd := gram(randomSigned(k+3, k, s))
 		for i := 0; i < k; i++ {
 			spd.Data[i*k+i]++
 		}
@@ -146,7 +146,7 @@ func TestCholSolveColumnIndependentOfWidth(t *testing.T) {
 		}
 		for _, r := range widths {
 			checkSolveSPD(t, "random SPD", spd, randomSigned(k, r, s))
-			checkSolveSPD(t, "singular Gram", Gram(c), randomSigned(k, r, s))
+			checkSolveSPD(t, "singular Gram", gram(c), randomSigned(k, r, s))
 			checkSolveSPD(t, "zeros in the factor", zeros, randomSignedZeros(k, r, s))
 		}
 	}
@@ -171,7 +171,7 @@ func FuzzCholSolve(f *testing.F) {
 				d.Data[i] = value()
 			}
 		}
-		g := Gram(m)
+		g := gram(m)
 		for i := 0; i < k; i++ {
 			g.Data[i*k+i] += float64(diag) / 16
 		}

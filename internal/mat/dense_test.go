@@ -16,6 +16,13 @@ func mul(a, b *Dense) *Dense {
 	return c
 }
 
+// gram returns AᵀA in a fresh matrix, computed by the production kernel.
+func gram(a *Dense) *Dense {
+	g := NewDense(a.Cols, a.Cols)
+	ParGramTo(g, a, nil)
+	return g
+}
+
 func randomDense(rows, cols int, seed uint64) *Dense {
 	m := NewDense(rows, cols)
 	m.RandomUniform(rng.New(seed))
@@ -255,7 +262,7 @@ func TestMulDimensionPanics(t *testing.T) {
 
 func TestGramAgainstNaive(t *testing.T) {
 	a := randomDense(10, 5, 18)
-	got := Gram(a)
+	got := gram(a)
 	want := naiveMul(a.T(), a)
 	if got.MaxDiff(want) > 1e-12 {
 		t.Fatalf("Gram mismatch: %g", got.MaxDiff(want))
@@ -275,7 +282,7 @@ func TestGramTAgainstNaive(t *testing.T) {
 func TestGramSymmetryProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		a := randomDense(6, 4, seed)
-		g := Gram(a)
+		g := gram(a)
 		for i := 0; i < g.Rows; i++ {
 			for j := 0; j < g.Cols; j++ {
 				if g.At(i, j) != g.At(j, i) {
@@ -310,7 +317,7 @@ func TestInitAddressedLayoutIndependence(t *testing.T) {
 func TestCholeskySolve(t *testing.T) {
 	// Build an SPD matrix G = MᵀM + I and check G·X = B round-trips.
 	m := randomDense(8, 5, 20)
-	g := Gram(m)
+	g := gram(m)
 	for i := 0; i < 5; i++ {
 		g.Set(i, i, g.At(i, i)+1)
 	}
@@ -347,7 +354,7 @@ func TestSolveSPDRegularizesSingular(t *testing.T) {
 	// Rank-1 Gram: singular but PSD; SolveSPDInto must still return
 	// something finite satisfying the regularized system.
 	v := FromRows([][]float64{{1, 2, 3}})
-	g := Gram(v) // 3x3 rank 1
+	g := gram(v) // 3x3 rank 1
 	b := randomDense(3, 2, 22)
 	x := NewDense(3, 2)
 	if err := SolveSPDInto(x, g, b, nil); err != nil {
@@ -361,7 +368,7 @@ func TestSolveSPDRegularizesSingular(t *testing.T) {
 func TestSolveSPDPropertyRoundTrip(t *testing.T) {
 	f := func(seed uint64) bool {
 		m := randomDense(10, 4, seed)
-		g := Gram(m)
+		g := gram(m)
 		for i := 0; i < 4; i++ {
 			g.Set(i, i, g.At(i, i)+0.5)
 		}

@@ -41,8 +41,7 @@ import (
 //
 // Each in-place kernel is a Par* function taking a *par.Pool that
 // splits the output range across workers; the pool may be nil, which
-// runs the serial path inline (see internal/par). The unprefixed
-// Gram allocates its result and runs with a nil pool.
+// runs the serial path inline (see internal/par).
 
 // parGrain is the minimum number of output rows (weighted by cost)
 // worth shipping to a pool worker; below 2·parGrain kernels run
@@ -241,14 +240,6 @@ func ParMulABtToWS(c, a, b *Dense, p *par.Pool, ws *Workspace) {
 	pk := PackRows(ws, b)
 	ParMulPackedTo(c, a, pk, p)
 	pk.Release(ws)
-}
-
-// Gram returns G = Aᵀ·A (k×k for A of shape m×k), exploiting symmetry.
-// Cost: m·k·(k+1) flops (half of a full multiply).
-func Gram(a *Dense) *Dense {
-	g := NewDense(a.Cols, a.Cols)
-	ParGramAddTo(g, a, nil)
-	return g
 }
 
 // ParGramTo computes G = Aᵀ·A, overwriting g.

@@ -24,8 +24,7 @@ var (
 // surviving rank's collective call panics with the same value (the
 // runtime's analogue of MPI_ERRORS_RETURN after MPI_Abort), and
 // World.Run re-panics with it (World.RunErr returns it), so callers —
-// such as the core and ncp drivers — can attribute the failure with
-// errors.As.
+// such as core's run loop — can attribute the failure with errors.As.
 type RankFailedError struct {
 	// Rank is the world rank that failed.
 	Rank int

@@ -184,7 +184,7 @@ func chunkCases(k, r int, seed uint64) []bppCase {
 	return []bppCase{
 		{"cold", g, f, nil},
 		{"warm", g, f, warm},
-		{"singular", mat.Gram(c), fc, ones},
+		{"singular", gram(c), fc, ones},
 		{"zerocols", g, fz, warm},
 		{"allpassive", g, f, ones},
 		{"negzerocols", g, fn, ones},
@@ -202,7 +202,7 @@ func powerLawCases(k, r int, seed uint64) []bppCase {
 	w.RandomUniform(rng.New(seed + 1))
 	warm := randomRHS(k, r, seed+2)
 	warm.ClampNonneg()
-	g, f := mat.Gram(w), mat.NewDense(k, r)
+	g, f := gram(w), mat.NewDense(k, r)
 	mat.ParMulAtBTo(f, w, a, nil)
 	return []bppCase{{"powerlaw", g, f, nil}, {"powerlawwarm", g, f, warm}}
 }
@@ -355,7 +355,7 @@ func TestBPPWidthAndChunkIndependence(t *testing.T) {
 	for _, sh := range shapes {
 		for _, tc := range sh.cases(sh.k, sh.r, uint64(sh.k*sh.r)) {
 			name := fmt.Sprintf("%s/k%d/r%d", tc.name, sh.k, sh.r)
-			want, wst, err := Solve(NewBPP(), tc.g, tc.f, tc.xInit)
+			want, wst, err := solve(NewBPP(), tc.g, tc.f, tc.xInit)
 			if err != nil {
 				t.Fatalf("%s: Solve: %v", name, err)
 			}
@@ -544,7 +544,7 @@ func TestBPPUnconvergedChunkDoesNotStopOthers(t *testing.T) {
 			warm.Set(i, c, 1)
 		}
 	}
-	full, _, err := Solve(NewBPP(), g, f, warm)
+	full, _, err := solve(NewBPP(), g, f, warm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -608,7 +608,7 @@ func TestBPPHardErrorWinsOverNotConverged(t *testing.T) {
 		for i := 0; i < k; i++ {
 			copy(clean.Row(i), f.Row(i)[lo:lo+bppChunk])
 		}
-		if _, _, err := Solve(&BPP{MaxIter: 2, Grouping: true}, g, clean, nil); !errors.Is(err, ErrNotConverged) {
+		if _, _, err := solve(&BPP{MaxIter: 2, Grouping: true}, g, clean, nil); !errors.Is(err, ErrNotConverged) {
 			t.Fatalf("clean chunk under MaxIter=2: err = %v, want ErrNotConverged", err)
 		}
 		for _, p := range []*par.Pool{nil, pool} {
@@ -617,7 +617,7 @@ func TestBPPHardErrorWinsOverNotConverged(t *testing.T) {
 				t.Errorf("poisoned chunk %d, width %d: err = %v, want ErrNotPositiveDefinite", poisoned, p.Workers(), err)
 			}
 		}
-		if x, _, err := Solve(&BPP{MaxIter: 2, Grouping: true}, g, f, nil); x != nil || !errors.Is(err, mat.ErrNotPositiveDefinite) {
+		if x, _, err := solve(&BPP{MaxIter: 2, Grouping: true}, g, f, nil); x != nil || !errors.Is(err, mat.ErrNotPositiveDefinite) {
 			t.Errorf("poisoned chunk %d: Solve returned x=%v err=%v, want nil and ErrNotPositiveDefinite", poisoned, x != nil, err)
 		}
 	}

@@ -29,7 +29,7 @@ func rankDeficientProblem(m, k, r int, seed uint64) (g, f, c, b *mat.Dense) {
 	for i := range b.Data {
 		b.Data[i] = s.Float64()*2 - 0.5
 	}
-	g = mat.Gram(c)
+	g = gram(c)
 	f = mat.NewDense(c.Cols, b.Cols)
 	mat.ParMulAtBTo(f, c, b, nil)
 	return g, f, c, b
@@ -42,7 +42,7 @@ func TestBPPRankDeficientGram(t *testing.T) {
 	// reach the same objective as the active-set solver.
 	for seed := uint64(0); seed < 5; seed++ {
 		g, f, c, b := rankDeficientProblem(30, 6, 8, 200+seed)
-		xb, _, err := Solve(NewBPP(), g, f, nil)
+		xb, _, err := solve(NewBPP(), g, f, nil)
 		if err != nil {
 			t.Fatalf("seed %d: BPP failed on singular Gram: %v", seed, err)
 		}
@@ -57,7 +57,7 @@ func TestBPPRankDeficientGram(t *testing.T) {
 		if res := kktResidual(g, f, xb); res > 1e-6 {
 			t.Errorf("seed %d: KKT residual %g on singular Gram", seed, res)
 		}
-		xa, _, err := Solve(NewActiveSet(), g, f, nil)
+		xa, _, err := solve(NewActiveSet(), g, f, nil)
 		if err != nil {
 			t.Fatalf("seed %d: ActiveSet failed on singular Gram: %v", seed, err)
 		}
@@ -75,7 +75,7 @@ func TestBPPAllZeroRHS(t *testing.T) {
 	g, _, _, _ := problem(25, 5, 7, 31)
 	f := mat.NewDense(5, 7)
 	for _, s := range []Solver{NewBPP(), NewActiveSet()} {
-		x, _, err := Solve(s, g, f, nil)
+		x, _, err := solve(s, g, f, nil)
 		if err != nil {
 			t.Fatalf("%s failed on zero RHS: %v", s.Name(), err)
 		}
@@ -94,7 +94,7 @@ func TestBPPAllNegativeRHS(t *testing.T) {
 	for i := range f.Data {
 		f.Data[i] = -1 - math.Abs(f.Data[i])
 	}
-	x, _, err := Solve(NewBPP(), g, f, nil)
+	x, _, err := solve(NewBPP(), g, f, nil)
 	if err != nil {
 		t.Fatalf("BPP failed on negative RHS: %v", err)
 	}
@@ -112,12 +112,12 @@ func TestBPPSingleColumn(t *testing.T) {
 	// grouping both on and off.
 	for seed := uint64(0); seed < 8; seed++ {
 		g, f, _, _ := problem(30, 7, 1, 300+seed)
-		xa, _, err := Solve(NewActiveSet(), g, f, nil)
+		xa, _, err := solve(NewActiveSet(), g, f, nil)
 		if err != nil {
 			t.Fatalf("seed %d: ActiveSet failed: %v", seed, err)
 		}
 		for _, bpp := range []*BPP{{Grouping: true}, {Grouping: false}} {
-			xb, _, err := Solve(bpp, g, f, nil)
+			xb, _, err := solve(bpp, g, f, nil)
 			if err != nil {
 				t.Fatalf("seed %d grouping=%v: BPP failed: %v", seed, bpp.Grouping, err)
 			}
@@ -141,11 +141,11 @@ func TestBPPMatchesActiveSetDegenerateShapes(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g, f, _, _ := problem(tc.m, tc.k, tc.r, uint64(41+tc.m+tc.r))
-			xb, _, err := Solve(NewBPP(), g, f, nil)
+			xb, _, err := solve(NewBPP(), g, f, nil)
 			if err != nil {
 				t.Fatalf("BPP failed: %v", err)
 			}
-			xa, _, err := Solve(NewActiveSet(), g, f, nil)
+			xa, _, err := solve(NewActiveSet(), g, f, nil)
 			if err != nil {
 				t.Fatalf("ActiveSet failed: %v", err)
 			}
@@ -179,7 +179,7 @@ func TestBPPExhaustedRoundsStaysFeasible(t *testing.T) {
 	// the drivers keep iterating with it rather than aborting.
 	g, f, _, _ := problem(40, 10, 12, 53)
 	s := &BPP{MaxIter: 1, Grouping: true}
-	x, st, err := Solve(s, g, f, nil)
+	x, st, err := solve(s, g, f, nil)
 	if err == nil {
 		t.Skip("problem converged in one round; exhaustion path not exercised")
 	}

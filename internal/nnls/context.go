@@ -1,7 +1,6 @@
 package nnls
 
 import (
-	"errors"
 	"fmt"
 
 	"hpcnmf/internal/mat"
@@ -37,19 +36,6 @@ func (c *Context) resources() (*mat.Workspace, *par.Pool) {
 // for the benchmark module, which calls it.
 func SolveWith(s Solver, ctx *Context, g, f, xInit, dst *mat.Dense) (Stats, error) {
 	return s.SolveCtx(ctx, g, f, xInit, dst)
-}
-
-// Solve is the allocating form of s.SolveCtx, with no context: it
-// returns X in a fresh matrix. An exact solver that runs out of rounds
-// returns its clamped iterate with ErrNotConverged; after any other
-// error X is nil.
-func Solve(s Solver, g, f, xInit *mat.Dense) (*mat.Dense, Stats, error) {
-	x := mat.NewDense(f.Rows, f.Cols)
-	st, err := s.SolveCtx(nil, g, f, xInit, x)
-	if err != nil && !errors.Is(err, ErrNotConverged) {
-		return nil, st, err
-	}
-	return x, st, err
 }
 
 // checkDst validates the destination shape for SolveCtx.

@@ -15,7 +15,7 @@ func randomSPD(k int, seed uint64) *mat.Dense {
 	for i := range c.Data {
 		c.Data[i] = s.Float64()
 	}
-	return mat.Gram(c)
+	return gram(c)
 }
 
 func randomRHS(k, r int, seed uint64) *mat.Dense {
@@ -41,7 +41,7 @@ func TestSolveCtxMatchesSolve(t *testing.T) {
 			xInit := randomRHS(shape.k, shape.r, 7)
 			xInit.ClampNonneg()
 
-			want, _, err := Solve(sv, g, f, xInit)
+			want, _, err := solve(sv, g, f, xInit)
 			if err != nil {
 				t.Fatalf("%s Solve: %v", sv.Name(), err)
 			}
@@ -72,7 +72,7 @@ func TestSolveCtxColdStart(t *testing.T) {
 	g := randomSPD(6, 3)
 	f := randomRHS(6, 9, 4)
 	for _, sv := range []Solver{NewMU(3), NewHALS(3), NewPGD(3), NewBPP()} {
-		want, _, err := Solve(sv, g, f, nil)
+		want, _, err := solve(sv, g, f, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package nnls
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -16,6 +17,25 @@ func mul(a, b *mat.Dense) *mat.Dense {
 	return c
 }
 
+// gram returns AᵀA in a fresh matrix, computed by the production kernel.
+func gram(a *mat.Dense) *mat.Dense {
+	g := mat.NewDense(a.Cols, a.Cols)
+	mat.ParGramTo(g, a, nil)
+	return g
+}
+
+// solve runs s with no context into a fresh X. An exact solver that
+// runs out of rounds returns its clamped iterate with ErrNotConverged;
+// after any other error X is nil.
+func solve(s Solver, g, f, xInit *mat.Dense) (*mat.Dense, Stats, error) {
+	x := mat.NewDense(f.Rows, f.Cols)
+	st, err := s.SolveCtx(nil, g, f, xInit, x)
+	if err != nil && !errors.Is(err, ErrNotConverged) {
+		return nil, st, err
+	}
+	return x, st, err
+}
+
 // problem builds a well-conditioned NNLS instance: C (m×k) with
 // uniform entries, B (m×r); returns G = CᵀC, F = CᵀB and (C, B) for
 // objective evaluation.
@@ -29,7 +49,7 @@ func problem(m, k, r int, seed uint64) (g, f, c, b *mat.Dense) {
 	for i := range b.Data {
 		b.Data[i] = s.Float64()*2 - 0.5
 	}
-	g = mat.Gram(c)
+	g = gram(c)
 	f = mat.NewDense(c.Cols, b.Cols)
 	mat.ParMulAtBTo(f, c, b, nil)
 	return g, f, c, b
@@ -70,7 +90,7 @@ func kktResidual(g, f, x *mat.Dense) float64 {
 func TestBPPSatisfiesKKT(t *testing.T) {
 	for _, tc := range []struct{ m, k, r int }{{20, 4, 6}, {50, 10, 15}, {30, 8, 1}, {100, 16, 40}} {
 		g, f, _, _ := problem(tc.m, tc.k, tc.r, uint64(tc.m*tc.k))
-		x, st, err := Solve(NewBPP(), g, f, nil)
+		x, st, err := solve(NewBPP(), g, f, nil)
 		if err != nil {
 			t.Fatalf("BPP failed on %dx%dx%d: %v", tc.m, tc.k, tc.r, err)
 		}
@@ -88,7 +108,7 @@ func TestBPPSatisfiesKKT(t *testing.T) {
 
 func TestActiveSetSatisfiesKKT(t *testing.T) {
 	g, f, _, _ := problem(40, 8, 10, 7)
-	x, _, err := Solve(NewActiveSet(), g, f, nil)
+	x, _, err := solve(NewActiveSet(), g, f, nil)
 	if err != nil {
 		t.Fatalf("ActiveSet failed: %v", err)
 	}
@@ -102,11 +122,11 @@ func TestBPPMatchesActiveSet(t *testing.T) {
 	// exact solvers must agree.
 	for seed := uint64(0); seed < 10; seed++ {
 		g, f, _, _ := problem(30, 6, 8, 100+seed)
-		xb, _, err := Solve(NewBPP(), g, f, nil)
+		xb, _, err := solve(NewBPP(), g, f, nil)
 		if err != nil {
 			t.Fatalf("BPP failed: %v", err)
 		}
-		xa, _, err := Solve(NewActiveSet(), g, f, nil)
+		xa, _, err := solve(NewActiveSet(), g, f, nil)
 		if err != nil {
 			t.Fatalf("ActiveSet failed: %v", err)
 		}
@@ -127,9 +147,9 @@ func TestBPPUnconstrainedCase(t *testing.T) {
 	}
 	c := mat.NewDense(30, k)
 	c.RandomUniform(s)
-	g := mat.Gram(c)
+	g := gram(c)
 	f := mul(g, xstar) // F = G·X* so X* is the global optimum
-	x, _, err := Solve(NewBPP(), g, f, nil)
+	x, _, err := solve(NewBPP(), g, f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,9 +173,9 @@ func TestBPPActiveConstraints(t *testing.T) {
 	}
 	c := mat.NewDense(40, k)
 	c.RandomUniform(s)
-	g := mat.Gram(c)
+	g := gram(c)
 	f := mul(g, xstar)
-	x, _, err := Solve(NewBPP(), g, f, nil)
+	x, _, err := solve(NewBPP(), g, f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,13 +186,13 @@ func TestBPPActiveConstraints(t *testing.T) {
 
 func TestBPPWarmStart(t *testing.T) {
 	g, f, _, _ := problem(40, 8, 12, 11)
-	cold, stCold, err := Solve(NewBPP(), g, f, nil)
+	cold, stCold, err := solve(NewBPP(), g, f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Warm-starting from the solution itself must converge immediately
 	// (1 round) to the same answer.
-	warm, stWarm, err := Solve(NewBPP(), g, f, cold)
+	warm, stWarm, err := solve(NewBPP(), g, f, cold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,11 +210,11 @@ func TestBPPGroupingEquivalence(t *testing.T) {
 	g, f, _, _ := problem(50, 10, 20, 13)
 	grouped := &BPP{Grouping: true}
 	ungrouped := &BPP{Grouping: false}
-	xg, _, err := Solve(grouped, g, f, nil)
+	xg, _, err := solve(grouped, g, f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	xu, _, err := Solve(ungrouped, g, f, nil)
+	xu, _, err := solve(ungrouped, g, f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +226,7 @@ func TestBPPGroupingEquivalence(t *testing.T) {
 func TestBPPPropertyKKT(t *testing.T) {
 	f := func(seed uint64) bool {
 		g, fm, _, _ := problem(25, 5, 7, seed)
-		x, _, err := Solve(NewBPP(), g, fm, nil)
+		x, _, err := solve(NewBPP(), g, fm, nil)
 		if err != nil {
 			return false
 		}
@@ -226,7 +246,7 @@ func TestMUDecreasesObjective(t *testing.T) {
 	mu := NewMU(1)
 	for i := 0; i < 20; i++ {
 		var err error
-		x, _, err = Solve(mu, g, f, x)
+		x, _, err = solve(mu, g, f, x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,7 +270,7 @@ func TestHALSDecreasesObjective(t *testing.T) {
 	hals := NewHALS(1)
 	for i := 0; i < 20; i++ {
 		var err error
-		x, _, err = Solve(hals, g, f, x)
+		x, _, err = solve(hals, g, f, x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,14 +288,14 @@ func TestHALSDecreasesObjective(t *testing.T) {
 func TestHALSApproachesBPP(t *testing.T) {
 	// Many HALS sweeps should approach the exact solution.
 	g, f, c, b := problem(40, 5, 8, 23)
-	exact, _, err := Solve(NewBPP(), g, f, nil)
+	exact, _, err := solve(NewBPP(), g, f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := mat.NewDense(5, 8)
 	x.Fill(1)
 	hals := NewHALS(200)
-	x, _, err = Solve(hals, g, f, x)
+	x, _, err = solve(hals, g, f, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +311,7 @@ func TestSolversRejectBadDims(t *testing.T) {
 	f := mat.NewDense(4, 2) // wrong row count
 	for _, m := range Methods {
 		s := m.New(1)
-		if _, _, err := Solve(s, g, f, nil); err == nil {
+		if _, _, err := solve(s, g, f, nil); err == nil {
 			t.Fatalf("%s accepted mismatched dims", s.Name())
 		}
 	}
@@ -313,7 +333,7 @@ func TestHALSZeroGramRow(t *testing.T) {
 	// NaNs; the row should be zeroed.
 	g := mat.FromRows([][]float64{{1, 0}, {0, 0}})
 	f := mat.FromRows([][]float64{{1, 2}, {3, 4}})
-	x, _, err := Solve(NewHALS(3), g, f, nil)
+	x, _, err := solve(NewHALS(3), g, f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +365,7 @@ func TestPriceIsTheCharge(t *testing.T) {
 		for _, k := range []int{1, 5, 16} {
 			for _, r := range []int{1, 7} {
 				for _, sweeps := range []int{1, 3} {
-					_, st, err := Solve(m.New(sweeps), randomSPD(k, uint64(k)), randomRHS(k, r, uint64(r)), nil)
+					_, st, err := solve(m.New(sweeps), randomSPD(k, uint64(k)), randomRHS(k, r, uint64(r)), nil)
 					if err != nil {
 						t.Fatalf("%s: %v", m.Name, err)
 					}

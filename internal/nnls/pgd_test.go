@@ -16,7 +16,7 @@ func TestPGDDecreasesObjective(t *testing.T) {
 	pgd := NewPGD(1)
 	for i := 0; i < 30; i++ {
 		var err error
-		x, _, err = Solve(pgd, g, f, x)
+		x, _, err = solve(pgd, g, f, x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -33,11 +33,11 @@ func TestPGDDecreasesObjective(t *testing.T) {
 
 func TestPGDApproachesExact(t *testing.T) {
 	g, f, c, b := problem(40, 5, 8, 37)
-	exact, _, err := Solve(NewBPP(), g, f, nil)
+	exact, _, err := solve(NewBPP(), g, f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, _, err := Solve(NewPGD(3000), g, f, nil)
+	x, _, err := solve(NewPGD(3000), g, f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestPGDApproachesExact(t *testing.T) {
 func TestPGDZeroGram(t *testing.T) {
 	g := mat.NewDense(3, 3)
 	f := mat.FromRows([][]float64{{1, -1}, {0, 2}, {-3, 0}})
-	x, _, err := Solve(NewPGD(5), g, f, nil)
+	x, _, err := solve(NewPGD(5), g, f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestPGDReactivatesZeros(t *testing.T) {
 	g, f, c, b := problem(30, 4, 5, 41)
 	x0 := mat.NewDense(4, 5)
 	mu := NewMU(50)
-	xmu, _, err := Solve(mu, g, f, x0)
+	xmu, _, err := solve(mu, g, f, x0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestPGDReactivatesZeros(t *testing.T) {
 		t.Fatal("MU escaped the zero fixed point (unexpected)")
 	}
 	pgd := NewPGD(50)
-	xpgd, _, err := Solve(pgd, g, f, x0)
+	xpgd, _, err := solve(pgd, g, f, x0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@
 //
 // A Solver has one solving method, SolveCtx, which writes into a
 // destination the caller shapes and draws its temporaries from a
-// Context; the package function Solve is its allocating form.
+// Context.
 package nnls
 
 import (

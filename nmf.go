@@ -15,7 +15,8 @@
 //
 // Quick start:
 //
-//	a := hpcnmf.GenerateDataset("dsyn", 0.1, 42)
+//	a, err := hpcnmf.GenerateDataset("dsyn", 0.1, 42)
+//	// handle err
 //	res, err := hpcnmf.RunParallel(a.Matrix, 16, hpcnmf.Options{K: 10, MaxIter: 20, ComputeError: true})
 //	// res.W, res.H, res.RelErr, res.Breakdown
 package hpcnmf
@@ -471,14 +472,11 @@ func GenerateBagOfWords(spec BagOfWordsSpec, seed uint64) *CSR {
 
 // GenerateDataset builds one of the paper's four evaluation workloads
 // ("dsyn", "ssyn", "video", "webbase") at the given scale (1.0 =
-// harness defaults; smaller shrinks proportionally). It panics on an
-// unknown name; use datasets.ByName for an error-returning variant.
-func GenerateDataset(name string, scale float64, seed uint64) Dataset {
-	ds, err := datasets.ByName(name, datasets.Scale(scale), seed)
-	if err != nil {
-		panic(fmt.Sprintf("hpcnmf: %v", err))
-	}
-	return ds
+// harness defaults; smaller shrinks proportionally, and a scale ≤ 0
+// means 1). An unknown name, a NaN or ±Inf scale and one whose
+// dimensions overflow an int are errors naming the value.
+func GenerateDataset(name string, scale float64, seed uint64) (Dataset, error) {
+	return datasets.ByName(name, datasets.Scale(scale), seed)
 }
 
 // BalanceReport summarizes nonzero load imbalance of a 2D block

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"hpcnmf"
-	"hpcnmf/internal/nnls"
 	"hpcnmf/internal/store"
 )
 
@@ -36,7 +35,10 @@ func TestFacadeSequential(t *testing.T) {
 }
 
 func TestFacadeParallelAgreesWithSequential(t *testing.T) {
-	ds := hpcnmf.GenerateDataset("dsyn", 0.03, 3)
+	ds, err := hpcnmf.GenerateDataset("dsyn", 0.03, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	opts := hpcnmf.Options{K: 4, MaxIter: 4, Seed: 5, ComputeError: true}
 	seq, err := hpcnmf.Run(ds.Matrix, opts)
 	if err != nil {
@@ -69,7 +71,10 @@ func TestFacadeParallelAgreesWithSequential(t *testing.T) {
 }
 
 func TestFacadeSparse(t *testing.T) {
-	ds := hpcnmf.GenerateDataset("ssyn", 0.05, 7)
+	ds, err := hpcnmf.GenerateDataset("ssyn", 0.05, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := hpcnmf.RunParallel(ds.Matrix, 4, hpcnmf.Options{K: 3, MaxIter: 3, Seed: 2, ComputeError: true})
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +104,10 @@ func TestFacadeMatrixMarket(t *testing.T) {
 }
 
 func TestFacadeSolverSelection(t *testing.T) {
-	ds := hpcnmf.GenerateDataset("dsyn", 0.02, 9)
+	ds, err := hpcnmf.GenerateDataset("dsyn", 0.02, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, s := range []hpcnmf.SolverKind{hpcnmf.SolverBPP, hpcnmf.SolverHALS, hpcnmf.SolverMU} {
 		res, err := hpcnmf.RunParallel(ds.Matrix, 4, hpcnmf.Options{K: 3, MaxIter: 3, Seed: 2, Solver: s, Sweeps: 2})
 		if err != nil {
@@ -118,13 +126,18 @@ func TestChooseGrid(t *testing.T) {
 	}
 }
 
-func TestGenerateDatasetPanicsOnUnknown(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown dataset did not panic")
+// TestGenerateDatasetRefusesBadInput: an unknown name and a scale
+// with no usable dimensions are errors naming the value, not panics.
+func TestGenerateDatasetRefusesBadInput(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		scale float64
+		want  string
+	}{{"nope", 1, `"nope"`}, {"dsyn", math.NaN(), "NaN"}, {"dsyn", 1e30, "1e+30"}} {
+		if _, err := hpcnmf.GenerateDataset(tc.name, tc.scale, 0); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("GenerateDataset(%q, %v): err = %v, want one naming %s", tc.name, tc.scale, err, tc.want)
 		}
-	}()
-	hpcnmf.GenerateDataset("nope", 1, 0)
+	}
 }
 
 // TestFacadeSaveLoadFactor: a saved factor file loads back equal, and
@@ -194,36 +207,6 @@ func TestFacadeOpenTiledBackend(t *testing.T) {
 	for _, name := range []string{"auto", "", "READERAT"} {
 		if _, err := hpcnmf.OpenTiledBackend(path, name); err == nil || !strings.Contains(err.Error(), `"`+name+`"`) {
 			t.Errorf("OpenTiledBackend(%q): err = %v, want one naming the value", name, err)
-		}
-	}
-}
-
-// refusingSolver fails every solve with errRefused.
-type refusingSolver struct{}
-
-var errRefused = errors.New("stub solver refuses")
-
-func (refusingSolver) Name() string { return "refusing" }
-
-func (refusingSolver) SolveCtx(_ *nnls.Context, g, f, xInit, dst *hpcnmf.Dense) (nnls.Stats, error) {
-	return nnls.Stats{}, errRefused
-}
-
-// TestNCPSolverErrorKeepsChain: a solver's error reaches the caller
-// with its chain intact, one rank or many, so errors.Is still finds it
-// under the rank-failure wrapping.
-func TestNCPSolverErrorKeepsChain(t *testing.T) {
-	x := hpcnmf.NewTensor3(4, 3, 3)
-	for i := range x.Data {
-		x.Data[i] = 1
-	}
-	opts := hpcnmf.NCPOptions{Rank: 2, MaxIter: 3, Seed: 1, Solver: refusingSolver{}}
-	if _, err := hpcnmf.RunNCP(x, opts); !errors.Is(err, errRefused) {
-		t.Errorf("RunNCP: err = %v, want it to wrap the solver's error", err)
-	}
-	for _, p := range []int{1, 2, 3} {
-		if _, err := hpcnmf.RunNCPParallel(x, p, opts); !errors.Is(err, errRefused) {
-			t.Errorf("RunNCPParallel p=%d: err = %v, want it to wrap the solver's error", p, err)
 		}
 	}
 }

@@ -33,17 +33,14 @@ var table = []row{
 	{"mat.SupportedISAs", testSeam},
 
 	// The naive all-gather that DESIGN decision 1 and
-	// BenchmarkAblationCollectives price the tree against, and the
-	// Khatri-Rao product that MTTKRP is checked against.
+	// BenchmarkAblationCollectives price the tree against.
 	{"mpi.Comm.AllGatherLinear", baseline},
-	{"ncp.KhatriRao", baseline},
 
-	// Methods of hpcnmf.Dense, hpcnmf.CSR, hpcnmf.Tensor3,
-	// hpcnmf.Streaming and hpcnmf.FaultInjector.
+	// Methods of hpcnmf.Dense, hpcnmf.CSR, hpcnmf.Streaming and
+	// hpcnmf.FaultInjector.
 	{"mat.Dense.Equal", facade},
 	{"sparse.CSR.At", facade},
 	{"sparse.CSR.Equal", facade},
-	{"ncp.Tensor3.At", facade},
 	{"core.Streaming.Factors", facade},
 	{"fault.Injector.Injected", facade},
 }
