@@ -86,7 +86,7 @@ func BenchmarkAblationBPPGrouping(b *testing.B) {
 // iteration but converges in fewer outer iterations).
 func BenchmarkAblationSolvers(b *testing.B) {
 	a := core.WrapDense(datasets.DSYN(432, 288, 42))
-	for _, kind := range []core.SolverKind{core.SolverBPP, core.SolverActiveSet, core.SolverMU, core.SolverHALS} {
+	for _, kind := range []core.SolverKind{core.SolverBPP, core.SolverMU, core.SolverHALS} {
 		b.Run(kind.String(), func(b *testing.B) {
 			opts := core.Options{K: 20, MaxIter: 2, Seed: 42, Solver: kind, Sweeps: 1}
 			for i := 0; i < b.N; i++ {

@@ -124,7 +124,7 @@ func parseFlags(args []string, stderr io.Writer) (*cli, error) {
 	fs.Float64Var(&c.scale, "scale", 0.25, "dataset scale factor")
 	fs.StringVar(&c.alg, "alg", "hpc2d", "algorithm: seq, naive, hpc1d, hpc2d, auto (cost-model pick of layout, grid and updater), or a solver name ("+nnls.Names()+") for the HPC 2D skeleton with that updater")
 	fs.StringVar(&c.solver, "solver", "bpp", "local NLS solver: "+nnls.Names())
-	fs.IntVar(&c.sweeps, "sweeps", 1, "inner sweeps per solve for the inexact solvers (the exact ones ignore it)")
+	fs.IntVar(&c.sweeps, "sweeps", 1, "inner sweeps per solve for the inexact solvers (BPP ignores it)")
 	fs.IntVar(&c.k, "k", 10, "factorization rank")
 	fs.IntVar(&c.p, "p", 16, "processor count (parallel algorithms)")
 	fs.StringVar(&c.grid, "grid", "auto", "hpc2d processor grid: auto (cost-model argmin over factorizations of -p) or explicit PRxPC, e.g. 4x2 (overrides -p)")
@@ -431,7 +431,7 @@ func factorize(c *cli, in *input, picked *plan, opts hpcnmf.Options) (res *hpcnm
 			return res, pr * pc, err
 		}
 	default:
-		return nil, 0, fmt.Errorf("unknown algorithm %q", c.alg)
+		return nil, 0, fmt.Errorf("unknown algorithm %q (want seq, naive, hpc1d, hpc2d, auto, or a solver name: %s)", c.alg, nnls.Names())
 	}
 	return res, c.p, err
 }

@@ -50,6 +50,13 @@ func TestRunFlagValidation(t *testing.T) {
 			t.Errorf("run(%v) succeeded, want error", args)
 		}
 	}
+	// Lawson–Hanson is a test oracle, not a solver (DESIGN decision 26):
+	// its old name is refused like any unknown one, listing the four.
+	for _, args := range [][]string{fast("-solver", "activeset"), fast("-alg", "activeset")} {
+		if err := run(args, &out, &errb); err == nil || !strings.Contains(err.Error(), "bpp, hals, mu, pgd") {
+			t.Errorf("run(%v): err = %v, want a refusal listing bpp, hals, mu, pgd", args, err)
+		}
+	}
 }
 
 func TestRunSeqSmoke(t *testing.T) {
@@ -267,7 +274,7 @@ func TestRunAlgShorthandFollowsTable(t *testing.T) {
 		t.Errorf("-alg bpp -solver BPP did not run HPC 2D with BPP:\n%s", got)
 	}
 	report := filepath.Join(t.TempDir(), "report.json")
-	got = runOK(t, fast("-alg", "activeset", "-p", "4", "-report", report)...)
+	got = runOK(t, fast("-alg", "PGD", "-p", "4", "-report", report)...)
 	raw, err := os.ReadFile(report)
 	if err != nil {
 		t.Fatal(err)
@@ -278,8 +285,8 @@ func TestRunAlgShorthandFollowsTable(t *testing.T) {
 	if err := json.Unmarshal(raw, &rep); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(got, "algorithm: HPC-NMF") || rep.Updater != "ActiveSet" {
-		t.Errorf("-alg activeset ran updater %q:\n%s", rep.Updater, got)
+	if !strings.Contains(got, "algorithm: HPC-NMF") || rep.Updater != "PGD" {
+		t.Errorf("-alg PGD ran updater %q:\n%s", rep.Updater, got)
 	}
 	runOK(t, fast("-alg", "Hals", "-p", "4")...)
 

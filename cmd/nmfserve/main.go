@@ -56,7 +56,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fitWorkers = fs.Int("fit-workers", 2, "async fit worker pool size")
 		fitQueue   = fs.Int("fit-queue", 8, "pending fit jobs before 429 + Retry-After")
 		solverName = fs.String("solver", "bpp", "projection NNLS solver: "+nnls.Names())
-		sweeps     = fs.Int("sweeps", 8, "inner sweeps per projection for the inexact solvers (the exact ones ignore it)")
+		sweeps     = fs.Int("sweeps", 8, "inner sweeps per projection for the inexact solvers (BPP ignores it)")
 		tracePath  = fs.String("trace", "", "write a Chrome trace_event JSON of request/batch/solve/kernel spans on shutdown")
 		drainSecs  = fs.Int("drain-timeout", 30, "seconds to wait for in-flight HTTP requests on shutdown")
 		pprofOn    = fs.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ for continuous profiling")

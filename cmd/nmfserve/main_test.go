@@ -57,6 +57,10 @@ func TestServeFlagValidation(t *testing.T) {
 			t.Errorf("run(%v) succeeded, want error", args)
 		}
 	}
+	// Lawson–Hanson is a test oracle, not a solver (DESIGN decision 26).
+	if err := run([]string{"-solver", "activeset"}, &out, &errb); err == nil || !strings.Contains(err.Error(), "bpp, hals, mu, pgd") {
+		t.Errorf("-solver activeset: err = %v, want a refusal listing bpp, hals, mu, pgd", err)
+	}
 }
 
 // TestServeClusterEndToEnd boots a two-shard cluster over one shared

@@ -113,7 +113,7 @@ func TestSequentialSparse(t *testing.T) {
 
 func TestSequentialSolverVariants(t *testing.T) {
 	a := lowRankDense(30, 24, 3, 0.01, 4)
-	for _, kind := range []SolverKind{SolverBPP, SolverActiveSet, SolverMU, SolverHALS} {
+	for _, kind := range []SolverKind{SolverBPP, SolverMU, SolverHALS} {
 		opts := testOpts(3)
 		opts.Solver = kind
 		opts.Sweeps = 2

@@ -203,7 +203,7 @@ func TestSolverKindIndexesMethods(t *testing.T) {
 			}
 		}
 	}
-	for k, name := range map[SolverKind]string{SolverBPP: "BPP", SolverActiveSet: "ActiveSet", SolverHALS: "HALS", SolverMU: "MU", SolverPGD: "PGD"} {
+	for k, name := range map[SolverKind]string{SolverBPP: "BPP", SolverHALS: "HALS", SolverMU: "MU", SolverPGD: "PGD"} {
 		if k.String() != name {
 			t.Errorf("constant %d is row %q, want %q", int(k), k.String(), name)
 		}
@@ -222,7 +222,10 @@ func TestSolverKindIndexesMethods(t *testing.T) {
 }
 
 // TestParseSolver: the one name parser behind nmfrun -solver,
-// nmfserve -solver and the /v1/fit wire field.
+// nmfserve -solver and the /v1/fit wire field. A name it refuses —
+// Lawson–Hanson's "activeset" among them, a test oracle and not a
+// product solver (DESIGN decision 26) — comes back in an error that
+// lists the four it takes.
 func TestParseSolver(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -230,12 +233,12 @@ func TestParseSolver(t *testing.T) {
 		bad  bool
 	}{
 		{"bpp", SolverBPP, false},
-		{"activeset", SolverActiveSet, false},
+		{"activeset", 0, true},
 		{"mu", SolverMU, false},
 		{"hals", SolverHALS, false},
 		{"pgd", SolverPGD, false},
 		{"BPP", SolverBPP, false},
-		{"ActiveSet", SolverActiveSet, false},
+		{"ActiveSet", 0, true},
 		{"Hals", SolverHALS, false},
 		{"", 0, true},
 		{"simplex", 0, true},
@@ -244,8 +247,8 @@ func TestParseSolver(t *testing.T) {
 	} {
 		got, err := ParseSolver(tc.name)
 		if tc.bad {
-			if err == nil || !strings.Contains(err.Error(), strconv.Quote(tc.name)) {
-				t.Errorf("ParseSolver(%q) = %v, %v; want an error naming the input", tc.name, got, err)
+			if err == nil || !strings.Contains(err.Error(), strconv.Quote(tc.name)) || !strings.Contains(err.Error(), "bpp, hals, mu, pgd") {
+				t.Errorf("ParseSolver(%q) = %v, %v; want an error naming the input and the valid names", tc.name, got, err)
 			}
 			continue
 		}

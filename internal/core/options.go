@@ -25,8 +25,6 @@ type SolverKind int
 const (
 	// SolverBPP is block principal pivoting (§4.2), the paper's default.
 	SolverBPP SolverKind = iota
-	// SolverActiveSet is the classical Lawson–Hanson method.
-	SolverActiveSet
 	// SolverHALS is hierarchical alternating least squares (Eq. 4).
 	SolverHALS
 	// SolverMU is the multiplicative update rule (Eq. 3).

@@ -31,8 +31,8 @@ import (
 // A Projector owns a workspace arena and is therefore single-goroutine,
 // like the driver states; concurrent callers each need their own (the
 // serving layer gives every model batcher one). ProjectInto is its one
-// projection call; in steady state it allocates nothing with BPP, MU,
-// HALS or PGD (every solver but the active-set reference).
+// projection call; in steady state it allocates nothing with any
+// built-in solver (BPP, HALS, MU or PGD).
 type Projector struct {
 	w    *mat.Dense // m×k basis; not owned — callers that mutate it call RefreshGram
 	gram *mat.Dense // k×k cached WᵀW

@@ -120,7 +120,6 @@ func TestProjectorRankDeficientBasis(t *testing.T) {
 		solver nnls.Solver
 	}{
 		{"BPP", nil},
-		{"ActiveSet", nnls.NewActiveSet()},
 		{"HALS", nnls.NewHALS(200)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

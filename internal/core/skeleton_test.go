@@ -275,11 +275,11 @@ func TestRunLoopContract(t *testing.T) {
 
 // TestObjectiveNeverIncreases is the descent property every built-in
 // updater promises, asserted through every layout rather than only
-// against our own reference loops: BPP and active-set solve each
-// subproblem exactly, MU, HALS and PGD take descent steps on it, so
+// against our own reference loops: BPP solves each subproblem
+// exactly, MU, HALS and PGD take descent steps on it, so
 // the relative error never rises from one iteration to the next — on
 // an easy problem and on two that stop far above zero error — and the
-// factors stay nonnegative and finite. For the exact updaters each
+// factors stay nonnegative and finite. For the exact updater each
 // half-step's output also meets the NNLS optimality (KKT) conditions:
 // x ≥ 0, Gx − f ≥ 0 and x ⊙ (Gx − f) = 0, the last two to a relative
 // 1e-8. The same holds, for BPP, MU and HALS, on degenerate input: an
@@ -342,10 +342,10 @@ func TestObjectiveNeverIncreases(t *testing.T) {
 							t.Errorf("%s: a factor is negative or non-finite (min %g)", name, f.Min())
 						}
 					}
-					if (solver != SolverBPP && solver != SolverActiveSet) || sweeps != 1 {
+					if solver != SolverBPP || sweeps != 1 {
 						continue
 					}
-					// The exact updaters solve each half-step's NNLS: H
+					// The exact updater solves each half-step's NNLS: H
 					// against the final W, and W against the H of the
 					// iteration before (the same run one iteration
 					// shorter).

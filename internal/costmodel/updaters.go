@@ -11,7 +11,7 @@ import (
 // AlgorithmGridChoice is one row of the joint algorithm × grid
 // forecast: an updater on the plan's grid with the end-to-end price.
 type AlgorithmGridChoice struct {
-	// Updater is the priced row of nnls.Methods and Kind its index
+	// Updater is the row of nnls.Methods and Kind its index
 	// there, which is the core.SolverKind that runs it.
 	Updater nnls.Method
 	Kind    int
@@ -26,7 +26,7 @@ type AlgorithmGridChoice struct {
 	Seconds float64
 }
 
-// AlgorithmGrid prices every priced row of nnls.Methods on best, a
+// AlgorithmGrid prices every row of nnls.Methods on best, a
 // Plan's row 0 for pb: the row's NLS flops on a rank's m/p rows of W
 // and n/p columns of H are added to the row's skeleton forecast and
 // the total is scaled by its relative iterations-to-tolerance. The NLS
@@ -38,9 +38,6 @@ func AlgorithmGrid(pb Problem, best GridCandidate, model perf.Model) []Algorithm
 	p := best.Grid.Size()
 	var out []AlgorithmGridChoice
 	for i, u := range nnls.Methods {
-		if u.Cost == nil {
-			continue
-		}
 		iter := best.Seconds + model.Gamma*u.Flops(pb.K, (pb.M+p-1)/p+(pb.N+p-1)/p)
 		out = append(out, AlgorithmGridChoice{
 			Updater:     u,

@@ -10,28 +10,14 @@ import (
 	"hpcnmf/internal/perf"
 )
 
-// pricedRows counts the rows of the solver table that carry a price.
-func pricedRows() int {
-	n := 0
-	for _, m := range nnls.Methods {
-		if m.Cost != nil {
-			n++
-		}
-	}
-	return n
-}
-
 // TestUpdaterCoeffsForKnownAndUnknown: every row of the solver table
-// but the exact reference carries a price; each priced row is found
-// by its name, prices a solve above zero and needs at least BPP's
-// iterations; an unknown name is refused.
+// carries a price — it is found by its name, prices a solve above zero
+// at a positive sweep count and needs at least BPP's iterations; an
+// unknown name is refused.
 func TestUpdaterCoeffsForKnownAndUnknown(t *testing.T) {
 	for i, m := range nnls.Methods {
-		if (m.Cost == nil) != (m.Name == "ActiveSet") {
-			t.Errorf("%s: priced %v; every row but the exact reference ActiveSet carries a price", m.Name, m.Cost != nil)
-		}
-		if m.Cost == nil {
-			continue
+		if m.Sweeps <= 0 {
+			t.Errorf("%s: priced at %v sweeps, want a positive count", m.Name, m.Sweeps)
 		}
 		if got, err := nnls.Find(m.Name); err != nil || got != i {
 			t.Errorf("Find(%q) = %d, %v; want row %d", m.Name, got, err, i)
@@ -69,8 +55,8 @@ func TestAutoAlgorithmGridRanksAndCovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	choices := AlgorithmGrid(pb, ranked[0], e)
-	if len(choices) != pricedRows() {
-		t.Fatalf("%d rows, want one per priced row (%d)", len(choices), pricedRows())
+	if len(choices) != len(nnls.Methods) {
+		t.Fatalf("%d rows, want one per row of the solver table (%d)", len(choices), len(nnls.Methods))
 	}
 	if !sort.SliceIsSorted(choices, func(i, j int) bool { return choices[i].Seconds < choices[j].Seconds }) {
 		t.Error("choices not sorted cheapest-first")
@@ -92,7 +78,7 @@ func TestAutoAlgorithmGridRanksAndCovers(t *testing.T) {
 		}
 	}
 	for _, m := range nnls.Methods {
-		if m.Cost != nil && !seen[m.Name] {
+		if !seen[m.Name] {
 			t.Errorf("no row for %s", m.Name)
 		}
 	}

@@ -4,14 +4,16 @@
 // right-hand sides F = CᵀB (k×r), find X ≥ 0 (k×r) minimizing
 // ‖C·X − B‖_F, i.e. r independent problems min_{x≥0} ½xᵀGx − fᵀx.
 //
-// Five solvers are provided, mirroring the paper's "flexible local
+// Four solvers are provided, mirroring the paper's "flexible local
 // solver" claim (§1): Block Principal Pivoting (BPP, §4.2 — the
-// paper's choice), the classical Lawson–Hanson active-set method (an
-// exact reference), and the inexact rules Hierarchical Alternating
-// Least Squares (HALS), Multiplicative Update (MU) (§4.1, Eqs. 3–4)
-// and projected gradient descent (PGD), which perform a fixed number
-// of sweeps per call. Methods is the one list of them: every caller
-// that names, builds or prices a built-in solver reads its rows.
+// paper's choice and the one exact method), and the inexact rules
+// Hierarchical Alternating Least Squares (HALS), Multiplicative Update
+// (MU) (§4.1, Eqs. 3–4) and projected gradient descent (PGD), which
+// perform a fixed number of sweeps per call. Methods is the one list
+// of them: every caller that names, builds or prices a built-in solver
+// reads its rows. Lawson–Hanson is not among them: it lives in the
+// package's tests, as the independent oracle BPP is checked against
+// (DESIGN decision 26).
 //
 // A Solver has one solving method, SolveCtx, which writes into a
 // destination the caller shapes and draws its temporaries from a
@@ -26,19 +28,17 @@ import (
 )
 
 // Method is one built-in solver: its name, its constructor (sweeps
-// applies to the inexact methods) and its price, nil for a method the
-// cost model does not price.
+// applies to the inexact methods) and its price.
 type Method struct {
 	Name string
 	New  func(sweeps int) Solver
-	*Cost
+	Cost
 }
 
 // Methods is the ordered table of built-in solvers. A core.SolverKind
 // is an index into it, so row 0 is the default.
 var Methods = []Method{
 	{"BPP", func(int) Solver { return NewBPP() }, bppCost},
-	{"ActiveSet", func(int) Solver { return NewActiveSet() }, nil},
 	{"HALS", func(sweeps int) Solver { return NewHALS(sweeps) }, halsCost},
 	{"MU", func(sweeps int) Solver { return NewMU(sweeps) }, muCost},
 	{"PGD", func(sweeps int) Solver { return NewPGD(sweeps) }, pgdCost},
@@ -79,24 +79,24 @@ type Cost struct {
 // 7 of 20, so there BPP runs ~6× the factorizations priced here, each
 // ~25× smaller.
 var (
-	bppCost  = &Cost{K3: 1.0 / 24, K2: 3, K1: 2, Sweeps: 3, IterFactor: 1.0}
-	halsCost = &Cost{K2: 2, K1: 3, Sweeps: 1, IterFactor: 1.3}
-	muCost   = &Cost{K2: 2, K1: 2, Sweeps: 1, IterFactor: 3.0}
-	pgdCost  = &Cost{K2: 2, K1: 4, Sweeps: 1, IterFactor: 2.0}
+	bppCost  = Cost{K3: 1.0 / 24, K2: 3, K1: 2, Sweeps: 3, IterFactor: 1.0}
+	halsCost = Cost{K2: 2, K1: 3, Sweeps: 1, IterFactor: 1.3}
+	muCost   = Cost{K2: 2, K1: 2, Sweeps: 1, IterFactor: 3.0}
+	pgdCost  = Cost{K2: 2, K1: 4, Sweeps: 1, IterFactor: 2.0}
 )
 
 // columnFlops is the price of one column for one sweep at rank k.
-func (c *Cost) columnFlops(k int) float64 {
+func (c Cost) columnFlops(k int) float64 {
 	kf := float64(k)
 	return c.K3*kf*kf*kf + c.K2*kf*kf + c.K1*kf
 }
 
 // sweepFlops is what one sweep over r columns charges: exact, since
 // the sweep methods' coefficients are small integers.
-func (c *Cost) sweepFlops(k, r int) int64 { return int64(c.columnFlops(k)) * int64(r) }
+func (c Cost) sweepFlops(k, r int) int64 { return int64(c.columnFlops(k)) * int64(r) }
 
 // Flops is the modeled flops of one call on cols columns at rank k.
-func (c *Cost) Flops(k, cols int) float64 {
+func (c Cost) Flops(k, cols int) float64 {
 	return c.Sweeps * c.columnFlops(k) * float64(cols)
 }
 
@@ -110,7 +110,7 @@ func Find(name string) (int, error) {
 	return 0, fmt.Errorf("unknown solver %q (want one of %s)", name, Names())
 }
 
-// Names lists the methods as flags spell them: "bpp, activeset, ...".
+// Names lists the methods as flags spell them: "bpp, hals, mu, pgd".
 func Names() string {
 	names := make([]string, len(Methods))
 	for i, m := range Methods {
@@ -128,7 +128,7 @@ type Stats struct {
 	// per solver: MU, HALS, PGD — the sweeps performed (PGD none when
 	// G is zero); BPP — the pivoting rounds its slowest column
 	// needed (the largest round count over the column chunks, not a
-	// sum); ActiveSet — Lawson–Hanson outer steps summed over columns.
+	// sum).
 	Iterations int
 	// Groups counts BPP's grouped solves (one Cholesky of G[P,P] each)
 	// and ColumnRounds the columns they held, summed over rounds and

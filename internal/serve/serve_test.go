@@ -287,8 +287,11 @@ func TestProjectRefusesNegativeEntries(t *testing.T) {
 }
 
 // TestFitRefusesBadShape: /v1/fit refuses, with 400 naming the fault,
-// a shape whose rows*cols wraps to the length of data and a rank above
-// min(rows, cols); k = min(rows, cols) is accepted.
+// a shape whose rows*cols wraps to the length of data, a rank above
+// min(rows, cols) and a solver that is not one of the four — Lawson–
+// Hanson's "activeset" among them, a test oracle since DESIGN decision
+// 26, refused before a job is queued with the valid names listed;
+// k = min(rows, cols) is accepted.
 func TestFitRefusesBadShape(t *testing.T) {
 	ts := httptest.NewServer(newTestServer(t, Options{}))
 	defer ts.Close()
@@ -301,6 +304,8 @@ func TestFitRefusesBadShape(t *testing.T) {
 			http.StatusBadRequest, "data has 0 entries"},
 		{"k above min(rows, cols)", `{"model":"m","rows":2,"cols":3,"data":[1,2,3,4,5,6],"k":3}`,
 			http.StatusBadRequest, "rank k = 3"},
+		{"solver activeset", `{"model":"m","rows":2,"cols":3,"data":[1,2,3,4,5,6],"k":2,"solver":"activeset"}`,
+			http.StatusBadRequest, "bpp, hals, mu, pgd"},
 		{"k = min(rows, cols)", `{"model":"m","rows":2,"cols":3,"data":[1,2,3,4,5,6],"k":2,"max_iter":1}`,
 			http.StatusAccepted, ""},
 	} {

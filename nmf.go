@@ -3,8 +3,8 @@
 // Park — PPoPP 2016). It factorizes a non-negative matrix A (m×n)
 // into non-negative low-rank factors W (m×k) and H (k×n) minimizing
 // ‖A − WH‖_F, using the alternating non-negative least squares (ANLS)
-// framework with a choice of local solvers (BPP, active-set, MU,
-// HALS), sequentially or in parallel.
+// framework with a choice of local solvers (BPP, HALS, MU, PGD),
+// sequentially or in parallel.
 //
 // The parallel algorithms run on an in-process message-passing
 // runtime that mirrors MPI (each rank is a goroutine; collectives use
@@ -72,11 +72,10 @@ type SolverKind = core.SolverKind
 // constructor and cost-model price; a SolverKind is the row's index.
 // BPP, row 0, is the default and the paper's choice.
 const (
-	SolverBPP       = core.SolverBPP
-	SolverActiveSet = core.SolverActiveSet
-	SolverMU        = core.SolverMU
-	SolverHALS      = core.SolverHALS
-	SolverPGD       = core.SolverPGD
+	SolverBPP  = core.SolverBPP
+	SolverMU   = core.SolverMU
+	SolverHALS = core.SolverHALS
+	SolverPGD  = core.SolverPGD
 )
 
 // ParseSolver maps the name of any row of the solver table, in any
