@@ -182,6 +182,11 @@ func parseFlags(args []string, stderr io.Writer) (*cli, error) {
 			c.alg = "seq"
 		}
 	}
+	switch c.alg {
+	case "seq", "naive", "hpc1d", "hpc2d", "auto":
+	default:
+		return nil, fmt.Errorf("unknown algorithm %q (want seq, naive, hpc1d, hpc2d, auto, or a solver name: %s)", c.alg, nnls.Names())
+	}
 	if c.tiled != "" {
 		if c.mmPath != "" {
 			return nil, fmt.Errorf("-tiled and -mm both name an input; pick one")
@@ -399,7 +404,8 @@ func pick(c *cli, a hpcnmf.Matrix, opts *hpcnmf.Options, stdout io.Writer) (*pla
 	return &plan{best: ranked[0], feasible: infeasible == nil}, nil
 }
 
-// factorize runs the chosen driver. procs is the rank count the run
+// factorize runs the chosen driver (parseFlags has refused any other
+// -alg, and pick has settled auto). procs is the rank count the run
 // report records.
 func factorize(c *cli, in *input, picked *plan, opts hpcnmf.Options) (res *hpcnmf.Result, procs int, err error) {
 	if in.tile != nil {
@@ -430,8 +436,6 @@ func factorize(c *cli, in *input, picked *plan, opts hpcnmf.Options) (res *hpcnm
 			res, err = hpcnmf.RunOnGrid(in.a, pr, pc, opts)
 			return res, pr * pc, err
 		}
-	default:
-		return nil, 0, fmt.Errorf("unknown algorithm %q (want seq, naive, hpc1d, hpc2d, auto, or a solver name: %s)", c.alg, nnls.Names())
 	}
 	return res, c.p, err
 }

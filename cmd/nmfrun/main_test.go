@@ -59,6 +59,16 @@ func TestRunFlagValidation(t *testing.T) {
 	}
 }
 
+// TestParseFlagsRefusesUnknownAlg: an unknown -alg is refused with the
+// other flag checks, before any input is loaded or generated.
+func TestParseFlagsRefusesUnknownAlg(t *testing.T) {
+	var errb bytes.Buffer
+	_, err := parseFlags([]string{"-data", "dsyn", "-scale", "4", "-alg", "bogus"}, &errb)
+	if err == nil || !strings.Contains(err.Error(), `unknown algorithm "bogus"`) {
+		t.Fatalf("parseFlags(-alg bogus) = %v, want the unknown-algorithm error", err)
+	}
+}
+
 func TestRunSeqSmoke(t *testing.T) {
 	got := runOK(t, fast()...)
 	for _, want := range []string{"dataset:", "algorithm:", "relative error per iteration", "iter   1", "per-iteration task breakdown"} {

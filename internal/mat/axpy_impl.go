@@ -2,9 +2,10 @@ package mat
 
 import "math"
 
-// Portable definitions of the three axpy primitives the accumulating
-// kernels funnel into, and of the lone-column product built on the
-// last of them (the tile kernel's portable loop is in tile.go).
+// Portable definitions of the two axpy primitives the sparse kernels
+// and the substitution funnel into, and of the lone-column product
+// built on the last of them (the tiles' portable loops are in
+// tile.go).
 // On amd64 these are the "generic" dispatch level and the reference
 // the AVX2 level is pinned against; on other architectures they are
 // the only level. Each keeps the per-output-element accumulation order
@@ -13,28 +14,6 @@ import "math"
 // sequence of individual fused updates bit for bit, and the AVX2
 // level's VFMADD231PD is the same operation per lane — so both
 // dispatch levels produce identical results.
-
-// axpy42Generic updates two output rows from four shared input rows:
-//
-//	c0[j] = c0[j] + vw[0]·b0[j] + vw[1]·b1[j] + vw[2]·b2[j] + vw[3]·b3[j]
-//	c1[j] = c1[j] + vw[4]·b0[j] + vw[5]·b1[j] + vw[6]·b2[j] + vw[7]·b3[j]
-//
-// for j in [0,len(c0)). Pairing the output rows halves the streamed
-// loads per flop versus a single-row update. All slices must have
-// length ≥ len(c0).
-func axpy42Generic(c0, c1, b0, b1, b2, b3 []float64, vw *[8]float64) {
-	v0, v1, v2, v3 := vw[0], vw[1], vw[2], vw[3]
-	w0, w1, w2, w3 := vw[4], vw[5], vw[6], vw[7]
-	c1 = c1[:len(c0)]
-	b1 = b1[:len(c0)]
-	b2 = b2[:len(c0)]
-	b3 = b3[:len(c0)]
-	for j, p0 := range b0[:len(c0)] {
-		p1, p2, p3 := b1[j], b2[j], b3[j]
-		c0[j] = math.FMA(v3, p3, math.FMA(v2, p2, math.FMA(v1, p1, math.FMA(v0, p0, c0[j]))))
-		c1[j] = math.FMA(w3, p3, math.FMA(w2, p2, math.FMA(w1, p1, math.FMA(w0, p0, c1[j]))))
-	}
-}
 
 // axpy4Generic updates one output row from four input rows:
 //

@@ -3,6 +3,7 @@ package mat
 import (
 	"math"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -29,15 +30,26 @@ func randSlice(n int, s *rng.Stream) []float64 {
 	return out
 }
 
-// axpyCase holds one operand set plus the generic-level expected
-// outputs for all three primitives.
+// axpyCase holds one operand set plus the expected outputs of the two
+// axpys (at the generic level) and of the strided tile on the same
+// operands (by definition): C (rows c0, c1) += V·B with V the 2×4
+// matrix vw and B the rows b0–b3.
 type axpyCase struct {
 	n                      int
 	c0, c1, b0, b1, b2, b3 []float64
 	vw                     [8]float64
-	want42c0, want42c1     []float64 // axpy42 outputs
+	wantTile               []float64 // strided tile output, c0 then c1
 	want4                  []float64 // Axpy4 output
 	want1                  []float64 // Axpy output
+}
+
+// stridedVB returns C += V·B on the strided tile (ParMulAddTo) for an
+// axpy case, rows c0 and c1 of C concatenated.
+func stridedVB(ac axpyCase) []float64 {
+	c := &Dense{Rows: 2, Cols: ac.n, Data: slices.Concat(ac.c0, ac.c1)}
+	b := &Dense{Rows: 4, Cols: ac.n, Data: slices.Concat(ac.b0, ac.b1, ac.b2, ac.b3)}
+	ParMulAddTo(c, &Dense{Rows: 2, Cols: 4, Data: slices.Clone(ac.vw[:])}, b, nil)
+	return c.Data
 }
 
 func makeAxpyCases(t *testing.T) []axpyCase {
@@ -77,9 +89,12 @@ func makeAxpyCases(t *testing.T) []axpyCase {
 	}
 	for i := range cases {
 		ac := &cases[i]
-		ac.want42c0 = append([]float64(nil), ac.c0...)
-		ac.want42c1 = append([]float64(nil), ac.c1...)
-		axpy42(ac.want42c0, ac.want42c1, ac.b0, ac.b1, ac.b2, ac.b3, &ac.vw)
+		for r, c := range [][]float64{ac.c0, ac.c1} {
+			v := ac.vw[4*r:]
+			for j := range c {
+				ac.wantTile = append(ac.wantTile, math.FMA(v[3], ac.b3[j], math.FMA(v[2], ac.b2[j], math.FMA(v[1], ac.b1[j], math.FMA(v[0], ac.b0[j], c[j])))))
+			}
+		}
 		v4 := [4]float64{ac.vw[0], ac.vw[1], ac.vw[2], ac.vw[3]}
 		ac.want4 = append([]float64(nil), ac.c0...)
 		Axpy4(ac.want4, ac.b0, ac.b1, ac.b2, ac.b3, &v4)
@@ -100,7 +115,8 @@ func diffBits(a, b []float64) int {
 
 // TestAxpyDispatchBitwise pins every dispatch level against
 // the generic loops, bit for bit, across vector lengths covering all
-// unroll remainders and the IEEE special-value corners.
+// unroll remainders and masked edges and the IEEE special-value
+// corners: the two axpys, and the strided tile on the same operands.
 func TestAxpyDispatchBitwise(t *testing.T) {
 	restoreISA(t)
 	cases := makeAxpyCases(t)
@@ -109,15 +125,10 @@ func TestAxpyDispatchBitwise(t *testing.T) {
 			t.Fatalf("SetISA(%q): %v", isa, err)
 		}
 		for ci, ac := range cases {
-			c0 := append([]float64(nil), ac.c0...)
-			c1 := append([]float64(nil), ac.c1...)
-			axpy42(c0, c1, ac.b0, ac.b1, ac.b2, ac.b3, &ac.vw)
-			if i := diffBits(c0, ac.want42c0); i >= 0 {
-				t.Errorf("%s axpy42 case %d n=%d: c0[%d] = %x, want %x", isa, ci, ac.n, i,
-					math.Float64bits(c0[i]), math.Float64bits(ac.want42c0[i]))
-			}
-			if i := diffBits(c1, ac.want42c1); i >= 0 {
-				t.Errorf("%s axpy42 case %d n=%d: c1[%d] differs", isa, ci, ac.n, i)
+			if got := stridedVB(ac); diffBits(got, ac.wantTile) >= 0 {
+				i := diffBits(got, ac.wantTile)
+				t.Errorf("%s strided tile case %d n=%d: C[%d] = %x, want %x", isa, ci, ac.n, i,
+					math.Float64bits(got[i]), math.Float64bits(ac.wantTile[i]))
 			}
 			v4 := [4]float64{ac.vw[0], ac.vw[1], ac.vw[2], ac.vw[3]}
 			c := append([]float64(nil), ac.c0...)
@@ -159,8 +170,8 @@ func TestSetISA(t *testing.T) {
 	// The retired levels are unknown names now, and a refused name
 	// changes nothing.
 	for _, isa := range SupportedISAs() {
-		if isa != "generic" && isa != "avx2" {
-			t.Errorf("SupportedISAs() lists %q; only generic and avx2 exist", isa)
+		if isa != "generic" && isa != "avx2" && isa != "avx512" {
+			t.Errorf("SupportedISAs() lists %q; only generic, avx2 and avx512 exist", isa)
 		}
 	}
 	before := ISA()
@@ -178,8 +189,11 @@ func TestSetISA(t *testing.T) {
 // TestISAForNeedsEveryFeature: the avx2 level runs VFMADD231PD on YMM
 // registers, so detection picks it only when the CPU has AVX2 and FMA
 // and the OS saves YMM state; any one missing falls back to generic.
+// avx512 needs all of that, AVX-512F, and the OS saving the opmask
+// and ZMM state; without either it falls back to avx2.
 func TestISAForNeedsEveryFeature(t *testing.T) {
 	all := cpuWords{maxLeaf: 7, ecx1: cpuFMA | cpuOSXSAVE | cpuAVX, ebx7: cpuAVX2, xcr0: xcr0XMMYMM}
+	zmm := func(w *cpuWords) { w.ebx7 |= cpuAVX512F; w.xcr0 |= xcr0ZMM }
 	for _, tc := range []struct {
 		name string
 		edit func(*cpuWords)
@@ -192,6 +206,10 @@ func TestISAForNeedsEveryFeature(t *testing.T) {
 		{"YMM state off", func(w *cpuWords) { w.xcr0 = 1 << 1 }, isaGeneric},
 		{"no AVX2", func(w *cpuWords) { w.ebx7 = 0 }, isaGeneric},
 		{"no leaf 7", func(w *cpuWords) { w.maxLeaf = 6 }, isaGeneric},
+		{"AVX-512F without ZMM state", func(w *cpuWords) { zmm(w); w.xcr0 &^= 1<<6 | 1<<7 }, isaAVX2},
+		{"AVX-512F without opmask", func(w *cpuWords) { zmm(w); w.xcr0 &^= 1 << 5 }, isaAVX2},
+		{"all features present", zmm, isaAVX512},
+		{"AVX-512F without AVX2", func(w *cpuWords) { zmm(w); w.ebx7 &^= cpuAVX2 }, isaGeneric},
 	} {
 		w := all
 		tc.edit(&w)

@@ -53,10 +53,9 @@ func CholeskyInto(l, g *Dense, inv []float64) error {
 }
 
 // narrowRHS is the shape rule of the substitution: a right-hand side
-// with fewer columns is solved a column at a time. Measured, not
-// borrowed from narrowCols — the two loop forms cross between 4 and 6
-// columns for factors of 3 to 20 rows (table in DESIGN, "A one-column
-// group is a vector").
+// with fewer columns is solved a column at a time. Measured — the two
+// loop forms cross between 4 and 6 columns for factors of 3 to 20 rows
+// (table in DESIGN, "A one-column group is a vector").
 const narrowRHS = 5
 
 // CholSolveInto solves G·X = B into the caller's x (shaped like b, and
@@ -66,7 +65,7 @@ const narrowRHS = 5
 // element x[i][j] has the products L[i][t]·x[t][j] subtracted from it
 // in ascending t, each as one fused x + (−L[i][t])·x[t][j], and is then
 // multiplied by inv[i]; a zero L[i][t] is skipped. The loop nest
-// follows the shape (the rule of mulAtBRange): with fewer than
+// follows the shape: with fewer than
 // narrowRHS columns each column is run down as a vector, its current
 // element in a register, through math.FMA(−c, t, x); with more, a row
 // is updated at a time by Axpy (the same fused operation per element),

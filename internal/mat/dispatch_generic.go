@@ -8,12 +8,6 @@ package mat
 
 func bestISA() int32 { return isaGeneric }
 
-// axpy42 is the blocked dense kernels' shared inner primitive; see
-// axpy42Generic for the definition.
-func axpy42(c0, c1, b0, b1, b2, b3 []float64, vw *[8]float64) {
-	axpy42Generic(c0, c1, b0, b1, b2, b3, vw)
-}
-
 // Axpy4 computes c[j] += v[0]·b0[j] + v[1]·b1[j] + v[2]·b2[j] + v[3]·b3[j],
 // the sparse kernels' four-entry inner step. All slices must have
 // length ≥ len(c).
@@ -35,4 +29,15 @@ func AtxNZ(f, a, x []float64) float64 { return atxNZGeneric(f, a, x) }
 // the only level (see tileGeneric for the definition).
 func tile(c []float64, ldc int, a0, a1, a2, a3, b []float64) {
 	tileGeneric(c, ldc, a0, a1, a2, a3, b)
+}
+
+// tile2 computes the MR×2NR tile of two adjacent packed panels.
+func tile2(c []float64, ldc int, a0, a1, a2, a3, b0, b1 []float64) {
+	tileGeneric(c, ldc, a0, a1, a2, a3, b0)
+	tileGeneric(c[tileNR:], ldc, a0, a1, a2, a3, b1)
+}
+
+// accTile runs the strided tile; see accTileGeneric.
+func accTile(_ int32, c []float64, ldc, rows int, a []float64, as, ar int, b []float64, ldb, n, w int) {
+	accTileGeneric(c, ldc, rows, a, as, ar, b, ldb, n, w)
 }

@@ -40,11 +40,13 @@ func filled(n int, v float64) []float64 {
 
 // TestPrimitivesAreFused holds every dispatch level to one fused
 // multiply-add per term, on operands where a multiply-then-add rounds
-// differently: each instruction position of the five primitives in
-// turn (every term of axpy42/Axpy4, vector body and scalar tail, every
-// unroll step and both vectors of the tile, full and ragged, every lane
-// and entry of AtxNZ), Gram's scalar diagonal, the substitution of
-// CholSolveInto down a vector and by Axpy, and every reference loop.
+// differently: each instruction position of the primitives in turn
+// (every term of Axpy4, vector body and scalar tail; every row, step,
+// chunk and masked or full vector of the strided tile; every unroll
+// step and vector of the packed tile, one panel or two, full and
+// ragged; every lane and entry of AtxNZ), Gram's diagonal, the
+// substitution of CholSolveInto down a vector and by Axpy, and every
+// reference loop.
 func TestPrimitivesAreFused(t *testing.T) {
 	var x, y float64 = fa, fb
 	if float64(x*y)-1 != 0 || math.FMA(x, y, -1) != fusedAB || float64(x*x)-1 != unfusedA || math.FMA(x, x, -1) != fusedAA {
@@ -57,6 +59,7 @@ func TestPrimitivesAreFused(t *testing.T) {
 		}
 		t.Run(isa, func(t *testing.T) {
 			checkAxpysFused(t)
+			checkStridedFused(t)
 			checkTileFused(t)
 			checkAtxFused(t)
 			checkGramFused(t)
@@ -68,21 +71,21 @@ func TestPrimitivesAreFused(t *testing.T) {
 
 // checkAxpysFused puts fa on one term position at a time — its b row
 // holding fb, c holding −1 — with zeros on the others, which add an
-// exact zero fused or not, at lengths 1–9 (vector body and tail).
+// exact zero fused or not, at lengths 1–9 (vector body and tail); the
+// two-row positions are the strided tile's C += V·B with V 2×4.
 func checkAxpysFused(t *testing.T) {
 	for n := 1; n <= 9; n++ {
 		b := filled(n, fb)
 		for p := range 8 {
 			var vw [8]float64
 			vw[p] = fa
-			c0, c1 := filled(n, -1), filled(n, -1)
-			axpy42(c0, c1, b, b, b, b, &vw)
+			c := stridedVB(axpyCase{n: n, c0: filled(n, -1), c1: filled(n, -1), b0: b, b1: b, b2: b, b3: b, vw: vw})
 			w0, w1 := filled(n, -1), filled(n, fusedAB)
 			if p < 4 {
 				w0, w1 = w1, w0
 			}
-			wantBits(t, fmt.Sprintf("axpy42 n=%d term %d, row 0", n, p), c0, w0)
-			wantBits(t, fmt.Sprintf("axpy42 n=%d term %d, row 1", n, p), c1, w1)
+			wantBits(t, fmt.Sprintf("strided V·B n=%d term %d, row 0", n, p), c[:n], w0)
+			wantBits(t, fmt.Sprintf("strided V·B n=%d term %d, row 1", n, p), c[n:], w1)
 			if p < 4 {
 				c := filled(n, -1)
 				Axpy4(c, b, b, b, b, (*[4]float64)(vw[:4]))
@@ -92,6 +95,29 @@ func checkAxpysFused(t *testing.T) {
 		c := filled(n, -1)
 		Axpy(c, b, fa)
 		wantBits(t, fmt.Sprintf("Axpy n=%d", n), c, filled(n, fusedAB))
+	}
+}
+
+// checkStridedFused runs C += Aᵀ·B on the strided tile with C at −1,
+// A and B zero but for row p (fa across A's, fb across B's), at every
+// p of the first chunk's edges and the second chunk's, for C of 1–5
+// rows (a ragged and a second row block) and 1–17 columns (masked and
+// full vectors, one strip and two at every level): every entry is
+// fusedAB, carried through the chunk boundary; unfused, or restarted
+// from zero at a chunk, it is not.
+func checkStridedFused(t *testing.T) {
+	const m = tileKC + 5
+	for _, p := range []int{0, 1, tileKC - 1, tileKC, m - 1} {
+		for k := 1; k <= 5; k++ {
+			for n := 1; n <= 2*tileNR+1; n++ {
+				a, b, c := NewDense(m, k), NewDense(m, n), NewDense(k, n)
+				copy(a.Row(p), filled(k, fa))
+				copy(b.Row(p), filled(n, fb))
+				c.Fill(-1)
+				ParMulAtBAddTo(c, a, b, nil)
+				wantBits(t, fmt.Sprintf("strided Aᵀ·B %dx%d, fa·fb at step %d", k, n, p), c.Data, filled(k*n, fusedAB))
+			}
+		}
 	}
 }
 
@@ -142,13 +168,13 @@ func probeRows(ra, rb, n, p int) (a, b *Dense) {
 	return a, b
 }
 
-// checkTileFused runs a full 4×8 tile and a ragged 3×5 one with the
-// fa·fb term at every step of the four-way unrolled reduction and of
-// its tail.
+// checkTileFused runs full tiles of one and two panels and ragged ones
+// with the fa·fb term at every step of the four-way unrolled reduction
+// and of its tail.
 func checkTileFused(t *testing.T) {
 	const n = 9
 	for p := 1; p < n; p++ {
-		for _, sh := range []struct{ m, c int }{{tileMR, tileNR}, {tileMR - 1, tileNR - 3}} {
+		for _, sh := range []struct{ m, c int }{{tileMR, tileNR}, {tileMR - 1, tileNR - 3}, {tileMR, 2 * tileNR}, {tileMR - 1, 2*tileNR - 3}} {
 			a, b := probeRows(sh.m, sh.c, n, p)
 			c := NewDense(sh.m, sh.c)
 			ParMulABtTo(c, a, b, nil)
@@ -157,10 +183,8 @@ func checkTileFused(t *testing.T) {
 	}
 }
 
-// checkGramFused puts fa in one sample row at a time of a 5×3 A
-// (paired triangle rows, the odd last row, the four-way unroll and its
-// tail) on a G of −1: every entry, the scalar diagonal included, is
-// fma(fa, fa, −1).
+// checkGramFused puts fa in one sample row at a time of a 5×3 A on a
+// G of −1: every entry, the diagonal included, is fma(fa, fa, −1).
 func checkGramFused(t *testing.T) {
 	for p := range 5 {
 		a := NewDense(5, 3)

@@ -88,20 +88,20 @@ func FuzzTileMulABt(f *testing.F) {
 	})
 }
 
-// FuzzMulAtB drives C += Aᵀ·B with fuzzed shapes — m ≤ 40 reduction
-// rows, k ≤ 140 so a narrowBlock boundary is crossed, n ≤ narrowCols+2
-// so both sides of the threshold are reached — and the value alphabet of
-// FuzzTileMulABt, and requires the result bitwise equal to the scalar
+// FuzzMulAtB drives C += Aᵀ·B with fuzzed shapes — m ≤ 2·tileKC+10
+// reduction rows so chunk boundaries are crossed, k ≤ 140, n ≤
+// 2·tileNR+2 so both strip widths are masked and full — and the value
+// alphabet of FuzzTileMulABt, and requires the result bitwise equal to the scalar
 // reference at the active dispatch level, inline and on a 3-wide pool.
 func FuzzMulAtB(f *testing.F) {
 	f.Add(uint8(4), uint8(8), uint8(1), []byte{1, 2, 3})
 	f.Add(uint8(5), uint8(66), uint8(7), []byte{0x80, 0x7f, 0, 0xff, 17})
 	f.Add(uint8(0), uint8(1), uint8(0), []byte{})
-	f.Add(uint8(40), uint8(140), uint8(narrowCols), []byte{0xfe, 0x01, 0x33})
+	f.Add(uint8(40), uint8(140), uint8(2*tileNR), []byte{0xfe, 0x01, 0x33})
 	pool := par.NewPool(3)
 	f.Cleanup(pool.Close)
 	f.Fuzz(func(t *testing.T, mb, kb, nb uint8, vals []byte) {
-		m, k, n := int(mb)%41, int(kb)%141, int(nb)%(narrowCols+3)
+		m, k, n := int(mb)%(2*tileKC+11), int(kb)%141, int(nb)%(2*tileNR+3)
 		value := fuzzValues(vals)
 		a, b, c0 := NewDense(m, k), NewDense(m, n), NewDense(k, n)
 		for _, d := range []*Dense{a, b, c0} {

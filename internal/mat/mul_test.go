@@ -44,14 +44,15 @@ var kernelShapes = []struct{ m, k, n int }{
 }
 
 // projectionShapes are the Aᵀ·B shapes a projection serves, (m, k, n)
-// with A m×k and B m×n — both sides of the narrowCols threshold and k
-// blocks that straddle the narrowBlock accumulator — plus two small
-// ones so that, with kernelShapes, every m mod 4 is seen on each side.
+// with A m×k and B m×n — n masked and full at both strip widths (8,
+// and 16 at avx512), m ending inside a reduction chunk and on its
+// edge, k ragged and whole in row blocks — plus two small ones so
+// that, with kernelShapes, every m mod 4 is seen.
 func projectionShapes() []struct{ m, k, n int } {
-	out := []struct{ m, k, n int }{{6, 5, narrowCols + 1}, {7, 70, narrowCols}}
+	out := []struct{ m, k, n int }{{6, 5, 2*tileNR + 1}, {7, 70, 2 * tileNR}}
 	for _, m := range []int{2881, 5184} {
 		for _, k := range []int{16, 50, 65, 130} {
-			for _, n := range []int{1, 2, 3, narrowCols - 1, narrowCols, narrowCols + 1} {
+			for _, n := range []int{1, 2, 3, tileNR, 2*tileNR - 1, 2 * tileNR, 2*tileNR + 1} {
 				out = append(out, struct{ m, k, n int }{m, k, n})
 			}
 		}
@@ -89,9 +90,8 @@ func TestMulAddToMatchesReference(t *testing.T) {
 
 // TestMulAtBAddToMatchesReference checks the blocked C += Aᵀ·B, bit
 // for bit, over the kernel and projection shapes at every dispatch
-// level and at pool widths nil, 2 and 3 — a 3-way split of k = 50 cuts
-// row ranges that are not multiples of 4, and one of k = 130 cuts
-// ranges that end inside a narrowBlock.
+// level and at pool widths nil, 2 and 3, which split the tiles of C by
+// row blocks (narrow B) or column strips (wide B) into uneven ranges.
 func TestMulAtBAddToMatchesReference(t *testing.T) {
 	restoreISA(t)
 	s := rng.New(102)
@@ -250,7 +250,7 @@ func TestTileMatchesReference(t *testing.T) {
 			t.Fatalf("SetISA(%q): %v", isa, err)
 		}
 		for _, m := range []int{0, 1, 3, 4, 5, 9, 23} {
-			for _, k := range []int{0, 1, 7, 8, 9, 17, 50} {
+			for _, k := range []int{0, 1, 7, 8, 9, 16, 17, 50} {
 				for _, n := range []int{0, 1, 3, 4, 5, 1920} {
 					a := randomSignedZeros(m, n, s)
 					h := randomSignedZeros(k, n, s)
@@ -362,10 +362,9 @@ func TestNoZeroSkip(t *testing.T) {
 		if ParGramTTo(g, FromRows([][]float64{{0, 1}, {inf(), 2}}), nil); !math.IsNaN(g.At(0, 1)) || !math.IsNaN(g.At(1, 0)) || !math.IsInf(g.At(1, 1), 1) {
 			t.Errorf("%s GramT with 0·Inf off the diagonal = %v", isa, g)
 		}
-		// Aᵀ·B on both sides of narrowCols: a zero in either operand
-		// against an Inf in the other, in a four-row block (row 1) and
-		// in the remainder row (row 4).
-		for _, n := range []int{1, narrowCols - 1, narrowCols} {
+		// Aᵀ·B, masked and full: a zero in either operand against an
+		// Inf in the other, at reduction rows 1 and 4.
+		for _, n := range []int{1, 2*tileNR - 1, 2 * tileNR} {
 			for _, row := range []int{1, 4} {
 				for _, zeroInA := range []bool{true, false} {
 					an, bn := NewDense(5, 3), NewDense(5, n)

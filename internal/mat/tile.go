@@ -6,20 +6,22 @@ import (
 	"hpcnmf/internal/par"
 )
 
-// The tile kernel: the register-blocked microkernel behind every
+// The packed tile: the register-blocked microkernel behind every
 // "skinny output, long reduction" product (A·Hᵀ, A·B on a gathered n×k
 // panel, H·Hᵀ). An MR×NR block of C lives in registers across the
 // whole reduction while MR rows of A and one packed panel of the
-// factor stream past it, so C is written once and the long dimension
-// is read at unit stride on both sides.
+// factor stream past it (two adjacent panels at avx512), so C is
+// written once and the long dimension is read at unit stride on both
+// sides.
 //
 // Every output element has exactly one accumulator, started at zero
 // and updated acc = fma(a, b, acc) — one rounding per term — in
 // ascending reduction index: the operation sequence of RefMulABtTo,
-// RefGramT and RefMulAddTo on a zeroed C, so both dispatch levels
-// (VFMADD231PD and math.FMA) are bitwise equal to the references by
+// RefGramT and RefMulAddTo on a zeroed C, so every dispatch level
+// (VFMADD231PD and math.FMA) is bitwise equal to the references by
 // construction. Vector lanes hold adjacent output columns, never
-// partial sums.
+// partial sums. The strided tile of mul.go keeps the same contract,
+// starting from C's value instead of zero.
 const (
 	tileMR = 4 // rows of C per tile
 	tileNR = 8 // columns of C per tile (two 4-wide vectors)
@@ -109,15 +111,17 @@ func ParMulPackedTo(c, a *Dense, pk Packed, p *par.Pool) {
 	})
 }
 
-// tileBlocks computes row blocks [b0,b1) of C = A·P. With upper set
-// (the symmetric product, C square) tiles lying wholly below the
-// diagonal are skipped; the caller mirrors the upper triangle.
+// tileBlocks computes row blocks [b0,b1) of C = A·P, two panels per
+// tile call. With upper set (the symmetric product, C square) tiles
+// lying wholly below the diagonal are skipped; the caller mirrors the
+// upper triangle.
 func tileBlocks(c, a *Dense, pk Packed, b0, b1 int, upper bool) {
 	n, ldc := pk.n, c.Cols
 	if n == 0 {
 		clear(c.Data[min(b0*tileMR, c.Rows)*ldc : min(b1*tileMR, c.Rows)*ldc])
 		return
 	}
+	var t [tileMR * 2 * tileNR]float64
 	for i := b0 * tileMR; i < min(b1*tileMR, c.Rows); i += tileMR {
 		rows := min(tileMR, c.Rows-i)
 		// A ragged last block re-reads its last valid row in place
@@ -130,17 +134,26 @@ func tileBlocks(c, a *Dense, pk Packed, b0, b1 int, upper bool) {
 		if upper {
 			j = i / tileNR * tileNR
 		}
-		for ; j < pk.cols; j += tileNR {
-			w := min(tileNR, pk.cols-j)
-			panel := pk.panel(j / tileNR)
-			if rows == tileMR && w == tileNR {
-				tile(c.Data[i*ldc+j:], ldc, ar[0], ar[1], ar[2], ar[3], panel)
-				continue
+		for ; j < pk.cols; j += 2 * tileNR {
+			w := min(2*tileNR, pk.cols-j)
+			pw := tileNR // the columns the tile call writes
+			if w > tileNR {
+				pw = 2 * tileNR
 			}
-			var t [tileMR * tileNR]float64
-			tile(t[:], tileNR, ar[0], ar[1], ar[2], ar[3], panel)
-			for r := 0; r < rows; r++ {
-				copy(c.Data[(i+r)*ldc+j:(i+r)*ldc+j+w], t[r*tileNR:])
+			dst, ld := c.Data[i*ldc+j:], ldc
+			scratch := rows < tileMR || w < pw
+			if scratch {
+				dst, ld = t[:], 2*tileNR
+			}
+			if pw == tileNR {
+				tile(dst, ld, ar[0], ar[1], ar[2], ar[3], pk.panel(j/tileNR))
+			} else {
+				tile2(dst, ld, ar[0], ar[1], ar[2], ar[3], pk.panel(j/tileNR), pk.panel(j/tileNR+1))
+			}
+			if scratch {
+				for r := 0; r < rows; r++ {
+					copy(c.Data[(i+r)*ldc+j:(i+r)*ldc+j+w], t[r*2*tileNR:])
+				}
 			}
 		}
 	}
@@ -172,4 +185,43 @@ func tileRow(c, a, b []float64) {
 		s7 = math.FMA(v, q[7], s7)
 	}
 	c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7] = s0, s1, s2, s3, s4, s5, s6, s7
+}
+
+// accTileGeneric is the portable strided tile: for each of the rows
+// (≤ MR) rows r and w columns j of the tile at c (row stride ldc) it
+// takes n steps
+//
+//	c[r·ldc+j] = fma(a[s·as+r·ar], b[s·ldb+j], c[r·ldc+j])   for s = 0, 1, …, n−1
+//
+// one fused multiply-add per step, rounded once, from C's value. Four
+// steps at a time update two rows in place along the strip (the
+// nested FMAs take the steps in order), so the chains of a row's
+// columns run side by side and a row of B is loaded once for both. It
+// is the "generic" dispatch level and the only one off amd64.
+func accTileGeneric(c []float64, ldc, rows int, a []float64, as, ar int, b []float64, ldb, n, w int) {
+	s := 0
+	for ; s+4 <= n; s += 4 {
+		b0, b1, b2, b3 := b[s*ldb:s*ldb+w], b[(s+1)*ldb:][:w], b[(s+2)*ldb:][:w], b[(s+3)*ldb:][:w]
+		r := 0
+		for ; r+2 <= rows; r += 2 {
+			p, q := a[s*as+r*ar:], a[s*as+(r+1)*ar:]
+			v0, v1, v2, v3 := p[0], p[as], p[2*as], p[3*as]
+			u0, u1, u2, u3 := q[0], q[as], q[2*as], q[3*as]
+			c0, c1 := c[r*ldc:][:w], c[(r+1)*ldc:][:w]
+			for j, x := range b0 {
+				y, z, t := b1[j], b2[j], b3[j]
+				c0[j] = math.FMA(v3, t, math.FMA(v2, z, math.FMA(v1, y, math.FMA(v0, x, c0[j]))))
+				c1[j] = math.FMA(u3, t, math.FMA(u2, z, math.FMA(u1, y, math.FMA(u0, x, c1[j]))))
+			}
+		}
+		if r < rows {
+			p := a[s*as+r*ar:]
+			axpy4Generic(c[r*ldc:r*ldc+w], b0, b1, b2, b3, &[4]float64{p[0], p[as], p[2*as], p[3*as]})
+		}
+	}
+	for ; s < n; s++ {
+		for r := range rows {
+			axpyGeneric(c[r*ldc:r*ldc+w], b[s*ldb:], a[s*as+r*ar])
+		}
+	}
 }

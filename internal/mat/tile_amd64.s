@@ -93,3 +93,144 @@ tail1:
 done:
 	TILE_STORE
 	RET
+
+// ---------------------------------------------------------------------
+// The strided 4×8 tile (see accTileGeneric): C[r][j] += a_r[s·as]·b[s·ldb+j]
+// for r < 4, j < w ≤ 8 and n ≥ 1 steps s, each one fused multiply-add
+// from C's value. Y0–Y7 hold the tile — row r in Y(2r), Y(2r+1) — for
+// the n steps; AX is the byte offset of step s in the A rows. A tile
+// of w = 8 runs plain loads and stores; a narrower one masks every
+// access to C and B with VMASKMOVPD (Y12, Y13 select lanes j < w),
+// which neither reads nor writes a masked lane.
+
+// One step over the four rows; Y8, Y9 hold the step's row of B.
+#define ACC_ROWS \
+	VBROADCASTSD (R8)(AX*1), Y10;  \
+	VFMADD231PD  Y10, Y8, Y0;      \
+	VFMADD231PD  Y10, Y9, Y1;      \
+	VBROADCASTSD (R9)(AX*1), Y10;  \
+	VFMADD231PD  Y10, Y8, Y2;      \
+	VFMADD231PD  Y10, Y9, Y3;      \
+	VBROADCASTSD (R10)(AX*1), Y10; \
+	VFMADD231PD  Y10, Y8, Y4;      \
+	VFMADD231PD  Y10, Y9, Y5;      \
+	VBROADCASTSD (R11)(AX*1), Y10; \
+	VFMADD231PD  Y10, Y8, Y6;      \
+	VFMADD231PD  Y10, Y9, Y7
+
+// lanes j < w of two vectors are &accMask<>[8−w] and the 4 after it.
+DATA accMask<>+0(SB)/8, $-1
+DATA accMask<>+8(SB)/8, $-1
+DATA accMask<>+16(SB)/8, $-1
+DATA accMask<>+24(SB)/8, $-1
+DATA accMask<>+32(SB)/8, $-1
+DATA accMask<>+40(SB)/8, $-1
+DATA accMask<>+48(SB)/8, $-1
+DATA accMask<>+56(SB)/8, $-1
+DATA accMask<>+64(SB)/8, $0
+DATA accMask<>+72(SB)/8, $0
+DATA accMask<>+80(SB)/8, $0
+DATA accMask<>+88(SB)/8, $0
+DATA accMask<>+96(SB)/8, $0
+DATA accMask<>+104(SB)/8, $0
+DATA accMask<>+112(SB)/8, $0
+DATA accMask<>+120(SB)/8, $0
+GLOBL accMask<>(SB), RODATA|NOPTR, $128
+
+// func accTile4x8AVX2(c0, c1, c2, c3, a0, a1, a2, a3 *float64, as int, b *float64, ldb, n, w int)
+TEXT ·accTile4x8AVX2(SB), NOSPLIT, $0-104
+	MOVQ a0+32(FP), R8
+	MOVQ a1+40(FP), R9
+	MOVQ a2+48(FP), R10
+	MOVQ a3+56(FP), R11
+	MOVQ as+64(FP), DX
+	MOVQ b+72(FP), SI
+	MOVQ ldb+80(FP), BX
+	MOVQ n+88(FP), CX
+	MOVQ w+96(FP), AX
+	SHLQ $3, DX
+	SHLQ $3, BX
+	CMPQ AX, $8
+	JLT  masked
+
+	MOVQ    c0+0(FP), DI
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	MOVQ    c1+8(FP), DI
+	VMOVUPD (DI), Y2
+	VMOVUPD 32(DI), Y3
+	MOVQ    c2+16(FP), DI
+	VMOVUPD (DI), Y4
+	VMOVUPD 32(DI), Y5
+	MOVQ    c3+24(FP), DI
+	VMOVUPD (DI), Y6
+	VMOVUPD 32(DI), Y7
+	XORQ    AX, AX
+
+full:
+	VMOVUPD (SI), Y8
+	VMOVUPD 32(SI), Y9
+	ACC_ROWS
+	ADDQ    DX, AX
+	ADDQ    BX, SI
+	DECQ    CX
+	JNZ     full
+
+	MOVQ    c0+0(FP), DI
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	MOVQ    c1+8(FP), DI
+	VMOVUPD Y2, (DI)
+	VMOVUPD Y3, 32(DI)
+	MOVQ    c2+16(FP), DI
+	VMOVUPD Y4, (DI)
+	VMOVUPD Y5, 32(DI)
+	MOVQ    c3+24(FP), DI
+	VMOVUPD Y6, (DI)
+	VMOVUPD Y7, 32(DI)
+	VZEROUPPER
+	RET
+
+masked:
+	LEAQ       accMask<>+64(SB), R12
+	SHLQ       $3, AX
+	SUBQ       AX, R12
+	VMOVUPD    (R12), Y12
+	VMOVUPD    32(R12), Y13
+	MOVQ       c0+0(FP), DI
+	VMASKMOVPD (DI), Y12, Y0
+	VMASKMOVPD 32(DI), Y13, Y1
+	MOVQ       c1+8(FP), DI
+	VMASKMOVPD (DI), Y12, Y2
+	VMASKMOVPD 32(DI), Y13, Y3
+	MOVQ       c2+16(FP), DI
+	VMASKMOVPD (DI), Y12, Y4
+	VMASKMOVPD 32(DI), Y13, Y5
+	MOVQ       c3+24(FP), DI
+	VMASKMOVPD (DI), Y12, Y6
+	VMASKMOVPD 32(DI), Y13, Y7
+	XORQ       AX, AX
+
+maskedLoop:
+	VMASKMOVPD (SI), Y12, Y8
+	VMASKMOVPD 32(SI), Y13, Y9
+	ACC_ROWS
+	ADDQ       DX, AX
+	ADDQ       BX, SI
+	DECQ       CX
+	JNZ        maskedLoop
+
+	MOVQ       c0+0(FP), DI
+	VMASKMOVPD Y0, Y12, (DI)
+	VMASKMOVPD Y1, Y13, 32(DI)
+	MOVQ       c1+8(FP), DI
+	VMASKMOVPD Y2, Y12, (DI)
+	VMASKMOVPD Y3, Y13, 32(DI)
+	MOVQ       c2+16(FP), DI
+	VMASKMOVPD Y4, Y12, (DI)
+	VMASKMOVPD Y5, Y13, 32(DI)
+	MOVQ       c3+24(FP), DI
+	VMASKMOVPD Y6, Y12, (DI)
+	VMASKMOVPD Y7, Y13, 32(DI)
+	VZEROUPPER
+	RET

@@ -8,7 +8,9 @@
 //
 // It exits 1 if any mutant survives, if a row's From text no longer
 // occurs exactly once in its file (the row is stale), or if go test
-// fails without a failing test (the mutant did not build, or hung).
+// fails without a failing test (the mutant did not build, or hung). A
+// row whose ISA this CPU cannot run is checked for staleness and
+// skipped.
 package main
 
 import (
@@ -18,7 +20,10 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"time"
+
+	"hpcnmf/internal/mat"
 )
 
 func main() {
@@ -35,25 +40,29 @@ func main() {
 	}
 	defer os.RemoveAll(tmp)
 
-	failed := 0
+	failed, skipped := 0, 0
 	start := time.Now()
 	for i, m := range table {
 		t0 := time.Now()
 		verdict, err := apply(root, filepath.Join(tmp, fmt.Sprint(i)), m)
-		if err != nil {
+		switch {
+		case err != nil:
 			failed++
 			verdict = "FAILED: " + err.Error()
+		case verdict != "killed":
+			skipped++
 		}
 		fmt.Printf("%-32s %-8s %5.1fs\n", m.Name, verdict, time.Since(t0).Seconds())
 	}
-	fmt.Printf("%d of %d mutants killed in %.1fs\n", len(table)-failed, len(table), time.Since(start).Seconds())
+	fmt.Printf("%d of %d mutants killed, %d skipped, in %.1fs\n", len(table)-failed-skipped, len(table), skipped, time.Since(start).Seconds())
 	if failed > 0 {
 		os.Exit(1)
 	}
 }
 
 // apply runs one row in its own scratch directory dir and returns
-// "killed", or an error saying why the row does not hold.
+// "killed", "skipped (no <isa>)", or an error saying why the row does
+// not hold.
 func apply(root, dir string, m mutant) (string, error) {
 	path := filepath.Join(root, m.File)
 	src, err := os.ReadFile(path)
@@ -62,6 +71,9 @@ func apply(root, dir string, m mutant) (string, error) {
 	}
 	if n := bytes.Count(src, []byte(m.From)); n != 1 {
 		return "", fmt.Errorf("%q occurs %d times in %s, want once", m.From, n, m.File)
+	}
+	if m.ISA != "" && !slices.Contains(mat.SupportedISAs(), m.ISA) {
+		return "skipped (no " + m.ISA + ")", nil
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
