@@ -607,7 +607,7 @@ func TestClusterKillOneInstance(t *testing.T) {
 	for _, id := range final {
 		if reborn.rt.Owns(id) {
 			ownedCommitted++
-			if !reborn.srv.HasModel(id) {
+			if !holds(reborn.srv, id) {
 				t.Errorf("replacement did not warm-start owned model %s", id)
 			}
 		}
@@ -627,6 +627,11 @@ func TestClusterKillOneInstance(t *testing.T) {
 			t.Fatalf("replacement cannot serve %s: %v %s %s", id, err, resp.Status, body)
 		}
 	}
+}
+
+// holds reports whether srv has model id in memory.
+func holds(srv *serve.Server, id string) bool {
+	return slices.ContainsFunc(srv.Models(), func(mi serve.ModelInfo) bool { return mi.ID == id })
 }
 
 // waitCommits blocks until the committed set reaches want entries.
@@ -663,7 +668,7 @@ func TestClusterReplicaFanOut(t *testing.T) {
 	for {
 		allResident := true
 		for _, o := range owners {
-			if !byAddr[o].srv.HasModel(id) {
+			if !holds(byAddr[o].srv, id) {
 				allResident = false
 			}
 		}
@@ -672,7 +677,7 @@ func TestClusterReplicaFanOut(t *testing.T) {
 		}
 		if time.Now().After(deadline) {
 			for _, o := range owners {
-				t.Logf("owner %s resident=%v", o, byAddr[o].srv.HasModel(id))
+				t.Logf("owner %s resident=%v", o, holds(byAddr[o].srv, id))
 			}
 			t.Fatal("commit did not fan out to every replica")
 		}
@@ -681,7 +686,7 @@ func TestClusterReplicaFanOut(t *testing.T) {
 	// The non-owner holds nothing resident.
 	for _, in := range ins {
 		isOwner := in.rt.Owns(id)
-		if !isOwner && in.srv.HasModel(id) {
+		if !isOwner && holds(in.srv, id) {
 			t.Fatalf("non-owner %s holds %s resident", in.addr, id)
 		}
 	}
@@ -715,7 +720,7 @@ func TestClusterDeleteFansOut(t *testing.T) {
 	for {
 		resident := 0
 		for _, in := range ins {
-			if in.srv.HasModel(id) {
+			if holds(in.srv, id) {
 				resident++
 			}
 		}

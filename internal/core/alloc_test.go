@@ -35,6 +35,7 @@ func newSeqRank(t *testing.T, src productSource, m, n int, normA2 float64, opts 
 func TestSequentialStepZeroAllocs(t *testing.T) {
 	dense := WrapDense(lowRankDense(60, 45, 5, 0.01, 11))
 	sp := WrapSparse(sparse.RandomER(60, 45, 0.2, rng.New(12)))
+	wide := WrapDense(lowRankDense(40, 8192, 5, 0.01, 13)) // two fold blocks (seqLayout.panel)
 	cases := []struct {
 		name string
 		a    Matrix
@@ -47,6 +48,7 @@ func TestSequentialStepZeroAllocs(t *testing.T) {
 		{"dense/PGD/reg", dense, Options{K: 5, MaxIter: 200, Solver: SolverPGD, L2W: 0.1, L1H: 0.05}},
 		{"dense/BPP", dense, Options{K: 5, MaxIter: 200, Solver: SolverBPP, ComputeError: true}},
 		{"dense/BPP/reg", dense, Options{K: 5, MaxIter: 200, Solver: SolverBPP, L2W: 0.1, L1H: 0.05}},
+		{"dense/BPP/fold", wide, Options{K: 5, MaxIter: 200, Solver: SolverBPP, ComputeError: true}},
 		{"sparse/MU", sp, Options{K: 5, MaxIter: 200, Solver: SolverMU, ComputeError: true}},
 		{"sparse/HALS", sp, Options{K: 5, MaxIter: 200, Solver: SolverHALS, ComputeError: true}},
 		{"sparse/BPP", sp, Options{K: 5, MaxIter: 200, Solver: SolverBPP, ComputeError: true}},

@@ -205,6 +205,9 @@ func newHPCLayout(s *rankState, a Matrix, g grid.Grid) *hpcLayout {
 	uij := mat.NewDense(k, k) // (Hj)i·(Hj)iᵀ
 	xij := mat.NewDense(k, k) // (Wi)jᵀ·(Wi)j
 	led, ws, pool := s.led, s.ws, s.pool
+	// The W side sends (Hj)iᵀ from one buffer: IAllGatherV reads it
+	// only until halfStep's Wait, which comes before the next send.
+	hijT := mat.NewDense(hHi-hLo, k)
 
 	// The W half gathers Hᵀ panels down the processor column and
 	// scatters A·Hᵀ rows across the processor row (lines 3-8); the
@@ -221,7 +224,7 @@ func newHPCLayout(s *rankState, a Matrix, g grid.Grid) *hpcLayout {
 		localGram:   uij,
 		outRows:     wHi - wLo,                                       // this rank's rows of A·Hᵀ
 		gram:        func() { mat.ParGramTToWS(uij, hij, pool, ws) }, // line 3: Uij = (Hj)i·(Hj)iᵀ
-		send:        func() []float64 { return hij.T().Data },
+		send:        func() []float64 { hij.TTo(hijT); return hijT.Data },
 		multiply: func(panel *mat.Dense) *mat.Dense {
 			ps := led.Start(perf.TaskMM)
 			vij := ws.Get(mi, k)

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -133,6 +134,50 @@ func TestOutOfCoreMatchesSequential(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestFoldBlocksBitwise pins the W half's fold blocks (seqLayout.panel)
+// to the bits of a whole panel: at k ≤ foldMaxK on an inline pool a
+// dense panel is folded block by block, here three blocks with a
+// ragged last one, while two kernel workers take the panel whole. Out
+// of core, a tile height that is no multiple of the block puts a
+// block edge inside each tile and a tile edge inside a block's span.
+func TestFoldBlocksBitwise(t *testing.T) {
+	const n = 2048
+	step := foldBytes / (8 * n)
+	m := 5 * step / 2
+	if m/step < 2 || m%step == 0 {
+		t.Fatalf("%d rows at %d a block: want three blocks, the last ragged", m, step)
+	}
+	d := lowRankDense(m, n, 4, 0.01, 41)
+	path := writeTileFile(t, d, 2*step+17)
+	for _, solver := range []SolverKind{SolverMU, SolverBPP} {
+		t.Run(solver.String(), func(t *testing.T) {
+			opts := Options{K: 4, MaxIter: 4, Seed: 5, Solver: solver, ComputeError: true, KernelThreads: 2}
+			whole, err := RunSequential(WrapDense(d), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.KernelThreads = 1
+			folded, err := RunSequential(WrapDense(d), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tiled, err := RunOutOfCore(openTileFile(t, path), 2, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, got := range map[string]*Result{"in core": folded, "out of core": tiled} {
+				if !got.W.Equal(whole.W, 0) || !got.H.Equal(whole.H, 0) {
+					t.Errorf("%s: folded factors differ from a whole panel's (max diff W %g, H %g)",
+						name, got.W.MaxDiff(whole.W), got.H.MaxDiff(whole.H))
+				}
+				if !slices.Equal(got.RelErr, whole.RelErr) {
+					t.Errorf("%s: error history %v, whole panel %v", name, got.RelErr, whole.RelErr)
+				}
+			}
+		})
 	}
 }
 
@@ -266,27 +311,34 @@ func TestOutOfCoreReadFailureSurfaces(t *testing.T) {
 // channels, and the panel headers are reused, so a steady-state
 // out-of-core iteration allocates nothing.
 func TestOutOfCoreStepZeroAllocs(t *testing.T) {
-	d := lowRankDense(60, 45, 5, 0.01, 11)
-	path := writeTileFile(t, d, 16)
-	t.Run("readerat", func(t *testing.T) {
-		f := openTileFile(t, path)
-		tm := newTiledMatrix(f, 2, true)
-		defer tm.close()
-		s := newSeqRank(t, tm, 60, 45, 0, Options{K: 5, MaxIter: 200, Solver: SolverBPP, ComputeError: true})
-		tm.norm2 = &s.normA2
-		it := 0
-		round := func() {
-			if err := s.step(it); err != nil {
-				t.Fatal(err)
+	for _, leg := range []struct {
+		name           string
+		m, n, tileRows int
+	}{
+		{"readerat", 60, 45, 16},
+		// Wide enough that a tile is folded in blocks (seqLayout.panel).
+		{"fold", 40, 8192, 30},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			d := lowRankDense(leg.m, leg.n, 5, 0.01, 11)
+			tm := newTiledMatrix(openTileFile(t, writeTileFile(t, d, leg.tileRows)), 2, true)
+			defer tm.close()
+			s := newSeqRank(t, tm, leg.m, leg.n, 0, Options{K: 5, MaxIter: 200, Solver: SolverBPP, ComputeError: true})
+			tm.norm2 = &s.normA2
+			it := 0
+			round := func() {
+				if err := s.step(it); err != nil {
+					t.Fatal(err)
+				}
+				it++
 			}
-			it++
-		}
-		round() // warm up the workspace arena
-		round()
-		if allocs := testing.AllocsPerRun(10, round); allocs != 0 {
-			t.Errorf("steady-state out-of-core step allocates %v times per iteration", allocs)
-		}
-	})
+			round() // warm up the workspace arena
+			round()
+			if allocs := testing.AllocsPerRun(10, round); allocs != 0 {
+				t.Errorf("steady-state out-of-core step allocates %v times per iteration", allocs)
+			}
+		})
+	}
 }
 
 // TestOutOfCoreReportAndMetrics: the run report carries the ooc

@@ -30,11 +30,13 @@ func (c inCore) eachPanel(visit func(a Matrix, r0 int) error) (time.Duration, er
 // seqLayout is Algorithm 1: one rank holds A, W and H whole, so the
 // Gram matrices are local products and nothing is communicated. An
 // iteration reads A once: the W half walks it panel by panel and, as
-// soon as a panel's rows of W are updated, folds them into WᵀW and
-// Wᵀ·A while the panel is still at hand, so the H half has nothing
-// left to read. It is deliberately not a 1×1 hpcLayout: halfStep's
-// collectives allocate even on one rank, and the shared schedule would
-// have to branch on its caller to skip them.
+// soon as a block of rows of W is updated, folds it into WᵀW and Wᵀ·A
+// while those rows of A are still at hand, so the H half has nothing
+// left to read. At low k on an inline pool a block is a slice of
+// foldBytes of a dense panel, which keeps that second read in L2;
+// otherwise it is the whole panel. It is deliberately not a 1×1
+// hpcLayout: halfStep's collectives allocate even on one rank, and the
+// shared schedule would have to branch on its caller to skip them.
 type seqLayout struct {
 	*rankState
 	src   productSource
@@ -42,7 +44,9 @@ type seqLayout struct {
 
 	hp     mat.Packed // H packed for the tile kernel, from a pass's first dense panel to its end
 	packed bool
-	wRows  mat.Dense  // view of the rows of w under the current panel
+	wRows  mat.Dense  // view of the rows of w under the current block
+	blk    mat.Dense  // view of the current fold block of a dense panel
+	blkA   Matrix     // blk as the Matrix fold receives
 	wtw    *mat.Dense // k×k = WᵀW
 	wta    *mat.Dense // k×n = Wᵀ·A
 }
@@ -57,6 +61,7 @@ func newSeqLayout(s *rankState, src productSource, m, n int) *seqLayout {
 		wta:       mat.NewDense(s.k, n),
 	}
 	l.visit = l.panel
+	l.blkA = WrapDense(&l.blk)
 	return l
 }
 
@@ -75,20 +80,52 @@ func (l *seqLayout) wHalf() error {
 	return err
 }
 
-// panel is the pass's work on rows [r0, r0+rows) of A: A_t·Hᵀ, the W
-// update of those rows against the shared HHᵀ, then wtw += W_tᵀ·W_t and
-// wta += W_tᵀ·A_t. Both sums take their rows in ascending order through
-// kernels that add each row's term to one running value per element,
-// so the panel boundaries leave no trace in the result (DESIGN
-// decision 15). A dense panel multiplies against H packed once per
-// pass; a CSR A is never split into panels (productSource), so its one
-// panel is the whole of A and overwriting wta is accumulating into it.
+// foldBytes is the bytes of A in one fold block: the rows of a dense
+// panel the W half finishes before it reads the next, so Wᵀ·A reads the
+// block from L2, where A·Hᵀ left it, and not from memory. foldMaxK is
+// the largest k it pays at: above it the k×n store of Wᵀ·A per block,
+// and with more than one kernel worker the fork/join per block, cost
+// more than the read saves. Measured constants, not options (DESIGN
+// decision 15 has the table that placed them); they move no bit.
+const (
+	foldBytes = 3 << 19
+	foldMaxK  = 16
+)
+
+// panel is the pass's work on the rows [r0, r0+rows) of A, one fold
+// block at a time at low k on an inline pool, else in one piece. A CSR
+// A is never split (productSource): its one panel is the whole of A.
 func (l *seqLayout) panel(a Matrix, r0 int) error {
+	d, dense := UnwrapDense(a)
+	if !dense || l.k > foldMaxK || l.pool.Workers() > 1 {
+		return l.fold(a, r0)
+	}
+	n := d.Cols
+	step := max(1, foldBytes/(8*n))
+	for b0 := 0; b0 < d.Rows; b0 += step {
+		b1 := min(b0+step, d.Rows)
+		l.blk = mat.Dense{Rows: b1 - b0, Cols: n, Data: d.Data[b0*n : b1*n]}
+		if err := l.fold(l.blkA, r0+b0); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fold is the pass's work on rows [r0, r0+rows) of A: A_b·Hᵀ, the W
+// update of those rows against the shared HHᵀ, then wtw += W_bᵀ·W_b and
+// wta += W_bᵀ·A_b. Both sums take their rows in ascending order through
+// kernels that add each row's term to one running value per element,
+// so the block and panel boundaries leave no trace in the result
+// (DESIGN decision 15). A dense block multiplies against H packed once
+// per pass; for a CSR A the one block is all of A, and overwriting wta
+// is accumulating into it.
+func (l *seqLayout) fold(a Matrix, r0 int) error {
 	rows, _ := a.Dims()
 	l.wRows = mat.Dense{Rows: rows, Cols: l.k, Data: l.w.Data[r0*l.k : (r0+rows)*l.k]}
 	d, dense := UnwrapDense(a)
 	aht := l.ws.Get(rows, l.k)
-	mmFlops := 2 * int64(a.NNZ()) * int64(l.k) // of either product with the panel
+	mmFlops := 2 * int64(a.NNZ()) * int64(l.k) // of either product with the block
 	ps := l.led.Start(perf.TaskMM)
 	if dense {
 		if !l.packed {

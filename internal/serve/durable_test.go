@@ -43,7 +43,7 @@ func TestEvictionFaultsBackFromStore(t *testing.T) {
 	ds := newFSStore(t)
 	s := New(Options{Durable: ds, StoreBudget: tinyBudget})
 	defer s.Close()
-	if err := s.AddModel("victim", testBasis(24, 4, 1)); err != nil {
+	if err := addModel(s, "victim", testBasis(24, 4, 1)); err != nil {
 		t.Fatal(err)
 	}
 	// Project once so we can compare coefficients after rehydration.
@@ -56,10 +56,10 @@ func TestEvictionFaultsBackFromStore(t *testing.T) {
 	putReq(before)
 
 	// A second model blows the budget: "victim" is evicted.
-	if err := s.AddModel("usurper", testBasis(24, 4, 2)); err != nil {
+	if err := addModel(s, "usurper", testBasis(24, 4, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if s.HasModel("victim") {
+	if resident(s, "victim") {
 		t.Fatal("victim still resident — budget did not evict")
 	}
 	if got := s.met.storeEvictions.Value(); got != 1 {
@@ -75,7 +75,7 @@ func TestEvictionFaultsBackFromStore(t *testing.T) {
 		t.Fatalf("project after eviction: %v", err)
 	}
 	defer putReq(after)
-	if !s.HasModel("victim") {
+	if !resident(s, "victim") {
 		t.Fatal("victim not resident after rehydration")
 	}
 	if got := s.met.storeRehydrations.Value(); got != 1 {
@@ -99,10 +99,10 @@ func TestUndurableEvictionWarns(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelWarn}))
 	s := New(Options{StoreBudget: tinyBudget, Logger: logger})
 	defer s.Close()
-	if err := s.AddModel("doomed", testBasis(24, 4, 1)); err != nil {
+	if err := addModel(s, "doomed", testBasis(24, 4, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AddModel("other", testBasis(24, 4, 2)); err != nil {
+	if err := addModel(s, "other", testBasis(24, 4, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.met.storeEvictionsUndurable.Value(); got != 1 {
@@ -141,7 +141,7 @@ func TestRehydrating503(t *testing.T) {
 	bs := &blockingStore{ModelStore: ds, enter: make(chan struct{}), release: make(chan struct{})}
 	s := New(Options{Durable: bs, WarmFilter: func(string) bool { return false }})
 	defer s.Close()
-	// Commit a model to the underlying store only (bypassing AddModel,
+	// Commit a model to the underlying store only (bypassing addModel,
 	// which would also make it resident).
 	if err := ds.Put(&mstore.Model{ID: "cold", W: testBasis(24, 4, 1)}); err != nil {
 		t.Fatal(err)
@@ -203,10 +203,10 @@ func TestWarmStartScan(t *testing.T) {
 		WarmFilter: func(id string) bool { return !strings.HasPrefix(id, "skip-") },
 	})
 	defer s.Close()
-	if !s.HasModel("a") || !s.HasModel("b") {
+	if !resident(s, "a") || !resident(s, "b") {
 		t.Fatalf("warm start missed committed models: %v", s.Models())
 	}
-	if s.HasModel("skip-me") {
+	if resident(s, "skip-me") {
 		t.Fatal("warm start ignored the filter")
 	}
 	if got := s.met.storeWarmStarts.Value(); got != 2 {
@@ -218,7 +218,7 @@ func TestWarmStartScan(t *testing.T) {
 		t.Fatalf("project(filtered model): %v", err)
 	}
 	putReq(r)
-	if !s.HasModel("skip-me") {
+	if !resident(s, "skip-me") {
 		t.Fatal("filtered model did not fault in on demand")
 	}
 }
@@ -266,7 +266,7 @@ func TestFitCommitsDurably(t *testing.T) {
 func TestDeleteRemovesDurable(t *testing.T) {
 	ds := newFSStore(t)
 	s := New(Options{Durable: ds})
-	if err := s.AddModel("gone", testBasis(24, 4, 1)); err != nil {
+	if err := addModel(s, "gone", testBasis(24, 4, 1)); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s)
@@ -287,7 +287,7 @@ func TestDeleteRemovesDurable(t *testing.T) {
 	// A restart over the same store must not resurrect it.
 	s2 := New(Options{Durable: ds})
 	defer s2.Close()
-	if s2.HasModel("gone") {
+	if resident(s2, "gone") {
 		t.Fatal("deleted model resurrected on warm-start")
 	}
 }

@@ -31,6 +31,34 @@ func testBasis(m, k int, seed int64) *mat.Dense {
 	return w
 }
 
+// addModel installs a fitted basis directly, with no fit job. The
+// basis is copied; with a durable store configured the model is
+// committed to it first, same as a fit.
+func addModel(s *Server, id string, w *mat.Dense) error {
+	if id == "" {
+		return fmt.Errorf("serve: empty model id")
+	}
+	m, err := s.newModel(id, w.Clone())
+	if err != nil {
+		return err
+	}
+	if err := s.commit(m); err != nil {
+		m.bat.close()
+		return err
+	}
+	if err := s.st.add(m); err != nil {
+		m.bat.close()
+		return err
+	}
+	s.notifyCommit(m.id)
+	return nil
+}
+
+// resident reports whether model id is in memory.
+func resident(s *Server, id string) bool {
+	return slices.ContainsFunc(s.Models(), func(mi ModelInfo) bool { return mi.ID == id })
+}
+
 func testColumn(m int, seed int64) []float64 {
 	rng := rand.New(rand.NewSource(seed))
 	col := make([]float64, m)
@@ -44,8 +72,8 @@ func testColumn(m int, seed int64) []float64 {
 func newTestServer(t *testing.T, opts Options) *Server {
 	t.Helper()
 	s := New(opts)
-	if err := s.AddModel("m1", testBasis(24, 4, 1)); err != nil {
-		t.Fatalf("AddModel: %v", err)
+	if err := addModel(s, "m1", testBasis(24, 4, 1)); err != nil {
+		t.Fatalf("addModel: %v", err)
 	}
 	t.Cleanup(s.Close)
 	return s
@@ -329,8 +357,8 @@ func TestStoreEvictsLRU(t *testing.T) {
 	s := New(Options{StoreBudget: 2 * per})
 	defer s.Close()
 	for _, id := range []string{"a", "b"} {
-		if err := s.AddModel(id, testBasis(24, 4, 1)); err != nil {
-			t.Fatalf("AddModel(%s): %v", id, err)
+		if err := addModel(s, id, testBasis(24, 4, 1)); err != nil {
+			t.Fatalf("addModel(%s): %v", id, err)
 		}
 	}
 	// Touch "a" so "b" is the LRU victim.
@@ -339,8 +367,8 @@ func TestStoreEvictsLRU(t *testing.T) {
 		t.Fatalf("project(a): %v", err)
 	}
 	putReq(r)
-	if err := s.AddModel("c", testBasis(24, 4, 2)); err != nil {
-		t.Fatalf("AddModel(c): %v", err)
+	if err := addModel(s, "c", testBasis(24, 4, 2)); err != nil {
+		t.Fatalf("addModel(c): %v", err)
 	}
 	if got := s.met.storeEvictions.Value(); got != 1 {
 		t.Fatalf("evictions = %d, want 1", got)
@@ -361,7 +389,7 @@ func TestStoreEvictsLRU(t *testing.T) {
 // basis and drains the old batcher.
 func TestStoreReplaceClosesOldBatcher(t *testing.T) {
 	s := newTestServer(t, Options{})
-	if err := s.AddModel("m1", testBasis(24, 4, 9)); err != nil {
+	if err := addModel(s, "m1", testBasis(24, 4, 9)); err != nil {
 		t.Fatalf("replace: %v", err)
 	}
 	r, err := projectCol(s, "m1", testColumn(24, 5))
@@ -608,7 +636,7 @@ func TestProjectSteadyStateZeroAlloc(t *testing.T) {
 func BenchmarkProjectSteadyState(b *testing.B) {
 	s := New(Options{ProjectSolver: core.SolverHALS})
 	defer s.Close()
-	if err := s.AddModel("m1", testBasis(256, 16, 1)); err != nil {
+	if err := addModel(s, "m1", testBasis(256, 16, 1)); err != nil {
 		b.Fatal(err)
 	}
 	col := testColumn(256, 5)

@@ -77,9 +77,9 @@ type Options struct {
 	// models it replicates; filtered models still fault in on demand
 	// if a request reaches us anyway.
 	WarmFilter func(id string) bool
-	// OnCommit, when set, runs after every durable model commit (fit
-	// or AddModel), outside the store locks. The cluster layer hangs
-	// replica fan-out on it.
+	// OnCommit, when set, runs after every durable model commit,
+	// outside the store locks. The cluster layer hangs replica fan-out
+	// on it.
 	OnCommit func(id string)
 	// OnDelete runs after every model deletion, outside the store
 	// locks; the cluster layer fans out replica eviction.
@@ -277,30 +277,6 @@ func (s *Server) Trace() *trace.Trace {
 	return merged
 }
 
-// AddModel installs a fitted basis directly (no fit job) — the
-// preloaded-model path and the test seam. The basis is copied. With a
-// durable store configured the model is committed to it first, same
-// as a fit.
-func (s *Server) AddModel(id string, w *mat.Dense) error {
-	if id == "" {
-		return fmt.Errorf("serve: empty model id")
-	}
-	m, err := s.newModel(id, w.Clone())
-	if err != nil {
-		return err
-	}
-	if err := s.commit(m); err != nil {
-		m.bat.close()
-		return err
-	}
-	if err := s.st.add(m); err != nil {
-		m.bat.close()
-		return err
-	}
-	s.notifyCommit(m.id)
-	return nil
-}
-
 // commit writes the model through to the durable store (when one is
 // configured) and marks it durable. A model is only ever announced —
 // job done, 2xx response — after commit returns nil, so "committed"
@@ -400,9 +376,6 @@ func (s *Server) Rehydrate(id string) error {
 // store; reports whether it was resident. The receiving end of the
 // cluster's delete fan-out.
 func (s *Server) Evict(id string) bool { return s.st.remove(id) }
-
-// HasModel reports whether a model is resident.
-func (s *Server) HasModel(id string) bool { return s.st.has(id) }
 
 // Models lists the resident models.
 func (s *Server) Models() []ModelInfo { return s.st.list() }

@@ -229,14 +229,6 @@ func (s *store) closeAll() {
 	}
 }
 
-// has reports whether a model is resident.
-func (s *store) has(id string) bool {
-	s.mu.RLock()
-	_, ok := s.models[id]
-	s.mu.RUnlock()
-	return ok
-}
-
 // beginRehydrate claims the right to fault id in from the durable
 // store. It fails when another loader already holds the claim (the
 // caller should answer 503 + Retry-After) and is a no-op success

@@ -26,11 +26,6 @@ type row struct {
 // table lists every such name. A row whose name is gone, or has gained
 // a caller, fails the gate as stale.
 var table = []row{
-	// Tests install a fitted basis without a fit job and ask which
-	// instance holds a model.
-	{"serve.Server.AddModel", testSeam},
-	{"serve.Server.HasModel", testSeam},
-
 	// The naive all-gather that DESIGN decision 1 and
 	// BenchmarkAblationCollectives price the tree against.
 	{"mpi.Comm.AllGatherLinear", baseline},
