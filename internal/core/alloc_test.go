@@ -12,7 +12,7 @@ import (
 
 // newSeqRank builds the single-rank state runLayout builds for
 // seqLayout, for tests that drive rankState.step directly.
-func newSeqRank(t *testing.T, src productSource, m, n int, normA2 float64, opts Options) *rankState {
+func newSeqRank(t *testing.T, src productSource, m, n int, normA2 func() float64, opts Options) *rankState {
 	t.Helper()
 	opts, err := opts.withDefaults(m, n)
 	if err != nil {
@@ -56,7 +56,7 @@ func TestSequentialStepZeroAllocs(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			m, n := tc.a.Dims()
-			s := newSeqRank(t, inCore{tc.a}, m, n, tc.a.SquaredFrobeniusNorm(), tc.opts)
+			s := newSeqRank(t, inCore{tc.a}, m, n, trackedNorm(tc.a, tc.opts), tc.opts)
 			it := 0
 			round := func() {
 				if err := s.step(it); err != nil {

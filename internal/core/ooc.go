@@ -33,7 +33,7 @@ type tiledMatrix struct {
 	f      *ooc.File
 	pipe   *ooc.Pipeline
 	tc     *trace.Tracer // the rank's tracer, for the TileStream span
-	norm2  *float64      // the rank's normA2, which the first pass fills in
+	sumSq  float64       // the loader's Σv², ‖A‖²_F from the first pass's last tile on
 	passes int64
 
 	hdr   mat.Dense // view of the resident tile (rows×n)
@@ -43,13 +43,18 @@ type tiledMatrix struct {
 // newTiledMatrix starts the prefetch pipeline. With norm its loader
 // carries Σv² across the first pass's tiles — the element order of the
 // in-core row-major sum, so the objective history matches bitwise —
-// and eachPanel stores it through norm2 as the tiles arrive. The caller
-// points tc and norm2 at the rank that will run the passes.
+// and eachPanel keeps it as the tiles arrive. The caller points tc at
+// the rank that will run the passes.
 func newTiledMatrix(f *ooc.File, depth int, norm bool) *tiledMatrix {
 	tm := &tiledMatrix{f: f, pipe: ooc.NewNormPipeline(f, depth, norm)}
 	tm.panel = WrapDense(&tm.hdr)
 	return tm
 }
+
+// norm is the out-of-core future of ‖A‖²_F: the loader's sum, whole
+// once the first pass has handed over its last tile, which the first
+// W half does before step calls it.
+func (tm *tiledMatrix) norm() float64 { return tm.sumSq }
 
 // close stops the pipeline (the File stays open; the caller owns it).
 func (tm *tiledMatrix) close() { tm.pipe.Close() }
@@ -68,7 +73,7 @@ func (tm *tiledMatrix) eachPanel(visit func(a Matrix, r0 int) error) (time.Durat
 		if err != nil {
 			return 0, err
 		}
-		*tm.norm2 = p.SumSquares
+		tm.sumSq = p.SumSquares
 		tm.hdr = mat.Dense{Rows: p.Row1 - p.Row0, Cols: n, Data: p.Data}
 		err = visit(tm.panel, p.Row0)
 		tm.pipe.Release(p)
@@ -137,8 +142,8 @@ func RunOutOfCore(f *ooc.File, depth int, opts Options) (*Result, error) {
 	}
 	tm := newTiledMatrix(f, depth, opts.ComputeError)
 	defer tm.close()
-	res, err := runLayout("OutOfCore", m, n, 0, opts, 0, func(s *rankState) layout {
-		tm.tc, tm.norm2 = s.led.Tracer, &s.normA2
+	res, err := runLayout("OutOfCore", m, n, tm.norm, opts, 0, func(s *rankState) layout {
+		tm.tc = s.led.Tracer
 		return newSeqLayout(s, tm, m, n)
 	})
 	if err != nil {

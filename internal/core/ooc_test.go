@@ -323,8 +323,7 @@ func TestOutOfCoreStepZeroAllocs(t *testing.T) {
 			d := lowRankDense(leg.m, leg.n, 5, 0.01, 11)
 			tm := newTiledMatrix(openTileFile(t, writeTileFile(t, d, leg.tileRows)), 2, true)
 			defer tm.close()
-			s := newSeqRank(t, tm, leg.m, leg.n, 0, Options{K: 5, MaxIter: 200, Solver: SolverBPP, ComputeError: true})
-			tm.norm2 = &s.normA2
+			s := newSeqRank(t, tm, leg.m, leg.n, tm.norm, Options{K: 5, MaxIter: 200, Solver: SolverBPP, ComputeError: true})
 			it := 0
 			round := func() {
 				if err := s.step(it); err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"hpcnmf/internal/fault"
@@ -332,27 +333,30 @@ type Result struct {
 	OOC *OOCStats
 }
 
-// trackedNorm is ‖A‖²_F for a run that tracks the objective and 0 for
-// one that does not: step reads it only under ComputeError, and the sum
-// is a serial pass over every stored entry.
-func trackedNorm(a Matrix, opts Options) float64 {
+// trackedNorm hands a run its ‖A‖²_F as a one-shot future. For a run
+// that tracks the objective it starts the sum — one serial pass over
+// every stored entry — on its own goroutine, so the first iteration
+// runs beside it; the future blocks until the sum is done and returns
+// its bits, the same chain as A.SquaredFrobeniusNorm() on the caller.
+// step first calls it at the first objective and runLayout joins it
+// before returning. Without ComputeError nothing is summed, no
+// goroutine starts, and the future returns 0.
+func trackedNorm(a Matrix, opts Options) func() float64 {
 	if !opts.ComputeError {
-		return 0
+		return func() float64 { return 0 }
 	}
-	return a.SquaredFrobeniusNorm()
+	sum := make(chan float64, 1)
+	go func() { sum <- a.SquaredFrobeniusNorm() }()
+	return sync.OnceValue(func() float64 { return <-sum })
 }
 
 // relErrFrom computes ‖A−WH‖_F/‖A‖_F from the iteration byproducts:
 // ‖A‖² − 2·⟨WᵀA, H⟩ + ⟨WᵀW, HHᵀ⟩, clamped at zero against roundoff.
 func relErrFrom(normA2, cross, wtwDotHht float64) float64 {
-	v := normA2 - 2*cross + wtwDotHht
-	if v < 0 {
-		v = 0
-	}
 	if normA2 <= 0 {
 		return 0
 	}
-	return math.Sqrt(v) / math.Sqrt(normA2)
+	return math.Sqrt(max(normA2-2*cross+wtwDotHht, 0)) / math.Sqrt(normA2)
 }
 
 // shouldStop implements the Tol early-exit rule on the error history:

@@ -84,10 +84,12 @@ type rankState struct {
 	led  *rankBooks // every time, flop, span and live counter of the rank
 
 	k int
-	// normA2 is ‖A‖²_F. step reads it under ComputeError only, and
-	// only after the first W half, so a streamed source may deliver
-	// it as late as the end of its first pass (RunOutOfCore).
-	normA2 float64
+	// normA2 is the run's future of ‖A‖²_F, shared by its ranks. step
+	// calls it under ComputeError only, at the objective after the
+	// first W half, so the sum may still be running until then: on its
+	// own goroutine in core (trackedNorm), on the loader's first pass
+	// out of core (RunOutOfCore).
+	normA2 func() float64
 
 	w *mat.Dense // rows×k block of W
 	h *mat.Dense // k×cols block of H
@@ -106,7 +108,7 @@ type rankState struct {
 // kernel pool and its own copy of the run's books. opts must be
 // post-withDefaults; c and tc may be nil. The layout sizes the factor
 // blocks afterwards with initBlocks.
-func newRankState(opts Options, normA2 float64, pool *par.Pool, led rankBooks, c *mpi.Comm, tc *trace.Tracer) *rankState {
+func newRankState(opts Options, normA2 func() float64, pool *par.Pool, led rankBooks, c *mpi.Comm, tc *trace.Tracer) *rankState {
 	ws := mat.NewWorkspace()
 	led.Ledger = &perf.Ledger{Tracer: tc}
 	s := &rankState{
@@ -229,10 +231,12 @@ func (s *rankState) step(it int) error {
 		// The local sums are timed (as Other) only when they are the
 		// whole reduction; with a communicator the breakdown attributes
 		// the objective to its all-reduce, as TestReportGolden pins.
-		var cross, quad float64
+		// Any wait for ‖A‖²_F, still being summed in the first
+		// iteration, is charged the same way, never left dark.
+		var cross, quad, normA2 float64
 		if s.c == nil {
 			ps := s.led.Start(perf.TaskOther)
-			cross, quad = mat.Dot(wta, s.h), mat.Dot(wtw, hGram)
+			cross, quad, normA2 = mat.Dot(wta, s.h), mat.Dot(wtw, hGram), s.normA2()
 			s.led.Stop(ps, 0)
 		} else {
 			payload := []float64{mat.Dot(wta, s.h), mat.Dot(wtw, hGram)}
@@ -241,6 +245,7 @@ func (s *rankState) step(it int) error {
 			}
 			ps := s.led.Start(perf.TaskAllReduce)
 			parts := s.c.AllReduce(payload)
+			normA2 = s.normA2()
 			s.led.Stop(ps, 0)
 			cross, quad = parts[0], parts[1]
 			if s.opts.TolGrad > 0 {
@@ -248,7 +253,7 @@ func (s *rankState) step(it int) error {
 			}
 		}
 		errSpan.End()
-		e := relErrFrom(s.normA2, cross, quad)
+		e := relErrFrom(normA2, cross, quad)
 		s.hist = append(s.hist, e)
 		if s.rank == 0 {
 			s.led.relErr.Set(e) // one writer, not p identical ones
@@ -270,13 +275,15 @@ func (s *rankState) step(it int) error {
 // on the calling goroutine. build constructs one rank's layout and
 // must call initBlocks on the rankState it is handed. opts must be
 // post-withDefaults.
-func runLayout(algorithm string, m, n int, normA2 float64, opts Options, p int, build func(*rankState) layout) (*Result, error) {
+func runLayout(algorithm string, m, n int, normA2 func() float64, opts Options, p int, build func(*rankState) layout) (*Result, error) {
 	ranks := max(p, 1)
 	tsess := newTraceSession(opts, ranks)
 	ckpt := newCheckpointer(opts, algorithm, m, n)
 	books := newRankBooks(opts.Metrics)
 	pool := par.NewPool(opts.KernelThreads)
 	defer pool.Close()
+	// Joins the ‖A‖²_F sum, so no goroutine outlives the run.
+	defer normA2()
 	ledgers := make([]*perf.Ledger, ranks) // each rank's measured window
 	var traffic []*mpi.Counters            // stays nil without a communicator
 	var res *Result

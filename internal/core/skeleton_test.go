@@ -1,16 +1,22 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"hpcnmf/internal/grid"
 	"hpcnmf/internal/mat"
 	"hpcnmf/internal/metrics"
+	"hpcnmf/internal/nnls"
 	"hpcnmf/internal/perf"
 	"hpcnmf/internal/trace"
 )
@@ -397,6 +403,14 @@ func kktViolation(g, f, x *mat.Dense) float64 {
 	return v
 }
 
+// inCoreEntryPoints are the entry points that sum ‖A‖²_F themselves
+// (trackedNorm), on a single rank and on two grids.
+var inCoreEntryPoints = map[string]func(Matrix, Options) (*Result, error){
+	"sequential": RunSequential,
+	"naive":      func(a Matrix, o Options) (*Result, error) { return RunNaive(a, 3, o) },
+	"hpc":        func(a Matrix, o Options) (*Result, error) { return RunHPC(a, grid.New(2, 2), o) },
+}
+
 // normTrap is a Matrix whose norm nobody may ask for.
 type normTrap struct {
 	Matrix
@@ -416,16 +430,12 @@ func (a normTrap) SquaredFrobeniusNorm() float64 {
 func TestNormOnlyWhenTracked(t *testing.T) {
 	d := lowRankDense(30, 24, 3, 0.02, 5)
 	opts := Options{K: 3, MaxIter: 3, Seed: 7}
-	for name, run := range map[string]func(Matrix) (*Result, error){
-		"sequential": func(a Matrix) (*Result, error) { return RunSequential(a, opts) },
-		"naive":      func(a Matrix) (*Result, error) { return RunNaive(a, 3, opts) },
-		"hpc":        func(a Matrix) (*Result, error) { return RunHPC(a, grid.New(2, 2), opts) },
-	} {
-		want, err := run(WrapDense(d))
+	for name, run := range inCoreEntryPoints {
+		want, err := run(WrapDense(d), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := run(normTrap{WrapDense(d), t})
+		got, err := run(normTrap{WrapDense(d), t}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -437,8 +447,7 @@ func TestNormOnlyWhenTracked(t *testing.T) {
 	f := openTileFile(t, writeTileFile(t, d, 7))
 	for _, track := range []bool{false, true} {
 		tm := newTiledMatrix(f, 2, track)
-		s := newSeqRank(t, tm, 30, 24, 0, Options{K: 3, ComputeError: track})
-		tm.norm2 = &s.normA2
+		s := newSeqRank(t, tm, 30, 24, tm.norm, Options{K: 3, ComputeError: track})
 		if err := s.step(0); err != nil {
 			t.Fatal(err)
 		}
@@ -447,8 +456,101 @@ func TestNormOnlyWhenTracked(t *testing.T) {
 		if track {
 			want = d.SquaredFrobeniusNorm()
 		}
-		if s.normA2 != want {
-			t.Errorf("ComputeError=%v: the first pass left normA2 = %v, want %v", track, s.normA2, want)
+		if got := s.normA2(); got != want {
+			t.Errorf("ComputeError=%v: the first pass left normA2 = %v, want %v", track, got, want)
+		}
+	}
+}
+
+// slowNorm is a Matrix whose ‖A‖²_F is slow to arrive. With started
+// set it first waits until a rank has begun its first W update — which
+// a run that sums the norm before its ranks start never lets happen —
+// and then every call takes 20 ms more. done records that a sum
+// returned.
+type slowNorm struct {
+	Matrix
+	t       *testing.T
+	started <-chan struct{}
+	done    *atomic.Bool
+}
+
+func (a slowNorm) SquaredFrobeniusNorm() float64 {
+	if a.started != nil {
+		select {
+		case <-a.started:
+		case <-time.After(5 * time.Second):
+			a.t.Error("‖A‖²_F was summed before any rank could start its first W update")
+		}
+	}
+	time.Sleep(20 * time.Millisecond)
+	defer a.done.Store(true)
+	return a.Matrix.SquaredFrobeniusNorm()
+}
+
+// startGate is BPP that closes started on the first call of any rank:
+// the first call of a step is its W update.
+type startGate struct {
+	*nnls.BPP
+	once    *sync.Once
+	started chan struct{}
+}
+
+func (u startGate) SolveCtx(ctx *nnls.Context, gram, rhs, xInit, dst *mat.Dense) (nnls.Stats, error) {
+	u.once.Do(func() { close(u.started) })
+	return u.BPP.SolveCtx(ctx, gram, rhs, xInit, dst)
+}
+
+// TestNormSummedBesideFirstIteration: in core, ‖A‖²_F is summed on its
+// own goroutine while the first iteration runs — the first W update
+// starts before the sum does — and the objective waits for the whole
+// sum, so the error history has the bits of a run whose norm arrives
+// at once.
+func TestNormSummedBesideFirstIteration(t *testing.T) {
+	d := lowRankDense(30, 24, 3, 0.02, 5)
+	gated := func() (Options, chan struct{}) {
+		started, once := make(chan struct{}), new(sync.Once)
+		return Options{K: 3, MaxIter: 3, Seed: 7, ComputeError: true,
+			Update: func() Updater { return startGate{nnls.NewBPP(), once, started} }}, started
+	}
+	for name, run := range inCoreEntryPoints {
+		opts, _ := gated()
+		want, err := run(WrapDense(d), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts, started := gated()
+		got, err := run(slowNorm{WrapDense(d), t, started, new(atomic.Bool)}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.RelErr) != 3 || !slices.Equal(got.RelErr, want.RelErr) || !got.W.Equal(want.W, 0) {
+			t.Errorf("%s: error history %v with a slow norm, %v without", name, got.RelErr, want.RelErr)
+		}
+	}
+}
+
+// TestNormJoinedOnFailure: a run that fails before its first objective
+// never reads its ‖A‖²_F future, yet returns only after the sum has,
+// and leaves no goroutine behind.
+func TestNormJoinedOnFailure(t *testing.T) {
+	d := lowRankDense(30, 24, 3, 0.02, 5)
+	opts := Options{K: 3, MaxIter: 3, Seed: 7, ComputeError: true,
+		Update: func() Updater { return &failingUpdater{} }}
+	for name, run := range inCoreEntryPoints {
+		before := runtime.NumGoroutine()
+		done := new(atomic.Bool)
+		if _, err := run(slowNorm{WrapDense(d), t, nil, done}, opts); !errors.Is(err, errSyntheticUpdate) {
+			t.Fatalf("%s: error %v, want the updater's", name, err)
+		}
+		if !done.Load() {
+			t.Errorf("%s: the run returned before its ‖A‖²_F sum did", name)
+		}
+		after := runtime.NumGoroutine()
+		for deadline := time.Now().Add(time.Second); after > before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
+			runtime.Gosched()
+		}
+		if after > before {
+			t.Errorf("%s: %d goroutines after the failed run, %d before", name, after, before)
 		}
 	}
 }

@@ -213,13 +213,9 @@ func (s *Streaming) RelErr() float64 {
 	if s.count == 0 {
 		return 0
 	}
-	normA2 := s.data.SquaredFrobeniusNorm()
-	if normA2 == 0 {
-		return 0
-	}
 	mulAtBInto(s.wta, s.a, s.w, s.ws, nil)
 	mat.ParGramTToWS(s.hGram, s.h, nil, s.ws)
-	return relErrFrom(normA2, mat.Dot(s.wta, s.h), mat.Dot(s.proj.Gram(), s.hGram))
+	return relErrFrom(s.data.SquaredFrobeniusNorm(), mat.Dot(s.wta, s.h), mat.Dot(s.proj.Gram(), s.hGram))
 }
 
 // Residual returns the reconstruction residual of the j-th retained
