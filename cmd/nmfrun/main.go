@@ -24,7 +24,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -33,7 +32,6 @@ import (
 	"hpcnmf/internal/core"
 	"hpcnmf/internal/costmodel"
 	"hpcnmf/internal/datasets"
-	"hpcnmf/internal/metrics"
 	"hpcnmf/internal/nnls"
 	"hpcnmf/internal/perf"
 )
@@ -490,7 +488,6 @@ func writeArtefacts(c *cli, in *input, opts hpcnmf.Options, procs int, res *hpcn
 			c.trace, len(res.Trace.Events), res.Trace.Ranks)
 	}
 	if c.metrics {
-		printOverlap(stdout, opts.Metrics.Snapshot())
 		fmt.Fprintf(stdout, "\nmetrics:\n")
 		opts.Metrics.Snapshot().WriteText(stdout)
 	}
@@ -582,37 +579,6 @@ func startProfile(kind, dir string) (stop func(io.Writer) error, err error) {
 		}, nil
 	}
 	return nil, fmt.Errorf("unknown -profile %q (want cpu, heap, mutex, or block)", kind)
-}
-
-// printOverlap renders the per-rank comm/compute overlap table from
-// the metrics snapshot: how long each rank's nonblocking collectives
-// had to progress behind compute (window), how long the rank then
-// blocked in Wait, and the hidden fraction window/(window+wait).
-// Silent when the run recorded no nonblocking collectives.
-func printOverlap(w io.Writer, snap *metrics.Snapshot) {
-	if snap == nil || snap.Counters["mpi.overlap.requests"] == 0 {
-		return
-	}
-	ranks := make([]int, 0, 16)
-	for name := range snap.Counters {
-		var r int
-		if _, err := fmt.Sscanf(name, "mpi.rank.%d.overlap.window.ns", &r); err == nil {
-			ranks = append(ranks, r)
-		}
-	}
-	sort.Ints(ranks)
-	if len(ranks) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "\ncomm/compute overlap per rank (%d nonblocking collectives):\n", snap.Counters["mpi.overlap.requests"])
-	fmt.Fprintf(w, "  %4s  %12s  %12s  %10s\n", "rank", "window (s)", "wait (s)", "hidden")
-	for _, r := range ranks {
-		window := float64(snap.Counters[fmt.Sprintf("mpi.rank.%d.overlap.window.ns", r)]) / 1e9
-		wait := float64(snap.Counters[fmt.Sprintf("mpi.rank.%d.overlap.wait.ns", r)]) / 1e9
-		fmt.Fprintf(w, "  %4d  %12.6f  %12.6f  %9.1f%%\n",
-			r, window, wait,
-			100*snap.Gauges[fmt.Sprintf("mpi.rank.%d.overlap.efficiency", r)])
-	}
 }
 
 // parseByteSize parses a human byte size like "512KiB", "64MiB",

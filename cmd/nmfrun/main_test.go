@@ -380,19 +380,23 @@ func TestRunProfileKinds(t *testing.T) {
 	}
 }
 
-// A parallel run with -metrics surfaces the per-rank comm/compute
-// overlap table (satellite of the observability issue).
-func TestRunMetricsShowsOverlapTable(t *testing.T) {
+// TestRunMetricsShowsCollectives: a parallel run with -metrics prints
+// a latency histogram for each collective the half-steps run and the
+// traffic gauges of every rank of the 2x2 grid, and no histogram for a
+// category no collective charges.
+func TestRunMetricsShowsCollectives(t *testing.T) {
 	got := runOK(t, "-data", "dsyn", "-scale", "0.05", "-alg", "hpc2d", "-grid", "2x2", "-k", "3", "-iters", "2", "-metrics")
-	for _, want := range []string{"comm/compute overlap per rank", "window (s)", "hidden"} {
+	for _, want := range []string{
+		"mpi.collective.seconds.AllGather ", "mpi.collective.seconds.ReduceScatter ", "mpi.collective.seconds.AllReduce ",
+		"mpi.rank.0.words ", "mpi.rank.3.msgs ",
+	} {
 		if !strings.Contains(got, want) {
-			t.Fatalf("output missing %q:\n%s", want, got)
+			t.Errorf("output missing %q:\n%s", want, got)
 		}
 	}
-	// One row per rank of the 2x2 grid.
-	for _, rank := range []string{"\n     0  ", "\n     3  "} {
-		if !strings.Contains(got, rank) {
-			t.Errorf("overlap table missing rank row %q:\n%s", rank, got)
+	for _, gone := range []string{"mpi.collective.seconds.Reduce ", "mpi.collective.seconds.Scatter ", "overlap"} {
+		if strings.Contains(got, gone) {
+			t.Errorf("output still prints %q:\n%s", gone, got)
 		}
 	}
 }

@@ -19,7 +19,7 @@ func writeArtifacts(t *testing.T, dir string) (promPath, tracePath string) {
 
 	reg := metrics.NewRegistry()
 	reg.Counter("serve.project.requests").Add(3)
-	reg.Gauge("mpi.rank.0.overlap.efficiency").Set(0.5)
+	reg.Gauge("mpi.rank.0.words").Set(512)
 	reg.Histogram("serve.batch.size").Observe(4)
 	var prom bytes.Buffer
 	if err := reg.WritePrometheus(&prom); err != nil {

@@ -76,18 +76,17 @@ type factorSide struct {
 
 // halfStep executes one half of Algorithm 3 over a side's geometry
 // (lines 3-7 / 9-13) and returns the all-reduced k×k Gram and this
-// rank's outRows×k share of the data product. The factor panel is
-// posted as one nonblocking all-gather so its rounds progress behind
-// the local Gram product (the PL-NMF overlap); the rank then waits out
-// the remainder, all-reduces the Gram, multiplies and reduce-scatters.
+// rank's outRows×k share of the data product: the local Gram, the
+// factor panel's all-gather, the Gram all-reduce, the multiply and the
+// product's reduce-scatter, each a blocking call in that order.
 func (r *hpcLayout) halfStep(s *factorSide) (gram, product *mat.Dense) {
-	ag := s.gatherComm.IAllGatherV(s.send(), s.gatherWords)
 	ps := r.led.Start(perf.TaskGram)
 	s.gram()
 	r.led.Stop(ps, gramFlops(s.gramRows, r.k))
 
+	send := s.send()
 	ps = r.led.Start(perf.TaskAllGather)
-	panel := &mat.Dense{Rows: s.panelRows, Cols: r.k, Data: ag.Wait()}
+	panel := &mat.Dense{Rows: s.panelRows, Cols: r.k, Data: s.gatherComm.AllGatherV(send, s.gatherWords)}
 	r.led.Stop(ps, 0)
 
 	ps = r.led.Start(perf.TaskAllReduce)
@@ -205,8 +204,7 @@ func newHPCLayout(s *rankState, a Matrix, g grid.Grid) *hpcLayout {
 	uij := mat.NewDense(k, k) // (Hj)i·(Hj)iᵀ
 	xij := mat.NewDense(k, k) // (Wi)jᵀ·(Wi)j
 	led, ws, pool := s.led, s.ws, s.pool
-	// The W side sends (Hj)iᵀ from one buffer: IAllGatherV reads it
-	// only until halfStep's Wait, which comes before the next send.
+	// The W side sends (Hj)iᵀ from one buffer, refilled each half-step.
 	hijT := mat.NewDense(hHi-hLo, k)
 
 	// The W half gathers Hᵀ panels down the processor column and

@@ -6,6 +6,7 @@ import (
 
 	"hpcnmf/internal/grid"
 	"hpcnmf/internal/metrics"
+	"hpcnmf/internal/mpi"
 	"hpcnmf/internal/perf"
 	"hpcnmf/internal/trace"
 )
@@ -94,6 +95,50 @@ func TestHPCTraceHasAllRankTracks(t *testing.T) {
 	}
 	if back.Ranks != p {
 		t.Fatalf("exported trace has %d tracks, want %d", back.Ranks, p)
+	}
+}
+
+// TestAllGatherFollowsGramOn2x2 pins the half-step's order on every
+// rank of a traced 2×2 run: the factor all-gather's mpi span is a
+// child of, and lies inside, its AllG phase span, and starts after the
+// half-step's Gram phase ends. A rank's events share one goroutine and
+// one monotonic clock, so the check is causal, not statistical.
+func TestAllGatherFollowsGramOn2x2(t *testing.T) {
+	const m, n, k, iters = 64, 48, 4, 3
+	a := WrapDense(lowRankDense(m, n, k, 0.02, 5))
+	g := grid.New(2, 2)
+	res, err := RunHPC(a, g, Options{K: k, MaxIter: iters, Seed: 9, Solver: SolverMU, TraceEvents: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < g.Size(); r++ {
+		var gathers, phases, grams []trace.Event
+		for _, ev := range res.Trace.Events {
+			switch {
+			case ev.Rank != r:
+			case ev.Cat == trace.CatMPI && ev.Name == mpi.CatAllGather.String():
+				gathers = append(gathers, ev)
+			case ev.Cat == trace.CatPhase && ev.Name == perf.TaskAllGather.String():
+				phases = append(phases, ev)
+			case ev.Cat == trace.CatPhase && ev.Name == perf.TaskGram.String():
+				grams = append(grams, ev)
+			}
+		}
+		if len(gathers) != 2*iters || len(phases) != 2*iters || len(grams) != 2*iters {
+			t.Fatalf("rank %d: %d all-gathers, %d AllG and %d Gram phases traced, want %d of each",
+				r, len(gathers), len(phases), len(grams), 2*iters)
+		}
+		for i, ag := range gathers {
+			ph, gm := phases[i], grams[i]
+			if ag.Parent != ph.ID || ag.Start < ph.Start || ag.Start+ag.Dur > ph.Start+ph.Dur {
+				t.Errorf("rank %d half-step %d: all-gather [%v, +%v] (parent %d) not inside its AllG phase [%v, +%v] (id %d)",
+					r, i, ag.Start, ag.Dur, ag.Parent, ph.Start, ph.Dur, ph.ID)
+			}
+			if ag.Start < gm.Start+gm.Dur {
+				t.Errorf("rank %d half-step %d: all-gather starts at %v, before its Gram phase [%v, +%v] ends",
+					r, i, ag.Start, gm.Start, gm.Dur)
+			}
+		}
 	}
 }
 

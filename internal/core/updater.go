@@ -13,9 +13,9 @@ import (
 // (DESIGN decision 14, after Kannan–Ballard–Park's follow-up): any
 // alternating-updating NMF method drops into the shared communication
 // skeleton by supplying only the local factor update. The skeleton
-// and its layouts (skeleton.go) own the collectives, the comm/compute
-// overlap schedule, the Gram and cross-product pipeline, workspace
-// arenas, checkpointing, fault sites, and tracing; the updater sees
+// and its layouts (skeleton.go) own the collectives, the Gram and
+// cross-product pipeline, workspace arenas, checkpointing, fault
+// sites, and tracing; the updater sees
 // exactly the two matrices the ANLS normal equations need and the
 // iterate to advance.
 //

@@ -45,7 +45,7 @@ func (h *Histogram) bucketsSnapshot() (count int64, sum float64, buckets [histBu
 // promNameRe matches a legal Prometheus metric name.
 var promNameRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 
-// promName sanitizes a registry instrument name ("mpi.rank.0.overlap")
+// promName sanitizes a registry instrument name ("mpi.rank.0.words")
 // into a legal Prometheus metric name (dots and other illegal runes
 // become underscores; a leading digit gains an underscore prefix).
 func promName(name string) string {

@@ -12,7 +12,7 @@ import (
 func TestPromNameSanitization(t *testing.T) {
 	cases := map[string]string{
 		"serve.project.requests": "serve_project_requests",
-		"mpi.rank.0.overlap":     "mpi_rank_0_overlap",
+		"mpi.rank.0.words":       "mpi_rank_0_words",
 		"0weird":                 "_0weird",
 		"a-b c":                  "a_b_c",
 		"already_fine":           "already_fine",

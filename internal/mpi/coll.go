@@ -90,8 +90,8 @@ func (c *Comm) AllReduce(data []float64) []float64 {
 	}
 	if isPow2(p) && len(data) >= p {
 		counts := splitCounts(len(data), p)
-		mine := c.reduceScatterRecursiveHalving(c.opBase(), data, counts, CatAllReduce)
-		return c.allGatherRecursiveDoubling(c.opBase(), mine, counts, CatAllReduce)
+		mine := c.reduceScatterRecursiveHalving(data, counts, CatAllReduce)
+		return c.allGatherRecursiveDoubling(mine, counts, CatAllReduce)
 	}
 	return c.bcast(0, c.reduce(data, CatAllReduce), CatAllReduce)
 }
@@ -102,32 +102,22 @@ func (c *Comm) AllReduce(data []float64) []float64 {
 func (c *Comm) AllGatherV(data []float64, counts []int) []float64 {
 	ev := c.beginColl(CatAllGather, len(data))
 	defer ev.end()
-	return c.allGatherV(data, counts, CatAllGather)
-}
-
-func (c *Comm) allGatherV(data []float64, counts []int, cat Category) []float64 {
 	p := c.Size()
-	c.validateAllGatherV(data, counts)
+	if len(counts) != p {
+		panic(fmt.Sprintf("mpi: AllGatherV counts length %d != size %d", len(counts), p))
+	}
+	if len(data) != counts[c.rank] {
+		panic(fmt.Sprintf("mpi: AllGatherV rank %d contributed %d words, counts says %d", c.rank, len(data), counts[c.rank]))
+	}
 	if p == 1 {
 		out := make([]float64, len(data))
 		copy(out, data)
 		return out
 	}
 	if isPow2(p) {
-		return c.allGatherRecursiveDoubling(c.opBase(), data, counts, cat)
+		return c.allGatherRecursiveDoubling(data, counts, CatAllGather)
 	}
-	return c.allGatherBruck(c.opBase(), data, counts, cat)
-}
-
-// validateAllGatherV checks the counts contract shared by the blocking
-// and nonblocking all-gather variants.
-func (c *Comm) validateAllGatherV(data []float64, counts []int) {
-	if len(counts) != c.Size() {
-		panic(fmt.Sprintf("mpi: AllGatherV counts length %d != size %d", len(counts), c.Size()))
-	}
-	if len(data) != counts[c.rank] {
-		panic(fmt.Sprintf("mpi: AllGatherV rank %d contributed %d words, counts says %d", c.rank, len(data), counts[c.rank]))
-	}
+	return c.allGatherBruck(data, counts, CatAllGather)
 }
 
 // AllGatherLinear is the naive all-gather — every rank sends its
@@ -156,10 +146,8 @@ func (c *Comm) AllGatherLinear(data []float64, counts []int) []float64 {
 // allGatherRecursiveDoubling handles power-of-two communicators: at
 // distance d, ranks exchange their currently-held d-aligned block
 // group with the partner rank^d. ⌈log p⌉ messages, (p−1)/p·n words.
-// base is the tag namespace reserved for this call (c.opBase(), taken
-// by the caller so the nonblocking variants can reserve it before
-// handing the schedule to a background goroutine).
-func (c *Comm) allGatherRecursiveDoubling(base int, data []float64, counts []int, cat Category) []float64 {
+func (c *Comm) allGatherRecursiveDoubling(data []float64, counts []int, cat Category) []float64 {
+	base := c.opBase()
 	p := c.Size()
 	offsets, total := offsetsOf(counts)
 	buf := make([]float64, total)
@@ -180,7 +168,8 @@ func (c *Comm) allGatherRecursiveDoubling(base int, data []float64, counts []int
 // allGatherBruck handles arbitrary communicator sizes in ⌈log₂ p⌉
 // rounds: at distance d a rank sends its first min(d, p−d) held
 // blocks to rank−d and receives the matching blocks from rank+d.
-func (c *Comm) allGatherBruck(base int, data []float64, counts []int, cat Category) []float64 {
+func (c *Comm) allGatherBruck(data []float64, counts []int, cat Category) []float64 {
+	base := c.opBase()
 	p := c.Size()
 	offsets, total := offsetsOf(counts)
 	held := make([]float64, 0, total)
@@ -218,34 +207,28 @@ func (c *Comm) ReduceScatter(data []float64, counts []int) []float64 {
 	ev := c.beginColl(CatReduceScatter, len(data))
 	defer ev.end()
 	p := c.Size()
-	c.validateReduceScatter(data, counts)
+	if len(counts) != p {
+		panic(fmt.Sprintf("mpi: ReduceScatter counts length %d != size %d", len(counts), p))
+	}
+	if _, total := offsetsOf(counts); len(data) != total {
+		panic(fmt.Sprintf("mpi: ReduceScatter data length %d != total counts %d", len(data), total))
+	}
 	if p == 1 {
 		out := make([]float64, len(data))
 		copy(out, data)
 		return out
 	}
 	if isPow2(p) {
-		return c.reduceScatterRecursiveHalving(c.opBase(), data, counts, CatReduceScatter)
+		return c.reduceScatterRecursiveHalving(data, counts, CatReduceScatter)
 	}
-	return c.reduceScatterPairwise(c.opBase(), data, counts, CatReduceScatter)
-}
-
-// validateReduceScatter checks the counts contract shared by the
-// blocking and nonblocking reduce-scatter variants.
-func (c *Comm) validateReduceScatter(data []float64, counts []int) {
-	if len(counts) != c.Size() {
-		panic(fmt.Sprintf("mpi: ReduceScatter counts length %d != size %d", len(counts), c.Size()))
-	}
-	_, total := offsetsOf(counts)
-	if len(data) != total {
-		panic(fmt.Sprintf("mpi: ReduceScatter data length %d != total counts %d", len(data), total))
-	}
+	return c.reduceScatterPairwise(data, counts, CatReduceScatter)
 }
 
 // reduceScatterRecursiveHalving: at each level the active rank group
 // splits in half; each rank sends the half of its working vector
 // destined for the other side and folds in what it receives.
-func (c *Comm) reduceScatterRecursiveHalving(base int, data []float64, counts []int, cat Category) []float64 {
+func (c *Comm) reduceScatterRecursiveHalving(data []float64, counts []int, cat Category) []float64 {
+	base := c.opBase()
 	p := c.Size()
 	offsets, total := offsetsOf(counts)
 	buf := make([]float64, total)
@@ -276,7 +259,8 @@ func (c *Comm) reduceScatterRecursiveHalving(base int, data []float64, counts []
 
 // reduceScatterPairwise: in step s each rank ships the input segment
 // belonging to rank+s and folds the segment arriving from rank−s.
-func (c *Comm) reduceScatterPairwise(base int, data []float64, counts []int, cat Category) []float64 {
+func (c *Comm) reduceScatterPairwise(data []float64, counts []int, cat Category) []float64 {
+	base := c.opBase()
 	p := c.Size()
 	offsets, _ := offsetsOf(counts)
 	out := make([]float64, counts[c.rank])

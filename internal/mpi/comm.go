@@ -84,17 +84,11 @@ type collEvent struct {
 
 // beginColl opens the span/latency sample for a collective and gives
 // the fault injector its shot at the call-site; words is this rank's
-// contribution size, recorded as the span payload. It first joins any
-// outstanding nonblocking request, enforcing the one-schedule-per-rank
-// invariant at every collective entry.
+// contribution size, recorded as the span payload.
 func (c *Comm) beginColl(cat Category, words int) collEvent {
-	c.completeOutstanding()
 	var ev collEvent
 	if c.tracer != nil {
-		// Leaf spans: a nonblocking collective's span ends at Wait,
-		// possibly after later phase spans have begun, so collective
-		// spans never join the tracer's open-span stack.
-		ev.sp = c.tracer.BeginLeafArg(trace.CatMPI, cat.String(), "words", int64(words))
+		ev.sp = c.tracer.BeginArg(trace.CatMPI, cat.String(), "words", int64(words))
 	}
 	if h := c.world.collLatency[cat]; h != nil {
 		ev.hist = h

@@ -11,9 +11,7 @@ type Category int
 const (
 	CatBarrier Category = iota
 	CatBcast
-	CatReduce
 	CatGather
-	CatScatter
 	CatAllGather
 	CatReduceScatter
 	CatAllReduce
@@ -28,12 +26,8 @@ func (c Category) String() string {
 		return "Barrier"
 	case CatBcast:
 		return "Bcast"
-	case CatReduce:
-		return "Reduce"
 	case CatGather:
 		return "Gather"
-	case CatScatter:
-		return "Scatter"
 	case CatAllGather:
 		return "AllGather"
 	case CatReduceScatter:

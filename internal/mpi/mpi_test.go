@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -155,6 +156,27 @@ func TestAllGatherV(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAllGatherVValidatesCounts: a contribution whose length is not
+// counts[rank], or a counts slice not one entry per member, fails the
+// calling rank with an error naming the call instead of gathering a
+// misaligned panel.
+func TestAllGatherVValidatesCounts(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		data   []float64
+		counts []int
+		want   string
+	}{
+		{"data≠counts[rank]", []float64{1, 2, 3}, []int{1, 1}, "contributed 3 words, counts says 1"},
+		{"len(counts)≠size", []float64{1}, []int{1, 1, 1}, "counts length 3 != size 2"},
+	} {
+		err := NewWorld(2).RunErr(func(c *Comm) { c.AllGatherV(tc.data, tc.counts) })
+		if err == nil || !strings.Contains(err.Error(), "AllGatherV") || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: RunErr = %v, want an AllGatherV error containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -62,12 +62,11 @@ type World struct {
 	// implementations. Set before Run.
 	fault FaultFunc
 
-	counters []*Counters // per world rank
-
-	// outstanding holds each rank's in-flight nonblocking collective
-	// request (at most one; see Request). Each slot is touched only by
-	// its rank's goroutine.
-	outstanding []*Request
+	// counters holds each world rank's traffic. Run starts one
+	// goroutine per rank and every collective runs on its caller's
+	// goroutine, so during Run each entry, like each pending queue, is
+	// touched by one goroutine only.
+	counters []*Counters
 
 	// tracers holds one event tracer per rank when tracing is on
 	// (SetTracing); nil otherwise. Each tracer is only touched by its
@@ -88,12 +87,11 @@ func NewWorld(p int) *World {
 		panic(fmt.Sprintf("mpi: world size %d", p))
 	}
 	w := &World{
-		p:           p,
-		links:       make([]chan message, p*p),
-		pending:     make([][]message, p*p),
-		abort:       make(chan struct{}),
-		counters:    make([]*Counters, p),
-		outstanding: make([]*Request, p),
+		p:        p,
+		links:    make([]chan message, p*p),
+		pending:  make([][]message, p*p),
+		abort:    make(chan struct{}),
+		counters: make([]*Counters, p),
 	}
 	for i := range w.links {
 		w.links[i] = make(chan message, 16)
@@ -186,11 +184,6 @@ func (w *World) RunErr(body func(c *Comm)) error {
 				if e := recover(); e != nil {
 					w.recordFailure(rank, e)
 				}
-				// A dropped nonblocking handle must not leave its
-				// schedule goroutine running past Run (it would race
-				// with the caller reading Traffic). Runs after the
-				// recover so an aborting world still drains cleanly.
-				w.joinOutstanding(rank)
 			}()
 			body(w.worldComm(rank))
 		}(r)

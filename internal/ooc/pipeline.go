@@ -61,11 +61,9 @@ type panelMsg struct {
 // preallocated once and recycled through a free list, so Next/Release
 // allocate nothing.
 //
-// The contract mirrors the comm/compute-overlap pattern of the HPC
-// driver (DESIGN decision 6): exactly one consumer goroutine calls
-// Next and must Release every panel it receives; each full pass
-// consumes exactly Tiles() panels. After a load error Next returns
-// that error forever.
+// Exactly one consumer goroutine calls Next and must Release every
+// panel it receives; each full pass consumes exactly Tiles() panels.
+// After a load error Next returns that error forever.
 type Pipeline struct {
 	f    *File
 	norm bool // the loader carries Σv² across its first pass

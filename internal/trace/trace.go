@@ -96,28 +96,21 @@ type Span struct {
 	argName string
 	arg     int64
 	start   time.Duration
-	id      uint64 // 0 for leaf spans recorded without a stack entry
+	id      uint64
 	parent  uint64
 	traceID uint64
-	leaf    bool
 }
 
 // Context returns the span's identity for cross-goroutine or
 // cross-rank propagation (e.g. via ContextWith). Zero for spans from
-// a nil tracer and for leaf spans.
+// a nil tracer.
 func (s Span) Context() SpanContext {
-	if s.leaf {
-		return SpanContext{}
-	}
 	return SpanContext{TraceID: s.traceID, SpanID: s.id}
 }
 
 // begin is the common span constructor: parent defaults to the
-// innermost open span, else none; push controls whether the new span
-// joins the open stack (leaf spans do not, so spans that outlive
-// later-begun siblings — nonblocking collectives — cannot corrupt the
-// nesting).
-func (t *Tracer) begin(cat, name, argName string, arg int64, parent SpanContext, explicit, push bool) Span {
+// innermost open span, else none; the new span joins the open stack.
+func (t *Tracer) begin(cat, name, argName string, arg int64, parent SpanContext, explicit bool) Span {
 	if t == nil {
 		return Span{}
 	}
@@ -127,24 +120,20 @@ func (t *Tracer) begin(cat, name, argName string, arg int64, parent SpanContext,
 	} else if n := len(t.stack); n > 0 {
 		s.parent, s.traceID = t.stack[n-1].id, t.stack[n-1].traceID
 	}
-	if push {
-		s.id = nextSpanID()
-		t.stack = append(t.stack, openSpan{id: s.id, traceID: s.traceID})
-	} else {
-		s.leaf = true
-	}
+	s.id = nextSpanID()
+	t.stack = append(t.stack, openSpan{id: s.id, traceID: s.traceID})
 	return s
 }
 
 // Begin opens a span with the given category and name.
 func (t *Tracer) Begin(cat, name string) Span {
-	return t.begin(cat, name, "", 0, SpanContext{}, false, true)
+	return t.begin(cat, name, "", 0, SpanContext{}, false)
 }
 
 // BeginArg opens a span carrying one named integer payload, e.g.
 // ("mpi", "AllGather", "words", 4096).
 func (t *Tracer) BeginArg(cat, name, argName string, arg int64) Span {
-	return t.begin(cat, name, argName, arg, SpanContext{}, false, true)
+	return t.begin(cat, name, argName, arg, SpanContext{}, false)
 }
 
 // BeginChildArg opens a span under an explicit parent (typically a
@@ -152,15 +141,7 @@ func (t *Tracer) BeginArg(cat, name, argName string, arg int64) Span {
 // tracer's own open stack, carrying one named integer payload; an
 // empty argName carries none.
 func (t *Tracer) BeginChildArg(parent SpanContext, cat, name, argName string, arg int64) Span {
-	return t.begin(cat, name, argName, arg, parent, true, true)
-}
-
-// BeginLeafArg opens a span that is parented like BeginArg but never
-// joins the open-span stack, so it may end after later-begun spans
-// without disturbing their nesting. Used for nonblocking collectives
-// whose Wait happens deep inside a later phase.
-func (t *Tracer) BeginLeafArg(cat, name, argName string, arg int64) Span {
-	return t.begin(cat, name, argName, arg, SpanContext{}, false, false)
+	return t.begin(cat, name, argName, arg, parent, true)
 }
 
 // End records the span into its tracer's ring buffer. Safe on the
@@ -170,14 +151,12 @@ func (s Span) End() {
 	if t == nil {
 		return
 	}
-	if s.id != 0 {
-		// Pop this span from the open stack. It is almost always the
-		// top; the search handles mismatched End ordering gracefully.
-		for i := len(t.stack) - 1; i >= 0; i-- {
-			if t.stack[i].id == s.id {
-				t.stack = append(t.stack[:i], t.stack[i+1:]...)
-				break
-			}
+	// Pop this span from the open stack. It is almost always the top;
+	// the search handles mismatched End ordering gracefully.
+	for i := len(t.stack) - 1; i >= 0; i-- {
+		if t.stack[i].id == s.id {
+			t.stack = append(t.stack[:i], t.stack[i+1:]...)
+			break
 		}
 	}
 	t.buf[t.next] = Event{

@@ -84,8 +84,8 @@ func ParseSolver(name string) (SolverKind, error) { return core.ParseSolver(name
 
 // Updater is the algorithm plug-in seam of the drivers' shared
 // communication skeleton (the MPI-FAUN framework generalization; see
-// DESIGN decision 14): the skeleton owns the collectives, overlap
-// schedule, Gram/cross-product pipeline, checkpointing, and tracing,
+// DESIGN decision 14): the skeleton owns the collectives, the
+// Gram/cross-product pipeline, checkpointing, and tracing,
 // and the updater supplies only the local factor update from the
 // precomputed Gram and right-hand side. An Updater is an NNLS solver:
 // it implements Name and SolveCtx, which the skeleton calls with the

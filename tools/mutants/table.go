@@ -95,6 +95,18 @@ var table = []mutant{
 		Run:  "^TestBPPFitTracksOracleANLS$",
 	},
 	{
+		Name: "allgather-before-gram",
+		File: "internal/core/hpc.go",
+		From: "\tps := r.led.Start(perf.TaskGram)\n\ts.gram()\n\tr.led.Stop(ps, gramFlops(s.gramRows, r.k))\n\n" +
+			"\tsend := s.send()\n\tps = r.led.Start(perf.TaskAllGather)\n" +
+			"\tpanel := &mat.Dense{Rows: s.panelRows, Cols: r.k, Data: s.gatherComm.AllGatherV(send, s.gatherWords)}\n\tr.led.Stop(ps, 0)\n",
+		To: "\tsend := s.send()\n\tps := r.led.Start(perf.TaskAllGather)\n" +
+			"\tpanel := &mat.Dense{Rows: s.panelRows, Cols: r.k, Data: s.gatherComm.AllGatherV(send, s.gatherWords)}\n\tr.led.Stop(ps, 0)\n\n" +
+			"\tps = r.led.Start(perf.TaskGram)\n\ts.gram()\n\tr.led.Stop(ps, gramFlops(s.gramRows, r.k))\n",
+		Pkg: "./internal/core",
+		Run: "^TestAllGatherFollowsGramOn2x2$",
+	},
+	{
 		Name: "oracle-backsub-transposed",
 		File: "internal/nnls/oracle_test.go",
 		From: "s -= l[t*n+i] * y[t]",
