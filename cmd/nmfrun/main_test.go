@@ -383,7 +383,8 @@ func TestRunProfileKinds(t *testing.T) {
 // TestRunMetricsShowsCollectives: a parallel run with -metrics prints
 // a latency histogram for each collective the half-steps run and the
 // traffic gauges of every rank of the 2x2 grid, and no histogram for a
-// category no collective charges.
+// category no collective of the fit charges (a fit makes no Barrier or
+// Bcast: AllReduce charges its broadcast to itself).
 func TestRunMetricsShowsCollectives(t *testing.T) {
 	got := runOK(t, "-data", "dsyn", "-scale", "0.05", "-alg", "hpc2d", "-grid", "2x2", "-k", "3", "-iters", "2", "-metrics")
 	for _, want := range []string{
@@ -394,7 +395,10 @@ func TestRunMetricsShowsCollectives(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", want, got)
 		}
 	}
-	for _, gone := range []string{"mpi.collective.seconds.Reduce ", "mpi.collective.seconds.Scatter ", "overlap"} {
+	for _, gone := range []string{
+		"mpi.collective.seconds.Reduce ", "mpi.collective.seconds.Scatter ",
+		"mpi.collective.seconds.Barrier ", "mpi.collective.seconds.Bcast ", "overlap",
+	} {
 		if strings.Contains(got, gone) {
 			t.Errorf("output still prints %q:\n%s", gone, got)
 		}

@@ -76,8 +76,8 @@ func TestSequentialStepZeroAllocs(t *testing.T) {
 // TestComputePathZeroAllocs covers the kernel helpers every driver's
 // iteration is built from (the naive and HPC drivers necessarily
 // allocate in their simulated collectives, so their compute path is
-// pinned here instead): the data-matrix products and the factor Gram
-// (whose tile-kernel pack buffers come from the arena), the projected
+// pinned here instead): the data-matrix products (whose tile-kernel
+// pack buffers come from the arena) and the factor Gram, the projected
 // gradient, and the regularized-subproblem assembly all run
 // allocation-free against a warmed workspace.
 func TestComputePathZeroAllocs(t *testing.T) {
@@ -102,9 +102,8 @@ func TestComputePathZeroAllocs(t *testing.T) {
 			bt := mat.NewDense(n, k)
 			h.TTo(bt)
 			steady := func() {
-				mulHtInto(aht, tc.a, h, ws, nil)
 				mulBtInto(aht, tc.a, bt, ws, nil)
-				mat.ParGramTToWS(hGram, h, nil, ws)
+				mat.ParGramTo(hGram, bt, nil)
 				mulAtBInto(wta, tc.a, w, ws, nil)
 				_ = projGradSq(wtw, wta, h, ws, nil)
 				g, f, gTmp, fTmp := applyRegInto(ws, wtw, wta, 0.1, 0.05)

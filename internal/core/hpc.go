@@ -49,25 +49,21 @@ func RunParallelAuto(a Matrix, p int, opts Options) (*Result, error) {
 
 // factorSide is one half-step's geometry in the HPC skeleton: the two
 // halves of Algorithm 3 are mirror images that differ only in which
-// communicator assembles the factor panel, which one reduce-scatters
-// the local product, and which kernel multiplies A against the panel.
-// Capturing that as data is what makes the skeleton algorithm- and
-// side-agnostic — halfStep below is the single communication schedule
-// every updater runs under.
+// rows×k factor block they start from, which communicator assembles
+// the factor panel, which one reduce-scatters the local product, and
+// which kernel multiplies A against the panel. Capturing that as data
+// is what makes the skeleton algorithm- and side-agnostic — halfStep
+// below is the single communication schedule every updater runs under.
 type factorSide struct {
+	block       *mat.Dense // the local factor block (rows×k): its Gram, and the all-gather's send
 	gatherComm  *mpi.Comm  // panel all-gathers run here
 	reduceComm  *mpi.Comm  // product reduce-scatters run here
 	gatherWords []int      // per-member words of the panel (rows·k)
 	reduceWords []int      // per-member words of the scattered product (rows·k)
 	panelRows   int        // rows of the assembled panel
-	gramRows    int        // local vectors feeding the Gram (flop accounting)
 	localGram   *mat.Dense // k×k local Gram contribution
 	outRows     int        // rows of this rank's scattered product
 
-	// gram fills localGram from the local factor block.
-	gram func()
-	// send returns the local factor block in the gather layout.
-	send func() []float64
 	// multiply returns the local A·panel product in the reduce layout,
 	// drawn from the rank workspace (halfStep puts it back), timing its
 	// kernel under TaskMM.
@@ -76,17 +72,17 @@ type factorSide struct {
 
 // halfStep executes one half of Algorithm 3 over a side's geometry
 // (lines 3-7 / 9-13) and returns the all-reduced k×k Gram and this
-// rank's outRows×k share of the data product: the local Gram, the
-// factor panel's all-gather, the Gram all-reduce, the multiply and the
-// product's reduce-scatter, each a blocking call in that order.
+// rank's outRows×k share of the data product: the local Gram of the
+// block, the block's all-gather into the factor panel, the Gram
+// all-reduce, the multiply and the product's reduce-scatter, each a
+// blocking call in that order.
 func (r *hpcLayout) halfStep(s *factorSide) (gram, product *mat.Dense) {
 	ps := r.led.Start(perf.TaskGram)
-	s.gram()
-	r.led.Stop(ps, gramFlops(s.gramRows, r.k))
+	mat.ParGramTo(s.localGram, s.block, r.pool)
+	r.led.Stop(ps, gramFlops(s.block.Rows, r.k))
 
-	send := s.send()
 	ps = r.led.Start(perf.TaskAllGather)
-	panel := &mat.Dense{Rows: s.panelRows, Cols: r.k, Data: s.gatherComm.AllGatherV(send, s.gatherWords)}
+	panel := &mat.Dense{Rows: s.panelRows, Cols: r.k, Data: s.gatherComm.AllGatherV(s.block.Data, s.gatherWords)}
 	r.led.Stop(ps, 0)
 
 	ps = r.led.Start(perf.TaskAllReduce)
@@ -183,7 +179,6 @@ func newHPCLayout(s *rankState, a Matrix, g grid.Grid) *hpcLayout {
 	hLo, hHi := grid.BlockRange(nj, g.PR, gi)
 	s.initBlocks(wHi-wLo, r0+wLo, hHi-hLo, c0+hLo) // (Wi)j: m/p × k, (Hj)i: k × n/p
 	aij := a.Block(r0, r1, c0, c1)
-	wij, hij := s.w, s.h
 
 	// Row and column communicators (the "proc row"/"proc column"
 	// collectives of lines 5, 7, 11, 13).
@@ -201,11 +196,8 @@ func newHPCLayout(s *rankState, a Matrix, g grid.Grid) *hpcLayout {
 		g:         g,
 		wta:       mat.NewDense(k, hHi-hLo),
 	}
-	uij := mat.NewDense(k, k) // (Hj)i·(Hj)iᵀ
-	xij := mat.NewDense(k, k) // (Wi)jᵀ·(Wi)j
 	led, ws, pool := s.led, s.ws, s.pool
-	// The W side sends (Hj)iᵀ from one buffer, refilled each half-step.
-	hijT := mat.NewDense(hHi-hLo, k)
+	d, csr := aij.storage()
 
 	// The W half gathers Hᵀ panels down the processor column and
 	// scatters A·Hᵀ rows across the processor row (lines 3-8); the
@@ -213,16 +205,14 @@ func newHPCLayout(s *rankState, a Matrix, g grid.Grid) *hpcLayout {
 	// schedule is shared — see halfStep.
 	mmFlops := 2 * int64(aij.NNZ()) * int64(k)
 	l.wSide = &factorSide{
+		block:       s.ht, // line 3: Uij = (Hj)i·(Hj)iᵀ, the Gram of (Hj)iᵀ
 		gatherComm:  colComm,
 		reduceComm:  rowComm,
 		gatherWords: hWords,
 		reduceWords: wWords,
 		panelRows:   nj,
-		gramRows:    hHi - hLo,
-		localGram:   uij,
-		outRows:     wHi - wLo,                                       // this rank's rows of A·Hᵀ
-		gram:        func() { mat.ParGramTToWS(uij, hij, pool, ws) }, // line 3: Uij = (Hj)i·(Hj)iᵀ
-		send:        func() []float64 { hij.TTo(hijT); return hijT.Data },
+		localGram:   mat.NewDense(k, k),
+		outRows:     wHi - wLo, // this rank's rows of A·Hᵀ
 		multiply: func(panel *mat.Dense) *mat.Dense {
 			ps := led.Start(perf.TaskMM)
 			vij := ws.Get(mi, k)
@@ -232,23 +222,31 @@ func newHPCLayout(s *rankState, a Matrix, g grid.Grid) *hpcLayout {
 		},
 	}
 	l.hSide = &factorSide{
+		block:       s.w, // line 9: Xij = (Wi)jᵀ·(Wi)j
 		gatherComm:  rowComm,
 		reduceComm:  colComm,
 		gatherWords: wWords,
 		reduceWords: hWords,
 		panelRows:   mi,
-		gramRows:    wHi - wLo,
-		localGram:   xij,
-		outRows:     hHi - hLo,                                // this rank's columns of Wᵀ·A, transposed
-		gram:        func() { mat.ParGramTo(xij, wij, pool) }, // line 9: Xij = (Wi)jᵀ·(Wi)j
-		send:        func() []float64 { return wij.Data },
+		localGram:   mat.NewDense(k, k),
+		outRows:     hHi - hLo, // this rank's columns of Wᵀ·A, transposed
 		multiply: func(panel *mat.Dense) *mat.Dense {
-			ps := led.Start(perf.TaskMM)
-			yij := ws.Get(k, nj)
-			mulAtBInto(yij, aij, panel, ws, pool) // Yij, k×nj
-			led.Stop(ps, mmFlops)
+			// Yijᵀ, nj×k: the reduce layout. The CSR kernel writes it
+			// directly; the dense product is faster as k×nj plus one
+			// transpose, charged to Other.
 			yijT := ws.Get(nj, k)
-			yij.TTo(yijT) // reduce layout; transpose outside the MM clock
+			ps := led.Start(perf.TaskMM)
+			if csr != nil {
+				csr.MulAtBTo(yijT, panel, pool)
+				led.Stop(ps, mmFlops)
+				return yijT
+			}
+			yij := ws.Get(k, nj)
+			mat.ParMulAtBTo(yij, panel, d, pool)
+			led.Stop(ps, mmFlops)
+			ps = led.StartQuiet(perf.TaskOther)
+			yij.TTo(yijT)
+			led.Stop(ps, 0)
 			ws.Put(yij)
 			return yijT
 		},
@@ -269,7 +267,9 @@ func (l *hpcLayout) wHalf() error {
 // hHalf is Algorithm 3, lines 9-13: WᵀW and this rank's WᵀA columns.
 func (l *hpcLayout) hHalf() (*mat.Dense, *mat.Dense) {
 	wtw, atw := l.halfStep(l.hSide)
+	ps := l.led.StartQuiet(perf.TaskOther)
 	atw.TTo(l.wta)
+	l.led.Stop(ps, 0)
 	return wtw, l.wta
 }
 

@@ -10,26 +10,10 @@ import (
 // internal/mat (dense A) and internal/sparse (CSR A), so no caller
 // allocates a result. Matrix has no other storage.
 
-// mulHtInto computes dst = A·Hᵀ (m×k) for H of shape k×n. The dense
-// path packs H for the tile kernel, the sparse path needs Hᵀ
-// materialized (the CSR kernel streams B = Hᵀ by rows); both draw
-// that n×k-sized buffer from ws.
-func mulHtInto(dst *mat.Dense, a Matrix, h *mat.Dense, ws *mat.Workspace, pool *par.Pool) {
-	d, s := a.storage()
-	if d != nil {
-		mat.ParMulABtToWS(dst, d, h, pool, ws)
-		return
-	}
-	ht := ws.Get(h.Cols, h.Rows)
-	h.TTo(ht)
-	s.MulBtTo(dst, ht, pool)
-	ws.Put(ht)
-}
-
-// mulBtInto computes dst = A·B (m×k) for B of shape n×k — the same
-// product as mulHtInto but taking the transposed factor directly, the
-// layout the all-gather produces. The dense path packs B into the same
-// panels as mulHtInto (buffer from ws) and runs the same tile kernel.
+// mulBtInto computes dst = A·B (m×k) for B of shape n×k: A·Hᵀ with
+// B = Hᵀ, the layout a rank holds beside H and the all-gather produces.
+// The dense path packs B for the tile kernel (buffer from ws); the CSR
+// kernel streams the rows of B in place.
 func mulBtInto(dst *mat.Dense, a Matrix, bt *mat.Dense, ws *mat.Workspace, pool *par.Pool) {
 	d, s := a.storage()
 	if d != nil {

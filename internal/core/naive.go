@@ -47,7 +47,6 @@ type naiveLayout struct {
 	wCounts    []int // per-rank words of W, the all-gather/gather layout
 	hCounts    []int // per-rank words of Hᵀ
 
-	hiT  *mat.Dense // (Hi)ᵀ, the all-gather send layout
 	hht  *mat.Dense // HHᵀ (redundant on every rank)
 	wtw  *mat.Dense // WᵀW (redundant on every rank)
 	aiht *mat.Dense // Ai·Hᵀ
@@ -68,7 +67,6 @@ func newNaiveLayout(s *rankState, a Matrix, p int) *naiveLayout {
 		aCol:      a.Block(0, m, c0, c1),
 		wCounts:   grid.ScaleCounts(grid.BlockCounts(m, p), k),
 		hCounts:   grid.ScaleCounts(grid.BlockCounts(n, p), k),
-		hiT:       mat.NewDense(c1-c0, k),
 		hht:       mat.NewDense(k, k),
 		wtw:       mat.NewDense(k, k),
 		aiht:      mat.NewDense(r1-r0, k),
@@ -92,8 +90,7 @@ func (l *naiveLayout) assemble(send []float64, counts []int, rows int, gram *mat
 // wHalf is Algorithm 2, lines 3-4: all-gather H, then HHᵀ and Ai·Hᵀ,
 // then the update of Wi.
 func (l *naiveLayout) wHalf() error {
-	l.h.TTo(l.hiT)
-	hT := l.assemble(l.hiT.Data, l.hCounts, l.n, l.hht)
+	hT := l.assemble(l.ht.Data, l.hCounts, l.n, l.hht)
 	ps := l.led.Start(perf.TaskMM)
 	mulBtInto(l.aiht, l.aRow, hT, l.ws, l.pool) // Ai·Hᵀ, mi×k
 	l.led.Stop(ps, 2*int64(l.aRow.NNZ())*int64(l.k))

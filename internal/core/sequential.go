@@ -42,7 +42,7 @@ type seqLayout struct {
 	src   productSource
 	visit func(a Matrix, r0 int) error // l.panel, bound once: a step allocates no closure
 
-	hp     mat.Packed // H packed for the tile kernel, from a pass's first dense panel to its end
+	hp     mat.Packed // Hᵀ packed for the tile kernel, from a pass's first dense panel to its end
 	packed bool
 	wRows  mat.Dense  // view of the rows of w under the current block
 	blk    mat.Dense  // view of the current fold block of a dense panel
@@ -117,7 +117,7 @@ func (l *seqLayout) panel(a Matrix, r0 int) error {
 // wta += W_bᵀ·A_b. Both sums take their rows in ascending order through
 // kernels that add each row's term to one running value per element,
 // so the block and panel boundaries leave no trace in the result
-// (DESIGN decision 15). A dense block multiplies against H packed once
+// (DESIGN decision 15). A dense block multiplies against Hᵀ packed once
 // per pass; for a CSR A the one block is all of A, and overwriting wta
 // is accumulating into it.
 func (l *seqLayout) fold(a Matrix, r0 int) error {
@@ -129,11 +129,11 @@ func (l *seqLayout) fold(a Matrix, r0 int) error {
 	ps := l.led.Start(perf.TaskMM)
 	if dense {
 		if !l.packed {
-			l.hp, l.packed = mat.PackRows(l.ws, l.h), true
+			l.hp, l.packed = mat.PackCols(l.ws, l.ht), true
 		}
 		mat.ParMulPackedTo(aht, d, l.hp, l.pool)
 	} else {
-		mulHtInto(aht, a, l.h, l.ws, l.pool)
+		mulBtInto(aht, a, l.ht, l.ws, l.pool)
 	}
 	l.led.Stop(ps, mmFlops)
 	err := l.updateW(l.hGram, aht, &l.wRows)

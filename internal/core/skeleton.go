@@ -91,8 +91,9 @@ type rankState struct {
 	// out of core (RunOutOfCore).
 	normA2 func() float64
 
-	w *mat.Dense // rows×k block of W
-	h *mat.Dense // k×cols block of H
+	w  *mat.Dense // rows×k block of W
+	h  *mat.Dense // k×cols block of H
+	ht *mat.Dense // cols×k = hᵀ, refreshed once after every H update
 
 	hGram     *mat.Dense // k×k = h·hᵀ of the local block
 	haveHGram bool       // hGram is current for h
@@ -133,10 +134,12 @@ func newRankState(opts Options, normA2 func() float64, pool *par.Pool, led rankB
 func (s *rankState) relErr() []float64 { return s.hist[len(s.opts.ckptRelErr):] }
 
 // initBlocks allocates this rank's factor blocks: rows of W starting
-// at global row rowOff and cols of H starting at global column colOff.
+// at global row rowOff and cols of H starting at global column colOff,
+// and H's transpose beside them.
 func (s *rankState) initBlocks(rows, rowOff, cols, colOff int) {
 	s.w = localInitW(s.opts, rows, rowOff)
 	s.h = localInitH(s.opts, cols, colOff)
+	s.ht = s.h.T()
 }
 
 // updateW is the local W update (Algorithm 1 line 3, Algorithm 2 line
@@ -164,29 +167,29 @@ func (s *rankState) updateW(hht, aht, w *mat.Dense) error {
 	return err
 }
 
-// localHGram returns h·hᵀ of this rank's H block, recomputing it only
-// when h changed since the last call: the Gram the objective needs at
-// the end of one iteration is the one a single-rank W half needs at the
-// start of the next.
+// localHGram returns h·hᵀ of this rank's H block — the Gram of ht —
+// recomputing it only when h changed since the last call: the Gram the
+// objective needs at the end of one iteration is the one a single-rank
+// W half needs at the start of the next.
 func (s *rankState) localHGram() *mat.Dense {
 	if !s.haveHGram {
 		ps := s.led.Start(perf.TaskGram)
-		mat.ParGramTToWS(s.hGram, s.h, s.pool, s.ws)
-		s.led.Stop(ps, gramFlops(s.h.Cols, s.k))
+		mat.ParGramTo(s.hGram, s.ht, s.pool)
+		s.led.Stop(ps, gramFlops(s.ht.Rows, s.k))
 		s.haveHGram = true
 	}
 	return s.hGram
 }
 
-// gatherBlocks collects every rank's W block and transposed H block
-// on rank 0 in rank order (nil elsewhere); the layouts reassemble the
-// full factors from them.
+// gatherBlocks collects every rank's W block and Hᵀ block (ht) on
+// rank 0 in rank order (nil elsewhere); the layouts reassemble the full
+// factors from them.
 func (s *rankState) gatherBlocks(setup bool, wCounts, hCounts []int) (wAll, hTAll []float64) {
 	gv := s.c.GatherV
 	if setup {
 		gv = s.c.GatherVSetup
 	}
-	return gv(0, s.w.Data, wCounts), gv(0, s.h.T().Data, hCounts)
+	return gv(0, s.w.Data, wCounts), gv(0, s.ht.Data, hCounts)
 }
 
 // step runs one alternating iteration — line 3-4 of Algorithm 1, 3-6
@@ -220,6 +223,12 @@ func (s *rankState) step(it int) error {
 	if err := s.env.updateFactor("H", wtw, wta, s.h, s.opts.L2H, s.opts.L1H); err != nil {
 		return fmt.Errorf("core: H update failed at iteration %d: %w", it, err)
 	}
+	// Every later reader of H — the next W half's Gram, all-gather and
+	// product, the checkpoint gather — reads ht: one transpose per H
+	// update, charged to Other like updateW's (DESIGN decision 19).
+	ps := s.led.StartQuiet(perf.TaskOther)
+	s.h.TTo(s.ht)
+	s.led.Stop(ps, 0)
 	s.haveHGram = false
 
 	// --- Objective via byproducts (DESIGN decision 4): local partials,

@@ -49,6 +49,7 @@ type Streaming struct {
 	ws   *mat.Workspace
 
 	// Refinement buffers, allocated once.
+	ht    *mat.Dense // window×k = Hᵀ, refreshed where it is read
 	hGram *mat.Dense // k×k = H·Hᵀ
 	aht   *mat.Dense // m×k = A·Hᵀ
 	fw    *mat.Dense // k×m = (A·Hᵀ)ᵀ
@@ -110,6 +111,7 @@ func NewStreaming(m int, opts StreamingOptions) (*Streaming, error) {
 		a:      WrapDense(data),
 		proj:   proj,
 		ws:     mat.NewWorkspace(),
+		ht:     mat.NewDense(window, k),
 		hGram:  mat.NewDense(k, k),
 		aht:    mat.NewDense(m, k),
 		fw:     mat.NewDense(k, m),
@@ -171,8 +173,9 @@ func (s *Streaming) Push(cols *mat.Dense) error {
 	// non-finite-factor error: a degenerate window degrades into a
 	// damped solve or an error, never a panic.
 	for sweep := 0; sweep < s.sweeps; sweep++ {
-		mat.ParGramTToWS(s.hGram, s.h, nil, s.ws)
-		mulHtInto(s.aht, s.a, s.h, s.ws, nil)
+		s.h.TTo(s.ht)
+		mat.ParGramTo(s.hGram, s.ht, nil)
+		mulBtInto(s.aht, s.a, s.ht, s.ws, nil)
 		s.aht.TTo(s.fw)
 		if _, err := solveDamped(s.solver, s.ctx, s.hGram, s.fw, s.wt, s.wt); err != nil {
 			return fmt.Errorf("core: streaming W refinement failed: %w", err)
@@ -214,7 +217,8 @@ func (s *Streaming) RelErr() float64 {
 		return 0
 	}
 	mulAtBInto(s.wta, s.a, s.w, s.ws, nil)
-	mat.ParGramTToWS(s.hGram, s.h, nil, s.ws)
+	s.h.TTo(s.ht)
+	mat.ParGramTo(s.hGram, s.ht, nil)
 	return relErrFrom(s.data.SquaredFrobeniusNorm(), mat.Dot(s.wta, s.h), mat.Dot(s.proj.Gram(), s.hGram))
 }
 

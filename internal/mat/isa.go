@@ -11,8 +11,8 @@ import (
 // CPU feature dispatch for the kernel primitives.
 //
 // The blocked kernels funnel every flop through a few small primitives
-// — the strided register tile behind Wᵀ·A, WᵀW and A·B, the packed
-// tile behind A·Hᵀ, H·Hᵀ and the out-of-core panels, the two axpys
+// — the strided register tile behind Wᵀ·A, WᵀW, H·Hᵀ and A·B, the
+// packed tile behind A·Hᵀ and the out-of-core panels, the two axpys
 // (Axpy4, Axpy) behind the sparse products and the substitution, and
 // AtxNZ behind a lone projection — so one function-level dispatch
 // point per primitive (dispatch_amd64.go) upgrades the whole kernel

@@ -5,16 +5,17 @@ import "hpcnmf/internal/par"
 // This file holds the production multiply kernels. They come in two
 // families of register tile, split by where the factor comes from:
 //
-//   - The streamed products (Wᵀ·A, WᵀW, A·B: W·H, G·X, WᵀW·H) run on
-//     the strided tile: both operands are read in place through their
-//     row strides, and a 4-row block of C stays in registers across a
+//   - The streamed products (Wᵀ·A, the Grams WᵀW and H·Hᵀ, the latter
+//     read from Hᵀ, and A·B: W·H, G·X, WᵀW·H) run on the strided
+//     tile: both operands are read in place through their row
+//     strides, and a 4-row block of C stays in registers across a
 //     chunk of tileKC reduction steps, then goes back to C, which
 //     carries each running sum to the next chunk. Its vectors run
 //     along the output row, 8 columns wide (16 at avx512); a ragged
 //     edge is masked, so a B of one column (a projection's Wᵀ·c) runs
 //     the same tile as a wide one.
 //   - The skinny outputs with a long reduction (A·Hᵀ, A·B on a
-//     gathered n×k panel, H·Hᵀ) go through the packed tile of tile.go:
+//     gathered n×k panel) go through the packed tile of tile.go:
 //     the factor is packed once into n×8 panels and a 4×8 block of C
 //     (4×16, two panels, at avx512) stays in registers across the
 //     whole reduction.
@@ -163,21 +164,14 @@ func ParMulAtBAddTo(c, a, b *Dense, p *par.Pool) {
 	strided{c: c, a: a.Data, as: a.Cols, ai: 1, b: b.Data, ldb: b.Cols, steps: a.Rows}.par(p, false)
 }
 
-// ParMulABtTo is ParMulABtToWS with a freshly allocated pack buffer.
+// ParMulABtTo computes C = A·Bᵀ through the packed tile: B is packed
+// into a freshly allocated buffer, then row blocks of C are split
+// across the pool.
 func ParMulABtTo(c, a, b *Dense, p *par.Pool) {
-	ParMulABtToWS(c, a, b, p, nil)
-}
-
-// ParMulABtToWS computes C = A·Bᵀ through the packed tile: B is packed
-// into a buffer drawn from ws, then row blocks of C are split across
-// the pool.
-func ParMulABtToWS(c, a, b *Dense, p *par.Pool, ws *Workspace) {
 	if a.Cols != b.Cols || c.Rows != a.Rows || c.Cols != b.Rows {
 		panic("mat: ParMulABtTo dimension mismatch")
 	}
-	pk := PackRows(ws, b)
-	ParMulPackedTo(c, a, pk, p)
-	pk.Release(ws)
+	ParMulPackedTo(c, a, PackRows(nil, b), p)
 }
 
 // ParGramTo computes G = Aᵀ·A, overwriting g.
@@ -209,31 +203,10 @@ func ParGramAddTo(g, a *Dense, p *par.Pool) {
 	mirrorUpper(g)
 }
 
-// ParGramTTo is ParGramTToWS with a freshly allocated pack buffer.
+// ParGramTTo computes G = A·Aᵀ, overwriting g: the Gram of Aᵀ on the
+// strided tile.
 func ParGramTTo(g, a *Dense, p *par.Pool) {
-	ParGramTToWS(g, a, p, nil)
-}
-
-// ParGramTToWS computes G = A·Aᵀ into g through the tile kernel — the
-// same dot shape as A·Bᵀ with B = A — drawing the pack buffer from ws.
-// Only tiles touching the upper triangle are computed; row blocks are
-// split across the pool balanced by triangle area.
-func ParGramTToWS(g, a *Dense, p *par.Pool, ws *Workspace) {
-	k := a.Rows
-	if g.Rows != k || g.Cols != k {
-		panic("mat: ParGramTTo dimension mismatch")
-	}
-	pk := PackRows(ws, a)
-	blocks := (k + tileMR - 1) / tileMR
-	if p == nil || blocks < 2 || a.Cols < gramInlineFlops/(k*(k+1)) {
-		tileBlocks(g, a, pk, 0, blocks, true)
-	} else {
-		p.ForRanges(triangleBounds(blocks, p.Workers()), func(b0, b1 int) {
-			tileBlocks(g, a, pk, b0, b1, true)
-		})
-	}
-	pk.Release(ws)
-	mirrorUpper(g)
+	ParGramTo(g, a.T(), p)
 }
 
 // mirrorUpper copies the upper triangle of a square matrix into the

@@ -8,7 +8,7 @@ import (
 
 // The packed tile: the register-blocked microkernel behind every
 // "skinny output, long reduction" product (A·Hᵀ, A·B on a gathered n×k
-// panel, H·Hᵀ). An MR×NR block of C lives in registers across the
+// panel). An MR×NR block of C lives in registers across the
 // whole reduction while MR rows of A and one packed panel of the
 // factor stream past it (two adjacent panels at avx512), so C is
 // written once and the long dimension is read at unit stride on both
@@ -16,8 +16,8 @@ import (
 //
 // Every output element has exactly one accumulator, started at zero
 // and updated acc = fma(a, b, acc) — one rounding per term — in
-// ascending reduction index: the operation sequence of RefMulABtTo,
-// RefGramT and RefMulAddTo on a zeroed C, so every dispatch level
+// ascending reduction index: the operation sequence of RefMulABtTo
+// and RefMulAddTo on a zeroed C, so every dispatch level
 // (VFMADD231PD and math.FMA) is bitwise equal to the references by
 // construction. Vector lanes hold adjacent output columns, never
 // partial sums. The strided tile of mul.go keeps the same contract,
@@ -103,19 +103,17 @@ func ParMulPackedTo(c, a *Dense, pk Packed, p *par.Pool) {
 	if p == nil {
 		// Direct call: no closure, so the steady-state iteration
 		// loops stay allocation-free at KernelThreads=1.
-		tileBlocks(c, a, pk, 0, blocks, false)
+		tileBlocks(c, a, pk, 0, blocks)
 		return
 	}
 	p.For(blocks, parGrain/tileMR, func(b0, b1 int) {
-		tileBlocks(c, a, pk, b0, b1, false)
+		tileBlocks(c, a, pk, b0, b1)
 	})
 }
 
 // tileBlocks computes row blocks [b0,b1) of C = A·P, two panels per
-// tile call. With upper set (the symmetric product, C square) tiles
-// lying wholly below the diagonal are skipped; the caller mirrors the
-// upper triangle.
-func tileBlocks(c, a *Dense, pk Packed, b0, b1 int, upper bool) {
+// tile call.
+func tileBlocks(c, a *Dense, pk Packed, b0, b1 int) {
 	n, ldc := pk.n, c.Cols
 	if n == 0 {
 		clear(c.Data[min(b0*tileMR, c.Rows)*ldc : min(b1*tileMR, c.Rows)*ldc])
@@ -130,11 +128,7 @@ func tileBlocks(c, a *Dense, pk Packed, b0, b1 int, upper bool) {
 		for r := range ar {
 			ar[r] = a.Row(i + min(r, rows-1))
 		}
-		j := 0
-		if upper {
-			j = i / tileNR * tileNR
-		}
-		for ; j < pk.cols; j += 2 * tileNR {
+		for j := 0; j < pk.cols; j += 2 * tileNR {
 			w := min(2*tileNR, pk.cols-j)
 			pw := tileNR // the columns the tile call writes
 			if w > tileNR {

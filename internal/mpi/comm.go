@@ -90,7 +90,7 @@ func (c *Comm) beginColl(cat Category, words int) collEvent {
 	if c.tracer != nil {
 		ev.sp = c.tracer.BeginArg(trace.CatMPI, cat.String(), "words", int64(words))
 	}
-	if h := c.world.collLatency[cat]; h != nil {
+	if h := c.world.latency(cat); h != nil {
 		ev.hist = h
 		ev.start = time.Now()
 	}

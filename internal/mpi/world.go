@@ -22,6 +22,7 @@ package mpi
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hpcnmf/internal/metrics"
@@ -74,9 +75,10 @@ type World struct {
 	tracers []*trace.Tracer
 	// metrics is the shared instrument registry when attached
 	// (SetMetrics); nil otherwise. collLatency caches the per-category
-	// latency histograms so the collectives skip the name lookup.
+	// latency histograms, each registered at its category's first
+	// observation (latency), so the collectives skip the name lookup.
 	metrics     *metrics.Registry
-	collLatency [numCategories]*metrics.Histogram
+	collLatency [numCategories]atomic.Pointer[metrics.Histogram]
 }
 
 // NewWorld creates a world with p ranks. The per-pair channel buffer
@@ -134,18 +136,30 @@ func (w *World) SetTracing(s *trace.Session) {
 
 // SetMetrics attaches a shared metrics registry: each collective call
 // observes its wall-clock latency into a per-category histogram
-// (mpi.collective.seconds.<Category>), and Run publishes per-rank
-// message/word totals as gauges when it finishes. nil detaches. Must
-// be called before Run.
+// (mpi.collective.seconds.<Category>, registered at the category's
+// first call, so a category no collective charges leaves no series),
+// and Run publishes per-rank message/word totals as gauges when it
+// finishes. nil detaches. Must be called before Run.
 func (w *World) SetMetrics(reg *metrics.Registry) {
 	w.metrics = reg
-	if reg == nil {
-		w.collLatency = [numCategories]*metrics.Histogram{}
-		return
+	for i := range w.collLatency {
+		w.collLatency[i].Store(nil)
 	}
-	for _, cat := range Categories() {
-		w.collLatency[cat] = reg.Histogram("mpi.collective.seconds." + cat.String())
+}
+
+// latency returns cat's latency histogram, nil without a registry. The
+// first call for a category registers it; ranks race to do so, and the
+// registry hands each of them the same histogram.
+func (w *World) latency(cat Category) *metrics.Histogram {
+	if w.metrics == nil {
+		return nil
 	}
+	h := w.collLatency[cat].Load()
+	if h == nil {
+		h = w.metrics.Histogram("mpi.collective.seconds." + cat.String())
+		w.collLatency[cat].Store(h)
+	}
+	return h
 }
 
 // publishMetrics exports the per-rank traffic totals into the

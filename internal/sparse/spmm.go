@@ -193,49 +193,46 @@ func (a *CSR) csc() *cscIndex {
 	return a.cscIdx
 }
 
-// MulWtAToWS computes C = Wᵀ·A into an existing w.Cols×a.Cols matrix,
-// with the transposed accumulator drawn from ws (pass nil to
-// allocate).
+// MulAtBTo computes C = Aᵀ·B into an existing a.Cols×b.Cols matrix:
+// Wᵀ·A in the transposed, cols×k layout, with no transpose.
 //
-// The kernel is transpose-free in the traversal sense: instead of the
-// old per-worker column-window scan (every worker re-walking all rows
-// with two binary searches each — the source of the measured parallel
-// slowdown), it walks the cached column-major index and writes Cᵀ
-// rows contiguously, then transposes the n×k accumulator into C once
-// (O(n·k), a few percent of the 2·nnz·k multiply work). Entries
-// within a column arrive in ascending row order — exactly the
-// reference kernel's per-element order — and workers own disjoint
-// nnz-balanced column ranges, so the result is bitwise identical to
-// RefMulWtATo for any pool size.
-func (a *CSR) MulWtAToWS(c, w *mat.Dense, p *par.Pool, ws *mat.Workspace) {
-	if a.Rows != w.Rows {
-		panic(fmt.Sprintf("sparse: MulWtAToWS dimension mismatch W %dx%d, A %dx%d", w.Rows, w.Cols, a.Rows, a.Cols))
+// The kernel walks the cached column-major index and writes the rows
+// of C contiguously. Entries within a column arrive in ascending row
+// order — exactly the reference kernel's per-element order — and
+// workers own disjoint nnz-balanced column ranges, so the result is
+// bitwise identical to the transpose of RefMulWtATo for any pool size.
+func (a *CSR) MulAtBTo(c, b *mat.Dense, p *par.Pool) {
+	if a.Rows != b.Rows {
+		panic(fmt.Sprintf("sparse: MulAtBTo dimension mismatch A %dx%d, B %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	if c.Rows != w.Cols || c.Cols != a.Cols {
-		panic(fmt.Sprintf("sparse: MulWtAToWS output is %dx%d, want %dx%d", c.Rows, c.Cols, w.Cols, a.Cols))
+	if c.Rows != a.Cols || c.Cols != b.Cols {
+		panic(fmt.Sprintf("sparse: MulAtBTo output is %dx%d, want %dx%d", c.Rows, c.Cols, a.Cols, b.Cols))
 	}
-	k := w.Cols
-	if k == 0 || a.Cols == 0 {
+	if b.Cols == 0 || a.Cols == 0 {
 		return
 	}
 	idx := a.csc()
-	var ct *mat.Dense
-	if ws != nil {
-		ct = ws.Get(a.Cols, k)
-	} else {
-		ct = mat.NewDense(a.Cols, k)
-	}
 	if p == nil || a.NNZ() < spSerialNNZ {
-		a.mulWtACols(ct, w, idx, 0, a.Cols)
-	} else {
-		p.ForRanges(nnzBounds(idx.colPtr, p.Workers()), func(j0, j1 int) {
-			a.mulWtACols(ct, w, idx, j0, j1)
-		})
+		a.mulWtACols(c, b, idx, 0, a.Cols)
+		return
 	}
+	p.ForRanges(nnzBounds(idx.colPtr, p.Workers()), func(j0, j1 int) {
+		a.mulWtACols(c, b, idx, j0, j1)
+	})
+}
+
+// MulWtAToWS computes C = Wᵀ·A into an existing w.Cols×a.Cols matrix:
+// MulAtBTo into an a.Cols×k accumulator drawn from ws (pass nil to
+// allocate), then one transpose into C (O(n·k), a few percent of the
+// 2·nnz·k multiply work).
+func (a *CSR) MulWtAToWS(c, w *mat.Dense, p *par.Pool, ws *mat.Workspace) {
+	if c.Rows != w.Cols || c.Cols != a.Cols {
+		panic(fmt.Sprintf("sparse: MulWtAToWS output is %dx%d, want %dx%d", c.Rows, c.Cols, w.Cols, a.Cols))
+	}
+	ct := ws.Get(a.Cols, w.Cols)
+	a.MulAtBTo(ct, w, p)
 	ct.TTo(c)
-	if ws != nil {
-		ws.Put(ct)
-	}
+	ws.Put(ct)
 }
 
 // mulWtACols computes rows [j0,j1) of Cᵀ = Aᵀ·W: per output column j

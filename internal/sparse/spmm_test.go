@@ -109,6 +109,14 @@ func TestSpMMBitwiseVsReference(t *testing.T) {
 				gotWtA := mat.NewDense(k, tc.a.Cols)
 				tc.a.MulWtAToWS(gotWtA, w, p, nil)
 				bitwiseEqual(t, tc.name+"/MulWtATo", gotWtA, wantWtA)
+
+				// The transposed form overwrites a dirty C.
+				gotAtB := mat.NewDense(tc.a.Cols, k)
+				for i := range gotAtB.Data {
+					gotAtB.Data[i] = math.NaN()
+				}
+				tc.a.MulAtBTo(gotAtB, w, p)
+				bitwiseEqual(t, tc.name+"/MulAtBTo", gotAtB, wantWtA.T())
 				_ = pi
 			}
 		}

@@ -94,15 +94,26 @@ var table = []mutant{
 		Pkg:  "./internal/nnls",
 		Run:  "^TestBPPFitTracksOracleANLS$",
 	},
+	// Every reader of H after the first iteration — the W half's Gram,
+	// all-gather and product — reads the rank's Hᵀ: left stale, the W
+	// updates solve against the initial H and the objective climbs.
+	{
+		Name: "ht-not-refreshed",
+		File: "internal/core/skeleton.go",
+		From: "\ts.h.TTo(s.ht)\n",
+		To:   "\n",
+		Pkg:  "./internal/core",
+		Run:  "^TestObjectiveNeverIncreases$",
+	},
 	{
 		Name: "allgather-before-gram",
 		File: "internal/core/hpc.go",
-		From: "\tps := r.led.Start(perf.TaskGram)\n\ts.gram()\n\tr.led.Stop(ps, gramFlops(s.gramRows, r.k))\n\n" +
-			"\tsend := s.send()\n\tps = r.led.Start(perf.TaskAllGather)\n" +
-			"\tpanel := &mat.Dense{Rows: s.panelRows, Cols: r.k, Data: s.gatherComm.AllGatherV(send, s.gatherWords)}\n\tr.led.Stop(ps, 0)\n",
-		To: "\tsend := s.send()\n\tps := r.led.Start(perf.TaskAllGather)\n" +
-			"\tpanel := &mat.Dense{Rows: s.panelRows, Cols: r.k, Data: s.gatherComm.AllGatherV(send, s.gatherWords)}\n\tr.led.Stop(ps, 0)\n\n" +
-			"\tps = r.led.Start(perf.TaskGram)\n\ts.gram()\n\tr.led.Stop(ps, gramFlops(s.gramRows, r.k))\n",
+		From: "\tps := r.led.Start(perf.TaskGram)\n\tmat.ParGramTo(s.localGram, s.block, r.pool)\n\tr.led.Stop(ps, gramFlops(s.block.Rows, r.k))\n\n" +
+			"\tps = r.led.Start(perf.TaskAllGather)\n" +
+			"\tpanel := &mat.Dense{Rows: s.panelRows, Cols: r.k, Data: s.gatherComm.AllGatherV(s.block.Data, s.gatherWords)}\n\tr.led.Stop(ps, 0)\n",
+		To: "\tps := r.led.Start(perf.TaskAllGather)\n" +
+			"\tpanel := &mat.Dense{Rows: s.panelRows, Cols: r.k, Data: s.gatherComm.AllGatherV(s.block.Data, s.gatherWords)}\n\tr.led.Stop(ps, 0)\n\n" +
+			"\tps = r.led.Start(perf.TaskGram)\n\tmat.ParGramTo(s.localGram, s.block, r.pool)\n\tr.led.Stop(ps, gramFlops(s.block.Rows, r.k))\n",
 		Pkg: "./internal/core",
 		Run: "^TestAllGatherFollowsGramOn2x2$",
 	},
