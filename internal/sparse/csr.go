@@ -1,9 +1,10 @@
 // Package sparse implements compressed sparse row (CSR) matrices and
 // the sparse-times-dense kernels the NMF algorithms need. A sparse
 // data matrix A participates in exactly two products per alternating
-// iteration — A·Hᵀ (tall output) and Wᵀ·A (wide output) — so those two
-// kernels, plus construction, transposition, slicing and generation,
-// are the whole surface.
+// iteration — A·Hᵀ (tall output) and Wᵀ·A (wide output) — and both
+// run one row-gather kernel: Wᵀ·A runs it on A's transpose, a CSR built
+// once on first use and cached beside A. That kernel, plus
+// construction, slicing and generation, is the whole surface.
 package sparse
 
 import (
@@ -17,8 +18,8 @@ import (
 // CSR is a sparse matrix in compressed sparse row format.
 //
 // The multiply kernels treat a CSR as immutable once it is first used
-// in a product: the Wᵀ·A kernel lazily caches a column-major index of
-// the entries (see spmm.go), so mutate RowPtr/ColIdx/Val only during
+// in a product: the Wᵀ·A kernel lazily caches the transpose, itself a
+// CSR (see spmm.go), so mutate RowPtr/ColIdx/Val only during
 // construction, before the first multiply.
 type CSR struct {
 	Rows, Cols int
@@ -30,11 +31,11 @@ type CSR struct {
 	// Val holds the value of each stored entry.
 	Val []float64
 
-	// cscOnce/cscIdx cache the column-major traversal order built on
-	// first use by the Wᵀ·A kernel (amortized across the iterations of
-	// a factorization run, which multiply by the same tile every time).
-	cscOnce sync.Once
-	cscIdx  *cscIndex
+	// tOnce/tr cache the transpose built on first use by the Wᵀ·A
+	// kernel (amortized across the iterations of a factorization run,
+	// which multiply by the same tile every time).
+	tOnce sync.Once
+	tr    *CSR
 }
 
 // NNZ returns the number of stored entries.

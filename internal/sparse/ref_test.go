@@ -8,9 +8,8 @@ import (
 
 // The retained scalar reference kernels. They define the accumulation
 // order the production kernels of spmm.go must reproduce bit for bit
-// (for any pool size, strip width, and ISA level), anchor the
-// differential tests, and serve as the "naive" side of the kernel
-// benchmarks. Every term is one fused multiply-add (math.FMA), the
+// (for any pool size and ISA level), anchor the differential tests,
+// and serve as the "naive" side of the kernel benchmarks. Every term is one fused multiply-add (math.FMA), the
 // arithmetic of mat's primitives. Shapes follow MulBtTo/MulWtAToWS; no
 // validation is done.
 

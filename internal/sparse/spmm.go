@@ -9,71 +9,40 @@ import (
 )
 
 // Locality-partitioned sparse-times-dense kernels (after PL-NMF,
-// arXiv:1904.07935). Three techniques close the gap the scalar
-// reference loops leave open:
+// arXiv:1904.07935). Both products run one loop nest, mulBtRows: A·B
+// over the CSR itself, Aᵀ·B over A's cached transpose (a CSR too), so
+// either product walks rows of its sparse operand and gathers rows of
+// the dense one. Two techniques close the gap the scalar reference
+// loops leave open:
 //
 //   - nnz-balanced parallel ranges: worker boundaries are read off the
-//     CSR/CSC prefix sums, so every worker owns roughly equal stored
-//     entries regardless of row-degree skew — a row-count split hands
-//     one worker the heavy rows of a power-law matrix. Below an nnz
-//     threshold the pool is bypassed entirely: fan-out/join overhead
-//     exceeds the kernel's work there (the old 0.85× "parallel
-//     slowdown" regime).
-//
-//   - k-strip blocking: when the randomly-accessed dense factor panel
-//     exceeds the cache budget, the k dimension is processed in strips
-//     so the working set stays resident; the sparse index is re-
-//     streamed once per strip (sequential, prefetch-friendly).
+//     row-pointer prefix sums, so every worker owns roughly equal
+//     stored entries regardless of row-degree skew — a row-count split
+//     hands one worker the heavy rows of a power-law matrix. Below an
+//     nnz threshold the pool is bypassed entirely: fan-out/join
+//     overhead exceeds the kernel's work there.
 //
 //   - four-entry unrolling into the SIMD axpy primitives of
 //     internal/mat, which carry the kernel-dispatch upgrade (AVX2)
 //     into the sparse path.
 //
 // The bitwise contract holds throughout: workers own disjoint output
-// elements, each output element accumulates its contributions in the
-// same order as the scalar reference (ascending column order for A·B,
-// ascending row order for Wᵀ·A), and the left-associated Axpy4 chain
-// equals four sequential adds bit for bit. Every result is bitwise
-// identical to RefMulBtTo/RefMulWtATo for any pool size, strip width,
-// and ISA level.
+// rows, each output element accumulates its contributions in the same
+// order as the scalar reference (ascending column order for A·B;
+// ascending row order for Wᵀ·A, which is the column order of each row
+// of the transpose), and the left-associated Axpy4 chain equals four
+// sequential adds bit for bit. Every result is bitwise identical to
+// RefMulBtTo/RefMulWtATo for any pool size and ISA level.
 
-const (
-	// spSerialNNZ is the stored-entry count below which the pool paths
-	// run serially — at k≈50 the crossover sits well below this, so
-	// the margin keeps tiny tiles (grid corners, test fixtures) off
-	// the pool entirely.
-	spSerialNNZ = 1 << 13
-
-	// spMinStripK keeps strips wide enough for the SIMD primitives to
-	// stay efficient.
-	spMinStripK = 16
-)
-
-// spPanelWords bounds the dense-factor panel (rows×k float64 words)
-// streamed by one strip: 4M words = 32 MiB, last-level-cache scale.
-// Calibration note: an L2-scale budget (64k–256k words) measured
-// SLOWER than no stripping on every benchmark shape — each extra
-// strip re-streams the sparse index and shortens the axpy vectors,
-// and with the panel still resident in a large L3 there are no misses
-// to save. Stripping only pays once the panel outgrows the LLC
-// (webbase scale: n≈1M rows at k=50 is a 400 MB panel), so the
-// budget sits there. A var, not a const, so tests can shrink it to
-// force the strip path on small fixtures.
-var spPanelWords = 1 << 22
-
-// stripWidth returns the k-strip width for a dense panel of
-// panelRows×k: full k when the panel fits the cache budget, else a
-// strip sized to spPanelWords.
-func stripWidth(panelRows, k int) int {
-	if panelRows <= 0 || panelRows*k <= spPanelWords {
-		return k
-	}
-	return max(spPanelWords/panelRows, spMinStripK)
-}
+// spSerialNNZ is the stored-entry count below which the pool paths run
+// serially: there a pool of 2 ran at 0.70–0.94 of serial speed on
+// power-law graphs at k = 20 and k = 50, its loss shrinking as the
+// matrix grows (DESIGN decision 13 has the table).
+const spSerialNNZ = 1 << 13
 
 // nnzBounds returns ForRanges boundaries over [0, len(ptr)-1) whose
-// ranges carry roughly equal stored entries, read off a CSR/CSC
-// prefix-sum array in O(parts·log n).
+// ranges carry roughly equal stored entries, read off a CSR's RowPtr
+// prefix sums in O(parts·log n).
 func nnzBounds(ptr []int, parts int) []int {
 	n := len(ptr) - 1
 	bounds := make([]int, 1, parts+1)
@@ -119,112 +88,75 @@ func (a *CSR) MulBtTo(c, b *mat.Dense, p *par.Pool) {
 }
 
 // mulBtRows computes rows [i0,i1) of C = A·B: per row, four stored
-// entries at a time gather four rows of B through Axpy4. Each element
-// of C belongs to exactly one k-strip and accumulates its entries in
-// ascending column order within it, preserving the reference order.
+// entries at a time gather four rows of B through Axpy4, in ascending
+// column order. Rows of C are zeroed here (including empty rows), so a
+// dirty workspace buffer is safe.
 func (a *CSR) mulBtRows(c, b *mat.Dense, i0, i1 int) {
-	k := b.Cols
-	if k == 0 {
-		return
-	}
-	kc := stripWidth(b.Rows, k)
-	for t0 := 0; t0 < k; t0 += kc {
-		t1 := min(t0+kc, k)
-		for i := i0; i < i1; i++ {
-			crow := c.Row(i)[t0:t1]
-			for t := range crow {
-				crow[t] = 0
-			}
-			lo, hi := a.RowPtr[i], a.RowPtr[i+1]
-			q := lo
-			for ; q+4 <= hi; q += 4 {
-				v := [4]float64{a.Val[q], a.Val[q+1], a.Val[q+2], a.Val[q+3]}
-				mat.Axpy4(crow,
-					b.Row(a.ColIdx[q])[t0:t1],
-					b.Row(a.ColIdx[q+1])[t0:t1],
-					b.Row(a.ColIdx[q+2])[t0:t1],
-					b.Row(a.ColIdx[q+3])[t0:t1], &v)
-			}
-			for ; q < hi; q++ {
-				mat.Axpy(crow, b.Row(a.ColIdx[q])[t0:t1], a.Val[q])
-			}
+	for i := i0; i < i1; i++ {
+		crow := c.Row(i)
+		clear(crow)
+		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
+		q := lo
+		for ; q+4 <= hi; q += 4 {
+			v := [4]float64{a.Val[q], a.Val[q+1], a.Val[q+2], a.Val[q+3]}
+			mat.Axpy4(crow, b.Row(a.ColIdx[q]), b.Row(a.ColIdx[q+1]),
+				b.Row(a.ColIdx[q+2]), b.Row(a.ColIdx[q+3]), &v)
+		}
+		for ; q < hi; q++ {
+			mat.Axpy(crow, b.Row(a.ColIdx[q]), a.Val[q])
 		}
 	}
 }
 
-// cscIndex is the cached column-major view of a CSR matrix: column
-// j's entries, in ascending row order, live at [colPtr[j],
-// colPtr[j+1]) of rowIdx and val.
-type cscIndex struct {
-	colPtr, rowIdx []int
-	val            []float64
-}
-
-// csc builds (once) and returns the column-major index — a counting
-// sort, O(nnz + rows + cols), amortized across every later Wᵀ·A call
-// on this matrix. See the CSR type comment for the immutability
-// contract this relies on.
-func (a *CSR) csc() *cscIndex {
-	a.cscOnce.Do(func() {
-		idx := &cscIndex{
-			colPtr: make([]int, a.Cols+1),
-			rowIdx: make([]int, a.NNZ()),
-			val:    make([]float64, a.NNZ()),
+// t builds (once) and returns Aᵀ as a CSR — a counting sort, O(nnz +
+// rows + cols), amortized across every later Aᵀ·B call on this matrix.
+// Row j of the transpose lists column j's entries in ascending row
+// order of A. See the CSR type comment for the immutability contract
+// this relies on.
+func (a *CSR) t() *CSR {
+	a.tOnce.Do(func() {
+		tr := &CSR{
+			Rows: a.Cols, Cols: a.Rows,
+			RowPtr: make([]int, a.Cols+1),
+			ColIdx: make([]int, a.NNZ()),
+			Val:    make([]float64, a.NNZ()),
 		}
 		for _, c := range a.ColIdx {
-			idx.colPtr[c+1]++
+			tr.RowPtr[c+1]++
 		}
 		for j := 0; j < a.Cols; j++ {
-			idx.colPtr[j+1] += idx.colPtr[j]
+			tr.RowPtr[j+1] += tr.RowPtr[j]
 		}
 		next := make([]int, a.Cols)
-		copy(next, idx.colPtr[:a.Cols])
+		copy(next, tr.RowPtr[:a.Cols])
 		for i := 0; i < a.Rows; i++ {
 			for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
 				c := a.ColIdx[p]
 				q := next[c]
-				idx.rowIdx[q] = i
-				idx.val[q] = a.Val[p]
+				tr.ColIdx[q] = i
+				tr.Val[q] = a.Val[p]
 				next[c]++
 			}
 		}
-		a.cscIdx = idx
+		a.tr = tr
 	})
-	return a.cscIdx
+	return a.tr
 }
 
 // MulAtBTo computes C = Aᵀ·B into an existing a.Cols×b.Cols matrix:
-// Wᵀ·A in the transposed, cols×k layout, with no transpose.
-//
-// The kernel walks the cached column-major index and writes the rows
-// of C contiguously. Entries within a column arrive in ascending row
-// order — exactly the reference kernel's per-element order — and
-// workers own disjoint nnz-balanced column ranges, so the result is
-// bitwise identical to the transpose of RefMulWtATo for any pool size.
+// Wᵀ·A in the transposed, cols×k layout, as A·B on A's cached
+// transpose. Each row of the transpose holds its entries in ascending
+// row order of A — exactly the reference kernel's per-element order —
+// so the result is bitwise identical to the transpose of RefMulWtATo
+// for any pool size.
 func (a *CSR) MulAtBTo(c, b *mat.Dense, p *par.Pool) {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("sparse: MulAtBTo dimension mismatch A %dx%d, B %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if c.Rows != a.Cols || c.Cols != b.Cols {
-		panic(fmt.Sprintf("sparse: MulAtBTo output is %dx%d, want %dx%d", c.Rows, c.Cols, a.Cols, b.Cols))
-	}
-	if b.Cols == 0 || a.Cols == 0 {
-		return
-	}
-	idx := a.csc()
-	if p == nil || a.NNZ() < spSerialNNZ {
-		a.mulWtACols(c, b, idx, 0, a.Cols)
-		return
-	}
-	p.ForRanges(nnzBounds(idx.colPtr, p.Workers()), func(j0, j1 int) {
-		a.mulWtACols(c, b, idx, j0, j1)
-	})
+	a.t().MulBtTo(c, b, p)
 }
 
 // MulWtAToWS computes C = Wᵀ·A into an existing w.Cols×a.Cols matrix:
 // MulAtBTo into an a.Cols×k accumulator drawn from ws (pass nil to
-// allocate), then one transpose into C (O(n·k), a few percent of the
-// 2·nnz·k multiply work).
+// allocate), then one serial transpose into C (O(n·k); at sparse_bpp's
+// shape, 35 k entries and k = 20, over a quarter of the call).
 func (a *CSR) MulWtAToWS(c, w *mat.Dense, p *par.Pool, ws *mat.Workspace) {
 	if c.Rows != w.Cols || c.Cols != a.Cols {
 		panic(fmt.Sprintf("sparse: MulWtAToWS output is %dx%d, want %dx%d", c.Rows, c.Cols, w.Cols, a.Cols))
@@ -233,35 +165,4 @@ func (a *CSR) MulWtAToWS(c, w *mat.Dense, p *par.Pool, ws *mat.Workspace) {
 	a.MulAtBTo(ct, w, p)
 	ct.TTo(c)
 	ws.Put(ct)
-}
-
-// mulWtACols computes rows [j0,j1) of Cᵀ = Aᵀ·W: per output column j
-// of C, four stored entries at a time gather four rows of W through
-// Axpy4. Rows of ct are zeroed here (including empty columns), so a
-// dirty workspace buffer is safe.
-func (a *CSR) mulWtACols(ct, w *mat.Dense, idx *cscIndex, j0, j1 int) {
-	k := w.Cols
-	kc := stripWidth(w.Rows, k)
-	for t0 := 0; t0 < k; t0 += kc {
-		t1 := min(t0+kc, k)
-		for j := j0; j < j1; j++ {
-			ctRow := ct.Row(j)[t0:t1]
-			for t := range ctRow {
-				ctRow[t] = 0
-			}
-			lo, hi := idx.colPtr[j], idx.colPtr[j+1]
-			q := lo
-			for ; q+4 <= hi; q += 4 {
-				v := [4]float64{idx.val[q], idx.val[q+1], idx.val[q+2], idx.val[q+3]}
-				mat.Axpy4(ctRow,
-					w.Row(idx.rowIdx[q])[t0:t1],
-					w.Row(idx.rowIdx[q+1])[t0:t1],
-					w.Row(idx.rowIdx[q+2])[t0:t1],
-					w.Row(idx.rowIdx[q+3])[t0:t1], &v)
-			}
-			for ; q < hi; q++ {
-				mat.Axpy(ctRow, w.Row(idx.rowIdx[q])[t0:t1], idx.val[q])
-			}
-		}
-	}
 }

@@ -83,8 +83,8 @@ func bitwiseEqual(t *testing.T, name string, got, want *mat.Dense) {
 
 // TestSpMMBitwiseVsReference pins the locality-partitioned kernels
 // against the scalar references bit for bit, across skewed shapes,
-// k values covering all unroll/strip remainders, and pool sizes
-// including the serial path.
+// k values covering all unroll remainders, and pool sizes including
+// the serial path.
 func TestSpMMBitwiseVsReference(t *testing.T) {
 	s := rng.New(99)
 	pools := []*par.Pool{nil, par.NewPool(2), par.NewPool(5)}
@@ -187,88 +187,27 @@ func TestNNZBounds(t *testing.T) {
 	}
 }
 
-// TestStripWidth pins the k-strip policy: no striping for panels
-// within budget, spMinStripK floor, budget-sized strips otherwise.
-func TestStripWidth(t *testing.T) {
-	if got := stripWidth(100, 50); got != 50 {
-		t.Errorf("small panel: stripWidth = %d, want 50", got)
-	}
-	if got := stripWidth(0, 50); got != 50 {
-		t.Errorf("empty panel: stripWidth = %d, want 50", got)
-	}
-	if got := stripWidth(1<<24, 50); got != spMinStripK {
-		t.Errorf("huge panel: stripWidth = %d, want floor %d", got, spMinStripK)
-	}
-	if got := stripWidth(1<<17, 50); got != spPanelWords/(1<<17) {
-		t.Errorf("large panel: stripWidth = %d, want %d", got, spPanelWords/(1<<17))
-	}
-}
-
-// TestSpMMStriped forces the k-strip path by shrinking the panel
-// budget (a var for exactly this purpose) and checks bitwise
-// agreement with the unstriped reference.
-func TestSpMMStriped(t *testing.T) {
-	prev := spPanelWords
-	spPanelWords = 1 << 16
-	defer func() { spPanelWords = prev }()
-	s := rng.New(31)
-	// b panel is 2100×40 = 84000 words > the shrunk budget: strips engage.
-	a := RandomER(150, 2100, 0.02, s)
-	b := denseRand(a.Cols, 40, s)
-	w := denseRand(a.Rows, 40, s)
-
-	want := mat.NewDense(a.Rows, 40)
-	RefMulBtTo(want, a, b)
-	got := mat.NewDense(a.Rows, 40)
-	a.MulBtTo(got, b, nil)
-	bitwiseEqual(t, "MulBtTo/striped", got, want)
-
-	// w panel for WtA is a.Rows×k = 150×40, within budget — stretch
-	// rows instead so the CSC-side panel exceeds it.
-	a2 := RandomER(2100, 150, 0.02, s)
-	w2 := denseRand(a2.Rows, 40, s)
-	want2 := mat.NewDense(40, a2.Cols)
-	RefMulWtATo(want2, a2, w2)
-	got2 := mat.NewDense(40, a2.Cols)
-	a2.MulWtAToWS(got2, w2, nil, nil)
-	bitwiseEqual(t, "MulWtATo/striped", got2, want2)
-	_ = w
-}
-
-// TestCSCIndexRoundTrip checks the cached column-major index against
-// the transpose, built from the swapped coordinates: same entries,
-// ascending rows within each column.
+// TestCSCIndexRoundTrip checks the cached transpose against the
+// transpose built from the swapped coordinates: same entries, ascending
+// rows of A within each row of the transpose, built only once.
 func TestCSCIndexRoundTrip(t *testing.T) {
-	s := rng.New(55)
 	for _, tc := range skewCases(t) {
-		idx := tc.a.csc()
+		tr := tc.a.t()
 		var swapped []Coord
 		for i := 0; i < tc.a.Rows; i++ {
 			for p := tc.a.RowPtr[i]; p < tc.a.RowPtr[i+1]; p++ {
 				swapped = append(swapped, Coord{tc.a.ColIdx[p], i, tc.a.Val[p]})
 			}
 		}
-		tr := FromCoords(tc.a.Cols, tc.a.Rows, swapped)
-		if len(idx.colPtr) != tc.a.Cols+1 {
-			t.Fatalf("%s: colPtr length %d", tc.name, len(idx.colPtr))
+		want := FromCoords(tc.a.Cols, tc.a.Rows, swapped)
+		if !tr.Equal(want, 0) {
+			t.Fatalf("%s: cached transpose differs from FromCoords of the swapped coordinates", tc.name)
 		}
-		for j := 0; j <= tc.a.Cols; j++ {
-			if idx.colPtr[j] != tr.RowPtr[j] {
-				t.Fatalf("%s: colPtr[%d] = %d, want %d", tc.name, j, idx.colPtr[j], tr.RowPtr[j])
-			}
-		}
-		for q := range idx.val {
-			if idx.rowIdx[q] != tr.ColIdx[q] || idx.val[q] != tr.Val[q] {
-				t.Fatalf("%s: csc entry %d = (%d,%g), want (%d,%g)",
-					tc.name, q, idx.rowIdx[q], idx.val[q], tr.ColIdx[q], tr.Val[q])
-			}
-		}
-		// Cached: second call returns the same index.
-		if tc.a.csc() != idx {
-			t.Fatalf("%s: csc() rebuilt the cached index", tc.name)
+		// Cached: second call returns the same transpose.
+		if tc.a.t() != tr {
+			t.Fatalf("%s: t() rebuilt the cached transpose", tc.name)
 		}
 	}
-	_ = s
 }
 
 // TestSpMMAcrossISAs sweeps every supported dispatch level:

@@ -295,6 +295,24 @@ var table = []mutant{
 		Pkg:  "./internal/core",
 		Run:  "^TestSolverOutOfRangeIsAnError$",
 	},
+	// The one CSR loop nest runs both sparse products: A·B on A, Aᵀ·B
+	// on A's cached transpose.
+	{
+		Name: "spmm-row-not-cleared",
+		File: "internal/sparse/spmm.go",
+		From: "clear(crow)",
+		To:   "_ = crow",
+		Pkg:  "./internal/sparse",
+		Run:  "^TestSpMMBitwiseVsReference$",
+	},
+	{
+		Name: "spmm-transpose-rows-descending",
+		File: "internal/sparse/spmm.go",
+		From: "for i := 0; i < a.Rows; i++ {",
+		To:   "for i := a.Rows - 1; i >= 0; i-- {",
+		Pkg:  "./internal/sparse",
+		Run:  "^TestSpMMBitwiseVsReference$",
+	},
 	{
 		Name: "mtx-surplus-entries-kept",
 		File: "internal/sparse/io.go",
